@@ -4,17 +4,24 @@
 // block is syntactically valid and gofmt-clean (go/format.Source accepts
 // whole files, declaration lists, and statement lists, so documentation
 // snippets don't have to be compilable programs — just real, formatted
-// Go). CI runs it over README.md and docs/, so the documentation set
-// cannot drift into dead links or pseudo-code that no longer parses.
+// Go). For a file named OPERATIONS.md it also checks that the confmw_*
+// metric families the operator guide names are exactly the ones declared
+// as string literals in non-test Go under internal/ and cmd/ of the
+// repository the guide sits in, so a counter cannot ship undocumented and
+// the guide cannot describe one that is gone. CI runs it over README.md
+// and docs/, so the documentation set cannot drift into dead links,
+// pseudo-code that no longer parses, or a stale metric table.
 package main
 
 import (
 	"bytes"
 	"fmt"
 	"go/format"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -25,7 +32,11 @@ func main() {
 	}
 	failures := 0
 	for _, file := range os.Args[1:] {
-		for _, problem := range lintFile(file) {
+		problems := lintFile(file)
+		if filepath.Base(file) == "OPERATIONS.md" {
+			problems = append(problems, checkMetricFamilies(file)...)
+		}
+		for _, problem := range problems {
 			fmt.Fprintln(os.Stderr, problem)
 			failures++
 		}
@@ -129,4 +140,58 @@ func checkGoSnippet(path string, line int, src string) string {
 		return fmt.Sprintf("%s:%d: go snippet is not gofmt-formatted", path, line)
 	}
 	return ""
+}
+
+// familyLiteral matches a whole string literal naming a metric family —
+// how every family is declared in code; familyMention a family named in
+// prose, where a trailing underscore marks a prefix such as confmw_edge_*.
+var (
+	familyLiteral = regexp.MustCompile(`"(confmw_[a-z0-9_]+)"`)
+	familyMention = regexp.MustCompile(`confmw_[a-z0-9_]+`)
+)
+
+// checkMetricFamilies reports each family that the operator guide at
+// opsPath (<root>/docs/OPERATIONS.md) names but no non-test Go under
+// <root>/internal or <root>/cmd declares, and each declared one it omits.
+func checkMetricFamilies(opsPath string) []string {
+	doc, err := os.ReadFile(opsPath)
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", opsPath, err)}
+	}
+	documented := make(map[string]bool)
+	for _, m := range familyMention.FindAll(doc, -1) {
+		if !bytes.HasSuffix(m, []byte("_")) {
+			documented[string(m)] = true
+		}
+	}
+	declared := make(map[string]string) // family -> declaring file
+	root := filepath.Dir(filepath.Dir(opsPath))
+	for _, dir := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			for _, m := range familyLiteral.FindAllSubmatch(src, -1) {
+				declared[string(m[1])] = path
+			}
+			return err
+		})
+		if err != nil {
+			return []string{fmt.Sprintf("%s: scanning %s for metric families: %v", opsPath, dir, err)}
+		}
+	}
+	var problems []string
+	for family, file := range declared {
+		if !documented[family] {
+			problems = append(problems, fmt.Sprintf("%s: metric family %s is not named in %s", file, family, opsPath))
+		}
+	}
+	for family := range documented {
+		if declared[family] == "" {
+			problems = append(problems, fmt.Sprintf("%s: names metric family %s, which no non-test Go under internal/ or cmd/ declares", opsPath, family))
+		}
+	}
+	sort.Strings(problems)
+	return problems
 }

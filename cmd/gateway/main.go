@@ -48,42 +48,50 @@ import (
 	"dltprivacy/internal/workload"
 )
 
+// opts holds every flag; the demo and -listen serve mode each read the
+// ones their help text names.
+type opts struct {
+	trades, batch, shards, replicas, channels  int
+	trace, auditAsync, timingSample            int
+	acceptLoops, maxPerPrincipal               int
+	seed                                       int64
+	revokeCheck, reqauth, codec, telemetryAddr string
+	stages, listen                             string
+	groupSeal, shed                            bool
+	statsEvery                                 time.Duration
+}
+
 func main() {
-	trades := flag.Int("trades", 24, "number of workload trades to submit")
-	batch := flag.Int("batch", 4, "batch stage group size")
-	groupSeal := flag.Bool("groupseal", false, "seal each (channel, epoch) batch group with one AEAD invocation (amortized group envelope; rides the encrypt key cache)")
-	auditAsync := flag.Int("auditasync", 0, "audit ring depth: record leakage-log entries off the submit path, flushed on close (0 = record inline)")
-	timingSample := flag.Int("timingsample", 0, "run full per-stage timing for one submission in N, counters stay exact (0 = time every submission)")
-	seed := flag.Int64("seed", 42, "workload generator seed")
-	shards := flag.Int("shards", 2, "ordering shards behind the gateway")
-	replicas := flag.Int("replicas", 0, "ordering operators per shard: 0 runs solo shards, >= 3 runs replicated clusters with automatic leader failover")
-	channels := flag.Int("channels", 2, "channels to spread trades across")
-	revokeCheck := flag.String("revokecheck", "resolve", "session revocation check mode: off, resolve, or sweep")
-	reqauth := flag.String("reqauth", "mac", "steady-state session request auth: sig (per-request ECDSA) or mac (per-session HMAC)")
-	codec := flag.String("codec", "binary", "gateway wire codec: json or binary")
-	telemetryAddr := flag.String("telemetry", "127.0.0.1:0", "telemetry listen address for /metrics, /statusz, /tracez, /debug/pprof (e.g. :9090)")
-	trace := flag.Int("trace", 64, "sample one submission in N for request tracing (0 = off)")
-	stages := flag.String("stages", "", `pipeline override as a raw Config string, e.g. "session(reqauth=mac)|authn|encrypt|audit|batch(size=4)"; must include a session stage for the demo workload (empty = the built-in pipeline)`)
-	listen := flag.String("listen", "", "serve the wire protocol on this TCP address (e.g. :9444) instead of running the demo; remote clients enroll, open sessions, and submit over the netedge framing")
-	acceptLoops := flag.Int("acceptloops", 4, "edge accept-plane shards (serve mode)")
-	maxPerPrincipal := flag.Int("maxperprincipal", 0, "live-session cap per principal in serve mode (0 = unlimited)")
-	shed := flag.Bool("shed", false, "shed slow edge consumers instead of blocking on their outbound queue (serve mode)")
-	statsEvery := flag.Duration("statsevery", 10*time.Second, "serve-mode interval for the edge stats line")
+	var o opts
+	flag.IntVar(&o.trades, "trades", 24, "number of workload trades to submit")
+	flag.IntVar(&o.batch, "batch", 4, "batch stage group size")
+	flag.BoolVar(&o.groupSeal, "groupseal", false, "seal each (channel, epoch) batch group with one AEAD invocation (amortized group envelope; rides the encrypt key cache)")
+	flag.IntVar(&o.auditAsync, "auditasync", 0, "audit ring depth: record leakage-log entries off the submit path, flushed on close (0 = record inline)")
+	flag.IntVar(&o.timingSample, "timingsample", 0, "run full per-stage timing for one submission in N, counters stay exact (0 = time every submission)")
+	flag.Int64Var(&o.seed, "seed", 42, "workload generator seed")
+	flag.IntVar(&o.shards, "shards", 2, "ordering shards behind the gateway")
+	flag.IntVar(&o.replicas, "replicas", 0, "ordering operators per shard: 0 runs solo shards, >= 3 runs replicated clusters with automatic leader failover")
+	flag.IntVar(&o.channels, "channels", 2, "channels to spread trades across")
+	flag.StringVar(&o.revokeCheck, "revokecheck", "resolve", "session revocation check mode: off, resolve, or sweep")
+	flag.StringVar(&o.reqauth, "reqauth", "mac", "steady-state session request auth: sig (per-request ECDSA) or mac (per-session HMAC)")
+	flag.StringVar(&o.codec, "codec", "binary", "gateway wire codec: json or binary")
+	flag.StringVar(&o.telemetryAddr, "telemetry", "127.0.0.1:0", "telemetry listen address for /metrics, /statusz, /tracez, /debug/pprof (e.g. :9090)")
+	flag.IntVar(&o.trace, "trace", 64, "sample one submission in N for request tracing (0 = off)")
+	flag.StringVar(&o.stages, "stages", "", `pipeline override as a raw Config string, e.g. "session(reqauth=mac)|authn|encrypt|audit|batch(size=4)"; must include a session stage for the demo workload (empty = the built-in pipeline)`)
+	flag.StringVar(&o.listen, "listen", "", "serve the wire protocol on this TCP address (e.g. :9444) instead of running the demo; remote clients enroll, open sessions, and submit over the netedge framing")
+	flag.IntVar(&o.acceptLoops, "acceptloops", 4, "edge accept-plane shards (serve mode)")
+	flag.IntVar(&o.maxPerPrincipal, "maxperprincipal", 0, "live-session cap per principal in serve mode (0 = unlimited)")
+	flag.BoolVar(&o.shed, "shed", false, "shed slow edge consumers instead of blocking on their outbound queue (serve mode)")
+	flag.DurationVar(&o.statsEvery, "statsevery", 10*time.Second, "serve-mode interval for the edge stats line")
 	flag.Parse()
-	if *listen != "" {
-		if err := runServe(serveOpts{
-			listen: *listen, codec: *codec, reqauth: *reqauth, revokeCheck: *revokeCheck,
-			telemetryAddr: *telemetryAddr, trace: *trace, shards: *shards, replicas: *replicas,
-			channels:    *channels,
-			acceptLoops: *acceptLoops, maxPerPrincipal: *maxPerPrincipal, shed: *shed,
-			statsEvery: *statsEvery,
-		}); err != nil {
+	if o.listen != "" {
+		if err := runServe(o); err != nil {
 			fmt.Fprintln(os.Stderr, "gateway:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(*trades, *batch, *seed, *shards, *replicas, *channels, *revokeCheck, *reqauth, *codec, *telemetryAddr, *trace, *stages, *groupSeal, *auditAsync, *timingSample); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "gateway:", err)
 		if errors.Is(err, middleware.ErrBadConfig) {
 			fmt.Fprintf(os.Stderr, "registered stages:\n%s", middleware.StageUsage())
@@ -92,17 +100,17 @@ func main() {
 	}
 }
 
-func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, revokeCheck, reqauth, codec, telemetryAddr string, trace int, stagesOverride string, groupSeal bool, auditAsync, timingSample int) error {
-	if nShards < 1 || nChannels < 1 {
-		return fmt.Errorf("need at least 1 shard and 1 channel, got %d/%d", nShards, nChannels)
+func run(o opts) error {
+	if o.shards < 1 || o.channels < 1 {
+		return fmt.Errorf("need at least 1 shard and 1 channel, got %d/%d", o.shards, o.channels)
 	}
-	wl := workload.New(seed)
+	wl := workload.New(o.seed)
 	members := wl.Orgs(3)
-	trades, err := wl.Trades(members, nTrades, 96)
+	trades, err := wl.Trades(members, o.trades, 96)
 	if err != nil {
 		return err
 	}
-	channels := make([]string, nChannels)
+	channels := make([]string, o.channels)
 	for i := range channels {
 		channels[i] = fmt.Sprintf("deals-%d", i)
 	}
@@ -133,7 +141,7 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 	// audit log accounts leakage for. Channels spread over shards by
 	// consistent hashing; the pin below overrides it for the first channel.
 	log := audit.NewLog()
-	shardBackends, err := buildShards(nShards, replicas, log)
+	shardBackends, err := buildShards(o.shards, o.replicas, log)
 	if err != nil {
 		return err
 	}
@@ -158,18 +166,18 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 	// checked against the backend at construction.
 	sessionParams := map[string]string{
 		"ttl": "10m", "idle": "2m", "maxperprincipal": "4",
-		"revokecheck": revokeCheck,
-		"reqauth":     reqauth,
+		"revokecheck": o.revokeCheck,
+		"reqauth":     o.reqauth,
 	}
-	if revokeCheck == "sweep" {
+	if o.revokeCheck == "sweep" {
 		sessionParams["revokesweep"] = "30s"
 	}
 	auditParams := map[string]string{"observer": "gateway-op"}
-	if auditAsync > 0 {
-		auditParams["auditasync"] = fmt.Sprint(auditAsync)
+	if o.auditAsync > 0 {
+		auditParams["auditasync"] = fmt.Sprint(o.auditAsync)
 	}
-	batchParams := map[string]string{"size": fmt.Sprint(batchSize)}
-	if groupSeal {
+	batchParams := map[string]string{"size": fmt.Sprint(o.batch)}
+	if o.groupSeal {
 		batchParams["groupseal"] = "on"
 	}
 	cfg := middleware.Config{
@@ -183,36 +191,36 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 			{Name: middleware.StageBreaker, Params: map[string]string{"threshold": "5", "cooldown": "250ms"}},
 			{Name: middleware.StageBatch, Params: batchParams},
 		},
-		Shards:    nShards,
+		Shards:    o.shards,
 		ShardPins: map[string]int{channels[0]: 0},
-		Codec:     codec,
+		Codec:     o.codec,
 	}
-	if trace > 0 {
-		cfg.Trace = fmt.Sprint(trace)
+	if o.trace > 0 {
+		cfg.Trace = fmt.Sprint(o.trace)
 	}
-	if timingSample > 0 {
-		cfg.TimingSample = fmt.Sprint(timingSample)
+	if o.timingSample > 0 {
+		cfg.TimingSample = fmt.Sprint(o.timingSample)
 	}
 	// -stages overrides the whole pipeline; the demo's request-auth and
 	// revocation knobs then follow the override's session stage instead of
 	// their own flags. Unknown stage names fail here with the registered
 	// list, so new stages are discoverable from the CLI.
-	if stagesOverride != "" {
-		parsed, err := middleware.ParseStages(stagesOverride)
+	if o.stages != "" {
+		parsed, err := middleware.ParseStages(o.stages)
 		if err != nil {
 			return err
 		}
 		cfg.Stages = parsed
-		reqauth, revokeCheck = "sig", "off"
+		o.reqauth, o.revokeCheck = "sig", "off"
 		hasSession := false
 		for _, sc := range parsed {
 			if sc.Name == middleware.StageSession {
 				hasSession = true
 				if v := sc.Params["reqauth"]; v != "" {
-					reqauth = v
+					o.reqauth = v
 				}
 				if v := sc.Params["revokecheck"]; v != "" {
-					revokeCheck = v
+					o.revokeCheck = v
 				}
 			}
 		}
@@ -243,24 +251,15 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 		return err
 	}
 
-	// Telemetry plane: one registry over every layer — stage latency
-	// histograms, gateway/session/shard/revocation counters — served next
-	// to the stats snapshot, the trace ring, and pprof. The demo below is
-	// its own first consumer: stats come back through /statusz, not
-	// gw.Stats().
-	reg := telemetry.NewRegistry()
-	if err := gw.RegisterMetrics(reg); err != nil {
+	// The demo below is the telemetry plane's first consumer: stats come
+	// back through /statusz, not gw.Stats().
+	srv, err := serveTelemetry(o.telemetryAddr, gw)
+	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", telemetryAddr)
-	if err != nil {
-		return fmt.Errorf("telemetry listen %s: %w", telemetryAddr, err)
-	}
-	srv := &http.Server{Handler: telemetry.NewMux(reg, gw.Tracer(), func() any { return gw.Stats() })}
-	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("telemetry: %s/metrics /statusz /tracez /debug/pprof (trace=%d)\n\n", base, trace)
+	base := "http://" + srv.Addr
+	fmt.Printf("telemetry: %s/metrics /statusz /tracez /debug/pprof (trace=%d)\n\n", base, o.trace)
 
 	// Each member opens one session: the full certificate verification is
 	// paid here, once, and every subsequent submission rides the token.
@@ -269,7 +268,7 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 	// negotiates the binary wire framing.
 	grants := make(map[string]middleware.SessionGrant, len(members))
 	for _, m := range members {
-		grant, err := middleware.OpenSessionOverCodec(bus, m, "gateway", certs[m], keys[m], codec)
+		grant, err := middleware.OpenSessionOverCodec(bus, m, "gateway", certs[m], keys[m], o.codec)
 		if err != nil {
 			return fmt.Errorf("open session for %s: %w", m, err)
 		}
@@ -278,7 +277,7 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 	// authenticate binds a request to its session per the configured mode:
 	// a ~1µs HMAC under the grant key, or a per-request ECDSA signature.
 	authenticate := func(req *middleware.Request) error {
-		if reqauth == "mac" {
+		if o.reqauth == "mac" {
 			middleware.MACRequest(req, grants[req.Principal].MacKey)
 			return nil
 		}
@@ -346,22 +345,22 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 
 	// Self-scrape: the same counters in Prometheus text format, ready for
 	// any scraper pointed at the -telemetry address.
-	if err := printScrape(base, trace); err != nil {
+	if err := printScrape(base, o.trace); err != nil {
 		return err
 	}
 
 	// Fault tolerance, live: kill the leader of the first channel's shard
 	// and migrate the channel to another shard, with client traffic riding
 	// through both.
-	if replicas >= 3 {
-		if err := demoFailover(gw, orderer, bus, channels, members, grants, authenticate, nShards); err != nil {
+	if o.replicas >= 3 {
+		if err := demoFailover(gw, orderer, bus, channels, members, grants, authenticate, o.shards); err != nil {
 			return err
 		}
 	}
 
 	fmt.Println("\nleakage (who saw transaction data?):")
 	ops := []string{"gateway-op"}
-	ops = append(ops, shardOperatorNames(nShards, replicas)...)
+	ops = append(ops, shardOperatorNames(o.shards, o.replicas)...)
 	ops = append(ops, members[0])
 	for _, op := range ops {
 		saw := log.SawAny(op, audit.ClassTxData)
@@ -382,7 +381,7 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 	if _, err := middleware.SubmitOver(bus, members[0], "gateway", bad); !errors.Is(err, middleware.ErrBadSignature) && !errors.Is(err, middleware.ErrBadMAC) {
 		return fmt.Errorf("tampered submission was not rejected: %v", err)
 	}
-	fmt.Printf("\ntampered submission rejected on the session path (reqauth=%s), as configured\n", reqauth)
+	fmt.Printf("\ntampered submission rejected on the session path (reqauth=%s), as configured\n", o.reqauth)
 
 	// A forged token never reaches the chain's downstream stages.
 	forged := &middleware.Request{
@@ -402,7 +401,7 @@ func run(nTrades, batchSize int, seed int64, nShards, replicas, nChannels int, r
 	// Mid-run revocation: the CA withdraws the last member's certificate.
 	// The push subscription evicts its live session, and the encrypt stage
 	// drops it from every channel's next key epoch.
-	if revokeCheck != "off" {
+	if o.revokeCheck != "off" {
 		revoked := members[len(members)-1]
 		pre, err := fetchStatusz(base)
 		if err != nil {
@@ -517,6 +516,33 @@ func demoFailover(gw *middleware.Gateway, orderer *ordering.ShardedBackend, bus 
 	fmt.Printf("migrated %s to shard %d over %s (%d move); the chain continued there without a gap\n",
 		ch, orderer.ShardFor(ch), middleware.TopicShardRebalance, len(notice.Migrations))
 	return nil
+}
+
+// serveTelemetry starts the telemetry listener both modes share: one
+// registry over every layer of the gateway (plus whatever else the mode
+// registers — the serve-mode edge), served beside the stats snapshot, the
+// trace ring, and pprof. The caller closes the returned server, whose Addr
+// is the address actually bound (the resolved port for ":0").
+func serveTelemetry(addr string, gw *middleware.Gateway, more ...func(*telemetry.Registry) error) (*http.Server, error) {
+	reg := telemetry.NewRegistry()
+	if err := gw.RegisterMetrics(reg); err != nil {
+		return nil, err
+	}
+	for _, register := range more {
+		if err := register(reg); err != nil {
+			return nil, err
+		}
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry listen %s: %w", addr, err)
+	}
+	srv := &http.Server{
+		Addr:    ln.Addr().String(),
+		Handler: telemetry.NewMux(reg, gw.Tracer(), func() any { return gw.Stats() }),
+	}
+	go func() { _ = srv.Serve(ln) }()
+	return srv, nil
 }
 
 // fetchStatusz reads the gateway stats snapshot back through the telemetry

@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -18,25 +16,7 @@ import (
 	"dltprivacy/internal/netedge"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
-	"dltprivacy/internal/telemetry"
 )
-
-// serveOpts are the knobs of -listen serve mode.
-type serveOpts struct {
-	listen          string
-	codec           string
-	reqauth         string
-	revokeCheck     string
-	telemetryAddr   string
-	trace           int
-	shards          int
-	replicas        int
-	channels        int
-	acceptLoops     int
-	maxPerPrincipal int
-	shed            bool
-	statsEvery      time.Duration
-}
 
 // runServe is -listen mode: instead of driving the in-process demo, the
 // command becomes a long-running gateway process serving the wire protocol
@@ -45,7 +25,7 @@ type serveOpts struct {
 // until SIGINT/SIGTERM. The ordering tier runs envelope-visibility shards
 // whose blocks are consumed and counted; platform backends stay out of the
 // path so the edge, chain, and orderer set the ceiling.
-func runServe(o serveOpts) error {
+func runServe(o opts) error {
 	if o.shards < 1 || o.channels < 1 {
 		return fmt.Errorf("need at least 1 shard and 1 channel, got %d/%d", o.shards, o.channels)
 	}
@@ -152,24 +132,15 @@ func runServe(o serveOpts) error {
 	}
 	defer edge.Close()
 
-	reg := telemetry.NewRegistry()
-	if err := gw.RegisterMetrics(reg); err != nil {
-		return err
-	}
-	if err := edge.RegisterMetrics(reg); err != nil {
-		return err
-	}
-	tln, err := net.Listen("tcp", o.telemetryAddr)
+	hsrv, err := serveTelemetry(o.telemetryAddr, gw, edge.RegisterMetrics)
 	if err != nil {
-		return fmt.Errorf("telemetry listen %s: %w", o.telemetryAddr, err)
+		return err
 	}
-	hsrv := &http.Server{Handler: telemetry.NewMux(reg, gw.Tracer(), func() any { return gw.Stats() })}
-	go func() { _ = hsrv.Serve(tln) }()
 	defer hsrv.Close()
 
 	fmt.Printf("edge: listening on %s (codec=%s reqauth=%s revokecheck=%s shards=%d replicas=%d channels=%d acceptloops=%d shed=%v)\n",
 		edge.Addr(), o.codec, o.reqauth, o.revokeCheck, o.shards, o.replicas, o.channels, o.acceptLoops, o.shed)
-	fmt.Printf("telemetry: http://%s/metrics /statusz /tracez /debug/pprof\n", tln.Addr())
+	fmt.Printf("telemetry: http://%s/metrics /statusz /tracez /debug/pprof\n", hsrv.Addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

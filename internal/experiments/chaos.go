@@ -12,7 +12,6 @@ import (
 
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/dcrypto"
-	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
@@ -66,46 +65,6 @@ type ChaosReport struct {
 	// numbers, broken hash chains, duplicate transactions. A healthy run
 	// has none, no matter what the chaos did.
 	Violations []string
-}
-
-// chaosVerifier checks one channel's delivery stream. Deliveries for a
-// channel are serialized by its cluster (and, across migration or
-// failover, by the migration gate and election lock), so the unguarded
-// fields are themselves part of what -race verifies.
-type chaosVerifier struct {
-	channel  string
-	next     uint64
-	lastHash [32]byte
-	txs      int
-	seen     map[string]bool
-
-	mu         sync.Mutex
-	violations []string
-}
-
-func (v *chaosVerifier) deliver(b ledger.Block) error {
-	bad := func(format string, args ...any) {
-		v.mu.Lock()
-		v.violations = append(v.violations, v.channel+": "+fmt.Sprintf(format, args...))
-		v.mu.Unlock()
-	}
-	if b.Number != v.next {
-		bad("block %d out of order, want %d", b.Number, v.next)
-	}
-	if v.next > 0 && b.Number == v.next && b.PrevHash != v.lastHash {
-		bad("block %d breaks the hash chain", b.Number)
-	}
-	for _, tx := range b.Txs {
-		id := tx.ID()
-		if v.seen[id] {
-			bad("tx %s delivered twice", id)
-		}
-		v.seen[id] = true
-	}
-	v.next = b.Number + 1
-	v.lastHash = b.Hash()
-	v.txs += len(b.Txs)
-	return nil
 }
 
 // RunChaos stands up a full gateway — session, authn, rate limit,
@@ -164,12 +123,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	channels := make([]string, cfg.Channels)
-	verifiers := make([]*chaosVerifier, cfg.Channels)
+	verifiers := make([]*ordering.ChainVerifier, cfg.Channels)
 	dir := middleware.StaticDirectory{}
 	for i := range channels {
 		channels[i] = fmt.Sprintf("chaos-%02d", i)
-		verifiers[i] = &chaosVerifier{channel: channels[i], seen: make(map[string]bool)}
-		sb.Subscribe(channels[i], verifiers[i].deliver)
+		verifiers[i] = &ordering.ChainVerifier{}
+		sb.Subscribe(channels[i], verifiers[i].Deliver)
 		dir[channels[i]] = memberKeys
 	}
 
@@ -360,11 +319,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for _, rs := range replicated {
 		report.Failovers += rs.Failovers()
 	}
-	for _, v := range verifiers {
-		report.Delivered[v.channel] = v.txs
-		v.mu.Lock()
-		report.Violations = append(report.Violations, v.violations...)
-		v.mu.Unlock()
+	for i, v := range verifiers {
+		report.Delivered[channels[i]] = v.Txs()
+		for _, violation := range v.Violations() {
+			report.Violations = append(report.Violations, channels[i]+": "+violation)
+		}
 	}
 	sort.Strings(report.Violations)
 	return report, nil

@@ -32,7 +32,7 @@ func TestAsyncAuditRecordsOffPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	au.Flush()
+	au.Flush(context.Background())
 	if got := au.Drained(); got != n {
 		t.Fatalf("drained %d after flush, want %d", got, n)
 	}
@@ -76,7 +76,7 @@ func TestAsyncAuditShedExact(t *testing.T) {
 	}
 	au.wg.Add(1)
 	go au.drain()
-	au.Flush()
+	au.Flush(context.Background())
 	au.Close()
 	if got := au.Drained(); got != depth {
 		t.Fatalf("drained = %d, want %d", got, depth)
@@ -123,7 +123,7 @@ func TestAsyncAuditConcurrentHandleFlushClose(t *testing.T) {
 		go func() {
 			defer aux.Done()
 			for i := 0; i < 50; i++ {
-				au.Flush()
+				au.Flush(context.Background())
 			}
 		}()
 	}

@@ -115,6 +115,20 @@ func (a *Audit) Drained() uint64 { return a.drained.Load() }
 // RingPending reports the observations enqueued but not yet recorded.
 func (a *Audit) RingPending() uint64 { return a.enqueued.Load() - a.drained.Load() }
 
+// statRows declares the async ring's counters; the synchronous stage
+// exports none (its GatewayStats fields stay 0).
+func (a *Audit) statRows() []statRow {
+	if a.ring == nil {
+		return nil
+	}
+	return []statRow{
+		{"confmw_audit_enqueued_total", "Leakage observations accepted into the audit ring.", counter, a.Enqueued, nil},
+		{"confmw_audit_drained_total", "Leakage observations the audit drainer recorded.", counter, a.Drained, nil},
+		{"confmw_audit_shed_total", "Leakage observations dropped because the audit ring was full.", counter, a.Shed, func(s *GatewayStats, v uint64) { s.AuditShed = v }},
+		{"confmw_audit_ring_pending", "Leakage observations enqueued but not yet recorded.", gauge, a.RingPending, func(s *GatewayStats, v uint64) { s.AuditRingPending = v }},
+	}
+}
+
 // Handle implements Stage.
 func (a *Audit) Handle(ctx context.Context, req *Request, next Handler) error {
 	// Capture the observation BEFORE the downstream runs: the encrypt
@@ -172,10 +186,12 @@ func (a *Audit) drain() {
 }
 
 // Flush blocks until every observation enqueued before the call has been
-// recorded. A no-op in synchronous mode or after Close.
-func (a *Audit) Flush() {
+// recorded. A no-op in synchronous mode or after Close. It has the
+// stageFlusher shape, but the wait needs no ctx and cannot fail: the
+// drainer never blocks, so it is bounded by the ring depth.
+func (a *Audit) Flush(context.Context) error {
 	if a.ring == nil {
-		return
+		return nil
 	}
 	target := a.enqueued.Load()
 	a.flushMu.Lock()
@@ -183,6 +199,7 @@ func (a *Audit) Flush() {
 	for a.drained.Load() < target {
 		a.flushCond.Wait()
 	}
+	return nil
 }
 
 // Close stops accepting ring entries, drains everything already enqueued,

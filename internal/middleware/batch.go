@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,11 +18,6 @@ import (
 // committed. The error text names each failed request by ID so operators
 // can reconcile.
 var ErrBatchRelease = errors.New("middleware: batch release failed")
-
-// groupPayloadsPool recycles the payload-view scratch of group releases:
-// without it every group release allocates a fresh slice of N pointers
-// just to hand the member payloads to the sealer.
-var groupPayloadsPool = sync.Pool{New: func() any { return new([][]byte) }}
 
 // Batch aggregates accepted submissions and releases them downstream in
 // groups of the configured size, the write-combining tier in front of the
@@ -55,13 +51,29 @@ type Batch struct {
 	fullMeta string
 
 	mu      sync.Mutex
-	pending []*Request                 // plain mode buffer
-	groups  map[*channelKey][]*Request // group-seal buckets per (channel, epoch)
-	free    [][]*Request               // released bucket arrays, ready for reuse
+	pending []*Request                   // plain mode buffer
+	groups  map[*channelKey]*groupBucket // group-seal buckets per (channel, epoch)
+	free    []*groupBucket               // released buckets, ready for reuse
 	next    Handler
 
 	groupsSealed atomic.Uint64 // group envelopes released (group-seal mode)
 	groupTxs     atomic.Uint64 // member transactions inside those groups
+}
+
+// groupBucket is one open (channel, epoch) group. In deferred-seal mode the
+// members' payloads are still the submitters' plaintext, and a payload that
+// arrived over a stream transport aliases the connection's read buffer,
+// which the next frame overwrites (netedge.Handler). The stage holds
+// members past their Handle's return, so it owns what it holds: admission
+// copies each payload into arena, and payloads views the copies in
+// submission order, ready for the seal. A view taken before arena grew
+// keeps the array it was cut from alive, so growth never invalidates one.
+// Buckets are recycled whole, arena included, so the steady state
+// allocates nothing per group.
+type groupBucket struct {
+	reqs     []*Request
+	payloads [][]byte
+	arena    []byte
 }
 
 // NewBatch creates the batch stage with the given group size.
@@ -79,7 +91,7 @@ func (b *Batch) Name() string { return StageBatch }
 // stage's epoch key cache. Called by Config.Build before traffic.
 func (b *Batch) bindEncrypt(enc *Encrypt) {
 	b.enc = enc
-	b.groups = make(map[*channelKey][]*Request)
+	b.groups = make(map[*channelKey]*groupBucket)
 	b.fullMeta = GroupEnvelopeScheme + " n=" + strconv.Itoa(b.size)
 }
 
@@ -87,26 +99,30 @@ func (b *Batch) bindEncrypt(enc *Encrypt) {
 func (b *Batch) GroupSeal() bool { return b.enc != nil }
 
 // takeBucketLocked returns an empty bucket with capacity for a full group,
-// reusing a released backing array when one is free. Caller holds b.mu.
-func (b *Batch) takeBucketLocked() []*Request {
+// reusing a released one when one is free. Caller holds b.mu.
+func (b *Batch) takeBucketLocked() *groupBucket {
 	if n := len(b.free); n > 0 {
 		g := b.free[n-1]
 		b.free = b.free[:n-1]
 		return g
 	}
-	return make([]*Request, 0, b.size)
+	return &groupBucket{
+		reqs:     make([]*Request, 0, b.size),
+		payloads: make([][]byte, 0, b.size),
+	}
 }
 
-// recycleBucket scrubs a released bucket's member pointers and returns its
-// backing array to the freelist, bounded so a burst of concurrently open
-// buckets cannot pin arrays forever.
-func (b *Batch) recycleBucket(g []*Request) {
-	for i := range g {
-		g[i] = nil
+// recycleBucket scrubs a released bucket's member pointers and payload
+// views and returns it to the freelist, bounded so a burst of concurrently
+// open buckets cannot pin arrays forever.
+func (b *Batch) recycleBucket(g *groupBucket) {
+	for i := range g.reqs {
+		g.reqs[i], g.payloads[i] = nil, nil
 	}
+	g.reqs, g.payloads, g.arena = g.reqs[:0], g.payloads[:0], g.arena[:0]
 	b.mu.Lock()
 	if len(b.free) < 4 {
-		b.free = append(b.free, g[:0])
+		b.free = append(b.free, g)
 	}
 	b.mu.Unlock()
 }
@@ -118,6 +134,15 @@ func (b *Batch) GroupsSealed() uint64 { return b.groupsSealed.Load() }
 
 // GroupTxs reports the member transactions released inside group envelopes.
 func (b *Batch) GroupTxs() uint64 { return b.groupTxs.Load() }
+
+// statRows declares the group-seal counters and the buffer gauge.
+func (b *Batch) statRows() []statRow {
+	return []statRow{
+		{"confmw_batch_groups_sealed_total", "Group envelopes released by the batch stage (group-seal mode).", counter, b.groupsSealed.Load, func(s *GatewayStats, v uint64) { s.BatchGroupsSealed = v }},
+		{"confmw_batch_group_txs_total", "Member transactions released inside group envelopes.", counter, b.groupTxs.Load, func(s *GatewayStats, v uint64) { s.BatchGroupTxs = v }},
+		{"confmw_batch_pending", "Submissions currently buffered by the batch stage.", gauge, func() uint64 { return uint64(b.Pending()) }, func(s *GatewayStats, v uint64) { s.BatchPending = int(v) }},
+	}
+}
 
 // Handle implements Stage.
 func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
@@ -135,17 +160,20 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 			return errNoGroupKey
 		}
 		req.buffered = true
-		g, ok := b.groups[ck]
-		if !ok {
+		g := b.groups[ck]
+		if g == nil {
 			// A fresh bucket starts at full capacity, recycled from the
 			// last released group where possible: growing a pointer slice
 			// member by member costs log2(size) reallocations, copies, and
 			// write-barrier work per group, all on the admission path.
 			g = b.takeBucketLocked()
-		}
-		g = append(g, req)
-		if len(g) < b.size {
 			b.groups[ck] = g
+		}
+		start := len(g.arena)
+		g.arena = append(g.arena, req.Payload...)
+		g.reqs = append(g.reqs, req)
+		g.payloads = append(g.payloads, g.arena[start:len(g.arena):len(g.arena)])
+		if len(g.reqs) < b.size {
 			b.mu.Unlock()
 			return nil
 		}
@@ -156,6 +184,11 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 		return err
 	}
 	req.buffered = true
+	if !req.encrypted {
+		// No encrypt stage swapped the payload for an envelope of its own:
+		// it may still alias a transport read buffer (see groupBucket).
+		req.Payload = bytes.Clone(req.Payload)
+	}
 	b.pending = append(b.pending, req)
 	if len(b.pending) < b.size {
 		b.mu.Unlock()
@@ -178,7 +211,7 @@ func (b *Batch) Flush(ctx context.Context) error {
 	next := b.next
 	if b.enc != nil {
 		groups := b.groups
-		b.groups = make(map[*channelKey][]*Request)
+		b.groups = make(map[*channelKey]*groupBucket)
 		b.mu.Unlock()
 		if len(groups) == 0 {
 			return nil
@@ -214,7 +247,7 @@ func (b *Batch) Pending() int {
 	defer b.mu.Unlock()
 	n := len(b.pending)
 	for _, g := range b.groups {
-		n += len(g)
+		n += len(g.reqs)
 	}
 	return n
 }
@@ -275,24 +308,12 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 // resolves with the group's outcome, and every member's trace gets a
 // "batch.release" span whose exclusive time is its amortized share of the
 // release. Cancellation detaching and error wrapping mirror release.
-func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, group []*Request, next Handler, flusher *Request) error {
+func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, g *groupBucket, next Handler, flusher *Request) error {
 	ctx = context.WithoutCancel(ctx)
 	start := time.Now()
-	pp := groupPayloadsPool.Get().(*[][]byte)
-	payloads := (*pp)[:0]
-	for _, r := range group {
-		payloads = append(payloads, r.Payload)
-	}
+	group := g.reqs
 	channel := group[0].Channel
-	sealed, err := b.enc.sealGroup(ck, channel, payloads)
-	// The seal consumed the payload views; scrub them before pooling so the
-	// scratch does not pin member payload buffers until its next use.
-	for i := range payloads {
-		payloads[i] = nil
-	}
-	*pp = payloads
-	groupPayloadsPool.Put(pp)
-	relErr := err
+	sealed, relErr := b.enc.sealGroup(ck, channel, g.payloads)
 	if relErr == nil {
 		val := b.fullMeta
 		if len(group) != b.size {

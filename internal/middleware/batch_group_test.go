@@ -138,7 +138,7 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := chain.stage(StageBatch).(*Batch)
+	b, ok := chain.stages[len(chain.stages)-1].(*Batch)
 	if !ok || !b.GroupSeal() {
 		t.Fatal("batch stage not in group-seal mode")
 	}

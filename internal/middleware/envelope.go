@@ -442,6 +442,14 @@ func (e *Encrypt) RevokedRotations() uint64 {
 	return e.revokedRotations
 }
 
+// statRows declares the key-epoch counters.
+func (e *Encrypt) statRows() []statRow {
+	return []statRow{
+		{"confmw_key_epochs_rotated_total", "Channel data-key epoch installs by the encrypt stage.", counter, e.Rotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRotated = v }},
+		{"confmw_key_epochs_revoked_rotations_total", "Cached channel keys invalidated because a wrapped member was revoked.", counter, e.RevokedRotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRevokedRotations = v }},
+	}
+}
+
 // effectiveMembers drops excluded (revoked) identities from the channel
 // member set. The common no-revocations case returns the input map
 // unchanged, alloc-free.

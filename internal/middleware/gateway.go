@@ -3,6 +3,7 @@ package middleware
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -97,6 +98,15 @@ type Gateway struct {
 	// revocation audit trail (may be nil).
 	revoker  Revoker
 	auditLog *audit.Log
+
+	// Stage hooks, resolved once at construction by ranging the built
+	// chain: sessions is the session stage's manager (nil without one —
+	// Sessions() runs on every session open and close, so it must stay a
+	// field read), rows the one counter table Stats and RegisterMetrics
+	// both loop over (the gateway's own rows, then each stage's, in chain
+	// order).
+	sessions *SessionManager
+	rows     []statRow
 
 	// tracer samples submissions into a bounded trace ring (Config.Trace);
 	// nil when tracing is off — every tracer method is nil-receiver safe,
@@ -249,6 +259,15 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 	} else if every > 0 {
 		g.tracer = telemetry.NewTracer(every, 0)
 	}
+	g.rows = g.statRows()
+	for _, s := range chain.stages {
+		if h, ok := s.(sessionHolder); ok {
+			g.sessions = h.Manager()
+		}
+		if src, ok := s.(statSource); ok {
+			g.rows = append(g.rows, src.statRows()...)
+		}
+	}
 	// A push-capable revocation plane drives the gateway directly: every
 	// Revoke lands as a sync, so sessions die and key epochs rotate without
 	// waiting for a sweep interval or an admin notification. Close detaches
@@ -273,8 +292,10 @@ func (g *Gateway) Close() {
 	if unsub != nil {
 		unsub()
 	}
-	if a, ok := g.chain.stage(StageAudit).(*Audit); ok && a != nil {
-		a.Close()
+	for _, s := range g.chain.stages {
+		if c, ok := s.(stageCloser); ok {
+			c.Close()
+		}
 	}
 }
 
@@ -299,15 +320,14 @@ func (g *Gateway) SyncRevocations() int {
 	defer g.revMu.Unlock()
 	revs, version := g.revoker.RevokedSince(g.revEpoch)
 	g.revEpoch = version
-	enc, _ := g.chain.stage(StageEncrypt).(*Encrypt)
 	for _, rev := range revs {
 		// Only a revocation that withdraws the identity's standing excludes
 		// it from envelopes: one-time certs never carried channel
 		// membership, and a superseded-cert revocation (the key-rotation
 		// flow: re-enroll, then revoke the old serial) withdraws one
 		// certificate while the identity remains a member in good standing.
-		if enc != nil && rev.Kind == pki.KindIdentity && rev.Identity != "" && !rev.Superseded {
-			enc.RevokeMember(rev.Identity)
+		if rev.Kind == pki.KindIdentity && rev.Identity != "" && !rev.Superseded {
+			g.eachMemberKeyer(func(k memberKeyer) { k.RevokeMember(rev.Identity) })
 		}
 		// The audit trail records that the gateway operator learned of the
 		// revocation: who lost trust and at which epoch.
@@ -328,8 +348,16 @@ func (g *Gateway) SyncRevocations() int {
 // on their next submission). A no-op without an encrypt stage or for
 // identities never excluded.
 func (g *Gateway) ReadmitMember(identity string) {
-	if e, ok := g.chain.stage(StageEncrypt).(*Encrypt); ok && e != nil {
-		e.ReadmitMember(identity)
+	g.eachMemberKeyer(func(k memberKeyer) { k.ReadmitMember(identity) })
+}
+
+// eachMemberKeyer applies fn to every stage that wraps channel keys to
+// member identities.
+func (g *Gateway) eachMemberKeyer(fn func(memberKeyer)) {
+	for _, s := range g.chain.stages {
+		if k, ok := s.(memberKeyer); ok {
+			fn(k)
+		}
 	}
 }
 
@@ -460,13 +488,10 @@ func (g *Gateway) Tracer() *telemetry.Tracer { return g.tracer }
 // flush trivially.
 func (g *Gateway) Flush(ctx context.Context) error {
 	var err error
-	if b, ok := g.chain.stage(StageBatch).(*Batch); ok && b != nil {
-		err = b.Flush(ctx)
-	} else if a, ok := g.chain.stage(StageAggregate).(*Aggregate); ok && a != nil {
-		err = a.Flush(ctx)
-	}
-	if a, ok := g.chain.stage(StageAudit).(*Audit); ok && a != nil {
-		a.Flush()
+	for i := len(g.chain.stages) - 1; i >= 0; i-- {
+		if f, ok := g.chain.stages[i].(stageFlusher); ok {
+			err = errors.Join(err, f.Flush(ctx))
+		}
 	}
 	return err
 }
@@ -534,36 +559,46 @@ func (g *Gateway) Bound(channel string) []Backend {
 // read per-shard counters.
 func (g *Gateway) Sharded() *ordering.ShardedBackend { return g.sharded }
 
+// statRows declares the gateway's own numbers; the stages declare theirs
+// beside their atomics (see statRow).
+func (g *Gateway) statRows() []statRow {
+	// Backend commit counters aggregate over bound adapters: Bind is
+	// dynamic, so the scrape sums the commit table instead of registering
+	// per-backend series up front (Stats lists them per backend).
+	sum := func(pick func(*backendCounters) uint64) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			g.mu.Lock()
+			for _, ctr := range g.commits {
+				n += pick(ctr)
+			}
+			g.mu.Unlock()
+			return n
+		}
+	}
+	return []statRow{
+		{"confmw_gateway_submitted_total", "Requests accepted by the chain.", counter, g.submitted.Load, func(s *GatewayStats, v uint64) { s.Submitted = v }},
+		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", counter, g.ordered.Load, func(s *GatewayStats, v uint64) { s.Ordered = v }},
+		{"confmw_gateway_rejected_total", "Requests refused by a stage.", counter, g.rejected.Load, func(s *GatewayStats, v uint64) { s.Rejected = v }},
+		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }},
+		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }},
+		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil},
+		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.blocks.Load() }), nil},
+		{"confmw_backend_committed_txs_total", "Transactions committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.txs.Load() }), nil},
+		{"confmw_backend_commit_errors_total", "Failed block commits across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.errors.Load() }), nil},
+	}
+}
+
 // Stats snapshots gateway, per-stage, and per-backend counters.
 func (g *Gateway) Stats() GatewayStats {
-	stats := GatewayStats{
-		Submitted: g.submitted.Load(),
-		Ordered:   g.ordered.Load(),
-		Rejected:  g.rejected.Load(),
-		Stages:    g.chain.Stats(),
-	}
+	stats := GatewayStats{Stages: g.chain.Stats()}
 	if g.sharded != nil {
 		stats.Shards = g.sharded.Stats()
 	}
-	if mgr := g.Sessions(); mgr != nil {
-		ss := mgr.Stats()
-		stats.Sessions = &ss
-		stats.SessionsRevoked = ss.Revoked
-	}
-	if e, ok := g.chain.stage(StageEncrypt).(*Encrypt); ok && e != nil {
-		stats.KeyEpochsRotated = e.Rotations()
-		stats.KeyEpochsRevokedRotations = e.RevokedRotations()
-	}
-	stats.RevocationSweeps = g.sweeps.Load()
-	stats.TracesSampled = g.tracer.Sampled()
-	if b, ok := g.chain.stage(StageBatch).(*Batch); ok && b != nil {
-		stats.BatchGroupsSealed = b.GroupsSealed()
-		stats.BatchGroupTxs = b.GroupTxs()
-		stats.BatchPending = b.Pending()
-	}
-	if a, ok := g.chain.stage(StageAudit).(*Audit); ok && a != nil {
-		stats.AuditShed = a.Shed()
-		stats.AuditRingPending = a.RingPending()
+	for _, r := range g.rows {
+		if r.set != nil {
+			r.set(&stats, r.load())
+		}
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -579,134 +614,37 @@ func (g *Gateway) Stats() GatewayStats {
 }
 
 // RegisterMetrics registers every subsystem the gateway fronts into reg
-// under the confmw_* naming scheme: per-stage chain telemetry, gateway
-// submission counters, session lifecycle, encrypt key epochs, revocation
-// plane, per-shard routing, backend commit aggregates, and trace sampling.
-// Call once per gateway per registry, before serving /metrics.
+// under the confmw_* naming scheme: per-stage chain telemetry, the counter
+// table (gateway submission counters, revocation plane, backend commit
+// aggregates, trace sampling, and whatever the configured stages export),
+// and per-shard routing. Call once per gateway per registry, before
+// serving /metrics.
 func (g *Gateway) RegisterMetrics(reg *telemetry.Registry) error {
 	if err := g.chain.RegisterMetrics(reg); err != nil {
 		return err
 	}
-	for _, c := range []struct {
-		name, help string
-		fn         func() uint64
-	}{
-		{"confmw_gateway_submitted_total", "Requests accepted by the chain.", g.submitted.Load},
-		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", g.ordered.Load},
-		{"confmw_gateway_rejected_total", "Requests refused by a stage.", g.rejected.Load},
-		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", g.sweeps.Load},
-		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", g.tracer.Sampled},
-	} {
-		if err := reg.CounterFunc(c.name, c.help, c.fn); err != nil {
-			return err
-		}
+	ms := make([]telemetry.FuncMetric, len(g.rows))
+	for i, r := range g.rows {
+		ms[i] = telemetry.FuncMetric{Name: r.name, Help: r.help, Gauge: r.kind == gauge, Load: r.load}
 	}
-	if err := reg.GaugeFunc("confmw_revocation_epoch",
-		"Last revocation epoch applied.", func() float64 { return float64(g.RevocationEpoch()) }); err != nil {
+	if err := reg.RegisterFuncs(ms); err != nil {
 		return err
 	}
-	if mgr := g.Sessions(); mgr != nil {
-		if err := mgr.RegisterMetrics(reg); err != nil {
-			return err
-		}
-	}
-	if e, ok := g.chain.stage(StageEncrypt).(*Encrypt); ok && e != nil {
-		if err := reg.CounterFunc("confmw_key_epochs_rotated_total",
-			"Channel data-key epoch installs by the encrypt stage.", e.Rotations); err != nil {
-			return err
-		}
-		if err := reg.CounterFunc("confmw_key_epochs_revoked_rotations_total",
-			"Cached channel keys invalidated because a wrapped member was revoked.", e.RevokedRotations); err != nil {
-			return err
-		}
-	}
 	if g.sharded != nil {
-		if err := g.sharded.RegisterMetrics(reg); err != nil {
-			return err
-		}
-	}
-	if b, ok := g.chain.stage(StageBatch).(*Batch); ok && b != nil {
-		if err := reg.CounterFunc("confmw_batch_groups_sealed_total",
-			"Group envelopes released by the batch stage (group-seal mode).", b.GroupsSealed); err != nil {
-			return err
-		}
-		if err := reg.CounterFunc("confmw_batch_group_txs_total",
-			"Member transactions released inside group envelopes.", b.GroupTxs); err != nil {
-			return err
-		}
-		if err := reg.GaugeFunc("confmw_batch_pending",
-			"Submissions currently buffered by the batch stage.",
-			func() float64 { return float64(b.Pending()) }); err != nil {
-			return err
-		}
-	}
-	if a, ok := g.chain.stage(StageAudit).(*Audit); ok && a != nil && a.Async() {
-		for _, c := range []struct {
-			name, help string
-			fn         func() uint64
-		}{
-			{"confmw_audit_enqueued_total", "Leakage observations accepted into the audit ring.", a.Enqueued},
-			{"confmw_audit_drained_total", "Leakage observations the audit drainer recorded.", a.Drained},
-			{"confmw_audit_shed_total", "Leakage observations dropped because the audit ring was full.", a.Shed},
-		} {
-			if err := reg.CounterFunc(c.name, c.help, c.fn); err != nil {
-				return err
-			}
-		}
-		if err := reg.GaugeFunc("confmw_audit_ring_pending",
-			"Leakage observations enqueued but not yet recorded.",
-			func() float64 { return float64(a.RingPending()) }); err != nil {
-			return err
-		}
-	}
-	// Backend commit counters aggregate over bound adapters: Bind is
-	// dynamic, so the scrape sums the commit table instead of registering
-	// per-backend series up front.
-	sum := func(pick func(*backendCounters) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			g.mu.Lock()
-			for _, ctr := range g.commits {
-				n += pick(ctr)
-			}
-			g.mu.Unlock()
-			return n
-		}
-	}
-	for _, c := range []struct {
-		name, help string
-		fn         func() uint64
-	}{
-		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.",
-			sum(func(c *backendCounters) uint64 { return c.blocks.Load() })},
-		{"confmw_backend_committed_txs_total", "Transactions committed across bound platform backends.",
-			sum(func(c *backendCounters) uint64 { return c.txs.Load() })},
-		{"confmw_backend_commit_errors_total", "Failed block commits across bound platform backends.",
-			sum(func(c *backendCounters) uint64 { return c.errors.Load() })},
-	} {
-		if err := reg.CounterFunc(c.name, c.help, c.fn); err != nil {
-			return err
-		}
+		return g.sharded.RegisterMetrics(reg)
 	}
 	return nil
 }
 
 // Sessions returns the session manager of the chain's session stage, or
 // nil when the pipeline has no session stage.
-func (g *Gateway) Sessions() *SessionManager {
-	if s, ok := g.chain.stage(StageSession).(*Session); ok && s != nil {
-		return s.Manager()
-	}
-	return nil
-}
+func (g *Gateway) Sessions() *SessionManager { return g.sessions }
 
 // RotateChannelKey forces the encrypt stage onto a fresh data-key epoch
 // for the channel (e.g. after revoking a member's certificate). A no-op
 // when the pipeline has no encrypt stage or no key cache.
 func (g *Gateway) RotateChannelKey(channel string) {
-	if e, ok := g.chain.stage(StageEncrypt).(*Encrypt); ok && e != nil {
-		e.Rotate(channel)
-	}
+	g.eachMemberKeyer(func(k memberKeyer) { k.Rotate(channel) })
 }
 
 // wireRequest is the form a transport client submits — JSON by default,
@@ -737,10 +675,11 @@ type wireRequest struct {
 // identity pass it so sessions opened here are bound to the connection and
 // submissions resolve against that binding; transports without one pass ""
 // and sessions stay unbound. The payload slice is only borrowed: binary
-// submissions alias it zero-copy during the chain run, but nothing retains
-// it past return (the encrypt stage replaces the payload before any
-// holding stage buffers the request), so stream transports may reuse their
-// read buffer for the next frame.
+// submissions alias it zero-copy during the chain run, and a stage that
+// holds a request past return copies what it holds into memory it owns
+// (Batch.Handle; the encrypt stage replaces the payload only outside
+// deferred group-seal mode), so stream transports may reuse their read
+// buffer for the next frame.
 func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 	switch topic {
 	case TopicSubmit:

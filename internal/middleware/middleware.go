@@ -275,6 +275,55 @@ type Stage interface {
 	Handle(ctx context.Context, req *Request, next Handler) error
 }
 
+// Optional stage hooks. A stage carries its own cross-cutting behaviour by
+// implementing any of these beside Stage; the gateway discovers them by
+// ranging over the built chain, never by stage name or concrete type.
+type (
+	// stageFlusher is a stage that holds work past Handle's return (batch,
+	// aggregate, the async audit ring). Gateway.Flush calls the hooks in
+	// reverse chain order: the terminal holding stage releases first.
+	stageFlusher interface {
+		Flush(ctx context.Context) error
+	}
+	// stageCloser is a stage that owns a resource Gateway.Close releases
+	// (the async audit ring's drainer).
+	stageCloser interface{ Close() }
+	// memberKeyer is a stage that wraps channel keys to member identities
+	// (encrypt): revocation excludes a member, readmission lifts the
+	// exclusion, Rotate forces a channel onto a fresh key epoch.
+	memberKeyer interface {
+		RevokeMember(identity string)
+		ReadmitMember(identity string)
+		Rotate(channel string)
+	}
+	// sessionHolder is the stage fronting the session manager the gateway
+	// serves session.open / session.close through.
+	sessionHolder interface{ Manager() *SessionManager }
+	// statSource is a stage that exports numbers; see statRow.
+	statSource interface{ statRows() []statRow }
+)
+
+// statRow declares one exported number exactly once: its /metrics family
+// (name, help, counter or gauge), how to read it, and — set, nil for a
+// number on /metrics only — where it lands in the /statusz snapshot.
+// Gateway.Stats and Gateway.RegisterMetrics are each one loop over the
+// gateway's rows and every statSource stage's, so the two views cannot
+// drift and a new counter is one atomic field plus one row beside it.
+type statRow struct {
+	name, help string
+	kind       rowKind
+	load       func() uint64
+	set        func(*GatewayStats, uint64)
+}
+
+// rowKind tells a monotonic count from a point-in-time value.
+type rowKind bool
+
+const (
+	counter rowKind = false
+	gauge   rowKind = true
+)
+
 // StageStats is a snapshot of one stage's counters.
 //
 // Nanos is inclusive of downstream stages (the chain is measured from each
@@ -468,12 +517,10 @@ func (c *Chain) RegisterMetrics(reg *telemetry.Registry) error {
 		if err := reg.Register(m.lat); err != nil {
 			return err
 		}
-		if err := reg.CounterFunc("confmw_stage_calls_total",
-			"Stage invocations.", m.calls.Load, telemetry.L("stage", m.name)); err != nil {
-			return err
-		}
-		if err := reg.CounterFunc("confmw_stage_errors_total",
-			"Stage invocations that returned an error.", m.errors.Load, telemetry.L("stage", m.name)); err != nil {
+		if err := reg.RegisterFuncs([]telemetry.FuncMetric{
+			{Name: "confmw_stage_calls_total", Help: "Stage invocations.", Load: m.calls.Load},
+			{Name: "confmw_stage_errors_total", Help: "Stage invocations that returned an error.", Load: m.errors.Load},
+		}, telemetry.L("stage", m.name)); err != nil {
 			return err
 		}
 	}
@@ -499,16 +546,6 @@ func (c *Chain) StageNames() []string {
 		out[i] = s.Name()
 	}
 	return out
-}
-
-// stage returns the configured stage with the given name, if any.
-func (c *Chain) stage(name string) Stage {
-	for _, s := range c.stages {
-		if s.Name() == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // IsTransient reports whether an error is worth retrying: transport

@@ -385,9 +385,13 @@ func TestBatchAggregatesAndFlushes(t *testing.T) {
 	}
 	sink := &accept{}
 	chain := NewChain(sink.handler, b)
+	// Every submission borrows the one buffer, as a stream transport's read
+	// loop lends its frame: the stage must hold its own copy.
+	buf := make([]byte, 1)
 	submit := func(i int) error {
+		buf[0] = byte(i)
 		return chain.Execute(context.Background(), &Request{
-			Channel: "deals", Principal: "p", Payload: []byte{byte(i)},
+			Channel: "deals", Principal: "p", Payload: buf,
 		})
 	}
 	for i := 0; i < 2; i++ {

@@ -11,7 +11,6 @@ import (
 
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/pki"
-	"dltprivacy/internal/telemetry"
 )
 
 // Session errors. They are distinct so clients can tell a token that never
@@ -825,46 +824,40 @@ func (m *SessionManager) Len() int {
 	return n
 }
 
-// Stats snapshots the manager's lifecycle counters. The eviction counters
-// are read before Opened: an eviction always follows the open it undoes,
-// so reading the evictions first (and Opened, which can only have grown,
-// last) keeps the snapshot invariant Opened >= Expired+Evicted+Revoked
-// even while submitters race the poll. The reverse order could observe an
-// open-then-evict pair's eviction without its open.
+// Stats snapshots the manager's lifecycle counters.
 func (m *SessionManager) Stats() SessionStats {
-	expired := m.expired.Load()
-	evicted := m.evicted.Load()
-	revoked := m.revoked.Load()
-	return SessionStats{
-		Live:    m.Len(),
-		Opened:  m.opened.Load(),
-		Expired: expired,
-		Evicted: evicted,
-		Revoked: revoked,
+	var gs GatewayStats
+	for _, r := range m.statRows() {
+		r.set(&gs, r.load())
 	}
+	return *gs.Sessions
 }
 
-// RegisterMetrics registers the manager's lifecycle counters and live
-// gauge into reg under the confmw_sessions_* names.
-func (m *SessionManager) RegisterMetrics(reg *telemetry.Registry) error {
-	if err := reg.GaugeFunc("confmw_sessions_live",
-		"Currently held sessions.", func() float64 { return float64(m.Len()) }); err != nil {
-		return err
-	}
-	for _, c := range []struct {
-		name, help string
-		fn         func() uint64
-	}{
-		{"confmw_sessions_opened_total", "Sessions granted.", m.opened.Load},
-		{"confmw_sessions_expired_total", "Sessions evicted at their TTL or idle window.", m.expired.Load},
-		{"confmw_sessions_evicted_total", "Sessions displaced by the per-principal cap.", m.evicted.Load},
-		{"confmw_sessions_revoked_total", "Sessions evicted by certificate revocation.", m.revoked.Load},
-	} {
-		if err := reg.CounterFunc(c.name, c.help, c.fn); err != nil {
-			return err
+// statRows declares the lifecycle counters and the live gauge. Order is
+// load order, and the eviction counters come before Opened: an eviction
+// always follows the open it undoes, so reading the evictions first (and
+// Opened, which can only have grown, last) keeps the snapshot invariant
+// Opened >= Expired+Evicted+Revoked even while submitters race the poll.
+// The reverse order could observe an open-then-evict pair's eviction
+// without its open.
+func (m *SessionManager) statRows() []statRow {
+	// The rows fill GatewayStats.Sessions, which is nil on a gateway
+	// without a session stage: the first setter to run allocates it.
+	stats := func(s *GatewayStats) *SessionStats {
+		if s.Sessions == nil {
+			s.Sessions = new(SessionStats)
 		}
+		return s.Sessions
 	}
-	return nil
+	return []statRow{
+		{"confmw_sessions_live", "Currently held sessions.", gauge, func() uint64 { return uint64(m.Len()) }, func(s *GatewayStats, v uint64) { stats(s).Live = int(v) }},
+		{"confmw_sessions_expired_total", "Sessions evicted at their TTL or idle window.", counter, m.expired.Load, func(s *GatewayStats, v uint64) { stats(s).Expired = v }},
+		{"confmw_sessions_evicted_total", "Sessions displaced by the per-principal cap.", counter, m.evicted.Load, func(s *GatewayStats, v uint64) { stats(s).Evicted = v }},
+		// SessionsRevoked surfaces the same number beside the gateway's
+		// other revocation counters.
+		{"confmw_sessions_revoked_total", "Sessions evicted by certificate revocation.", counter, m.revoked.Load, func(s *GatewayStats, v uint64) { stats(s).Revoked, s.SessionsRevoked = v, v }},
+		{"confmw_sessions_opened_total", "Sessions granted.", counter, m.opened.Load, func(s *GatewayStats, v uint64) { stats(s).Opened = v }},
+	}
 }
 
 // Session is the session-aware authn stage. A request carrying a token is
@@ -892,6 +885,9 @@ func (s *Session) Name() string { return StageSession }
 // Manager returns the stage's session manager, the handle the gateway
 // serves session.open / session.close through.
 func (s *Session) Manager() *SessionManager { return s.mgr }
+
+// statRows exports the manager's numbers through the stage.
+func (s *Session) statRows() []statRow { return s.mgr.statRows() }
 
 // Handle implements Stage.
 func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error {

@@ -17,9 +17,9 @@ import (
 // Gateway satisfies with ServeWire. transportID is the serving
 // connection's unique identity, the value session binding pins tokens to.
 // The payload slice aliases the connection's read buffer and is only valid
-// until ServeWire returns; implementations must not retain it (the
-// gateway's encrypt stage replaces the payload before any holding stage
-// buffers a request, so the shipped pipelines satisfy this for free).
+// until ServeWire returns; implementations must not retain it. The gateway
+// does not get this for free: a stage that holds a request past ServeWire's
+// return (batch) copies what it holds into memory it owns.
 type Handler interface {
 	ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error)
 }
@@ -246,27 +246,16 @@ func (s *Server) Stats() EdgeStats {
 // RegisterMetrics registers the edge counters into reg under the
 // confmw_edge_* naming scheme.
 func (s *Server) RegisterMetrics(reg *telemetry.Registry) error {
-	if err := reg.GaugeFunc("confmw_edge_connections_live",
-		"Currently open edge connections.", func() float64 { return float64(s.live.Load()) }); err != nil {
-		return err
-	}
-	for _, c := range []struct {
-		name, help string
-		fn         func() uint64
-	}{
-		{"confmw_edge_connections_accepted_total", "Connections accepted by the edge.", s.accepted.Load},
-		{"confmw_edge_connections_closed_total", "Connections fully torn down.", s.closedCt.Load},
-		{"confmw_edge_bytes_in_total", "Frame bytes read off edge sockets.", s.bytesIn.Load},
-		{"confmw_edge_bytes_out_total", "Frame bytes written to edge sockets.", s.bytesOut.Load},
-		{"confmw_edge_backpressure_sheds_total", "Connections shed because their outbound queue was full.", s.sheds.Load},
-		{"confmw_edge_frame_errors_total", "Malformed or oversized stream frames.", s.frameErrs.Load},
-		{"confmw_edge_requests_total", "Request frames dispatched to the handler.", s.requests.Load},
-	} {
-		if err := reg.CounterFunc(c.name, c.help, c.fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reg.RegisterFuncs([]telemetry.FuncMetric{
+		{Name: "confmw_edge_connections_live", Help: "Currently open edge connections.", Gauge: true, Load: func() uint64 { return uint64(s.live.Load()) }},
+		{Name: "confmw_edge_connections_accepted_total", Help: "Connections accepted by the edge.", Load: s.accepted.Load},
+		{Name: "confmw_edge_connections_closed_total", Help: "Connections fully torn down.", Load: s.closedCt.Load},
+		{Name: "confmw_edge_bytes_in_total", Help: "Frame bytes read off edge sockets.", Load: s.bytesIn.Load},
+		{Name: "confmw_edge_bytes_out_total", Help: "Frame bytes written to edge sockets.", Load: s.bytesOut.Load},
+		{Name: "confmw_edge_backpressure_sheds_total", Help: "Connections shed because their outbound queue was full.", Load: s.sheds.Load},
+		{Name: "confmw_edge_frame_errors_total", Help: "Malformed or oversized stream frames.", Load: s.frameErrs.Load},
+		{Name: "confmw_edge_requests_total", Help: "Request frames dispatched to the handler.", Load: s.requests.Load},
+	})
 }
 
 // acceptLoop is one shard of the accept plane.
@@ -346,8 +335,9 @@ func (s *Server) serveConn(c net.Conn) {
 func (s *Server) readLoop(ec *edgeConn) {
 	br := bufio.NewReaderSize(ec.c, 16<<10)
 	// The read buffer is per-connection and reused for every frame: the
-	// decode path hands the gateway payload bytes zero-copy, which is safe
-	// because ServeWire borrows rather than retains them.
+	// decode path hands the handler payload bytes zero-copy, so they are
+	// overwritten by the next frame — the Handler contract (borrow, never
+	// retain) is what makes that safe.
 	buf := make([]byte, 0, 4096)
 	for {
 		if s.opt.idleTimeout > 0 {

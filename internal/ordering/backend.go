@@ -1,16 +1,10 @@
 package ordering
 
-import (
-	"fmt"
-	"sync"
-
-	"dltprivacy/internal/audit"
-	"dltprivacy/internal/ledger"
-)
+import "dltprivacy/internal/ledger"
 
 // Backend abstracts the ordering service a platform plugs in: the solo
 // Service (third-party or single-member operated) or a member-run
-// replicated ClusterSet (§3.4 mitigation).
+// replicated ReplicatedShard (§3.4 mitigation).
 type Backend interface {
 	// Submit queues a transaction for ordering on its channel.
 	Submit(tx ledger.Transaction) error
@@ -19,104 +13,4 @@ type Backend interface {
 	// Operators names the principals operating the service; they observe
 	// whatever the visibility level exposes.
 	Operators() []string
-}
-
-// Compile-time checks.
-var (
-	_ Backend = (*Service)(nil)
-	_ Backend = (*ClusterSet)(nil)
-)
-
-// Operators implements Backend for the solo service.
-func (s *Service) Operators() []string { return []string{s.operator} }
-
-// ClusterSet runs one replicated ordering cluster per channel, all operated
-// by the same consortium members.
-type ClusterSet struct {
-	operators  []string
-	visibility Visibility
-	log        *audit.Log
-	batch      int
-
-	mu       sync.Mutex
-	clusters map[string]*Cluster
-}
-
-// ClusterSetOption configures a ClusterSet.
-type ClusterSetOption func(*ClusterSet)
-
-// WithSetAudit attaches leakage accounting to every cluster.
-func WithSetAudit(log *audit.Log) ClusterSetOption {
-	return func(cs *ClusterSet) { cs.log = log }
-}
-
-// WithSetBatch sets transactions per block.
-func WithSetBatch(n int) ClusterSetOption {
-	return func(cs *ClusterSet) {
-		if n > 0 {
-			cs.batch = n
-		}
-	}
-}
-
-// NewClusterSet creates a per-channel cluster factory operated by the given
-// members.
-func NewClusterSet(operators []string, visibility Visibility, opts ...ClusterSetOption) (*ClusterSet, error) {
-	if len(operators) < 3 {
-		return nil, ErrClusterSize
-	}
-	cs := &ClusterSet{
-		operators:  append([]string(nil), operators...),
-		visibility: visibility,
-		batch:      1,
-		clusters:   make(map[string]*Cluster),
-	}
-	for _, opt := range opts {
-		opt(cs)
-	}
-	return cs, nil
-}
-
-// Operators implements Backend.
-func (cs *ClusterSet) Operators() []string {
-	return append([]string(nil), cs.operators...)
-}
-
-// Cluster returns (creating if needed) the cluster for a channel; exposed
-// for fault injection in tests and experiments.
-func (cs *ClusterSet) Cluster(channel string) (*Cluster, error) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	c, ok := cs.clusters[channel]
-	if !ok {
-		var err error
-		c, err = NewCluster(channel, cs.operators, cs.visibility,
-			WithClusterAudit(cs.log), WithClusterBatch(cs.batch))
-		if err != nil {
-			return nil, fmt.Errorf("cluster for %s: %w", channel, err)
-		}
-		cs.clusters[channel] = c
-	}
-	return c, nil
-}
-
-// Subscribe implements Backend.
-func (cs *ClusterSet) Subscribe(channel string, deliver DeliverFunc) {
-	c, err := cs.Cluster(channel)
-	if err != nil {
-		// Construction can only fail on cluster size, validated in
-		// NewClusterSet; reaching here is a programming error surfaced on
-		// the first Submit instead of a panic.
-		return
-	}
-	c.Subscribe(deliver)
-}
-
-// Submit implements Backend.
-func (cs *ClusterSet) Submit(tx ledger.Transaction) error {
-	c, err := cs.Cluster(tx.Channel)
-	if err != nil {
-		return err
-	}
-	return c.Submit(tx)
 }

@@ -21,49 +21,10 @@ func newTestReplicatedShard(t testing.TB, prefix string) *ReplicatedShard {
 	return rs
 }
 
-// orderedLog is a delivery-order verifier: blocks must arrive in height
-// order with an intact hash chain and no duplicate transactions.
-type orderedLog struct {
-	next     uint64
-	lastHash [32]byte
-	txs      int
-	seen     map[string]bool
-	err      error
-}
-
-func (cl *orderedLog) deliver(b ledger.Block) error {
-	if cl.err != nil {
-		return cl.err
-	}
-	if b.Number != cl.next {
-		cl.err = fmt.Errorf("block %d out of order, want %d", b.Number, cl.next)
-		return cl.err
-	}
-	if cl.next > 0 && b.PrevHash != cl.lastHash {
-		cl.err = fmt.Errorf("block %d breaks the hash chain", b.Number)
-		return cl.err
-	}
-	if cl.seen == nil {
-		cl.seen = make(map[string]bool)
-	}
-	for _, tx := range b.Txs {
-		id := tx.ID()
-		if cl.seen[id] {
-			cl.err = fmt.Errorf("block %d re-delivers tx %s", b.Number, id)
-			return cl.err
-		}
-		cl.seen[id] = true
-	}
-	cl.next++
-	cl.lastHash = b.Hash()
-	cl.txs += len(b.Txs)
-	return nil
-}
-
 func TestReplicatedShardFailoverOnSubmit(t *testing.T) {
 	rs := newTestReplicatedShard(t, "op")
-	cl := &orderedLog{}
-	rs.Subscribe("trade", cl.deliver)
+	cl := &ChainVerifier{}
+	rs.Subscribe("trade", cl.Deliver)
 	for i := 0; i < 3; i++ {
 		if err := rs.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -93,8 +54,8 @@ func TestReplicatedShardFailoverOnSubmit(t *testing.T) {
 	if leader == dead {
 		t.Fatalf("leader %s did not change across the kill", leader)
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	if cl.txs != 6 || cl.next != 6 {
 		t.Fatalf("delivered %d txs over %d blocks, want 6 over 6", cl.txs, cl.next)
@@ -152,8 +113,8 @@ func TestShardedFailoverSingleFlightElection(t *testing.T) {
 // exactly once.
 func TestReplicatedShardQuorumLossCancelsSubmission(t *testing.T) {
 	rs := newTestReplicatedShard(t, "op")
-	cl := &orderedLog{}
-	rs.Subscribe("trade", cl.deliver)
+	cl := &ChainVerifier{}
+	rs.Subscribe("trade", cl.Deliver)
 	if err := rs.Submit(mkTx("trade", "BankA", "seed")); err != nil {
 		t.Fatalf("seed submit: %v", err)
 	}
@@ -189,8 +150,8 @@ func TestReplicatedShardQuorumLossCancelsSubmission(t *testing.T) {
 	if err := rs.Submit(mkTx("trade", "BankA", "after")); err != nil {
 		t.Fatalf("Submit after restart: %v", err)
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	if cl.txs != 2 {
 		t.Fatalf("delivered %d txs, want 2 (cancelled tx must not resurface)", cl.txs)
@@ -199,8 +160,8 @@ func TestReplicatedShardQuorumLossCancelsSubmission(t *testing.T) {
 
 func TestReplicatedShardKillAndRevive(t *testing.T) {
 	rs := newTestReplicatedShard(t, "op")
-	cl := &orderedLog{}
-	rs.Subscribe("trade", cl.deliver)
+	cl := &ChainVerifier{}
+	rs.Subscribe("trade", cl.Deliver)
 	for i := 0; i < 3; i++ {
 		if err := rs.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -216,8 +177,8 @@ func TestReplicatedShardKillAndRevive(t *testing.T) {
 			t.Fatalf("Submit %d after revive: %v", i, err)
 		}
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	// The chain resumed at its pre-kill height: 6 delivered txs, blocks in
 	// order, and the rejected submission never resurfaced.
@@ -277,16 +238,16 @@ func TestShardedDeliveryOrderAcrossLeaderKill(t *testing.T) {
 		nSubmitters = 8
 		perSubmit   = 30
 	)
-	logs := make([]*orderedLog, nChannels)
+	logs := make([]*ChainVerifier, nChannels)
 	channels := make([]string, nChannels)
 	for i := range channels {
 		channels[i] = fmt.Sprintf("ch-%02d", i)
-		cl := &orderedLog{}
+		cl := &ChainVerifier{}
 		logs[i] = cl
 		// Delivery for one channel is serialized by its cluster (and across
 		// a failover by the election holding the cluster lock), so the
-		// unguarded orderedLog is itself part of what -race verifies.
-		sb.Subscribe(channels[i], cl.deliver)
+		// unguarded ChainVerifier is itself part of what -race verifies.
+		sb.Subscribe(channels[i], cl.Deliver)
 	}
 	var wg sync.WaitGroup
 	submitErrs := make([]error, nSubmitters)
@@ -346,8 +307,8 @@ func TestShardedDeliveryOrderAcrossLeaderKill(t *testing.T) {
 	total := 0
 	var failovers uint64
 	for i, cl := range logs {
-		if cl.err != nil {
-			t.Fatalf("channel %s: %v", channels[i], cl.err)
+		if cl.Err() != nil {
+			t.Fatalf("channel %s: %v", channels[i], cl.Err())
 		}
 		total += cl.txs
 	}

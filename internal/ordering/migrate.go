@@ -51,7 +51,6 @@ type ChannelMigrator interface {
 // Compile-time checks: every first-party shard backend supports migration.
 var (
 	_ ChannelMigrator = (*Service)(nil)
-	_ ChannelMigrator = (*ClusterSet)(nil)
 	_ ChannelMigrator = (*ReplicatedShard)(nil)
 )
 
@@ -94,39 +93,5 @@ func (s *Service) ImportChannel(channel string, st ChannelState) error {
 		lastHash: st.LastHash,
 		pending:  append([]ledger.Transaction(nil), st.Pending...),
 	}
-	return nil
-}
-
-// ExportChannel implements ChannelMigrator for the per-channel cluster set.
-func (cs *ClusterSet) ExportChannel(channel string) (ChannelState, error) {
-	cs.mu.Lock()
-	c, ok := cs.clusters[channel]
-	if ok {
-		delete(cs.clusters, channel)
-	}
-	cs.mu.Unlock()
-	if !ok {
-		return ChannelState{}, fmt.Errorf("%w: %s", ErrUnknownChannel, channel)
-	}
-	return c.exportState(), nil
-}
-
-// ImportChannel implements ChannelMigrator for the per-channel cluster set:
-// a fresh cluster is built over the set's operators and seeded with the
-// imported chain state, so block numbering and hash chaining continue from
-// the sending shard even across later elections.
-func (cs *ClusterSet) ImportChannel(channel string, st ChannelState) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if _, ok := cs.clusters[channel]; ok {
-		return fmt.Errorf("%w: %s", ErrChannelExists, channel)
-	}
-	c, err := NewCluster(channel, cs.operators, cs.visibility,
-		WithClusterAudit(cs.log), WithClusterBatch(cs.batch))
-	if err != nil {
-		return fmt.Errorf("cluster for %s: %w", channel, err)
-	}
-	c.adoptState(st)
-	cs.clusters[channel] = c
 	return nil
 }

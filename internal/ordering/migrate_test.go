@@ -12,8 +12,8 @@ import (
 
 func TestServiceExportImportRoundTrip(t *testing.T) {
 	src := New("op-src", VisibilityEnvelope)
-	cl := &orderedLog{}
-	src.Subscribe("trade", cl.deliver)
+	cl := &ChainVerifier{}
+	src.Subscribe("trade", cl.Deliver)
 	for i := 0; i < 3; i++ {
 		if err := src.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -41,12 +41,12 @@ func TestServiceExportImportRoundTrip(t *testing.T) {
 	if err := dst.ImportChannel("trade", st); err != nil {
 		t.Fatalf("ImportChannel: %v", err)
 	}
-	dst.Subscribe("trade", cl.deliver)
+	dst.Subscribe("trade", cl.Deliver)
 	if err := dst.Submit(mkTx("trade", "BankA", "k3")); err != nil {
 		t.Fatalf("Submit on target: %v", err)
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	// Block 3 chained onto the exported head: numbering and hashing continue.
 	if cl.next != 4 || cl.txs != 4 {
@@ -66,14 +66,14 @@ func TestServiceImportRefusesLiveChannel(t *testing.T) {
 	}
 }
 
-func TestClusterSetExportImportRoundTrip(t *testing.T) {
+func TestReplicatedShardExportImportRoundTrip(t *testing.T) {
 	ops := []string{"a", "b", "c"}
-	src, err := NewClusterSet(ops, VisibilityEnvelope)
+	src, err := NewReplicatedShard(ops, VisibilityEnvelope)
 	if err != nil {
-		t.Fatalf("NewClusterSet: %v", err)
+		t.Fatalf("NewReplicatedShard: %v", err)
 	}
-	cl := &orderedLog{}
-	src.Subscribe("trade", cl.deliver)
+	cl := &ChainVerifier{}
+	src.Subscribe("trade", cl.Deliver)
 	for i := 0; i < 2; i++ {
 		if err := src.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -86,9 +86,9 @@ func TestClusterSetExportImportRoundTrip(t *testing.T) {
 	if st.Height != 2 {
 		t.Fatalf("exported Height = %d, want 2", st.Height)
 	}
-	dst, err := NewClusterSet([]string{"x", "y", "z"}, VisibilityEnvelope)
+	dst, err := NewReplicatedShard([]string{"x", "y", "z"}, VisibilityEnvelope)
 	if err != nil {
-		t.Fatalf("NewClusterSet: %v", err)
+		t.Fatalf("NewReplicatedShard: %v", err)
 	}
 	if err := dst.ImportChannel("trade", st); err != nil {
 		t.Fatalf("ImportChannel: %v", err)
@@ -96,12 +96,12 @@ func TestClusterSetExportImportRoundTrip(t *testing.T) {
 	if err := dst.ImportChannel("trade", st); !errors.Is(err, ErrChannelExists) {
 		t.Fatalf("double import = %v, want ErrChannelExists", err)
 	}
-	dst.Subscribe("trade", cl.deliver)
+	dst.Subscribe("trade", cl.Deliver)
 	if err := dst.Submit(mkTx("trade", "BankA", "k2")); err != nil {
 		t.Fatalf("Submit on target: %v", err)
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	if cl.next != 3 {
 		t.Fatalf("chain height after import = %d, want 3", cl.next)
@@ -117,8 +117,8 @@ func TestShardedMigrateLiveChannel(t *testing.T) {
 	if err := sb.Pin(ch, sb.ShardFor(ch)); err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
-	cl := &orderedLog{}
-	sb.Subscribe(ch, cl.deliver)
+	cl := &ChainVerifier{}
+	sb.Subscribe(ch, cl.Deliver)
 	from := sb.ShardFor(ch)
 	to := 1 - from
 	for i := 0; i < 5; i++ {
@@ -137,8 +137,8 @@ func TestShardedMigrateLiveChannel(t *testing.T) {
 			t.Fatalf("Submit %d after migrate: %v", i, err)
 		}
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	if cl.next != 10 || cl.txs != 10 {
 		t.Fatalf("delivered %d blocks / %d txs, want 10 / 10", cl.next, cl.txs)
@@ -230,8 +230,8 @@ func TestShardedMigrateUnderConcurrentSubmitters(t *testing.T) {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	const ch = "hot.channel"
-	cl := &orderedLog{}
-	sb.Subscribe(ch, cl.deliver)
+	cl := &ChainVerifier{}
+	sb.Subscribe(ch, cl.Deliver)
 	const (
 		nSubmitters = 6
 		perSubmit   = 40
@@ -276,8 +276,8 @@ func TestShardedMigrateUnderConcurrentSubmitters(t *testing.T) {
 			t.Fatalf("submitter %d: %v", w, err)
 		}
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	if want := nSubmitters * perSubmit; cl.txs != want {
 		t.Fatalf("delivered %d txs, want %d", cl.txs, want)
@@ -303,8 +303,8 @@ func TestShardedMigratedChannelSurvivesElection(t *testing.T) {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	const ch = "trade"
-	cl := &orderedLog{}
-	sb.Subscribe(ch, cl.deliver)
+	cl := &ChainVerifier{}
+	sb.Subscribe(ch, cl.Deliver)
 	for i := 0; i < 3; i++ {
 		if err := sb.Submit(mkTx(ch, "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -330,8 +330,8 @@ func TestShardedMigratedChannelSurvivesElection(t *testing.T) {
 			t.Fatalf("Submit %d after election: %v", i, err)
 		}
 	}
-	if cl.err != nil {
-		t.Fatalf("delivery: %v", cl.err)
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
 	}
 	if cl.next != 7 || cl.txs != 7 {
 		t.Fatalf("delivered %d blocks / %d txs, want 7 / 7", cl.next, cl.txs)

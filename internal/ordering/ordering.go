@@ -129,6 +129,12 @@ func New(operator string, visibility Visibility, opts ...Option) *Service {
 // Operator returns the principal operating the service.
 func (s *Service) Operator() string { return s.operator }
 
+// Operators implements Backend for the solo service.
+func (s *Service) Operators() []string { return []string{s.operator} }
+
+// Compile-time check.
+var _ Backend = (*Service)(nil)
+
 // Subscribe registers a block consumer for a channel.
 func (s *Service) Subscribe(channel string, deliver DeliverFunc) {
 	s.mu.Lock()

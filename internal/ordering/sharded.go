@@ -433,53 +433,37 @@ func (sb *ShardedBackend) Migrations() uint64 { return sb.migrations.Load() }
 // shard index.
 func (sb *ShardedBackend) RegisterMetrics(reg *telemetry.Registry) error {
 	for i := range sb.shards {
-		st := &sb.stats[i]
-		label := telemetry.L("shard", strconv.Itoa(i))
-		if err := reg.CounterFunc("confmw_shard_routed_txs_total",
-			"Transactions routed to the shard.", st.routedTxs.Load, label); err != nil {
-			return err
-		}
-		if err := reg.CounterFunc("confmw_shard_delivered_blocks_total",
-			"Block deliveries fanned out to the shard's subscribers.", st.delivered.Load, label); err != nil {
-			return err
-		}
-		if err := reg.CounterFunc("confmw_shard_migrations_total",
-			"Live channels migrated onto the shard.", st.migratedIn.Load, label); err != nil {
-			return err
-		}
-		if f, ok := sb.shards[i].(shardFailovers); ok {
-			if err := reg.CounterFunc("confmw_shard_failovers_total",
-				"Leader elections the shard ran to recover from a dead leader.", f.Failovers, label); err != nil {
-				return err
-			}
-		}
-		shard := i
-		if err := reg.GaugeFunc("confmw_shard_pinned_channels",
-			"Channels explicitly pinned to the shard.", func() float64 {
-				n := 0
+		st, shard := &sb.stats[i], i
+		ms := []telemetry.FuncMetric{
+			{Name: "confmw_shard_routed_txs_total", Help: "Transactions routed to the shard.", Load: st.routedTxs.Load},
+			{Name: "confmw_shard_delivered_blocks_total", Help: "Block deliveries fanned out to the shard's subscribers.", Load: st.delivered.Load},
+			{Name: "confmw_shard_migrations_total", Help: "Live channels migrated onto the shard.", Load: st.migratedIn.Load},
+			{Name: "confmw_shard_pinned_channels", Help: "Channels explicitly pinned to the shard.", Gauge: true, Load: func() (n uint64) {
 				sb.mu.RLock()
+				defer sb.mu.RUnlock()
 				for _, s := range sb.pins {
 					if s == shard {
 						n++
 					}
 				}
-				sb.mu.RUnlock()
-				return float64(n)
-			}, label); err != nil {
-			return err
-		}
-		if err := reg.GaugeFunc("confmw_shard_owned_channels",
-			"Channels whose traffic currently routes to the shard.", func() float64 {
-				n := 0
+				return n
+			}},
+			{Name: "confmw_shard_owned_channels", Help: "Channels whose traffic currently routes to the shard.", Gauge: true, Load: func() (n uint64) {
 				sb.mu.RLock()
+				defer sb.mu.RUnlock()
 				for _, rt := range sb.routes {
 					if int(rt.shard.Load()) == shard {
 						n++
 					}
 				}
-				sb.mu.RUnlock()
-				return float64(n)
-			}, label); err != nil {
+				return n
+			}},
+		}
+		if f, ok := sb.shards[i].(shardFailovers); ok {
+			ms = append(ms, telemetry.FuncMetric{Name: "confmw_shard_failovers_total",
+				Help: "Leader elections the shard ran to recover from a dead leader.", Load: f.Failovers})
+		}
+		if err := reg.RegisterFuncs(ms, telemetry.L("shard", strconv.Itoa(i))); err != nil {
 			return err
 		}
 	}

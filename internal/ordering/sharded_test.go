@@ -223,37 +223,12 @@ func TestShardedDeliveryOrderUnderConcurrency(t *testing.T) {
 		nSubmitters = 8
 		perSubmit   = 25
 	)
-	type chanLog struct {
-		next     uint64
-		lastHash [32]byte
-		txs      int
-		err      error
-	}
-	logs := make([]*chanLog, nChannels)
+	logs := make([]*ChainVerifier, nChannels)
 	channels := make([]string, nChannels)
 	for i := range channels {
 		channels[i] = fmt.Sprintf("ch-%02d", i)
-		cl := &chanLog{}
-		logs[i] = cl
-		// Delivery for one channel is serialized by the owning service, so
-		// the unguarded chanLog is itself part of what -race verifies.
-		sb.Subscribe(channels[i], func(b ledger.Block) error {
-			if cl.err != nil {
-				return cl.err
-			}
-			if b.Number != cl.next {
-				cl.err = fmt.Errorf("block %d out of order, want %d", b.Number, cl.next)
-				return cl.err
-			}
-			if cl.next > 0 && b.PrevHash != cl.lastHash {
-				cl.err = fmt.Errorf("block %d breaks the hash chain", b.Number)
-				return cl.err
-			}
-			cl.next++
-			cl.lastHash = b.Hash()
-			cl.txs += len(b.Txs)
-			return nil
-		})
+		logs[i] = &ChainVerifier{}
+		sb.Subscribe(channels[i], logs[i].Deliver)
 	}
 	var wg sync.WaitGroup
 	submitErrs := make([]error, nSubmitters)
@@ -278,8 +253,8 @@ func TestShardedDeliveryOrderUnderConcurrency(t *testing.T) {
 	}
 	total := 0
 	for i, cl := range logs {
-		if cl.err != nil {
-			t.Fatalf("channel %s: %v", channels[i], cl.err)
+		if cl.Err() != nil {
+			t.Fatalf("channel %s: %v", channels[i], cl.Err())
 		}
 		total += cl.txs
 	}

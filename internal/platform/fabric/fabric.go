@@ -133,12 +133,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	var backend ordering.Backend
 	if len(cfg.OrdererCluster) > 0 {
-		cs, err := ordering.NewClusterSet(cfg.OrdererCluster, ordering.VisibilityFull,
-			ordering.WithSetAudit(log), ordering.WithSetBatch(cfg.BatchSize))
+		rs, err := ordering.NewReplicatedShard(cfg.OrdererCluster, ordering.VisibilityFull,
+			ordering.WithShardAudit(log), ordering.WithShardBatch(cfg.BatchSize))
 		if err != nil {
 			return nil, fmt.Errorf("ordering cluster: %w", err)
 		}
-		backend = cs
+		backend = rs
 	} else {
 		backend = ordering.New(cfg.OrdererOperator, ordering.VisibilityFull,
 			ordering.WithAuditLog(log), ordering.WithBatchSize(cfg.BatchSize))
@@ -164,11 +164,11 @@ func (n *Network) OrdererOperators() []string { return n.orderer.Operators() }
 // OrderingCluster exposes the replicated cluster for a channel when the
 // network was configured with OrdererCluster, for fault injection.
 func (n *Network) OrderingCluster(channel string) (*ordering.Cluster, error) {
-	cs, ok := n.orderer.(*ordering.ClusterSet)
+	rs, ok := n.orderer.(*ordering.ReplicatedShard)
 	if !ok {
 		return nil, errors.New("fabric: network uses a solo ordering service")
 	}
-	return cs.Cluster(channel)
+	return rs.Cluster(channel)
 }
 
 // AddOrg enrolls an organization with the CA and creates its peer.

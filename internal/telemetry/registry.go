@@ -208,6 +208,32 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	return r.Register(&gaugeFunc{metricDesc: d, fn: fn})
 }
 
+// FuncMetric declares one scrape-time metric over a value its producer
+// already maintains: a counter unless Gauge is set.
+type FuncMetric struct {
+	Name, Help string
+	Gauge      bool
+	Load       func() uint64
+}
+
+// RegisterFuncs registers the declared metrics under the given labels,
+// stopping at the first error — the one loop every subsystem exporting a
+// table of atomics shares.
+func (r *Registry) RegisterFuncs(ms []FuncMetric, labels ...Label) error {
+	for _, m := range ms {
+		var err error
+		if m.Gauge {
+			err = r.GaugeFunc(m.Name, m.Help, func() float64 { return float64(m.Load()) }, labels...)
+		} else {
+			err = r.CounterFunc(m.Name, m.Help, m.Load, labels...)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // NewHistogram creates and registers a histogram in one step. See the
 // package-level NewHistogram for the bounds and unit contract.
 func (r *Registry) NewHistogram(name, help string, bounds []uint64, unit float64, labels ...Label) (*Histogram, error) {
