@@ -282,6 +282,18 @@ func (c ConcatHasher) PartString(p string) {
 	}
 }
 
+// PartSum feeds one part by commitment: its length and SHA-256 in place of
+// its bytes. A digest built this way still binds every byte of the part,
+// but a holder of the part's hash can compute it without streaming the part
+// again — which is what lets a payload be hashed once and its sum carried
+// from hop to hop. The sum is staged through the pooled scratch: handed to
+// the hash interface directly it would escape to the heap.
+func (c ConcatHasher) PartSum(length int, sum [32]byte) {
+	putUint64(c.s.buf[:8], uint64(length))
+	copy(c.s.buf[8:], sum[:])
+	c.h.Write(c.s.buf[:8+len(sum)])
+}
+
 // Raw feeds bytes with no length prefix — for callers streaming an
 // already-canonical encoding (one whose framing the caller owns) through
 // the pooled hash state instead of staging it in a buffer first.

@@ -191,3 +191,29 @@ func TestVerifyRejectsNilSignatureComponents(t *testing.T) {
 		}
 	}
 }
+
+// TestConcatHasherPartSum pins PartSum's encoding — the part's 8-byte
+// length, then its SHA-256 — and that it feeds the sum without allocating.
+func TestConcatHasherPartSum(t *testing.T) {
+	part := []byte("a payload committed to by hash")
+	sum := Hash(part)
+	h := NewConcatHasher()
+	h.PartString("domain")
+	h.PartSum(len(part), sum)
+	var length [8]byte
+	putUint64(length[:], uint64(len(part)))
+	ref := NewConcatHasher()
+	ref.PartString("domain")
+	ref.Raw(length[:])
+	ref.Raw(sum[:])
+	if got, want := h.Sum(), ref.Sum(); got != want {
+		t.Fatalf("PartSum digest %x, want %x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		h := NewConcatHasher()
+		h.PartSum(len(part), sum)
+		h.Sum()
+	}); n != 0 {
+		t.Fatalf("PartSum allocates %.0f times, want 0", n)
+	}
+}

@@ -117,21 +117,23 @@ func NewMACKey(key []byte) *MACKey {
 		ipad[i] ^= 0x36
 		opad[i] ^= 0x5c
 	}
-	marshal := func(pad []byte) []byte {
-		h := sha256.New()
-		h.Write(pad)
-		state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			// The stdlib SHA-256 marshaler cannot fail; a change that makes
-			// it fail must not silently produce wrong tags.
-			panic("dcrypto: marshal sha256 state: " + err.Error())
-		}
-		return state
-	}
-	return &MACKey{ipadState: marshal(ipad[:]), opadState: marshal(opad[:])}
+	return &MACKey{ipadState: absorbedState(ipad[:]), opadState: absorbedState(opad[:])}
 }
 
-// restore loads a precomputed pad state into h.
+// absorbedState returns the marshaled SHA-256 state after absorbing b.
+func absorbedState(b []byte) []byte {
+	h := sha256.New()
+	h.Write(b)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		// The stdlib SHA-256 marshaler cannot fail; a change that makes it
+		// fail must not silently produce wrong digests.
+		panic("dcrypto: marshal sha256 state: " + err.Error())
+	}
+	return state
+}
+
+// restoreState loads a precomputed state into h.
 func restoreState(h hash.Hash, state []byte) {
 	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
 		panic("dcrypto: restore sha256 state: " + err.Error())
@@ -148,19 +150,23 @@ type macState struct {
 
 var macStatePool = sync.Pool{New: func() any { return &macState{h: sha256.New()} }}
 
-// Sum computes the HMAC-SHA256 tag of msg, allocation-free. msg is staged
-// through the pooled scratch rather than written directly: a caller's
-// stack buffer passed straight into hash.Hash would escape to the heap at
-// every call site.
+// write feeds msg to the hash through the pooled scratch rather than
+// directly: a caller's stack buffer passed straight into hash.Hash would
+// escape to the heap at every call site.
+func (st *macState) write(msg []byte) {
+	for len(msg) > 0 {
+		n := copy(st.s.ipad[:], msg)
+		st.h.Write(st.s.ipad[:n])
+		msg = msg[n:]
+	}
+}
+
+// Sum computes the HMAC-SHA256 tag of msg, allocation-free.
 func (k *MACKey) Sum(msg []byte) [32]byte {
 	st := macStatePool.Get().(*macState)
 	h, s := st.h, &st.s
 	restoreState(h, k.ipadState)
-	for len(msg) > 0 {
-		n := copy(s.ipad[:], msg)
-		h.Write(s.ipad[:n])
-		msg = msg[n:]
-	}
+	st.write(msg)
 	h.Sum(s.sum[:0])
 	restoreState(h, k.opadState)
 	h.Write(s.sum[:])
@@ -181,6 +187,34 @@ func (k *MACKey) Verify(msg, tag []byte) error {
 		return ErrInvalidMAC
 	}
 	return nil
+}
+
+// HashPrefix is SHA-256 with a fixed prefix already absorbed — the MACKey
+// technique applied to a plain hash. A caller that hashes many messages
+// sharing a long constant head (the encrypt stage's envelope frames, whose
+// wrapped-key table is constant for a key epoch) absorbs the head once and
+// pays per message only for the bytes that differ. Sum is safe for
+// concurrent use; the state is read-only after NewHashPrefix.
+type HashPrefix struct {
+	// state is the marshaled SHA-256 state after the prefix; it carries the
+	// partial last block, so the prefix need not be block-aligned.
+	state []byte
+}
+
+// NewHashPrefix absorbs prefix.
+func NewHashPrefix(prefix []byte) HashPrefix {
+	return HashPrefix{state: absorbedState(prefix)}
+}
+
+// Sum returns SHA-256(prefix ‖ suffix), allocation-free.
+func (p HashPrefix) Sum(suffix []byte) [32]byte {
+	st := macStatePool.Get().(*macState)
+	restoreState(st.h, p.state)
+	st.write(suffix)
+	st.h.Sum(st.s.sum[:0])
+	out := st.s.sum
+	macStatePool.Put(st)
+	return out
 }
 
 // VerifyMAC checks an HMAC-SHA256 tag over msg in constant time. It returns

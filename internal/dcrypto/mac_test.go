@@ -157,3 +157,24 @@ func BenchmarkMAC(b *testing.B) {
 		MAC(key, msg)
 	}
 }
+
+// TestHashPrefixMatchesSHA256 pins the resumed-state hash to a plain
+// SHA-256 of the concatenation for every split of an input spanning several
+// blocks — empty prefix, empty suffix and every non-block-aligned split
+// included — and holds Sum to zero allocations.
+func TestHashPrefixMatchesSHA256(t *testing.T) {
+	input := make([]byte, 300)
+	for i := range input {
+		input[i] = byte(i*7 + 1)
+	}
+	want := sha256.Sum256(input)
+	for split := 0; split <= len(input); split++ {
+		if got := NewHashPrefix(input[:split]).Sum(input[split:]); got != want {
+			t.Fatalf("split at %d: resumed hash %x, want %x", split, got, want)
+		}
+	}
+	p := NewHashPrefix(input[:171])
+	if n := testing.AllocsPerRun(100, func() { p.Sum(input[171:]) }); n != 0 {
+		t.Fatalf("HashPrefix.Sum allocates %.0f times, want 0", n)
+	}
+}

@@ -51,12 +51,26 @@ func NewAEAD(key []byte) (cipher.AEAD, error) { return newAEAD(key) }
 // EncryptWithAEAD seals like EncryptSymmetric under a prebuilt AEAD: a
 // random prepended nonce, a single exactly-sized output allocation.
 func EncryptWithAEAD(aead cipher.AEAD, plaintext, associatedData []byte) ([]byte, error) {
-	ns := aead.NonceSize()
-	out := make([]byte, ns, ns+len(plaintext)+aead.Overhead())
-	if _, err := io.ReadFull(rand.Reader, out); err != nil {
+	return AppendEncryptWithAEAD(make([]byte, 0, SealedSize(aead, len(plaintext))), aead, plaintext, associatedData)
+}
+
+// SealedSize is the exact ciphertext length EncryptWithAEAD (and its append
+// form) produces for n plaintext bytes under aead: nonce, body, and tag.
+func SealedSize(aead cipher.AEAD, n int) int {
+	return aead.NonceSize() + n + aead.Overhead()
+}
+
+// AppendEncryptWithAEAD seals like EncryptWithAEAD but appends the
+// ciphertext to dst, so a caller framing it inside a larger buffer (the
+// binary envelope) pays one allocation for the whole frame. Give dst
+// SealedSize free capacity. plaintext must not overlap dst.
+func AppendEncryptWithAEAD(dst []byte, aead cipher.AEAD, plaintext, associatedData []byte) ([]byte, error) {
+	base, ns := len(dst), aead.NonceSize()
+	out := append(dst, make([]byte, ns)...)
+	if _, err := io.ReadFull(rand.Reader, out[base:]); err != nil {
 		return nil, fmt.Errorf("read random: %w", err)
 	}
-	return aead.Seal(out, out[:ns], plaintext, associatedData), nil
+	return aead.Seal(out, out[base:], plaintext, associatedData), nil
 }
 
 // EncryptSegmentsWithAEAD seals N plaintext segments with a single AEAD

@@ -39,8 +39,9 @@ type ChaosConfig struct {
 	// submissions; 0 disables. Do not combine with KillShard — a dead
 	// shard's low load reads as "cold" and attracts migrations.
 	RebalanceEvery int
-	// RevokeMidStorm revokes the last member's certificate at the halfway
-	// mark; its remaining submissions must all be rejected.
+	// RevokeMidStorm revokes the last member's certificate once half of one
+	// submitter's share (Submissions/2) of that member's own submissions
+	// has been accepted; its remaining submissions must all be rejected.
 	RevokeMidStorm bool
 }
 
@@ -168,17 +169,23 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	total := cfg.Submitters * cfg.Submissions
 	revoked := members[len(members)-1]
 	killAt, reviveAt := total/2, total*3/4
+	// The revocation is driven by the revoked member's own progress, not the
+	// global sequence: on few cores its submitters can finish before the
+	// storm's halfway mark. The submitter whose acceptance crosses this
+	// count has made at most Submissions/2 submissions itself, so at least
+	// one of its own follows the revocation.
+	revokeAfter := int64(max(1, cfg.Submissions/2))
 
 	var (
 		counter    atomic.Int64 // global submission sequence driving fault triggers
 		succeeded  atomic.Int64
+		revokedOK  atomic.Int64 // the to-be-revoked member's accepted submissions
 		revokedRej atomic.Int64
 
 		failMu sync.Mutex
 		failed = map[string]int{}
 
 		faultMu     sync.Mutex // serializes fault injections
-		revokedDone bool
 		shardKilled bool
 		shardAlive  = true
 	)
@@ -202,10 +209,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return
 		}
 		defer faultMu.Unlock()
-		if cfg.RevokeMidStorm && !revokedDone && n >= int64(total/2) {
-			ca.Revoke(certs[revoked].Serial)
-			revokedDone = true
-		}
 		if cfg.KillShard {
 			if shardAlive && !shardKilled && n >= int64(killAt) {
 				replicated[sb.ShardFor(channels[0])].Kill()
@@ -252,6 +255,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				err := gw.Submit(context.Background(), req)
 				if err == nil {
 					succeeded.Add(1)
+					if cfg.RevokeMidStorm && m == revoked && revokedOK.Add(1) == revokeAfter {
+						ca.Revoke(certs[revoked].Serial)
+					}
 					continue
 				}
 				failMu.Lock()

@@ -254,6 +254,34 @@ func TestTxIDStable(t *testing.T) {
 	}
 }
 
+// TestPrimedDigestEqualsDigestFromContent pins both priming entry points to
+// the from-content digest, and the memo to the first priming: value copies
+// of a primed transaction carry it, and a later prime is a no-op.
+func TestPrimedDigestEqualsDigestFromContent(t *testing.T) {
+	fresh := tx("trade", "A", "k", "v")
+	fresh.Meta = map[string]string{"gateway": "gw", "envelope": "x"}
+	want := fresh.Digest()
+
+	primed := fresh
+	primed.PrimeDigest()
+	carried := fresh
+	carried.PrimeDigestWithPayloadSum(dcrypto.Hash(fresh.Payload))
+	for name, got := range map[string]Transaction{"PrimeDigest": primed, "PrimeDigestWithPayloadSum": carried} {
+		if got.digestMemo == nil || got.Digest() != want {
+			t.Fatalf("%s: primed digest differs from the digest of the content", name)
+		}
+		cp := got
+		cp.PrimeDigestWithPayloadSum([32]byte{1})
+		cp.PrimeDigest()
+		if cp.digestMemo != got.digestMemo {
+			t.Fatalf("%s: priming an already primed transaction replaced its memo", name)
+		}
+	}
+	if fresh.digestMemo != nil {
+		t.Fatal("Digest primed the transaction it was called on")
+	}
+}
+
 func TestTxIDIgnoresEndorsements(t *testing.T) {
 	key, _ := dcrypto.GenerateKey()
 	a := tx("trade", "A", "k", "v")

@@ -55,54 +55,62 @@ type Transaction struct {
 
 	// digestMemo caches the canonical digest once PrimeDigest has run. A
 	// pointer, so it rides along value copies of a primed transaction
-	// (into an ordering service's pending slice, into a cut block) and the
-	// block data hash reuses the submit-side computation instead of
-	// re-serializing and re-hashing the full payload. Wire-decoded and
-	// hand-built transactions have a nil memo and hash from content as
-	// before. The holder must treat a primed transaction as immutable —
-	// which ordered transactions already are.
+	// (into an ordering service's pending slice, into a cut block) and
+	// every later hop — observation, block data hash, subscribers — reads
+	// the one digest instead of hashing the payload again. Wire-decoded
+	// and hand-built transactions have a nil memo and hash from content.
+	// The holder must treat a primed transaction as immutable — which
+	// ordered transactions already are.
 	digestMemo *[32]byte
 }
 
-// PrimeDigest computes and caches the canonical digest. Callers that hash
-// a transaction more than once on a hot path (an ordering service digests
-// every transaction at observation and again at block cut) prime it once
-// at intake; the transaction must not be mutated afterwards.
+// PrimeDigest computes and caches the canonical digest. An ordering
+// service primes at intake, so a transaction is hashed from content at most
+// once however many hops read its digest; the transaction must not be
+// mutated afterwards. A no-op on a transaction already primed.
 func (tx *Transaction) PrimeDigest() {
+	if tx.digestMemo == nil {
+		tx.PrimeDigestWithPayloadSum(dcrypto.Hash(tx.Payload))
+	}
+}
+
+// PrimeDigestWithPayloadSum is PrimeDigest for a caller that already holds
+// payloadSum = SHA-256(tx.Payload) — the gateway, whose encrypt stage
+// produced the sum while sealing — so the payload is not streamed again.
+// The sum is trusted: a wrong one primes a digest that does not match the
+// content.
+func (tx *Transaction) PrimeDigestWithPayloadSum(payloadSum [32]byte) {
 	if tx.digestMemo != nil {
 		return
 	}
-	d := tx.digest()
+	d := tx.digest(payloadSum)
 	tx.digestMemo = &d
 }
 
 // Digest returns the canonical hash of the signed content of the
 // transaction (everything except the endorsements): length-prefixed fields
-// in fixed order, meta keys sorted, the timestamp as UTC nanoseconds. The
-// canonical form streams straight into a pooled SHA-256 state — no JSON,
-// no reflection, and no staging buffer, so a large payload (a batch
-// stage's sealed group frame runs to tens of kilobytes) is hashed in
-// place instead of memmoved through scratch first — because every ordered
-// transaction pays this at least twice (submit-side observation and block
-// data hash).
+// in fixed order, meta keys sorted, the timestamp as UTC nanoseconds,
+// streamed into a pooled SHA-256 state — no JSON, no reflection. The
+// payload enters as its length and SHA-256 (ConcatHasher.PartSum), not as
+// its bytes: the digest binds every payload byte all the same, and a hop
+// that holds the payload's sum (PrimeDigestWithPayloadSum) computes it
+// without touching the payload. An unprimed transaction hashes its payload
+// here, on every call.
 func (tx Transaction) Digest() [32]byte {
 	if tx.digestMemo != nil {
 		return *tx.digestMemo
 	}
-	return tx.digest()
+	return tx.digest(dcrypto.Hash(tx.Payload))
 }
 
-// digest is the uncached canonical-form hash. The ConcatHasher's Part
-// framing (8-byte big-endian length prefix, then the bytes) is the same
-// framing the v2 canonical form has always used, so the digest is
-// byte-identical to the staged-buffer implementation it replaces.
-func (tx Transaction) digest() [32]byte {
+// digest is the canonical-form hash given SHA-256 of the payload.
+func (tx Transaction) digest(payloadSum [32]byte) [32]byte {
 	h := dcrypto.NewConcatHasher()
-	h.RawString("ledger/tx/v2")
+	h.RawString("ledger/tx/v3")
 	h.PartString(tx.Channel)
 	h.PartString(tx.Creator)
 	h.PartString(tx.Contract)
-	h.Part(tx.Payload)
+	h.PartSum(len(tx.Payload), payloadSum)
 	h.RawUint64(uint64(len(tx.Writes)))
 	for _, w := range tx.Writes {
 		h.PartString(w.Key)

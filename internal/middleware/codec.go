@@ -219,54 +219,58 @@ func decodeWireRequestBinary(b []byte) (wireRequest, error) {
 	return w, nil
 }
 
-// encodeEnvelopeBinary marshals an envelope into the binary v2 framing
-// with a single exactly-sized allocation. sortedIDs, when non-nil, names
-// every key of env.Keys in the order to emit them — the encrypt stage
-// passes its per-epoch precomputed order so the hot path never sorts; nil
-// sorts here for deterministic output.
-func encodeEnvelopeBinary(env *Envelope, sortedIDs []string) []byte {
-	if sortedIDs == nil {
-		sortedIDs = make([]string, 0, len(env.Keys))
-		for id := range env.Keys {
-			sortedIDs = append(sortedIDs, id)
-		}
-		sort.Strings(sortedIDs)
+// sortedKeyIDs returns the recipient identities of a wrapped-key table in
+// the deterministic order the binary framing emits them.
+func sortedKeyIDs(keys map[string]dcrypto.HybridCiphertext) []string {
+	ids := make([]string, 0, len(keys))
+	for id := range keys {
+		ids = append(ids, id)
 	}
-	size := 2 +
-		lenPrefixedSize(len(env.Scheme)) +
-		lenPrefixedSize(len(env.Channel)) +
-		uvarintSize(env.Epoch) +
-		lenPrefixedSize(len(env.Ciphertext)) +
-		uvarintSize(uint64(len(sortedIDs)))
-	for _, id := range sortedIDs {
-		k := env.Keys[id]
-		size += lenPrefixedSize(len(id)) +
-			lenPrefixedSize(len(k.EphemeralPub)) +
-			lenPrefixedSize(len(k.Ciphertext))
-	}
-	out := make([]byte, 0, size)
-	out = append(out, binaryMagic, binaryKindEnvelope)
-	out = appendLenPrefixed(out, []byte(env.Scheme))
-	out = appendLenPrefixed(out, []byte(env.Channel))
-	out = binary.AppendUvarint(out, env.Epoch)
-	out = appendLenPrefixed(out, env.Ciphertext)
-	out = binary.AppendUvarint(out, uint64(len(sortedIDs)))
-	for _, id := range sortedIDs {
-		k := env.Keys[id]
-		out = appendLenPrefixed(out, []byte(id))
-		out = appendLenPrefixed(out, k.EphemeralPub)
-		out = appendLenPrefixed(out, k.Ciphertext)
-	}
-	return out
+	sort.Strings(ids)
+	return ids
 }
 
-// encodeEnvelopeKeys encodes just the wrapped-key table of a binary v2
-// envelope (recipient count + per-recipient id/ephemeral/ciphertext
-// triples) in sortedIDs order. The table is immutable for a key epoch's
-// lifetime, so the encrypt stage computes it once per epoch and
-// encodeEnvelopeBinaryKeyed splices it into every envelope — turning the
-// per-seal cost from O(members) encoding into one copy.
-func encodeEnvelopeKeys(keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) []byte {
+// encodeEnvelopeBinary marshals an envelope into the binary v2 framing
+// with a single exactly-sized allocation:
+//
+//	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ n-keys ‖ keys… ‖ ciphertext
+//
+// The wrapped-key table comes BEFORE the ciphertext so that everything
+// constant for a key epoch is one contiguous head and only the tail differs
+// between the epoch's envelopes (see encodeEnvelopeHead). sortedIDs, when
+// non-nil, names every key of env.Keys in the order to emit them; nil sorts
+// here for deterministic output.
+func encodeEnvelopeBinary(env *Envelope, sortedIDs []string) []byte {
+	if sortedIDs == nil {
+		sortedIDs = sortedKeyIDs(env.Keys)
+	}
+	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.Keys, sortedIDs, lenPrefixedSize(len(env.Ciphertext)))
+	return appendLenPrefixed(out, env.Ciphertext)
+}
+
+// encodeEnvelopeHead encodes everything of a binary envelope frame that
+// precedes its ciphertext field — magic, kind, scheme, channel, epoch and
+// the wrapped-key table — leaving tail bytes of spare capacity for the
+// caller to append that field into. keysAt is where the key table starts:
+// head[keysAt:] is exactly encodeEnvelopeKeys' output, the section group
+// envelopes of the same epoch splice. The head is immutable for a key
+// epoch's lifetime, so the encrypt stage computes it once per epoch
+// (tail 0) and every seal copies it — O(members) encoding becomes one copy.
+func encodeEnvelopeHead(scheme, channel string, epoch uint64, keys map[string]dcrypto.HybridCiphertext, sortedIDs []string, tail int) (head []byte, keysAt int) {
+	keysAt = 2 +
+		lenPrefixedSize(len(scheme)) +
+		lenPrefixedSize(len(channel)) +
+		uvarintSize(epoch)
+	out := make([]byte, 0, keysAt+envelopeKeysSize(keys, sortedIDs)+tail)
+	out = append(out, binaryMagic, binaryKindEnvelope)
+	out = appendLenPrefixed(out, []byte(scheme))
+	out = appendLenPrefixed(out, []byte(channel))
+	out = binary.AppendUvarint(out, epoch)
+	return appendEnvelopeKeys(out, keys, sortedIDs), keysAt
+}
+
+// envelopeKeysSize is the encoded size of a wrapped-key table.
+func envelopeKeysSize(keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) int {
 	size := uvarintSize(uint64(len(sortedIDs)))
 	for _, id := range sortedIDs {
 		k := keys[id]
@@ -274,7 +278,13 @@ func encodeEnvelopeKeys(keys map[string]dcrypto.HybridCiphertext, sortedIDs []st
 			lenPrefixedSize(len(k.EphemeralPub)) +
 			lenPrefixedSize(len(k.Ciphertext))
 	}
-	out := make([]byte, 0, size)
+	return size
+}
+
+// appendEnvelopeKeys appends the wrapped-key table of a binary v2 envelope
+// (recipient count + per-recipient id/ephemeral/ciphertext triples) in
+// sortedIDs order — the one encoding single and group envelopes share.
+func appendEnvelopeKeys(out []byte, keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) []byte {
 	out = binary.AppendUvarint(out, uint64(len(sortedIDs)))
 	for _, id := range sortedIDs {
 		k := keys[id]
@@ -285,24 +295,9 @@ func encodeEnvelopeKeys(keys map[string]dcrypto.HybridCiphertext, sortedIDs []st
 	return out
 }
 
-// encodeEnvelopeBinaryKeyed is encodeEnvelopeBinary with the wrapped-key
-// table already encoded (by encodeEnvelopeKeys, once per epoch): it emits
-// the envelope header and ciphertext, then splices the precomputed
-// section, producing bytes identical to encodeEnvelopeBinary.
-func encodeEnvelopeBinaryKeyed(env *Envelope, keySection []byte) []byte {
-	size := 2 +
-		lenPrefixedSize(len(env.Scheme)) +
-		lenPrefixedSize(len(env.Channel)) +
-		uvarintSize(env.Epoch) +
-		lenPrefixedSize(len(env.Ciphertext)) +
-		len(keySection)
-	out := make([]byte, 0, size)
-	out = append(out, binaryMagic, binaryKindEnvelope)
-	out = appendLenPrefixed(out, []byte(env.Scheme))
-	out = appendLenPrefixed(out, []byte(env.Channel))
-	out = binary.AppendUvarint(out, env.Epoch)
-	out = appendLenPrefixed(out, env.Ciphertext)
-	return append(out, keySection...)
+// encodeEnvelopeKeys encodes just the wrapped-key table.
+func encodeEnvelopeKeys(keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) []byte {
+	return appendEnvelopeKeys(make([]byte, 0, envelopeKeysSize(keys, sortedIDs)), keys, sortedIDs)
 }
 
 // encodeGroupEnvelopeBinary marshals a group envelope into the binary v2
@@ -310,11 +305,7 @@ func encodeEnvelopeBinaryKeyed(env *Envelope, keySection []byte) []byte {
 // encodeEnvelopeBinary, sortedIDs may name the emit order; nil sorts here.
 func encodeGroupEnvelopeBinary(genv *GroupEnvelope, sortedIDs []string) []byte {
 	if sortedIDs == nil {
-		sortedIDs = make([]string, 0, len(genv.Keys))
-		for id := range genv.Keys {
-			sortedIDs = append(sortedIDs, id)
-		}
-		sort.Strings(sortedIDs)
+		sortedIDs = sortedKeyIDs(genv.Keys)
 	}
 	return encodeGroupEnvelopeBinaryKeyed(genv, encodeEnvelopeKeys(genv.Keys, sortedIDs))
 }
@@ -427,7 +418,6 @@ func decodeEnvelopeBinary(b []byte) (Envelope, error) {
 	env.Scheme = r.str()
 	env.Channel = r.str()
 	env.Epoch = r.uvarint()
-	env.Ciphertext = r.bytes()
 	nKeys := r.uvarint()
 	if r.err == nil && nKeys > uint64(len(r.b)) {
 		return Envelope{}, fmt.Errorf("%w: key count %d exceeds remaining bytes", ErrBadFrame, nKeys)
@@ -442,6 +432,7 @@ func decodeEnvelopeBinary(b []byte) (Envelope, error) {
 			}
 		}
 	}
+	env.Ciphertext = r.bytes()
 	if err := r.done(); err != nil {
 		return Envelope{}, err
 	}

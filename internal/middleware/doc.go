@@ -212,8 +212,23 @@
 //     (SyncDirectory is the stock implementation) caches the member-set
 //     fingerprint per (channel, directory generation, exclusion
 //     generation), so steady-state membership checks cost two integer
-//     compares instead of a sort-and-hash. Digest and MAC computations
-//     run on pooled hash states.
+//     compares instead of a sort-and-hash. MAC computations run on
+//     pooled hash states.
+//   - Hash once, carry the sum. Request.Digest (middleware/request/v2)
+//     commits to the payload as its length and SHA-256 instead of
+//     streaming its bytes, and the request memoises that sum keyed to
+//     the payload's backing array, so the digests one submission takes
+//     (wire ID, MAC check, audit observation) share one pass and a
+//     replaced payload can never meet a stale sum. The binary envelope
+//     frame puts the wrapped-key table ahead of the ciphertext; the
+//     encrypt stage caches that epoch-constant head and the SHA-256
+//     state that has absorbed it, seals each envelope into one
+//     allocation behind a copy of the head, and resumes the cached state
+//     over the ciphertext field alone — the sealed frame is never
+//     streamed through SHA-256. Gateway.order primes the ledger
+//     transaction's digest (ledger/tx/v3, same payload commitment) from
+//     the sum, and the ordering tier, block cut and subscribers read
+//     that one digest.
 //
 // BenchmarkGatewaySessionMAC and BenchmarkGatewayParallel hold the
 // resulting claim in CI — reqauth=mac is at least 2x lower ns/op and at

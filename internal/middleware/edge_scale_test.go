@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"sync"
 	"testing"
@@ -11,31 +12,45 @@ import (
 	"dltprivacy/internal/dcrypto"
 )
 
-// TestEnvelopeKeyedEncodingIdentical proves the per-epoch precomputed key
-// section splices into byte-identical envelopes: the fast path must not
-// be able to drift from the canonical encoding the decoder (and every
-// recorded envelope) depends on.
+// TestEnvelopeKeyedEncodingIdentical proves the per-epoch precomputed frame
+// head splices into byte-identical envelopes: the fast path (cached head,
+// ciphertext field sealed in place) must not be able to drift from the
+// canonical encoding the decoder (and every recorded envelope) depends on —
+// and the hash it resumes from the cached state is the frame's SHA-256.
 func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob", "carol")
-	members := map[string]dcrypto.PublicKey{
+	dir := NewSyncDirectory()
+	dir.SetChannel("deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
 		"bob":   ps["bob"].key.Public(),
 		"carol": ps["carol"].key.Public(),
-	}
-	env, err := SealEnvelope("deals", []byte("10 tons of steel"), members)
+	})
+	enc, err := NewCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
-		t.Fatalf("SealEnvelope: %v", err)
+		t.Fatalf("NewCachedEncrypt: %v", err)
 	}
-	ids := []string{"alice", "bob", "carol"}
-	canonical := encodeEnvelopeBinary(&env, nil)
-	keyed := encodeEnvelopeBinaryKeyed(&env, encodeEnvelopeKeys(env.Keys, ids))
-	if !bytes.Equal(canonical, keyed) {
-		t.Fatalf("keyed encoding differs from canonical:\n  canonical %d bytes\n  keyed     %d bytes",
-			len(canonical), len(keyed))
+	enc.useBinaryEnvelopes()
+	ck, err := enc.channelKeyFor(&Request{}, "deals", dir.Generation())
+	if err != nil {
+		t.Fatalf("channelKeyFor: %v", err)
+	}
+	if want := encodeEnvelopeKeys(ck.wrapped, ck.ids); !bytes.Equal(ck.keySection, want) {
+		t.Fatalf("cached key section differs from the table's encoding")
+	}
+	keyed, sum, err := ck.sealFrame([]byte("10 tons of steel"))
+	if err != nil {
+		t.Fatalf("sealFrame: %v", err)
+	}
+	if sum != sha256.Sum256(keyed) {
+		t.Fatalf("resumed frame hash differs from SHA-256 of the frame")
 	}
 	back, err := decodeEnvelopeBinary(keyed)
 	if err != nil {
 		t.Fatalf("decode keyed envelope: %v", err)
+	}
+	if canonical := encodeEnvelopeBinary(&back, nil); !bytes.Equal(canonical, keyed) {
+		t.Fatalf("keyed encoding differs from canonical:\n  canonical %d bytes\n  keyed     %d bytes",
+			len(canonical), len(keyed))
 	}
 	got, err := OpenEnvelope(back, "bob", ps["bob"].key)
 	if err != nil {

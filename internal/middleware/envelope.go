@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/cipher"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -302,12 +303,35 @@ type channelKey struct {
 	ids       []string // sorted recipient identities
 	members   [32]byte // fingerprint of the member set the key was wrapped to
 	expiresAt time.Time
-	// keySection is the binary v2 encoding of the wrapped-key table
-	// (count + per-recipient triples), computed once at install: the
-	// table is immutable for the epoch's lifetime, and re-encoding it per
-	// submission makes every seal O(members) — at 1000-member channels
-	// that dominates the entire submit path. Nil under the JSON codec.
+	// frameHead is everything of the epoch's binary single-envelope frames
+	// that precedes the ciphertext field (encodeEnvelopeHead): the header
+	// and the wrapped-key table, computed once at install. The table is
+	// immutable for the epoch's lifetime, and re-encoding it per submission
+	// makes every seal O(members) — at 1000-member channels that dominates
+	// the entire submit path. headSum is SHA-256 with frameHead already
+	// absorbed: with 50 members the head is 7.5 KB of a 7.6 KB frame, so the
+	// frame's hash costs the ~130 bytes that follow it. keySection is the
+	// table alone (a suffix of frameHead), which group envelopes splice.
+	// All nil under the JSON codec.
+	frameHead  []byte
+	headSum    dcrypto.HashPrefix
 	keySection []byte
+}
+
+// sealFrame seals plaintext under the epoch key straight into a binary
+// envelope frame — head copied, ciphertext field sealed in place, one
+// exactly-sized allocation — and returns the frame with its SHA-256,
+// resumed from headSum over the ciphertext field alone.
+func (ck *channelKey) sealFrame(plaintext []byte) ([]byte, [32]byte, error) {
+	ctSize := dcrypto.SealedSize(ck.aead, len(plaintext))
+	frame := make([]byte, 0, len(ck.frameHead)+lenPrefixedSize(ctSize))
+	frame = append(frame, ck.frameHead...)
+	frame = binary.AppendUvarint(frame, uint64(ctSize))
+	frame, err := dcrypto.AppendEncryptWithAEAD(frame, ck.aead, plaintext, ck.ad)
+	if err != nil {
+		return nil, [32]byte{}, fmt.Errorf("middleware: seal payload: %w", err)
+	}
+	return frame, ck.headSum.Sum(frame[len(ck.frameHead):]), nil
 }
 
 // fpEntry is one cached member-set fingerprint: the directory and
@@ -631,9 +655,14 @@ func (e *Encrypt) channelKeyFor(req *Request, channel string, dirGen uint64) (*c
 		}
 		done := make(chan struct{})
 		e.rotating[channel] = done
+		// Holding the channel's single-flight slot, this rotator is the only
+		// one that can advance the channel's epoch: the number is settled
+		// before the wrap, so the epoch-constant frame head is built outside
+		// the lock with everything else.
+		epoch := e.epochs[channel] + 1
 		e.mu.Unlock()
 
-		ck, retry, err := e.wrapAndInstall(channel, gen, fp, sealable, now)
+		ck, retry, err := e.wrapAndInstall(channel, epoch, gen, fp, sealable, now)
 		e.mu.Lock()
 		delete(e.rotating, channel)
 		e.mu.Unlock()
@@ -649,11 +678,11 @@ func (e *Encrypt) channelKeyFor(req *Request, channel string, dirGen uint64) (*c
 }
 
 // wrapAndInstall generates a fresh data key, wraps it for every sealable
-// member, and installs the new epoch, holding the single-flight slot its
-// caller registered. retry is true when a revocation raced the wrap (the
+// member, and installs it as the given epoch, holding the single-flight
+// slot its caller registered. retry is true when a revocation raced the wrap (the
 // exclusion generation moved past gen): the snapshot may include a
 // just-revoked member, so the caller must re-snapshot and try again.
-func (e *Encrypt) wrapAndInstall(channel string, gen uint64, fp [32]byte, sealable map[string]dcrypto.PublicKey, now time.Time) (*channelKey, bool, error) {
+func (e *Encrypt) wrapAndInstall(channel string, epoch, gen uint64, fp [32]byte, sealable map[string]dcrypto.PublicKey, now time.Time) (*channelKey, bool, error) {
 	dataKey, err := dcrypto.NewSymmetricKey()
 	if err != nil {
 		return nil, false, fmt.Errorf("middleware: data key: %w", err)
@@ -674,9 +703,21 @@ func (e *Encrypt) wrapAndInstall(channel string, gen uint64, fp [32]byte, sealab
 	if err != nil {
 		return nil, false, fmt.Errorf("middleware: data key aead: %w", err)
 	}
-	var keySection []byte
+	ck := &channelKey{
+		epoch:     epoch,
+		dataKey:   dataKey,
+		aead:      aead,
+		ad:        ad,
+		wrapped:   wrapped,
+		ids:       ids,
+		members:   fp,
+		expiresAt: now.Add(e.keyTTL),
+	}
 	if e.binary {
-		keySection = encodeEnvelopeKeys(wrapped, ids)
+		var keysAt int
+		ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, wrapped, ids, 0)
+		ck.headSum = dcrypto.NewHashPrefix(ck.frameHead)
+		ck.keySection = ck.frameHead[keysAt:]
 	}
 
 	e.mu.Lock()
@@ -690,19 +731,8 @@ func (e *Encrypt) wrapAndInstall(channel string, gen uint64, fp [32]byte, sealab
 		e.mu.Unlock()
 		return ck, false, nil
 	}
-	e.epochs[channel]++
+	e.epochs[channel] = epoch
 	e.rotations++
-	ck := &channelKey{
-		epoch:      e.epochs[channel],
-		dataKey:    dataKey,
-		aead:       aead,
-		ad:         ad,
-		wrapped:    wrapped,
-		ids:        ids,
-		members:    fp,
-		expiresAt:  now.Add(e.keyTTL),
-		keySection: keySection,
-	}
 	e.keys[channel] = ck
 	e.mu.Unlock()
 	return ck, false, nil
@@ -714,17 +744,12 @@ func (e *Encrypt) wrapAndInstall(channel string, gen uint64, fp [32]byte, sealab
 // payload, so it cannot itself be pooled).
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// marshalEnvelope encodes the sealed envelope in the stage's codec.
-// sortedIDs orders the binary key section without a per-request sort; it
-// may be nil on the fresh-key (non-cached) path. keySection, when
-// non-nil, is the epoch's precomputed binary key table and shortcuts the
-// per-request O(members) re-encoding to a single copy.
-func (e *Encrypt) marshalEnvelope(env *Envelope, sortedIDs []string, keySection []byte) ([]byte, error) {
+// marshalEnvelope encodes the sealed envelope in the stage's codec — every
+// path but the binary cached-epoch one, which never builds an Envelope
+// (channelKey.sealFrame).
+func (e *Encrypt) marshalEnvelope(env *Envelope) ([]byte, error) {
 	if e.binary {
-		if keySection != nil {
-			return encodeEnvelopeBinaryKeyed(env, keySection), nil
-		}
-		return encodeEnvelopeBinary(env, sortedIDs), nil
+		return encodeEnvelopeBinary(env, nil), nil
 	}
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -768,26 +793,32 @@ func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error 
 			// (channel, epoch) group with one AEAD invocation. The request
 			// is marked encrypted because its payload is guaranteed sealed
 			// before anything downstream of batch (the terminal handler)
-			// sees it; the plaintext never leaves the process. This early
-			// return is also why the Envelope below is declared per branch:
-			// a single declaration above the branch would heap-allocate it
-			// on the deferred path too, where it is never used.
+			// sees it; the plaintext never leaves the process.
 			req.groupKey = ck
 			req.encrypted = true
 			return next(ctx, req)
+		}
+		if e.binary {
+			frame, sum, err := ck.sealFrame(req.Payload)
+			if err != nil {
+				return err
+			}
+			// The frame's hash came almost free with the seal; memoised, no
+			// later hop of this submission hashes the frame at all.
+			req.setPayloadSum(frame, sum)
+			return e.sealed(ctx, req, frame, next)
 		}
 		ct, err := dcrypto.EncryptWithAEAD(ck.aead, req.Payload, ck.ad)
 		if err != nil {
 			return fmt.Errorf("middleware: seal payload: %w", err)
 		}
-		env := Envelope{
+		b, err := e.marshalEnvelope(&Envelope{
 			Scheme:     EnvelopeScheme,
 			Channel:    req.Channel,
 			Epoch:      ck.epoch,
 			Ciphertext: ct,
 			Keys:       ck.wrapped,
-		}
-		b, err := e.marshalEnvelope(&env, ck.ids, ck.keySection)
+		})
 		if err != nil {
 			return err
 		}
@@ -801,7 +832,7 @@ func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error 
 	if err != nil {
 		return err
 	}
-	b, err := e.marshalEnvelope(&env, nil, nil)
+	b, err := e.marshalEnvelope(&env)
 	if err != nil {
 		return err
 	}

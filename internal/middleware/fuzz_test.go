@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/big"
+	"reflect"
 	"testing"
 	"time"
 
@@ -253,6 +254,74 @@ func FuzzWireRequest(f *testing.F) {
 			// test is that no input can panic the gateway or wedge a lock.
 			_, _ = net.Send(transport.Message{From: "fuzzer", To: "gateway", Topic: topic, Payload: data})
 			_, _ = net.Send(transport.Message{From: "fuzzer", To: "privgateway", Topic: topic, Payload: data})
+		}
+	})
+}
+
+// FuzzEnvelopeFrame throws arbitrary bytes at the two envelope decoders a
+// ledger reader runs on transaction payloads it did not produce —
+// ParseEnvelope and ParseGroupEnvelope, both framings each. Hostile bytes
+// may be rejected but never panic, and a table's declared key count is
+// checked against the bytes that remain before the map is sized, so no
+// input makes a decoder allocate beyond a multiple of its own length. What
+// does decode survives a round trip: decode(encode(decode(b))) equals
+// decode(b), so nothing a decoder accepts is lost or invented by the
+// encoder (duplicate recipients collapse once, at the first decode).
+func FuzzEnvelopeFrame(f *testing.F) {
+	key, err := dcrypto.GenerateKey()
+	if err != nil {
+		f.Fatal(err)
+	}
+	env, err := SealEnvelope("deals", []byte("trade"), map[string]dcrypto.PublicKey{"alice": key.Public(), "bob": key.Public()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	env.Epoch = 7
+	genv := GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Epoch: 7, Count: 2,
+		Ciphertext: env.Ciphertext, Keys: env.Keys}
+	for _, codec := range []string{CodecBinary, CodecJSON} {
+		single, err := EncodeEnvelope(env, codec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		group, err := EncodeGroupEnvelope(genv, codec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(single)
+		f.Add(group)
+		f.Add(single[:len(single)/2])
+		f.Add(group[:len(group)-1])
+	}
+	// A key count the remaining bytes cannot hold, in both frame kinds.
+	f.Add([]byte{binaryMagic, binaryKindEnvelope, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{binaryMagic, binaryKindGroupEnvelope, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte(`{"scheme":"x","keys":{"a":{}},"ciphertext":null}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		codec := CodecJSON
+		if isBinaryFrame(data) {
+			codec = CodecBinary
+		}
+		if env, err := ParseEnvelope(data); err == nil {
+			again, err := EncodeEnvelope(env, codec)
+			if err != nil {
+				t.Fatalf("re-encode a decoded envelope: %v", err)
+			}
+			back, err := ParseEnvelope(again)
+			if err != nil || !reflect.DeepEqual(env, back) {
+				t.Fatalf("envelope round trip: %v\n first  %+v\n second %+v", err, env, back)
+			}
+		}
+		if genv, err := ParseGroupEnvelope(data); err == nil {
+			again, err := EncodeGroupEnvelope(genv, codec)
+			if err != nil {
+				t.Fatalf("re-encode a decoded group envelope: %v", err)
+			}
+			back, err := ParseGroupEnvelope(again)
+			if err != nil || !reflect.DeepEqual(genv, back) {
+				t.Fatalf("group envelope round trip: %v\n first  %+v\n second %+v", err, genv, back)
+			}
 		}
 	})
 }

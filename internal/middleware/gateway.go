@@ -394,6 +394,11 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 		Meta:      meta,
 		Timestamp: g.now(),
 	}
+	// Prime here, from the payload sum the chain already holds (the encrypt
+	// stage's, or an upstream digest's): the ordering backend, block cut and
+	// every subscriber then read this one digest, and the sealed payload is
+	// never streamed through SHA-256 a second time.
+	tx.PrimeDigestWithPayloadSum(req.payloadSum())
 	if err := g.orderer.Submit(tx); err != nil {
 		return fmt.Errorf("gateway %s: order: %w", g.name, err)
 	}

@@ -2,10 +2,10 @@ package middleware
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,8 +99,35 @@ type Request struct {
 	// Tx is the ledger transaction built by the terminal handler.
 	Tx ledger.Transaction
 
+	// The five flags sit together so they share one word; see payloadSum
+	// for why the struct's size matters.
+	//
+	// authenticated and encrypted are set by the authn/session and encrypt
+	// stages.
 	authenticated bool
 	encrypted     bool
+	// untimed marks a request the chain's timing sampler skipped: every
+	// instrumented frame still counts calls and errors exactly but reads
+	// no clocks and observes no latency. Decided once per request at
+	// Execute — mixing timed and untimed frames inside one request would
+	// corrupt the exclusive-time nesting protocol — and never set while
+	// the request carries a trace.
+	untimed bool
+	// buffered marks a request the batch stage acknowledged with delivery
+	// still pending; SubmitAsync futures of buffered requests resolve at
+	// group release, not at Submit return.
+	buffered bool
+	// metaOwned marks a Meta map owned by the pipeline itself (a synthetic
+	// release vehicle built by the batch stage): the terminal handler may
+	// annotate and hand it to the ledger transaction directly instead of
+	// defensively copying a caller-owned map.
+	metaOwned bool
+
+	// sum memoises SHA-256(Payload) for payloadSum, keyed to the payload
+	// it was taken of by backing array and length (sumOf, sumLen).
+	sum    [32]byte
+	sumOf  *byte
+	sumLen int
 
 	// trace is the in-flight sampled trace, set by the gateway when the
 	// request is sampled; stages record spans into it. Nil (the common
@@ -113,13 +140,6 @@ type Request struct {
 	// downstream reported. Keeping it on the request avoids any per-call
 	// allocation.
 	downstreamNanos int64
-	// untimed marks a request the chain's timing sampler skipped: every
-	// instrumented frame still counts calls and errors exactly but reads
-	// no clocks and observes no latency. Decided once per request at
-	// Execute — mixing timed and untimed frames inside one request would
-	// corrupt the exclusive-time nesting protocol — and never set while
-	// the request carries a trace.
-	untimed bool
 
 	// nowStamp is the session stage's clock reading, left on the request
 	// so downstream stages on the same default clock (encrypt's epoch
@@ -133,15 +153,6 @@ type Request struct {
 	// until the batch stage seals the whole group under it with one AEAD
 	// invocation. Nil outside deferred mode.
 	groupKey *channelKey
-	// buffered marks a request the batch stage acknowledged with delivery
-	// still pending; SubmitAsync futures of buffered requests resolve at
-	// group release, not at Submit return.
-	buffered bool
-	// metaOwned marks a Meta map owned by the pipeline itself (a synthetic
-	// release vehicle built by the batch stage): the terminal handler may
-	// annotate and hand it to the ledger transaction directly instead of
-	// defensively copying a caller-owned map.
-	metaOwned bool
 	// done resolves the request's completion future (SubmitAsync): whoever
 	// delivers the request — the batch stage at release, or SubmitAsync
 	// itself when no stage buffers it — sends the delivery error (nil on
@@ -169,62 +180,67 @@ func (r *Request) Trace() *telemetry.Trace { return r.trace }
 
 // requestDigestDomain separates request digests from every other hash in
 // the library.
-const requestDigestDomain = "middleware/request/v1"
-
-// reqDigestBufSize covers the canonical form of a typical request (five
-// 8-byte length prefixes, the domain, short channel/principal/backend
-// names, and a payload up to ~400 bytes) so the digest is one staging copy
-// plus one direct SHA-256 call — no hash-interface round trips. Larger
-// requests stream through the pooled incremental hasher instead.
-const reqDigestBufSize = 512
-
-var reqDigestBufPool = sync.Pool{New: func() any { return new([reqDigestBufSize]byte) }}
+const requestDigestDomain = "middleware/request/v2"
 
 // appendDigestPart appends HashConcat's part encoding: an 8-byte big-endian
 // length, then the bytes. (appendLenPrefixed in codec.go is the uvarint wire
 // form; the digest form must stay byte-identical to dcrypto.HashConcat.)
 func appendDigestPart(b []byte, s string) []byte {
-	n := uint64(len(s))
-	b = append(b, byte(n>>56), byte(n>>48), byte(n>>40), byte(n>>32),
-		byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	return append(b, s...)
+	return append(binary.BigEndian.AppendUint64(b, uint64(len(s))), s...)
 }
 
 // Digest returns the canonical signed content of the request: channel,
-// principal, backend, and payload, length-prefixed. This runs once per
-// request on the session verify path, so it is built to allocate nothing:
-// the variadic HashConcat form it replaces was the single largest
-// allocation source in the gateway profile (one []byte conversion per
-// string field plus the parts slice).
+// principal and backend length-prefixed, then the payload as its length and
+// SHA-256 (the encoding of dcrypto.ConcatHasher.PartSum). Committing to the
+// payload's hash instead of streaming its bytes binds every byte all the
+// same, and lets the sum be computed once per payload and carried: the
+// several digests one submission takes (the wire ID, the MAC or signature
+// check, the audit observation, the ledger transaction's own digest) share
+// it through payloadSum. The canonical form is therefore short whatever the
+// payload — it is staged on the stack and hashed with one direct SHA-256
+// call, allocating nothing (names long enough to outgrow the buffer spill
+// to the heap and hash the same).
 func (r *Request) Digest() [32]byte {
-	total := 5*8 + len(requestDigestDomain) +
-		len(r.Channel) + len(r.Principal) + len(r.Backend) + len(r.Payload)
-	if total <= reqDigestBufSize {
-		bp := reqDigestBufPool.Get().(*[reqDigestBufSize]byte)
-		b := appendDigestPart(bp[:0], requestDigestDomain)
-		b = appendDigestPart(b, r.Channel)
-		b = appendDigestPart(b, r.Principal)
-		b = appendDigestPart(b, r.Backend)
-		b = appendDigestPartBytes(b, r.Payload)
-		d := dcrypto.Hash(b)
-		reqDigestBufPool.Put(bp)
-		return d
-	}
-	h := dcrypto.NewConcatHasher()
-	h.PartString(requestDigestDomain)
-	h.PartString(r.Channel)
-	h.PartString(r.Principal)
-	h.PartString(r.Backend)
-	h.Part(r.Payload)
-	return h.Sum()
+	var buf [256]byte
+	b := appendDigestPart(buf[:0], requestDigestDomain)
+	b = appendDigestPart(b, r.Channel)
+	b = appendDigestPart(b, r.Principal)
+	b = appendDigestPart(b, r.Backend)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(r.Payload)))
+	sum := r.payloadSum()
+	b = append(b, sum[:]...)
+	return dcrypto.Hash(b)
 }
 
-// appendDigestPartBytes is appendDigestPart for a byte-slice part.
-func appendDigestPartBytes(b, p []byte) []byte {
-	n := uint64(len(p))
-	b = append(b, byte(n>>56), byte(n>>48), byte(n>>40), byte(n>>32),
-		byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	return append(b, p...)
+// payloadSum returns SHA-256(r.Payload), hashing only when the memo is not
+// of the current payload. The memo is keyed to the payload's backing array
+// and length, so assigning or re-slicing Payload invalidates it with no
+// reset to remember; sumOf is a real pointer, which keeps the array alive
+// and its address from being reused while the memo stands. Bytes changed in
+// place under an unchanged slice are not detected — the pipeline never does
+// that (stages replace the payload), and a caller that does must assign
+// Payload afresh.
+//
+// The memo costs 48 bytes of a struct allocated once per wire submission,
+// and the struct must stay within 568: a pointerful object over 512 bytes
+// carries an 8-byte malloc header, so 569 would move Request from the
+// 576-byte size class to the 640-byte one.
+func (r *Request) payloadSum() [32]byte {
+	n := len(r.Payload)
+	if n == 0 {
+		return dcrypto.Hash(nil)
+	}
+	if r.sumOf != &r.Payload[0] || r.sumLen != n {
+		r.setPayloadSum(r.Payload, dcrypto.Hash(r.Payload))
+	}
+	return r.sum
+}
+
+// setPayloadSum memoises sum as SHA-256 of the non-empty slice p, in force
+// whenever p is the payload. The encrypt stage calls it with the frame it
+// is about to install, whose sum it gets cheaper than by hashing the frame.
+func (r *Request) setPayloadSum(p []byte, sum [32]byte) {
+	r.sum, r.sumOf, r.sumLen = sum, &p[0], len(p)
 }
 
 // ID returns the hex form of the request digest, the submission identifier

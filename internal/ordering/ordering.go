@@ -158,10 +158,9 @@ func (s *Service) Submit(tx ledger.Transaction) error {
 		return fmt.Errorf("ordering submit: %w", err)
 	}
 	// The digest is needed twice from here — the observation ID below and
-	// the block data hash at cut time. Prime it once; a group envelope's
-	// payload is batch-size times a single submission's, so re-hashing it
-	// per use would put the canonical serialization back on the amortized
-	// fast path.
+	// the block data hash at cut time — and each unprimed use hashes the
+	// whole payload. Prime it once at intake; a no-op for a transaction the
+	// gateway already primed from the sum its chain carried.
 	tx.PrimeDigest()
 	s.observe(tx)
 	if s.seqCost > 0 {

@@ -264,6 +264,9 @@ func (c *Cluster) Submit(tx ledger.Transaction) error {
 	if err := tx.Validate(); err != nil {
 		return fmt.Errorf("cluster submit: %w", err)
 	}
+	// As Service.Submit: one digest for observation, block cut and every
+	// queue scan (cancelPending), computed outside the cluster lock.
+	tx.PrimeDigest()
 	c.mu.Lock()
 	if c.leader < 0 {
 		c.mu.Unlock()

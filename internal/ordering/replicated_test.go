@@ -46,6 +46,43 @@ func TestClusterOrdersAndReplicates(t *testing.T) {
 	}
 }
 
+// TestSubmitPrimesDigestAtIntake holds both single-channel backends to
+// hash-once for callers that bypass the gateway: what they deliver carries
+// the digest computed at intake, equal to the digest of the content. A
+// carried digest is a memo read, so it does not follow a change made to the
+// delivered copy.
+func TestSubmitPrimesDigestAtIntake(t *testing.T) {
+	check := func(t *testing.T, submit func(ledger.Transaction) error, subscribe func(DeliverFunc)) {
+		var got []ledger.Transaction
+		subscribe(func(b ledger.Block) error {
+			got = append(got, b.Txs...)
+			return nil
+		})
+		sent := mkTx("trade", "BankA", "k0")
+		if err := submit(sent); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if len(got) != 1 || got[0].Digest() != sent.Digest() {
+			t.Fatalf("delivered %d transactions; digest of the first must equal the submitted content's", len(got))
+		}
+		got[0].Payload = []byte("changed after delivery")
+		if got[0].Digest() != sent.Digest() {
+			t.Fatal("delivered transaction was not primed at intake")
+		}
+	}
+	t.Run("Cluster", func(t *testing.T) {
+		c, err := NewCluster("trade", clusterOps, VisibilityEnvelope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, c.Submit, c.Subscribe)
+	})
+	t.Run("Service", func(t *testing.T) {
+		s := New("op", VisibilityEnvelope)
+		check(t, s.Submit, func(d DeliverFunc) { s.Subscribe("trade", d) })
+	})
+}
+
 func TestLeaderBootstrap(t *testing.T) {
 	c, _ := newCluster(t)
 	leader, err := c.Leader()
