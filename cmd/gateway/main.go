@@ -74,7 +74,7 @@ func main() {
 	flag.IntVar(&o.channels, "channels", 2, "channels to spread trades across")
 	flag.StringVar(&o.revokeCheck, "revokecheck", "resolve", "session revocation check mode: off, resolve, or sweep")
 	flag.StringVar(&o.reqauth, "reqauth", "mac", "steady-state session request auth: sig (per-request ECDSA) or mac (per-session HMAC)")
-	flag.StringVar(&o.codec, "codec", "binary", "gateway wire codec: json or binary")
+	flag.StringVar(&o.codec, "codec", "binary", "request framing offered: json or binary (envelopes on the ledger are always 0xDC frames)")
 	flag.StringVar(&o.telemetryAddr, "telemetry", "127.0.0.1:0", "telemetry listen address for /metrics, /statusz, /tracez, /debug/pprof (e.g. :9090)")
 	flag.IntVar(&o.trace, "trace", 64, "sample one submission in N for request tracing (0 = off)")
 	flag.StringVar(&o.stages, "stages", "", `pipeline override as a raw Config string, e.g. "session(reqauth=mac)|authn|encrypt|audit|batch(size=4)"; must include a session stage for the demo workload (empty = the built-in pipeline)`)

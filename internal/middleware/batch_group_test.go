@@ -27,8 +27,9 @@ func groupCfg(size int, codec string) Config {
 	}
 }
 
-// TestGroupSealReleasesOneEnvelope drives the tentpole end to end in both
-// codecs: N submissions release as ONE synthetic group transaction whose
+// TestGroupSealReleasesOneEnvelope drives group seal end to end under both
+// request codecs (the group frame is the same 0xDC 0x03 either way): N
+// submissions release as ONE synthetic group transaction whose
 // envelope opens back to the original payloads, byte-identical to what the
 // per-envelope seal of the same plaintext decrypts to.
 func TestGroupSealReleasesOneEnvelope(t *testing.T) {
@@ -60,6 +61,9 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 			}
 			if got, want := greq.Meta[MetaBatch], GroupEnvelopeScheme+" n=3"; got != want {
 				t.Errorf("batch meta = %q, want %q", got, want)
+			}
+			if !bytes.HasPrefix(greq.Payload, []byte{binaryMagic, binaryKindGroupEnvelope}) {
+				t.Fatalf("group payload starts % x, want a group envelope frame", greq.Payload[:2])
 			}
 			genv, err := ParseGroupEnvelope(greq.Payload)
 			if err != nil {

@@ -5,22 +5,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/pki"
 )
 
-// Wire codec names, the vocabulary of Config.Codec and the per-session
-// negotiation (SessionHello.Codec / SessionGrant.Codec).
+// Request codec names, the vocabulary of Config.Codec and the per-session
+// negotiation (SessionHello.Codec / SessionGrant.Codec). They name how a
+// submission is framed on the wire and nothing else: envelopes on the ledger
+// are always 0xDC frames (envelope.go, envelope_group.go).
 const (
-	// CodecJSON is the default wire framing: every structure marshals as
+	// CodecJSON is the default request framing: the submission marshals as
 	// JSON, self-describing and diffable.
 	CodecJSON = "json"
-	// CodecBinary is the length-prefixed binary v2 framing: no field
-	// names, no base64, no reflection — a submission decode is a linear
-	// scan that aliases the inbound buffer instead of copying it, and an
-	// envelope encode is a single exactly-sized allocation.
+	// CodecBinary is the length-prefixed binary v2 request framing: no
+	// field names, no base64, no reflection — a submission decode is a
+	// linear scan that aliases the inbound buffer instead of copying it.
 	CodecBinary = "binary"
 )
 
@@ -32,10 +32,13 @@ var ErrBadFrame = errors.New("middleware: malformed binary frame")
 // Binary framing: one magic byte no JSON document can start with, one
 // frame-kind byte, then fields in fixed order, each length-prefixed with a
 // uvarint. Strings and byte fields share one shape; maps carry a count
-// first. The certificate inside a wire request — first-contact traffic
-// only, never the session fast path — nests as a JSON blob: certificates
-// are cold, structured, and versioned by the pki package, and re-encoding
-// them field-by-field here would couple the framing to pki internals.
+// first. Requests and ledger envelopes share the magic, the kind byte tells
+// them apart, and this file holds the request codec plus the primitives all
+// three kinds are built from. The certificate inside a wire request —
+// first-contact traffic only, never the session fast path — nests as a JSON
+// blob: certificates are cold, structured, and versioned by the pki package,
+// and re-encoding them field-by-field here would couple the framing to pki
+// internals.
 const (
 	binaryMagic             = 0xDC
 	binaryKindRequest       = 0x01
@@ -43,7 +46,7 @@ const (
 	binaryKindGroupEnvelope = 0x03
 )
 
-// isBinaryFrame sniffs the framing of a wire payload: binary frames start
+// isBinaryFrame sniffs the framing of a wire request: binary frames start
 // with the magic byte, which is not a valid first byte of any JSON value.
 func isBinaryFrame(b []byte) bool {
 	return len(b) >= 2 && b[0] == binaryMagic
@@ -217,240 +220,6 @@ func decodeWireRequestBinary(b []byte) (wireRequest, error) {
 		w.Cert = &c
 	}
 	return w, nil
-}
-
-// sortedKeyIDs returns the recipient identities of a wrapped-key table in
-// the deterministic order the binary framing emits them.
-func sortedKeyIDs(keys map[string]dcrypto.HybridCiphertext) []string {
-	ids := make([]string, 0, len(keys))
-	for id := range keys {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// encodeEnvelopeBinary marshals an envelope into the binary v2 framing
-// with a single exactly-sized allocation:
-//
-//	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ n-keys ‖ keys… ‖ ciphertext
-//
-// The wrapped-key table comes BEFORE the ciphertext so that everything
-// constant for a key epoch is one contiguous head and only the tail differs
-// between the epoch's envelopes (see encodeEnvelopeHead). sortedIDs, when
-// non-nil, names every key of env.Keys in the order to emit them; nil sorts
-// here for deterministic output.
-func encodeEnvelopeBinary(env *Envelope, sortedIDs []string) []byte {
-	if sortedIDs == nil {
-		sortedIDs = sortedKeyIDs(env.Keys)
-	}
-	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.Keys, sortedIDs, lenPrefixedSize(len(env.Ciphertext)))
-	return appendLenPrefixed(out, env.Ciphertext)
-}
-
-// encodeEnvelopeHead encodes everything of a binary envelope frame that
-// precedes its ciphertext field — magic, kind, scheme, channel, epoch and
-// the wrapped-key table — leaving tail bytes of spare capacity for the
-// caller to append that field into. keysAt is where the key table starts:
-// head[keysAt:] is exactly encodeEnvelopeKeys' output, the section group
-// envelopes of the same epoch splice. The head is immutable for a key
-// epoch's lifetime, so the encrypt stage computes it once per epoch
-// (tail 0) and every seal copies it — O(members) encoding becomes one copy.
-func encodeEnvelopeHead(scheme, channel string, epoch uint64, keys map[string]dcrypto.HybridCiphertext, sortedIDs []string, tail int) (head []byte, keysAt int) {
-	keysAt = 2 +
-		lenPrefixedSize(len(scheme)) +
-		lenPrefixedSize(len(channel)) +
-		uvarintSize(epoch)
-	out := make([]byte, 0, keysAt+envelopeKeysSize(keys, sortedIDs)+tail)
-	out = append(out, binaryMagic, binaryKindEnvelope)
-	out = appendLenPrefixed(out, []byte(scheme))
-	out = appendLenPrefixed(out, []byte(channel))
-	out = binary.AppendUvarint(out, epoch)
-	return appendEnvelopeKeys(out, keys, sortedIDs), keysAt
-}
-
-// envelopeKeysSize is the encoded size of a wrapped-key table.
-func envelopeKeysSize(keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) int {
-	size := uvarintSize(uint64(len(sortedIDs)))
-	for _, id := range sortedIDs {
-		k := keys[id]
-		size += lenPrefixedSize(len(id)) +
-			lenPrefixedSize(len(k.EphemeralPub)) +
-			lenPrefixedSize(len(k.Ciphertext))
-	}
-	return size
-}
-
-// appendEnvelopeKeys appends the wrapped-key table of a binary v2 envelope
-// (recipient count + per-recipient id/ephemeral/ciphertext triples) in
-// sortedIDs order — the one encoding single and group envelopes share.
-func appendEnvelopeKeys(out []byte, keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) []byte {
-	out = binary.AppendUvarint(out, uint64(len(sortedIDs)))
-	for _, id := range sortedIDs {
-		k := keys[id]
-		out = appendLenPrefixed(out, []byte(id))
-		out = appendLenPrefixed(out, k.EphemeralPub)
-		out = appendLenPrefixed(out, k.Ciphertext)
-	}
-	return out
-}
-
-// encodeEnvelopeKeys encodes just the wrapped-key table.
-func encodeEnvelopeKeys(keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) []byte {
-	return appendEnvelopeKeys(make([]byte, 0, envelopeKeysSize(keys, sortedIDs)), keys, sortedIDs)
-}
-
-// encodeGroupEnvelopeBinary marshals a group envelope into the binary v2
-// framing (kind 0x03) with a single exactly-sized allocation. Like
-// encodeEnvelopeBinary, sortedIDs may name the emit order; nil sorts here.
-func encodeGroupEnvelopeBinary(genv *GroupEnvelope, sortedIDs []string) []byte {
-	if sortedIDs == nil {
-		sortedIDs = sortedKeyIDs(genv.Keys)
-	}
-	return encodeGroupEnvelopeBinaryKeyed(genv, encodeEnvelopeKeys(genv.Keys, sortedIDs))
-}
-
-// encodeGroupEnvelopeBinaryKeyed is encodeGroupEnvelopeBinary with the
-// wrapped-key table already encoded — the batch stage splices the epoch's
-// precomputed section (the same bytes single envelopes of that epoch
-// splice), so a group seal re-encodes no per-member material.
-func encodeGroupEnvelopeBinaryKeyed(genv *GroupEnvelope, keySection []byte) []byte {
-	size := 2 +
-		lenPrefixedSize(len(genv.Scheme)) +
-		lenPrefixedSize(len(genv.Channel)) +
-		uvarintSize(genv.Epoch) +
-		uvarintSize(genv.Count) +
-		lenPrefixedSize(len(genv.Ciphertext)) +
-		len(keySection)
-	out := make([]byte, 0, size)
-	out = append(out, binaryMagic, binaryKindGroupEnvelope)
-	out = appendLenPrefixed(out, []byte(genv.Scheme))
-	out = appendLenPrefixed(out, []byte(genv.Channel))
-	out = binary.AppendUvarint(out, genv.Epoch)
-	out = binary.AppendUvarint(out, genv.Count)
-	out = appendLenPrefixed(out, genv.Ciphertext)
-	return append(out, keySection...)
-}
-
-// encodeGroupEnvelopeBinarySealed is encodeGroupEnvelopeBinaryKeyed with
-// the group seal fused in: the member payloads are sealed directly into the
-// frame's ciphertext field, so header, ciphertext, and the epoch's spliced
-// key section share one exactly-sized allocation — the standalone
-// ciphertext buffer, and the copy of it into the frame, both disappear from
-// the per-group cost. The frame bytes are identical to sealing first and
-// encoding after (modulo the random nonce).
-func encodeGroupEnvelopeBinarySealed(ck *channelKey, channel string, payloads [][]byte, ad []byte) ([]byte, error) {
-	ctSize := dcrypto.SealedSegmentsSize(ck.aead, payloads)
-	size := 2 +
-		lenPrefixedSize(len(GroupEnvelopeScheme)) +
-		lenPrefixedSize(len(channel)) +
-		uvarintSize(ck.epoch) +
-		uvarintSize(uint64(len(payloads))) +
-		uvarintSize(uint64(ctSize)) + ctSize +
-		len(ck.keySection)
-	out := make([]byte, 0, size)
-	out = append(out, binaryMagic, binaryKindGroupEnvelope)
-	out = appendLenPrefixed(out, []byte(GroupEnvelopeScheme))
-	out = appendLenPrefixed(out, []byte(channel))
-	out = binary.AppendUvarint(out, ck.epoch)
-	out = binary.AppendUvarint(out, uint64(len(payloads)))
-	out = binary.AppendUvarint(out, uint64(ctSize))
-	out, err := dcrypto.AppendEncryptSegmentsWithAEAD(out, ck.aead, payloads, ad)
-	if err != nil {
-		return nil, fmt.Errorf("middleware: seal group: %w", err)
-	}
-	return append(out, ck.keySection...), nil
-}
-
-// decodeGroupEnvelopeBinary reverses encodeGroupEnvelopeBinary.
-func decodeGroupEnvelopeBinary(b []byte) (GroupEnvelope, error) {
-	var genv GroupEnvelope
-	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindGroupEnvelope {
-		return genv, fmt.Errorf("%w: not a binary group envelope frame", ErrBadFrame)
-	}
-	r := &frameReader{b: b[2:]}
-	genv.Scheme = r.str()
-	genv.Channel = r.str()
-	genv.Epoch = r.uvarint()
-	genv.Count = r.uvarint()
-	genv.Ciphertext = r.bytes()
-	nKeys := r.uvarint()
-	if r.err == nil && nKeys > uint64(len(r.b)) {
-		return GroupEnvelope{}, fmt.Errorf("%w: key count %d exceeds remaining bytes", ErrBadFrame, nKeys)
-	}
-	if r.err == nil && nKeys > 0 {
-		genv.Keys = make(map[string]dcrypto.HybridCiphertext, nKeys)
-		for i := uint64(0); i < nKeys && r.err == nil; i++ {
-			id := r.str()
-			genv.Keys[id] = dcrypto.HybridCiphertext{
-				EphemeralPub: r.bytes(),
-				Ciphertext:   r.bytes(),
-			}
-		}
-	}
-	if err := r.done(); err != nil {
-		return GroupEnvelope{}, err
-	}
-	return genv, nil
-}
-
-// EncodeGroupEnvelope marshals a group envelope in the named codec — the
-// encoding counterpart of ParseGroupEnvelope, for clients and tests that
-// handle group envelopes outside the batch stage.
-func EncodeGroupEnvelope(genv GroupEnvelope, codec string) ([]byte, error) {
-	switch codec {
-	case "", CodecJSON:
-		return json.Marshal(genv)
-	case CodecBinary:
-		return encodeGroupEnvelopeBinary(&genv, nil), nil
-	default:
-		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
-	}
-}
-
-// decodeEnvelopeBinary reverses encodeEnvelopeBinary.
-func decodeEnvelopeBinary(b []byte) (Envelope, error) {
-	var env Envelope
-	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindEnvelope {
-		return env, fmt.Errorf("%w: not a binary envelope frame", ErrBadFrame)
-	}
-	r := &frameReader{b: b[2:]}
-	env.Scheme = r.str()
-	env.Channel = r.str()
-	env.Epoch = r.uvarint()
-	nKeys := r.uvarint()
-	if r.err == nil && nKeys > uint64(len(r.b)) {
-		return Envelope{}, fmt.Errorf("%w: key count %d exceeds remaining bytes", ErrBadFrame, nKeys)
-	}
-	if r.err == nil && nKeys > 0 {
-		env.Keys = make(map[string]dcrypto.HybridCiphertext, nKeys)
-		for i := uint64(0); i < nKeys && r.err == nil; i++ {
-			id := r.str()
-			env.Keys[id] = dcrypto.HybridCiphertext{
-				EphemeralPub: r.bytes(),
-				Ciphertext:   r.bytes(),
-			}
-		}
-	}
-	env.Ciphertext = r.bytes()
-	if err := r.done(); err != nil {
-		return Envelope{}, err
-	}
-	return env, nil
-}
-
-// EncodeEnvelope marshals an envelope in the named codec — the encoding
-// counterpart of ParseEnvelope, for clients and tests that handle
-// envelopes outside the encrypt stage.
-func EncodeEnvelope(env Envelope, codec string) ([]byte, error) {
-	switch codec {
-	case "", CodecJSON:
-		return json.Marshal(env)
-	case CodecBinary:
-		return encodeEnvelopeBinary(&env, nil), nil
-	default:
-		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
-	}
 }
 
 // EncodeWireRequest marshals a request for the gateway.submit topic in the

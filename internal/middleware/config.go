@@ -93,13 +93,14 @@ type Config struct {
 	// own a shard. Requires Shards > 0; every index must be in [0, Shards).
 	ShardPins map[string]int
 
-	// Codec selects the gateway's wire codec: "json" (or empty, the
-	// default) keeps every wire structure JSON-encoded; "binary" enables
-	// the length-prefixed binary v2 framing for submissions and envelopes.
-	// A binary gateway still accepts JSON submissions (the two framings
-	// are sniffed apart by their first byte) and clients negotiate per
-	// session via SessionHello.Codec, so mixed populations keep working;
-	// JSON-only gateways reject binary frames.
+	// Codec is the request framing the gateway offers: "json" (or empty,
+	// the default) accepts JSON submissions only; "binary" also accepts
+	// the length-prefixed binary v2 request frame. A binary gateway still
+	// accepts JSON submissions (the two framings are sniffed apart by
+	// their first byte) and clients negotiate per session via
+	// SessionHello.Codec, so mixed populations keep working; JSON-only
+	// gateways reject binary frames. Envelopes on the ledger are always
+	// 0xDC frames, whatever the value.
 	Codec string
 
 	// Trace configures sampled request tracing on the gateway: "" or
@@ -239,12 +240,6 @@ func (c Config) Build(env Env, terminal Handler) (*Chain, error) {
 		s, err := buildStage(sc, env)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-		// The gateway codec reaches into the encrypt stage: a binary
-		// gateway seals envelopes in the binary framing, dropping the JSON
-		// marshal from the per-request path.
-		if e, ok := s.(*Encrypt); ok && c.Codec == CodecBinary {
-			e.useBinaryEnvelopes()
 		}
 		stages = append(stages, s)
 	}

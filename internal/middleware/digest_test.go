@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"sort"
@@ -57,10 +58,14 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 		cfg     Config
 		grouped bool
 	}{
+		// The suffix is the gateway's request codec; the envelope on the
+		// ledger is the same 0xDC frame under all of them.
 		{"single/binary", Config{Stages: stages(cached), Codec: CodecBinary}, false},
 		{"single/json", Config{Stages: stages(cached), Codec: CodecJSON}, false},
+		{"single/default", Config{Stages: stages(cached)}, false},
 		{"uncached/binary", Config{Stages: stages(nil), Codec: CodecBinary}, false},
 		{"uncached/json", Config{Stages: stages(nil), Codec: CodecJSON}, false},
+		{"uncached/default", Config{Stages: stages(nil)}, false},
 		{"groupseal/binary", Config{Stages: stages(cached, StageConfig{Name: StageBatch,
 			Params: map[string]string{"size": "2", "groupseal": "on"}}), Codec: CodecBinary}, true},
 	}
@@ -79,7 +84,8 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 				delivered = append(delivered, b.Txs...)
 				return nil
 			}})
-			for _, p := range []string{"10 tons of steel", "20 tons of copper"} {
+			payloads := []string{"10 tons of steel", "20 tons of copper"}
+			for _, p := range payloads {
 				if err := gw.Submit(context.Background(), signedRequest(t, ps["alice"], "deals", []byte(p))); err != nil {
 					t.Fatalf("Submit: %v", err)
 				}
@@ -106,7 +112,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 			}
 
 			var wantAudit []string
-			for _, tx := range delivered {
+			for i, tx := range delivered {
 				fresh := unprimed(tx)
 				if tx.Digest() != fresh.Digest() || tx.ID() != fresh.ID() {
 					t.Fatalf("carried digest %s differs from the digest of the delivered content %s", tx.ID(), fresh.ID())
@@ -129,6 +135,17 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 				}
 				if !pl.grouped {
 					wantAudit = append(wantAudit, asRequest(tx.Creator, tx.Payload).ID())
+					if !bytes.HasPrefix(tx.Payload, []byte{binaryMagic, binaryKindEnvelope}) {
+						t.Fatalf("delivered payload starts % x, want an envelope frame", tx.Payload[:2])
+					}
+					env, err := ParseEnvelope(tx.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plain, err := OpenEnvelope(env, "bob", ps["bob"].key)
+					if err != nil || string(plain) != payloads[i] {
+						t.Fatalf("OpenEnvelope = %q, %v; want %q", plain, err, payloads[i])
+					}
 					continue
 				}
 				// Audit sits before batch: it saw each member's plaintext.
@@ -161,36 +178,41 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 
 // TestEncryptHandsDownstreamAMemoisedSum pins the per-submission cost: when
 // the encrypt stage passes a sealed request on, SHA-256 of the new payload
-// is already memoised — on the binary cached-epoch path resumed from the
-// epoch's hash state, never computed over the frame — so audit, the
-// terminal handler and the ledger digest all reuse it.
+// is already memoised — resumed from the key's hash state, never computed
+// over the frame — so audit, the terminal handler and the ledger digest all
+// reuse it. The uncached stage rides the same sealFrame, so it holds too.
 func TestEncryptHandsDownstreamAMemoisedSum(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob")
 	dir := NewSyncDirectory()
 	dir.SetChannel("deals", map[string]dcrypto.PublicKey{"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()})
-	enc, err := NewCachedEncrypt(dir, time.Hour, nil)
+	cached, err := NewCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc.useBinaryEnvelopes()
-	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("10 tons of steel"), authenticated: true}
-	plain := req.Digest() // leaves a memo of the plaintext behind
-	called := false
-	err = enc.Handle(context.Background(), req, func(_ context.Context, req *Request) error {
-		called = true
-		if req.sumOf != &req.Payload[0] || req.sumLen != len(req.Payload) {
-			t.Errorf("payload sum not memoised for the sealed payload")
-		}
-		if req.sum != sha256.Sum256(req.Payload) {
-			t.Errorf("memoised payload sum is not SHA-256 of the sealed payload")
-		}
-		return nil
-	})
-	if err != nil || !called {
-		t.Fatalf("Handle: err=%v, downstream called=%v", err, called)
+	uncached, err := NewEncrypt(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if req.Digest() == plain {
-		t.Fatal("request digest did not follow the payload to its sealed form")
+	for name, enc := range map[string]*Encrypt{"cached": cached, "uncached": uncached} {
+		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("10 tons of steel"), authenticated: true}
+		plain := req.Digest() // leaves a memo of the plaintext behind
+		called := false
+		err = enc.Handle(context.Background(), req, func(_ context.Context, req *Request) error {
+			called = true
+			if req.sumOf != &req.Payload[0] || req.sumLen != len(req.Payload) {
+				t.Errorf("%s: payload sum not memoised for the sealed payload", name)
+			}
+			if req.sum != sha256.Sum256(req.Payload) {
+				t.Errorf("%s: memoised payload sum is not SHA-256 of the sealed payload", name)
+			}
+			return nil
+		})
+		if err != nil || !called {
+			t.Fatalf("%s: Handle: err=%v, downstream called=%v", name, err, called)
+		}
+		if req.Digest() == plain {
+			t.Fatalf("%s: request digest did not follow the payload to its sealed form", name)
+		}
 	}
 }
 

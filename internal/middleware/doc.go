@@ -154,8 +154,9 @@
 //
 // Sessions opened over the real TCP edge (internal/netedge) are bound to
 // their transport connection: OpenBound stamps the session with the
-// connection's identity string, and every subsequent resolve must present
-// the same identity or fail with ErrSessionBound. A token captured in
+// connection's identity string, and every subsequent resolve — and a
+// session.close — must present the same identity or fail with
+// ErrSessionBound. A token captured in
 // flight — or exfiltrated from a compromised client — is therefore
 // useless from any other connection: the thief would need to hijack the
 // original TCP stream itself, which TCP sequence randomization and the
@@ -194,14 +195,16 @@
 //     without a MAC fall back to the signature path, so first-contact and
 //     mixed populations keep working; sessionless traffic still flows
 //     through the authn stage unchanged.
-//   - Config.Codec ("json" default | "binary"). The binary v2 framing is
-//     a length-prefixed encoding for submissions and envelopes: no field
-//     names, no base64, no reflection; decodes alias the inbound buffer
-//     and encodes are a single exactly-sized allocation. Clients ask for
-//     it per session (SessionHello.Codec) and the grant reports what the
-//     gateway offers; JSON submissions are always accepted (the framings
-//     are sniffed apart by first byte), so enabling binary never strands
-//     a client. ParseEnvelope likewise reads both framings.
+//   - Config.Codec ("json" default | "binary"): the request framing the
+//     gateway offers. The binary v2 framing is a length-prefixed encoding
+//     for submissions: no field names, no base64, no reflection; decodes
+//     alias the inbound buffer and encodes are a single exactly-sized
+//     allocation. Clients ask for it per session (SessionHello.Codec) and
+//     the grant reports what the gateway offers; JSON submissions are
+//     always accepted (the framings are sniffed apart by first byte), so
+//     enabling binary never strands a client. Envelopes on the ledger are
+//     always 0xDC frames: ParseEnvelope reads nothing else, and
+//     json.Marshal of a parsed Envelope is the diffable debug view.
 //   - Striped, read-mostly caches. The session token table is sharded
 //     across independent RWMutex stripes keyed by token hash, so resolve —
 //     the per-request path — takes one read lock on one stripe, with idle
@@ -219,13 +222,14 @@
 //     streaming its bytes, and the request memoises that sum keyed to
 //     the payload's backing array, so the digests one submission takes
 //     (wire ID, MAC check, audit observation) share one pass and a
-//     replaced payload can never meet a stale sum. The binary envelope
+//     replaced payload can never meet a stale sum. The envelope
 //     frame puts the wrapped-key table ahead of the ciphertext; the
 //     encrypt stage caches that epoch-constant head and the SHA-256
 //     state that has absorbed it, seals each envelope into one
 //     allocation behind a copy of the head, and resumes the cached state
 //     over the ciphertext field alone — the sealed frame is never
-//     streamed through SHA-256. Gateway.order primes the ledger
+//     streamed through SHA-256 (the uncached stage builds a throwaway
+//     key per request and rides the same sealFrame). Gateway.order primes the ledger
 //     transaction's digest (ledger/tx/v3, same payload commitment) from
 //     the sum, and the ordering tier, block cut and subscribers read
 //     that one digest.

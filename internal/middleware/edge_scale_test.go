@@ -29,12 +29,11 @@ func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCachedEncrypt: %v", err)
 	}
-	enc.useBinaryEnvelopes()
 	ck, err := enc.channelKeyFor(&Request{}, "deals", dir.Generation())
 	if err != nil {
 		t.Fatalf("channelKeyFor: %v", err)
 	}
-	if want := encodeEnvelopeKeys(ck.wrapped, ck.ids); !bytes.Equal(ck.keySection, want) {
+	if want := appendEnvelopeKeys(nil, ck.wrapped, sortedKeyIDs(ck.wrapped)); !bytes.Equal(ck.keySection, want) {
 		t.Fatalf("cached key section differs from the table's encoding")
 	}
 	keyed, sum, err := ck.sealFrame([]byte("10 tons of steel"))
@@ -44,11 +43,11 @@ func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 	if sum != sha256.Sum256(keyed) {
 		t.Fatalf("resumed frame hash differs from SHA-256 of the frame")
 	}
-	back, err := decodeEnvelopeBinary(keyed)
+	back, err := ParseEnvelope(keyed)
 	if err != nil {
 		t.Fatalf("decode keyed envelope: %v", err)
 	}
-	if canonical := encodeEnvelopeBinary(&back, nil); !bytes.Equal(canonical, keyed) {
+	if canonical := EncodeEnvelope(back); !bytes.Equal(canonical, keyed) {
 		t.Fatalf("keyed encoding differs from canonical:\n  canonical %d bytes\n  keyed     %d bytes",
 			len(canonical), len(keyed))
 	}

@@ -1,11 +1,9 @@
 package middleware
 
 import (
-	"bytes"
 	"context"
 	"crypto/cipher"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -44,40 +42,18 @@ func envelopeAD(channel string) []byte {
 	return []byte("middleware/envelope/v1/" + channel)
 }
 
-// SealEnvelope encrypts payload for the given member keys.
+// SealEnvelope encrypts payload for the given member keys under a throwaway
+// data key: the frame the encrypt stage would emit, decoded.
 func SealEnvelope(channel string, payload []byte, members map[string]dcrypto.PublicKey) (Envelope, error) {
-	return sealEnvelope(channel, payload, members, envelopeAD(channel))
-}
-
-// sealEnvelope is SealEnvelope with the channel AD precomputed — the
-// encrypt stage passes its per-channel cached AD so the string concat and
-// allocation happen once per channel, not once per request.
-func sealEnvelope(channel string, payload []byte, members map[string]dcrypto.PublicKey, ad []byte) (Envelope, error) {
-	if len(members) == 0 {
-		return Envelope{}, fmt.Errorf("middleware: no member keys for channel %s", channel)
-	}
-	dataKey, err := dcrypto.NewSymmetricKey()
+	ck, err := newChannelKey(channel, 0, members, envelopeAD(channel))
 	if err != nil {
-		return Envelope{}, fmt.Errorf("middleware: data key: %w", err)
+		return Envelope{}, err
 	}
-	ct, err := dcrypto.EncryptSymmetric(dataKey, payload, ad)
+	frame, _, err := ck.sealFrame(payload)
 	if err != nil {
-		return Envelope{}, fmt.Errorf("middleware: seal payload: %w", err)
+		return Envelope{}, err
 	}
-	env := Envelope{
-		Scheme:     EnvelopeScheme,
-		Channel:    channel,
-		Ciphertext: ct,
-		Keys:       make(map[string]dcrypto.HybridCiphertext, len(members)),
-	}
-	for id, pub := range members {
-		wrapped, err := dcrypto.EncryptHybrid(pub, dataKey, ad)
-		if err != nil {
-			return Envelope{}, fmt.Errorf("middleware: wrap key for %s: %w", id, err)
-		}
-		env.Keys[id] = wrapped
-	}
-	return env, nil
+	return ParseEnvelope(frame)
 }
 
 // OpenEnvelope recovers the payload for a member holding its private key.
@@ -96,19 +72,120 @@ func OpenEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]byte,
 	return dcrypto.DecryptSymmetric(dataKey, env.Ciphertext, envelopeAD(env.Channel))
 }
 
-// ParseEnvelope decodes a marshalled envelope (a transaction payload the
-// encrypt stage produced), in either wire codec: binary frames are sniffed
-// by their magic byte, everything else parses as JSON.
-func ParseEnvelope(b []byte) (Envelope, error) {
-	if isBinaryFrame(b) {
-		env, err := decodeEnvelopeBinary(b)
-		if err != nil {
-			return Envelope{}, fmt.Errorf("middleware: parse envelope: %w", err)
-		}
-		return env, nil
+// EncodeEnvelope marshals an envelope into its ledger frame, one
+// exactly-sized allocation:
+//
+//	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ n-keys ‖ keys… ‖ ciphertext
+//
+// The wrapped-key table comes BEFORE the ciphertext so that everything
+// constant for a key epoch is one contiguous head and only the tail differs
+// between the epoch's envelopes (see encodeEnvelopeHead). Recipients are
+// emitted in sorted order, so the encoding is deterministic. It is the
+// counterpart of ParseEnvelope for clients and tests that handle envelopes
+// outside the encrypt stage; json.Marshal of a parsed Envelope is the
+// diffable debug view, not a format any decoder accepts.
+func EncodeEnvelope(env Envelope) []byte {
+	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.Keys, lenPrefixedSize(len(env.Ciphertext)))
+	return appendLenPrefixed(out, env.Ciphertext)
+}
+
+// encodeEnvelopeHead encodes everything of an envelope frame that precedes
+// its ciphertext field — magic, kind, scheme, channel, epoch and the
+// wrapped-key table — leaving tail bytes of spare capacity for the caller to
+// append that field into. keysAt is where the key table starts: head[keysAt:]
+// is the section group envelopes of the same epoch splice. The head is
+// immutable for a data key's lifetime, so newChannelKey computes it once
+// (tail 0) and every seal copies it — O(members) encoding becomes one copy.
+func encodeEnvelopeHead(scheme, channel string, epoch uint64, keys map[string]dcrypto.HybridCiphertext, tail int) (head []byte, keysAt int) {
+	keysAt = 2 +
+		lenPrefixedSize(len(scheme)) +
+		lenPrefixedSize(len(channel)) +
+		uvarintSize(epoch)
+	ids := sortedKeyIDs(keys)
+	out := make([]byte, 0, keysAt+envelopeKeysSize(keys, ids)+tail)
+	out = append(out, binaryMagic, binaryKindEnvelope)
+	out = appendLenPrefixed(out, []byte(scheme))
+	out = appendLenPrefixed(out, []byte(channel))
+	out = binary.AppendUvarint(out, epoch)
+	return appendEnvelopeKeys(out, keys, ids), keysAt
+}
+
+// sortedKeyIDs returns the recipient identities of a wrapped-key table in
+// the deterministic order the frame emits them.
+func sortedKeyIDs(keys map[string]dcrypto.HybridCiphertext) []string {
+	ids := make([]string, 0, len(keys))
+	for id := range keys {
+		ids = append(ids, id)
 	}
+	sort.Strings(ids)
+	return ids
+}
+
+// envelopeKeysSize is the encoded size of a wrapped-key table.
+func envelopeKeysSize(keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) int {
+	size := uvarintSize(uint64(len(sortedIDs)))
+	for _, id := range sortedIDs {
+		k := keys[id]
+		size += lenPrefixedSize(len(id)) +
+			lenPrefixedSize(len(k.EphemeralPub)) +
+			lenPrefixedSize(len(k.Ciphertext))
+	}
+	return size
+}
+
+// appendEnvelopeKeys appends the wrapped-key table (recipient count +
+// per-recipient id/ephemeral/ciphertext triples) in sortedIDs order — the
+// one encoding single and group envelopes share.
+func appendEnvelopeKeys(out []byte, keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) []byte {
+	out = binary.AppendUvarint(out, uint64(len(sortedIDs)))
+	for _, id := range sortedIDs {
+		k := keys[id]
+		out = appendLenPrefixed(out, []byte(id))
+		out = appendLenPrefixed(out, k.EphemeralPub)
+		out = appendLenPrefixed(out, k.Ciphertext)
+	}
+	return out
+}
+
+// keyTable decodes a wrapped-key table. The declared count is checked
+// against the bytes that remain before the map is sized (every entry costs
+// at least its three length bytes), so no frame makes the decoder allocate
+// beyond a multiple of its own length.
+func (r *frameReader) keyTable() map[string]dcrypto.HybridCiphertext {
+	nKeys := r.uvarint()
+	if r.err != nil || nKeys == 0 {
+		return nil
+	}
+	if nKeys > uint64(len(r.b)) {
+		r.err = fmt.Errorf("%w: key count %d exceeds remaining bytes", ErrBadFrame, nKeys)
+		return nil
+	}
+	keys := make(map[string]dcrypto.HybridCiphertext, nKeys)
+	for i := uint64(0); i < nKeys && r.err == nil; i++ {
+		id := r.str()
+		keys[id] = dcrypto.HybridCiphertext{
+			EphemeralPub: r.bytes(),
+			Ciphertext:   r.bytes(),
+		}
+	}
+	return keys
+}
+
+// ParseEnvelope decodes an envelope frame (a transaction payload the encrypt
+// stage produced). Anything else — a JSON document included — is rejected
+// with ErrBadFrame, never mis-parsed.
+func ParseEnvelope(b []byte) (Envelope, error) {
+	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindEnvelope {
+		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w: not an envelope frame", ErrBadFrame)
+	}
+	r := &frameReader{b: b[2:]}
 	var env Envelope
-	if err := json.Unmarshal(b, &env); err != nil {
+	env.Scheme = r.str()
+	env.Channel = r.str()
+	env.Epoch = r.uvarint()
+	env.Keys = r.keyTable()
+	env.Ciphertext = r.bytes()
+	if err := r.done(); err != nil {
 		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w", err)
 	}
 	return env, nil
@@ -238,9 +315,6 @@ type Encrypt struct {
 	// defaultClock marks now as the package default (coarseNow): only then
 	// may channelKeyFor trust a request's session-stamped clock reading.
 	defaultClock bool
-	// binary switches envelope marshalling to the binary v2 framing
-	// (Config.Codec = "binary"); set at Build time, before traffic.
-	binary bool
 	// deferSeal switches Handle into deferred group-seal mode (see
 	// deferGroupSeal): the payload stays plaintext and the request is
 	// tagged with its epoch key for the batch stage to seal whole groups
@@ -289,37 +363,65 @@ type Encrypt struct {
 	revokedRotations uint64
 }
 
-// channelKey is one cached (channel, epoch) data-key generation. Beyond
-// the wrapped key material it carries everything the per-request seal
-// would otherwise recompute: the prebuilt AEAD (AES key schedule + GCM
-// tables), the channel associated data, and the recipient IDs presorted
-// for deterministic binary encoding.
+// channelKey is one data-key generation: a cached (channel, epoch) key, or
+// the throwaway key of one uncached seal (epoch 0). Beyond the wrapped key
+// material it carries everything the per-request seal would otherwise
+// recompute: the prebuilt AEAD (AES key schedule + GCM tables), the channel
+// associated data, and the encoded frame head.
 type channelKey struct {
 	epoch     uint64
-	dataKey   []byte
 	aead      cipher.AEAD
 	ad        []byte
 	wrapped   map[string]dcrypto.HybridCiphertext
-	ids       []string // sorted recipient identities
 	members   [32]byte // fingerprint of the member set the key was wrapped to
 	expiresAt time.Time
-	// frameHead is everything of the epoch's binary single-envelope frames
-	// that precedes the ciphertext field (encodeEnvelopeHead): the header
-	// and the wrapped-key table, computed once at install. The table is
-	// immutable for the epoch's lifetime, and re-encoding it per submission
+	// frameHead is everything of the key's single-envelope frames that
+	// precedes the ciphertext field (encodeEnvelopeHead): the header and the
+	// wrapped-key table, computed once by newChannelKey. The table is
+	// immutable for the key's lifetime, and re-encoding it per submission
 	// makes every seal O(members) — at 1000-member channels that dominates
 	// the entire submit path. headSum is SHA-256 with frameHead already
 	// absorbed: with 50 members the head is 7.5 KB of a 7.6 KB frame, so the
 	// frame's hash costs the ~130 bytes that follow it. keySection is the
 	// table alone (a suffix of frameHead), which group envelopes splice.
-	// All nil under the JSON codec.
 	frameHead  []byte
 	headSum    dcrypto.HashPrefix
 	keySection []byte
 }
 
-// sealFrame seals plaintext under the epoch key straight into a binary
-// envelope frame — head copied, ciphertext field sealed in place, one
+// newChannelKey generates a fresh data key, wraps it for every member and
+// builds the frame head — the one constructor behind a cached epoch install
+// (wrapAndInstall), the uncached stage's per-request key and SealEnvelope.
+func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.PublicKey, ad []byte) (*channelKey, error) {
+	if len(members) == 0 {
+		return nil, fmt.Errorf("middleware: no member keys for channel %s", channel)
+	}
+	dataKey, err := dcrypto.NewSymmetricKey()
+	if err != nil {
+		return nil, fmt.Errorf("middleware: data key: %w", err)
+	}
+	wrapped := make(map[string]dcrypto.HybridCiphertext, len(members))
+	for id, pub := range members {
+		w, err := dcrypto.EncryptHybrid(pub, dataKey, ad)
+		if err != nil {
+			return nil, fmt.Errorf("middleware: wrap key for %s: %w", id, err)
+		}
+		wrapped[id] = w
+	}
+	aead, err := dcrypto.NewAEAD(dataKey)
+	if err != nil {
+		return nil, fmt.Errorf("middleware: data key aead: %w", err)
+	}
+	ck := &channelKey{epoch: epoch, aead: aead, ad: ad, wrapped: wrapped}
+	var keysAt int
+	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, wrapped, 0)
+	ck.headSum = dcrypto.NewHashPrefix(ck.frameHead)
+	ck.keySection = ck.frameHead[keysAt:]
+	return ck, nil
+}
+
+// sealFrame seals plaintext under the data key straight into an envelope
+// frame — head copied, ciphertext field sealed in place, one
 // exactly-sized allocation — and returns the frame with its SHA-256,
 // resumed from headSum over the ciphertext field alone.
 func (ck *channelKey) sealFrame(plaintext []byte) ([]byte, [32]byte, error) {
@@ -353,11 +455,6 @@ func NewEncrypt(dir Directory) (*Encrypt, error) {
 	gdir, _ := dir.(GenerationalDirectory)
 	return &Encrypt{dir: dir, gdir: gdir}, nil
 }
-
-// useBinaryEnvelopes switches envelope marshalling to the binary v2
-// framing. Called by Config.Build when the gateway codec is binary, before
-// any traffic.
-func (e *Encrypt) useBinaryEnvelopes() { e.binary = true }
 
 // adFor returns the channel's associated data, computing and caching it on
 // first use.
@@ -683,42 +780,12 @@ func (e *Encrypt) channelKeyFor(req *Request, channel string, dirGen uint64) (*c
 // exclusion generation moved past gen): the snapshot may include a
 // just-revoked member, so the caller must re-snapshot and try again.
 func (e *Encrypt) wrapAndInstall(channel string, epoch, gen uint64, fp [32]byte, sealable map[string]dcrypto.PublicKey, now time.Time) (*channelKey, bool, error) {
-	dataKey, err := dcrypto.NewSymmetricKey()
+	ck, err := newChannelKey(channel, epoch, sealable, e.adFor(channel))
 	if err != nil {
-		return nil, false, fmt.Errorf("middleware: data key: %w", err)
+		return nil, false, err
 	}
-	ad := e.adFor(channel)
-	wrapped := make(map[string]dcrypto.HybridCiphertext, len(sealable))
-	ids := make([]string, 0, len(sealable))
-	for id, pub := range sealable {
-		w, err := dcrypto.EncryptHybrid(pub, dataKey, ad)
-		if err != nil {
-			return nil, false, fmt.Errorf("middleware: wrap key for %s: %w", id, err)
-		}
-		wrapped[id] = w
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	aead, err := dcrypto.NewAEAD(dataKey)
-	if err != nil {
-		return nil, false, fmt.Errorf("middleware: data key aead: %w", err)
-	}
-	ck := &channelKey{
-		epoch:     epoch,
-		dataKey:   dataKey,
-		aead:      aead,
-		ad:        ad,
-		wrapped:   wrapped,
-		ids:       ids,
-		members:   fp,
-		expiresAt: now.Add(e.keyTTL),
-	}
-	if e.binary {
-		var keysAt int
-		ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, wrapped, ids, 0)
-		ck.headSum = dcrypto.NewHashPrefix(ck.frameHead)
-		ck.keySection = ck.frameHead[keysAt:]
-	}
+	ck.members = fp
+	ck.expiresAt = now.Add(e.keyTTL)
 
 	e.mu.Lock()
 	if e.exclGen != gen {
@@ -738,115 +805,69 @@ func (e *Encrypt) wrapAndInstall(channel string, epoch, gen uint64, fp [32]byte,
 	return ck, false, nil
 }
 
-// jsonBufPool recycles the staging buffers of JSON envelope marshalling:
-// the encoder writes into a pooled buffer and only the exactly-sized final
-// payload is allocated fresh (it outlives the request as the transaction
-// payload, so it cannot itself be pooled).
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// marshalEnvelope encodes the sealed envelope in the stage's codec — every
-// path but the binary cached-epoch one, which never builds an Envelope
-// (channelKey.sealFrame).
-func (e *Encrypt) marshalEnvelope(env *Envelope) ([]byte, error) {
-	if e.binary {
-		return encodeEnvelopeBinary(env, nil), nil
-	}
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(env); err != nil {
-		jsonBufPool.Put(buf)
-		return nil, fmt.Errorf("middleware: marshal envelope: %w", err)
-	}
-	staged := buf.Bytes()
-	staged = staged[:len(staged)-1] // Encode appends a newline Marshal would not
-	out := make([]byte, len(staged))
-	copy(out, staged)
-	jsonBufPool.Put(buf)
-	return out, nil
-}
-
-// Handle implements Stage.
+// Handle implements Stage. After key resolution it has two outcomes: tag the
+// request and defer the seal to the batch stage, or sealFrame now.
 func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error {
 	if !req.authenticated {
 		return ErrNotAuthenticated
 	}
-	// The directory generation is read BEFORE the member fetch: if an
-	// update lands in between, the snapshot is newer than the tag, which
-	// is safe (the fingerprint cache can run a request behind, never seal
-	// to a member set older than its recorded generation).
-	var dirGen uint64
-	if e.gdir != nil {
-		dirGen = e.gdir.Generation()
-	}
+	var (
+		ck  *channelKey
+		err error
+	)
 	if e.keyTTL > 0 {
+		// The directory generation is read BEFORE the member fetch: if an
+		// update lands in between, the snapshot is newer than the tag, which
+		// is safe (the fingerprint cache can run a request behind, never seal
+		// to a member set older than its recorded generation).
+		var dirGen uint64
+		if e.gdir != nil {
+			dirGen = e.gdir.Generation()
+		}
 		// channelKeyFor applies the revocation exclusions itself, under the
 		// cache lock, so a racing RevokeMember cannot poison a fresh epoch.
 		// It also fetches the member snapshot itself, and only on a cache
 		// miss: the steady-state fast path never consults the directory.
-		ck, err := e.channelKeyFor(req, req.Channel, dirGen)
-		if err != nil {
-			return err
-		}
-		if e.deferSeal {
-			// Deferred group seal: tag the request with its epoch key and
-			// leave the payload plaintext — the batch stage seals the whole
-			// (channel, epoch) group with one AEAD invocation. The request
-			// is marked encrypted because its payload is guaranteed sealed
-			// before anything downstream of batch (the terminal handler)
-			// sees it; the plaintext never leaves the process.
-			req.groupKey = ck
-			req.encrypted = true
-			return next(ctx, req)
-		}
-		if e.binary {
-			frame, sum, err := ck.sealFrame(req.Payload)
-			if err != nil {
-				return err
-			}
-			// The frame's hash came almost free with the seal; memoised, no
-			// later hop of this submission hashes the frame at all.
-			req.setPayloadSum(frame, sum)
-			return e.sealed(ctx, req, frame, next)
-		}
-		ct, err := dcrypto.EncryptWithAEAD(ck.aead, req.Payload, ck.ad)
-		if err != nil {
-			return fmt.Errorf("middleware: seal payload: %w", err)
-		}
-		b, err := e.marshalEnvelope(&Envelope{
-			Scheme:     EnvelopeScheme,
-			Channel:    req.Channel,
-			Epoch:      ck.epoch,
-			Ciphertext: ct,
-			Keys:       ck.wrapped,
-		})
-		if err != nil {
-			return err
-		}
-		return e.sealed(ctx, req, b, next)
+		ck, err = e.channelKeyFor(req, req.Channel, dirGen)
+	} else {
+		ck, err = e.throwawayKey(req.Channel)
 	}
-	members, err := e.dir.MemberKeys(req.Channel)
 	if err != nil {
 		return err
 	}
-	env, err := sealEnvelope(req.Channel, req.Payload, e.effectiveMembers(members), e.adFor(req.Channel))
+	if e.deferSeal {
+		// Deferred group seal: tag the request with its epoch key and
+		// leave the payload plaintext — the batch stage seals the whole
+		// (channel, epoch) group with one AEAD invocation. The request
+		// is marked encrypted because its payload is guaranteed sealed
+		// before anything downstream of batch (the terminal handler)
+		// sees it; the plaintext never leaves the process.
+		req.groupKey = ck
+		req.encrypted = true
+		return next(ctx, req)
+	}
+	frame, sum, err := ck.sealFrame(req.Payload)
 	if err != nil {
 		return err
 	}
-	b, err := e.marshalEnvelope(&env)
-	if err != nil {
-		return err
-	}
-	return e.sealed(ctx, req, b, next)
-}
-
-// sealed installs the marshalled envelope as the request payload and passes
-// it downstream — the common tail of Handle's immediate-seal paths.
-func (e *Encrypt) sealed(ctx context.Context, req *Request, payload []byte, next Handler) error {
-	req.Payload = payload
+	// The frame's hash came almost free with the seal; memoised, no later
+	// hop of this submission hashes the frame at all.
+	req.setPayloadSum(frame, sum)
+	req.Payload = frame
 	req.encrypted = true
 	if req.Meta == nil {
 		req.Meta = make(map[string]string)
 	}
 	req.Meta["envelope"] = EnvelopeScheme
 	return next(ctx, req)
+}
+
+// throwawayKey is the uncached stage's key resolution: a fresh data key per
+// request, wrapped to the channel's current members minus the revoked.
+func (e *Encrypt) throwawayKey(channel string) (*channelKey, error) {
+	members, err := e.dir.MemberKeys(channel)
+	if err != nil {
+		return nil, err
+	}
+	return newChannelKey(channel, 0, e.effectiveMembers(members), e.adFor(channel))
 }

@@ -1,8 +1,7 @@
 package middleware
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -29,7 +28,7 @@ const MetaBatch = "batch"
 
 // GroupEnvelope is N encrypted payloads plus the data key wrapped per
 // channel member. The ciphertext is one AEAD seal over a length-prefixed
-// concatenation of the member payloads (see dcrypto.EncryptSegmentsWithAEAD);
+// concatenation of the member payloads (see dcrypto.AppendEncryptSegmentsWithAEAD);
 // the key table is the same per-epoch table single envelopes of that epoch
 // carry, so a recipient unwraps once and opens every member payload.
 type GroupEnvelope struct {
@@ -79,19 +78,46 @@ func OpenGroupEnvelope(genv GroupEnvelope, member string, key *dcrypto.PrivateKe
 	return segments, nil
 }
 
-// ParseGroupEnvelope decodes a marshalled group envelope (the payload of a
-// released group transaction), in either wire codec: binary frames are
-// sniffed by their magic byte, everything else parses as JSON.
+// EncodeGroupEnvelope marshals a group envelope into its ledger frame (kind
+// 0x03), one exactly-sized allocation — the counterpart of
+// ParseGroupEnvelope for clients and tests that handle group envelopes
+// outside the batch stage:
+//
+//	0xDC 0x03 ‖ scheme ‖ channel ‖ epoch ‖ count ‖ ciphertext ‖ n-keys ‖ keys…
+func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
+	ids := sortedKeyIDs(genv.Keys)
+	size := 2 +
+		lenPrefixedSize(len(genv.Scheme)) +
+		lenPrefixedSize(len(genv.Channel)) +
+		uvarintSize(genv.Epoch) +
+		uvarintSize(genv.Count) +
+		lenPrefixedSize(len(genv.Ciphertext)) +
+		envelopeKeysSize(genv.Keys, ids)
+	out := make([]byte, 0, size)
+	out = append(out, binaryMagic, binaryKindGroupEnvelope)
+	out = appendLenPrefixed(out, []byte(genv.Scheme))
+	out = appendLenPrefixed(out, []byte(genv.Channel))
+	out = binary.AppendUvarint(out, genv.Epoch)
+	out = binary.AppendUvarint(out, genv.Count)
+	out = appendLenPrefixed(out, genv.Ciphertext)
+	return appendEnvelopeKeys(out, genv.Keys, ids)
+}
+
+// ParseGroupEnvelope decodes a group envelope frame (the payload of a
+// released group transaction). Anything else is rejected with ErrBadFrame.
 func ParseGroupEnvelope(b []byte) (GroupEnvelope, error) {
-	if isBinaryFrame(b) {
-		genv, err := decodeGroupEnvelopeBinary(b)
-		if err != nil {
-			return GroupEnvelope{}, fmt.Errorf("middleware: parse group envelope: %w", err)
-		}
-		return genv, nil
+	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindGroupEnvelope {
+		return GroupEnvelope{}, fmt.Errorf("middleware: parse group envelope: %w: not a group envelope frame", ErrBadFrame)
 	}
+	r := &frameReader{b: b[2:]}
 	var genv GroupEnvelope
-	if err := json.Unmarshal(b, &genv); err != nil {
+	genv.Scheme = r.str()
+	genv.Channel = r.str()
+	genv.Epoch = r.uvarint()
+	genv.Count = r.uvarint()
+	genv.Ciphertext = r.bytes()
+	genv.Keys = r.keyTable()
+	if err := r.done(); err != nil {
 		return GroupEnvelope{}, fmt.Errorf("middleware: parse group envelope: %w", err)
 	}
 	return genv, nil
@@ -106,40 +132,32 @@ func ParseGroupEnvelope(b []byte) (GroupEnvelope, error) {
 func (e *Encrypt) deferGroupSeal() { e.deferSeal = true }
 
 // sealGroup seals the member payloads of one (channel, epoch) group with a
-// single AEAD invocation under the epoch key and marshals the group
-// envelope in the stage's codec. The binary path splices the epoch's
-// precomputed key section, so the per-group cost beyond the one GCM pass is
-// a header and a copy.
+// single AEAD invocation under the epoch key, straight into the group
+// envelope frame: header, ciphertext and the epoch's spliced key section
+// share one exactly-sized allocation, so the per-group cost beyond the one
+// GCM pass is a header and a copy. The frame bytes are identical to sealing
+// first and EncodeGroupEnvelope after (modulo the random nonce).
 func (e *Encrypt) sealGroup(ck *channelKey, channel string, payloads [][]byte) ([]byte, error) {
-	if e.binary {
-		// The binary path fuses seal and encode: the AEAD writes the group
-		// ciphertext directly into the frame allocation.
-		return encodeGroupEnvelopeBinarySealed(ck, channel, payloads, e.groupADFor(channel))
-	}
-	ct, err := dcrypto.EncryptSegmentsWithAEAD(ck.aead, payloads, e.groupADFor(channel))
+	ctSize := dcrypto.SealedSegmentsSize(ck.aead, payloads)
+	size := 2 +
+		lenPrefixedSize(len(GroupEnvelopeScheme)) +
+		lenPrefixedSize(len(channel)) +
+		uvarintSize(ck.epoch) +
+		uvarintSize(uint64(len(payloads))) +
+		uvarintSize(uint64(ctSize)) + ctSize +
+		len(ck.keySection)
+	out := make([]byte, 0, size)
+	out = append(out, binaryMagic, binaryKindGroupEnvelope)
+	out = appendLenPrefixed(out, []byte(GroupEnvelopeScheme))
+	out = appendLenPrefixed(out, []byte(channel))
+	out = binary.AppendUvarint(out, ck.epoch)
+	out = binary.AppendUvarint(out, uint64(len(payloads)))
+	out = binary.AppendUvarint(out, uint64(ctSize))
+	out, err := dcrypto.AppendEncryptSegmentsWithAEAD(out, ck.aead, payloads, e.groupADFor(channel))
 	if err != nil {
 		return nil, fmt.Errorf("middleware: seal group: %w", err)
 	}
-	genv := GroupEnvelope{
-		Scheme:     GroupEnvelopeScheme,
-		Channel:    channel,
-		Epoch:      ck.epoch,
-		Count:      uint64(len(payloads)),
-		Ciphertext: ct,
-		Keys:       ck.wrapped,
-	}
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(&genv); err != nil {
-		jsonBufPool.Put(buf)
-		return nil, fmt.Errorf("middleware: marshal group envelope: %w", err)
-	}
-	staged := buf.Bytes()
-	staged = staged[:len(staged)-1] // Encode appends a newline Marshal would not
-	out := make([]byte, len(staged))
-	copy(out, staged)
-	jsonBufPool.Put(buf)
-	return out, nil
+	return append(out, ck.keySection...), nil
 }
 
 // groupADFor returns the channel's group associated data, computed once per

@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -79,12 +80,9 @@ func TestEnvelopeBinaryRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Epoch = 7
-	b, err := EncodeEnvelope(env, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isBinaryFrame(b) {
-		t.Fatal("binary envelope not sniffed as binary")
+	b := EncodeEnvelope(env)
+	if !bytes.HasPrefix(b, []byte{binaryMagic, binaryKindEnvelope}) {
+		t.Fatalf("envelope frame starts % x", b[:2])
 	}
 	got, err := ParseEnvelope(b)
 	if err != nil {
@@ -103,21 +101,17 @@ func TestEnvelopeBinaryRoundtrip(t *testing.T) {
 			t.Fatalf("decoded payload mismatch for %s", name)
 		}
 	}
-	// JSON stays the default and still parses.
-	jb, err := EncodeEnvelope(env, CodecJSON)
+	// A JSON envelope (the debug view) is rejected, not mis-parsed.
+	jb, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if isBinaryFrame(jb) {
-		t.Fatal("JSON envelope sniffed as binary")
+	if _, err := ParseEnvelope(jb); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("ParseEnvelope(json) = %v, want ErrBadFrame", err)
 	}
-	if _, err := ParseEnvelope(jb); err != nil {
-		t.Fatalf("ParseEnvelope(json): %v", err)
-	}
-	// Binary encoding is deterministic (sorted recipient order).
-	b2, _ := EncodeEnvelope(env, CodecBinary)
-	if !bytes.Equal(b, b2) {
-		t.Fatal("binary envelope encoding is not deterministic")
+	// The encoding is deterministic (sorted recipient order).
+	if !bytes.Equal(b, EncodeEnvelope(env)) {
+		t.Fatal("envelope encoding is not deterministic")
 	}
 }
 
@@ -149,7 +143,7 @@ func TestBinaryFrameRejectsMalformed(t *testing.T) {
 	cases["bad mac length"] = withMAC
 	for name, b := range cases {
 		if name == "envelope as req" || name == "huge key count env" {
-			if _, err := decodeEnvelopeBinary(b); err == nil && name == "huge key count env" {
+			if _, err := ParseEnvelope(b); err == nil && name == "huge key count env" {
 				t.Fatalf("%s: accepted", name)
 			}
 			continue

@@ -3,6 +3,7 @@ package middleware
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/big"
 	"reflect"
 	"testing"
@@ -260,8 +261,8 @@ func FuzzWireRequest(f *testing.F) {
 
 // FuzzEnvelopeFrame throws arbitrary bytes at the two envelope decoders a
 // ledger reader runs on transaction payloads it did not produce —
-// ParseEnvelope and ParseGroupEnvelope, both framings each. Hostile bytes
-// may be rejected but never panic, and a table's declared key count is
+// ParseEnvelope and ParseGroupEnvelope. Hostile bytes may be rejected, always
+// with ErrBadFrame, but never panic, and a table's declared key count is
 // checked against the bytes that remain before the map is sized, so no
 // input makes a decoder allocate beyond a multiple of its own length. What
 // does decode survives a round trip: decode(encode(decode(b))) equals
@@ -279,49 +280,48 @@ func FuzzEnvelopeFrame(f *testing.F) {
 	env.Epoch = 7
 	genv := GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Epoch: 7, Count: 2,
 		Ciphertext: env.Ciphertext, Keys: env.Keys}
-	for _, codec := range []string{CodecBinary, CodecJSON} {
-		single, err := EncodeEnvelope(env, codec)
-		if err != nil {
-			f.Fatal(err)
-		}
-		group, err := EncodeGroupEnvelope(genv, codec)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(single)
-		f.Add(group)
-		f.Add(single[:len(single)/2])
-		f.Add(group[:len(group)-1])
-	}
+	single, group := EncodeEnvelope(env), EncodeGroupEnvelope(genv)
+	f.Add(single)
+	f.Add(group)
+	f.Add(single[:len(single)/2])
+	f.Add(group[:len(group)-1])
+	f.Add(append(append([]byte(nil), single...), 0x00))
+	// Each kind under the other's kind byte: the field orders differ.
+	f.Add(append([]byte{binaryMagic, binaryKindGroupEnvelope}, single[2:]...))
+	f.Add(append([]byte{binaryMagic, binaryKindEnvelope}, group[2:]...))
 	// A key count the remaining bytes cannot hold, in both frame kinds.
 	f.Add([]byte{binaryMagic, binaryKindEnvelope, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{binaryMagic, binaryKindGroupEnvelope, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// JSON documents — the debug view of a real envelope among them — are
+	// not a ledger format.
+	asJSON, err := json.Marshal(env)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(asJSON)
 	f.Add([]byte(`{"scheme":"x","keys":{"a":{}},"ciphertext":null}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		codec := CodecJSON
-		if isBinaryFrame(data) {
-			codec = CodecBinary
-		}
-		if env, err := ParseEnvelope(data); err == nil {
-			again, err := EncodeEnvelope(env, codec)
-			if err != nil {
-				t.Fatalf("re-encode a decoded envelope: %v", err)
-			}
-			back, err := ParseEnvelope(again)
+		env, err := ParseEnvelope(data)
+		if err == nil {
+			back, err := ParseEnvelope(EncodeEnvelope(env))
 			if err != nil || !reflect.DeepEqual(env, back) {
 				t.Fatalf("envelope round trip: %v\n first  %+v\n second %+v", err, env, back)
 			}
+		} else if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("ParseEnvelope rejected with %v, want ErrBadFrame", err)
 		}
-		if genv, err := ParseGroupEnvelope(data); err == nil {
-			again, err := EncodeGroupEnvelope(genv, codec)
-			if err != nil {
-				t.Fatalf("re-encode a decoded group envelope: %v", err)
-			}
-			back, err := ParseGroupEnvelope(again)
+		genv, gerr := ParseGroupEnvelope(data)
+		if gerr == nil {
+			back, err := ParseGroupEnvelope(EncodeGroupEnvelope(genv))
 			if err != nil || !reflect.DeepEqual(genv, back) {
 				t.Fatalf("group envelope round trip: %v\n first  %+v\n second %+v", err, genv, back)
 			}
+		} else if !errors.Is(gerr, ErrBadFrame) {
+			t.Fatalf("ParseGroupEnvelope rejected with %v, want ErrBadFrame", gerr)
+		}
+		if !isBinaryFrame(data) && (err == nil || gerr == nil) {
+			t.Fatalf("a payload without the frame magic decoded as an envelope")
 		}
 	})
 }

@@ -763,7 +763,9 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		if mgr == nil {
 			return nil, fmt.Errorf("gateway %s: pipeline has no session stage", g.name)
 		}
-		mgr.Close(string(payload))
+		if err := mgr.CloseFrom(string(payload), transportID); err != nil {
+			return nil, fmt.Errorf("gateway %s: %w", g.name, err)
+		}
 		return []byte("ok"), nil
 	case TopicRevocationNotify:
 		if g.revoker == nil {

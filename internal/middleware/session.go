@@ -215,11 +215,12 @@ type sessionStripe struct {
 	revoked map[string]time.Time
 }
 
-// stripeFor hashes a token onto its stripe: FNV-1a over the first 16 token
+// stripeFor hashes a token onto its stripe: FNV-1a over the first 8 token
 // bytes plus the length. Genuine tokens are uniformly random hex, so an
-// 8-byte prefix already carries 32 bits of stripe entropy against 64
-// stripes; bounding the scan keeps the per-request hash O(1) in token
-// length (tokens are 64 hex chars, and this sits on the resolve hot path).
+// 8-byte prefix already carries 32 bits of stripe entropy against
+// sessionStripeCount = 32 stripes; bounding the scan keeps the per-request
+// hash O(1) in token length (tokens are 64 hex chars, and this sits on the
+// resolve hot path).
 func (m *SessionManager) stripeFor(token string) *sessionStripe {
 	h := uint32(2166136261)
 	n := len(token)
@@ -559,12 +560,36 @@ func (m *SessionManager) Close(token string) {
 	m.mu.Lock()
 	st := m.stripeFor(token)
 	st.mu.Lock()
+	m.closeLocked(st, token)
+	st.mu.Unlock()
+	m.mu.Unlock()
+}
+
+// CloseFrom is Close for a request that arrived over a transport
+// connection: a bound session closes only from the connection it is bound
+// to. From anywhere else it answers ErrSessionBound and the session stays
+// live for its rightful connection — a captured token can no more end a
+// session than use it. Unbound sessions close from anywhere.
+func (m *SessionManager) CloseFrom(token, transportID string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.stripeFor(token)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if s, ok := st.sessions[token]; ok && s.boundTo != "" && s.boundTo != transportID {
+		return ErrSessionBound
+	}
+	m.closeLocked(st, token)
+	return nil
+}
+
+// closeLocked removes the token's session and tombstone. Called with mu AND
+// the token's stripe lock held.
+func (m *SessionManager) closeLocked(st *sessionStripe, token string) {
 	if s, ok := st.sessions[token]; ok {
 		m.deleteSessionLocked(st, token, s)
 	}
 	delete(st.revoked, token)
-	st.mu.Unlock()
-	m.mu.Unlock()
 }
 
 // deleteSessionLocked removes a session from its stripe and the

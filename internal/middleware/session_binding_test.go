@@ -78,6 +78,34 @@ func TestSessionTransportBinding(t *testing.T) {
 			t.Fatalf("unbound resolve over %q: %v", id, err)
 		}
 	}
+
+	// Closing follows the same rule: only the home transport ends a bound
+	// session, an unbound one closes from anywhere, and the programmatic
+	// Close asks no questions.
+	for _, id := range []string{"tcp:2:other", ""} {
+		if err := f.mgr.CloseFrom(bound.Token, id); !errors.Is(err, ErrSessionBound) {
+			t.Fatalf("cross-transport close over %q: got %v, want ErrSessionBound", id, err)
+		}
+		if _, _, _, err := f.mgr.resolve(bound.Token, "tcp:1:peer"); err != nil {
+			t.Fatalf("session killed by a close from %q: %v", id, err)
+		}
+	}
+	if err := f.mgr.CloseFrom(bound.Token, "tcp:1:peer"); err != nil {
+		t.Fatalf("close on home transport: %v", err)
+	}
+	if err := f.mgr.CloseFrom(unbound.Token, "tcp:3:any"); err != nil {
+		t.Fatalf("close of an unbound session: %v", err)
+	}
+	for _, token := range []string{bound.Token, unbound.Token} {
+		if _, _, _, err := f.mgr.resolve(token, "tcp:1:peer"); !errors.Is(err, ErrNoSession) {
+			t.Fatalf("closed session resolves: %v", err)
+		}
+	}
+	rebound := f.open(t, "tcp:1:peer")
+	f.mgr.Close(rebound.Token)
+	if _, _, _, err := f.mgr.resolve(rebound.Token, "tcp:1:peer"); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("programmatic Close left a bound session live: %v", err)
+	}
 }
 
 // TestEvictTransport pins the teardown contract: a dead connection's

@@ -195,9 +195,20 @@ func TestEdgeSessionBound(t *testing.T) {
 	if !strings.Contains(err.Error(), middleware.ErrSessionBound.Error()) {
 		t.Fatalf("error %q does not carry ErrSessionBound", err)
 	}
-	// The rejection is not sticky: the home connection still works.
+	// Nor can the other connection end the session it cannot use.
+	if err := c2.CloseSession(ctx, p.grant.Token); err == nil || !strings.Contains(err.Error(), middleware.ErrSessionBound.Error()) {
+		t.Fatalf("cross-connection session.close = %v, want ErrSessionBound", err)
+	}
+	// The rejections are not sticky: the home connection still works, and
+	// can close its own session.
 	if _, err := c1.SubmitRaw(ctx, wire); err != nil {
 		t.Fatalf("home connection poisoned by replay attempt: %v", err)
+	}
+	if err := c1.CloseSession(ctx, p.grant.Token); err != nil {
+		t.Fatalf("close on home connection: %v", err)
+	}
+	if _, err := c1.SubmitRaw(ctx, wire); err == nil {
+		t.Fatal("submission accepted on a closed session")
 	}
 }
 
