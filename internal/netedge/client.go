@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,20 +73,30 @@ type callResult struct {
 
 // Client is one pipelined edge connection: concurrent-safe, many requests
 // in flight matched to replies by request id, in-flight window bounded.
-// One goroutine reads the socket; callers write under a mutex through a
-// buffered writer flushed per call.
+// One goroutine reads the socket. Callers encode their frames into a shared
+// batch and combine their socket writes: whoever finds nobody flushing
+// becomes the flusher and writes the batch, everyone else appends and
+// returns (see flush).
 type Client struct {
 	conn     net.Conn
-	bw       *bufio.Writer
-	wmu      sync.Mutex
 	maxFrame int
 	shed     bool
 
 	window chan struct{}
 	nextID atomic.Uint64
 
+	// wmu guards batch and flushing. It is never held across a socket
+	// write: the flusher swaps batch for spare under it and writes outside.
+	wmu      sync.Mutex
+	batch    []byte // request frames encoded and not yet taken by the flusher
+	flushing bool   // some caller holds the flusher role
+	spare    []byte // the flusher's: the buffer it is not writing from
+
 	pmu     sync.Mutex
 	pending map[uint64]chan callResult
+
+	// chans recycles Call's reply channels; see Call for when one may return.
+	chans sync.Pool
 
 	done     chan struct{}
 	failOnce sync.Once
@@ -102,17 +113,22 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netedge: dial %s: %w", addr, err)
 	}
+	return newClient(conn, opt), nil
+}
+
+// newClient starts a client over an established connection.
+func newClient(conn net.Conn, opt dialOptions) *Client {
 	c := &Client{
 		conn:     conn,
-		bw:       bufio.NewWriterSize(conn, 16<<10),
 		maxFrame: opt.maxFrame,
 		shed:     opt.shed,
 		window:   make(chan struct{}, opt.inFlight),
 		pending:  make(map[uint64]chan callResult),
+		chans:    sync.Pool{New: func() any { return make(chan callResult, 1) }},
 		done:     make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
@@ -123,7 +139,9 @@ func (c *Client) Close() error {
 }
 
 // fail records the connection's terminal error once, closes the socket,
-// and fails every pending call.
+// and fails every pending call. done closes before the sweep takes pmu, so
+// a call registering under pmu (send) is either swept here or refused
+// there: none can be left waiting on a dead connection.
 func (c *Client) fail(err error) {
 	c.failOnce.Do(func() {
 		c.errv.Store(err)
@@ -192,18 +210,9 @@ type PendingCall struct {
 	id uint64
 	ch chan callResult
 
-	mu       sync.Mutex
-	settled  bool
-	res      callResult
-	released bool
-}
-
-// release frees the call's in-flight window slot, exactly once.
-func (p *PendingCall) release() {
-	if !p.released {
-		p.released = true
-		<-p.c.window
-	}
+	mu      sync.Mutex
+	settled bool
+	res     callResult
 }
 
 // Wait blocks until the reply arrives (or ctx ends) and returns it. A
@@ -213,33 +222,51 @@ func (p *PendingCall) release() {
 func (p *PendingCall) Wait(ctx context.Context) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.settled {
-		return p.res.b, p.res.err
+	if !p.settled {
+		p.res, _ = p.c.await(ctx, p.id, p.ch)
+		p.settled = true
 	}
+	return p.res.b, p.res.err
+}
+
+// await blocks until call id's result arrives on ch or ctx ends, then frees
+// the call's window slot. delivered reports that the result was received
+// from ch: its one sender is done with it, so the channel may be reused. A
+// call abandoned through ctx may still be sent to, by a reader that took it
+// out of pending first.
+func (c *Client) await(ctx context.Context, id uint64, ch chan callResult) (res callResult, delivered bool) {
 	select {
-	case r := <-p.ch:
-		p.res = r
+	case res = <-ch:
+		delivered = true
 	case <-ctx.Done():
 		// Abandon the call: the reader drops the reply when it arrives.
-		p.c.pmu.Lock()
-		delete(p.c.pending, p.id)
-		p.c.pmu.Unlock()
-		p.res = callResult{err: ctx.Err()}
+		c.pmu.Lock()
+		delete(c.pending, id)
+		c.pmu.Unlock()
+		res.err = ctx.Err()
 	}
-	p.settled = true
-	p.release()
-	return p.res.b, p.res.err
+	<-c.window
+	return res, delivered
 }
 
 // Call sends one request frame and waits for its reply. payload is only
 // read before Call returns; the reply is the caller's to keep. Server-side
 // rejections come back as *WireError carrying the gateway's error text.
 func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte, error) {
-	p, err := c.CallAsync(ctx, topic, payload)
+	// No PendingCall escapes a synchronous call, so its reply channel can
+	// come from the pool — and go back once its result was received from
+	// it, never after an abandonment (see await).
+	ch := c.chans.Get().(chan callResult)
+	id, err := c.send(ctx, ch, topic, payload)
 	if err != nil {
+		c.chans.Put(ch)
 		return nil, err
 	}
-	return p.Wait(ctx)
+	res, delivered := c.await(ctx, id, ch)
+	if delivered {
+		c.chans.Put(ch)
+	}
+	return res.b, res.err
 }
 
 // CallAsync sends one request frame and returns without waiting for the
@@ -247,51 +274,96 @@ func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte
 // Wait; sending a batch of CallAsyncs and then waiting turns N round trips
 // into one flight of frames and one flight of acks. payload is only read
 // before CallAsync returns. An error here means the frame never left
-// (backpressure shed or a dead connection) and no PendingCall exists.
+// (backpressure shed or a dead connection) and no PendingCall exists; a nil
+// error means the frame is queued behind the connection's flusher, and a
+// later write failure surfaces through Wait.
 func (c *Client) CallAsync(ctx context.Context, topic string, payload []byte) (*PendingCall, error) {
+	ch := make(chan callResult, 1)
+	id, err := c.send(ctx, ch, topic, payload)
+	if err != nil {
+		return nil, err
+	}
+	return &PendingCall{c: c, id: id, ch: ch}, nil
+}
+
+// send takes an in-flight slot, registers ch for the reply under a fresh
+// request id, queues the frame and, if nobody is flushing, flushes. On an
+// error nothing was registered or queued and the slot is free again.
+func (c *Client) send(ctx context.Context, ch chan callResult, topic string, payload []byte) (uint64, error) {
 	// Acquire an in-flight slot: the bounded window that keeps one client
 	// from queueing unboundedly into a slow server. The slot belongs to the
-	// PendingCall until Wait settles it.
+	// call until await settles it.
 	if c.shed {
 		select {
 		case c.window <- struct{}{}:
 		default:
-			return nil, ErrBackpressure
+			return 0, ErrBackpressure
 		}
 	} else {
 		select {
 		case c.window <- struct{}{}:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return 0, ctx.Err()
 		case <-c.done:
-			return nil, c.err()
+			return 0, c.err()
 		}
 	}
 
 	id := c.nextID.Add(1)
-	ch := make(chan callResult, 1)
 	c.pmu.Lock()
+	select {
+	case <-c.done:
+		// fail has swept pending, or is about to and will not look again.
+		c.pmu.Unlock()
+		<-c.window
+		return 0, c.err()
+	default:
+	}
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
-	bp := framePool.Get().(*[]byte)
-	*bp = appendFrame((*bp)[:0], frameRequest, id, topic, payload)
 	c.wmu.Lock()
-	_, werr := c.bw.Write(*bp)
-	if werr == nil {
-		werr = c.bw.Flush()
-	}
+	c.batch = appendFrame(c.batch, frameRequest, id, topic, payload)
+	lead := !c.flushing
+	c.flushing = true
 	c.wmu.Unlock()
-	framePool.Put(bp)
-	if werr != nil {
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		<-c.window
-		c.fail(fmt.Errorf("netedge: write: %w", werr))
-		return nil, c.err()
+	if lead {
+		c.flush()
 	}
-	return &PendingCall{c: c, id: id, ch: ch}, nil
+	return id, nil
+}
+
+// flush is the flusher role: write what callers have queued until nothing
+// is left, then give the role up. One caller at a time holds it; the rest
+// append to the batch under wmu and return without touching the socket, so
+// their frames share the flusher's write.
+//
+// Before it first takes the batch the flusher yields once — what gRPC-Go's
+// loopyWriter does before a small flush — so that callers already runnable
+// get to add their frames. Nothing is waited for: with no one else
+// runnable (a lone request at depth 1) the yield returns at once. Later
+// rounds carry what arrived during the previous write and go straight out.
+//
+// A failed write fails the connection, which settles every registered call
+// and refuses new ones, and keeps the role: nobody writes to it again.
+func (c *Client) flush() {
+	runtime.Gosched()
+	for {
+		c.wmu.Lock()
+		out := c.batch
+		if len(out) == 0 {
+			c.flushing = false
+			c.wmu.Unlock()
+			return
+		}
+		c.batch = c.spare
+		c.wmu.Unlock()
+		if _, err := c.conn.Write(out); err != nil {
+			c.fail(fmt.Errorf("netedge: write: %w", err))
+			return
+		}
+		c.spare = reuse(out)
+	}
 }
 
 // OpenSession performs the signed session handshake over this connection,

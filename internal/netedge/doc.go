@@ -28,12 +28,18 @@
 // one listener; the kernel load-balances) and two goroutines per
 // connection: a reader that decodes frames and runs the handler inline —
 // preserving per-connection submission order end to end — and a writer
-// draining a bounded outbound queue. The queue is never unbounded: when a
-// peer stops draining replies the enqueue either blocks (default,
-// propagating backpressure to the socket and from there to the client) or,
-// with WithShedding, sheds the connection with ErrBackpressure. Reads and
+// draining a bounded outbound queue. The writer costs one socket write per
+// flight, not per reply: having received one reply it gathers every reply
+// already queued (up to 64 KiB) and writes them together, never waiting
+// for more, so a lone reply leaves at once and a pipelining peer pays one
+// syscall for the flight. The queue is never unbounded: when a peer stops
+// draining replies the enqueue either blocks (default, propagating
+// backpressure to the socket and from there to the client) or, with
+// WithShedding, sheds the connection with ErrBackpressure. Reads and
 // writes both carry deadlines, so a dead peer costs an idle window, not a
-// leaked connection.
+// leaked connection; the idle deadline is armed each time the reader is
+// about to wait on the socket, not per frame, and the write deadline once
+// per flight.
 //
 // # Session binding
 //
@@ -49,6 +55,14 @@
 // The Client is the matching dialer: concurrent-safe, pipelined (many
 // requests in flight over one connection, matched by request id), with a
 // bounded in-flight window that blocks or sheds like the server side.
-// cmd/loadgen multiplexes tens of thousands of sessions over a small
-// connection pool this way.
+// Its callers combine their socket writes the way the server's writer
+// does: each encodes its frame into the connection's batch, and the one
+// that finds nobody flushing becomes the flusher — it yields once, so
+// callers already runnable add their frames, then writes the batch outside
+// the lock until none is left. Everyone else returns without touching the
+// socket; frames leave in the order callers took the lock; a lone request
+// is written at once. A write failure therefore reaches a caller through
+// Wait, not through CallAsync. Neither side keeps a batch or pooled buffer
+// that one large frame grew past 64 KiB. cmd/loadgen multiplexes tens of
+// thousands of sessions over a small connection pool this way.
 package netedge

@@ -38,6 +38,20 @@ const (
 // hostile length prefix from reserving real memory.
 const DefaultMaxFrame = 1 << 20
 
+// maxKeep bounds what outlives a flight of frames: a write batch stops
+// gathering at this size, and a batch or pooled buffer that one large frame
+// grew past it is dropped for the collector instead of reused, so a single
+// 1 MiB frame does not pin 1 MiB for the life of the process.
+const maxKeep = 64 << 10
+
+// reuse empties b for the next flight, or drops it when it outgrew maxKeep.
+func reuse(b []byte) []byte {
+	if cap(b) > maxKeep {
+		return nil
+	}
+	return b[:0]
+}
+
 // appendFrame encodes one stream frame — length prefix, kind, id, topic
 // (requests only; pass "" for replies), body — into dst and returns the
 // extended slice. The frame is built in one pass with the length patched
@@ -66,9 +80,11 @@ type frame struct {
 	body  []byte
 }
 
-// parseFrame decodes the post-length-prefix bytes of one frame. body (and
-// for requests topic, which is copied to a string) alias b.
-func parseFrame(b []byte) (frame, error) {
+// parseFrame decodes the post-length-prefix bytes of one frame. body
+// aliases b. A request's topic is copied to a string, unless it equals
+// last — the topic of the connection's previous request, which a reader
+// passes back in so that a run of requests on one topic allocates it once.
+func parseFrame(b []byte, last string) (frame, error) {
 	var f frame
 	if len(b) < 2 {
 		return f, fmt.Errorf("%w: %d bytes", ErrBadFrame, len(b))
@@ -91,7 +107,10 @@ func parseFrame(b []byte) (frame, error) {
 		if tl > uint64(len(b)) {
 			return f, fmt.Errorf("%w: topic length %d exceeds remaining %d bytes", ErrBadFrame, tl, len(b))
 		}
-		f.topic = string(b[:tl])
+		f.topic = last
+		if string(b[:tl]) != last { // the comparison does not allocate
+			f.topic = string(b[:tl])
+		}
 		f.body = b[tl:]
 	case frameOK, frameError:
 		f.body = b
@@ -105,17 +124,30 @@ func parseFrame(b []byte) (frame, error) {
 // needed, reused across calls) and parses it. The returned frame aliases
 // buf. maxFrame rejects hostile length prefixes before any allocation.
 func readFrame(br *bufio.Reader, buf []byte, maxFrame int) (frame, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	return readFrameTopic(br, buf, maxFrame, "")
+}
+
+// readFrameTopic is readFrame for a reader of requests: last is the topic
+// of the previous request it read (see parseFrame).
+func readFrameTopic(br *bufio.Reader, buf []byte, maxFrame int, last string) (frame, []byte, error) {
+	// Peek, not io.ReadFull into a local array: the array would escape
+	// through the io.Reader interface and cost an allocation per frame.
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return frame{}, buf, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrame {
 		return frame{}, buf, fmt.Errorf("%w: %d > %d", ErrFrameTooBig, n, maxFrame)
 	}
 	if n < 2 {
 		return frame{}, buf, fmt.Errorf("%w: length prefix %d", ErrBadFrame, n)
 	}
+	// The four bytes were just peeked, so this cannot fail or come up short.
+	_, _ = br.Discard(4)
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
@@ -123,7 +155,7 @@ func readFrame(br *bufio.Reader, buf []byte, maxFrame int) (frame, []byte, error
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return frame{}, buf, fmt.Errorf("%w: truncated body: %v", ErrBadFrame, err)
 	}
-	f, err := parseFrame(buf)
+	f, err := parseFrame(buf, last)
 	return f, buf, err
 }
 

@@ -14,8 +14,10 @@ import (
 // into one reused buffer, the way Server.readLoop and the client's reader
 // run it. Hostile bytes may be rejected but never panic; a length prefix
 // over the limit fails with ErrFrameTooBig before the buffer grows; what is
-// returned aliases the read buffer and nothing else; and every frame the
-// decoder accepts re-encodes (appendFrame) to one that decodes the same.
+// returned aliases the read buffer and nothing else; every frame the
+// decoder accepts re-encodes (appendFrame) to one that decodes the same;
+// and a reader that hands each request's topic to the next read, as the
+// server's does to save the allocation, decodes exactly the same frames.
 func FuzzStreamFrame(f *testing.F) {
 	const maxFrame = 1 << 12
 	request := appendFrame(nil, frameRequest, 7, "gateway.submit", []byte("payload"))
@@ -25,6 +27,8 @@ func FuzzStreamFrame(f *testing.F) {
 	f.Add(ok)
 	f.Add(failed)
 	f.Add(append(append([]byte(nil), request...), ok...))
+	// Two requests on one topic, then another topic.
+	f.Add(appendFrame(append(append([]byte(nil), request...), request...), frameRequest, 9, "session.open", nil))
 	f.Add(request[:len(request)-1])
 	f.Add(request[:3])
 	f.Add(appendFrame(nil, frameRequest, 0, "", nil))
@@ -38,9 +42,17 @@ func FuzzStreamFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var buf []byte
+		reusing := bufio.NewReader(bytes.NewReader(data))
+		var rbuf []byte
+		last := ""
 		for {
 			before := cap(buf)
 			fr, got, err := readFrame(br, buf, maxFrame)
+			rfr, rgot, rerr := readFrameTopic(reusing, rbuf, maxFrame, last)
+			rbuf, last = rgot, rfr.topic
+			if (err == nil) != (rerr == nil) || rfr.kind != fr.kind || rfr.id != fr.id || rfr.topic != fr.topic || !bytes.Equal(rfr.body, fr.body) {
+				t.Fatalf("reusing the previous topic changed the decode:\n plain   %+v, %v\n reusing %+v, %v", fr, err, rfr, rerr)
+			}
 			if err != nil {
 				if errors.Is(err, ErrFrameTooBig) && cap(got) != before {
 					t.Fatalf("oversize prefix grew the read buffer from %d to %d bytes", before, cap(got))

@@ -103,14 +103,23 @@ func WithConnCloseHook(fn func(transportID string)) Option {
 	return func(o *options) { o.connClose = fn }
 }
 
-// framePool recycles encode buffers for reply and request frames: the
-// writer goroutine returns each buffer after the socket write, so steady
-// state allocates nothing per reply.
+// framePool recycles the buffers replies are encoded into on their way
+// through a connection's outbound queue: the reader takes one per reply and
+// the writer hands it back (putFrame) once it has copied the frame into its
+// write batch, so steady state allocates nothing per reply. Requests do not
+// pass through it; the client encodes them straight into its batch.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
 		return &b
 	},
+}
+
+// putFrame returns a reply buffer to framePool unless it outgrew maxKeep.
+func putFrame(bp *[]byte) {
+	if cap(*bp) <= maxKeep {
+		framePool.Put(bp)
+	}
 }
 
 // Server is the TCP edge: a sharded accept plane feeding per-connection
@@ -133,6 +142,7 @@ type Server struct {
 	sheds     atomic.Uint64
 	frameErrs atomic.Uint64
 	requests  atomic.Uint64
+	writes    atomic.Uint64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -162,6 +172,10 @@ type EdgeStats struct {
 	FrameErrors uint64
 	// Requests counts request frames dispatched to the handler.
 	Requests uint64
+	// Writes counts socket writes issued by the connections' writers. Each
+	// carries every reply that was queued when it was gathered, so
+	// Requests/Writes is replies per write.
+	Writes uint64
 }
 
 // Serve starts the edge over an established listener. The returned server
@@ -240,6 +254,7 @@ func (s *Server) Stats() EdgeStats {
 		Sheds:       s.sheds.Load(),
 		FrameErrors: s.frameErrs.Load(),
 		Requests:    s.requests.Load(),
+		Writes:      s.writes.Load(),
 	}
 }
 
@@ -255,6 +270,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) error {
 		{Name: "confmw_edge_backpressure_sheds_total", Help: "Connections shed because their outbound queue was full.", Load: s.sheds.Load},
 		{Name: "confmw_edge_frame_errors_total", Help: "Malformed or oversized stream frames.", Load: s.frameErrs.Load},
 		{Name: "confmw_edge_requests_total", Help: "Request frames dispatched to the handler.", Load: s.requests.Load},
+		{Name: "confmw_edge_socket_writes_total", Help: "Socket writes issued by edge writers; each carries every reply queued at the time.", Load: s.writes.Load},
 	})
 }
 
@@ -339,12 +355,17 @@ func (s *Server) readLoop(ec *edgeConn) {
 	// overwritten by the next frame — the Handler contract (borrow, never
 	// retain) is what makes that safe.
 	buf := make([]byte, 0, 4096)
+	topic := "" // of the previous request, so a run on one topic allocates it once
 	for {
-		if s.opt.idleTimeout > 0 {
+		// The idle deadline is armed when the reader is about to wait on
+		// the socket, not per frame: frames already buffered need none, and
+		// a partly buffered one keeps the deadline its first bytes came
+		// under, which is the earlier one.
+		if s.opt.idleTimeout > 0 && br.Buffered() == 0 {
 			_ = ec.c.SetReadDeadline(time.Now().Add(s.opt.idleTimeout))
 		}
-		f, nbuf, err := readFrame(br, buf, s.opt.maxFrame)
-		buf = nbuf
+		f, nbuf, err := readFrameTopic(br, buf, s.opt.maxFrame, topic)
+		buf, topic = nbuf, f.topic
 		if err != nil {
 			if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooBig) {
 				s.frameErrs.Add(1)
@@ -382,7 +403,7 @@ func (ec *edgeConn) enqueue(s *Server, bp *[]byte) bool {
 			return true
 		default:
 			s.sheds.Add(1)
-			framePool.Put(bp)
+			putFrame(bp)
 			return false
 		}
 	}
@@ -390,29 +411,48 @@ func (ec *edgeConn) enqueue(s *Server, bp *[]byte) bool {
 	case ec.out <- bp:
 		return true
 	case <-s.ctx.Done():
-		framePool.Put(bp)
+		putFrame(bp)
 		return false
 	}
 }
 
-// writeLoop drains the outbound queue to the socket under the write
-// deadline. On a write failure it closes the connection (unblocking the
-// reader) but keeps draining the queue so a blocked reader enqueue can
-// never deadlock teardown.
+// writeLoop drains the outbound queue to the socket, one write per flight
+// of replies rather than per reply: after receiving one it gathers every
+// reply already queued (up to maxKeep bytes) into the connection's batch
+// buffer and issues one write under one deadline, so a peer that pipelines
+// pays for one syscall per flight. It never waits for a second reply: a
+// lone reply is written at once. On a write failure it closes the
+// connection (unblocking the reader) but keeps draining the queue so a
+// blocked reader enqueue can never deadlock teardown.
 func (ec *edgeConn) writeLoop(s *Server) {
 	failed := false
+	var batch []byte
 	for bp := range ec.out {
+		// Gather this reply and every one already queued behind it; a
+		// closed queue reads as no more.
+		for more := true; more; {
+			batch = append(batch, *bp...)
+			putFrame(bp)
+			more = false
+			if len(batch) < maxKeep {
+				select {
+				case bp, more = <-ec.out:
+				default:
+				}
+			}
+		}
 		if !failed {
 			if s.opt.writeTimeout > 0 {
 				_ = ec.c.SetWriteDeadline(time.Now().Add(s.opt.writeTimeout))
 			}
-			if _, err := ec.c.Write(*bp); err != nil {
+			s.writes.Add(1)
+			if _, err := ec.c.Write(batch); err != nil {
 				failed = true
 				ec.c.Close()
 			} else {
-				s.bytesOut.Add(uint64(len(*bp)))
+				s.bytesOut.Add(uint64(len(batch)))
 			}
 		}
-		framePool.Put(bp)
+		batch = reuse(batch)
 	}
 }
