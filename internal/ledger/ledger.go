@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -34,7 +35,13 @@ type Block struct {
 // content, and hashing 32-byte digests instead of re-marshalling every
 // transaction keeps block cutting off the allocation profile.
 func computeDataHash(txs []Transaction) [32]byte {
-	h := make([]byte, 0, 32*len(txs))
+	// Most blocks on the unbatched path carry one transaction: stage a few
+	// digests on the stack and allocate only beyond that.
+	var few [4 * 32]byte
+	h := few[:0]
+	if 32*len(txs) > len(few) {
+		h = make([]byte, 0, 32*len(txs))
+	}
 	for _, tx := range txs {
 		d := tx.Digest()
 		h = append(h, d[:]...)
@@ -54,12 +61,21 @@ func NewBlock(number uint64, prevHash [32]byte, txs []Transaction) Block {
 }
 
 // Hash returns the block header hash.
+//
+// The value is dcrypto.HashConcat(number, PrevHash, DataHash), number being
+// 8 big-endian bytes. HashConcat's encoding (each part preceded by its
+// length as 8 big-endian bytes) is staged here in a stack buffer, because
+// passed through HashConcat's hash.Hash interface the three arrays would
+// each be copied to the heap on every call.
 func (b Block) Hash() [32]byte {
-	var num [8]byte
-	for i := 0; i < 8; i++ {
-		num[7-i] = byte(b.Number >> (8 * i))
-	}
-	return dcrypto.HashConcat(num[:], b.PrevHash[:], b.DataHash[:])
+	var buf [8 + 8 + 8 + 32 + 8 + 32]byte
+	binary.BigEndian.PutUint64(buf[0:], 8)
+	binary.BigEndian.PutUint64(buf[8:], b.Number)
+	binary.BigEndian.PutUint64(buf[16:], 32)
+	copy(buf[24:], b.PrevHash[:])
+	binary.BigEndian.PutUint64(buf[56:], 32)
+	copy(buf[64:], b.DataHash[:])
+	return dcrypto.Hash(buf[:])
 }
 
 // TxValidator vets a transaction before it is committed. Platforms plug in

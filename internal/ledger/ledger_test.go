@@ -1,8 +1,10 @@
 package ledger
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -332,5 +334,62 @@ func TestKeys(t *testing.T) {
 	appendBlock(t, l, tx("trade", "A", "a", "1"), tx("trade", "A", "b", "2"))
 	if got := len(l.Keys()); got != 2 {
 		t.Fatalf("Keys = %d, want 2", got)
+	}
+}
+
+// TestBlockHashIsHashConcat pins the header hash, which Block.Hash stages
+// by hand, to dcrypto.HashConcat(number, PrevHash, DataHash) on random
+// headers: a block hashed either way must chain to the same successor.
+func TestBlockHashIsHashConcat(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 1000; i++ {
+		var b Block
+		b.Number = rng.Uint64() >> uint(rng.Intn(64))
+		rng.Read(b.PrevHash[:])
+		rng.Read(b.DataHash[:])
+		var num [8]byte
+		binary.BigEndian.PutUint64(num[:], b.Number)
+		if got, want := b.Hash(), dcrypto.HashConcat(num[:], b.PrevHash[:], b.DataHash[:]); got != want {
+			t.Fatalf("block %d: Hash = %x, HashConcat = %x", b.Number, got, want)
+		}
+	}
+}
+
+// TestDataHashBeyondStackStage checks computeDataHash on both sides of the
+// size at which it stops staging digests on the stack.
+func TestDataHashBeyondStackStage(t *testing.T) {
+	var txs []Transaction
+	var digests []byte
+	for n := 0; n <= 9; n++ {
+		if got, want := computeDataHash(txs), dcrypto.Hash(digests); got != want {
+			t.Fatalf("%d transactions: data hash is not the hash of their digests", n)
+		}
+		next := tx("trade", "A", "k", fmt.Sprint(n))
+		d := next.Digest()
+		txs, digests = append(txs, next), append(digests, d[:]...)
+	}
+}
+
+func TestHexIDIsID(t *testing.T) {
+	a := tx("trade", "A", "k", "v")
+	if id := a.HexID(); string(id[:]) != a.ID() || len(a.ID()) != 32 {
+		t.Fatalf("HexID = %q, ID = %q", id[:], a.ID())
+	}
+}
+
+// TestOneTxBlockAllocations pins cutting and hashing a one-transaction
+// block (every block on the unbatched path) at zero allocations; it was
+// three, the digest staging slice and HashConcat's heap-copied parts, and
+// a block is hashed more than once on its way to a backend.
+func TestOneTxBlockAllocations(t *testing.T) {
+	txs := []Transaction{tx("trade", "A", "k", "v")}
+	txs[0].PrimeDigest()
+	var prev [32]byte
+	allocs := testing.AllocsPerRun(200, func() {
+		b := NewBlock(7, prev, txs)
+		prev = b.Hash()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per one-transaction block, want 0", allocs)
 	}
 }

@@ -139,8 +139,18 @@ func (tx Transaction) digest(payloadSum [32]byte) [32]byte {
 
 // ID returns the transaction identifier, the hex form of the digest.
 func (tx Transaction) ID() string {
+	id := tx.HexID()
+	return string(id[:])
+}
+
+// HexID returns the characters of ID as an array, for callers on the
+// submit path that only pass the identifier on (string(id[:]) of a local
+// array does not allocate when the callee does not retain it).
+func (tx Transaction) HexID() [32]byte {
 	d := tx.Digest()
-	return hex.EncodeToString(d[:16])
+	var id [32]byte
+	hex.Encode(id[:], d[:16])
+	return id
 }
 
 // Endorse appends a signature by the given party over the tx digest.

@@ -149,6 +149,54 @@ func TestAsyncAuditConcurrentHandleFlushClose(t *testing.T) {
 	}
 }
 
+// TestAsyncAuditRingPendingBounded hammers the ring from two producers
+// while a third goroutine polls the gauge, and requires every reading to
+// lie within the ring: computed as enqueued - drained from two separate
+// loads it went below zero (the drainer can count an entry before Handle
+// does) and /metrics exported 18446744073709551613.
+func TestAsyncAuditRingPendingBounded(t *testing.T) {
+	const depth, producers, perProducer = 8, 2, 30_000
+	au, err := NewAsyncAudit(audit.NewLog(), "gw-op", depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer au.Close()
+	chain := NewChain((&accept{}).handler, au)
+	var producing sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		producing.Add(1)
+		go func() {
+			defer producing.Done()
+			req := &Request{Channel: "c", Principal: "alice", Payload: []byte("p")}
+			for i := 0; i < perProducer; i++ {
+				if err := chain.Execute(context.Background(), req); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { producing.Wait(); close(done) }()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		if got := au.RingPending(); got > depth+producers {
+			t.Fatalf("RingPending = %d with a ring of %d and %d producers", got, depth, producers)
+		}
+	}
+	au.Flush(context.Background())
+	if got := au.RingPending(); got != 0 {
+		t.Fatalf("RingPending = %d after Flush, want 0", got)
+	}
+	if e, d := au.Enqueued(), au.Drained(); d != e || e+au.Shed() != producers*perProducer {
+		t.Fatalf("enqueued %d, drained %d, shed %d of %d submissions", e, d, au.Shed(), producers*perProducer)
+	}
+}
+
 // TestGatewayCloseFlushesAuditRing wires the async ring through Config and
 // checks Gateway.Close drains it: after close, every accepted submission's
 // observation is in the log.

@@ -58,7 +58,7 @@ type Audit struct {
 // auditEntry is one deferred observation: everything Handle captured at the
 // audit point, by value, so the ring holds no request references.
 type auditEntry struct {
-	id        string
+	id        [32]byte // Request.hexID at the audit point
 	principal string
 	leaky     bool // payload was plaintext at the audit point (ClassTxData)
 }
@@ -112,8 +112,11 @@ func (a *Audit) Enqueued() uint64 { return a.enqueued.Load() }
 // Drained reports how many ring observations have been recorded.
 func (a *Audit) Drained() uint64 { return a.drained.Load() }
 
-// RingPending reports the observations enqueued but not yet recorded.
-func (a *Audit) RingPending() uint64 { return a.enqueued.Load() - a.drained.Load() }
+// RingPending reports the observations waiting in the ring, between 0 and
+// its depth. (It is not enqueued - drained: Handle counts an entry after
+// sending it, so the drainer can count it first and that difference of two
+// separate loads underflows.)
+func (a *Audit) RingPending() uint64 { return uint64(len(a.ring)) }
 
 // statRows declares the async ring's counters; the synchronous stage
 // exports none (its GatewayStats fields stay 0).
@@ -125,7 +128,7 @@ func (a *Audit) statRows() []statRow {
 		{"confmw_audit_enqueued_total", "Leakage observations accepted into the audit ring.", counter, a.Enqueued, nil},
 		{"confmw_audit_drained_total", "Leakage observations the audit drainer recorded.", counter, a.Drained, nil},
 		{"confmw_audit_shed_total", "Leakage observations dropped because the audit ring was full.", counter, a.Shed, func(s *GatewayStats, v uint64) { s.AuditShed = v }},
-		{"confmw_audit_ring_pending", "Leakage observations enqueued but not yet recorded.", gauge, a.RingPending, func(s *GatewayStats, v uint64) { s.AuditRingPending = v }},
+		{"confmw_audit_ring_pending", "Leakage observations waiting in the audit ring.", gauge, a.RingPending, func(s *GatewayStats, v uint64) { s.AuditRingPending = v }},
 	}
 }
 
@@ -134,7 +137,7 @@ func (a *Audit) Handle(ctx context.Context, req *Request, next Handler) error {
 	// Capture the observation BEFORE the downstream runs: the encrypt
 	// stage replaces the payload (changing req.ID()) and flips encrypted,
 	// and the observation must classify what passed the audit point.
-	id := req.ID()
+	id := req.hexID()
 	leaky := !req.encrypted
 	if err := next(ctx, req); err != nil {
 		// Rejected downstream: the submission never reached the observable
@@ -163,12 +166,14 @@ func (a *Audit) Handle(ctx context.Context, req *Request, next Handler) error {
 	return nil
 }
 
-// record writes one observation into the leakage log.
+// record writes one observation into the leakage log. The log copies the
+// item it is handed, so the ID never becomes a heap string.
 func (a *Audit) record(e auditEntry) {
-	a.log.Record(a.observer, audit.ClassTxMetadata, e.id)
+	id := string(e.id[:])
+	a.log.Record(a.observer, audit.ClassTxMetadata, id)
 	a.log.Record(a.observer, audit.ClassIdentity, e.principal)
 	if e.leaky {
-		a.log.Record(a.observer, audit.ClassTxData, e.id)
+		a.log.Record(a.observer, audit.ClassTxData, id)
 	}
 }
 

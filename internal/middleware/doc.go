@@ -44,7 +44,11 @@
 // below), authn (submitter certificate + signature verification against
 // the consortium CA), encrypt (per-channel envelope encryption to member
 // keys, optionally with an epoch key cache, below), audit (leakage
-// accounting into internal/audit), ratelimit (token bucket per principal,
+// accounting into internal/audit: the stage captures its entry by value at
+// the audit point — the submission ID as a 32-byte array, the principal,
+// whether the payload was still plaintext — and records it once the
+// downstream accepts; the log copies what it is handed, so the ID is never
+// a heap string), ratelimit (token bucket per principal,
 // with idle buckets evicted once they would have refilled completely),
 // retry (bounded backoff on transient transport errors), breaker
 // (per-backend circuit breaker; requests with no backend share a

@@ -190,9 +190,15 @@ type GatewayStats struct {
 	BatchPending      int
 	// AuditShed counts leakage observations dropped because the audit
 	// stage's async ring was full; AuditRingPending the observations
-	// enqueued but not yet recorded. Both 0 without an async audit ring.
+	// waiting in it. Both 0 without an async audit ring.
 	AuditShed        uint64
 	AuditRingPending uint64
+	// AuditLogObservations is the number of distinct observations in the
+	// leakage log (Env.Log, which orderers and backends may share), and
+	// AuditLogBytes the memory its arena, entries and index hold. The log
+	// never shrinks. Both 0 without a log.
+	AuditLogObservations uint64
+	AuditLogBytes        uint64
 }
 
 // NewGateway builds the configured chain and fronts it with the ordering
@@ -588,6 +594,8 @@ func (g *Gateway) statRows() []statRow {
 		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }},
 		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }},
 		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil},
+		{"confmw_audit_log_observations", "Distinct observations the leakage log holds; it never shrinks.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }},
+		{"confmw_audit_log_bytes", "Bytes held by the leakage log's arena, entries and index.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }},
 		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.blocks.Load() }), nil},
 		{"confmw_backend_committed_txs_total", "Transactions committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.txs.Load() }), nil},
 		{"confmw_backend_commit_errors_total", "Failed block commits across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.errors.Load() }), nil},
@@ -717,11 +725,11 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		}
 		// The ID covers the payload as submitted; the encrypt stage
 		// replaces it, so capture before running the chain.
-		id := req.ID()
+		id := req.hexID()
 		if err := g.Submit(ctx, req); err != nil {
 			return nil, err
 		}
-		return []byte(id), nil
+		return id[:], nil
 	case TopicSessionOpen:
 		mgr := g.Sessions()
 		if mgr == nil {

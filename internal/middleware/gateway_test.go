@@ -274,6 +274,9 @@ func TestGatewaySubmitOverTransport(t *testing.T) {
 	if id1 != req1.ID() {
 		t.Fatalf("submission id = %s, want %s", id1, req1.ID())
 	}
+	if h := req1.hexID(); string(h[:]) != req1.ID() || len(h) != len(req1.ID()) {
+		t.Fatalf("hexID = %q, ID = %q", h[:], req1.ID())
+	}
 
 	// A tampered remote submission is rejected through the same endpoint.
 	bad := signedRequest(t, ps[members[1]], "deals", []byte("second"))

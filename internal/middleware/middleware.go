@@ -247,8 +247,18 @@ func (r *Request) setPayloadSum(p []byte, sum [32]byte) {
 // echoed to transport clients (batched submissions are acknowledged before
 // a transaction ID exists).
 func (r *Request) ID() string {
+	id := r.hexID()
+	return string(id[:])
+}
+
+// hexID returns the characters of ID as an array: the submit path passes
+// the identifier on (into the reply, into the leakage log) without ever
+// needing it as a heap string.
+func (r *Request) hexID() [32]byte {
 	d := r.Digest()
-	return hex.EncodeToString(d[:16])
+	var id [32]byte
+	hex.Encode(id[:], d[:16])
+	return id
 }
 
 // Authenticated reports whether the authn stage verified the request.

@@ -356,10 +356,16 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 		"confmw_revocation_sweeps_total 0",
 		"confmw_traces_sampled_total 2",
 		"confmw_backend_committed_blocks_total 0",
+		// The audit stage saw four envelopes and one submitter identity.
+		"confmw_audit_log_observations 5",
+		"confmw_audit_log_bytes ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if st := gw.Stats(); st.AuditLogObservations != 5 || st.AuditLogBytes == 0 {
+		t.Errorf("Stats: AuditLogObservations = %d, AuditLogBytes = %d, want 5 and a size", st.AuditLogObservations, st.AuditLogBytes)
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", out)

@@ -184,7 +184,8 @@ func (s *Service) Submit(tx ledger.Transaction) error {
 
 // observe records the operator's view of the submission.
 func (s *Service) observe(tx ledger.Transaction) {
-	id := tx.ID()
+	hexID := tx.HexID()
+	id := string(hexID[:]) // the log copies it: no heap string
 	// Envelope metadata is visible at any level.
 	s.log.Record(s.operator, audit.ClassTxMetadata, id)
 	if s.visibility != VisibilityFull {

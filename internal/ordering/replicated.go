@@ -358,7 +358,8 @@ func (c *Cluster) adoptState(st ChannelState) {
 }
 
 func (c *Cluster) observeLocked(tx ledger.Transaction) {
-	id := tx.ID()
+	hexID := tx.HexID()
+	id := string(hexID[:]) // the log copies it: no heap string
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		down := n.down
