@@ -122,7 +122,20 @@ type Signature struct {
 	R, S *big.Int
 }
 
-// Bytes returns a fixed-width serialization of the signature.
+// WellFormed reports whether both components are present, positive and at
+// most 256 bits wide: the only signatures Bytes can serialize — FillBytes
+// panics on a wider component and drops the sign of a negative one — and
+// the only ones Verify can accept. A Signature decoded from JSON can hold
+// any integer, so code that re-encodes or fingerprints one it did not make
+// checks this first.
+func (s Signature) WellFormed() bool {
+	return s.R != nil && s.S != nil &&
+		s.R.Sign() > 0 && s.S.Sign() > 0 &&
+		s.R.BitLen() <= 256 && s.S.BitLen() <= 256
+}
+
+// Bytes returns a fixed-width serialization of the signature. The signature
+// must be WellFormed.
 func (s Signature) Bytes() []byte {
 	out := make([]byte, 64)
 	s.R.FillBytes(out[:32])

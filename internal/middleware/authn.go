@@ -12,8 +12,11 @@ import (
 // Authn verifies the submitter: the attached certificate must chain to the
 // pinned consortium CA key, name the request principal, and the request
 // signature must verify against the certified key (§2.1 PKI onboarding).
+// The certificate check goes through a pki.Verifier, so a certificate
+// presented again costs a fingerprint, not the CA's ECDSA verification; the
+// request signature is checked every time.
 type Authn struct {
-	caKey dcrypto.PublicKey
+	certs *pki.Verifier
 	now   func() time.Time
 }
 
@@ -22,11 +25,19 @@ func NewAuthn(caKey dcrypto.PublicKey, now func() time.Time) *Authn {
 	if now == nil {
 		now = time.Now
 	}
-	return &Authn{caKey: caKey, now: now}
+	return &Authn{certs: pki.NewVerifier(caKey), now: now}
 }
 
 // Name implements Stage.
 func (a *Authn) Name() string { return StageAuthn }
+
+// statRows declares the certificate verifier's two counters.
+func (a *Authn) statRows() []statRow {
+	return []statRow{
+		{"confmw_authn_cert_verifications_total", "CA signature checks the authn stage ran (certificates not in its verified set).", counter, a.certs.Verifications, func(s *GatewayStats, v uint64) { s.AuthnCertVerifications = v }},
+		{"confmw_authn_cert_cache_hits_total", "Certificates the authn stage found in its verified set.", counter, a.certs.Hits, func(s *GatewayStats, v uint64) { s.AuthnCertCacheHits = v }},
+	}
+}
 
 // Handle implements Stage.
 func (a *Authn) Handle(ctx context.Context, req *Request, next Handler) error {
@@ -35,7 +46,7 @@ func (a *Authn) Handle(ctx context.Context, req *Request, next Handler) error {
 		// verified principal; the full PKI check would be pure overhead.
 		return next(ctx, req)
 	}
-	if err := pki.VerifyCertificate(req.Cert, a.caKey, a.now()); err != nil {
+	if err := a.certs.Verify(req.Cert, a.now()); err != nil {
 		return fmt.Errorf("authn %s: %w", req.Principal, err)
 	}
 	if req.Cert.Identity != req.Principal {

@@ -124,8 +124,16 @@ func (r *frameReader) done() error {
 // framing with a single exactly-sized allocation.
 func encodeWireRequestBinary(w *wireRequest) ([]byte, error) {
 	var sig, cert []byte
-	if w.Sig.R != nil && w.Sig.S != nil {
+	if w.Sig.R != nil || w.Sig.S != nil {
+		// A request decoded from JSON can carry any integer here; the
+		// 64-byte field holds only what a verifier could accept.
+		if !w.Sig.WellFormed() {
+			return nil, fmt.Errorf("middleware: encode request: %w", dcrypto.ErrInvalidSignature)
+		}
 		sig = w.Sig.Bytes()
+	}
+	if len(w.MAC) > 0 && len(w.MAC) != dcrypto.MACSize {
+		return nil, fmt.Errorf("middleware: encode request: mac must be %d bytes, got %d", dcrypto.MACSize, len(w.MAC))
 	}
 	if w.Cert != nil {
 		b, err := json.Marshal(w.Cert)

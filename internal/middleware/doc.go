@@ -132,8 +132,20 @@
 //
 // A client opens a session with a signed SessionHello: the SessionManager
 // performs the full authn verification — certificate chains to the pinned
-// CA key, identity matches, handshake signature verifies — exactly once,
-// and returns an unguessable token plus expiry. The hello signature covers
+// CA key, identity matches, handshake signature verifies — once per open,
+// and returns an unguessable token plus expiry. Of those checks only the
+// CA's signature over the certificate is a fact about fixed bytes, and the
+// manager pays for it once per certificate, not once per open: it asks a
+// pki.Verifier, which remembers the certificates whose CA signature it has
+// verified (a bounded set of fingerprints; see that type for what is and is
+// never cached). The certificate's validity window, its revocation status
+// (both checks, under revokecheck=resolve|sweep) and the hello's own
+// signature — proof of possession over a fresh nonce — are checked on every
+// open; the authn stage keeps a verifier of its own for certificate-bearing
+// requests. The two rejections that cost nothing come first: a certificate
+// that does not name the hello's principal (ErrIdentityMismatch), and a
+// nonce already consumed (ErrReplayedHello, from a read-only peek — the
+// nonce is recorded only after the hello verified). The hello signature covers
 // a nonce and issue time; stale hellos are rejected (ErrStaleHello) and
 // nonces are remembered across the freshness window (ErrReplayedHello), so
 // a recorded handshake cannot be replayed to mint tokens. Subsequent submissions
@@ -366,7 +378,8 @@
 //
 // Metric names follow confmw_<subsystem>_<name>{labels}: stage latency
 // histograms and call/error counters, gateway submitted/ordered/rejected
-// totals, session lifecycle counters and the live-session gauge, per-shard
+// totals, session lifecycle counters and the live-session gauge, the
+// certificate verifiers' check and hit counters (session and authn), per-shard
 // routing counters, revocation sweep and epoch series, and key-epoch
 // rotation counters — one registry, one scrape. cmd/gateway serves the
 // registry at /metrics (Prometheus text format 0.0.4) on the -telemetry

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/big"
 	"reflect"
 	"sync"
 	"testing"
@@ -66,6 +67,56 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Meta, w.Meta) {
 			t.Fatalf("case %d: meta mismatch: %v vs %v", i, got.Meta, w.Meta)
 		}
+	}
+}
+
+// TestEncodeWireRequestRejectsUnencodableSignature: a Request decoded from
+// JSON can carry any integers as its signature. The binary codec's 64-byte
+// field cannot hold a component wider than 256 bits (FillBytes panicked) or
+// tell a negative one from its absolute value, so encoding refuses them.
+func TestEncodeWireRequestRejectsUnencodableSignature(t *testing.T) {
+	_, ps := enroll(t, "alice")
+	sig, err := ps["alice"].key.Sign([]byte("digest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := new(big.Int).Lsh(big.NewInt(1), 256)
+	for name, bad := range map[string]dcrypto.Signature{
+		"wide R":     {R: wide, S: sig.S},
+		"wide S":     {R: sig.R, S: new(big.Int).Add(sig.S, wide)},
+		"negative R": {R: new(big.Int).Neg(sig.R), S: sig.S},
+		"negative S": {R: sig.R, S: new(big.Int).Neg(sig.S)},
+		"zero R":     {R: new(big.Int), S: sig.S},
+		"zero S":     {R: sig.R, S: new(big.Int)},
+		"nil R":      {S: sig.S},
+		"nil S":      {R: sig.R},
+	} {
+		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Sig: bad}
+		if b, err := EncodeWireRequest(req, CodecBinary); !errors.Is(err, dcrypto.ErrInvalidSignature) {
+			t.Errorf("%s: encoded %d bytes, err %v; want ErrInvalidSignature", name, len(b), err)
+		}
+		// What the decoder would make of such a request arriving as JSON
+		// re-encodes the same way.
+		asJSON, err := EncodeWireRequest(req, CodecJSON)
+		if err != nil {
+			t.Fatalf("%s: JSON encode: %v", name, err)
+		}
+		var w wireRequest
+		if err := json.Unmarshal(asJSON, &w); err != nil {
+			t.Fatalf("%s: JSON decode: %v", name, err)
+		}
+		if _, err := encodeWireRequestBinary(&w); !errors.Is(err, dcrypto.ErrInvalidSignature) {
+			t.Errorf("%s: JSON-decoded request re-encoded with err %v; want ErrInvalidSignature", name, err)
+		}
+	}
+	// No signature at all is a request that authenticates by MAC.
+	if _, err := EncodeWireRequest(&Request{Channel: "deals", Principal: "alice"}, CodecBinary); err != nil {
+		t.Fatalf("unsigned request: %v", err)
+	}
+	// A MAC of the wrong size would be refused by the decoder; the encoder
+	// does not emit it.
+	if _, err := EncodeWireRequest(&Request{Channel: "deals", Principal: "alice", MAC: []byte{1, 2, 3}}, CodecBinary); err == nil {
+		t.Fatal("3-byte MAC encoded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,7 +26,10 @@ import (
 // corrupted certificates can reject requests but never panic the process.
 // The gateway runs the full revocation-aware pipeline, so the fuzz input
 // crosses the wire decode, the session/token path, authn, and envelope
-// sealing.
+// sealing. The codecs are also held against each other: whatever decodes as
+// a JSON request is re-encoded in the binary framing, which must either
+// refuse it or decode back to the same request — a component that forwards
+// what it received cannot lose, invent or die on a field.
 func FuzzWireRequest(f *testing.F) {
 	ca, err := pki.NewCA("fuzz-ca")
 	if err != nil {
@@ -132,6 +136,12 @@ func FuzzWireRequest(f *testing.F) {
 	// used to reach ecdsa.Verify with nil signature components and panic
 	// (fixed in dcrypto.PublicKey.Verify).
 	f.Add([]byte(`{"issuedAt":"` + time.Now().UTC().Format(time.RFC3339) + `","cert":{"notAfter":"2100-01-01T00:00:00Z"}}`))
+	// Signatures JSON carries and the binary framing's 64-byte field cannot:
+	// a component wider than 256 bits used to panic the encoder, a negative
+	// one used to encode as its absolute value.
+	f.Add([]byte(`{"channel":"deals","principal":"alice","sig":{"R":1,"S":231584178474632390847141970017375815706539969331281128078915168015826259279872}}`))
+	f.Add([]byte(`{"channel":"deals","principal":"alice","sig":{"R":-5,"S":7}}`))
+	f.Add([]byte(`{"channel":"deals","principal":"alice","sig":{"R":5},"mac":"AQID"}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
@@ -256,7 +266,42 @@ func FuzzWireRequest(f *testing.F) {
 			_, _ = net.Send(transport.Message{From: "fuzzer", To: "gateway", Topic: topic, Payload: data})
 			_, _ = net.Send(transport.Message{From: "fuzzer", To: "privgateway", Topic: topic, Payload: data})
 		}
+		var w wireRequest
+		if isBinaryFrame(data) || json.Unmarshal(data, &w) != nil {
+			return
+		}
+		frame, err := encodeWireRequestBinary(&w)
+		if err != nil {
+			return
+		}
+		back, err := decodeWireRequestBinary(frame)
+		if err != nil {
+			t.Fatalf("the binary decoder refuses what the encoder made of a JSON request: %v", err)
+		}
+		if want, got := canonicalWire(t, w), canonicalWire(t, back); !bytes.Equal(want, got) {
+			t.Fatalf("JSON -> binary -> decode changed the request:\n json   %s\n binary %s", want, got)
+		}
 	})
+}
+
+// canonicalWire renders a wire request for comparison across codecs: JSON,
+// with the distinctions only JSON can draw (null against empty) folded.
+func canonicalWire(t *testing.T, w wireRequest) []byte {
+	t.Helper()
+	if len(w.Payload) == 0 {
+		w.Payload = nil
+	}
+	if len(w.MAC) == 0 {
+		w.MAC = nil
+	}
+	if len(w.Meta) == 0 {
+		w.Meta = nil
+	}
+	b, err := json.Marshal(w)
+	if err != nil {
+		t.Fatalf("marshal wire request: %v", err)
+	}
+	return b
 }
 
 // FuzzEnvelopeFrame throws arbitrary bytes at the two envelope decoders a

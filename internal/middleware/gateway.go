@@ -199,6 +199,12 @@ type GatewayStats struct {
 	// never shrinks. Both 0 without a log.
 	AuditLogObservations uint64
 	AuditLogBytes        uint64
+	// AuthnCertVerifications counts the CA signature checks the authn
+	// stage ran, AuthnCertCacheHits the certificates it found in its
+	// verified set instead (pki.Verifier); the session manager's pair is
+	// in Sessions. Both 0 without an authn stage.
+	AuthnCertVerifications uint64
+	AuthnCertCacheHits     uint64
 }
 
 // NewGateway builds the configured chain and fronts it with the ordering

@@ -245,7 +245,11 @@ func (m *SessionManager) stripeFor(token string) *sessionStripe {
 // stripe, while the control plane (open, close, sweeps, revocation deltas,
 // the per-principal index) serializes on a separate mutex.
 type SessionManager struct {
-	caKey           dcrypto.PublicKey
+	// certs checks handshake certificates against the pinned CA key and
+	// remembers the ones whose CA signature it has verified, so only an
+	// identity's first handshake pays that verification. Expiry, revocation
+	// and the hello's own signature are checked on every open regardless.
+	certs           *pki.Verifier
 	ttl             time.Duration
 	idle            time.Duration
 	maxPerPrincipal int
@@ -321,6 +325,13 @@ type SessionStats struct {
 	// Revoked counts sessions evicted because their certificate was
 	// revoked (never double-counted with Expired or Evicted).
 	Revoked uint64
+	// CertVerifications counts the CA signature checks handshakes cost,
+	// CertCacheHits the handshakes whose certificate was already in the
+	// manager's verified set (pki.Verifier). A handshake refused before
+	// its certificate is looked at — stale, mismatched, replayed — counts
+	// in neither.
+	CertVerifications uint64
+	CertCacheHits     uint64
 }
 
 // SessionOption configures a SessionManager beyond the required fields.
@@ -383,7 +394,7 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 		now = coarseNow
 	}
 	m := &SessionManager{
-		caKey:        caKey,
+		certs:        pki.NewVerifier(caKey),
 		ttl:          ttl,
 		idle:         idle,
 		now:          now,
@@ -446,21 +457,35 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 	if hello.IssuedAt.Before(now.Add(-helloFreshness)) || hello.IssuedAt.After(now.Add(helloFreshness)) {
 		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, hello.IssuedAt, now)
 	}
-	if err := pki.VerifyCertificate(hello.Cert, m.caKey, now); err != nil {
-		return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
-	}
-	// A revoked certificate cannot root a new session, whatever the check
-	// mode does to established ones. This unlocked check is the cheap
-	// fast-fail; the authoritative re-check runs under the control lock
-	// below, so a revocation sweeping between here and the insert cannot
-	// slip a revoked serial into the table.
-	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(hello.Cert.Serial) {
-		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)",
-			ErrSessionRevoked, hello.Principal, hello.Cert.Serial)
-	}
+	// The two rejections that cost nothing come before any public-key work.
 	if hello.Cert.Identity != hello.Principal {
 		return SessionGrant{}, fmt.Errorf("%w: cert for %q, hello by %q",
 			ErrIdentityMismatch, hello.Cert.Identity, hello.Principal)
+	}
+	// A replayed hello is byte-identical to one already consumed, so it would
+	// pass every check below only to be refused at the insert. This peek only
+	// reads: the nonce is recorded after verification, under the same lock as
+	// the authoritative check, so an unverified hello cannot plant one. An
+	// entry the sweep has yet to forget is left to that check.
+	nonceKey := hex.EncodeToString(hello.Nonce)
+	m.mu.Lock()
+	forgetAfter, seen := m.seenNonces[nonceKey]
+	m.mu.Unlock()
+	if seen && !now.After(forgetAfter) {
+		return SessionGrant{}, fmt.Errorf("%w: principal %s", ErrReplayedHello, hello.Principal)
+	}
+	if err := m.certs.Verify(hello.Cert, now); err != nil {
+		return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
+	}
+	// A revoked certificate cannot root a new session, whatever the check
+	// mode does to established ones — and whether or not the verifier has
+	// seen the certificate before: revocation is never cached. This unlocked
+	// check is the cheap fast-fail; the authoritative re-check runs under the
+	// control lock below, so a revocation sweeping between here and the
+	// insert cannot slip a revoked serial into the table.
+	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(hello.Cert.Serial) {
+		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)",
+			ErrSessionRevoked, hello.Principal, hello.Cert.Serial)
 	}
 	key, err := hello.Cert.Key()
 	if err != nil {
@@ -503,8 +528,8 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 	s.lastUsed.Store(now.UnixNano())
 
 	// A verified hello is consumed: its nonce is remembered until every
-	// copy of it has gone stale, so replaying it cannot mint a token.
-	nonceKey := hex.EncodeToString(hello.Nonce)
+	// copy of it has gone stale, so replaying it cannot mint a token. Two
+	// copies racing past the peek above meet here, and one loses.
 	m.mu.Lock()
 	if now.Sub(m.lastSweep) >= m.sweepEvery {
 		m.sweepLocked(now)
@@ -882,6 +907,8 @@ func (m *SessionManager) statRows() []statRow {
 		// other revocation counters.
 		{"confmw_sessions_revoked_total", "Sessions evicted by certificate revocation.", counter, m.revoked.Load, func(s *GatewayStats, v uint64) { stats(s).Revoked, s.SessionsRevoked = v, v }},
 		{"confmw_sessions_opened_total", "Sessions granted.", counter, m.opened.Load, func(s *GatewayStats, v uint64) { stats(s).Opened = v }},
+		{"confmw_session_cert_verifications_total", "CA signature checks session handshakes cost (certificates not in the verified set).", counter, m.certs.Verifications, func(s *GatewayStats, v uint64) { stats(s).CertVerifications = v }},
+		{"confmw_session_cert_cache_hits_total", "Session handshakes whose certificate was in the verified set.", counter, m.certs.Hits, func(s *GatewayStats, v uint64) { stats(s).CertCacheHits = v }},
 	}
 }
 

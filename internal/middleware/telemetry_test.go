@@ -351,6 +351,13 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 		"confmw_gateway_rejected_total 0",
 		"confmw_sessions_live 0",
 		"confmw_sessions_opened_total 0",
+		// Four certificate-bearing requests by one principal: the authn
+		// stage's verifier checked the CA signature once. Nothing opened a
+		// session, so the manager's verifier saw no certificate.
+		"confmw_authn_cert_verifications_total 1",
+		"confmw_authn_cert_cache_hits_total 3",
+		"confmw_session_cert_verifications_total 0",
+		"confmw_session_cert_cache_hits_total 0",
 		"confmw_key_epochs_rotated_total 1",
 		`confmw_shard_routed_txs_total{shard="`,
 		"confmw_revocation_sweeps_total 0",
@@ -364,8 +371,13 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if st := gw.Stats(); st.AuditLogObservations != 5 || st.AuditLogBytes == 0 {
+	st := gw.Stats()
+	if st.AuditLogObservations != 5 || st.AuditLogBytes == 0 {
 		t.Errorf("Stats: AuditLogObservations = %d, AuditLogBytes = %d, want 5 and a size", st.AuditLogObservations, st.AuditLogBytes)
+	}
+	if st.AuthnCertVerifications != 1 || st.AuthnCertCacheHits != 3 || st.Sessions.CertVerifications != 0 || st.Sessions.CertCacheHits != 0 {
+		t.Errorf("Stats: authn verifications %d hits %d, session verifications %d hits %d; want 1, 3, 0, 0",
+			st.AuthnCertVerifications, st.AuthnCertCacheHits, st.Sessions.CertVerifications, st.Sessions.CertCacheHits)
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", out)
@@ -499,9 +511,5 @@ func TestGatewayStatsConsistencyUnderRace(t *testing.T) {
 
 func mustTestHello(t *testing.T, p *principal) SessionHello {
 	t.Helper()
-	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hello
+	return mustHelloAt(t, p, time.Now())
 }

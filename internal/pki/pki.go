@@ -3,6 +3,18 @@
 // identities during onboarding and issues certificates mapping public keys to
 // identities, plus certificates for one-time (pseudonymous) keys that reveal
 // the link only to parties that need to verify signatures.
+//
+// Relying parties check a certificate one of three ways. CA.Verify asks the
+// CA itself: signature, validity window and revocation. VerifyCertificate
+// is the stateless full check against a pinned CA key — signature and
+// window, no revocation — and the definition of a valid certificate. A
+// Verifier is the same check for a party that sees the same certificates
+// again and again (a gateway's session handshakes): it remembers, as a
+// bounded set of SHA-256 fingerprints, the certificates whose CA signature
+// it has already verified, and skips the ECDSA check for those. It caches
+// nothing else — not failures, not the validity window, not revocation —
+// and it must agree with VerifyCertificate on every input, which
+// FuzzVerifierAgrees checks.
 package pki
 
 import (
