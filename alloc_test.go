@@ -1,0 +1,254 @@
+//go:build !race
+
+package dltprivacy_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"dltprivacy/internal/middleware"
+	"dltprivacy/internal/netedge"
+	"dltprivacy/internal/telemetry"
+)
+
+// TestAllocationBudget holds what the submit path allocates, configuration
+// by configuration, on the fixture the ablations in bench_gateway_test.go
+// run on. Timings are gated by benchmark/ + BENCHMARK.json over a real
+// socket; allocation counts are exact and repeat run after run, so they are
+// an ordinary test. Each row names the rule of the retired bench-gate CI job
+// it replaces, or the bench_baseline.json row whose allocs/op it carries.
+//
+// Every ceiling is the exact reading on go1.24.0 linux/amd64. Rows that
+// cross crypto/ecdsa, crypto/ecdh or crypto/aes count allocations the
+// toolchain owns, so CI runs this test on 1.24.x only; the equalities are
+// about this repository's code alone. To move a ceiling, edit the row in
+// the PR that moves the allocation and say why in the row. The race
+// detector makes sync.Pool drop items at random, hence the build tag.
+func TestAllocationBudget(t *testing.T) {
+	env := newGatewayBenchEnv(t)
+	pipeline := func(stages ...middleware.StageConfig) middleware.Config {
+		return middleware.Config{Stages: stages}
+	}
+	sig := pipeline(sessionStage(map[string]string{"reqauth": "sig"}), keycacheEncrypt)
+	mac := pipeline(sessionStage(map[string]string{"reqauth": "mac"}), keycacheEncrypt)
+	macBinary := mac
+	macBinary.Codec = middleware.CodecBinary
+	traced := macBinary
+	traced.Trace = "64"
+	// The batch_groupseal pipeline: 64 deferred seals released as one group,
+	// stage timings sampled 1-in-64 as that workload's are.
+	grouped := pipeline(mac.Stages[0], keycacheEncrypt, middleware.StageConfig{
+		Name:   middleware.StageBatch,
+		Params: map[string]string{"size": fmt.Sprint(groupSize), "groupseal": "on"},
+	})
+	grouped.Codec, grouped.TimingSample = middleware.CodecBinary, "64"
+
+	rows := []struct {
+		name     string
+		replaces string
+		cfg      middleware.Config
+		metrics  bool // attach a metrics registry to the gateway
+		allocs   func(*testing.T, *gatewayBenchEnv, *fastPathEnv) float64
+		ceiling  float64
+		equals   string // an earlier row whose reading this one must repeat
+	}{
+		{
+			// The 22 over the mac row are one ecdsa.Verify (go1.24.0).
+			name:     "sig-session",
+			replaces: "baseline SessionMAC/reqauth=sig 32; the reference of the two mac >= 2x rules",
+			cfg:      sig,
+			allocs:   submitAllocs,
+			ceiling:  32,
+		},
+		{
+			// The HMAC runs on pooled state (dcrypto.MACKey) and allocates
+			// nothing.
+			name:     "mac",
+			replaces: "speedup SessionMAC/reqauth=mac vs Session/keycache >= 2.0 allocs",
+			cfg:      mac,
+			allocs:   submitAllocs,
+			ceiling:  10,
+		},
+		{
+			name:     "mac+binary",
+			replaces: "speedup SessionMAC/reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs",
+			cfg:      macBinary,
+			allocs:   submitAllocs,
+			ceiling:  10,
+		},
+		{
+			name:     "mac+binary+metrics",
+			replaces: "speedup SessionTelemetry/metrics vs mac+codec=binary >= 1.0 allocs (+0)",
+			cfg:      macBinary,
+			metrics:  true,
+			allocs:   submitAllocs,
+			equals:   "mac+binary",
+		},
+		{
+			// The sampled 1-in-64 request allocates its trace, the other 63
+			// nothing; the reading is allocations over submissions, floored.
+			name:     "mac+binary+metrics+trace=64",
+			replaces: "speedup SessionTelemetry/metrics+trace=64 vs mac+codec=binary >= 1.0 allocs (+0)",
+			cfg:      traced,
+			metrics:  true,
+			allocs:   submitAllocs,
+			equals:   "mac+binary",
+		},
+		{
+			// Per sealed group, not per member: the rule allowed 5 per
+			// member, 320 a group.
+			name:     "groupseal(64)",
+			replaces: "ceiling BatchSeal/batch=64 <= 5 allocs",
+			cfg:      grouped,
+			allocs:   groupAllocs,
+			ceiling:  9,
+		},
+		{
+			// Both ends of a loopback connection together.
+			name:     "edge-tcp",
+			replaces: "ceiling EdgeTCP/pipeline=8 <= 16 allocs",
+			cfg:      macBinary,
+			allocs:   edgeAllocs,
+			ceiling:  16,
+		},
+		{
+			// One ecdsa.Verify, the request's (go1.24.0); 61 when
+			// pki.Verifier misses and the CA's signature is checked again.
+			name:     "authn",
+			replaces: "baseline Chain/stages=1(+authn) 35",
+			cfg:      pipeline(authnStage),
+			allocs:   submitAllocs,
+			ceiling:  35,
+		},
+		{
+			// The uncached seal wraps the data key for every member on every
+			// request (crypto/ecdh, crypto/aes; go1.24.0); audit adds none.
+			name:     "authn|encrypt|audit",
+			replaces: "baseline Chain/stages=3(+audit) 108",
+			cfg:      pipeline(authnStage, encryptStage, auditStage),
+			allocs:   submitAllocs,
+			ceiling:  108,
+		},
+	}
+	got := make(map[string]float64, len(rows))
+	for _, row := range rows {
+		fp := newFastPathEnv(t, env, row.cfg)
+		if row.metrics {
+			if err := fp.gw.RegisterMetrics(telemetry.NewRegistry()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := row.allocs(t, env, fp)
+		got[row.name] = n
+		t.Logf("%-28s %v", row.name, n)
+		switch {
+		case row.equals != "" && n != got[row.equals]:
+			t.Errorf("%s: %v allocations, want exactly %s's %v (replaces: %s)", row.name, n, row.equals, got[row.equals], row.replaces)
+		case row.equals == "" && n > row.ceiling:
+			t.Errorf("%s: %v allocations, budget %v (replaces: %s)", row.name, n, row.ceiling, row.replaces)
+		}
+	}
+	// The two "mac allocates >= 2x fewer than the signature session" rules,
+	// as the relation they were.
+	for _, name := range []string{"mac", "mac+binary"} {
+		if 2*got[name] > got["sig-session"] {
+			t.Errorf("%s: %v allocations, want at most half of sig-session's %v", name, got[name], got["sig-session"])
+		}
+	}
+}
+
+// submitAllocs reads the allocations of one in-process Gateway.Submit. A
+// first pass over every template fills what a steady state has filled —
+// verified certificates, the epoch key, pools — and the measured passes are
+// whole ones, so a 1-in-64 sample lands the same number of times in each.
+func submitAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	ctx := context.Background()
+	i := 0
+	submit := func() {
+		req := fp.templates[i%len(fp.templates)]
+		i++
+		if err := fp.gw.Submit(ctx, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range fp.templates {
+		submit()
+	}
+	return testing.AllocsPerRun(2*len(fp.templates)-1, submit)
+}
+
+// groupSize is the batch size of the groupseal row, batch_groupseal's.
+const groupSize = 64
+
+// groupAllocs reads the allocations of one full group: groupSize
+// submissions through a recycled request ring — the batch stage holds at
+// most groupSize members, so twice that is always free again when the ring
+// wraps — the last of which seals and orders the group. Each submission
+// fills exactly the fields a MAC-path client sends, the way a submitter
+// reusing request objects would.
+func groupAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	ctx := context.Background()
+	ring := make([]middleware.Request, 2*groupSize)
+	i := 0
+	group := func() {
+		for n := 0; n < groupSize; n++ {
+			tmpl := &fp.templates[i%len(fp.templates)]
+			req := &ring[i%len(ring)]
+			i++
+			req.Channel = tmpl.Channel
+			req.Principal = tmpl.Principal
+			req.Payload = tmpl.Payload
+			req.SessionToken = tmpl.SessionToken
+			req.MAC = tmpl.MAC
+			if err := fp.gw.Submit(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	group()
+	allocs := testing.AllocsPerRun(8, group)
+	// One group above, one AllocsPerRun warms up with, eight it measures.
+	if stats := fp.gw.Stats(); stats.BatchGroupsSealed != 10 || stats.BatchGroupTxs != 10*groupSize {
+		t.Fatalf("sealed %d groups of %d txs in all, want 10 full groups", stats.BatchGroupsSealed, stats.BatchGroupTxs)
+	}
+	return allocs
+}
+
+// edgeAllocs reads the allocations of one synchronous submission round trip
+// over loopback TCP: client, stream framing, binary decode, the session
+// fast path and the reply.
+func edgeAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	srv, err := netedge.Listen("127.0.0.1:0", fp.gw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := netedge.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	// A session lives on the connection that opened it, so the fixture's
+	// in-process sessions do not serve here.
+	req := fp.templates[0]
+	grant, err := c.OpenSession(ctx, req.Principal, env.certs[req.Principal], env.keys[req.Principal], middleware.CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.SessionToken = grant.Token
+	middleware.MACRequest(&req, grant.MacKey)
+	wire, err := middleware.EncodeWireRequest(&req, middleware.CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Client.SubmitRaw is this Call plus the reply's conversion to a string,
+	// which the compiler keeps or drops depending on where the caller
+	// discards the ID; Call reads 16 either way.
+	return testing.AllocsPerRun(200, func() {
+		if _, err := c.Call(ctx, middleware.TopicSubmit, wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

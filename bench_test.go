@@ -1,7 +1,7 @@
 // Package dltprivacy_test is the benchmark harness of experiment E7
 // (§3.4 of the paper: performance at scale of confidentiality-preserving
-// methods must be assessed per use case) plus the ablation benches listed in
-// DESIGN.md §4. Run with:
+// methods must be assessed per use case) plus the ablation benches listed
+// below. Run with:
 //
 //	go test -bench=. -benchmem
 //

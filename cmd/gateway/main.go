@@ -344,8 +344,8 @@ func run(o opts) error {
 	}
 
 	// Self-scrape: the same counters in Prometheus text format, ready for
-	// any scraper pointed at the -telemetry address.
-	if err := printScrape(base, o.trace); err != nil {
+	// any scraper pointed at the -telemetry address, checked against /statusz.
+	if err := printScrape(base, o.trace, stats.Submitted); err != nil {
 		return err
 	}
 
@@ -564,9 +564,14 @@ func fetchStatusz(base string) (middleware.GatewayStats, error) {
 	return stats, nil
 }
 
+// submittedFamily is the /metrics counter the demo checks against /statusz.
+const submittedFamily = "confmw_gateway_submitted_total"
+
 // printScrape GETs /metrics and /tracez, prints a sample of the confmw_*
-// series (one per family), and summarizes the trace ring.
-func printScrape(base string, trace int) error {
+// series (one per family), and summarizes the trace ring. Both views come
+// from one counter table: a scrape without the submission counter, or with
+// less than /statusz gave earlier (later submissions only add), is an error.
+func printScrape(base string, trace int, submitted uint64) error {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return fmt.Errorf("metrics: %w", err)
@@ -574,7 +579,7 @@ func printScrape(base string, trace int) error {
 	defer resp.Body.Close()
 	families := 0
 	var sample []string
-	var histSample string
+	var histSample, submittedLine string
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lastFamily := ""
@@ -587,6 +592,9 @@ func printScrape(base string, trace int) error {
 			histSample = line
 		}
 		family := line[:strings.IndexAny(line+"{ ", "{ ")]
+		if family == submittedFamily {
+			submittedLine = line
+		}
 		if family != lastFamily {
 			families++
 			lastFamily = family
@@ -604,6 +612,14 @@ func printScrape(base string, trace int) error {
 	}
 	if histSample != "" {
 		fmt.Printf("  %s\n", histSample)
+	}
+	var scraped uint64
+	if _, err := fmt.Sscanf(submittedLine, submittedFamily+" %d", &scraped); err != nil {
+		return fmt.Errorf("metrics scrape: no %s sample (found %q): %w", submittedFamily, submittedLine, err)
+	}
+	fmt.Printf("  %s\n", submittedLine)
+	if scraped < submitted {
+		return fmt.Errorf("metrics scrape: %s reads %d, /statusz said %d submitted", submittedFamily, scraped, submitted)
 	}
 	if trace > 0 {
 		tresp, err := http.Get(base + "/tracez")

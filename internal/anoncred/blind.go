@@ -6,7 +6,7 @@
 // issuance is blind — unlinkable even by the issuer.
 //
 // The construction substitutes stdlib-friendly primitives for Idemix's
-// pairing-based CL signatures (documented in DESIGN.md):
+// pairing-based CL signatures:
 //
 //   - blind Schnorr signatures over P-256 for one-show credential tokens,
 //   - Pedersen commitments to a master secret embedded in each token,

@@ -124,9 +124,9 @@ func Decide(r Requirements) Decision {
 			step("Collective computation?", true, string(MechMPC))
 			d.Primary = MechMPC
 		} else {
-			// Reconstruction choice (documented in DESIGN.md): data that
-			// cannot be shared, proven about, or jointly computed on can
-			// only stay with its owner off-chain.
+			// Reconstruction choice: data that cannot be shared, proven
+			// about, or jointly computed on can only stay with its owner
+			// off-chain.
 			step("Collective computation?", false, string(MechOffChainHash))
 			d.Primary = MechOffChainHash
 		}

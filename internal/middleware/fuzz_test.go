@@ -371,6 +371,64 @@ func FuzzEnvelopeFrame(f *testing.F) {
 	})
 }
 
+// FuzzParseStages throws arbitrary text at the -stages parser and hands
+// whatever it accepts to Config.Build. The parser is the one place operator
+// text becomes configuration, so it may refuse input but never panic, every
+// refusal wraps ErrBadConfig (cmd/gateway prints the stage usage on it),
+// and what it returns is well-formed: registered stage names only and no
+// empty parameter key. Build over an empty Env must then answer with an
+// error or a chain — a stage constructor that dereferences a dependency
+// the Env did not bring is a crash at start-up.
+func FuzzParseStages(f *testing.F) {
+	for _, seed := range []string{
+		"session(reqauth=mac)|authn|encrypt|audit(auditasync=256)|batch(size=4,groupseal=on)", // docs/OPERATIONS.md
+		"session|encrypt(keyttl=5m)|audit=async",
+		"session|anoncred(attrs=role=member)|encrypt",
+		"session||authn",
+		"|",
+		"",
+		"batch(size=4",
+		"batch)size=4(",
+		"batch((size=4))",
+		"audit(observer=(a,b))",
+		"encrypt(keyttl=5m,keyttl=0)",
+		"encrypt(=5m)",
+		" ratelimit( rate = 1 , burst=2 ) ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		stages, err := ParseStages(in)
+		if err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("ParseStages(%q): %v does not wrap ErrBadConfig", in, err)
+			}
+			return
+		}
+		if len(stages) == 0 {
+			t.Fatalf("ParseStages(%q) returned no stage and no error", in)
+		}
+		for _, sc := range stages {
+			if lookupStage(sc.Name) == nil {
+				t.Fatalf("ParseStages(%q) returned unregistered stage %q", in, sc.Name)
+			}
+			if _, ok := sc.Params[""]; ok {
+				t.Fatalf("ParseStages(%q): stage %q has an empty parameter key", in, sc.Name)
+			}
+		}
+		chain, err := Config{Stages: stages}.Build(Env{}, func(context.Context, *Request) error { return nil })
+		if err != nil {
+			return
+		}
+		// An async audit stage owns a drain goroutine.
+		for _, s := range chain.stages {
+			if c, ok := s.(stageCloser); ok {
+				c.Close()
+			}
+		}
+	})
+}
+
 func mustHello(f *testing.F, principal string, cert pki.Certificate, key *dcrypto.PrivateKey) SessionHello {
 	f.Helper()
 	hello, err := NewSessionHelloAt(principal, cert, key, time.Now())

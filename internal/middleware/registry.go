@@ -236,8 +236,9 @@ func StageUsage() string {
 // NAME(key=value,key=value,...). Values keep everything after the first
 // "=", so composite values like attrs=role=member survive. Unknown stage
 // names are rejected here with the registered-stage list, keeping new
-// stages discoverable from the CLI; everything else (ordering, parameter
-// values) is validated by Config.Build.
+// stages discoverable from the CLI, and so is a parameter given twice in
+// one spec; everything else (ordering, parameter values) is validated by
+// Config.Build.
 func ParseStages(s string) ([]StageConfig, error) {
 	var out []StageConfig
 	for _, seg := range strings.Split(s, "|") {
@@ -258,6 +259,9 @@ func ParseStages(s string) ([]StageConfig, error) {
 					key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 					if !ok || key == "" {
 						return nil, fmt.Errorf("%w: stage spec %q: param %q is not key=value", ErrBadConfig, seg, kv)
+					}
+					if _, dup := stageParams[key]; dup {
+						return nil, fmt.Errorf("%w: stage spec %q: param %q given twice", ErrBadConfig, seg, key)
 					}
 					stageParams[key] = val
 				}

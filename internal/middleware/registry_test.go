@@ -193,6 +193,7 @@ func TestParseStagesRejectsMalformed(t *testing.T) {
 		{"missing paren", "batch(size=4", "missing closing parenthesis"},
 		{"bare param", "batch(4)", "not key=value"},
 		{"empty string", "", "empty stage spec"},
+		{"repeated param", "session|encrypt(keyttl=5m,keyttl=0)", `stage spec "encrypt(keyttl=5m,keyttl=0)": param "keyttl" given twice`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/ledger"
@@ -69,15 +68,10 @@ type Service struct {
 	operator   string
 	visibility Visibility
 	batchSize  int
-	seqCost    time.Duration
 	log        *audit.Log
 
 	mu     sync.Mutex
 	chains map[string]*chainState
-	// seq is the node's sequencer: with a sequencing cost configured, each
-	// submission occupies it for that long, modeling the finite throughput
-	// of one ordering node.
-	seq sync.Mutex
 }
 
 // Option configures the service.
@@ -95,21 +89,6 @@ func WithBatchSize(n int) Option {
 // WithAuditLog attaches leakage accounting.
 func WithAuditLog(log *audit.Log) Option {
 	return func(s *Service) { s.log = log }
-}
-
-// WithSequencingCost models the finite throughput of a single ordering
-// node: each submission occupies the node's sequencer for d before it is
-// enqueued, the way a real orderer's consensus round trip or commit fsync
-// bounds how fast one node sequences, regardless of how many clients push.
-// The default of zero keeps the service an infinitely fast in-memory model.
-// Experiments use this to make ordering-tier capacity — and what sharding
-// buys — observable.
-func WithSequencingCost(d time.Duration) Option {
-	return func(s *Service) {
-		if d > 0 {
-			s.seqCost = d
-		}
-	}
 }
 
 // New creates an ordering service operated by the named principal.
@@ -163,14 +142,6 @@ func (s *Service) Submit(tx ledger.Transaction) error {
 	// gateway already primed from the sum its chain carried.
 	tx.PrimeDigest()
 	s.observe(tx)
-	if s.seqCost > 0 {
-		// One sequencer per node: submissions pass through it one at a
-		// time. This is the per-node throughput ceiling a sharded topology
-		// divides — each shard brings its own sequencer.
-		s.seq.Lock()
-		time.Sleep(s.seqCost)
-		s.seq.Unlock()
-	}
 	s.mu.Lock()
 	c := s.chain(tx.Channel)
 	c.pending = append(c.pending, tx)
