@@ -35,6 +35,17 @@ type ChaosConfig struct {
 	// halfway mark and revives the shard at the three-quarter mark, to
 	// verify failures stay confined to that shard's channels.
 	KillShard bool
+	// StaleFollower stages, on the first channel's cluster, the fault that
+	// leaves a replica behind with nobody to bring it level: a follower
+	// crashes at the quarter mark; at the halfway mark the leader is killed
+	// and the follower restarted into the leaderless cluster; at the
+	// three-quarter mark the next leader is killed and the first one
+	// restarted, so the election is between the follower and a node that
+	// committed blocks it never saw. Submissions on that channel may fail
+	// with ErrNoQuorum in the instants only one node is up. Do not combine
+	// with the other leader or shard kills, which would take the same nodes
+	// down.
+	StaleFollower bool
 	// RebalanceEvery runs a skew-driven rebalancing pass every N global
 	// submissions; 0 disables. Do not combine with KillShard — a dead
 	// shard's low load reads as "cold" and attracts migrations.
@@ -56,10 +67,11 @@ type ChaosReport struct {
 	// RevokedRejected counts the revoked member's post-revocation
 	// submissions (all rejected; also present in Failed).
 	RevokedRejected int
-	// Failovers and Migrations aggregate the ordering tier's recovery and
-	// rebalancing activity during the storm.
-	Failovers  uint64
-	Migrations uint64
+	// Failovers, PositionInstalls and Migrations aggregate the ordering
+	// tier's recovery and rebalancing activity during the storm.
+	Failovers        uint64
+	PositionInstalls uint64
+	Migrations       uint64
 	// Delivered maps channel -> transactions its subscriber saw.
 	Delivered map[string]int
 	// Violations lists per-channel ordering violations: out-of-order block
@@ -71,7 +83,8 @@ type ChaosReport struct {
 // RunChaos stands up a full gateway — session, authn, rate limit,
 // envelope encryption, audit, retry, breaker — over a replicated sharded
 // ordering tier and drives concurrent client traffic through it while
-// injecting the configured faults: leader kills, a whole-shard kill and
+// injecting the configured faults: leader kills, a follower left behind and
+// restarted into a leaderless cluster, a whole-shard kill and
 // revival, skew-driven rebalancing, and mid-storm certificate revocation.
 // It reports what clients and subscribers observed; the chaos suite
 // asserts the invariants (no ordering violations, failures confined to
@@ -188,6 +201,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		faultMu     sync.Mutex // serializes fault injections
 		shardKilled bool
 		shardAlive  = true
+		// StaleFollower's progress: how many of its three faults ran, and
+		// the nodes they took down.
+		staleStage                int
+		staleFollower, staleFirst string
 	)
 	classify := func(err error) string {
 		switch {
@@ -200,6 +217,36 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		default:
 			return "other"
 		}
+	}
+	// staleStep runs StaleFollower's next fault, if the channel has a serving
+	// leader to aim it at; if not, the storm's next submission tries again.
+	staleStep := func() {
+		rs := replicated[sb.ShardFor(channels[0])]
+		c, err := rs.Cluster(channels[0])
+		if err != nil {
+			return
+		}
+		leader, err := c.Leader()
+		if err != nil {
+			return
+		}
+		switch staleStage {
+		case 0:
+			ops := rs.Operators()
+			staleFollower = ops[0]
+			if staleFollower == leader {
+				staleFollower = ops[1]
+			}
+			_ = c.Crash(staleFollower)
+		case 1:
+			staleFirst = leader
+			_ = c.Crash(leader)
+			_ = c.Restart(staleFollower)
+		case 2:
+			_ = c.Crash(leader)
+			_ = c.Restart(staleFirst)
+		}
+		staleStage++
 	}
 	// Fault triggers run inline on the submitter that crosses the mark, so
 	// the storm needs no side-channel timing; TryLock keeps slow injections
@@ -218,6 +265,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				replicated[sb.ShardFor(channels[0])].Revive()
 				shardAlive = true
 			}
+		}
+		if cfg.StaleFollower && staleStage < 3 && n >= int64(total*(staleStage+1)/4) {
+			staleStep()
 		}
 		if cfg.KillLeaderEvery > 0 && n%int64(cfg.KillLeaderEvery) == 0 {
 			ch := channels[int(n)%len(channels)]
@@ -274,7 +324,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Settle: revive anything still down, re-elect leaderless clusters, and
 	// drain queues a mid-flush kill left behind.
 	faultMu.Lock()
-	if cfg.KillShard && !shardAlive {
+	if (cfg.KillShard && !shardAlive) || cfg.StaleFollower {
 		replicated[sb.ShardFor(channels[0])].Revive()
 		shardAlive = true
 	}
@@ -324,6 +374,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	for _, rs := range replicated {
 		report.Failovers += rs.Failovers()
+		report.PositionInstalls += rs.PositionInstalls()
 	}
 	for i, v := range verifiers {
 		report.Delivered[channels[i]] = v.Txs()

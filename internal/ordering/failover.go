@@ -17,8 +17,8 @@ import (
 // queue behind one Elect instead of stampeding — after which queued
 // in-flight transactions are replayed in order and the submission retried.
 // Per-channel delivery order is preserved across the kill: the new leader
-// resumes from the quorum-committed log, and the replay flush sequences
-// anything that was queued before any post-failover traffic.
+// resumes from the quorum-committed position, and the replay flush
+// sequences anything that was queued before any post-failover traffic.
 //
 // Behind a ShardedBackend this turns "one shard death loses 1/N of all
 // channels forever" into an availability dip bounded by one election.
@@ -32,6 +32,9 @@ type ReplicatedShard struct {
 	clusters map[string]*failoverCluster
 
 	failovers atomic.Uint64
+	// installs is the one counter every cluster of the shard adds to, so it
+	// keeps counting across a channel's export.
+	installs atomic.Uint64
 }
 
 // failoverCluster pairs a channel's cluster with its election single-flight
@@ -94,15 +97,25 @@ func (rs *ReplicatedShard) cluster(channel string) (*failoverCluster, error) {
 	defer rs.mu.Unlock()
 	fc, ok := rs.clusters[channel]
 	if !ok {
-		c, err := NewCluster(channel, rs.operators, rs.visibility,
-			WithClusterAudit(rs.log), WithClusterBatch(rs.batch))
+		c, err := rs.newCluster(channel)
 		if err != nil {
-			return nil, fmt.Errorf("cluster for %s: %w", channel, err)
+			return nil, err
 		}
 		fc = &failoverCluster{c: c}
 		rs.clusters[channel] = fc
 	}
 	return fc, nil
+}
+
+// newCluster builds a channel's cluster over the shard's operators.
+func (rs *ReplicatedShard) newCluster(channel string) (*Cluster, error) {
+	c, err := NewCluster(channel, rs.operators, rs.visibility,
+		WithClusterAudit(rs.log), WithClusterBatch(rs.batch))
+	if err != nil {
+		return nil, fmt.Errorf("cluster for %s: %w", channel, err)
+	}
+	c.installs = &rs.installs
+	return c, nil
 }
 
 // Cluster exposes a channel's cluster for fault injection in tests,
@@ -176,6 +189,22 @@ func (rs *ReplicatedShard) failover(fc *failoverCluster) error {
 // dead leader.
 func (rs *ReplicatedShard) Failovers() uint64 { return rs.failovers.Load() }
 
+// PositionInstalls counts the nodes this shard brought level with a leader
+// they were behind: a restart that missed blocks, or a node found lagging
+// at an election or a flush.
+func (rs *ReplicatedShard) PositionInstalls() uint64 { return rs.installs.Load() }
+
+// ReplicaEntries returns how many replicated entries the shard's nodes
+// hold in memory right now: at most one per node and channel, however long
+// the chains are.
+func (rs *ReplicatedShard) ReplicaEntries() uint64 {
+	var n uint64
+	for _, fc := range rs.snapshot() {
+		n += uint64(fc.c.retained())
+	}
+	return n
+}
+
 // snapshot returns the current cluster set without holding the shard lock
 // across per-cluster work.
 func (rs *ReplicatedShard) snapshot() []*failoverCluster {
@@ -232,9 +261,10 @@ func (rs *ReplicatedShard) Kill() {
 }
 
 // Revive restarts every node of every cluster and elects a leader per
-// cluster; the committed logs survived the crash (crash-fault model, not
-// disk loss), so chains resume at their pre-kill heights and any queued
-// transactions are replayed.
+// cluster; each node's position survived the crash (crash-fault model, not
+// disk loss), the election brings every node level with the winner, and so
+// chains resume at their pre-kill heights and any queued transactions are
+// replayed.
 func (rs *ReplicatedShard) Revive() {
 	for _, fc := range rs.snapshot() {
 		for _, op := range rs.operators {
@@ -274,10 +304,9 @@ func (rs *ReplicatedShard) ExportChannel(channel string) (ChannelState, error) {
 // and hash chaining continue from the sending shard even across later
 // elections here.
 func (rs *ReplicatedShard) ImportChannel(channel string, st ChannelState) error {
-	c, err := NewCluster(channel, rs.operators, rs.visibility,
-		WithClusterAudit(rs.log), WithClusterBatch(rs.batch))
+	c, err := rs.newCluster(channel)
 	if err != nil {
-		return fmt.Errorf("cluster for %s: %w", channel, err)
+		return err
 	}
 	c.adoptState(st)
 	rs.mu.Lock()

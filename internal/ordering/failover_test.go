@@ -1,12 +1,16 @@
 package ordering
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"dltprivacy/internal/ledger"
+	"dltprivacy/internal/telemetry"
 )
 
 // newTestReplicatedShard builds a 3-node replicated shard with distinct
@@ -320,5 +324,103 @@ func TestShardedDeliveryOrderAcrossLeaderKill(t *testing.T) {
 	}
 	if failovers == 0 {
 		t.Fatalf("no failovers ran; the kill loop never hit a live leader")
+	}
+}
+
+// scrapeShard0 reads one shard="0" sample out of the registry's Prometheus
+// exposition.
+func scrapeShard0(t *testing.T, reg *telemetry.Registry, family string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	prefix := family + `{shard="0"} `
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			v, err := strconv.ParseUint(rest, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no %s sample for shard 0 in:\n%s", family, buf.String())
+	return 0
+}
+
+// TestStaleFollowerCannotForkChain is the fork a kept log used to hide: a
+// follower that restarts while the cluster is leaderless is level with
+// nobody, yet it acknowledged entries and stood in elections as if it were.
+// Here it misses five blocks, comes back leaderless, sees one more commit,
+// and then faces the old leader — who once beat its 1 with 5 and cut block 5
+// a second time.
+func TestStaleFollowerCannotForkChain(t *testing.T) {
+	rs := newTestReplicatedShard(t, "op")
+	sb, err := NewSharded([]Backend{rs})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	reg := telemetry.NewRegistry()
+	if err := sb.RegisterMetrics(reg); err != nil {
+		t.Fatalf("RegisterMetrics: %v", err)
+	}
+	cv := &ChainVerifier{}
+	sb.Subscribe("trade", cv.Deliver)
+	c, err := rs.Cluster("trade")
+	if err != nil {
+		t.Fatalf("Cluster: %v", err)
+	}
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	elect := func(want string) {
+		t.Helper()
+		got, err := c.Elect()
+		if err != nil || got != want {
+			t.Fatalf("Elect = %q, %v; want %q", got, err, want)
+		}
+	}
+	submit := func(key string) {
+		t.Helper()
+		step("Submit "+key, sb.Submit(mkTx("trade", "BankA", key)))
+	}
+
+	step("Crash op-c", c.Crash("op-c"))
+	for i := 0; i < 5; i++ {
+		submit(fmt.Sprintf("k%d", i))
+	}
+	step("Crash op-a", c.Crash("op-a")) // the leader
+	step("Restart op-c", c.Restart("op-c"))
+	elect("op-b")
+	if got := scrapeShard0(t, reg, "confmw_shard_position_installs_total"); got != 1 {
+		t.Fatalf("position installs after the election = %d, want 1 (op-c brought level)", got)
+	}
+	submit("k5")
+	step("Crash op-b", c.Crash("op-b"))
+	step("Restart op-a", c.Restart("op-a"))
+	// op-c stands at 6, op-a at 5: the node that saw every commit wins.
+	elect("op-c")
+	submit("k6")
+
+	if err := cv.Err(); err != nil {
+		t.Fatalf("chain forked: %v", err)
+	}
+	if cv.next != 7 || cv.txs != 7 {
+		t.Fatalf("delivered %d txs over %d blocks, want 7 over 7", cv.txs, cv.next)
+	}
+	for _, op := range []string{"op-a", "op-c"} {
+		if n, err := c.CommittedBlocks(op); err != nil || n != 7 {
+			t.Fatalf("node %s committed = %d, %v; want 7", op, n, err)
+		}
+	}
+	if got := scrapeShard0(t, reg, "confmw_shard_position_installs_total"); got != 2 {
+		t.Fatalf("position installs = %d, want 2 (op-c, then op-a)", got)
+	}
+	if got := scrapeShard0(t, reg, "confmw_shard_replica_entries"); got > 3 {
+		t.Fatalf("replicas retain %d entries, want at most one per node", got)
 	}
 }

@@ -3,7 +3,9 @@ package ordering
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/ledger"
@@ -13,9 +15,11 @@ import (
 // third-party orderer, channel members run a replicated, crash-fault-
 // tolerant ordering cluster themselves. The cluster is leader-based with
 // majority-quorum commit (a deliberately simplified Raft: terms, leader
-// election by majority vote, log replication, commit on quorum
-// acknowledgement). Fault injection in tests covers leader crash, failover,
-// and the minority-partition liveness loss.
+// election by majority vote, entry replication, commit on quorum
+// acknowledgement). A node keeps its position on the chain, not the chain:
+// committed blocks live with the subscribers they were delivered to. Fault
+// injection in tests covers leader crash, failover, and the
+// minority-partition liveness loss.
 
 // Errors returned by the replicated ordering service.
 var (
@@ -46,17 +50,42 @@ type logEntry struct {
 	block ledger.Block
 }
 
+// position is where a node stands on the channel's chain: how many blocks
+// it has committed and the hash of the last one. It is all a node keeps of
+// committed history, and all a rejoining node needs from the leader.
+type position struct {
+	height uint64
+	hash   [32]byte
+}
+
 // clusterNode is one member-operated ordering node.
 type clusterNode struct {
 	operator string
 
-	mu       sync.Mutex
-	down     bool
-	term     uint64
-	isLeader bool
-	log      []logEntry
-	// committed is the index below which entries are quorum-committed.
-	committed int
+	mu   sync.Mutex
+	down bool
+	term uint64
+	pos  position
+	// uncommitted holds the entries replicated to this node that no quorum
+	// has committed yet: the one Flush has in flight, nothing between
+	// flushes. Its backing array is reused from flush to flush.
+	uncommitted []logEntry
+}
+
+// fold commits the node's in-flight entry, moving the node to the position
+// after it. This is the one place a committed entry leaves the node's
+// memory, so it is where a write-ahead log append belongs. Caller holds
+// n.mu.
+func (n *clusterNode) fold(after position) {
+	n.pos = after
+	n.dropUncommitted()
+}
+
+// dropUncommitted empties the in-flight list, zeroing the entries so the
+// spare capacity does not pin a block's payloads. Caller holds n.mu.
+func (n *clusterNode) dropUncommitted() {
+	clear(n.uncommitted)
+	n.uncommitted = n.uncommitted[:0]
 }
 
 // Cluster is a member-run replicated ordering service for one channel
@@ -68,21 +97,18 @@ type Cluster struct {
 	visibility Visibility
 	log        *audit.Log
 
-	mu       sync.Mutex
-	nodes    []*clusterNode
-	leader   int // index into nodes, -1 when none
-	height   uint64
-	lastHash [32]byte
-	pending  []ledger.Transaction
-	batch    int
-	subs     []DeliverFunc
-	// base/baseHash anchor the chain when the cluster adopted state from
-	// another shard (channel migration): the replicated log starts empty
-	// here, so elections re-derive height as base + committed entries and
-	// fall back to baseHash when the log holds nothing yet. Zero for
-	// clusters that started the chain themselves.
-	base     uint64
-	baseHash [32]byte
+	mu     sync.Mutex
+	nodes  []*clusterNode
+	leader int // index into nodes, -1 when none
+	// head is where the next block is cut: the leader's position while
+	// there is a leader, the last leader's until the next election.
+	head    position
+	pending []ledger.Transaction
+	batch   int
+	subs    []DeliverFunc
+	// installs counts nodes brought level with a leader they were behind;
+	// a ReplicatedShard points every cluster it runs at one counter.
+	installs *atomic.Uint64
 
 	// deliver serializes replication + delivery so subscribers receive
 	// blocks in height order under concurrent submitters (see
@@ -102,11 +128,11 @@ func NewCluster(channel string, operators []string, visibility Visibility, opts 
 		visibility: visibility,
 		leader:     0,
 		batch:      1,
+		installs:   new(atomic.Uint64),
 	}
 	for _, op := range operators {
 		c.nodes = append(c.nodes, &clusterNode{operator: op})
 	}
-	c.nodes[0].isLeader = true
 	c.nodes[0].term = 1
 	for _, opt := range opts {
 		opt(c)
@@ -131,11 +157,13 @@ func WithClusterBatch(n int) ClusterOption {
 	}
 }
 
-// Subscribe registers a block consumer.
+// Subscribe registers a block consumer. The list is copied on write, so
+// Flush delivers from the slice it read under the lock instead of copying
+// it for every block.
 func (c *Cluster) Subscribe(deliver DeliverFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.subs = append(c.subs, deliver)
+	c.subs = append(slices.Clip(c.subs), deliver)
 }
 
 // Leader returns the operator of the current leader.
@@ -159,17 +187,35 @@ func (c *Cluster) Crash(operator string) error {
 	node := c.nodes[idx]
 	node.mu.Lock()
 	node.down = true
-	wasLeader := node.isLeader
-	node.isLeader = false
 	node.mu.Unlock()
-	if wasLeader {
+	if idx == c.leader {
 		c.leader = -1
 	}
 	return nil
 }
 
-// Restart brings a crashed node back as a follower; it catches up from the
-// current leader's committed log.
+// install brings a node level with the leader: the head and the leader's
+// term replace its own, at the same cost whatever the chain's height. A
+// node that was behind is counted. Caller holds c.mu and n.mu.
+func (c *Cluster) install(n *clusterNode, term uint64) {
+	if n.pos != c.head {
+		c.installs.Add(1)
+	}
+	n.pos, n.term = c.head, term
+}
+
+// leaderTerm reads the serving leader's term. Caller holds c.mu, no node
+// lock, and has checked c.leader >= 0.
+func (c *Cluster) leaderTerm() uint64 {
+	leader := c.nodes[c.leader]
+	leader.mu.Lock()
+	defer leader.mu.Unlock()
+	return leader.term
+}
+
+// Restart brings a crashed node back as a follower. With a leader serving
+// it installs the leader's position; a node that returns to a leaderless
+// cluster keeps its own until the next election brings it level.
 func (c *Cluster) Restart(operator string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -177,14 +223,17 @@ func (c *Cluster) Restart(operator string) error {
 	if idx < 0 {
 		return fmt.Errorf("ordering: unknown node %q", operator)
 	}
+	var term uint64
+	if c.leader >= 0 {
+		term = c.leaderTerm()
+	}
 	node := c.nodes[idx]
 	node.mu.Lock()
 	node.down = false
-	node.isLeader = false
-	node.mu.Unlock()
 	if c.leader >= 0 {
-		c.catchUpLocked(node)
+		c.install(node, term)
 	}
+	node.mu.Unlock()
 	return nil
 }
 
@@ -197,17 +246,28 @@ func (c *Cluster) indexOf(operator string) int {
 	return -1
 }
 
-// Elect runs a leader election: the first live node with the longest
-// committed log that can gather a majority of live votes becomes leader at
-// a new term. Returns the new leader's operator.
+// Elect runs a leader election: the first live node with the highest
+// committed position that can gather a majority of live votes becomes
+// leader at a new term, and every live follower installs its position.
+// Returns the new leader's operator.
 func (c *Cluster) Elect() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := 0
-	for _, n := range c.nodes {
+	// Candidate choice: live node with the highest committed position
+	// (Raft's up-to-date restriction), ties broken by node order.
+	live, best := 0, -1
+	var top position
+	var maxTerm uint64
+	for i, n := range c.nodes {
 		n.mu.Lock()
+		if n.term > maxTerm {
+			maxTerm = n.term
+		}
 		if !n.down {
 			live++
+			if best < 0 || n.pos.height > top.height {
+				best, top = i, n.pos
+			}
 		}
 		n.mu.Unlock()
 	}
@@ -215,48 +275,22 @@ func (c *Cluster) Elect() (string, error) {
 		c.leader = -1
 		return "", fmt.Errorf("%w: %d of %d nodes live", ErrNoQuorum, live, len(c.nodes))
 	}
-	// Candidate choice: live node with the longest committed log (Raft's
-	// up-to-date restriction), ties broken by node order.
-	best := -1
-	bestLen := -1
-	var maxTerm uint64
-	for i, n := range c.nodes {
-		n.mu.Lock()
-		if n.term > maxTerm {
-			maxTerm = n.term
-		}
-		if !n.down && n.committed > bestLen {
-			best = i
-			bestLen = n.committed
-		}
-		n.mu.Unlock()
-	}
-	if best < 0 {
-		c.leader = -1
-		return "", ErrNoLeader
-	}
+	// A commit needed a majority and so did this election, so the winner
+	// stands where the quorum left off and ordering resumes exactly there.
+	c.head = top
+	// Every live follower installs the winner's position: a node that came
+	// back while the cluster was leaderless must not acknowledge entries
+	// (or stand in a later election) from a position it never reached.
 	newTerm := maxTerm + 1
-	for i, n := range c.nodes {
+	for _, n := range c.nodes {
 		n.mu.Lock()
-		n.isLeader = i == best
 		if !n.down {
-			n.term = newTerm
+			c.install(n, newTerm)
 		}
 		n.mu.Unlock()
 	}
 	c.leader = best
-	leader := c.nodes[best]
-	// Re-derive chain state from the leader's committed log, so ordering
-	// resumes exactly where the quorum left off.
-	leader.mu.Lock()
-	c.height = c.base + uint64(leader.committed)
-	if leader.committed > 0 {
-		c.lastHash = leader.log[leader.committed-1].block.Hash()
-	} else {
-		c.lastHash = c.baseHash
-	}
-	leader.mu.Unlock()
-	return leader.operator, nil
+	return c.nodes[best].operator, nil
 }
 
 // Submit queues a transaction with the current leader.
@@ -337,23 +371,25 @@ func (c *Cluster) exportState() ChannelState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return ChannelState{
-		Height:   c.height,
-		LastHash: c.lastHash,
+		Height:   c.head.height,
+		LastHash: c.head.hash,
 		Pending:  append([]ledger.Transaction(nil), c.pending...),
 	}
 }
 
 // adoptState seeds a freshly constructed cluster with chain state imported
-// from another shard. Block numbering and hash chaining continue from the
-// imported height — including across later elections, which re-derive
-// height as base + committed log entries.
+// from another shard: every node starts at the imported position, so block
+// numbering and hash chaining continue from it — including across later
+// elections, which read the winner's position like any other.
 func (c *Cluster) adoptState(st ChannelState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.base = st.Height
-	c.baseHash = st.LastHash
-	c.height = st.Height
-	c.lastHash = st.LastHash
+	c.head = position{height: st.Height, hash: st.LastHash}
+	for _, n := range c.nodes {
+		n.mu.Lock()
+		n.pos = c.head
+		n.mu.Unlock()
+	}
 	c.pending = append([]ledger.Transaction(nil), st.Pending...)
 }
 
@@ -376,9 +412,10 @@ func (c *Cluster) observeLocked(tx ledger.Transaction) {
 	}
 }
 
-// Flush orders pending transactions: the leader appends to its log,
-// replicates to followers, commits on majority acknowledgement, and only
-// then delivers to subscribers.
+// Flush orders pending transactions: the leader cuts a block, replicates
+// it to the live followers as an uncommitted entry, and on majority
+// acknowledgement every node that holds the entry folds it into its
+// position; only then is the block delivered to subscribers.
 func (c *Cluster) Flush() error {
 	c.deliver.Lock()
 	defer c.deliver.Unlock()
@@ -393,53 +430,47 @@ func (c *Cluster) Flush() error {
 	}
 	txs := c.pending
 	c.pending = nil
-	leader := c.nodes[c.leader]
-	block := ledger.NewBlock(c.height, c.lastHash, txs)
-
-	leader.mu.Lock()
-	term := leader.term
+	block := ledger.NewBlock(c.head.height, c.head.hash, txs)
+	term := c.leaderTerm()
 	entry := logEntry{term: term, block: block}
-	leader.log = append(leader.log, entry)
-	leader.mu.Unlock()
 
-	// Replicate: count acknowledgements from live followers.
-	acks := 1 // leader
-	for i, n := range c.nodes {
-		if i == c.leader {
-			continue
-		}
+	// Replicate: every live node, the leader among them, takes the entry
+	// and acknowledges it. A node may only acknowledge an entry that
+	// extends its own chain, so a follower that is not level with the
+	// leader installs the leader's position first.
+	acks := 0
+	for _, n := range c.nodes {
 		n.mu.Lock()
 		if !n.down {
-			n.log = append(n.log, entry)
+			c.install(n, term)
+			n.uncommitted = append(n.uncommitted, entry)
 			acks++
 		}
 		n.mu.Unlock()
 	}
+	// c.mu is held from the append to here, so no node crashed or restarted
+	// in between: the nodes holding an entry are the ones that acknowledged.
 	quorum := len(c.nodes)/2 + 1
 	if acks < quorum {
 		// Roll the entry back everywhere; the block is not committed.
 		for _, n := range c.nodes {
 			n.mu.Lock()
-			if len(n.log) > 0 && n.log[len(n.log)-1].block.Number == block.Number && n.log[len(n.log)-1].term == term {
-				n.log = n.log[:len(n.log)-1]
-			}
+			n.dropUncommitted()
 			n.mu.Unlock()
 		}
 		c.pending = append(txs, c.pending...)
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %d of %d acks", ErrNoQuorum, acks, quorum)
 	}
-	// Commit on every live node.
+	c.head = position{height: block.Number + 1, hash: block.Hash()}
 	for _, n := range c.nodes {
 		n.mu.Lock()
-		if !n.down && len(n.log) > n.committed {
-			n.committed = len(n.log)
+		if len(n.uncommitted) > 0 {
+			n.fold(c.head)
 		}
 		n.mu.Unlock()
 	}
-	c.height++
-	c.lastHash = block.Hash()
-	subs := append([]DeliverFunc(nil), c.subs...)
+	subs := c.subs
 	c.mu.Unlock()
 
 	for _, deliver := range subs {
@@ -450,24 +481,9 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// catchUpLocked copies the leader's committed log onto a restarted node.
-// Caller holds c.mu.
-func (c *Cluster) catchUpLocked(node *clusterNode) {
-	leader := c.nodes[c.leader]
-	leader.mu.Lock()
-	entries := make([]logEntry, leader.committed)
-	copy(entries, leader.log[:leader.committed])
-	term := leader.term
-	leader.mu.Unlock()
-	node.mu.Lock()
-	node.log = entries
-	node.committed = len(entries)
-	node.term = term
-	node.mu.Unlock()
-}
-
-// CommittedBlocks returns the committed block count on one node, letting
-// tests verify replication.
+// CommittedBlocks returns the chain height one node has committed, letting
+// tests verify replication. It is the node's position, so on a cluster that
+// imported its channel it counts the blocks cut before the migration too.
 func (c *Cluster) CommittedBlocks(operator string) (int, error) {
 	c.mu.Lock()
 	idx := c.indexOf(operator)
@@ -481,7 +497,20 @@ func (c *Cluster) CommittedBlocks(operator string) (int, error) {
 	if n.down {
 		return 0, ErrNodeDown
 	}
-	return n.committed, nil
+	return int(n.pos.height), nil
+}
+
+// retained returns how many replicated entries the cluster's nodes hold in
+// memory right now: one per node while a flush is in flight, none between
+// flushes.
+func (c *Cluster) retained() int {
+	total := 0
+	for _, n := range c.nodes {
+		n.mu.Lock()
+		total += len(n.uncommitted)
+		n.mu.Unlock()
+	}
+	return total
 }
 
 // LiveNodes returns the operators of nodes currently up.

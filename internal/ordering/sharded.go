@@ -130,6 +130,14 @@ type shardFailovers interface {
 	Failovers() uint64
 }
 
+// shardReplicas is the optional interface replicated shard backends
+// implement to surface what their replicas hold and how often one had to be
+// brought level into metrics.
+type shardReplicas interface {
+	ReplicaEntries() uint64
+	PositionInstalls() uint64
+}
+
 // Compile-time check.
 var _ Backend = (*ShardedBackend)(nil)
 
@@ -462,6 +470,13 @@ func (sb *ShardedBackend) RegisterMetrics(reg *telemetry.Registry) error {
 		if f, ok := sb.shards[i].(shardFailovers); ok {
 			ms = append(ms, telemetry.FuncMetric{Name: "confmw_shard_failovers_total",
 				Help: "Leader elections the shard ran to recover from a dead leader.", Load: f.Failovers})
+		}
+		if r, ok := sb.shards[i].(shardReplicas); ok {
+			ms = append(ms,
+				telemetry.FuncMetric{Name: "confmw_shard_replica_entries",
+					Help: "Replicated entries the shard's nodes hold in memory.", Gauge: true, Load: r.ReplicaEntries},
+				telemetry.FuncMetric{Name: "confmw_shard_position_installs_total",
+					Help: "Nodes brought level with a leader they were behind.", Load: r.PositionInstalls})
 		}
 		if err := reg.RegisterFuncs(ms, telemetry.L("shard", strconv.Itoa(i))); err != nil {
 			return err
