@@ -113,8 +113,10 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 	fmt.Printf("loadgen: enrolled %d principals in %v\n", nPrincipals, time.Since(start).Round(time.Millisecond))
 
 	// Phase 2: the session population. Session i lives on connection
-	// i%nConns and belongs to principal i%nPrincipals; each open pays the
-	// full signed handshake (ECDSA sign client-side, verify server-side).
+	// i%nConns and belongs to principal i%nPrincipals. A principal's first
+	// open on a connection pays the full signed handshake (ECDSA sign
+	// client-side, verify server-side, the master secret sealed and
+	// unsealed); its later ones on that connection resume under the secret.
 	nTrades := 256
 	if nSessions < nTrades {
 		nTrades = nSessions
@@ -124,6 +126,7 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 		return err
 	}
 	sessions := make([]session, nSessions)
+	var resumed atomic.Uint64
 	start = time.Now()
 	if err := eachIndex(ctx, nSessions, perConn*nConns, func(ctx context.Context, i int) error {
 		p := i % nPrincipals
@@ -134,6 +137,9 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 		}
 		if grant.Codec != middleware.CodecBinary {
 			return fmt.Errorf("session %d: gateway did not grant binary codec (got %q)", i, grant.Codec)
+		}
+		if grant.Resumed {
+			resumed.Add(1)
 		}
 		req := &middleware.Request{
 			Channel:      fmt.Sprintf("deals-%d", i%nChannels),
@@ -152,8 +158,8 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 		return err
 	}
 	openElapsed := time.Since(start)
-	fmt.Printf("loadgen: opened %d sessions in %v (%.0f sessions/sec)\n",
-		nSessions, openElapsed.Round(time.Millisecond), float64(nSessions)/openElapsed.Seconds())
+	fmt.Printf("loadgen: opened %d sessions in %v (%.0f sessions/sec), %d resumed\n",
+		nSessions, openElapsed.Round(time.Millisecond), float64(nSessions)/openElapsed.Seconds(), resumed.Load())
 
 	if duration <= 0 {
 		return ctx.Err()

@@ -54,6 +54,14 @@ type ChaosConfig struct {
 	// submitter's share (Submissions/2) of that member's own submissions
 	// has been accepted; its remaining submissions must all be rejected.
 	RevokeMidStorm bool
+	// ResumeSessions makes every submitter a client on a connection of its
+	// own that opens a session over the wire handshake before each
+	// submission and closes it after — a full handshake first, resumed ones
+	// from then on — instead of riding one standing session. With
+	// RevokeMidStorm the revocation lands while the member is resuming:
+	// every open it starts afterwards, resumed or full, must be refused with
+	// ErrSessionRevoked, and nobody else's may fail.
+	ResumeSessions bool
 }
 
 // ChaosReport is what a chaos run observed.
@@ -65,8 +73,15 @@ type ChaosReport struct {
 	// Failed buckets rejected submissions by error class.
 	Failed map[string]int
 	// RevokedRejected counts the revoked member's post-revocation
-	// submissions (all rejected; also present in Failed).
+	// submissions (all rejected; also present in Failed). Under
+	// ResumeSessions a submission whose session could not be opened counts
+	// as rejected with the open's error.
 	RevokedRejected int
+	// ResumedOpens counts sessions opened by a resume hello, and
+	// RevokedOpensRefused the opens the revoked member started after its
+	// revocation, all refused (ResumeSessions only).
+	ResumedOpens        int
+	RevokedOpensRefused int
 	// Failovers, PositionInstalls and Migrations aggregate the ordering
 	// tier's recovery and rebalancing activity during the storm.
 	Failovers        uint64
@@ -75,8 +90,9 @@ type ChaosReport struct {
 	// Delivered maps channel -> transactions its subscriber saw.
 	Delivered map[string]int
 	// Violations lists per-channel ordering violations: out-of-order block
-	// numbers, broken hash chains, duplicate transactions. A healthy run
-	// has none, no matter what the chaos did.
+	// numbers, broken hash chains, duplicate transactions — and, under
+	// ResumeSessions, any session a revoked member managed to open. A
+	// healthy run has none, no matter what the chaos did.
 	Violations []string
 }
 
@@ -194,13 +210,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		succeeded  atomic.Int64
 		revokedOK  atomic.Int64 // the to-be-revoked member's accepted submissions
 		revokedRej atomic.Int64
+		// ResumeSessions: revocationDone is set once ca.Revoke has returned,
+		// so an open that starts after reading it true must be refused.
+		revocationDone atomic.Bool
+		resumedOpens   atomic.Int64
+		refusedOpens   atomic.Int64
 
-		failMu sync.Mutex
-		failed = map[string]int{}
+		failMu     sync.Mutex
+		failed     = map[string]int{}
+		violations []string
 
-		faultMu     sync.Mutex // serializes fault injections
-		shardKilled bool
-		shardAlive  = true
+		faultMu    sync.Mutex // serializes fault injections
+		shardAlive = true
+		// killBit is closed once a submission has met the dead shard; the
+		// revival waits for it.
+		killBit = make(chan struct{})
 		// StaleFollower's progress: how many of its three faults ran, and
 		// the nodes they took down.
 		staleStage                int
@@ -248,24 +272,34 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		}
 		staleStage++
 	}
-	// Fault triggers run inline on the submitter that crosses the mark, so
-	// the storm needs no side-channel timing; TryLock keeps slow injections
-	// from serializing the whole storm behind one submitter.
+	// The shard kill and its revival each belong to the one submitter whose
+	// sequence number is the mark, which performs it before its own
+	// submission. (They used to go to whichever submitter past the mark won a
+	// TryLock; a winner descheduled between the lock and the Kill let the
+	// storm run past both marks, the revival followed the kill at once, and
+	// the kill "never bit".) The killer then submits on the dead shard, and
+	// the revival waits for that submission: the kill always costs at least
+	// one request, however the goroutines are scheduled.
+	setShard := func(alive bool) {
+		faultMu.Lock()
+		defer faultMu.Unlock()
+		rs := replicated[sb.ShardFor(channels[0])]
+		if alive {
+			rs.Revive()
+		} else {
+			rs.Kill()
+		}
+		shardAlive = alive
+	}
+	// The recurring fault triggers run inline on whichever submitter draws a
+	// matching sequence number, so the storm needs no side-channel timing;
+	// TryLock keeps slow injections from serializing the whole storm behind
+	// one submitter.
 	inject := func(n int64) {
 		if !faultMu.TryLock() {
 			return
 		}
 		defer faultMu.Unlock()
-		if cfg.KillShard {
-			if shardAlive && !shardKilled && n >= int64(killAt) {
-				replicated[sb.ShardFor(channels[0])].Kill()
-				shardKilled, shardAlive = true, false
-			}
-			if !shardAlive && n >= int64(reviveAt) {
-				replicated[sb.ShardFor(channels[0])].Revive()
-				shardAlive = true
-			}
-		}
 		if cfg.StaleFollower && staleStage < 3 && n >= int64(total*(staleStage+1)/4) {
 			staleStep()
 		}
@@ -292,21 +326,62 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		go func(w int) {
 			defer wg.Done()
 			m := members[w%len(members)]
+			// ResumeSessions: this submitter's connection and what its
+			// handshakes over it have established.
+			conn := fmt.Sprintf("chaos-conn-%d", w)
+			var handshakes middleware.Handshaker
 			for i := 0; i < cfg.Submissions; i++ {
 				n := counter.Add(1)
+				channel := channels[(w+i)%len(channels)]
+				killer := cfg.KillShard && n == int64(killAt)
+				switch {
+				case killer:
+					setShard(false)
+					channel = channels[0]
+				case cfg.KillShard && n == int64(reviveAt):
+					<-killBit
+					setShard(true)
+				}
 				inject(n)
 				req := &middleware.Request{
-					Channel:      channels[(w+i)%len(channels)],
-					Principal:    m,
-					Payload:      []byte(fmt.Sprintf("chaos w%d i%d", w, i)),
-					SessionToken: grants[m].Token,
+					Channel:   channel,
+					Principal: m,
+					Payload:   []byte(fmt.Sprintf("chaos w%d i%d", w, i)),
 				}
-				middleware.MACRequest(req, grants[m].MacKey)
-				err := gw.Submit(context.Background(), req)
+				grant, err := grants[m], error(nil)
+				if cfg.ResumeSessions {
+					afterRevocation := m == revoked && revocationDone.Load()
+					grant, err = handshakes.Open(context.Background(), m, certs[m], keys[m], "", func(ctx context.Context, hello []byte) ([]byte, error) {
+						return gw.ServeWire(ctx, middleware.TopicSessionOpen, hello, conn)
+					})
+					switch {
+					case err == nil && afterRevocation:
+						failMu.Lock()
+						violations = append(violations, fmt.Sprintf("%s opened a session after its revocation (resumed: %v)", m, grant.Resumed))
+						failMu.Unlock()
+					case err != nil && afterRevocation:
+						refusedOpens.Add(1)
+					case err == nil && grant.Resumed:
+						resumedOpens.Add(1)
+					}
+					req.TransportID = conn
+				}
+				if err == nil {
+					req.SessionToken = grant.Token
+					middleware.MACRequest(req, grant.MacKey)
+					err = gw.Submit(context.Background(), req)
+					if cfg.ResumeSessions {
+						_ = gw.Sessions().CloseFrom(grant.Token, conn)
+					}
+				}
+				if killer {
+					close(killBit)
+				}
 				if err == nil {
 					succeeded.Add(1)
 					if cfg.RevokeMidStorm && m == revoked && revokedOK.Add(1) == revokeAfter {
 						ca.Revoke(certs[revoked].Serial)
+						revocationDone.Store(true)
 					}
 					continue
 				}
@@ -369,8 +444,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		Succeeded:       int(succeeded.Load()),
 		Failed:          failed,
 		RevokedRejected: int(revokedRej.Load()),
-		Migrations:      sb.Migrations(),
-		Delivered:       make(map[string]int, len(channels)),
+
+		ResumedOpens:        int(resumedOpens.Load()),
+		RevokedOpensRefused: int(refusedOpens.Load()),
+		Violations:          violations,
+		Migrations:          sb.Migrations(),
+		Delivered:           make(map[string]int, len(channels)),
 	}
 	for _, rs := range replicated {
 		report.Failovers += rs.Failovers()

@@ -146,6 +146,50 @@ func TestChaosRevokeMidStorm(t *testing.T) {
 	}
 }
 
+// TestChaosRevokeWhileResuming is the revocation storm with every submitter
+// opening a session per submission over the wire handshake, so the member
+// being revoked holds master secrets and is resuming when the revocation
+// lands. Holding a secret must buy it nothing: every open it starts
+// afterwards is refused — the resumed ones and the full ones its clients fall
+// back to — while everybody else keeps resuming.
+func TestChaosRevokeWhileResuming(t *testing.T) {
+	report, err := RunChaos(ChaosConfig{
+		Shards:         2,
+		Replicas:       3,
+		Channels:       4,
+		Submitters:     6,
+		Submissions:    30,
+		RevokeMidStorm: true,
+		ResumeSessions: true,
+	})
+	if err != nil {
+		t.Fatalf("RunChaos: %v", err)
+	}
+	if len(report.Violations) != 0 {
+		t.Fatalf("violations under revocation while resuming:\n%s", strings.Join(report.Violations, "\n"))
+	}
+	if report.RevokedOpensRefused == 0 {
+		t.Fatal("the revoked member never tried to open a session after its revocation")
+	}
+	// Six submitters, thirty opens each, one full handshake per submitter
+	// (two for a client that met the swept table and fell back).
+	if report.ResumedOpens < report.Succeeded-2*6 {
+		t.Fatalf("%d of %d accepted submissions rode a resumed session; the storm was not resuming", report.ResumedOpens, report.Succeeded)
+	}
+	if got := report.Submitted - report.Succeeded; got != report.RevokedRejected || got < report.RevokedOpensRefused {
+		t.Fatalf("%d failures, %d revocation rejections, %d refused opens: %v",
+			got, report.RevokedRejected, report.RevokedOpensRefused, report.Failed)
+	}
+	for key := range report.Failed {
+		if !strings.HasPrefix(key, "session-revoked") {
+			t.Fatalf("unexpected failure class %q: %v", key, report.Failed)
+		}
+	}
+	if want := report.Succeeded + 4; sumDelivered(report) != want {
+		t.Fatalf("delivered %d txs, want %d", sumDelivered(report), want)
+	}
+}
+
 // TestChaosStaleFollowerKeepsOneChain lags a follower behind live traffic,
 // brings it back while its cluster has no leader, and then makes it stand
 // against a node that committed blocks it never saw. The other scenarios

@@ -31,6 +31,9 @@ func NewAuthn(caKey dcrypto.PublicKey, now func() time.Time) *Authn {
 // Name implements Stage.
 func (a *Authn) Name() string { return StageAuthn }
 
+// verifier implements verifierHolder.
+func (a *Authn) verifier() *pki.Verifier { return a.certs }
+
 // statRows declares the certificate verifier's two counters.
 func (a *Authn) statRows() []statRow {
 	return []statRow{

@@ -33,8 +33,8 @@ var ErrBadFrame = errors.New("middleware: malformed binary frame")
 // frame-kind byte, then fields in fixed order, each length-prefixed with a
 // uvarint. Strings and byte fields share one shape; maps carry a count
 // first. Requests and ledger envelopes share the magic, the kind byte tells
-// them apart, and this file holds the request codec plus the primitives all
-// three kinds are built from. The certificate inside a wire request —
+// them apart, and this file holds the request codec plus the primitives every
+// kind is built from. The certificate inside a wire request —
 // first-contact traffic only, never the session fast path — nests as a JSON
 // blob: certificates are cold, structured, and versioned by the pki package,
 // and re-encoding them field-by-field here would couple the framing to pki
@@ -44,6 +44,11 @@ const (
 	binaryKindRequest       = 0x01
 	binaryKindEnvelope      = 0x02
 	binaryKindGroupEnvelope = 0x03
+	// The session handshake's four messages (handshake.go).
+	binaryKindHello      = 0x04
+	binaryKindResume     = 0x05
+	binaryKindGrant      = 0x06
+	binaryKindResumeMiss = 0x07
 )
 
 // isBinaryFrame sniffs the framing of a wire request: binary frames start
@@ -178,18 +183,22 @@ func encodeWireRequestBinary(w *wireRequest) ([]byte, error) {
 }
 
 // decodeWireRequestBinary reverses encodeWireRequestBinary. Byte fields
-// alias the input buffer.
-func decodeWireRequestBinary(b []byte) (wireRequest, error) {
+// alias the input buffer. The three strings every session submission
+// carries are not allocated when g already holds them: the token and
+// principal come from the session the token names, the channel from the
+// gateway's table of channel names (see Gateway.channelName). A nil g copies
+// all three.
+func decodeWireRequestBinary(b []byte, g *Gateway) (wireRequest, error) {
 	var w wireRequest
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindRequest {
 		return w, fmt.Errorf("%w: not a binary request frame", ErrBadFrame)
 	}
 	r := &frameReader{b: b[2:]}
-	w.Channel = r.str()
-	w.Principal = r.str()
+	channel := r.bytes()
+	principal := r.bytes()
 	w.Backend = r.str()
 	w.Payload = r.bytes()
-	w.Session = r.str()
+	session := r.bytes()
 	sig := r.bytes()
 	w.MAC = r.bytes()
 	cert := r.bytes()
@@ -209,6 +218,12 @@ func decodeWireRequestBinary(b []byte) (wireRequest, error) {
 	}
 	if err := r.done(); err != nil {
 		return wireRequest{}, err
+	}
+	w.Channel = g.channelName(channel)
+	if g != nil && g.sessions != nil && len(session) > 0 {
+		w.Session, w.Principal = g.sessions.names(session, principal)
+	} else {
+		w.Session, w.Principal = string(session), string(principal)
 	}
 	if len(sig) > 0 {
 		s, err := dcrypto.ParseSignature(sig)

@@ -154,6 +154,20 @@
 // touching the certificate again. Requests without a token pass through to
 // the authn stage untouched, so one chain serves both traffic kinds.
 //
+// Over a network the handshake is ServeWire's, and it proves possession of
+// the certified key once, not once per session: after a full hello has
+// passed every check above, the manager draws a master secret, remembers it
+// beside what the handshake proved, and returns it in the grant only as
+// dcrypto.EncryptHybrid ciphertext under the certified key. The client's
+// later opens (Handshaker: netedge.Client holds one per connection) send a
+// resume hello — an HMAC under the master over a fresh nonce and issue time
+// — which runs through the same freshness, replay, revocation, cap and
+// binding checks and skips only the public-key work. A gateway that does
+// not hold the secret (expired, evicted, revoked, restarted) says so with a
+// reply, not an error, and the client falls back to the full handshake
+// inside the same call. See handshake.go for the four frames and resume.go
+// for the bounded table.
+//
 // Sessions end three ways, each observable distinctly: an explicit Close
 // (token becomes unknown, ErrNoSession — indistinguishable from a forged
 // token by design), the hard TTL, or the idle window (both
@@ -199,12 +213,16 @@
 //     "mac", Open derives a per-session HMAC-SHA256 key via HKDF — salted
 //     with the handshake transcript digest, so the key is rooted in the
 //     very PKI handshake it amortizes — and returns it in the
-//     SessionGrant. Steady-state submissions then carry MACRequest output
+//     SessionGrant when the grant is handed over in memory. A grant that
+//     crosses a network never carries it: gateway and client each derive
+//     it from the handshake's master secret, which travels only sealed to
+//     the certified key. Steady-state submissions then carry MACRequest output
 //     instead of an ECDSA signature: a ~0.5µs pooled, allocation-free
 //     verify in place of a ~80µs public-key operation. The trust argument:
-//     the key is minted only after full certificate verification, is bound
-//     to one session, travels the same channel the bearer token already
-//     does, and dies with the session — expiry, close, or revocation (a
+//     the key is minted only after full certificate verification (or proof
+//     of possession of the secret such a verification sealed), is bound to
+//     one session, is derivable only by the holder of the certified private
+//     key, and dies with the session — expiry, close, or revocation (a
 //     revoked certificate evicts the session and with it the server's
 //     copy of the key, so the fast path cannot outlive trust; see
 //     BenchmarkGatewaySessionMAC and the revocation suite). Requests

@@ -44,7 +44,7 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 		if !isBinaryFrame(b) {
 			t.Fatalf("case %d: encoded frame not sniffed as binary", i)
 		}
-		got, err := decodeWireRequestBinary(b)
+		got, err := decodeWireRequestBinary(b, nil)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -199,7 +199,7 @@ func TestBinaryFrameRejectsMalformed(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := decodeWireRequestBinary(b); err == nil {
+		if _, err := decodeWireRequestBinary(b, nil); err == nil {
 			t.Fatalf("%s: malformed frame accepted", name)
 		}
 	}

@@ -274,7 +274,7 @@ func FuzzWireRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back, err := decodeWireRequestBinary(frame)
+		back, err := decodeWireRequestBinary(frame, nil)
 		if err != nil {
 			t.Fatalf("the binary decoder refuses what the encoder made of a JSON request: %v", err)
 		}

@@ -98,6 +98,11 @@ type Gateway struct {
 	// revocation audit trail (may be nil).
 	revoker  Revoker
 	auditLog *audit.Log
+	// directory is the channel membership the encrypt stage seals to (nil
+	// without one); channelNames interns the names of its channels for the
+	// wire decoder, copy-on-write under mu. See channelName.
+	directory    Directory
+	channelNames atomic.Pointer[map[string]string]
 
 	// Stage hooks, resolved once at construction by ranging the built
 	// chain: sessions is the session stage's manager (nil without one —
@@ -107,6 +112,9 @@ type Gateway struct {
 	// order).
 	sessions *SessionManager
 	rows     []statRow
+	// verifiers are the certificate verifiers the stages hold (session,
+	// authn), summed into the confmw_pki_verifier_* families.
+	verifiers []*pki.Verifier
 
 	// tracer samples submissions into a bounded trace ring (Config.Trace);
 	// nil when tracing is off — every tracer method is nil-receiver safe,
@@ -115,7 +123,7 @@ type Gateway struct {
 
 	submitted atomic.Uint64 // requests accepted by the chain
 	ordered   atomic.Uint64 // transactions handed to the orderer
-	rejected  atomic.Uint64 // requests refused by any stage
+	rejected  atomic.Uint64 // requests refused by any stage, handshakes refused
 
 	revMu    sync.Mutex // serializes SyncRevocations' delta cursor
 	revEpoch uint64     // last revocation epoch applied to the encrypt stage
@@ -151,7 +159,8 @@ type GatewayStats struct {
 	Submitted uint64
 	// Ordered counts transactions handed to the ordering backend.
 	Ordered uint64
-	// Rejected counts requests refused by any stage.
+	// Rejected counts requests refused by any stage, and session handshakes
+	// refused over the wire (ServeWire).
 	Rejected uint64
 	// Stages holds per-stage counters in chain order.
 	Stages []StageStats
@@ -250,16 +259,17 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 		codec = CodecJSON
 	}
 	g := &Gateway{
-		name:     name,
-		codec:    codec,
-		orderer:  orderer,
-		sharded:  sharded,
-		now:      gwNow,
-		revoker:  env.Revoker,
-		auditLog: env.Log,
-		backends: make(map[string][]Backend),
-		bound:    make(map[string]map[string]bool),
-		commits:  make(map[string]*backendCounters),
+		name:      name,
+		codec:     codec,
+		orderer:   orderer,
+		sharded:   sharded,
+		now:       gwNow,
+		revoker:   env.Revoker,
+		auditLog:  env.Log,
+		directory: env.Directory,
+		backends:  make(map[string][]Backend),
+		bound:     make(map[string]map[string]bool),
+		commits:   make(map[string]*backendCounters),
 	}
 	chain, err := cfg.Build(env, g.order)
 	if err != nil {
@@ -275,6 +285,9 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 	for _, s := range chain.stages {
 		if h, ok := s.(sessionHolder); ok {
 			g.sessions = h.Manager()
+		}
+		if h, ok := s.(verifierHolder); ok {
+			g.verifiers = append(g.verifiers, h.verifier())
 		}
 		if src, ok := s.(statSource); ok {
 			g.rows = append(g.rows, src.statRows()...)
@@ -593,15 +606,28 @@ func (g *Gateway) statRows() []statRow {
 			return n
 		}
 	}
+	// Every pki.Verifier behind the gateway, as one pair of families: the
+	// per-stage pairs (confmw_session_cert_*, confmw_authn_cert_*) say where.
+	verifiers := func(pick func(*pki.Verifier) uint64) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			for _, v := range g.verifiers {
+				n += pick(v)
+			}
+			return n
+		}
+	}
 	return []statRow{
 		{"confmw_gateway_submitted_total", "Requests accepted by the chain.", counter, g.submitted.Load, func(s *GatewayStats, v uint64) { s.Submitted = v }},
 		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", counter, g.ordered.Load, func(s *GatewayStats, v uint64) { s.Ordered = v }},
-		{"confmw_gateway_rejected_total", "Requests refused by a stage.", counter, g.rejected.Load, func(s *GatewayStats, v uint64) { s.Rejected = v }},
+		{"confmw_gateway_rejected_total", "Requests refused by a stage, and session handshakes refused.", counter, g.rejected.Load, func(s *GatewayStats, v uint64) { s.Rejected = v }},
 		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }},
 		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }},
 		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil},
 		{"confmw_audit_log_observations", "Distinct observations the leakage log holds; it never shrinks.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }},
 		{"confmw_audit_log_bytes", "Bytes held by the leakage log's arena, entries and index.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }},
+		{"confmw_pki_verifier_hits_total", "Certificates found in a verified set, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Hits), nil},
+		{"confmw_pki_verifier_verifications_total", "CA signature checks run, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Verifications), nil},
 		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.blocks.Load() }), nil},
 		{"confmw_backend_committed_txs_total", "Transactions committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.txs.Load() }), nil},
 		{"confmw_backend_commit_errors_total", "Failed block commits across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.errors.Load() }), nil},
@@ -659,6 +685,36 @@ func (g *Gateway) RegisterMetrics(reg *telemetry.Registry) error {
 // nil when the pipeline has no session stage.
 func (g *Gateway) Sessions() *SessionManager { return g.sessions }
 
+// channelName returns a frame's channel bytes as a string without
+// allocating one per request: from a table of the channel names seen so far
+// that the directory knows. Only the directory's channels ever enter it, so
+// hostile input grows nothing; a channel the directory does not know (or a
+// gateway without a directory) gets a fresh copy, as every channel used to.
+func (g *Gateway) channelName(b []byte) string {
+	if g == nil || g.directory == nil {
+		return string(b)
+	}
+	if names := g.channelNames.Load(); names != nil {
+		if name, ok := (*names)[string(b)]; ok { // the conversion in a map index does not allocate
+			return name
+		}
+	}
+	name := string(b)
+	if _, err := g.directory.MemberKeys(name); err != nil {
+		return name
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	grown := map[string]string{name: name}
+	if names := g.channelNames.Load(); names != nil {
+		for k, v := range *names {
+			grown[k] = v
+		}
+	}
+	g.channelNames.Store(&grown)
+	return name
+}
+
 // RotateChannelKey forces the encrypt stage onto a fresh data-key epoch
 // for the channel (e.g. after revoking a member's certificate). A no-op
 // when the pipeline has no encrypt stage or no key cache.
@@ -708,7 +764,7 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 				return nil, fmt.Errorf("gateway %s: binary codec not enabled", g.name)
 			}
 			var err error
-			if w, err = decodeWireRequestBinary(payload); err != nil {
+			if w, err = decodeWireRequestBinary(payload, g); err != nil {
 				return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
 			}
 		} else if err := json.Unmarshal(payload, &w); err != nil {
@@ -741,37 +797,7 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		if mgr == nil {
 			return nil, fmt.Errorf("gateway %s: pipeline has no session stage", g.name)
 		}
-		var hello SessionHello
-		if err := json.Unmarshal(payload, &hello); err != nil {
-			return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, err)
-		}
-		// A hello carrying a trace ID joins the client's sampled flow:
-		// the handshake is recorded as its own trace in the ring.
-		var tr *telemetry.Trace
-		if hello.TraceID != 0 {
-			tr = g.tracer.For(hello.TraceID)
-		}
-		grant, err := mgr.OpenBound(hello, transportID)
-		if tr != nil {
-			d := time.Since(tr.Start)
-			tr.AddSpan("session.open", tr.Start, d, d, err)
-			g.tracer.Finish(tr, err)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Codec negotiation: the session gets binary framing only when
-		// the client asked for it AND the gateway offers it; everything
-		// else downgrades to JSON, which every gateway accepts.
-		grant.Codec = CodecJSON
-		if hello.Codec == CodecBinary && g.codec == CodecBinary {
-			grant.Codec = CodecBinary
-		}
-		b, err := json.Marshal(grant)
-		if err != nil {
-			return nil, fmt.Errorf("gateway %s: encode grant: %w", g.name, err)
-		}
-		return b, nil
+		return g.serveSessionOpen(mgr, payload, transportID)
 	case TopicSessionClose:
 		mgr := g.Sessions()
 		if mgr == nil {
@@ -831,6 +857,72 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 	}
 }
 
+// serveSessionOpen runs one handshake that crossed a network: a full hello
+// (a 0xDC frame, or JSON for as long as the JSON request codec exists) or a
+// resume hello. The grant goes back in the framing the hello came in, and in
+// neither does it carry the MAC key or the bare master secret: see
+// SessionManager.open. A resume hello naming an id the manager does not hold
+// is answered with the resume-miss frame — a reply, so the client can tell
+// "send the full hello" from a refusal. Every refusal counts in
+// confmw_gateway_rejected_total.
+func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transportID string) ([]byte, error) {
+	var hello *SessionHello
+	var resume *resumeHello
+	var err error
+	framed := isBinaryFrame(payload)
+	if framed {
+		hello, resume, err = decodeHelloFrame(payload)
+	} else {
+		hello = new(SessionHello)
+		err = json.Unmarshal(payload, hello)
+	}
+	if err != nil {
+		g.rejected.Add(1)
+		return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, err)
+	}
+	var codec string
+	var traceID uint64
+	if resume != nil {
+		codec, traceID = resume.Codec, resume.TraceID
+	} else {
+		codec, traceID = hello.Codec, hello.TraceID
+	}
+	// A hello carrying a trace ID joins the client's sampled flow:
+	// the handshake is recorded as its own trace in the ring.
+	var tr *telemetry.Trace
+	if traceID != 0 {
+		tr = g.tracer.For(traceID)
+	}
+	grant, err := mgr.open(hello, resume, transportID, true)
+	if tr != nil {
+		d := time.Since(tr.Start)
+		tr.AddSpan("session.open", tr.Start, d, d, err)
+		g.tracer.Finish(tr, err)
+	}
+	if errors.Is(err, errResumeUnknown) {
+		return []byte{binaryMagic, binaryKindResumeMiss}, nil
+	}
+	if err != nil {
+		g.rejected.Add(1)
+		return nil, err
+	}
+	// Codec negotiation: the session gets binary framing only when
+	// the client asked for it AND the gateway offers it; everything
+	// else downgrades to JSON, which every gateway accepts.
+	grant.Codec = CodecJSON
+	if codec == CodecBinary && g.codec == CodecBinary {
+		grant.Codec = CodecBinary
+	}
+	if framed {
+		return encodeGrantFrame(&grant), nil
+	}
+	b, err := json.Marshal(grant)
+	if err != nil {
+		return nil, fmt.Errorf("gateway %s: encode grant: %w", g.name, err)
+	}
+	return b, nil
+}
+
 // AttachTransport registers the gateway as a network endpoint serving
 // TopicSubmit, TopicSessionOpen, and TopicSessionClose. The reply to an
 // accepted submission is its request ID (batched submissions are
@@ -878,26 +970,15 @@ func OpenSessionOver(net *transport.Network, from, endpoint string, cert pki.Cer
 
 // OpenSessionOverCodec is OpenSessionOver asking for a wire codec; the
 // grant reports the codec the gateway actually offers (and, on a
-// reqauth=mac gateway, the session MAC key for MACRequest).
+// reqauth=mac gateway, the session MAC key for MACRequest — derived here,
+// never sent). Every call is the full signed handshake: the helper keeps
+// nothing between calls. A caller that opens sessions again and again holds
+// a Handshaker and calls its Open with the same round trip, and resumes.
 func OpenSessionOverCodec(net *transport.Network, from, endpoint string, cert pki.Certificate, key *dcrypto.PrivateKey, codec string) (SessionGrant, error) {
-	hello, err := NewSessionHello(from, cert, key)
-	if err != nil {
-		return SessionGrant{}, err
-	}
-	hello.Codec = codec
-	b, err := json.Marshal(hello)
-	if err != nil {
-		return SessionGrant{}, fmt.Errorf("middleware: encode hello: %w", err)
-	}
-	reply, err := net.Send(transport.Message{From: from, To: endpoint, Topic: TopicSessionOpen, Payload: b})
-	if err != nil {
-		return SessionGrant{}, err
-	}
-	var grant SessionGrant
-	if err := json.Unmarshal(reply, &grant); err != nil {
-		return SessionGrant{}, fmt.Errorf("middleware: decode grant: %w", err)
-	}
-	return grant, nil
+	// The substrate delivers in process and takes no context.
+	return new(Handshaker).Open(context.TODO(), from, cert, key, codec, func(_ context.Context, hello []byte) ([]byte, error) {
+		return net.Send(transport.Message{From: from, To: endpoint, Topic: TopicSessionOpen, Payload: hello})
+	})
 }
 
 // CloseSessionOver ends a session at a gateway endpoint.

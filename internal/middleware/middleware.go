@@ -325,6 +325,9 @@ type (
 	// sessionHolder is the stage fronting the session manager the gateway
 	// serves session.open / session.close through.
 	sessionHolder interface{ Manager() *SessionManager }
+	// verifierHolder is a stage that checks certificates through a
+	// pki.Verifier, whose counts the gateway also exports summed.
+	verifierHolder interface{ verifier() *pki.Verifier }
 	// statSource is a stage that exports numbers; see statRow.
 	statSource interface{ statRows() []statRow }
 )

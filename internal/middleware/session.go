@@ -123,13 +123,26 @@ type SessionGrant struct {
 	// MacKey is the per-session request-authentication key, present only
 	// when the manager runs reqauth=mac. It is derived via HKDF with the
 	// handshake transcript digest as salt, so the key is cryptographically
-	// bound to the PKI-verified handshake that opened the session. Its
-	// secrecy rides the same channel the bearer token already does; the
-	// server's copy dies with the session (expiry, close, or revocation).
+	// bound to the handshake that opened the session. It never crosses a
+	// network: an in-process Open returns it here, and a grant that travelled
+	// (ServeWire) leaves it empty for the client to derive from the master
+	// secret (Handshaker does). The server's copy dies with the session
+	// (expiry, close, or revocation).
 	MacKey []byte `json:"macKey,omitempty"`
 	// Codec is the wire codec the gateway will serve this session with;
 	// empty means JSON.
 	Codec string `json:"codec,omitempty"`
+	// MacAuth says the gateway authenticates this session's requests by MAC
+	// (reqauth=mac), i.e. that there is a MacKey to derive.
+	MacAuth bool `json:"macAuth,omitempty"`
+	// ResumeID and Sealed are set on the grant of a full handshake that
+	// crossed a network: the master secret encrypted to the certified key
+	// (dcrypto.EncryptHybrid, the hello's transcript digest as associated
+	// data), and the id a later resume hello names it by.
+	ResumeID []byte                    `json:"resumeId,omitempty"`
+	Sealed   *dcrypto.HybridCiphertext `json:"sealed,omitempty"`
+	// Resumed marks a session opened by a resume hello.
+	Resumed bool `json:"resumed,omitempty"`
 }
 
 // helloDigest is the canonical signed content of a handshake.
@@ -179,6 +192,9 @@ const sessionTokenBytes = 32
 // the manager runs reqauth=mac. lastUsed is atomic unix-nanos so the
 // resolve fast path can touch the idle clock under a read lock.
 type session struct {
+	// token is the table key, kept so the wire decoder can hand a request
+	// the session's own string instead of allocating one per frame.
+	token     string
 	principal string
 	key       dcrypto.PublicKey
 	mac       []byte
@@ -222,6 +238,12 @@ type sessionStripe struct {
 // hash O(1) in token length (tokens are 64 hex chars, and this sits on the
 // resolve hot path).
 func (m *SessionManager) stripeFor(token string) *sessionStripe {
+	return &m.stripes[stripeIndex(token)]
+}
+
+// stripeIndex is stripeFor's hash, over a token held as a string or as the
+// bytes of a frame.
+func stripeIndex[T string | []byte](token T) uint32 {
 	h := uint32(2166136261)
 	n := len(token)
 	if n > 8 {
@@ -231,7 +253,26 @@ func (m *SessionManager) stripeFor(token string) *sessionStripe {
 		h = (h ^ uint32(token[i])) * 16777619
 	}
 	h = (h ^ uint32(len(token))) * 16777619
-	return &m.stripes[h&(sessionStripeCount-1)]
+	return h & (sessionStripeCount - 1)
+}
+
+// names returns the token and principal of a frame as strings: the held
+// session's own when the bytes name one, fresh copies otherwise. It
+// authenticates nothing — resolve does, on the strings it returns — and
+// exists so that the session fast path allocates neither.
+func (m *SessionManager) names(token, principal []byte) (string, string) {
+	st := &m.stripes[stripeIndex(token)]
+	st.mu.RLock()
+	s := st.sessions[string(token)] // the conversion in a map index does not allocate
+	st.mu.RUnlock()
+	switch {
+	case s == nil:
+		return string(token), string(principal)
+	case s.principal == string(principal):
+		return s.token, s.principal
+	default:
+		return s.token, string(principal)
+	}
 }
 
 // SessionManager establishes and resolves gateway sessions. Opening a
@@ -296,6 +337,10 @@ type SessionManager struct {
 	// closes, so a recorded hello cannot be replayed to mint a second
 	// token. Keyed by nonce hex, valued by forget-after time.
 	seenNonces map[string]time.Time
+	// resumes remembers what full handshakes over the wire proved, so a
+	// returning principal proves possession of its master secret instead of
+	// its private key. Bounded; guarded by mu.
+	resumes resumeTable
 
 	// revEpoch is the last revocation epoch applied; lastRevSweep stamps
 	// the last delta application (unix nanos) for the sweep-mode interval
@@ -309,6 +354,10 @@ type SessionManager struct {
 	expired atomic.Uint64
 	evicted atomic.Uint64
 	revoked atomic.Uint64
+	// resumed counts sessions opened by a resume hello (also in opened),
+	// resumeMisses resume hellos naming an id the table did not hold.
+	resumed      atomic.Uint64
+	resumeMisses atomic.Uint64
 }
 
 // SessionStats is a snapshot of the manager's lifecycle counters, the
@@ -332,6 +381,13 @@ type SessionStats struct {
 	// in neither.
 	CertVerifications uint64
 	CertCacheHits     uint64
+	// Resumed counts sessions opened by a resume hello (they are in Opened
+	// too), ResumeMisses the resume hellos that named an id the manager did
+	// not hold and were sent back to the full handshake, ResumeEntries the
+	// resumption table's current size.
+	Resumed       uint64
+	ResumeMisses  uint64
+	ResumeEntries int
 }
 
 // SessionOption configures a SessionManager beyond the required fields.
@@ -452,13 +508,40 @@ func (m *SessionManager) Open(hello SessionHello) (SessionGrant, error) {
 // opens every session this way, stamping each connection's identity; an
 // empty transportID degrades to an unbound Open. Connection teardown
 // should call EvictTransport to reap the bound sessions.
+//
+// This is the in-process handshake: the grant is handed over in memory, so
+// it carries the MAC key itself, nothing is sealed and nothing is remembered
+// for resumption. The handshake that crosses a network is ServeWire's.
 func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (SessionGrant, error) {
+	return m.open(&hello, nil, transportID, false)
+}
+
+// open runs one handshake, full (hello) or resumed (resume); exactly one of
+// the two is set. The two differ only in how the caller proves who it is — a
+// certificate and a signature over the transcript, or an HMAC over it under
+// the master secret an earlier full handshake sealed to the certified key.
+// Everything else is one path: the freshness window, the nonce memory, the
+// validity and revocation checks on this call's clock, the per-principal
+// cap, the transport binding, the counters.
+//
+// wire says the grant will cross a network: a full handshake then draws a
+// master secret, remembers it for resumption and returns it only sealed to
+// the certified key, and no grant carries the MAC key — both sides derive it
+// from the master. Resumed handshakes are wire handshakes by construction.
+func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transportID string, wire bool) (SessionGrant, error) {
 	now := m.now()
-	if hello.IssuedAt.Before(now.Add(-helloFreshness)) || hello.IssuedAt.After(now.Add(helloFreshness)) {
-		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, hello.IssuedAt, now)
+	var nonce []byte
+	var issuedAt time.Time
+	if resume != nil {
+		nonce, issuedAt = resume.Nonce, resume.IssuedAt
+	} else {
+		nonce, issuedAt = hello.Nonce, hello.IssuedAt
 	}
-	// The two rejections that cost nothing come before any public-key work.
-	if hello.Cert.Identity != hello.Principal {
+	if issuedAt.Before(now.Add(-helloFreshness)) || issuedAt.After(now.Add(helloFreshness)) {
+		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, issuedAt, now)
+	}
+	// The rejection that costs nothing comes before any other work.
+	if hello != nil && hello.Cert.Identity != hello.Principal {
 		return SessionGrant{}, fmt.Errorf("%w: cert for %q, hello by %q",
 			ErrIdentityMismatch, hello.Cert.Identity, hello.Principal)
 	}
@@ -467,63 +550,121 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 	// reads: the nonce is recorded after verification, under the same lock as
 	// the authoritative check, so an unverified hello cannot plant one. An
 	// entry the sweep has yet to forget is left to that check.
-	nonceKey := hex.EncodeToString(hello.Nonce)
+	nonceKey := hex.EncodeToString(nonce)
+	var known *resumeEntry
 	m.mu.Lock()
 	forgetAfter, seen := m.seenNonces[nonceKey]
+	if resume != nil {
+		known = m.resumes.get(resume.ID, now)
+	}
 	m.mu.Unlock()
 	if seen && !now.After(forgetAfter) {
-		return SessionGrant{}, fmt.Errorf("%w: principal %s", ErrReplayedHello, hello.Principal)
+		return SessionGrant{}, fmt.Errorf("%w: nonce %s", ErrReplayedHello, nonceKey)
 	}
-	if err := m.certs.Verify(hello.Cert, now); err != nil {
-		return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
+
+	// The proof of identity: who is opening, under which certificate, and
+	// the transcript digest the session's MAC key is salted with.
+	var (
+		principal string
+		serial    uint64
+		key       dcrypto.PublicKey
+		digest    [32]byte
+	)
+	if resume != nil {
+		// An entry is looked up with this call's clock, so one past the
+		// session ttl or its certificate's NotAfter is already gone.
+		if known == nil {
+			m.resumeMisses.Add(1)
+			return SessionGrant{}, errResumeUnknown
+		}
+		digest = resumeDigest(resume.ID, nonce, issuedAt)
+		if dcrypto.VerifyMAC(known.master[:], digest[:], resume.Tag) != nil {
+			return SessionGrant{}, fmt.Errorf("%w: resume hello for %s", ErrBadMAC, known.identity)
+		}
+		principal, serial, key = known.identity, known.serial, known.key
+	} else {
+		if err := m.certs.Verify(hello.Cert, now); err != nil {
+			return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
+		}
+		principal, serial = hello.Principal, hello.Cert.Serial
+		digest = helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
 	}
 	// A revoked certificate cannot root a new session, whatever the check
-	// mode does to established ones — and whether or not the verifier has
-	// seen the certificate before: revocation is never cached. This unlocked
-	// check is the cheap fast-fail; the authoritative re-check runs under the
-	// control lock below, so a revocation sweeping between here and the
-	// insert cannot slip a revoked serial into the table.
-	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(hello.Cert.Serial) {
-		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)",
-			ErrSessionRevoked, hello.Principal, hello.Cert.Serial)
+	// mode does to established ones — and whether or not the verifier or the
+	// resumption table has seen the certificate before: revocation is never
+	// cached. This unlocked check is the cheap fast-fail; the authoritative
+	// re-check runs under the control lock below, so a revocation sweeping
+	// between here and the insert cannot slip a revoked serial into the table.
+	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(serial) {
+		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
 	}
-	key, err := hello.Cert.Key()
-	if err != nil {
-		return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
+	if hello != nil {
+		var err error
+		if key, err = hello.Cert.Key(); err != nil {
+			return SessionGrant{}, fmt.Errorf("session open %s: %w", principal, err)
+		}
+		if err := key.Verify(digest[:], hello.Sig); err != nil {
+			return SessionGrant{}, fmt.Errorf("%w: session hello by %s", ErrBadSignature, principal)
+		}
 	}
-	d := helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
-	if err := key.Verify(d[:], hello.Sig); err != nil {
-		return SessionGrant{}, fmt.Errorf("%w: session hello by %s", ErrBadSignature, hello.Principal)
-	}
+
 	raw, err := dcrypto.RandomBytes(sessionTokenBytes)
 	if err != nil {
 		return SessionGrant{}, fmt.Errorf("session token: %w", err)
 	}
 	token := hex.EncodeToString(raw)
 	expires := now.Add(m.ttl)
-	var macKey []byte
-	if m.reqauth == AuthMAC {
-		ikm, err := dcrypto.RandomBytes(dcrypto.MACKeySize)
-		if err != nil {
-			return SessionGrant{}, fmt.Errorf("session mac key: %w", err)
-		}
-		macKey, err = dcrypto.HKDF(ikm, d[:], []byte(sessionMACInfo+token), dcrypto.MACKeySize)
-		if err != nil {
-			return SessionGrant{}, fmt.Errorf("session mac key: %w", err)
+	grant := SessionGrant{Token: token, Principal: principal, ExpiresAt: expires, Resumed: resume != nil}
+
+	// The secret the MAC key is derived from: the remembered master of a
+	// resumed handshake, a fresh one otherwise — which a wire handshake
+	// remembers and seals, and an in-process one uses once and forgets.
+	var secret []byte
+	var fresh *resumeEntry
+	switch {
+	case resume != nil:
+		secret = known.master[:]
+	case wire || m.reqauth == AuthMAC:
+		if secret, err = dcrypto.RandomBytes(masterBytes); err != nil {
+			return SessionGrant{}, fmt.Errorf("session master secret: %w", err)
 		}
 	}
-
+	if hello != nil && wire {
+		id, err := dcrypto.RandomBytes(resumeIDBytes)
+		if err != nil {
+			return SessionGrant{}, fmt.Errorf("session resume id: %w", err)
+		}
+		// The transcript digest as associated data ties the sealed secret to
+		// this hello: a grant recorded off the wire opens under no other.
+		sealed, err := dcrypto.EncryptHybrid(key, secret, digest[:])
+		if err != nil {
+			return SessionGrant{}, fmt.Errorf("session open %s: seal master secret: %w", principal, err)
+		}
+		fresh = &resumeEntry{identity: principal, serial: serial, key: key, expires: expires}
+		if hello.Cert.NotAfter.Before(expires) {
+			fresh.expires = hello.Cert.NotAfter
+		}
+		copy(fresh.master[:], secret)
+		grant.ResumeID, grant.Sealed = id, &sealed
+	}
 	s := &session{
-		principal: hello.Principal,
+		token:     token,
+		principal: principal,
 		key:       key,
-		mac:       macKey,
-		serial:    hello.Cert.Serial,
+		serial:    serial,
 		boundTo:   transportID,
 		openedAt:  now,
 		expiresAt: expires,
 	}
-	if len(macKey) > 0 {
-		s.macKey = dcrypto.NewMACKey(macKey)
+	if m.reqauth == AuthMAC {
+		if s.mac, err = sessionMACKey(secret, digest, token); err != nil {
+			return SessionGrant{}, err
+		}
+		s.macKey = dcrypto.NewMACKey(s.mac)
+		grant.MacAuth = true
+		if !wire {
+			grant.MacKey = s.mac
+		}
 	}
 	s.lastUsed.Store(now.UnixNano())
 
@@ -531,36 +672,40 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 	// copy of it has gone stale, so replaying it cannot mint a token. Two
 	// copies racing past the peek above meet here, and one loses.
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if now.Sub(m.lastSweep) >= m.sweepEvery {
 		m.sweepLocked(now)
 		m.lastSweep = now
 	}
 	if _, seen := m.seenNonces[nonceKey]; seen {
-		m.mu.Unlock()
-		return SessionGrant{}, fmt.Errorf("%w: principal %s", ErrReplayedHello, hello.Principal)
+		return SessionGrant{}, fmt.Errorf("%w: nonce %s", ErrReplayedHello, nonceKey)
 	}
-	m.seenNonces[nonceKey] = hello.IssuedAt.Add(2 * helloFreshness)
+	m.seenNonces[nonceKey] = issuedAt.Add(2 * helloFreshness)
 	// Authoritative revocation re-check, under the same lock revocation
 	// deltas are applied with: a Revoke that landed after the unlocked
 	// check above has either already been applied (we must not insert a
 	// session its sweep can no longer see) or will be applied later (and
 	// will then evict the insert by serial). Either way no revoked serial
-	// survives.
-	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(hello.Cert.Serial) {
-		m.mu.Unlock()
-		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)",
-			ErrSessionRevoked, hello.Principal, hello.Cert.Serial)
+	// survives — in the session table or the resumption table.
+	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(serial) {
+		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
 	}
-	m.capPrincipalLocked(hello.Principal)
+	m.capPrincipalLocked(principal)
 	m.opened.Add(1)
+	if resume != nil {
+		m.resumed.Add(1)
+	}
+	if fresh != nil {
+		m.resumes.put([resumeIDBytes]byte(grant.ResumeID), fresh)
+	}
 	st := m.stripeFor(token)
 	st.mu.Lock()
 	st.sessions[token] = s
 	st.mu.Unlock()
-	set := m.byPrincipal[hello.Principal]
+	set := m.byPrincipal[principal]
 	if set == nil {
 		set = make(map[string]time.Time)
-		m.byPrincipal[hello.Principal] = set
+		m.byPrincipal[principal] = set
 	}
 	set[token] = now
 	if transportID != "" {
@@ -571,8 +716,7 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 		}
 		conns[token] = true
 	}
-	m.mu.Unlock()
-	return SessionGrant{Token: token, Principal: hello.Principal, ExpiresAt: expires, MacKey: macKey}, nil
+	return grant, nil
 }
 
 // Close ends a session. Closing an unknown token is a no-op: the token may
@@ -781,6 +925,9 @@ func (m *SessionManager) applyRevocationDeltaLocked(now time.Time) {
 			st.revoked[token] = s.expiresAt
 			st.mu.Unlock()
 		}
+		// What the revoked certificate proved is withdrawn with it: its
+		// holder cannot resume, and a full handshake meets IsRevoked.
+		m.resumes.drop(func(e *resumeEntry) bool { return e.serial == rev.Serial })
 	}
 }
 
@@ -828,6 +975,7 @@ func (m *SessionManager) sweepLocked(now time.Time) {
 			delete(m.seenNonces, nonce)
 		}
 	}
+	m.resumes.drop(func(e *resumeEntry) bool { return now.After(e.expires) })
 }
 
 // capPrincipalLocked makes room for one more session of the principal:
@@ -874,6 +1022,13 @@ func (m *SessionManager) Len() int {
 	return n
 }
 
+// resumeEntries reports the resumption table's size.
+func (m *SessionManager) resumeEntries() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return uint64(m.resumes.len())
+}
+
 // Stats snapshots the manager's lifecycle counters.
 func (m *SessionManager) Stats() SessionStats {
 	var gs GatewayStats
@@ -906,9 +1061,14 @@ func (m *SessionManager) statRows() []statRow {
 		// SessionsRevoked surfaces the same number beside the gateway's
 		// other revocation counters.
 		{"confmw_sessions_revoked_total", "Sessions evicted by certificate revocation.", counter, m.revoked.Load, func(s *GatewayStats, v uint64) { stats(s).Revoked, s.SessionsRevoked = v, v }},
+		// A resumed session is an opened one, counted after it: read first,
+		// for the same reason, Resumed <= Opened in every snapshot.
+		{"confmw_session_resumed_total", "Sessions opened by a resume hello: possession proved by HMAC under a remembered master secret, no public-key work.", counter, m.resumed.Load, func(s *GatewayStats, v uint64) { stats(s).Resumed = v }},
 		{"confmw_sessions_opened_total", "Sessions granted.", counter, m.opened.Load, func(s *GatewayStats, v uint64) { stats(s).Opened = v }},
 		{"confmw_session_cert_verifications_total", "CA signature checks session handshakes cost (certificates not in the verified set).", counter, m.certs.Verifications, func(s *GatewayStats, v uint64) { stats(s).CertVerifications = v }},
 		{"confmw_session_cert_cache_hits_total", "Session handshakes whose certificate was in the verified set.", counter, m.certs.Hits, func(s *GatewayStats, v uint64) { stats(s).CertCacheHits = v }},
+		{"confmw_session_resume_misses_total", "Resume hellos naming an id the resumption table did not hold; the client falls back to the full handshake.", counter, m.resumeMisses.Load, func(s *GatewayStats, v uint64) { stats(s).ResumeMisses = v }},
+		{"confmw_session_resume_entries", "Entries in the resumption table.", gauge, m.resumeEntries, func(s *GatewayStats, v uint64) { stats(s).ResumeEntries = int(v) }},
 	}
 }
 
@@ -937,6 +1097,9 @@ func (s *Session) Name() string { return StageSession }
 // Manager returns the stage's session manager, the handle the gateway
 // serves session.open / session.close through.
 func (s *Session) Manager() *SessionManager { return s.mgr }
+
+// verifier implements verifierHolder.
+func (s *Session) verifier() *pki.Verifier { return s.mgr.certs }
 
 // statRows exports the manager's numbers through the stage.
 func (s *Session) statRows() []statRow { return s.mgr.statRows() }

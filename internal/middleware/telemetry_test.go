@@ -165,7 +165,7 @@ func TestTraceIDCodecRoundTrips(t *testing.T) {
 		}
 		var w wireRequest
 		if codec == CodecBinary {
-			w, err = decodeWireRequestBinary(b)
+			w, err = decodeWireRequestBinary(b, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", codec, err)
 			}

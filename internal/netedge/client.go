@@ -95,6 +95,9 @@ type Client struct {
 	pmu     sync.Mutex
 	pending map[uint64]chan callResult
 
+	// handshakes runs OpenSession and keeps what it established.
+	handshakes middleware.Handshaker
+
 	// chans recycles Call's reply channels; see Call for when one may return.
 	chans sync.Pool
 
@@ -366,29 +369,18 @@ func (c *Client) flush() {
 	}
 }
 
-// OpenSession performs the signed session handshake over this connection,
-// asking for codec ("" for the gateway default). The granted token is
-// bound to this connection: presenting it over another one fails with
-// middleware.ErrSessionBound.
+// OpenSession performs the session handshake over this connection, asking
+// for codec ("" for the gateway default). The first handshake for a
+// certificate is the full signed one; the connection then holds the master
+// secret it established, and later sessions under the same certificate are
+// resumed (see middleware.Handshaker) until the secret expires or the
+// gateway forgets it. Either way the grant's MacKey is derived here, not
+// received. The granted token is bound to this connection: presenting it
+// over another one fails with middleware.ErrSessionBound.
 func (c *Client) OpenSession(ctx context.Context, principal string, cert pki.Certificate, key *dcrypto.PrivateKey, codec string) (middleware.SessionGrant, error) {
-	hello, err := middleware.NewSessionHello(principal, cert, key)
-	if err != nil {
-		return middleware.SessionGrant{}, err
-	}
-	hello.Codec = codec
-	b, err := json.Marshal(hello)
-	if err != nil {
-		return middleware.SessionGrant{}, fmt.Errorf("netedge: encode hello: %w", err)
-	}
-	reply, err := c.Call(ctx, middleware.TopicSessionOpen, b)
-	if err != nil {
-		return middleware.SessionGrant{}, err
-	}
-	var grant middleware.SessionGrant
-	if err := json.Unmarshal(reply, &grant); err != nil {
-		return middleware.SessionGrant{}, fmt.Errorf("netedge: decode grant: %w", err)
-	}
-	return grant, nil
+	return c.handshakes.Open(ctx, principal, cert, key, codec, func(ctx context.Context, hello []byte) ([]byte, error) {
+		return c.Call(ctx, middleware.TopicSessionOpen, hello)
+	})
 }
 
 // Submit encodes req under codec (the one the session grant negotiated)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -297,12 +296,7 @@ func TestEdgePipelinedOrder(t *testing.T) {
 	defer conn.Close()
 	// Sessions bind to their connection, so the pipelined connection needs
 	// its own. Handshake by hand on the raw socket.
-	hello, err := middleware.NewSessionHello("alice", p.cert, p.key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello.Codec = middleware.CodecBinary
-	grant := openRaw(t, conn, hello)
+	grant := openRaw(t, conn, "alice", p.cert, p.key)
 
 	const n = 64
 	var burst []byte
@@ -345,27 +339,24 @@ func TestEdgePipelinedOrder(t *testing.T) {
 	}
 }
 
-// openRaw performs session.open on a raw socket and decodes the grant.
-func openRaw(t testing.TB, conn net.Conn, hello middleware.SessionHello) middleware.SessionGrant {
+// openRaw performs session.open on a raw socket: the binary full handshake,
+// with the grant's MAC key derived from the master secret sealed in it.
+func openRaw(t testing.TB, conn net.Conn, principal string, cert pki.Certificate, key *dcrypto.PrivateKey) middleware.SessionGrant {
 	t.Helper()
-	b, err := json.Marshal(hello)
+	grant, err := new(middleware.Handshaker).Open(context.Background(), principal, cert, key, middleware.CodecBinary, func(_ context.Context, hello []byte) ([]byte, error) {
+		if _, err := conn.Write(appendFrame(nil, frameRequest, 1, middleware.TopicSessionOpen, hello)); err != nil {
+			return nil, err
+		}
+		f, _, err := readFrame(bufio.NewReader(conn), nil, DefaultMaxFrame)
+		if err != nil {
+			return nil, err
+		}
+		if f.kind != frameOK {
+			return nil, fmt.Errorf("session.open rejected: %s", f.body)
+		}
+		return f.body, nil
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	frameBytes := appendFrame(nil, frameRequest, 1, middleware.TopicSessionOpen, b)
-	if _, err := conn.Write(frameBytes); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	f, _, err := readFrame(br, nil, DefaultMaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.kind != frameOK {
-		t.Fatalf("session.open rejected: %s", f.body)
-	}
-	var grant middleware.SessionGrant
-	if err := json.Unmarshal(f.body, &grant); err != nil {
 		t.Fatal(err)
 	}
 	return grant
