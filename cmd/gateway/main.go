@@ -136,16 +136,12 @@ func run(o opts) error {
 	}
 
 	// Sharded ordering tier: each shard is its own envelope-visibility
-	// service — solo under -replicas 0, a replicated cluster with automatic
-	// leader failover under -replicas >= 3 — whose operators are the set the
-	// audit log accounts leakage for. Channels spread over shards by
-	// consistent hashing; the pin below overrides it for the first channel.
+	// service — one operator under -replicas 0, a replicated cluster with
+	// automatic leader failover under -replicas >= 3 — whose operators are
+	// the set the audit log accounts leakage for. Channels spread over shards
+	// by consistent hashing; the pin below overrides it for the first channel.
 	log := audit.NewLog()
-	shardBackends, err := buildShards(o.shards, o.replicas, log)
-	if err != nil {
-		return err
-	}
-	orderer, err := ordering.NewSharded(shardBackends)
+	orderer, shards, err := buildShards(o.shards, o.replicas, log)
 	if err != nil {
 		return err
 	}
@@ -353,18 +349,23 @@ func run(o opts) error {
 	// and migrate the channel to another shard, with client traffic riding
 	// through both.
 	if o.replicas >= 3 {
-		if err := demoFailover(gw, orderer, bus, channels, members, grants, authenticate, o.shards); err != nil {
+		if err := demoFailover(gw, orderer, shards, bus, channels, members, grants, authenticate); err != nil {
 			return err
 		}
 	}
 
 	fmt.Println("\nleakage (who saw transaction data?):")
-	ops := []string{"gateway-op"}
-	ops = append(ops, shardOperatorNames(o.shards, o.replicas)...)
-	ops = append(ops, members[0])
-	for _, op := range ops {
+	operators := append([]string{"gateway-op"}, orderer.Operators()...)
+	var leaked []string
+	for i, op := range append(operators, members[0]) {
 		saw := log.SawAny(op, audit.ClassTxData)
 		fmt.Printf("  %-14s txdata=%v\n", op, saw)
+		if saw && i < len(operators) {
+			leaked = append(leaked, op)
+		}
+	}
+	if len(leaked) > 0 {
+		return fmt.Errorf("operators %v observed transaction data", leaked)
 	}
 	// A rejected submission: tampered payload fails the per-request
 	// authentication check — MAC or signature — even on a live session.
@@ -464,19 +465,12 @@ func run(o opts) error {
 // traffic: it kills the leader of the first channel's shard (the next
 // submission rides the automatic election), then migrates the channel to
 // another shard over the shard.rebalance admin topic and submits again.
-func demoFailover(gw *middleware.Gateway, orderer *ordering.ShardedBackend, bus *transport.Network,
-	channels, members []string, grants map[string]middleware.SessionGrant,
-	authenticate func(*middleware.Request) error, nShards int) error {
+func demoFailover(gw *middleware.Gateway, orderer *ordering.ShardedBackend, shards []*ordering.ReplicatedShard,
+	bus *transport.Network, channels, members []string, grants map[string]middleware.SessionGrant,
+	authenticate func(*middleware.Request) error) error {
 	ch := channels[0]
 	shardIdx := orderer.ShardFor(ch)
-	shard, err := orderer.Shard(shardIdx)
-	if err != nil {
-		return err
-	}
-	rs, ok := shard.(*ordering.ReplicatedShard)
-	if !ok {
-		return fmt.Errorf("shard %d is %T, want a replicated shard", shardIdx, shard)
-	}
+	rs := shards[shardIdx]
 	submit := func(payload string) error {
 		req := &middleware.Request{
 			Channel:      ch,
@@ -501,10 +495,10 @@ func demoFailover(gw *middleware.Gateway, orderer *ordering.ShardedBackend, bus 
 	}
 	fmt.Printf("\nkilled shard %d leader %s mid-run: the next submission rode the automatic election (shard failovers: %d)\n",
 		shardIdx, dead, rs.Failovers())
-	if nShards < 2 {
+	if len(shards) < 2 {
 		return nil
 	}
-	target := (shardIdx + 1) % nShards
+	target := (shardIdx + 1) % len(shards)
 	notice, err := middleware.RebalanceOver(bus, "admin", "gateway",
 		middleware.RebalanceRequest{Channel: ch, To: target})
 	if err != nil {
@@ -652,48 +646,32 @@ func printScrape(base string, trace int, submitted uint64) error {
 	return nil
 }
 
-// buildShards constructs the ordering tier: solo envelope-visibility
-// services when replicas is 0, or 3+-operator replicated clusters with
-// automatic leader failover. Shard i's operators are "orderer-op-<i>"
-// (solo) or "orderer-op-<i>-<r>" (replicated).
-func buildShards(nShards, replicas int, log *audit.Log) ([]ordering.Backend, error) {
+// buildShards constructs the ordering tier: nShards envelope-visibility
+// shards behind one sharded backend, each run by one operator when replicas
+// is 0 or replicated over 3+ with automatic leader failover. Shard i's
+// operators are "orderer-op-<i>" (one) or "orderer-op-<i>-<r>" (replicated).
+func buildShards(nShards, replicas int, log *audit.Log) (*ordering.ShardedBackend, []*ordering.ReplicatedShard, error) {
 	if replicas != 0 && replicas < 3 {
-		return nil, fmt.Errorf("-replicas must be 0 (solo shards) or >= 3 (a replicated cluster needs a majority quorum), got %d", replicas)
+		return nil, nil, fmt.Errorf("-replicas must be 0 (one operator per shard) or >= 3 (a replicated cluster needs a majority quorum), got %d", replicas)
 	}
-	shards := make([]ordering.Backend, nShards)
+	shards := make([]*ordering.ReplicatedShard, nShards)
+	backends := make([]ordering.Backend, nShards)
 	for i := range shards {
-		if replicas == 0 {
-			shards[i] = ordering.New(fmt.Sprintf("orderer-op-%d", i),
-				ordering.VisibilityEnvelope, ordering.WithAuditLog(log))
-			continue
+		ops := []string{fmt.Sprintf("orderer-op-%d", i)}
+		if replicas > 0 {
+			ops = make([]string, replicas)
+			for r := range ops {
+				ops[r] = fmt.Sprintf("orderer-op-%d-%d", i, r)
+			}
 		}
-		ops := make([]string, replicas)
-		for r := range ops {
-			ops[r] = fmt.Sprintf("orderer-op-%d-%d", i, r)
-		}
-		rs, err := ordering.NewReplicatedShard(ops, ordering.VisibilityEnvelope, ordering.WithShardAudit(log))
+		rs, err := ordering.NewReplicatedShard(ops, ordering.VisibilityEnvelope, ordering.WithAuditLog(log))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		shards[i] = rs
+		shards[i], backends[i] = rs, rs
 	}
-	return shards, nil
-}
-
-// shardOperatorNames lists every ordering operator the topology runs, for
-// the leakage matrix.
-func shardOperatorNames(nShards, replicas int) []string {
-	var ops []string
-	for i := 0; i < nShards; i++ {
-		if replicas == 0 {
-			ops = append(ops, fmt.Sprintf("orderer-op-%d", i))
-			continue
-		}
-		for r := 0; r < replicas; r++ {
-			ops = append(ops, fmt.Sprintf("orderer-op-%d-%d", i, r))
-		}
-	}
-	return ops
+	orderer, err := ordering.NewSharded(backends)
+	return orderer, shards, err
 }
 
 // standUpPlatforms boots the three platform models — with a Fabric channel

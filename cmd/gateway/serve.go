@@ -14,7 +14,6 @@ import (
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
 	"dltprivacy/internal/netedge"
-	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 )
 
@@ -44,30 +43,9 @@ func runServe(o opts) error {
 	dir := middleware.NewSyncDirectory()
 
 	log := audit.NewLog()
-	shardBackends, err := buildShards(o.shards, o.replicas, log)
+	orderer, shards, err := buildShards(o.shards, o.replicas, log)
 	if err != nil {
 		return err
-	}
-	orderer, err := ordering.NewSharded(shardBackends)
-	if err != nil {
-		return err
-	}
-	// Replicated shards get a health probe on the stats tick: leaderless
-	// clusters (a leader died with no submit traffic to trip failover)
-	// recover on the probe interval instead of on the next submission.
-	var probe func() int
-	if o.replicas >= 3 {
-		replicated := make([]*ordering.ReplicatedShard, len(shardBackends))
-		for i, b := range shardBackends {
-			replicated[i] = b.(*ordering.ReplicatedShard)
-		}
-		probe = func() int {
-			n := 0
-			for _, rs := range replicated {
-				n += rs.ProbeHealth()
-			}
-			return n
-		}
 	}
 	var ordered atomic.Uint64
 	for _, ch := range channels {
@@ -149,10 +127,15 @@ func runServe(o opts) error {
 	for {
 		select {
 		case <-ticker.C:
-			if probe != nil {
-				if n := probe(); n > 0 {
-					fmt.Printf("edge: health probe recovered %d leaderless shard cluster(s)\n", n)
-				}
+			// Health probe on the stats tick: leaderless clusters (a leader
+			// died with no submit traffic to trip failover) recover on the
+			// probe interval instead of on the next submission.
+			recovered := 0
+			for _, rs := range shards {
+				recovered += rs.ProbeHealth()
+			}
+			if recovered > 0 {
+				fmt.Printf("edge: health probe recovered %d leaderless shard cluster(s)\n", recovered)
 			}
 			st := edge.Stats()
 			fmt.Printf("edge: conns=%d (accepted %d) requests=%d ordered=%d sessions=%d frame_errs=%d sheds=%d in=%dMB out=%dMB\n",

@@ -2,9 +2,10 @@ package ordering
 
 import "dltprivacy/internal/ledger"
 
-// Backend abstracts the ordering service a platform plugs in: the solo
-// Service (third-party or single-member operated) or a member-run
-// replicated ReplicatedShard (§3.4 mitigation).
+// Backend abstracts the ordering service a platform plugs in: a
+// ReplicatedShard — run by one operator (third party or single member) or
+// replicated over the channel's members (§3.4 mitigation) — or a
+// ShardedBackend over several.
 type Backend interface {
 	// Submit queues a transaction for ordering on its channel.
 	Submit(tx ledger.Transaction) error

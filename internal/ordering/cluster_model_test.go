@@ -109,11 +109,24 @@ func (r *refCluster) flush() error {
 	return nil
 }
 
+// fuzzOps are the operators FuzzClusterModel builds clusters over: the first
+// one (the solo orderer), three or all five.
+var fuzzOps = append(slices.Clone(clusterOps), "Carrier", "Insurer")
+
+// node is the node a crash or restart op names: one of the first three by
+// the op's last digit (first is the digit of node 0), moved on by three when
+// the tens digit is odd so a five-node cluster's last two can be reached.
+func node(op byte, first, nodes int) int {
+	return (int(op%10) - first + 3*(int(op)/10%2)) % nodes
+}
+
 // FuzzClusterModel drives a Cluster and the reference model with the same
 // tape of operations — submit, flush, crash, restart, elect, and an
 // export→import into a fresh cluster — and holds them to the same chain:
 // no violation at the subscriber, the same head, every live node level with
 // the leader, and never more than the in-flight entry in a node's memory.
+// The tape's first byte picks the batch size and the node count: three, one
+// or five.
 func FuzzClusterModel(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1})
 	// The stale-follower fork: crash C, five blocks, crash A, restart C,
@@ -121,20 +134,27 @@ func FuzzClusterModel(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 0, 2, 7, 8, 0, 3, 5, 8, 0})
 	// A batch of two across a quorum loss, then a migration mid-queue.
 	f.Add([]byte{1, 0, 3, 4, 0, 6, 9, 0, 129, 0, 0, 8, 0})
+	// The solo orderer: a block, the only node crashes (no leader, then no
+	// quorum to elect one), restarts, is elected and resumes at its head.
+	f.Add([]byte{3, 0, 2, 0, 8, 5, 0, 8, 0})
+	// Five nodes ride out two crashes, lose the quorum at the third with a
+	// block in the queue, and commit it once a fourth-listed node is back.
+	f.Add([]byte{6, 0, 2, 12, 8, 0, 4, 0, 8, 15, 8, 9, 0})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) == 0 {
 			return
 		}
 		batch := 1 + int(tape[0])%3
+		ops := fuzzOps[:[]int{3, 1, 5}[int(tape[0])/3%3]]
 		cv := &ChainVerifier{}
 		build := func(st ChannelState) (*Cluster, *refCluster) {
-			c, err := NewCluster("trade", clusterOps, VisibilityEnvelope, WithClusterBatch(batch))
+			c, err := NewCluster("trade", ops, VisibilityEnvelope, WithBatchSize(batch))
 			if err != nil {
 				t.Fatal(err)
 			}
 			c.adoptState(st)
 			c.Subscribe(cv.Deliver)
-			return c, newRefCluster(len(clusterOps), batch, st)
+			return c, newRefCluster(len(ops), batch, st)
 		}
 		c, ref := build(ChannelState{})
 		for step, op := range tape[1:] {
@@ -144,12 +164,12 @@ func FuzzClusterModel(f *testing.F) {
 				tx := mkTx("trade", "BankA", fmt.Sprintf("k%d", step))
 				got, want = c.Submit(tx), ref.submit(tx)
 			case 2, 3, 4:
-				i := int(op%10) - 2
-				got = c.Crash(clusterOps[i])
+				i := node(op, 2, len(ops))
+				got = c.Crash(ops[i])
 				ref.crash(i)
 			case 5, 6, 7:
-				i := int(op%10) - 5
-				got = c.Restart(clusterOps[i])
+				i := node(op, 5, len(ops))
+				got = c.Restart(ops[i])
 				ref.restart(i)
 			case 8:
 				_, got = c.Elect()

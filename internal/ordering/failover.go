@@ -6,12 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dltprivacy/internal/audit"
 	"dltprivacy/internal/ledger"
 )
 
-// ReplicatedShard is the §3.4 mitigation promoted to a production shard: a
-// Backend that runs one member-operated replicated Cluster per channel and
+// ReplicatedShard is an ordering shard: a Backend that runs one Cluster per
+// channel over the shard's operators — the §3.4 mitigation when they are
+// the channel's members, the third-party orderer when there is one — and
 // recovers from leader loss on its own. A submission that hits a dead
 // leader triggers an election under single-flight — concurrent submitters
 // queue behind one Elect instead of stampeding — after which queued
@@ -23,13 +23,11 @@ import (
 // Behind a ShardedBackend this turns "one shard death loses 1/N of all
 // channels forever" into an availability dip bounded by one election.
 type ReplicatedShard struct {
-	operators  []string
-	visibility Visibility
-	log        *audit.Log
-	batch      int
+	operators []string
+	config
 
 	mu       sync.Mutex
-	clusters map[string]*failoverCluster
+	clusters map[string]*Cluster
 
 	failovers atomic.Uint64
 	// installs is the one counter every cluster of the shard adds to, so it
@@ -37,53 +35,25 @@ type ReplicatedShard struct {
 	installs atomic.Uint64
 }
 
-// failoverCluster pairs a channel's cluster with its election single-flight
-// state.
-type failoverCluster struct {
-	c *Cluster
-	// electMu single-flights elections: submitters that hit the same dead
-	// leader queue here, and gen lets the queued ones detect that the first
-	// one's election already ran and skip straight to their retry.
-	electMu sync.Mutex
-	gen     atomic.Uint64
-}
-
 // Compile-time check.
 var _ Backend = (*ReplicatedShard)(nil)
 
-// ReplicatedShardOption configures a replicated shard.
-type ReplicatedShardOption func(*ReplicatedShard)
-
-// WithShardAudit attaches leakage accounting to every cluster.
-func WithShardAudit(log *audit.Log) ReplicatedShardOption {
-	return func(rs *ReplicatedShard) { rs.log = log }
+// NewReplicatedShard creates a shard whose channels each run an ordering
+// cluster over the given operators: one, or at least 3.
+func NewReplicatedShard(operators []string, visibility Visibility, opts ...Option) (*ReplicatedShard, error) {
+	if err := checkSize(len(operators)); err != nil {
+		return nil, err
+	}
+	return newShard(append([]string(nil), operators...), newConfig(visibility, opts)), nil
 }
 
-// WithShardBatch sets transactions per block.
-func WithShardBatch(n int) ReplicatedShardOption {
-	return func(rs *ReplicatedShard) {
-		if n > 0 {
-			rs.batch = n
-		}
+// newShard builds a shard over operators the caller has size-checked.
+func newShard(operators []string, cfg config) *ReplicatedShard {
+	return &ReplicatedShard{
+		operators: operators,
+		config:    cfg,
+		clusters:  make(map[string]*Cluster),
 	}
-}
-
-// NewReplicatedShard creates a shard whose channels each run a replicated
-// ordering cluster over the given operators (at least 3).
-func NewReplicatedShard(operators []string, visibility Visibility, opts ...ReplicatedShardOption) (*ReplicatedShard, error) {
-	if len(operators) < 3 {
-		return nil, ErrClusterSize
-	}
-	rs := &ReplicatedShard{
-		operators:  append([]string(nil), operators...),
-		visibility: visibility,
-		batch:      1,
-		clusters:   make(map[string]*failoverCluster),
-	}
-	for _, opt := range opts {
-		opt(rs)
-	}
-	return rs, nil
 }
 
 // Operators implements Backend.
@@ -91,41 +61,36 @@ func (rs *ReplicatedShard) Operators() []string {
 	return append([]string(nil), rs.operators...)
 }
 
-// cluster returns (creating if needed) the failover wrapper for a channel.
-func (rs *ReplicatedShard) cluster(channel string) (*failoverCluster, error) {
+// cluster returns (creating if needed) the channel's cluster.
+func (rs *ReplicatedShard) cluster(channel string) *Cluster {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	fc, ok := rs.clusters[channel]
+	c, ok := rs.clusters[channel]
 	if !ok {
-		c, err := rs.newCluster(channel)
-		if err != nil {
-			return nil, err
-		}
-		fc = &failoverCluster{c: c}
-		rs.clusters[channel] = fc
+		c = rs.newCluster(channel)
+		rs.clusters[channel] = c
 	}
-	return fc, nil
+	return c
+}
+
+// lookup returns the channel's cluster, nil for a channel the shard has
+// never served: asking after a channel must not start a chain for it.
+func (rs *ReplicatedShard) lookup(channel string) *Cluster {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.clusters[channel]
 }
 
 // newCluster builds a channel's cluster over the shard's operators.
-func (rs *ReplicatedShard) newCluster(channel string) (*Cluster, error) {
-	c, err := NewCluster(channel, rs.operators, rs.visibility,
-		WithClusterAudit(rs.log), WithClusterBatch(rs.batch))
-	if err != nil {
-		return nil, fmt.Errorf("cluster for %s: %w", channel, err)
-	}
-	c.installs = &rs.installs
-	return c, nil
+func (rs *ReplicatedShard) newCluster(channel string) *Cluster {
+	return buildCluster(channel, rs.operators, rs.config, &rs.installs)
 }
 
 // Cluster exposes a channel's cluster for fault injection in tests,
-// benchmarks, and the chaos harness.
+// benchmarks, and the chaos harness. The error is always nil; the result
+// stays because the repository benchmark reads it.
 func (rs *ReplicatedShard) Cluster(channel string) (*Cluster, error) {
-	fc, err := rs.cluster(channel)
-	if err != nil {
-		return nil, err
-	}
-	return fc.c, nil
+	return rs.cluster(channel), nil
 }
 
 // Submit implements Backend with automatic failover: a submission rejected
@@ -133,11 +98,8 @@ func (rs *ReplicatedShard) Cluster(channel string) (*Cluster, error) {
 // queue, and retries — callers only see an error when the shard has lost
 // its replication quorum outright.
 func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
-	fc, err := rs.cluster(tx.Channel)
-	if err != nil {
-		return err
-	}
-	err = fc.c.Submit(tx)
+	c := rs.cluster(tx.Channel)
+	err := c.Submit(tx)
 	if err == nil {
 		return nil
 	}
@@ -145,8 +107,8 @@ func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 	if !queued && !errors.Is(err, ErrNoLeader) {
 		return err
 	}
-	if ferr := rs.failover(fc); ferr != nil {
-		if queued && !fc.c.cancelPending(tx) {
+	if ferr := rs.failover(c); ferr != nil {
+		if queued && !c.cancelPending(tx) {
 			// A racing failover replayed the queue before ours failed: the
 			// transaction is sequenced, so the submission succeeded.
 			return nil
@@ -157,32 +119,58 @@ func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 		// The transaction is already in the queue; flushing sequences it
 		// (and anything queued behind it). Resubmitting would order it
 		// twice.
-		return fc.c.Flush()
+		return c.Flush()
 	}
-	return fc.c.Submit(tx)
+	return c.Submit(tx)
+}
+
+// Flush cuts a block from the channel's queued transactions without
+// waiting for the batch to fill.
+func (rs *ReplicatedShard) Flush(channel string) error {
+	c := rs.lookup(channel)
+	if c == nil {
+		return fmt.Errorf("%w: %s", ErrUnknownChannel, channel)
+	}
+	return c.Flush()
+}
+
+// Pending returns the number of queued transactions for a channel.
+func (rs *ReplicatedShard) Pending(channel string) int {
+	if c := rs.lookup(channel); c != nil {
+		return c.Pending()
+	}
+	return 0
+}
+
+// Height returns the shard-side chain height for a channel.
+func (rs *ReplicatedShard) Height(channel string) uint64 {
+	if c := rs.lookup(channel); c != nil {
+		return c.Height()
+	}
+	return 0
 }
 
 // failover elects a new leader for the cluster under single-flight and
 // replays the queued transactions the dead leader left behind. Concurrent
 // callers that arrive while an election runs wait on electMu and then skip
 // their own: the generation counter records the completed election.
-func (rs *ReplicatedShard) failover(fc *failoverCluster) error {
-	gen := fc.gen.Load()
-	fc.electMu.Lock()
-	defer fc.electMu.Unlock()
-	if fc.gen.Load() != gen {
+func (rs *ReplicatedShard) failover(c *Cluster) error {
+	gen := c.gen.Load()
+	c.electMu.Lock()
+	defer c.electMu.Unlock()
+	if c.gen.Load() != gen {
 		// Another submitter's election (and replay) completed while this
 		// one waited; don't run a second election for the same outage.
 		return nil
 	}
-	if _, err := fc.c.Elect(); err != nil {
+	if _, err := c.Elect(); err != nil {
 		return err
 	}
-	fc.gen.Add(1)
+	c.gen.Add(1)
 	rs.failovers.Add(1)
 	// Replay: transactions queued when the old leader died are sequenced
 	// by the new leader before any post-failover submission.
-	return fc.c.Flush()
+	return c.Flush()
 }
 
 // Failovers counts the leader elections this shard ran to recover from a
@@ -199,20 +187,20 @@ func (rs *ReplicatedShard) PositionInstalls() uint64 { return rs.installs.Load()
 // the chains are.
 func (rs *ReplicatedShard) ReplicaEntries() uint64 {
 	var n uint64
-	for _, fc := range rs.snapshot() {
-		n += uint64(fc.c.retained())
+	for _, c := range rs.snapshot() {
+		n += uint64(c.retained())
 	}
 	return n
 }
 
 // snapshot returns the current cluster set without holding the shard lock
 // across per-cluster work.
-func (rs *ReplicatedShard) snapshot() []*failoverCluster {
+func (rs *ReplicatedShard) snapshot() []*Cluster {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make([]*failoverCluster, 0, len(rs.clusters))
-	for _, fc := range rs.clusters {
-		out = append(out, fc)
+	out := make([]*Cluster, 0, len(rs.clusters))
+	for _, c := range rs.clusters {
+		out = append(out, c)
 	}
 	return out
 }
@@ -223,11 +211,11 @@ func (rs *ReplicatedShard) snapshot() []*failoverCluster {
 // elections that succeeded.
 func (rs *ReplicatedShard) ProbeHealth() int {
 	n := 0
-	for _, fc := range rs.snapshot() {
-		if _, err := fc.c.Leader(); err == nil {
+	for _, c := range rs.snapshot() {
+		if _, err := c.Leader(); err == nil {
 			continue
 		}
-		if err := rs.failover(fc); err == nil {
+		if err := rs.failover(c); err == nil {
 			n++
 		}
 	}
@@ -238,24 +226,21 @@ func (rs *ReplicatedShard) ProbeHealth() int {
 // fault chaos scenarios and the demo inject — returning the operator that
 // went down so the caller can later Restart it.
 func (rs *ReplicatedShard) CrashLeader(channel string) (string, error) {
-	fc, err := rs.cluster(channel)
+	c := rs.cluster(channel)
+	op, err := c.Leader()
 	if err != nil {
 		return "", err
 	}
-	op, err := fc.c.Leader()
-	if err != nil {
-		return "", err
-	}
-	return op, fc.c.Crash(op)
+	return op, c.Crash(op)
 }
 
 // Kill crashes every node of every cluster on the shard — the whole-shard
 // failure. Submissions on its channels fail with ErrNoQuorum until Revive.
 // Channels first touched after Kill start fresh clusters unaffected by it.
 func (rs *ReplicatedShard) Kill() {
-	for _, fc := range rs.snapshot() {
+	for _, c := range rs.snapshot() {
 		for _, op := range rs.operators {
-			_ = fc.c.Crash(op)
+			_ = c.Crash(op)
 		}
 	}
 }
@@ -266,37 +251,32 @@ func (rs *ReplicatedShard) Kill() {
 // chains resume at their pre-kill heights and any queued transactions are
 // replayed.
 func (rs *ReplicatedShard) Revive() {
-	for _, fc := range rs.snapshot() {
+	for _, c := range rs.snapshot() {
 		for _, op := range rs.operators {
-			_ = fc.c.Restart(op)
+			_ = c.Restart(op)
 		}
-		_ = rs.failover(fc)
+		_ = rs.failover(c)
 	}
 }
 
 // Subscribe implements Backend.
 func (rs *ReplicatedShard) Subscribe(channel string, deliver DeliverFunc) {
-	fc, err := rs.cluster(channel)
-	if err != nil {
-		// Construction can only fail on cluster size, validated in
-		// NewReplicatedShard; surfaced on the first Submit instead.
-		return
-	}
-	fc.c.Subscribe(deliver)
+	rs.cluster(channel).Subscribe(deliver)
 }
 
-// ExportChannel implements ChannelMigrator.
+// ExportChannel implements ChannelMigrator. Any subscribers registered on
+// this shard for the channel are dropped with the chain; in the sharded
+// topology the only shard-side subscriber is the ShardedBackend relay,
+// which the migration re-attaches on the target shard.
 func (rs *ReplicatedShard) ExportChannel(channel string) (ChannelState, error) {
 	rs.mu.Lock()
-	fc, ok := rs.clusters[channel]
-	if ok {
-		delete(rs.clusters, channel)
-	}
+	c, ok := rs.clusters[channel]
+	delete(rs.clusters, channel)
 	rs.mu.Unlock()
 	if !ok {
 		return ChannelState{}, fmt.Errorf("%w: %s", ErrUnknownChannel, channel)
 	}
-	return fc.c.exportState(), nil
+	return c.exportState(), nil
 }
 
 // ImportChannel implements ChannelMigrator: a fresh cluster over this
@@ -304,16 +284,13 @@ func (rs *ReplicatedShard) ExportChannel(channel string) (ChannelState, error) {
 // and hash chaining continue from the sending shard even across later
 // elections here.
 func (rs *ReplicatedShard) ImportChannel(channel string, st ChannelState) error {
-	c, err := rs.newCluster(channel)
-	if err != nil {
-		return err
-	}
+	c := rs.newCluster(channel)
 	c.adoptState(st)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if _, ok := rs.clusters[channel]; ok {
 		return fmt.Errorf("%w: %s", ErrChannelExists, channel)
 	}
-	rs.clusters[channel] = &failoverCluster{c: c}
+	rs.clusters[channel] = c
 	return nil
 }

@@ -2,7 +2,6 @@ package ordering
 
 import (
 	"errors"
-	"fmt"
 
 	"dltprivacy/internal/ledger"
 )
@@ -48,50 +47,5 @@ type ChannelMigrator interface {
 	ImportChannel(channel string, st ChannelState) error
 }
 
-// Compile-time checks: every first-party shard backend supports migration.
-var (
-	_ ChannelMigrator = (*Service)(nil)
-	_ ChannelMigrator = (*ReplicatedShard)(nil)
-)
-
-// ExportChannel implements ChannelMigrator for the solo service. Any
-// subscribers registered directly on this service for the channel are
-// dropped with the chain; in the sharded topology the only shard-side
-// subscriber is the ShardedBackend relay, which the migration re-attaches
-// on the target shard.
-func (s *Service) ExportChannel(channel string) (ChannelState, error) {
-	s.mu.Lock()
-	c, ok := s.chains[channel]
-	s.mu.Unlock()
-	if !ok {
-		return ChannelState{}, fmt.Errorf("%w: %s", ErrUnknownChannel, channel)
-	}
-	// The delivery lock drains an in-flight flush before the snapshot, so
-	// the exported head never straddles a block cut.
-	c.deliver.Lock()
-	defer c.deliver.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := ChannelState{
-		Height:   c.height,
-		LastHash: c.lastHash,
-		Pending:  append([]ledger.Transaction(nil), c.pending...),
-	}
-	delete(s.chains, channel)
-	return st, nil
-}
-
-// ImportChannel implements ChannelMigrator for the solo service.
-func (s *Service) ImportChannel(channel string, st ChannelState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.chains[channel]; ok && (c.height > 0 || len(c.pending) > 0 || len(c.subs) > 0) {
-		return fmt.Errorf("%w: %s", ErrChannelExists, channel)
-	}
-	s.chains[channel] = &chainState{
-		height:   st.Height,
-		lastHash: st.LastHash,
-		pending:  append([]ledger.Transaction(nil), st.Pending...),
-	}
-	return nil
-}
+// Compile-time check: every first-party shard backend supports migration.
+var _ ChannelMigrator = (*ReplicatedShard)(nil)

@@ -11,14 +11,15 @@ import (
 	"dltprivacy/internal/ledger"
 )
 
-// This file implements the §3.4 mitigation in full: instead of trusting a
-// third-party orderer, channel members run a replicated, crash-fault-
-// tolerant ordering cluster themselves. The cluster is leader-based with
-// majority-quorum commit (a deliberately simplified Raft: terms, leader
-// election by majority vote, entry replication, commit on quorum
-// acknowledgement). A node keeps its position on the chain, not the chain:
-// committed blocks live with the subscribers they were delivered to. Fault
-// injection in tests covers leader crash, failover, and the
+// This file is the one chain state machine, and the §3.4 mitigation in
+// full: instead of trusting a third-party orderer, channel members run a
+// replicated, crash-fault-tolerant ordering cluster themselves. The cluster
+// is leader-based with majority-quorum commit (a deliberately simplified
+// Raft: terms, leader election by majority vote, entry replication, commit
+// on quorum acknowledgement). A node keeps its position on the chain, not
+// the chain: committed blocks live with the subscribers they were delivered
+// to. The third-party orderer is the same machine over one node, a quorum
+// of one. Fault injection in tests covers leader crash, failover, and the
 // minority-partition liveness loss.
 
 // Errors returned by the replicated ordering service.
@@ -32,8 +33,9 @@ var (
 	// ErrNoQuorum is returned when fewer than a majority of nodes
 	// acknowledge replication.
 	ErrNoQuorum = errors.New("ordering: replication quorum unavailable")
-	// ErrClusterSize is returned for clusters smaller than 3 nodes.
-	ErrClusterSize = errors.New("ordering: cluster needs at least 3 nodes")
+	// ErrClusterSize is returned for clusters of no nodes or of two: one
+	// operator orders alone, and a majority that survives a crash needs 3.
+	ErrClusterSize = errors.New("ordering: cluster needs one node or at least 3")
 	// ErrQueuedAwaitingLeader marks a submission that was accepted into the
 	// pending queue but could not be sequenced because leadership (or the
 	// replication quorum) fell over between enqueue and flush. The
@@ -88,14 +90,13 @@ func (n *clusterNode) dropUncommitted() {
 	n.uncommitted = n.uncommitted[:0]
 }
 
-// Cluster is a member-run replicated ordering service for one channel
-// group. Each node is operated by a different consortium member, so the
-// §3.4 "ordering sees everything" leak is confined to parties that are
-// already entitled to the data.
+// Cluster is the replicated ordering service for one channel. With each
+// node operated by a different consortium member, the §3.4 "ordering sees
+// everything" leak is confined to parties that are already entitled to the
+// data; with one node it is the third-party orderer the paper warns of.
 type Cluster struct {
-	channel    string
-	visibility Visibility
-	log        *audit.Log
+	channel string
+	config
 
 	mu     sync.Mutex
 	nodes  []*clusterNode
@@ -104,57 +105,57 @@ type Cluster struct {
 	// there is a leader, the last leader's until the next election.
 	head    position
 	pending []ledger.Transaction
-	batch   int
 	subs    []DeliverFunc
 	// installs counts nodes brought level with a leader they were behind;
 	// a ReplicatedShard points every cluster it runs at one counter.
 	installs *atomic.Uint64
 
 	// deliver serializes replication + delivery so subscribers receive
-	// blocks in height order under concurrent submitters (see
-	// Service.Flush for the solo-orderer equivalent).
+	// blocks in height order even under concurrent submitters (the
+	// middleware gateway drives this path from many goroutines).
 	deliver sync.Mutex
+
+	// electMu single-flights the elections a ReplicatedShard runs on the
+	// cluster's behalf: submitters that hit the same dead leader queue
+	// here, and gen lets the queued ones detect that the first one's
+	// election already ran and skip straight to their retry.
+	electMu sync.Mutex
+	gen     atomic.Uint64
 }
 
-// NewCluster creates a replicated ordering cluster for a channel, one node
-// per operator. The first operator starts as leader (a deterministic
-// bootstrap election).
-func NewCluster(channel string, operators []string, visibility Visibility, opts ...ClusterOption) (*Cluster, error) {
-	if len(operators) < 3 {
-		return nil, ErrClusterSize
+// checkSize refuses the operator counts no cluster runs on.
+func checkSize(operators int) error {
+	if operators != 1 && operators < 3 {
+		return ErrClusterSize
 	}
+	return nil
+}
+
+// NewCluster creates an ordering cluster for a channel, one node per
+// operator: one, or at least three. The first operator starts as leader (a
+// deterministic bootstrap election).
+func NewCluster(channel string, operators []string, visibility Visibility, opts ...Option) (*Cluster, error) {
+	if err := checkSize(len(operators)); err != nil {
+		return nil, err
+	}
+	return buildCluster(channel, operators, newConfig(visibility, opts), new(atomic.Uint64)), nil
+}
+
+// buildCluster builds a cluster over operators the caller has size-checked,
+// counting position installs on the given counter.
+func buildCluster(channel string, operators []string, cfg config, installs *atomic.Uint64) *Cluster {
 	c := &Cluster{
-		channel:    channel,
-		visibility: visibility,
-		leader:     0,
-		batch:      1,
-		installs:   new(atomic.Uint64),
+		channel:  channel,
+		config:   cfg,
+		leader:   0,
+		nodes:    make([]*clusterNode, len(operators)),
+		installs: installs,
 	}
-	for _, op := range operators {
-		c.nodes = append(c.nodes, &clusterNode{operator: op})
+	for i, op := range operators {
+		c.nodes[i] = &clusterNode{operator: op}
 	}
 	c.nodes[0].term = 1
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c, nil
-}
-
-// ClusterOption configures a cluster.
-type ClusterOption func(*Cluster)
-
-// WithClusterAudit attaches leakage accounting.
-func WithClusterAudit(log *audit.Log) ClusterOption {
-	return func(c *Cluster) { c.log = log }
-}
-
-// WithClusterBatch sets transactions per block.
-func WithClusterBatch(n int) ClusterOption {
-	return func(c *Cluster) {
-		if n > 0 {
-			c.batch = n
-		}
-	}
+	return c
 }
 
 // Subscribe registers a block consumer. The list is copied on write, so
@@ -298,8 +299,11 @@ func (c *Cluster) Submit(tx ledger.Transaction) error {
 	if err := tx.Validate(); err != nil {
 		return fmt.Errorf("cluster submit: %w", err)
 	}
-	// As Service.Submit: one digest for observation, block cut and every
-	// queue scan (cancelPending), computed outside the cluster lock.
+	// The digest is needed from here on — the observation ID, the block
+	// data hash at cut time, every queue scan (cancelPending) — and each
+	// unprimed use hashes the whole payload. Prime it once at intake,
+	// outside the cluster lock; a no-op for a transaction the gateway
+	// already primed from the sum its chain carried.
 	tx.PrimeDigest()
 	c.mu.Lock()
 	if c.leader < 0 {
@@ -315,13 +319,10 @@ func (c *Cluster) Submit(tx ledger.Transaction) error {
 		c.mu.Unlock()
 		return ErrNoLeader
 	}
-	// Every live cluster node's operator observes the envelope; with full
-	// visibility, the payload and parties too. Because operators are
-	// channel members, this confines rather than creates the leak.
-	c.observeLocked(tx)
 	c.pending = append(c.pending, tx)
 	ready := len(c.pending) >= c.batch
 	c.mu.Unlock()
+	c.observe(tx)
 	if ready {
 		if err := c.Flush(); err != nil && (errors.Is(err, ErrNoLeader) || errors.Is(err, ErrNoQuorum)) {
 			// The transaction is appended but unsequenced; mark it so a
@@ -361,6 +362,13 @@ func (c *Cluster) Pending() int {
 	return len(c.pending)
 }
 
+// Height returns the number of blocks the cluster has committed.
+func (c *Cluster) Height() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.head.height
+}
+
 // exportState snapshots the cluster's chain state for migration: committed
 // height, head hash, and the queued transactions that have not been
 // sequenced yet. Taking the delivery lock first drains any in-flight flush
@@ -393,21 +401,32 @@ func (c *Cluster) adoptState(st ChannelState) {
 	c.pending = append([]ledger.Transaction(nil), st.Pending...)
 }
 
-func (c *Cluster) observeLocked(tx ledger.Transaction) {
+// observe records what the operator of every live node learns from an
+// accepted submission; where the operators are channel members this
+// confines rather than creates the leak. It takes no cluster lock: the node
+// list never changes and the log synchronizes itself.
+func (c *Cluster) observe(tx ledger.Transaction) {
 	hexID := tx.HexID()
 	id := string(hexID[:]) // the log copies it: no heap string
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		down := n.down
-		op := n.operator
 		n.mu.Unlock()
 		if down {
 			continue
 		}
-		c.log.Record(op, audit.ClassTxMetadata, id)
-		if c.visibility == VisibilityFull {
-			c.log.Record(op, audit.ClassTxData, id)
-			c.log.Record(op, audit.ClassIdentity, tx.Creator)
+		// Envelope metadata is visible at any level.
+		c.log.Record(n.operator, audit.ClassTxMetadata, id)
+		if c.visibility != VisibilityFull {
+			continue
+		}
+		// Full visibility: the operator learns the parties to the
+		// transaction and its content (§3.4).
+		c.log.Record(n.operator, audit.ClassTxData, id)
+		c.log.Record(n.operator, audit.ClassIdentity, tx.Creator)
+		for _, e := range tx.Endorsements {
+			c.log.Record(n.operator, audit.ClassIdentity, e.Party)
+			c.log.Record(n.operator, audit.ClassRelationship, tx.Creator+"<->"+e.Party)
 		}
 	}
 }
@@ -415,7 +434,8 @@ func (c *Cluster) observeLocked(tx ledger.Transaction) {
 // Flush orders pending transactions: the leader cuts a block, replicates
 // it to the live followers as an uncommitted entry, and on majority
 // acknowledgement every node that holds the entry folds it into its
-// position; only then is the block delivered to subscribers.
+// position; only then is the block delivered to subscribers. No block is
+// cut for a channel nobody subscribed to: the queue is kept.
 func (c *Cluster) Flush() error {
 	c.deliver.Lock()
 	defer c.deliver.Unlock()
@@ -427,6 +447,10 @@ func (c *Cluster) Flush() error {
 	if len(c.pending) == 0 {
 		c.mu.Unlock()
 		return nil
+	}
+	if len(c.subs) == 0 {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrNoSubscribers, c.channel)
 	}
 	txs := c.pending
 	c.pending = nil

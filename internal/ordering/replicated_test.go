@@ -11,7 +11,7 @@ import (
 
 var clusterOps = []string{"BankA", "SellerCo", "BuyerInc"}
 
-func newCluster(t *testing.T, opts ...ClusterOption) (*Cluster, *ledger.Ledger) {
+func newCluster(t *testing.T, opts ...Option) (*Cluster, *ledger.Ledger) {
 	t.Helper()
 	c, err := NewCluster("trade", clusterOps, VisibilityFull, opts...)
 	if err != nil {
@@ -23,8 +23,13 @@ func newCluster(t *testing.T, opts ...ClusterOption) (*Cluster, *ledger.Ledger) 
 }
 
 func TestClusterTooSmall(t *testing.T) {
-	if _, err := NewCluster("x", []string{"a", "b"}, VisibilityFull); !errors.Is(err, ErrClusterSize) {
-		t.Fatalf("2-node cluster = %v, want ErrClusterSize", err)
+	for _, ops := range [][]string{nil, {"a", "b"}} {
+		if _, err := NewCluster("x", ops, VisibilityFull); !errors.Is(err, ErrClusterSize) {
+			t.Fatalf("%d-node cluster = %v, want ErrClusterSize", len(ops), err)
+		}
+		if _, err := NewReplicatedShard(ops, VisibilityFull); !errors.Is(err, ErrClusterSize) {
+			t.Fatalf("%d-operator shard = %v, want ErrClusterSize", len(ops), err)
+		}
 	}
 }
 
@@ -171,6 +176,54 @@ func TestQuorumFailureRollsBack(t *testing.T) {
 	}
 }
 
+// TestClusterFlushWithoutSubscribersKeepsQueue: a block nobody would receive
+// is not cut. The refusal is ErrNoSubscribers, not a leader loss, so a shard
+// neither elects nor withdraws the submission, and the queued transactions
+// are ordered once somebody subscribes.
+func TestClusterFlushWithoutSubscribersKeepsQueue(t *testing.T) {
+	c, err := NewCluster("trade", clusterOps, VisibilityFull, WithBatchSize(2))
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	if err := c.Submit(mkTx("trade", "BankA", "k0")); err != nil {
+		t.Fatalf("Submit below the batch size: %v", err)
+	}
+	if err := c.Flush(); !errors.Is(err, ErrNoSubscribers) {
+		t.Fatalf("Flush without subscribers = %v, want ErrNoSubscribers", err)
+	}
+	if err := c.Submit(mkTx("trade", "BankA", "k1")); !errors.Is(err, ErrNoSubscribers) {
+		t.Fatalf("Submit filling the batch = %v, want ErrNoSubscribers", err)
+	}
+	if c.Pending() != 2 || c.Height() != 0 || c.retained() != 0 {
+		t.Fatalf("pending %d, height %d, retained %d; want the queue of 2 intact and nothing cut",
+			c.Pending(), c.Height(), c.retained())
+	}
+	for _, op := range clusterOps {
+		if n, err := c.CommittedBlocks(op); err != nil || n != 0 {
+			t.Fatalf("node %s committed = %d, %v; want 0", op, n, err)
+		}
+	}
+	l := ledger.New("trade")
+	c.Subscribe(l.Append)
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush with a subscriber: %v", err)
+	}
+	if b, err := l.Block(0); err != nil || len(b.Txs) != 2 || c.Pending() != 0 {
+		t.Fatalf("block 0 = %d txs, %v, %d still pending; want both queued transactions", len(b.Txs), err, c.Pending())
+	}
+
+	rs, err := NewReplicatedShard(clusterOps, VisibilityFull)
+	if err != nil {
+		t.Fatalf("NewReplicatedShard: %v", err)
+	}
+	if err := rs.Submit(mkTx("trade", "BankA", "k")); !errors.Is(err, ErrNoSubscribers) {
+		t.Fatalf("shard Submit without subscribers = %v, want ErrNoSubscribers", err)
+	}
+	if rs.Failovers() != 0 || rs.Pending("trade") != 1 {
+		t.Fatalf("%d failovers, %d pending; want no election and the transaction queued", rs.Failovers(), rs.Pending("trade"))
+	}
+}
+
 func TestRestartCatchesUp(t *testing.T) {
 	c, _ := newCluster(t)
 	if err := c.Crash("BuyerInc"); err != nil {
@@ -228,7 +281,7 @@ func TestElectionPrefersLongestLog(t *testing.T) {
 
 func TestClusterVisibilityConfinedToMembers(t *testing.T) {
 	log := audit.NewLog()
-	c, _ := newCluster(t, WithClusterAudit(log))
+	c, _ := newCluster(t, WithAuditLog(log))
 	tx := mkTx("trade", "BankA", "k")
 	if err := c.Submit(tx); err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -255,7 +308,7 @@ func TestClusterVisibilityConfinedToMembers(t *testing.T) {
 }
 
 func TestClusterBatching(t *testing.T) {
-	c, l := newCluster(t, WithClusterBatch(3))
+	c, l := newCluster(t, WithBatchSize(3))
 	for i := 0; i < 2; i++ {
 		if err := c.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit: %v", err)

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"dltprivacy/internal/audit"
@@ -112,5 +113,50 @@ func TestSoloNetworkHasNoCluster(t *testing.T) {
 	n := newTradeNetwork(t)
 	if _, err := n.OrderingCluster("trade"); err == nil {
 		t.Fatal("solo network must not expose a cluster")
+	}
+}
+
+// TestOrderingLeakIsTheSameSoloOrReplicated holds the §3.4 claim to one
+// statement: a full-visibility orderer learns the parties to a transaction
+// and who endorsed for whom, whichever shape it takes. The same Invoke
+// through a one-operator and a three-operator ordering service leaves every
+// operator with the same identities and relationships.
+func TestOrderingLeakIsTheSameSoloOrReplicated(t *testing.T) {
+	members := []string{"A", "B", "C"}
+	invoke := func(cfg Config) *Network {
+		t.Helper()
+		n, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatalf("NewNetwork: %v", err)
+		}
+		for _, org := range members {
+			if _, err := n.AddOrg(org); err != nil {
+				t.Fatalf("AddOrg(%s): %v", org, err)
+			}
+		}
+		if err := n.CreateChannel("ch", members, contract.Policy{Members: members, Threshold: 2}); err != nil {
+			t.Fatalf("CreateChannel: %v", err)
+		}
+		if err := n.InstallChaincode("ch", tradeChaincode(), []string{"A", "B"}); err != nil {
+			t.Fatalf("InstallChaincode: %v", err)
+		}
+		if _, err := n.Invoke("ch", "A", "trade", "record",
+			[][]byte{[]byte("k"), []byte("v")}, []string{"A", "B"}); err != nil {
+			t.Fatalf("Invoke: %v", err)
+		}
+		return n
+	}
+	solo := invoke(Config{OrdererOperator: "op-0"})
+	replicated := invoke(Config{OrdererCluster: []string{"op-0", "op-1", "op-2"}})
+	for _, class := range []audit.DataClass{audit.ClassIdentity, audit.ClassRelationship} {
+		want := solo.Log.ItemsSeen("op-0", class)
+		if len(want) < 2 {
+			t.Fatalf("solo operator saw %v of class %v; want the channel's configuration and the transaction's parties", want, class)
+		}
+		for _, op := range replicated.OrdererOperators() {
+			if got := replicated.Log.ItemsSeen(op, class); !slices.Equal(got, want) {
+				t.Errorf("class %v: operator %s of 3 saw %v, the solo operator %v", class, op, got, want)
+			}
+		}
 	}
 }

@@ -90,7 +90,7 @@ type Network struct {
 
 	ca        *pki.CA
 	idemix    *anoncred.Issuer
-	orderer   ordering.Backend
+	orderer   *ordering.ReplicatedShard
 	chaincode *contract.Registry
 
 	mu       sync.Mutex
@@ -101,20 +101,20 @@ type Network struct {
 
 // Config controls network construction.
 type Config struct {
-	// OrdererOperator names the principal running the solo ordering
-	// service; the paper's mitigation is channel members running it
+	// OrdererOperator names the principal running the ordering service
+	// alone; the paper's mitigation is channel members running it
 	// themselves.
 	OrdererOperator string
-	// OrdererCluster, when set (>= 3 members), replaces the solo service
-	// with a member-run replicated ordering cluster (one per channel):
-	// the full §3.4 mitigation with crash fault tolerance.
+	// OrdererCluster, when set (>= 3 members), has the members run the
+	// ordering service instead, replicated (one cluster per channel): the
+	// full §3.4 mitigation with crash fault tolerance.
 	OrdererCluster []string
 	// BatchSize is transactions per block.
 	BatchSize int
 }
 
 // NewNetwork creates a Fabric-model network with a CA, an Idemix issuer, and
-// a solo ordering service with full visibility (the Fabric architecture).
+// an ordering service with full visibility (the Fabric architecture).
 func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.OrdererOperator == "" {
 		cfg.OrdererOperator = "orderer-org"
@@ -131,23 +131,20 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if _, err := idemix.RegisterAttributeSet(memberAttr); err != nil {
 		return nil, fmt.Errorf("register idemix attrs: %w", err)
 	}
-	var backend ordering.Backend
-	if len(cfg.OrdererCluster) > 0 {
-		rs, err := ordering.NewReplicatedShard(cfg.OrdererCluster, ordering.VisibilityFull,
-			ordering.WithShardAudit(log), ordering.WithShardBatch(cfg.BatchSize))
-		if err != nil {
-			return nil, fmt.Errorf("ordering cluster: %w", err)
-		}
-		backend = rs
-	} else {
-		backend = ordering.New(cfg.OrdererOperator, ordering.VisibilityFull,
-			ordering.WithAuditLog(log), ordering.WithBatchSize(cfg.BatchSize))
+	operators := cfg.OrdererCluster
+	if len(operators) == 0 {
+		operators = []string{cfg.OrdererOperator}
+	}
+	orderer, err := ordering.NewReplicatedShard(operators, ordering.VisibilityFull,
+		ordering.WithAuditLog(log), ordering.WithBatchSize(cfg.BatchSize))
+	if err != nil {
+		return nil, fmt.Errorf("ordering cluster: %w", err)
 	}
 	return &Network{
 		Log:       log,
 		ca:        ca,
 		idemix:    idemix,
-		orderer:   backend,
+		orderer:   orderer,
 		chaincode: contract.NewRegistry(log),
 		orgs:      make(map[string]*Org),
 		channels:  make(map[string]*channel),
@@ -155,7 +152,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 }
 
 // OrdererOperator returns the first principal operating the ordering
-// service (the only one for a solo service).
+// service (the only one unless the network was configured with
+// OrdererCluster).
 func (n *Network) OrdererOperator() string { return n.orderer.Operators()[0] }
 
 // OrdererOperators returns every principal operating the ordering service.
@@ -164,11 +162,10 @@ func (n *Network) OrdererOperators() []string { return n.orderer.Operators() }
 // OrderingCluster exposes the replicated cluster for a channel when the
 // network was configured with OrdererCluster, for fault injection.
 func (n *Network) OrderingCluster(channel string) (*ordering.Cluster, error) {
-	rs, ok := n.orderer.(*ordering.ReplicatedShard)
-	if !ok {
+	if len(n.orderer.Operators()) == 1 {
 		return nil, errors.New("fabric: network uses a solo ordering service")
 	}
-	return rs.Cluster(channel)
+	return n.orderer.Cluster(channel)
 }
 
 // AddOrg enrolls an organization with the CA and creates its peer.
