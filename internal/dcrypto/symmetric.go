@@ -219,10 +219,13 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-// HybridCiphertext is the result of ECIES-style encryption to a recipient
-// public key: an ephemeral public key plus an AES-GCM ciphertext under the
-// shared secret. It is how symmetric keys "commonly get shared over the
-// network using PKI" (§2.2).
+// HybridCiphertext is the result of ECIES-style encryption to ONE recipient
+// public key: an ephemeral public key plus an AES-GCM ciphertext (random
+// nonce prepended) under the shared secret. It carries the session master
+// secret to a certified key and a TEE's confidential inputs and outputs. The
+// envelope's wrapped-key table — one secret to many recipients — is
+// WrapToRecipients, which spends one ephemeral key on the whole set instead
+// of one HybridCiphertext per member.
 type HybridCiphertext struct {
 	EphemeralPub []byte `json:"ephemeralPub"`
 	Ciphertext   []byte `json:"ciphertext"`
@@ -278,5 +281,114 @@ func deriveAEADKey(shared, ephPub []byte) []byte {
 	h.Write([]byte("dltprivacy/ecies/v1"))
 	h.Write(shared)
 	h.Write(ephPub)
+	return h.Sum(nil)
+}
+
+// gcmTagSize is what a wrap adds to its secret: the GCM tag and nothing else,
+// there being no nonce to carry (see WrapToRecipients).
+const gcmTagSize = 16
+
+// WrappedKeySize is the length of a WrapToRecipients wrap of a
+// SymmetricKeySize secret.
+const WrappedKeySize = SymmetricKeySize + gcmTagSize
+
+// wrapNonce is the fixed all-zero GCM nonce of the multi-recipient wrap. A
+// fixed nonce is safe exactly because every key-encryption key seals ONE
+// message: the KEK is derived from an ephemeral key that WrapToRecipients
+// generates, uses and drops inside one call (RFC 9180's single-shot mode).
+var wrapNonce = make([]byte, 12)
+
+// WrapToRecipients wraps one secret to every recipient under a SINGLE
+// ephemeral P-256 key: per recipient one ECDH, a key-encryption key
+//
+//	KEK_i = SHA-256(domain ‖ ECDH(eph, pub_i) ‖ ephPub ‖ pub_i)
+//
+// and AES-256-GCM over the secret at the fixed nonce, so a wrap is the secret
+// plus a 16-byte tag and the whole set shares the 65-byte ephPub. This is how
+// a data key gets "shared over the network using PKI" (§2.2) to a channel.
+//
+// Why one ephemeral key is enough: ECIES is reproducible, and a reproducible
+// scheme keeps each recipient's security when its randomness is reused across
+// recipients (Bellare, Boldyreva and Staddon, "Randomness Re-use in
+// Multi-recipient Encryption Schemes", PKC 2003). Binding pub_i into the KEK
+// gives every recipient a distinct key even where two shared secrets could be
+// related. The one rule that keeps it safe: an ephemeral key wraps exactly
+// one secret — two secrets under one KEK at the fixed nonce would hand an
+// observer their XOR and the GCM authentication key. The function is one-shot
+// to make that unrepresentable: the ephemeral private key is a local of this
+// call, never returned and never stored.
+//
+// The KEK binds the recipient's key, not its name: the same public key listed
+// under two names unwraps for both, and a wrap moved under another
+// recipient's name does not unwrap.
+func WrapToRecipients(recipients map[string]PublicKey, secret, associatedData []byte) (ephPub []byte, wraps map[string][]byte, err error) {
+	p256 := ecdh.P256()
+	eph, err := p256.GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, nil, fmt.Errorf("generate ephemeral key: %w", err)
+	}
+	ephPub = eph.PublicKey().Bytes()
+	wraps = make(map[string][]byte, len(recipients))
+	// One backing array for every wrap: n small allocations become one.
+	size := len(secret) + gcmTagSize
+	buf := make([]byte, 0, len(recipients)*size)
+	for id, recipient := range recipients {
+		pub := recipient.Bytes()
+		recipECDH, err := p256.NewPublicKey(pub)
+		if err != nil {
+			return nil, nil, fmt.Errorf("recipient %s: %w", id, ErrInvalidPublicKey)
+		}
+		shared, err := eph.ECDH(recipECDH)
+		if err != nil {
+			return nil, nil, fmt.Errorf("ecdh for %s: %w", id, err)
+		}
+		aead, err := newAEAD(deriveWrapKey(shared, ephPub, pub))
+		if err != nil {
+			return nil, nil, err
+		}
+		buf = aead.Seal(buf, wrapNonce, secret, associatedData)
+		wraps[id] = buf[len(buf)-size : len(buf) : len(buf)]
+	}
+	return ephPub, wraps, nil
+}
+
+// Unwrap recovers the secret WrapToRecipients wrapped for the holder of
+// recipient. Every failure — a malformed or off-curve ephPub, a wrap made for
+// another key or under other associated data, a flipped bit anywhere — is
+// ErrDecrypt, deliberately opaque.
+func Unwrap(recipient *PrivateKey, ephPub, wrap, associatedData []byte) ([]byte, error) {
+	p256 := ecdh.P256()
+	priv, err := p256.NewPrivateKey(recipient.key.D.FillBytes(make([]byte, 32)))
+	if err != nil {
+		return nil, fmt.Errorf("recipient private key: %w", err)
+	}
+	peer, err := p256.NewPublicKey(ephPub)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	shared, err := priv.ECDH(peer)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	aead, err := newAEAD(deriveWrapKey(shared, ephPub, recipient.Public().Bytes()))
+	if err != nil {
+		return nil, err
+	}
+	secret, err := aead.Open(nil, wrapNonce, wrap, associatedData)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	return secret, nil
+}
+
+// deriveWrapKey derives a recipient's key-encryption key. Its domain differs
+// from deriveAEADKey's, so no (shared secret, ephemeral key) pair yields the
+// same key under both constructions.
+func deriveWrapKey(shared, ephPub, recipientPub []byte) []byte {
+	h := sha256.New()
+	h.Write([]byte("dltprivacy/ecies-multi/v1"))
+	h.Write(shared)
+	h.Write(ephPub)
+	h.Write(recipientPub)
 	return h.Sum(nil)
 }

@@ -231,3 +231,163 @@ func TestHybridPropertyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wrapFixture wraps a fresh 32-byte secret to alice and bob.
+func wrapFixture(t testing.TB) (alice, bob *PrivateKey, secret, ephPub []byte, wraps map[string][]byte) {
+	t.Helper()
+	alice, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err = GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret, err = NewSymmetricKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ephPub, wraps, err = WrapToRecipients(map[string]PublicKey{"alice": alice.Public(), "bob": bob.Public()}, secret, []byte("channel-A"))
+	if err != nil {
+		t.Fatalf("WrapToRecipients: %v", err)
+	}
+	return alice, bob, secret, ephPub, wraps
+}
+
+func TestWrapRoundTripEveryRecipient(t *testing.T) {
+	alice, bob, secret, ephPub, wraps := wrapFixture(t)
+	if len(ephPub) != 65 {
+		t.Fatalf("ephemeral key is %d bytes, want an uncompressed P-256 point's 65", len(ephPub))
+	}
+	for id, key := range map[string]*PrivateKey{"alice": alice, "bob": bob} {
+		if len(wraps[id]) != WrappedKeySize {
+			t.Fatalf("%s's wrap is %d bytes, want %d", id, len(wraps[id]), WrappedKeySize)
+		}
+		got, err := Unwrap(key, ephPub, wraps[id], []byte("channel-A"))
+		if err != nil || !bytes.Equal(got, secret) {
+			t.Fatalf("Unwrap as %s: %x, %v", id, got, err)
+		}
+	}
+	if bytes.Equal(wraps["alice"], wraps["bob"]) {
+		t.Fatal("two recipients hold the same wrap: the key-encryption key does not depend on the recipient")
+	}
+}
+
+// TestWrapFreshEphemeralKeyPerCall is the rule the fixed nonce rests on: an
+// ephemeral key, hence a key-encryption key, is never used for two calls.
+func TestWrapFreshEphemeralKeyPerCall(t *testing.T) {
+	alice, _ := GenerateKey()
+	recipients := map[string]PublicKey{"alice": alice.Public()}
+	secret := bytes.Repeat([]byte{7}, SymmetricKeySize)
+	eph1, wraps1, err := WrapToRecipients(recipients, secret, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eph2, wraps2, err := WrapToRecipients(recipients, secret, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(eph1, eph2) {
+		t.Fatal("two calls with identical inputs returned the same ephemeral key")
+	}
+	if bytes.Equal(wraps1["alice"], wraps2["alice"]) {
+		t.Fatal("two calls with identical inputs returned the same wrap")
+	}
+}
+
+func TestUnwrapNonRecipientFails(t *testing.T) {
+	_, _, _, ephPub, wraps := wrapFixture(t)
+	eve, _ := GenerateKey()
+	for id, wrap := range wraps {
+		if _, err := Unwrap(eve, ephPub, wrap, []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("a non-recipient unwrapping %s's wrap: %v, want ErrDecrypt", id, err)
+		}
+	}
+}
+
+func TestUnwrapWrongAssociatedDataFails(t *testing.T) {
+	alice, _, _, ephPub, wraps := wrapFixture(t)
+	if _, err := Unwrap(alice, ephPub, wraps["alice"], []byte("channel-B")); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("Unwrap under other associated data: %v, want ErrDecrypt", err)
+	}
+}
+
+// TestUnwrapMovedWrapFails: the key-encryption key binds the recipient's
+// public key, so a wrap filed under another recipient's name is useless to
+// that recipient.
+func TestUnwrapMovedWrapFails(t *testing.T) {
+	_, bob, _, ephPub, wraps := wrapFixture(t)
+	if _, err := Unwrap(bob, ephPub, wraps["alice"], []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("bob unwrapping alice's wrap: %v, want ErrDecrypt", err)
+	}
+}
+
+func TestUnwrapFlippedBitFails(t *testing.T) {
+	alice, _, _, ephPub, wraps := wrapFixture(t)
+	for i := 0; i < len(ephPub)*8; i++ {
+		bad := append([]byte(nil), ephPub...)
+		bad[i/8] ^= 1 << (i % 8)
+		if _, err := Unwrap(alice, bad, wraps["alice"], []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("ephPub bit %d flipped: %v, want ErrDecrypt", i, err)
+		}
+	}
+	for i := 0; i < WrappedKeySize*8; i++ {
+		bad := append([]byte(nil), wraps["alice"]...)
+		bad[i/8] ^= 1 << (i % 8)
+		if _, err := Unwrap(alice, ephPub, bad, []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("wrap bit %d flipped: %v, want ErrDecrypt", i, err)
+		}
+	}
+}
+
+// TestWrapSameKeyUnderTwoNames: names are the caller's labels; one public
+// key enrolled under two of them unwraps for both.
+func TestWrapSameKeyUnderTwoNames(t *testing.T) {
+	alice, _ := GenerateKey()
+	secret := bytes.Repeat([]byte{9}, SymmetricKeySize)
+	ephPub, wraps, err := WrapToRecipients(map[string]PublicKey{"alice": alice.Public(), "alice-desk-2": alice.Public()}, secret, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, wrap := range wraps {
+		got, err := Unwrap(alice, ephPub, wrap, nil)
+		if err != nil || !bytes.Equal(got, secret) {
+			t.Fatalf("Unwrap of the wrap filed under %s: %x, %v", id, got, err)
+		}
+	}
+}
+
+func TestWrapRejectsInvalidRecipientKey(t *testing.T) {
+	if _, _, err := WrapToRecipients(map[string]PublicKey{"ghost": {}}, make([]byte, SymmetricKeySize), nil); !errors.Is(err, ErrInvalidPublicKey) {
+		t.Fatalf("wrapping to a zero public key: %v, want ErrInvalidPublicKey", err)
+	}
+}
+
+// FuzzUnwrap hands Unwrap hostile ephemeral keys and wraps: it may only
+// refuse (ErrDecrypt), never panic and never return a key — except for the
+// genuine pair, which the mutator can reproduce from the seed.
+func FuzzUnwrap(f *testing.F) {
+	alice, _, secret, ephPub, wraps := wrapFixture(f)
+	ad := []byte("channel-A")
+	f.Add(ephPub, wraps["alice"])
+	f.Add(ephPub, wraps["bob"])
+	f.Add(ephPub[:64], wraps["alice"])
+	f.Add(ephPub, wraps["alice"][:47])
+	f.Add([]byte{}, []byte{})
+	f.Add(append([]byte{0x02}, ephPub[1:33]...), wraps["alice"])     // compressed form
+	f.Add(make([]byte, 65), wraps["alice"])                          // not a point
+	f.Add(append([]byte{0x04}, make([]byte, 64)...), wraps["alice"]) // (0,0): off the curve
+	f.Add([]byte{0x00}, wraps["alice"])                              // the point at infinity's encoding
+	f.Fuzz(func(t *testing.T, eph, wrap []byte) {
+		got, err := Unwrap(alice, eph, wrap, ad)
+		if bytes.Equal(eph, ephPub) && bytes.Equal(wrap, wraps["alice"]) {
+			if err != nil || !bytes.Equal(got, secret) {
+				t.Fatalf("the genuine pair did not unwrap: %v", err)
+			}
+			return
+		}
+		if !errors.Is(err, ErrDecrypt) || got != nil {
+			t.Fatalf("Unwrap(%x, %x) = %x, %v; want nil, ErrDecrypt", eph, wrap, got, err)
+		}
+	})
+}

@@ -93,6 +93,12 @@ func (r *frameReader) uvarint() uint64 {
 		r.err = fmt.Errorf("%w: truncated varint", ErrBadFrame)
 		return 0
 	}
+	if n > 1 && r.b[n-1] == 0 {
+		// A padded varint is a second spelling of the same number: no
+		// encoder here emits one, and a ledger frame must have one encoding.
+		r.err = fmt.Errorf("%w: non-minimal varint", ErrBadFrame)
+		return 0
+	}
 	r.b = r.b[n:]
 	return v
 }

@@ -257,8 +257,11 @@
 //     the payload's backing array, so the digests one submission takes
 //     (wire ID, MAC check, audit observation) share one pass and a
 //     replaced payload can never meet a stale sum. The envelope
-//     frame puts the wrapped-key table ahead of the ciphertext; the
-//     encrypt stage caches that epoch-constant head and the SHA-256
+//     frame puts the wrapped-key table — one ephemeral key for the
+//     epoch and a 48-byte wrap per member (dcrypto.WrapToRecipients),
+//     2.9 KB of a 3.0 KB envelope at 50 members — ahead of the
+//     ciphertext; the encrypt stage caches that epoch-constant head and
+//     the SHA-256
 //     state that has absorbed it, seals each envelope into one
 //     allocation behind a copy of the head, and resumes the cached state
 //     over the ciphertext field alone — the sealed frame is never
@@ -279,13 +282,14 @@
 //
 // With a key cache (encrypt parameter "keyttl" > 0), the encrypt stage
 // wraps a channel data key to every member once per (channel, epoch) and
-// reuses it: each submission pays one AES-GCM seal instead of one hybrid
-// encryption per member. The key rotates onto a fresh epoch — new data
-// key, new wraps — when the epoch TTL elapses, when the channel's member
-// set changes in the Directory (detected by fingerprint, so a joiner never
-// opens pre-join traffic and a leaver's key is dropped from new wraps), or
-// on an explicit Encrypt.Rotate / Gateway.RotateChannelKey call (e.g.
-// after a revocation). Envelopes record their epoch.
+// reuses it: each submission pays one AES-GCM seal instead of one ECDH
+// key-wrap per member. The key rotates onto a fresh epoch — new data
+// key, new ephemeral key, new wraps — when the epoch TTL elapses, when the
+// channel's member set changes in the Directory (detected by fingerprint,
+// so a joiner never opens pre-join traffic and a leaver's key is dropped
+// from new wraps), or on an explicit Encrypt.Rotate /
+// Gateway.RotateChannelKey call (e.g. after a revocation). Envelopes
+// record their epoch.
 //
 // # Revocation
 //

@@ -33,9 +33,6 @@ func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("channelKeyFor: %v", err)
 	}
-	if want := appendEnvelopeKeys(nil, ck.wrapped, sortedKeyIDs(ck.wrapped)); !bytes.Equal(ck.keySection, want) {
-		t.Fatalf("cached key section differs from the table's encoding")
-	}
 	keyed, sum, err := ck.sealFrame([]byte("10 tons of steel"))
 	if err != nil {
 		t.Fatalf("sealFrame: %v", err)
@@ -50,6 +47,9 @@ func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 	if canonical := EncodeEnvelope(back); !bytes.Equal(canonical, keyed) {
 		t.Fatalf("keyed encoding differs from canonical:\n  canonical %d bytes\n  keyed     %d bytes",
 			len(canonical), len(keyed))
+	}
+	if want := appendEnvelopeKeys(nil, back.EphemeralPub, ck.wrapped, sortedKeyIDs(ck.wrapped)); !bytes.Equal(ck.keySection, want) {
+		t.Fatalf("cached key section differs from the table's encoding")
 	}
 	got, err := OpenEnvelope(back, "bob", ps["bob"].key)
 	if err != nil {

@@ -3,6 +3,7 @@ package middleware
 import (
 	"context"
 	"crypto/cipher"
+	"crypto/ecdh"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,26 +16,28 @@ import (
 )
 
 // EnvelopeScheme identifies the envelope format produced by the encrypt
-// stage: a fresh AES-256-GCM data key sealing the payload, hybrid-wrapped
-// to every channel member (§2.2, "Symmetric key encryption" with keys
-// "shared over the network using PKI").
-const EnvelopeScheme = "hybrid-aes256gcm/v1"
+// stage: a fresh AES-256-GCM data key sealing the payload, wrapped to every
+// channel member under one ephemeral key (§2.2, "Symmetric key encryption"
+// with keys "shared over the network using PKI").
+const EnvelopeScheme = "hybrid-aes256gcm/v2"
 
 // ErrNotRecipient is returned when opening an envelope with an identity
 // that holds no wrapped key.
 var ErrNotRecipient = errors.New("middleware: identity is not an envelope recipient")
 
-// Envelope is an encrypted payload plus the data key wrapped per member.
+// Envelope is an encrypted payload plus the data key wrapped per member
+// (dcrypto.WrapToRecipients: EphemeralPub once, one 48-byte wrap each).
 // Observers (orderer, backends) see ciphertext and the recipient set only.
 // Epoch identifies the channel data-key generation when the encrypt stage
 // runs with a key cache; envelopes sealed with a fresh per-request key
 // carry epoch zero.
 type Envelope struct {
-	Scheme     string                              `json:"scheme"`
-	Channel    string                              `json:"channel"`
-	Epoch      uint64                              `json:"epoch,omitempty"`
-	Ciphertext []byte                              `json:"ciphertext"`
-	Keys       map[string]dcrypto.HybridCiphertext `json:"keys"`
+	Scheme       string            `json:"scheme"`
+	Channel      string            `json:"channel"`
+	Epoch        uint64            `json:"epoch,omitempty"`
+	Ciphertext   []byte            `json:"ciphertext"`
+	EphemeralPub []byte            `json:"ephemeralPub"`
+	Keys         map[string][]byte `json:"keys"`
 }
 
 // envelopeAD binds envelope ciphertexts to their channel.
@@ -61,31 +64,45 @@ func OpenEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]byte,
 	if env.Scheme != EnvelopeScheme {
 		return nil, fmt.Errorf("middleware: unsupported envelope scheme %q", env.Scheme)
 	}
-	wrapped, ok := env.Keys[member]
+	dataKey, err := unwrapDataKey(env.Channel, env.EphemeralPub, env.Keys, member, key)
+	if err != nil {
+		return nil, err
+	}
+	return dcrypto.DecryptSymmetric(dataKey, env.Ciphertext, envelopeAD(env.Channel))
+}
+
+// unwrapDataKey recovers the data key of a single or group envelope from its
+// wrapped-key table. Both kinds wrap under the single-envelope associated
+// data: it is the same table, wrapped once per epoch.
+func unwrapDataKey(channel string, ephPub []byte, keys map[string][]byte, member string, key *dcrypto.PrivateKey) ([]byte, error) {
+	wrap, ok := keys[member]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotRecipient, member)
 	}
-	dataKey, err := dcrypto.DecryptHybrid(key, wrapped, envelopeAD(env.Channel))
+	dataKey, err := dcrypto.Unwrap(key, ephPub, wrap, envelopeAD(channel))
 	if err != nil {
 		return nil, fmt.Errorf("middleware: unwrap key: %w", err)
 	}
-	return dcrypto.DecryptSymmetric(dataKey, env.Ciphertext, envelopeAD(env.Channel))
+	return dataKey, nil
 }
 
 // EncodeEnvelope marshals an envelope into its ledger frame, one
 // exactly-sized allocation:
 //
-//	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ n-keys ‖ keys… ‖ ciphertext
+//	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ key table ‖ ciphertext
+//	key table = ephPub ‖ n-keys ‖ (id ‖ wrap)…
 //
-// The wrapped-key table comes BEFORE the ciphertext so that everything
-// constant for a key epoch is one contiguous head and only the tail differs
-// between the epoch's envelopes (see encodeEnvelopeHead). Recipients are
-// emitted in sorted order, so the encoding is deterministic. It is the
-// counterpart of ParseEnvelope for clients and tests that handle envelopes
-// outside the encrypt stage; json.Marshal of a parsed Envelope is the
-// diffable debug view, not a format any decoder accepts.
+// Every field but the two counts (uvarints) is length-prefixed. The key
+// table comes BEFORE the ciphertext so that everything constant for a key
+// epoch is one contiguous head and only the tail differs between the epoch's
+// envelopes (see encodeEnvelopeHead). Recipients are emitted in ascending
+// order and keyTable accepts no other, so an envelope has exactly one
+// encoding: EncodeEnvelope(ParseEnvelope(b)) is b. It is the counterpart of
+// ParseEnvelope for clients and tests that handle envelopes outside the
+// encrypt stage; json.Marshal of a parsed Envelope is the diffable debug
+// view, not a format any decoder accepts.
 func EncodeEnvelope(env Envelope) []byte {
-	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.Keys, lenPrefixedSize(len(env.Ciphertext)))
+	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.EphemeralPub, env.Keys, lenPrefixedSize(len(env.Ciphertext)))
 	return appendLenPrefixed(out, env.Ciphertext)
 }
 
@@ -96,23 +113,23 @@ func EncodeEnvelope(env Envelope) []byte {
 // is the section group envelopes of the same epoch splice. The head is
 // immutable for a data key's lifetime, so newChannelKey computes it once
 // (tail 0) and every seal copies it — O(members) encoding becomes one copy.
-func encodeEnvelopeHead(scheme, channel string, epoch uint64, keys map[string]dcrypto.HybridCiphertext, tail int) (head []byte, keysAt int) {
+func encodeEnvelopeHead(scheme, channel string, epoch uint64, ephPub []byte, keys map[string][]byte, tail int) (head []byte, keysAt int) {
 	keysAt = 2 +
 		lenPrefixedSize(len(scheme)) +
 		lenPrefixedSize(len(channel)) +
 		uvarintSize(epoch)
 	ids := sortedKeyIDs(keys)
-	out := make([]byte, 0, keysAt+envelopeKeysSize(keys, ids)+tail)
+	out := make([]byte, 0, keysAt+envelopeKeysSize(ephPub, keys, ids)+tail)
 	out = append(out, binaryMagic, binaryKindEnvelope)
 	out = appendLenPrefixed(out, []byte(scheme))
 	out = appendLenPrefixed(out, []byte(channel))
 	out = binary.AppendUvarint(out, epoch)
-	return appendEnvelopeKeys(out, keys, ids), keysAt
+	return appendEnvelopeKeys(out, ephPub, keys, ids), keysAt
 }
 
 // sortedKeyIDs returns the recipient identities of a wrapped-key table in
-// the deterministic order the frame emits them.
-func sortedKeyIDs(keys map[string]dcrypto.HybridCiphertext) []string {
+// the one order the frame carries them.
+func sortedKeyIDs(keys map[string][]byte) []string {
 	ids := make([]string, 0, len(keys))
 	for id := range keys {
 		ids = append(ids, id)
@@ -122,58 +139,77 @@ func sortedKeyIDs(keys map[string]dcrypto.HybridCiphertext) []string {
 }
 
 // envelopeKeysSize is the encoded size of a wrapped-key table.
-func envelopeKeysSize(keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) int {
-	size := uvarintSize(uint64(len(sortedIDs)))
+func envelopeKeysSize(ephPub []byte, keys map[string][]byte, sortedIDs []string) int {
+	size := lenPrefixedSize(len(ephPub)) + uvarintSize(uint64(len(sortedIDs)))
 	for _, id := range sortedIDs {
-		k := keys[id]
-		size += lenPrefixedSize(len(id)) +
-			lenPrefixedSize(len(k.EphemeralPub)) +
-			lenPrefixedSize(len(k.Ciphertext))
+		size += lenPrefixedSize(len(id)) + lenPrefixedSize(len(keys[id]))
 	}
 	return size
 }
 
-// appendEnvelopeKeys appends the wrapped-key table (recipient count +
-// per-recipient id/ephemeral/ciphertext triples) in sortedIDs order — the
-// one encoding single and group envelopes share.
-func appendEnvelopeKeys(out []byte, keys map[string]dcrypto.HybridCiphertext, sortedIDs []string) []byte {
+// appendEnvelopeKeys appends the wrapped-key table (the shared ephemeral key,
+// the recipient count, an id/wrap pair per recipient) in sortedIDs order —
+// the one encoding single and group envelopes share.
+func appendEnvelopeKeys(out, ephPub []byte, keys map[string][]byte, sortedIDs []string) []byte {
+	out = appendLenPrefixed(out, ephPub)
 	out = binary.AppendUvarint(out, uint64(len(sortedIDs)))
 	for _, id := range sortedIDs {
-		k := keys[id]
 		out = appendLenPrefixed(out, []byte(id))
-		out = appendLenPrefixed(out, k.EphemeralPub)
-		out = appendLenPrefixed(out, k.Ciphertext)
+		out = appendLenPrefixed(out, keys[id])
 	}
 	return out
 }
 
-// keyTable decodes a wrapped-key table. The declared count is checked
+// keyTable decodes a wrapped-key table, accepting only the one encoding
+// appendEnvelopeKeys emits for a table dcrypto.WrapToRecipients made: an
+// ephemeral key that is a P-256 point, wraps of dcrypto.WrappedKeySize,
+// recipient ids strictly ascending. A duplicated or out-of-order id would
+// otherwise parse to a table that re-encodes to different bytes, and one
+// ledger payload hash would not pin one table. The declared count is checked
 // against the bytes that remain before the map is sized (every entry costs
-// at least its three length bytes), so no frame makes the decoder allocate
+// at least its two length bytes), so no frame makes the decoder allocate
 // beyond a multiple of its own length.
-func (r *frameReader) keyTable() map[string]dcrypto.HybridCiphertext {
+func (r *frameReader) keyTable() (ephPub []byte, keys map[string][]byte) {
+	ephPub = r.bytes()
 	nKeys := r.uvarint()
-	if r.err != nil || nKeys == 0 {
-		return nil
+	if r.err != nil {
+		return nil, nil
+	}
+	if _, err := ecdh.P256().NewPublicKey(ephPub); err != nil {
+		r.err = fmt.Errorf("%w: ephemeral key (%d bytes) is not a P-256 point", ErrBadFrame, len(ephPub))
+		return nil, nil
+	}
+	if nKeys == 0 {
+		return ephPub, nil
 	}
 	if nKeys > uint64(len(r.b)) {
 		r.err = fmt.Errorf("%w: key count %d exceeds remaining bytes", ErrBadFrame, nKeys)
-		return nil
+		return nil, nil
 	}
-	keys := make(map[string]dcrypto.HybridCiphertext, nKeys)
-	for i := uint64(0); i < nKeys && r.err == nil; i++ {
-		id := r.str()
-		keys[id] = dcrypto.HybridCiphertext{
-			EphemeralPub: r.bytes(),
-			Ciphertext:   r.bytes(),
+	keys = make(map[string][]byte, nKeys)
+	var prev string
+	for i := uint64(0); i < nKeys; i++ {
+		id, wrap := r.str(), r.bytes()
+		if r.err != nil {
+			return nil, nil
 		}
+		if i > 0 && id <= prev {
+			r.err = fmt.Errorf("%w: recipient %q does not sort after %q", ErrBadFrame, id, prev)
+			return nil, nil
+		}
+		if len(wrap) != dcrypto.WrappedKeySize {
+			r.err = fmt.Errorf("%w: wrapped key for %q is %d bytes, want %d", ErrBadFrame, id, len(wrap), dcrypto.WrappedKeySize)
+			return nil, nil
+		}
+		keys[id], prev = wrap, id
 	}
-	return keys
+	return ephPub, keys
 }
 
 // ParseEnvelope decodes an envelope frame (a transaction payload the encrypt
-// stage produced). Anything else — a JSON document included — is rejected
-// with ErrBadFrame, never mis-parsed.
+// stage produced). Anything else — a JSON document, a frame of the retired
+// per-member-ephemeral-key layout — is rejected with ErrBadFrame, never
+// mis-parsed.
 func ParseEnvelope(b []byte) (Envelope, error) {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindEnvelope {
 		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w: not an envelope frame", ErrBadFrame)
@@ -183,7 +219,7 @@ func ParseEnvelope(b []byte) (Envelope, error) {
 	env.Scheme = r.str()
 	env.Channel = r.str()
 	env.Epoch = r.uvarint()
-	env.Keys = r.keyTable()
+	env.EphemeralPub, env.Keys = r.keyTable()
 	env.Ciphertext = r.bytes()
 	if err := r.done(); err != nil {
 		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w", err)
@@ -372,8 +408,8 @@ type channelKey struct {
 	epoch     uint64
 	aead      cipher.AEAD
 	ad        []byte
-	wrapped   map[string]dcrypto.HybridCiphertext
-	members   [32]byte // fingerprint of the member set the key was wrapped to
+	wrapped   map[string][]byte // the data key wrapped per member, by identity
+	members   [32]byte          // fingerprint of the member set the key was wrapped to
 	expiresAt time.Time
 	// frameHead is everything of the key's single-envelope frames that
 	// precedes the ciphertext field (encodeEnvelopeHead): the header and the
@@ -381,7 +417,7 @@ type channelKey struct {
 	// immutable for the key's lifetime, and re-encoding it per submission
 	// makes every seal O(members) — at 1000-member channels that dominates
 	// the entire submit path. headSum is SHA-256 with frameHead already
-	// absorbed: with 50 members the head is 7.5 KB of a 7.6 KB frame, so the
+	// absorbed: with 50 members the head is 2.9 KB of a 3.0 KB frame, so the
 	// frame's hash costs the ~130 bytes that follow it. keySection is the
 	// table alone (a suffix of frameHead), which group envelopes splice.
 	frameHead  []byte
@@ -389,9 +425,11 @@ type channelKey struct {
 	keySection []byte
 }
 
-// newChannelKey generates a fresh data key, wraps it for every member and
-// builds the frame head — the one constructor behind a cached epoch install
-// (wrapAndInstall), the uncached stage's per-request key and SealEnvelope.
+// newChannelKey generates a fresh data key, wraps it for every member under
+// one ephemeral key (dcrypto.WrapToRecipients: members + 1 scalar
+// multiplications) and builds the frame head — the one constructor behind a
+// cached epoch install (wrapAndInstall), the uncached stage's per-request key
+// and SealEnvelope.
 func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.PublicKey, ad []byte) (*channelKey, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("middleware: no member keys for channel %s", channel)
@@ -400,13 +438,9 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 	if err != nil {
 		return nil, fmt.Errorf("middleware: data key: %w", err)
 	}
-	wrapped := make(map[string]dcrypto.HybridCiphertext, len(members))
-	for id, pub := range members {
-		w, err := dcrypto.EncryptHybrid(pub, dataKey, ad)
-		if err != nil {
-			return nil, fmt.Errorf("middleware: wrap key for %s: %w", id, err)
-		}
-		wrapped[id] = w
+	ephPub, wrapped, err := dcrypto.WrapToRecipients(members, dataKey, ad)
+	if err != nil {
+		return nil, fmt.Errorf("middleware: wrap data key: %w", err)
 	}
 	aead, err := dcrypto.NewAEAD(dataKey)
 	if err != nil {
@@ -414,7 +448,7 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 	}
 	ck := &channelKey{epoch: epoch, aead: aead, ad: ad, wrapped: wrapped}
 	var keysAt int
-	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, wrapped, 0)
+	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, ephPub, wrapped, 0)
 	ck.headSum = dcrypto.NewHashPrefix(ck.frameHead)
 	ck.keySection = ck.frameHead[keysAt:]
 	return ck, nil
@@ -563,11 +597,24 @@ func (e *Encrypt) RevokedRotations() uint64 {
 	return e.revokedRotations
 }
 
-// statRows declares the key-epoch counters.
+// headBytes reports the largest live epoch's frame head: what every envelope
+// sealed on that channel carries, copies and hashes before its own payload.
+func (e *Encrypt) headBytes() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	largest := 0
+	for _, ck := range e.keys {
+		largest = max(largest, len(ck.frameHead))
+	}
+	return uint64(largest)
+}
+
+// statRows declares the key-epoch counters and the head-size gauge.
 func (e *Encrypt) statRows() []statRow {
 	return []statRow{
 		{"confmw_key_epochs_rotated_total", "Channel data-key epoch installs by the encrypt stage.", counter, e.Rotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRotated = v }},
 		{"confmw_key_epochs_revoked_rotations_total", "Cached channel keys invalidated because a wrapped member was revoked.", counter, e.RevokedRotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRevokedRotations = v }},
+		{"confmw_envelope_head_bytes", "Largest live epoch's envelope head (header + wrapped-key table), bytes.", gauge, e.headBytes, nil},
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // under the epoch's cached data key, sharing that epoch's wrapped-key
 // table. One nonce, one GCM pass, one tag, and one key section for the
 // whole group — the per-transaction seal cost amortizes to 1/N.
-const GroupEnvelopeScheme = "hybrid-aes256gcm/group/v1"
+const GroupEnvelopeScheme = "hybrid-aes256gcm/group/v2"
 
 // BatchPrincipal is the creator recorded on released group transactions.
 // Like AggregatePrincipal it marks a synthetic release vehicle: the member
@@ -32,12 +32,13 @@ const MetaBatch = "batch"
 // the key table is the same per-epoch table single envelopes of that epoch
 // carry, so a recipient unwraps once and opens every member payload.
 type GroupEnvelope struct {
-	Scheme     string                              `json:"scheme"`
-	Channel    string                              `json:"channel"`
-	Epoch      uint64                              `json:"epoch,omitempty"`
-	Count      uint64                              `json:"count"`
-	Ciphertext []byte                              `json:"ciphertext"`
-	Keys       map[string]dcrypto.HybridCiphertext `json:"keys"`
+	Scheme       string            `json:"scheme"`
+	Channel      string            `json:"channel"`
+	Epoch        uint64            `json:"epoch,omitempty"`
+	Count        uint64            `json:"count"`
+	Ciphertext   []byte            `json:"ciphertext"`
+	EphemeralPub []byte            `json:"ephemeralPub"`
+	Keys         map[string][]byte `json:"keys"`
 }
 
 // groupEnvelopeAD binds group ciphertexts to their channel under a domain
@@ -57,16 +58,12 @@ func OpenGroupEnvelope(genv GroupEnvelope, member string, key *dcrypto.PrivateKe
 	if genv.Scheme != GroupEnvelopeScheme {
 		return nil, fmt.Errorf("middleware: unsupported group envelope scheme %q", genv.Scheme)
 	}
-	wrapped, ok := genv.Keys[member]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotRecipient, member)
-	}
 	// The key table is shared with the epoch's single envelopes, so the
 	// unwrap uses the single-envelope domain; only the group ciphertext
 	// lives in the group domain.
-	dataKey, err := dcrypto.DecryptHybrid(key, wrapped, envelopeAD(genv.Channel))
+	dataKey, err := unwrapDataKey(genv.Channel, genv.EphemeralPub, genv.Keys, member, key)
 	if err != nil {
-		return nil, fmt.Errorf("middleware: unwrap key: %w", err)
+		return nil, err
 	}
 	segments, err := dcrypto.DecryptSegments(dataKey, genv.Ciphertext, groupEnvelopeAD(genv.Channel))
 	if err != nil {
@@ -83,7 +80,9 @@ func OpenGroupEnvelope(genv GroupEnvelope, member string, key *dcrypto.PrivateKe
 // ParseGroupEnvelope for clients and tests that handle group envelopes
 // outside the batch stage:
 //
-//	0xDC 0x03 ‖ scheme ‖ channel ‖ epoch ‖ count ‖ ciphertext ‖ n-keys ‖ keys…
+//	0xDC 0x03 ‖ scheme ‖ channel ‖ epoch ‖ count ‖ ciphertext ‖ key table
+//
+// with the key table exactly as EncodeEnvelope lays it out.
 func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
 	ids := sortedKeyIDs(genv.Keys)
 	size := 2 +
@@ -92,7 +91,7 @@ func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
 		uvarintSize(genv.Epoch) +
 		uvarintSize(genv.Count) +
 		lenPrefixedSize(len(genv.Ciphertext)) +
-		envelopeKeysSize(genv.Keys, ids)
+		envelopeKeysSize(genv.EphemeralPub, genv.Keys, ids)
 	out := make([]byte, 0, size)
 	out = append(out, binaryMagic, binaryKindGroupEnvelope)
 	out = appendLenPrefixed(out, []byte(genv.Scheme))
@@ -100,7 +99,7 @@ func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
 	out = binary.AppendUvarint(out, genv.Epoch)
 	out = binary.AppendUvarint(out, genv.Count)
 	out = appendLenPrefixed(out, genv.Ciphertext)
-	return appendEnvelopeKeys(out, genv.Keys, ids)
+	return appendEnvelopeKeys(out, genv.EphemeralPub, genv.Keys, ids)
 }
 
 // ParseGroupEnvelope decodes a group envelope frame (the payload of a
@@ -116,7 +115,7 @@ func ParseGroupEnvelope(b []byte) (GroupEnvelope, error) {
 	genv.Epoch = r.uvarint()
 	genv.Count = r.uvarint()
 	genv.Ciphertext = r.bytes()
-	genv.Keys = r.keyTable()
+	genv.EphemeralPub, genv.Keys = r.keyTable()
 	if err := r.done(); err != nil {
 		return GroupEnvelope{}, fmt.Errorf("middleware: parse group envelope: %w", err)
 	}

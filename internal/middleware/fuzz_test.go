@@ -3,10 +3,10 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/big"
-	"reflect"
 	"testing"
 	"time"
 
@@ -310,21 +310,12 @@ func canonicalWire(t *testing.T, w wireRequest) []byte {
 // with ErrBadFrame, but never panic, and a table's declared key count is
 // checked against the bytes that remain before the map is sized, so no
 // input makes a decoder allocate beyond a multiple of its own length. What
-// does decode survives a round trip: decode(encode(decode(b))) equals
-// decode(b), so nothing a decoder accepts is lost or invented by the
-// encoder (duplicate recipients collapse once, at the first decode).
+// does decode has exactly one encoding: whatever parses re-encodes to the
+// same bytes, so a ledger payload hash pins one envelope — no duplicated or
+// reordered recipient, padded varint or second table layout decodes to an
+// envelope some other frame also decodes to.
 func FuzzEnvelopeFrame(f *testing.F) {
-	key, err := dcrypto.GenerateKey()
-	if err != nil {
-		f.Fatal(err)
-	}
-	env, err := SealEnvelope("deals", []byte("trade"), map[string]dcrypto.PublicKey{"alice": key.Public(), "bob": key.Public()})
-	if err != nil {
-		f.Fatal(err)
-	}
-	env.Epoch = 7
-	genv := GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Epoch: 7, Count: 2,
-		Ciphertext: env.Ciphertext, Keys: env.Keys}
+	env, genv := envelopePair(f)
 	single, group := EncodeEnvelope(env), EncodeGroupEnvelope(genv)
 	f.Add(single)
 	f.Add(group)
@@ -345,22 +336,26 @@ func FuzzEnvelopeFrame(f *testing.F) {
 	}
 	f.Add(asJSON)
 	f.Add([]byte(`{"scheme":"x","keys":{"a":{}},"ciphertext":null}`))
+	// Tables that are not the one encoding of what they hold (see
+	// nonCanonicalTables), under each kind byte.
+	for _, table := range nonCanonicalTables(env) {
+		f.Add(singleFrameWithTable(env, table.section))
+		f.Add(groupFrameWithTable(genv, table.section))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := ParseEnvelope(data)
 		if err == nil {
-			back, err := ParseEnvelope(EncodeEnvelope(env))
-			if err != nil || !reflect.DeepEqual(env, back) {
-				t.Fatalf("envelope round trip: %v\n first  %+v\n second %+v", err, env, back)
+			if back := EncodeEnvelope(env); !bytes.Equal(back, data) {
+				t.Fatalf("an envelope frame parsed but re-encodes differently:\n in  %x\n out %x", data, back)
 			}
 		} else if !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("ParseEnvelope rejected with %v, want ErrBadFrame", err)
 		}
 		genv, gerr := ParseGroupEnvelope(data)
 		if gerr == nil {
-			back, err := ParseGroupEnvelope(EncodeGroupEnvelope(genv))
-			if err != nil || !reflect.DeepEqual(genv, back) {
-				t.Fatalf("group envelope round trip: %v\n first  %+v\n second %+v", err, genv, back)
+			if back := EncodeGroupEnvelope(genv); !bytes.Equal(back, data) {
+				t.Fatalf("a group envelope frame parsed but re-encodes differently:\n in  %x\n out %x", data, back)
 			}
 		} else if !errors.Is(gerr, ErrBadFrame) {
 			t.Fatalf("ParseGroupEnvelope rejected with %v, want ErrBadFrame", gerr)
@@ -369,6 +364,115 @@ func FuzzEnvelopeFrame(f *testing.F) {
 			t.Fatalf("a payload without the frame magic decoded as an envelope")
 		}
 	})
+}
+
+// envelopePair seals a two-recipient envelope (epoch 7) and dresses the same
+// ciphertext and key table as a group envelope: well-formed frames of both
+// kinds for the decoders' tests to start from.
+func envelopePair(tb testing.TB) (Envelope, GroupEnvelope) {
+	tb.Helper()
+	key, err := dcrypto.GenerateKey()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env, err := SealEnvelope("deals", []byte("trade"), map[string]dcrypto.PublicKey{"alice": key.Public(), "bob": key.Public()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env.Epoch = 7
+	return env, GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Epoch: 7, Count: 2,
+		Ciphertext: env.Ciphertext, EphemeralPub: env.EphemeralPub, Keys: env.Keys}
+}
+
+// badTable is a key-table section keyTable must refuse, with the reason.
+type badTable struct {
+	name    string
+	section []byte
+}
+
+// nonCanonicalTables builds, from a two-recipient envelope, the key-table
+// sections keyTable must refuse: each decodes field by field but is not the
+// one encoding of the table it holds.
+func nonCanonicalTables(env Envelope) []badTable {
+	ids := sortedKeyIDs(env.Keys)
+	first, second := ids[0], ids[1]
+	table := func(ephPub []byte, n uint64, pairs ...[]byte) []byte {
+		out := appendLenPrefixed(nil, ephPub)
+		out = binary.AppendUvarint(out, n)
+		for _, p := range pairs {
+			out = appendLenPrefixed(out, p)
+		}
+		return out
+	}
+	// The retired layout: no shared ephemeral key, and per recipient its own
+	// 65-byte ephemeral key and a nonce-prefixed 60-byte ciphertext.
+	v1 := binary.AppendUvarint(nil, 2)
+	for _, id := range ids {
+		v1 = appendLenPrefixed(v1, []byte(id))
+		v1 = appendLenPrefixed(v1, env.EphemeralPub)
+		v1 = appendLenPrefixed(v1, make([]byte, 12+dcrypto.WrappedKeySize))
+	}
+	offCurve := append([]byte(nil), env.EphemeralPub...)
+	offCurve[len(offCurve)-1] ^= 1
+	return []badTable{
+		{"duplicate id", table(env.EphemeralPub, 2, []byte(first), env.Keys[first], []byte(first), env.Keys[first])},
+		{"ids out of order", table(env.EphemeralPub, 2, []byte(second), env.Keys[second], []byte(first), env.Keys[first])},
+		{"v1 layout", v1},
+		{"short ephemeral key", table(env.EphemeralPub[:64], 2, []byte(first), env.Keys[first], []byte(second), env.Keys[second])},
+		{"ephemeral key off the curve", table(offCurve, 2, []byte(first), env.Keys[first], []byte(second), env.Keys[second])},
+		{"47-byte wrap", table(env.EphemeralPub, 2, []byte(first), env.Keys[first][:47], []byte(second), env.Keys[second])},
+		{"padded key count", append(appendLenPrefixed(nil, env.EphemeralPub), 0x80, 0x00)},
+	}
+}
+
+// singleFrameWithTable is env's single-envelope frame with its key-table
+// section replaced.
+func singleFrameWithTable(env Envelope, section []byte) []byte {
+	out := []byte{binaryMagic, binaryKindEnvelope}
+	out = appendLenPrefixed(out, []byte(env.Scheme))
+	out = appendLenPrefixed(out, []byte(env.Channel))
+	out = binary.AppendUvarint(out, env.Epoch)
+	out = append(out, section...)
+	return appendLenPrefixed(out, env.Ciphertext)
+}
+
+// groupFrameWithTable is genv's group-envelope frame with its key-table
+// section replaced.
+func groupFrameWithTable(genv GroupEnvelope, section []byte) []byte {
+	out := []byte{binaryMagic, binaryKindGroupEnvelope}
+	out = appendLenPrefixed(out, []byte(genv.Scheme))
+	out = appendLenPrefixed(out, []byte(genv.Channel))
+	out = binary.AppendUvarint(out, genv.Epoch)
+	out = binary.AppendUvarint(out, genv.Count)
+	out = appendLenPrefixed(out, genv.Ciphertext)
+	return append(out, section...)
+}
+
+// TestKeyTableIsCanonical names what FuzzEnvelopeFrame's seeds carry: every
+// non-canonical table is ErrBadFrame under both kind bytes, and the frames
+// they were derived from parse and re-encode to themselves. At the parent of
+// the PR that added it the duplicate-id table parsed, as a one-key envelope.
+func TestKeyTableIsCanonical(t *testing.T) {
+	env, genv := envelopePair(t)
+	good := appendEnvelopeKeys(nil, env.EphemeralPub, env.Keys, sortedKeyIDs(env.Keys))
+	if b := singleFrameWithTable(env, good); !bytes.Equal(b, EncodeEnvelope(env)) {
+		t.Fatal("singleFrameWithTable does not build the canonical frame from the canonical table")
+	} else if back, err := ParseEnvelope(b); err != nil || !bytes.Equal(EncodeEnvelope(back), b) {
+		t.Fatalf("canonical single frame: err=%v", err)
+	}
+	if b := groupFrameWithTable(genv, good); !bytes.Equal(b, EncodeGroupEnvelope(genv)) {
+		t.Fatal("groupFrameWithTable does not build the canonical frame from the canonical table")
+	} else if back, err := ParseGroupEnvelope(b); err != nil || !bytes.Equal(EncodeGroupEnvelope(back), b) {
+		t.Fatalf("canonical group frame: err=%v", err)
+	}
+	for _, table := range nonCanonicalTables(env) {
+		if got, err := ParseEnvelope(singleFrameWithTable(env, table.section)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s, single: err=%v keys=%d, want ErrBadFrame", table.name, err, len(got.Keys))
+		}
+		if got, err := ParseGroupEnvelope(groupFrameWithTable(genv, table.section)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s, group: err=%v keys=%d, want ErrBadFrame", table.name, err, len(got.Keys))
+		}
+	}
 }
 
 // FuzzParseStages throws arbitrary text at the -stages parser and hands

@@ -355,9 +355,11 @@ func TestEncryptKeyCacheEpochsAndRotation(t *testing.T) {
 	if e1.Epoch != 1 || e2.Epoch != 1 {
 		t.Fatalf("epochs = %d, %d, want 1, 1", e1.Epoch, e2.Epoch)
 	}
+	if !bytes.Equal(e1.EphemeralPub, e2.EphemeralPub) {
+		t.Fatal("ephemeral key changed within one epoch")
+	}
 	for m := range members {
-		if !bytes.Equal(e1.Keys[m].EphemeralPub, e2.Keys[m].EphemeralPub) ||
-			!bytes.Equal(e1.Keys[m].Ciphertext, e2.Keys[m].Ciphertext) {
+		if !bytes.Equal(e1.Keys[m], e2.Keys[m]) {
 			t.Fatalf("member %s re-wrapped within one epoch", m)
 		}
 	}
