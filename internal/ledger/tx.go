@@ -10,7 +10,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dltprivacy/internal/dcrypto"
@@ -41,7 +41,9 @@ type Endorsement struct {
 
 // Transaction is a proposed ledger update. Payload carries application
 // content (possibly encrypted or hashed, depending on the confidentiality
-// mechanism in force); Writes carries the world-state effect.
+// mechanism in force); Writes carries the world-state effect. Meta is
+// read-only once the transaction is ordered: a gateway hands one map to every
+// transaction that carries only the gateway's own notes.
 type Transaction struct {
 	Channel   string            `json:"channel"`
 	Creator   string            `json:"creator"`
@@ -123,11 +125,15 @@ func (tx Transaction) digest(payloadSum [32]byte) [32]byte {
 	}
 	h.RawUint64(uint64(len(tx.Meta)))
 	if len(tx.Meta) > 0 {
-		keys := make([]string, 0, len(tx.Meta))
+		// Sorted on the stack — a gateway's transaction carries two or three
+		// keys, past eight append spills to the heap — and by slices.Sort:
+		// sort.Strings would make the array escape through its interface.
+		var stack [8]string
+		keys := stack[:0]
 		for k := range tx.Meta {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
 			h.PartString(k)
 			h.PartString(tx.Meta[k])

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"dltprivacy/internal/dcrypto"
-	"dltprivacy/internal/pki"
 )
 
 // Request codec names, the vocabulary of Config.Codec and the per-session
@@ -188,67 +187,66 @@ func encodeWireRequestBinary(w *wireRequest) ([]byte, error) {
 	return out, nil
 }
 
-// decodeWireRequestBinary reverses encodeWireRequestBinary. Byte fields
-// alias the input buffer. The three strings every session submission
-// carries are not allocated when g already holds them: the token and
-// principal come from the session the token names, the channel from the
-// gateway's table of channel names (see Gateway.channelName). A nil g copies
-// all three.
-func decodeWireRequestBinary(b []byte, g *Gateway) (wireRequest, error) {
-	var w wireRequest
+// decodeRequestBinary reverses encodeWireRequestBinary into req, the request
+// the gateway runs. Byte fields alias the input buffer. The three strings
+// every session submission carries are not allocated when g already holds
+// them: the token and principal come from the session the token names, the
+// channel from the gateway's table of channel names (see
+// Gateway.channelName). A nil g copies all three. On error req is partly
+// filled and must be dropped.
+func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindRequest {
-		return w, fmt.Errorf("%w: not a binary request frame", ErrBadFrame)
+		return fmt.Errorf("%w: not a binary request frame", ErrBadFrame)
 	}
 	r := &frameReader{b: b[2:]}
 	channel := r.bytes()
 	principal := r.bytes()
-	w.Backend = r.str()
-	w.Payload = r.bytes()
+	req.Backend = r.str()
+	req.Payload = r.bytes()
 	session := r.bytes()
 	sig := r.bytes()
-	w.MAC = r.bytes()
+	req.MAC = r.bytes()
 	cert := r.bytes()
-	w.TraceID = r.uvarint()
+	req.TraceID = r.uvarint()
 	nMeta := r.uvarint()
-	if r.err == nil && nMeta > uint64(len(r.b)) {
+	if r.err == nil && nMeta > uint64(len(r.b))/2 {
 		// Each entry costs at least two length bytes; reject counts the
-		// remaining buffer cannot possibly hold before allocating the map.
-		return w, fmt.Errorf("%w: meta count %d exceeds remaining bytes", ErrBadFrame, nMeta)
+		// remaining buffer cannot possibly hold.
+		return fmt.Errorf("%w: meta count %d exceeds remaining bytes", ErrBadFrame, nMeta)
 	}
 	if r.err == nil && nMeta > 0 {
-		w.Meta = make(map[string]string, nMeta)
+		// Unauthenticated so far: the count sizes one bucket, honest maps grow.
+		req.Meta = make(map[string]string, min(nMeta, 8))
 		for i := uint64(0); i < nMeta && r.err == nil; i++ {
 			k := r.str()
-			w.Meta[k] = r.str()
+			req.Meta[k] = r.str()
 		}
 	}
 	if err := r.done(); err != nil {
-		return wireRequest{}, err
+		return err
 	}
-	w.Channel = g.channelName(channel)
+	req.Channel = g.channelName(channel)
 	if g != nil && g.sessions != nil && len(session) > 0 {
-		w.Session, w.Principal = g.sessions.names(session, principal)
+		req.SessionToken, req.Principal = g.sessions.names(session, principal)
 	} else {
-		w.Session, w.Principal = string(session), string(principal)
+		req.SessionToken, req.Principal = string(session), string(principal)
 	}
 	if len(sig) > 0 {
 		s, err := dcrypto.ParseSignature(sig)
 		if err != nil {
-			return wireRequest{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
+			return fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
-		w.Sig = s
+		req.Sig = s
 	}
-	if len(w.MAC) > 0 && len(w.MAC) != dcrypto.MACSize {
-		return wireRequest{}, fmt.Errorf("%w: mac must be %d bytes, got %d", ErrBadFrame, dcrypto.MACSize, len(w.MAC))
+	if len(req.MAC) > 0 && len(req.MAC) != dcrypto.MACSize {
+		return fmt.Errorf("%w: mac must be %d bytes, got %d", ErrBadFrame, dcrypto.MACSize, len(req.MAC))
 	}
 	if len(cert) > 0 {
-		var c pki.Certificate
-		if err := json.Unmarshal(cert, &c); err != nil {
-			return wireRequest{}, fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
+		if err := json.Unmarshal(cert, &req.Cert); err != nil {
+			return fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
 		}
-		w.Cert = &c
 	}
-	return w, nil
+	return nil
 }
 
 // EncodeWireRequest marshals a request for the gateway.submit topic in the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -19,11 +20,14 @@ import (
 // handed it.
 type tapOrderer struct {
 	*ordering.Service
+	mu        sync.Mutex // submitters may be parallel; read submitted once they are done
 	submitted []ledger.Transaction
 }
 
 func (o *tapOrderer) Submit(tx ledger.Transaction) error {
+	o.mu.Lock()
 	o.submitted = append(o.submitted, tx)
+	o.mu.Unlock()
 	return o.Service.Submit(tx)
 }
 

@@ -207,7 +207,7 @@
 // # Performance
 //
 // The session path exists to push steady-state per-request cost toward
-// the symmetric-crypto floor; three knobs finish the job:
+// the symmetric-crypto floor; two knobs and three habits finish the job:
 //
 //   - reqauth (session stage parameter, "sig" default | "mac"). Under
 //     "mac", Open derives a per-session HMAC-SHA256 key via HKDF — salted
@@ -231,14 +231,15 @@
 //     through the authn stage unchanged.
 //   - Config.Codec ("json" default | "binary"): the request framing the
 //     gateway offers. The binary v2 framing is a length-prefixed encoding
-//     for submissions: no field names, no base64, no reflection; decodes
-//     alias the inbound buffer and encodes are a single exactly-sized
-//     allocation. Clients ask for it per session (SessionHello.Codec) and
-//     the grant reports what the gateway offers; JSON submissions are
-//     always accepted (the framings are sniffed apart by first byte), so
-//     enabling binary never strands a client. Envelopes on the ledger are
-//     always 0xDC frames: ParseEnvelope reads nothing else, and
-//     json.Marshal of a parsed Envelope is the diffable debug view.
+//     for submissions: no field names, no base64, no reflection; a frame
+//     decodes into the Request the chain runs, aliasing the inbound
+//     buffer, and encodes in one exactly-sized allocation. Clients ask
+//     for it per session (SessionHello.Codec) and the grant reports what
+//     the gateway offers; JSON submissions are always accepted (the
+//     framings are sniffed apart by first byte), so enabling binary never
+//     strands a client. Envelopes on the ledger are always 0xDC frames:
+//     ParseEnvelope reads nothing else, and json.Marshal of a parsed
+//     Envelope is the diffable debug view.
 //   - Striped, read-mostly caches. The session token table is sharded
 //     across independent RWMutex stripes keyed by token hash, so resolve —
 //     the per-request path — takes one read lock on one stripe, with idle
@@ -261,22 +262,28 @@
 //     epoch and a 48-byte wrap per member (dcrypto.WrapToRecipients),
 //     2.9 KB of a 3.0 KB envelope at 50 members — ahead of the
 //     ciphertext; the encrypt stage caches that epoch-constant head and
-//     the SHA-256
-//     state that has absorbed it, seals each envelope into one
-//     allocation behind a copy of the head, and resumes the cached state
-//     over the ciphertext field alone — the sealed frame is never
+//     the SHA-256 state that has absorbed it, seals each envelope into
+//     one allocation behind a copy of the head, and resumes the cached
+//     state over the ciphertext field alone — the sealed frame is never
 //     streamed through SHA-256 (the uncached stage builds a throwaway
-//     key per request and rides the same sealFrame). Gateway.order primes the ledger
-//     transaction's digest (ledger/tx/v3, same payload commitment) from
-//     the sum, and the ordering tier, block cut and subscribers read
-//     that one digest.
+//     key per request and rides the same sealFrame). Gateway.order
+//     primes the ledger transaction's digest (ledger/tx/v3, same payload
+//     commitment) from the sum, and the ordering tier, block cut and
+//     subscribers read that one digest.
+//   - Metadata is composed once, in Gateway.order: the encrypt stage
+//     notes its seal as a flag, and a request with no annotations of its
+//     own gets a map built once per gateway ({"gateway"}, plus "envelope"
+//     when sealed), shared by every such transaction and never written. A
+//     map the pipeline made (off the wire, the batch vehicle's) is
+//     annotated in place; a caller's is copied and left as it came.
 //
 // BenchmarkGatewaySessionMAC (root package) compares the signature and MAC
 // sessions in process, and TestAllocationBudget beside it holds the
 // allocation half of the claim as a test: reqauth=mac allocates at most
-// half of what the signature session does, with or without the binary
-// framing. What the path costs over a socket is the steady_mac workload of
-// the repository's benchmark (BENCHMARK.json).
+// half of what the signature session does (4 against 26), with or without
+// the binary framing. What the path costs over a socket is the steady_mac
+// workload of the repository's benchmark (BENCHMARK.json): 7 allocations a
+// submission, each of them something handed on.
 //
 // # Channel key rotation
 //

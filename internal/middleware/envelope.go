@@ -901,11 +901,7 @@ func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error 
 	// hop of this submission hashes the frame at all.
 	req.setPayloadSum(frame, sum)
 	req.Payload = frame
-	req.encrypted = true
-	if req.Meta == nil {
-		req.Meta = make(map[string]string)
-	}
-	req.Meta["envelope"] = EnvelopeScheme
+	req.encrypted, req.enveloped = true, true
 	return next(ctx, req)
 }
 

@@ -44,12 +44,12 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 		if !isBinaryFrame(b) {
 			t.Fatalf("case %d: encoded frame not sniffed as binary", i)
 		}
-		got, err := decodeWireRequestBinary(b, nil)
-		if err != nil {
+		var got Request
+		if err := decodeRequestBinary(b, &got, nil); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if got.Channel != w.Channel || got.Principal != w.Principal || got.Backend != w.Backend ||
-			got.Session != w.Session || !bytes.Equal(got.Payload, w.Payload) || !bytes.Equal(got.MAC, w.MAC) {
+			got.SessionToken != w.Session || !bytes.Equal(got.Payload, w.Payload) || !bytes.Equal(got.MAC, w.MAC) {
 			t.Fatalf("case %d: roundtrip mismatch: %+v vs %+v", i, got, w)
 		}
 		if (w.Sig.R == nil) != (got.Sig.R == nil) {
@@ -58,11 +58,10 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 		if w.Sig.R != nil && !bytes.Equal(w.Sig.Bytes(), got.Sig.Bytes()) {
 			t.Fatalf("case %d: signature mismatch", i)
 		}
-		if (w.Cert == nil) != (got.Cert == nil) {
-			t.Fatalf("case %d: cert presence mismatch", i)
-		}
-		if w.Cert != nil && got.Cert.Serial != w.Cert.Serial {
-			t.Fatalf("case %d: cert serial mismatch", i)
+		var want Request
+		w.fill(&want)
+		if got.Cert.Identity != want.Cert.Identity || got.Cert.Serial != want.Cert.Serial {
+			t.Fatalf("case %d: cert mismatch: %+v vs %+v", i, got.Cert, want.Cert)
 		}
 		if !reflect.DeepEqual(got.Meta, w.Meta) {
 			t.Fatalf("case %d: meta mismatch: %v vs %v", i, got.Meta, w.Meta)
@@ -199,7 +198,7 @@ func TestBinaryFrameRejectsMalformed(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := decodeWireRequestBinary(b, nil); err == nil {
+		if err := decodeRequestBinary(b, new(Request), nil); err == nil {
 			t.Fatalf("%s: malformed frame accepted", name)
 		}
 	}

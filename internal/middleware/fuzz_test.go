@@ -124,6 +124,11 @@ func FuzzWireRequest(f *testing.F) {
 	f.Add([]byte{binaryMagic, binaryKindRequest})
 	f.Add([]byte{binaryMagic, binaryKindRequest, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{binaryMagic, binaryKindEnvelope, 0x01, 's'})
+	// Regression seeds: a frame as large as the edge admits whose meta count
+	// used to size an 84 MB map before any session or MAC check.
+	for _, frame := range hostileMetaFrames() {
+		f.Add(frame)
+	}
 	f.Add([]byte(`{"channel":"deals","principal":"alice","session":"deadbeef"}`))
 	f.Add([]byte(`{"channel":"deals","principal":"alice","cert":{"serial":1},"sig":{}}`))
 	f.Add([]byte(`{"session":"` + grant.Token + `"}`))
@@ -274,32 +279,39 @@ func FuzzWireRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back, err := decodeWireRequestBinary(frame, nil)
-		if err != nil {
+		var direct, back Request
+		w.fill(&direct)
+		if err := decodeRequestBinary(frame, &back, nil); err != nil {
 			t.Fatalf("the binary decoder refuses what the encoder made of a JSON request: %v", err)
 		}
-		if want, got := canonicalWire(t, w), canonicalWire(t, back); !bytes.Equal(want, got) {
+		if want, got := canonicalRequest(t, &direct), canonicalRequest(t, &back); !bytes.Equal(want, got) {
 			t.Fatalf("JSON -> binary -> decode changed the request:\n json   %s\n binary %s", want, got)
 		}
 	})
 }
 
-// canonicalWire renders a wire request for comparison across codecs: JSON,
-// with the distinctions only JSON can draw (null against empty) folded.
-func canonicalWire(t *testing.T, w wireRequest) []byte {
+// canonicalRequest renders what a decoder made of a submission for comparison
+// across codecs: every field a frame carries, as JSON, with the distinctions
+// only JSON can draw (null against empty) folded. The certificate is there
+// whatever it holds: one with no identity is still the frame's certificate.
+func canonicalRequest(t *testing.T, req *Request) []byte {
 	t.Helper()
-	if len(w.Payload) == 0 {
-		w.Payload = nil
+	w := wireRequest{
+		Channel: req.Channel, Principal: req.Principal, Backend: req.Backend,
+		Cert: &req.Cert, Sig: req.Sig, Session: req.SessionToken, TraceID: req.TraceID,
 	}
-	if len(w.MAC) == 0 {
-		w.MAC = nil
+	if len(req.Payload) > 0 {
+		w.Payload = req.Payload
 	}
-	if len(w.Meta) == 0 {
-		w.Meta = nil
+	if len(req.MAC) > 0 {
+		w.MAC = req.MAC
+	}
+	if len(req.Meta) > 0 {
+		w.Meta = req.Meta
 	}
 	b, err := json.Marshal(w)
 	if err != nil {
-		t.Fatalf("marshal wire request: %v", err)
+		t.Fatalf("marshal request: %v", err)
 	}
 	return b
 }

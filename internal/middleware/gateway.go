@@ -103,6 +103,9 @@ type Gateway struct {
 	// wire decoder, copy-on-write under mu. See channelName.
 	directory    Directory
 	channelNames atomic.Pointer[map[string]string]
+	// metaPlain ({"gateway"}) and metaSealed (plus "envelope"): the Meta of every
+	// transaction whose request brought none, built once, never written. See order.
+	metaPlain, metaSealed map[string]string
 
 	// Stage hooks, resolved once at construction by ranging the built
 	// chain: sessions is the session stage's manager (nil without one —
@@ -270,6 +273,9 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 		backends:  make(map[string][]Backend),
 		bound:     make(map[string]map[string]bool),
 		commits:   make(map[string]*backendCounters),
+
+		metaPlain:  map[string]string{"gateway": name},
+		metaSealed: map[string]string{"envelope": EnvelopeScheme, "gateway": name},
 	}
 	chain, err := cfg.Build(env, g.order)
 	if err != nil {
@@ -398,17 +404,27 @@ func (g *Gateway) RevocationEpoch() uint64 {
 func (g *Gateway) Name() string { return g.name }
 
 // order is the terminal handler: build the ledger transaction and submit
-// it for ordering.
+// it for ordering. The one place a transaction's Meta is composed: the
+// request's annotations, "envelope" if the encrypt stage sealed the payload,
+// the gateway's name. A request with none of its own gets one of NewGateway's
+// two maps, which leave here only as a transaction's Meta, never as req.Meta.
 func (g *Gateway) order(ctx context.Context, req *Request) error {
 	meta := req.Meta
-	if req.metaOwned && meta != nil {
-		// The batch stage built this map for its release vehicle and no
-		// caller holds it: annotate in place instead of copying.
-		meta["gateway"] = g.name
-	} else {
-		meta = make(map[string]string, len(req.Meta)+1)
-		for k, v := range req.Meta {
-			meta[k] = v
+	switch {
+	case len(meta) == 0 && req.enveloped:
+		meta = g.metaSealed
+	case len(meta) == 0:
+		meta = g.metaPlain
+	default:
+		if !req.metaOwned {
+			meta = make(map[string]string, len(req.Meta)+2)
+			for k, v := range req.Meta {
+				meta[k] = v
+			}
+		}
+		req.metaOwned = false // the map is the transaction's now: a retry copies it
+		if req.enveloped {
+			meta["envelope"] = EnvelopeScheme
 		}
 		meta["gateway"] = g.name
 	}
@@ -743,48 +759,47 @@ type wireRequest struct {
 	TraceID uint64 `json:"trace,omitempty"`
 }
 
+// fill copies a JSON-decoded submission into the request the gateway runs.
+func (w *wireRequest) fill(req *Request) {
+	req.Channel, req.Principal, req.Backend = w.Channel, w.Principal, w.Backend
+	req.Payload, req.Sig, req.MAC = w.Payload, w.Sig, w.MAC
+	req.SessionToken, req.Meta, req.TraceID = w.Session, w.Meta, w.TraceID
+	if w.Cert != nil {
+		req.Cert = *w.Cert
+	}
+}
+
 // ServeWire handles one wire message against the gateway: the shared
 // topic dispatch behind every transport front (the in-process substrate
 // via AttachTransport, the TCP edge via netedge.Server). transportID names
 // the connection the message arrived on — transports with per-connection
 // identity pass it so sessions opened here are bound to the connection and
 // submissions resolve against that binding; transports without one pass ""
-// and sessions stay unbound. The payload slice is only borrowed: binary
-// submissions alias it zero-copy during the chain run, and a stage that
-// holds a request past return copies what it holds into memory it owns
-// (Batch.Handle; the encrypt stage replaces the payload only outside
-// deferred group-seal mode), so stream transports may reuse their read
-// buffer for the next frame.
+// and sessions stay unbound. The payload slice is only borrowed: a binary
+// frame decodes into the Request the chain runs, which aliases it zero-copy
+// for the run, and a stage that holds a request past return copies what it
+// holds into memory it owns (Batch.Handle; the encrypt stage replaces the
+// payload only outside deferred group-seal mode), so stream transports may
+// reuse their read buffer for the next frame.
 func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 	switch topic {
 	case TopicSubmit:
-		var w wireRequest
+		req := &Request{TransportID: transportID}
 		if isBinaryFrame(payload) {
 			if g.codec != CodecBinary {
 				return nil, fmt.Errorf("gateway %s: binary codec not enabled", g.name)
 			}
-			var err error
-			if w, err = decodeWireRequestBinary(payload, g); err != nil {
+			if err := decodeRequestBinary(payload, req, g); err != nil {
 				return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
 			}
-		} else if err := json.Unmarshal(payload, &w); err != nil {
-			return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
+		} else {
+			var w wireRequest // escapes; declared here, binary frames do not pay for it
+			if err := json.Unmarshal(payload, &w); err != nil {
+				return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
+			}
+			w.fill(req)
 		}
-		req := &Request{
-			Channel:      w.Channel,
-			Principal:    w.Principal,
-			Backend:      w.Backend,
-			Payload:      w.Payload,
-			Sig:          w.Sig,
-			MAC:          w.MAC,
-			SessionToken: w.Session,
-			Meta:         w.Meta,
-			TraceID:      w.TraceID,
-			TransportID:  transportID,
-		}
-		if w.Cert != nil {
-			req.Cert = *w.Cert
-		}
+		req.metaOwned = req.Meta != nil // a decoder made the map; no caller holds it
 		// The ID covers the payload as submitted; the encrypt stage
 		// replaces it, so capture before running the chain.
 		id := req.hexID()

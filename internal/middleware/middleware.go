@@ -74,7 +74,8 @@ type Request struct {
 	// replaces the per-request ECDSA verify. Empty for signature-path
 	// traffic. Set it with MACRequest after the payload is final.
 	MAC []byte
-	// Meta carries free-form annotations copied onto the transaction.
+	// Meta carries free-form annotations copied onto the transaction beside
+	// the gateway's own (Gateway.order); stages annotate it in place.
 	Meta map[string]string
 
 	// TraceID carries a sampled request's trace identifier across process
@@ -99,13 +100,15 @@ type Request struct {
 	// Tx is the ledger transaction built by the terminal handler.
 	Tx ledger.Transaction
 
-	// The five flags sit together so they share one word; see payloadSum
+	// The six flags sit together so they share one word; see payloadSum
 	// for why the struct's size matters.
 	//
 	// authenticated and encrypted are set by the authn/session and encrypt
-	// stages.
+	// stages; enveloped, when the payload became one sealed envelope frame,
+	// which order notes on the transaction (a deferred group seal does not).
 	authenticated bool
 	encrypted     bool
+	enveloped     bool
 	// untimed marks a request the chain's timing sampler skipped: every
 	// instrumented frame still counts calls and errors exactly but reads
 	// no clocks and observes no latency. Decided once per request at
@@ -117,10 +120,10 @@ type Request struct {
 	// still pending; SubmitAsync futures of buffered requests resolve at
 	// group release, not at Submit return.
 	buffered bool
-	// metaOwned marks a Meta map owned by the pipeline itself (a synthetic
-	// release vehicle built by the batch stage): the terminal handler may
-	// annotate and hand it to the ledger transaction directly instead of
-	// defensively copying a caller-owned map.
+	// metaOwned marks a Meta map made by the pipeline itself, which no
+	// caller holds (the batch stage's synthetic release vehicle, a map
+	// ServeWire decoded off the wire): the terminal handler may annotate and
+	// hand it to the ledger transaction directly instead of copying it.
 	metaOwned bool
 
 	// sum memoises SHA-256(Payload) for payloadSum, keyed to the payload

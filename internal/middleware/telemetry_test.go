@@ -163,22 +163,23 @@ func TestTraceIDCodecRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", codec, err)
 		}
-		var w wireRequest
+		var got Request
 		if codec == CodecBinary {
-			w, err = decodeWireRequestBinary(b, nil)
-			if err != nil {
+			if err := decodeRequestBinary(b, &got, nil); err != nil {
 				t.Fatalf("%s: %v", codec, err)
 			}
 		} else {
 			if !strings.Contains(string(b), "trace") {
 				t.Fatalf("json frame missing trace field: %s", b)
 			}
+			var w wireRequest
 			if err := json.Unmarshal(b, &w); err != nil {
 				t.Fatal(err)
 			}
+			w.fill(&got)
 		}
-		if w.TraceID != req.TraceID {
-			t.Errorf("%s: trace ID %#x, want %#x", codec, w.TraceID, req.TraceID)
+		if got.TraceID != req.TraceID {
+			t.Errorf("%s: trace ID %#x, want %#x", codec, got.TraceID, req.TraceID)
 		}
 	}
 	// The untraced common case stays off the JSON wire entirely.
