@@ -38,9 +38,7 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	sig := pipeline(sessionStage(map[string]string{"reqauth": "sig"}), keycacheEncrypt)
 	mac := pipeline(sessionStage(map[string]string{"reqauth": "mac"}), keycacheEncrypt)
-	macBinary := mac
-	macBinary.Codec = middleware.CodecBinary
-	traced := macBinary
+	traced := mac
 	traced.Trace = "64"
 	// The batch_groupseal pipeline: 64 deferred seals released as one group,
 	// stage timings sampled 1-in-64 as that workload's are.
@@ -48,11 +46,10 @@ func TestAllocationBudget(t *testing.T) {
 		Name:   middleware.StageBatch,
 		Params: map[string]string{"size": fmt.Sprint(groupSize), "groupseal": "on"},
 	})
-	grouped.Codec, grouped.TimingSample = middleware.CodecBinary, "64"
+	grouped.TimingSample = "64"
 	// session_churn's session stage: the per-principal cap keeps the table at
 	// a steady size however many sessions a principal opens.
 	churn := pipeline(sessionStage(map[string]string{"reqauth": "mac", "maxperprincipal": "4"}), keycacheEncrypt)
-	churn.Codec = middleware.CodecBinary
 
 	rows := []struct {
 		name     string
@@ -84,35 +81,28 @@ func TestAllocationBudget(t *testing.T) {
 			// the stack. What is left: the sealed frame, the digest memo, the
 			// block's Txs slice and the fixture's own copy of its template.
 			name:     "mac",
-			replaces: "speedup SessionMAC/reqauth=mac vs Session/keycache >= 2.0 allocs",
+			replaces: "speedup SessionMAC/reqauth=mac and reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs (one reading: neither decodes a frame)",
 			cfg:      mac,
 			allocs:   submitAllocs,
 			ceiling:  4,
 		},
 		{
-			name:     "mac+binary",
-			replaces: "speedup SessionMAC/reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs",
-			cfg:      macBinary,
-			allocs:   submitAllocs,
-			ceiling:  4,
-		},
-		{
-			name:     "mac+binary+metrics",
+			name:     "mac+metrics",
 			replaces: "speedup SessionTelemetry/metrics vs mac+codec=binary >= 1.0 allocs (+0)",
-			cfg:      macBinary,
+			cfg:      mac,
 			metrics:  true,
 			allocs:   submitAllocs,
-			equals:   "mac+binary",
+			equals:   "mac",
 		},
 		{
 			// The sampled 1-in-64 request allocates its trace, the other 63
 			// nothing; the reading is allocations over submissions, floored.
-			name:     "mac+binary+metrics+trace=64",
+			name:     "mac+metrics+trace=64",
 			replaces: "speedup SessionTelemetry/metrics+trace=64 vs mac+codec=binary >= 1.0 allocs (+0)",
 			cfg:      traced,
 			metrics:  true,
 			allocs:   submitAllocs,
-			equals:   "mac+binary",
+			equals:   "mac",
 		},
 		{
 			// Per sealed group, not per member: the rule allowed 5 per
@@ -135,12 +125,11 @@ func TestAllocationBudget(t *testing.T) {
 			// above submit in process and never decoded a frame, so they
 			// stood where they stood. Then 13, until the block cut stopped
 			// copying the subscriber list. Then 12: the mac row's five, and
-			// the wireRequest ServeWire decoded a binary frame into before
-			// building the Request — it escaped because the JSON branch beside
-			// it took its address; the frame now decodes into the Request.
+			// the intermediate struct ServeWire decoded a frame into before
+			// building the Request; the frame now decodes into the Request.
 			name:     "edge-tcp",
 			replaces: "ceiling EdgeTCP/pipeline=8 <= 16 allocs",
-			cfg:      macBinary,
+			cfg:      mac,
 			allocs:   edgeAllocs,
 			ceiling:  6,
 		},
@@ -151,12 +140,14 @@ func TestAllocationBudget(t *testing.T) {
 			// No crypto/ecdsa and no crypto/ecdh, so the count is this
 			// repository's alone. The full handshake it stands in for reads 98
 			// (certificate JSON, ecdsa.Verify, the ECDH seal). Nothing is
-			// ordered, so the block cut's saving does not reach this row.
+			// ordered, so the block cut's saving does not reach this row. 23
+			// until the resume hello stopped carrying a codec name for the
+			// decoder to copy out.
 			name:     "resumed-open",
 			replaces: "new with session resumption; nothing older",
 			cfg:      churn,
 			allocs:   resumedOpenAllocs,
-			ceiling:  23,
+			ceiling:  22,
 		},
 		{
 			// One ecdsa.Verify, the request's (go1.24.0); 26 more when
@@ -204,12 +195,10 @@ func TestAllocationBudget(t *testing.T) {
 			t.Errorf("%s: %v allocations, budget %v (replaces: %s)", row.name, n, row.ceiling, row.replaces)
 		}
 	}
-	// The two "mac allocates >= 2x fewer than the signature session" rules,
-	// as the relation they were.
-	for _, name := range []string{"mac", "mac+binary"} {
-		if 2*got[name] > got["sig-session"] {
-			t.Errorf("%s: %v allocations, want at most half of sig-session's %v", name, got[name], got["sig-session"])
-		}
+	// The "mac allocates >= 2x fewer than the signature session" rule, as the
+	// relation it was.
+	if 2*got["mac"] > got["sig-session"] {
+		t.Errorf("mac: %v allocations, want at most half of sig-session's %v", got["mac"], got["sig-session"])
 	}
 }
 
@@ -271,7 +260,7 @@ func groupAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
 }
 
 // edgeAllocs reads the allocations of one synchronous submission round trip
-// over loopback TCP: client, stream framing, binary decode, the session
+// over loopback TCP: client, stream framing, frame decode, the session
 // fast path and the reply.
 func edgeAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
 	srv, err := netedge.Listen("127.0.0.1:0", fp.gw)
@@ -288,13 +277,13 @@ func edgeAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
 	// A session lives on the connection that opened it, so the fixture's
 	// in-process sessions do not serve here.
 	req := fp.templates[0]
-	grant, err := c.OpenSession(ctx, req.Principal, env.certs[req.Principal], env.keys[req.Principal], middleware.CodecBinary)
+	grant, err := c.OpenSession(ctx, req.Principal, env.certs[req.Principal], env.keys[req.Principal], "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.SessionToken = grant.Token
 	middleware.MACRequest(&req, grant.MacKey)
-	wire, err := middleware.EncodeWireRequest(&req, middleware.CodecBinary)
+	wire, err := middleware.EncodeWireRequest(&req, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +308,7 @@ func resumedOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) floa
 		return fp.gw.ServeWire(ctx, middleware.TopicSessionOpen, hello, "tcp:1:alloc")
 	}
 	var client middleware.Handshaker
-	if _, err := client.Open(ctx, who, env.certs[who], env.keys[who], middleware.CodecBinary, serve); err != nil {
+	if _, err := client.Open(ctx, who, env.certs[who], env.keys[who], serve); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 100
@@ -328,7 +317,7 @@ func resumedOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) floa
 	// One per measured run, one AllocsPerRun warms up with, and the four
 	// that fill the principal's cap first.
 	for len(hellos) < runs+1+4 {
-		_, err := client.Open(ctx, who, env.certs[who], env.keys[who], middleware.CodecBinary, func(_ context.Context, hello []byte) ([]byte, error) {
+		_, err := client.Open(ctx, who, env.certs[who], env.keys[who], func(_ context.Context, hello []byte) ([]byte, error) {
 			hellos = append(hellos, hello)
 			return nil, heldBack
 		})

@@ -272,24 +272,15 @@ func BenchmarkGatewaySession(b *testing.B) {
 //     against the session's cached key.
 //   - reqauth=mac: every submission verifies an HMAC under the per-session
 //     key from the grant — symmetric, pooled, allocation-free.
-//   - reqauth=mac+codec=binary: the same pipeline on a gateway that also
-//     offers the binary request framing.
 //
-// The mac variants allocate at most half of what reqauth=sig does; that
-// relation is a row of TestAllocationBudget.
+// reqauth=mac allocates at most half of what reqauth=sig does; that relation
+// is a row of TestAllocationBudget.
 func BenchmarkGatewaySessionMAC(b *testing.B) {
 	env := newGatewayBenchEnv(b)
-	for _, tc := range []struct {
-		name, reqauth, codec string
-	}{
-		{"reqauth=sig", "sig", middleware.CodecJSON},
-		{"reqauth=mac", "mac", middleware.CodecJSON},
-		{"reqauth=mac+codec=binary", "mac", middleware.CodecBinary},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	for _, reqauth := range []string{"sig", "mac"} {
+		b.Run("reqauth="+reqauth, func(b *testing.B) {
 			benchSubmit(b, env, middleware.Config{
-				Stages: []middleware.StageConfig{sessionStage(map[string]string{"reqauth": tc.reqauth}), keycacheEncrypt},
-				Codec:  tc.codec,
+				Stages: []middleware.StageConfig{sessionStage(map[string]string{"reqauth": reqauth}), keycacheEncrypt},
 			})
 		})
 	}

@@ -51,14 +51,14 @@ import (
 // opts holds every flag; the demo and -listen serve mode each read the
 // ones their help text names.
 type opts struct {
-	trades, batch, shards, replicas, channels  int
-	trace, auditAsync, timingSample            int
-	acceptLoops, maxPerPrincipal               int
-	seed                                       int64
-	revokeCheck, reqauth, codec, telemetryAddr string
-	stages, listen                             string
-	groupSeal, shed                            bool
-	statsEvery                                 time.Duration
+	trades, batch, shards, replicas, channels int
+	trace, auditAsync, timingSample           int
+	acceptLoops, maxPerPrincipal              int
+	seed                                      int64
+	revokeCheck, reqauth, telemetryAddr       string
+	stages, listen                            string
+	groupSeal, shed                           bool
+	statsEvery                                time.Duration
 }
 
 func main() {
@@ -74,7 +74,6 @@ func main() {
 	flag.IntVar(&o.channels, "channels", 2, "channels to spread trades across")
 	flag.StringVar(&o.revokeCheck, "revokecheck", "resolve", "session revocation check mode: off, resolve, or sweep")
 	flag.StringVar(&o.reqauth, "reqauth", "mac", "steady-state session request auth: sig (per-request ECDSA) or mac (per-session HMAC)")
-	flag.StringVar(&o.codec, "codec", "binary", "request framing offered: json or binary (envelopes on the ledger are always 0xDC frames)")
 	flag.StringVar(&o.telemetryAddr, "telemetry", "127.0.0.1:0", "telemetry listen address for /metrics, /statusz, /tracez, /debug/pprof (e.g. :9090)")
 	flag.IntVar(&o.trace, "trace", 64, "sample one submission in N for request tracing (0 = off)")
 	flag.StringVar(&o.stages, "stages", "", `pipeline override as a raw Config string, e.g. "session(reqauth=mac)|authn|encrypt|audit|batch(size=4)"; must include a session stage for the demo workload (empty = the built-in pipeline)`)
@@ -189,7 +188,6 @@ func run(o opts) error {
 		},
 		Shards:    o.shards,
 		ShardPins: map[string]int{channels[0]: 0},
-		Codec:     o.codec,
 	}
 	if o.trace > 0 {
 		cfg.Trace = fmt.Sprint(o.trace)
@@ -260,11 +258,10 @@ func run(o opts) error {
 	// Each member opens one session: the full certificate verification is
 	// paid here, once, and every subsequent submission rides the token.
 	// Under -reqauth mac the grant also carries the per-session HMAC key
-	// (the symmetric fast path), and under -codec binary the grant
-	// negotiates the binary wire framing.
+	// (the symmetric fast path).
 	grants := make(map[string]middleware.SessionGrant, len(members))
 	for _, m := range members {
-		grant, err := middleware.OpenSessionOverCodec(bus, m, "gateway", certs[m], keys[m], o.codec)
+		grant, err := middleware.OpenSessionOver(bus, m, "gateway", certs[m], keys[m])
 		if err != nil {
 			return fmt.Errorf("open session for %s: %w", m, err)
 		}
@@ -295,7 +292,7 @@ func run(o opts) error {
 		if err := authenticate(req); err != nil {
 			return err
 		}
-		if _, err := middleware.SubmitOverCodec(bus, tr.Buyer, "gateway", req, grants[tr.Buyer].Codec); err != nil {
+		if _, err := middleware.SubmitOver(bus, tr.Buyer, "gateway", req); err != nil {
 			return fmt.Errorf("submit %s: %w", tr.ID, err)
 		}
 	}

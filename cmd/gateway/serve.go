@@ -74,7 +74,6 @@ func runServe(o opts) error {
 			{Name: middleware.StageAudit, Params: map[string]string{"observer": "gateway-op"}},
 		},
 		Shards: o.shards,
-		Codec:  o.codec,
 	}
 	if o.trace > 0 {
 		cfg.Trace = fmt.Sprint(o.trace)
@@ -116,8 +115,8 @@ func runServe(o opts) error {
 	}
 	defer hsrv.Close()
 
-	fmt.Printf("edge: listening on %s (codec=%s reqauth=%s revokecheck=%s shards=%d replicas=%d channels=%d acceptloops=%d shed=%v)\n",
-		edge.Addr(), o.codec, o.reqauth, o.revokeCheck, o.shards, o.replicas, o.channels, o.acceptLoops, o.shed)
+	fmt.Printf("edge: listening on %s (reqauth=%s revokecheck=%s shards=%d replicas=%d channels=%d acceptloops=%d shed=%v)\n",
+		edge.Addr(), o.reqauth, o.revokeCheck, o.shards, o.replicas, o.channels, o.acceptLoops, o.shed)
 	fmt.Printf("telemetry: http://%s/metrics /statusz /tracez /debug/pprof\n", hsrv.Addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -131,12 +131,9 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 	if err := eachIndex(ctx, nSessions, perConn*nConns, func(ctx context.Context, i int) error {
 		p := i % nPrincipals
 		conn := pool[i%nConns]
-		grant, err := conn.OpenSession(ctx, names[p], certs[p], keys[p], middleware.CodecBinary)
+		grant, err := conn.OpenSession(ctx, names[p], certs[p], keys[p], "")
 		if err != nil {
 			return fmt.Errorf("open session %d (%s): %w", i, names[p], err)
-		}
-		if grant.Codec != middleware.CodecBinary {
-			return fmt.Errorf("session %d: gateway did not grant binary codec (got %q)", i, grant.Codec)
 		}
 		if grant.Resumed {
 			resumed.Add(1)
@@ -148,7 +145,7 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 			SessionToken: grant.Token,
 		}
 		middleware.MACRequest(req, grant.MacKey)
-		wire, err := middleware.EncodeWireRequest(req, middleware.CodecBinary)
+		wire, err := middleware.EncodeWireRequest(req, "")
 		if err != nil {
 			return err
 		}

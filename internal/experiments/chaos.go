@@ -351,7 +351,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				grant, err := grants[m], error(nil)
 				if cfg.ResumeSessions {
 					afterRevocation := m == revoked && revocationDone.Load()
-					grant, err = handshakes.Open(context.Background(), m, certs[m], keys[m], "", func(ctx context.Context, hello []byte) ([]byte, error) {
+					grant, err = handshakes.Open(context.Background(), m, certs[m], keys[m], func(ctx context.Context, hello []byte) ([]byte, error) {
 						return gw.ServeWire(ctx, middleware.TopicSessionOpen, hello, conn)
 					})
 					switch {

@@ -16,117 +16,112 @@ import (
 
 // groupCfg is the canonical group-seal pipeline: authn, cached-key encrypt
 // in deferred mode, terminal batch sealing (channel, epoch) groups.
-func groupCfg(size int, codec string) Config {
+func groupCfg(size int) Config {
 	return Config{
 		Stages: []StageConfig{
 			{Name: StageAuthn},
 			{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			{Name: StageBatch, Params: map[string]string{"size": fmt.Sprint(size), "groupseal": "on"}},
 		},
-		Codec: codec,
 	}
 }
 
-// TestGroupSealReleasesOneEnvelope drives group seal end to end under both
-// request codecs (the group frame is the same 0xDC 0x03 either way): N
+// TestGroupSealReleasesOneEnvelope drives group seal end to end: N
 // submissions release as ONE synthetic group transaction whose
 // envelope opens back to the original payloads, byte-identical to what the
 // per-envelope seal of the same plaintext decrypts to.
 func TestGroupSealReleasesOneEnvelope(t *testing.T) {
-	for _, codec := range []string{CodecJSON, CodecBinary} {
-		t.Run(codec, func(t *testing.T) {
-			ca, ps := enroll(t, "alice", "bob")
-			dir := StaticDirectory{"deals": {
-				"alice": ps["alice"].key.Public(),
-				"bob":   ps["bob"].key.Public(),
-			}}
-			env := Env{CAKey: ca.PublicKey(), Directory: dir}
-			sink := &accept{}
-			chain, err := groupCfg(3, codec).Build(env, sink.handler)
+	t.Run(CodecBinary, func(t *testing.T) {
+		ca, ps := enroll(t, "alice", "bob")
+		dir := StaticDirectory{"deals": {
+			"alice": ps["alice"].key.Public(),
+			"bob":   ps["bob"].key.Public(),
+		}}
+		env := Env{CAKey: ca.PublicKey(), Directory: dir}
+		sink := &accept{}
+		chain, err := groupCfg(3).Build(env, sink.handler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads := [][]byte{[]byte("trade-0"), []byte("trade-1"), []byte("trade-2")}
+		for i, p := range payloads {
+			if err := chain.Execute(context.Background(), signedRequest(t, ps["alice"], "deals", p)); err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		if sink.count() != 1 {
+			t.Fatalf("terminal saw %d requests, want 1 group release for 3 submissions", sink.count())
+		}
+		greq := sink.seen[0]
+		if greq.Principal != BatchPrincipal {
+			t.Errorf("group principal = %q, want %q", greq.Principal, BatchPrincipal)
+		}
+		if got, want := greq.Meta[MetaBatch], GroupEnvelopeScheme+" n=3"; got != want {
+			t.Errorf("batch meta = %q, want %q", got, want)
+		}
+		if !bytes.HasPrefix(greq.Payload, []byte{binaryMagic, binaryKindGroupEnvelope}) {
+			t.Fatalf("group payload starts % x, want a group envelope frame", greq.Payload[:2])
+		}
+		genv, err := ParseGroupEnvelope(greq.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if genv.Channel != "deals" || genv.Count != 3 {
+			t.Fatalf("group envelope channel/count = %s/%d, want deals/3", genv.Channel, genv.Count)
+		}
+		// Every channel member opens the group back to the exact
+		// submission payloads.
+		for _, member := range []string{"alice", "bob"} {
+			segs, err := OpenGroupEnvelope(genv, member, ps[member].key)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("open as %s: %v", member, err)
 			}
-			payloads := [][]byte{[]byte("trade-0"), []byte("trade-1"), []byte("trade-2")}
-			for i, p := range payloads {
-				if err := chain.Execute(context.Background(), signedRequest(t, ps["alice"], "deals", p)); err != nil {
-					t.Fatalf("submit %d: %v", i, err)
+			if len(segs) != len(payloads) {
+				t.Fatalf("%s recovered %d payloads, want %d", member, len(segs), len(payloads))
+			}
+			for i := range payloads {
+				if !bytes.Equal(segs[i], payloads[i]) {
+					t.Errorf("%s payload %d = %q, want %q", member, i, segs[i], payloads[i])
 				}
 			}
-			if sink.count() != 1 {
-				t.Fatalf("terminal saw %d requests, want 1 group release for 3 submissions", sink.count())
-			}
-			greq := sink.seen[0]
-			if greq.Principal != BatchPrincipal {
-				t.Errorf("group principal = %q, want %q", greq.Principal, BatchPrincipal)
-			}
-			if got, want := greq.Meta[MetaBatch], GroupEnvelopeScheme+" n=3"; got != want {
-				t.Errorf("batch meta = %q, want %q", got, want)
-			}
-			if !bytes.HasPrefix(greq.Payload, []byte{binaryMagic, binaryKindGroupEnvelope}) {
-				t.Fatalf("group payload starts % x, want a group envelope frame", greq.Payload[:2])
-			}
-			genv, err := ParseGroupEnvelope(greq.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if genv.Channel != "deals" || genv.Count != 3 {
-				t.Fatalf("group envelope channel/count = %s/%d, want deals/3", genv.Channel, genv.Count)
-			}
-			// Every channel member opens the group back to the exact
-			// submission payloads.
-			for _, member := range []string{"alice", "bob"} {
-				segs, err := OpenGroupEnvelope(genv, member, ps[member].key)
-				if err != nil {
-					t.Fatalf("open as %s: %v", member, err)
-				}
-				if len(segs) != len(payloads) {
-					t.Fatalf("%s recovered %d payloads, want %d", member, len(segs), len(payloads))
-				}
-				for i := range payloads {
-					if !bytes.Equal(segs[i], payloads[i]) {
-						t.Errorf("%s payload %d = %q, want %q", member, i, segs[i], payloads[i])
-					}
-				}
-			}
-			// Non-members stay locked out.
-			if _, err := OpenGroupEnvelope(genv, "mallory", ps["alice"].key); !errors.Is(err, ErrNotRecipient) {
-				t.Errorf("non-member open = %v, want ErrNotRecipient", err)
-			}
+		}
+		// Non-members stay locked out.
+		if _, err := OpenGroupEnvelope(genv, "mallory", ps["alice"].key); !errors.Is(err, ErrNotRecipient) {
+			t.Errorf("non-member open = %v, want ErrNotRecipient", err)
+		}
 
-			// The per-envelope path over the same plaintext decrypts to the
-			// same bytes: group sealing changes the framing, not the data.
-			single := &accept{}
-			cfg := Config{
-				Stages: []StageConfig{
-					{Name: StageAuthn},
-					{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
-				},
-				Codec: codec,
-			}
-			schain, err := cfg.Build(env, single.handler)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := schain.Execute(context.Background(), signedRequest(t, ps["alice"], "deals", payloads[0])); err != nil {
-				t.Fatal(err)
-			}
-			senv, err := ParseEnvelope(single.seen[0].Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := OpenEnvelope(senv, "bob", ps["bob"].key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gsegs, err := OpenGroupEnvelope(genv, "bob", ps["bob"].key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(plain, gsegs[0]) {
-				t.Errorf("per-envelope plaintext %q != group segment %q", plain, gsegs[0])
-			}
-		})
-	}
+		// The per-envelope path over the same plaintext decrypts to the
+		// same bytes: group sealing changes the framing, not the data.
+		single := &accept{}
+		cfg := Config{
+			Stages: []StageConfig{
+				{Name: StageAuthn},
+				{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
+			},
+		}
+		schain, err := cfg.Build(env, single.handler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := schain.Execute(context.Background(), signedRequest(t, ps["alice"], "deals", payloads[0])); err != nil {
+			t.Fatal(err)
+		}
+		senv, err := ParseEnvelope(single.seen[0].Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := OpenEnvelope(senv, "bob", ps["bob"].key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gsegs, err := OpenGroupEnvelope(genv, "bob", ps["bob"].key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain, gsegs[0]) {
+			t.Errorf("per-envelope plaintext %q != group segment %q", plain, gsegs[0])
+		}
+	})
 }
 
 // TestGroupSealFlushDrainsOpenBuckets covers the partial-bucket path: a
@@ -138,7 +133,7 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 		"trades": {"alice": ps["alice"].key.Public()},
 	}
 	sink := &accept{}
-	chain, err := groupCfg(8, CodecBinary).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
+	chain, err := groupCfg(8).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +217,7 @@ func TestGroupReleaseSpanAmortizedShare(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public()}}
 	sink := &accept{}
-	chain, err := groupCfg(2, CodecBinary).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
+	chain, err := groupCfg(2).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +409,7 @@ func TestSubmitAsyncGroupShareFate(t *testing.T) {
 		}
 		return nil
 	}
-	chain, err := groupCfg(2, CodecBinary).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, terminal)
+	chain, err := groupCfg(2).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, terminal)
 	if err != nil {
 		t.Fatal(err)
 	}

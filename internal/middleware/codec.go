@@ -9,23 +9,16 @@ import (
 	"dltprivacy/internal/dcrypto"
 )
 
-// Request codec names, the vocabulary of Config.Codec and the per-session
-// negotiation (SessionHello.Codec / SessionGrant.Codec). They name how a
-// submission is framed on the wire and nothing else: envelopes on the ledger
-// are always 0xDC frames (envelope.go, envelope_group.go).
-const (
-	// CodecJSON is the default request framing: the submission marshals as
-	// JSON, self-describing and diffable.
-	CodecJSON = "json"
-	// CodecBinary is the length-prefixed binary v2 request framing: no
-	// field names, no base64, no reflection — a submission decode is a
-	// linear scan that aliases the inbound buffer instead of copying it.
-	CodecBinary = "binary"
-)
+// CodecBinary names the one request framing, the 0xDC frame, under the name
+// the repository benchmark calls; Config.Codec, SessionGrant.Codec and the
+// codec parameters of EncodeWireRequest and netedge.Client.OpenSession take
+// it or "" and mean nothing else.
+const CodecBinary = "binary"
 
-// ErrBadFrame is returned (wrapped) for every malformed binary frame. Like
-// JSON decode errors it is a rejection, never a panic: length prefixes are
-// validated against the remaining buffer before any slice or allocation.
+// ErrBadFrame is returned (wrapped) for every payload that is not a
+// well-formed 0xDC frame of the kind its topic takes — a JSON document and an
+// empty payload included. It is a rejection, never a panic: length prefixes
+// are validated against the remaining buffer before any slice or allocation.
 var ErrBadFrame = errors.New("middleware: malformed binary frame")
 
 // Binary framing: one magic byte no JSON document can start with, one
@@ -49,12 +42,6 @@ const (
 	binaryKindGrant      = 0x06
 	binaryKindResumeMiss = 0x07
 )
-
-// isBinaryFrame sniffs the framing of a wire request: binary frames start
-// with the magic byte, which is not a valid first byte of any JSON value.
-func isBinaryFrame(b []byte) bool {
-	return len(b) >= 2 && b[0] == binaryMagic
-}
 
 // appendLenPrefixed appends a uvarint length and the bytes themselves.
 func appendLenPrefixed(dst, b []byte) []byte {
@@ -130,64 +117,69 @@ func (r *frameReader) done() error {
 	return nil
 }
 
-// encodeWireRequestBinary marshals a wire request into the binary v2
-// framing with a single exactly-sized allocation.
-func encodeWireRequestBinary(w *wireRequest) ([]byte, error) {
+// EncodeWireRequest marshals a request into the 0xDC request frame the
+// gateway.submit topic takes, with a single exactly-sized allocation. A
+// certificate without an identity is not sent. codec is kept under the name
+// the repository benchmark calls: "" or CodecBinary, anything else an error.
+func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
+	if codec != "" && codec != CodecBinary {
+		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
+	}
 	var sig, cert []byte
-	if w.Sig.R != nil || w.Sig.S != nil {
-		// A request decoded from JSON can carry any integer here; the
-		// 64-byte field holds only what a verifier could accept.
-		if !w.Sig.WellFormed() {
+	if req.Sig.R != nil || req.Sig.S != nil {
+		// A caller can put any integer here; the 64-byte field holds only
+		// what a verifier could accept.
+		if !req.Sig.WellFormed() {
 			return nil, fmt.Errorf("middleware: encode request: %w", dcrypto.ErrInvalidSignature)
 		}
-		sig = w.Sig.Bytes()
+		sig = req.Sig.Bytes()
 	}
-	if len(w.MAC) > 0 && len(w.MAC) != dcrypto.MACSize {
-		return nil, fmt.Errorf("middleware: encode request: mac must be %d bytes, got %d", dcrypto.MACSize, len(w.MAC))
+	if len(req.MAC) > 0 && len(req.MAC) != dcrypto.MACSize {
+		return nil, fmt.Errorf("middleware: encode request: mac must be %d bytes, got %d", dcrypto.MACSize, len(req.MAC))
 	}
-	if w.Cert != nil {
-		b, err := json.Marshal(w.Cert)
+	if req.Cert.Identity != "" {
+		b, err := json.Marshal(&req.Cert)
 		if err != nil {
 			return nil, fmt.Errorf("middleware: encode cert: %w", err)
 		}
 		cert = b
 	}
 	size := 2 +
-		lenPrefixedSize(len(w.Channel)) +
-		lenPrefixedSize(len(w.Principal)) +
-		lenPrefixedSize(len(w.Backend)) +
-		lenPrefixedSize(len(w.Payload)) +
-		lenPrefixedSize(len(w.Session)) +
+		lenPrefixedSize(len(req.Channel)) +
+		lenPrefixedSize(len(req.Principal)) +
+		lenPrefixedSize(len(req.Backend)) +
+		lenPrefixedSize(len(req.Payload)) +
+		lenPrefixedSize(len(req.SessionToken)) +
 		lenPrefixedSize(len(sig)) +
-		lenPrefixedSize(len(w.MAC)) +
+		lenPrefixedSize(len(req.MAC)) +
 		lenPrefixedSize(len(cert)) +
-		uvarintSize(w.TraceID) +
-		uvarintSize(uint64(len(w.Meta)))
-	for k, v := range w.Meta {
+		uvarintSize(req.TraceID) +
+		uvarintSize(uint64(len(req.Meta)))
+	for k, v := range req.Meta {
 		size += lenPrefixedSize(len(k)) + lenPrefixedSize(len(v))
 	}
 	out := make([]byte, 0, size)
 	out = append(out, binaryMagic, binaryKindRequest)
-	out = appendLenPrefixed(out, []byte(w.Channel))
-	out = appendLenPrefixed(out, []byte(w.Principal))
-	out = appendLenPrefixed(out, []byte(w.Backend))
-	out = appendLenPrefixed(out, w.Payload)
-	out = appendLenPrefixed(out, []byte(w.Session))
+	out = appendLenPrefixed(out, []byte(req.Channel))
+	out = appendLenPrefixed(out, []byte(req.Principal))
+	out = appendLenPrefixed(out, []byte(req.Backend))
+	out = appendLenPrefixed(out, req.Payload)
+	out = appendLenPrefixed(out, []byte(req.SessionToken))
 	out = appendLenPrefixed(out, sig)
-	out = appendLenPrefixed(out, w.MAC)
+	out = appendLenPrefixed(out, req.MAC)
 	out = appendLenPrefixed(out, cert)
 	// The trace ID rides between cert and meta as a bare uvarint: one byte
 	// for the untraced common case (TraceID 0).
-	out = binary.AppendUvarint(out, w.TraceID)
-	out = binary.AppendUvarint(out, uint64(len(w.Meta)))
-	for k, v := range w.Meta {
+	out = binary.AppendUvarint(out, req.TraceID)
+	out = binary.AppendUvarint(out, uint64(len(req.Meta)))
+	for k, v := range req.Meta {
 		out = appendLenPrefixed(out, []byte(k))
 		out = appendLenPrefixed(out, []byte(v))
 	}
 	return out, nil
 }
 
-// decodeRequestBinary reverses encodeWireRequestBinary into req, the request
+// decodeRequestBinary reverses EncodeWireRequest into req, the request
 // the gateway runs. Byte fields alias the input buffer. The three strings
 // every session submission carries are not allocated when g already holds
 // them: the token and principal come from the session the token names, the
@@ -247,32 +239,4 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 		}
 	}
 	return nil
-}
-
-// EncodeWireRequest marshals a request for the gateway.submit topic in the
-// named codec, the encoding SubmitOverCodec puts on the wire.
-func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
-	w := wireRequest{
-		Channel:   req.Channel,
-		Principal: req.Principal,
-		Backend:   req.Backend,
-		Payload:   req.Payload,
-		Sig:       req.Sig,
-		MAC:       req.MAC,
-		Session:   req.SessionToken,
-		Meta:      req.Meta,
-		TraceID:   req.TraceID,
-	}
-	if req.Cert.Identity != "" {
-		cert := req.Cert
-		w.Cert = &cert
-	}
-	switch codec {
-	case "", CodecJSON:
-		return json.Marshal(w)
-	case CodecBinary:
-		return encodeWireRequestBinary(&w)
-	default:
-		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
-	}
 }

@@ -62,7 +62,7 @@
 // Four stages lift the paper's advanced-privacy workloads out of
 // hand-wired example code and into the declarative pipeline; each consumes
 // a client-attached wire blob from Request.Meta (never covered by the
-// request digest, carried by both codecs, size-capped before decode) and
+// request digest, carried by the request frame, size-capped before decode) and
 // replaces it with a compact audit note on success:
 //
 //   - zkproof (mode=range, bits=1..64, optional channel filter) admits a
@@ -229,17 +229,17 @@
 //     without a MAC fall back to the signature path, so first-contact and
 //     mixed populations keep working; sessionless traffic still flows
 //     through the authn stage unchanged.
-//   - Config.Codec ("json" default | "binary"): the request framing the
-//     gateway offers. The binary v2 framing is a length-prefixed encoding
-//     for submissions: no field names, no base64, no reflection; a frame
-//     decodes into the Request the chain runs, aliasing the inbound
-//     buffer, and encodes in one exactly-sized allocation. Clients ask
-//     for it per session (SessionHello.Codec) and the grant reports what
-//     the gateway offers; JSON submissions are always accepted (the
-//     framings are sniffed apart by first byte), so enabling binary never
-//     strands a client. Envelopes on the ledger are always 0xDC frames:
-//     ParseEnvelope reads nothing else, and json.Marshal of a parsed
-//     Envelope is the diffable debug view.
+//   - One wire format. A submission, a session handshake message and an
+//     envelope on the ledger are all 0xDC frames: length-prefixed, no
+//     field names, no base64, no reflection; a request frame decodes into
+//     the Request the chain runs, aliasing the inbound buffer, and encodes
+//     in one exactly-sized allocation. gateway.submit and session.open
+//     each run one decoder and refuse everything else — a JSON document
+//     included — with ErrBadFrame; nothing is sniffed and nothing is
+//     negotiated. json.Marshal of a parsed Envelope is the diffable debug
+//     view. Config.Codec is not a knob: it survives, with CodecBinary and
+//     SessionGrant.Codec, only under the names the repository benchmark
+//     compiles against, accepts "" or "binary" and means nothing else.
 //   - Striped, read-mostly caches. The session token table is sharded
 //     across independent RWMutex stripes keyed by token hash, so resolve —
 //     the per-request path — takes one read lock on one stripe, with idle
@@ -421,8 +421,8 @@
 // instrumented stage appends a span (inclusive + exclusive duration,
 // error), and the finished trace lands in a bounded in-memory ring
 // dumpable via /tracez. A request that arrives with a wire-carried
-// TraceID — the binary v2 frame carries it as one uvarint, JSON as an
-// omitempty field, and SessionHello annotates session.open the same way —
+// TraceID — the request frame carries it as one uvarint, and the hello
+// frames annotate session.open the same way —
 // bypasses the sampler entirely, so a caller tracing a specific request
 // always gets its trace. The TraceID is observability annotation, not
 // authority: it is excluded from request digests, signatures, and MACs.

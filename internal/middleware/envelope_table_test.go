@@ -127,7 +127,7 @@ func TestGroupEnvelopeSplicesEpochKeySection(t *testing.T) {
 		members[id] = p.key.Public()
 	}
 	sink := &accept{}
-	chain, err := groupCfg(2, CodecBinary).Build(Env{CAKey: ca.PublicKey(), Directory: StaticDirectory{"deals": members}}, sink.handler)
+	chain, err := groupCfg(2).Build(Env{CAKey: ca.PublicKey(), Directory: StaticDirectory{"deals": members}}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,27 +29,28 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mac := bytes.Repeat([]byte{0x7f}, dcrypto.MACSize)
-	cases := []wireRequest{
+	cases := []Request{
 		{Channel: "deals", Principal: "alice", Payload: []byte("trade")},
 		{Channel: "deals", Principal: "alice", Backend: "fabric", Payload: []byte("trade"),
-			Sig: sig, Session: "tok", Meta: map[string]string{"a": "1", "b": "2"}},
-		{Channel: "deals", Principal: "alice", Payload: nil, MAC: mac, Session: "tok"},
-		{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: &cert, Sig: sig},
+			Sig: sig, SessionToken: "tok", Meta: map[string]string{"a": "1", "b": "2"}},
+		{Channel: "deals", Principal: "alice", Payload: nil, MAC: mac, SessionToken: "tok"},
+		{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: cert, Sig: sig},
 	}
-	for i, w := range cases {
-		b, err := encodeWireRequestBinary(&w)
+	for i := range cases {
+		w := &cases[i]
+		b, err := EncodeWireRequest(w, "")
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
-		if !isBinaryFrame(b) {
-			t.Fatalf("case %d: encoded frame not sniffed as binary", i)
+		if !bytes.HasPrefix(b, []byte{binaryMagic, binaryKindRequest}) {
+			t.Fatalf("case %d: encoded frame starts % x", i, b[:2])
 		}
 		var got Request
 		if err := decodeRequestBinary(b, &got, nil); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if got.Channel != w.Channel || got.Principal != w.Principal || got.Backend != w.Backend ||
-			got.SessionToken != w.Session || !bytes.Equal(got.Payload, w.Payload) || !bytes.Equal(got.MAC, w.MAC) {
+			got.SessionToken != w.SessionToken || !bytes.Equal(got.Payload, w.Payload) || !bytes.Equal(got.MAC, w.MAC) {
 			t.Fatalf("case %d: roundtrip mismatch: %+v vs %+v", i, got, w)
 		}
 		if (w.Sig.R == nil) != (got.Sig.R == nil) {
@@ -58,10 +59,8 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 		if w.Sig.R != nil && !bytes.Equal(w.Sig.Bytes(), got.Sig.Bytes()) {
 			t.Fatalf("case %d: signature mismatch", i)
 		}
-		var want Request
-		w.fill(&want)
-		if got.Cert.Identity != want.Cert.Identity || got.Cert.Serial != want.Cert.Serial {
-			t.Fatalf("case %d: cert mismatch: %+v vs %+v", i, got.Cert, want.Cert)
+		if got.Cert.Identity != w.Cert.Identity || got.Cert.Serial != w.Cert.Serial {
+			t.Fatalf("case %d: cert mismatch: %+v vs %+v", i, got.Cert, w.Cert)
 		}
 		if !reflect.DeepEqual(got.Meta, w.Meta) {
 			t.Fatalf("case %d: meta mismatch: %v vs %v", i, got.Meta, w.Meta)
@@ -69,10 +68,10 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 	}
 }
 
-// TestEncodeWireRequestRejectsUnencodableSignature: a Request decoded from
-// JSON can carry any integers as its signature. The binary codec's 64-byte
-// field cannot hold a component wider than 256 bits (FillBytes panicked) or
-// tell a negative one from its absolute value, so encoding refuses them.
+// TestEncodeWireRequestRejectsUnencodableSignature: a caller's Request can
+// carry any integers as its signature. The frame's 64-byte field cannot hold
+// a component wider than 256 bits (FillBytes panicked) or tell a negative one
+// from its absolute value, so encoding refuses them.
 func TestEncodeWireRequestRejectsUnencodableSignature(t *testing.T) {
 	_, ps := enroll(t, "alice")
 	sig, err := ps["alice"].key.Sign([]byte("digest"))
@@ -93,19 +92,6 @@ func TestEncodeWireRequestRejectsUnencodableSignature(t *testing.T) {
 		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Sig: bad}
 		if b, err := EncodeWireRequest(req, CodecBinary); !errors.Is(err, dcrypto.ErrInvalidSignature) {
 			t.Errorf("%s: encoded %d bytes, err %v; want ErrInvalidSignature", name, len(b), err)
-		}
-		// What the decoder would make of such a request arriving as JSON
-		// re-encodes the same way.
-		asJSON, err := EncodeWireRequest(req, CodecJSON)
-		if err != nil {
-			t.Fatalf("%s: JSON encode: %v", name, err)
-		}
-		var w wireRequest
-		if err := json.Unmarshal(asJSON, &w); err != nil {
-			t.Fatalf("%s: JSON decode: %v", name, err)
-		}
-		if _, err := encodeWireRequestBinary(&w); !errors.Is(err, dcrypto.ErrInvalidSignature) {
-			t.Errorf("%s: JSON-decoded request re-encoded with err %v; want ErrInvalidSignature", name, err)
 		}
 	}
 	// No signature at all is a request that authenticates by MAC.
@@ -166,7 +152,7 @@ func TestEnvelopeBinaryRoundtrip(t *testing.T) {
 }
 
 func TestBinaryFrameRejectsMalformed(t *testing.T) {
-	good, err := encodeWireRequestBinary(&wireRequest{Channel: "deals", Principal: "alice", Payload: []byte("p")})
+	good, err := EncodeWireRequest(&Request{Channel: "deals", Principal: "alice", Payload: []byte("p")}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,20 +193,31 @@ func TestBinaryFrameRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestCodecConfigValidation: the codec names the benchmark still passes mean
+// the one wire format; every other name, "json" included, is refused.
 func TestCodecConfigValidation(t *testing.T) {
-	_, err := Config{
-		Stages: []StageConfig{{Name: StageRateLimit}},
-		Codec:  "protobuf",
-	}.Build(Env{}, nil)
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown codec accepted: %v", err)
+	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("p")}
+	for _, codec := range []string{"json", "protobuf"} {
+		_, err := Config{
+			Stages: []StageConfig{{Name: StageRateLimit}},
+			Codec:  codec,
+		}.Build(Env{}, nil)
+		if !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("Config{Codec: %q} = %v, want ErrBadConfig", codec, err)
+		}
+		if b, err := EncodeWireRequest(req, codec); err == nil {
+			t.Fatalf("EncodeWireRequest(req, %q) encoded %d bytes", codec, len(b))
+		}
 	}
-	for _, codec := range []string{"", CodecJSON, CodecBinary} {
+	for _, codec := range []string{"", CodecBinary} {
 		if _, err := (Config{
 			Stages: []StageConfig{{Name: StageRateLimit}},
 			Codec:  codec,
 		}).Build(Env{}, nil); err != nil {
 			t.Fatalf("codec %q rejected: %v", codec, err)
+		}
+		if _, err := EncodeWireRequest(req, codec); err != nil {
+			t.Fatalf("EncodeWireRequest(req, %q): %v", codec, err)
 		}
 	}
 }
@@ -228,9 +225,9 @@ func TestCodecConfigValidation(t *testing.T) {
 // --- MAC request authentication ---
 
 // fastpathGateway builds a session+encrypt gateway with the given reqauth
-// and codec over the transport substrate, returning the network and the
-// per-principal grants.
-func fastpathGateway(t testing.TB, reqauth, codec string, names ...string) (*Gateway, *transport.Network, map[string]*principal, map[string]SessionGrant) {
+// over the transport substrate, returning the network and the per-principal
+// grants.
+func fastpathGateway(t testing.TB, reqauth string, names ...string) (*Gateway, *transport.Network, map[string]*principal, map[string]SessionGrant) {
 	t.Helper()
 	ca, ps := enroll(t, names...)
 	members := make(map[string]dcrypto.PublicKey, len(ps))
@@ -246,7 +243,6 @@ func fastpathGateway(t testing.TB, reqauth, codec string, names ...string) (*Gat
 			{Name: StageAuthn},
 			{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 		},
-		Codec: codec,
 	}
 	env := Env{CAKey: ca.PublicKey(), Directory: dir, Log: audit.NewLog()}
 	gw, err := NewGateway("fastpath-gw", cfg, env, ordering.New("op", ordering.VisibilityEnvelope))
@@ -264,7 +260,7 @@ func fastpathGateway(t testing.TB, reqauth, codec string, names ...string) (*Gat
 	}
 	grants := make(map[string]SessionGrant, len(ps))
 	for name, p := range ps {
-		grant, err := OpenSessionOverCodec(net, name, "gateway", p.cert, p.key, codec)
+		grant, err := OpenSessionOver(net, name, "gateway", p.cert, p.key)
 		if err != nil {
 			t.Fatalf("open session for %s: %v", name, err)
 		}
@@ -274,7 +270,7 @@ func fastpathGateway(t testing.TB, reqauth, codec string, names ...string) (*Gat
 }
 
 func TestSessionMACAuthenticates(t *testing.T) {
-	gw, net, _, grants := fastpathGateway(t, "mac", CodecJSON, "alice")
+	gw, net, _, grants := fastpathGateway(t, "mac", "alice")
 	grant := grants["alice"]
 	if len(grant.MacKey) != dcrypto.MACKeySize {
 		t.Fatalf("mac-mode grant carries no MAC key: %+v", grant)
@@ -293,7 +289,7 @@ func TestSessionMACAuthenticates(t *testing.T) {
 }
 
 func TestSessionMACRejectsTampering(t *testing.T) {
-	_, net, _, grants := fastpathGateway(t, "mac", CodecJSON, "alice")
+	_, net, _, grants := fastpathGateway(t, "mac", "alice")
 	grant := grants["alice"]
 
 	// Tampered payload after MACing.
@@ -321,7 +317,7 @@ func TestSessionMACRejectsTampering(t *testing.T) {
 }
 
 func TestSessionMACSigFallback(t *testing.T) {
-	_, net, ps, grants := fastpathGateway(t, "mac", CodecJSON, "alice")
+	_, net, ps, grants := fastpathGateway(t, "mac", "alice")
 	// A signature-path client on a MAC gateway keeps working (first
 	// contact, or a client that ignored the grant key).
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grants["alice"].Token}
@@ -334,7 +330,7 @@ func TestSessionMACSigFallback(t *testing.T) {
 }
 
 func TestSessionSigModeGrantsNoMACKey(t *testing.T) {
-	_, net, _, grants := fastpathGateway(t, "sig", CodecJSON, "alice")
+	_, net, _, grants := fastpathGateway(t, "sig", "alice")
 	grant := grants["alice"]
 	if grant.MacKey != nil {
 		t.Fatalf("sig-mode grant carries a MAC key")
@@ -404,33 +400,10 @@ func TestRevocationKillsMACSession(t *testing.T) {
 	}
 }
 
-// --- codec negotiation and binary submissions ---
-
-func TestCodecNegotiation(t *testing.T) {
-	// A binary gateway offers binary to sessions that ask for it.
-	_, _, _, grants := fastpathGateway(t, "mac", CodecBinary, "alice")
-	if got := grants["alice"].Codec; got != CodecBinary {
-		t.Fatalf("binary gateway negotiated %q, want %q", got, CodecBinary)
-	}
-	// A JSON gateway downgrades a binary request to JSON.
-	_, net, ps, _ := fastpathGateway(t, "mac", CodecJSON, "bob")
-	grant, err := OpenSessionOverCodec(net, "bob", "gateway", ps["bob"].cert, ps["bob"].key, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grant.Codec != CodecJSON {
-		t.Fatalf("json gateway negotiated %q, want %q", grant.Codec, CodecJSON)
-	}
-	// And rejects binary frames outright.
-	req := &Request{Channel: "deals", Principal: "bob", Payload: []byte("p"), SessionToken: grant.Token}
-	MACRequest(req, grant.MacKey)
-	if _, err := SubmitOverCodec(net, "bob", "gateway", req, CodecBinary); err == nil {
-		t.Fatal("binary frame accepted by json gateway")
-	}
-}
+// --- submissions over the wire ---
 
 func TestBinarySubmissionEndToEnd(t *testing.T) {
-	gw, net, ps, grants := fastpathGateway(t, "mac", CodecBinary, "alice", "bob")
+	gw, net, ps, grants := fastpathGateway(t, "mac", "alice", "bob")
 	var delivered []ledger.Transaction
 	var mu sync.Mutex
 	sink := backendFunc{name: "recorder", commit: func(b ledger.Block) error {
@@ -441,17 +414,13 @@ func TestBinarySubmissionEndToEnd(t *testing.T) {
 	}}
 	gw.Bind("deals", sink)
 
-	grant := grants["alice"]
-	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("binary trade"), SessionToken: grant.Token}
-	MACRequest(req, grant.MacKey)
-	if _, err := SubmitOverCodec(net, "alice", "gateway", req, grant.Codec); err != nil {
-		t.Fatalf("binary submission rejected: %v", err)
-	}
-	// JSON stays accepted on the same gateway (mixed populations).
-	jreq := &Request{Channel: "deals", Principal: "bob", Payload: []byte("json trade"), SessionToken: grants["bob"].Token}
-	MACRequest(jreq, grants["bob"].MacKey)
-	if _, err := SubmitOver(net, "bob", "gateway", jreq); err != nil {
-		t.Fatalf("json submission on binary gateway rejected: %v", err)
+	for _, name := range []string{"alice", "bob"} {
+		grant := grants[name]
+		req := &Request{Channel: "deals", Principal: name, Payload: []byte(name + "'s trade"), SessionToken: grant.Token}
+		MACRequest(req, grant.MacKey)
+		if _, err := SubmitOver(net, name, "gateway", req); err != nil {
+			t.Fatalf("%s's submission rejected: %v", name, err)
+		}
 	}
 
 	mu.Lock()
@@ -459,8 +428,7 @@ func TestBinarySubmissionEndToEnd(t *testing.T) {
 	if len(delivered) != 2 {
 		t.Fatalf("delivered %d txs, want 2", len(delivered))
 	}
-	// Envelopes committed by a binary gateway are binary-framed and open
-	// for members regardless of framing.
+	// What was committed is an envelope frame that opens for a member.
 	for i, tx := range delivered {
 		env, err := ParseEnvelope(tx.Payload)
 		if err != nil {
@@ -473,9 +441,55 @@ func TestBinarySubmissionEndToEnd(t *testing.T) {
 		if !bytes.Contains(pt, []byte("trade")) {
 			t.Fatalf("tx %d: unexpected payload %q", i, pt)
 		}
-		if !isBinaryFrame(tx.Payload) {
-			t.Fatalf("tx %d: binary gateway committed a JSON envelope", i)
+	}
+}
+
+// TestWireRefusalsAreCounted: what the one decoder of a topic refuses —
+// garbage, a JSON document (a wire format once), nothing at all, a cut frame
+// — is an error wrapping ErrBadFrame and one more on
+// confmw_gateway_rejected_total, on gateway.submit as on session.open. A
+// refused submission used to leave no trace in any telemetry.
+func TestWireRefusalsAreCounted(t *testing.T) {
+	gw, _, ps, grants := fastpathGateway(t, "mac", "alice")
+	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grants["alice"].Token}
+	MACRequest(req, grants["alice"].MacKey)
+	frame, err := EncodeWireRequest(req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonHello, err := json.Marshal(mustHelloAt(t, ps["alice"], time.Now()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, topic string
+		payload     []byte
+	}{
+		{"garbage", TopicSubmit, []byte("\x00\x01\x02session\xff")},
+		{"JSON submission", TopicSubmit, []byte(`{"channel":"deals","principal":"alice","payload":"dHJhZGU="}`)},
+		{"truncated request frame", TopicSubmit, frame[:len(frame)/2]},
+		{"header only", TopicSubmit, []byte{binaryMagic, binaryKindRequest}},
+		{"empty submission", TopicSubmit, nil},
+		{"one byte", TopicSubmit, []byte{binaryMagic}},
+		{"hello on the submit topic", TopicSubmit, []byte{binaryMagic, binaryKindHello, 0x00}},
+		{"JSON hello", TopicSessionOpen, jsonHello},
+		{"empty hello", TopicSessionOpen, nil},
+		{"one-byte hello", TopicSessionOpen, []byte{binaryMagic}},
+		{"request on the open topic", TopicSessionOpen, frame},
+	} {
+		before := gw.Stats()
+		reply, err := gw.ServeWire(context.Background(), tc.topic, tc.payload, "")
+		if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: reply %q, err %v; want ErrBadFrame", tc.name, reply, err)
 		}
+		after := gw.Stats()
+		if after.Rejected != before.Rejected+1 || after.Submitted != before.Submitted || after.Sessions.Opened != before.Sessions.Opened {
+			t.Errorf("%s: rejected %d -> %d, submitted %d -> %d, sessions %d -> %d; want one more rejection and nothing else",
+				tc.name, before.Rejected, after.Rejected, before.Submitted, after.Submitted, before.Sessions.Opened, after.Sessions.Opened)
+		}
+	}
+	if _, err := gw.ServeWire(context.Background(), TopicSubmit, frame, ""); err != nil {
+		t.Fatalf("the well-formed frame: %v", err)
 	}
 }
 
@@ -633,11 +647,11 @@ func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
 // --- concurrency matrix ---
 
 // TestFastPathConcurrencyMatrix drives parallel submitters through the
-// full gateway over the transport substrate across every reqauth × codec
-// combination, then asserts (a) every submission was accepted and counted,
-// (b) both bound backends saw identical per-channel delivery orders, and
-// (c) the per-channel sequences are a merge preserving each submitter's
-// own submission order. Run under -race this also shakes the striped
+// full gateway over the transport substrate under each reqauth mode, then
+// asserts (a) every submission was accepted and counted, (b) both bound
+// backends saw identical per-channel delivery orders, and (c) the
+// per-channel sequences are a merge preserving each submitter's own
+// submission order. Run under -race this also shakes the striped
 // session table, the fingerprint cache, and the pooled hashing.
 func TestFastPathConcurrencyMatrix(t *testing.T) {
 	const (
@@ -650,93 +664,91 @@ func TestFastPathConcurrencyMatrix(t *testing.T) {
 	}
 	channels := []string{"deals", "loans"}
 	for _, reqauth := range []string{"sig", "mac"} {
-		for _, codec := range []string{CodecJSON, CodecBinary} {
-			t.Run(fmt.Sprintf("reqauth=%s/codec=%s", reqauth, codec), func(t *testing.T) {
-				gw, net, ps, grants := fastpathGateway(t, reqauth, codec, names...)
-				type record struct {
-					mu   sync.Mutex
-					seen map[string][]string // channel -> request ids in delivery order
-				}
-				recs := [2]*record{{seen: map[string][]string{}}, {seen: map[string][]string{}}}
-				for i, rec := range recs {
-					rec := rec
-					for _, ch := range channels {
-						gw.Bind(ch, backendFunc{name: fmt.Sprintf("rec%d", i), commit: func(b ledger.Block) error {
-							rec.mu.Lock()
-							for _, tx := range b.Txs {
-								rec.seen[tx.Channel] = append(rec.seen[tx.Channel], tx.Meta["reqid"])
-							}
-							rec.mu.Unlock()
-							return nil
-						}})
-					}
-				}
-				var wg sync.WaitGroup
-				errs := make(chan error, submitters)
-				for _, name := range names {
-					wg.Add(1)
-					go func(name string) {
-						defer wg.Done()
-						p, grant := ps[name], grants[name]
-						for i := 0; i < perSubmitter; i++ {
-							req := &Request{
-								Channel:      channels[i%len(channels)],
-								Principal:    name,
-								Payload:      []byte(fmt.Sprintf("%s-%d", name, i)),
-								SessionToken: grant.Token,
-								Meta:         map[string]string{"reqid": fmt.Sprintf("%s-%d", name, i)},
-							}
-							if reqauth == "mac" {
-								MACRequest(req, grant.MacKey)
-							} else if err := SignRequest(req, p.key); err != nil {
-								errs <- err
-								return
-							}
-							if _, err := SubmitOverCodec(net, name, "gateway", req, grant.Codec); err != nil {
-								errs <- fmt.Errorf("%s submit %d: %w", name, i, err)
-								return
-							}
-						}
-					}(name)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					t.Fatal(err)
-				}
-				total := uint64(submitters * perSubmitter)
-				stats := gw.Stats()
-				if stats.Submitted != total || stats.Ordered != total || stats.Rejected != 0 {
-					t.Fatalf("stats = submitted %d ordered %d rejected %d, want %d/%d/0",
-						stats.Submitted, stats.Ordered, stats.Rejected, total, total)
-				}
-				// Both backends saw the same per-channel order.
+		t.Run(fmt.Sprintf("reqauth=%s/codec=%s", reqauth, CodecBinary), func(t *testing.T) {
+			gw, net, ps, grants := fastpathGateway(t, reqauth, names...)
+			type record struct {
+				mu   sync.Mutex
+				seen map[string][]string // channel -> request ids in delivery order
+			}
+			recs := [2]*record{{seen: map[string][]string{}}, {seen: map[string][]string{}}}
+			for i, rec := range recs {
+				rec := rec
 				for _, ch := range channels {
-					if !reflect.DeepEqual(recs[0].seen[ch], recs[1].seen[ch]) {
-						t.Fatalf("channel %s: backends disagree on delivery order", ch)
-					}
-				}
-				// The merged order preserves each submitter's own sequence,
-				// and nothing was lost or duplicated.
-				delivered := 0
-				for _, ch := range channels {
-					prev := make(map[int]int)
-					for _, id := range recs[0].seen[ch] {
-						var orgIdx, seq int
-						if _, err := fmt.Sscanf(id, "org%d-%d", &orgIdx, &seq); err != nil {
-							t.Fatalf("unparseable reqid %q: %v", id, err)
+					gw.Bind(ch, backendFunc{name: fmt.Sprintf("rec%d", i), commit: func(b ledger.Block) error {
+						rec.mu.Lock()
+						for _, tx := range b.Txs {
+							rec.seen[tx.Channel] = append(rec.seen[tx.Channel], tx.Meta["reqid"])
 						}
-						if last, ok := prev[orgIdx]; ok && seq <= last {
-							t.Fatalf("channel %s: submitter org%d delivered out of order (%d after %d)", ch, orgIdx, seq, last)
+						rec.mu.Unlock()
+						return nil
+					}})
+				}
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, submitters)
+			for _, name := range names {
+				wg.Add(1)
+				go func(name string) {
+					defer wg.Done()
+					p, grant := ps[name], grants[name]
+					for i := 0; i < perSubmitter; i++ {
+						req := &Request{
+							Channel:      channels[i%len(channels)],
+							Principal:    name,
+							Payload:      []byte(fmt.Sprintf("%s-%d", name, i)),
+							SessionToken: grant.Token,
+							Meta:         map[string]string{"reqid": fmt.Sprintf("%s-%d", name, i)},
 						}
-						prev[orgIdx] = seq
-						delivered++
+						if reqauth == "mac" {
+							MACRequest(req, grant.MacKey)
+						} else if err := SignRequest(req, p.key); err != nil {
+							errs <- err
+							return
+						}
+						if _, err := SubmitOver(net, name, "gateway", req); err != nil {
+							errs <- fmt.Errorf("%s submit %d: %w", name, i, err)
+							return
+						}
 					}
+				}(name)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			total := uint64(submitters * perSubmitter)
+			stats := gw.Stats()
+			if stats.Submitted != total || stats.Ordered != total || stats.Rejected != 0 {
+				t.Fatalf("stats = submitted %d ordered %d rejected %d, want %d/%d/0",
+					stats.Submitted, stats.Ordered, stats.Rejected, total, total)
+			}
+			// Both backends saw the same per-channel order.
+			for _, ch := range channels {
+				if !reflect.DeepEqual(recs[0].seen[ch], recs[1].seen[ch]) {
+					t.Fatalf("channel %s: backends disagree on delivery order", ch)
 				}
-				if delivered != int(total) {
-					t.Fatalf("delivered %d txs across channels, want %d", delivered, total)
+			}
+			// The merged order preserves each submitter's own sequence,
+			// and nothing was lost or duplicated.
+			delivered := 0
+			for _, ch := range channels {
+				prev := make(map[int]int)
+				for _, id := range recs[0].seen[ch] {
+					var orgIdx, seq int
+					if _, err := fmt.Sscanf(id, "org%d-%d", &orgIdx, &seq); err != nil {
+						t.Fatalf("unparseable reqid %q: %v", id, err)
+					}
+					if last, ok := prev[orgIdx]; ok && seq <= last {
+						t.Fatalf("channel %s: submitter org%d delivered out of order (%d after %d)", ch, orgIdx, seq, last)
+					}
+					prev[orgIdx] = seq
+					delivered++
 				}
-			})
-		}
+			}
+			if delivered != int(total) {
+				t.Fatalf("delivered %d txs across channels, want %d", delivered, total)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math/big"
 	"testing"
 	"time"
@@ -26,10 +27,11 @@ import (
 // corrupted certificates can reject requests but never panic the process.
 // The gateway runs the full revocation-aware pipeline, so the fuzz input
 // crosses the wire decode, the session/token path, authn, and envelope
-// sealing. The codecs are also held against each other: whatever decodes as
-// a JSON request is re-encoded in the binary framing, which must either
-// refuse it or decode back to the same request — a component that forwards
-// what it received cannot lose, invent or die on a field.
+// sealing. On gateway.submit the one request codec is also held against
+// itself: a payload the decoder refuses is refused with ErrBadFrame, and one
+// it accepts re-encodes to a frame that decodes to the same request and from
+// then on to itself — a component that forwards what it received cannot
+// lose, invent or die on a field.
 func FuzzWireRequest(f *testing.F) {
 	ca, err := pki.NewCA("fuzz-ca")
 	if err != nil {
@@ -50,11 +52,8 @@ func FuzzWireRequest(f *testing.F) {
 			{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			{Name: StageAudit},
 		},
-		// Binary-codec gateway: the fuzzer exercises both framings (JSON
-		// decode and the binary v2 frame reader) plus the MAC verify path.
 		// Tracing is on so wire-carried trace IDs cross the sampler and
 		// span recording too.
-		Codec: CodecBinary,
 		Trace: "8",
 	}
 	env := Env{
@@ -77,34 +76,32 @@ func FuzzWireRequest(f *testing.F) {
 	}
 
 	// Seeds: a well-formed session submission, near-miss mutations of it,
-	// a valid hello, and framing junk.
+	// a valid hello, and framing junk — JSON documents, which were a wire
+	// format once, among the junk.
 	good := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	if err := SignRequest(good, key); err != nil {
 		f.Fatal(err)
 	}
-	goodWire, err := json.Marshal(wireRequest{
-		Channel: good.Channel, Principal: good.Principal, Payload: good.Payload,
-		Sig: good.Sig, Session: good.SessionToken,
-	})
+	goodSigned, err := EncodeWireRequest(good, "")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(goodWire)
-	// The same submission in the binary v2 framing, with a MAC instead of
-	// a signature, plus mutations of the frame structure.
+	f.Add(goodSigned)
+	// The same submission with a MAC instead of a signature, plus mutations
+	// of the frame structure.
 	macGood := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	MACRequest(macGood, grant.MacKey)
-	goodBinary, err := EncodeWireRequest(macGood, CodecBinary)
+	goodBinary, err := EncodeWireRequest(macGood, "")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(goodBinary)
-	// The same binary submission carrying a trace ID, so the fuzzer mutates
-	// the trace uvarint between cert and meta, plus traced JSON frames.
+	// The same submission carrying a trace ID, so the fuzzer mutates the
+	// trace uvarint between cert and meta.
 	traced := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"),
 		SessionToken: grant.Token, TraceID: 0xfeedface}
 	MACRequest(traced, grant.MacKey)
-	tracedBinary, err := EncodeWireRequest(traced, CodecBinary)
+	tracedBinary, err := EncodeWireRequest(traced, "")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -118,6 +115,27 @@ func FuzzWireRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(tracedHelloSeed)
+	helloFrame, err := encodeHelloFrame(&tracedHello)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(helloFrame)
+	// First-contact frames: a certificate that names its holder, and the two
+	// the encoder would not have sent — no identity, and not even an object —
+	// which the decoder keeps as the frame's certificate all the same.
+	firstContact := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: cert}
+	if err := SignRequest(firstContact, key); err != nil {
+		f.Fatal(err)
+	}
+	withCert, err := EncodeWireRequest(firstContact, "")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withCert)
+	for _, blob := range []string{`{"serial":1}`, `null`} {
+		frame := []byte{binaryMagic, binaryKindRequest, 0x01, 'c', 0x01, 'p', 0x00, 0x00, 0x00, 0x00, 0x00}
+		f.Add(append(appendLenPrefixed(frame, []byte(blob)), 0x00, 0x00))
+	}
 	f.Add(goodBinary[:len(goodBinary)/2])
 	f.Add(append(append([]byte{}, goodBinary...), 0xff))
 	f.Add([]byte{binaryMagic})
@@ -230,15 +248,7 @@ func FuzzWireRequest(f *testing.F) {
 	if err := AttachAttestation(privReq, att); err != nil {
 		f.Fatal(err)
 	}
-	privWire, err := json.Marshal(wireRequest{
-		Channel: privReq.Channel, Principal: privReq.Principal,
-		Payload: privReq.Payload, Meta: privReq.Meta,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(privWire)
-	privBinary, err := EncodeWireRequest(privReq, CodecBinary)
+	privBinary, err := EncodeWireRequest(privReq, "")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -256,7 +266,7 @@ func FuzzWireRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	boundaryWire, err := json.Marshal(wireRequest{Channel: "deals", Principal: "x", Payload: boundary, Meta: privReq.Meta})
+	boundaryWire, err := EncodeWireRequest(&Request{Channel: "deals", Principal: "x", Payload: boundary, Meta: privReq.Meta}, "")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -271,49 +281,65 @@ func FuzzWireRequest(f *testing.F) {
 			_, _ = net.Send(transport.Message{From: "fuzzer", To: "gateway", Topic: topic, Payload: data})
 			_, _ = net.Send(transport.Message{From: "fuzzer", To: "privgateway", Topic: topic, Payload: data})
 		}
-		var w wireRequest
-		if isBinaryFrame(data) || json.Unmarshal(data, &w) != nil {
+		var first, second, third Request
+		if err := decodeRequestBinary(data, &first, nil); err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("the decoder refused with %v, want ErrBadFrame", err)
+			}
 			return
 		}
-		frame, err := encodeWireRequestBinary(&w)
+		frame, err := EncodeWireRequest(&first, "")
 		if err != nil {
+			// The 64-byte field admits a zero component, which no verifier
+			// accepts and the encoder does not emit.
+			if first.Sig.WellFormed() || !errors.Is(err, dcrypto.ErrInvalidSignature) {
+				t.Fatalf("the encoder refuses what the decoder accepted: %v", err)
+			}
 			return
 		}
-		var direct, back Request
-		w.fill(&direct)
-		if err := decodeRequestBinary(frame, &back, nil); err != nil {
-			t.Fatalf("the binary decoder refuses what the encoder made of a JSON request: %v", err)
+		if err := decodeRequestBinary(frame, &second, nil); err != nil {
+			t.Fatalf("the decoder refuses what the encoder made of a decoded request: %v", err)
 		}
-		if want, got := canonicalRequest(t, &direct), canonicalRequest(t, &back); !bytes.Equal(want, got) {
-			t.Fatalf("JSON -> binary -> decode changed the request:\n json   %s\n binary %s", want, got)
+		// The encoder does not send a certificate that names nobody; the
+		// decoder kept whatever certificate the frame carried.
+		want := first
+		if want.Cert.Identity == "" {
+			want.Cert = pki.Certificate{}
 		}
+		requireSameRequest(t, "decode -> encode -> decode", &want, &second)
+		if frame, err = EncodeWireRequest(&second, ""); err != nil {
+			t.Fatalf("second encoding: %v", err)
+		}
+		if err := decodeRequestBinary(frame, &third, nil); err != nil {
+			t.Fatalf("second decoding: %v", err)
+		}
+		requireSameRequest(t, "a second round", &second, &third)
 	})
 }
 
-// canonicalRequest renders what a decoder made of a submission for comparison
-// across codecs: every field a frame carries, as JSON, with the distinctions
-// only JSON can draw (null against empty) folded. The certificate is there
-// whatever it holds: one with no identity is still the frame's certificate.
-func canonicalRequest(t *testing.T, req *Request) []byte {
+// requireSameRequest fails unless two decoded submissions agree on every
+// field a frame carries. Certificates compare as the JSON they nest as.
+func requireSameRequest(t *testing.T, what string, want, got *Request) {
 	t.Helper()
-	w := wireRequest{
-		Channel: req.Channel, Principal: req.Principal, Backend: req.Backend,
-		Cert: &req.Cert, Sig: req.Sig, Session: req.SessionToken, TraceID: req.TraceID,
-	}
-	if len(req.Payload) > 0 {
-		w.Payload = req.Payload
-	}
-	if len(req.MAC) > 0 {
-		w.MAC = req.MAC
-	}
-	if len(req.Meta) > 0 {
-		w.Meta = req.Meta
-	}
-	b, err := json.Marshal(w)
+	wantCert, err := json.Marshal(want.Cert)
 	if err != nil {
-		t.Fatalf("marshal request: %v", err)
+		t.Fatalf("marshal certificate: %v", err)
 	}
-	return b
+	gotCert, err := json.Marshal(got.Cert)
+	if err != nil {
+		t.Fatalf("marshal certificate: %v", err)
+	}
+	same := want.Channel == got.Channel && want.Principal == got.Principal && want.Backend == got.Backend &&
+		want.SessionToken == got.SessionToken && want.TraceID == got.TraceID &&
+		bytes.Equal(want.Payload, got.Payload) && bytes.Equal(want.MAC, got.MAC) &&
+		want.Sig.WellFormed() == got.Sig.WellFormed() && bytes.Equal(wantCert, gotCert) &&
+		maps.Equal(want.Meta, got.Meta)
+	if same && want.Sig.WellFormed() {
+		same = bytes.Equal(want.Sig.Bytes(), got.Sig.Bytes())
+	}
+	if !same {
+		t.Fatalf("%s changed the request:\n was %+v\n now %+v", what, want, got)
+	}
 }
 
 // FuzzEnvelopeFrame throws arbitrary bytes at the two envelope decoders a
@@ -372,7 +398,7 @@ func FuzzEnvelopeFrame(f *testing.F) {
 		} else if !errors.Is(gerr, ErrBadFrame) {
 			t.Fatalf("ParseGroupEnvelope rejected with %v, want ErrBadFrame", gerr)
 		}
-		if !isBinaryFrame(data) && (err == nil || gerr == nil) {
+		if (len(data) < 2 || data[0] != binaryMagic) && (err == nil || gerr == nil) {
 			t.Fatalf("a payload without the frame magic decoded as an envelope")
 		}
 	})

@@ -82,12 +82,8 @@ type RevocationNotice struct {
 // relayed to the platform adapters bound per channel. Safe for concurrent
 // use.
 type Gateway struct {
-	name  string
-	chain *Chain
-	// codec is the wire codec the gateway offers (CodecJSON or
-	// CodecBinary); JSON submissions are always accepted, binary frames
-	// only when the gateway runs CodecBinary.
-	codec   string
+	name    string
+	chain   *Chain
 	orderer ordering.Backend
 	// sharded is the orderer downcast to its sharded form, nil for
 	// unsharded deployments; Stats snapshots per-shard counters from it.
@@ -162,8 +158,8 @@ type GatewayStats struct {
 	Submitted uint64
 	// Ordered counts transactions handed to the ordering backend.
 	Ordered uint64
-	// Rejected counts requests refused by any stage, and session handshakes
-	// refused over the wire (ServeWire).
+	// Rejected counts requests refused by the decoder (ServeWire) or any
+	// stage, and session handshakes refused over the wire.
 	Rejected uint64
 	// Stages holds per-stage counters in chain order.
 	Stages []StageStats
@@ -257,13 +253,8 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 			}
 		}
 	}
-	codec := cfg.Codec
-	if codec == "" {
-		codec = CodecJSON
-	}
 	g := &Gateway{
 		name:      name,
-		codec:     codec,
 		orderer:   orderer,
 		sharded:   sharded,
 		now:       gwNow,
@@ -636,7 +627,7 @@ func (g *Gateway) statRows() []statRow {
 	return []statRow{
 		{"confmw_gateway_submitted_total", "Requests accepted by the chain.", counter, g.submitted.Load, func(s *GatewayStats, v uint64) { s.Submitted = v }},
 		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", counter, g.ordered.Load, func(s *GatewayStats, v uint64) { s.Ordered = v }},
-		{"confmw_gateway_rejected_total", "Requests refused by a stage, and session handshakes refused.", counter, g.rejected.Load, func(s *GatewayStats, v uint64) { s.Rejected = v }},
+		{"confmw_gateway_rejected_total", "Requests refused by the decoder or a stage, and session handshakes refused.", counter, g.rejected.Load, func(s *GatewayStats, v uint64) { s.Rejected = v }},
 		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }},
 		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }},
 		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil},
@@ -738,37 +729,6 @@ func (g *Gateway) RotateChannelKey(channel string) {
 	g.eachMemberKeyer(func(k memberKeyer) { k.Rotate(channel) })
 }
 
-// wireRequest is the form a transport client submits — JSON by default,
-// or the binary v2 framing on a binary-codec gateway. Session-bound
-// submissions carry the token instead of a certificate; the cert is a
-// pointer so it is genuinely absent from their wire bytes. MAC carries the
-// per-session HMAC under reqauth=mac.
-type wireRequest struct {
-	Channel   string            `json:"channel"`
-	Principal string            `json:"principal"`
-	Backend   string            `json:"backend,omitempty"`
-	Payload   []byte            `json:"payload"`
-	Cert      *pki.Certificate  `json:"cert,omitempty"`
-	Sig       dcrypto.Signature `json:"sig"`
-	MAC       []byte            `json:"mac,omitempty"`
-	Session   string            `json:"session,omitempty"`
-	Meta      map[string]string `json:"meta,omitempty"`
-	// TraceID propagates a sampled trace across the wire hop; zero (the
-	// common case) is omitted from both framings. Not covered by the
-	// request signature, like the session token: it annotates delivery.
-	TraceID uint64 `json:"trace,omitempty"`
-}
-
-// fill copies a JSON-decoded submission into the request the gateway runs.
-func (w *wireRequest) fill(req *Request) {
-	req.Channel, req.Principal, req.Backend = w.Channel, w.Principal, w.Backend
-	req.Payload, req.Sig, req.MAC = w.Payload, w.Sig, w.MAC
-	req.SessionToken, req.Meta, req.TraceID = w.Session, w.Meta, w.TraceID
-	if w.Cert != nil {
-		req.Cert = *w.Cert
-	}
-}
-
 // ServeWire handles one wire message against the gateway: the shared
 // topic dispatch behind every transport front (the in-process substrate
 // via AttachTransport, the TCP edge via netedge.Server). transportID names
@@ -785,21 +745,11 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 	switch topic {
 	case TopicSubmit:
 		req := &Request{TransportID: transportID}
-		if isBinaryFrame(payload) {
-			if g.codec != CodecBinary {
-				return nil, fmt.Errorf("gateway %s: binary codec not enabled", g.name)
-			}
-			if err := decodeRequestBinary(payload, req, g); err != nil {
-				return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
-			}
-		} else {
-			var w wireRequest // escapes; declared here, binary frames do not pay for it
-			if err := json.Unmarshal(payload, &w); err != nil {
-				return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
-			}
-			w.fill(req)
+		if err := decodeRequestBinary(payload, req, g); err != nil {
+			g.rejected.Add(1)
+			return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
 		}
-		req.metaOwned = req.Meta != nil // a decoder made the map; no caller holds it
+		req.metaOwned = req.Meta != nil // the decoder made the map; no caller holds it
 		// The ID covers the payload as submitted; the encrypt stage
 		// replaces it, so capture before running the chain.
 		id := req.hexID()
@@ -873,34 +823,22 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 }
 
 // serveSessionOpen runs one handshake that crossed a network: a full hello
-// (a 0xDC frame, or JSON for as long as the JSON request codec exists) or a
-// resume hello. The grant goes back in the framing the hello came in, and in
-// neither does it carry the MAC key or the bare master secret: see
-// SessionManager.open. A resume hello naming an id the manager does not hold
-// is answered with the resume-miss frame — a reply, so the client can tell
-// "send the full hello" from a refusal. Every refusal counts in
-// confmw_gateway_rejected_total.
+// or a resume hello, each a 0xDC frame. The grant frame carries neither the
+// MAC key nor the bare master secret: see SessionManager.open. A resume
+// hello naming an id the manager does not hold is answered with the
+// resume-miss frame — a reply, so the client can tell "send the full hello"
+// from a refusal. Every refusal counts in confmw_gateway_rejected_total.
 func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transportID string) ([]byte, error) {
-	var hello *SessionHello
-	var resume *resumeHello
-	var err error
-	framed := isBinaryFrame(payload)
-	if framed {
-		hello, resume, err = decodeHelloFrame(payload)
-	} else {
-		hello = new(SessionHello)
-		err = json.Unmarshal(payload, hello)
-	}
+	hello, resume, err := decodeHelloFrame(payload)
 	if err != nil {
 		g.rejected.Add(1)
 		return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, err)
 	}
-	var codec string
 	var traceID uint64
 	if resume != nil {
-		codec, traceID = resume.Codec, resume.TraceID
+		traceID = resume.TraceID
 	} else {
-		codec, traceID = hello.Codec, hello.TraceID
+		traceID = hello.TraceID
 	}
 	// A hello carrying a trace ID joins the client's sampled flow:
 	// the handshake is recorded as its own trace in the ring.
@@ -921,21 +859,7 @@ func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transpor
 		g.rejected.Add(1)
 		return nil, err
 	}
-	// Codec negotiation: the session gets binary framing only when
-	// the client asked for it AND the gateway offers it; everything
-	// else downgrades to JSON, which every gateway accepts.
-	grant.Codec = CodecJSON
-	if codec == CodecBinary && g.codec == CodecBinary {
-		grant.Codec = CodecBinary
-	}
-	if framed {
-		return encodeGrantFrame(&grant), nil
-	}
-	b, err := json.Marshal(grant)
-	if err != nil {
-		return nil, fmt.Errorf("gateway %s: encode grant: %w", g.name, err)
-	}
-	return b, nil
+	return encodeGrantFrame(&grant), nil
 }
 
 // AttachTransport registers the gateway as a network endpoint serving
@@ -955,17 +879,10 @@ func (g *Gateway) AttachTransport(ctx context.Context, net *transport.Network, e
 	})
 }
 
-// SubmitOver sends a signed request to a gateway endpoint over the network
-// substrate (JSON framing) and returns the gateway's submission ID.
+// SubmitOver sends a request to a gateway endpoint over the network
+// substrate and returns the gateway's submission ID.
 func SubmitOver(net *transport.Network, from, endpoint string, req *Request) (string, error) {
-	return SubmitOverCodec(net, from, endpoint, req, CodecJSON)
-}
-
-// SubmitOverCodec is SubmitOver with an explicit wire codec — pass the
-// codec the session grant negotiated. Binary framing needs a binary-codec
-// gateway; JSON is accepted everywhere.
-func SubmitOverCodec(net *transport.Network, from, endpoint string, req *Request, codec string) (string, error) {
-	b, err := EncodeWireRequest(req, codec)
+	b, err := EncodeWireRequest(req, "")
 	if err != nil {
 		return "", fmt.Errorf("middleware: encode request: %w", err)
 	}
@@ -978,20 +895,15 @@ func SubmitOverCodec(net *transport.Network, from, endpoint string, req *Request
 
 // OpenSessionOver performs the signed session handshake with a gateway
 // endpoint over the network substrate: full authn is paid once here, and
-// the returned grant's token rides on every subsequent submission.
+// the returned grant's token rides on every subsequent submission (on a
+// reqauth=mac gateway the grant also holds the session MAC key for
+// MACRequest — derived here, never sent). Every call is the full signed
+// handshake: the helper keeps nothing between calls. A caller that opens
+// sessions again and again holds a Handshaker and calls its Open with the
+// same round trip, and resumes.
 func OpenSessionOver(net *transport.Network, from, endpoint string, cert pki.Certificate, key *dcrypto.PrivateKey) (SessionGrant, error) {
-	return OpenSessionOverCodec(net, from, endpoint, cert, key, "")
-}
-
-// OpenSessionOverCodec is OpenSessionOver asking for a wire codec; the
-// grant reports the codec the gateway actually offers (and, on a
-// reqauth=mac gateway, the session MAC key for MACRequest — derived here,
-// never sent). Every call is the full signed handshake: the helper keeps
-// nothing between calls. A caller that opens sessions again and again holds
-// a Handshaker and calls its Open with the same round trip, and resumes.
-func OpenSessionOverCodec(net *transport.Network, from, endpoint string, cert pki.Certificate, key *dcrypto.PrivateKey, codec string) (SessionGrant, error) {
 	// The substrate delivers in process and takes no context.
-	return new(Handshaker).Open(context.TODO(), from, cert, key, codec, func(_ context.Context, hello []byte) ([]byte, error) {
+	return new(Handshaker).Open(context.TODO(), from, cert, key, func(_ context.Context, hello []byte) ([]byte, error) {
 		return net.Send(transport.Message{From: from, To: endpoint, Topic: TopicSessionOpen, Payload: hello})
 	})
 }

@@ -18,7 +18,7 @@ import (
 //
 //	full hello   principal, nonce, issue time, certificate, signature
 //	resume hello resume id, nonce, issue time, HMAC(master, transcript digest)
-//	grant        token, principal, expiry, codec; after a full hello also the
+//	grant        token, principal, expiry; after a full hello also the
 //	             resume id and the master secret sealed to the certified key
 //	resume miss  nothing: "this gateway does not hold that id, send the full
 //	             hello" — a reply, not an error
@@ -37,7 +37,6 @@ type resumeHello struct {
 	Nonce    []byte
 	IssuedAt time.Time
 	Tag      []byte
-	Codec    string
 	TraceID  uint64
 }
 
@@ -82,19 +81,17 @@ func encodeHelloFrame(h *SessionHello) ([]byte, error) {
 	out = appendTime(out, h.IssuedAt)
 	out = appendLenPrefixed(out, cert)
 	out = appendLenPrefixed(out, h.Sig.Bytes())
-	out = appendLenPrefixed(out, []byte(h.Codec))
 	return binary.AppendUvarint(out, h.TraceID), nil
 }
 
 // encodeResumeFrame marshals a resume hello.
 func encodeResumeFrame(h *resumeHello) []byte {
-	out := make([]byte, 0, 32+resumeIDBytes+len(h.Nonce)+len(h.Tag)+len(h.Codec))
+	out := make([]byte, 0, 32+resumeIDBytes+len(h.Nonce)+len(h.Tag))
 	out = append(out, binaryMagic, binaryKindResume)
 	out = appendLenPrefixed(out, h.ID[:])
 	out = appendLenPrefixed(out, h.Nonce)
 	out = appendTime(out, h.IssuedAt)
 	out = appendLenPrefixed(out, h.Tag)
-	out = appendLenPrefixed(out, []byte(h.Codec))
 	return binary.AppendUvarint(out, h.TraceID)
 }
 
@@ -113,7 +110,6 @@ func decodeHelloFrame(b []byte) (*SessionHello, *resumeHello, error) {
 		h.IssuedAt = r.time()
 		cert := r.bytes()
 		sig := r.bytes()
-		h.Codec = r.str()
 		h.TraceID = r.uvarint()
 		if err := r.done(); err != nil {
 			return nil, nil, err
@@ -132,7 +128,6 @@ func decodeHelloFrame(b []byte) (*SessionHello, *resumeHello, error) {
 		h.Nonce = r.bytes()
 		h.IssuedAt = r.time()
 		h.Tag = r.bytes()
-		h.Codec = r.str()
 		h.TraceID = r.uvarint()
 		if err := r.done(); err != nil {
 			return nil, nil, err
@@ -166,12 +161,11 @@ func encodeGrantFrame(g *SessionGrant) []byte {
 	if g.Sealed != nil {
 		sealed = *g.Sealed
 	}
-	out := make([]byte, 0, 48+len(g.Token)+len(g.Principal)+len(g.Codec)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
+	out := make([]byte, 0, 48+len(g.Token)+len(g.Principal)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
 	out = append(out, binaryMagic, binaryKindGrant, flags)
 	out = appendLenPrefixed(out, []byte(g.Token))
 	out = appendLenPrefixed(out, []byte(g.Principal))
 	out = appendTime(out, g.ExpiresAt)
-	out = appendLenPrefixed(out, []byte(g.Codec))
 	out = appendLenPrefixed(out, g.ResumeID)
 	out = appendLenPrefixed(out, sealed.EphemeralPub)
 	return appendLenPrefixed(out, sealed.Ciphertext)
@@ -196,7 +190,7 @@ func decodeGrantFrame(b []byte) (g SessionGrant, miss bool, err error) {
 	g.Token = r.str()
 	g.Principal = r.str()
 	g.ExpiresAt = r.time()
-	g.Codec = r.str()
+	g.Codec = CodecBinary // under the name the repository benchmark calls; not a field of the frame
 	resumeID := r.bytes()
 	eph := r.bytes()
 	ct := r.bytes()
@@ -290,7 +284,7 @@ type heldSecret struct {
 // returns the reply. The grant is complete: MacKey is filled in (when the
 // gateway authenticates by MAC) though it was never sent. ctx is handed to
 // roundTrip and bounds the wait for another Open's full handshake.
-func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certificate, key *dcrypto.PrivateKey, codec string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
+func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certificate, key *dcrypto.PrivateKey, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
 	k := heldKey{principal, cert.Serial}
 	for {
 		// Read on every turn: a hello is stamped after any wait, not before.
@@ -307,7 +301,7 @@ func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certif
 			held = &heldSecret{ready: make(chan struct{})}
 			h.secrets[k] = held
 			h.mu.Unlock()
-			return h.establish(ctx, k, held, now, cert, key, codec, roundTrip)
+			return h.establish(ctx, k, held, now, cert, key, roundTrip)
 		}
 		h.mu.Unlock()
 		select {
@@ -316,7 +310,7 @@ func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certif
 			return SessionGrant{}, fmt.Errorf("middleware: open session for %s: %w", principal, ctx.Err())
 		}
 		if held.master != nil && !now.After(held.expires) {
-			grant, miss, err := held.resume(ctx, now, codec, roundTrip)
+			grant, miss, err := held.resume(ctx, now, roundTrip)
 			if !miss {
 				return grant, err
 			}
@@ -339,7 +333,7 @@ func (h *Handshaker) forget(k heldKey, held *heldSecret) {
 // establish runs the full signed handshake and fills s, which is in the
 // table under k already, from its grant. However it ends, those waiting on s
 // are released; a failure drops s first, so that they try for themselves.
-func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, now time.Time, cert pki.Certificate, key *dcrypto.PrivateKey, codec string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
+func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, now time.Time, cert pki.Certificate, key *dcrypto.PrivateKey, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
 	defer func() {
 		if s.master == nil {
 			h.forget(k, s)
@@ -350,7 +344,6 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 	if err != nil {
 		return SessionGrant{}, err
 	}
-	hello.Codec = codec
 	frame, err := encodeHelloFrame(&hello)
 	if err != nil {
 		return SessionGrant{}, err
@@ -380,14 +373,14 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 
 // resume runs the resumed handshake under a held secret. miss reports that
 // the gateway does not hold it (any more).
-func (s *heldSecret) resume(ctx context.Context, now time.Time, codec string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
+func (s *heldSecret) resume(ctx context.Context, now time.Time, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
 	nonce, err := dcrypto.RandomBytes(16)
 	if err != nil {
 		return SessionGrant{}, false, fmt.Errorf("middleware: hello nonce: %w", err)
 	}
 	digest := resumeDigest(s.id, nonce, now)
 	tag := dcrypto.MAC(s.master, digest[:])
-	reply, err := roundTrip(ctx, encodeResumeFrame(&resumeHello{ID: s.id, Nonce: nonce, IssuedAt: now, Tag: tag[:], Codec: codec}))
+	reply, err := roundTrip(ctx, encodeResumeFrame(&resumeHello{ID: s.id, Nonce: nonce, IssuedAt: now, Tag: tag[:]}))
 	if err != nil {
 		return SessionGrant{}, false, err
 	}

@@ -44,7 +44,7 @@ func FuzzHandshakeFrames(f *testing.F) {
 	wire := &wireTo{mgr: mgr}
 	client := &Handshaker{}
 	for i := 0; i < 2; i++ {
-		if _, err := client.Open(context.Background(), "alice", cert, key, CodecBinary, wire.roundTrip); err != nil {
+		if _, err := client.Open(context.Background(), "alice", cert, key, wire.roundTrip); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func FuzzHandshakeFrames(f *testing.F) {
 		f.Add(append(append([]byte(nil), frame...), 0x00))
 	}
 	traced := mustHello(f, "alice", cert, key)
-	traced.TraceID, traced.Codec = 0xfeedface, CodecJSON
+	traced.TraceID = 0xfeedface
 	tracedFrame, err := encodeHelloFrame(&traced)
 	if err != nil {
 		f.Fatal(err)
@@ -118,7 +118,7 @@ func FuzzHandshakeFrames(f *testing.F) {
 				t.Fatalf("grant round trip: %v (miss %v)\n first  %s\n second %s", err, miss, render(t, grant), render(t, back))
 			}
 		}
-		if !isBinaryFrame(data) && (hello != nil || resume != nil || err == nil) {
+		if (len(data) < 2 || data[0] != binaryMagic) && (hello != nil || resume != nil || err == nil) {
 			t.Fatal("a payload without the frame magic decoded as a handshake frame")
 		}
 	})
@@ -229,7 +229,7 @@ func FuzzResumeAgrees(f *testing.F) {
 				var grants [2]SessionGrant
 				var errs [2]error
 				for i, s := range sides {
-					grants[i], errs[i] = s.client(conn).Open(context.Background(), names[p], certs[p], keys[p], CodecBinary, s.wires[conn].roundTrip)
+					grants[i], errs[i] = s.client(conn).Open(context.Background(), names[p], certs[p], keys[p], s.wires[conn].roundTrip)
 					if errs[i] != nil {
 						continue
 					}

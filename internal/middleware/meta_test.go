@@ -174,15 +174,13 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 			}
 		}
 	}
-	overWire := func(codec string) func(*testing.T, *goldenFixture) {
-		return func(t *testing.T, fx *goldenFixture) {
-			frame, err := EncodeWireRequest(fx.request(t, map[string]string{"k": "v"}), codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fx.gw.ServeWire(context.Background(), TopicSubmit, frame, ""); err != nil {
-				t.Fatalf("ServeWire: %v", err)
-			}
+	overWire := func(t *testing.T, fx *goldenFixture) {
+		frame, err := EncodeWireRequest(fx.request(t, map[string]string{"k": "v"}), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fx.gw.ServeWire(context.Background(), TopicSubmit, frame, ""); err != nil {
+			t.Fatalf("ServeWire: %v", err)
 		}
 	}
 	twice := func(submit func(*testing.T, *goldenFixture)) func(*testing.T, *goldenFixture) {
@@ -204,9 +202,7 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 			"1b11efab023d0472ed359e41070f7cb4"},
 		{"session, caller's meta", []StageConfig{session, encrypt}, inProcess(map[string]string{"k": "v"}), "alice", sealedK, 1,
 			"9103126ef6b3c193da837c8f9c224ee9"},
-		{"session, meta off a binary frame", []StageConfig{session, encrypt}, overWire(CodecBinary), "alice", sealedK, 1,
-			"9103126ef6b3c193da837c8f9c224ee9"},
-		{"session, meta off a JSON frame", []StageConfig{session, encrypt}, overWire(CodecJSON), "alice", sealedK, 1,
+		{"session, meta off a binary frame", []StageConfig{session, encrypt}, overWire, "alice", sealedK, 1,
 			"9103126ef6b3c193da837c8f9c224ee9"},
 		{"no encrypt stage", []StageConfig{authn}, inProcess(nil), "alice",
 			map[string]string{"gateway": "golden-gw"}, 1,
@@ -225,7 +221,7 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fx := newGoldenFixture(t, "golden-gw", Config{Stages: tc.stages, Codec: CodecBinary})
+			fx := newGoldenFixture(t, "golden-gw", Config{Stages: tc.stages})
 			fx.orderer.Subscribe("deals", func(ledger.Block) error { return nil })
 			tc.submit(t, fx)
 			if len(fx.orderer.submitted) != tc.txs {
@@ -276,7 +272,7 @@ func TestSharedMetaStaysReadOnly(t *testing.T) {
 	delivered := make([]atomic.Uint64, len(gateways))
 	shared := make([]atomic.Uint64, len(gateways))
 	for i, gwc := range gateways {
-		fx := newGoldenFixture(t, gwc.name, Config{Stages: gwc.stages, Codec: CodecBinary})
+		fx := newGoldenFixture(t, gwc.name, Config{Stages: gwc.stages})
 		fixtures[i] = fx
 		notes := map[string]string{"gateway": gwc.name}
 		if gwc.sealed {
@@ -317,7 +313,7 @@ func TestSharedMetaStaysReadOnly(t *testing.T) {
 						meta = map[string]string{"k": fmt.Sprint(n)}
 					}
 					req := fx.requestOn(t, channels[n%len(channels)], []byte(fmt.Sprintf("trade %d/%d", s, n)), meta)
-					frame, err := EncodeWireRequest(req, CodecBinary)
+					frame, err := EncodeWireRequest(req, "")
 					if err != nil {
 						t.Error(err)
 						return
@@ -369,14 +365,14 @@ func (*keepAndFail) Operators() []string                    { return nil }
 func TestRetriedRequestCopiesItsMeta(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	orderer := new(keepAndFail)
-	cfg := Config{Stages: []StageConfig{{Name: StageAuthn}, {Name: StageRetry, Params: map[string]string{"backoff": "1ms"}}}, Codec: CodecBinary}
+	cfg := Config{Stages: []StageConfig{{Name: StageAuthn}, {Name: StageRetry, Params: map[string]string{"backoff": "1ms"}}}}
 	gw, err := NewGateway("gw", cfg, Env{CAKey: ca.PublicKey()}, orderer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
 	req.Meta = map[string]string{"k": "v"}
-	frame, err := EncodeWireRequest(req, CodecBinary)
+	frame, err := EncodeWireRequest(req, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +423,6 @@ func hostileMetaFrames() [][]byte {
 func TestHostileMetaCountSizesNoMap(t *testing.T) {
 	fx := newGoldenFixture(t, "gw", Config{
 		Stages: []StageConfig{{Name: StageSession, Params: map[string]string{"reqauth": "mac"}}},
-		Codec:  CodecBinary,
 	})
 	for i, frame := range hostileMetaFrames() {
 		var before, after runtime.MemStats

@@ -80,8 +80,8 @@ type Request struct {
 
 	// TraceID carries a sampled request's trace identifier across process
 	// boundaries: a client that received a traced response (or wants to
-	// force tracing) sets it, codec v2 and the JSON wire format propagate
-	// it, and the gateway always records requests arriving with one. Zero
+	// force tracing) sets it, the request frame propagates it, and the
+	// gateway always records requests arriving with one. Zero
 	// means "not traced" and lets the gateway's own sampler decide. Like
 	// SessionToken it is not part of Digest(): it annotates delivery, not
 	// content.

@@ -100,18 +100,10 @@ type SessionHello struct {
 	IssuedAt  time.Time         `json:"issuedAt"`
 	Cert      pki.Certificate   `json:"cert"`
 	Sig       dcrypto.Signature `json:"sig"`
-	// Codec optionally asks the gateway to serve this session with the
-	// named wire codec ("binary" or "json"); the grant echoes what the
-	// gateway actually offers. The field is not covered by the handshake
-	// signature: codec choice carries no confidentiality or integrity
-	// authority (every payload remains authenticated end to end in either
-	// encoding), so a tampered preference can at worst downgrade framing
-	// efficiency.
-	Codec string `json:"codec,omitempty"`
 	// TraceID optionally carries the client's trace identifier so a traced
-	// client flow records its session handshake too. Like Codec it is not
-	// covered by the handshake signature: it annotates observability, not
-	// authority — tampering can at worst mislabel a trace.
+	// client flow records its session handshake too. It is not covered by
+	// the handshake signature: it annotates observability, not authority —
+	// tampering can at worst mislabel a trace.
 	TraceID uint64 `json:"trace,omitempty"`
 }
 
@@ -129,8 +121,8 @@ type SessionGrant struct {
 	// secret (Handshaker does). The server's copy dies with the session
 	// (expiry, close, or revocation).
 	MacKey []byte `json:"macKey,omitempty"`
-	// Codec is the wire codec the gateway will serve this session with;
-	// empty means JSON.
+	// Codec is kept under the name the repository benchmark calls: a grant
+	// decoded off the wire reads CodecBinary, the one request framing.
 	Codec string `json:"codec,omitempty"`
 	// MacAuth says the gateway authenticates this session's requests by MAC
 	// (reqauth=mac), i.e. that there is a MacKey to derive.

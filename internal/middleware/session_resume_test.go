@@ -3,7 +3,6 @@ package middleware
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -88,7 +87,7 @@ func (f *resumeFixture) open(t *testing.T) SessionGrant {
 }
 
 func (f *resumeFixture) tryOpen() (SessionGrant, error) {
-	return f.client.Open(context.Background(), "alice", f.alice.cert, f.alice.key, CodecBinary, f.wire.roundTrip)
+	return f.client.Open(context.Background(), "alice", f.alice.cert, f.alice.key, f.wire.roundTrip)
 }
 
 // held is the client's secret for alice's certificate.
@@ -108,7 +107,7 @@ func (f *resumeFixture) held(t *testing.T) *heldSecret {
 func (f *resumeFixture) unsent(t *testing.T) *resumeHello {
 	t.Helper()
 	var frame []byte
-	_, _, err := f.held(t).resume(context.Background(), f.clock.now(), CodecBinary, func(_ context.Context, b []byte) ([]byte, error) {
+	_, _, err := f.held(t).resume(context.Background(), f.clock.now(), func(_ context.Context, b []byte) ([]byte, error) {
 		frame = b
 		return nil, errors.New("not sent")
 	})
@@ -156,8 +155,25 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 			t.Fatalf("frame %d carries the master secret or a MAC key in the clear", i)
 		}
 	}
-	if g, _, err := decodeGrantFrame(first); err != nil || g.MacKey != nil || g.Sealed == nil || len(g.ResumeID) != resumeIDBytes {
+	g, _, err := decodeGrantFrame(first)
+	if err != nil || g.MacKey != nil || g.Sealed == nil || len(g.ResumeID) != resumeIDBytes {
 		t.Fatalf("full grant frame = %+v (%v), want no MacKey, a sealed secret and a resume id", g, err)
+	}
+	// The sealed secret opens under the certified key and under no other.
+	hello, _, err := decodeHelloFrame(f.wire.hellos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
+	other, err := dcrypto.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.unseal(digest, other); err == nil || g.MacKey != nil {
+		t.Fatalf("unsealing with a foreign key = %v (key %x), want a refusal", err, g.MacKey)
+	}
+	if opened, err := g.unseal(digest, f.alice.key); err != nil || !bytes.Equal(opened, master) || len(g.MacKey) != dcrypto.MACKeySize {
+		t.Fatalf("unsealing with the certified key: %v", err)
 	}
 	// The resume hello names no principal and carries no certificate.
 	if bytes.Contains(f.wire.hellos[1], []byte("alice")) {
@@ -215,7 +231,7 @@ func TestResumeRejectsBadTag(t *testing.T) {
 		return gw.ServeWire(context.Background(), TopicSessionOpen, frame, "tcp:1:peer")
 	}
 	f := &resumeFixture{clock: clock, ca: ca, alice: ps["alice"], mgr: gw.Sessions(), client: &Handshaker{Now: clock.now}}
-	if _, err := f.client.Open(context.Background(), "alice", f.alice.cert, f.alice.key, "", serve); err != nil {
+	if _, err := f.client.Open(context.Background(), "alice", f.alice.cert, f.alice.key, serve); err != nil {
 		t.Fatal(err)
 	}
 	tampered := map[string]func(h *resumeHello){
@@ -311,7 +327,7 @@ func TestResumeChecksRevocation(t *testing.T) {
 	bob := &Handshaker{Now: clock.now}
 	bobWire := &wireTo{mgr: mgr, transportID: "tcp:2:peer"}
 	rev.revokeFrom.Store(0)
-	if _, err := bob.Open(context.Background(), "bob", ps["bob"].cert, ps["bob"].key, "", bobWire.roundTrip); err != nil {
+	if _, err := bob.Open(context.Background(), "bob", ps["bob"].cert, ps["bob"].key, bobWire.roundTrip); err != nil {
 		t.Fatal(err)
 	}
 	ca.Revoke(f.alice.cert.Serial)
@@ -329,7 +345,7 @@ func TestResumeChecksRevocation(t *testing.T) {
 		t.Fatalf("misses = %d, want the one resume hello that met the swept table", st.ResumeMisses)
 	}
 	rev.revokeFrom.Store(0)
-	if grant, err := bob.Open(context.Background(), "bob", ps["bob"].cert, ps["bob"].key, "", bobWire.roundTrip); err != nil || !grant.Resumed {
+	if grant, err := bob.Open(context.Background(), "bob", ps["bob"].cert, ps["bob"].key, bobWire.roundTrip); err != nil || !grant.Resumed {
 		t.Fatalf("bob after alice's revocation: %+v, %v; want a resumed session", grant, err)
 	}
 }
@@ -347,7 +363,7 @@ func TestResumeEntryExpires(t *testing.T) {
 		}
 		f.clock.advance(2 * time.Second)
 		// A client that still believes in its secret is told otherwise.
-		if _, miss, err := held.resume(context.Background(), f.clock.now(), "", f.wire.roundTrip); err != nil || !miss {
+		if _, miss, err := held.resume(context.Background(), f.clock.now(), f.wire.roundTrip); err != nil || !miss {
 			t.Fatalf("resume past the ttl: miss %v, err %v; want a miss", miss, err)
 		}
 		if st := f.mgr.Stats(); st.ResumeMisses != 1 || st.ResumeEntries != 0 {
@@ -377,7 +393,7 @@ func TestResumeEntryExpires(t *testing.T) {
 			t.Fatal("inside the certificate's window: not resumed")
 		}
 		clock.advance(2 * time.Minute)
-		if _, miss, err := held.resume(context.Background(), clock.now(), "", f.wire.roundTrip); err != nil || !miss {
+		if _, miss, err := held.resume(context.Background(), clock.now(), f.wire.roundTrip); err != nil || !miss {
 			t.Fatalf("resume past NotAfter: miss %v, err %v; want a miss", miss, err)
 		}
 		if _, err := f.tryOpen(); !errors.Is(err, pki.ErrExpired) {
@@ -394,7 +410,7 @@ func TestResumeReenrolledCertificateTakesFullPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant, err := f.client.Open(context.Background(), "alice", renewed, f.alice.key, "", f.wire.roundTrip)
+	grant, err := f.client.Open(context.Background(), "alice", renewed, f.alice.key, f.wire.roundTrip)
 	if err != nil || grant.Resumed {
 		t.Fatalf("first open under the renewed certificate: %+v, %v; want a full handshake", grant, err)
 	}
@@ -402,7 +418,7 @@ func TestResumeReenrolledCertificateTakesFullPath(t *testing.T) {
 		t.Fatalf("stats = %+v, want the renewed certificate verified and nothing resumed or missed", st)
 	}
 	for _, cert := range []pki.Certificate{renewed, f.alice.cert} {
-		if grant, err := f.client.Open(context.Background(), "alice", cert, f.alice.key, "", f.wire.roundTrip); err != nil || !grant.Resumed {
+		if grant, err := f.client.Open(context.Background(), "alice", cert, f.alice.key, f.wire.roundTrip); err != nil || !grant.Resumed {
 			t.Fatalf("serial %d, second open: %+v, %v; want resumed", cert.Serial, grant, err)
 		}
 	}
@@ -490,61 +506,19 @@ func TestResumeFallsBackWhenGatewayLostItsTable(t *testing.T) {
 	}
 }
 
-// TestJSONHelloGrantIsSealed: the JSON hello still opens sessions, and its
-// grant keeps the same rule — no MAC key on the wire, the master sealed.
-func TestJSONHelloGrantIsSealed(t *testing.T) {
-	gw, net, ps, _ := fastpathGateway(t, "mac", CodecBinary, "alice")
-	alice := ps["alice"]
-	hello := mustHelloAt(t, alice, time.Now())
-	b, err := json.Marshal(hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := gw.ServeWire(context.Background(), TopicSessionOpen, b, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var grant SessionGrant
-	if err := json.Unmarshal(reply, &grant); err != nil {
-		t.Fatalf("the reply to a JSON hello is not JSON: %v", err)
-	}
-	if grant.MacKey != nil || grant.Sealed == nil || !grant.MacAuth {
-		t.Fatalf("JSON grant = %+v, want no MacKey, a sealed secret, macAuth", grant)
-	}
-	digest := helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
-	if _, err := grant.unseal(digest, alice.key); err != nil {
-		t.Fatal(err)
-	}
-	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
-	MACRequest(req, grant.MacKey)
-	if _, err := SubmitOverCodec(net, "alice", "gateway", req, CodecJSON); err != nil {
-		t.Fatalf("submission under the unsealed key: %v", err)
-	}
-	// Somebody else's private key opens nothing.
-	other, err := dcrypto.GenerateKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stolen := grant
-	stolen.MacKey = nil
-	if _, err := stolen.unseal(digest, other); err == nil || stolen.MacKey != nil {
-		t.Fatalf("unsealing with a foreign key = %v (key %x), want a refusal", err, stolen.MacKey)
-	}
-}
-
-// TestSubstrateCallerResumesWithItsOwnHandshaker: OpenSessionOverCodec keeps
+// TestSubstrateCallerResumesWithItsOwnHandshaker: OpenSessionOver keeps
 // nothing between calls, so it always signs; a caller on the substrate that
 // holds a Handshaker resumes through the same round trip.
 func TestSubstrateCallerResumesWithItsOwnHandshaker(t *testing.T) {
-	gw, net, ps, grants := fastpathGateway(t, "mac", CodecBinary, "alice")
-	again, err := OpenSessionOverCodec(net, "alice", "gateway", ps["alice"].cert, ps["alice"].key, CodecBinary)
+	gw, net, ps, grants := fastpathGateway(t, "mac", "alice")
+	again, err := OpenSessionOver(net, "alice", "gateway", ps["alice"].cert, ps["alice"].key)
 	if err != nil || grants["alice"].Resumed || again.Resumed {
 		t.Fatalf("the helper's second open: %+v, %v; want another full handshake", again, err)
 	}
 	var client Handshaker
 	open := func() SessionGrant {
 		t.Helper()
-		grant, err := client.Open(context.Background(), "alice", ps["alice"].cert, ps["alice"].key, CodecBinary, func(_ context.Context, hello []byte) ([]byte, error) {
+		grant, err := client.Open(context.Background(), "alice", ps["alice"].cert, ps["alice"].key, func(_ context.Context, hello []byte) ([]byte, error) {
 			return net.Send(transport.Message{From: "alice", To: "gateway", Topic: TopicSessionOpen, Payload: hello})
 		})
 		if err != nil {
@@ -556,12 +530,12 @@ func TestSubstrateCallerResumesWithItsOwnHandshaker(t *testing.T) {
 		t.Fatal("a first handshake was resumed")
 	}
 	resumed := open()
-	if !resumed.Resumed || resumed.Codec != CodecBinary {
-		t.Fatalf("second open: %+v; want resumed on the binary codec", resumed)
+	if !resumed.Resumed {
+		t.Fatalf("second open: %+v; want resumed", resumed)
 	}
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: resumed.Token}
 	MACRequest(req, resumed.MacKey)
-	if _, err := SubmitOverCodec(net, "alice", "gateway", req, CodecBinary); err != nil {
+	if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
 		t.Fatalf("submission on the resumed session: %v", err)
 	}
 	if st := gw.Stats().Sessions; st.Resumed != 1 || st.ResumeMisses != 0 {
@@ -600,7 +574,7 @@ func TestConcurrentFirstOpensShareOneFullHandshake(t *testing.T) {
 		errs := make(chan error, opens)
 		for i := 0; i < opens; i++ {
 			go func() {
-				_, err := client.Open(context.Background(), "alice", ps["alice"].cert, ps["alice"].key, CodecBinary, roundTrip)
+				_, err := client.Open(context.Background(), "alice", ps["alice"].cert, ps["alice"].key, roundTrip)
 				errs <- err
 			}()
 		}
@@ -631,7 +605,7 @@ func TestConcurrentFirstOpensShareOneFullHandshake(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	leader := make(chan error, 1)
 	go func() {
-		_, err := stuck.Open(context.Background(), "alice", ps["alice"].cert, ps["alice"].key, CodecBinary, func(ctx context.Context, frame []byte) ([]byte, error) {
+		_, err := stuck.Open(context.Background(), "alice", ps["alice"].cert, ps["alice"].key, func(ctx context.Context, frame []byte) ([]byte, error) {
 			close(entered)
 			<-release
 			return roundTrip(ctx, frame)
@@ -641,7 +615,7 @@ func TestConcurrentFirstOpensShareOneFullHandshake(t *testing.T) {
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := stuck.Open(ctx, "alice", ps["alice"].cert, ps["alice"].key, CodecBinary, roundTrip); !errors.Is(err, context.Canceled) {
+	if _, err := stuck.Open(ctx, "alice", ps["alice"].cert, ps["alice"].key, roundTrip); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiting open with a cancelled context = %v, want context.Canceled", err)
 	}
 	close(release)

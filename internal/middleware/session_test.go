@@ -3,7 +3,6 @@ package middleware
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -83,23 +82,10 @@ func openSession(t testing.TB, mgr *SessionManager, p *principal) SessionGrant {
 // for transport tests running the gateway on a fake clock.
 func openSessionOverAt(t testing.TB, net *transport.Network, endpoint string, p *principal, at time.Time) (SessionGrant, error) {
 	t.Helper()
-	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, at)
-	if err != nil {
-		t.Fatalf("NewSessionHelloAt: %v", err)
-	}
-	b, err := json.Marshal(hello)
-	if err != nil {
-		t.Fatalf("marshal hello: %v", err)
-	}
-	reply, err := net.Send(transport.Message{From: p.name, To: endpoint, Topic: TopicSessionOpen, Payload: b})
-	if err != nil {
-		return SessionGrant{}, err
-	}
-	var grant SessionGrant
-	if err := json.Unmarshal(reply, &grant); err != nil {
-		t.Fatalf("decode grant: %v", err)
-	}
-	return grant, nil
+	client := &Handshaker{Now: func() time.Time { return at }}
+	return client.Open(context.Background(), p.name, p.cert, p.key, func(_ context.Context, hello []byte) ([]byte, error) {
+		return net.Send(transport.Message{From: p.name, To: endpoint, Topic: TopicSessionOpen, Payload: hello})
+	})
 }
 
 func TestSessionAmortizedAuthn(t *testing.T) {

@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -158,38 +157,25 @@ func TestExclusiveStageTimingBatch(t *testing.T) {
 func TestTraceIDCodecRoundTrips(t *testing.T) {
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("p"),
 		SessionToken: "tok", TraceID: 0xfeedface}
-	for _, codec := range []string{CodecJSON, CodecBinary} {
-		b, err := EncodeWireRequest(req, codec)
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		var got Request
-		if codec == CodecBinary {
-			if err := decodeRequestBinary(b, &got, nil); err != nil {
-				t.Fatalf("%s: %v", codec, err)
-			}
-		} else {
-			if !strings.Contains(string(b), "trace") {
-				t.Fatalf("json frame missing trace field: %s", b)
-			}
-			var w wireRequest
-			if err := json.Unmarshal(b, &w); err != nil {
-				t.Fatal(err)
-			}
-			w.fill(&got)
-		}
-		if got.TraceID != req.TraceID {
-			t.Errorf("%s: trace ID %#x, want %#x", codec, got.TraceID, req.TraceID)
-		}
-	}
-	// The untraced common case stays off the JSON wire entirely.
-	req.TraceID = 0
-	b, err := EncodeWireRequest(req, CodecJSON)
+	traced, err := EncodeWireRequest(req, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "trace") {
-		t.Errorf("zero trace ID serialized: %s", b)
+	var got Request
+	if err := decodeRequestBinary(traced, &got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got.TraceID != req.TraceID {
+		t.Errorf("trace ID %#x, want %#x", got.TraceID, req.TraceID)
+	}
+	// The untraced common case costs the frame one byte.
+	req.TraceID = 0
+	untraced, err := EncodeWireRequest(req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(traced) - uvarintSize(0xfeedface) + 1; len(untraced) != want {
+		t.Errorf("untraced frame is %d bytes, want %d", len(untraced), want)
 	}
 }
 
@@ -203,7 +189,6 @@ func TestGatewayTracingEndToEnd(t *testing.T) {
 			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": "mac"}},
 			{Name: StageAuthn},
 		},
-		Codec: CodecBinary,
 		Trace: "1000000", // local sampler effectively off: only carried IDs below
 	}
 	backend := ordering.New("op", ordering.VisibilityFull)
@@ -216,7 +201,7 @@ func TestGatewayTracingEndToEnd(t *testing.T) {
 	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
 		t.Fatal(err)
 	}
-	grant, err := OpenSessionOverCodec(net, "alice", "gateway", ps["alice"].cert, ps["alice"].key, CodecBinary)
+	grant, err := OpenSessionOver(net, "alice", "gateway", ps["alice"].cert, ps["alice"].key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +209,7 @@ func TestGatewayTracingEndToEnd(t *testing.T) {
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("x"),
 		SessionToken: grant.Token, TraceID: 0xabc123}
 	MACRequest(req, grant.MacKey)
-	if _, err := SubmitOverCodec(net, "alice", "gateway", req, grant.Codec); err != nil {
+	if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
 		t.Fatal(err)
 	}
 	recs := gw.Tracer().Snapshot()

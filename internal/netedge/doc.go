@@ -1,7 +1,7 @@
 // Package netedge is the real network edge of the gateway: a TCP listener
-// and dialer that carry the middleware wire protocol — binary codec v2
-// frames and JSON alike — over actual sockets, where everything before it
-// ran on the in-process transport substrate.
+// and dialer that carry the middleware wire protocol — 0xDC frames — over
+// actual sockets, where everything before it ran on the in-process
+// transport substrate.
 //
 // # Stream framing
 //
@@ -14,13 +14,13 @@
 //	rest                 payload (reply text for error replies)
 //
 // The payload is the same bytes the in-process transport carries for the
-// topic: a codec v2 0xDC frame or JSON document for gateway.submit (the
-// gateway sniffs, exactly as before), a JSON SessionHello for
-// session.open, a bare token for session.close. Length prefixes are
-// validated against the configured maximum before any allocation, and the
-// payload is handed to the handler zero-copy from the connection's reused
-// read buffer — the decode path from socket to middleware.ParseEnvelope
-// never copies a submission.
+// topic: a 0xDC request frame for gateway.submit, a 0xDC hello frame
+// (full or resume) for session.open, answered by a grant frame, a bare
+// token for session.close. Length prefixes are validated against the
+// configured maximum before any allocation, and the payload is handed to
+// the handler zero-copy from the connection's reused read buffer — the
+// decode path from socket to middleware.ParseEnvelope never copies a
+// submission.
 //
 // # Connections, backpressure, and deadlines
 //

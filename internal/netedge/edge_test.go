@@ -22,7 +22,7 @@ import (
 )
 
 // edgeEnv is one gateway process in miniature: CA, dynamic directory,
-// session-MAC binary-codec pipeline, orderer, and the TCP edge in front —
+// session-MAC pipeline, orderer, and the TCP edge in front —
 // the same composition cmd/gateway -listen builds.
 type edgeEnv struct {
 	ca  *pki.CA
@@ -46,7 +46,6 @@ func newEdgeEnv(t testing.TB, opts ...Option) *edgeEnv {
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			{Name: middleware.StageAudit},
 		},
-		Codec: middleware.CodecBinary,
 	}
 	env := middleware.Env{CAKey: ca.PublicKey(), Directory: dir, Log: audit.NewLog(), Revoker: ca}
 	ord := ordering.New("op", ordering.VisibilityEnvelope)
@@ -93,7 +92,7 @@ type principal struct {
 }
 
 // bootstrap runs the full remote-principal flow over c: keygen, enroll,
-// session open with binary codec.
+// session open.
 func bootstrap(t testing.TB, c *Client, name string) *principal {
 	t.Helper()
 	ctx := context.Background()
@@ -105,14 +104,14 @@ func bootstrap(t testing.TB, c *Client, name string) *principal {
 	if err != nil {
 		t.Fatalf("enroll %s: %v", name, err)
 	}
-	grant, err := c.OpenSession(ctx, name, cert, key, middleware.CodecBinary)
+	grant, err := c.OpenSession(ctx, name, cert, key, "")
 	if err != nil {
 		t.Fatalf("open session %s: %v", name, err)
 	}
 	return &principal{name: name, key: key, cert: cert, grant: grant}
 }
 
-// submission encodes one MAC-authenticated binary submission for p.
+// submission encodes one MAC-authenticated submission for p.
 func (p *principal) submission(t testing.TB, payload []byte, meta map[string]string) []byte {
 	t.Helper()
 	req := &middleware.Request{
@@ -120,7 +119,7 @@ func (p *principal) submission(t testing.TB, payload []byte, meta map[string]str
 		SessionToken: p.grant.Token, Meta: meta,
 	}
 	middleware.MACRequest(req, p.grant.MacKey)
-	wire, err := middleware.EncodeWireRequest(req, middleware.CodecBinary)
+	wire, err := middleware.EncodeWireRequest(req, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +131,6 @@ func TestEdgeRoundtrip(t *testing.T) {
 	c := e.dialEdge(t)
 	ctx := context.Background()
 	p := bootstrap(t, c, "alice")
-	if p.grant.Codec != middleware.CodecBinary {
-		t.Fatalf("grant codec = %q, want binary", p.grant.Codec)
-	}
 	id, err := c.SubmitRaw(ctx, p.submission(t, []byte("trade-1"), nil))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -145,17 +141,25 @@ func TestEdgeRoundtrip(t *testing.T) {
 	// The typed Submit path too: fresh request, MAC'd, encoded by the client.
 	req := &middleware.Request{Channel: "deals", Principal: "alice", Payload: []byte("trade-2"), SessionToken: p.grant.Token}
 	middleware.MACRequest(req, p.grant.MacKey)
-	if _, err := c.Submit(ctx, req, middleware.CodecBinary); err != nil {
+	if _, err := c.Submit(ctx, req); err != nil {
 		t.Fatalf("typed submit: %v", err)
 	}
-	// JSON framing over the same socket: the gateway sniffs per message.
-	jreq := &middleware.Request{Channel: "deals", Principal: "alice", Payload: []byte("trade-3"), SessionToken: p.grant.Token}
-	middleware.MACRequest(jreq, p.grant.MacKey)
-	if _, err := c.Submit(ctx, jreq, middleware.CodecJSON); err != nil {
-		t.Fatalf("json submit: %v", err)
+	// A JSON document is not a submission: an error reply, and the
+	// connection carries on.
+	if _, err := c.SubmitRaw(ctx, []byte(`{"channel":"deals","principal":"alice"}`)); err == nil || !strings.Contains(err.Error(), middleware.ErrBadFrame.Error()) {
+		t.Fatalf("json submit: %v, want the decoder's refusal", err)
+	}
+	// Asking for a codec that is not the wire format fails in the client: the
+	// next request the server sees is the notify.
+	served := e.srv.Stats().Requests
+	if _, err := c.OpenSession(ctx, p.name, p.cert, p.key, "json"); err == nil {
+		t.Fatal(`OpenSession(…, "json") opened a session`)
 	}
 	if _, err := c.NotifyRevocation(ctx); err != nil {
 		t.Fatalf("notify revocation: %v", err)
+	}
+	if got := e.srv.Stats().Requests; got != served+1 {
+		t.Fatalf("server saw %d requests after the refused open, want 1 (the notify)", got-served)
 	}
 	if err := c.CloseSession(ctx, p.grant.Token); err != nil {
 		t.Fatalf("close session: %v", err)
@@ -306,7 +310,7 @@ func TestEdgePipelinedOrder(t *testing.T) {
 			SessionToken: grant.Token, Meta: map[string]string{"seq": fmt.Sprint(i)},
 		}
 		middleware.MACRequest(req, grant.MacKey)
-		wire, err := middleware.EncodeWireRequest(req, middleware.CodecBinary)
+		wire, err := middleware.EncodeWireRequest(req, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +347,7 @@ func TestEdgePipelinedOrder(t *testing.T) {
 // with the grant's MAC key derived from the master secret sealed in it.
 func openRaw(t testing.TB, conn net.Conn, principal string, cert pki.Certificate, key *dcrypto.PrivateKey) middleware.SessionGrant {
 	t.Helper()
-	grant, err := new(middleware.Handshaker).Open(context.Background(), principal, cert, key, middleware.CodecBinary, func(_ context.Context, hello []byte) ([]byte, error) {
+	grant, err := new(middleware.Handshaker).Open(context.Background(), principal, cert, key, func(_ context.Context, hello []byte) ([]byte, error) {
 		if _, err := conn.Write(appendFrame(nil, frameRequest, 1, middleware.TopicSessionOpen, hello)); err != nil {
 			return nil, err
 		}
@@ -390,7 +394,7 @@ func TestEdgeConcurrentClients(t *testing.T) {
 				if err != nil {
 					return fmt.Errorf("enroll: %w", err)
 				}
-				grant, err := c.OpenSession(ctx, name, cert, key, middleware.CodecBinary)
+				grant, err := c.OpenSession(ctx, name, cert, key, "")
 				if err != nil {
 					return fmt.Errorf("open: %w", err)
 				}
@@ -409,7 +413,7 @@ func TestEdgeConcurrentClients(t *testing.T) {
 								SessionToken: grant.Token,
 							}
 							middleware.MACRequest(req, grant.MacKey)
-							if _, err := c.Submit(ctx, req, middleware.CodecBinary); err != nil {
+							if _, err := c.Submit(ctx, req); err != nil {
 								ierrs <- err
 								return
 							}

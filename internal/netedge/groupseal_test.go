@@ -48,7 +48,6 @@ func TestGroupSealOwnsBufferedPayloads(t *testing.T) {
 			{Name: middleware.StageAudit, Params: map[string]string{"auditasync": "64"}},
 			{Name: middleware.StageBatch, Params: map[string]string{"size": fmt.Sprint(groupSize), "groupseal": "on"}},
 		},
-		Codec: middleware.CodecBinary,
 	}
 	ord := ordering.New("op", ordering.VisibilityEnvelope)
 	var mu sync.Mutex
@@ -114,7 +113,7 @@ func TestGroupSealOwnsBufferedPayloads(t *testing.T) {
 				want[ch] = append(want[ch], payload)
 				req := &middleware.Request{Channel: ch, Principal: p.name, Payload: payload, SessionToken: p.grant.Token}
 				middleware.MACRequest(req, p.grant.MacKey)
-				wire, err := middleware.EncodeWireRequest(req, middleware.CodecBinary)
+				wire, err := middleware.EncodeWireRequest(req, "")
 				if err != nil {
 					t.Fatal(err)
 				}

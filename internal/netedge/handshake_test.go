@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dltprivacy/internal/dcrypto"
-	"dltprivacy/internal/middleware"
 )
 
 // recordingConn keeps every byte that crossed the socket, each way.
@@ -99,7 +98,7 @@ func TestHandshakeSecretsNeverCrossTheSocket(t *testing.T) {
 		t.Fatalf("first grant = %+v, want a full handshake and a derived MAC key", p.grant)
 	}
 	full := p.grant
-	resumed, err := c.OpenSession(ctx, p.name, p.cert, p.key, middleware.CodecBinary)
+	resumed, err := c.OpenSession(ctx, p.name, p.cert, p.key, "")
 	if err != nil || !resumed.Resumed || len(resumed.MacKey) != dcrypto.MACKeySize {
 		t.Fatalf("second grant = %+v, %v; want resumed with a derived MAC key", resumed, err)
 	}
@@ -144,7 +143,6 @@ func TestHandshakeSecretsNeverCrossTheSocket(t *testing.T) {
 	token := grant.field()
 	grant.field()   // principal
 	grant.uvarint() // expiry
-	grant.field()   // codec
 	grant.field()   // resume id
 	sealed := dcrypto.HybridCiphertext{EphemeralPub: grant.field(), Ciphertext: grant.field()}
 	if len(grant.b) != 0 {
