@@ -142,12 +142,32 @@ func TestAllocationBudget(t *testing.T) {
 			// (certificate JSON, ecdsa.Verify, the ECDH seal). Nothing is
 			// ordered, so the block cut's saving does not reach this row. 23
 			// until the resume hello stopped carrying a codec name for the
-			// decoder to copy out.
+			// decoder to copy out; 22 until the open allocated only what it
+			// hands on — the session record (its MAC key inline), the token
+			// string, the grant frame. Gone, per open in a profile of the 22:
+			// the resume hello on the heap (1), the transcript's escaping
+			// slices (3), the nonce table's hex key (2), the token's random
+			// bytes and intermediate hex (2), the info‖token label (2), HKDF's
+			// output and block (2), the MAC key's pointer, hashes and
+			// marshaled states (5), the transcript digest, which escaped on
+			// every open because the full handshake seals under it (1).
 			name:     "resumed-open",
 			replaces: "new with session resumption; nothing older",
 			cfg:      churn,
 			allocs:   resumedOpenAllocs,
-			ceiling:  22,
+			ceiling:  3,
+		},
+		{
+			// Both halves of a resumed handshake in process: Handshaker.Open
+			// on a held secret, through ServeWire and back. The gateway's
+			// three of the row above, and the client's: the resume frame,
+			// the grant's token and its MAC key. The principal is the
+			// client's own string when the grant echoes it.
+			name:     "resumed-open-client",
+			replaces: "new: the client half the row above does not count",
+			cfg:      churn,
+			allocs:   handshakerOpenAllocs,
+			ceiling:  6,
 		},
 		{
 			// One ecdsa.Verify, the request's (go1.24.0); 26 more when
@@ -337,6 +357,34 @@ func resumedOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) floa
 	allocs := testing.AllocsPerRun(runs, next)
 	if st := fp.gw.Stats().Sessions; st.Resumed != runs+1+4 || st.ResumeMisses != 0 {
 		t.Fatalf("resumed %d, missed %d; want every one of the %d hellos resumed", st.Resumed, st.ResumeMisses, runs+1+4)
+	}
+	return allocs
+}
+
+// handshakerOpenAllocs reads the allocations of one Handshaker.Open on a
+// held secret, the client's half and the gateway's together: the round trip
+// is ServeWire, in process.
+func handshakerOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	ctx := context.Background()
+	who := fp.templates[0].Principal
+	serve := func(ctx context.Context, hello []byte) ([]byte, error) {
+		return fp.gw.ServeWire(ctx, middleware.TopicSessionOpen, hello, "tcp:1:alloc")
+	}
+	var client middleware.Handshaker
+	open := func() {
+		grant, err := client.Open(ctx, who, env.certs[who], env.keys[who], serve)
+		if err != nil || grant.Principal != who || len(grant.MacKey) == 0 {
+			t.Fatalf("open: %+v, %v", grant, err)
+		}
+	}
+	// The full handshake, then four resumed opens that fill the cap.
+	for i := 0; i < 5; i++ {
+		open()
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, open)
+	if st := fp.gw.Stats().Sessions; st.Resumed != runs+1+4 || st.ResumeMisses != 0 {
+		t.Fatalf("resumed %d, missed %d; want every open after the first resumed", st.Resumed, st.ResumeMisses)
 	}
 	return allocs
 }

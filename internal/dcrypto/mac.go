@@ -22,10 +22,10 @@ const MACSize = 32
 // AES-256 and HKDF output sizes used everywhere else).
 const MACKeySize = 32
 
-// sha256Pool recycles SHA-256 states across the hashing hot paths
-// (HashConcat, MAC, HKDF): request digests and request MACs are computed
-// several times per gateway submission, and a pooled state turns each of
-// those from two heap allocations into zero.
+// sha256Pool recycles SHA-256 states across the plain-hash hot paths
+// (HashConcat, ConcatHasher): request digests are computed several times per
+// gateway submission, and a pooled state turns each of those from two heap
+// allocations into zero. The HMAC paths pool theirs with scratch (macState).
 var sha256Pool = sync.Pool{New: func() any { return sha256.New() }}
 
 func getSHA256() hash.Hash {
@@ -39,51 +39,80 @@ func putSHA256(h hash.Hash) { sha256Pool.Put(h) }
 // hmacBlockSize is the SHA-256 block length HMAC pads keys to.
 const hmacBlockSize = 64
 
-// macScratch is the working memory of one MAC computation. Pads and sums
-// would escape to the heap if stack-allocated (they pass through the
-// hash.Hash interface), so they are pooled alongside the hash states.
-type macScratch struct {
+// sha256StateSize is the length of a marshaled SHA-256 state: crypto/sha256's
+// magic, eight state words, one block of pending input and the length.
+const sha256StateSize = 108
+
+// macState is the working memory of one HMAC computation: a hash state and
+// the scratch every input is staged through. Pads, sums and callers' stack
+// buffers would escape to the heap if handed to the hash.Hash interface
+// directly, so they are copied into this pooled object first. The hash is
+// Reset or restored by whoever uses it.
+type macState struct {
+	h          hash.Hash
 	ipad, opad [hmacBlockSize]byte
 	sum        [32]byte
+	state      [sha256StateSize]byte
 }
 
-var macScratchPool = sync.Pool{New: func() any { return new(macScratch) }}
+var macStatePool = sync.Pool{New: func() any { return &macState{h: sha256.New()} }}
+
+// write feeds msg to the hash through the pooled scratch rather than
+// directly: a caller's stack buffer passed straight into hash.Hash would
+// escape to the heap at every call site. It stages through ipad, so it runs
+// only once ipad has been absorbed or before it is derived.
+func (st *macState) write(msg []byte) {
+	for len(msg) > 0 {
+		n := copy(st.ipad[:], msg)
+		st.h.Write(st.ipad[:n])
+		msg = msg[n:]
+	}
+}
+
+// pads derives the xor-padded key blocks of RFC 2104 into ipad and opad; a
+// key longer than a block is hashed first.
+func (st *macState) pads(key []byte) {
+	if len(key) > hmacBlockSize {
+		st.h.Reset()
+		st.write(key)
+		key = st.h.Sum(st.sum[:0])
+	}
+	n := copy(st.ipad[:], key)
+	copy(st.opad[:], key)
+	clear(st.ipad[n:])
+	clear(st.opad[n:])
+	for i := range st.ipad {
+		st.ipad[i] ^= 0x36
+		st.opad[i] ^= 0x5c
+	}
+}
+
+// mac returns HMAC-SHA256 of the concatenated parts under key. Nothing it is
+// given escapes: every byte is copied into st before it is hashed.
+func (st *macState) mac(key []byte, parts ...[]byte) [32]byte {
+	st.pads(key)
+	h := st.h
+	h.Reset()
+	h.Write(st.ipad[:])
+	for _, p := range parts {
+		st.write(p)
+	}
+	h.Sum(st.sum[:0])
+	h.Reset()
+	h.Write(st.opad[:])
+	h.Write(st.sum[:])
+	h.Sum(st.sum[:0])
+	return st.sum
+}
 
 // MAC computes HMAC-SHA256 (RFC 2104) of the concatenated parts under key.
 // It is implemented over pooled hash states and scratch rather than
-// crypto/hmac so the per-request authentication path of the gateway
-// allocates nothing.
+// crypto/hmac so that it allocates nothing, and a caller's stack buffers stay
+// on its stack.
 func MAC(key []byte, parts ...[]byte) [32]byte {
-	s := macScratchPool.Get().(*macScratch)
-	h := getSHA256()
-	k := key
-	if len(k) > hmacBlockSize {
-		h.Write(k)
-		h.Sum(s.sum[:0])
-		h.Reset()
-		k = s.sum[:]
-	}
-	copy(s.ipad[:], k)
-	copy(s.opad[:], k)
-	for i := len(k); i < hmacBlockSize; i++ {
-		s.ipad[i], s.opad[i] = 0, 0
-	}
-	for i := range s.ipad {
-		s.ipad[i] ^= 0x36
-		s.opad[i] ^= 0x5c
-	}
-	h.Write(s.ipad[:])
-	for _, p := range parts {
-		h.Write(p)
-	}
-	h.Sum(s.sum[:0])
-	h.Reset()
-	h.Write(s.opad[:])
-	h.Write(s.sum[:])
-	h.Sum(s.sum[:0])
-	out := s.sum
-	putSHA256(h)
-	macScratchPool.Put(s)
+	st := macStatePool.Get().(*macState)
+	out := st.mac(key, parts...)
+	macStatePool.Put(st)
 	return out
 }
 
@@ -93,44 +122,66 @@ func MAC(key []byte, parts ...[]byte) [32]byte {
 // of re-deriving the pads and re-hashing them — two of the four SHA-256
 // compressions of a short-message HMAC disappear from the per-request
 // path. A long-lived verifier (a session record checking a MAC per
-// request) should hold one of these. Sum and Verify are safe for
-// concurrent use; the states are read-only after New.
+// request) should hold one of these, by value if it likes: the states are
+// inline. Sum and Verify are safe for concurrent use; the states are
+// read-only after NewMACKey.
 type MACKey struct {
-	// ipadState and opadState are the marshaled SHA-256 states after
-	// absorbing the xor-padded key block, restored into a pooled hash via
+	// ipad and opad are the marshaled SHA-256 states after absorbing the
+	// xor-padded key block, restored into a pooled hash via
 	// encoding.BinaryUnmarshaler (which every stdlib hash implements).
-	ipadState, opadState []byte
+	ipad, opad [sha256StateSize]byte
 }
 
 // NewMACKey precomputes the HMAC states for key. Tags are byte-identical
-// to MAC under the same key.
+// to MAC under the same key. The key it returns is its one allocation, and
+// none at all where the compiler keeps it on the caller's stack: a holder
+// by value writes *NewMACKey(key).
 func NewMACKey(key []byte) *MACKey {
-	k := key
-	if len(k) > hmacBlockSize {
-		sum := sha256.Sum256(k)
-		k = sum[:]
-	}
-	var ipad, opad [hmacBlockSize]byte
-	copy(ipad[:], k)
-	copy(opad[:], k)
-	for i := range ipad {
-		ipad[i] ^= 0x36
-		opad[i] ^= 0x5c
-	}
-	return &MACKey{ipadState: absorbedState(ipad[:]), opadState: absorbedState(opad[:])}
+	k := new(MACKey)
+	k.init(key)
+	return k
 }
 
-// absorbedState returns the marshaled SHA-256 state after absorbing b.
-func absorbedState(b []byte) []byte {
-	h := sha256.New()
-	h.Write(b)
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+// init computes k's states through pooled scratch, so that k itself never
+// reaches the hash interface and can live wherever its holder does.
+func (k *MACKey) init(key []byte) {
+	st := macStatePool.Get().(*macState)
+	st.pads(key)
+	st.h.Reset()
+	st.h.Write(st.ipad[:])
+	k.ipad = st.saveState()
+	st.h.Reset()
+	st.h.Write(st.opad[:])
+	k.opad = st.saveState()
+	macStatePool.Put(st)
+}
+
+// saveState returns the marshaled state of st's hash, staged in st.state.
+func (st *macState) saveState() [sha256StateSize]byte {
+	if s := appendState(st.state[:0], st.h); len(s) != sha256StateSize {
+		panic(fmt.Sprintf("dcrypto: sha256 state is %d bytes, not %d", len(s), sha256StateSize))
+	}
+	return st.state
+}
+
+// appendState appends the marshaled state of h to dst: through AppendBinary
+// where the hash offers it (crypto/sha256 does from go1.24), which writes
+// into dst's spare capacity, through MarshalBinary's fresh slice otherwise.
+func appendState(dst []byte, h hash.Hash) []byte {
+	var err error
+	if a, ok := h.(interface{ AppendBinary([]byte) ([]byte, error) }); ok {
+		dst, err = a.AppendBinary(dst)
+	} else {
+		var state []byte
+		state, err = h.(encoding.BinaryMarshaler).MarshalBinary()
+		dst = append(dst, state...)
+	}
 	if err != nil {
 		// The stdlib SHA-256 marshaler cannot fail; a change that makes it
 		// fail must not silently produce wrong digests.
 		panic("dcrypto: marshal sha256 state: " + err.Error())
 	}
-	return state
+	return dst
 }
 
 // restoreState loads a precomputed state into h.
@@ -140,38 +191,17 @@ func restoreState(h hash.Hash, state []byte) {
 	}
 }
 
-// macState bundles one hash state with its staging scratch so the
-// per-request Sum pays one pool round trip, not two. The hash needs no
-// Reset: restoreState overwrites it completely.
-type macState struct {
-	h hash.Hash
-	s macScratch
-}
-
-var macStatePool = sync.Pool{New: func() any { return &macState{h: sha256.New()} }}
-
-// write feeds msg to the hash through the pooled scratch rather than
-// directly: a caller's stack buffer passed straight into hash.Hash would
-// escape to the heap at every call site.
-func (st *macState) write(msg []byte) {
-	for len(msg) > 0 {
-		n := copy(st.s.ipad[:], msg)
-		st.h.Write(st.s.ipad[:n])
-		msg = msg[n:]
-	}
-}
-
 // Sum computes the HMAC-SHA256 tag of msg, allocation-free.
 func (k *MACKey) Sum(msg []byte) [32]byte {
 	st := macStatePool.Get().(*macState)
-	h, s := st.h, &st.s
-	restoreState(h, k.ipadState)
+	h := st.h
+	restoreState(h, k.ipad[:])
 	st.write(msg)
-	h.Sum(s.sum[:0])
-	restoreState(h, k.opadState)
-	h.Write(s.sum[:])
-	h.Sum(s.sum[:0])
-	out := s.sum
+	h.Sum(st.sum[:0])
+	restoreState(h, k.opad[:])
+	h.Write(st.sum[:])
+	h.Sum(st.sum[:0])
+	out := st.sum
 	macStatePool.Put(st)
 	return out
 }
@@ -203,7 +233,9 @@ type HashPrefix struct {
 
 // NewHashPrefix absorbs prefix.
 func NewHashPrefix(prefix []byte) HashPrefix {
-	return HashPrefix{state: absorbedState(prefix)}
+	h := sha256.New()
+	h.Write(prefix)
+	return HashPrefix{state: appendState(make([]byte, 0, sha256StateSize), h)}
 }
 
 // Sum returns SHA-256(prefix ‖ suffix), allocation-free.
@@ -211,8 +243,8 @@ func (p HashPrefix) Sum(suffix []byte) [32]byte {
 	st := macStatePool.Get().(*macState)
 	restoreState(st.h, p.state)
 	st.write(suffix)
-	st.h.Sum(st.s.sum[:0])
-	out := st.s.sum
+	st.h.Sum(st.sum[:0])
+	out := st.sum
 	macStatePool.Put(st)
 	return out
 }
@@ -232,25 +264,32 @@ func VerifyMAC(key, msg, tag []byte) error {
 	return nil
 }
 
-// HKDF derives n bytes from a secret via RFC 5869 extract-and-expand over
+// HKDF fills dst from a secret via RFC 5869 extract-and-expand over
 // HMAC-SHA256. salt is the optional non-secret randomizer (the session
 // layer passes the handshake transcript digest, binding the derived key to
 // the verified handshake) and info the context label separating uses of the
-// same secret. n is capped at 255 blocks per the RFC.
-func HKDF(secret, salt, info []byte, n int) ([]byte, error) {
+// same secret. len(dst) is the output length, capped at 255 blocks per the
+// RFC; dst must not overlap the inputs. It allocates nothing: the
+// intermediate keys and blocks live on its stack and every input is staged
+// through pooled scratch, so a caller's stack buffers stay there too.
+func HKDF(dst, secret, salt, info []byte) error {
 	if len(secret) == 0 {
-		return nil, errors.New("dcrypto: hkdf needs a secret")
+		return errors.New("dcrypto: hkdf needs a secret")
 	}
-	if n <= 0 || n > 255*MACSize {
-		return nil, fmt.Errorf("dcrypto: hkdf output length %d outside (0, %d]", n, 255*MACSize)
+	if len(dst) == 0 || len(dst) > 255*MACSize {
+		return fmt.Errorf("dcrypto: hkdf output length %d outside (0, %d]", len(dst), 255*MACSize)
 	}
-	prk := MAC(salt, secret) // extract
-	out := make([]byte, 0, ((n+MACSize-1)/MACSize)*MACSize)
-	var t []byte
-	for i := byte(1); len(out) < n; i++ {
-		block := MAC(prk[:], t, info, []byte{i})
-		out = append(out, block[:]...)
-		t = out[len(out)-MACSize:]
+	st := macStatePool.Get().(*macState)
+	prk := st.mac(salt, secret) // extract
+	var t [MACSize]byte
+	var ctr [1]byte
+	prev := t[:0]
+	for len(dst) > 0 {
+		ctr[0]++
+		t = st.mac(prk[:], prev, info, ctr[:])
+		prev = t[:]
+		dst = dst[copy(dst, t[:]):]
 	}
-	return out[:n], nil
+	macStatePool.Put(st)
+	return nil
 }

@@ -829,14 +829,15 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 // resume-miss frame — a reply, so the client can tell "send the full hello"
 // from a refusal. Every refusal counts in confmw_gateway_rejected_total.
 func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transportID string) ([]byte, error) {
-	hello, resume, err := decodeHelloFrame(payload)
+	hello, resumed, err := decodeHelloFrame(payload)
 	if err != nil {
 		g.rejected.Add(1)
 		return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, err)
 	}
+	var resume *resumeHello
 	var traceID uint64
-	if resume != nil {
-		traceID = resume.TraceID
+	if hello == nil {
+		resume, traceID = &resumed, resumed.TraceID
 	} else {
 		traceID = hello.TraceID
 	}

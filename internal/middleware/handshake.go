@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -29,32 +30,61 @@ import (
 // field: the master travels only as dcrypto.EncryptHybrid ciphertext under
 // the certified key, and both sides derive the MAC key from it.
 
+// helloNonceBytes is the length of every hello's nonce, full or resumed: the
+// only length NewSessionHelloAt and Handshaker draw, and the only one a
+// gateway accepts — so a nonce it remembers costs it a fixed 16 bytes, not
+// whatever a frame can carry.
+const helloNonceBytes = 16
+
+// helloNonce returns a full hello's nonce as the key the nonce table holds.
+func helloNonce(b []byte) ([helloNonceBytes]byte, error) {
+	if len(b) != helloNonceBytes {
+		return [helloNonceBytes]byte{}, fmt.Errorf("middleware: hello nonce is %d bytes, want %d", len(b), helloNonceBytes)
+	}
+	return [helloNonceBytes]byte(b), nil
+}
+
 // resumeHello is the handshake of a principal that holds a master secret:
 // which secret, a fresh nonce and issue time for the replay window, and the
 // tag that proves possession.
 type resumeHello struct {
 	ID       [resumeIDBytes]byte
-	Nonce    []byte
+	Nonce    [helloNonceBytes]byte
 	IssuedAt time.Time
 	Tag      []byte
 	TraceID  uint64
 }
 
+// resumeDigestDomain separates resume transcripts from every other digest.
+const resumeDigestDomain = "middleware/session/resume/v1"
+
 // resumeDigest is the transcript of a resume hello: what its tag is an HMAC
-// of, and the salt of the MAC key of the session it opens.
-func resumeDigest(id [resumeIDBytes]byte, nonce []byte, issuedAt time.Time) [32]byte {
-	var at [8]byte
-	binary.BigEndian.PutUint64(at[:], uint64(issuedAt.UnixNano()))
-	return dcrypto.HashConcat([]byte("middleware/session/resume/v1"), id[:], nonce, at[:])
+// of, and the salt of the MAC key of the session it opens. It is
+// dcrypto.HashConcat of the domain, id, nonce and issue time, staged on the
+// stack and hashed once (the Request.Digest idiom).
+func resumeDigest(id [resumeIDBytes]byte, nonce [helloNonceBytes]byte, issuedAt time.Time) [32]byte {
+	var buf [4*8 + len(resumeDigestDomain) + resumeIDBytes + helloNonceBytes + 8]byte
+	b := appendDigestPart(buf[:0], resumeDigestDomain)
+	b = binary.BigEndian.AppendUint64(b, resumeIDBytes)
+	b = append(b, id[:]...)
+	b = binary.BigEndian.AppendUint64(b, helloNonceBytes)
+	b = append(b, nonce[:]...)
+	b = binary.BigEndian.AppendUint64(b, 8)
+	b = binary.BigEndian.AppendUint64(b, uint64(issuedAt.UnixNano()))
+	return dcrypto.Hash(b)
 }
 
 // sessionMACKey derives a session's request-authentication key: from the
 // handshake's secret, salted with its transcript digest, labelled with the
-// token. The gateway and the client each compute it.
-func sessionMACKey(secret []byte, digest [32]byte, token string) ([]byte, error) {
-	key, err := dcrypto.HKDF(secret, digest[:], []byte(sessionMACInfo+token), dcrypto.MACKeySize)
-	if err != nil {
-		return nil, fmt.Errorf("session mac key: %w", err)
+// token. The gateway and the client each compute it. The label is staged on
+// the stack, and HKDF writes the key into the array returned: nothing here
+// allocates for a token of the length the gateway issues.
+func sessionMACKey(secret []byte, digest [32]byte, token string) ([dcrypto.MACKeySize]byte, error) {
+	var label [len(sessionMACInfo) + 2*sessionTokenBytes]byte
+	info := append(append(label[:0], sessionMACInfo...), token...)
+	var key [dcrypto.MACKeySize]byte
+	if err := dcrypto.HKDF(key[:], secret, digest[:], info); err != nil {
+		return key, fmt.Errorf("session mac key: %w", err)
 	}
 	return key, nil
 }
@@ -86,22 +116,25 @@ func encodeHelloFrame(h *SessionHello) ([]byte, error) {
 
 // encodeResumeFrame marshals a resume hello.
 func encodeResumeFrame(h *resumeHello) []byte {
-	out := make([]byte, 0, 32+resumeIDBytes+len(h.Nonce)+len(h.Tag))
+	out := make([]byte, 0, 32+resumeIDBytes+helloNonceBytes+len(h.Tag))
 	out = append(out, binaryMagic, binaryKindResume)
 	out = appendLenPrefixed(out, h.ID[:])
-	out = appendLenPrefixed(out, h.Nonce)
+	out = appendLenPrefixed(out, h.Nonce[:])
 	out = appendTime(out, h.IssuedAt)
 	out = appendLenPrefixed(out, h.Tag)
 	return binary.AppendUvarint(out, h.TraceID)
 }
 
-// decodeHelloFrame parses either hello; exactly one result is non-nil on
-// success. Byte fields alias the input.
-func decodeHelloFrame(b []byte) (*SessionHello, *resumeHello, error) {
+// decodeHelloFrame parses either hello: a full one into the hello returned,
+// a resume hello into the value returned beside a nil hello. Byte fields
+// alias the input. A nonce of any length but helloNonceBytes is refused
+// here, before anything is verified or remembered.
+func decodeHelloFrame(b []byte) (*SessionHello, resumeHello, error) {
+	var resume resumeHello
 	if len(b) < 2 || b[0] != binaryMagic {
-		return nil, nil, fmt.Errorf("%w: not a handshake frame", ErrBadFrame)
+		return nil, resume, fmt.Errorf("%w: not a handshake frame", ErrBadFrame)
 	}
-	r := &frameReader{b: b[2:]}
+	r := frameReader{b: b[2:]}
 	switch b[1] {
 	case binaryKindHello:
 		h := &SessionHello{}
@@ -112,33 +145,39 @@ func decodeHelloFrame(b []byte) (*SessionHello, *resumeHello, error) {
 		sig := r.bytes()
 		h.TraceID = r.uvarint()
 		if err := r.done(); err != nil {
-			return nil, nil, err
+			return nil, resume, err
+		}
+		if _, err := helloNonce(h.Nonce); err != nil {
+			return nil, resume, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		var err error
 		if h.Sig, err = dcrypto.ParseSignature(sig); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+			return nil, resume, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		if err := json.Unmarshal(cert, &h.Cert); err != nil {
-			return nil, nil, fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
+			return nil, resume, fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
 		}
-		return h, nil, nil
+		return h, resume, nil
 	case binaryKindResume:
-		h := &resumeHello{}
 		id := r.bytes()
-		h.Nonce = r.bytes()
-		h.IssuedAt = r.time()
-		h.Tag = r.bytes()
-		h.TraceID = r.uvarint()
+		nonce := r.bytes()
+		resume.IssuedAt = r.time()
+		resume.Tag = r.bytes()
+		resume.TraceID = r.uvarint()
 		if err := r.done(); err != nil {
-			return nil, nil, err
+			return nil, resume, err
 		}
 		if len(id) != resumeIDBytes {
-			return nil, nil, fmt.Errorf("%w: resume id must be %d bytes, got %d", ErrBadFrame, resumeIDBytes, len(id))
+			return nil, resume, fmt.Errorf("%w: resume id must be %d bytes, got %d", ErrBadFrame, resumeIDBytes, len(id))
 		}
-		copy(h.ID[:], id)
-		return nil, h, nil
+		var err error
+		if resume.Nonce, err = helloNonce(nonce); err != nil {
+			return nil, resume, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		}
+		resume.ID = [resumeIDBytes]byte(id)
+		return nil, resume, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: frame kind 0x%02x is not a hello", ErrBadFrame, b[1])
+		return nil, resume, fmt.Errorf("%w: frame kind 0x%02x is not a hello", ErrBadFrame, b[1])
 	}
 }
 
@@ -173,8 +212,9 @@ func encodeGrantFrame(g *SessionGrant) []byte {
 
 // decodeGrantFrame parses the reply to a hello: a grant (whose fields own
 // their memory), or the resume miss, which is the two-byte frame of its kind
-// and nothing else.
-func decodeGrantFrame(b []byte) (g SessionGrant, miss bool, err error) {
+// and nothing else. principal is the one the client opened for: a grant that
+// echoes it gets that string rather than a copy of the bytes.
+func decodeGrantFrame(b []byte, principal string) (g SessionGrant, miss bool, err error) {
 	if len(b) == 2 && b[0] == binaryMagic && b[1] == binaryKindResumeMiss {
 		return g, true, nil
 	}
@@ -185,10 +225,13 @@ func decodeGrantFrame(b []byte) (g SessionGrant, miss bool, err error) {
 	if flags&^(grantMacAuth|grantResumed) != 0 {
 		return g, false, fmt.Errorf("%w: unknown grant flags 0x%02x", ErrBadFrame, flags)
 	}
-	r := &frameReader{b: b[3:]}
+	r := frameReader{b: b[3:]}
 	g.MacAuth, g.Resumed = flags&grantMacAuth != 0, flags&grantResumed != 0
 	g.Token = r.str()
-	g.Principal = r.str()
+	g.Principal = principal
+	if p := r.bytes(); string(p) != principal { // the comparison does not allocate
+		g.Principal = string(p)
+	}
 	g.ExpiresAt = r.time()
 	g.Codec = CodecBinary // under the name the repository benchmark calls; not a field of the frame
 	resumeID := r.bytes()
@@ -223,9 +266,11 @@ func (g *SessionGrant) unseal(digest [32]byte, key *dcrypto.PrivateKey) ([]byte,
 		return nil, fmt.Errorf("middleware: unseal master secret: %w", err)
 	}
 	if g.MacAuth {
-		if g.MacKey, err = sessionMACKey(master, digest, g.Token); err != nil {
+		mac, err := sessionMACKey(master, digest, g.Token)
+		if err != nil {
 			return nil, err
 		}
+		g.MacKey = mac[:]
 	}
 	return master, nil
 }
@@ -310,7 +355,7 @@ func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certif
 			return SessionGrant{}, fmt.Errorf("middleware: open session for %s: %w", principal, ctx.Err())
 		}
 		if held.master != nil && !now.After(held.expires) {
-			grant, miss, err := held.resume(ctx, now, roundTrip)
+			grant, miss, err := held.resume(ctx, now, principal, roundTrip)
 			if !miss {
 				return grant, err
 			}
@@ -352,7 +397,7 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 	if err != nil {
 		return SessionGrant{}, err
 	}
-	grant, miss, err := decodeGrantFrame(reply)
+	grant, miss, err := decodeGrantFrame(reply, k.principal)
 	if err != nil {
 		return SessionGrant{}, fmt.Errorf("middleware: decode grant: %w", err)
 	}
@@ -371,29 +416,34 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 	return grant, nil
 }
 
-// resume runs the resumed handshake under a held secret. miss reports that
-// the gateway does not hold it (any more).
-func (s *heldSecret) resume(ctx context.Context, now time.Time, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
-	nonce, err := dcrypto.RandomBytes(16)
-	if err != nil {
+// resume runs the resumed handshake under a held secret, for the principal
+// it was established for. miss reports that the gateway does not hold it
+// (any more). What it allocates is what it hands on: the frame, and the
+// grant's token and MAC key.
+func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
+	hello := resumeHello{ID: s.id, IssuedAt: now}
+	if _, err := rand.Read(hello.Nonce[:]); err != nil {
 		return SessionGrant{}, false, fmt.Errorf("middleware: hello nonce: %w", err)
 	}
-	digest := resumeDigest(s.id, nonce, now)
+	digest := resumeDigest(s.id, hello.Nonce, now)
 	tag := dcrypto.MAC(s.master, digest[:])
-	reply, err := roundTrip(ctx, encodeResumeFrame(&resumeHello{ID: s.id, Nonce: nonce, IssuedAt: now, Tag: tag[:]}))
+	hello.Tag = tag[:]
+	reply, err := roundTrip(ctx, encodeResumeFrame(&hello))
 	if err != nil {
 		return SessionGrant{}, false, err
 	}
-	if grant, miss, err = decodeGrantFrame(reply); err != nil || miss {
+	if grant, miss, err = decodeGrantFrame(reply, principal); err != nil || miss {
 		if err != nil {
 			err = fmt.Errorf("middleware: decode grant: %w", err)
 		}
 		return SessionGrant{}, miss, err
 	}
 	if grant.MacAuth {
-		if grant.MacKey, err = sessionMACKey(s.master, digest, grant.Token); err != nil {
+		mac, err := sessionMACKey(s.master, digest, grant.Token)
+		if err != nil {
 			return SessionGrant{}, false, err
 		}
+		grant.MacKey = mac[:]
 	}
 	return grant, false, nil
 }

@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,16 +77,29 @@ func FuzzHandshakeFrames(f *testing.F) {
 		}
 		return b
 	}
+	// Nonces of every length but the one a gateway takes, in both hellos.
+	for _, n := range []int{0, helloNonceBytes - 1, helloNonceBytes + 1, 4096} {
+		odd := traced
+		odd.Nonce = make([]byte, n)
+		frame, err := encodeHelloFrame(&odd)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(rawResumeFrame([resumeIDBytes]byte{}, make([]byte, n), time.Now(), make([]byte, dcrypto.MACSize)))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hello, resume, err := decodeHelloFrame(data)
+		hello, resume, helloErr := decodeHelloFrame(data)
 		switch {
-		case err != nil:
-			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("decodeHelloFrame rejected with %v, want ErrBadFrame", err)
+		case helloErr != nil:
+			if !errors.Is(helloErr, ErrBadFrame) {
+				t.Fatalf("decodeHelloFrame rejected with %v, want ErrBadFrame", helloErr)
 			}
-		case (hello == nil) == (resume == nil):
-			t.Fatalf("decodeHelloFrame returned hello %v and resume %v", hello, resume)
 		case hello != nil:
+			if len(hello.Nonce) != helloNonceBytes {
+				t.Fatalf("decodeHelloFrame accepted a hello with a %d-byte nonce", len(hello.Nonce))
+			}
 			if frame, err := encodeHelloFrame(hello); err == nil {
 				back, _, err := decodeHelloFrame(frame)
 				if err != nil || !bytes.Equal(render(t, hello), render(t, back)) {
@@ -93,13 +107,13 @@ func FuzzHandshakeFrames(f *testing.F) {
 				}
 			}
 		default:
-			_, back, err := decodeHelloFrame(encodeResumeFrame(resume))
-			if err != nil || !bytes.Equal(render(t, resume), render(t, back)) {
-				t.Fatalf("resume hello round trip: %v\n first  %s\n second %s", err, render(t, resume), render(t, back))
+			back, again, err := decodeHelloFrame(encodeResumeFrame(&resume))
+			if err != nil || back != nil || !bytes.Equal(render(t, resume), render(t, again)) {
+				t.Fatalf("resume hello round trip: %v\n first  %s\n second %s", err, render(t, resume), render(t, again))
 			}
 		}
 
-		grant, miss, err := decodeGrantFrame(data)
+		grant, miss, err := decodeGrantFrame(data, "alice")
 		switch {
 		case err != nil:
 			if !errors.Is(err, ErrBadFrame) {
@@ -113,15 +127,27 @@ func FuzzHandshakeFrames(f *testing.F) {
 			if grant.MacKey != nil {
 				t.Fatalf("a grant frame produced a MAC key: %x", grant.MacKey)
 			}
-			back, miss, err := decodeGrantFrame(encodeGrantFrame(&grant))
+			back, miss, err := decodeGrantFrame(encodeGrantFrame(&grant), "")
 			if err != nil || miss || !bytes.Equal(render(t, grant), render(t, back)) {
 				t.Fatalf("grant round trip: %v (miss %v)\n first  %s\n second %s", err, miss, render(t, grant), render(t, back))
 			}
 		}
-		if (len(data) < 2 || data[0] != binaryMagic) && (hello != nil || resume != nil || err == nil) {
+		if (len(data) < 2 || data[0] != binaryMagic) && (helloErr == nil || err == nil) {
 			t.Fatal("a payload without the frame magic decoded as a handshake frame")
 		}
 	})
+}
+
+// rawResumeFrame spells out a resume hello frame whose nonce may have any
+// length, which encodeResumeFrame's fixed-size field cannot: the frames a
+// gateway must refuse before it remembers anything.
+func rawResumeFrame(id [resumeIDBytes]byte, nonce []byte, at time.Time, tag []byte) []byte {
+	out := []byte{binaryMagic, binaryKindResume}
+	out = appendLenPrefixed(out, id[:])
+	out = appendLenPrefixed(out, nonce)
+	out = appendTime(out, at)
+	out = appendLenPrefixed(out, tag)
+	return binary.AppendUvarint(out, 0)
 }
 
 // resumeSide is one of FuzzResumeAgrees' two worlds: a manager, the wire to

@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -161,7 +162,7 @@ func NewSessionHello(principal string, cert pki.Certificate, key *dcrypto.Privat
 // NewSessionHelloAt builds and signs a handshake with an explicit issue
 // time, for callers running on an injected clock.
 func NewSessionHelloAt(principal string, cert pki.Certificate, key *dcrypto.PrivateKey, at time.Time) (SessionHello, error) {
-	nonce, err := dcrypto.RandomBytes(16)
+	nonce, err := dcrypto.RandomBytes(helloNonceBytes)
 	if err != nil {
 		return SessionHello{}, fmt.Errorf("middleware: hello nonce: %w", err)
 	}
@@ -180,8 +181,7 @@ const sessionTokenBytes = 32
 // session is one established client session: the verified principal and
 // its certified key, cached so subsequent requests skip PKI verification.
 // serial is the certificate the trust was rooted in at Open, the handle
-// revocation checks match against. mac is the per-session HMAC key when
-// the manager runs reqauth=mac. lastUsed is atomic unix-nanos so the
+// revocation checks match against. lastUsed is atomic unix-nanos so the
 // resolve fast path can touch the idle clock under a read lock.
 type session struct {
 	// token is the table key, kept so the wire decoder can hand a request
@@ -189,11 +189,11 @@ type session struct {
 	token     string
 	principal string
 	key       dcrypto.PublicKey
-	mac       []byte
-	// macKey is the precomputed-pad verifier over mac, derived once at
-	// Open so the per-request HMAC check skips the pad derivation. Nil
-	// when the manager runs reqauth=sig.
-	macKey *dcrypto.MACKey
+	// macKey is the per-session HMAC verifier (reqauth=mac), its pads
+	// precomputed once at Open so the per-request check skips their
+	// derivation; held by value, so the session record is the one
+	// allocation it costs. Zero, and never handed out, under reqauth=sig.
+	macKey dcrypto.MACKey
 	serial uint64
 	// boundTo pins the session to the transport connection that opened it
 	// (OpenBound); empty for unbound sessions. resolve rejects any other
@@ -327,8 +327,10 @@ type SessionManager struct {
 	byTransport map[string]map[string]bool
 	// seenNonces remembers handshake nonces until their freshness window
 	// closes, so a recorded hello cannot be replayed to mint a second
-	// token. Keyed by nonce hex, valued by forget-after time.
-	seenNonces map[string]time.Time
+	// token. Keyed by the nonce itself (every hello's is helloNonceBytes),
+	// valued by forget-after time in unix nanos: an entry is a fixed 24
+	// bytes, and only a verified hello plants one.
+	seenNonces map[[helloNonceBytes]byte]int64
 	// resumes remembers what full handshakes over the wire proved, so a
 	// returning principal proves possession of its master secret instead of
 	// its private key. Bounded; guarded by mu.
@@ -449,7 +451,7 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 		defaultClock: defaultClock,
 		byPrincipal:  make(map[string]map[string]time.Time),
 		byTransport:  make(map[string]map[string]bool),
-		seenNonces:   make(map[string]time.Time),
+		seenNonces:   make(map[[helloNonceBytes]byte]int64),
 	}
 	for i := range m.stripes {
 		m.stripes[i].sessions = make(map[string]*session)
@@ -522,12 +524,18 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 // from the master. Resumed handshakes are wire handshakes by construction.
 func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transportID string, wire bool) (SessionGrant, error) {
 	now := m.now()
-	var nonce []byte
+	var nonce [helloNonceBytes]byte
 	var issuedAt time.Time
 	if resume != nil {
 		nonce, issuedAt = resume.Nonce, resume.IssuedAt
 	} else {
-		nonce, issuedAt = hello.Nonce, hello.IssuedAt
+		// A frame with another length never gets here (decodeHelloFrame);
+		// an in-process hello is held to the same rule.
+		var err error
+		if nonce, err = helloNonce(hello.Nonce); err != nil {
+			return SessionGrant{}, err
+		}
+		issuedAt = hello.IssuedAt
 	}
 	if issuedAt.Before(now.Add(-helloFreshness)) || issuedAt.After(now.Add(helloFreshness)) {
 		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, issuedAt, now)
@@ -542,16 +550,15 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	// reads: the nonce is recorded after verification, under the same lock as
 	// the authoritative check, so an unverified hello cannot plant one. An
 	// entry the sweep has yet to forget is left to that check.
-	nonceKey := hex.EncodeToString(nonce)
 	var known *resumeEntry
 	m.mu.Lock()
-	forgetAfter, seen := m.seenNonces[nonceKey]
+	forgetAfter, seen := m.seenNonces[nonce]
 	if resume != nil {
 		known = m.resumes.get(resume.ID, now)
 	}
 	m.mu.Unlock()
-	if seen && !now.After(forgetAfter) {
-		return SessionGrant{}, fmt.Errorf("%w: nonce %s", ErrReplayedHello, nonceKey)
+	if seen && now.UnixNano() <= forgetAfter {
+		return SessionGrant{}, fmt.Errorf("%w: nonce %x", ErrReplayedHello, nonce)
 	}
 
 	// The proof of identity: who is opening, under which certificate, and
@@ -600,11 +607,15 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		}
 	}
 
-	raw, err := dcrypto.RandomBytes(sessionTokenBytes)
-	if err != nil {
+	// The token is drawn into a stack array and hex-encoded once, into the
+	// string the table keys on and the grant carries.
+	var raw [sessionTokenBytes]byte
+	if _, err := rand.Read(raw[:]); err != nil {
 		return SessionGrant{}, fmt.Errorf("session token: %w", err)
 	}
-	token := hex.EncodeToString(raw)
+	var hexToken [2 * sessionTokenBytes]byte
+	hex.Encode(hexToken[:], raw[:])
+	token := string(hexToken[:])
 	expires := now.Add(m.ttl)
 	grant := SessionGrant{Token: token, Principal: principal, ExpiresAt: expires, Resumed: resume != nil}
 
@@ -613,6 +624,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	// remembers and seals, and an in-process one uses once and forgets.
 	var secret []byte
 	var fresh *resumeEntry
+	var err error
 	switch {
 	case resume != nil:
 		secret = known.master[:]
@@ -627,8 +639,10 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 			return SessionGrant{}, fmt.Errorf("session resume id: %w", err)
 		}
 		// The transcript digest as associated data ties the sealed secret to
-		// this hello: a grant recorded off the wire opens under no other.
-		sealed, err := dcrypto.EncryptHybrid(key, secret, digest[:])
+		// this hello: a grant recorded off the wire opens under no other. (A
+		// copy, so that only this branch pays for the one that escapes.)
+		ad := digest
+		sealed, err := dcrypto.EncryptHybrid(key, secret, ad[:])
 		if err != nil {
 			return SessionGrant{}, fmt.Errorf("session open %s: seal master secret: %w", principal, err)
 		}
@@ -649,13 +663,14 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		expiresAt: expires,
 	}
 	if m.reqauth == AuthMAC {
-		if s.mac, err = sessionMACKey(secret, digest, token); err != nil {
+		mac, err := sessionMACKey(secret, digest, token)
+		if err != nil {
 			return SessionGrant{}, err
 		}
-		s.macKey = dcrypto.NewMACKey(s.mac)
+		s.macKey = *dcrypto.NewMACKey(mac[:])
 		grant.MacAuth = true
 		if !wire {
-			grant.MacKey = s.mac
+			grant.MacKey = append([]byte(nil), mac[:]...)
 		}
 	}
 	s.lastUsed.Store(now.UnixNano())
@@ -669,10 +684,10 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		m.sweepLocked(now)
 		m.lastSweep = now
 	}
-	if _, seen := m.seenNonces[nonceKey]; seen {
-		return SessionGrant{}, fmt.Errorf("%w: nonce %s", ErrReplayedHello, nonceKey)
+	if _, seen := m.seenNonces[nonce]; seen {
+		return SessionGrant{}, fmt.Errorf("%w: nonce %x", ErrReplayedHello, nonce)
 	}
-	m.seenNonces[nonceKey] = issuedAt.Add(2 * helloFreshness)
+	m.seenNonces[nonce] = issuedAt.Add(2 * helloFreshness).UnixNano()
 	// Authoritative revocation re-check, under the same lock revocation
 	// deltas are applied with: a Revoke that landed after the unlocked
 	// check above has either already been applied (we must not insert a
@@ -866,7 +881,11 @@ func (m *SessionManager) resolveAt(now time.Time, token, transportID string) (st
 	}
 	// Concurrent stores race benignly: every racer writes "about now".
 	s.lastUsed.Store(nowNanos)
-	principal, key, mac := s.principal, s.key, s.macKey
+	principal, key := s.principal, s.key
+	var mac *dcrypto.MACKey
+	if m.reqauth == AuthMAC {
+		mac = &s.macKey
+	}
 	st.mu.RUnlock()
 	return principal, key, mac, nil
 }
@@ -962,8 +981,9 @@ func (m *SessionManager) sweepLocked(now time.Time) {
 		}
 		st.mu.Unlock()
 	}
+	nowNanos := now.UnixNano()
 	for nonce, forgetAfter := range m.seenNonces {
-		if now.After(forgetAfter) {
+		if nowNanos > forgetAfter {
 			delete(m.seenNonces, nonce)
 		}
 	}

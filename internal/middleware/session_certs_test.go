@@ -1,7 +1,9 @@
 package middleware
 
 import (
-	"encoding/hex"
+	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"sync/atomic"
@@ -103,7 +105,7 @@ func TestSessionUnverifiedHelloPlantsNoNonce(t *testing.T) {
 		t.Fatalf("garbage signature = %v, want ErrBadSignature", err)
 	}
 	mgr.mu.Lock()
-	_, planted := mgr.seenNonces[hex.EncodeToString(hello.Nonce)]
+	_, planted := mgr.seenNonces[[helloNonceBytes]byte(hello.Nonce)]
 	n := len(mgr.seenNonces)
 	mgr.mu.Unlock()
 	if planted || n != 0 {
@@ -111,6 +113,54 @@ func TestSessionUnverifiedHelloPlantsNoNonce(t *testing.T) {
 	}
 	if _, err := mgr.Open(hello); err != nil {
 		t.Fatalf("the genuine hello with the same nonce: %v", err)
+	}
+}
+
+// TestSessionHelloNonceLengthIsFixed: a hello's nonce is helloNonceBytes or
+// the hello is refused before anything is verified or remembered. Taken at
+// any length, a correctly tagged resume hello with a 4 KiB nonce parked its
+// nonce in the table for 2×helloFreshness (a whole frame's worth, up to the
+// edge's 1 MiB cap, per open); so did a signed full hello in process.
+func TestSessionHelloNonceLengthIsFixed(t *testing.T) {
+	f := newResumeFixture(t)
+	nonces := func() int {
+		f.mgr.mu.Lock()
+		defer f.mgr.mu.Unlock()
+		return len(f.mgr.seenNonces)
+	}
+	before, opened := nonces(), f.mgr.Stats().Opened
+	huge := bytes.Repeat([]byte{0x5a}, 4096)
+
+	// On the wire: tagged the way the parent's transcript read any nonce.
+	held, at := f.held(t), f.clock.now()
+	var when [8]byte
+	binary.BigEndian.PutUint64(when[:], uint64(at.UnixNano()))
+	digest := dcrypto.HashConcat([]byte(resumeDigestDomain), held.id[:], huge, when[:])
+	tag := dcrypto.MAC(held.master, digest[:])
+	if _, err := f.wire.roundTrip(context.Background(), rawResumeFrame(held.id, huge, at, tag[:])); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("resume hello with a 4 KiB nonce = %v, want ErrBadFrame", err)
+	}
+
+	// In process: a full hello signed over its 4 KiB nonce.
+	hello := mustHelloAt(t, f.alice, at)
+	hello.Nonce = huge
+	d := helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
+	var err error
+	if hello.Sig, err = f.alice.key.Sign(d[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.mgr.OpenBound(hello, "tcp:1:peer"); err == nil {
+		t.Fatal("an in-process hello with a 4 KiB nonce opened a session")
+	}
+	if n, o := nonces(), f.mgr.Stats().Opened; n != before || o != opened {
+		t.Fatalf("refused hellos: nonces %d -> %d, opened %d -> %d; want both unchanged", before, n, opened, o)
+	}
+	// The same hellos at the one length a gateway takes open sessions.
+	if grant := f.open(t); !grant.Resumed {
+		t.Fatal("the next resume hello did not resume")
+	}
+	if _, err := f.mgr.OpenBound(mustHelloAt(t, f.alice, at), "tcp:1:peer"); err != nil {
+		t.Fatalf("a 16-byte-nonce hello: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -26,11 +27,7 @@ type wireTo struct {
 
 func (w *wireTo) roundTrip(_ context.Context, frame []byte) ([]byte, error) {
 	w.hellos = append(w.hellos, append([]byte(nil), frame...))
-	hello, resume, err := decodeHelloFrame(frame)
-	if err != nil {
-		return nil, err
-	}
-	grant, err := w.mgr.open(hello, resume, w.transportID, true)
+	grant, err := openFrame(w.mgr, frame, w.transportID)
 	if errors.Is(err, errResumeUnknown) {
 		return []byte{binaryMagic, binaryKindResumeMiss}, nil
 	}
@@ -40,6 +37,19 @@ func (w *wireTo) roundTrip(_ context.Context, frame []byte) ([]byte, error) {
 	reply := encodeGrantFrame(&grant)
 	w.replies = append(w.replies, reply)
 	return reply, nil
+}
+
+// openFrame decodes a hello frame and runs it against mgr as a handshake
+// that crossed a network.
+func openFrame(mgr *SessionManager, frame []byte, transportID string) (SessionGrant, error) {
+	hello, resume, err := decodeHelloFrame(frame)
+	if err != nil {
+		return SessionGrant{}, err
+	}
+	if hello != nil {
+		return mgr.open(hello, nil, transportID, true)
+	}
+	return mgr.open(nil, &resume, transportID, true)
 }
 
 // resumeFixture is a MAC-mode manager on a fake clock with a revocation
@@ -107,18 +117,42 @@ func (f *resumeFixture) held(t *testing.T) *heldSecret {
 func (f *resumeFixture) unsent(t *testing.T) *resumeHello {
 	t.Helper()
 	var frame []byte
-	_, _, err := f.held(t).resume(context.Background(), f.clock.now(), func(_ context.Context, b []byte) ([]byte, error) {
+	_, _, err := f.held(t).resume(context.Background(), f.clock.now(), "alice", func(_ context.Context, b []byte) ([]byte, error) {
 		frame = b
 		return nil, errors.New("not sent")
 	})
 	if err == nil || frame == nil {
 		t.Fatalf("capturing a resume hello: %v", err)
 	}
-	_, resume, err := decodeHelloFrame(frame)
-	if err != nil || resume == nil {
+	hello, resume, err := decodeHelloFrame(frame)
+	if err != nil || hello != nil {
 		t.Fatalf("decode captured resume hello: %v", err)
 	}
-	return resume
+	return &resume
+}
+
+// TestResumeDerivationsGolden pins the resume transcript and the session MAC
+// key to vectors captured when the one was dcrypto.HashConcat over four
+// slices and the other HKDF over a concatenated label: staging both on the
+// stack changed where the bytes are, not what they hash to.
+func TestResumeDerivationsGolden(t *testing.T) {
+	var id [resumeIDBytes]byte
+	for i := range id {
+		id[i] = byte(i + 1)
+	}
+	var nonce [helloNonceBytes]byte
+	copy(nonce[:], bytes.Repeat([]byte{0xa5}, helloNonceBytes))
+	digest := resumeDigest(id, nonce, time.Unix(1_700_000_000, 123_456_789))
+	if got, want := hex.EncodeToString(digest[:]), "29107f44a2bb8b09e4ed5a5728f471ebba27ddae20a98dee7bb0cdc3689dfc36"; got != want {
+		t.Fatalf("resumeDigest = %s, want %s", got, want)
+	}
+	key, err := sessionMACKey(bytes.Repeat([]byte{0x42}, masterBytes), digest, "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(key[:]), "ed38b776df545fd7f34dc5fb8f19eb6d9b9f0a3e2d562c3498fe135903fff946"; got != want {
+		t.Fatalf("sessionMACKey = %s, want %s", got, want)
+	}
 }
 
 // TestResumeProvesPossessionWithoutPublicKeyWork: the second handshake for a
@@ -155,7 +189,7 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 			t.Fatalf("frame %d carries the master secret or a MAC key in the clear", i)
 		}
 	}
-	g, _, err := decodeGrantFrame(first)
+	g, _, err := decodeGrantFrame(first, "alice")
 	if err != nil || g.MacKey != nil || g.Sealed == nil || len(g.ResumeID) != resumeIDBytes {
 		t.Fatalf("full grant frame = %+v (%v), want no MacKey, a sealed secret and a resume id", g, err)
 	}
@@ -363,7 +397,7 @@ func TestResumeEntryExpires(t *testing.T) {
 		}
 		f.clock.advance(2 * time.Second)
 		// A client that still believes in its secret is told otherwise.
-		if _, miss, err := held.resume(context.Background(), f.clock.now(), f.wire.roundTrip); err != nil || !miss {
+		if _, miss, err := held.resume(context.Background(), f.clock.now(), "alice", f.wire.roundTrip); err != nil || !miss {
 			t.Fatalf("resume past the ttl: miss %v, err %v; want a miss", miss, err)
 		}
 		if st := f.mgr.Stats(); st.ResumeMisses != 1 || st.ResumeEntries != 0 {
@@ -393,7 +427,7 @@ func TestResumeEntryExpires(t *testing.T) {
 			t.Fatal("inside the certificate's window: not resumed")
 		}
 		clock.advance(2 * time.Minute)
-		if _, miss, err := held.resume(context.Background(), clock.now(), f.wire.roundTrip); err != nil || !miss {
+		if _, miss, err := held.resume(context.Background(), clock.now(), "alice", f.wire.roundTrip); err != nil || !miss {
 			t.Fatalf("resume past NotAfter: miss %v, err %v; want a miss", miss, err)
 		}
 		if _, err := f.tryOpen(); !errors.Is(err, pki.ErrExpired) {
@@ -558,11 +592,7 @@ func TestConcurrentFirstOpensShareOneFullHandshake(t *testing.T) {
 		if down.Load() {
 			return nil, errors.New("gateway down")
 		}
-		hello, resume, err := decodeHelloFrame(frame)
-		if err != nil {
-			return nil, err
-		}
-		grant, err := mgr.open(hello, resume, "tcp:1:peer", true)
+		grant, err := openFrame(mgr, frame, "tcp:1:peer")
 		if err != nil {
 			return nil, err
 		}

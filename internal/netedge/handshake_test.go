@@ -165,7 +165,8 @@ func TestHandshakeSecretsNeverCrossTheSocket(t *testing.T) {
 	if err != nil || len(master) != 32 {
 		t.Fatalf("the certified key does not open the recorded grant: %v", err)
 	}
-	derived, err := dcrypto.HKDF(master, digest[:], []byte("middleware/session/mac/v1/"+full.Token), dcrypto.MACKeySize)
+	derived := make([]byte, dcrypto.MACKeySize)
+	err = dcrypto.HKDF(derived, master, digest[:], []byte("middleware/session/mac/v1/"+full.Token))
 	if err != nil || !bytes.Equal(derived, full.MacKey) {
 		t.Fatalf("HKDF(master, hello digest, info‖token) is not the full session's MAC key (%v)", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"dltprivacy/internal/middleware"
 )
 
 // Errors of the edge protocol and flow control.
@@ -80,10 +82,30 @@ type frame struct {
 	body  []byte
 }
 
+// gatewayTopics are the topics a request names by the gateway's constant:
+// a connection's session visits alternate session.open → gateway.submit →
+// session.close, which no one-entry cache holds.
+var gatewayTopics = [...]string{
+	middleware.TopicSubmit, middleware.TopicSessionOpen, middleware.TopicSessionClose,
+	middleware.TopicRevocationNotify, middleware.TopicShardRebalance,
+}
+
+// topicString returns the topic b names: a gateway topic's constant, or a
+// copy of any other.
+func topicString(b []byte) string {
+	for _, t := range gatewayTopics {
+		if string(b) == t { // the comparison does not allocate
+			return t
+		}
+	}
+	return string(b)
+}
+
 // parseFrame decodes the post-length-prefix bytes of one frame. body
-// aliases b. A request's topic is copied to a string, unless it equals
-// last — the topic of the connection's previous request, which a reader
-// passes back in so that a run of requests on one topic allocates it once.
+// aliases b. A request's topic is the gateway's constant when it names one
+// (topicString), else last when it equals last — the topic of the
+// connection's previous request, which a reader passes back in so that a
+// run of requests on another topic allocates it once — else a copy.
 func parseFrame(b []byte, last string) (frame, error) {
 	var f frame
 	if len(b) < 2 {
@@ -109,7 +131,7 @@ func parseFrame(b []byte, last string) (frame, error) {
 		}
 		f.topic = last
 		if string(b[:tl]) != last { // the comparison does not allocate
-			f.topic = string(b[:tl])
+			f.topic = topicString(b[:tl])
 		}
 		f.body = b[tl:]
 	case frameOK, frameError:
