@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dltprivacy/internal/dcrypto"
 )
@@ -258,7 +259,9 @@ func TestTxIDStable(t *testing.T) {
 
 // TestPrimedDigestEqualsDigestFromContent pins both priming entry points to
 // the from-content digest, and the memo to the first priming: value copies
-// of a primed transaction carry it, and a later prime is a no-op.
+// of a primed transaction carry it — a copy whose content then changes still
+// reads the primed digest, which is why a primed transaction is immutable —
+// and a later prime is a no-op.
 func TestPrimedDigestEqualsDigestFromContent(t *testing.T) {
 	fresh := tx("trade", "A", "k", "v")
 	fresh.Meta = map[string]string{"gateway": "gw", "envelope": "x"}
@@ -269,18 +272,52 @@ func TestPrimedDigestEqualsDigestFromContent(t *testing.T) {
 	carried := fresh
 	carried.PrimeDigestWithPayloadSum(dcrypto.Hash(fresh.Payload))
 	for name, got := range map[string]Transaction{"PrimeDigest": primed, "PrimeDigestWithPayloadSum": carried} {
-		if got.digestMemo == nil || got.Digest() != want {
+		if !got.primed || got.Digest() != want {
 			t.Fatalf("%s: primed digest differs from the digest of the content", name)
 		}
 		cp := got
+		cp.Payload = []byte("other")
+		if !cp.primed || cp.Digest() != want {
+			t.Fatalf("%s: a value copy did not carry the memo", name)
+		}
 		cp.PrimeDigestWithPayloadSum([32]byte{1})
 		cp.PrimeDigest()
-		if cp.digestMemo != got.digestMemo {
+		if cp.digestMemo != want {
 			t.Fatalf("%s: priming an already primed transaction replaced its memo", name)
 		}
 	}
-	if fresh.digestMemo != nil {
+	if fresh.Digest(); fresh.primed {
 		t.Fatal("Digest primed the transaction it was called on")
+	}
+}
+
+// TestTransactionFitsItsSizeClass keeps the by-value digest memo from costing
+// a block's Txs slice a size class: 192 is where the memo and its flag put
+// Transaction, and the class a one-transaction slice falls into.
+func TestTransactionFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Transaction{}); size > 192 {
+		t.Fatalf("Transaction is %d bytes, want <= 192: past it a one-transaction block's Txs slice "+
+			"moves from the 192-byte size class to the 208-byte one", size)
+	}
+}
+
+// TestPrimeDigestAllocations pins priming at zero allocations; it was one
+// while the memo was a heap *[32]byte.
+func TestPrimeDigestAllocations(t *testing.T) {
+	base := tx("trade", "A", "k", "v")
+	base.Meta = map[string]string{"gateway": "gw", "envelope": "x"}
+	sum := dcrypto.Hash(base.Payload)
+	var sink [32]byte
+	allocs := testing.AllocsPerRun(200, func() {
+		cp := base
+		cp.PrimeDigestWithPayloadSum(sum)
+		sink = cp.Digest()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per priming, want 0", allocs)
+	}
+	if sink != base.Digest() {
+		t.Fatal("primed digest differs from the digest of the content")
 	}
 }
 

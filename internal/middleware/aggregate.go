@@ -169,7 +169,7 @@ func (a *Aggregate) release(ctx context.Context, g *aggGroup, next Handler) erro
 		return fmt.Errorf("%w: %v", ErrAggregateRelease, err)
 	}
 	req.Payload = payload
-	req.Principal = AggregatePrincipal
+	req.Principal, req.digestSet = AggregatePrincipal, false
 	// Fresh Meta: the filling contributor's annotations (a pseudonym, an
 	// anoncred note) must not ride onto the anonymized aggregate.
 	req.Meta = map[string]string{MetaAggregate: fmt.Sprintf("%s n=%d", aggregandScheme, g.count)}

@@ -58,7 +58,7 @@ type Audit struct {
 // auditEntry is one deferred observation: everything Handle captured at the
 // audit point, by value, so the ring holds no request references.
 type auditEntry struct {
-	id        [32]byte // Request.hexID at the audit point
+	id        [32]byte // the request ID's characters at the audit point
 	principal string
 	leaky     bool // payload was plaintext at the audit point (ClassTxData)
 }
@@ -137,7 +137,7 @@ func (a *Audit) Handle(ctx context.Context, req *Request, next Handler) error {
 	// Capture the observation BEFORE the downstream runs: the encrypt
 	// stage replaces the payload (changing req.ID()) and flips encrypted,
 	// and the observation must classify what passed the audit point.
-	id := req.hexID()
+	id := hexID(req.digest())
 	leaky := !req.encrypted
 	if err := next(ctx, req); err != nil {
 		// Rejected downstream: the submission never reached the observable

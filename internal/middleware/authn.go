@@ -60,7 +60,7 @@ func (a *Authn) Handle(ctx context.Context, req *Request, next Handler) error {
 	if err != nil {
 		return fmt.Errorf("authn %s: %w", req.Principal, err)
 	}
-	d := req.Digest()
+	d := req.digest()
 	if err := key.Verify(d[:], req.Sig); err != nil {
 		return fmt.Errorf("%w: principal %s", ErrBadSignature, req.Principal)
 	}

@@ -252,12 +252,12 @@ func TestPayloadSumFollowsPayload(t *testing.T) {
 	}
 }
 
-// TestRequestFitsItsSizeClass keeps the payload-sum memo from costing an
-// allocation size class.
+// TestRequestFitsItsSizeClass keeps the memos and the reply ID from costing
+// an allocation size class.
 func TestRequestFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Request{}); size > 568 {
-		t.Fatalf("Request is %d bytes, want <= 568: a pointerful object over 512 bytes carries an 8-byte malloc header, "+
-			"so past 568 it leaves the 576-byte size class for the 640-byte one — +64 B on every wire submission, "+
-			"which alone exceeds the benchmark's alloc_bytes_per_tx bound on batch_groupseal", size)
+	if size := unsafe.Sizeof(Request{}); size > 480 {
+		t.Fatalf("Request is %d bytes, want <= 480: the reply ID and the digest memo put it in the 480-byte size class, "+
+			"and past 512 a pointerful object carries an 8-byte malloc header that moves it to the 576-byte one — "+
+			"+96 B on every wire submission, which alone exceeds the benchmark's alloc_bytes_per_tx bound on batch_groupseal", size)
 	}
 }

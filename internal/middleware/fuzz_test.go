@@ -14,6 +14,7 @@ import (
 	"dltprivacy/internal/anoncred"
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/dcrypto"
+	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/paillier"
 	"dltprivacy/internal/pki"
@@ -27,11 +28,12 @@ import (
 // corrupted certificates can reject requests but never panic the process.
 // The gateway runs the full revocation-aware pipeline, so the fuzz input
 // crosses the wire decode, the session/token path, authn, and envelope
-// sealing. On gateway.submit the one request codec is also held against
-// itself: a payload the decoder refuses is refused with ErrBadFrame, and one
-// it accepts re-encodes to a frame that decodes to the same request and from
-// then on to itself — a component that forwards what it received cannot
-// lose, invent or die on a field.
+// sealing. Every submission a gateway accepts is answered with Request.ID of
+// the frame decoded afresh. On gateway.submit the one request codec is also
+// held against itself: a payload the decoder refuses is refused with
+// ErrBadFrame, and one it accepts re-encodes to a frame that decodes to the
+// same request and from then on to itself — a component that forwards what
+// it received cannot lose, invent or die on a field.
 func FuzzWireRequest(f *testing.F) {
 	ca, err := pki.NewCA("fuzz-ca")
 	if err != nil {
@@ -273,13 +275,27 @@ func FuzzWireRequest(f *testing.F) {
 	f.Add(boundaryWire)
 	f.Add([]byte(`{"channel":"deals","payload":"eyJzY2hlbWUiOiJwYWlsbGllci92MSIsImMiOiIifQ=="}`))
 
+	// Both gateways deliver, so a well-formed submission is accepted.
+	for _, g := range []*Gateway{gw, privGW} {
+		g.Bind("deals", backendFunc{name: "sink", commit: func(ledger.Block) error { return nil }})
+	}
 	topics := []string{TopicSubmit, TopicSessionOpen, TopicSessionClose, TopicRevocationNotify, "unknown.topic"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, topic := range topics {
-			// Errors are the expected outcome for junk; the invariant under
-			// test is that no input can panic the gateway or wedge a lock.
-			_, _ = net.Send(transport.Message{From: "fuzzer", To: "gateway", Topic: topic, Payload: data})
-			_, _ = net.Send(transport.Message{From: "fuzzer", To: "privgateway", Topic: topic, Payload: data})
+			for _, to := range []string{"gateway", "privgateway"} {
+				// Errors are the expected outcome for junk; the invariant under
+				// test is that no input can panic the gateway or wedge a lock.
+				reply, err := net.Send(transport.Message{From: "fuzzer", To: to, Topic: topic, Payload: data})
+				if topic != TopicSubmit || err != nil {
+					continue
+				}
+				// An accepted submission is answered with the ID of what was
+				// submitted, whatever the chain made of the request since.
+				var fresh Request
+				if err := decodeRequestBinary(data, &fresh, nil); err != nil || string(reply) != fresh.ID() {
+					t.Fatalf("%s accepted a submission with reply %q, want its ID %q (decode: %v)", to, reply, fresh.ID(), err)
+				}
+			}
 		}
 		var first, second, third Request
 		if err := decodeRequestBinary(data, &first, nil); err != nil {

@@ -434,7 +434,6 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 	if err := g.orderer.Submit(tx); err != nil {
 		return fmt.Errorf("gateway %s: order: %w", g.name, err)
 	}
-	req.Tx = tx
 	g.ordered.Add(1)
 	return nil
 }
@@ -446,6 +445,14 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 // per-stage spans recorded into the trace ring; the unsampled path costs
 // one atomic increment, tracing off one nil check.
 func (g *Gateway) Submit(ctx context.Context, req *Request) error {
+	// The digest memo is ServeWire's alone: a caller's request may have
+	// changed since an earlier call.
+	req.digestSet = false
+	return g.submit(ctx, req)
+}
+
+// submit is Submit for ServeWire, whose request carries its digest memo.
+func (g *Gateway) submit(ctx context.Context, req *Request) error {
 	tr := g.tracer.For(req.TraceID)
 	if tr != nil {
 		req.trace = tr
@@ -751,12 +758,15 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		}
 		req.metaOwned = req.Meta != nil // the decoder made the map; no caller holds it
 		// The ID covers the payload as submitted; the encrypt stage
-		// replaces it, so capture before running the chain.
-		id := req.hexID()
-		if err := g.Submit(ctx, req); err != nil {
+		// replaces it, so capture before running the chain. The digest is
+		// taken once here and memoised for the stages that check or record
+		// it; the reply lives in the request, which is allocated anyway.
+		req.digestMemo, req.digestSet = req.Digest(), true
+		req.replyID = hexID(req.digestMemo)
+		if err := g.submit(ctx, req); err != nil {
 			return nil, err
 		}
-		return id[:], nil
+		return req.replyID[:], nil
 	case TopicSessionOpen:
 		mgr := g.Sessions()
 		if mgr == nil {

@@ -11,6 +11,7 @@ import (
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/contract"
 	"dltprivacy/internal/dcrypto"
+	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/platform/corda"
 	"dltprivacy/internal/platform/fabric"
@@ -123,9 +124,17 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("NewGateway: %v", err)
 	}
 	gw.Bind("deals", backends...)
+	// The transaction IDs in commit order, which is submission order: one
+	// submitter, one channel, batches released whole.
+	var txIDs []string
+	gw.Bind("deals", backendFunc{name: "ids", commit: func(b ledger.Block) error {
+		for _, tx := range b.Txs {
+			txIDs = append(txIDs, tx.ID())
+		}
+		return nil
+	}})
 
 	// Submit every workload trade through the full chain.
-	reqs := make([]*Request, 0, len(trades))
 	for _, tr := range trades {
 		payload, err := json.Marshal(tr)
 		if err != nil {
@@ -135,7 +144,6 @@ func TestGatewayEndToEnd(t *testing.T) {
 		if err := gw.Submit(context.Background(), req); err != nil {
 			t.Fatalf("Submit trade %s: %v", tr.ID, err)
 		}
-		reqs = append(reqs, req)
 	}
 
 	stats := gw.Stats()
@@ -159,12 +167,10 @@ func TestGatewayEndToEnd(t *testing.T) {
 	// Every request was ordered (batch released) and every backend holds
 	// the committed envelope.
 	reader := members[1]
-	for i, req := range reqs {
-		if req.Tx.Channel == "" {
-			t.Fatalf("request %d never reached the terminal handler", i)
-		}
-		txID := req.Tx.ID()
-
+	if len(txIDs) != len(trades) {
+		t.Fatalf("%d transactions committed for %d trades", len(txIDs), len(trades))
+	}
+	for i, txID := range txIDs {
 		// Fabric: the envelope landed in channel state under the tx ID.
 		committed, err := fnet.Query("deals", reader, txID)
 		if err != nil {
@@ -274,7 +280,7 @@ func TestGatewaySubmitOverTransport(t *testing.T) {
 	if id1 != req1.ID() {
 		t.Fatalf("submission id = %s, want %s", id1, req1.ID())
 	}
-	if h := req1.hexID(); string(h[:]) != req1.ID() || len(h) != len(req1.ID()) {
+	if h := hexID(req1.Digest()); string(h[:]) != req1.ID() || len(h) != len(req1.ID()) {
 		t.Fatalf("hexID = %q, ID = %q", h[:], req1.ID())
 	}
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dltprivacy/internal/dcrypto"
-	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 	"dltprivacy/internal/telemetry"
@@ -45,8 +44,8 @@ var (
 
 // Request is one client submission travelling through the chain. Stages
 // annotate it in place: authn flips authenticated, encrypt replaces Payload
-// with a sealed envelope, the terminal handler records the built
-// transaction in Tx.
+// with a sealed envelope, the terminal handler orders the transaction it
+// builds from the request.
 type Request struct {
 	// Channel is the confidentiality domain the submission targets.
 	Channel string
@@ -97,10 +96,7 @@ type Request struct {
 	// identity (the in-process substrate), where sessions stay unbound.
 	TransportID string
 
-	// Tx is the ledger transaction built by the terminal handler.
-	Tx ledger.Transaction
-
-	// The six flags sit together so they share one word; see payloadSum
+	// The seven flags sit together so they share one word; see payloadSum
 	// for why the struct's size matters.
 	//
 	// authenticated and encrypted are set by the authn/session and encrypt
@@ -125,12 +121,21 @@ type Request struct {
 	// ServeWire decoded off the wire): the terminal handler may annotate and
 	// hand it to the ledger transaction directly instead of copying it.
 	metaOwned bool
+	// digestSet marks digestMemo as set; see digest.
+	digestSet bool
 
 	// sum memoises SHA-256(Payload) for payloadSum, keyed to the payload
 	// it was taken of by backing array and length (sumOf, sumLen).
 	sum    [32]byte
 	sumOf  *byte
 	sumLen int
+	// digestMemo memoises Digest() for the stages a wire submission crosses;
+	// see digest.
+	digestMemo [32]byte
+	// replyID is the ID ServeWire answers an accepted submission with. The
+	// reply slice aliases it: the request is allocated anyway, a separate
+	// array would be one more allocation.
+	replyID [32]byte
 
 	// trace is the in-flight sampled trace, set by the gateway when the
 	// request is sampled; stages record spans into it. Nil (the common
@@ -224,10 +229,10 @@ func (r *Request) Digest() [32]byte {
 // that (stages replace the payload), and a caller that does must assign
 // Payload afresh.
 //
-// The memo costs 48 bytes of a struct allocated once per wire submission,
-// and the struct must stay within 568: a pointerful object over 512 bytes
-// carries an 8-byte malloc header, so 569 would move Request from the
-// 576-byte size class to the 640-byte one.
+// The memos (the sum's 48 bytes, the digest's 33) and the reply ID cost 113
+// bytes of a struct allocated once per wire submission, and the struct must
+// stay within 480, where they put it: a pointerful object over 512 bytes
+// carries an 8-byte malloc header and moves to the 576-byte size class.
 func (r *Request) payloadSum() [32]byte {
 	n := len(r.Payload)
 	if n == 0 {
@@ -240,25 +245,46 @@ func (r *Request) payloadSum() [32]byte {
 }
 
 // setPayloadSum memoises sum as SHA-256 of the non-empty slice p, in force
-// whenever p is the payload. The encrypt stage calls it with the frame it
-// is about to install, whose sum it gets cheaper than by hashing the frame.
+// whenever p is the payload, and drops the digest memo, which was of the
+// payload before. The encrypt stage calls it with the frame it is about to
+// install, whose sum it gets cheaper than by hashing the frame.
 func (r *Request) setPayloadSum(p []byte, sum [32]byte) {
-	r.sum, r.sumOf, r.sumLen = sum, &p[0], len(p)
+	r.sum, r.sumOf, r.sumLen, r.digestSet = sum, &p[0], len(p), false
+}
+
+// digest is Digest for the stages (session, authn, audit): a submission
+// needs its digest up to three times, and a wire submission's is taken once,
+// by ServeWire, the memo's only writer. The memo is keyed to the payload
+// memo: it stands only while that is of the current payload, so assigning
+// Payload afresh retires it and setPayloadSum drops it. The aggregate
+// vehicle, which rewrites Principal, drops it by hand, and Gateway.Submit
+// drops it on entry, so a caller's request never carries one from an earlier
+// call.
+func (r *Request) digest() [32]byte {
+	if r.digestMemoed() {
+		return r.digestMemo
+	}
+	return r.Digest()
+}
+
+// digestMemoed reports whether digestMemo is in force; see digest.
+func (r *Request) digestMemoed() bool {
+	n := len(r.Payload)
+	return r.digestSet && r.sumLen == n && (n == 0 || r.sumOf == &r.Payload[0])
 }
 
 // ID returns the hex form of the request digest, the submission identifier
 // echoed to transport clients (batched submissions are acknowledged before
 // a transaction ID exists).
 func (r *Request) ID() string {
-	id := r.hexID()
+	id := hexID(r.Digest())
 	return string(id[:])
 }
 
-// hexID returns the characters of ID as an array: the submit path passes
-// the identifier on (into the reply, into the leakage log) without ever
-// needing it as a heap string.
-func (r *Request) hexID() [32]byte {
-	d := r.Digest()
+// hexID returns the characters of a request ID as an array: the submit path
+// passes the identifier on (into the reply, into the leakage log) without
+// ever needing it as a heap string.
+func hexID(d [32]byte) [32]byte {
 	var id [32]byte
 	hex.Encode(id[:], d[:16])
 	return id

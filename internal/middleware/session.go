@@ -1136,7 +1136,7 @@ func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error 
 		return fmt.Errorf("%w: session for %q, request by %q",
 			ErrIdentityMismatch, principal, req.Principal)
 	}
-	d := req.Digest()
+	d := req.digest()
 	if len(req.MAC) > 0 {
 		// A MAC is only meaningful under reqauth=mac, where the session
 		// holds the key to check it against; in sig mode no key was ever

@@ -78,3 +78,40 @@ func TestRestartAllocationsFlatInHeight(t *testing.T) {
 		t.Fatalf("a follower's crash and restart allocates %v at height 100 and %v at height 10000, want 0 at both", at100, at10k)
 	}
 }
+
+// TestCancelPendingAllocations holds the failover driver's queue scan to
+// digest comparisons: over a queue of primed transactions it allocates
+// nothing (it made a hex ID string per entry), and it withdraws exactly one
+// instance of a transaction queued twice.
+func TestCancelPendingAllocations(t *testing.T) {
+	c, err := NewCluster("trade", clusterOps, VisibilityEnvelope, WithBatchSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := mkTx("trade", "BankA", "twice")
+	for i := 0; i < 32; i++ {
+		tx := mkTx("trade", "BankA", fmt.Sprintf("k%d", i))
+		if i == 10 || i == 20 {
+			tx = twice
+		}
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The caller's copy is unprimed, as the failover driver's is; the absent
+	// transaction makes every run scan the whole queue.
+	absent := mkTx("trade", "BankA", "absent")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if c.cancelPending(absent) {
+			t.Fatal("withdrew a transaction that was never queued")
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per scan of 32 queued transactions, want 0", allocs)
+	}
+	if !c.cancelPending(twice) || c.Pending() != 31 {
+		t.Fatalf("after one withdrawal %d pending, want 31", c.Pending())
+	}
+	if !c.cancelPending(twice) || c.cancelPending(twice) || c.Pending() != 30 {
+		t.Fatalf("a transaction queued twice: %d pending after withdrawing it twice, want 30 and no third instance", c.Pending())
+	}
+}

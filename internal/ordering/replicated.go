@@ -336,18 +336,20 @@ func (c *Cluster) Submit(tx ledger.Transaction) error {
 	return nil
 }
 
-// cancelPending removes one queued instance of tx (matched by transaction
-// ID) from the pending queue, reporting whether it was still there. A
-// failover driver calls this when its election failed: the submission is
-// withdrawn so the error it returns means "not ordered" — unless a racing
-// failover already flushed the queue, in which case the transaction was
-// sequenced after all.
+// cancelPending removes one queued instance of tx (matched by digest) from
+// the pending queue, reporting whether it was still there. A failover driver
+// calls this when its election failed: the submission is withdrawn so the
+// error it returns means "not ordered" — unless a racing failover already
+// flushed the queue, in which case the transaction was sequenced after all.
+// The queue is primed at intake, so the scan reads memos and allocates
+// nothing; the caller's copy may be unprimed and is hashed once, outside the
+// lock.
 func (c *Cluster) cancelPending(tx ledger.Transaction) bool {
-	id := tx.ID()
+	d := tx.Digest()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.pending {
-		if c.pending[i].ID() == id {
+		if c.pending[i].Digest() == d {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
 			return true
 		}
