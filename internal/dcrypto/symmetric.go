@@ -6,6 +6,7 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -284,28 +285,36 @@ func deriveAEADKey(shared, ephPub []byte) []byte {
 	return h.Sum(nil)
 }
 
-// gcmTagSize is what a wrap adds to its secret: the GCM tag and nothing else,
-// there being no nonce to carry (see WrapToRecipients).
-const gcmTagSize = 16
+// WrappedKeySize is the length of one recipient's wrap: the secret XOR its
+// key-encryption key, nothing added (see WrapToRecipients).
+const WrappedKeySize = SymmetricKeySize
 
-// WrappedKeySize is the length of a WrapToRecipients wrap of a
-// SymmetricKeySize secret.
-const WrappedKeySize = SymmetricKeySize + gcmTagSize
+// KeyCommitmentSize is the length of the commitment WrapToRecipients returns
+// beside the wraps, one for the whole recipient set.
+const KeyCommitmentSize = sha256.Size
 
-// wrapNonce is the fixed all-zero GCM nonce of the multi-recipient wrap. A
-// fixed nonce is safe exactly because every key-encryption key seals ONE
-// message: the KEK is derived from an ephemeral key that WrapToRecipients
-// generates, uses and drops inside one call (RFC 9180's single-shot mode).
-var wrapNonce = make([]byte, 12)
-
-// WrapToRecipients wraps one secret to every recipient under a SINGLE
+// WrapToRecipients wraps one 32-byte secret to every recipient under a SINGLE
 // ephemeral P-256 key: per recipient one ECDH, a key-encryption key
 //
-//	KEK_i = SHA-256(domain ‖ ECDH(eph, pub_i) ‖ ephPub ‖ pub_i)
+//	KEK_i  = SHA-256("dltprivacy/ecies-multi/v2" ‖ ECDH(eph, pub_i) ‖ ephPub ‖ pub_i)
+//	wrap_i = secret ⊕ KEK_i
 //
-// and AES-256-GCM over the secret at the fixed nonce, so a wrap is the secret
-// plus a 16-byte tag and the whole set shares the 65-byte ephPub. This is how
-// a data key gets "shared over the network using PKI" (§2.2) to a channel.
+// and for the whole set one commitment to the secret and the associated data,
+//
+//	commit = SHA-256("dltprivacy/ecies-multi/commit/v2" ‖ len(ad) ‖ ad ‖ secret)
+//
+// so a wrap is 32 bytes and the set shares the 65-byte ephPub and the 32-byte
+// commit. This is how a data key gets "shared over the network using PKI"
+// (§2.2) to a channel.
+//
+// Why the pad is enough: each KEK is a fresh SHA-256 output that masks exactly
+// one secret, which is also all AES-GCM under the KEK at a fixed nonce ever
+// was for a 32-byte message — the key XOR a one-time keystream. The GCM tag's
+// other job, refusing a tampered wrap, is the commitment's: Unwrap recomputes
+// it from the key it recovers, so a flipped bit in any field, a wrap filed
+// under another recipient or other associated data yields no key. And it
+// checks something per-recipient tags never did: every recipient that
+// unwraps recovers the same secret, the one the commitment names.
 //
 // Why one ephemeral key is enough: ECIES is reproducible, and a reproducible
 // scheme keeps each recipient's security when its randomness is reused across
@@ -313,50 +322,59 @@ var wrapNonce = make([]byte, 12)
 // Multi-recipient Encryption Schemes", PKC 2003). Binding pub_i into the KEK
 // gives every recipient a distinct key even where two shared secrets could be
 // related. The one rule that keeps it safe: an ephemeral key wraps exactly
-// one secret — two secrets under one KEK at the fixed nonce would hand an
-// observer their XOR and the GCM authentication key. The function is one-shot
-// to make that unrepresentable: the ephemeral private key is a local of this
-// call, never returned and never stored.
+// one secret — two secrets under one KEK would hand an observer their XOR.
+// The function is one-shot to make that unrepresentable: the ephemeral
+// private key is a local of this call, never returned and never stored.
 //
 // The KEK binds the recipient's key, not its name: the same public key listed
 // under two names unwraps for both, and a wrap moved under another
 // recipient's name does not unwrap.
-func WrapToRecipients(recipients map[string]PublicKey, secret, associatedData []byte) (ephPub []byte, wraps map[string][]byte, err error) {
+func WrapToRecipients(recipients map[string]PublicKey, secret, associatedData []byte) (ephPub, commit []byte, wraps map[string][]byte, err error) {
+	if len(secret) != SymmetricKeySize {
+		return nil, nil, nil, ErrBadKeySize
+	}
 	p256 := ecdh.P256()
 	eph, err := p256.GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, nil, fmt.Errorf("generate ephemeral key: %w", err)
+		return nil, nil, nil, fmt.Errorf("generate ephemeral key: %w", err)
 	}
 	ephPub = eph.PublicKey().Bytes()
 	wraps = make(map[string][]byte, len(recipients))
-	// One backing array for every wrap: n small allocations become one.
-	size := len(secret) + gcmTagSize
-	buf := make([]byte, 0, len(recipients)*size)
+	// One backing array for the commitment and every wrap: n+1 small
+	// allocations become one.
+	buf := make([]byte, KeyCommitmentSize+len(recipients)*WrappedKeySize)
+	commit = buf[:KeyCommitmentSize:KeyCommitmentSize]
+	sum := keyCommitment(secret, associatedData)
+	copy(commit, sum[:])
+	at := KeyCommitmentSize
 	for id, recipient := range recipients {
 		pub := recipient.Bytes()
 		recipECDH, err := p256.NewPublicKey(pub)
 		if err != nil {
-			return nil, nil, fmt.Errorf("recipient %s: %w", id, ErrInvalidPublicKey)
+			return nil, nil, nil, fmt.Errorf("recipient %s: %w", id, ErrInvalidPublicKey)
 		}
 		shared, err := eph.ECDH(recipECDH)
 		if err != nil {
-			return nil, nil, fmt.Errorf("ecdh for %s: %w", id, err)
+			return nil, nil, nil, fmt.Errorf("ecdh for %s: %w", id, err)
 		}
-		aead, err := newAEAD(deriveWrapKey(shared, ephPub, pub))
-		if err != nil {
-			return nil, nil, err
-		}
-		buf = aead.Seal(buf, wrapNonce, secret, associatedData)
-		wraps[id] = buf[len(buf)-size : len(buf) : len(buf)]
+		kek := deriveWrapKey(shared, ephPub, pub)
+		wrap := buf[at : at+WrappedKeySize : at+WrappedKeySize]
+		subtle.XORBytes(wrap, secret, kek[:])
+		wraps[id], at = wrap, at+WrappedKeySize
 	}
-	return ephPub, wraps, nil
+	return ephPub, commit, wraps, nil
 }
 
 // Unwrap recovers the secret WrapToRecipients wrapped for the holder of
-// recipient. Every failure — a malformed or off-curve ephPub, a wrap made for
-// another key or under other associated data, a flipped bit anywhere — is
+// recipient and checks it against the set's commitment. Every failure — a
+// malformed or off-curve ephPub, a commitment or wrap of the wrong length, a
+// wrap made for another key or under other associated data, a flipped bit
+// anywhere, a wrap that decodes to a secret the commitment does not name — is
 // ErrDecrypt, deliberately opaque.
-func Unwrap(recipient *PrivateKey, ephPub, wrap, associatedData []byte) ([]byte, error) {
+func Unwrap(recipient *PrivateKey, ephPub, commit, wrap, associatedData []byte) ([]byte, error) {
+	if len(commit) != KeyCommitmentSize || len(wrap) != WrappedKeySize {
+		return nil, ErrDecrypt
+	}
 	p256 := ecdh.P256()
 	priv, err := p256.NewPrivateKey(recipient.key.D.FillBytes(make([]byte, 32)))
 	if err != nil {
@@ -370,12 +388,10 @@ func Unwrap(recipient *PrivateKey, ephPub, wrap, associatedData []byte) ([]byte,
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	aead, err := newAEAD(deriveWrapKey(shared, ephPub, recipient.Public().Bytes()))
-	if err != nil {
-		return nil, err
-	}
-	secret, err := aead.Open(nil, wrapNonce, wrap, associatedData)
-	if err != nil {
+	kek := deriveWrapKey(shared, ephPub, recipient.Public().Bytes())
+	secret := make([]byte, SymmetricKeySize)
+	subtle.XORBytes(secret, wrap, kek[:])
+	if sum := keyCommitment(secret, associatedData); subtle.ConstantTimeCompare(sum[:], commit) != 1 {
 		return nil, ErrDecrypt
 	}
 	return secret, nil
@@ -384,11 +400,21 @@ func Unwrap(recipient *PrivateKey, ephPub, wrap, associatedData []byte) ([]byte,
 // deriveWrapKey derives a recipient's key-encryption key. Its domain differs
 // from deriveAEADKey's, so no (shared secret, ephemeral key) pair yields the
 // same key under both constructions.
-func deriveWrapKey(shared, ephPub, recipientPub []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("dltprivacy/ecies-multi/v1"))
-	h.Write(shared)
-	h.Write(ephPub)
-	h.Write(recipientPub)
-	return h.Sum(nil)
+func deriveWrapKey(shared, ephPub, recipientPub []byte) [32]byte {
+	c := NewConcatHasher()
+	c.RawString("dltprivacy/ecies-multi/v2")
+	c.Raw(shared)
+	c.Raw(ephPub)
+	c.Raw(recipientPub)
+	return c.Sum()
+}
+
+// keyCommitment is the commitment to a wrapped secret and the associated data
+// it was wrapped under, in a domain of its own.
+func keyCommitment(secret, associatedData []byte) [32]byte {
+	c := NewConcatHasher()
+	c.RawString("dltprivacy/ecies-multi/commit/v2")
+	c.Part(associatedData)
+	c.Raw(secret)
+	return c.Sum()
 }

@@ -232,58 +232,76 @@ func TestHybridPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// wrapFixture wraps a fresh 32-byte secret to alice and bob.
-func wrapFixture(t testing.TB) (alice, bob *PrivateKey, secret, ephPub []byte, wraps map[string][]byte) {
+// wrapSet is a fresh 32-byte secret wrapped to alice and bob under "channel-A".
+type wrapSet struct {
+	alice, bob             *PrivateKey
+	secret, ephPub, commit []byte
+	wraps                  map[string][]byte
+}
+
+var wrapAD = []byte("channel-A")
+
+func wrapFixture(t testing.TB) wrapSet {
 	t.Helper()
-	alice, err := GenerateKey()
-	if err != nil {
+	var w wrapSet
+	var err error
+	if w.alice, err = GenerateKey(); err != nil {
 		t.Fatal(err)
 	}
-	bob, err = GenerateKey()
-	if err != nil {
+	if w.bob, err = GenerateKey(); err != nil {
 		t.Fatal(err)
 	}
-	secret, err = NewSymmetricKey()
-	if err != nil {
+	if w.secret, err = NewSymmetricKey(); err != nil {
 		t.Fatal(err)
 	}
-	ephPub, wraps, err = WrapToRecipients(map[string]PublicKey{"alice": alice.Public(), "bob": bob.Public()}, secret, []byte("channel-A"))
+	w.ephPub, w.commit, w.wraps, err = WrapToRecipients(map[string]PublicKey{"alice": w.alice.Public(), "bob": w.bob.Public()}, w.secret, wrapAD)
 	if err != nil {
 		t.Fatalf("WrapToRecipients: %v", err)
 	}
-	return alice, bob, secret, ephPub, wraps
+	return w
+}
+
+// key is the private key of a fixture recipient.
+func (w wrapSet) key(id string) *PrivateKey {
+	if id == "alice" {
+		return w.alice
+	}
+	return w.bob
 }
 
 func TestWrapRoundTripEveryRecipient(t *testing.T) {
-	alice, bob, secret, ephPub, wraps := wrapFixture(t)
-	if len(ephPub) != 65 {
-		t.Fatalf("ephemeral key is %d bytes, want an uncompressed P-256 point's 65", len(ephPub))
+	w := wrapFixture(t)
+	if len(w.ephPub) != 65 {
+		t.Fatalf("ephemeral key is %d bytes, want an uncompressed P-256 point's 65", len(w.ephPub))
 	}
-	for id, key := range map[string]*PrivateKey{"alice": alice, "bob": bob} {
-		if len(wraps[id]) != WrappedKeySize {
-			t.Fatalf("%s's wrap is %d bytes, want %d", id, len(wraps[id]), WrappedKeySize)
+	if len(w.commit) != KeyCommitmentSize {
+		t.Fatalf("commitment is %d bytes, want %d", len(w.commit), KeyCommitmentSize)
+	}
+	for _, id := range []string{"alice", "bob"} {
+		if len(w.wraps[id]) != WrappedKeySize {
+			t.Fatalf("%s's wrap is %d bytes, want %d", id, len(w.wraps[id]), WrappedKeySize)
 		}
-		got, err := Unwrap(key, ephPub, wraps[id], []byte("channel-A"))
-		if err != nil || !bytes.Equal(got, secret) {
+		got, err := Unwrap(w.key(id), w.ephPub, w.commit, w.wraps[id], wrapAD)
+		if err != nil || !bytes.Equal(got, w.secret) {
 			t.Fatalf("Unwrap as %s: %x, %v", id, got, err)
 		}
 	}
-	if bytes.Equal(wraps["alice"], wraps["bob"]) {
+	if bytes.Equal(w.wraps["alice"], w.wraps["bob"]) {
 		t.Fatal("two recipients hold the same wrap: the key-encryption key does not depend on the recipient")
 	}
 }
 
-// TestWrapFreshEphemeralKeyPerCall is the rule the fixed nonce rests on: an
+// TestWrapFreshEphemeralKeyPerCall is the rule the pad rests on: an
 // ephemeral key, hence a key-encryption key, is never used for two calls.
 func TestWrapFreshEphemeralKeyPerCall(t *testing.T) {
 	alice, _ := GenerateKey()
 	recipients := map[string]PublicKey{"alice": alice.Public()}
 	secret := bytes.Repeat([]byte{7}, SymmetricKeySize)
-	eph1, wraps1, err := WrapToRecipients(recipients, secret, nil)
+	eph1, _, wraps1, err := WrapToRecipients(recipients, secret, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eph2, wraps2, err := WrapToRecipients(recipients, secret, nil)
+	eph2, _, wraps2, err := WrapToRecipients(recipients, secret, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,19 +313,30 @@ func TestWrapFreshEphemeralKeyPerCall(t *testing.T) {
 	}
 }
 
+// TestWrapRejectsSecretOfWrongSize: the pad is exactly one key-encryption
+// key long, so any other secret is refused, not truncated or overrun.
+func TestWrapRejectsSecretOfWrongSize(t *testing.T) {
+	alice, _ := GenerateKey()
+	for _, n := range []int{0, 1, 16, SymmetricKeySize - 1, SymmetricKeySize + 1, 64} {
+		if _, _, _, err := WrapToRecipients(map[string]PublicKey{"alice": alice.Public()}, make([]byte, n), nil); !errors.Is(err, ErrBadKeySize) {
+			t.Errorf("wrapping a %d-byte secret: %v, want ErrBadKeySize", n, err)
+		}
+	}
+}
+
 func TestUnwrapNonRecipientFails(t *testing.T) {
-	_, _, _, ephPub, wraps := wrapFixture(t)
+	w := wrapFixture(t)
 	eve, _ := GenerateKey()
-	for id, wrap := range wraps {
-		if _, err := Unwrap(eve, ephPub, wrap, []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
+	for id, wrap := range w.wraps {
+		if _, err := Unwrap(eve, w.ephPub, w.commit, wrap, wrapAD); !errors.Is(err, ErrDecrypt) {
 			t.Fatalf("a non-recipient unwrapping %s's wrap: %v, want ErrDecrypt", id, err)
 		}
 	}
 }
 
 func TestUnwrapWrongAssociatedDataFails(t *testing.T) {
-	alice, _, _, ephPub, wraps := wrapFixture(t)
-	if _, err := Unwrap(alice, ephPub, wraps["alice"], []byte("channel-B")); !errors.Is(err, ErrDecrypt) {
+	w := wrapFixture(t)
+	if _, err := Unwrap(w.alice, w.ephPub, w.commit, w.wraps["alice"], []byte("channel-B")); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("Unwrap under other associated data: %v, want ErrDecrypt", err)
 	}
 }
@@ -316,27 +345,58 @@ func TestUnwrapWrongAssociatedDataFails(t *testing.T) {
 // public key, so a wrap filed under another recipient's name is useless to
 // that recipient.
 func TestUnwrapMovedWrapFails(t *testing.T) {
-	_, bob, _, ephPub, wraps := wrapFixture(t)
-	if _, err := Unwrap(bob, ephPub, wraps["alice"], []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
-		t.Fatalf("bob unwrapping alice's wrap: %v, want ErrDecrypt", err)
+	w := wrapFixture(t)
+	for _, move := range [][2]string{{"alice", "bob"}, {"bob", "alice"}} {
+		if _, err := Unwrap(w.key(move[1]), w.ephPub, w.commit, w.wraps[move[0]], wrapAD); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("%s unwrapping %s's wrap: %v, want ErrDecrypt", move[1], move[0], err)
+		}
 	}
 }
 
+// TestUnwrapFlippedBitFails flips every bit of every input in turn — the
+// ephemeral key, the commitment, each recipient's wrap and the associated
+// data — and requires each flip to yield no key.
 func TestUnwrapFlippedBitFails(t *testing.T) {
-	alice, _, _, ephPub, wraps := wrapFixture(t)
-	for i := 0; i < len(ephPub)*8; i++ {
-		bad := append([]byte(nil), ephPub...)
-		bad[i/8] ^= 1 << (i % 8)
-		if _, err := Unwrap(alice, bad, wraps["alice"], []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
-			t.Fatalf("ephPub bit %d flipped: %v, want ErrDecrypt", i, err)
+	w := wrapFixture(t)
+	for _, id := range []string{"alice", "bob"} {
+		fields := []struct {
+			name string
+			b    []byte
+		}{{"ephPub", w.ephPub}, {"commit", w.commit}, {"wrap", w.wraps[id]}, {"ad", wrapAD}}
+		for f, field := range fields {
+			for i := 0; i < len(field.b)*8; i++ {
+				in := [][]byte{w.ephPub, w.commit, w.wraps[id], wrapAD}
+				bad := bytes.Clone(field.b)
+				bad[i/8] ^= 1 << (i % 8)
+				in[f] = bad
+				if _, err := Unwrap(w.key(id), in[0], in[1], in[2], in[3]); !errors.Is(err, ErrDecrypt) {
+					t.Fatalf("%s: %s bit %d flipped: %v, want ErrDecrypt", id, field.name, i, err)
+				}
+			}
 		}
 	}
-	for i := 0; i < WrappedKeySize*8; i++ {
-		bad := append([]byte(nil), wraps["alice"]...)
-		bad[i/8] ^= 1 << (i % 8)
-		if _, err := Unwrap(alice, ephPub, bad, []byte("channel-A")); !errors.Is(err, ErrDecrypt) {
-			t.Fatalf("wrap bit %d flipped: %v, want ErrDecrypt", i, err)
-		}
+}
+
+// TestUnwrapRefusesASecondKey hand-builds what a dishonest sealer would: one
+// table whose commitment names alice's key while bob's wrap decodes to
+// another. Per-recipient tags would have let each open its own key; the
+// commitment refuses bob and still opens for alice.
+func TestUnwrapRefusesASecondKey(t *testing.T) {
+	w := wrapFixture(t)
+	other, err := NewSymmetricKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wrap ⊕ secret is bob's key-encryption key; re-pad it over the other key.
+	forged := make([]byte, WrappedKeySize)
+	for i := range forged {
+		forged[i] = w.wraps["bob"][i] ^ w.secret[i] ^ other[i]
+	}
+	if _, err := Unwrap(w.bob, w.ephPub, w.commit, forged, wrapAD); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("bob unwrapping a wrap of a key the commitment does not name: %v, want ErrDecrypt", err)
+	}
+	if got, err := Unwrap(w.alice, w.ephPub, w.commit, w.wraps["alice"], wrapAD); err != nil || !bytes.Equal(got, w.secret) {
+		t.Fatalf("alice beside the forged entry: %x, %v", got, err)
 	}
 }
 
@@ -345,12 +405,12 @@ func TestUnwrapFlippedBitFails(t *testing.T) {
 func TestWrapSameKeyUnderTwoNames(t *testing.T) {
 	alice, _ := GenerateKey()
 	secret := bytes.Repeat([]byte{9}, SymmetricKeySize)
-	ephPub, wraps, err := WrapToRecipients(map[string]PublicKey{"alice": alice.Public(), "alice-desk-2": alice.Public()}, secret, nil)
+	ephPub, commit, wraps, err := WrapToRecipients(map[string]PublicKey{"alice": alice.Public(), "alice-desk-2": alice.Public()}, secret, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id, wrap := range wraps {
-		got, err := Unwrap(alice, ephPub, wrap, nil)
+		got, err := Unwrap(alice, ephPub, commit, wrap, nil)
 		if err != nil || !bytes.Equal(got, secret) {
 			t.Fatalf("Unwrap of the wrap filed under %s: %x, %v", id, got, err)
 		}
@@ -358,36 +418,41 @@ func TestWrapSameKeyUnderTwoNames(t *testing.T) {
 }
 
 func TestWrapRejectsInvalidRecipientKey(t *testing.T) {
-	if _, _, err := WrapToRecipients(map[string]PublicKey{"ghost": {}}, make([]byte, SymmetricKeySize), nil); !errors.Is(err, ErrInvalidPublicKey) {
+	if _, _, _, err := WrapToRecipients(map[string]PublicKey{"ghost": {}}, make([]byte, SymmetricKeySize), nil); !errors.Is(err, ErrInvalidPublicKey) {
 		t.Fatalf("wrapping to a zero public key: %v, want ErrInvalidPublicKey", err)
 	}
 }
 
-// FuzzUnwrap hands Unwrap hostile ephemeral keys and wraps: it may only
-// refuse (ErrDecrypt), never panic and never return a key — except for the
-// genuine pair, which the mutator can reproduce from the seed.
+// FuzzUnwrap hands Unwrap hostile ephemeral keys, commitments, wraps and
+// associated data: it may only refuse (ErrDecrypt), never panic, and whatever
+// it does return is exactly the sealed key — never another. The genuine tuple,
+// which the mutator can reproduce from the seed, must unwrap.
 func FuzzUnwrap(f *testing.F) {
-	alice, _, secret, ephPub, wraps := wrapFixture(f)
-	ad := []byte("channel-A")
-	f.Add(ephPub, wraps["alice"])
-	f.Add(ephPub, wraps["bob"])
-	f.Add(ephPub[:64], wraps["alice"])
-	f.Add(ephPub, wraps["alice"][:47])
-	f.Add([]byte{}, []byte{})
-	f.Add(append([]byte{0x02}, ephPub[1:33]...), wraps["alice"])     // compressed form
-	f.Add(make([]byte, 65), wraps["alice"])                          // not a point
-	f.Add(append([]byte{0x04}, make([]byte, 64)...), wraps["alice"]) // (0,0): off the curve
-	f.Add([]byte{0x00}, wraps["alice"])                              // the point at infinity's encoding
-	f.Fuzz(func(t *testing.T, eph, wrap []byte) {
-		got, err := Unwrap(alice, eph, wrap, ad)
-		if bytes.Equal(eph, ephPub) && bytes.Equal(wrap, wraps["alice"]) {
-			if err != nil || !bytes.Equal(got, secret) {
-				t.Fatalf("the genuine pair did not unwrap: %v", err)
-			}
-			return
-		}
-		if !errors.Is(err, ErrDecrypt) || got != nil {
-			t.Fatalf("Unwrap(%x, %x) = %x, %v; want nil, ErrDecrypt", eph, wrap, got, err)
+	w := wrapFixture(f)
+	ephPub, commit, wrap := w.ephPub, w.commit, w.wraps["alice"]
+	f.Add(ephPub, commit, wrap, wrapAD)
+	f.Add(ephPub, commit, w.wraps["bob"], wrapAD)
+	f.Add(ephPub[:64], commit, wrap, wrapAD)
+	f.Add(ephPub, commit, wrap[:31], wrapAD)
+	f.Add([]byte{}, []byte{}, []byte{}, []byte{})
+	f.Add(append([]byte{0x02}, ephPub[1:33]...), commit, wrap, wrapAD)     // compressed form
+	f.Add(make([]byte, 65), commit, wrap, wrapAD)                          // not a point
+	f.Add(append([]byte{0x04}, make([]byte, 64)...), commit, wrap, wrapAD) // (0,0): off the curve
+	f.Add([]byte{0x00}, commit, wrap, wrapAD)                              // the point at infinity's encoding
+	f.Add(ephPub, commit[:31], wrap, wrapAD)
+	f.Add(ephPub, commit, append(bytes.Clone(wrap), make([]byte, 16)...), wrapAD) // a v2-sized, 48-byte wrap
+	f.Add(ephPub, commit, wrap, []byte("channel-B"))
+	f.Fuzz(func(t *testing.T, eph, commit, wrap, ad []byte) {
+		got, err := Unwrap(w.alice, eph, commit, wrap, ad)
+		genuine := bytes.Equal(eph, w.ephPub) && bytes.Equal(commit, w.commit) &&
+			bytes.Equal(wrap, w.wraps["alice"]) && bytes.Equal(ad, wrapAD)
+		switch {
+		case genuine && (err != nil || !bytes.Equal(got, w.secret)):
+			t.Fatalf("the genuine tuple did not unwrap: %x, %v", got, err)
+		case err == nil && !bytes.Equal(got, w.secret):
+			t.Fatalf("Unwrap(%x, %x, %x, %q) returned %x, a key that was never sealed", eph, commit, wrap, ad, got)
+		case err != nil && (!errors.Is(err, ErrDecrypt) || got != nil):
+			t.Fatalf("Unwrap(%x, %x, %x, %q) = %x, %v; want nil, ErrDecrypt", eph, commit, wrap, ad, got, err)
 		}
 	})
 }

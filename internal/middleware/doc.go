@@ -258,12 +258,13 @@
 //     the payload's backing array, so the digests one submission takes
 //     (wire ID, MAC check, audit observation) share one pass and a
 //     replaced payload can never meet a stale sum. The envelope
-//     frame puts the wrapped-key table — one ephemeral key for the
-//     epoch and a 48-byte wrap per member (dcrypto.WrapToRecipients),
-//     2.9 KB of a 3.0 KB envelope at 50 members — ahead of the
-//     ciphertext; the encrypt stage caches that epoch-constant head and
-//     the SHA-256 state that has absorbed it, seals each envelope into
-//     one allocation behind a copy of the head, and resumes the cached
+//     frame puts the wrapped-key table — one ephemeral key and one key
+//     commitment for the epoch, a 32-byte wrap per member
+//     (dcrypto.WrapToRecipients), 2.1 KB of a 2.3 KB envelope at 50
+//     members — ahead of the ciphertext; the encrypt stage caches that
+//     epoch-constant head and the SHA-256 state that has absorbed it,
+//     seals each envelope into one allocation behind a copy of the
+//     head, and resumes the cached
 //     state over the ciphertext field alone — the sealed frame is never
 //     streamed through SHA-256 (the uncached stage builds a throwaway
 //     key per request and rides the same sealFrame). Gateway.order

@@ -48,7 +48,7 @@ func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 		t.Fatalf("keyed encoding differs from canonical:\n  canonical %d bytes\n  keyed     %d bytes",
 			len(canonical), len(keyed))
 	}
-	if want := appendEnvelopeKeys(nil, back.EphemeralPub, ck.wrapped, sortedKeyIDs(ck.wrapped)); !bytes.Equal(ck.keySection, want) {
+	if want := appendEnvelopeKeys(nil, back.EphemeralPub, back.Commit, ck.wrapped, sortedKeyIDs(ck.wrapped)); !bytes.Equal(ck.keySection, want) {
 		t.Fatalf("cached key section differs from the table's encoding")
 	}
 	got, err := OpenEnvelope(back, "bob", ps["bob"].key)

@@ -19,14 +19,15 @@ import (
 // stage: a fresh AES-256-GCM data key sealing the payload, wrapped to every
 // channel member under one ephemeral key (§2.2, "Symmetric key encryption"
 // with keys "shared over the network using PKI").
-const EnvelopeScheme = "hybrid-aes256gcm/v2"
+const EnvelopeScheme = "hybrid-aes256gcm/v3"
 
 // ErrNotRecipient is returned when opening an envelope with an identity
 // that holds no wrapped key.
 var ErrNotRecipient = errors.New("middleware: identity is not an envelope recipient")
 
 // Envelope is an encrypted payload plus the data key wrapped per member
-// (dcrypto.WrapToRecipients: EphemeralPub once, one 48-byte wrap each).
+// (dcrypto.WrapToRecipients: EphemeralPub and the key Commit once, one
+// 32-byte wrap each).
 // Observers (orderer, backends) see ciphertext and the recipient set only.
 // Epoch identifies the channel data-key generation when the encrypt stage
 // runs with a key cache; envelopes sealed with a fresh per-request key
@@ -37,6 +38,7 @@ type Envelope struct {
 	Epoch        uint64            `json:"epoch,omitempty"`
 	Ciphertext   []byte            `json:"ciphertext"`
 	EphemeralPub []byte            `json:"ephemeralPub"`
+	Commit       []byte            `json:"commit"`
 	Keys         map[string][]byte `json:"keys"`
 }
 
@@ -64,7 +66,7 @@ func OpenEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]byte,
 	if env.Scheme != EnvelopeScheme {
 		return nil, fmt.Errorf("middleware: unsupported envelope scheme %q", env.Scheme)
 	}
-	dataKey, err := unwrapDataKey(env.Channel, env.EphemeralPub, env.Keys, member, key)
+	dataKey, err := unwrapDataKey(env.Channel, env.EphemeralPub, env.Commit, env.Keys, member, key)
 	if err != nil {
 		return nil, err
 	}
@@ -74,12 +76,12 @@ func OpenEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]byte,
 // unwrapDataKey recovers the data key of a single or group envelope from its
 // wrapped-key table. Both kinds wrap under the single-envelope associated
 // data: it is the same table, wrapped once per epoch.
-func unwrapDataKey(channel string, ephPub []byte, keys map[string][]byte, member string, key *dcrypto.PrivateKey) ([]byte, error) {
+func unwrapDataKey(channel string, ephPub, commit []byte, keys map[string][]byte, member string, key *dcrypto.PrivateKey) ([]byte, error) {
 	wrap, ok := keys[member]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotRecipient, member)
 	}
-	dataKey, err := dcrypto.Unwrap(key, ephPub, wrap, envelopeAD(channel))
+	dataKey, err := dcrypto.Unwrap(key, ephPub, commit, wrap, envelopeAD(channel))
 	if err != nil {
 		return nil, fmt.Errorf("middleware: unwrap key: %w", err)
 	}
@@ -90,7 +92,7 @@ func unwrapDataKey(channel string, ephPub []byte, keys map[string][]byte, member
 // exactly-sized allocation:
 //
 //	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ key table ‖ ciphertext
-//	key table = ephPub ‖ n-keys ‖ (id ‖ wrap)…
+//	key table = ephPub ‖ commit ‖ n-keys ‖ (id ‖ wrap)…
 //
 // Every field but the two counts (uvarints) is length-prefixed. The key
 // table comes BEFORE the ciphertext so that everything constant for a key
@@ -102,7 +104,7 @@ func unwrapDataKey(channel string, ephPub []byte, keys map[string][]byte, member
 // encrypt stage; json.Marshal of a parsed Envelope is the diffable debug
 // view, not a format any decoder accepts.
 func EncodeEnvelope(env Envelope) []byte {
-	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.EphemeralPub, env.Keys, lenPrefixedSize(len(env.Ciphertext)))
+	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.EphemeralPub, env.Commit, env.Keys, lenPrefixedSize(len(env.Ciphertext)))
 	return appendLenPrefixed(out, env.Ciphertext)
 }
 
@@ -113,18 +115,18 @@ func EncodeEnvelope(env Envelope) []byte {
 // is the section group envelopes of the same epoch splice. The head is
 // immutable for a data key's lifetime, so newChannelKey computes it once
 // (tail 0) and every seal copies it — O(members) encoding becomes one copy.
-func encodeEnvelopeHead(scheme, channel string, epoch uint64, ephPub []byte, keys map[string][]byte, tail int) (head []byte, keysAt int) {
+func encodeEnvelopeHead(scheme, channel string, epoch uint64, ephPub, commit []byte, keys map[string][]byte, tail int) (head []byte, keysAt int) {
 	keysAt = 2 +
 		lenPrefixedSize(len(scheme)) +
 		lenPrefixedSize(len(channel)) +
 		uvarintSize(epoch)
 	ids := sortedKeyIDs(keys)
-	out := make([]byte, 0, keysAt+envelopeKeysSize(ephPub, keys, ids)+tail)
+	out := make([]byte, 0, keysAt+envelopeKeysSize(ephPub, commit, keys, ids)+tail)
 	out = append(out, binaryMagic, binaryKindEnvelope)
 	out = appendLenPrefixed(out, []byte(scheme))
 	out = appendLenPrefixed(out, []byte(channel))
 	out = binary.AppendUvarint(out, epoch)
-	return appendEnvelopeKeys(out, ephPub, keys, ids), keysAt
+	return appendEnvelopeKeys(out, ephPub, commit, keys, ids), keysAt
 }
 
 // sortedKeyIDs returns the recipient identities of a wrapped-key table in
@@ -139,8 +141,8 @@ func sortedKeyIDs(keys map[string][]byte) []string {
 }
 
 // envelopeKeysSize is the encoded size of a wrapped-key table.
-func envelopeKeysSize(ephPub []byte, keys map[string][]byte, sortedIDs []string) int {
-	size := lenPrefixedSize(len(ephPub)) + uvarintSize(uint64(len(sortedIDs)))
+func envelopeKeysSize(ephPub, commit []byte, keys map[string][]byte, sortedIDs []string) int {
+	size := lenPrefixedSize(len(ephPub)) + lenPrefixedSize(len(commit)) + uvarintSize(uint64(len(sortedIDs)))
 	for _, id := range sortedIDs {
 		size += lenPrefixedSize(len(id)) + lenPrefixedSize(len(keys[id]))
 	}
@@ -148,10 +150,11 @@ func envelopeKeysSize(ephPub []byte, keys map[string][]byte, sortedIDs []string)
 }
 
 // appendEnvelopeKeys appends the wrapped-key table (the shared ephemeral key,
-// the recipient count, an id/wrap pair per recipient) in sortedIDs order —
-// the one encoding single and group envelopes share.
-func appendEnvelopeKeys(out, ephPub []byte, keys map[string][]byte, sortedIDs []string) []byte {
+// the key commitment, the recipient count, an id/wrap pair per recipient) in
+// sortedIDs order — the one encoding single and group envelopes share.
+func appendEnvelopeKeys(out, ephPub, commit []byte, keys map[string][]byte, sortedIDs []string) []byte {
 	out = appendLenPrefixed(out, ephPub)
+	out = appendLenPrefixed(out, commit)
 	out = binary.AppendUvarint(out, uint64(len(sortedIDs)))
 	for _, id := range sortedIDs {
 		out = appendLenPrefixed(out, []byte(id))
@@ -162,48 +165,54 @@ func appendEnvelopeKeys(out, ephPub []byte, keys map[string][]byte, sortedIDs []
 
 // keyTable decodes a wrapped-key table, accepting only the one encoding
 // appendEnvelopeKeys emits for a table dcrypto.WrapToRecipients made: an
-// ephemeral key that is a P-256 point, wraps of dcrypto.WrappedKeySize,
-// recipient ids strictly ascending. A duplicated or out-of-order id would
-// otherwise parse to a table that re-encodes to different bytes, and one
+// ephemeral key that is a P-256 point, a commitment of
+// dcrypto.KeyCommitmentSize, wraps of dcrypto.WrappedKeySize, recipient ids
+// strictly ascending. A duplicated or out-of-order id would otherwise parse
+// to a table that re-encodes to different bytes, and one
 // ledger payload hash would not pin one table. The declared count is checked
 // against the bytes that remain before the map is sized (every entry costs
 // at least its two length bytes), so no frame makes the decoder allocate
 // beyond a multiple of its own length.
-func (r *frameReader) keyTable() (ephPub []byte, keys map[string][]byte) {
+func (r *frameReader) keyTable() (ephPub, commit []byte, keys map[string][]byte) {
 	ephPub = r.bytes()
+	commit = r.bytes()
 	nKeys := r.uvarint()
 	if r.err != nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if _, err := ecdh.P256().NewPublicKey(ephPub); err != nil {
 		r.err = fmt.Errorf("%w: ephemeral key (%d bytes) is not a P-256 point", ErrBadFrame, len(ephPub))
-		return nil, nil
+		return nil, nil, nil
+	}
+	if len(commit) != dcrypto.KeyCommitmentSize {
+		r.err = fmt.Errorf("%w: key commitment is %d bytes, want %d", ErrBadFrame, len(commit), dcrypto.KeyCommitmentSize)
+		return nil, nil, nil
 	}
 	if nKeys == 0 {
-		return ephPub, nil
+		return ephPub, commit, nil
 	}
 	if nKeys > uint64(len(r.b)) {
 		r.err = fmt.Errorf("%w: key count %d exceeds remaining bytes", ErrBadFrame, nKeys)
-		return nil, nil
+		return nil, nil, nil
 	}
 	keys = make(map[string][]byte, nKeys)
 	var prev string
 	for i := uint64(0); i < nKeys; i++ {
 		id, wrap := r.str(), r.bytes()
 		if r.err != nil {
-			return nil, nil
+			return nil, nil, nil
 		}
 		if i > 0 && id <= prev {
 			r.err = fmt.Errorf("%w: recipient %q does not sort after %q", ErrBadFrame, id, prev)
-			return nil, nil
+			return nil, nil, nil
 		}
 		if len(wrap) != dcrypto.WrappedKeySize {
 			r.err = fmt.Errorf("%w: wrapped key for %q is %d bytes, want %d", ErrBadFrame, id, len(wrap), dcrypto.WrappedKeySize)
-			return nil, nil
+			return nil, nil, nil
 		}
 		keys[id], prev = wrap, id
 	}
-	return ephPub, keys
+	return ephPub, commit, keys
 }
 
 // ParseEnvelope decodes an envelope frame (a transaction payload the encrypt
@@ -219,7 +228,7 @@ func ParseEnvelope(b []byte) (Envelope, error) {
 	env.Scheme = r.str()
 	env.Channel = r.str()
 	env.Epoch = r.uvarint()
-	env.EphemeralPub, env.Keys = r.keyTable()
+	env.EphemeralPub, env.Commit, env.Keys = r.keyTable()
 	env.Ciphertext = r.bytes()
 	if err := r.done(); err != nil {
 		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w", err)
@@ -417,7 +426,7 @@ type channelKey struct {
 	// immutable for the key's lifetime, and re-encoding it per submission
 	// makes every seal O(members) — at 1000-member channels that dominates
 	// the entire submit path. headSum is SHA-256 with frameHead already
-	// absorbed: with 50 members the head is 2.9 KB of a 3.0 KB frame, so the
+	// absorbed: with 50 members the head is 2.1 KB of a 2.3 KB frame, so the
 	// frame's hash costs the ~130 bytes that follow it. keySection is the
 	// table alone (a suffix of frameHead), which group envelopes splice.
 	frameHead  []byte
@@ -438,7 +447,7 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 	if err != nil {
 		return nil, fmt.Errorf("middleware: data key: %w", err)
 	}
-	ephPub, wrapped, err := dcrypto.WrapToRecipients(members, dataKey, ad)
+	ephPub, commit, wrapped, err := dcrypto.WrapToRecipients(members, dataKey, ad)
 	if err != nil {
 		return nil, fmt.Errorf("middleware: wrap data key: %w", err)
 	}
@@ -448,7 +457,7 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 	}
 	ck := &channelKey{epoch: epoch, aead: aead, ad: ad, wrapped: wrapped}
 	var keysAt int
-	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, ephPub, wrapped, 0)
+	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, ephPub, commit, wrapped, 0)
 	ck.headSum = dcrypto.NewHashPrefix(ck.frameHead)
 	ck.keySection = ck.frameHead[keysAt:]
 	return ck, nil

@@ -14,7 +14,7 @@ import (
 // under the epoch's cached data key, sharing that epoch's wrapped-key
 // table. One nonce, one GCM pass, one tag, and one key section for the
 // whole group — the per-transaction seal cost amortizes to 1/N.
-const GroupEnvelopeScheme = "hybrid-aes256gcm/group/v2"
+const GroupEnvelopeScheme = "hybrid-aes256gcm/group/v3"
 
 // BatchPrincipal is the creator recorded on released group transactions.
 // Like AggregatePrincipal it marks a synthetic release vehicle: the member
@@ -38,6 +38,7 @@ type GroupEnvelope struct {
 	Count        uint64            `json:"count"`
 	Ciphertext   []byte            `json:"ciphertext"`
 	EphemeralPub []byte            `json:"ephemeralPub"`
+	Commit       []byte            `json:"commit"`
 	Keys         map[string][]byte `json:"keys"`
 }
 
@@ -61,7 +62,7 @@ func OpenGroupEnvelope(genv GroupEnvelope, member string, key *dcrypto.PrivateKe
 	// The key table is shared with the epoch's single envelopes, so the
 	// unwrap uses the single-envelope domain; only the group ciphertext
 	// lives in the group domain.
-	dataKey, err := unwrapDataKey(genv.Channel, genv.EphemeralPub, genv.Keys, member, key)
+	dataKey, err := unwrapDataKey(genv.Channel, genv.EphemeralPub, genv.Commit, genv.Keys, member, key)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +92,7 @@ func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
 		uvarintSize(genv.Epoch) +
 		uvarintSize(genv.Count) +
 		lenPrefixedSize(len(genv.Ciphertext)) +
-		envelopeKeysSize(genv.EphemeralPub, genv.Keys, ids)
+		envelopeKeysSize(genv.EphemeralPub, genv.Commit, genv.Keys, ids)
 	out := make([]byte, 0, size)
 	out = append(out, binaryMagic, binaryKindGroupEnvelope)
 	out = appendLenPrefixed(out, []byte(genv.Scheme))
@@ -99,7 +100,7 @@ func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
 	out = binary.AppendUvarint(out, genv.Epoch)
 	out = binary.AppendUvarint(out, genv.Count)
 	out = appendLenPrefixed(out, genv.Ciphertext)
-	return appendEnvelopeKeys(out, genv.EphemeralPub, genv.Keys, ids)
+	return appendEnvelopeKeys(out, genv.EphemeralPub, genv.Commit, genv.Keys, ids)
 }
 
 // ParseGroupEnvelope decodes a group envelope frame (the payload of a
@@ -115,7 +116,7 @@ func ParseGroupEnvelope(b []byte) (GroupEnvelope, error) {
 	genv.Epoch = r.uvarint()
 	genv.Count = r.uvarint()
 	genv.Ciphertext = r.bytes()
-	genv.EphemeralPub, genv.Keys = r.keyTable()
+	genv.EphemeralPub, genv.Commit, genv.Keys = r.keyTable()
 	if err := r.done(); err != nil {
 		return GroupEnvelope{}, fmt.Errorf("middleware: parse group envelope: %w", err)
 	}

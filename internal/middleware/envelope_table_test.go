@@ -13,8 +13,8 @@ import (
 
 // TestEnvelopeFrameSize pins what a member costs on the ledger, at the
 // benchmark's shape: 50 members org-00…org-49 on deals-0, a 96-byte trade.
-// The frame must stay inside the allocator's 3,072-byte size class (the next
-// is 3,200, then 3,456): a layout change that crosses it costs every sealed
+// The frame must stay inside the allocator's 2,304-byte size class (the next
+// is 2,688, then 3,072): a layout change that crosses it costs every sealed
 // envelope its copy, zero-fill and garbage, and fails here without the
 // benchmark. The head is the sizing rule of docs/OPERATIONS.md, exactly.
 func TestEnvelopeFrameSize(t *testing.T) {
@@ -28,7 +28,7 @@ func TestEnvelopeFrameSize(t *testing.T) {
 		}
 		id := fmt.Sprintf("org-%02d", i)
 		members[id] = key.Public()
-		perMember += len(id) + 50 // id and wrap, a length byte each, and the 48-byte wrap
+		perMember += len(id) + 34 // id and wrap, a length byte each, and the 32-byte wrap
 	}
 	ck, err := newChannelKey(channel, 1, members, envelopeAD(channel))
 	if err != nil {
@@ -36,17 +36,17 @@ func TestEnvelopeFrameSize(t *testing.T) {
 	}
 	// magic, kind, scheme, channel, epoch and the key count.
 	fixed := 2 + lenPrefixedSize(len(EnvelopeScheme)) + lenPrefixedSize(len(channel)) + 1 + 1
-	if got, want := len(ck.frameHead), fixed+66+perMember; got != want {
-		t.Fatalf("frame head is %d bytes, want %d = %d fixed + 66 for the ephemeral key + %d for the members", got, want, fixed, perMember)
+	if got, want := len(ck.frameHead), fixed+66+33+perMember; got != want {
+		t.Fatalf("frame head is %d bytes, want %d = %d fixed + 66 for the ephemeral key + 33 for the key commitment + %d for the members", got, want, fixed, perMember)
 	}
 	frame, _, err := ck.sealFrame(make([]byte, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) > 3072 {
-		t.Fatalf("frame is %d bytes, over the 3,072-byte size class", len(frame))
+	if len(frame) > 2304 {
+		t.Fatalf("frame is %d bytes, over the 2,304-byte size class", len(frame))
 	}
-	if want := 120 + len(channel) + 96 + perMember; len(frame) != want {
+	if want := 153 + len(channel) + 96 + perMember; len(frame) != want {
 		t.Fatalf("frame is %d bytes, the sizing rule says %d", len(frame), want)
 	}
 }

@@ -435,7 +435,7 @@ func envelopePair(tb testing.TB) (Envelope, GroupEnvelope) {
 	}
 	env.Epoch = 7
 	return env, GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Epoch: 7, Count: 2,
-		Ciphertext: env.Ciphertext, EphemeralPub: env.EphemeralPub, Keys: env.Keys}
+		Ciphertext: env.Ciphertext, EphemeralPub: env.EphemeralPub, Commit: env.Commit, Keys: env.Keys}
 }
 
 // badTable is a key-table section keyTable must refuse, with the reason.
@@ -450,32 +450,44 @@ type badTable struct {
 func nonCanonicalTables(env Envelope) []badTable {
 	ids := sortedKeyIDs(env.Keys)
 	first, second := ids[0], ids[1]
-	table := func(ephPub []byte, n uint64, pairs ...[]byte) []byte {
+	table := func(ephPub, commit []byte, n uint64, pairs ...[]byte) []byte {
 		out := appendLenPrefixed(nil, ephPub)
+		out = appendLenPrefixed(out, commit)
 		out = binary.AppendUvarint(out, n)
 		for _, p := range pairs {
 			out = appendLenPrefixed(out, p)
 		}
 		return out
 	}
-	// The retired layout: no shared ephemeral key, and per recipient its own
-	// 65-byte ephemeral key and a nonce-prefixed 60-byte ciphertext.
+	// The first retired layout: no shared ephemeral key, and per recipient its
+	// own 65-byte ephemeral key and a nonce-prefixed 60-byte ciphertext.
 	v1 := binary.AppendUvarint(nil, 2)
+	// The second: one shared ephemeral key, no commitment, and per recipient
+	// the key sealed under AES-GCM, 48 bytes with its tag.
+	v2 := binary.AppendUvarint(appendLenPrefixed(nil, env.EphemeralPub), 2)
 	for _, id := range ids {
 		v1 = appendLenPrefixed(v1, []byte(id))
 		v1 = appendLenPrefixed(v1, env.EphemeralPub)
-		v1 = appendLenPrefixed(v1, make([]byte, 12+dcrypto.WrappedKeySize))
+		v1 = appendLenPrefixed(v1, make([]byte, 60))
+		v2 = appendLenPrefixed(v2, []byte(id))
+		v2 = appendLenPrefixed(v2, make([]byte, 48))
 	}
 	offCurve := append([]byte(nil), env.EphemeralPub...)
 	offCurve[len(offCurve)-1] ^= 1
+	eph, commit, a, b := env.EphemeralPub, env.Commit, env.Keys[first], env.Keys[second]
 	return []badTable{
-		{"duplicate id", table(env.EphemeralPub, 2, []byte(first), env.Keys[first], []byte(first), env.Keys[first])},
-		{"ids out of order", table(env.EphemeralPub, 2, []byte(second), env.Keys[second], []byte(first), env.Keys[first])},
+		{"duplicate id", table(eph, commit, 2, []byte(first), a, []byte(first), a)},
+		{"ids out of order", table(eph, commit, 2, []byte(second), b, []byte(first), a)},
 		{"v1 layout", v1},
-		{"short ephemeral key", table(env.EphemeralPub[:64], 2, []byte(first), env.Keys[first], []byte(second), env.Keys[second])},
-		{"ephemeral key off the curve", table(offCurve, 2, []byte(first), env.Keys[first], []byte(second), env.Keys[second])},
-		{"47-byte wrap", table(env.EphemeralPub, 2, []byte(first), env.Keys[first][:47], []byte(second), env.Keys[second])},
-		{"padded key count", append(appendLenPrefixed(nil, env.EphemeralPub), 0x80, 0x00)},
+		{"v2 layout", v2},
+		{"short ephemeral key", table(eph[:64], commit, 2, []byte(first), a, []byte(second), b)},
+		{"ephemeral key off the curve", table(offCurve, commit, 2, []byte(first), a, []byte(second), b)},
+		{"31-byte commitment", table(eph, commit[:31], 2, []byte(first), a, []byte(second), b)},
+		{"33-byte commitment", table(eph, append(bytes.Clone(commit), 0), 2, []byte(first), a, []byte(second), b)},
+		{"no commitment", table(eph, nil, 2, []byte(first), a, []byte(second), b)},
+		{"31-byte wrap", table(eph, commit, 2, []byte(first), a[:31], []byte(second), b)},
+		{"48-byte wrap", table(eph, commit, 2, []byte(first), append(bytes.Clone(a), make([]byte, 16)...), []byte(second), b)},
+		{"padded key count", append(appendLenPrefixed(appendLenPrefixed(nil, eph), commit), 0x80, 0x00)},
 	}
 }
 
@@ -508,7 +520,7 @@ func groupFrameWithTable(genv GroupEnvelope, section []byte) []byte {
 // the PR that added it the duplicate-id table parsed, as a one-key envelope.
 func TestKeyTableIsCanonical(t *testing.T) {
 	env, genv := envelopePair(t)
-	good := appendEnvelopeKeys(nil, env.EphemeralPub, env.Keys, sortedKeyIDs(env.Keys))
+	good := appendEnvelopeKeys(nil, env.EphemeralPub, env.Commit, env.Keys, sortedKeyIDs(env.Keys))
 	if b := singleFrameWithTable(env, good); !bytes.Equal(b, EncodeEnvelope(env)) {
 		t.Fatal("singleFrameWithTable does not build the canonical frame from the canonical table")
 	} else if back, err := ParseEnvelope(b); err != nil || !bytes.Equal(EncodeEnvelope(back), b) {
