@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -23,22 +24,11 @@ type observationLog interface {
 }
 
 // collidingLog is a Log whose hashes keep only the bits in mask, so every
-// probe walks past unequal candidates with the same stored hash. The other
-// queries do not hash and pass through.
-type collidingLog struct {
-	*Log
-	mask uint64
-}
-
-func (c collidingLog) Record(observer string, class DataClass, item string) {
-	c.record(c.hash(observer, class, item)&c.mask, observer, class, item)
-}
-
-func (c collidingLog) Saw(observer string, class DataClass, item string) bool {
-	h := c.hash(observer, class, item) & c.mask
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.find(h, observer, class, item)
+// probe walks past unequal candidates with the same tag and position.
+func collidingLog(mask uint64) *Log {
+	l := NewLog()
+	l.mask = mask
+	return l
 }
 
 // subjects are the implementations held to the reference: the Log as
@@ -46,8 +36,8 @@ func (c collidingLog) Saw(observer string, class DataClass, item string) bool {
 func subjects() map[string]observationLog {
 	return map[string]observationLog{
 		"log":         NewLog(),
-		"collide-256": collidingLog{NewLog(), 0xff},
-		"collide-4":   collidingLog{NewLog(), 3},
+		"collide-256": collidingLog(0xff),
+		"collide-4":   collidingLog(3),
 	}
 }
 
@@ -134,6 +124,23 @@ func TestModel(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		ragged = append(ragged, strings.Repeat(string(rune('a'+i%26)), i*13))
 	}
+	ids := []string{"", "0", "00", "0f", "ab", "\xab", "\x0f", "abc", "0123", "01234567", "0123456789"}
+	for i := 0; i < 40; i++ {
+		var id [32]byte
+		fillID(&id, i*0x9e3779b1)
+		s := string(id[:])
+		raw, _ := hex.DecodeString(s)
+		ids = append(ids,
+			s,                          // an ID, stored packed
+			strings.ToUpper(s),         // its uppercase twin, stored verbatim
+			s[:31],                     // 31 digits: odd, stored verbatim
+			s+"a",                      // 33 digits, likewise
+			string(raw),                // raw bytes equal to its packed form
+			strings.Repeat(s, 4),       // 128 digits, the longest ID
+			strings.Repeat(s, 4)+s[:2], // 130 digits, too long to pack
+			s[:30]+"g"+s[31:],          // one digit off the alphabet
+		)
+	}
 	scenarios := []struct {
 		name      string
 		observers []string
@@ -145,6 +152,7 @@ func TestModel(t *testing.T) {
 		{"thousands of observers", names("peer", 2500), classes[:2], names("tx", 20), 3000},
 		{"items longer than a chunk", names("op", 3), classes[:3], append(long, awkward...), 150},
 		{"chunk boundaries", names("op", 2), classes[:2], ragged, 1500},
+		{"packed IDs", names("op", 3), classes[:3], ids, 3000},
 	}
 	for _, sc := range scenarios {
 		for name, got := range subjects() {
@@ -183,7 +191,10 @@ func TestModel(t *testing.T) {
 // the observer, class and item they measure. Names are at most three and
 // two bytes long so that repeats are common; an item length byte of 250 or
 // more prefixes the item with more than a chunk of filler, eight times at
-// most to keep an input cheap.
+// most to keep an input cheap. The first length byte's top bit makes the
+// item hex: the item length byte, modulo 140, counts digits, each input
+// byte supplies two of them, and the next bit picks uppercase, so that IDs
+// of every length a packed form can have, and a few it cannot, are common.
 func fuzzOps(data []byte) []Observation {
 	var ops []Observation
 	long := 0
@@ -195,8 +206,20 @@ func fuzzOps(data []byte) []Observation {
 	}
 	for len(data) >= 3 {
 		no, nc, ni := int(data[0]%4), int(data[1]%3), int(data[2])
+		hexItem, upper := data[0]&0x80 != 0, data[0]&0x40 != 0
 		data = data[3:]
-		o := Observation{Observer: take(no), Class: DataClass(take(nc)), Item: take(ni % 50)}
+		o := Observation{Observer: take(no), Class: DataClass(take(nc))}
+		if hexItem {
+			digits := ni % 140
+			o.Item = hex.EncodeToString([]byte(take((digits + 1) / 2)))
+			o.Item = o.Item[:min(digits, len(o.Item))]
+			if upper {
+				o.Item = strings.ToUpper(o.Item)
+			}
+			ops = append(ops, o)
+			continue
+		}
+		o.Item = take(ni % 50)
 		if ni >= 250 && long < 8 {
 			long++
 			o.Item = strings.Repeat("L", chunkSize+ni-250) + o.Item
@@ -213,6 +236,12 @@ func FuzzLogRecord(f *testing.F) {
 	f.Add([]byte("\x01\x01\x02ocit\x01\x01\x02ocit\x01\x01\x02ocix"))
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x01\x00\x00o\x00\x01\x00c\x00\x00\x01i"))
 	f.Add([]byte("\x02\x01\xfaopcitem\x02\x01\xfaopcitem\x02\x01\xfbopcitem\x01\x00\x03\x00\x00\x00\x00"))
+	// A 32-digit ID twice, its uppercase twin, its packed bytes as a raw
+	// item, then 128, 130, 31 and 0 digits.
+	id := "\xab\xcd\xef\x01\x23\x45\x67\x89\xab\xcd\xef\x01\x23\x45\x67\x89"
+	long := strings.Repeat(id, 5)
+	f.Add([]byte("\x81\x01\x20oc" + id + "\x81\x01\x20oc" + id + "\xc1\x01\x20oc" + id + "\x01\x01\x10oc" + id +
+		"\x81\x01\x80oc" + long[:64] + "\x81\x01\x82oc" + long[:65] + "\x81\x01\x1foc" + id + "\x81\x01\x00oc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := fuzzOps(data)
 		if len(ops) == 0 {
@@ -234,8 +263,8 @@ func FuzzLogRecord(f *testing.F) {
 }
 
 // TestEntryIsPointerFree keeps the collector out of the log's history: the
-// entry, the index table's element and the arena's element must contain
-// nothing the collector would have to follow.
+// entry, the index's element and the arena's element must contain nothing
+// the collector would have to follow, and Footprint's sizes must be theirs.
 func TestEntryIsPointerFree(t *testing.T) {
 	var pointerFree func(ty reflect.Type) error
 	pointerFree = func(ty reflect.Type) error {
@@ -273,7 +302,7 @@ func TestEntryIsPointerFree(t *testing.T) {
 		ty   reflect.Type
 	}{
 		{"entries element", elem("entries", 2)},
-		{"table element", elem("table", 1)},
+		{"index element", elem("index", 1)},
 		{"arena element", elem("chunks", 2)},
 	} {
 		if err := pointerFree(c.ty); err != nil {
@@ -283,11 +312,18 @@ func TestEntryIsPointerFree(t *testing.T) {
 	if got := elem("entries", 2).Size(); got != entryBytes {
 		t.Errorf("entry is %d bytes, entryBytes says %d", got, entryBytes)
 	}
+	if got := elem("index", 1).Size(); got != groupBytes {
+		t.Errorf("index group is %d bytes, groupBytes says %d", got, groupBytes)
+	}
 }
 
 // TestRecordLimits pins the arena's edge cases: the empty item is an item
-// like any other, and an item longer than a chunk is stored whole.
+// like any other, an item longer than a chunk is stored whole, and the
+// packed flag leaves an item 31 bits of length.
 func TestRecordLimits(t *testing.T) {
+	if maxItem != 1<<31-1 || maxItem&packed != 0 {
+		t.Fatalf("maxItem = %#x overlaps the packed flag %#x", maxItem, packed)
+	}
 	l := NewLog()
 	huge := strings.Repeat("h", 3*chunkSize+1)
 	l.Record("o", ClassTxData, "")
@@ -307,6 +343,59 @@ func TestRecordLimits(t *testing.T) {
 	var none *Log
 	if got := none.Footprint(); got != 0 {
 		t.Fatalf("nil log Footprint = %d", got)
+	}
+}
+
+// TestPackIsCanonical holds pack and spell to a digit-at-a-time reading:
+// with every byte value at every position of IDs of each length class
+// (padded, one word, overlapping words, four words and more), pack accepts
+// exactly the lowercase hex digits, and spell gives back what it packed.
+func TestPackIsCanonical(t *testing.T) {
+	bases := []string{"0f", "0123", "01234a", "0123456789abcdef", "0123456789abcdef01",
+		strings.Repeat("9a", 16), strings.Repeat("5e", 20), strings.Repeat("c7", 64)}
+	for _, base := range bases {
+		for pos := range len(base) {
+			for c := range 256 {
+				b := []byte(base)
+				b[pos] = byte(c)
+				var buf [maxPacked]byte
+				n, ok := pack(&buf, string(b))
+				if want := strings.IndexByte(hexDigits, byte(c)) >= 0; ok != want {
+					t.Fatalf("pack(%q) ok = %v, want %v", b, ok, want)
+				}
+				if !ok {
+					continue
+				}
+				var text [2 * maxPacked]byte
+				if got := spell(&text, buf[:n]); string(got) != string(b) {
+					t.Fatalf("spell(pack(%q)) = %q", b, got)
+				}
+			}
+		}
+	}
+	for _, item := range []string{"", "0", "abc", strings.Repeat("0", 130)} {
+		var buf [maxPacked]byte
+		if _, ok := pack(&buf, item); ok {
+			t.Errorf("pack(%d digits) packed an item with no packed form", len(item))
+		}
+	}
+}
+
+// TestPackedBytesAreNotTheID: an ID and a raw item equal to its packed
+// bytes share stored bytes, not a stored form, so they stay two
+// observations.
+func TestPackedBytesAreNotTheID(t *testing.T) {
+	l := NewLog()
+	id := "00112233445566778899aabbccddeeff"
+	raw, _ := hex.DecodeString(id)
+	l.Record("o", ClassTxData, id)
+	l.Record("o", ClassTxData, string(raw))
+	want := []Observation{{"o", ClassTxData, id}, {"o", ClassTxData, string(raw)}}
+	if got := l.All(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("All = %q, want %q", got, want)
+	}
+	if !l.Saw("o", ClassTxData, id) || !l.Saw("o", ClassTxData, string(raw)) || l.Saw("o", ClassTxData, strings.ToUpper(id)) {
+		t.Fatal("Saw confuses an ID with its packed bytes or its uppercase twin")
 	}
 }
 
@@ -362,51 +451,66 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 }
 
 // BenchmarkRecord prices Record in isolation, on the Log and on the
-// reference it replaced: a duplicate, and a new item, each a 32-byte ID
-// built on the caller's stack. The calls are on concrete types so that
-// escape analysis sees through them, as it does at the real call sites.
+// reference it replaced: a duplicate and a new item, each 32 bytes built on
+// the caller's stack, either an ID (lowercase hex, stored packed) or the
+// same shape in letters that are not hex digits (stored verbatim). The calls are on concrete
+// types so that escape analysis sees through them, as it does at the real
+// call sites.
 func BenchmarkRecord(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		new  func() func(n int)
+	for _, item := range []struct {
+		name   string
+		digits string
 	}{
-		{"log", func() func(int) {
-			l := NewLog()
-			return func(n int) {
-				var id [32]byte
-				fillID(&id, n)
-				l.Record("orderer-op", ClassTxMetadata, string(id[:]))
-			}
-		}},
-		{"reference", func() func(int) {
-			l := newRefLog()
-			return func(n int) {
-				var id [32]byte
-				fillID(&id, n)
-				l.Record("orderer-op", ClassTxMetadata, string(id[:]))
-			}
-		}},
+		{"id", "0123456789abcdef"},
+		{"verbatim", "ghijklmnopqrstuv"},
 	} {
-		b.Run(c.name+"/duplicate", func(b *testing.B) {
-			record := c.new()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				record(0)
-			}
-		})
-		b.Run(c.name+"/new", func(b *testing.B) {
-			record := c.new()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				record(i)
-			}
-		})
+		for _, c := range []struct {
+			name string
+			new  func() func(n int)
+		}{
+			{"log", func() func(int) {
+				l := NewLog()
+				return func(n int) {
+					var id [32]byte
+					fillDigits(&id, n, item.digits)
+					l.Record("orderer-op", ClassTxMetadata, string(id[:]))
+				}
+			}},
+			{"reference", func() func(int) {
+				l := newRefLog()
+				return func(n int) {
+					var id [32]byte
+					fillDigits(&id, n, item.digits)
+					l.Record("orderer-op", ClassTxMetadata, string(id[:]))
+				}
+			}},
+		} {
+			b.Run(c.name+"/"+item.name+"/duplicate", func(b *testing.B) {
+				record := c.new()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					record(0)
+				}
+			})
+			b.Run(c.name+"/"+item.name+"/new", func(b *testing.B) {
+				record := c.new()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					record(i)
+				}
+			})
+		}
 	}
 }
 
-// fillID writes n as 32 hex-like characters, the shape of a submission ID.
+// fillID writes n as 32 lowercase hex digits, the shape of a submission ID.
 func fillID(id *[32]byte, n int) {
+	fillDigits(id, n, "0123456789abcdef")
+}
+
+// fillDigits writes n as 32 digits drawn from the 16 in digits.
+func fillDigits(id *[32]byte, n int, digits string) {
 	for i := range id {
-		id[i] = "0123456789abcdef"[(n>>(4*(i%8)))&15]
+		id[i] = digits[(n>>(4*(i%8)))&15]
 	}
 }
