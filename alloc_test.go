@@ -36,8 +36,7 @@ func TestAllocationBudget(t *testing.T) {
 	pipeline := func(stages ...middleware.StageConfig) middleware.Config {
 		return middleware.Config{Stages: stages}
 	}
-	sig := pipeline(sessionStage(map[string]string{"reqauth": "sig"}), keycacheEncrypt)
-	mac := pipeline(sessionStage(map[string]string{"reqauth": "mac"}), keycacheEncrypt)
+	mac := pipeline(sessionStage(nil), keycacheEncrypt)
 	traced := mac
 	traced.Trace = "64"
 	// The batch_groupseal pipeline: 64 deferred seals released as one group,
@@ -49,7 +48,7 @@ func TestAllocationBudget(t *testing.T) {
 	grouped.TimingSample = "64"
 	// session_churn's session stage: the per-principal cap keeps the table at
 	// a steady size however many sessions a principal opens.
-	churn := pipeline(sessionStage(map[string]string{"reqauth": "mac", "maxperprincipal": "4"}), keycacheEncrypt)
+	churn := pipeline(sessionStage(map[string]string{"maxperprincipal": "4"}), keycacheEncrypt)
 
 	rows := []struct {
 		name     string
@@ -60,17 +59,6 @@ func TestAllocationBudget(t *testing.T) {
 		ceiling  float64
 		equals   string // an earlier row whose reading this one must repeat
 	}{
-		{
-			// The 22 over the mac row are one ecdsa.Verify (go1.24.0). 32
-			// until the block cut stopped copying the subscriber list; 31
-			// until the five of the mac row below went; 26 until its digest
-			// memo did.
-			name:     "sig-session",
-			replaces: "baseline SessionMAC/reqauth=sig 32; the reference of the two mac >= 2x rules",
-			cfg:      sig,
-			allocs:   submitAllocs,
-			ceiling:  25,
-		},
 		{
 			// The HMAC runs on pooled state (dcrypto.MACKey) and allocates
 			// nothing. 10 until the block cut stopped copying the subscriber
@@ -224,11 +212,6 @@ func TestAllocationBudget(t *testing.T) {
 		case row.equals == "" && n > row.ceiling:
 			t.Errorf("%s: %v allocations, budget %v (replaces: %s)", row.name, n, row.ceiling, row.replaces)
 		}
-	}
-	// The "mac allocates >= 2x fewer than the signature session" rule, as the
-	// relation it was.
-	if 2*got["mac"] > got["sig-session"] {
-		t.Errorf("mac: %v allocations, want at most half of sig-session's %v", got["mac"], got["sig-session"])
 	}
 }
 

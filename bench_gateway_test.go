@@ -105,7 +105,7 @@ type fastPathEnv struct {
 	sink *countingBackend
 	// templates are the consortium's submissions in the form this pipeline
 	// authenticates: certificate + signature without a session stage,
-	// token + signature under reqauth=sig, token + MAC under reqauth=mac.
+	// token + MAC with one.
 	templates []middleware.Request
 }
 
@@ -135,8 +135,8 @@ func newFastPathEnv(tb testing.TB, env *gatewayBenchEnv, cfg middleware.Config) 
 		return fp
 	}
 	// One handshake per member, outside any timed loop: the cost a session
-	// amortizes is paid here, and under reqauth=mac the grant carries the
-	// per-session key the requests are authenticated with.
+	// amortizes is paid here, and the grant carries the per-session key the
+	// requests are authenticated with.
 	grants := make(map[string]middleware.SessionGrant, len(env.keys))
 	for member, key := range env.keys {
 		hello, err := middleware.NewSessionHello(member, env.certs[member], key)
@@ -150,14 +150,11 @@ func newFastPathEnv(tb testing.TB, env *gatewayBenchEnv, cfg middleware.Config) 
 	fp.templates = make([]middleware.Request, len(env.templates))
 	for i, req := range env.templates {
 		grant := grants[req.Principal]
-		// Token instead of certificate: the session path never touches the
-		// cert. The signature does not cover either, so it stays valid.
-		req.Cert = pki.Certificate{}
+		// Token and MAC instead of certificate and signature: the session
+		// path never touches either.
+		req.Cert, req.Sig = pki.Certificate{}, dcrypto.Signature{}
 		req.SessionToken = grant.Token
-		if len(grant.MacKey) > 0 {
-			req.Sig = dcrypto.Signature{} // the MAC path never consults it
-			middleware.MACRequest(&req, grant.MacKey)
-		}
+		middleware.MACRequest(&req, grant.MacKey)
 		fp.templates[i] = req
 	}
 	return fp
@@ -244,8 +241,9 @@ func BenchmarkGatewayChain(b *testing.B) {
 //   - per-request: every submission pays full certificate verification
 //     (authn) and a fresh per-member hybrid key-wrap (encrypt).
 //   - session: certificate verification is paid once at session open; each
-//     submission verifies one signature against the cached principal, and
-//     the channel data key is wrapped once per epoch and reused.
+//     submission verifies one HMAC under the session's key — symmetric,
+//     pooled, allocation-free — and the channel data key is wrapped once
+//     per epoch and reused.
 //
 // The middle variant isolates the two contributions by amortizing authn
 // while still paying the per-request wrap.
@@ -261,27 +259,6 @@ func BenchmarkGatewaySession(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			benchSubmit(b, env, middleware.Config{Stages: tc.stages})
-		})
-	}
-}
-
-// BenchmarkGatewaySessionMAC compares steady-state request authentication
-// on an otherwise identical session+keycache pipeline:
-//
-//   - reqauth=sig: every submission verifies an ECDSA P-256 signature
-//     against the session's cached key.
-//   - reqauth=mac: every submission verifies an HMAC under the per-session
-//     key from the grant — symmetric, pooled, allocation-free.
-//
-// reqauth=mac allocates at most half of what reqauth=sig does; that relation
-// is a row of TestAllocationBudget.
-func BenchmarkGatewaySessionMAC(b *testing.B) {
-	env := newGatewayBenchEnv(b)
-	for _, reqauth := range []string{"sig", "mac"} {
-		b.Run("reqauth="+reqauth, func(b *testing.B) {
-			benchSubmit(b, env, middleware.Config{
-				Stages: []middleware.StageConfig{sessionStage(map[string]string{"reqauth": reqauth}), keycacheEncrypt},
-			})
 		})
 	}
 }

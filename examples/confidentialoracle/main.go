@@ -149,9 +149,7 @@ func run() error {
 	if err := middleware.AttachAttestation(req, att); err != nil {
 		return err
 	}
-	if err := middleware.SignRequest(req, keys["BankA"]); err != nil {
-		return err
-	}
+	middleware.MACRequest(req, grant.MacKey)
 	if _, err := middleware.SubmitOver(net, "BankA", "gateway", req); err != nil {
 		return err
 	}
@@ -168,9 +166,7 @@ func run() error {
 	if err := middleware.AttachAttestation(forged, att); err != nil {
 		return err
 	}
-	if err := middleware.SignRequest(forged, keys["BankA"]); err != nil {
-		return err
-	}
+	middleware.MACRequest(forged, grant.MacKey)
 	if _, err := middleware.SubmitOver(net, "BankA", "gateway", forged); !errors.Is(err, middleware.ErrAttestationRejected) {
 		return fmt.Errorf("tampered settlement accepted: %v", err)
 	}
@@ -205,9 +201,7 @@ func run() error {
 	if err := middleware.AttachAttestation(rigged, rogueAtt); err != nil {
 		return err
 	}
-	if err := middleware.SignRequest(rigged, keys["BankA"]); err != nil {
-		return err
-	}
+	middleware.MACRequest(rigged, grant.MacKey)
 	if _, err := middleware.SubmitOver(net, "BankA", "gateway", rigged); !errors.Is(err, middleware.ErrAttestationRejected) {
 		return fmt.Errorf("unaudited program output accepted: %v", err)
 	}

@@ -125,9 +125,7 @@ func run() error {
 	if _, err := middleware.AttachSufficientFundsProof(apply, balance, amount); err != nil {
 		return err
 	}
-	if err := middleware.SignRequest(apply, keys["OutbackImports"]); err != nil {
-		return err
-	}
+	middleware.MACRequest(apply, grants["OutbackImports"].MacKey)
 	if _, err := middleware.SubmitOver(net, "OutbackImports", "gateway", apply); err != nil {
 		return err
 	}
@@ -140,9 +138,7 @@ func run() error {
 		Payload:      []byte("LoC application with no proof"),
 		SessionToken: grants["OutbackImports"].Token,
 	}
-	if err := middleware.SignRequest(bare, keys["OutbackImports"]); err != nil {
-		return err
-	}
+	middleware.MACRequest(bare, grants["OutbackImports"].MacKey)
 	if _, err := middleware.SubmitOver(net, "OutbackImports", "gateway", bare); !errors.Is(err, middleware.ErrProofRequired) {
 		return fmt.Errorf("proof-less application accepted: %v", err)
 	}
@@ -161,9 +157,7 @@ func run() error {
 			Payload:      []byte("loc-2026-0612: " + step.event),
 			SessionToken: grants[step.party].Token,
 		}
-		if err := middleware.SignRequest(req, keys[step.party]); err != nil {
-			return err
-		}
+		middleware.MACRequest(req, grants[step.party].MacKey)
 		if _, err := middleware.SubmitOver(net, step.party, "gateway", req); err != nil {
 			return fmt.Errorf("%s: %w", step.event, err)
 		}

@@ -150,7 +150,8 @@ func run() error {
 	}
 
 	// 4. Alpha opens one session — full PKI verification happens here,
-	// once — then submits confidential trades bound to the token.
+	// once — then submits confidential trades bound to the token, each
+	// MAC'd under the session key the grant carries.
 	grant, err := middleware.OpenSessionOver(net, "Alpha", "gateway", certs["Alpha"], keys["Alpha"])
 	if err != nil {
 		return err
@@ -166,9 +167,7 @@ func run() error {
 			Payload:      []byte(deal),
 			SessionToken: grant.Token,
 		}
-		if err := middleware.SignRequest(req, keys["Alpha"]); err != nil {
-			return err
-		}
+		middleware.MACRequest(req, grant.MacKey)
 		if _, err := middleware.SubmitOver(net, "Alpha", "gateway", req); err != nil {
 			return err
 		}
@@ -220,9 +219,7 @@ func run() error {
 	stale := &middleware.Request{
 		Channel: "deals", Principal: "Alpha", Payload: []byte("late"), SessionToken: grant.Token,
 	}
-	if err := middleware.SignRequest(stale, keys["Alpha"]); err != nil {
-		return err
-	}
+	middleware.MACRequest(stale, grant.MacKey)
 	if _, err := middleware.SubmitOver(net, "Alpha", "gateway", stale); !errors.Is(err, middleware.ErrNoSession) {
 		return fmt.Errorf("closed session token accepted: %v", err)
 	}

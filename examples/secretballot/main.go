@@ -144,21 +144,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	submit := func(who, payload, token string) error {
+	submit := func(who, payload string, grant middleware.SessionGrant) error {
 		req := &middleware.Request{
 			Channel:      "governance",
 			Principal:    who,
 			Payload:      []byte(payload),
-			SessionToken: token,
+			SessionToken: grant.Token,
 		}
-		if err := middleware.SignRequest(req, keys[who]); err != nil {
-			return err
-		}
+		middleware.MACRequest(req, grant.MacKey)
 		_, err := middleware.SubmitOver(net, who, "gateway", req)
 		return err
 	}
 	preliminary := "ballot: admit NewMember, yes=" + strconv.Itoa(yes)
-	if err := submit("BankA", preliminary, grant.Token); err != nil {
+	if err := submit("BankA", preliminary, grant); err != nil {
 		return err
 	}
 
@@ -186,13 +184,13 @@ func run() error {
 	// ratification. The CA's push reaches the gateway at once — the live
 	// session dies, and the governance channel re-keys without Logistics.
 	ca.Revoke(certs["Logistics"].Serial)
-	if err := submit("Logistics", "late objection", logGrant.Token); !errors.Is(err, middleware.ErrSessionRevoked) {
+	if err := submit("Logistics", "late objection", logGrant); !errors.Is(err, middleware.ErrSessionRevoked) {
 		return fmt.Errorf("revoked member's late submission = %v, want ErrSessionRevoked", err)
 	}
 	fmt.Println("mid-ballot revocation: Logistics' session evicted, late submission rejected")
 
 	ratified := "ballot ratified: admit NewMember, yes=" + strconv.Itoa(yes)
-	if err := submit("BankA", ratified, grant.Token); err != nil {
+	if err := submit("BankA", ratified, grant); err != nil {
 		return err
 	}
 	if len(v.payloads) != 2 {

@@ -165,7 +165,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	gwCfg := middleware.Config{
 		Stages: []middleware.StageConfig{
 			{Name: middleware.StageSession, Params: map[string]string{
-				"ttl": "10m", "idle": "10m", "reqauth": "mac", "revokecheck": "resolve",
+				"ttl": "10m", "idle": "10m", "revokecheck": "resolve",
 			}},
 			{Name: middleware.StageAuthn},
 			{Name: middleware.StageRateLimit, Params: map[string]string{"rate": "1000000", "burst": "1000000"}},

@@ -38,10 +38,9 @@ var ErrBadConfig = errors.New("middleware: invalid pipeline configuration")
 //	session    — ttl (duration, default 10m), idle (duration, default 2m),
 //	             maxperprincipal (default 0 = unlimited; > 0 caps live
 //	             sessions per principal, evicting the oldest on overflow),
-//	             reqauth (sig|mac, default sig; mac authenticates
-//	             steady-state session requests with a per-session HMAC key
-//	             handed out in the grant instead of a per-request ECDSA
-//	             signature), revokecheck (off|resolve|sweep, default off;
+//	             reqauth (mac, the default and only value: session
+//	             requests are MAC'd under the key the grant hands out),
+//	             revokecheck (off|resolve|sweep, default off;
 //	             anything but off requires Env.Revoker), revokesweep
 //	             (duration, default 30s; the sweep-mode interval, only
 //	             valid with revokecheck=sweep)

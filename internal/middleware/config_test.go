@@ -164,7 +164,8 @@ func TestConfigParamMatrix(t *testing.T) {
 		{"session idle negative", session(map[string]string{"idle": "-1m"}), nil, "ttl and idle must be positive"},
 		{"session maxperprincipal not an integer", session(map[string]string{"maxperprincipal": "few"}), nil, `maxperprincipal="few" is not an integer`},
 		{"session maxperprincipal negative", session(map[string]string{"maxperprincipal": "-2"}), nil, "maxperprincipal must be >= 0"},
-		{"session reqauth unknown", session(map[string]string{"reqauth": "password"}), nil, `unknown request auth mode "password"`},
+		{"session reqauth unknown", session(map[string]string{"reqauth": "password"}), nil, `reqauth="password": session requests are authenticated by MAC only`},
+		{"session reqauth sig", session(map[string]string{"reqauth": "sig"}), nil, `reqauth="sig": session requests are authenticated by MAC only`},
 		{"session revokecheck unknown", session(map[string]string{"revokecheck": "eventually"}), nil, `unknown revocation check mode "eventually"`},
 		{"session revokecheck without revoker", session(map[string]string{"revokecheck": "resolve"}), nil, "needs Env.Revoker"},
 		{"session revokesweep without sweep mode", session(map[string]string{"revokesweep": "30s"}), nil, "only valid with revokecheck=sweep"},
@@ -217,7 +218,6 @@ func TestConfigParamMatrix(t *testing.T) {
 		{"session full params", session(map[string]string{
 			"ttl": "1h", "idle": "5m", "maxperprincipal": "8",
 		}), testEnv(t)},
-		{"session reqauth sig", session(map[string]string{"reqauth": "sig"}), testEnv(t)},
 		{"session reqauth mac", session(map[string]string{"reqauth": "mac"}), testEnv(t)},
 		{"session revokecheck off without revoker", session(map[string]string{"revokecheck": "off"}), testEnv(t)},
 		{"session revokecheck resolve", session(map[string]string{"revokecheck": "resolve"}), revEnv},

@@ -132,7 +132,7 @@ func (k wireKind) accepts(stages []StageConfig) bool {
 func TestDigestMemoUnderEveryAdmittedPipeline(t *testing.T) {
 	ca, ps := enroll(t, "alice", "bob")
 	dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()}}
-	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil, WithRequestAuth(AuthMAC))
+	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func pipelineString(stages []StageConfig) string {
 // request's digest on the first call must not vouch for the second.
 func TestResubmittedRequestIsCheckedAgain(t *testing.T) {
 	ca, ps := enroll(t, "alice")
-	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil, WithRequestAuth(AuthMAC))
+	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

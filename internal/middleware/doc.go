@@ -123,7 +123,7 @@
 //
 // Registered stages are first-class everywhere: RegisteredStages and
 // StageUsage enumerate them, ParseStages compiles the compact text form
-// ("session(reqauth=mac)|authn|encrypt|audit", with name=mode sugar) used
+// ("session(ttl=10m)|authn|encrypt|audit", with name=mode sugar) used
 // by cmd/gateway's -stages flag, instrument wraps them into the same
 // StageStats and confmw_stage_latency_seconds series as the built-ins,
 // and the config test matrix exercises their declared rules.
@@ -149,9 +149,9 @@
 // a nonce and issue time; stale hellos are rejected (ErrStaleHello) and
 // nonces are remembered across the freshness window (ErrReplayedHello), so
 // a recorded handshake cannot be replayed to mint tokens. Subsequent submissions
-// carry the token and a per-request signature over the request digest; the
-// session stage binds them to the cached verified principal without
-// touching the certificate again. Requests without a token pass through to
+// carry the token and a MAC over the request digest under the session's
+// key; the session stage binds them to the cached verified principal
+// without touching the certificate again. Requests without a token pass through to
 // the authn stage untouched, so one chain serves both traffic kinds.
 //
 // Over a network the handshake is ServeWire's, and it proves possession of
@@ -176,9 +176,8 @@
 // an interval, so an abandoned client population cannot grow the table
 // without bound while a 100k-session open flood never pays a full table
 // walk per handshake. A compromised token alone cannot forge traffic:
-// every submission still needs a signature under the principal's private
-// key — or, under reqauth=mac (below), a MAC under the per-session key
-// from the grant.
+// every submission still needs a MAC under the per-session key from the
+// grant (below).
 //
 // # Network edge and session binding
 //
@@ -207,28 +206,30 @@
 // # Performance
 //
 // The session path exists to push steady-state per-request cost toward
-// the symmetric-crypto floor; two knobs and three habits finish the job:
+// the symmetric-crypto floor; one way in, one wire format and three habits
+// finish the job:
 //
-//   - reqauth (session stage parameter, "sig" default | "mac"). Under
-//     "mac", Open derives a per-session HMAC-SHA256 key via HKDF — salted
-//     with the handshake transcript digest, so the key is rooted in the
-//     very PKI handshake it amortizes — and returns it in the
-//     SessionGrant when the grant is handed over in memory. A grant that
-//     crosses a network never carries it: gateway and client each derive
-//     it from the handshake's master secret, which travels only sealed to
-//     the certified key. Steady-state submissions then carry MACRequest output
-//     instead of an ECDSA signature: a ~0.5µs pooled, allocation-free
-//     verify in place of a ~80µs public-key operation. The trust argument:
-//     the key is minted only after full certificate verification (or proof
-//     of possession of the secret such a verification sealed), is bound to
-//     one session, is derivable only by the holder of the certified private
-//     key, and dies with the session — expiry, close, or revocation (a
-//     revoked certificate evicts the session and with it the server's
-//     copy of the key, so the fast path cannot outlive trust; see
-//     BenchmarkGatewaySessionMAC and the revocation suite). Requests
-//     without a MAC fall back to the signature path, so first-contact and
-//     mixed populations keep working; sessionless traffic still flows
-//     through the authn stage unchanged.
+//   - Session requests are MAC'd, and only MAC'd. Open derives a
+//     per-session HMAC-SHA256 key via HKDF — salted with the handshake
+//     transcript digest, so the key is rooted in the very PKI handshake it
+//     amortizes — and returns it in the SessionGrant when the grant is
+//     handed over in memory. A grant that crosses a network never carries
+//     it: gateway and client each derive it from the handshake's master
+//     secret, which travels only sealed to the certified key. Every
+//     token-bearing submission carries MACRequest output: a ~0.5µs pooled,
+//     allocation-free verify, no public-key operation. A token-bearing
+//     request without a valid MAC is ErrBadMAC, whatever signature it
+//     carries. The trust argument: the key is minted only after full
+//     certificate verification (or proof of possession of the secret such
+//     a verification sealed), is bound to one session, is derivable only
+//     by the holder of the certified private key, and dies with the
+//     session — expiry, close, or revocation (a revoked certificate evicts
+//     the session and with it the server's copy of the key, so the fast
+//     path cannot outlive trust; see the revocation suite). A MAC is not
+//     third-party evidence of authorship — the gateway holds the key — so
+//     a submission that must be non-repudiable goes without a token, with
+//     certificate and signature, and the authn stage verifies it. The
+//     session stage's "reqauth" parameter accepts only "mac", its default.
 //   - One wire format. A submission, a session handshake message and an
 //     envelope on the ledger are all 0xDC frames: length-prefixed, no
 //     field names, no base64, no reflection; a request frame decodes into
@@ -278,13 +279,12 @@
 //     map the pipeline made (off the wire, the batch vehicle's) is
 //     annotated in place; a caller's is copied and left as it came.
 //
-// BenchmarkGatewaySessionMAC (root package) compares the signature and MAC
-// sessions in process, and TestAllocationBudget beside it holds the
-// allocation half of the claim as a test: reqauth=mac allocates at most
-// half of what the signature session does (4 against 26), with or without
-// the binary framing. What the path costs over a socket is the steady_mac
-// workload of the repository's benchmark (BENCHMARK.json): 7 allocations a
-// submission, each of them something handed on.
+// BenchmarkGatewaySession (root package) compares the per-request and
+// session paths in process, and TestAllocationBudget beside it holds what
+// the MAC session allocates as a test (3 a submission). What the path
+// costs over a socket is the steady_mac workload of the repository's
+// benchmark (BENCHMARK.json): 5 allocations a submission, each of them
+// something handed on.
 //
 // # Channel key rotation
 //

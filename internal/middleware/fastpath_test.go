@@ -224,10 +224,9 @@ func TestCodecConfigValidation(t *testing.T) {
 
 // --- MAC request authentication ---
 
-// fastpathGateway builds a session+encrypt gateway with the given reqauth
-// over the transport substrate, returning the network and the per-principal
-// grants.
-func fastpathGateway(t testing.TB, reqauth string, names ...string) (*Gateway, *transport.Network, map[string]*principal, map[string]SessionGrant) {
+// fastpathGateway builds a session+authn+encrypt gateway over the transport
+// substrate, returning the network and the per-principal grants.
+func fastpathGateway(t testing.TB, names ...string) (*Gateway, *transport.Network, map[string]*principal, map[string]SessionGrant) {
 	t.Helper()
 	ca, ps := enroll(t, names...)
 	members := make(map[string]dcrypto.PublicKey, len(ps))
@@ -239,7 +238,7 @@ func fastpathGateway(t testing.TB, reqauth string, names ...string) (*Gateway, *
 	dir.SetChannel("loans", members)
 	cfg := Config{
 		Stages: []StageConfig{
-			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": reqauth}},
+			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}},
 			{Name: StageAuthn},
 			{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 		},
@@ -270,10 +269,10 @@ func fastpathGateway(t testing.TB, reqauth string, names ...string) (*Gateway, *
 }
 
 func TestSessionMACAuthenticates(t *testing.T) {
-	gw, net, _, grants := fastpathGateway(t, "mac", "alice")
+	gw, net, _, grants := fastpathGateway(t, "alice")
 	grant := grants["alice"]
 	if len(grant.MacKey) != dcrypto.MACKeySize {
-		t.Fatalf("mac-mode grant carries no MAC key: %+v", grant)
+		t.Fatalf("grant carries no MAC key: %+v", grant)
 	}
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	MACRequest(req, grant.MacKey)
@@ -289,7 +288,7 @@ func TestSessionMACAuthenticates(t *testing.T) {
 }
 
 func TestSessionMACRejectsTampering(t *testing.T) {
-	_, net, _, grants := fastpathGateway(t, "mac", "alice")
+	_, net, _, grants := fastpathGateway(t, "alice")
 	grant := grants["alice"]
 
 	// Tampered payload after MACing.
@@ -316,37 +315,9 @@ func TestSessionMACRejectsTampering(t *testing.T) {
 	}
 }
 
-func TestSessionMACSigFallback(t *testing.T) {
-	_, net, ps, grants := fastpathGateway(t, "mac", "alice")
-	// A signature-path client on a MAC gateway keeps working (first
-	// contact, or a client that ignored the grant key).
-	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grants["alice"].Token}
-	if err := SignRequest(req, ps["alice"].key); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
-		t.Fatalf("signature fallback on mac gateway rejected: %v", err)
-	}
-}
-
-func TestSessionSigModeGrantsNoMACKey(t *testing.T) {
-	_, net, _, grants := fastpathGateway(t, "sig", "alice")
-	grant := grants["alice"]
-	if grant.MacKey != nil {
-		t.Fatalf("sig-mode grant carries a MAC key")
-	}
-	// A MAC-bearing request at a signature-only gateway is rejected, not
-	// silently accepted.
-	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
-	req.MAC = bytes.Repeat([]byte{0x01}, dcrypto.MACSize)
-	if _, err := SubmitOver(net, "alice", "gateway", req); !errors.Is(err, ErrBadMAC) {
-		t.Fatalf("MAC at sig gateway: got %v, want ErrBadMAC", err)
-	}
-}
-
 func TestSessionMACKeyBoundPerSession(t *testing.T) {
 	ca, ps := enroll(t, "alice")
-	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil, WithRequestAuth(AuthMAC))
+	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +342,6 @@ func TestSessionMACKeyBoundPerSession(t *testing.T) {
 func TestRevocationKillsMACSession(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil,
-		WithRequestAuth(AuthMAC),
 		WithRevocationChecks(ca, RevokeCheckResolve, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +373,7 @@ func TestRevocationKillsMACSession(t *testing.T) {
 // --- submissions over the wire ---
 
 func TestBinarySubmissionEndToEnd(t *testing.T) {
-	gw, net, ps, grants := fastpathGateway(t, "mac", "alice", "bob")
+	gw, net, ps, grants := fastpathGateway(t, "alice", "bob")
 	var delivered []ledger.Transaction
 	var mu sync.Mutex
 	sink := backendFunc{name: "recorder", commit: func(b ledger.Block) error {
@@ -450,7 +420,7 @@ func TestBinarySubmissionEndToEnd(t *testing.T) {
 // confmw_gateway_rejected_total, on gateway.submit as on session.open. A
 // refused submission used to leave no trace in any telemetry.
 func TestWireRefusalsAreCounted(t *testing.T) {
-	gw, _, ps, grants := fastpathGateway(t, "mac", "alice")
+	gw, _, ps, grants := fastpathGateway(t, "alice")
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grants["alice"].Token}
 	MACRequest(req, grants["alice"].MacKey)
 	frame, err := EncodeWireRequest(req, "")
@@ -646,13 +616,13 @@ func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
 
 // --- concurrency matrix ---
 
-// TestFastPathConcurrencyMatrix drives parallel submitters through the
-// full gateway over the transport substrate under each reqauth mode, then
-// asserts (a) every submission was accepted and counted, (b) both bound
-// backends saw identical per-channel delivery orders, and (c) the
-// per-channel sequences are a merge preserving each submitter's own
-// submission order. Run under -race this also shakes the striped
-// session table, the fingerprint cache, and the pooled hashing.
+// TestFastPathConcurrencyMatrix drives parallel MAC'd submitters through the
+// full gateway over the transport substrate, then asserts (a) every
+// submission was accepted and counted, (b) both bound backends saw
+// identical per-channel delivery orders, and (c) the per-channel sequences
+// are a merge preserving each submitter's own submission order. Run under
+// -race this also shakes the striped session table, the fingerprint cache,
+// and the pooled hashing.
 func TestFastPathConcurrencyMatrix(t *testing.T) {
 	const (
 		submitters   = 4
@@ -663,92 +633,83 @@ func TestFastPathConcurrencyMatrix(t *testing.T) {
 		names[i] = fmt.Sprintf("org%d", i)
 	}
 	channels := []string{"deals", "loans"}
-	for _, reqauth := range []string{"sig", "mac"} {
-		t.Run(fmt.Sprintf("reqauth=%s/codec=%s", reqauth, CodecBinary), func(t *testing.T) {
-			gw, net, ps, grants := fastpathGateway(t, reqauth, names...)
-			type record struct {
-				mu   sync.Mutex
-				seen map[string][]string // channel -> request ids in delivery order
-			}
-			recs := [2]*record{{seen: map[string][]string{}}, {seen: map[string][]string{}}}
-			for i, rec := range recs {
-				rec := rec
-				for _, ch := range channels {
-					gw.Bind(ch, backendFunc{name: fmt.Sprintf("rec%d", i), commit: func(b ledger.Block) error {
-						rec.mu.Lock()
-						for _, tx := range b.Txs {
-							rec.seen[tx.Channel] = append(rec.seen[tx.Channel], tx.Meta["reqid"])
-						}
-						rec.mu.Unlock()
-						return nil
-					}})
+	gw, net, _, grants := fastpathGateway(t, names...)
+	type record struct {
+		mu   sync.Mutex
+		seen map[string][]string // channel -> request ids in delivery order
+	}
+	recs := [2]*record{{seen: map[string][]string{}}, {seen: map[string][]string{}}}
+	for i, rec := range recs {
+		rec := rec
+		for _, ch := range channels {
+			gw.Bind(ch, backendFunc{name: fmt.Sprintf("rec%d", i), commit: func(b ledger.Block) error {
+				rec.mu.Lock()
+				for _, tx := range b.Txs {
+					rec.seen[tx.Channel] = append(rec.seen[tx.Channel], tx.Meta["reqid"])
+				}
+				rec.mu.Unlock()
+				return nil
+			}})
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, submitters)
+	for _, name := range names {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			grant := grants[name]
+			for i := 0; i < perSubmitter; i++ {
+				req := &Request{
+					Channel:      channels[i%len(channels)],
+					Principal:    name,
+					Payload:      []byte(fmt.Sprintf("%s-%d", name, i)),
+					SessionToken: grant.Token,
+					Meta:         map[string]string{"reqid": fmt.Sprintf("%s-%d", name, i)},
+				}
+				MACRequest(req, grant.MacKey)
+				if _, err := SubmitOver(net, name, "gateway", req); err != nil {
+					errs <- fmt.Errorf("%s submit %d: %w", name, i, err)
+					return
 				}
 			}
-			var wg sync.WaitGroup
-			errs := make(chan error, submitters)
-			for _, name := range names {
-				wg.Add(1)
-				go func(name string) {
-					defer wg.Done()
-					p, grant := ps[name], grants[name]
-					for i := 0; i < perSubmitter; i++ {
-						req := &Request{
-							Channel:      channels[i%len(channels)],
-							Principal:    name,
-							Payload:      []byte(fmt.Sprintf("%s-%d", name, i)),
-							SessionToken: grant.Token,
-							Meta:         map[string]string{"reqid": fmt.Sprintf("%s-%d", name, i)},
-						}
-						if reqauth == "mac" {
-							MACRequest(req, grant.MacKey)
-						} else if err := SignRequest(req, p.key); err != nil {
-							errs <- err
-							return
-						}
-						if _, err := SubmitOver(net, name, "gateway", req); err != nil {
-							errs <- fmt.Errorf("%s submit %d: %w", name, i, err)
-							return
-						}
-					}
-				}(name)
+		}(name)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	total := uint64(submitters * perSubmitter)
+	stats := gw.Stats()
+	if stats.Submitted != total || stats.Ordered != total || stats.Rejected != 0 {
+		t.Fatalf("stats = submitted %d ordered %d rejected %d, want %d/%d/0",
+			stats.Submitted, stats.Ordered, stats.Rejected, total, total)
+	}
+	// Both backends saw the same per-channel order.
+	for _, ch := range channels {
+		if !reflect.DeepEqual(recs[0].seen[ch], recs[1].seen[ch]) {
+			t.Fatalf("channel %s: backends disagree on delivery order", ch)
+		}
+	}
+	// The merged order preserves each submitter's own sequence,
+	// and nothing was lost or duplicated.
+	delivered := 0
+	for _, ch := range channels {
+		prev := make(map[int]int)
+		for _, id := range recs[0].seen[ch] {
+			var orgIdx, seq int
+			if _, err := fmt.Sscanf(id, "org%d-%d", &orgIdx, &seq); err != nil {
+				t.Fatalf("unparseable reqid %q: %v", id, err)
 			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
+			if last, ok := prev[orgIdx]; ok && seq <= last {
+				t.Fatalf("channel %s: submitter org%d delivered out of order (%d after %d)", ch, orgIdx, seq, last)
 			}
-			total := uint64(submitters * perSubmitter)
-			stats := gw.Stats()
-			if stats.Submitted != total || stats.Ordered != total || stats.Rejected != 0 {
-				t.Fatalf("stats = submitted %d ordered %d rejected %d, want %d/%d/0",
-					stats.Submitted, stats.Ordered, stats.Rejected, total, total)
-			}
-			// Both backends saw the same per-channel order.
-			for _, ch := range channels {
-				if !reflect.DeepEqual(recs[0].seen[ch], recs[1].seen[ch]) {
-					t.Fatalf("channel %s: backends disagree on delivery order", ch)
-				}
-			}
-			// The merged order preserves each submitter's own sequence,
-			// and nothing was lost or duplicated.
-			delivered := 0
-			for _, ch := range channels {
-				prev := make(map[int]int)
-				for _, id := range recs[0].seen[ch] {
-					var orgIdx, seq int
-					if _, err := fmt.Sscanf(id, "org%d-%d", &orgIdx, &seq); err != nil {
-						t.Fatalf("unparseable reqid %q: %v", id, err)
-					}
-					if last, ok := prev[orgIdx]; ok && seq <= last {
-						t.Fatalf("channel %s: submitter org%d delivered out of order (%d after %d)", ch, orgIdx, seq, last)
-					}
-					prev[orgIdx] = seq
-					delivered++
-				}
-			}
-			if delivered != int(total) {
-				t.Fatalf("delivered %d txs across channels, want %d", delivered, total)
-			}
-		})
+			prev[orgIdx] = seq
+			delivered++
+		}
+	}
+	if delivered != int(total) {
+		t.Fatalf("delivered %d txs across channels, want %d", delivered, total)
 	}
 }

@@ -49,7 +49,7 @@ func FuzzWireRequest(f *testing.F) {
 	}
 	cfg := Config{
 		Stages: []StageConfig{
-			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "revokecheck": "resolve", "reqauth": "mac"}},
+			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "revokecheck": "resolve"}},
 			{Name: StageAuthn},
 			{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			{Name: StageAudit},
@@ -77,9 +77,10 @@ func FuzzWireRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	// Seeds: a well-formed session submission, near-miss mutations of it,
-	// a valid hello, and framing junk — JSON documents, which were a wire
-	// format once, among the junk.
+	// Seeds: a signed session submission (refused: a token-bearing request
+	// is MAC'd or nothing), a well-formed MAC'd one, near-miss mutations of
+	// it, a valid hello, and framing junk — JSON documents, which were a
+	// wire format once, among the junk.
 	good := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	if err := SignRequest(good, key); err != nil {
 		f.Fatal(err)
@@ -89,8 +90,8 @@ func FuzzWireRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(goodSigned)
-	// The same submission with a MAC instead of a signature, plus mutations
-	// of the frame structure.
+	// The same submission with a MAC instead of a signature, which the
+	// gateway accepts, plus mutations of the frame structure.
 	macGood := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	MACRequest(macGood, grant.MacKey)
 	goodBinary, err := EncodeWireRequest(macGood, "")
@@ -551,7 +552,7 @@ func TestKeyTableIsCanonical(t *testing.T) {
 // the Env did not bring is a crash at start-up.
 func FuzzParseStages(f *testing.F) {
 	for _, seed := range []string{
-		"session(reqauth=mac)|authn|encrypt|audit(auditasync=256)|batch(size=4,groupseal=on)", // docs/OPERATIONS.md
+		"session(ttl=10m,idle=5m,revokecheck=resolve)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)", // cmd/gateway -stages default
 		"session|encrypt(keyttl=5m)|audit=async",
 		"session|anoncred(attrs=role=member)|encrypt",
 		"session||authn",

@@ -906,9 +906,9 @@ func SubmitOver(net *transport.Network, from, endpoint string, req *Request) (st
 
 // OpenSessionOver performs the signed session handshake with a gateway
 // endpoint over the network substrate: full authn is paid once here, and
-// the returned grant's token rides on every subsequent submission (on a
-// reqauth=mac gateway the grant also holds the session MAC key for
-// MACRequest — derived here, never sent). Every call is the full signed
+// the returned grant's token rides on every subsequent submission, and the
+// grant holds the session MAC key for MACRequest — derived here, never
+// sent. Every call is the full signed
 // handshake: the helper keeps nothing between calls. A caller that opens
 // sessions again and again holds a Handshaker and calls its Open with the
 // same round trip, and resumes.

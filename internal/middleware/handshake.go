@@ -181,18 +181,13 @@ func decodeHelloFrame(b []byte) (*SessionHello, resumeHello, error) {
 	}
 }
 
-// Grant frame flags.
-const (
-	grantMacAuth = 1 << iota
-	grantResumed
-)
+// grantResumed is the grant frame's one flag: the session was opened by a
+// resume hello.
+const grantResumed = 1
 
 // encodeGrantFrame marshals a grant. MacKey is not a field of the frame.
 func encodeGrantFrame(g *SessionGrant) []byte {
 	var flags byte
-	if g.MacAuth {
-		flags |= grantMacAuth
-	}
 	if g.Resumed {
 		flags |= grantResumed
 	}
@@ -222,11 +217,11 @@ func decodeGrantFrame(b []byte, principal string) (g SessionGrant, miss bool, er
 		return g, false, fmt.Errorf("%w: not a grant frame", ErrBadFrame)
 	}
 	flags := b[2]
-	if flags&^(grantMacAuth|grantResumed) != 0 {
+	if flags&^grantResumed != 0 {
 		return g, false, fmt.Errorf("%w: unknown grant flags 0x%02x", ErrBadFrame, flags)
 	}
 	r := frameReader{b: b[3:]}
-	g.MacAuth, g.Resumed = flags&grantMacAuth != 0, flags&grantResumed != 0
+	g.Resumed = flags&grantResumed != 0
 	g.Token = r.str()
 	g.Principal = principal
 	if p := r.bytes(); string(p) != principal { // the comparison does not allocate
@@ -254,9 +249,9 @@ func decodeGrantFrame(b []byte, principal string) (g SessionGrant, miss bool, er
 
 // unseal finishes, on the client, a grant that crossed a network after the
 // full hello whose transcript digest is given: it opens the sealed master
-// secret with the private half of the certified key and, when the gateway
-// authenticates by MAC, derives MacKey from it — the key the gateway derived
-// and did not send. It returns the master for a caller that will keep it.
+// secret with the private half of the certified key and derives MacKey from
+// it — the key the gateway derived and did not send. It returns the master
+// for a caller that will keep it.
 func (g *SessionGrant) unseal(digest [32]byte, key *dcrypto.PrivateKey) ([]byte, error) {
 	if g.Sealed == nil {
 		return nil, errors.New("middleware: grant carries no sealed master secret")
@@ -265,13 +260,11 @@ func (g *SessionGrant) unseal(digest [32]byte, key *dcrypto.PrivateKey) ([]byte,
 	if err != nil {
 		return nil, fmt.Errorf("middleware: unseal master secret: %w", err)
 	}
-	if g.MacAuth {
-		mac, err := sessionMACKey(master, digest, g.Token)
-		if err != nil {
-			return nil, err
-		}
-		g.MacKey = mac[:]
+	mac, err := sessionMACKey(master, digest, g.Token)
+	if err != nil {
+		return nil, err
 	}
+	g.MacKey = mac[:]
 	return master, nil
 }
 
@@ -326,9 +319,9 @@ type heldSecret struct {
 // Open opens one session for principal: resumed when this Handshaker holds
 // a live secret for the certificate, by the full signed handshake otherwise.
 // roundTrip carries one hello frame to the gateway's session.open topic and
-// returns the reply. The grant is complete: MacKey is filled in (when the
-// gateway authenticates by MAC) though it was never sent. ctx is handed to
-// roundTrip and bounds the wait for another Open's full handshake.
+// returns the reply. The grant is complete: MacKey is filled in though it
+// was never sent. ctx is handed to roundTrip and bounds the wait for another
+// Open's full handshake.
 func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certificate, key *dcrypto.PrivateKey, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
 	k := heldKey{principal, cert.Serial}
 	for {
@@ -438,12 +431,10 @@ func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string
 		}
 		return SessionGrant{}, miss, err
 	}
-	if grant.MacAuth {
-		mac, err := sessionMACKey(s.master, digest, grant.Token)
-		if err != nil {
-			return SessionGrant{}, false, err
-		}
-		grant.MacKey = mac[:]
+	mac, err := sessionMACKey(s.master, digest, grant.Token)
+	if err != nil {
+		return SessionGrant{}, false, err
 	}
+	grant.MacKey = mac[:]
 	return grant, false, nil
 }

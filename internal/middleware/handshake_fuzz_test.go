@@ -36,7 +36,7 @@ func FuzzHandshakeFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil, WithRequestAuth(AuthMAC))
+	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func FuzzResumeAgrees(f *testing.F) {
 		var sides [2]*resumeSide
 		for i := range sides {
 			mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, clock.now,
-				WithRequestAuth(AuthMAC), WithMaxPerPrincipal(2),
+				WithMaxPerPrincipal(2),
 				WithRevocationChecks(pullRevoker{ca}, RevokeCheckResolve, 0))
 			if err != nil {
 				t.Fatal(err)
@@ -260,7 +260,7 @@ func FuzzResumeAgrees(f *testing.F) {
 						continue
 					}
 					s.tokens, s.conns = append(s.tokens, grants[i].Token), append(s.conns, conn)
-					_, _, mac, err := s.mgr.resolve(grants[i].Token, s.wires[conn].transportID)
+					_, mac, err := s.mgr.resolve(grants[i].Token, s.wires[conn].transportID)
 					if err != nil || mac == nil {
 						t.Fatalf("step %d side %d: the session just granted does not resolve: %v", step, i, err)
 					}

@@ -153,7 +153,7 @@ func goldenID(tx ledger.Transaction) string {
 // value) went from v2 to v3; under the v2 names they are the ids of before.
 func TestTransactionDigestsAreGolden(t *testing.T) {
 	registerPostNote(t)
-	session := StageConfig{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": "mac"}}
+	session := StageConfig{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}}
 	encrypt := StageConfig{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}}
 	authn := StageConfig{Name: StageAuthn}
 	batch := func(groupseal string) StageConfig {
@@ -257,7 +257,7 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 // shows the maps belong to a gateway, not to the package.
 func TestSharedMetaStaysReadOnly(t *testing.T) {
 	registerPostNote(t)
-	session := StageConfig{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": "mac"}}
+	session := StageConfig{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}}
 	encrypt := StageConfig{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}}
 	gateways := []struct {
 		name   string
@@ -424,7 +424,7 @@ func hostileMetaFrames() [][]byte {
 // for the map before it failed on the first entry.
 func TestHostileMetaCountSizesNoMap(t *testing.T) {
 	fx := newGoldenFixture(t, "gw", Config{
-		Stages: []StageConfig{{Name: StageSession, Params: map[string]string{"reqauth": "mac"}}},
+		Stages: []StageConfig{{Name: StageSession}},
 	})
 	for i, frame := range hostileMetaFrames() {
 		var before, after runtime.MemStats

@@ -24,9 +24,8 @@ var (
 	// ErrBadSignature is returned when the submitter signature does not
 	// verify against the certified key.
 	ErrBadSignature = errors.New("middleware: submitter signature invalid")
-	// ErrBadMAC is returned when a session request's MAC does not verify
-	// against the per-session key (reqauth=mac), or when a MAC arrives at
-	// a signature-only session stage.
+	// ErrBadMAC is returned when a token-bearing request's MAC is missing
+	// or does not verify against the per-session key.
 	ErrBadMAC = errors.New("middleware: request mac invalid")
 	// ErrIdentityMismatch is returned when the certificate identity does
 	// not match the request principal.
@@ -65,13 +64,13 @@ type Request struct {
 	// SessionToken binds the request to an established gateway session so
 	// the session stage authenticates it against the cached verified
 	// principal instead of re-verifying the certificate. The token is not
-	// part of Digest(): the signature binds content to principal, the token
-	// binds the request to the amortized authn.
+	// part of Digest(): the MAC binds content to the session, the token
+	// names the session.
 	SessionToken string
 	// MAC authenticates a session request under the per-session HMAC key
-	// from the SessionGrant (reqauth=mac): the symmetric fast path that
-	// replaces the per-request ECDSA verify. Empty for signature-path
-	// traffic. Set it with MACRequest after the payload is final.
+	// from the SessionGrant: the only proof a token-bearing request is
+	// checked for. Empty for sessionless (certificate + signature) traffic.
+	// Set it with MACRequest after the payload is final.
 	MAC []byte
 	// Meta carries free-form annotations copied onto the transaction beside
 	// the gateway's own (Gateway.order); stages annotate it in place.
@@ -297,7 +296,9 @@ func (r *Request) Authenticated() bool { return r.authenticated }
 func (r *Request) Encrypted() bool { return r.encrypted }
 
 // SignRequest signs the request digest with the submitter's key, filling
-// Sig. It must be called after the payload is final and before submission.
+// Sig: the proof a sessionless request carries beside its certificate, for
+// the authn stage. A token-bearing request is MAC'd instead (MACRequest).
+// It must be called after the payload is final and before submission.
 func SignRequest(r *Request, key *dcrypto.PrivateKey) error {
 	d := r.Digest()
 	sig, err := key.Sign(d[:])

@@ -303,7 +303,7 @@ func init() {
 			{"ttl", "session lifetime (duration, default 10m)"},
 			{"idle", "idle timeout (duration, default 2m)"},
 			{"maxperprincipal", "live-session cap per principal (default 0 = unlimited)"},
-			{"reqauth", "steady-state request auth: sig|mac (default sig)"},
+			{"reqauth", "request auth: mac, the only value (the default)"},
 			{"revokecheck", "revocation checks: off|resolve|sweep (default off)"},
 			{"revokesweep", "sweep interval (duration, only with revokecheck=sweep)"},
 		},
@@ -445,9 +445,8 @@ func buildSessionStage(p *params, sc StageConfig, env Env) (Stage, error) {
 		ttl := p.duration("ttl", 10*time.Minute)
 		idle := p.duration("idle", 2*time.Minute)
 		maxPer := p.intVal("maxperprincipal", 0)
-		reqauth, aerr := ParseRequestAuthMode(p.str("reqauth", "sig"))
-		if aerr != nil {
-			return nil, aerr
+		if v := p.str("reqauth", "mac"); v != "mac" {
+			return nil, fmt.Errorf("reqauth=%q: session requests are authenticated by MAC only (reqauth=mac, the default); a signed request goes without a token, to authn", v)
 		}
 		mode, merr := ParseRevokeCheckMode(p.str("revokecheck", "off"))
 		if merr != nil {
@@ -474,7 +473,6 @@ func buildSessionStage(p *params, sc StageConfig, env Env) (Stage, error) {
 		var err error
 		mgr, err = NewSessionManager(env.CAKey, ttl, idle, env.Now,
 			WithMaxPerPrincipal(maxPer),
-			WithRequestAuth(reqauth),
 			WithRevocationChecks(env.Revoker, mode, sweepEvery))
 		if err != nil {
 			return nil, err

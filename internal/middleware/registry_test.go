@@ -147,8 +147,8 @@ func TestParseStages(t *testing.T) {
 				"mode": "present", "attrs": "role=member+org=bank", "scope": "audit",
 			}},
 		}},
-		{"full pipeline", "session(reqauth=mac)|authn|attest(bind=output)|encrypt|audit", []StageConfig{
-			{Name: StageSession, Params: map[string]string{"reqauth": "mac"}},
+		{"full pipeline", "session(ttl=10m)|authn|attest(bind=output)|encrypt|audit", []StageConfig{
+			{Name: StageSession, Params: map[string]string{"ttl": "10m"}},
 			{Name: StageAuthn},
 			{Name: StageAttest, Params: map[string]string{"bind": "output"}},
 			{Name: StageEncrypt},

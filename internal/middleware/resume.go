@@ -3,8 +3,6 @@ package middleware
 import (
 	"errors"
 	"time"
-
-	"dltprivacy/internal/dcrypto"
 )
 
 // errResumeUnknown is what a resume hello gets when the manager holds no
@@ -30,22 +28,21 @@ const (
 	// remembers 4,096 certificates, so that a population the verifier holds
 	// resumes on at least one connection each; more pairs than two
 	// generations only pay what every handshake paid before the table
-	// existed. Two full generations measure 1.2 MB plus the keys, and the
+	// existed. Two full generations measure under 1.2 MB, and the
 	// scan that drops a revoked serial's entries (under the control mutex,
 	// once per revocation) 110 µs then, 0.9 µs at 100 entries.
 	resumeGeneration = 4096
 )
 
 // resumeEntry is what a full handshake proved, kept so that the same
-// principal need not prove it again: whose certificate it was, the certified
-// key requests may still be signed with, and the master secret only the
-// holder of that key's private half could unseal from the grant. An entry is
-// honoured until expires — the session ttl after the handshake, or the
-// certificate's NotAfter if that comes first — and no resume extends it.
+// principal need not prove it again: whose certificate it was, and the master
+// secret only the holder of the certified key's private half could unseal
+// from the grant. An entry is honoured until expires — the session ttl after
+// the handshake, or the certificate's NotAfter if that comes first — and no
+// resume extends it.
 type resumeEntry struct {
 	identity string
 	serial   uint64
-	key      dcrypto.PublicKey
 	master   [masterBytes]byte
 	expires  time.Time
 }

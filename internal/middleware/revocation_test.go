@@ -51,28 +51,28 @@ func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := NewChain((&accept{}).handler, stage)
-	submit := func(p *principal, token string) error {
-		return chain.Execute(context.Background(), sessionRequest(t, p, token, "deals", []byte("x")))
+	submit := func(p *principal, grant SessionGrant) error {
+		return chain.Execute(context.Background(), sessionRequest(p, grant, "deals", []byte("x")))
 	}
 
 	alice := openSession(t, mgr, ps["alice"])
 	bob := openSession(t, mgr, ps["bob"])
-	if err := submit(ps["alice"], alice.Token); err != nil {
+	if err := submit(ps["alice"], alice); err != nil {
 		t.Fatalf("pre-revocation submit: %v", err)
 	}
 
 	// Revocation is observed on the very next resolve: no sweep, no
 	// notification, just the version probe.
 	ca.Revoke(ps["alice"].cert.Serial)
-	if err := submit(ps["alice"], alice.Token); !errors.Is(err, ErrSessionRevoked) {
+	if err := submit(ps["alice"], alice); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("post-revocation submit = %v, want ErrSessionRevoked", err)
 	}
 	// The error is stable across retries, not a one-shot.
-	if err := submit(ps["alice"], alice.Token); !errors.Is(err, ErrSessionRevoked) {
+	if err := submit(ps["alice"], alice); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("second post-revocation submit = %v, want ErrSessionRevoked", err)
 	}
 	// An unrevoked principal is untouched.
-	if err := submit(ps["bob"], bob.Token); err != nil {
+	if err := submit(ps["bob"], bob); err != nil {
 		t.Fatalf("unrevoked principal submit: %v", err)
 	}
 	stats := mgr.Stats()
@@ -95,7 +95,7 @@ func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 	// Once the session's original expiry passes, the tombstone decays to
 	// an ordinary unknown token.
 	clock.advance(11 * time.Minute)
-	if err := submit(ps["alice"], alice.Token); !errors.Is(err, ErrNoSession) {
+	if err := submit(ps["alice"], alice); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("decayed tombstone = %v, want ErrNoSession", err)
 	}
 }
@@ -108,8 +108,8 @@ func TestRevocationSweepModeInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := NewChain((&accept{}).handler, stage)
-	submit := func(token string) error {
-		return chain.Execute(context.Background(), sessionRequest(t, ps["alice"], token, "deals", []byte("x")))
+	submit := func(grant SessionGrant) error {
+		return chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	}
 
 	grant := openSession(t, mgr, ps["alice"])
@@ -117,12 +117,12 @@ func TestRevocationSweepModeInterval(t *testing.T) {
 
 	// Inside the sweep interval the resolve path does not consult the
 	// revoker: the documented staleness window of sweep mode.
-	if err := submit(grant.Token); err != nil {
+	if err := submit(grant); err != nil {
 		t.Fatalf("submit inside sweep window: %v", err)
 	}
 	// Once the interval elapses, the next resolve applies the delta.
 	clock.advance(time.Minute)
-	if err := submit(grant.Token); !errors.Is(err, ErrSessionRevoked) {
+	if err := submit(grant); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("submit after sweep interval = %v, want ErrSessionRevoked", err)
 	}
 	if got := mgr.Stats().Revoked; got != 1 {
@@ -146,7 +146,7 @@ func TestRevocationSweepModeNotified(t *testing.T) {
 	if n := mgr.SweepRevoked(); n != 1 {
 		t.Fatalf("SweepRevoked = %d, want 1", n)
 	}
-	err = chain.Execute(context.Background(), sessionRequest(t, ps["alice"], grant.Token, "deals", []byte("x")))
+	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("submit after notified sweep = %v, want ErrSessionRevoked", err)
 	}
@@ -166,7 +166,7 @@ func TestRevocationOffModeIgnoresRevoker(t *testing.T) {
 	ca.Revoke(ps["alice"].cert.Serial)
 	// Pre-revocation-plane behavior: the session outlives the revocation
 	// until TTL/idle expiry. This is what revokecheck=off buys (nothing).
-	err = chain.Execute(context.Background(), sessionRequest(t, ps["alice"], grant.Token, "deals", []byte("x")))
+	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if err != nil {
 		t.Fatalf("off-mode submit after revocation: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestRevocationNewerCertSurvivesOldSerialRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := NewChain((&accept{}).handler, stage)
-	err = chain.Execute(context.Background(), sessionRequest(t, ps["alice"], grant.Token, "deals", []byte("x")))
+	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if err != nil {
 		t.Fatalf("session under renewed cert evicted by old serial: %v", err)
 	}
@@ -263,7 +263,7 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			}
 
 			// Pre-revocation: bob is a recipient of epoch-1 envelopes.
-			req := sessionRequest(t, ps["alice"], grants["alice"].Token, "deals", []byte("pre-revocation"))
+			req := sessionRequest(ps["alice"], grants["alice"], "deals", []byte("pre-revocation"))
 			if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
 				t.Fatalf("pre-revocation submit: %v", err)
 			}
@@ -281,7 +281,7 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			// Bob's next request dies with the distinct revocation error in
 			// both modes (the push subscription sweeps immediately; the
 			// sweep interval is only the fallback).
-			bobReq := sessionRequest(t, ps["bob"], grants["bob"].Token, "deals", []byte("x"))
+			bobReq := sessionRequest(ps["bob"], grants["bob"], "deals", []byte("x"))
 			if _, err := SubmitOver(net, "bob", "gateway", bobReq); !errors.Is(err, ErrSessionRevoked) {
 				t.Fatalf("revoked principal submit = %v, want ErrSessionRevoked", err)
 			}
@@ -291,7 +291,7 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			}
 
 			// Alice's next envelope rides a fresh epoch bob cannot unwrap.
-			req = sessionRequest(t, ps["alice"], grants["alice"].Token, "deals", []byte("post-revocation"))
+			req = sessionRequest(ps["alice"], grants["alice"], "deals", []byte("post-revocation"))
 			if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
 				t.Fatalf("post-revocation submit: %v", err)
 			}
@@ -363,7 +363,7 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 
 	// Without push and inside the sweep interval, the gateway has not
 	// noticed yet.
-	req := sessionRequest(t, ps["bob"], grant.Token, "deals", []byte("x"))
+	req := sessionRequest(ps["bob"], grant, "deals", []byte("x"))
 	if _, err := SubmitOver(net, "bob", "gateway", req); err != nil {
 		t.Fatalf("submit before notify: %v", err)
 	}
@@ -375,7 +375,7 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 	if notice.SessionsRevoked != 1 || notice.Epoch != 1 {
 		t.Fatalf("notice = %+v, want 1 session revoked at epoch 1", notice)
 	}
-	req = sessionRequest(t, ps["bob"], grant.Token, "deals", []byte("x"))
+	req = sessionRequest(ps["bob"], grant, "deals", []byte("x"))
 	if _, err := SubmitOver(net, "bob", "gateway", req); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("submit after notify = %v, want ErrSessionRevoked", err)
 	}
@@ -416,15 +416,15 @@ func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
 			errs := make(chan error, len(names)*perWorker)
 			for _, name := range names {
 				wg.Add(1)
-				go func(p *principal, token string) {
+				go func(p *principal, grant SessionGrant) {
 					defer wg.Done()
 					for i := 0; i < perWorker; i++ {
-						req := sessionRequest(t, p, token, "deals", []byte{byte(i)})
+						req := sessionRequest(p, grant, "deals", []byte{byte(i)})
 						if err := chain.Execute(context.Background(), req); err != nil {
 							errs <- err
 						}
 					}
-				}(ps[name], grants[name].Token)
+				}(ps[name], grants[name])
 			}
 			// Revoke two principals while the submitters run; in sweep mode
 			// push the sweeps concurrently too.
@@ -446,13 +446,13 @@ func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
 
 			// Post-conditions: revoked out, survivors in, counters exact.
 			for _, name := range []string{"alice", "carol"} {
-				req := sessionRequest(t, ps[name], grants[name].Token, "deals", []byte("x"))
+				req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
 				if err := chain.Execute(context.Background(), req); !errors.Is(err, ErrSessionRevoked) {
 					t.Fatalf("revoked %s = %v, want ErrSessionRevoked", name, err)
 				}
 			}
 			for _, name := range []string{"bob", "dave"} {
-				req := sessionRequest(t, ps[name], grants[name].Token, "deals", []byte("x"))
+				req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
 				if err := chain.Execute(context.Background(), req); err != nil {
 					t.Fatalf("surviving %s rejected: %v", name, err)
 				}
@@ -477,8 +477,8 @@ func TestSessionCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := NewChain((&accept{}).handler, stage)
-	submit := func(token string) error {
-		return chain.Execute(context.Background(), sessionRequest(t, ps["alice"], token, "deals", []byte("x")))
+	submit := func(grant SessionGrant) error {
+		return chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	}
 
 	// Close of a token that never existed.
@@ -493,7 +493,7 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	// nothing.
 	g2 := openSession(t, mgr, ps["alice"])
 	clock.advance(3 * time.Minute)
-	if err := submit(g2.Token); !errors.Is(err, ErrSessionExpired) {
+	if err := submit(g2); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("idle session = %v, want ErrSessionExpired", err)
 	}
 	mgr.Close(g2.Token)
@@ -503,11 +503,11 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	// ErrSessionRevoked forever.
 	g3 := openSession(t, mgr, ps["alice"])
 	ca.Revoke(ps["alice"].cert.Serial)
-	if err := submit(g3.Token); !errors.Is(err, ErrSessionRevoked) {
+	if err := submit(g3); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("revoked session = %v, want ErrSessionRevoked", err)
 	}
 	mgr.Close(g3.Token)
-	if err := submit(g3.Token); !errors.Is(err, ErrNoSession) {
+	if err := submit(g3); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("closed tombstone = %v, want ErrNoSession", err)
 	}
 
@@ -724,7 +724,7 @@ func TestSessionOpenRacingRevocation(t *testing.T) {
 			}
 			continue
 		}
-		if _, _, _, err := mgr.resolve(grant.Token, ""); err == nil {
+		if _, _, err := mgr.resolve(grant.Token, ""); err == nil {
 			t.Fatalf("iteration %d: revoked certificate kept a resolvable session", i)
 		}
 	}
@@ -766,7 +766,7 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 	}
 	submit := func(payload string) Envelope {
 		t.Helper()
-		req := sessionRequest(t, ps["alice"], aliceGrant.Token, "deals", []byte(payload))
+		req := sessionRequest(ps["alice"], aliceGrant, "deals", []byte(payload))
 		if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
@@ -787,7 +787,7 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 	}
 	ps["bob"].cert = renewed
 	ca.Revoke(oldCert.Serial)
-	stale := sessionRequest(t, ps["bob"], bobOldGrant.Token, "deals", []byte("x"))
+	stale := sessionRequest(ps["bob"], bobOldGrant, "deals", []byte("x"))
 	if _, err := SubmitOver(net, "bob", "gateway", stale); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("old-cert session after rotation = %v, want ErrSessionRevoked", err)
 	}

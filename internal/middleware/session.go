@@ -16,7 +16,7 @@ import (
 
 // Session errors. They are distinct so clients can tell a token that never
 // existed (or was evicted) from one that aged out, and either from a
-// request whose per-request signature failed.
+// request whose MAC failed.
 var (
 	// ErrNoSession is returned for a token the manager does not hold:
 	// forged, never issued, closed, or already evicted.
@@ -49,45 +49,13 @@ var (
 	ErrSessionBound = errors.New("middleware: session token bound to another connection")
 )
 
-// RequestAuthMode selects how the session stage authenticates token-bearing
-// requests in steady state.
+// RequestAuthMode is kept under the name the repository benchmark calls:
+// token-bearing requests are authenticated one way, by an HMAC under the
+// per-session key, and AuthMAC is its one value.
 type RequestAuthMode int
 
-const (
-	// AuthSig (the default) verifies an ECDSA signature over the request
-	// digest against the session's cached certified key on every request.
-	AuthSig RequestAuthMode = iota
-	// AuthMAC verifies an HMAC over the request digest under the
-	// per-session symmetric key handed out in the SessionGrant — roughly
-	// two orders of magnitude cheaper than an ECDSA verify. Requests
-	// without a MAC still fall back to the signature path, so first-contact
-	// and mixed client populations keep working.
-	AuthMAC
-)
-
-// String implements fmt.Stringer (config error messages).
-func (m RequestAuthMode) String() string {
-	switch m {
-	case AuthSig:
-		return "sig"
-	case AuthMAC:
-		return "mac"
-	default:
-		return fmt.Sprintf("RequestAuthMode(%d)", int(m))
-	}
-}
-
-// ParseRequestAuthMode parses the "reqauth" config parameter.
-func ParseRequestAuthMode(s string) (RequestAuthMode, error) {
-	switch s {
-	case "sig":
-		return AuthSig, nil
-	case "mac":
-		return AuthMAC, nil
-	default:
-		return AuthSig, fmt.Errorf("unknown request auth mode %q (want sig or mac)", s)
-	}
-}
+// AuthMAC is the one request authentication mode; see RequestAuthMode.
+const AuthMAC RequestAuthMode = 0
 
 // SessionHello is the signed handshake a client sends to open a session:
 // the full Authn verification (certificate chain + signature) is paid once
@@ -113,21 +81,18 @@ type SessionGrant struct {
 	Token     string    `json:"token"`
 	Principal string    `json:"principal"`
 	ExpiresAt time.Time `json:"expiresAt"`
-	// MacKey is the per-session request-authentication key, present only
-	// when the manager runs reqauth=mac. It is derived via HKDF with the
-	// handshake transcript digest as salt, so the key is cryptographically
-	// bound to the handshake that opened the session. It never crosses a
-	// network: an in-process Open returns it here, and a grant that travelled
-	// (ServeWire) leaves it empty for the client to derive from the master
-	// secret (Handshaker does). The server's copy dies with the session
-	// (expiry, close, or revocation).
+	// MacKey is the per-session request-authentication key: every
+	// token-bearing request is MAC'd under it (MACRequest). It is derived via
+	// HKDF with the handshake transcript digest as salt, so the key is
+	// cryptographically bound to the handshake that opened the session. It
+	// never crosses a network: an in-process Open returns it here, and a
+	// grant that travelled (ServeWire) leaves it empty for the client to
+	// derive from the master secret (Handshaker does). The server's copy dies
+	// with the session (expiry, close, or revocation).
 	MacKey []byte `json:"macKey,omitempty"`
 	// Codec is kept under the name the repository benchmark calls: a grant
 	// decoded off the wire reads CodecBinary, the one request framing.
 	Codec string `json:"codec,omitempty"`
-	// MacAuth says the gateway authenticates this session's requests by MAC
-	// (reqauth=mac), i.e. that there is a MacKey to derive.
-	MacAuth bool `json:"macAuth,omitempty"`
 	// ResumeID and Sealed are set on the grant of a full handshake that
 	// crossed a network: the master secret encrypted to the certified key
 	// (dcrypto.EncryptHybrid, the hello's transcript digest as associated
@@ -179,20 +144,19 @@ func NewSessionHelloAt(principal string, cert pki.Certificate, key *dcrypto.Priv
 const sessionTokenBytes = 32
 
 // session is one established client session: the verified principal and
-// its certified key, cached so subsequent requests skip PKI verification.
-// serial is the certificate the trust was rooted in at Open, the handle
-// revocation checks match against. lastUsed is atomic unix-nanos so the
-// resolve fast path can touch the idle clock under a read lock.
+// the key its requests are MAC'd under, cached so subsequent requests skip
+// PKI verification. serial is the certificate the trust was rooted in at
+// Open, the handle revocation checks match against. lastUsed is atomic
+// unix-nanos so the resolve fast path can touch the idle clock under a read
+// lock.
 type session struct {
 	// token is the table key, kept so the wire decoder can hand a request
 	// the session's own string instead of allocating one per frame.
 	token     string
 	principal string
-	key       dcrypto.PublicKey
-	// macKey is the per-session HMAC verifier (reqauth=mac), its pads
-	// precomputed once at Open so the per-request check skips their
-	// derivation; held by value, so the session record is the one
-	// allocation it costs. Zero, and never handed out, under reqauth=sig.
+	// macKey is the per-session HMAC verifier, its pads precomputed once at
+	// Open so the per-request check skips their derivation; held by value,
+	// so the session record is the one allocation it costs.
 	macKey dcrypto.MACKey
 	serial uint64
 	// boundTo pins the session to the transport connection that opened it
@@ -270,13 +234,13 @@ func (m *SessionManager) names(token, principal []byte) (string, string) {
 // SessionManager establishes and resolves gateway sessions. Opening a
 // session performs the full certificate verification the authn stage would;
 // afterwards, requests carrying the session token are bound to the cached
-// verified principal by a per-request signature (reqauth=sig) or
-// per-session HMAC (reqauth=mac) over the request digest. Sessions die at
-// their TTL, or earlier when idle longer than the idle window. Safe for
-// concurrent use: the token table is striped across independent RWMutexes,
-// so resolve — the per-request hot path — takes one read lock on one
-// stripe, while the control plane (open, close, sweeps, revocation deltas,
-// the per-principal index) serializes on a separate mutex.
+// verified principal by a per-session HMAC over the request digest.
+// Sessions die at their TTL, or earlier when idle longer than the idle
+// window. Safe for concurrent use: the token table is striped across
+// independent RWMutexes, so resolve — the per-request hot path — takes one
+// read lock on one stripe, while the control plane (open, close, sweeps,
+// revocation deltas, the per-principal index) serializes on a separate
+// mutex.
 type SessionManager struct {
 	// certs checks handshake certificates against the pinned CA key and
 	// remembers the ones whose CA signature it has verified, so only an
@@ -286,7 +250,6 @@ type SessionManager struct {
 	ttl             time.Duration
 	idle            time.Duration
 	maxPerPrincipal int
-	reqauth         RequestAuthMode
 	now             func() time.Time
 	// defaultClock marks now as the package default (coarseNow): only then
 	// may the session stage stamp its reading onto requests for downstream
@@ -398,12 +361,10 @@ func WithMaxPerPrincipal(n int) SessionOption {
 	}
 }
 
-// WithRequestAuth selects how token-bearing requests are authenticated in
-// steady state: AuthSig (default) per-request ECDSA, AuthMAC per-session
-// HMAC with the key handed out in the grant. The config parameter form is
-// "reqauth" on the session stage.
-func WithRequestAuth(mode RequestAuthMode) SessionOption {
-	return func(m *SessionManager) { m.reqauth = mode }
+// WithRequestAuth is kept under the name the repository benchmark calls; it
+// changes nothing, since AuthMAC is the one mode.
+func WithRequestAuth(RequestAuthMode) SessionOption {
+	return func(*SessionManager) {}
 }
 
 // defaultRevokeSweep is the sweep-mode interval when none is configured.
@@ -478,18 +439,15 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 	return m, nil
 }
 
-// RequestAuth reports the steady-state request authentication mode.
-func (m *SessionManager) RequestAuth() RequestAuthMode { return m.reqauth }
-
 // sessionMACInfo labels the HKDF derivation of per-session request keys.
 const sessionMACInfo = "middleware/session/mac/v1/"
 
 // Open verifies the handshake exactly as the authn stage verifies a
 // request — certificate chains to the CA, identity matches, signature
 // verifies against the certified key — and issues an unguessable token.
-// Under reqauth=mac the grant additionally carries a per-session HMAC key,
-// derived via HKDF salted with the handshake transcript digest so the
-// symmetric fast path stays rooted in the PKI handshake it amortizes.
+// The grant carries the per-session HMAC key, derived via HKDF salted with
+// the handshake transcript digest so the symmetric fast path stays rooted
+// in the PKI handshake it amortizes.
 // Sessions opened this way are unbound: the token works from any transport.
 func (m *SessionManager) Open(hello SessionHello) (SessionGrant, error) {
 	return m.OpenBound(hello, "")
@@ -580,7 +538,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		if dcrypto.VerifyMAC(known.master[:], digest[:], resume.Tag) != nil {
 			return SessionGrant{}, fmt.Errorf("%w: resume hello for %s", ErrBadMAC, known.identity)
 		}
-		principal, serial, key = known.identity, known.serial, known.key
+		principal, serial = known.identity, known.serial
 	} else {
 		if err := m.certs.Verify(hello.Cert, now); err != nil {
 			return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
@@ -625,13 +583,10 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	var secret []byte
 	var fresh *resumeEntry
 	var err error
-	switch {
-	case resume != nil:
+	if resume != nil {
 		secret = known.master[:]
-	case wire || m.reqauth == AuthMAC:
-		if secret, err = dcrypto.RandomBytes(masterBytes); err != nil {
-			return SessionGrant{}, fmt.Errorf("session master secret: %w", err)
-		}
+	} else if secret, err = dcrypto.RandomBytes(masterBytes); err != nil {
+		return SessionGrant{}, fmt.Errorf("session master secret: %w", err)
 	}
 	if hello != nil && wire {
 		id, err := dcrypto.RandomBytes(resumeIDBytes)
@@ -646,32 +601,28 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		if err != nil {
 			return SessionGrant{}, fmt.Errorf("session open %s: seal master secret: %w", principal, err)
 		}
-		fresh = &resumeEntry{identity: principal, serial: serial, key: key, expires: expires}
+		fresh = &resumeEntry{identity: principal, serial: serial, expires: expires}
 		if hello.Cert.NotAfter.Before(expires) {
 			fresh.expires = hello.Cert.NotAfter
 		}
 		copy(fresh.master[:], secret)
 		grant.ResumeID, grant.Sealed = id, &sealed
 	}
+	mac, err := sessionMACKey(secret, digest, token)
+	if err != nil {
+		return SessionGrant{}, err
+	}
 	s := &session{
 		token:     token,
 		principal: principal,
-		key:       key,
+		macKey:    *dcrypto.NewMACKey(mac[:]),
 		serial:    serial,
 		boundTo:   transportID,
 		openedAt:  now,
 		expiresAt: expires,
 	}
-	if m.reqauth == AuthMAC {
-		mac, err := sessionMACKey(secret, digest, token)
-		if err != nil {
-			return SessionGrant{}, err
-		}
-		s.macKey = *dcrypto.NewMACKey(mac[:])
-		grant.MacAuth = true
-		if !wire {
-			grant.MacKey = append([]byte(nil), mac[:]...)
-		}
+	if !wire {
+		grant.MacKey = append([]byte(nil), mac[:]...)
 	}
 	s.lastUsed.Store(now.UnixNano())
 
@@ -815,9 +766,8 @@ func (m *SessionManager) EvictTransport(transportID string) int {
 	return n
 }
 
-// resolve returns the verified principal, certified key, and (under
-// reqauth=mac) precomputed session MAC verifier bound to a token, touching
-// its idle clock.
+// resolve returns the verified principal and precomputed session MAC
+// verifier bound to a token, touching its idle clock.
 // This is the gateway's per-request hot path: one read lock on one stripe,
 // no control-plane mutex, no allocation. Expired or idle sessions are
 // evicted via a write-locked slow path, and the revocation plane is
@@ -828,14 +778,14 @@ func (m *SessionManager) EvictTransport(transportID string) int {
 // bound session resolves only for its own connection (ErrSessionBound
 // otherwise, without touching the idle clock — a replay must not keep the
 // victim's session warm).
-func (m *SessionManager) resolve(token, transportID string) (string, dcrypto.PublicKey, *dcrypto.MACKey, error) {
+func (m *SessionManager) resolve(token, transportID string) (string, *dcrypto.MACKey, error) {
 	return m.resolveAt(m.now(), token, transportID)
 }
 
 // resolveAt is resolve with the caller's clock reading: the session stage
 // reads the clock once per request and shares the value between resolve and
 // the stamp it leaves for downstream stages.
-func (m *SessionManager) resolveAt(now time.Time, token, transportID string) (string, dcrypto.PublicKey, *dcrypto.MACKey, error) {
+func (m *SessionManager) resolveAt(now time.Time, token, transportID string) (string, *dcrypto.MACKey, error) {
 	switch m.revMode {
 	case RevokeCheckResolve:
 		if m.revoker.RevocationVersion() != m.revEpoch.Load() {
@@ -859,35 +809,31 @@ func (m *SessionManager) resolveAt(now time.Time, token, transportID string) (st
 					delete(st.revoked, token)
 				}
 				st.mu.Unlock()
-				return "", dcrypto.PublicKey{}, nil, ErrNoSession
+				return "", nil, ErrNoSession
 			}
-			return "", dcrypto.PublicKey{}, nil, ErrSessionRevoked
+			return "", nil, ErrSessionRevoked
 		}
 	}
 	s, ok := st.sessions[token]
 	if !ok {
 		st.mu.RUnlock()
-		return "", dcrypto.PublicKey{}, nil, ErrNoSession
+		return "", nil, ErrNoSession
 	}
 	nowNanos := now.UnixNano()
 	if now.After(s.expiresAt) || nowNanos-s.lastUsed.Load() > int64(m.idle) {
 		st.mu.RUnlock()
 		m.evictExpired(st, token, now)
-		return "", dcrypto.PublicKey{}, nil, ErrSessionExpired
+		return "", nil, ErrSessionExpired
 	}
 	if s.boundTo != "" && s.boundTo != transportID {
 		st.mu.RUnlock()
-		return "", dcrypto.PublicKey{}, nil, ErrSessionBound
+		return "", nil, ErrSessionBound
 	}
 	// Concurrent stores race benignly: every racer writes "about now".
 	s.lastUsed.Store(nowNanos)
-	principal, key := s.principal, s.key
-	var mac *dcrypto.MACKey
-	if m.reqauth == AuthMAC {
-		mac = &s.macKey
-	}
+	principal, mac := s.principal, &s.macKey
 	st.mu.RUnlock()
-	return principal, key, mac, nil
+	return principal, mac, nil
 }
 
 // evictExpired upgrades to the write-locked slow path after resolve saw a
@@ -1085,12 +1031,11 @@ func (m *SessionManager) statRows() []statRow {
 }
 
 // Session is the session-aware authn stage. A request carrying a token is
-// bound to its session's cached verified principal by a per-request
-// signature — or, under reqauth=mac, a per-session HMAC — over the request
-// digest: no certificate verification on the hot path, and in MAC mode no
-// public-key operation at all. A request without a token passes through
-// untouched for the full authn stage downstream, so one chain serves both
-// kinds of traffic.
+// bound to its session's cached verified principal by a per-session HMAC
+// over the request digest: no certificate verification and no public-key
+// operation on the hot path. A token-bearing request without a valid MAC is
+// ErrBadMAC. A request without a token passes through untouched for the
+// full authn stage downstream, so one chain serves both kinds of traffic.
 type Session struct {
 	mgr *SessionManager
 }
@@ -1128,7 +1073,7 @@ func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error 
 		// instead of one per stage.
 		req.nowStamp = now
 	}
-	principal, key, mac, err := s.mgr.resolveAt(now, req.SessionToken, req.TransportID)
+	principal, mac, err := s.mgr.resolveAt(now, req.SessionToken, req.TransportID)
 	if err != nil {
 		return fmt.Errorf("session %s: %w", req.Principal, err)
 	}
@@ -1136,24 +1081,11 @@ func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error 
 		return fmt.Errorf("%w: session for %q, request by %q",
 			ErrIdentityMismatch, principal, req.Principal)
 	}
+	// The MAC is the only proof a token-bearing request is checked for: a
+	// signature beside it, or instead of it, is not read.
 	d := req.digest()
-	if len(req.MAC) > 0 {
-		// A MAC is only meaningful under reqauth=mac, where the session
-		// holds the key to check it against; in sig mode no key was ever
-		// derived, so a MAC-bearing request is a misconfigured client.
-		if s.mgr.reqauth != AuthMAC || mac == nil {
-			return fmt.Errorf("%w: session principal %s sent a MAC to a signature-only gateway", ErrBadMAC, req.Principal)
-		}
-		if err := mac.Verify(d[:], req.MAC); err != nil {
-			return fmt.Errorf("%w: session principal %s", ErrBadMAC, req.Principal)
-		}
-	} else {
-		// The signature path stays available in every mode: sessionless
-		// and first-contact clients (and MAC-mode clients that have not
-		// adopted the grant key yet) keep working unchanged.
-		if err := key.Verify(d[:], req.Sig); err != nil {
-			return fmt.Errorf("%w: session principal %s", ErrBadSignature, req.Principal)
-		}
+	if err := mac.Verify(d[:], req.MAC); err != nil {
+		return fmt.Errorf("%w: session principal %s", ErrBadMAC, req.Principal)
 	}
 	req.authenticated = true
 	return next(ctx, req)

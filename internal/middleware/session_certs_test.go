@@ -184,7 +184,7 @@ func TestRevocationWithCachedCertificate(t *testing.T) {
 	if st := mgr.Stats(); st.CertVerifications != 1 || st.CertCacheHits != 2 {
 		t.Fatalf("verifications %d, hits %d; the refused open should have been a hit (1, 2)", st.CertVerifications, st.CertCacheHits)
 	}
-	if _, _, _, err := mgr.resolve(live.Token, ""); !errors.Is(err, ErrSessionRevoked) {
+	if _, _, err := mgr.resolve(live.Token, ""); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("session opened before the revocation = %v, want ErrSessionRevoked", err)
 	}
 	if st := mgr.Stats(); st.Revoked != 2 || st.Live != 0 {

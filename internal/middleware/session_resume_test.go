@@ -69,7 +69,6 @@ func newResumeFixture(t *testing.T, opts ...SessionOption) *resumeFixture {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice")
 	opts = append([]SessionOption{
-		WithRequestAuth(AuthMAC),
 		WithRevocationChecks(pullRevoker{ca}, RevokeCheckResolve, 0),
 	}, opts...)
 	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, clock.now, opts...)
@@ -162,7 +161,7 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 	f := newResumeFixture(t)
 	first := f.wire.replies[0]
 	second := f.open(t)
-	if !second.Resumed || second.Principal != "alice" || !second.MacAuth {
+	if !second.Resumed || second.Principal != "alice" || len(second.MacKey) != dcrypto.MACKeySize {
 		t.Fatalf("second grant = %+v, want a resumed MAC session for alice", second)
 	}
 	st := f.mgr.Stats()
@@ -173,7 +172,7 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 		t.Fatalf("verifications %d, hits %d: a resumed open consulted the certificate verifier", st.CertVerifications, st.CertCacheHits)
 	}
 	// The key the client derived is the one the manager holds.
-	_, _, mac, err := f.mgr.resolve(second.Token, "tcp:1:peer")
+	_, mac, err := f.mgr.resolve(second.Token, "tcp:1:peer")
 	if err != nil || mac == nil {
 		t.Fatalf("resolve resumed session: %v (mac %v)", err, mac)
 	}
@@ -255,7 +254,7 @@ func TestResumeRejectsBadTag(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice")
 	cfg := Config{Stages: []StageConfig{{Name: StageSession, Params: map[string]string{
-		"ttl": "10m", "idle": "5m", "reqauth": "mac",
+		"ttl": "10m", "idle": "5m",
 	}}}}
 	gw, err := NewGateway("gw", cfg, Env{CAKey: ca.PublicKey(), Now: clock.now}, ordering.New("op", ordering.VisibilityEnvelope))
 	if err != nil {
@@ -325,7 +324,7 @@ func TestResumeChecksRevocation(t *testing.T) {
 	ca, ps := enrollAt(t, clock.now, "alice", "bob")
 	rev := &flippingRevoker{countingRevoker: countingRevoker{pullRevoker: pullRevoker{ca}}}
 	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, clock.now,
-		WithRequestAuth(AuthMAC), WithRevocationChecks(rev, RevokeCheckSweep, time.Hour))
+		WithRevocationChecks(rev, RevokeCheckSweep, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +495,7 @@ func TestResumeTableBound(t *testing.T) {
 func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
 	f := newResumeFixture(t, WithMaxPerPrincipal(2))
 	second := f.open(t)
-	if _, _, _, err := f.mgr.resolve(second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
+	if _, _, err := f.mgr.resolve(second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
 		t.Fatalf("resumed session from another connection = %v, want ErrSessionBound", err)
 	}
 	if err := f.mgr.CloseFrom(second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
@@ -509,7 +508,7 @@ func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
 	if st := f.mgr.Stats(); st.Live != 2 || st.Evicted != 1 {
 		t.Fatalf("live %d, evicted %d; want the cap of 2 held by evicting the oldest", st.Live, st.Evicted)
 	}
-	if _, _, _, err := f.mgr.resolve(third.Token, "tcp:1:peer"); err != nil {
+	if _, _, err := f.mgr.resolve(third.Token, "tcp:1:peer"); err != nil {
 		t.Fatalf("the newest resumed session: %v", err)
 	}
 	if n := f.mgr.EvictTransport("tcp:1:peer"); n != 2 {
@@ -523,7 +522,7 @@ func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
 // sees a grant, never an error.
 func TestResumeFallsBackWhenGatewayLostItsTable(t *testing.T) {
 	f := newResumeFixture(t)
-	restarted, err := NewSessionManager(f.ca.PublicKey(), 10*time.Minute, 5*time.Minute, f.clock.now, WithRequestAuth(AuthMAC))
+	restarted, err := NewSessionManager(f.ca.PublicKey(), 10*time.Minute, 5*time.Minute, f.clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +582,7 @@ func TestSubstrateCallerResumesWithItsOwnHandshaker(t *testing.T) {
 // leaves the others to try for themselves, not waiting for ever.
 func TestConcurrentFirstOpensShareOneFullHandshake(t *testing.T) {
 	ca, ps := enrollAt(t, time.Now, "alice")
-	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, nil, WithRequestAuth(AuthMAC))
+	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,19 +41,17 @@ func enrollAt(t testing.TB, now func() time.Time, names ...string) (*pki.CA, map
 	return ca, out
 }
 
-// sessionRequest builds a token-bound signed request carrying no
-// certificate: the session, not the cert, vouches for the principal.
-func sessionRequest(t testing.TB, p *principal, token, channel string, payload []byte) *Request {
-	t.Helper()
+// sessionRequest builds p's request on the grant's session, MAC'd under its
+// key and carrying no certificate: the session, not the cert, vouches for
+// the principal.
+func sessionRequest(p *principal, grant SessionGrant, channel string, payload []byte) *Request {
 	req := &Request{
 		Channel:      channel,
 		Principal:    p.name,
 		Payload:      payload,
-		SessionToken: token,
+		SessionToken: grant.Token,
 	}
-	if err := SignRequest(req, p.key); err != nil {
-		t.Fatalf("SignRequest: %v", err)
-	}
+	MACRequest(req, grant.MacKey)
 	return req
 }
 
@@ -105,7 +104,7 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 	}
 
 	// A token-bound request authenticates with no certificate attached.
-	req := sessionRequest(t, ps["alice"], grant.Token, "deals", []byte("trade"))
+	req := sessionRequest(ps["alice"], grant, "deals", []byte("trade"))
 	if err := chain.Execute(context.Background(), req); err != nil {
 		t.Fatalf("session request rejected: %v", err)
 	}
@@ -113,16 +112,16 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 		t.Fatal("session request not marked authenticated")
 	}
 
-	// The per-request signature still gates every submission: a tampered
-	// payload fails even on a live session.
-	tampered := sessionRequest(t, ps["alice"], grant.Token, "deals", []byte("trade"))
+	// The per-request MAC still gates every submission: a tampered payload
+	// fails even on a live session.
+	tampered := sessionRequest(ps["alice"], grant, "deals", []byte("trade"))
 	tampered.Payload = []byte("tampered")
-	if err := chain.Execute(context.Background(), tampered); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("tampered session request = %v, want ErrBadSignature", err)
+	if err := chain.Execute(context.Background(), tampered); !errors.Is(err, ErrBadMAC) {
+		t.Fatalf("tampered session request = %v, want ErrBadMAC", err)
 	}
 
 	// Bob cannot ride alice's session.
-	hijack := sessionRequest(t, ps["bob"], grant.Token, "deals", []byte("trade"))
+	hijack := sessionRequest(ps["bob"], grant, "deals", []byte("trade"))
 	if err := chain.Execute(context.Background(), hijack); !errors.Is(err, ErrIdentityMismatch) {
 		t.Fatalf("hijacked session = %v, want ErrIdentityMismatch", err)
 	}
@@ -135,6 +134,68 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 	}
 	if sink.count() != 2 {
 		t.Fatalf("terminal saw %d requests, want 2", sink.count())
+	}
+}
+
+// TestSessionRequestsAreMACOnly pins what one request-auth mode means: on a
+// session the MAC is the proof and a signature is not read, "reqauth"
+// accepts only mac (the benchmark's spelling) and the WithRequestAuth shim
+// still builds, and a signed request keeps its way in — without a token,
+// through authn.
+func TestSessionRequestsAreMACOnly(t *testing.T) {
+	ca, ps := enroll(t, "alice")
+	alice := ps["alice"]
+	env := Env{CAKey: ca.PublicKey()}
+	pipeline := func(params map[string]string) Config {
+		return Config{Stages: []StageConfig{{Name: StageSession, Params: params}, {Name: StageAuthn}}}
+	}
+	chain, err := pipeline(nil).Build(env, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := openSession(t, chain.stages[0].(*Session).Manager(), alice)
+	execute := func(req *Request) error { return chain.Execute(context.Background(), req) }
+	build := func(params map[string]string) error {
+		_, err := pipeline(params).Build(env, nil)
+		return err
+	}
+	for _, tc := range []struct {
+		name    string
+		run     func() error
+		want    error // nil: accepted
+		wantMsg string
+	}{
+		{"token with a valid MAC passes", func() error {
+			return execute(sessionRequest(alice, grant, "deals", []byte("trade")))
+		}, nil, ""},
+		{"token with a valid signature and no MAC is ErrBadMAC", func() error {
+			req := signedRequest(t, alice, "deals", []byte("trade"))
+			req.SessionToken = grant.Token
+			return execute(req)
+		}, ErrBadMAC, ""},
+		{"reqauth=sig is ErrBadConfig", func() error {
+			return build(map[string]string{"reqauth": "sig"})
+		}, ErrBadConfig, "MAC only"},
+		{"reqauth=mac builds", func() error {
+			return build(map[string]string{"reqauth": "mac"})
+		}, nil, ""},
+		{"WithRequestAuth(AuthMAC) builds", func() error {
+			_, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil, WithRequestAuth(AuthMAC))
+			return err
+		}, nil, ""},
+		{"sessionless certificate and signature pass session|authn", func() error {
+			return execute(signedRequest(t, alice, "deals", []byte("trade")))
+		}, nil, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if tc.want == nil && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), tc.wantMsg) {
+				t.Fatalf("err = %v, want %v mentioning %q", err, tc.want, tc.wantMsg)
+			}
+		})
 	}
 }
 
@@ -207,26 +268,26 @@ func TestSessionTokenLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := NewChain((&accept{}).handler, stage)
-	submit := func(token string) error {
-		return chain.Execute(context.Background(), sessionRequest(t, ps["alice"], token, "deals", []byte("x")))
+	submit := func(grant SessionGrant) error {
+		return chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	}
 
 	// A forged token is rejected with ErrNoSession.
-	if err := submit("deadbeef"); !errors.Is(err, ErrNoSession) {
+	if err := submit(SessionGrant{Token: "deadbeef"}); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("forged token = %v, want ErrNoSession", err)
 	}
 
 	// An idle session is evicted with ErrSessionExpired.
 	grant := openSession(t, mgr, ps["alice"])
-	if err := submit(grant.Token); err != nil {
+	if err := submit(grant); err != nil {
 		t.Fatalf("fresh session rejected: %v", err)
 	}
 	clock.advance(2*time.Minute + time.Second)
-	if err := submit(grant.Token); !errors.Is(err, ErrSessionExpired) {
+	if err := submit(grant); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("idle session = %v, want ErrSessionExpired", err)
 	}
 	// Once evicted, the token no longer exists.
-	if err := submit(grant.Token); !errors.Is(err, ErrNoSession) {
+	if err := submit(grant); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("evicted token = %v, want ErrNoSession", err)
 	}
 
@@ -234,19 +295,19 @@ func TestSessionTokenLifecycle(t *testing.T) {
 	grant = openSession(t, mgr, ps["alice"])
 	for i := 0; i < 6; i++ {
 		clock.advance(90 * time.Second) // under the idle window each step
-		if err := submit(grant.Token); err != nil {
+		if err := submit(grant); err != nil {
 			t.Fatalf("active session rejected at step %d: %v", i, err)
 		}
 	}
 	clock.advance(90 * time.Second) // 10.5m total: past the hard TTL
-	if err := submit(grant.Token); !errors.Is(err, ErrSessionExpired) {
+	if err := submit(grant); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("session past TTL = %v, want ErrSessionExpired", err)
 	}
 
 	// Close ends a live session immediately.
 	grant = openSession(t, mgr, ps["alice"])
 	mgr.Close(grant.Token)
-	if err := submit(grant.Token); !errors.Is(err, ErrNoSession) {
+	if err := submit(grant); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("closed session = %v, want ErrNoSession", err)
 	}
 }
@@ -430,7 +491,7 @@ func TestGatewaySessionOverTransport(t *testing.T) {
 
 	// Token-bound submissions carry no certificate at all.
 	for i := 0; i < 3; i++ {
-		req := sessionRequest(t, ps["alice"], grant.Token, "deals", []byte(fmt.Sprintf("trade-%d", i)))
+		req := sessionRequest(ps["alice"], grant, "deals", []byte(fmt.Sprintf("trade-%d", i)))
 		if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
 			t.Fatalf("session submit %d: %v", i, err)
 		}
@@ -440,14 +501,14 @@ func TestGatewaySessionOverTransport(t *testing.T) {
 	}
 
 	// A forged token is rejected with the distinct no-session error.
-	forged := sessionRequest(t, ps["alice"], "feedfacefeedface", "deals", []byte("x"))
+	forged := sessionRequest(ps["alice"], SessionGrant{Token: "feedfacefeedface"}, "deals", []byte("x"))
 	if _, err := SubmitOver(net, "alice", "gateway", forged); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("forged token = %v, want ErrNoSession", err)
 	}
 
 	// An expired session is rejected with the distinct expiry error.
 	clock.advance(11 * time.Minute)
-	expired := sessionRequest(t, ps["alice"], grant.Token, "deals", []byte("x"))
+	expired := sessionRequest(ps["alice"], grant, "deals", []byte("x"))
 	if _, err := SubmitOver(net, "alice", "gateway", expired); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("expired session = %v, want ErrSessionExpired", err)
 	}
@@ -460,7 +521,7 @@ func TestGatewaySessionOverTransport(t *testing.T) {
 	if err := CloseSessionOver(net, "bob", "gateway", grant2.Token); err != nil {
 		t.Fatalf("CloseSessionOver: %v", err)
 	}
-	closed := sessionRequest(t, ps["bob"], grant2.Token, "deals", []byte("x"))
+	closed := sessionRequest(ps["bob"], grant2, "deals", []byte("x"))
 	if _, err := SubmitOver(net, "bob", "gateway", closed); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("closed session = %v, want ErrNoSession", err)
 	}

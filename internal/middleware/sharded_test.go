@@ -138,7 +138,7 @@ func TestGatewayShardedEndToEnd(t *testing.T) {
 	const perChannel = 4
 	for _, ch := range channels {
 		for i := 0; i < perChannel; i++ {
-			req := sessionRequest(t, alice, grant.Token, ch, []byte(fmt.Sprintf("%s-%d", ch, i)))
+			req := sessionRequest(alice, grant, ch, []byte(fmt.Sprintf("%s-%d", ch, i)))
 			if err := gw.Submit(context.Background(), req); err != nil {
 				t.Fatalf("Submit %s: %v", ch, err)
 			}
@@ -197,11 +197,11 @@ func TestSessionPerPrincipalCap(t *testing.T) {
 	clock.advance(time.Second)
 	third := openSession(t, mgr, people["Alice"])
 
-	if _, _, _, err := mgr.resolve(first.Token, ""); !errors.Is(err, ErrNoSession) {
+	if _, _, err := mgr.resolve(first.Token, ""); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("oldest capped session resolves: %v", err)
 	}
 	for name, grant := range map[string]SessionGrant{"second": second, "third": third, "bob": bobs} {
-		if _, _, _, err := mgr.resolve(grant.Token, ""); err != nil {
+		if _, _, err := mgr.resolve(grant.Token, ""); err != nil {
 			t.Fatalf("%s session: %v", name, err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestSessionStatsCountExpiries(t *testing.T) {
 	clock.advance(11 * time.Minute) // both idle out
 
 	// One expiry detected on resolve…
-	if _, _, _, err := mgr.resolve(a.Token, ""); !errors.Is(err, ErrSessionExpired) {
+	if _, _, err := mgr.resolve(a.Token, ""); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("resolve idle session = %v, want ErrSessionExpired", err)
 	}
 	// …the other by the sweep a later Open runs.

@@ -186,7 +186,7 @@ func TestGatewayTracingEndToEnd(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	cfg := Config{
 		Stages: []StageConfig{
-			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": "mac"}},
+			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}},
 			{Name: StageAuthn},
 		},
 		Trace: "1000000", // local sampler effectively off: only carried IDs below
@@ -397,7 +397,7 @@ func TestGatewayStatsConsistencyUnderRace(t *testing.T) {
 	}
 	cfg := Config{
 		Stages: []StageConfig{
-			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": "mac", "maxperprincipal": "1"}},
+			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "maxperprincipal": "1"}},
 			{Name: StageAuthn},
 		},
 		Shards: 2,

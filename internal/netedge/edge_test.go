@@ -41,7 +41,7 @@ func newEdgeEnv(t testing.TB, opts ...Option) *edgeEnv {
 	dir := middleware.NewSyncDirectory()
 	cfg := middleware.Config{
 		Stages: []middleware.StageConfig{
-			{Name: middleware.StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": "mac"}},
+			{Name: middleware.StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}},
 			{Name: middleware.StageAuthn},
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			{Name: middleware.StageAudit},
