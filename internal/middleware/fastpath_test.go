@@ -622,8 +622,13 @@ func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
 // identical per-channel delivery orders, and (c) the per-channel sequences
 // are a merge preserving each submitter's own submission order. Run under
 // -race this also shakes the striped session table, the fingerprint cache,
-// and the pooled hashing.
+// and the pooled hashing. Requests are MAC'd and the wire codec is binary;
+// the subtest name records both.
 func TestFastPathConcurrencyMatrix(t *testing.T) {
+	t.Run("reqauth=mac/codec="+CodecBinary, testFastPathConcurrency)
+}
+
+func testFastPathConcurrency(t *testing.T) {
 	const (
 		submitters   = 4
 		perSubmitter = 25
