@@ -110,7 +110,7 @@ func start(o opts) (*server, error) {
 		s.gw.Close()
 		return nil, err
 	}
-	if s.telemetry, err = serveTelemetry(o.telemetryAddr, s.gw, s.edge.RegisterMetrics); err != nil {
+	if s.telemetry, err = serveTelemetry(o.telemetryAddr, s.gw, o.stages, s.edge.RegisterMetrics); err != nil {
 		s.edge.Close()
 		s.gw.Close()
 		return nil, err
@@ -180,12 +180,19 @@ func (s *server) shutdown(out io.Writer) error {
 	return nil
 }
 
+// status is the /statusz snapshot: the gateway's counters, beside the
+// -stages string its pipeline was built from.
+type status struct {
+	Pipeline string
+	middleware.GatewayStats
+}
+
 // serveTelemetry starts the telemetry listener: one registry over every
 // layer of the gateway plus whatever else registers (the edge), served
-// beside the stats snapshot, the trace ring and pprof. The caller closes the
+// beside the status snapshot, the trace ring and pprof. The caller closes the
 // returned server, whose Addr is the address actually bound (the resolved
 // port for ":0").
-func serveTelemetry(addr string, gw *middleware.Gateway, more ...func(*telemetry.Registry) error) (*http.Server, error) {
+func serveTelemetry(addr string, gw *middleware.Gateway, stages string, more ...func(*telemetry.Registry) error) (*http.Server, error) {
 	reg := telemetry.NewRegistry()
 	if err := gw.RegisterMetrics(reg); err != nil {
 		return nil, err
@@ -201,7 +208,7 @@ func serveTelemetry(addr string, gw *middleware.Gateway, more ...func(*telemetry
 	}
 	srv := &http.Server{
 		Addr:    ln.Addr().String(),
-		Handler: telemetry.NewMux(reg, gw.Tracer(), func() any { return gw.Stats() }),
+		Handler: telemetry.NewMux(reg, gw.Tracer(), func() any { return status{stages, gw.Stats()} }),
 	}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, nil

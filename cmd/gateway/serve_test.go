@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -48,7 +50,8 @@ func testOpts() opts {
 
 // TestServeOneSession runs the gateway on a loopback port: one principal
 // enrolls, opens a session through netedge.Client and submits one MAC'd
-// request, and stopping the gateway passes the leakage check.
+// request, /statusz shows the pipeline string beside the counters, and
+// stopping the gateway passes the leakage check.
 func TestServeOneSession(t *testing.T) {
 	s, err := start(testOpts())
 	if err != nil {
@@ -80,6 +83,20 @@ func TestServeOneSession(t *testing.T) {
 	middleware.MACRequest(req, grant.MacKey)
 	if _, err := c.Submit(ctx, req); err != nil {
 		t.Fatalf("submit: %v", err)
+	}
+
+	resp, err := http.Get("http://" + s.telemetry.Addr + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/statusz: %v", err)
+	}
+	if st.Pipeline != defaultStages || st.Submitted != 1 || len(st.Stages) != 4 {
+		t.Fatalf("/statusz: pipeline %q, %d submitted, %d stages; want %q, 1, 4", st.Pipeline, st.Submitted, len(st.Stages), defaultStages)
 	}
 
 	stop()

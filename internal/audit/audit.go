@@ -58,19 +58,25 @@ type Observation struct {
 
 // Log is a concurrency-safe, deduplicating observation log.
 //
-// Layout. A distinct observation costs about 40 bytes and no pointer. Its
-// item is copied into a chunked byte arena in its stored form: an ID
-// (lowercase hex of even length, 2-128 digits; every item the submit path
-// records is one) packed two digits to a byte, any other item verbatim. One
-// 16-byte entry, kept in recording order, locates the stored form, says
-// whether it is packed and names the (observer, class) pair by its number in
-// a small intern table. An open-addressing index finds duplicates. Its
-// slots come in groups of eight; a slot holds an entry number and a one-byte
-// tag taken from the observation's hash, so a probe compares a group's eight
-// tags at once and reads only the entries whose tag matches. Entry blocks,
-// index and arena chunks hold no pointers, so the collector never walks the
-// history; what it does walk is one slice header per block or chunk and the
-// interned names. Blocks and chunks are never reallocated, so the only
+// Layout. A distinct observation costs about 30 bytes and no pointer, and
+// one whose item a recent entry already stores costs about 14. Its item is
+// kept in a chunked byte arena in its stored form: an ID (lowercase hex of
+// even length, 2-128 digits; every item the submit path records is one)
+// packed two digits to a byte, any other item verbatim. When one of the last
+// few entries stores the same bytes, the new observation points at them
+// instead of copying them: a cluster's replicas record one transaction ID
+// back to back, so their observations share one stored ID. One 8-byte entry,
+// kept in recording order, locates the stored form (chunk and offset), gives
+// its length, says whether it is packed and names the (observer, class) pair
+// by its number in a small intern table. A form of 64 KiB-1 bytes or more is
+// not in a chunk but in an allocation of its own, which the entry names by
+// its number. An open-addressing index finds duplicates. Its slots come in
+// groups of eight; a slot holds an entry number and a one-byte tag taken
+// from the observation's hash, so a probe compares a group's eight tags at
+// once and reads only the entries whose tag matches. Entry blocks, index and
+// arena chunks hold no pointers, so the collector never walks the history;
+// what it does walk is one slice header per block, chunk or large form and
+// the interned names. Blocks and chunks are never reallocated, so the only
 // growth that copies (under the lock) is the index's doubling, 5 bytes a
 // slot. An observation hashes its stored form and its pair's names, so the
 // doubling re-derives every position from the arena and the interned pairs.
@@ -82,24 +88,31 @@ type Observation struct {
 // observations. Packing is canonical (an item is packed exactly when
 // spelling the packed bytes gives it back) and the flag is compared, so two
 // stored forms are equal exactly when their items are: a verbatim item that
-// equals another item's packed bytes is a different observation.
+// equals another item's packed bytes is a different observation, even when
+// the two share stored bytes. Sharing changes where bytes are, never what an
+// entry says.
 //
 // Limits. Entry numbers are uint32, so a log holds at most 2^32-2
-// observations (about 160 GiB of them); Record panics beyond it. The packed
-// flag borrows the top bit of an entry's length, so an item is at most
-// 2^31-1 bytes; Record panics beyond it. Pairs and chunks
-// are each created by an observation, so neither can outnumber the entries.
+// observations. Offsets are 16 bits and chunk numbers the other 16, so the
+// arena holds at most 2^16 chunks of 64 KiB: 4 GiB of stored forms shorter
+// than 64 KiB-1, about 268 million distinct 32-digit IDs if none is shared.
+// Pair numbers have 15 bits of an entry, so a log holds at most 2^15
+// (observer, class) pairs. Record panics beyond each limit, before it
+// changes anything a query can see. Large forms are bounded only by the
+// entries.
 type Log struct {
 	seed maphash.Seed // per log, fixed at construction
 	mask uint64       // bits of every hash kept: all of them, but tests force collisions
 
 	mu      sync.Mutex
-	pairs   []interned      // interned (observer, class) pairs, by number
-	pairNum map[pair]uint32 // pair -> its index in pairs
-	n       int             // distinct observations
-	entries [][]entry       // entry i, in recording order, is entries[i/entryBlock][i%entryBlock]
-	index   []group         // len is a power of two; at most 7/8 of the slots are taken
-	chunks  [][]byte        // stored items; only the last chunk has room left
+	pairs   []interned       // interned (observer, class) pairs, by number
+	pairNum map[pair]uint32  // pair -> its index in pairs
+	n       int              // distinct observations
+	entries [][]entry        // entry i, in recording order, is entries[i/entryBlock][i%entryBlock]
+	index   []group          // len is a power of two; at most 7/8 of the slots are taken
+	chunks  [][]byte         // stored forms shorter than largeForm; only the last chunk has room left
+	large   [][]byte         // stored forms of largeForm bytes or more, one each
+	recent  [lookBack]uint64 // form sums of the last lookBack entries, by entry number mod lookBack
 }
 
 // pair is an (observer, class) combination. A run has a handful of them
@@ -120,10 +133,13 @@ type interned struct {
 // (strings, slices, maps and interfaces included): TestEntryIsPointerFree
 // enforces it.
 type entry struct {
-	chunk uint32 // arena chunk holding the stored item
-	off   uint32 // its offset in that chunk
-	span  uint32 // its stored length, | packed if the item is stored packed
-	pair  uint32 // index into Log.pairs
+	loc  uint32 // chunk<<chunkBits | offset of the stored form, or a large form's index in Log.large
+	meta uint32 // pair number<<pairShift | packed if stored packed | the stored length, or largeForm
+}
+
+// pairOf returns e's index into Log.pairs.
+func (e *entry) pairOf() uint32 {
+	return e.meta >> pairShift
 }
 
 // group is eight index slots. Slot i holds an entry number in nums[i] and
@@ -134,16 +150,22 @@ type group struct {
 }
 
 const (
-	entryBytes = 16       // size of an entry, for Footprint
-	entryBlock = 4096     // entries per block (64 KiB)
-	chunkSize  = 64 << 10 // arena chunk capacity; a longer item gets a chunk of its own
-	groupSlots = 8        // index slots per group
-	groupBytes = 40       // size of a group, for Footprint
-	minGroups  = 2        // initial index groups
+	entryBytes = 8                     // size of an entry, for Footprint
+	entryBlock = 4096                  // entries per block (32 KiB)
+	chunkBits  = 16                    // bits of an arena offset, and of a stored length
+	chunkSize  = 1 << chunkBits        // arena chunk capacity (64 KiB)
+	maxChunks  = 1 << (32 - chunkBits) // arena chunks a location can name
+	groupSlots = 8                     // index slots per group
+	groupBytes = 40                    // size of a group, for Footprint
+	minGroups  = 2                     // initial index groups
+	lookBack   = 4                     // recent entries whose stored bytes a new observation may share
 
-	packed    = 1 << 31    // span bit: the stored form is packed hex digits
-	maxItem   = packed - 1 // longest item, in bytes
-	maxPacked = 64         // longest packed form: 128 digits
+	largeForm = chunkSize - 1         // length field of a form this long or longer, kept in Log.large
+	packed    = 1 << chunkBits        // meta bit: the stored form is packed hex digits
+	formBits  = packed | largeForm    // the meta bits that describe the stored form
+	pairShift = chunkBits + 1         // meta bits below the pair number
+	maxPairs  = 1 << (32 - pairShift) // (observer, class) pairs a log can hold
+	maxPacked = 64                    // longest packed form: 128 digits
 	hexDigits = "0123456789abcdef"
 
 	golden = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd: a multiplier that mixes
@@ -162,36 +184,32 @@ func NewLog() *Log {
 }
 
 // key is how an item is stored: verbatim, or, if it is an ID, its digits
-// packed into buf. span is the entry's span for it. A key does not hold the
-// item, so that the item does not escape: methods take it alongside.
+// packed into buf. form is an entry's form bits (formBits) for it. A key
+// does not hold the item, so that the item does not escape: methods take it
+// alongside.
 type key struct {
-	span uint32
+	form uint32
 	buf  [maxPacked]byte
 }
 
-// set makes k item's key, or reports false if item is too long to store.
-// Only an item that starts with a lowercase hex digit is tried for
-// packing, which turns most other items away cheaply.
-func (k *key) set(item string) bool {
-	if uint64(len(item)) > maxItem {
-		return false
-	}
-	k.span = uint32(len(item))
+// set makes k item's key. Only an item that starts with a lowercase hex
+// digit is tried for packing, which turns most other items away cheaply.
+func (k *key) set(item string) {
+	k.form = uint32(min(len(item), largeForm))
 	if len(item) > 0 && isHexDigit(item[0]) {
 		if n, ok := pack(&k.buf, item); ok {
-			k.span = uint32(n) | packed
+			k.form = uint32(n) | packed
 		}
 	}
-	return true
 }
 
 // packedForm returns the packed digits, or nil if the item is stored
 // verbatim.
 func (k *key) packedForm() []byte {
-	if k.span&packed == 0 {
+	if k.form&packed == 0 {
 		return nil
 	}
-	return k.buf[:k.span&^packed]
+	return k.buf[:k.form&largeForm]
 }
 
 // sum hashes the stored form of item, whose key k is.
@@ -202,8 +220,8 @@ func (k *key) sum(seed maphash.Seed, item string) uint64 {
 	return maphash.String(seed, item)
 }
 
-// is reports whether stored, with the same span as k, is the stored form
-// of item, whose key k is.
+// is reports whether stored holds the bytes of the stored form of item,
+// whose key k is. Whether the form is packed is the caller's to compare.
 func (k *key) is(item string, stored []byte) bool {
 	if p := k.packedForm(); p != nil {
 		return string(stored) == string(p)
@@ -219,11 +237,10 @@ func (l *Log) Record(observer string, class DataClass, item string) {
 		return // substrates may run without accounting
 	}
 	var k key
-	if !k.set(item) {
-		panic("audit: item longer than 2^31-1 bytes")
-	}
+	k.set(item)
 	ps := l.pairSum(observer, class)
-	h := l.hash(k.sum(l.seed, item), ps)
+	fs := k.sum(l.seed, item) & l.mask
+	h := l.hash(fs, ps)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.find(h, observer, class, item, &k) {
@@ -232,14 +249,18 @@ func (l *Log) Record(observer string, class DataClass, item string) {
 	if uint64(l.n) >= math.MaxUint32-1 {
 		panic("audit: log is full (2^32-2 observations)")
 	}
+	// store and intern panic at their limits before they change anything
+	// but the arena, where bytes no entry locates are never read.
+	e := entry{loc: l.store(item, &k, fs)}
+	e.meta = l.intern(observer, class, ps)<<pairShift | k.form
 	if 8*(l.n+1) > 7*groupSlots*len(l.index) {
 		l.grow()
 	}
 	if l.n%entryBlock == 0 {
 		l.entries = append(l.entries, make([]entry, entryBlock))
 	}
-	chunk, off := l.store(item, &k)
-	*l.entry(l.n) = entry{chunk: chunk, off: off, span: k.span, pair: l.intern(observer, class, ps)}
+	*l.entry(l.n) = e
+	l.recent[l.n%lookBack] = fs
 	place(l.index, h, uint32(l.n))
 	l.n++
 }
@@ -285,10 +306,10 @@ func (l *Log) find(h uint64, observer string, class DataClass, item string, k *k
 		tags := binary.LittleEndian.Uint64(grp.tags[:])
 		for m := zeros(tags ^ ones*uint64(tag)); m != 0; m &= m - 1 {
 			e := l.entry(int(grp.nums[bits.TrailingZeros64(m)/8]))
-			if e.span != k.span || !k.is(item, l.stored(e)) {
+			if e.meta&formBits != k.form || !k.is(item, l.stored(e)) {
 				continue
 			}
-			if p := &l.pairs[e.pair]; p.observer == observer && p.class == class {
+			if p := &l.pairs[e.pairOf()]; p.observer == observer && p.class == class {
 				return true
 			}
 		}
@@ -324,7 +345,7 @@ func (l *Log) grow() {
 		batch := sums[:min(len(sums), l.n-first)]
 		for i := range batch {
 			e := l.entry(first + i)
-			batch[i] = l.hash(maphash.Bytes(l.seed, l.stored(e)), l.pairs[e.pair].sum)
+			batch[i] = l.hash(maphash.Bytes(l.seed, l.stored(e)), l.pairs[e.pairOf()].sum)
 		}
 		for i, h := range batch {
 			place(index, h, uint32(first+i))
@@ -333,15 +354,34 @@ func (l *Log) grow() {
 	l.index = index
 }
 
-// store copies the stored form of item, whose key k is, into the arena and
-// returns where it went. A form that does not fit the last chunk's
-// remaining room starts a new chunk, sized to the form when it is longer
-// than chunkSize.
-func (l *Log) store(item string, k *key) (chunk, off uint32) {
-	n := int(k.span &^ packed)
+// store returns the location (entry.loc) of the stored form of item, whose
+// key k is and whose bytes sum to sum. If one of the last lookBack entries
+// stores the same bytes, it is theirs; their sums are compared first, so
+// that a miss compares no bytes. Otherwise store copies the form: a large
+// one into an allocation of its own, any other into the last arena chunk,
+// or into a new chunk if it would fill that one. A chunk keeps its last
+// byte free so that every offset, even an empty form's at a chunk's end,
+// fits chunkBits bits.
+func (l *Log) store(item string, k *key, sum uint64) uint32 {
+	n := k.form & largeForm
+	if n == largeForm {
+		l.large = append(l.large, []byte(item))
+		return uint32(len(l.large) - 1)
+	}
+	for i := l.n - 1; i >= max(l.n-lookBack, 0); i-- {
+		if l.recent[i%lookBack] != sum {
+			continue
+		}
+		if e := l.entry(i); k.is(item, l.stored(e)) {
+			return e.loc
+		}
+	}
 	last := len(l.chunks) - 1
-	if last < 0 || n > cap(l.chunks[last])-len(l.chunks[last]) {
-		l.chunks = append(l.chunks, make([]byte, 0, max(chunkSize, n)))
+	if last < 0 || len(l.chunks[last])+int(n) >= chunkSize {
+		if len(l.chunks) == maxChunks {
+			panic("audit: arena is full (2^16 chunks of 64 KiB)")
+		}
+		l.chunks = append(l.chunks, make([]byte, 0, chunkSize))
 		last++
 	}
 	c := l.chunks[last]
@@ -350,7 +390,7 @@ func (l *Log) store(item string, k *key) (chunk, off uint32) {
 	} else {
 		l.chunks[last] = append(c, item...)
 	}
-	return uint32(last), uint32(len(c))
+	return uint32(last)<<chunkBits | uint32(len(c))
 }
 
 // intern returns the number of the (observer, class) pair, whose names sum
@@ -358,6 +398,9 @@ func (l *Log) store(item string, k *key) (chunk, off uint32) {
 func (l *Log) intern(observer string, class DataClass, sum uint64) uint32 {
 	n, ok := l.pairNum[pair{observer, class}]
 	if !ok {
+		if len(l.pairs) == maxPairs {
+			panic("audit: too many (observer, class) pairs (2^15)")
+		}
 		p := pair{strings.Clone(observer), DataClass(strings.Clone(string(class)))}
 		n = uint32(len(l.pairs))
 		l.pairs = append(l.pairs, interned{p, sum})
@@ -368,24 +411,28 @@ func (l *Log) intern(observer string, class DataClass, sum uint64) uint32 {
 
 // stored returns e's stored form, aliasing the arena.
 func (l *Log) stored(e *entry) []byte {
-	return l.chunks[e.chunk][e.off:][:e.span&^packed]
+	n := e.meta & largeForm
+	if n == largeForm {
+		return l.large[e.loc]
+	}
+	return l.chunks[e.loc>>chunkBits][e.loc&(chunkSize-1):][:n]
 }
 
 // item returns e's item: its stored form or, if that is packed, its digits
 // spelled out into buf.
 func (l *Log) item(buf *[2 * maxPacked]byte, e *entry) []byte {
-	if e.span&packed == 0 {
+	if e.meta&packed == 0 {
 		return l.stored(e)
 	}
 	return spell(buf, l.stored(e))
 }
 
-// textLen is the length of the item an entry with this span stores.
-func textLen(span uint32) int {
-	if span&packed != 0 {
-		return 2 * int(span&^packed)
+// textLen is the length of e's item.
+func (l *Log) textLen(e *entry) int {
+	if e.meta&packed != 0 {
+		return 2 * int(e.meta&largeForm)
 	}
-	return int(span)
+	return len(l.stored(e))
 }
 
 // pack writes item's digits into buf, two to a byte, and reports whether
@@ -484,34 +531,34 @@ func hex8(b uint32) uint64 {
 
 // expand calls visit, in recording order, with the number and the item of
 // every entry of pair p, or of every entry if p is negative, packed IDs
-// spelled out. The items of one chunk share one string, so a query
-// allocates once per chunk it reads, not once per observation.
+// spelled out. The items of one entry block share one string, so a query
+// allocates once per block it reads from, not once per observation.
 func (l *Log) expand(p int, visit func(i int, item string)) {
-	keep := func(e *entry) bool { return p < 0 || int(e.pair) == p }
+	keep := func(e *entry) bool { return p < 0 || int(e.pairOf()) == p }
 	var buf [2 * maxPacked]byte
-	for first := 0; first < l.n; {
-		chunk, end, size := l.entry(first).chunk, first, 0
-		for ; end < l.n && l.entry(end).chunk == chunk; end++ {
-			if e := l.entry(end); keep(e) {
-				size += textLen(e.span)
+	for first := 0; first < l.n; first += entryBlock {
+		block := l.entries[first/entryBlock][:min(entryBlock, l.n-first)]
+		size := 0
+		for i := range block {
+			if e := &block[i]; keep(e) {
+				size += l.textLen(e)
 			}
 		}
 		var b strings.Builder
 		b.Grow(size)
-		for i := first; i < end; i++ {
-			if e := l.entry(i); keep(e) {
+		for i := range block {
+			if e := &block[i]; keep(e) {
 				b.Write(l.item(&buf, e))
 			}
 		}
 		text := b.String()
-		for i := first; i < end; i++ {
-			if e := l.entry(i); keep(e) {
-				n := textLen(e.span)
-				visit(i, text[:n])
+		for i := range block {
+			if e := &block[i]; keep(e) {
+				n := l.textLen(e)
+				visit(first+i, text[:n])
 				text = text[n:]
 			}
 		}
-		first = end
 	}
 }
 
@@ -521,9 +568,7 @@ func (l *Log) Saw(observer string, class DataClass, item string) bool {
 		return false
 	}
 	var k key
-	if !k.set(item) {
-		return false // never recorded
-	}
+	k.set(item)
 	h := l.hash(k.sum(l.seed, item), l.pairSum(observer, class))
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -565,15 +610,13 @@ func (l *Log) Observers(class DataClass, item string) []string {
 		return nil
 	}
 	var k key
-	if !k.set(item) {
-		return nil // never recorded
-	}
+	k.set(item)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []string
 	for i := 0; i < l.n; i++ {
 		e := l.entry(i)
-		if p := &l.pairs[e.pair]; e.span == k.span && p.class == class && k.is(item, l.stored(e)) {
+		if p := &l.pairs[e.pairOf()]; e.meta&formBits == k.form && p.class == class && k.is(item, l.stored(e)) {
 			out = append(out, p.observer)
 		}
 	}
@@ -590,7 +633,7 @@ func (l *Log) All() []Observation {
 	defer l.mu.Unlock()
 	out := make([]Observation, l.n)
 	l.expand(-1, func(i int, item string) {
-		p := &l.pairs[l.entry(i).pair]
+		p := &l.pairs[l.entry(i).pairOf()]
 		out[i] = Observation{Observer: p.observer, Class: p.class, Item: item}
 	})
 	return out
@@ -619,6 +662,9 @@ func (l *Log) Footprint() int {
 	bytes := len(l.entries)*entryBlock*entryBytes + len(l.index)*groupBytes
 	for _, c := range l.chunks {
 		bytes += cap(c)
+	}
+	for _, f := range l.large {
+		bytes += cap(f)
 	}
 	return bytes
 }

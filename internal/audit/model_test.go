@@ -3,6 +3,7 @@ package audit
 import (
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -117,6 +118,7 @@ func TestModel(t *testing.T) {
 	classes := []DataClass{ClassIdentity, ClassRelationship, ClassTxData, ClassTxHash, ClassTxMetadata, "", "tx\x00data"}
 	awkward := []string{"", "\x00", "\x00\x00", "a", "a\x00", "\x00a", "a\x00b", "ab", "b"}
 	long := []string{
+		strings.Repeat("k", largeForm-1), // the longest form a chunk holds
 		strings.Repeat("k", chunkSize-1), strings.Repeat("k", chunkSize), strings.Repeat("k", chunkSize+1),
 		strings.Repeat("m", 2*chunkSize+7), strings.Repeat("k", chunkSize+1) + "\x00",
 	}
@@ -147,43 +149,84 @@ func TestModel(t *testing.T) {
 		classes   []DataClass
 		items     []string
 		ops       int
+		// replicas, if not 0, makes the first replicas observers record each
+		// drawn (class, item) back to back, as a cluster's replicas do, with
+		// the next observer now and then writing a drawn observation of its
+		// own between them.
+		replicas int
 	}{
-		{"repeats", append(names("op", 6), "", "op\x00"), classes, append(names("tx", 300), awkward...), 3000},
-		{"thousands of observers", names("peer", 2500), classes[:2], names("tx", 20), 3000},
-		{"items longer than a chunk", names("op", 3), classes[:3], append(long, awkward...), 150},
-		{"chunk boundaries", names("op", 2), classes[:2], ragged, 1500},
-		{"packed IDs", names("op", 3), classes[:3], ids, 3000},
+		{"repeats", append(names("op", 6), "", "op\x00"), classes, append(names("tx", 300), awkward...), 3000, 0},
+		{"thousands of observers", names("peer", 2500), classes[:2], names("tx", 20), 3000, 0},
+		{"items longer than a chunk", names("op", 3), classes[:3], append(long, awkward...), 150, 0},
+		{"chunk boundaries", names("op", 2), classes[:2], ragged, 1500, 0},
+		{"packed IDs", names("op", 3), classes[:3], ids, 3000, 0},
+		{"replicas", append(names("replica", 3), "writer"), classes[:3], append(ids, long[:2]...), 3000, 3},
 	}
 	for _, sc := range scenarios {
 		for name, got := range subjects() {
 			t.Run(sc.name+"/"+name, func(t *testing.T) {
 				t.Parallel()
 				rng := rand.New(rand.NewSource(18))
-				want := newRefLog()
 				var ops []Observation
-				for i := 0; i < sc.ops; i++ {
+				for len(ops) < sc.ops {
 					o := Observation{
 						Observer: sc.observers[rng.Intn(len(sc.observers))],
 						Class:    sc.classes[rng.Intn(len(sc.classes))],
 						Item:     sc.items[rng.Intn(len(sc.items))],
 					}
-					if i > 0 && rng.Intn(4) == 0 {
+					if len(ops) > 0 && rng.Intn(4) == 0 {
 						o = ops[rng.Intn(len(ops))] // an exact repeat
 					}
-					ops = append(ops, o)
+					if sc.replicas == 0 {
+						ops = append(ops, o)
+						continue
+					}
+					for _, replica := range sc.observers[:sc.replicas] {
+						if rng.Intn(3) == 0 {
+							ops = append(ops, Observation{sc.observers[sc.replicas], sc.classes[rng.Intn(len(sc.classes))], sc.items[rng.Intn(len(sc.items))]})
+						}
+						ops = append(ops, Observation{replica, o.Class, o.Item})
+					}
+				}
+				want := newRefLog()
+				for i, o := range ops {
 					got.Record(o.Observer, o.Class, o.Item)
 					want.Record(o.Observer, o.Class, o.Item)
 					if g, w := got.Len(), want.Len(); g != w {
 						t.Fatalf("after op %d: Len = %d, reference %d", i, g, w)
 					}
-					if i == sc.ops/3 || i == sc.ops-1 {
-						if err := diverges(got, want, ops); err != nil {
+					if i == len(ops)/3 || i == len(ops)-1 {
+						if err := diverges(got, want, ops[:i+1]); err != nil {
 							t.Fatalf("after op %d: %v", i, err)
 						}
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestQueriesCrossEntryBlocks holds a log of three entry blocks to the
+// reference: queries build one string per block, and three replicas share
+// stored IDs across block ends. TestModel's logs stay inside one block, so
+// that its colliding subjects, which probe every entry, stay quick.
+func TestQueriesCrossEntryBlocks(t *testing.T) {
+	got, want := NewLog(), newRefLog()
+	var ops []Observation
+	for i := 0; len(ops) < 2*entryBlock+entryBlock/2; i++ {
+		var id [32]byte
+		fillID(&id, i)
+		for _, op := range []string{"replica-0", "replica-1", "replica-2"} {
+			ops = append(ops, Observation{op, ClassTxMetadata, string(id[:])})
+		}
+		ops = append(ops, Observation{"writer", ClassTxData, fmt.Sprint("tx-", i)})
+	}
+	for _, o := range ops {
+		got.Record(o.Observer, o.Class, o.Item)
+		want.Record(o.Observer, o.Class, o.Item)
+	}
+	if err := diverges(got, want, ops); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -242,6 +285,13 @@ func FuzzLogRecord(f *testing.F) {
 	long := strings.Repeat(id, 5)
 	f.Add([]byte("\x81\x01\x20oc" + id + "\x81\x01\x20oc" + id + "\xc1\x01\x20oc" + id + "\x01\x01\x10oc" + id +
 		"\x81\x01\x80oc" + long[:64] + "\x81\x01\x82oc" + long[:65] + "\x81\x01\x1foc" + id + "\x81\x01\x00oc"))
+	// Three replicas record one ID back to back, a fourth writer's items
+	// between them; then the same ID under another class.
+	f.Add([]byte("\x81\x01\x20ac" + id + "\x01\x01\x02wczz" + "\x81\x01\x20bc" + id + "\x81\x01\x20wc" + long[16:32] +
+		"\x81\x01\x20cc" + id + "\x81\x01\x20ad" + id))
+	// An ID then its raw packed bytes, and the other way round: they share
+	// stored bytes and stay two observations each time.
+	f.Add([]byte("\x81\x01\x20oc" + id + "\x01\x01\x10oc" + id + "\x01\x01\x10pc" + id + "\x81\x01\x20pc" + id))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := fuzzOps(data)
 		if len(ops) == 0 {
@@ -304,6 +354,7 @@ func TestEntryIsPointerFree(t *testing.T) {
 		{"entries element", elem("entries", 2)},
 		{"index element", elem("index", 1)},
 		{"arena element", elem("chunks", 2)},
+		{"large form element", elem("large", 2)},
 	} {
 		if err := pointerFree(c.ty); err != nil {
 			t.Errorf("%s holds a pointer: %v", c.what, err)
@@ -317,12 +368,17 @@ func TestEntryIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestRecordLimits pins the arena's edge cases: the empty item is an item
-// like any other, an item longer than a chunk is stored whole, and the
-// packed flag leaves an item 31 bits of length.
+// TestRecordLimits pins the arena's edge cases and the log's limits: the
+// empty item is an item like any other, a form of largeForm bytes or more is
+// stored whole outside the chunks, an entry's fields do not overlap, and
+// Record panics at 2^15 pairs and at a full arena without changing any
+// answer.
 func TestRecordLimits(t *testing.T) {
-	if maxItem != 1<<31-1 || maxItem&packed != 0 {
-		t.Fatalf("maxItem = %#x overlaps the packed flag %#x", maxItem, packed)
+	if maxPairs != 1<<15 || maxChunks*chunkSize != 4<<30 || largeForm != 1<<16-1 {
+		t.Fatalf("limits moved: %d pairs, %d-byte arena, large forms from %d bytes", maxPairs, maxChunks*chunkSize, largeForm)
+	}
+	if formBits&((maxPairs-1)<<pairShift) != 0 || uint64(maxPairs-1)<<pairShift > math.MaxUint32 || maxPacked >= largeForm {
+		t.Fatal("an entry's pair, packed flag and length overlap")
 	}
 	l := NewLog()
 	huge := strings.Repeat("h", 3*chunkSize+1)
@@ -330,9 +386,12 @@ func TestRecordLimits(t *testing.T) {
 	l.Record("o", ClassTxData, huge)
 	l.Record("o", ClassTxData, "after")
 	l.Record("", "", "")
-	want := []Observation{{"o", ClassTxData, ""}, {"o", ClassTxData, huge}, {"o", ClassTxData, "after"}, {"", "", ""}}
+	l.Record("o", ClassTxData, huge[:largeForm])   // the shortest large form
+	l.Record("o", ClassTxData, huge[:largeForm-1]) // the longest form in a chunk
+	want := []Observation{{"o", ClassTxData, ""}, {"o", ClassTxData, huge}, {"o", ClassTxData, "after"}, {"", "", ""},
+		{"o", ClassTxData, huge[:largeForm]}, {"o", ClassTxData, huge[:largeForm-1]}}
 	if got := l.All(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("All = %d observations, want the 4 recorded", len(got))
+		t.Fatalf("All = %d observations, want the %d recorded", len(got), len(want))
 	}
 	if !l.Saw("o", ClassTxData, "") || !l.Saw("o", ClassTxData, huge) || l.Saw("o", ClassTxData, huge[1:]) {
 		t.Fatal("Saw disagrees with what was recorded")
@@ -343,6 +402,40 @@ func TestRecordLimits(t *testing.T) {
 	var none *Log
 	if got := none.Footprint(); got != 0 {
 		t.Fatalf("nil log Footprint = %d", got)
+	}
+
+	mustPanic := func(what string, record func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		record()
+	}
+	l = NewLog()
+	for i := range maxPairs {
+		l.Record(fmt.Sprint(i), ClassTxData, "x")
+	}
+	mustPanic("pair 2^15+1", func() { l.Record("one too many", ClassTxData, "x") })
+	if l.Len() != maxPairs || l.SawAny("one too many", ClassTxData) || !l.Saw(fmt.Sprint(maxPairs-1), ClassTxData, "x") {
+		t.Fatal("the refused pair changed what the log answers")
+	}
+
+	// A full arena: every chunk number taken, the last chunk full.
+	l = NewLog()
+	l.chunks = make([][]byte, maxChunks)
+	l.chunks[maxChunks-1] = make([]byte, chunkSize-1, chunkSize)
+	// Even one byte: a chunk keeps its last byte free.
+	mustPanic("a form past a full arena", func() { l.Record("o", ClassTxData, "x") })
+	if l.Len() != 0 || l.SawAny("o", ClassTxData) {
+		t.Fatal("the refused form changed what the log answers")
+	}
+	l.Record("o", ClassTxData, "") // fits the last byte's offset
+	l.Record("p", ClassTxData, "") // shares it
+	l.Record("o", ClassTxData, huge)
+	if got := l.All(); !reflect.DeepEqual(got, []Observation{{"o", ClassTxData, ""}, {"p", ClassTxData, ""}, {"o", ClassTxData, huge}}) {
+		t.Fatalf("a full arena refused an empty or a large form: %d observations", len(got))
 	}
 }
 
@@ -451,12 +544,14 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 }
 
 // BenchmarkRecord prices Record in isolation, on the Log and on the
-// reference it replaced: a duplicate and a new item, each 32 bytes built on
-// the caller's stack, either an ID (lowercase hex, stored packed) or the
-// same shape in letters that are not hex digits (stored verbatim). The calls are on concrete
-// types so that escape analysis sees through them, as it does at the real
-// call sites.
+// reference it replaced: a duplicate, a new item, and a new item seen by
+// three replicas in turn (observation i is item i/3 seen by replica i%3),
+// each item 32 bytes built on the caller's stack, either an ID (lowercase
+// hex, stored packed) or the same shape in letters that are not hex digits
+// (stored verbatim). The calls are on concrete types so that escape analysis
+// sees through them, as it does at the real call sites.
 func BenchmarkRecord(b *testing.B) {
+	replicas := []string{"orderer-op-0", "orderer-op-1", "orderer-op-2"}
 	for _, item := range []struct {
 		name   string
 		digits string
@@ -466,39 +561,41 @@ func BenchmarkRecord(b *testing.B) {
 	} {
 		for _, c := range []struct {
 			name string
-			new  func() func(n int)
+			new  func() func(observer string, n int)
 		}{
-			{"log", func() func(int) {
+			{"log", func() func(string, int) {
 				l := NewLog()
-				return func(n int) {
+				return func(observer string, n int) {
 					var id [32]byte
 					fillDigits(&id, n, item.digits)
-					l.Record("orderer-op", ClassTxMetadata, string(id[:]))
+					l.Record(observer, ClassTxMetadata, string(id[:]))
 				}
 			}},
-			{"reference", func() func(int) {
+			{"reference", func() func(string, int) {
 				l := newRefLog()
-				return func(n int) {
+				return func(observer string, n int) {
 					var id [32]byte
 					fillDigits(&id, n, item.digits)
-					l.Record("orderer-op", ClassTxMetadata, string(id[:]))
+					l.Record(observer, ClassTxMetadata, string(id[:]))
 				}
 			}},
 		} {
-			b.Run(c.name+"/"+item.name+"/duplicate", func(b *testing.B) {
-				record := c.new()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					record(0)
-				}
-			})
-			b.Run(c.name+"/"+item.name+"/new", func(b *testing.B) {
-				record := c.new()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					record(i)
-				}
-			})
+			for _, row := range []struct {
+				name string
+				obs  func(i int) (observer string, n int)
+			}{
+				{"duplicate", func(int) (string, int) { return replicas[0], 0 }},
+				{"new", func(i int) (string, int) { return replicas[0], i }},
+				{"replicas", func(i int) (string, int) { return replicas[i%3], i / 3 }},
+			} {
+				b.Run(c.name+"/"+item.name+"/"+row.name, func(b *testing.B) {
+					record := c.new()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						record(row.obs(i))
+					}
+				})
+			}
 		}
 	}
 }
