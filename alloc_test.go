@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/middleware"
 	"dltprivacy/internal/netedge"
 	"dltprivacy/internal/telemetry"
@@ -187,12 +188,29 @@ func TestAllocationBudget(t *testing.T) {
 			// 89 until the mac row's five went; 84 until its digest memo did.
 			// 83 until a wrap became the data key XOR its key-encryption key
 			// under one commitment: three fewer per member, no AES cipher or
-			// GCM built, the KEK hashed on pooled state.
+			// GCM built, the KEK hashed on pooled state. 74 until the table
+			// stopped naming its members: the wraps by name (a map, 2) and the
+			// sorted names the frame listed them in (1) became one slice of
+			// wraps sorted by their bytes.
 			name:     "authn|encrypt|audit",
 			replaces: "baseline Chain/stages=3(+audit) 108",
 			cfg:      pipeline(authnStage, encryptStage, auditStage),
 			allocs:   submitAllocs,
-			ceiling:  74,
+			ceiling:  72,
+		},
+		{
+			// A ledger reader's decode of one sealed frame at the benchmark's
+			// shape, 50 members: the channel name, and crypto/ecdh's five for
+			// the check that the ephemeral key is a P-256 point (go1.24.0).
+			// The scheme is the package's constant and every byte field,
+			// the wraps included, aliases the frame. 61 (3.6 KB) while the
+			// table named its members: the scheme, a map of the 50 wraps and
+			// the 50 names it was keyed by.
+			name:     "parse-envelope",
+			replaces: "new: ParseEnvelope stopped building a map of the members' wraps",
+			cfg:      mac,
+			allocs:   parseEnvelopeAllocs,
+			ceiling:  6,
 		},
 	}
 	got := make(map[string]float64, len(rows))
@@ -380,4 +398,27 @@ func handshakerOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) f
 		t.Fatalf("resumed %d, missed %d; want every open after the first resumed", st.Resumed, st.ResumeMisses)
 	}
 	return allocs
+}
+
+// parseEnvelopeAllocs reads the allocations of one ParseEnvelope of a frame
+// sealed to 50 members on the benchmark's channel name.
+func parseEnvelopeAllocs(t *testing.T, _ *gatewayBenchEnv, _ *fastPathEnv) float64 {
+	members := make(map[string]dcrypto.PublicKey, 50)
+	for i := 0; i < 50; i++ {
+		key, err := dcrypto.GenerateKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[fmt.Sprintf("org-%02d", i)] = key.Public()
+	}
+	env, err := middleware.SealEnvelope("deals-0", make([]byte, 96), members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := middleware.EncodeEnvelope(env)
+	return testing.AllocsPerRun(100, func() {
+		if _, err := middleware.ParseEnvelope(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

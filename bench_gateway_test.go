@@ -83,11 +83,12 @@ func newGatewayBenchEnv(tb testing.TB) *gatewayBenchEnv {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		cert := certs[tr.Buyer]
 		req := middleware.Request{
 			Channel:   benchChannel,
 			Principal: tr.Buyer,
 			Payload:   payload,
-			Cert:      certs[tr.Buyer],
+			Cert:      &cert,
 		}
 		if err := middleware.SignRequest(&req, keys[tr.Buyer]); err != nil {
 			tb.Fatal(err)
@@ -152,7 +153,7 @@ func newFastPathEnv(tb testing.TB, env *gatewayBenchEnv, cfg middleware.Config) 
 		grant := grants[req.Principal]
 		// Token and MAC instead of certificate and signature: the session
 		// path never touches either.
-		req.Cert, req.Sig = pki.Certificate{}, dcrypto.Signature{}
+		req.Cert, req.Sig = nil, dcrypto.Signature{}
 		req.SessionToken = grant.Token
 		middleware.MACRequest(&req, grant.MacKey)
 		fp.templates[i] = req

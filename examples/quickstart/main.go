@@ -7,12 +7,14 @@
 // envelope-visibility orderers, with the hot "deals" channel pinned to
 // shard 1 by the Config pin table while every other channel would route by
 // consistent hashing. Bravo — a member — decrypts the committed envelope;
-// Charlie, both shard operators, and the gateway operator see nothing: the
-// core separation-of-ledgers mechanism from §2.1 of the paper, now behind
-// one declarative pipeline instead of hand-wired calls.
+// Charlie, both shard operators, and the gateway operator see nothing, not
+// even whom an envelope is for: the core separation-of-ledgers mechanism
+// from §2.1 of the paper, now behind one declarative pipeline instead of
+// hand-wired calls.
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -30,14 +32,19 @@ import (
 )
 
 // txIndex records committed transaction IDs so readers can locate the
-// envelopes the Fabric backend stored under them.
-type txIndex struct{ ids []string }
+// envelopes the Fabric backend stored under them, and keeps the payloads as
+// the ordering tier delivered them.
+type txIndex struct {
+	ids      []string
+	payloads [][]byte
+}
 
 func (x *txIndex) Name() string { return "tx-index" }
 
 func (x *txIndex) Commit(b ledger.Block) error {
 	for _, tx := range b.Txs {
 		x.ids = append(x.ids, tx.ID())
+		x.payloads = append(x.payloads, tx.Payload)
 	}
 	return nil
 }
@@ -202,6 +209,23 @@ func run() error {
 		}
 	}
 	fmt.Println("Charlie cannot open the envelopes: not a channel member")
+
+	// …and an operator holding every delivered frame learns how many keys
+	// each was wrapped to, not whose: no frame names anyone.
+	wraps := 0
+	for _, frame := range index.payloads {
+		for _, org := range orgs {
+			if bytes.Contains(frame, []byte(org)) {
+				return fmt.Errorf("a delivered envelope names %s", org)
+			}
+		}
+		envl, err := middleware.ParseEnvelope(frame)
+		if err != nil {
+			return err
+		}
+		wraps = len(envl.Wraps) / dcrypto.WrappedKeySize
+	}
+	fmt.Printf("the orderer's envelopes carry %d wraps and no member name\n", wraps)
 
 	// 6. Leakage accounting: no operator — gateway or either ordering
 	// shard — saw transaction data.

@@ -1,6 +1,7 @@
 package dcrypto
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Errors returned by the symmetric and hybrid encryption helpers.
@@ -307,14 +309,24 @@ const KeyCommitmentSize = sha256.Size
 // commit. This is how a data key gets "shared over the network using PKI"
 // (§2.2) to a channel.
 //
+// The wraps come back as one table, len(wraps)/WrappedKeySize of them, in
+// strictly ascending byte order and with no recipient named: private
+// broadcast encryption (Barth, Boneh and Waters, "Privacy in Encrypted Content
+// Distribution Using Private Broadcast Encryption", FC 2006). A reader of the
+// table learns how many distinct keys it was wrapped to and nothing about
+// which; the order is the bytes' own, so it says nothing of the recipients
+// either. The recipients' names are the caller's labels and never reach the
+// table: two names on one public key have one KEK, hence one wrap, and the
+// table holds it once.
+//
 // Why the pad is enough: each KEK is a fresh SHA-256 output that masks exactly
 // one secret, which is also all AES-GCM under the KEK at a fixed nonce ever
 // was for a 32-byte message — the key XOR a one-time keystream. The GCM tag's
 // other job, refusing a tampered wrap, is the commitment's: Unwrap recomputes
-// it from the key it recovers, so a flipped bit in any field, a wrap filed
-// under another recipient or other associated data yields no key. And it
-// checks something per-recipient tags never did: every recipient that
-// unwraps recovers the same secret, the one the commitment names.
+// it from every candidate it recovers, so a flipped bit in any field, a table
+// made for other keys or other associated data yields no key. And it checks
+// something per-recipient tags never did: every recipient that unwraps
+// recovers the same secret, the one the commitment names.
 //
 // Why one ephemeral key is enough: ECIES is reproducible, and a reproducible
 // scheme keeps each recipient's security when its randomness is reused across
@@ -325,11 +337,7 @@ const KeyCommitmentSize = sha256.Size
 // one secret — two secrets under one KEK would hand an observer their XOR.
 // The function is one-shot to make that unrepresentable: the ephemeral
 // private key is a local of this call, never returned and never stored.
-//
-// The KEK binds the recipient's key, not its name: the same public key listed
-// under two names unwraps for both, and a wrap moved under another
-// recipient's name does not unwrap.
-func WrapToRecipients(recipients map[string]PublicKey, secret, associatedData []byte) (ephPub, commit []byte, wraps map[string][]byte, err error) {
+func WrapToRecipients(recipients map[string]PublicKey, secret, associatedData []byte) (ephPub, commit, wraps []byte, err error) {
 	if len(secret) != SymmetricKeySize {
 		return nil, nil, nil, ErrBadKeySize
 	}
@@ -339,14 +347,7 @@ func WrapToRecipients(recipients map[string]PublicKey, secret, associatedData []
 		return nil, nil, nil, fmt.Errorf("generate ephemeral key: %w", err)
 	}
 	ephPub = eph.PublicKey().Bytes()
-	wraps = make(map[string][]byte, len(recipients))
-	// One backing array for the commitment and every wrap: n+1 small
-	// allocations become one.
-	buf := make([]byte, KeyCommitmentSize+len(recipients)*WrappedKeySize)
-	commit = buf[:KeyCommitmentSize:KeyCommitmentSize]
-	sum := keyCommitment(secret, associatedData)
-	copy(commit, sum[:])
-	at := KeyCommitmentSize
+	table := make([][WrappedKeySize]byte, 0, len(recipients))
 	for id, recipient := range recipients {
 		pub := recipient.Bytes()
 		recipECDH, err := p256.NewPublicKey(pub)
@@ -358,21 +359,35 @@ func WrapToRecipients(recipients map[string]PublicKey, secret, associatedData []
 			return nil, nil, nil, fmt.Errorf("ecdh for %s: %w", id, err)
 		}
 		kek := deriveWrapKey(shared, ephPub, pub)
-		wrap := buf[at : at+WrappedKeySize : at+WrappedKeySize]
-		subtle.XORBytes(wrap, secret, kek[:])
-		wraps[id], at = wrap, at+WrappedKeySize
+		var wrap [WrappedKeySize]byte
+		subtle.XORBytes(wrap[:], secret, kek[:])
+		table = append(table, wrap)
 	}
-	return ephPub, commit, wraps, nil
+	slices.SortFunc(table, func(a, b [WrappedKeySize]byte) int { return bytes.Compare(a[:], b[:]) })
+	table = slices.Compact(table)
+	// One backing array for the commitment and every wrap.
+	buf := make([]byte, KeyCommitmentSize, KeyCommitmentSize+len(table)*WrappedKeySize)
+	sum := keyCommitment(secret, associatedData)
+	copy(buf, sum[:])
+	for i := range table {
+		buf = append(buf, table[i][:]...)
+	}
+	return ephPub, buf[:KeyCommitmentSize:KeyCommitmentSize], buf[KeyCommitmentSize:], nil
 }
 
-// Unwrap recovers the secret WrapToRecipients wrapped for the holder of
-// recipient and checks it against the set's commitment. Every failure — a
-// malformed or off-curve ephPub, a commitment or wrap of the wrong length, a
-// wrap made for another key or under other associated data, a flipped bit
-// anywhere, a wrap that decodes to a secret the commitment does not name — is
-// ErrDecrypt, deliberately opaque.
-func Unwrap(recipient *PrivateKey, ephPub, commit, wrap, associatedData []byte) ([]byte, error) {
-	if len(commit) != KeyCommitmentSize || len(wrap) != WrappedKeySize {
+// Unwrap recovers the secret WrapToRecipients wrapped to the holder of
+// recipient, trying every wrap of the table: one ECDH gives the holder's KEK,
+// and each wrap XOR that KEK is checked against the set's commitment. The scan
+// visits every wrap and selects the match in constant time, so neither the
+// outcome nor the time it takes says which wrap was the holder's. Every
+// failure — a malformed or off-curve ephPub, a commitment of the wrong length,
+// a table that is empty or not whole wraps, a table made for other keys or
+// under other associated data, a flipped bit anywhere, a wrap that decodes to
+// a secret the commitment does not name — is ErrDecrypt, deliberately opaque:
+// with no names in the table, a holder the sealer left out and a table
+// tampered with look the same.
+func Unwrap(recipient *PrivateKey, ephPub, commit, wraps, associatedData []byte) ([]byte, error) {
+	if len(commit) != KeyCommitmentSize || len(wraps) == 0 || len(wraps)%WrappedKeySize != 0 {
 		return nil, ErrDecrypt
 	}
 	p256 := ecdh.P256()
@@ -390,8 +405,16 @@ func Unwrap(recipient *PrivateKey, ephPub, commit, wrap, associatedData []byte) 
 	}
 	kek := deriveWrapKey(shared, ephPub, recipient.Public().Bytes())
 	secret := make([]byte, SymmetricKeySize)
-	subtle.XORBytes(secret, wrap, kek[:])
-	if sum := keyCommitment(secret, associatedData); subtle.ConstantTimeCompare(sum[:], commit) != 1 {
+	var candidate [SymmetricKeySize]byte
+	found := 0
+	for at := 0; at < len(wraps); at += WrappedKeySize {
+		subtle.XORBytes(candidate[:], wraps[at:at+WrappedKeySize], kek[:])
+		sum := keyCommitment(candidate[:], associatedData)
+		match := subtle.ConstantTimeCompare(sum[:], commit)
+		subtle.ConstantTimeCopy(match, secret, candidate[:])
+		found |= match
+	}
+	if found != 1 {
 		return nil, ErrDecrypt
 	}
 	return secret, nil

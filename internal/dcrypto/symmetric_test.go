@@ -234,9 +234,8 @@ func TestHybridPropertyRoundTrip(t *testing.T) {
 
 // wrapSet is a fresh 32-byte secret wrapped to alice and bob under "channel-A".
 type wrapSet struct {
-	alice, bob             *PrivateKey
-	secret, ephPub, commit []byte
-	wraps                  map[string][]byte
+	alice, bob                    *PrivateKey
+	secret, ephPub, commit, wraps []byte
 }
 
 var wrapAD = []byte("channel-A")
@@ -261,12 +260,28 @@ func wrapFixture(t testing.TB) wrapSet {
 	return w
 }
 
-// key is the private key of a fixture recipient.
-func (w wrapSet) key(id string) *PrivateKey {
-	if id == "alice" {
-		return w.alice
+// wrap returns the i-th wrap of the fixture's table.
+func (w wrapSet) wrap(i int) []byte {
+	return w.wraps[i*WrappedKeySize : (i+1)*WrappedKeySize]
+}
+
+// own returns the index of the one wrap in the fixture's table that opens
+// alone for key, failing the test unless there is exactly one.
+func (w wrapSet) own(t testing.TB, key *PrivateKey) int {
+	t.Helper()
+	found := -1
+	for i := 0; i < len(w.wraps)/WrappedKeySize; i++ {
+		if _, err := Unwrap(key, w.ephPub, w.commit, w.wrap(i), wrapAD); err == nil {
+			if found >= 0 {
+				t.Fatalf("wraps %d and %d both open for one key", found, i)
+			}
+			found = i
+		}
 	}
-	return w.bob
+	if found < 0 {
+		t.Fatal("no wrap of the table opens alone for the key")
+	}
+	return found
 }
 
 func TestWrapRoundTripEveryRecipient(t *testing.T) {
@@ -277,17 +292,20 @@ func TestWrapRoundTripEveryRecipient(t *testing.T) {
 	if len(w.commit) != KeyCommitmentSize {
 		t.Fatalf("commitment is %d bytes, want %d", len(w.commit), KeyCommitmentSize)
 	}
-	for _, id := range []string{"alice", "bob"} {
-		if len(w.wraps[id]) != WrappedKeySize {
-			t.Fatalf("%s's wrap is %d bytes, want %d", id, len(w.wraps[id]), WrappedKeySize)
-		}
-		got, err := Unwrap(w.key(id), w.ephPub, w.commit, w.wraps[id], wrapAD)
+	if len(w.wraps) != 2*WrappedKeySize {
+		t.Fatalf("table is %d bytes, want two %d-byte wraps", len(w.wraps), WrappedKeySize)
+	}
+	if bytes.Compare(w.wrap(0), w.wrap(1)) >= 0 {
+		t.Fatal("the table's wraps are not strictly ascending: two recipients hold the same wrap, or the order is not the bytes'")
+	}
+	for _, key := range []*PrivateKey{w.alice, w.bob} {
+		got, err := Unwrap(key, w.ephPub, w.commit, w.wraps, wrapAD)
 		if err != nil || !bytes.Equal(got, w.secret) {
-			t.Fatalf("Unwrap as %s: %x, %v", id, got, err)
+			t.Fatalf("Unwrap: %x, %v", got, err)
 		}
 	}
-	if bytes.Equal(w.wraps["alice"], w.wraps["bob"]) {
-		t.Fatal("two recipients hold the same wrap: the key-encryption key does not depend on the recipient")
+	if w.own(t, w.alice) == w.own(t, w.bob) {
+		t.Fatal("alice and bob open the same wrap: the key-encryption key does not depend on the recipient")
 	}
 }
 
@@ -308,7 +326,7 @@ func TestWrapFreshEphemeralKeyPerCall(t *testing.T) {
 	if bytes.Equal(eph1, eph2) {
 		t.Fatal("two calls with identical inputs returned the same ephemeral key")
 	}
-	if bytes.Equal(wraps1["alice"], wraps2["alice"]) {
+	if bytes.Equal(wraps1, wraps2) {
 		t.Fatal("two calls with identical inputs returned the same wrap")
 	}
 }
@@ -327,50 +345,67 @@ func TestWrapRejectsSecretOfWrongSize(t *testing.T) {
 func TestUnwrapNonRecipientFails(t *testing.T) {
 	w := wrapFixture(t)
 	eve, _ := GenerateKey()
-	for id, wrap := range w.wraps {
-		if _, err := Unwrap(eve, w.ephPub, w.commit, wrap, wrapAD); !errors.Is(err, ErrDecrypt) {
-			t.Fatalf("a non-recipient unwrapping %s's wrap: %v, want ErrDecrypt", id, err)
-		}
+	if got, err := Unwrap(eve, w.ephPub, w.commit, w.wraps, wrapAD); !errors.Is(err, ErrDecrypt) || got != nil {
+		t.Fatalf("a non-recipient unwrapping the table: %x, %v, want ErrDecrypt", got, err)
 	}
 }
 
 func TestUnwrapWrongAssociatedDataFails(t *testing.T) {
 	w := wrapFixture(t)
-	if _, err := Unwrap(w.alice, w.ephPub, w.commit, w.wraps["alice"], []byte("channel-B")); !errors.Is(err, ErrDecrypt) {
+	if _, err := Unwrap(w.alice, w.ephPub, w.commit, w.wraps, []byte("channel-B")); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("Unwrap under other associated data: %v, want ErrDecrypt", err)
 	}
 }
 
 // TestUnwrapMovedWrapFails: the key-encryption key binds the recipient's
-// public key, so a wrap filed under another recipient's name is useless to
-// that recipient.
+// public key, so a wrap moved into a table of its own opens for its holder
+// only — to anyone else a table of someone else's wrap is useless.
 func TestUnwrapMovedWrapFails(t *testing.T) {
 	w := wrapFixture(t)
-	for _, move := range [][2]string{{"alice", "bob"}, {"bob", "alice"}} {
-		if _, err := Unwrap(w.key(move[1]), w.ephPub, w.commit, w.wraps[move[0]], wrapAD); !errors.Is(err, ErrDecrypt) {
-			t.Fatalf("%s unwrapping %s's wrap: %v, want ErrDecrypt", move[1], move[0], err)
+	a, b := w.own(t, w.alice), w.own(t, w.bob)
+	if _, err := Unwrap(w.alice, w.ephPub, w.commit, w.wrap(b), wrapAD); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("alice unwrapping a table of bob's wrap alone: %v, want ErrDecrypt", err)
+	}
+	if _, err := Unwrap(w.bob, w.ephPub, w.commit, w.wrap(a), wrapAD); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("bob unwrapping a table of alice's wrap alone: %v, want ErrDecrypt", err)
+	}
+}
+
+// TestUnwrapRefusesMalformedTable: a table is whole wraps, at least one.
+func TestUnwrapRefusesMalformedTable(t *testing.T) {
+	w := wrapFixture(t)
+	for _, table := range [][]byte{nil, {}, w.wraps[:1], w.wraps[:WrappedKeySize-1], w.wraps[:WrappedKeySize+1], w.wraps[1:], append(bytes.Clone(w.wraps), 0)} {
+		if got, err := Unwrap(w.alice, w.ephPub, w.commit, table, wrapAD); !errors.Is(err, ErrDecrypt) || got != nil {
+			t.Errorf("a %d-byte table: %x, %v, want ErrDecrypt", len(table), got, err)
 		}
 	}
 }
 
 // TestUnwrapFlippedBitFails flips every bit of every input in turn — the
-// ephemeral key, the commitment, each recipient's wrap and the associated
-// data — and requires each flip to yield no key.
+// ephemeral key, the commitment, the table and the associated data. A flip
+// anywhere but the table yields no key for anyone; a flip in a wrap yields
+// none for that wrap's holder and leaves the other's untouched.
 func TestUnwrapFlippedBitFails(t *testing.T) {
 	w := wrapFixture(t)
-	for _, id := range []string{"alice", "bob"} {
-		fields := []struct {
-			name string
-			b    []byte
-		}{{"ephPub", w.ephPub}, {"commit", w.commit}, {"wrap", w.wraps[id]}, {"ad", wrapAD}}
-		for f, field := range fields {
-			for i := 0; i < len(field.b)*8; i++ {
-				in := [][]byte{w.ephPub, w.commit, w.wraps[id], wrapAD}
-				bad := bytes.Clone(field.b)
-				bad[i/8] ^= 1 << (i % 8)
-				in[f] = bad
-				if _, err := Unwrap(w.key(id), in[0], in[1], in[2], in[3]); !errors.Is(err, ErrDecrypt) {
-					t.Fatalf("%s: %s bit %d flipped: %v, want ErrDecrypt", id, field.name, i, err)
+	owner := map[int]*PrivateKey{w.own(t, w.alice): w.alice, w.own(t, w.bob): w.bob}
+	fields := []struct {
+		name string
+		b    []byte
+	}{{"ephPub", w.ephPub}, {"commit", w.commit}, {"table", w.wraps}, {"ad", wrapAD}}
+	for f, field := range fields {
+		for i := 0; i < len(field.b)*8; i++ {
+			in := [][]byte{w.ephPub, w.commit, w.wraps, wrapAD}
+			bad := bytes.Clone(field.b)
+			bad[i/8] ^= 1 << (i % 8)
+			in[f] = bad
+			for _, key := range []*PrivateKey{w.alice, w.bob} {
+				got, err := Unwrap(key, in[0], in[1], in[2], in[3])
+				hit := field.name != "table" || owner[i/8/WrappedKeySize] == key
+				switch {
+				case hit && !errors.Is(err, ErrDecrypt):
+					t.Fatalf("%s bit %d flipped: %x, %v, want ErrDecrypt", field.name, i, got, err)
+				case !hit && (err != nil || !bytes.Equal(got, w.secret)):
+					t.Fatalf("table bit %d flipped in the other recipient's wrap: %x, %v, want the secret", i, got, err)
 				}
 			}
 		}
@@ -388,31 +423,39 @@ func TestUnwrapRefusesASecondKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// wrap ⊕ secret is bob's key-encryption key; re-pad it over the other key.
-	forged := make([]byte, WrappedKeySize)
-	for i := range forged {
-		forged[i] = w.wraps["bob"][i] ^ w.secret[i] ^ other[i]
+	forged := bytes.Clone(w.wraps)
+	bobs := forged[w.own(t, w.bob)*WrappedKeySize:][:WrappedKeySize]
+	for i := range bobs {
+		bobs[i] ^= w.secret[i] ^ other[i]
 	}
 	if _, err := Unwrap(w.bob, w.ephPub, w.commit, forged, wrapAD); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("bob unwrapping a wrap of a key the commitment does not name: %v, want ErrDecrypt", err)
 	}
-	if got, err := Unwrap(w.alice, w.ephPub, w.commit, w.wraps["alice"], wrapAD); err != nil || !bytes.Equal(got, w.secret) {
-		t.Fatalf("alice beside the forged entry: %x, %v", got, err)
+	if got, err := Unwrap(w.alice, w.ephPub, w.commit, forged, wrapAD); err != nil || !bytes.Equal(got, w.secret) {
+		t.Fatalf("alice beside the forged wrap: %x, %v", got, err)
 	}
 }
 
-// TestWrapSameKeyUnderTwoNames: names are the caller's labels; one public
-// key enrolled under two of them unwraps for both.
+// TestWrapSameKeyUnderTwoNames: names are the caller's labels and never reach
+// the table. One public key enrolled under two of them has one
+// key-encryption key, hence one wrap, and the table holds it once — twice
+// would be a duplicate no canonical table may carry.
 func TestWrapSameKeyUnderTwoNames(t *testing.T) {
 	alice, _ := GenerateKey()
+	bob, _ := GenerateKey()
 	secret := bytes.Repeat([]byte{9}, SymmetricKeySize)
-	ephPub, commit, wraps, err := WrapToRecipients(map[string]PublicKey{"alice": alice.Public(), "alice-desk-2": alice.Public()}, secret, nil)
+	ephPub, commit, wraps, err := WrapToRecipients(map[string]PublicKey{
+		"alice": alice.Public(), "alice-desk-2": alice.Public(), "bob": bob.Public(),
+	}, secret, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, wrap := range wraps {
-		got, err := Unwrap(alice, ephPub, commit, wrap, nil)
-		if err != nil || !bytes.Equal(got, secret) {
-			t.Fatalf("Unwrap of the wrap filed under %s: %x, %v", id, got, err)
+	if len(wraps) != 2*WrappedKeySize {
+		t.Fatalf("three names on two keys made a %d-byte table, want two wraps", len(wraps))
+	}
+	for _, key := range []*PrivateKey{alice, bob} {
+		if got, err := Unwrap(key, ephPub, commit, wraps, nil); err != nil || !bytes.Equal(got, secret) {
+			t.Fatalf("Unwrap: %x, %v", got, err)
 		}
 	}
 }
@@ -423,36 +466,55 @@ func TestWrapRejectsInvalidRecipientKey(t *testing.T) {
 	}
 }
 
-// FuzzUnwrap hands Unwrap hostile ephemeral keys, commitments, wraps and
+// FuzzUnwrap hands Unwrap hostile ephemeral keys, commitments, tables and
 // associated data: it may only refuse (ErrDecrypt), never panic, and whatever
-// it does return is exactly the sealed key — never another. The genuine tuple,
-// which the mutator can reproduce from the seed, must unwrap.
+// it does return is exactly the sealed key — never another. Any table of whole
+// wraps that holds alice's, beside the genuine ephemeral key, commitment and
+// associated data, must unwrap; the mutator can reach such tables from the
+// seeds.
 func FuzzUnwrap(f *testing.F) {
 	w := wrapFixture(f)
-	ephPub, commit, wrap := w.ephPub, w.commit, w.wraps["alice"]
-	f.Add(ephPub, commit, wrap, wrapAD)
-	f.Add(ephPub, commit, w.wraps["bob"], wrapAD)
-	f.Add(ephPub[:64], commit, wrap, wrapAD)
-	f.Add(ephPub, commit, wrap[:31], wrapAD)
+	ephPub, commit, table := w.ephPub, w.commit, w.wraps
+	reversed := append(bytes.Clone(w.wrap(1)), w.wrap(0)...)
+	f.Add(ephPub, commit, table, wrapAD)
+	f.Add(ephPub, commit, w.wrap(0), wrapAD)
+	f.Add(ephPub, commit, w.wrap(1), wrapAD)
+	f.Add(ephPub, commit, reversed, wrapAD)
+	f.Add(ephPub, commit, append(bytes.Clone(table), table...), wrapAD) // every wrap twice
+	f.Add(ephPub[:64], commit, table, wrapAD)
+	f.Add(ephPub, commit, table[:31], wrapAD)
+	f.Add(ephPub, commit, table[:63], wrapAD)
 	f.Add([]byte{}, []byte{}, []byte{}, []byte{})
-	f.Add(append([]byte{0x02}, ephPub[1:33]...), commit, wrap, wrapAD)     // compressed form
-	f.Add(make([]byte, 65), commit, wrap, wrapAD)                          // not a point
-	f.Add(append([]byte{0x04}, make([]byte, 64)...), commit, wrap, wrapAD) // (0,0): off the curve
-	f.Add([]byte{0x00}, commit, wrap, wrapAD)                              // the point at infinity's encoding
-	f.Add(ephPub, commit[:31], wrap, wrapAD)
-	f.Add(ephPub, commit, append(bytes.Clone(wrap), make([]byte, 16)...), wrapAD) // a v2-sized, 48-byte wrap
-	f.Add(ephPub, commit, wrap, []byte("channel-B"))
-	f.Fuzz(func(t *testing.T, eph, commit, wrap, ad []byte) {
-		got, err := Unwrap(w.alice, eph, commit, wrap, ad)
-		genuine := bytes.Equal(eph, w.ephPub) && bytes.Equal(commit, w.commit) &&
-			bytes.Equal(wrap, w.wraps["alice"]) && bytes.Equal(ad, wrapAD)
+	f.Add(append([]byte{0x02}, ephPub[1:33]...), commit, table, wrapAD)     // compressed form
+	f.Add(make([]byte, 65), commit, table, wrapAD)                          // not a point
+	f.Add(append([]byte{0x04}, make([]byte, 64)...), commit, table, wrapAD) // (0,0): off the curve
+	f.Add([]byte{0x00}, commit, table, wrapAD)                              // the point at infinity's encoding
+	f.Add(ephPub, commit[:31], table, wrapAD)
+	f.Add(ephPub, commit, append(bytes.Clone(w.wrap(0)), make([]byte, 16)...), wrapAD) // a v2-sized, 48-byte wrap
+	f.Add(ephPub, commit, table, []byte("channel-B"))
+	alices := bytes.Clone(w.wrap(w.own(f, w.alice)))
+	f.Fuzz(func(t *testing.T, eph, commit, wraps, ad []byte) {
+		got, err := Unwrap(w.alice, eph, commit, wraps, ad)
+		genuine := bytes.Equal(eph, w.ephPub) && bytes.Equal(commit, w.commit) && bytes.Equal(ad, wrapAD) &&
+			len(wraps)%WrappedKeySize == 0 && holds(wraps, alices)
 		switch {
 		case genuine && (err != nil || !bytes.Equal(got, w.secret)):
-			t.Fatalf("the genuine tuple did not unwrap: %x, %v", got, err)
+			t.Fatalf("a table holding alice's wrap did not unwrap: %x, %v", got, err)
 		case err == nil && !bytes.Equal(got, w.secret):
-			t.Fatalf("Unwrap(%x, %x, %x, %q) returned %x, a key that was never sealed", eph, commit, wrap, ad, got)
+			t.Fatalf("Unwrap(%x, %x, %x, %q) returned %x, a key that was never sealed", eph, commit, wraps, ad, got)
 		case err != nil && (!errors.Is(err, ErrDecrypt) || got != nil):
-			t.Fatalf("Unwrap(%x, %x, %x, %q) = %x, %v; want nil, ErrDecrypt", eph, commit, wrap, ad, got, err)
+			t.Fatalf("Unwrap(%x, %x, %x, %q) = %x, %v; want nil, ErrDecrypt", eph, commit, wraps, ad, got, err)
 		}
 	})
+}
+
+// holds reports whether the table of whole wraps holds wrap at a wrap
+// boundary.
+func holds(table, wrap []byte) bool {
+	for at := 0; at+WrappedKeySize <= len(table); at += WrappedKeySize {
+		if bytes.Equal(table[at:at+WrappedKeySize], wrap) {
+			return true
+		}
+	}
+	return false
 }

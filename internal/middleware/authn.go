@@ -49,7 +49,10 @@ func (a *Authn) Handle(ctx context.Context, req *Request, next Handler) error {
 		// verified principal; the full PKI check would be pure overhead.
 		return next(ctx, req)
 	}
-	if err := a.certs.Verify(req.Cert, a.now()); err != nil {
+	if req.Cert == nil {
+		return fmt.Errorf("authn %s: %w: no certificate", req.Principal, pki.ErrBadCertificate)
+	}
+	if err := a.certs.Verify(*req.Cert, a.now()); err != nil {
 		return fmt.Errorf("authn %s: %w", req.Principal, err)
 	}
 	if req.Cert.Identity != req.Principal {

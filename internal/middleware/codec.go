@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"dltprivacy/internal/dcrypto"
+	"dltprivacy/internal/pki"
 )
 
 // CodecBinary names the one request framing, the 0xDC frame, under the name
@@ -118,9 +119,9 @@ func (r *frameReader) done() error {
 }
 
 // EncodeWireRequest marshals a request into the 0xDC request frame the
-// gateway.submit topic takes, with a single exactly-sized allocation. A
-// certificate without an identity is not sent. codec is kept under the name
-// the repository benchmark calls: "" or CodecBinary, anything else an error.
+// gateway.submit topic takes, with a single exactly-sized allocation. A nil
+// certificate is not sent. codec is kept under the name the repository
+// benchmark calls: "" or CodecBinary, anything else an error.
 func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	if codec != "" && codec != CodecBinary {
 		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
@@ -137,8 +138,8 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	if len(req.MAC) > 0 && len(req.MAC) != dcrypto.MACSize {
 		return nil, fmt.Errorf("middleware: encode request: mac must be %d bytes, got %d", dcrypto.MACSize, len(req.MAC))
 	}
-	if req.Cert.Identity != "" {
-		b, err := json.Marshal(&req.Cert)
+	if req.Cert != nil {
+		b, err := json.Marshal(req.Cert)
 		if err != nil {
 			return nil, fmt.Errorf("middleware: encode cert: %w", err)
 		}
@@ -234,7 +235,8 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 		return fmt.Errorf("%w: mac must be %d bytes, got %d", ErrBadFrame, dcrypto.MACSize, len(req.MAC))
 	}
 	if len(cert) > 0 {
-		if err := json.Unmarshal(cert, &req.Cert); err != nil {
+		req.Cert = new(pki.Certificate)
+		if err := json.Unmarshal(cert, req.Cert); err != nil {
 			return fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
 		}
 	}

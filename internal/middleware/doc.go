@@ -260,9 +260,10 @@
 //     (wire ID, MAC check, audit observation) share one pass and a
 //     replaced payload can never meet a stale sum. The envelope
 //     frame puts the wrapped-key table — one ephemeral key and one key
-//     commitment for the epoch, a 32-byte wrap per member
-//     (dcrypto.WrapToRecipients), 2.1 KB of a 2.3 KB envelope at 50
-//     members — ahead of the ciphertext; the encrypt stage caches that
+//     commitment for the epoch, a 32-byte wrap per member key and no
+//     member name (dcrypto.WrapToRecipients), 1.7 KB of a 1.9 KB
+//     envelope at 50 members — ahead of the ciphertext; the encrypt
+//     stage caches that
 //     epoch-constant head and the SHA-256 state that has absorbed it,
 //     seals each envelope into one allocation behind a copy of the
 //     head, and resumes the cached

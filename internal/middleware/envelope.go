@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
 	"crypto/cipher"
 	"crypto/ecdh"
@@ -18,28 +19,30 @@ import (
 // EnvelopeScheme identifies the envelope format produced by the encrypt
 // stage: a fresh AES-256-GCM data key sealing the payload, wrapped to every
 // channel member under one ephemeral key (§2.2, "Symmetric key encryption"
-// with keys "shared over the network using PKI").
-const EnvelopeScheme = "hybrid-aes256gcm/v3"
+// with keys "shared over the network using PKI") in a table that names no
+// member.
+const EnvelopeScheme = "hybrid-aes256gcm/v4"
 
-// ErrNotRecipient is returned when opening an envelope with an identity
-// that holds no wrapped key.
+// ErrNotRecipient is returned when no wrap of an envelope's key table opens
+// for the key presented: the holder is not a recipient, or the table was
+// tampered with — with no names in the table the two look the same.
 var ErrNotRecipient = errors.New("middleware: identity is not an envelope recipient")
 
-// Envelope is an encrypted payload plus the data key wrapped per member
-// (dcrypto.WrapToRecipients: EphemeralPub and the key Commit once, one
-// 32-byte wrap each).
-// Observers (orderer, backends) see ciphertext and the recipient set only.
-// Epoch identifies the channel data-key generation when the encrypt stage
-// runs with a key cache; envelopes sealed with a fresh per-request key
-// carry epoch zero.
+// Envelope is an encrypted payload plus the data key wrapped to every member
+// (dcrypto.WrapToRecipients: EphemeralPub and the key Commit once, then Wraps,
+// one 32-byte wrap per distinct member key in ascending byte order).
+// Observers (orderer, backends) see ciphertext and the number of distinct
+// recipient keys — not who they are. Epoch identifies the channel data-key
+// generation when the encrypt stage runs with a key cache; envelopes sealed
+// with a fresh per-request key carry epoch zero.
 type Envelope struct {
-	Scheme       string            `json:"scheme"`
-	Channel      string            `json:"channel"`
-	Epoch        uint64            `json:"epoch,omitempty"`
-	Ciphertext   []byte            `json:"ciphertext"`
-	EphemeralPub []byte            `json:"ephemeralPub"`
-	Commit       []byte            `json:"commit"`
-	Keys         map[string][]byte `json:"keys"`
+	Scheme       string `json:"scheme"`
+	Channel      string `json:"channel"`
+	Epoch        uint64 `json:"epoch,omitempty"`
+	Ciphertext   []byte `json:"ciphertext"`
+	EphemeralPub []byte `json:"ephemeralPub"`
+	Commit       []byte `json:"commit"`
+	Wraps        []byte `json:"wraps"`
 }
 
 // envelopeAD binds envelope ciphertexts to their channel.
@@ -61,12 +64,14 @@ func SealEnvelope(channel string, payload []byte, members map[string]dcrypto.Pub
 	return ParseEnvelope(frame)
 }
 
-// OpenEnvelope recovers the payload for a member holding its private key.
+// OpenEnvelope recovers the payload for the holder of key. member names the
+// opener in errors only: the table carries no names, so the key alone finds
+// its wrap.
 func OpenEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]byte, error) {
 	if env.Scheme != EnvelopeScheme {
 		return nil, fmt.Errorf("middleware: unsupported envelope scheme %q", env.Scheme)
 	}
-	dataKey, err := unwrapDataKey(env.Channel, env.EphemeralPub, env.Commit, env.Keys, member, key)
+	dataKey, err := unwrapDataKey(env.Channel, env.EphemeralPub, env.Commit, env.Wraps, member, key)
 	if err != nil {
 		return nil, err
 	}
@@ -76,12 +81,11 @@ func OpenEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]byte,
 // unwrapDataKey recovers the data key of a single or group envelope from its
 // wrapped-key table. Both kinds wrap under the single-envelope associated
 // data: it is the same table, wrapped once per epoch.
-func unwrapDataKey(channel string, ephPub, commit []byte, keys map[string][]byte, member string, key *dcrypto.PrivateKey) ([]byte, error) {
-	wrap, ok := keys[member]
-	if !ok {
+func unwrapDataKey(channel string, ephPub, commit, wraps []byte, member string, key *dcrypto.PrivateKey) ([]byte, error) {
+	dataKey, err := dcrypto.Unwrap(key, ephPub, commit, wraps, envelopeAD(channel))
+	if errors.Is(err, dcrypto.ErrDecrypt) {
 		return nil, fmt.Errorf("%w: %s", ErrNotRecipient, member)
 	}
-	dataKey, err := dcrypto.Unwrap(key, ephPub, commit, wrap, envelopeAD(channel))
 	if err != nil {
 		return nil, fmt.Errorf("middleware: unwrap key: %w", err)
 	}
@@ -92,19 +96,19 @@ func unwrapDataKey(channel string, ephPub, commit []byte, keys map[string][]byte
 // exactly-sized allocation:
 //
 //	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ key table ‖ ciphertext
-//	key table = ephPub ‖ commit ‖ n-keys ‖ (id ‖ wrap)…
+//	key table = ephPub ‖ commit ‖ n ‖ n × 32-byte wrap
 //
-// Every field but the two counts (uvarints) is length-prefixed. The key
-// table comes BEFORE the ciphertext so that everything constant for a key
-// epoch is one contiguous head and only the tail differs between the epoch's
-// envelopes (see encodeEnvelopeHead). Recipients are emitted in ascending
-// order and keyTable accepts no other, so an envelope has exactly one
-// encoding: EncodeEnvelope(ParseEnvelope(b)) is b. It is the counterpart of
-// ParseEnvelope for clients and tests that handle envelopes outside the
-// encrypt stage; json.Marshal of a parsed Envelope is the diffable debug
-// view, not a format any decoder accepts.
+// Every field but the epoch and n (uvarints) and the wraps is
+// length-prefixed. The key table comes BEFORE the ciphertext so that
+// everything constant for a key epoch is one contiguous head and only the
+// tail differs between the epoch's envelopes (see encodeEnvelopeHead). The
+// wraps are strictly ascending and keyTable accepts no other order, so an
+// envelope has exactly one encoding: EncodeEnvelope(ParseEnvelope(b)) is b. It
+// is the counterpart of ParseEnvelope for clients and tests that handle
+// envelopes outside the encrypt stage; json.Marshal of a parsed Envelope is
+// the diffable debug view, not a format any decoder accepts.
 func EncodeEnvelope(env Envelope) []byte {
-	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.EphemeralPub, env.Commit, env.Keys, lenPrefixedSize(len(env.Ciphertext)))
+	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.EphemeralPub, env.Commit, env.Wraps, lenPrefixedSize(len(env.Ciphertext)))
 	return appendLenPrefixed(out, env.Ciphertext)
 }
 
@@ -115,68 +119,47 @@ func EncodeEnvelope(env Envelope) []byte {
 // is the section group envelopes of the same epoch splice. The head is
 // immutable for a data key's lifetime, so newChannelKey computes it once
 // (tail 0) and every seal copies it — O(members) encoding becomes one copy.
-func encodeEnvelopeHead(scheme, channel string, epoch uint64, ephPub, commit []byte, keys map[string][]byte, tail int) (head []byte, keysAt int) {
+func encodeEnvelopeHead(scheme, channel string, epoch uint64, ephPub, commit, wraps []byte, tail int) (head []byte, keysAt int) {
 	keysAt = 2 +
 		lenPrefixedSize(len(scheme)) +
 		lenPrefixedSize(len(channel)) +
 		uvarintSize(epoch)
-	ids := sortedKeyIDs(keys)
-	out := make([]byte, 0, keysAt+envelopeKeysSize(ephPub, commit, keys, ids)+tail)
+	out := make([]byte, 0, keysAt+envelopeKeysSize(ephPub, commit, wraps)+tail)
 	out = append(out, binaryMagic, binaryKindEnvelope)
 	out = appendLenPrefixed(out, []byte(scheme))
 	out = appendLenPrefixed(out, []byte(channel))
 	out = binary.AppendUvarint(out, epoch)
-	return appendEnvelopeKeys(out, ephPub, commit, keys, ids), keysAt
-}
-
-// sortedKeyIDs returns the recipient identities of a wrapped-key table in
-// the one order the frame carries them.
-func sortedKeyIDs(keys map[string][]byte) []string {
-	ids := make([]string, 0, len(keys))
-	for id := range keys {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return appendEnvelopeKeys(out, ephPub, commit, wraps), keysAt
 }
 
 // envelopeKeysSize is the encoded size of a wrapped-key table.
-func envelopeKeysSize(ephPub, commit []byte, keys map[string][]byte, sortedIDs []string) int {
-	size := lenPrefixedSize(len(ephPub)) + lenPrefixedSize(len(commit)) + uvarintSize(uint64(len(sortedIDs)))
-	for _, id := range sortedIDs {
-		size += lenPrefixedSize(len(id)) + lenPrefixedSize(len(keys[id]))
-	}
-	return size
+func envelopeKeysSize(ephPub, commit, wraps []byte) int {
+	return lenPrefixedSize(len(ephPub)) + lenPrefixedSize(len(commit)) +
+		uvarintSize(uint64(len(wraps)/dcrypto.WrappedKeySize)) + len(wraps)
 }
 
 // appendEnvelopeKeys appends the wrapped-key table (the shared ephemeral key,
-// the key commitment, the recipient count, an id/wrap pair per recipient) in
-// sortedIDs order — the one encoding single and group envelopes share.
-func appendEnvelopeKeys(out, ephPub, commit []byte, keys map[string][]byte, sortedIDs []string) []byte {
+// the key commitment, the wrap count, the wraps) — the one encoding single
+// and group envelopes share.
+func appendEnvelopeKeys(out, ephPub, commit, wraps []byte) []byte {
 	out = appendLenPrefixed(out, ephPub)
 	out = appendLenPrefixed(out, commit)
-	out = binary.AppendUvarint(out, uint64(len(sortedIDs)))
-	for _, id := range sortedIDs {
-		out = appendLenPrefixed(out, []byte(id))
-		out = appendLenPrefixed(out, keys[id])
-	}
-	return out
+	out = binary.AppendUvarint(out, uint64(len(wraps)/dcrypto.WrappedKeySize))
+	return append(out, wraps...)
 }
 
 // keyTable decodes a wrapped-key table, accepting only the one encoding
 // appendEnvelopeKeys emits for a table dcrypto.WrapToRecipients made: an
 // ephemeral key that is a P-256 point, a commitment of
-// dcrypto.KeyCommitmentSize, wraps of dcrypto.WrappedKeySize, recipient ids
-// strictly ascending. A duplicated or out-of-order id would otherwise parse
-// to a table that re-encodes to different bytes, and one
-// ledger payload hash would not pin one table. The declared count is checked
-// against the bytes that remain before the map is sized (every entry costs
-// at least its two length bytes), so no frame makes the decoder allocate
-// beyond a multiple of its own length.
-func (r *frameReader) keyTable() (ephPub, commit []byte, keys map[string][]byte) {
+// dcrypto.KeyCommitmentSize, and n wraps of dcrypto.WrappedKeySize each,
+// strictly ascending. A duplicated or out-of-order wrap would otherwise parse
+// to a table that re-encodes to different bytes, and one ledger payload hash
+// would not pin one table. The wraps alias the frame: the count is checked
+// against the bytes that remain, and nothing is allocated.
+func (r *frameReader) keyTable() (ephPub, commit, wraps []byte) {
 	ephPub = r.bytes()
 	commit = r.bytes()
-	nKeys := r.uvarint()
+	n := r.uvarint()
 	if r.err != nil {
 		return nil, nil, nil
 	}
@@ -188,47 +171,45 @@ func (r *frameReader) keyTable() (ephPub, commit []byte, keys map[string][]byte)
 		r.err = fmt.Errorf("%w: key commitment is %d bytes, want %d", ErrBadFrame, len(commit), dcrypto.KeyCommitmentSize)
 		return nil, nil, nil
 	}
-	if nKeys == 0 {
-		return ephPub, commit, nil
-	}
-	if nKeys > uint64(len(r.b)) {
-		r.err = fmt.Errorf("%w: key count %d exceeds remaining bytes", ErrBadFrame, nKeys)
+	if n > uint64(len(r.b)/dcrypto.WrappedKeySize) {
+		r.err = fmt.Errorf("%w: %d wraps exceed the remaining %d bytes", ErrBadFrame, n, len(r.b))
 		return nil, nil, nil
 	}
-	keys = make(map[string][]byte, nKeys)
-	var prev string
-	for i := uint64(0); i < nKeys; i++ {
-		id, wrap := r.str(), r.bytes()
-		if r.err != nil {
+	size := int(n) * dcrypto.WrappedKeySize
+	wraps, r.b = r.b[:size:size], r.b[size:]
+	for at := dcrypto.WrappedKeySize; at < size; at += dcrypto.WrappedKeySize {
+		if bytes.Compare(wraps[at-dcrypto.WrappedKeySize:at], wraps[at:at+dcrypto.WrappedKeySize]) >= 0 {
+			r.err = fmt.Errorf("%w: wrap %d does not sort after wrap %d", ErrBadFrame, at/dcrypto.WrappedKeySize, at/dcrypto.WrappedKeySize-1)
 			return nil, nil, nil
 		}
-		if i > 0 && id <= prev {
-			r.err = fmt.Errorf("%w: recipient %q does not sort after %q", ErrBadFrame, id, prev)
-			return nil, nil, nil
-		}
-		if len(wrap) != dcrypto.WrappedKeySize {
-			r.err = fmt.Errorf("%w: wrapped key for %q is %d bytes, want %d", ErrBadFrame, id, len(wrap), dcrypto.WrappedKeySize)
-			return nil, nil, nil
-		}
-		keys[id], prev = wrap, id
 	}
-	return ephPub, commit, keys
+	return ephPub, commit, wraps
+}
+
+// scheme reads a frame's scheme field and requires it to be want: a frame
+// under any other name — an older layout's among them — is ErrBadFrame, never
+// mis-parsed. want is returned, so the parsed envelope holds the constant.
+func (r *frameReader) scheme(want string) string {
+	if got := r.bytes(); r.err == nil && string(got) != want {
+		r.err = fmt.Errorf("%w: scheme %q, want %q", ErrBadFrame, got, want)
+	}
+	return want
 }
 
 // ParseEnvelope decodes an envelope frame (a transaction payload the encrypt
-// stage produced). Anything else — a JSON document, a frame of the retired
-// per-member-ephemeral-key layout — is rejected with ErrBadFrame, never
-// mis-parsed.
+// stage produced). Anything else — a JSON document, a frame of a retired
+// scheme — is rejected with ErrBadFrame, never mis-parsed. The byte fields
+// alias b; the channel name is the one allocation.
 func ParseEnvelope(b []byte) (Envelope, error) {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindEnvelope {
 		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w: not an envelope frame", ErrBadFrame)
 	}
 	r := &frameReader{b: b[2:]}
 	var env Envelope
-	env.Scheme = r.str()
+	env.Scheme = r.scheme(EnvelopeScheme)
 	env.Channel = r.str()
 	env.Epoch = r.uvarint()
-	env.EphemeralPub, env.Commit, env.Keys = r.keyTable()
+	env.EphemeralPub, env.Commit, env.Wraps = r.keyTable()
 	env.Ciphertext = r.bytes()
 	if err := r.done(); err != nil {
 		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w", err)
@@ -414,11 +395,14 @@ type Encrypt struct {
 // recompute: the prebuilt AEAD (AES key schedule + GCM tables), the channel
 // associated data, and the encoded frame head.
 type channelKey struct {
-	epoch     uint64
-	aead      cipher.AEAD
-	ad        []byte
-	wrapped   map[string][]byte // the data key wrapped per member, by identity
-	members   [32]byte          // fingerprint of the member set the key was wrapped to
+	epoch uint64
+	aead  cipher.AEAD
+	ad    []byte
+	// wrapped is the member set the data key was wrapped to, by identity: the
+	// frame names nobody, so this in-memory snapshot is what RevokeMember
+	// checks. members is its fingerprint.
+	wrapped   map[string]dcrypto.PublicKey
+	members   [32]byte
 	expiresAt time.Time
 	// frameHead is everything of the key's single-envelope frames that
 	// precedes the ciphertext field (encodeEnvelopeHead): the header and the
@@ -426,7 +410,7 @@ type channelKey struct {
 	// immutable for the key's lifetime, and re-encoding it per submission
 	// makes every seal O(members) — at 1000-member channels that dominates
 	// the entire submit path. headSum is SHA-256 with frameHead already
-	// absorbed: with 50 members the head is 2.1 KB of a 2.3 KB frame, so the
+	// absorbed: with 50 members the head is 1.7 KB of a 1.9 KB frame, so the
 	// frame's hash costs the ~130 bytes that follow it. keySection is the
 	// table alone (a suffix of frameHead), which group envelopes splice.
 	frameHead  []byte
@@ -447,7 +431,7 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 	if err != nil {
 		return nil, fmt.Errorf("middleware: data key: %w", err)
 	}
-	ephPub, commit, wrapped, err := dcrypto.WrapToRecipients(members, dataKey, ad)
+	ephPub, commit, wraps, err := dcrypto.WrapToRecipients(members, dataKey, ad)
 	if err != nil {
 		return nil, fmt.Errorf("middleware: wrap data key: %w", err)
 	}
@@ -455,9 +439,9 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 	if err != nil {
 		return nil, fmt.Errorf("middleware: data key aead: %w", err)
 	}
-	ck := &channelKey{epoch: epoch, aead: aead, ad: ad, wrapped: wrapped}
+	ck := &channelKey{epoch: epoch, aead: aead, ad: ad, wrapped: members}
 	var keysAt int
-	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, ephPub, commit, wrapped, 0)
+	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, ephPub, commit, wraps, 0)
 	ck.headSum = dcrypto.NewHashPrefix(ck.frameHead)
 	ck.keySection = ck.frameHead[keysAt:]
 	return ck, nil

@@ -14,7 +14,7 @@ import (
 // under the epoch's cached data key, sharing that epoch's wrapped-key
 // table. One nonce, one GCM pass, one tag, and one key section for the
 // whole group — the per-transaction seal cost amortizes to 1/N.
-const GroupEnvelopeScheme = "hybrid-aes256gcm/group/v3"
+const GroupEnvelopeScheme = "hybrid-aes256gcm/group/v4"
 
 // BatchPrincipal is the creator recorded on released group transactions.
 // Like AggregatePrincipal it marks a synthetic release vehicle: the member
@@ -26,20 +26,20 @@ const BatchPrincipal = "batched"
 // transaction.
 const MetaBatch = "batch"
 
-// GroupEnvelope is N encrypted payloads plus the data key wrapped per
+// GroupEnvelope is N encrypted payloads plus the data key wrapped to every
 // channel member. The ciphertext is one AEAD seal over a length-prefixed
 // concatenation of the member payloads (see dcrypto.AppendEncryptSegmentsWithAEAD);
 // the key table is the same per-epoch table single envelopes of that epoch
 // carry, so a recipient unwraps once and opens every member payload.
 type GroupEnvelope struct {
-	Scheme       string            `json:"scheme"`
-	Channel      string            `json:"channel"`
-	Epoch        uint64            `json:"epoch,omitempty"`
-	Count        uint64            `json:"count"`
-	Ciphertext   []byte            `json:"ciphertext"`
-	EphemeralPub []byte            `json:"ephemeralPub"`
-	Commit       []byte            `json:"commit"`
-	Keys         map[string][]byte `json:"keys"`
+	Scheme       string `json:"scheme"`
+	Channel      string `json:"channel"`
+	Epoch        uint64 `json:"epoch,omitempty"`
+	Count        uint64 `json:"count"`
+	Ciphertext   []byte `json:"ciphertext"`
+	EphemeralPub []byte `json:"ephemeralPub"`
+	Commit       []byte `json:"commit"`
+	Wraps        []byte `json:"wraps"`
 }
 
 // groupEnvelopeAD binds group ciphertexts to their channel under a domain
@@ -62,7 +62,7 @@ func OpenGroupEnvelope(genv GroupEnvelope, member string, key *dcrypto.PrivateKe
 	// The key table is shared with the epoch's single envelopes, so the
 	// unwrap uses the single-envelope domain; only the group ciphertext
 	// lives in the group domain.
-	dataKey, err := unwrapDataKey(genv.Channel, genv.EphemeralPub, genv.Commit, genv.Keys, member, key)
+	dataKey, err := unwrapDataKey(genv.Channel, genv.EphemeralPub, genv.Commit, genv.Wraps, member, key)
 	if err != nil {
 		return nil, err
 	}
@@ -85,14 +85,13 @@ func OpenGroupEnvelope(genv GroupEnvelope, member string, key *dcrypto.PrivateKe
 //
 // with the key table exactly as EncodeEnvelope lays it out.
 func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
-	ids := sortedKeyIDs(genv.Keys)
 	size := 2 +
 		lenPrefixedSize(len(genv.Scheme)) +
 		lenPrefixedSize(len(genv.Channel)) +
 		uvarintSize(genv.Epoch) +
 		uvarintSize(genv.Count) +
 		lenPrefixedSize(len(genv.Ciphertext)) +
-		envelopeKeysSize(genv.EphemeralPub, genv.Commit, genv.Keys, ids)
+		envelopeKeysSize(genv.EphemeralPub, genv.Commit, genv.Wraps)
 	out := make([]byte, 0, size)
 	out = append(out, binaryMagic, binaryKindGroupEnvelope)
 	out = appendLenPrefixed(out, []byte(genv.Scheme))
@@ -100,23 +99,24 @@ func EncodeGroupEnvelope(genv GroupEnvelope) []byte {
 	out = binary.AppendUvarint(out, genv.Epoch)
 	out = binary.AppendUvarint(out, genv.Count)
 	out = appendLenPrefixed(out, genv.Ciphertext)
-	return appendEnvelopeKeys(out, genv.EphemeralPub, genv.Commit, genv.Keys, ids)
+	return appendEnvelopeKeys(out, genv.EphemeralPub, genv.Commit, genv.Wraps)
 }
 
 // ParseGroupEnvelope decodes a group envelope frame (the payload of a
-// released group transaction). Anything else is rejected with ErrBadFrame.
+// released group transaction). Anything else, a frame of a retired scheme
+// included, is rejected with ErrBadFrame.
 func ParseGroupEnvelope(b []byte) (GroupEnvelope, error) {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindGroupEnvelope {
 		return GroupEnvelope{}, fmt.Errorf("middleware: parse group envelope: %w: not a group envelope frame", ErrBadFrame)
 	}
 	r := &frameReader{b: b[2:]}
 	var genv GroupEnvelope
-	genv.Scheme = r.str()
+	genv.Scheme = r.scheme(GroupEnvelopeScheme)
 	genv.Channel = r.str()
 	genv.Epoch = r.uvarint()
 	genv.Count = r.uvarint()
 	genv.Ciphertext = r.bytes()
-	genv.EphemeralPub, genv.Commit, genv.Keys = r.keyTable()
+	genv.EphemeralPub, genv.Commit, genv.Wraps = r.keyTable()
 	if err := r.done(); err != nil {
 		return GroupEnvelope{}, fmt.Errorf("middleware: parse group envelope: %w", err)
 	}

@@ -11,43 +11,184 @@ import (
 	"dltprivacy/internal/dcrypto"
 )
 
-// TestEnvelopeFrameSize pins what a member costs on the ledger, at the
-// benchmark's shape: 50 members org-00…org-49 on deals-0, a 96-byte trade.
-// The frame must stay inside the allocator's 2,304-byte size class (the next
-// is 2,688, then 3,072): a layout change that crosses it costs every sealed
-// envelope its copy, zero-fill and garbage, and fails here without the
-// benchmark. The head is the sizing rule of docs/OPERATIONS.md, exactly.
-func TestEnvelopeFrameSize(t *testing.T) {
-	const channel = "deals-0"
-	members := make(map[string]dcrypto.PublicKey, 50)
-	perMember := 0
-	for i := 0; i < 50; i++ {
+// benchMembers is the benchmark's channel shape: n members org-00, org-01, …
+// with fresh keys, and their private keys by name.
+func benchMembers(tb testing.TB, n int) (map[string]dcrypto.PublicKey, map[string]*dcrypto.PrivateKey) {
+	tb.Helper()
+	members := make(map[string]dcrypto.PublicKey, n)
+	keys := make(map[string]*dcrypto.PrivateKey, n)
+	for i := 0; i < n; i++ {
 		key, err := dcrypto.GenerateKey()
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		id := fmt.Sprintf("org-%02d", i)
-		members[id] = key.Public()
-		perMember += len(id) + 34 // id and wrap, a length byte each, and the 32-byte wrap
+		members[id], keys[id] = key.Public(), key
 	}
+	return members, keys
+}
+
+// TestEnvelopeFrameSize pins what a member costs on the ledger, at the
+// benchmark's shape: 50 members org-00…org-49 on deals-0, a 96-byte trade.
+// The frame must stay inside the allocator's 2,048-byte size class (the next
+// is 2,304, then 2,688): a layout change that crosses it costs every sealed
+// envelope its copy, zero-fill and garbage, and fails here without the
+// benchmark. The head and the frame are the sizing rules of
+// docs/OPERATIONS.md, exactly: a member costs its 32-byte wrap and nothing
+// else, whatever its name.
+func TestEnvelopeFrameSize(t *testing.T) {
+	const channel = "deals-0"
+	members, _ := benchMembers(t, 50)
 	ck, err := newChannelKey(channel, 1, members, envelopeAD(channel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// magic, kind, scheme, channel, epoch and the key count.
-	fixed := 2 + lenPrefixedSize(len(EnvelopeScheme)) + lenPrefixedSize(len(channel)) + 1 + 1
-	if got, want := len(ck.frameHead), fixed+66+33+perMember; got != want {
-		t.Fatalf("frame head is %d bytes, want %d = %d fixed + 66 for the ephemeral key + 33 for the key commitment + %d for the members", got, want, fixed, perMember)
+	if got, want := len(ck.frameHead), 124+len(channel)+32*len(members); got != want {
+		t.Fatalf("frame head is %d bytes, the sizing rule says %d = 124 + len(channel) + 32 × members", got, want)
 	}
 	frame, _, err := ck.sealFrame(make([]byte, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) > 2304 {
-		t.Fatalf("frame is %d bytes, over the 2,304-byte size class", len(frame))
+	if len(frame) > 2048 {
+		t.Fatalf("frame is %d bytes, over the 2,048-byte size class", len(frame))
 	}
-	if want := 153 + len(channel) + 96 + perMember; len(frame) != want {
-		t.Fatalf("frame is %d bytes, the sizing rule says %d", len(frame), want)
+	if want := 153 + len(channel) + 96 + 32*len(members); len(frame) != want {
+		t.Fatalf("frame is %d bytes, the sizing rule says %d = 153 + len(channel) + payload + 32 × members", len(frame), want)
+	}
+}
+
+// TestSealedFramesNameNobody: an operator holding every sealed frame of a
+// 50-member channel — single envelopes and a group — finds no member's name
+// in any of them, and every frame opens for every member.
+func TestSealedFramesNameNobody(t *testing.T) {
+	const channel = "deals-0"
+	members, keys := benchMembers(t, 50)
+	ck, err := newChannelKey(channel, 1, members, envelopeAD(channel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, _, err := ck.sealFrame([]byte("10 tons of steel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := (&Encrypt{}).sealGroup(ck, channel, [][]byte{[]byte("trade-0"), []byte("trade-1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, err := SealEnvelope(channel, []byte("4 tons of copper"), members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[string][]byte{"single": single, "group": group, "uncached": EncodeEnvelope(uncached)}
+	for kind, frame := range frames {
+		for id := range members {
+			if bytes.Contains(frame, []byte(id)) {
+				t.Fatalf("the %s frame names member %s", kind, id)
+			}
+		}
+	}
+	senv, err := ParseEnvelope(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genv, err := ParseGroupEnvelope(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(senv.Wraps) != 32*len(members) || !bytes.Equal(senv.Wraps, genv.Wraps) {
+		t.Fatalf("single table %d bytes, group table %d: want the same %d wraps", len(senv.Wraps), len(genv.Wraps), len(members))
+	}
+	for id, key := range keys {
+		if got, err := OpenEnvelope(senv, id, key); err != nil || string(got) != "10 tons of steel" {
+			t.Fatalf("%s opening the single envelope: %q, %v", id, got, err)
+		}
+		if segs, err := OpenGroupEnvelope(genv, id, key); err != nil || len(segs) != 2 {
+			t.Fatalf("%s opening the group: %q, %v", id, segs, err)
+		}
+		if _, err := OpenEnvelope(uncached, id, key); err != nil {
+			t.Fatalf("%s opening the uncached envelope: %v", id, err)
+		}
+	}
+}
+
+// TestEnvelopeSameKeyUnderTwoNames: a key enrolled under two names is one
+// wrap in the table — two would be a duplicate the parser refuses, so the
+// sealer could not parse its own frame — and it opens under either name.
+func TestEnvelopeSameKeyUnderTwoNames(t *testing.T) {
+	_, ps := enroll(t, "alice", "bob")
+	env, err := SealEnvelope("deals", []byte("trade"), map[string]dcrypto.PublicKey{
+		"alice": ps["alice"].key.Public(), "alice-desk-2": ps["alice"].key.Public(), "bob": ps["bob"].key.Public(),
+	})
+	if err != nil {
+		t.Fatalf("SealEnvelope: %v", err)
+	}
+	if len(env.Wraps) != 2*dcrypto.WrappedKeySize {
+		t.Fatalf("three names on two keys made %d bytes of wraps, want two wraps", len(env.Wraps))
+	}
+	for _, name := range []string{"alice", "alice-desk-2"} {
+		if got, err := OpenEnvelope(env, name, ps["alice"].key); err != nil || string(got) != "trade" {
+			t.Fatalf("opening as %s: %q, %v", name, got, err)
+		}
+	}
+}
+
+// TestTamperedEnvelope: with no names in the table a reader cannot tell a
+// flipped table bit from not being a recipient, so both are ErrNotRecipient —
+// for every reader when the flip is in the ephemeral key or the commitment,
+// for the one reader whose wrap it hit when it is in a wrap. A flipped
+// ciphertext bit is still the AEAD's refusal.
+func TestTamperedEnvelope(t *testing.T) {
+	_, ps := enroll(t, "alice", "bob")
+	env, err := SealEnvelope("deals", []byte("trade"), map[string]dcrypto.PublicKey{
+		"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(b []byte, i int) []byte {
+		b = bytes.Clone(b)
+		b[i] ^= 0x01
+		return b
+	}
+	refusals := func(bad Envelope) int {
+		n := 0
+		for _, id := range []string{"alice", "bob"} {
+			_, err := OpenEnvelope(bad, id, ps[id].key)
+			switch {
+			case errors.Is(err, ErrNotRecipient):
+				n++
+			case err != nil:
+				t.Fatalf("%s: %v, want ErrNotRecipient or the payload", id, err)
+			}
+		}
+		return n
+	}
+	for i := range env.EphemeralPub {
+		bad := env
+		bad.EphemeralPub = flip(env.EphemeralPub, i)
+		if n := refusals(bad); n != 2 {
+			t.Fatalf("ephemeral key byte %d flipped: %d readers refused, want 2", i, n)
+		}
+	}
+	for i := range env.Commit {
+		bad := env
+		bad.Commit = flip(env.Commit, i)
+		if n := refusals(bad); n != 2 {
+			t.Fatalf("commitment byte %d flipped: %d readers refused, want 2", i, n)
+		}
+	}
+	for i := range env.Wraps {
+		bad := env
+		bad.Wraps = flip(env.Wraps, i)
+		if n := refusals(bad); n != 1 {
+			t.Fatalf("wrap byte %d flipped: %d readers refused, want the wrap's holder alone", i, n)
+		}
+	}
+	bad := env
+	bad.Ciphertext = flip(env.Ciphertext, len(env.Ciphertext)-1)
+	if _, err := OpenEnvelope(bad, "alice", ps["alice"].key); !errors.Is(err, dcrypto.ErrDecrypt) || errors.Is(err, ErrNotRecipient) {
+		t.Fatalf("flipped ciphertext: %v, want the AEAD's ErrDecrypt", err)
 	}
 }
 
@@ -67,14 +208,14 @@ func sealCached(t *testing.T, enc *Encrypt, payload string) Envelope {
 }
 
 // TestRevocationRotatesEphemeralKey: a revocation forces a fresh epoch, and a
-// fresh epoch is a fresh data key under a fresh ephemeral key with no entry
+// fresh epoch is a fresh data key under a fresh ephemeral key with no wrap
 // for the revoked member — who keeps what it could already read and gains
-// nothing after, not even by filing a survivor's wrap under its own name.
+// nothing after: it is refused exactly as an outsider is.
 func TestRevocationRotatesEphemeralKey(t *testing.T) {
-	_, ps := enroll(t, "alice", "bob", "carol")
+	_, ps := enroll(t, "alice", "bob", "carol", "dave")
 	members := make(map[string]dcrypto.PublicKey, len(ps))
-	for id, p := range ps {
-		members[id] = p.key.Public()
+	for _, id := range []string{"alice", "bob", "carol"} {
+		members[id] = ps[id].key.Public()
 	}
 	enc, err := NewCachedEncrypt(StaticDirectory{"deals": members}, time.Hour, nil)
 	if err != nil {
@@ -97,16 +238,15 @@ func TestRevocationRotatesEphemeralKey(t *testing.T) {
 		}
 	}
 	for i, env := range after {
-		if _, ok := env.Keys["bob"]; ok || len(env.Keys) != 2 {
-			t.Fatalf("new-epoch table has %d entries (bob present: %v), want alice and carol only", len(env.Keys), ok)
+		if len(env.Wraps) != 2*dcrypto.WrappedKeySize {
+			t.Fatalf("new-epoch table holds %d bytes of wraps, want alice's and carol's only", len(env.Wraps))
 		}
-		if _, err := OpenEnvelope(env, "bob", ps["bob"].key); !errors.Is(err, ErrNotRecipient) {
-			t.Fatalf("revoked member opening new envelope %d: %v, want ErrNotRecipient", i, err)
-		}
-		forged := env
-		forged.Keys = map[string][]byte{"bob": env.Keys["alice"]}
-		if _, err := OpenEnvelope(forged, "bob", ps["bob"].key); !errors.Is(err, dcrypto.ErrDecrypt) {
-			t.Fatalf("revoked member opening with alice's wrap under its own name: %v, want ErrDecrypt", err)
+		// The revoked member and an outsider get the same answer, under
+		// their own names or a survivor's: the key, not the name, finds a wrap.
+		for _, opener := range [][2]string{{"bob", "bob"}, {"alice", "bob"}, {"dave", "dave"}, {"alice", "dave"}} {
+			if _, err := OpenEnvelope(env, opener[0], ps[opener[1]].key); !errors.Is(err, ErrNotRecipient) {
+				t.Fatalf("%s's key opening new envelope %d as %s: %v, want ErrNotRecipient", opener[1], i, opener[0], err)
+			}
 		}
 		for _, id := range []string{"alice", "carol"} {
 			if got, err := OpenEnvelope(env, id, ps[id].key); err != nil || string(got) != fmt.Sprintf("new-%d", i) {
@@ -182,6 +322,38 @@ func TestGroupEnvelopeSplicesEpochKeySection(t *testing.T) {
 		}
 		if got, err := OpenEnvelope(senv, id, p.key); err != nil || string(got) != "trade-2" {
 			t.Fatalf("%s opening the single envelope: %q, %v", id, got, err)
+		}
+	}
+}
+
+// BenchmarkOpenEnvelope is what a table that names nobody costs its reader:
+// one ECDH, then a commitment checked against every wrap, so a recipient and
+// an outsider pay the same whatever the name they open under.
+//
+//	go test -run '^$' -bench BenchmarkOpenEnvelope -count 5 ./internal/middleware/
+func BenchmarkOpenEnvelope(b *testing.B) {
+	outsider, err := dcrypto.GenerateKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{50, 1000} {
+		members, keys := benchMembers(b, n)
+		env, err := SealEnvelope("deals-0", make([]byte, 96), members)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, opener := range []struct {
+			name string
+			key  *dcrypto.PrivateKey
+			want error
+		}{{"recipient", keys["org-00"], nil}, {"outsider", outsider, ErrNotRecipient}} {
+			b.Run(fmt.Sprintf("members=%d/%s", n, opener.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := OpenEnvelope(env, "org-00", opener.key); !errors.Is(err, opener.want) {
+						b.Fatalf("open: %v, want %v", err, opener.want)
+					}
+				}
+			})
 		}
 	}
 }

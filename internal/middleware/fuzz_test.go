@@ -123,10 +123,10 @@ func FuzzWireRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(helloFrame)
-	// First-contact frames: a certificate that names its holder, and the two
-	// the encoder would not have sent — no identity, and not even an object —
-	// which the decoder keeps as the frame's certificate all the same.
-	firstContact := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: cert}
+	// First-contact frames: a certificate that names its holder, and two that
+	// do not — no identity, and not even an object — which the decoder keeps
+	// as the frame's certificate all the same.
+	firstContact := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: &cert}
 	if err := SignRequest(firstContact, key); err != nil {
 		f.Fatal(err)
 	}
@@ -317,13 +317,7 @@ func FuzzWireRequest(f *testing.F) {
 		if err := decodeRequestBinary(frame, &second, nil); err != nil {
 			t.Fatalf("the decoder refuses what the encoder made of a decoded request: %v", err)
 		}
-		// The encoder does not send a certificate that names nobody; the
-		// decoder kept whatever certificate the frame carried.
-		want := first
-		if want.Cert.Identity == "" {
-			want.Cert = pki.Certificate{}
-		}
-		requireSameRequest(t, "decode -> encode -> decode", &want, &second)
+		requireSameRequest(t, "decode -> encode -> decode", &first, &second)
 		if frame, err = EncodeWireRequest(&second, ""); err != nil {
 			t.Fatalf("second encoding: %v", err)
 		}
@@ -362,13 +356,13 @@ func requireSameRequest(t *testing.T, what string, want, got *Request) {
 // FuzzEnvelopeFrame throws arbitrary bytes at the two envelope decoders a
 // ledger reader runs on transaction payloads it did not produce —
 // ParseEnvelope and ParseGroupEnvelope. Hostile bytes may be rejected, always
-// with ErrBadFrame, but never panic, and a table's declared key count is
-// checked against the bytes that remain before the map is sized, so no
-// input makes a decoder allocate beyond a multiple of its own length. What
-// does decode has exactly one encoding: whatever parses re-encodes to the
-// same bytes, so a ledger payload hash pins one envelope — no duplicated or
-// reordered recipient, padded varint or second table layout decodes to an
-// envelope some other frame also decodes to.
+// with ErrBadFrame, but never panic, and a table's declared wrap count is
+// checked against the bytes that remain, so no input makes a decoder read or
+// allocate past its own length. What does decode has exactly one encoding:
+// whatever parses re-encodes to the same bytes, so a ledger payload hash pins
+// one envelope — no duplicated or reordered wrap, padded varint, retired
+// scheme or second table layout decodes to an envelope some other frame also
+// decodes to.
 func FuzzEnvelopeFrame(f *testing.F) {
 	env, genv := envelopePair(f)
 	single, group := EncodeEnvelope(env), EncodeGroupEnvelope(genv)
@@ -380,9 +374,6 @@ func FuzzEnvelopeFrame(f *testing.F) {
 	// Each kind under the other's kind byte: the field orders differ.
 	f.Add(append([]byte{binaryMagic, binaryKindGroupEnvelope}, single[2:]...))
 	f.Add(append([]byte{binaryMagic, binaryKindEnvelope}, group[2:]...))
-	// A key count the remaining bytes cannot hold, in both frame kinds.
-	f.Add([]byte{binaryMagic, binaryKindEnvelope, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Add([]byte{binaryMagic, binaryKindGroupEnvelope, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// JSON documents — the debug view of a real envelope among them — are
 	// not a ledger format.
 	asJSON, err := json.Marshal(env)
@@ -390,13 +381,17 @@ func FuzzEnvelopeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(asJSON)
-	f.Add([]byte(`{"scheme":"x","keys":{"a":{}},"ciphertext":null}`))
+	f.Add([]byte(`{"scheme":"x","wraps":"","ciphertext":null}`))
 	// Tables that are not the one encoding of what they hold (see
 	// nonCanonicalTables), under each kind byte.
 	for _, table := range nonCanonicalTables(env) {
 		f.Add(singleFrameWithTable(env, table.section))
 		f.Add(groupFrameWithTable(genv, table.section))
 	}
+	// Frames of the retired scheme, which named every recipient.
+	v3, gv3 := v3Frames(env, genv)
+	f.Add(v3)
+	f.Add(gv3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := ParseEnvelope(data)
@@ -422,21 +417,29 @@ func FuzzEnvelopeFrame(f *testing.F) {
 }
 
 // envelopePair seals a two-recipient envelope (epoch 7) and dresses the same
-// ciphertext and key table as a group envelope: well-formed frames of both
-// kinds for the decoders' tests to start from.
+// key table as a group envelope: well-formed frames of both kinds for the
+// decoders' tests to start from. The ciphertext is a fixed 33 bytes of 0xc7 —
+// nothing here opens it — so a table misframed into the single frame's
+// ciphertext field is refused however the nonce falls: read as a varint,
+// 0xc7… never ends.
 func envelopePair(tb testing.TB) (Envelope, GroupEnvelope) {
 	tb.Helper()
-	key, err := dcrypto.GenerateKey()
-	if err != nil {
-		tb.Fatal(err)
+	members := make(map[string]dcrypto.PublicKey, 2)
+	for _, id := range []string{"alice", "bob"} {
+		key, err := dcrypto.GenerateKey()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		members[id] = key.Public()
 	}
-	env, err := SealEnvelope("deals", []byte("trade"), map[string]dcrypto.PublicKey{"alice": key.Public(), "bob": key.Public()})
+	env, err := SealEnvelope("deals", []byte("trade"), members)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	env.Epoch = 7
+	env.Ciphertext = bytes.Repeat([]byte{0xc7}, 33)
 	return env, GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Epoch: 7, Count: 2,
-		Ciphertext: env.Ciphertext, EphemeralPub: env.EphemeralPub, Commit: env.Commit, Keys: env.Keys}
+		Ciphertext: env.Ciphertext, EphemeralPub: env.EphemeralPub, Commit: env.Commit, Wraps: env.Wraps}
 }
 
 // badTable is a key-table section keyTable must refuse, with the reason.
@@ -446,27 +449,26 @@ type badTable struct {
 }
 
 // nonCanonicalTables builds, from a two-recipient envelope, the key-table
-// sections keyTable must refuse: each decodes field by field but is not the
-// one encoding of the table it holds.
+// sections keyTable must refuse: none is the one encoding of a table.
 func nonCanonicalTables(env Envelope) []badTable {
-	ids := sortedKeyIDs(env.Keys)
-	first, second := ids[0], ids[1]
-	table := func(ephPub, commit []byte, n uint64, pairs ...[]byte) []byte {
+	a, b := env.Wraps[:dcrypto.WrappedKeySize], env.Wraps[dcrypto.WrappedKeySize:]
+	table := func(ephPub, commit []byte, n uint64, wraps ...[]byte) []byte {
 		out := appendLenPrefixed(nil, ephPub)
 		out = appendLenPrefixed(out, commit)
 		out = binary.AppendUvarint(out, n)
-		for _, p := range pairs {
-			out = appendLenPrefixed(out, p)
+		for _, w := range wraps {
+			out = append(out, w...)
 		}
 		return out
 	}
 	// The first retired layout: no shared ephemeral key, and per recipient its
-	// own 65-byte ephemeral key and a nonce-prefixed 60-byte ciphertext.
+	// name, its own 65-byte ephemeral key and a nonce-prefixed 60-byte
+	// ciphertext.
 	v1 := binary.AppendUvarint(nil, 2)
 	// The second: one shared ephemeral key, no commitment, and per recipient
-	// the key sealed under AES-GCM, 48 bytes with its tag.
+	// its name and the key sealed under AES-GCM, 48 bytes with its tag.
 	v2 := binary.AppendUvarint(appendLenPrefixed(nil, env.EphemeralPub), 2)
-	for _, id := range ids {
+	for _, id := range []string{"alice", "bob"} {
 		v1 = appendLenPrefixed(v1, []byte(id))
 		v1 = appendLenPrefixed(v1, env.EphemeralPub)
 		v1 = appendLenPrefixed(v1, make([]byte, 60))
@@ -475,21 +477,36 @@ func nonCanonicalTables(env Envelope) []badTable {
 	}
 	offCurve := append([]byte(nil), env.EphemeralPub...)
 	offCurve[len(offCurve)-1] ^= 1
-	eph, commit, a, b := env.EphemeralPub, env.Commit, env.Keys[first], env.Keys[second]
+	eph, commit := env.EphemeralPub, env.Commit
 	return []badTable{
-		{"duplicate id", table(eph, commit, 2, []byte(first), a, []byte(first), a)},
-		{"ids out of order", table(eph, commit, 2, []byte(second), b, []byte(first), a)},
+		{"duplicate wrap", table(eph, commit, 2, a, a)},
+		{"wraps out of order", table(eph, commit, 2, b, a)},
 		{"v1 layout", v1},
 		{"v2 layout", v2},
-		{"short ephemeral key", table(eph[:64], commit, 2, []byte(first), a, []byte(second), b)},
-		{"ephemeral key off the curve", table(offCurve, commit, 2, []byte(first), a, []byte(second), b)},
-		{"31-byte commitment", table(eph, commit[:31], 2, []byte(first), a, []byte(second), b)},
-		{"33-byte commitment", table(eph, append(bytes.Clone(commit), 0), 2, []byte(first), a, []byte(second), b)},
-		{"no commitment", table(eph, nil, 2, []byte(first), a, []byte(second), b)},
-		{"31-byte wrap", table(eph, commit, 2, []byte(first), a[:31], []byte(second), b)},
-		{"48-byte wrap", table(eph, commit, 2, []byte(first), append(bytes.Clone(a), make([]byte, 16)...), []byte(second), b)},
-		{"padded key count", append(appendLenPrefixed(appendLenPrefixed(nil, eph), commit), 0x80, 0x00)},
+		{"short ephemeral key", table(eph[:64], commit, 2, a, b)},
+		{"ephemeral key off the curve", table(offCurve, commit, 2, a, b)},
+		{"31-byte commitment", table(eph, commit[:31], 2, a, b)},
+		{"33-byte commitment", table(eph, append(bytes.Clone(commit), 0), 2, a, b)},
+		{"no commitment", table(eph, nil, 2, a, b)},
+		{"wrap region a byte short", table(eph, commit, 2, a, b[:dcrypto.WrappedKeySize-1])},
+		{"wrap region a byte long", table(eph, commit, 2, a, b, []byte{0})},
+		{"padded wrap count", append(appendLenPrefixed(appendLenPrefixed(nil, eph), commit), 0x80, 0x00)},
+		{"wrap count beyond the frame", table(eph, commit, 1<<32-1, a, b)},
 	}
+}
+
+// v3Frames lays env's and genv's fields out as the retired …/v3 frames did:
+// under the v3 scheme names, each wrap behind its recipient's name, both
+// length-prefixed.
+func v3Frames(env Envelope, genv GroupEnvelope) (single, group []byte) {
+	table := appendLenPrefixed(appendLenPrefixed(nil, env.EphemeralPub), env.Commit)
+	table = binary.AppendUvarint(table, 2)
+	for i, id := range []string{"alice", "bob"} {
+		table = appendLenPrefixed(table, []byte(id))
+		table = appendLenPrefixed(table, env.Wraps[i*dcrypto.WrappedKeySize:][:dcrypto.WrappedKeySize])
+	}
+	env.Scheme, genv.Scheme = "hybrid-aes256gcm/v3", "hybrid-aes256gcm/group/v3"
+	return singleFrameWithTable(env, table), groupFrameWithTable(genv, table)
 }
 
 // singleFrameWithTable is env's single-envelope frame with its key-table
@@ -516,12 +533,12 @@ func groupFrameWithTable(genv GroupEnvelope, section []byte) []byte {
 }
 
 // TestKeyTableIsCanonical names what FuzzEnvelopeFrame's seeds carry: every
-// non-canonical table is ErrBadFrame under both kind bytes, and the frames
-// they were derived from parse and re-encode to themselves. At the parent of
-// the PR that added it the duplicate-id table parsed, as a one-key envelope.
+// non-canonical table is ErrBadFrame under both kind bytes, so is a frame of
+// the retired …/v3 scheme, and the frames they were derived from parse and
+// re-encode to themselves.
 func TestKeyTableIsCanonical(t *testing.T) {
 	env, genv := envelopePair(t)
-	good := appendEnvelopeKeys(nil, env.EphemeralPub, env.Commit, env.Keys, sortedKeyIDs(env.Keys))
+	good := appendEnvelopeKeys(nil, env.EphemeralPub, env.Commit, env.Wraps)
 	if b := singleFrameWithTable(env, good); !bytes.Equal(b, EncodeEnvelope(env)) {
 		t.Fatal("singleFrameWithTable does not build the canonical frame from the canonical table")
 	} else if back, err := ParseEnvelope(b); err != nil || !bytes.Equal(EncodeEnvelope(back), b) {
@@ -534,11 +551,18 @@ func TestKeyTableIsCanonical(t *testing.T) {
 	}
 	for _, table := range nonCanonicalTables(env) {
 		if got, err := ParseEnvelope(singleFrameWithTable(env, table.section)); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s, single: err=%v keys=%d, want ErrBadFrame", table.name, err, len(got.Keys))
+			t.Errorf("%s, single: err=%v wraps=%d bytes, want ErrBadFrame", table.name, err, len(got.Wraps))
 		}
 		if got, err := ParseGroupEnvelope(groupFrameWithTable(genv, table.section)); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s, group: err=%v keys=%d, want ErrBadFrame", table.name, err, len(got.Keys))
+			t.Errorf("%s, group: err=%v wraps=%d bytes, want ErrBadFrame", table.name, err, len(got.Wraps))
 		}
+	}
+	v3, gv3 := v3Frames(env, genv)
+	if _, err := ParseEnvelope(v3); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("a v3 single frame: %v, want ErrBadFrame", err)
+	}
+	if _, err := ParseGroupEnvelope(gv3); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("a v3 group frame: %v, want ErrBadFrame", err)
 	}
 }
 

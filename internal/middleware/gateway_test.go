@@ -338,7 +338,7 @@ func TestGatewayConcurrentSubmit(t *testing.T) {
 					Channel:   "deals",
 					Principal: m,
 					Payload:   []byte(fmt.Sprintf("%s-%d", m, i)),
-					Cert:      ps[m].cert,
+					Cert:      &ps[m].cert,
 				}
 				if err := SignRequest(req, ps[m].key); err != nil {
 					errs <- err

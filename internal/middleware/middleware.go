@@ -57,8 +57,10 @@ type Request struct {
 	// replaced by a marshalled Envelope once the encrypt stage runs.
 	Payload []byte
 	// Cert is the submitter's identity certificate issued by the
-	// consortium CA.
-	Cert pki.Certificate
+	// consortium CA, for the authn stage, which refuses a request without
+	// one; nil on session traffic. A pointer, so a session request does not
+	// carry a certificate's 136 bytes of zeroes.
+	Cert *pki.Certificate
 	// Sig is the submitter's signature over Digest().
 	Sig dcrypto.Signature
 	// SessionToken binds the request to an established gateway session so
@@ -230,8 +232,8 @@ func (r *Request) Digest() [32]byte {
 //
 // The memos (the sum's 48 bytes, the digest's 33) and the reply ID cost 113
 // bytes of a struct allocated once per wire submission, and the struct must
-// stay within 480, where they put it: a pointerful object over 512 bytes
-// carries an 8-byte malloc header and moves to the 576-byte size class.
+// stay within its 352-byte size class (TestRequestFitsItsSizeClass): the
+// next class is +32 B on every submission.
 func (r *Request) payloadSum() [32]byte {
 	n := len(r.Payload)
 	if n == 0 {

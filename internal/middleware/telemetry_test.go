@@ -347,8 +347,8 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 		"confmw_key_epochs_rotated_total 1",
 		// The live epoch's head by the OPERATIONS.md sizing rule: 30 fixed
 		// for channel "deals", 66 for the ephemeral key, 33 for the key
-		// commitment, len(id)+34 for each of alice and bob.
-		"confmw_envelope_head_bytes 205",
+		// commitment, a 32-byte wrap for each of alice and bob.
+		"confmw_envelope_head_bytes 193",
 		`confmw_shard_routed_txs_total{shard="`,
 		"confmw_revocation_sweeps_total 0",
 		"confmw_traces_sampled_total 2",
