@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dltprivacy/internal/dcrypto"
@@ -122,7 +123,9 @@ func TestAllocationBudget(t *testing.T) {
 			// building the Request; the frame now decodes into the Request.
 			// Then 6, until the mac row's digest memo went and the reply ID
 			// moved into the Request (ServeWire returned a stack array that
-			// escaped).
+			// escaped). Still 4 since ServeWire recycles its Request: the
+			// Request went out and a 32-byte reply slice came in, 320 B
+			// fewer at the same count (TestServeWireAllocatedBytes).
 			name:     "edge-tcp",
 			replaces: "ceiling EdgeTCP/pipeline=8 <= 16 allocs",
 			cfg:      mac,
@@ -230,6 +233,49 @@ func TestAllocationBudget(t *testing.T) {
 		case row.equals == "" && n > row.ceiling:
 			t.Errorf("%s: %v allocations, budget %v (replaces: %s)", row.name, n, row.ceiling, row.replaces)
 		}
+	}
+}
+
+// serveWireBytesBudget is what one in-process gateway.submit through
+// ServeWire may allocate on the mac pipeline, in bytes: 300 below the 1,056 B
+// it read before ServeWire recycled its requests (go1.24.0 linux/amd64). The
+// 352-byte Request went back to a pool and the 32-byte reply moved out of the
+// request into a slice of its own, -320 B at the same count (736 B); the
+// 20 B left are slack for the pool's refills after a garbage collection.
+const serveWireBytesBudget = 1056 - 300
+
+// TestServeWireAllocatedBytes holds the bytes, not only the count, of a wire
+// submission: TestAllocationBudget's edge-tcp row reads the same 4 whether
+// ServeWire allocates a Request or a reply in its place.
+func TestServeWireAllocatedBytes(t *testing.T) {
+	env := newGatewayBenchEnv(t)
+	fp := newFastPathEnv(t, env, middleware.Config{Stages: []middleware.StageConfig{sessionStage(nil), keycacheEncrypt}})
+	frames := make([][]byte, len(fp.templates))
+	for i := range fp.templates {
+		b, err := middleware.EncodeWireRequest(&fp.templates[i], "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = b
+	}
+	ctx := context.Background()
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := fp.gw.ServeWire(ctx, middleware.TopicSubmit, frames[i%len(frames)], ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve(len(frames))
+	const runs = 8192
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve(runs)
+	runtime.ReadMemStats(&after)
+	perSubmission := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.1f B per ServeWire submission (budget %d)", perSubmission, serveWireBytesBudget)
+	if perSubmission > serveWireBytesBudget {
+		t.Errorf("%.1f B per ServeWire submission, budget %d: does ServeWire allocate its Request again?", perSubmission, serveWireBytesBudget)
 	}
 }
 

@@ -123,6 +123,12 @@ func (a *Aggregate) Handle(ctx context.Context, req *Request, next Handler) erro
 		g.sum = sum
 	}
 	g.count++
+	// The group keeps its latest request, the release vehicle, and lets go
+	// of the one it replaces.
+	req.hold()
+	if g.req != nil {
+		g.req.drop()
+	}
 	g.req = req
 	if g.count < a.size {
 		a.mu.Unlock()
@@ -164,6 +170,7 @@ func (a *Aggregate) Flush(ctx context.Context) error {
 // acknowledged under their own, long-gone contexts.
 func (a *Aggregate) release(ctx context.Context, g *aggGroup, next Handler) error {
 	req := g.req
+	defer req.drop()
 	payload, err := json.Marshal(wireAggregand{Scheme: aggregandScheme, C: g.sum.C.Bytes()})
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrAggregateRelease, err)

@@ -125,10 +125,10 @@ func (a *Audit) statRows() []statRow {
 		return nil
 	}
 	return []statRow{
-		{"confmw_audit_enqueued_total", "Leakage observations accepted into the audit ring.", counter, a.Enqueued, nil},
-		{"confmw_audit_drained_total", "Leakage observations the audit drainer recorded.", counter, a.Drained, nil},
-		{"confmw_audit_shed_total", "Leakage observations dropped because the audit ring was full.", counter, a.Shed, func(s *GatewayStats, v uint64) { s.AuditShed = v }},
-		{"confmw_audit_ring_pending", "Leakage observations waiting in the audit ring.", gauge, a.RingPending, func(s *GatewayStats, v uint64) { s.AuditRingPending = v }},
+		{"confmw_audit_enqueued_total", "Leakage observations accepted into the audit ring.", counter, a.Enqueued, nil, nil},
+		{"confmw_audit_drained_total", "Leakage observations the audit drainer recorded.", counter, a.Drained, nil, nil},
+		{"confmw_audit_shed_total", "Leakage observations dropped because the audit ring was full.", counter, a.Shed, func(s *GatewayStats, v uint64) { s.AuditShed = v }, nil},
+		{"confmw_audit_ring_pending", "Leakage observations waiting in the audit ring.", gauge, a.RingPending, func(s *GatewayStats, v uint64) { s.AuditRingPending = v }, nil},
 	}
 }
 

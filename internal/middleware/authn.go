@@ -37,8 +37,8 @@ func (a *Authn) verifier() *pki.Verifier { return a.certs }
 // statRows declares the certificate verifier's two counters.
 func (a *Authn) statRows() []statRow {
 	return []statRow{
-		{"confmw_authn_cert_verifications_total", "CA signature checks the authn stage ran (certificates not in its verified set).", counter, a.certs.Verifications, func(s *GatewayStats, v uint64) { s.AuthnCertVerifications = v }},
-		{"confmw_authn_cert_cache_hits_total", "Certificates the authn stage found in its verified set.", counter, a.certs.Hits, func(s *GatewayStats, v uint64) { s.AuthnCertCacheHits = v }},
+		{"confmw_authn_cert_verifications_total", "CA signature checks the authn stage ran (certificates not in its verified set).", counter, a.certs.Verifications, func(s *GatewayStats, v uint64) { s.AuthnCertVerifications = v }, nil},
+		{"confmw_authn_cert_cache_hits_total", "Certificates the authn stage found in its verified set.", counter, a.certs.Hits, func(s *GatewayStats, v uint64) { s.AuthnCertCacheHits = v }, nil},
 	}
 }
 

@@ -138,9 +138,9 @@ func (b *Batch) GroupTxs() uint64 { return b.groupTxs.Load() }
 // statRows declares the group-seal counters and the buffer gauge.
 func (b *Batch) statRows() []statRow {
 	return []statRow{
-		{"confmw_batch_groups_sealed_total", "Group envelopes released by the batch stage (group-seal mode).", counter, b.groupsSealed.Load, func(s *GatewayStats, v uint64) { s.BatchGroupsSealed = v }},
-		{"confmw_batch_group_txs_total", "Member transactions released inside group envelopes.", counter, b.groupTxs.Load, func(s *GatewayStats, v uint64) { s.BatchGroupTxs = v }},
-		{"confmw_batch_pending", "Submissions currently buffered by the batch stage.", gauge, func() uint64 { return uint64(b.Pending()) }, func(s *GatewayStats, v uint64) { s.BatchPending = int(v) }},
+		{"confmw_batch_groups_sealed_total", "Group envelopes released by the batch stage (group-seal mode).", counter, b.groupsSealed.Load, func(s *GatewayStats, v uint64) { s.BatchGroupsSealed = v }, nil},
+		{"confmw_batch_group_txs_total", "Member transactions released inside group envelopes.", counter, b.groupTxs.Load, func(s *GatewayStats, v uint64) { s.BatchGroupTxs = v }, nil},
+		{"confmw_batch_pending", "Submissions currently buffered by the batch stage.", gauge, func() uint64 { return uint64(b.Pending()) }, func(s *GatewayStats, v uint64) { s.BatchPending = int(v) }, nil},
 	}
 }
 
@@ -160,6 +160,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 			return errNoGroupKey
 		}
 		req.buffered = true
+		req.hold() // until releaseGroup completes it
 		g := b.groups[ck]
 		if g == nil {
 			// A fresh bucket starts at full capacity, recycled from the
@@ -184,6 +185,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 		return err
 	}
 	req.buffered = true
+	req.hold() // until release completes it
 	if !req.encrypted {
 		// No encrypt stage swapped the payload for an envelope of its own:
 		// it may still alias a transport read buffer (see groupBucket).
@@ -288,6 +290,7 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 		if err != nil {
 			errs = append(errs, fmt.Errorf("request %d/%d (%s): %v", i+1, len(group), req.ID(), err))
 		}
+		req.drop()
 	}
 	if flusher != nil {
 		flusher.downstreamNanos += int64(time.Since(releaseStart))
@@ -350,6 +353,7 @@ func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, g *groupBucket
 			tr.AddSpan("batch.release", start, elapsed, share, relErr)
 		}
 		r.complete(wrapped)
+		r.drop()
 	}
 	if flusher != nil {
 		flusher.downstreamNanos += int64(elapsed)

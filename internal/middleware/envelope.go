@@ -605,9 +605,9 @@ func (e *Encrypt) headBytes() uint64 {
 // statRows declares the key-epoch counters and the head-size gauge.
 func (e *Encrypt) statRows() []statRow {
 	return []statRow{
-		{"confmw_key_epochs_rotated_total", "Channel data-key epoch installs by the encrypt stage.", counter, e.Rotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRotated = v }},
-		{"confmw_key_epochs_revoked_rotations_total", "Cached channel keys invalidated because a wrapped member was revoked.", counter, e.RevokedRotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRevokedRotations = v }},
-		{"confmw_envelope_head_bytes", "Largest live epoch's envelope head (header + wrapped-key table), bytes.", gauge, e.headBytes, nil},
+		{"confmw_key_epochs_rotated_total", "Channel data-key epoch installs by the encrypt stage.", counter, e.Rotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRotated = v }, nil},
+		{"confmw_key_epochs_revoked_rotations_total", "Cached channel keys invalidated because a wrapped member was revoked.", counter, e.RevokedRotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRevokedRotations = v }, nil},
+		{"confmw_envelope_head_bytes", "Largest live epoch's envelope head (header + wrapped-key table), bytes.", gauge, e.headBytes, nil, nil},
 	}
 }
 

@@ -122,7 +122,9 @@ type Gateway struct {
 
 	submitted atomic.Uint64 // requests accepted by the chain
 	ordered   atomic.Uint64 // transactions handed to the orderer
-	rejected  atomic.Uint64 // requests refused by any stage, handshakes refused
+	// rejects counts the requests the decoder or a stage refused and the
+	// handshakes refused, one counter per row of rejectReasons.
+	rejects [len(rejectReasons)]atomic.Uint64
 
 	revMu    sync.Mutex // serializes SyncRevocations' delta cursor
 	revEpoch uint64     // last revocation epoch applied to the encrypt stage
@@ -461,7 +463,7 @@ func (g *Gateway) submit(ctx context.Context, req *Request) error {
 	err := g.chain.Execute(ctx, req)
 	g.tracer.Finish(tr, err)
 	if err != nil {
-		g.rejected.Add(1)
+		g.reject(rejectChain, err)
 		return err
 	}
 	g.submitted.Add(1)
@@ -603,6 +605,86 @@ func (g *Gateway) Bound(channel string) []Backend {
 // read per-shard counters.
 func (g *Gateway) Sharded() *ordering.ShardedBackend { return g.sharded }
 
+// rejectSite is where the gateway refused something: the three places that
+// count into confmw_gateway_rejected_total.
+type rejectSite uint8
+
+const (
+	rejectDecode rejectSite = iota // a gateway.submit frame that did not decode
+	rejectChain                    // a submission a stage refused
+	rejectOpen                     // a session.open frame refused, or its handshake
+)
+
+// rejectReason is one series of confmw_gateway_rejected_total: a refusal at
+// site that wraps err (any refusal, for a nil err) counts as (stage, reason).
+type rejectReason struct {
+	site          rejectSite
+	stage, reason string
+	err           error
+}
+
+// rejectReasons is the closed vocabulary of refusals: a refusal counts under
+// the first row of its site whose err it wraps, and every site ends in a row
+// that takes any refusal, so each lands somewhere. A stage's rows carry its
+// name; errTokenPrincipal comes before ErrIdentityMismatch, which it wraps.
+// TestEveryErrorHasARejectReason holds every exported error here.
+var rejectReasons = [...]rejectReason{
+	{rejectDecode, "decode", "bad_frame", nil},
+
+	{rejectChain, StageSession, "no_session", ErrNoSession},
+	{rejectChain, StageSession, "session_expired", ErrSessionExpired},
+	{rejectChain, StageSession, "session_revoked", ErrSessionRevoked},
+	{rejectChain, StageSession, "session_bound", ErrSessionBound},
+	{rejectChain, StageSession, "principal_mismatch", errTokenPrincipal},
+	{rejectChain, StageSession, "bad_mac", ErrBadMAC},
+	{rejectChain, StageAuthn, "identity_mismatch", ErrIdentityMismatch},
+	{rejectChain, StageAuthn, "bad_signature", ErrBadSignature},
+	{rejectChain, StageAuthn, "certificate_revoked", pki.ErrRevoked},
+	{rejectChain, StageAuthn, "certificate_expired", pki.ErrExpired},
+	{rejectChain, StageAuthn, "bad_certificate", pki.ErrBadCertificate},
+	{rejectChain, StageAnonCred, "credential_required", ErrCredentialRequired},
+	{rejectChain, StageAnonCred, "credential_rejected", ErrCredentialRejected},
+	{rejectChain, StageZKProof, "proof_required", ErrProofRequired},
+	{rejectChain, StageZKProof, "proof_invalid", ErrProofInvalid},
+	{rejectChain, StageAttest, "attestation_required", ErrAttestationRequired},
+	{rejectChain, StageAttest, "attestation_rejected", ErrAttestationRejected},
+	{rejectChain, StageEncrypt, "not_authenticated", ErrNotAuthenticated},
+	{rejectChain, StageEncrypt, "not_recipient", ErrNotRecipient},
+	{rejectChain, StageRateLimit, "rate_limited", ErrRateLimited},
+	{rejectChain, StageBreaker, "circuit_open", ErrCircuitOpen},
+	{rejectChain, StageAggregate, "bad_aggregand", ErrBadAggregand},
+	{rejectChain, StageAggregate, "release_failed", ErrAggregateRelease},
+	{rejectChain, StageBatch, "release_failed", ErrBatchRelease},
+	{rejectChain, StageBatch, "no_group_key", errNoGroupKey},
+	{rejectChain, "order", "no_leader", ordering.ErrNoLeader},
+	{rejectChain, "order", "no_quorum", ordering.ErrNoQuorum},
+	{rejectChain, "chain", "transient", ErrTransient},
+	{rejectChain, "chain", "bad_config", ErrBadConfig},
+	{rejectChain, "chain", "other", nil},
+
+	{rejectOpen, "session.open", "bad_frame", ErrBadFrame},
+	{rejectOpen, "session.open", "stale_hello", ErrStaleHello},
+	{rejectOpen, "session.open", "replayed_hello", ErrReplayedHello},
+	{rejectOpen, "session.open", "identity_mismatch", ErrIdentityMismatch},
+	{rejectOpen, "session.open", "bad_signature", ErrBadSignature},
+	{rejectOpen, "session.open", "bad_mac", ErrBadMAC},
+	{rejectOpen, "session.open", "session_revoked", ErrSessionRevoked},
+	{rejectOpen, "session.open", "certificate_revoked", pki.ErrRevoked},
+	{rejectOpen, "session.open", "certificate_expired", pki.ErrExpired},
+	{rejectOpen, "session.open", "bad_certificate", pki.ErrBadCertificate},
+	{rejectOpen, "session.open", "other", nil},
+}
+
+// reject counts one refusal at site under its reason; see rejectReasons.
+func (g *Gateway) reject(site rejectSite, err error) {
+	for i := range rejectReasons {
+		if r := &rejectReasons[i]; r.site == site && (r.err == nil || errors.Is(err, r.err)) {
+			g.rejects[i].Add(1)
+			return
+		}
+	}
+}
+
 // statRows declares the gateway's own numbers; the stages declare theirs
 // beside their atomics (see statRow).
 func (g *Gateway) statRows() []statRow {
@@ -631,21 +713,27 @@ func (g *Gateway) statRows() []statRow {
 			return n
 		}
 	}
-	return []statRow{
-		{"confmw_gateway_submitted_total", "Requests accepted by the chain.", counter, g.submitted.Load, func(s *GatewayStats, v uint64) { s.Submitted = v }},
-		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", counter, g.ordered.Load, func(s *GatewayStats, v uint64) { s.Ordered = v }},
-		{"confmw_gateway_rejected_total", "Requests refused by the decoder or a stage, and session handshakes refused.", counter, g.rejected.Load, func(s *GatewayStats, v uint64) { s.Rejected = v }},
-		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }},
-		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }},
-		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil},
-		{"confmw_audit_log_observations", "Distinct observations the leakage log holds; it never shrinks.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }},
-		{"confmw_audit_log_bytes", "Bytes held by the leakage log's arena, entries and index.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }},
-		{"confmw_pki_verifier_hits_total", "Certificates found in a verified set, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Hits), nil},
-		{"confmw_pki_verifier_verifications_total", "CA signature checks run, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Verifications), nil},
-		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.blocks.Load() }), nil},
-		{"confmw_backend_committed_txs_total", "Transactions committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.txs.Load() }), nil},
-		{"confmw_backend_commit_errors_total", "Failed block commits across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.errors.Load() }), nil},
+	rows := []statRow{
+		{"confmw_gateway_submitted_total", "Requests accepted by the chain.", counter, g.submitted.Load, func(s *GatewayStats, v uint64) { s.Submitted = v }, nil},
+		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", counter, g.ordered.Load, func(s *GatewayStats, v uint64) { s.Ordered = v }, nil},
+		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }, nil},
+		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }, nil},
+		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil, nil},
+		{"confmw_audit_log_observations", "Distinct observations the leakage log holds; it never shrinks.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }, nil},
+		{"confmw_audit_log_bytes", "Bytes held by the leakage log's arena, entries and index.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }, nil},
+		{"confmw_pki_verifier_hits_total", "Certificates found in a verified set, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Hits), nil, nil},
+		{"confmw_pki_verifier_verifications_total", "CA signature checks run, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Verifications), nil, nil},
+		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.blocks.Load() }), nil, nil},
+		{"confmw_backend_committed_txs_total", "Transactions committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.txs.Load() }), nil, nil},
+		{"confmw_backend_commit_errors_total", "Failed block commits across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.errors.Load() }), nil, nil},
 	}
+	// One series per reason; /statusz shows their sum.
+	for i, r := range rejectReasons {
+		rows = append(rows, statRow{"confmw_gateway_rejected_total", "Requests refused by the decoder or a stage, and session handshakes refused, by reason.",
+			counter, g.rejects[i].Load, func(s *GatewayStats, v uint64) { s.Rejected += v },
+			[]telemetry.Label{telemetry.L("stage", r.stage), telemetry.L("reason", r.reason)}})
+	}
+	return rows
 }
 
 // Stats snapshots gateway, per-stage, and per-backend counters.
@@ -682,12 +770,11 @@ func (g *Gateway) RegisterMetrics(reg *telemetry.Registry) error {
 	if err := g.chain.RegisterMetrics(reg); err != nil {
 		return err
 	}
-	ms := make([]telemetry.FuncMetric, len(g.rows))
-	for i, r := range g.rows {
-		ms[i] = telemetry.FuncMetric{Name: r.name, Help: r.help, Gauge: r.kind == gauge, Load: r.load}
-	}
-	if err := reg.RegisterFuncs(ms); err != nil {
-		return err
+	for _, r := range g.rows {
+		m := telemetry.FuncMetric{Name: r.name, Help: r.help, Gauge: r.kind == gauge, Load: r.load}
+		if err := reg.RegisterFuncs([]telemetry.FuncMetric{m}, r.labels...); err != nil {
+			return err
+		}
 	}
 	if g.sharded != nil {
 		return g.sharded.RegisterMetrics(reg)
@@ -747,26 +834,36 @@ func (g *Gateway) RotateChannelKey(channel string) {
 // for the run, and a stage that holds a request past return copies what it
 // holds into memory it owns (Batch.Handle; the encrypt stage replaces the
 // payload only outside deferred group-seal mode), so stream transports may
-// reuse their read buffer for the next frame.
+// reuse their read buffer for the next frame. The Request itself is borrowed
+// from a pool and goes back once ServeWire and every stage that kept it have
+// let go (see Request); the reply to a submission is a slice of its own.
 func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 	switch topic {
 	case TopicSubmit:
-		req := &Request{TransportID: transportID}
+		req := borrowRequest()
+		req.TransportID = transportID
 		if err := decodeRequestBinary(payload, req, g); err != nil {
-			g.rejected.Add(1)
+			req.drop()
+			g.reject(rejectDecode, err)
 			return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
 		}
 		req.metaOwned = req.Meta != nil // the decoder made the map; no caller holds it
 		// The ID covers the payload as submitted; the encrypt stage
 		// replaces it, so capture before running the chain. The digest is
 		// taken once here and memoised for the stages that check or record
-		// it; the reply lives in the request, which is allocated anyway.
+		// it.
 		req.digestMemo, req.digestSet = req.Digest(), true
-		req.replyID = hexID(req.digestMemo)
-		if err := g.submit(ctx, req); err != nil {
-			return nil, err
+		err := g.submit(ctx, req)
+		var reply []byte
+		if err == nil {
+			// The reply escapes to 32 bytes of its own: one aliasing the
+			// request would change under the edge once a group released on
+			// another goroutine recycled the request.
+			id := hexID(req.digestMemo)
+			reply = id[:]
 		}
-		return req.replyID[:], nil
+		req.drop()
+		return reply, err
 	case TopicSessionOpen:
 		mgr := g.Sessions()
 		if mgr == nil {
@@ -841,7 +938,7 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transportID string) ([]byte, error) {
 	hello, resumed, err := decodeHelloFrame(payload)
 	if err != nil {
-		g.rejected.Add(1)
+		g.reject(rejectOpen, err)
 		return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, err)
 	}
 	var resume *resumeHello
@@ -867,7 +964,7 @@ func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transpor
 		return []byte{binaryMagic, binaryKindResumeMiss}, nil
 	}
 	if err != nil {
-		g.rejected.Add(1)
+		g.reject(rejectOpen, err)
 		return nil, err
 	}
 	return encodeGrantFrame(&grant), nil

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +46,13 @@ var (
 // annotate it in place: authn flips authenticated, encrypt replaces Payload
 // with a sealed envelope, the terminal handler orders the transaction it
 // builds from the request.
+//
+// The Request ServeWire decodes a frame into is borrowed from a pool, and
+// recycled once its last holder lets go: ServeWire holds it for the call, and
+// a stage that keeps a request past its Handle (batch, aggregate) takes a
+// hold of its own and drops it when done (hold, drop). A stage that kept one
+// without a hold would read a stranger's submission once the pool handed the
+// struct on. A caller's own request is never pooled.
 type Request struct {
 	// Channel is the confidentiality domain the submission targets.
 	Channel string
@@ -97,6 +105,11 @@ type Request struct {
 	// identity (the in-process substrate), where sessions stay unbound.
 	TransportID string
 
+	// holds counts who still holds a request ServeWire borrowed from the
+	// pool; 0 on a caller's own request, which is never pooled. See drop.
+	// Read and written only through sync/atomic's functions: an atomic.Int32
+	// would make vet refuse the copies callers make of their own requests.
+	holds int32
 	// The seven flags sit together so they share one word; see payloadSum
 	// for why the struct's size matters.
 	//
@@ -133,10 +146,6 @@ type Request struct {
 	// digestMemo memoises Digest() for the stages a wire submission crosses;
 	// see digest.
 	digestMemo [32]byte
-	// replyID is the ID ServeWire answers an accepted submission with. The
-	// reply slice aliases it: the request is allocated anyway, a separate
-	// array would be one more allocation.
-	replyID [32]byte
 
 	// trace is the in-flight sampled trace, set by the gateway when the
 	// request is sampled; stages record spans into it. Nil (the common
@@ -180,6 +189,47 @@ func (r *Request) complete(err error) {
 	case r.done <- err:
 	default:
 	}
+}
+
+// wireRequests recycles the Requests ServeWire decodes frames into.
+var wireRequests = sync.Pool{New: func() any { return new(Request) }}
+
+// poisonDropped, set only by tests, takes the place of pooling at a request's
+// last drop: it fills the request with garbage, so a holder that kept the
+// request without a hold reads garbage rather than a stranger's submission.
+var poisonDropped func(*Request)
+
+// borrowRequest returns a zeroed request from the pool, held once: by the
+// borrower, who drops it when done.
+func borrowRequest() *Request {
+	r := wireRequests.Get().(*Request)
+	r.holds = 1 // not yet shared
+	return r
+}
+
+// hold records that a stage keeps the request past its Handle's return; the
+// stage drops it when done. A no-op on a caller's own request.
+func (r *Request) hold() {
+	if atomic.LoadInt32(&r.holds) > 0 {
+		atomic.AddInt32(&r.holds, 1)
+	}
+}
+
+// drop lets go of one hold. The last drop zeroes the request and returns it
+// to the pool, whatever goroutine it runs on: a buffered member's own chain
+// frames may still be unwinding while another connection's submission
+// releases its group, so either side may be last. A no-op on a caller's own
+// request.
+func (r *Request) drop() {
+	if atomic.LoadInt32(&r.holds) == 0 || atomic.AddInt32(&r.holds, -1) > 0 {
+		return
+	}
+	if poisonDropped != nil {
+		poisonDropped(r)
+		return
+	}
+	*r = Request{}
+	wireRequests.Put(r)
 }
 
 // Trace returns the in-flight sampled trace, or nil when the request is
@@ -230,10 +280,10 @@ func (r *Request) Digest() [32]byte {
 // that (stages replace the payload), and a caller that does must assign
 // Payload afresh.
 //
-// The memos (the sum's 48 bytes, the digest's 33) and the reply ID cost 113
-// bytes of a struct allocated once per wire submission, and the struct must
-// stay within its 352-byte size class (TestRequestFitsItsSizeClass): the
-// next class is +32 B on every submission.
+// The memos (the sum's 48 bytes, the digest's 33) cost 81 bytes of the
+// struct, which must stay within its 320-byte size class
+// (TestRequestFitsItsSizeClass): the pool still allocates one whenever it
+// runs dry, and every caller's own request is allocated.
 func (r *Request) payloadSum() [32]byte {
 	n := len(r.Payload)
 	if n == 0 {
@@ -369,12 +419,15 @@ type (
 // number on /metrics only — where it lands in the /statusz snapshot.
 // Gateway.Stats and Gateway.RegisterMetrics are each one loop over the
 // gateway's rows and every statSource stage's, so the two views cannot
-// drift and a new counter is one atomic field plus one row beside it.
+// drift and a new counter is one atomic field plus one row beside it. A
+// labelled family is one row per series, each with its labels; rows whose
+// set adds rather than stores sum into one /statusz field.
 type statRow struct {
 	name, help string
 	kind       rowKind
 	load       func() uint64
 	set        func(*GatewayStats, uint64)
+	labels     []telemetry.Label
 }
 
 // rowKind tells a monotonic count from a point-in-time value.

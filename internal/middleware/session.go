@@ -49,6 +49,12 @@ var (
 	ErrSessionBound = errors.New("middleware: session token bound to another connection")
 )
 
+// errTokenPrincipal is the session stage's ErrIdentityMismatch, for a token
+// presented under another principal's name: a value of its own, so a
+// refusal counts under the session stage and not under authn's certificate
+// mismatch (rejectReasons).
+var errTokenPrincipal = fmt.Errorf("%w", ErrIdentityMismatch)
+
 // RequestAuthMode is kept under the name the repository benchmark calls:
 // token-bearing requests are authenticated one way, by an HMAC under the
 // per-session key, and AuthMAC is its one value.
@@ -1013,20 +1019,20 @@ func (m *SessionManager) statRows() []statRow {
 		return s.Sessions
 	}
 	return []statRow{
-		{"confmw_sessions_live", "Currently held sessions.", gauge, func() uint64 { return uint64(m.Len()) }, func(s *GatewayStats, v uint64) { stats(s).Live = int(v) }},
-		{"confmw_sessions_expired_total", "Sessions evicted at their TTL or idle window.", counter, m.expired.Load, func(s *GatewayStats, v uint64) { stats(s).Expired = v }},
-		{"confmw_sessions_evicted_total", "Sessions displaced by the per-principal cap.", counter, m.evicted.Load, func(s *GatewayStats, v uint64) { stats(s).Evicted = v }},
+		{"confmw_sessions_live", "Currently held sessions.", gauge, func() uint64 { return uint64(m.Len()) }, func(s *GatewayStats, v uint64) { stats(s).Live = int(v) }, nil},
+		{"confmw_sessions_expired_total", "Sessions evicted at their TTL or idle window.", counter, m.expired.Load, func(s *GatewayStats, v uint64) { stats(s).Expired = v }, nil},
+		{"confmw_sessions_evicted_total", "Sessions displaced by the per-principal cap.", counter, m.evicted.Load, func(s *GatewayStats, v uint64) { stats(s).Evicted = v }, nil},
 		// SessionsRevoked surfaces the same number beside the gateway's
 		// other revocation counters.
-		{"confmw_sessions_revoked_total", "Sessions evicted by certificate revocation.", counter, m.revoked.Load, func(s *GatewayStats, v uint64) { stats(s).Revoked, s.SessionsRevoked = v, v }},
+		{"confmw_sessions_revoked_total", "Sessions evicted by certificate revocation.", counter, m.revoked.Load, func(s *GatewayStats, v uint64) { stats(s).Revoked, s.SessionsRevoked = v, v }, nil},
 		// A resumed session is an opened one, counted after it: read first,
 		// for the same reason, Resumed <= Opened in every snapshot.
-		{"confmw_session_resumed_total", "Sessions opened by a resume hello: possession proved by HMAC under a remembered master secret, no public-key work.", counter, m.resumed.Load, func(s *GatewayStats, v uint64) { stats(s).Resumed = v }},
-		{"confmw_sessions_opened_total", "Sessions granted.", counter, m.opened.Load, func(s *GatewayStats, v uint64) { stats(s).Opened = v }},
-		{"confmw_session_cert_verifications_total", "CA signature checks session handshakes cost (certificates not in the verified set).", counter, m.certs.Verifications, func(s *GatewayStats, v uint64) { stats(s).CertVerifications = v }},
-		{"confmw_session_cert_cache_hits_total", "Session handshakes whose certificate was in the verified set.", counter, m.certs.Hits, func(s *GatewayStats, v uint64) { stats(s).CertCacheHits = v }},
-		{"confmw_session_resume_misses_total", "Resume hellos naming an id the resumption table did not hold; the client falls back to the full handshake.", counter, m.resumeMisses.Load, func(s *GatewayStats, v uint64) { stats(s).ResumeMisses = v }},
-		{"confmw_session_resume_entries", "Entries in the resumption table.", gauge, m.resumeEntries, func(s *GatewayStats, v uint64) { stats(s).ResumeEntries = int(v) }},
+		{"confmw_session_resumed_total", "Sessions opened by a resume hello: possession proved by HMAC under a remembered master secret, no public-key work.", counter, m.resumed.Load, func(s *GatewayStats, v uint64) { stats(s).Resumed = v }, nil},
+		{"confmw_sessions_opened_total", "Sessions granted.", counter, m.opened.Load, func(s *GatewayStats, v uint64) { stats(s).Opened = v }, nil},
+		{"confmw_session_cert_verifications_total", "CA signature checks session handshakes cost (certificates not in the verified set).", counter, m.certs.Verifications, func(s *GatewayStats, v uint64) { stats(s).CertVerifications = v }, nil},
+		{"confmw_session_cert_cache_hits_total", "Session handshakes whose certificate was in the verified set.", counter, m.certs.Hits, func(s *GatewayStats, v uint64) { stats(s).CertCacheHits = v }, nil},
+		{"confmw_session_resume_misses_total", "Resume hellos naming an id the resumption table did not hold; the client falls back to the full handshake.", counter, m.resumeMisses.Load, func(s *GatewayStats, v uint64) { stats(s).ResumeMisses = v }, nil},
+		{"confmw_session_resume_entries", "Entries in the resumption table.", gauge, m.resumeEntries, func(s *GatewayStats, v uint64) { stats(s).ResumeEntries = int(v) }, nil},
 	}
 }
 
@@ -1079,7 +1085,7 @@ func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error 
 	}
 	if principal != req.Principal {
 		return fmt.Errorf("%w: session for %q, request by %q",
-			ErrIdentityMismatch, principal, req.Principal)
+			errTokenPrincipal, principal, req.Principal)
 	}
 	// The MAC is the only proof a token-bearing request is checked for: a
 	// signature beside it, or instead of it, is not read.

@@ -334,7 +334,8 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 		`confmw_stage_calls_total{stage="authn"} 4`,
 		"confmw_gateway_submitted_total 4",
 		"confmw_gateway_ordered_total 4",
-		"confmw_gateway_rejected_total 0",
+		`confmw_gateway_rejected_total{stage="decode",reason="bad_frame"} 0`,
+		`confmw_gateway_rejected_total{stage="session",reason="bad_mac"} 0`,
 		"confmw_sessions_live 0",
 		"confmw_sessions_opened_total 0",
 		// Four certificate-bearing requests by one principal: the authn

@@ -19,7 +19,12 @@ import (
 // The payload slice aliases the connection's read buffer and is only valid
 // until ServeWire returns; implementations must not retain it. The gateway
 // does not get this for free: a stage that holds a request past ServeWire's
-// return (batch) copies what it holds into memory it owns.
+// return (batch) copies what it holds into memory it owns. The edge copies
+// the reply into its outbound frame before it reads the next frame, on the
+// goroutine that called ServeWire; the reply must stay as returned until
+// then, so one aliasing memory another goroutine may rewrite is unsafe. The
+// gateway's replies are slices of their own: the Request a submission
+// decodes into goes back to a pool (middleware.Request).
 type Handler interface {
 	ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error)
 }
