@@ -18,10 +18,10 @@ import (
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
+	"dltprivacy/internal/netedge"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 	"dltprivacy/internal/tee"
-	"dltprivacy/internal/transport"
 )
 
 // recorder captures committed transactions for the read-back step.
@@ -125,14 +125,23 @@ func run() error {
 	}
 	rec := &recorder{}
 	gw.Bind("fx-settle", rec)
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
+	// The gateway serves on the TCP edge, as cmd/gateway does, and BankA
+	// reaches it over one connection.
+	srv, err := netedge.Listen("127.0.0.1:0", gw)
+	if err != nil {
 		return err
 	}
+	defer srv.Close()
+	client, err := netedge.Dial(srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	ctx := context.Background()
 
 	// 3. BankA runs the conversion in the enclave and submits the output
 	// with its attestation over a gateway session.
-	grant, err := middleware.OpenSessionOver(net, "BankA", "gateway", certs["BankA"], keys["BankA"])
+	grant, err := client.OpenSession(ctx, "BankA", certs["BankA"], keys["BankA"], "")
 	if err != nil {
 		return err
 	}
@@ -150,7 +159,7 @@ func run() error {
 		return err
 	}
 	middleware.MACRequest(req, grant.MacKey)
-	if _, err := middleware.SubmitOver(net, "BankA", "gateway", req); err != nil {
+	if _, err := client.Submit(ctx, req); err != nil {
 		return err
 	}
 	fmt.Println("settlement accepted: attestation verified by the attest stage")
@@ -167,7 +176,7 @@ func run() error {
 		return err
 	}
 	middleware.MACRequest(forged, grant.MacKey)
-	if _, err := middleware.SubmitOver(net, "BankA", "gateway", forged); !errors.Is(err, middleware.ErrAttestationRejected) {
+	if _, err := client.Submit(ctx, forged); !errors.Is(err, middleware.ErrAttestationRejected) {
 		return fmt.Errorf("tampered settlement accepted: %v", err)
 	}
 	fmt.Println("rejected: payload differs from the attested enclave output")
@@ -202,7 +211,7 @@ func run() error {
 		return err
 	}
 	middleware.MACRequest(rigged, grant.MacKey)
-	if _, err := middleware.SubmitOver(net, "BankA", "gateway", rigged); !errors.Is(err, middleware.ErrAttestationRejected) {
+	if _, err := client.Submit(ctx, rigged); !errors.Is(err, middleware.ErrAttestationRejected) {
 		return fmt.Errorf("unaudited program output accepted: %v", err)
 	}
 	fmt.Println("rejected: enclave running an unaudited program (measurement mismatch)")

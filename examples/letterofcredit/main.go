@@ -17,9 +17,9 @@ import (
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
+	"dltprivacy/internal/netedge"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
-	"dltprivacy/internal/transport"
 )
 
 // recorder captures committed transactions so the parties can read the
@@ -94,16 +94,25 @@ func run() error {
 	rec := &recorder{}
 	gw.Bind("loc-apply", rec)
 	gw.Bind("loc-trade", rec)
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
+	// The gateway serves on the TCP edge, as cmd/gateway does; the parties
+	// share one client connection, as loadgen's principals do.
+	srv, err := netedge.Listen("127.0.0.1:0", gw)
+	if err != nil {
 		return err
 	}
+	defer srv.Close()
+	client, err := netedge.Dial(srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	ctx := context.Background()
 
 	// 3. Every party opens one session; full PKI verification is paid
 	// once per party, not once per lifecycle step.
 	grants := make(map[string]middleware.SessionGrant, len(parties))
 	for _, p := range parties {
-		grant, err := middleware.OpenSessionOver(net, p, "gateway", certs[p], keys[p])
+		grant, err := client.OpenSession(ctx, p, certs[p], keys[p], "")
 		if err != nil {
 			return err
 		}
@@ -126,7 +135,7 @@ func run() error {
 		return err
 	}
 	middleware.MACRequest(apply, grants["OutbackImports"].MacKey)
-	if _, err := middleware.SubmitOver(net, "OutbackImports", "gateway", apply); err != nil {
+	if _, err := client.Submit(ctx, apply); err != nil {
 		return err
 	}
 	fmt.Println("applied: sufficient-funds proof verified by the zkproof stage")
@@ -139,7 +148,7 @@ func run() error {
 		SessionToken: grants["OutbackImports"].Token,
 	}
 	middleware.MACRequest(bare, grants["OutbackImports"].MacKey)
-	if _, err := middleware.SubmitOver(net, "OutbackImports", "gateway", bare); !errors.Is(err, middleware.ErrProofRequired) {
+	if _, err := client.Submit(ctx, bare); !errors.Is(err, middleware.ErrProofRequired) {
 		return fmt.Errorf("proof-less application accepted: %v", err)
 	}
 	fmt.Println("rejected: application without a funds proof")
@@ -158,7 +167,7 @@ func run() error {
 			SessionToken: grants[step.party].Token,
 		}
 		middleware.MACRequest(req, grants[step.party].MacKey)
-		if _, err := middleware.SubmitOver(net, step.party, "gateway", req); err != nil {
+		if _, err := client.Submit(ctx, req); err != nil {
 			return fmt.Errorf("%s: %w", step.event, err)
 		}
 		fmt.Println("completed:", step.event)

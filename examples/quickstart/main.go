@@ -10,7 +10,9 @@
 // Charlie, both shard operators, and the gateway operator see nothing, not
 // even whom an envelope is for: the core separation-of-ledgers mechanism
 // from §2.1 of the paper, now behind one declarative pipeline instead of
-// hand-wired calls.
+// hand-wired calls. The gateway serves on a loopback TCP edge, as
+// cmd/gateway does, and Alpha's token works only on the connection that
+// opened it.
 package main
 
 import (
@@ -25,10 +27,10 @@ import (
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
+	"dltprivacy/internal/netedge"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 	"dltprivacy/internal/platform/fabric"
-	"dltprivacy/internal/transport"
 )
 
 // txIndex records committed transaction IDs so readers can locate the
@@ -151,19 +153,47 @@ func run() error {
 	}
 	index := &txIndex{}
 	gw.Bind("deals", fb, index)
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
+	// The gateway serves on the TCP edge, as cmd/gateway does.
+	srv, err := netedge.Listen("127.0.0.1:0", gw)
+	if err != nil {
 		return err
 	}
+	defer srv.Close()
+	client, err := netedge.Dial(srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	ctx := context.Background()
 
-	// 4. Alpha opens one session — full PKI verification happens here,
-	// once — then submits confidential trades bound to the token, each
-	// MAC'd under the session key the grant carries.
-	grant, err := middleware.OpenSessionOver(net, "Alpha", "gateway", certs["Alpha"], keys["Alpha"])
+	// 4. Alpha opens one session over its connection — full PKI
+	// verification happens here, once — then submits confidential trades
+	// bound to the token, each MAC'd under the session key the grant
+	// carries.
+	grant, err := client.OpenSession(ctx, "Alpha", certs["Alpha"], keys["Alpha"], "")
 	if err != nil {
 		return err
 	}
 	fmt.Println("Alpha opened a gateway session (cert verified once)")
+
+	// The token is bound to the connection that opened it: presented over
+	// a second connection, with a valid MAC, it is refused — and the
+	// refusal arrives typed, its reason carried across the socket.
+	other, err := netedge.Dial(srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	stolen := &middleware.Request{
+		Channel: "deals", Principal: "Alpha", Payload: []byte("replayed"), SessionToken: grant.Token,
+	}
+	middleware.MACRequest(stolen, grant.MacKey)
+	_, err = other.Submit(ctx, stolen)
+	other.Close()
+	if !errors.Is(err, middleware.ErrSessionBound) {
+		return fmt.Errorf("token on another connection = %v, want ErrSessionBound", err)
+	}
+	fmt.Println("token refused on another connection (ErrSessionBound)")
+
 	for _, deal := range []string{
 		"deal-1: 10 tons of steel @ 700/t",
 		"deal-2: 4 tons of copper @ 9100/t",
@@ -175,7 +205,7 @@ func run() error {
 			SessionToken: grant.Token,
 		}
 		middleware.MACRequest(req, grant.MacKey)
-		if _, err := middleware.SubmitOver(net, "Alpha", "gateway", req); err != nil {
+		if _, err := client.Submit(ctx, req); err != nil {
 			return err
 		}
 	}
@@ -237,14 +267,14 @@ func run() error {
 	fmt.Println("audit log confirms: neither the gateway nor any shard operator saw trade data")
 
 	// 7. Session hygiene: closed tokens are dead.
-	if err := middleware.CloseSessionOver(net, "Alpha", "gateway", grant.Token); err != nil {
+	if err := client.CloseSession(ctx, grant.Token); err != nil {
 		return err
 	}
 	stale := &middleware.Request{
 		Channel: "deals", Principal: "Alpha", Payload: []byte("late"), SessionToken: grant.Token,
 	}
 	middleware.MACRequest(stale, grant.MacKey)
-	if _, err := middleware.SubmitOver(net, "Alpha", "gateway", stale); !errors.Is(err, middleware.ErrNoSession) {
+	if _, err := client.Submit(ctx, stale); !errors.Is(err, middleware.ErrNoSession) {
 		return fmt.Errorf("closed session token accepted: %v", err)
 	}
 	fmt.Println("closed session rejected with ErrNoSession")

@@ -20,9 +20,9 @@ import (
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
+	"dltprivacy/internal/netedge"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/paillier"
-	"dltprivacy/internal/transport"
 )
 
 // recorder captures the released aggregate transaction.
@@ -92,10 +92,19 @@ func run() error {
 	}
 	rec := &recorder{}
 	gw.Bind("exposure-reports", rec)
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
+	// The gateway serves on the TCP edge, as cmd/gateway does; the reports
+	// arrive over one client connection that names no bank.
+	srv, err := netedge.Listen("127.0.0.1:0", gw)
+	if err != nil {
 		return err
 	}
+	defer srv.Close()
+	client, err := netedge.Dial(srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	ctx := context.Background()
 
 	// 3. Three reports: AlphaBank files twice (a correction cycle),
 	// BetaBank once. Each report is the exposure encrypted to the
@@ -131,7 +140,7 @@ func run() error {
 				Meta:      map[string]string{middleware.MetaAnonCred: req.Meta[middleware.MetaAnonCred]},
 			}
 		}
-		if _, err := middleware.SubmitOver(net, "member", "gateway", req); err != nil {
+		if _, err := client.Submit(ctx, req); err != nil {
 			return fmt.Errorf("report %d: %w", i+1, err)
 		}
 		fmt.Printf("report %d accepted under pseudonym %s…\n", i+1, nym[:12])
@@ -159,7 +168,7 @@ func run() error {
 	fmt.Println("the same wallet is unlinkable outside the audit scope")
 
 	// 5. One-show enforcement: replaying a spent presentation fails.
-	if _, err := middleware.SubmitOver(net, "member", "gateway", replay); !errors.Is(err, middleware.ErrCredentialRejected) {
+	if _, err := client.Submit(ctx, replay); !errors.Is(err, middleware.ErrCredentialRejected) {
 		return fmt.Errorf("replayed presentation accepted: %v", err)
 	}
 	fmt.Println("rejected: replayed presentation (one-show token already spent)")
@@ -169,7 +178,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := middleware.SubmitOver(net, "member", "gateway",
+	if _, err := client.Submit(ctx,
 		&middleware.Request{Channel: "exposure-reports", Principal: "nobody", Payload: anon},
 	); !errors.Is(err, middleware.ErrCredentialRequired) {
 		return fmt.Errorf("credential-less report accepted: %v", err)

@@ -26,9 +26,9 @@ import (
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
 	"dltprivacy/internal/mpc"
+	"dltprivacy/internal/netedge"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
-	"dltprivacy/internal/transport"
 )
 
 // vault collects committed envelopes so members can open them.
@@ -129,18 +129,27 @@ func run() error {
 	}
 	v := &vault{}
 	gw.Bind("governance", v)
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
+	// The gateway serves on the TCP edge, as cmd/gateway does; the members
+	// share one client connection.
+	srv, err := netedge.Listen("127.0.0.1:0", gw)
+	if err != nil {
 		return err
 	}
+	defer srv.Close()
+	client, err := netedge.Dial(srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	ctx := context.Background()
 
-	grant, err := middleware.OpenSessionOver(net, "BankA", "gateway", certs["BankA"], keys["BankA"])
+	grant, err := client.OpenSession(ctx, "BankA", certs["BankA"], keys["BankA"], "")
 	if err != nil {
 		return err
 	}
 	// Logistics keeps its own session open too — the one the revocation
 	// below must kill.
-	logGrant, err := middleware.OpenSessionOver(net, "Logistics", "gateway", certs["Logistics"], keys["Logistics"])
+	logGrant, err := client.OpenSession(ctx, "Logistics", certs["Logistics"], keys["Logistics"], "")
 	if err != nil {
 		return err
 	}
@@ -152,7 +161,7 @@ func run() error {
 			SessionToken: grant.Token,
 		}
 		middleware.MACRequest(req, grant.MacKey)
-		_, err := middleware.SubmitOver(net, who, "gateway", req)
+		_, err := client.Submit(ctx, req)
 		return err
 	}
 	preliminary := "ballot: admit NewMember, yes=" + strconv.Itoa(yes)
@@ -218,11 +227,11 @@ func run() error {
 	fmt.Printf("ratified tally sealed under epoch %d: %d remaining members can open it, the revoked member cannot\n",
 		final.Epoch, len(members)-1)
 
-	if err := middleware.CloseSessionOver(net, "BankA", "gateway", grant.Token); err != nil {
+	if err := client.CloseSession(ctx, grant.Token); err != nil {
 		return err
 	}
 	// Closing the revoked member's already-evicted session is a no-op.
-	if err := middleware.CloseSessionOver(net, "Logistics", "gateway", logGrant.Token); err != nil {
+	if err := client.CloseSession(ctx, logGrant.Token); err != nil {
 		return err
 	}
 

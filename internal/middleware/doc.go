@@ -189,9 +189,9 @@
 // flight — or exfiltrated from a compromised client — is therefore
 // useless from any other connection: the thief would need to hijack the
 // original TCP stream itself, which TCP sequence randomization and the
-// MAC on every request already guard. Sessions opened through Open (the
-// in-process transport path) stay unbound and resolve from anywhere,
-// preserving every pre-edge caller.
+// MAC on every request already guard. Sessions opened through Open, or
+// through ServeWire with an empty transport ID, stay unbound and resolve
+// from anywhere.
 //
 // Binding also gives connection teardown exact semantics: the manager
 // indexes bound tokens per transport (byTransport), so EvictTransport —
@@ -433,8 +433,8 @@
 // through the chain, submits the resulting transaction to an
 // internal/ordering backend, and relays cut blocks to registered platform
 // adapters (Fabric, Corda, Quorum); re-binding an already-bound adapter is
-// a no-op. It registers as an internal/transport endpoint serving
-// gateway.submit, session.open, and session.close, running requests under
-// the caller-supplied context so server-side deadlines reach the chain,
-// is safe for concurrent use, and exposes per-stage Stats counters.
+// a no-op. Requests enter at one seam, ServeWire, which the TCP edge
+// (internal/netedge) runs under its context for every frame; a refusal
+// crosses the socket as its confmw_gateway_rejected_total label
+// (RejectLabel, RejectError).
 package middleware

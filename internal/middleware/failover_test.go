@@ -10,7 +10,6 @@ import (
 
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
-	"dltprivacy/internal/transport"
 )
 
 // mkShardTx builds a minimal transaction for driving an ordering backend
@@ -216,7 +215,7 @@ func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
 }
 
 // TestGatewayShardRebalanceTopic drives the shard.rebalance admin topic
-// over the transport substrate: a manual migration moves a live channel,
+// through ServeWire: a manual migration moves a live channel,
 // and a skew pass reports (and performs) automatic moves.
 func TestGatewayShardRebalanceTopic(t *testing.T) {
 	sb := newShardedOrderer(t, 2)
@@ -228,10 +227,7 @@ func TestGatewayShardRebalanceTopic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gw-endpoint"); err != nil {
-		t.Fatalf("AttachTransport: %v", err)
-	}
+	w := frontOf(gw)
 
 	// Live traffic on two channels, both forced onto shard 0.
 	channels := []string{"deals-a", "deals-b"}
@@ -248,9 +244,9 @@ func TestGatewayShardRebalanceTopic(t *testing.T) {
 	}
 
 	// Manual move.
-	notice, err := RebalanceOver(net, "admin", "gw-endpoint", RebalanceRequest{Channel: channels[0], To: 1})
+	notice, err := w.rebalance(RebalanceRequest{Channel: channels[0], To: 1})
 	if err != nil {
-		t.Fatalf("RebalanceOver(manual): %v", err)
+		t.Fatalf("rebalance(manual): %v", err)
 	}
 	if len(notice.Migrations) != 1 || notice.Migrations[0].To != 1 || notice.Migrations[0].Channel != channels[0] {
 		t.Fatalf("manual move notice = %+v", notice)
@@ -259,9 +255,9 @@ func TestGatewayShardRebalanceTopic(t *testing.T) {
 		t.Fatalf("ShardFor after manual move = %d, want 1", got)
 	}
 	// Repeating the move is a no-op, reported as such.
-	notice, err = RebalanceOver(net, "admin", "gw-endpoint", RebalanceRequest{Channel: channels[0], To: 1})
+	notice, err = w.rebalance(RebalanceRequest{Channel: channels[0], To: 1})
 	if err != nil {
-		t.Fatalf("RebalanceOver(repeat): %v", err)
+		t.Fatalf("rebalance(repeat): %v", err)
 	}
 	if len(notice.Migrations) != 0 {
 		t.Fatalf("repeated move reported migrations: %+v", notice)
@@ -270,9 +266,9 @@ func TestGatewayShardRebalanceTopic(t *testing.T) {
 	// Skew pass: loads are now 20 on shard 0 (deals-b) vs 10 on shard 1, a
 	// single-channel hot shard — nothing to move without relocating the
 	// hotspot, so the pass reports no migrations but succeeds.
-	notice, err = RebalanceOver(net, "admin", "gw-endpoint", RebalanceRequest{Skew: 1.2})
+	notice, err = w.rebalance(RebalanceRequest{Skew: 1.2})
 	if err != nil {
-		t.Fatalf("RebalanceOver(skew): %v", err)
+		t.Fatalf("rebalance(skew): %v", err)
 	}
 	if len(notice.Migrations) != 0 {
 		t.Fatalf("skew pass on single-channel shard moved %+v", notice.Migrations)
@@ -284,10 +280,7 @@ func TestGatewayShardRebalanceTopic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGateway(solo): %v", err)
 	}
-	if err := solo.AttachTransport(context.Background(), net, "solo-endpoint"); err != nil {
-		t.Fatalf("AttachTransport: %v", err)
-	}
-	if _, err := RebalanceOver(net, "admin", "solo-endpoint", RebalanceRequest{}); err == nil {
+	if _, err := frontOf(solo).rebalance(RebalanceRequest{}); err == nil {
 		t.Fatal("unsharded gateway accepted shard.rebalance")
 	}
 }

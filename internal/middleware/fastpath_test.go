@@ -16,7 +16,6 @@ import (
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
-	"dltprivacy/internal/transport"
 )
 
 // --- binary codec ---
@@ -225,9 +224,9 @@ func TestCodecConfigValidation(t *testing.T) {
 
 // --- MAC request authentication ---
 
-// fastpathGateway builds a session+authn+encrypt gateway over the transport
-// substrate, returning the network and the per-principal grants.
-func fastpathGateway(t testing.TB, names ...string) (*Gateway, *transport.Network, map[string]*principal, map[string]SessionGrant) {
+// fastpathGateway builds a session+authn+encrypt gateway, returning it, a
+// wire to it and the per-principal grants opened over that wire.
+func fastpathGateway(t testing.TB, names ...string) (*Gateway, wireFront, map[string]*principal, map[string]SessionGrant) {
 	t.Helper()
 	ca, ps := enroll(t, names...)
 	members := make(map[string]dcrypto.PublicKey, len(ps))
@@ -249,10 +248,7 @@ func fastpathGateway(t testing.TB, names ...string) (*Gateway, *transport.Networ
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatalf("AttachTransport: %v", err)
-	}
+	w := frontOf(gw)
 	// The orderer needs at least one subscriber per channel to accept
 	// submissions; tests asserting delivery bind their own recorders too.
 	for _, ch := range []string{"deals", "loans"} {
@@ -260,17 +256,17 @@ func fastpathGateway(t testing.TB, names ...string) (*Gateway, *transport.Networ
 	}
 	grants := make(map[string]SessionGrant, len(ps))
 	for name, p := range ps {
-		grant, err := OpenSessionOver(net, name, "gateway", p.cert, p.key)
+		grant, err := w.open(p)
 		if err != nil {
 			t.Fatalf("open session for %s: %v", name, err)
 		}
 		grants[name] = grant
 	}
-	return gw, net, ps, grants
+	return gw, w, ps, grants
 }
 
 func TestSessionMACAuthenticates(t *testing.T) {
-	gw, net, _, grants := fastpathGateway(t, "alice")
+	gw, w, _, grants := fastpathGateway(t, "alice")
 	grant := grants["alice"]
 	if len(grant.MacKey) != dcrypto.MACKeySize {
 		t.Fatalf("grant carries no MAC key: %+v", grant)
@@ -280,7 +276,7 @@ func TestSessionMACAuthenticates(t *testing.T) {
 	if req.Sig.R != nil {
 		t.Fatal("MACRequest must not sign")
 	}
-	if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
+	if _, err := w.submit(req); err != nil {
 		t.Fatalf("MAC-authenticated submission rejected: %v", err)
 	}
 	if stats := gw.Stats(); stats.Submitted != 1 {
@@ -289,14 +285,14 @@ func TestSessionMACAuthenticates(t *testing.T) {
 }
 
 func TestSessionMACRejectsTampering(t *testing.T) {
-	_, net, _, grants := fastpathGateway(t, "alice")
+	_, w, _, grants := fastpathGateway(t, "alice")
 	grant := grants["alice"]
 
 	// Tampered payload after MACing.
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("legit"), SessionToken: grant.Token}
 	MACRequest(req, grant.MacKey)
 	req.Payload = []byte("tampered")
-	if _, err := SubmitOver(net, "alice", "gateway", req); !errors.Is(err, ErrBadMAC) {
+	if _, err := w.submit(req); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("tampered MAC submission: got %v, want ErrBadMAC", err)
 	}
 
@@ -304,14 +300,14 @@ func TestSessionMACRejectsTampering(t *testing.T) {
 	wrongKey := bytes.Repeat([]byte{0x42}, dcrypto.MACKeySize)
 	req2 := &Request{Channel: "deals", Principal: "alice", Payload: []byte("legit"), SessionToken: grant.Token}
 	MACRequest(req2, wrongKey)
-	if _, err := SubmitOver(net, "alice", "gateway", req2); !errors.Is(err, ErrBadMAC) {
+	if _, err := w.submit(req2); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("wrong-key MAC submission: got %v, want ErrBadMAC", err)
 	}
 
 	// Garbage MAC of the right length.
 	req3 := &Request{Channel: "deals", Principal: "alice", Payload: []byte("legit"), SessionToken: grant.Token}
 	req3.MAC = bytes.Repeat([]byte{0x00}, dcrypto.MACSize)
-	if _, err := SubmitOver(net, "alice", "gateway", req3); !errors.Is(err, ErrBadMAC) {
+	if _, err := w.submit(req3); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("garbage MAC submission: got %v, want ErrBadMAC", err)
 	}
 }
@@ -374,7 +370,7 @@ func TestRevocationKillsMACSession(t *testing.T) {
 // --- submissions over the wire ---
 
 func TestBinarySubmissionEndToEnd(t *testing.T) {
-	gw, net, ps, grants := fastpathGateway(t, "alice", "bob")
+	gw, w, ps, grants := fastpathGateway(t, "alice", "bob")
 	var delivered []ledger.Transaction
 	var mu sync.Mutex
 	sink := backendFunc{name: "recorder", commit: func(b ledger.Block) error {
@@ -389,7 +385,7 @@ func TestBinarySubmissionEndToEnd(t *testing.T) {
 		grant := grants[name]
 		req := &Request{Channel: "deals", Principal: name, Payload: []byte(name + "'s trade"), SessionToken: grant.Token}
 		MACRequest(req, grant.MacKey)
-		if _, err := SubmitOver(net, name, "gateway", req); err != nil {
+		if _, err := w.submit(req); err != nil {
 			t.Fatalf("%s's submission rejected: %v", name, err)
 		}
 	}
@@ -618,7 +614,7 @@ func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
 // --- concurrency matrix ---
 
 // TestFastPathConcurrencyMatrix drives parallel MAC'd submitters through the
-// full gateway over the transport substrate, then asserts (a) every
+// full gateway through ServeWire, then asserts (a) every
 // submission was accepted and counted, (b) both bound backends saw
 // identical per-channel delivery orders, and (c) the per-channel sequences
 // are a merge preserving each submitter's own submission order. Run under
@@ -639,7 +635,7 @@ func testFastPathConcurrency(t *testing.T) {
 		names[i] = fmt.Sprintf("org%d", i)
 	}
 	channels := []string{"deals", "loans"}
-	gw, net, _, grants := fastpathGateway(t, names...)
+	gw, w, _, grants := fastpathGateway(t, names...)
 	type record struct {
 		mu   sync.Mutex
 		seen map[string][]string // channel -> request ids in delivery order
@@ -674,7 +670,7 @@ func testFastPathConcurrency(t *testing.T) {
 					Meta:         map[string]string{"reqid": fmt.Sprintf("%s-%d", name, i)},
 				}
 				MACRequest(req, grant.MacKey)
-				if _, err := SubmitOver(net, name, "gateway", req); err != nil {
+				if _, err := w.submit(req); err != nil {
 					errs <- fmt.Errorf("%s submit %d: %w", name, i, err)
 					return
 				}

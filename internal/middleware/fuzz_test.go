@@ -19,10 +19,9 @@ import (
 	"dltprivacy/internal/paillier"
 	"dltprivacy/internal/pki"
 	"dltprivacy/internal/tee"
-	"dltprivacy/internal/transport"
 )
 
-// FuzzWireRequest throws arbitrary bytes at every transport topic the
+// FuzzWireRequest throws arbitrary bytes at every wire topic the
 // gateway serves — gateway.submit, session.open, session.close,
 // revocation.notify — so malformed framing, forged session tokens, and
 // corrupted certificates can reject requests but never panic the process.
@@ -66,10 +65,6 @@ func FuzzWireRequest(f *testing.F) {
 	}
 	gw, err := NewGateway("fuzz-gw", cfg, env, ordering.New("op", ordering.VisibilityEnvelope))
 	if err != nil {
-		f.Fatal(err)
-	}
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
 		f.Fatal(err)
 	}
 	grant, err := gw.Sessions().Open(mustHello(f, "alice", cert, key))
@@ -226,9 +221,6 @@ func FuzzWireRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := privGW.AttachTransport(context.Background(), net, "privgateway"); err != nil {
-		f.Fatal(err)
-	}
 	// A fully-attested pseudonymous contribution: the payload is a Paillier
 	// aggregand echoed through the enclave, so the anoncred, zkproof,
 	// attest, and aggregate decoders all fire on this one seed and on every
@@ -283,10 +275,10 @@ func FuzzWireRequest(f *testing.F) {
 	topics := []string{TopicSubmit, TopicSessionOpen, TopicSessionClose, TopicRevocationNotify, "unknown.topic"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, topic := range topics {
-			for _, to := range []string{"gateway", "privgateway"} {
+			for _, to := range []*Gateway{gw, privGW} {
 				// Errors are the expected outcome for junk; the invariant under
 				// test is that no input can panic the gateway or wedge a lock.
-				reply, err := net.Send(transport.Message{From: "fuzzer", To: to, Topic: topic, Payload: data})
+				reply, err := to.ServeWire(context.Background(), topic, data, "")
 				if topic != TopicSubmit || err != nil {
 					continue
 				}
@@ -294,7 +286,7 @@ func FuzzWireRequest(f *testing.F) {
 				// submitted, whatever the chain made of the request since.
 				var fresh Request
 				if err := decodeRequestBinary(data, &fresh, nil); err != nil || string(reply) != fresh.ID() {
-					t.Fatalf("%s accepted a submission with reply %q, want its ID %q (decode: %v)", to, reply, fresh.ID(), err)
+					t.Fatalf("%s accepted a submission with reply %q, want its ID %q (decode: %v)", to.name, reply, fresh.ID(), err)
 				}
 			}
 		}

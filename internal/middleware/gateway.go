@@ -5,20 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dltprivacy/internal/audit"
-	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 	"dltprivacy/internal/telemetry"
-	"dltprivacy/internal/transport"
 )
 
-// Transport topics gateway endpoints serve.
+// Wire topics: what ServeWire serves, and the edge carries.
 const (
 	// TopicSubmit carries signed client submissions.
 	TopicSubmit = "gateway.submit"
@@ -463,8 +462,7 @@ func (g *Gateway) submit(ctx context.Context, req *Request) error {
 	err := g.chain.Execute(ctx, req)
 	g.tracer.Finish(tr, err)
 	if err != nil {
-		g.reject(rejectChain, err)
-		return err
+		return g.reject(rejectChain, err)
 	}
 	g.submitted.Add(1)
 	return nil
@@ -675,14 +673,45 @@ var rejectReasons = [...]rejectReason{
 	{rejectOpen, "session.open", "other", nil},
 }
 
-// reject counts one refusal at site under its reason; see rejectReasons.
-func (g *Gateway) reject(site rejectSite, err error) {
+// reject counts one refusal at site under its reason (see rejectReasons) and
+// returns it labelled with that row.
+func (g *Gateway) reject(site rejectSite, err error) error {
 	for i := range rejectReasons {
 		if r := &rejectReasons[i]; r.site == site && (r.err == nil || errors.Is(err, r.err)) {
 			g.rejects[i].Add(1)
-			return
+			return &refusal{err, r}
 		}
 	}
+	return err
+}
+
+// refusal is an error the gateway counted, with the row it counted under.
+type refusal struct {
+	error
+	row *rejectReason
+}
+
+func (r *refusal) Unwrap() error { return r.error }
+
+// RejectLabel names the confmw_gateway_rejected_total series err counted
+// under as "stage/reason", or "" for an error the gateway did not count.
+func RejectLabel(err error) string {
+	if r := (*refusal)(nil); errors.As(err, &r) {
+		return r.row.stage + "/" + r.row.reason
+	}
+	return ""
+}
+
+// RejectError returns the error the series RejectLabel named counts: nil for
+// a catch-all or an unknown label.
+func RejectError(label string) error {
+	stage, reason, _ := strings.Cut(label, "/")
+	for _, r := range rejectReasons {
+		if r.stage == stage && r.reason == reason {
+			return r.err
+		}
+	}
+	return nil
 }
 
 // statRows declares the gateway's own numbers; the stages declare theirs
@@ -823,20 +852,19 @@ func (g *Gateway) RotateChannelKey(channel string) {
 	g.eachMemberKeyer(func(k memberKeyer) { k.Rotate(channel) })
 }
 
-// ServeWire handles one wire message against the gateway: the shared
-// topic dispatch behind every transport front (the in-process substrate
-// via AttachTransport, the TCP edge via netedge.Server). transportID names
-// the connection the message arrived on — transports with per-connection
-// identity pass it so sessions opened here are bound to the connection and
-// submissions resolve against that binding; transports without one pass ""
-// and sessions stay unbound. The payload slice is only borrowed: a binary
-// frame decodes into the Request the chain runs, which aliases it zero-copy
-// for the run, and a stage that holds a request past return copies what it
-// holds into memory it owns (Batch.Handle; the encrypt stage replaces the
-// payload only outside deferred group-seal mode), so stream transports may
-// reuse their read buffer for the next frame. The Request itself is borrowed
-// from a pool and goes back once ServeWire and every stage that kept it have
-// let go (see Request); the reply to a submission is a slice of its own.
+// ServeWire handles one wire message against the gateway: the one way in,
+// which the TCP edge (netedge.Server) runs for every frame. transportID
+// names the connection, so sessions opened here are bound to it; a caller
+// with none passes "" and its sessions stay unbound. A refusal carries its
+// RejectLabel, which the edge sends back. The payload slice is only
+// borrowed: a binary frame decodes into the Request the chain runs, which
+// aliases it zero-copy for the run, and a stage that holds a request past
+// return copies what it holds into memory it owns (Batch.Handle; the encrypt
+// stage replaces the payload only outside deferred group-seal mode), so the
+// edge may reuse its read buffer for the next frame. The Request itself is
+// borrowed from a pool and goes back once ServeWire and every stage that kept
+// it have let go (see Request); the reply to a submission is a slice of its
+// own.
 func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 	switch topic {
 	case TopicSubmit:
@@ -844,8 +872,7 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		req.TransportID = transportID
 		if err := decodeRequestBinary(payload, req, g); err != nil {
 			req.drop()
-			g.reject(rejectDecode, err)
-			return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, err)
+			return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, g.reject(rejectDecode, err))
 		}
 		req.metaOwned = req.Meta != nil // the decoder made the map; no caller holds it
 		// The ID covers the payload as submitted; the encrypt stage
@@ -864,16 +891,13 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		}
 		req.drop()
 		return reply, err
-	case TopicSessionOpen:
+	case TopicSessionOpen, TopicSessionClose:
 		mgr := g.Sessions()
 		if mgr == nil {
 			return nil, fmt.Errorf("gateway %s: pipeline has no session stage", g.name)
 		}
-		return g.serveSessionOpen(mgr, payload, transportID)
-	case TopicSessionClose:
-		mgr := g.Sessions()
-		if mgr == nil {
-			return nil, fmt.Errorf("gateway %s: pipeline has no session stage", g.name)
+		if topic == TopicSessionOpen {
+			return g.serveSessionOpen(mgr, payload, transportID)
 		}
 		if err := mgr.CloseFrom(string(payload), transportID); err != nil {
 			return nil, fmt.Errorf("gateway %s: %w", g.name, err)
@@ -938,8 +962,7 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transportID string) ([]byte, error) {
 	hello, resumed, err := decodeHelloFrame(payload)
 	if err != nil {
-		g.reject(rejectOpen, err)
-		return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, err)
+		return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, g.reject(rejectOpen, err))
 	}
 	var resume *resumeHello
 	var traceID uint64
@@ -964,95 +987,7 @@ func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transpor
 		return []byte{binaryMagic, binaryKindResumeMiss}, nil
 	}
 	if err != nil {
-		g.reject(rejectOpen, err)
-		return nil, err
+		return nil, g.reject(rejectOpen, err)
 	}
 	return encodeGrantFrame(&grant), nil
-}
-
-// AttachTransport registers the gateway as a network endpoint serving
-// TopicSubmit, TopicSessionOpen, and TopicSessionClose. The reply to an
-// accepted submission is its request ID (batched submissions are
-// acknowledged before a transaction exists); to an accepted handshake, a
-// marshalled SessionGrant. Requests run under the caller's ctx, so
-// server-side deadlines and cancellation reach the chain. The in-process
-// substrate has no per-connection identity, so sessions opened through it
-// stay unbound (see ServeWire and the TCP edge for bound sessions).
-func (g *Gateway) AttachTransport(ctx context.Context, net *transport.Network, endpoint string) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return net.Register(endpoint, func(msg transport.Message) ([]byte, error) {
-		return g.ServeWire(ctx, msg.Topic, msg.Payload, "")
-	})
-}
-
-// SubmitOver sends a request to a gateway endpoint over the network
-// substrate and returns the gateway's submission ID.
-func SubmitOver(net *transport.Network, from, endpoint string, req *Request) (string, error) {
-	b, err := EncodeWireRequest(req, "")
-	if err != nil {
-		return "", fmt.Errorf("middleware: encode request: %w", err)
-	}
-	reply, err := net.Send(transport.Message{From: from, To: endpoint, Topic: TopicSubmit, Payload: b})
-	if err != nil {
-		return "", err
-	}
-	return string(reply), nil
-}
-
-// OpenSessionOver performs the signed session handshake with a gateway
-// endpoint over the network substrate: full authn is paid once here, and
-// the returned grant's token rides on every subsequent submission, and the
-// grant holds the session MAC key for MACRequest — derived here, never
-// sent. Every call is the full signed
-// handshake: the helper keeps nothing between calls. A caller that opens
-// sessions again and again holds a Handshaker and calls its Open with the
-// same round trip, and resumes.
-func OpenSessionOver(net *transport.Network, from, endpoint string, cert pki.Certificate, key *dcrypto.PrivateKey) (SessionGrant, error) {
-	// The substrate delivers in process and takes no context.
-	return new(Handshaker).Open(context.TODO(), from, cert, key, func(_ context.Context, hello []byte) ([]byte, error) {
-		return net.Send(transport.Message{From: from, To: endpoint, Topic: TopicSessionOpen, Payload: hello})
-	})
-}
-
-// CloseSessionOver ends a session at a gateway endpoint.
-func CloseSessionOver(net *transport.Network, from, endpoint, token string) error {
-	_, err := net.Send(transport.Message{From: from, To: endpoint, Topic: TopicSessionClose, Payload: []byte(token)})
-	return err
-}
-
-// NotifyRevocationOver tells a gateway endpoint that the revocation plane
-// moved; the gateway pulls and applies the delta and reports what it did.
-// The path for deployments whose CA runs out of process, where the
-// in-process push subscription cannot reach.
-func NotifyRevocationOver(net *transport.Network, from, endpoint string) (RevocationNotice, error) {
-	reply, err := net.Send(transport.Message{From: from, To: endpoint, Topic: TopicRevocationNotify})
-	if err != nil {
-		return RevocationNotice{}, err
-	}
-	var notice RevocationNotice
-	if err := json.Unmarshal(reply, &notice); err != nil {
-		return RevocationNotice{}, fmt.Errorf("middleware: decode revocation notice: %w", err)
-	}
-	return notice, nil
-}
-
-// RebalanceOver drives shard.rebalance at a gateway endpoint over the
-// network substrate: a manual channel migration when req.Channel is set,
-// or a skew-driven pass otherwise. Returns the moves the gateway made.
-func RebalanceOver(net *transport.Network, from, endpoint string, req RebalanceRequest) (RebalanceNotice, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return RebalanceNotice{}, fmt.Errorf("middleware: encode rebalance request: %w", err)
-	}
-	reply, err := net.Send(transport.Message{From: from, To: endpoint, Topic: TopicShardRebalance, Payload: b})
-	if err != nil {
-		return RebalanceNotice{}, err
-	}
-	var notice RebalanceNotice
-	if err := json.Unmarshal(reply, &notice); err != nil {
-		return RebalanceNotice{}, fmt.Errorf("middleware: decode rebalance notice: %w", err)
-	}
-	return notice, nil
 }

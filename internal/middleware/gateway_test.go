@@ -16,7 +16,6 @@ import (
 	"dltprivacy/internal/platform/corda"
 	"dltprivacy/internal/platform/fabric"
 	"dltprivacy/internal/platform/quorum"
-	"dltprivacy/internal/transport"
 	"dltprivacy/internal/workload"
 )
 
@@ -267,15 +266,12 @@ func TestGatewaySubmitOverTransport(t *testing.T) {
 	}
 	gw.Bind("deals", backends...)
 
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatalf("AttachTransport: %v", err)
-	}
+	w := frontOf(gw)
 
 	req1 := signedRequest(t, ps[members[0]], "deals", []byte("first"))
-	id1, err := SubmitOver(net, members[0], "gateway", req1)
+	id1, err := w.submit(req1)
 	if err != nil {
-		t.Fatalf("SubmitOver: %v", err)
+		t.Fatalf("submit: %v", err)
 	}
 	if id1 != req1.ID() {
 		t.Fatalf("submission id = %s, want %s", id1, req1.ID())
@@ -287,14 +283,14 @@ func TestGatewaySubmitOverTransport(t *testing.T) {
 	// A tampered remote submission is rejected through the same endpoint.
 	bad := signedRequest(t, ps[members[1]], "deals", []byte("second"))
 	bad.Payload = []byte("altered")
-	if _, err := SubmitOver(net, members[1], "gateway", bad); !errors.Is(err, ErrBadSignature) {
+	if _, err := w.submit(bad); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("tampered remote submission = %v, want ErrBadSignature", err)
 	}
 
 	// Second valid submission fills the batch of two and commits both.
 	req2 := signedRequest(t, ps[members[1]], "deals", []byte("second"))
-	if _, err := SubmitOver(net, members[1], "gateway", req2); err != nil {
-		t.Fatalf("SubmitOver: %v", err)
+	if _, err := w.submit(req2); err != nil {
+		t.Fatalf("submit: %v", err)
 	}
 	stats := gw.Stats()
 	if stats.Ordered != 2 {

@@ -14,7 +14,6 @@ import (
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 	"dltprivacy/internal/telemetry"
-	"dltprivacy/internal/transport"
 )
 
 // Errors returned by the pipeline.
@@ -95,14 +94,11 @@ type Request struct {
 	// content.
 	TraceID uint64
 
-	// TransportID names the transport connection the request arrived on.
-	// It is set by the server-side transport layer (the TCP edge stamps
-	// each connection's identity here before Submit), never by clients,
-	// and never crosses the wire. Sessions opened over an identified
-	// connection are bound to it: the session stage rejects a token
-	// presented from any other TransportID with ErrSessionBound, closing
-	// the token-replay surface. Empty for transports without per-connection
-	// identity (the in-process substrate), where sessions stay unbound.
+	// TransportID names the connection the request arrived on: ServeWire
+	// stamps it from the edge, never from the client. A session opened over
+	// a connection is bound to it, and the session stage rejects its token
+	// from any other TransportID with ErrSessionBound. Empty outside the
+	// edge, where sessions stay unbound.
 	TransportID string
 
 	// holds counts who still holds a request ServeWire borrowed from the
@@ -662,15 +658,12 @@ func (c *Chain) StageNames() []string {
 	return out
 }
 
-// IsTransient reports whether an error is worth retrying: transport
-// partitions (which heal), a sequencing shard between leaders (an election
-// resolves it — usually within one retry backoff), and anything explicitly
-// marked with ErrTransient. Permanent protocol errors (authentication,
-// validation, open breakers) are not; neither is ordering.ErrNoQuorum — a
-// shard that lost its replication quorum needs operator action, not
-// retries.
+// IsTransient reports whether an error is worth retrying: a sequencing
+// shard between leaders (an election resolves it — usually within one retry
+// backoff) and anything explicitly marked with ErrTransient. Permanent
+// protocol errors (authentication, validation, open breakers) are not;
+// neither is ordering.ErrNoQuorum — a shard that lost its replication
+// quorum needs operator action, not retries.
 func IsTransient(err error) bool {
-	return errors.Is(err, ErrTransient) ||
-		errors.Is(err, transport.ErrPartitioned) ||
-		errors.Is(err, ordering.ErrNoLeader)
+	return errors.Is(err, ErrTransient) || errors.Is(err, ordering.ErrNoLeader)
 }

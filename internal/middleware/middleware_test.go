@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -77,6 +78,72 @@ func signedRequest(t testing.TB, p *principal, channel string, payload []byte) *
 		t.Fatalf("SignRequest: %v", err)
 	}
 	return req
+}
+
+// wireFront drives a gateway the way the TCP edge does: every call is one
+// ServeWire under ctx with the payload the edge would carry. Its transport
+// ID is "", so the sessions it opens are unbound. internal/netedge's own
+// tests cover the socket in between.
+type wireFront struct {
+	gw  *Gateway
+	ctx context.Context
+}
+
+func frontOf(gw *Gateway) wireFront { return wireFront{gw, context.Background()} }
+
+func (w wireFront) call(topic string, payload []byte) ([]byte, error) {
+	return w.gw.ServeWire(w.ctx, topic, payload, "")
+}
+
+// submit sends req as a gateway.submit frame and returns the submission ID.
+func (w wireFront) submit(req *Request) (string, error) {
+	b, err := EncodeWireRequest(req, "")
+	if err != nil {
+		return "", err
+	}
+	reply, err := w.call(TopicSubmit, b)
+	return string(reply), err
+}
+
+// open runs p's full signed handshake; openAt stamps its hello at a given
+// time, for gateways on a fake clock.
+func (w wireFront) open(p *principal) (SessionGrant, error) { return w.openWith(new(Handshaker), p) }
+
+func (w wireFront) openAt(p *principal, at time.Time) (SessionGrant, error) {
+	return w.openWith(&Handshaker{Now: func() time.Time { return at }}, p)
+}
+
+func (w wireFront) openWith(h *Handshaker, p *principal) (SessionGrant, error) {
+	return h.Open(w.ctx, p.name, p.cert, p.key, func(_ context.Context, hello []byte) ([]byte, error) {
+		return w.call(TopicSessionOpen, hello)
+	})
+}
+
+func (w wireFront) close(token string) error {
+	_, err := w.call(TopicSessionClose, []byte(token))
+	return err
+}
+
+func (w wireFront) notifyRevocation() (notice RevocationNotice, err error) {
+	err = w.json(TopicRevocationNotify, nil, &notice)
+	return notice, err
+}
+
+func (w wireFront) rebalance(req RebalanceRequest) (notice RebalanceNotice, err error) {
+	b, err := json.Marshal(req)
+	if err == nil {
+		err = w.json(TopicShardRebalance, b, &notice)
+	}
+	return notice, err
+}
+
+// json calls topic and decodes its JSON reply into v.
+func (w wireFront) json(topic string, payload []byte, v any) error {
+	reply, err := w.call(topic, payload)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(reply, v)
 }
 
 // accept is a terminal handler recording the requests that reached it.

@@ -15,7 +15,6 @@ import (
 	"dltprivacy/internal/paillier"
 	"dltprivacy/internal/tee"
 	"dltprivacy/internal/telemetry"
-	"dltprivacy/internal/transport"
 )
 
 // runStage invokes one stage directly with a pass-through terminal,
@@ -481,7 +480,7 @@ func b64encode(b []byte) string {
 
 // TestGatewayPrivacyChain drives the flagship composition — anoncred-gated,
 // range-proof-validated, TEE-attested, envelope-sealed — end to end over
-// the transport substrate, and checks the new stages surface in both
+// ServeWire, and checks the new stages surface in both
 // StageStats and the Prometheus stage-latency histograms.
 func TestGatewayPrivacyChain(t *testing.T) {
 	attrs := []string{"role=member"}
@@ -540,10 +539,7 @@ func TestGatewayPrivacyChain(t *testing.T) {
 		committed = append(committed, b.Txs...)
 		return nil
 	}})
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatal(err)
-	}
+	w := frontOf(gw)
 	reg := telemetry.NewRegistry()
 	if err := gw.RegisterMetrics(reg); err != nil {
 		t.Fatal(err)
@@ -568,7 +564,7 @@ func TestGatewayPrivacyChain(t *testing.T) {
 	if err := AttachAttestation(req, att); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SubmitOver(net, "member", "gateway", req); err != nil {
+	if _, err := w.submit(req); err != nil {
 		t.Fatalf("flagship submission rejected: %v", err)
 	}
 

@@ -92,6 +92,9 @@ func TestEveryErrorHasARejectReason(t *testing.T) {
 			t.Errorf("two rows name the series %s", id)
 		}
 		series[id] = true
+		if RejectError(id) != r.err {
+			t.Errorf("row %s: RejectError = %v, want %v", id, RejectError(id), r.err)
+		}
 		last := i == len(rejectReasons)-1 || rejectReasons[i+1].site != r.site
 		if last != (r.err == nil) {
 			t.Errorf("row %s: a site's catch-all (nil err) must be its last row, and only that", id)
@@ -101,7 +104,8 @@ func TestEveryErrorHasARejectReason(t *testing.T) {
 
 // TestRejectsCarryTheirReason sends one refusal of each kind the wire can
 // produce through ServeWire and reads each back from /metrics under its stage
-// and reason; /statusz keeps the unlabelled total.
+// and reason, which RejectLabel reads off the error; /statusz keeps the
+// unlabelled total.
 func TestRejectsCarryTheirReason(t *testing.T) {
 	gw, _, ps, grants := fastpathGateway(t, "alice", "bob")
 	reg := telemetry.NewRegistry()
@@ -146,8 +150,12 @@ func TestRejectsCarryTheirReason(t *testing.T) {
 		{TopicSessionOpen, []byte("garbage"), `stage="session.open",reason="bad_frame"`},
 		{TopicSessionOpen, staleHello, `stage="session.open",reason="stale_hello"`},
 	} {
-		if _, err := gw.ServeWire(context.Background(), tc.topic, tc.payload, ""); err == nil {
+		_, err := gw.ServeWire(context.Background(), tc.topic, tc.payload, "")
+		if err == nil {
 			t.Fatalf("%s: accepted", tc.series)
+		}
+		if stage, reason, _ := strings.Cut(RejectLabel(err), "/"); `stage="`+stage+`",reason="`+reason+`"` != tc.series {
+			t.Errorf("%s: RejectLabel = %q", tc.series, RejectLabel(err))
 		}
 		var sb strings.Builder
 		if err := reg.WritePrometheus(&sb); err != nil {
@@ -159,6 +167,12 @@ func TestRejectsCarryTheirReason(t *testing.T) {
 	}
 	if got := gw.Stats().Rejected; got != 8 {
 		t.Errorf("Stats().Rejected = %d, want the 8 refusals", got)
+	}
+	// What the gateway did not count carries no label.
+	if _, err := gw.ServeWire(context.Background(), "no.such.topic", nil, ""); err == nil {
+		t.Fatal("unknown topic served")
+	} else if label := RejectLabel(err); label != "" {
+		t.Errorf("an uncounted error is labelled %q", label)
 	}
 }
 

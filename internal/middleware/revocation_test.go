@@ -14,7 +14,6 @@ import (
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
-	"dltprivacy/internal/transport"
 )
 
 // pullRevoker hides a CA's push hook, modelling an out-of-process CA the
@@ -205,7 +204,7 @@ func TestRevocationNewerCertSurvivesOldSerialRevocation(t *testing.T) {
 }
 
 // revocableGatewayConfig is the full revocation-aware pipeline the e2e
-// tests drive over transport.
+// tests drive through ServeWire.
 func revocableGatewayConfig(mode string) Config {
 	params := map[string]string{"ttl": "10m", "idle": "5m", "revokecheck": mode}
 	if mode == "sweep" {
@@ -219,7 +218,7 @@ func revocableGatewayConfig(mode string) Config {
 	}}
 }
 
-// TestGatewayRevocationEndToEnd runs the whole plane over transport in
+// TestGatewayRevocationEndToEnd runs the whole plane through ServeWire in
 // both checking modes: a CA revocation pushes through the gateway into
 // session eviction, key-epoch rotation, audit trail, and stats — and the
 // revoked member cannot open post-revocation envelopes.
@@ -248,14 +247,11 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			}
 			vault := &payloadVault{}
 			gw.Bind("deals", vault)
-			net := transport.New()
-			if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-				t.Fatal(err)
-			}
+			w := frontOf(gw)
 
 			grants := make(map[string]SessionGrant)
 			for _, name := range []string{"alice", "bob"} {
-				grant, err := openSessionOverAt(t, net, "gateway", ps[name], clock.now())
+				grant, err := w.openAt(ps[name], clock.now())
 				if err != nil {
 					t.Fatalf("open session for %s: %v", name, err)
 				}
@@ -264,7 +260,7 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 
 			// Pre-revocation: bob is a recipient of epoch-1 envelopes.
 			req := sessionRequest(ps["alice"], grants["alice"], "deals", []byte("pre-revocation"))
-			if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
+			if _, err := w.submit(req); err != nil {
 				t.Fatalf("pre-revocation submit: %v", err)
 			}
 			envl := vault.parse(t, 0)
@@ -282,17 +278,17 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			// both modes (the push subscription sweeps immediately; the
 			// sweep interval is only the fallback).
 			bobReq := sessionRequest(ps["bob"], grants["bob"], "deals", []byte("x"))
-			if _, err := SubmitOver(net, "bob", "gateway", bobReq); !errors.Is(err, ErrSessionRevoked) {
+			if _, err := w.submit(bobReq); !errors.Is(err, ErrSessionRevoked) {
 				t.Fatalf("revoked principal submit = %v, want ErrSessionRevoked", err)
 			}
 			// Bob cannot re-open a session with the revoked certificate.
-			if _, err := openSessionOverAt(t, net, "gateway", ps["bob"], clock.now()); !errors.Is(err, ErrSessionRevoked) {
+			if _, err := w.openAt(ps["bob"], clock.now()); !errors.Is(err, ErrSessionRevoked) {
 				t.Fatalf("revoked principal re-open = %v, want ErrSessionRevoked", err)
 			}
 
 			// Alice's next envelope rides a fresh epoch bob cannot unwrap.
 			req = sessionRequest(ps["alice"], grants["alice"], "deals", []byte("post-revocation"))
-			if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
+			if _, err := w.submit(req); err != nil {
 				t.Fatalf("post-revocation submit: %v", err)
 			}
 			envl = vault.parse(t, 1)
@@ -350,12 +346,9 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw.Bind("deals", &countingBackend{})
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatal(err)
-	}
+	w := frontOf(gw)
 
-	grant, err := openSessionOverAt(t, net, "gateway", ps["bob"], clock.now())
+	grant, err := w.openAt(ps["bob"], clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,23 +357,23 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 	// Without push and inside the sweep interval, the gateway has not
 	// noticed yet.
 	req := sessionRequest(ps["bob"], grant, "deals", []byte("x"))
-	if _, err := SubmitOver(net, "bob", "gateway", req); err != nil {
+	if _, err := w.submit(req); err != nil {
 		t.Fatalf("submit before notify: %v", err)
 	}
 
-	notice, err := NotifyRevocationOver(net, "ca-admin", "gateway")
+	notice, err := w.notifyRevocation()
 	if err != nil {
-		t.Fatalf("NotifyRevocationOver: %v", err)
+		t.Fatalf("notify revocation: %v", err)
 	}
 	if notice.SessionsRevoked != 1 || notice.Epoch != 1 {
 		t.Fatalf("notice = %+v, want 1 session revoked at epoch 1", notice)
 	}
 	req = sessionRequest(ps["bob"], grant, "deals", []byte("x"))
-	if _, err := SubmitOver(net, "bob", "gateway", req); !errors.Is(err, ErrSessionRevoked) {
+	if _, err := w.submit(req); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("submit after notify = %v, want ErrSessionRevoked", err)
 	}
 	// Idempotent: a second notification finds an empty delta.
-	notice, err = NotifyRevocationOver(net, "ca-admin", "gateway")
+	notice, err = w.notifyRevocation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,21 +523,18 @@ func TestSessionCloseIdempotentOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatal(err)
-	}
-	grant, err := openSessionOverAt(t, net, "gateway", ps["alice"], clock.now())
+	w := frontOf(gw)
+	grant, err := w.openAt(ps["alice"], clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := gw.Sessions().Stats()
 	for i := 0; i < 2; i++ {
-		if err := CloseSessionOver(net, "alice", "gateway", grant.Token); err != nil {
+		if err := w.close(grant.Token); err != nil {
 			t.Fatalf("close %d: %v", i+1, err)
 		}
 	}
-	if err := CloseSessionOver(net, "alice", "gateway", "never-issued"); err != nil {
+	if err := w.close("never-issued"); err != nil {
 		t.Fatalf("close of never-issued token: %v", err)
 	}
 	after := gw.Sessions().Stats()
@@ -756,18 +746,15 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 	}
 	vault := &payloadVault{}
 	gw.Bind("deals", vault)
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatal(err)
-	}
-	aliceGrant, err := openSessionOverAt(t, net, "gateway", ps["alice"], clock.now())
+	w := frontOf(gw)
+	aliceGrant, err := w.openAt(ps["alice"], clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	submit := func(payload string) Envelope {
 		t.Helper()
 		req := sessionRequest(ps["alice"], aliceGrant, "deals", []byte(payload))
-		if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
+		if _, err := w.submit(req); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		return vault.parse(t, len(vault.payloads)-1)
@@ -776,7 +763,7 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 	// Rotation: bob re-enrolls, then the CA revokes his old serial. Bob's
 	// old-cert session dies (serial-exact), but he stays an envelope
 	// recipient with no interruption.
-	bobOldGrant, err := openSessionOverAt(t, net, "gateway", ps["bob"], clock.now())
+	bobOldGrant, err := w.openAt(ps["bob"], clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,10 +775,10 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 	ps["bob"].cert = renewed
 	ca.Revoke(oldCert.Serial)
 	stale := sessionRequest(ps["bob"], bobOldGrant, "deals", []byte("x"))
-	if _, err := SubmitOver(net, "bob", "gateway", stale); !errors.Is(err, ErrSessionRevoked) {
+	if _, err := w.submit(stale); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("old-cert session after rotation = %v, want ErrSessionRevoked", err)
 	}
-	if _, err := openSessionOverAt(t, net, "gateway", ps["bob"], clock.now()); err != nil {
+	if _, err := w.openAt(ps["bob"], clock.now()); err != nil {
 		t.Fatalf("re-open under renewed cert: %v", err)
 	}
 	envl := submit("post-rotation")

@@ -12,7 +12,6 @@ import (
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
-	"dltprivacy/internal/transport"
 )
 
 // wireTo is the network between a Handshaker and a manager, without the
@@ -539,12 +538,12 @@ func TestResumeFallsBackWhenGatewayLostItsTable(t *testing.T) {
 	}
 }
 
-// TestSubstrateCallerResumesWithItsOwnHandshaker: OpenSessionOver keeps
-// nothing between calls, so it always signs; a caller on the substrate that
-// holds a Handshaker resumes through the same round trip.
+// TestSubstrateCallerResumesWithItsOwnHandshaker: a caller that keeps no
+// Handshaker between opens always signs; one that holds a Handshaker resumes
+// through the same ServeWire round trip, with no connection identity.
 func TestSubstrateCallerResumesWithItsOwnHandshaker(t *testing.T) {
-	gw, net, ps, grants := fastpathGateway(t, "mac", "alice")
-	again, err := OpenSessionOver(net, "alice", "gateway", ps["alice"].cert, ps["alice"].key)
+	gw, w, ps, grants := fastpathGateway(t, "mac", "alice")
+	again, err := w.open(ps["alice"])
 	if err != nil || grants["alice"].Resumed || again.Resumed {
 		t.Fatalf("the helper's second open: %+v, %v; want another full handshake", again, err)
 	}
@@ -552,7 +551,7 @@ func TestSubstrateCallerResumesWithItsOwnHandshaker(t *testing.T) {
 	open := func() SessionGrant {
 		t.Helper()
 		grant, err := client.Open(context.Background(), "alice", ps["alice"].cert, ps["alice"].key, func(_ context.Context, hello []byte) ([]byte, error) {
-			return net.Send(transport.Message{From: "alice", To: "gateway", Topic: TopicSessionOpen, Payload: hello})
+			return w.call(TopicSessionOpen, hello)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -568,7 +567,7 @@ func TestSubstrateCallerResumesWithItsOwnHandshaker(t *testing.T) {
 	}
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: resumed.Token}
 	MACRequest(req, resumed.MacKey)
-	if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
+	if _, err := w.submit(req); err != nil {
 		t.Fatalf("submission on the resumed session: %v", err)
 	}
 	if st := gw.Stats().Sessions; st.Resumed != 1 || st.ResumeMisses != 0 {

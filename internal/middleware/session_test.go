@@ -15,7 +15,6 @@ import (
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
-	"dltprivacy/internal/transport"
 )
 
 // enrollAt registers identities with a CA running on the given clock, so
@@ -75,16 +74,6 @@ func openSession(t testing.TB, mgr *SessionManager, p *principal) SessionGrant {
 		t.Fatalf("Open session for %s: %v", p.name, err)
 	}
 	return grant
-}
-
-// openSessionOverAt is OpenSessionOver with an injected hello timestamp,
-// for transport tests running the gateway on a fake clock.
-func openSessionOverAt(t testing.TB, net *transport.Network, endpoint string, p *principal, at time.Time) (SessionGrant, error) {
-	t.Helper()
-	client := &Handshaker{Now: func() time.Time { return at }}
-	return client.Open(context.Background(), p.name, p.cert, p.key, func(_ context.Context, hello []byte) ([]byte, error) {
-		return net.Send(transport.Message{From: p.name, To: endpoint, Topic: TopicSessionOpen, Payload: hello})
-	})
 }
 
 func TestSessionAmortizedAuthn(t *testing.T) {
@@ -449,7 +438,7 @@ func TestEncryptKeyCacheEpochsAndRotation(t *testing.T) {
 }
 
 // sessionChainConfig is the dual-path pipeline the session tests drive
-// over transport: session-or-authn, cached envelope encryption, audit.
+// through ServeWire: session-or-authn, cached envelope encryption, audit.
 func sessionChainConfig(ttl, idle string) Config {
 	return Config{Stages: []StageConfig{
 		{Name: StageSession, Params: map[string]string{"ttl": ttl, "idle": idle}},
@@ -474,14 +463,11 @@ func TestGatewaySessionOverTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw.Bind("deals", &countingBackend{})
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatalf("AttachTransport: %v", err)
-	}
+	w := frontOf(gw)
 
-	grant, err := openSessionOverAt(t, net, "gateway", ps["alice"], clock.now())
+	grant, err := w.openAt(ps["alice"], clock.now())
 	if err != nil {
-		t.Fatalf("open session over transport: %v", err)
+		t.Fatalf("open session over the wire: %v", err)
 	}
 	if mgr := gw.Sessions(); mgr == nil || mgr.Len() != 1 {
 		t.Fatalf("gateway session manager not holding the session")
@@ -490,7 +476,7 @@ func TestGatewaySessionOverTransport(t *testing.T) {
 	// Token-bound submissions carry no certificate at all.
 	for i := 0; i < 3; i++ {
 		req := sessionRequest(ps["alice"], grant, "deals", []byte(fmt.Sprintf("trade-%d", i)))
-		if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
+		if _, err := w.submit(req); err != nil {
 			t.Fatalf("session submit %d: %v", i, err)
 		}
 	}
@@ -500,27 +486,27 @@ func TestGatewaySessionOverTransport(t *testing.T) {
 
 	// A forged token is rejected with the distinct no-session error.
 	forged := sessionRequest(ps["alice"], SessionGrant{Token: "feedfacefeedface"}, "deals", []byte("x"))
-	if _, err := SubmitOver(net, "alice", "gateway", forged); !errors.Is(err, ErrNoSession) {
+	if _, err := w.submit(forged); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("forged token = %v, want ErrNoSession", err)
 	}
 
 	// An expired session is rejected with the distinct expiry error.
 	clock.advance(11 * time.Minute)
 	expired := sessionRequest(ps["alice"], grant, "deals", []byte("x"))
-	if _, err := SubmitOver(net, "alice", "gateway", expired); !errors.Is(err, ErrSessionExpired) {
+	if _, err := w.submit(expired); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("expired session = %v, want ErrSessionExpired", err)
 	}
 
 	// Close, then the token is gone.
-	grant2, err := openSessionOverAt(t, net, "gateway", ps["bob"], clock.now())
+	grant2, err := w.openAt(ps["bob"], clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CloseSessionOver(net, "bob", "gateway", grant2.Token); err != nil {
-		t.Fatalf("CloseSessionOver: %v", err)
+	if err := w.close(grant2.Token); err != nil {
+		t.Fatalf("close session: %v", err)
 	}
 	closed := sessionRequest(ps["bob"], grant2, "deals", []byte("x"))
-	if _, err := SubmitOver(net, "bob", "gateway", closed); !errors.Is(err, ErrNoSession) {
+	if _, err := w.submit(closed); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("closed session = %v, want ErrNoSession", err)
 	}
 
@@ -541,7 +527,7 @@ func (f *flakyOrderer) Submit(tx ledger.Transaction) error {
 	f.mu.Lock()
 	f.submits++
 	f.mu.Unlock()
-	return fmt.Errorf("orderer unreachable: %w", transport.ErrPartitioned)
+	return fmt.Errorf("orderer unreachable: %w", ErrTransient)
 }
 
 func (f *flakyOrderer) Subscribe(channel string, deliver ordering.DeliverFunc) {}
@@ -554,7 +540,9 @@ func (f *flakyOrderer) count() int {
 	return f.submits
 }
 
-func TestAttachTransportPlumbsCallerContext(t *testing.T) {
+// TestServeWirePlumbsCallerContext: ServeWire runs the chain under the
+// caller's context, as the edge's serving context reaches every request.
+func TestServeWirePlumbsCallerContext(t *testing.T) {
 	cfg := Config{Stages: []StageConfig{
 		{Name: StageRetry, Params: map[string]string{"attempts": "3", "backoff": "0s"}},
 	}}
@@ -569,12 +557,8 @@ func TestAttachTransportPlumbsCallerContext(t *testing.T) {
 
 	// A live caller context lets the retry stage run all attempts.
 	live := &flakyOrderer{}
-	net := transport.New()
-	if err := build(live).AttachTransport(context.Background(), net, "gw-live"); err != nil {
-		t.Fatal(err)
-	}
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("x")}
-	if _, err := SubmitOver(net, "alice", "gw-live", req); !IsTransient(err) {
+	if _, err := frontOf(build(live)).submit(req); !IsTransient(err) {
 		t.Fatalf("live context submit = %v, want transient exhaustion", err)
 	}
 	if live.count() != 3 {
@@ -586,10 +570,7 @@ func TestAttachTransportPlumbsCallerContext(t *testing.T) {
 	canceled := &flakyOrderer{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := build(canceled).AttachTransport(ctx, net, "gw-canceled"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SubmitOver(net, "alice", "gw-canceled", req); !errors.Is(err, context.Canceled) {
+	if _, err := (wireFront{build(canceled), ctx}).submit(req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context submit = %v, want context.Canceled", err)
 	}
 	if canceled.count() != 1 {

@@ -15,7 +15,6 @@ import (
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/telemetry"
-	"dltprivacy/internal/transport"
 )
 
 // fnStage is a scriptable stage for instrumentation tests.
@@ -197,11 +196,8 @@ func TestGatewayTracingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.New()
-	if err := gw.AttachTransport(context.Background(), net, "gateway"); err != nil {
-		t.Fatal(err)
-	}
-	grant, err := OpenSessionOver(net, "alice", "gateway", ps["alice"].cert, ps["alice"].key)
+	w := frontOf(gw)
+	grant, err := w.open(ps["alice"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +205,7 @@ func TestGatewayTracingEndToEnd(t *testing.T) {
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("x"),
 		SessionToken: grant.Token, TraceID: 0xabc123}
 	MACRequest(req, grant.MacKey)
-	if _, err := SubmitOver(net, "alice", "gateway", req); err != nil {
+	if _, err := w.submit(req); err != nil {
 		t.Fatal(err)
 	}
 	recs := gw.Tracer().Snapshot()

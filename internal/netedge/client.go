@@ -187,7 +187,7 @@ func (c *Client) readLoop() {
 				res.b = append([]byte(nil), f.body...)
 			}
 		case frameError:
-			res.err = &WireError{Msg: string(f.body)}
+			res.err = &WireError{Label: f.topic, Msg: string(f.body)}
 		default:
 			c.fail(fmt.Errorf("%w: server sent kind 0x%02x", ErrBadFrame, f.kind))
 			return
@@ -254,7 +254,8 @@ func (c *Client) await(ctx context.Context, id uint64, ch chan callResult) (res 
 
 // Call sends one request frame and waits for its reply. payload is only
 // read before Call returns; the reply is the caller's to keep. Server-side
-// rejections come back as *WireError carrying the gateway's error text.
+// rejections come back as *WireError carrying the gateway's error text and
+// the refusal's label.
 func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte, error) {
 	// No PendingCall escapes a synchronous call, so its reply channel can
 	// come from the pool — and go back once its result was received from

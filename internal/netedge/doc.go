@@ -1,7 +1,7 @@
-// Package netedge is the real network edge of the gateway: a TCP listener
-// and dialer that carry the middleware wire protocol — 0xDC frames — over
-// actual sockets, where everything before it ran on the in-process
-// transport substrate.
+// Package netedge is the network edge of the gateway and its one way in: a
+// TCP listener that hands every frame to middleware.Gateway.ServeWire, and
+// the dialer that carries the middleware wire protocol — 0xDC frames — to
+// it.
 //
 // # Stream framing
 //
@@ -10,17 +10,23 @@
 //	uint32 (big endian)  length of everything that follows
 //	byte                 kind: 0x01 request, 0x02 ok reply, 0x03 error reply
 //	uvarint              request id (client-assigned, echoed in the reply)
-//	requests only:       uvarint topic length, topic bytes
+//	requests:            uvarint topic length, topic bytes
+//	error replies:       uvarint label length, label bytes
 //	rest                 payload (reply text for error replies)
 //
-// The payload is the same bytes the in-process transport carries for the
-// topic: a 0xDC request frame for gateway.submit, a 0xDC hello frame
-// (full or resume) for session.open, answered by a grant frame, a bare
-// token for session.close. Length prefixes are validated against the
-// configured maximum before any allocation, and the payload is handed to
-// the handler zero-copy from the connection's reused read buffer — the
-// decode path from socket to middleware.ParseEnvelope never copies a
-// submission.
+// An error reply's label is "stage/reason", the
+// confmw_gateway_rejected_total series the gateway counted the refusal
+// under, or empty for an error it did not count; WireError unwraps to that
+// row's sentinel, so errors.Is(err, middleware.ErrNoSession) holds on the
+// client.
+//
+// The payload is what ServeWire takes for the topic: a 0xDC request frame
+// for gateway.submit, a 0xDC hello frame (full or resume) for session.open,
+// answered by a grant frame, a bare token for session.close. Length
+// prefixes are validated against the configured maximum before any
+// allocation, and the payload is handed to the handler zero-copy from the
+// connection's reused read buffer — the decode path from socket to
+// middleware.ParseEnvelope never copies a submission.
 //
 // # Connections, backpressure, and deadlines
 //
@@ -47,8 +53,8 @@
 // request (middleware.Request.TransportID) and on every session opened
 // through it (SessionManager.OpenBound): a session token minted on one
 // connection is rejected with middleware.ErrSessionBound when presented
-// over any other, closing the token-replay surface left open by
-// transport-less sessions. When a connection dies the server's close hook
+// over any other, closing the token-replay surface an unbound session
+// leaves open. When a connection dies the server's close hook
 // (cmd/gateway wires SessionManager.EvictTransport) reaps its bound
 // sessions immediately.
 //

@@ -12,9 +12,8 @@ import (
 
 // TopicEnroll is the trust-bootstrap topic a remote-process client uses to
 // get its public key certified by the gateway's CA before it can open
-// sessions. The in-process world never needed it — client and gateway
-// shared a CA object — but separate processes share nothing but the
-// socket.
+// sessions: separate processes share nothing but the socket, not a CA
+// object.
 const TopicEnroll = "pki.enroll"
 
 // enrollRequest is the wire form of an enrollment: an identity claiming a

@@ -32,7 +32,7 @@ var (
 const (
 	frameRequest = 0x01 // client -> server: uvarint id, topic, payload
 	frameOK      = 0x02 // server -> client: uvarint id, reply payload
-	frameError   = 0x03 // server -> client: uvarint id, error text
+	frameError   = 0x03 // server -> client: uvarint id, refusal label, error text
 )
 
 // DefaultMaxFrame bounds a frame's encoded size (length prefix excluded)
@@ -55,15 +55,15 @@ func reuse(b []byte) []byte {
 }
 
 // appendFrame encodes one stream frame — length prefix, kind, id, topic
-// (requests only; pass "" for replies), body — into dst and returns the
-// extended slice. The frame is built in one pass with the length patched
+// (a request's topic, an error reply's refusal label; not on an ok reply),
+// body — into dst and returns the extended slice. The frame is built in one pass with the length patched
 // in, so callers can encode into a pooled buffer.
 func appendFrame(dst []byte, kind byte, id uint64, topic string, body []byte) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length placeholder
 	dst = append(dst, kind)
 	dst = binary.AppendUvarint(dst, id)
-	if kind == frameRequest {
+	if kind != frameOK {
 		dst = binary.AppendUvarint(dst, uint64(len(topic)))
 		dst = append(dst, topic...)
 	}
@@ -72,9 +72,9 @@ func appendFrame(dst []byte, kind byte, id uint64, topic string, body []byte) []
 	return dst
 }
 
-// frame is one decoded stream frame. topic is set for requests only; body
-// aliases the read buffer it was parsed from and is valid until the next
-// read on that buffer.
+// frame is one decoded stream frame. topic is a request's topic or an error
+// reply's refusal label (see WireError); body aliases the read buffer it was
+// parsed from and is valid until the next read on that buffer.
 type frame struct {
 	kind  byte
 	id    uint64
@@ -120,7 +120,7 @@ func parseFrame(b []byte, last string) (frame, error) {
 	f.id = id
 	b = b[n:]
 	switch f.kind {
-	case frameRequest:
+	case frameRequest, frameError:
 		tl, n := binary.Uvarint(b)
 		if n <= 0 {
 			return f, fmt.Errorf("%w: truncated topic length", ErrBadFrame)
@@ -134,7 +134,7 @@ func parseFrame(b []byte, last string) (frame, error) {
 			f.topic = topicString(b[:tl])
 		}
 		f.body = b[tl:]
-	case frameOK, frameError:
+	case frameOK:
 		f.body = b
 	default:
 		return f, fmt.Errorf("%w: unknown frame kind 0x%02x", ErrBadFrame, f.kind)
@@ -182,12 +182,18 @@ func readFrameTopic(br *bufio.Reader, buf []byte, maxFrame int, last string) (fr
 }
 
 // WireError is a server-side rejection carried back over the stream: the
-// remote error's text, which preserves the middleware sentinel messages
-// ("session token bound to another connection", "malformed binary frame",
-// ...) even though the error values themselves cannot cross a socket.
+// error frame's label, "stage/reason" of the confmw_gateway_rejected_total
+// series the gateway counted it under (middleware.RejectLabel; empty for an
+// error it did not count), and the error's text.
 type WireError struct {
-	Msg string
+	Label string
+	Msg   string
 }
 
 // Error implements error.
 func (e *WireError) Error() string { return "netedge: server: " + e.Msg }
+
+// Unwrap returns the error the label's row of the gateway's vocabulary
+// counts (middleware.RejectError), so errors.Is(err, middleware.ErrNoSession)
+// holds across the socket.
+func (e *WireError) Unwrap() error { return middleware.RejectError(e.Label) }

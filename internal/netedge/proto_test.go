@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -16,16 +17,20 @@ import (
 // over the limit fails with ErrFrameTooBig before the buffer grows; what is
 // returned aliases the read buffer and nothing else; every frame the
 // decoder accepts re-encodes (appendFrame) to one that decodes the same;
-// and a reader that hands each request's topic to the next read, as the
-// server's does to save the allocation, decodes exactly the same frames.
+// a reader that hands each request's topic to the next read, as the
+// server's does to save the allocation, decodes exactly the same frames;
+// and an error reply's label unwraps to a sentinel only when it names a
+// stage and a reason.
 func FuzzStreamFrame(f *testing.F) {
 	const maxFrame = 1 << 12
 	request := appendFrame(nil, frameRequest, 7, "gateway.submit", []byte("payload"))
 	ok := appendFrame(nil, frameOK, 7, "", []byte("tx-id"))
-	failed := appendFrame(nil, frameError, 1<<40, "", []byte("middleware: no such session"))
+	failed := appendFrame(nil, frameError, 1<<40, "session/no_session", []byte("middleware: no such session"))
 	f.Add(request)
 	f.Add(ok)
 	f.Add(failed)
+	f.Add(appendFrame(nil, frameError, 2, "", []byte("gateway: unknown topic")))
+	f.Add(appendFrame(nil, frameError, 3, "session/", nil))
 	f.Add(append(append([]byte(nil), request...), ok...))
 	// Two requests on one topic, then another topic.
 	f.Add(appendFrame(append(append([]byte(nil), request...), request...), frameRequest, 9, "session.open", nil))
@@ -75,6 +80,12 @@ func FuzzStreamFrame(f *testing.F) {
 			}
 			if tail < len(fr.topic) || string(buf[tail-len(fr.topic):tail]) != fr.topic {
 				t.Fatalf("topic %q is not the bytes before the body", fr.topic)
+			}
+			if fr.kind == frameError {
+				we := &WireError{Label: fr.topic, Msg: string(fr.body)}
+				if sentinel := errors.Unwrap(we); sentinel != nil && !strings.Contains(fr.topic, "/") {
+					t.Fatalf("label %q names no stage and reason, yet unwraps to %v", fr.topic, sentinel)
+				}
 			}
 			again, _, err := readFrame(bufio.NewReader(bytes.NewReader(
 				appendFrame(nil, fr.kind, fr.id, fr.topic, fr.body))), nil, maxFrame)

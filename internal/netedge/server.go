@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dltprivacy/internal/middleware"
 	"dltprivacy/internal/telemetry"
 )
 
@@ -386,7 +387,7 @@ func (s *Server) readLoop(ec *edgeConn) {
 		reply, herr := s.h.ServeWire(s.ctx, f.topic, f.body, ec.id)
 		bp := framePool.Get().(*[]byte)
 		if herr != nil {
-			*bp = appendFrame((*bp)[:0], frameError, f.id, "", []byte(herr.Error()))
+			*bp = appendFrame((*bp)[:0], frameError, f.id, middleware.RejectLabel(herr), []byte(herr.Error()))
 		} else {
 			*bp = appendFrame((*bp)[:0], frameOK, f.id, "", reply)
 		}

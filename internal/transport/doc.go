@@ -1,17 +1,12 @@
-// Package transport provides the in-memory network substrate the platform
-// models and most tests run on: named endpoints, unicast and multicast
-// delivery, partition faults, and delivery interception. Delivery is
-// synchronous and deterministic, which keeps the experiment suite
-// reproducible; the paper's claims concern information flow, not
-// asynchrony.
+// Package transport is an in-memory message bus: named endpoints,
+// synchronous request/reply delivery, and partition faults. Delivery is
+// deterministic, which keeps the MPC model reproducible; the paper's claims
+// concern information flow, not asynchrony. internal/mpc is its one caller
+// (NetworkedSecureSum runs the secure-sum parties as endpoints, and its
+// tests partition them).
 //
-// The gateway registers here as an endpoint serving the wire topics
-// (gateway.submit, session.open, session.close, revocation.notify), so a
-// full pipeline round trip — codec decode, session resolve, stage chain,
-// ordering — runs in-process with zero sockets. internal/netedge is this
-// package's socket-backed sibling: it carries the same topics and the
-// same wire payloads over real TCP, so anything developed against the
-// in-memory substrate serves unchanged on the network edge. Choose
-// transport for determinism (tests, experiments, benchmarks of the chain
-// itself); choose netedge when the process boundary is the point.
+// It is not a way into the gateway. Requests reach the gateway only through
+// middleware.Gateway.ServeWire, which the TCP edge (internal/netedge) runs;
+// the repository's fence test keeps this package out of the serving path's
+// imports.
 package transport

@@ -103,32 +103,9 @@ func (n *Network) Send(msg Message) ([]byte, error) {
 	return reply, nil
 }
 
-// Multicast sends the same payload to several endpoints, returning the
-// first error encountered (delivery stops there, modelling a sender that
-// aborts a flow on failure).
-func (n *Network) Multicast(from, topic string, payload []byte, to []string) error {
-	for _, dst := range to {
-		if _, err := n.Send(Message{From: from, To: dst, Topic: topic, Payload: payload}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Stats reports messages and bytes delivered so far.
 func (n *Network) Stats() (messages, bytes int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.sent, n.bytes
-}
-
-// Endpoints returns the registered endpoint names.
-func (n *Network) Endpoints() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.handlers))
-	for name := range n.handlers {
-		out = append(out, name)
-	}
-	return out
 }

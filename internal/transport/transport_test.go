@@ -74,37 +74,6 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
-func TestMulticast(t *testing.T) {
-	n := New()
-	var got []string
-	for _, name := range []string{"p1", "p2", "p3"} {
-		name := name
-		if err := n.Register(name, func(m Message) ([]byte, error) {
-			got = append(got, name)
-			return nil, nil
-		}); err != nil {
-			t.Fatalf("Register: %v", err)
-		}
-	}
-	if err := n.Multicast("src", "topic", []byte("x"), []string{"p1", "p2", "p3"}); err != nil {
-		t.Fatalf("Multicast: %v", err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("delivered to %d endpoints, want 3", len(got))
-	}
-}
-
-func TestMulticastStopsOnError(t *testing.T) {
-	n := New()
-	if err := n.Register("ok", func(Message) ([]byte, error) { return nil, nil }); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	err := n.Multicast("src", "t", nil, []string{"ok", "missing", "ok"})
-	if !errors.Is(err, ErrUnknownEndpoint) {
-		t.Fatalf("Multicast = %v, want ErrUnknownEndpoint", err)
-	}
-}
-
 func TestStats(t *testing.T) {
 	n := New()
 	if err := n.Register("a", func(Message) ([]byte, error) { return nil, nil }); err != nil {
@@ -127,15 +96,5 @@ func TestHandlerErrorWrapped(t *testing.T) {
 	}
 	if _, err := n.Send(Message{From: "x", To: "a"}); !errors.Is(err, sentinel) {
 		t.Fatalf("Send = %v, want wrapped sentinel", err)
-	}
-}
-
-func TestEndpoints(t *testing.T) {
-	n := New()
-	h := func(Message) ([]byte, error) { return nil, nil }
-	_ = n.Register("a", h)
-	_ = n.Register("b", h)
-	if got := len(n.Endpoints()); got != 2 {
-		t.Fatalf("Endpoints = %d, want 2", got)
 	}
 }
