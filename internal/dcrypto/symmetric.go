@@ -54,26 +54,12 @@ func NewAEAD(key []byte) (cipher.AEAD, error) { return newAEAD(key) }
 // EncryptWithAEAD seals like EncryptSymmetric under a prebuilt AEAD: a
 // random prepended nonce, a single exactly-sized output allocation.
 func EncryptWithAEAD(aead cipher.AEAD, plaintext, associatedData []byte) ([]byte, error) {
-	return AppendEncryptWithAEAD(make([]byte, 0, SealedSize(aead, len(plaintext))), aead, plaintext, associatedData)
-}
-
-// SealedSize is the exact ciphertext length EncryptWithAEAD (and its append
-// form) produces for n plaintext bytes under aead: nonce, body, and tag.
-func SealedSize(aead cipher.AEAD, n int) int {
-	return aead.NonceSize() + n + aead.Overhead()
-}
-
-// AppendEncryptWithAEAD seals like EncryptWithAEAD but appends the
-// ciphertext to dst, so a caller framing it inside a larger buffer (the
-// binary envelope) pays one allocation for the whole frame. Give dst
-// SealedSize free capacity. plaintext must not overlap dst.
-func AppendEncryptWithAEAD(dst []byte, aead cipher.AEAD, plaintext, associatedData []byte) ([]byte, error) {
-	base, ns := len(dst), aead.NonceSize()
-	out := append(dst, make([]byte, ns)...)
-	if _, err := io.ReadFull(rand.Reader, out[base:]); err != nil {
+	ns := aead.NonceSize()
+	out := make([]byte, ns, ns+len(plaintext)+aead.Overhead())
+	if _, err := io.ReadFull(rand.Reader, out); err != nil {
 		return nil, fmt.Errorf("read random: %w", err)
 	}
-	return aead.Seal(out, out[base:], plaintext, associatedData), nil
+	return aead.Seal(out, out, plaintext, associatedData), nil
 }
 
 // EncryptSegmentsWithAEAD seals N plaintext segments with a single AEAD
@@ -82,9 +68,9 @@ func AppendEncryptWithAEAD(dst []byte, aead cipher.AEAD, plaintext, associatedDa
 // place, so a group of N payloads pays one random-nonce read, one GCM pass,
 // and one authentication tag instead of N of each. The frame is staged
 // directly inside the output buffer and encrypted in place — the whole
-// group seal is a single exactly-sized allocation. The middleware batch
-// stage's group seal is the intended caller; DecryptSegmentsWithAEAD
-// reverses it.
+// group seal is a single exactly-sized allocation. The middleware envelope
+// seals through its append form, a group of one for a single submission;
+// DecryptSegmentsWithAEAD reverses it.
 func EncryptSegmentsWithAEAD(aead cipher.AEAD, segments [][]byte, associatedData []byte) ([]byte, error) {
 	out := make([]byte, 0, SealedSegmentsSize(aead, segments))
 	return AppendEncryptSegmentsWithAEAD(out, aead, segments, associatedData)
@@ -104,7 +90,7 @@ func SealedSegmentsSize(aead cipher.AEAD, segments [][]byte) int {
 
 // AppendEncryptSegmentsWithAEAD seals like EncryptSegmentsWithAEAD but
 // appends the ciphertext to dst instead of allocating its own buffer, so a
-// caller staging the sealed group inside a larger frame (the binary group
+// caller staging the sealed segments inside a larger frame (the binary
 // envelope) pays one allocation for the whole frame rather than a
 // ciphertext buffer plus a copy. Give dst SealedSegmentsSize free capacity;
 // with less, append reallocates and the fusion benefit is lost, but the

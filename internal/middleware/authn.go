@@ -14,10 +14,12 @@ import (
 // signature must verify against the certified key (§2.1 PKI onboarding).
 // The certificate check goes through a pki.Verifier, so a certificate
 // presented again costs a fingerprint, not the CA's ECDSA verification; the
-// request signature is checked every time.
+// request signature is checked every time. With a revocation plane
+// (Env.Revoker) a revoked certificate is refused too.
 type Authn struct {
-	certs *pki.Verifier
-	now   func() time.Time
+	certs   *pki.Verifier
+	now     func() time.Time
+	revoker Revoker // nil: no revocation check
 }
 
 // NewAuthn creates the authn stage pinned to the consortium CA key.
@@ -54,6 +56,9 @@ func (a *Authn) Handle(ctx context.Context, req *Request, next Handler) error {
 	}
 	if err := a.certs.Verify(*req.Cert, a.now()); err != nil {
 		return fmt.Errorf("authn %s: %w", req.Principal, err)
+	}
+	if a.revoker != nil && a.revoker.IsRevoked(req.Cert.Serial) {
+		return fmt.Errorf("authn %s: %w (serial %d)", req.Principal, pki.ErrRevoked, req.Cert.Serial)
 	}
 	if req.Cert.Identity != req.Principal {
 		return fmt.Errorf("%w: cert for %q, request by %q",

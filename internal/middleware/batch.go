@@ -29,10 +29,9 @@ var ErrBatchRelease = errors.New("middleware: batch release failed")
 // In group-seal mode (groupseal=on, wired by Config.Build to the encrypt
 // stage's epoch key cache) requests are bucketed per (channel, epoch) and a
 // full bucket is sealed with ONE AEAD invocation over the concatenated
-// payloads, sharing the epoch's precomputed wrapped-key table; the group
-// crosses to the orderer as a single GroupEnvelope transaction under the
-// BatchPrincipal. The per-transaction seal and ordering cost amortizes to
-// 1/size.
+// payloads behind the epoch's precomputed frame head; the group crosses to
+// the orderer as one envelope of N payloads under the BatchPrincipal. The
+// per-transaction seal and ordering cost amortizes to 1/size.
 //
 // Error semantics follow the ordering service's batching: failures from a
 // group release surface to the flushing caller (the filling submission or
@@ -43,8 +42,8 @@ var ErrBatchRelease = errors.New("middleware: batch release failed")
 // commit stats.
 type Batch struct {
 	size int
-	// enc is the encrypt stage sealing groups, non-nil exactly in
-	// group-seal mode; set by Config.Build before traffic.
+	// enc is the encrypt stage whose epoch keys tag the buffered requests,
+	// non-nil exactly in group-seal mode; set by Config.Build before traffic.
 	enc *Encrypt
 	// fullMeta is the MetaBatch value of a full-size group, precomputed so
 	// the steady-state release allocates no formatting scratch.
@@ -92,7 +91,7 @@ func (b *Batch) Name() string { return StageBatch }
 func (b *Batch) bindEncrypt(enc *Encrypt) {
 	b.enc = enc
 	b.groups = make(map[*channelKey]*groupBucket)
-	b.fullMeta = GroupEnvelopeScheme + " n=" + strconv.Itoa(b.size)
+	b.fullMeta = EnvelopeScheme + " n=" + strconv.Itoa(b.size)
 }
 
 // GroupSeal reports whether the stage runs in group-seal mode.
@@ -316,11 +315,11 @@ func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, g *groupBucket
 	start := time.Now()
 	group := g.reqs
 	channel := group[0].Channel
-	sealed, relErr := b.enc.sealGroup(ck, channel, g.payloads)
+	sealed, sum, relErr := ck.seal(g.payloads)
 	if relErr == nil {
 		val := b.fullMeta
 		if len(group) != b.size {
-			val = GroupEnvelopeScheme + " n=" + strconv.Itoa(len(group))
+			val = EnvelopeScheme + " n=" + strconv.Itoa(len(group))
 		}
 		greq := &Request{
 			Channel:       channel,
@@ -331,6 +330,9 @@ func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, g *groupBucket
 			encrypted:     true,
 			metaOwned:     true,
 		}
+		// The seal's sum primes the ledger digest: the group frame is never
+		// hashed again.
+		greq.setPayloadSum(sealed, sum)
 		relErr = next(ctx, greq)
 	}
 	elapsed := time.Since(start)

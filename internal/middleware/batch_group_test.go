@@ -56,18 +56,15 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 		if greq.Principal != BatchPrincipal {
 			t.Errorf("group principal = %q, want %q", greq.Principal, BatchPrincipal)
 		}
-		if got, want := greq.Meta[MetaBatch], GroupEnvelopeScheme+" n=3"; got != want {
+		if got, want := greq.Meta[MetaBatch], EnvelopeScheme+" n=3"; got != want {
 			t.Errorf("batch meta = %q, want %q", got, want)
 		}
-		if !bytes.HasPrefix(greq.Payload, []byte{binaryMagic, binaryKindGroupEnvelope}) {
-			t.Fatalf("group payload starts % x, want a group envelope frame", greq.Payload[:2])
-		}
-		genv, err := ParseGroupEnvelope(greq.Payload)
+		genv, err := ParseEnvelope(greq.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if genv.Channel != "deals" || genv.Count != 3 {
-			t.Fatalf("group envelope channel/count = %s/%d, want deals/3", genv.Channel, genv.Count)
+		if genv.Channel != "deals" {
+			t.Fatalf("group envelope channel = %s, want deals", genv.Channel)
 		}
 		// Every channel member opens the group back to the exact
 		// submission payloads.

@@ -33,10 +33,9 @@ var ErrBadFrame = errors.New("middleware: malformed binary frame")
 // and re-encoding them field-by-field here would couple the framing to pki
 // internals.
 const (
-	binaryMagic             = 0xDC
-	binaryKindRequest       = 0x01
-	binaryKindEnvelope      = 0x02
-	binaryKindGroupEnvelope = 0x03
+	binaryMagic        = 0xDC
+	binaryKindRequest  = 0x01
+	binaryKindEnvelope = 0x02 // single and group alike; 0x03, the old group layout, is retired
 	// The session handshake's four messages (handshake.go).
 	binaryKindHello      = 0x04
 	binaryKindResume     = 0x05

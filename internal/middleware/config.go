@@ -125,8 +125,9 @@ type Env struct {
 	// Sessions overrides the session stage's manager; when nil the stage
 	// builds its own from CAKey and the ttl/idle parameters.
 	Sessions *SessionManager
-	// Revoker is the revocation plane (session revocation checks, envelope
-	// member exclusion, the gateway's revocation.notify topic). Required
+	// Revoker is the revocation plane (session revocation checks, the authn
+	// stage's refusal of a revoked certificate, envelope member exclusion,
+	// the gateway's revocation.notify topic). Required
 	// when the session stage sets revokecheck to anything but "off". A
 	// RevocationSource here is subscribed by the gateway so revocations
 	// propagate on push.

@@ -151,7 +151,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 					continue
 				}
 				// Audit sits before batch: it saw each member's plaintext.
-				genv, err := ParseGroupEnvelope(tx.Payload)
+				genv, err := ParseEnvelope(tx.Payload)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 // the encrypt stage passes a sealed request on, SHA-256 of the new payload
 // is already memoised — resumed from the key's hash state, never computed
 // over the frame — so audit, the terminal handler and the ledger digest all
-// reuse it. The uncached stage rides the same sealFrame, so it holds too.
+// reuse it. The uncached stage rides the same seal, so it holds too.
 func TestEncryptHandsDownstreamAMemoisedSum(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob")
 	dir := NewSyncDirectory()

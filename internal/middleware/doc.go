@@ -269,7 +269,7 @@
 //     head, and resumes the cached
 //     state over the ciphertext field alone — the sealed frame is never
 //     streamed through SHA-256 (the uncached stage builds a throwaway
-//     key per request and rides the same sealFrame). Gateway.order
+//     key per request and rides the same seal). Gateway.order
 //     primes the ledger transaction's digest (ledger/tx/v3, same payload
 //     commitment) from the sum, and the ordering tier, block cut and
 //     subscribers read that one digest.
@@ -309,7 +309,9 @@
 // revocation epoch, a RevokedSince delta read, an IsRevoked point query,
 // and — as a RevocationSource — an OnRevoke push hook the gateway
 // subscribes to at construction and releases on Gateway.Close, so a
-// gateway shorter-lived than its CA does not leak the subscription).
+// gateway shorter-lived than its CA does not leak the subscription). With
+// it set, the authn stage refuses a sessionless request whose certificate is
+// revoked (pki.ErrRevoked), whatever the session stage's mode.
 //
 // The session stage declares its checking strategy with the "revokecheck"
 // parameter, validated at Build like every other knob:

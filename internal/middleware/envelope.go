@@ -16,19 +16,20 @@ import (
 	"dltprivacy/internal/dcrypto"
 )
 
-// EnvelopeScheme identifies the envelope format produced by the encrypt
-// stage: a fresh AES-256-GCM data key sealing the payload, wrapped to every
-// channel member under one ephemeral key (§2.2, "Symmetric key encryption"
-// with keys "shared over the network using PKI") in a table that names no
-// member.
-const EnvelopeScheme = "hybrid-aes256gcm/v4"
+// EnvelopeScheme identifies the one envelope format, sealed by the encrypt
+// stage for a submission and by the batch stage for a group: an AES-256-GCM
+// data key sealing N length-prefixed payloads in one AEAD invocation, wrapped
+// to every channel member under one ephemeral key (§2.2, "Symmetric key
+// encryption" with keys "shared over the network using PKI") in a table that
+// names no member.
+const EnvelopeScheme = "hybrid-aes256gcm/v5"
 
 // ErrNotRecipient is returned when no wrap of an envelope's key table opens
 // for the key presented: the holder is not a recipient, or the table was
 // tampered with — with no names in the table the two look the same.
 var ErrNotRecipient = errors.New("middleware: identity is not an envelope recipient")
 
-// Envelope is an encrypted payload plus the data key wrapped to every member
+// Envelope is N encrypted payloads plus the data key wrapped to every member
 // (dcrypto.WrapToRecipients: EphemeralPub and the key Commit once, then Wraps,
 // one 32-byte wrap per distinct member key in ascending byte order).
 // Observers (orderer, backends) see ciphertext and the number of distinct
@@ -45,9 +46,9 @@ type Envelope struct {
 	Wraps        []byte `json:"wraps"`
 }
 
-// envelopeAD binds envelope ciphertexts to their channel.
+// envelopeAD binds an envelope's ciphertext and key table to their channel.
 func envelopeAD(channel string) []byte {
-	return []byte("middleware/envelope/v1/" + channel)
+	return []byte("middleware/envelope/v2/" + channel)
 }
 
 // SealEnvelope encrypts payload for the given member keys under a throwaway
@@ -57,46 +58,55 @@ func SealEnvelope(channel string, payload []byte, members map[string]dcrypto.Pub
 	if err != nil {
 		return Envelope{}, err
 	}
-	frame, _, err := ck.sealFrame(payload)
+	frame, _, err := ck.seal([][]byte{payload})
 	if err != nil {
 		return Envelope{}, err
 	}
 	return ParseEnvelope(frame)
 }
 
-// OpenEnvelope recovers the payload for the holder of key. member names the
-// opener in errors only: the table carries no names, so the key alone finds
-// its wrap.
+// OpenEnvelope recovers the one payload of a submission's envelope for the
+// holder of key. member names the opener in errors only: the table carries no
+// names, so the key alone finds its wrap. A frame of more than one payload —
+// a group release — is ErrBadFrame here; OpenGroupEnvelope opens it.
 func OpenEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]byte, error) {
-	if env.Scheme != EnvelopeScheme {
-		return nil, fmt.Errorf("middleware: unsupported envelope scheme %q", env.Scheme)
-	}
-	dataKey, err := unwrapDataKey(env.Channel, env.EphemeralPub, env.Commit, env.Wraps, member, key)
+	payloads, err := openSegments(env, member, key)
 	if err != nil {
 		return nil, err
 	}
-	return dcrypto.DecryptSymmetric(dataKey, env.Ciphertext, envelopeAD(env.Channel))
+	if len(payloads) != 1 {
+		return nil, fmt.Errorf("middleware: open envelope: %w: %d payloads, want 1", ErrBadFrame, len(payloads))
+	}
+	return payloads[0], nil
 }
 
-// unwrapDataKey recovers the data key of a single or group envelope from its
-// wrapped-key table. Both kinds wrap under the single-envelope associated
-// data: it is the same table, wrapped once per epoch.
-func unwrapDataKey(channel string, ephPub, commit, wraps []byte, member string, key *dcrypto.PrivateKey) ([]byte, error) {
-	dataKey, err := dcrypto.Unwrap(key, ephPub, commit, wraps, envelopeAD(channel))
+// openSegments is the one envelope reader: it unwraps the data key from the
+// table and opens the sealed segments.
+func openSegments(env Envelope, member string, key *dcrypto.PrivateKey) ([][]byte, error) {
+	if env.Scheme != EnvelopeScheme {
+		return nil, fmt.Errorf("middleware: unsupported envelope scheme %q", env.Scheme)
+	}
+	ad := envelopeAD(env.Channel)
+	dataKey, err := dcrypto.Unwrap(key, env.EphemeralPub, env.Commit, env.Wraps, ad)
 	if errors.Is(err, dcrypto.ErrDecrypt) {
 		return nil, fmt.Errorf("%w: %s", ErrNotRecipient, member)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("middleware: unwrap key: %w", err)
 	}
-	return dataKey, nil
+	payloads, err := dcrypto.DecryptSegments(dataKey, env.Ciphertext, ad)
+	if err != nil {
+		return nil, fmt.Errorf("middleware: open envelope: %w", err)
+	}
+	return payloads, nil
 }
 
 // EncodeEnvelope marshals an envelope into its ledger frame, one
 // exactly-sized allocation:
 //
 //	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ key table ‖ ciphertext
-//	key table = ephPub ‖ commit ‖ n ‖ n × 32-byte wrap
+//	key table  = ephPub ‖ commit ‖ n ‖ n × 32-byte wrap
+//	ciphertext = Seal(count ‖ count × (length ‖ payload))
 //
 // Every field but the epoch and n (uvarints) and the wraps is
 // length-prefixed. The key table comes BEFORE the ciphertext so that
@@ -108,39 +118,30 @@ func unwrapDataKey(channel string, ephPub, commit, wraps []byte, member string, 
 // envelopes outside the encrypt stage; json.Marshal of a parsed Envelope is
 // the diffable debug view, not a format any decoder accepts.
 func EncodeEnvelope(env Envelope) []byte {
-	out, _ := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.EphemeralPub, env.Commit, env.Wraps, lenPrefixedSize(len(env.Ciphertext)))
+	out := encodeEnvelopeHead(env.Scheme, env.Channel, env.Epoch, env.EphemeralPub, env.Commit, env.Wraps, lenPrefixedSize(len(env.Ciphertext)))
 	return appendLenPrefixed(out, env.Ciphertext)
 }
 
 // encodeEnvelopeHead encodes everything of an envelope frame that precedes
 // its ciphertext field — magic, kind, scheme, channel, epoch and the
 // wrapped-key table — leaving tail bytes of spare capacity for the caller to
-// append that field into. keysAt is where the key table starts: head[keysAt:]
-// is the section group envelopes of the same epoch splice. The head is
-// immutable for a data key's lifetime, so newChannelKey computes it once
-// (tail 0) and every seal copies it — O(members) encoding becomes one copy.
-func encodeEnvelopeHead(scheme, channel string, epoch uint64, ephPub, commit, wraps []byte, tail int) (head []byte, keysAt int) {
-	keysAt = 2 +
-		lenPrefixedSize(len(scheme)) +
-		lenPrefixedSize(len(channel)) +
-		uvarintSize(epoch)
-	out := make([]byte, 0, keysAt+envelopeKeysSize(ephPub, commit, wraps)+tail)
+// append that field into. The head is immutable for a data key's lifetime,
+// so newChannelKey computes it once (tail 0) and every seal copies it —
+// O(members) encoding becomes one copy.
+func encodeEnvelopeHead(scheme, channel string, epoch uint64, ephPub, commit, wraps []byte, tail int) []byte {
+	size := 2 + lenPrefixedSize(len(scheme)) + lenPrefixedSize(len(channel)) + uvarintSize(epoch) +
+		lenPrefixedSize(len(ephPub)) + lenPrefixedSize(len(commit)) +
+		uvarintSize(uint64(len(wraps)/dcrypto.WrappedKeySize)) + len(wraps) + tail
+	out := make([]byte, 0, size)
 	out = append(out, binaryMagic, binaryKindEnvelope)
 	out = appendLenPrefixed(out, []byte(scheme))
 	out = appendLenPrefixed(out, []byte(channel))
 	out = binary.AppendUvarint(out, epoch)
-	return appendEnvelopeKeys(out, ephPub, commit, wraps), keysAt
+	return appendEnvelopeKeys(out, ephPub, commit, wraps)
 }
 
-// envelopeKeysSize is the encoded size of a wrapped-key table.
-func envelopeKeysSize(ephPub, commit, wraps []byte) int {
-	return lenPrefixedSize(len(ephPub)) + lenPrefixedSize(len(commit)) +
-		uvarintSize(uint64(len(wraps)/dcrypto.WrappedKeySize)) + len(wraps)
-}
-
-// appendEnvelopeKeys appends the wrapped-key table (the shared ephemeral key,
-// the key commitment, the wrap count, the wraps) — the one encoding single
-// and group envelopes share.
+// appendEnvelopeKeys appends the wrapped-key table: the shared ephemeral key,
+// the key commitment, the wrap count, the wraps.
 func appendEnvelopeKeys(out, ephPub, commit, wraps []byte) []byte {
 	out = appendLenPrefixed(out, ephPub)
 	out = appendLenPrefixed(out, commit)
@@ -197,9 +198,10 @@ func (r *frameReader) scheme(want string) string {
 }
 
 // ParseEnvelope decodes an envelope frame (a transaction payload the encrypt
-// stage produced). Anything else — a JSON document, a frame of a retired
-// scheme — is rejected with ErrBadFrame, never mis-parsed. The byte fields
-// alias b; the channel name is the one allocation.
+// or batch stage produced). Anything else — a JSON document, a frame of a
+// retired scheme or of the retired 0x03 group layout — is rejected with
+// ErrBadFrame, never mis-parsed. The byte fields alias b; the channel name is
+// the one allocation.
 func ParseEnvelope(b []byte) (Envelope, error) {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindEnvelope {
 		return Envelope{}, fmt.Errorf("middleware: parse envelope: %w: not an envelope frame", ErrBadFrame)
@@ -348,11 +350,8 @@ type Encrypt struct {
 	deferSeal bool
 
 	// adCache holds the per-channel associated-data strings, computed once
-	// per channel instead of concatenated per request. groupADCache is its
-	// group-envelope counterpart (a distinct AD domain, see
-	// groupEnvelopeAD).
-	adCache      sync.Map // channel string -> []byte
-	groupADCache sync.Map // channel string -> []byte
+	// per channel instead of concatenated per request.
+	adCache sync.Map // channel string -> []byte
 
 	mu     sync.Mutex
 	keys   map[string]*channelKey
@@ -404,18 +403,16 @@ type channelKey struct {
 	wrapped   map[string]dcrypto.PublicKey
 	members   [32]byte
 	expiresAt time.Time
-	// frameHead is everything of the key's single-envelope frames that
+	// frameHead is everything of the key's frames, single and group, that
 	// precedes the ciphertext field (encodeEnvelopeHead): the header and the
 	// wrapped-key table, computed once by newChannelKey. The table is
 	// immutable for the key's lifetime, and re-encoding it per submission
 	// makes every seal O(members) — at 1000-member channels that dominates
 	// the entire submit path. headSum is SHA-256 with frameHead already
 	// absorbed: with 50 members the head is 1.7 KB of a 1.9 KB frame, so the
-	// frame's hash costs the ~130 bytes that follow it. keySection is the
-	// table alone (a suffix of frameHead), which group envelopes splice.
-	frameHead  []byte
-	headSum    dcrypto.HashPrefix
-	keySection []byte
+	// frame's hash costs the ~130 bytes that follow it.
+	frameHead []byte
+	headSum   dcrypto.HashPrefix
 }
 
 // newChannelKey generates a fresh data key, wraps it for every member under
@@ -440,25 +437,24 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 		return nil, fmt.Errorf("middleware: data key aead: %w", err)
 	}
 	ck := &channelKey{epoch: epoch, aead: aead, ad: ad, wrapped: members}
-	var keysAt int
-	ck.frameHead, keysAt = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, ephPub, commit, wraps, 0)
+	ck.frameHead = encodeEnvelopeHead(EnvelopeScheme, channel, epoch, ephPub, commit, wraps, 0)
 	ck.headSum = dcrypto.NewHashPrefix(ck.frameHead)
-	ck.keySection = ck.frameHead[keysAt:]
 	return ck, nil
 }
 
-// sealFrame seals plaintext under the data key straight into an envelope
-// frame — head copied, ciphertext field sealed in place, one
-// exactly-sized allocation — and returns the frame with its SHA-256,
-// resumed from headSum over the ciphertext field alone.
-func (ck *channelKey) sealFrame(plaintext []byte) ([]byte, [32]byte, error) {
-	ctSize := dcrypto.SealedSize(ck.aead, len(plaintext))
+// seal seals payloads under the data key with one AEAD invocation straight
+// into an envelope frame — head copied, the length-prefixed segments sealed
+// in place behind it, one exactly-sized allocation — and returns the frame
+// with its SHA-256, resumed from headSum over the ciphertext field alone.
+// The encrypt stage seals one payload, the batch stage a group.
+func (ck *channelKey) seal(payloads [][]byte) ([]byte, [32]byte, error) {
+	ctSize := dcrypto.SealedSegmentsSize(ck.aead, payloads)
 	frame := make([]byte, 0, len(ck.frameHead)+lenPrefixedSize(ctSize))
 	frame = append(frame, ck.frameHead...)
 	frame = binary.AppendUvarint(frame, uint64(ctSize))
-	frame, err := dcrypto.AppendEncryptWithAEAD(frame, ck.aead, plaintext, ck.ad)
+	frame, err := dcrypto.AppendEncryptSegmentsWithAEAD(frame, ck.aead, payloads, ck.ad)
 	if err != nil {
-		return nil, [32]byte{}, fmt.Errorf("middleware: seal payload: %w", err)
+		return nil, [32]byte{}, fmt.Errorf("middleware: seal: %w", err)
 	}
 	return frame, ck.headSum.Sum(frame[len(ck.frameHead):]), nil
 }
@@ -846,7 +842,7 @@ func (e *Encrypt) wrapAndInstall(channel string, epoch, gen uint64, fp [32]byte,
 }
 
 // Handle implements Stage. After key resolution it has two outcomes: tag the
-// request and defer the seal to the batch stage, or sealFrame now.
+// request and defer the seal to the batch stage, or seal the one payload now.
 func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error {
 	if !req.authenticated {
 		return ErrNotAuthenticated
@@ -886,7 +882,7 @@ func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error 
 		req.encrypted = true
 		return next(ctx, req)
 	}
-	frame, sum, err := ck.sealFrame(req.Payload)
+	frame, sum, err := ck.seal([][]byte{req.Payload})
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -35,7 +36,8 @@ func benchMembers(tb testing.TB, n int) (map[string]dcrypto.PublicKey, map[strin
 // envelope its copy, zero-fill and garbage, and fails here without the
 // benchmark. The head and the frame are the sizing rules of
 // docs/OPERATIONS.md, exactly: a member costs its 32-byte wrap and nothing
-// else, whatever its name.
+// else, whatever its name. A batch_groupseal group, 64 such trades, must stay
+// inside the 8,192-byte class the same way.
 func TestEnvelopeFrameSize(t *testing.T) {
 	const channel = "deals-0"
 	members, _ := benchMembers(t, 50)
@@ -46,15 +48,87 @@ func TestEnvelopeFrameSize(t *testing.T) {
 	if got, want := len(ck.frameHead), 124+len(channel)+32*len(members); got != want {
 		t.Fatalf("frame head is %d bytes, the sizing rule says %d = 124 + len(channel) + 32 × members", got, want)
 	}
-	frame, _, err := ck.sealFrame(make([]byte, 96))
+	frame, _, err := ck.seal([][]byte{make([]byte, 96)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(frame) > 2048 {
 		t.Fatalf("frame is %d bytes, over the 2,048-byte size class", len(frame))
 	}
-	if want := 153 + len(channel) + 96 + 32*len(members); len(frame) != want {
-		t.Fatalf("frame is %d bytes, the sizing rule says %d = 153 + len(channel) + payload + 32 × members", len(frame), want)
+	if want := 155 + len(channel) + 96 + 32*len(members); len(frame) != want {
+		t.Fatalf("frame is %d bytes, the sizing rule says %d = 155 + len(channel) + payload + 32 × members", len(frame), want)
+	}
+	group := make([][]byte, 64)
+	for i := range group {
+		group[i] = make([]byte, 96)
+	}
+	if frame, _, err = ck.seal(group); err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) > 8192 {
+		t.Fatalf("a group of 64 is %d bytes, over the 8,192-byte size class", len(frame))
+	}
+}
+
+// TestSealRoundTrips: a frame of N payloads parses and opens back to its
+// payloads byte for byte, re-encodes to itself, and comes with its SHA-256;
+// OpenEnvelope opens a frame of one and refuses a group. A ciphertext sealed
+// under the …/v4 associated data and spliced under this head does not open.
+func TestSealRoundTrips(t *testing.T) {
+	_, ps := enroll(t, "alice", "bob")
+	members := map[string]dcrypto.PublicKey{"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()}
+	ck, err := newChannelKey("deals", 3, members, envelopeAD("deals"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 64} {
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = []byte(fmt.Sprintf("trade-%d of %d", i, n))
+		}
+		frame, sum, err := ck.seal(payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum != sha256.Sum256(frame) {
+			t.Fatalf("n=%d: the sum returned is not SHA-256 of the frame", n)
+		}
+		env, err := ParseEnvelope(frame)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !bytes.Equal(EncodeEnvelope(env), frame) {
+			t.Fatalf("n=%d: the frame does not re-encode to itself", n)
+		}
+		for id, p := range ps {
+			got, err := OpenGroupEnvelope(env, id, p.key)
+			if err != nil || len(got) != n {
+				t.Fatalf("n=%d: %s opened %d payloads, %v", n, id, len(got), err)
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], payloads[i]) {
+					t.Fatalf("n=%d: payload %d opened to %q, sealed %q", n, i, got[i], payloads[i])
+				}
+			}
+			one, err := OpenEnvelope(env, id, p.key)
+			switch {
+			case n == 1 && (err != nil || !bytes.Equal(one, payloads[0])):
+				t.Fatalf("n=1: OpenEnvelope = %q, %v", one, err)
+			case n > 1 && !errors.Is(err, ErrBadFrame):
+				t.Fatalf("n=%d: OpenEnvelope = %v, want ErrBadFrame", n, err)
+			}
+		}
+	}
+	old, err := dcrypto.EncryptWithAEAD(ck.aead, []byte("trade"), []byte("middleware/envelope/v1/deals"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := ParseEnvelope(appendLenPrefixed(bytes.Clone(ck.frameHead), old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenGroupEnvelope(env, "alice", ps["alice"].key); !errors.Is(err, dcrypto.ErrDecrypt) {
+		t.Fatalf("a v4 ciphertext under a v5 head: %v, want ErrDecrypt", err)
 	}
 }
 
@@ -68,11 +142,11 @@ func TestSealedFramesNameNobody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, _, err := ck.sealFrame([]byte("10 tons of steel"))
+	single, _, err := ck.seal([][]byte{[]byte("10 tons of steel")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	group, err := (&Encrypt{}).sealGroup(ck, channel, [][]byte{[]byte("trade-0"), []byte("trade-1")})
+	group, _, err := ck.seal([][]byte{[]byte("trade-0"), []byte("trade-1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +166,7 @@ func TestSealedFramesNameNobody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	genv, err := ParseGroupEnvelope(group)
+	genv, err := ParseEnvelope(group)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +330,12 @@ func TestRevocationRotatesEphemeralKey(t *testing.T) {
 	}
 }
 
-// TestGroupEnvelopeSplicesEpochKeySection: a batch(groupseal=on) release and
-// a single envelope of the same epoch carry the same key table, byte for
-// byte — the table is wrapped once per epoch and spliced, never re-encoded —
-// and the group opens for every member.
-func TestGroupEnvelopeSplicesEpochKeySection(t *testing.T) {
+// TestEveryFrameOfAnEpochStartsWithItsHead: a batch(groupseal=on) release and
+// a single envelope of the same epoch both start with the epoch's frame head,
+// byte for byte — the table is wrapped once per epoch and copied, never
+// re-encoded — the release carries its frame's sum for the ledger, and the
+// group opens for every member.
+func TestEveryFrameOfAnEpochStartsWithItsHead(t *testing.T) {
 	ca, ps := enroll(t, "alice", "bob", "carol")
 	members := make(map[string]dcrypto.PublicKey, len(ps))
 	for id, p := range ps {
@@ -279,7 +354,11 @@ func TestGroupEnvelopeSplicesEpochKeySection(t *testing.T) {
 	if sink.count() != 1 {
 		t.Fatalf("terminal saw %d requests, want 1 group release", sink.count())
 	}
-	group := sink.seen[0].Payload
+	greq := sink.seen[0]
+	group := greq.Payload
+	if greq.sumOf != &group[0] || greq.sumLen != len(group) || greq.sum != sha256.Sum256(group) {
+		t.Fatal("the group release does not carry its frame's SHA-256")
+	}
 
 	var enc *Encrypt
 	for _, s := range chain.stages {
@@ -291,17 +370,14 @@ func TestGroupEnvelopeSplicesEpochKeySection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, _, err := ck.sealFrame([]byte("trade-2"))
+	single, _, err := ck.seal([][]byte{[]byte("trade-2")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasSuffix(group, ck.keySection) {
-		t.Fatal("the group frame does not end with the epoch's key section")
+	if !bytes.HasPrefix(group, ck.frameHead) || !bytes.HasPrefix(single, ck.frameHead) {
+		t.Fatal("a frame of the epoch does not start with the epoch's head")
 	}
-	if !bytes.HasSuffix(single[:len(ck.frameHead)], ck.keySection) {
-		t.Fatal("the single frame's head does not end with the epoch's key section")
-	}
-	genv, err := ParseGroupEnvelope(group)
+	genv, err := ParseEnvelope(group)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +385,8 @@ func TestGroupEnvelopeSplicesEpochKeySection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if genv.Epoch != senv.Epoch {
-		t.Fatalf("group epoch %d, single epoch %d: not the same key", genv.Epoch, senv.Epoch)
-	}
-	if !bytes.Equal(EncodeGroupEnvelope(genv), group) {
-		t.Fatal("the spliced group frame is not the canonical encoding of what it parses to")
+	if !bytes.Equal(EncodeEnvelope(genv), group) {
+		t.Fatal("the group frame is not the canonical encoding of what it parses to")
 	}
 	for id, p := range ps {
 		segs, err := OpenGroupEnvelope(genv, id, p.key)

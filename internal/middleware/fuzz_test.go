@@ -345,27 +345,29 @@ func requireSameRequest(t *testing.T, what string, want, got *Request) {
 	}
 }
 
-// FuzzEnvelopeFrame throws arbitrary bytes at the two envelope decoders a
-// ledger reader runs on transaction payloads it did not produce —
-// ParseEnvelope and ParseGroupEnvelope. Hostile bytes may be rejected, always
-// with ErrBadFrame, but never panic, and a table's declared wrap count is
-// checked against the bytes that remain, so no input makes a decoder read or
-// allocate past its own length. What does decode has exactly one encoding:
-// whatever parses re-encodes to the same bytes, so a ledger payload hash pins
-// one envelope — no duplicated or reordered wrap, padded varint, retired
-// scheme or second table layout decodes to an envelope some other frame also
-// decodes to.
+// FuzzEnvelopeFrame throws arbitrary bytes at the envelope decoder a ledger
+// reader runs on transaction payloads it did not produce, ParseEnvelope.
+// Hostile bytes may be rejected, always with ErrBadFrame, but never panic,
+// and a table's declared wrap count is checked against the bytes that
+// remain, so no input makes the decoder read or allocate past its own
+// length. What does decode has exactly one encoding: whatever parses
+// re-encodes to the same bytes, so a ledger payload hash pins one envelope —
+// no duplicated or reordered wrap, padded varint, retired scheme or retired
+// layout decodes to an envelope some other frame also decodes to.
 func FuzzEnvelopeFrame(f *testing.F) {
-	env, genv := envelopePair(f)
-	single, group := EncodeEnvelope(env), EncodeGroupEnvelope(genv)
-	f.Add(single)
-	f.Add(group)
-	f.Add(single[:len(single)/2])
-	f.Add(group[:len(group)-1])
-	f.Add(append(append([]byte(nil), single...), 0x00))
-	// Each kind under the other's kind byte: the field orders differ.
-	f.Add(append([]byte{binaryMagic, binaryKindGroupEnvelope}, single[2:]...))
-	f.Add(append([]byte{binaryMagic, binaryKindEnvelope}, group[2:]...))
+	envs := fuzzEnvelopes(f)
+	// Each frame whole, then with each table that is not the one encoding of
+	// what it holds (see nonCanonicalTables).
+	for _, env := range envs {
+		f.Add(EncodeEnvelope(env))
+		for _, table := range nonCanonicalTables(env) {
+			f.Add(frameWithTable(env, table.section))
+		}
+	}
+	env, frame := envs[0], EncodeEnvelope(envs[0])
+	f.Add(frame[:len(frame)/2])
+	f.Add(frame[:len(frame)-1])
+	f.Add(append(append([]byte(nil), frame...), 0x00))
 	// JSON documents — the debug view of a real envelope among them — are
 	// not a ledger format.
 	asJSON, err := json.Marshal(env)
@@ -374,16 +376,10 @@ func FuzzEnvelopeFrame(f *testing.F) {
 	}
 	f.Add(asJSON)
 	f.Add([]byte(`{"scheme":"x","wraps":"","ciphertext":null}`))
-	// Tables that are not the one encoding of what they hold (see
-	// nonCanonicalTables), under each kind byte.
-	for _, table := range nonCanonicalTables(env) {
-		f.Add(singleFrameWithTable(env, table.section))
-		f.Add(groupFrameWithTable(genv, table.section))
+	// Frames no decoder accepts any more (see retiredFrames).
+	for _, retired := range retiredFrames(env) {
+		f.Add(retired)
 	}
-	// Frames of the retired scheme, which named every recipient.
-	v3, gv3 := v3Frames(env, genv)
-	f.Add(v3)
-	f.Add(gv3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := ParseEnvelope(data)
@@ -394,27 +390,16 @@ func FuzzEnvelopeFrame(f *testing.F) {
 		} else if !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("ParseEnvelope rejected with %v, want ErrBadFrame", err)
 		}
-		genv, gerr := ParseGroupEnvelope(data)
-		if gerr == nil {
-			if back := EncodeGroupEnvelope(genv); !bytes.Equal(back, data) {
-				t.Fatalf("a group envelope frame parsed but re-encodes differently:\n in  %x\n out %x", data, back)
-			}
-		} else if !errors.Is(gerr, ErrBadFrame) {
-			t.Fatalf("ParseGroupEnvelope rejected with %v, want ErrBadFrame", gerr)
-		}
-		if (len(data) < 2 || data[0] != binaryMagic) && (err == nil || gerr == nil) {
-			t.Fatalf("a payload without the frame magic decoded as an envelope")
-		}
 	})
 }
 
-// envelopePair seals a two-recipient envelope (epoch 7) and dresses the same
-// key table as a group envelope: well-formed frames of both kinds for the
-// decoders' tests to start from. The ciphertext is a fixed 33 bytes of 0xc7 —
-// nothing here opens it — so a table misframed into the single frame's
-// ciphertext field is refused however the nonce falls: read as a varint,
-// 0xc7… never ends.
-func envelopePair(tb testing.TB) (Envelope, GroupEnvelope) {
+// fuzzEnvelopes seals a two-recipient envelope (epoch 7) and returns it with
+// a fixed 33-byte ciphertext, then with a 200-byte one, a group's shape whose
+// length takes two bytes: well-formed frames for the decoder's tests to start
+// from. The ciphertexts are 0xc7 repeated — nothing here opens them — so a
+// table misframed into the ciphertext field is refused however the nonce
+// falls: read as a varint, 0xc7… never ends.
+func fuzzEnvelopes(tb testing.TB) []Envelope {
 	tb.Helper()
 	members := make(map[string]dcrypto.PublicKey, 2)
 	for _, id := range []string{"alice", "bob"} {
@@ -430,8 +415,9 @@ func envelopePair(tb testing.TB) (Envelope, GroupEnvelope) {
 	}
 	env.Epoch = 7
 	env.Ciphertext = bytes.Repeat([]byte{0xc7}, 33)
-	return env, GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Epoch: 7, Count: 2,
-		Ciphertext: env.Ciphertext, EphemeralPub: env.EphemeralPub, Commit: env.Commit, Wraps: env.Wraps}
+	long := env
+	long.Ciphertext = bytes.Repeat([]byte{0xc7}, 200)
+	return []Envelope{env, long}
 }
 
 // badTable is a key-table section keyTable must refuse, with the reason.
@@ -487,23 +473,36 @@ func nonCanonicalTables(env Envelope) []badTable {
 	}
 }
 
-// v3Frames lays env's and genv's fields out as the retired …/v3 frames did:
-// under the v3 scheme names, each wrap behind its recipient's name, both
-// length-prefixed.
-func v3Frames(env Envelope, genv GroupEnvelope) (single, group []byte) {
-	table := appendLenPrefixed(appendLenPrefixed(nil, env.EphemeralPub), env.Commit)
-	table = binary.AppendUvarint(table, 2)
+// retiredFrames lays env's fields out as frames no decoder accepts any more:
+// the …/v3 scheme, each wrap behind its recipient's name; the …/v4 scheme,
+// whose ciphertext sealed one bare payload under the old associated data; the
+// 0x03 group layout, its count ahead of the ciphertext and its table behind;
+// and today's frame under the 0x03 kind byte.
+func retiredFrames(env Envelope) map[string][]byte {
+	v3table := appendLenPrefixed(appendLenPrefixed(nil, env.EphemeralPub), env.Commit)
+	v3table = binary.AppendUvarint(v3table, 2)
 	for i, id := range []string{"alice", "bob"} {
-		table = appendLenPrefixed(table, []byte(id))
-		table = appendLenPrefixed(table, env.Wraps[i*dcrypto.WrappedKeySize:][:dcrypto.WrappedKeySize])
+		v3table = appendLenPrefixed(v3table, []byte(id))
+		v3table = appendLenPrefixed(v3table, env.Wraps[i*dcrypto.WrappedKeySize:][:dcrypto.WrappedKeySize])
 	}
-	env.Scheme, genv.Scheme = "hybrid-aes256gcm/v3", "hybrid-aes256gcm/group/v3"
-	return singleFrameWithTable(env, table), groupFrameWithTable(genv, table)
+	table := appendEnvelopeKeys(nil, env.EphemeralPub, env.Commit, env.Wraps)
+	v3, v4 := env, env
+	v3.Scheme, v4.Scheme = "hybrid-aes256gcm/v3", "hybrid-aes256gcm/v4"
+	group := appendLenPrefixed([]byte{binaryMagic, 0x03}, []byte("hybrid-aes256gcm/group/v4"))
+	group = appendLenPrefixed(group, []byte(env.Channel))
+	group = binary.AppendUvarint(group, env.Epoch)
+	group = binary.AppendUvarint(group, 2)
+	group = appendLenPrefixed(group, env.Ciphertext)
+	return map[string][]byte{
+		"v3 frame":            frameWithTable(v3, v3table),
+		"v4 frame":            frameWithTable(v4, table),
+		"0x03 group frame":    append(group, table...),
+		"0x03 kind, v5 frame": append([]byte{binaryMagic, 0x03}, EncodeEnvelope(env)[2:]...),
+	}
 }
 
-// singleFrameWithTable is env's single-envelope frame with its key-table
-// section replaced.
-func singleFrameWithTable(env Envelope, section []byte) []byte {
+// frameWithTable is env's frame with its key-table section replaced.
+func frameWithTable(env Envelope, section []byte) []byte {
 	out := []byte{binaryMagic, binaryKindEnvelope}
 	out = appendLenPrefixed(out, []byte(env.Scheme))
 	out = appendLenPrefixed(out, []byte(env.Channel))
@@ -512,49 +511,28 @@ func singleFrameWithTable(env Envelope, section []byte) []byte {
 	return appendLenPrefixed(out, env.Ciphertext)
 }
 
-// groupFrameWithTable is genv's group-envelope frame with its key-table
-// section replaced.
-func groupFrameWithTable(genv GroupEnvelope, section []byte) []byte {
-	out := []byte{binaryMagic, binaryKindGroupEnvelope}
-	out = appendLenPrefixed(out, []byte(genv.Scheme))
-	out = appendLenPrefixed(out, []byte(genv.Channel))
-	out = binary.AppendUvarint(out, genv.Epoch)
-	out = binary.AppendUvarint(out, genv.Count)
-	out = appendLenPrefixed(out, genv.Ciphertext)
-	return append(out, section...)
-}
-
 // TestKeyTableIsCanonical names what FuzzEnvelopeFrame's seeds carry: every
-// non-canonical table is ErrBadFrame under both kind bytes, so is a frame of
-// the retired …/v3 scheme, and the frames they were derived from parse and
-// re-encode to themselves.
+// non-canonical table is ErrBadFrame, so is every retired frame, and the
+// frames they were derived from parse and re-encode to themselves.
 func TestKeyTableIsCanonical(t *testing.T) {
-	env, genv := envelopePair(t)
-	good := appendEnvelopeKeys(nil, env.EphemeralPub, env.Commit, env.Wraps)
-	if b := singleFrameWithTable(env, good); !bytes.Equal(b, EncodeEnvelope(env)) {
-		t.Fatal("singleFrameWithTable does not build the canonical frame from the canonical table")
-	} else if back, err := ParseEnvelope(b); err != nil || !bytes.Equal(EncodeEnvelope(back), b) {
-		t.Fatalf("canonical single frame: err=%v", err)
-	}
-	if b := groupFrameWithTable(genv, good); !bytes.Equal(b, EncodeGroupEnvelope(genv)) {
-		t.Fatal("groupFrameWithTable does not build the canonical frame from the canonical table")
-	} else if back, err := ParseGroupEnvelope(b); err != nil || !bytes.Equal(EncodeGroupEnvelope(back), b) {
-		t.Fatalf("canonical group frame: err=%v", err)
-	}
-	for _, table := range nonCanonicalTables(env) {
-		if got, err := ParseEnvelope(singleFrameWithTable(env, table.section)); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s, single: err=%v wraps=%d bytes, want ErrBadFrame", table.name, err, len(got.Wraps))
+	envs := fuzzEnvelopes(t)
+	for _, env := range envs {
+		good := appendEnvelopeKeys(nil, env.EphemeralPub, env.Commit, env.Wraps)
+		if b := frameWithTable(env, good); !bytes.Equal(b, EncodeEnvelope(env)) {
+			t.Fatal("frameWithTable does not build the canonical frame from the canonical table")
+		} else if back, err := ParseEnvelope(b); err != nil || !bytes.Equal(EncodeEnvelope(back), b) {
+			t.Fatalf("canonical frame: err=%v", err)
 		}
-		if got, err := ParseGroupEnvelope(groupFrameWithTable(genv, table.section)); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s, group: err=%v wraps=%d bytes, want ErrBadFrame", table.name, err, len(got.Wraps))
+		for _, table := range nonCanonicalTables(env) {
+			if got, err := ParseEnvelope(frameWithTable(env, table.section)); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s, %d-byte ciphertext: err=%v wraps=%d bytes, want ErrBadFrame", table.name, len(env.Ciphertext), err, len(got.Wraps))
+			}
 		}
 	}
-	v3, gv3 := v3Frames(env, genv)
-	if _, err := ParseEnvelope(v3); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("a v3 single frame: %v, want ErrBadFrame", err)
-	}
-	if _, err := ParseGroupEnvelope(gv3); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("a v3 group frame: %v, want ErrBadFrame", err)
+	for name, frame := range retiredFrames(envs[0]) {
+		if _, err := ParseEnvelope(frame); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("a %s: %v, want ErrBadFrame", name, err)
+		}
 	}
 }
 

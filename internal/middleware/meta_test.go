@@ -150,8 +150,9 @@ func goldenID(tx ledger.Transaction) string {
 // of order's branches builds the map. It also holds the one difference a
 // caller can see: the gateway no longer writes into the caller's request.
 // The sealed cases' ids were re-taken when the envelope schemes (a Meta
-// value) went from v2 to v3 and again from v3 to v4; under the older names
-// they are the ids of before.
+// value) went from v2 to v3, from v3 to v4, and to v5 when the group vehicle's
+// batch note came to name the one scheme; under the older names they are the
+// ids of before.
 func TestTransactionDigestsAreGolden(t *testing.T) {
 	registerPostNote(t)
 	session := StageConfig{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}}
@@ -202,11 +203,11 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 		id      string
 	}{
 		{"session, no meta", []StageConfig{session, encrypt}, inProcess(nil), "alice", sealed, 1,
-			"9e7e29a1c296a2b9fbcbb431679e1708"},
+			"a43d7324d065a48979d0ad6181a24f06"},
 		{"session, caller's meta", []StageConfig{session, encrypt}, inProcess(map[string]string{"k": "v"}), "alice", sealedK, 1,
-			"b6969b6da99d73bee803c37a86665fa5"},
+			"e502fcfeaf97a152fde41f3788a31f7d"},
 		{"session, meta off a binary frame", []StageConfig{session, encrypt}, overWire, "alice", sealedK, 1,
-			"b6969b6da99d73bee803c37a86665fa5"},
+			"e502fcfeaf97a152fde41f3788a31f7d"},
 		{"no encrypt stage", []StageConfig{authn}, inProcess(nil), "alice",
 			map[string]string{"gateway": "golden-gw"}, 1,
 			"e2fc4dc18f7b3045ef582e217211f8fd"},
@@ -215,12 +216,12 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 				t.Fatalf("Submit: %v", err)
 			}
 		}, "alice", map[string]string{"envelope": EnvelopeScheme, "gateway": "golden-gw", "note": "after-seal"}, 1,
-			"c12943f5b122e8adac031a771715c7e6"},
+			"79ccbd96272758d75dace09aaefc38ff"},
 		{"batch release, member by member", []StageConfig{authn, encrypt, batch("off")}, twice(inProcess(nil)), "alice", sealed, 2,
-			"9e7e29a1c296a2b9fbcbb431679e1708"},
+			"a43d7324d065a48979d0ad6181a24f06"},
 		{"group vehicle", []StageConfig{session, encrypt, batch("on")}, twice(inProcess(nil)), BatchPrincipal,
-			map[string]string{MetaBatch: GroupEnvelopeScheme + " n=2", "gateway": "golden-gw"}, 1,
-			"54792d6d10cc5ac03a486f2035f9c384"},
+			map[string]string{MetaBatch: EnvelopeScheme + " n=2", "gateway": "golden-gw"}, 1,
+			"cb6f4c0ea56a092bcba938f871b1fa38"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -326,7 +326,7 @@ func (fx *recycleFixture) checkOrdered(txs []ledger.Transaction, want []*recycle
 		}
 		switch {
 		case tx.Creator == BatchPrincipal:
-			genv, err := ParseGroupEnvelope(tx.Payload)
+			genv, err := ParseEnvelope(tx.Payload)
 			if err != nil {
 				return fmt.Errorf("group: %v", err)
 			}

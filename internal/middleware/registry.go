@@ -319,7 +319,9 @@ func init() {
 			if env.CAKey.IsZero() {
 				return nil, errors.New("Env.CAKey is required")
 			}
-			return NewAuthn(env.CAKey, env.Now), nil
+			a := NewAuthn(env.CAKey, env.Now)
+			a.revoker = env.Revoker
+			return a, nil
 		},
 	})
 	mustRegisterStage(stageDef{

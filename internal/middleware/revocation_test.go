@@ -285,6 +285,10 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			if _, err := w.openAt(ps["bob"], clock.now()); !errors.Is(err, ErrSessionRevoked) {
 				t.Fatalf("revoked principal re-open = %v, want ErrSessionRevoked", err)
 			}
+			// Nor with a signed, sessionless request: authn asks the same plane.
+			if _, err := w.submit(signedRequest(t, ps["bob"], "deals", []byte("x"))); !errors.Is(err, pki.ErrRevoked) {
+				t.Fatalf("revoked principal's signed request = %v, want pki.ErrRevoked", err)
+			}
 
 			// Alice's next envelope rides a fresh epoch bob cannot unwrap.
 			req = sessionRequest(ps["alice"], grants["alice"], "deals", []byte("post-revocation"))

@@ -158,7 +158,7 @@ func TestGroupSealOwnsBufferedPayloads(t *testing.T) {
 	for _, ch := range channels {
 		var got [][]byte
 		for _, payload := range sealed[ch] {
-			genv, err := middleware.ParseGroupEnvelope(payload)
+			genv, err := middleware.ParseEnvelope(payload)
 			if err != nil {
 				t.Fatalf("%s: parse group envelope: %v", ch, err)
 			}

@@ -25,7 +25,6 @@ import (
 // why no pipeline behind the edge can reach them.
 var refusedSeries = map[string]string{
 	"encrypt/not_recipient":            "the encrypt stage seals for the channel; only a reader's OpenEnvelope returns ErrNotRecipient",
-	"authn/certificate_revoked":        "no stage calls pki.CA.Verify, the only source of pki.ErrRevoked: authn checks a certificate against the CA key alone",
 	"session.open/certificate_revoked": "a revoked certificate's handshake is refused as session_revoked, before any pki check",
 	"batch/no_group_key":               "only a chain assembled by hand around Config.Build's wiring hands groupseal a request without a deferred key",
 	"chain/bad_config":                 "configuration is refused when the gateway is built, before it serves a request",
@@ -350,6 +349,9 @@ func sessionRefusals(t *testing.T, expect expectFunc) {
 	})
 	expect(t, e, "session.open/session_revoked", middleware.ErrSessionRevoked, func() error {
 		return e.open(new(middleware.Handshaker), "dave", dave.cert, dave.key, same)
+	})
+	expect(t, e, "authn/certificate_revoked", pki.ErrRevoked, func() error {
+		return e.submit(dave.signed(t, "dave", "x"))
 	})
 	set(start.Add(2 * time.Hour))
 	expect(t, e, "session/session_expired", middleware.ErrSessionExpired, func() error {
