@@ -123,14 +123,18 @@ func TestAllocationBudget(t *testing.T) {
 			// building the Request; the frame now decodes into the Request.
 			// Then 6, until the mac row's digest memo went and the reply ID
 			// moved into the Request (ServeWire returned a stack array that
-			// escaped). Still 4 since ServeWire recycles its Request: the
+			// escaped). Still 4 once the wire path recycled its Request: the
 			// Request went out and a 32-byte reply slice came in, 320 B
-			// fewer at the same count (TestServeWireAllocatedBytes).
+			// fewer at the same count (TestServeWireAllocatedBytes). 3 since
+			// the edge hands the gateway its outbound frame and the ID is
+			// appended to it (Gateway.AppendWire). Left: the sealed frame and
+			// the block's Txs slice of the mac row, and the client's copy of
+			// the reply (netedge.TestCallAllocations).
 			name:     "edge-tcp",
 			replaces: "ceiling EdgeTCP/pipeline=8 <= 16 allocs",
 			cfg:      mac,
 			allocs:   edgeAllocs,
-			ceiling:  4,
+			ceiling:  3,
 		},
 		{
 			// The gateway's half of one resumed handshake, session.open frame
@@ -149,19 +153,23 @@ func TestAllocationBudget(t *testing.T) {
 			// bytes and intermediate hex (2), the info‖token label (2), HKDF's
 			// output and block (2), the MAC key's pointer, hashes and
 			// marshaled states (5), the transcript digest, which escaped on
-			// every open because the full handshake seals under it (1).
+			// every open because the full handshake seals under it (1). 3
+			// until the grant was appended to the caller's frame
+			// (Gateway.AppendWire, measured here into one reused buffer as
+			// the edge's pooled frame): the session record and its token.
 			name:     "resumed-open",
 			replaces: "new with session resumption; nothing older",
 			cfg:      churn,
 			allocs:   resumedOpenAllocs,
-			ceiling:  3,
+			ceiling:  2,
 		},
 		{
 			// Both halves of a resumed handshake in process: Handshaker.Open
 			// on a held secret, through ServeWire and back. The gateway's
-			// three of the row above, and the client's: the resume frame,
-			// the grant's token and its MAC key. The principal is the
-			// client's own string when the grant echoes it.
+			// two of the row above and the grant frame ServeWire returns,
+			// and the client's: the resume frame, the grant's token and its
+			// MAC key. The principal is the client's own string when the
+			// grant echoes it.
 			name:     "resumed-open-client",
 			replaces: "new: the client half the row above does not count",
 			cfg:      churn,
@@ -238,15 +246,22 @@ func TestAllocationBudget(t *testing.T) {
 
 // serveWireBytesBudget is what one in-process gateway.submit through
 // ServeWire may allocate on the mac pipeline, in bytes: 300 below the 1,056 B
-// it read before ServeWire recycled its requests (go1.24.0 linux/amd64). The
-// 352-byte Request went back to a pool and the 32-byte reply moved out of the
-// request into a slice of its own, -320 B at the same count (736 B); the
+// it read before the wire path recycled its requests (go1.24.0 linux/amd64).
+// The 352-byte Request went back to a pool and the 32-byte reply moved out of
+// the request into a slice of its own, -320 B at the same count (736 B); the
 // 20 B left are slack for the pool's refills after a garbage collection.
 const serveWireBytesBudget = 1056 - 300
 
+// appendWireBytesBudget is the same submission through AppendWire into a
+// reused buffer, as the edge makes it: the reply slice is gone, -32 B
+// (704 B), with the same 20 B of slack.
+const appendWireBytesBudget = serveWireBytesBudget - 32
+
 // TestServeWireAllocatedBytes holds the bytes, not only the count, of a wire
-// submission: TestAllocationBudget's edge-tcp row reads the same 4 whether
-// ServeWire allocates a Request or a reply in its place.
+// submission: TestAllocationBudget's edge-tcp row reads the same count
+// whether the gateway allocates a Request or a reply in its place. It reads
+// ServeWire, which in-process callers use, and AppendWire, which the edge
+// does.
 func TestServeWireAllocatedBytes(t *testing.T) {
 	env := newGatewayBenchEnv(t)
 	fp := newFastPathEnv(t, env, middleware.Config{Stages: []middleware.StageConfig{sessionStage(nil), keycacheEncrypt}})
@@ -259,23 +274,39 @@ func TestServeWireAllocatedBytes(t *testing.T) {
 		frames[i] = b
 	}
 	ctx := context.Background()
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := fp.gw.ServeWire(ctx, middleware.TopicSubmit, frames[i%len(frames)], ""); err != nil {
-				t.Fatal(err)
+	var dst []byte
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		submit func(frame []byte) error
+	}{
+		{"ServeWire", serveWireBytesBudget, func(frame []byte) error {
+			_, err := fp.gw.ServeWire(ctx, middleware.TopicSubmit, frame, "")
+			return err
+		}},
+		{"AppendWire", appendWireBytesBudget, func(frame []byte) (err error) {
+			dst, err = fp.gw.AppendWire(ctx, dst[:0], middleware.TopicSubmit, frame, "")
+			return err
+		}},
+	} {
+		serve := func(n int) {
+			for i := 0; i < n; i++ {
+				if err := tc.submit(frames[i%len(frames)]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	serve(len(frames))
-	const runs = 8192
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	serve(runs)
-	runtime.ReadMemStats(&after)
-	perSubmission := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("%.1f B per ServeWire submission (budget %d)", perSubmission, serveWireBytesBudget)
-	if perSubmission > serveWireBytesBudget {
-		t.Errorf("%.1f B per ServeWire submission, budget %d: does ServeWire allocate its Request again?", perSubmission, serveWireBytesBudget)
+		serve(len(frames))
+		const runs = 8192
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serve(runs)
+		runtime.ReadMemStats(&after)
+		perSubmission := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%.1f B per %s submission (budget %v)", perSubmission, tc.name, tc.budget)
+		if perSubmission > tc.budget {
+			t.Errorf("%.1f B per %s submission, budget %v: does the gateway allocate its Request or its reply again?", perSubmission, tc.name, tc.budget)
+		}
 	}
 }
 
@@ -374,10 +405,11 @@ func edgeAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
 	})
 }
 
-// resumedOpenAllocs reads the allocations ServeWire makes for one resume
-// hello. The hellos are built beforehand by a client whose wire holds them
-// back, so the client's half is not in the count; the gateway then serves
-// them one per run.
+// resumedOpenAllocs reads the allocations the gateway makes for one resume
+// hello, appending each grant to one reused buffer as the edge appends it to
+// its pooled frame. The hellos are built beforehand by a client whose wire
+// holds them back, so the client's half is not in the count; the gateway
+// then serves them one per run.
 func resumedOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
 	ctx := context.Background()
 	who := fp.templates[0].Principal
@@ -402,8 +434,10 @@ func resumedOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) floa
 			t.Fatalf("building resume hello %d: %v", len(hellos), err)
 		}
 	}
+	var dst []byte
 	next := func() {
-		if _, err := serve(ctx, hellos[0]); err != nil {
+		var err error
+		if dst, err = fp.gw.AppendWire(ctx, dst[:0], middleware.TopicSessionOpen, hellos[0], "tcp:1:alloc"); err != nil {
 			t.Fatal(err)
 		}
 		hellos = hellos[1:]

@@ -13,7 +13,7 @@ import (
 // from must never come to depend on code that exists to regenerate the
 // paper's tables. internal/transport is fenced too: the in-process bus is
 // a model substrate for the MPC model, not a way into the gateway, whose one
-// ingress is ServeWire behind the TCP edge. internal/offchain is
+// ingress is AppendWire behind the TCP edge. internal/offchain is
 // deliberately not fenced — the platform/fabric adapter reaches it
 // legitimately.
 func TestServingPathFencedFromPaperReproduction(t *testing.T) {

@@ -154,7 +154,7 @@
 // without touching the certificate again. Requests without a token pass through to
 // the authn stage untouched, so one chain serves both traffic kinds.
 //
-// Over a network the handshake is ServeWire's, and it proves possession of
+// Over a network the handshake is AppendWire's, and it proves possession of
 // the certified key once, not once per session: after a full hello has
 // passed every check above, the manager draws a master secret, remembers it
 // beside what the handshake proved, and returns it in the grant only as
@@ -435,7 +435,7 @@
 // through the chain, submits the resulting transaction to an
 // internal/ordering backend, and relays cut blocks to registered platform
 // adapters (Fabric, Corda, Quorum); re-binding an already-bound adapter is
-// a no-op. Requests enter at one seam, ServeWire, which the TCP edge
+// a no-op. Requests enter at one seam, AppendWire, which the TCP edge
 // (internal/netedge) runs under its context for every frame; a refusal
 // crosses the socket as its confmw_gateway_rejected_total label
 // (RejectLabel, RejectError).

@@ -273,20 +273,27 @@ func FuzzWireRequest(f *testing.F) {
 		g.Bind("deals", backendFunc{name: "sink", commit: func(ledger.Block) error { return nil }})
 	}
 	topics := []string{TopicSubmit, TopicSessionOpen, TopicSessionClose, TopicRevocationNotify, "unknown.topic"}
+	const prefix = "frame head|"
+	dst := make([]byte, 0, 4096)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, topic := range topics {
 			for _, to := range []*Gateway{gw, privGW} {
 				// Errors are the expected outcome for junk; the invariant under
 				// test is that no input can panic the gateway or wedge a lock.
-				reply, err := to.ServeWire(context.Background(), topic, data, "")
+				// The reply is appended after a prefix, as the edge's frame
+				// head, which it must leave as it was.
+				reply, err := to.AppendWire(context.Background(), append(dst[:0], prefix...), topic, data, "")
+				if !bytes.HasPrefix(reply, []byte(prefix)) || (err != nil && len(reply) != len(prefix)) {
+					t.Fatalf("%s on %s: reply %q does not keep the prefix %q alone (err %v)", to.name, topic, reply, prefix, err)
+				}
 				if topic != TopicSubmit || err != nil {
 					continue
 				}
 				// An accepted submission is answered with the ID of what was
 				// submitted, whatever the chain made of the request since.
 				var fresh Request
-				if err := decodeRequestBinary(data, &fresh, nil); err != nil || string(reply) != fresh.ID() {
-					t.Fatalf("%s accepted a submission with reply %q, want its ID %q (decode: %v)", to.name, reply, fresh.ID(), err)
+				if err := decodeRequestBinary(data, &fresh, nil); err != nil || string(reply[len(prefix):]) != fresh.ID() {
+					t.Fatalf("%s accepted a submission with reply %q, want its ID %q (decode: %v)", to.name, reply[len(prefix):], fresh.ID(), err)
 				}
 			}
 		}

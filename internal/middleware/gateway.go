@@ -17,7 +17,7 @@ import (
 	"dltprivacy/internal/telemetry"
 )
 
-// Wire topics: what ServeWire serves, and the edge carries.
+// Wire topics: what AppendWire serves, and the edge carries.
 const (
 	// TopicSubmit carries signed client submissions.
 	TopicSubmit = "gateway.submit"
@@ -159,7 +159,7 @@ type GatewayStats struct {
 	Submitted uint64
 	// Ordered counts transactions handed to the ordering backend.
 	Ordered uint64
-	// Rejected counts requests refused by the decoder (ServeWire) or any
+	// Rejected counts requests refused by the decoder (AppendWire) or any
 	// stage, and session handshakes refused over the wire.
 	Rejected uint64
 	// Stages holds per-stage counters in chain order.
@@ -446,13 +446,13 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 // per-stage spans recorded into the trace ring; the unsampled path costs
 // one atomic increment, tracing off one nil check.
 func (g *Gateway) Submit(ctx context.Context, req *Request) error {
-	// The digest memo is ServeWire's alone: a caller's request may have
+	// The digest memo is AppendWire's alone: a caller's request may have
 	// changed since an earlier call.
 	req.digestSet = false
 	return g.submit(ctx, req)
 }
 
-// submit is Submit for ServeWire, whose request carries its digest memo.
+// submit is Submit for AppendWire, whose request carries its digest memo.
 func (g *Gateway) submit(ctx context.Context, req *Request) error {
 	tr := g.tracer.For(req.TraceID)
 	if tr != nil {
@@ -852,27 +852,32 @@ func (g *Gateway) RotateChannelKey(channel string) {
 	g.eachMemberKeyer(func(k memberKeyer) { k.Rotate(channel) })
 }
 
-// ServeWire handles one wire message against the gateway: the one way in,
-// which the TCP edge (netedge.Server) runs for every frame. transportID
-// names the connection, so sessions opened here are bound to it; a caller
-// with none passes "" and its sessions stay unbound. A refusal carries its
-// RejectLabel, which the edge sends back. The payload slice is only
-// borrowed: a binary frame decodes into the Request the chain runs, which
-// aliases it zero-copy for the run, and a stage that holds a request past
-// return copies what it holds into memory it owns (Batch.Handle; the encrypt
-// stage replaces the payload only outside deferred group-seal mode), so the
-// edge may reuse its read buffer for the next frame. The Request itself is
-// borrowed from a pool and goes back once ServeWire and every stage that kept
-// it have let go (see Request); the reply to a submission is a slice of its
-// own.
+// ServeWire is AppendWire into a reply of its own, for callers in process.
 func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
+	return g.AppendWire(ctx, nil, topic, payload, transportID)
+}
+
+// AppendWire handles one wire message against the gateway, appending the
+// reply to dst: the one way in, which the TCP edge (netedge.Server) runs for
+// every frame with its outbound frame as dst. transportID names the
+// connection, so sessions opened here are bound to it; a caller with none
+// passes "" and its sessions stay unbound. A refusal returns dst as given
+// and carries its RejectLabel, which the edge sends back. The payload slice
+// is only borrowed: a binary frame decodes into the Request the chain runs,
+// which aliases it zero-copy for the run, and a stage that holds a request
+// past return copies what it holds into memory it owns (Batch.Handle; the
+// encrypt stage replaces the payload only outside deferred group-seal
+// mode), so the edge may reuse its read buffer for the next frame. The
+// Request itself is borrowed from a pool and goes back once AppendWire and
+// every stage that kept it have let go (see Request).
+func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payload []byte, transportID string) ([]byte, error) {
 	switch topic {
 	case TopicSubmit:
 		req := borrowRequest()
 		req.TransportID = transportID
 		if err := decodeRequestBinary(payload, req, g); err != nil {
 			req.drop()
-			return nil, fmt.Errorf("gateway %s: decode request: %w", g.name, g.reject(rejectDecode, err))
+			return dst, fmt.Errorf("gateway %s: decode request: %w", g.name, g.reject(rejectDecode, err))
 		}
 		req.metaOwned = req.Meta != nil // the decoder made the map; no caller holds it
 		// The ID covers the payload as submitted; the encrypt stage
@@ -881,53 +886,51 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		// it.
 		req.digestMemo, req.digestSet = req.Digest(), true
 		err := g.submit(ctx, req)
-		var reply []byte
 		if err == nil {
-			// The reply escapes to 32 bytes of its own: one aliasing the
-			// request would change under the edge once a group released on
-			// another goroutine recycled the request.
+			// Appended before the drop: once a group released on another
+			// goroutine recycles the request, its memo is someone else's.
 			id := hexID(req.digestMemo)
-			reply = id[:]
+			dst = append(dst, id[:]...)
 		}
 		req.drop()
-		return reply, err
+		return dst, err
 	case TopicSessionOpen, TopicSessionClose:
 		mgr := g.Sessions()
 		if mgr == nil {
-			return nil, fmt.Errorf("gateway %s: pipeline has no session stage", g.name)
+			return dst, fmt.Errorf("gateway %s: pipeline has no session stage", g.name)
 		}
 		if topic == TopicSessionOpen {
-			return g.serveSessionOpen(mgr, payload, transportID)
+			return g.appendSessionOpen(mgr, dst, payload, transportID)
 		}
 		if err := mgr.CloseFrom(string(payload), transportID); err != nil {
-			return nil, fmt.Errorf("gateway %s: %w", g.name, err)
+			return dst, fmt.Errorf("gateway %s: %w", g.name, err)
 		}
-		return []byte("ok"), nil
+		return append(dst, "ok"...), nil
 	case TopicRevocationNotify:
 		if g.revoker == nil {
-			return nil, fmt.Errorf("gateway %s: no revocation plane configured", g.name)
+			return dst, fmt.Errorf("gateway %s: no revocation plane configured", g.name)
 		}
 		evicted := g.SyncRevocations()
 		b, err := json.Marshal(RevocationNotice{Epoch: g.RevocationEpoch(), SessionsRevoked: evicted})
 		if err != nil {
-			return nil, fmt.Errorf("gateway %s: encode revocation notice: %w", g.name, err)
+			return dst, fmt.Errorf("gateway %s: encode revocation notice: %w", g.name, err)
 		}
-		return b, nil
+		return append(dst, b...), nil
 	case TopicShardRebalance:
 		if g.sharded == nil {
-			return nil, fmt.Errorf("gateway %s: ordering backend is not sharded", g.name)
+			return dst, fmt.Errorf("gateway %s: ordering backend is not sharded", g.name)
 		}
 		var req RebalanceRequest
 		if len(payload) > 0 {
 			if err := json.Unmarshal(payload, &req); err != nil {
-				return nil, fmt.Errorf("gateway %s: decode rebalance request: %w", g.name, err)
+				return dst, fmt.Errorf("gateway %s: decode rebalance request: %w", g.name, err)
 			}
 		}
 		var moves []ordering.Migration
 		if req.Channel != "" {
 			from := g.sharded.ShardFor(req.Channel)
 			if err := g.sharded.Migrate(req.Channel, req.To); err != nil {
-				return nil, fmt.Errorf("gateway %s: %w", g.name, err)
+				return dst, fmt.Errorf("gateway %s: %w", g.name, err)
 			}
 			if from != req.To {
 				moves = []ordering.Migration{{Channel: req.Channel, From: from, To: req.To}}
@@ -940,29 +943,30 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 			var err error
 			moves, err = g.sharded.Rebalance(skew)
 			if err != nil {
-				return nil, fmt.Errorf("gateway %s: %w", g.name, err)
+				return dst, fmt.Errorf("gateway %s: %w", g.name, err)
 			}
 		}
 		b, err := json.Marshal(RebalanceNotice{Migrations: moves})
 		if err != nil {
-			return nil, fmt.Errorf("gateway %s: encode rebalance notice: %w", g.name, err)
+			return dst, fmt.Errorf("gateway %s: encode rebalance notice: %w", g.name, err)
 		}
-		return b, nil
+		return append(dst, b...), nil
 	default:
-		return nil, fmt.Errorf("gateway %s: unknown topic %q", g.name, topic)
+		return dst, fmt.Errorf("gateway %s: unknown topic %q", g.name, topic)
 	}
 }
 
-// serveSessionOpen runs one handshake that crossed a network: a full hello
-// or a resume hello, each a 0xDC frame. The grant frame carries neither the
-// MAC key nor the bare master secret: see SessionManager.open. A resume
-// hello naming an id the manager does not hold is answered with the
-// resume-miss frame — a reply, so the client can tell "send the full hello"
-// from a refusal. Every refusal counts in confmw_gateway_rejected_total.
-func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transportID string) ([]byte, error) {
+// appendSessionOpen runs one handshake that crossed a network, a full hello
+// or a resume hello, each a 0xDC frame, and appends its reply to dst. The
+// grant frame carries neither the MAC key nor the bare master secret: see
+// SessionManager.open. A resume hello naming an id the manager does not hold
+// is answered with the resume-miss frame — a reply, so the client can tell
+// "send the full hello" from a refusal. Every refusal counts in
+// confmw_gateway_rejected_total.
+func (g *Gateway) appendSessionOpen(mgr *SessionManager, dst, payload []byte, transportID string) ([]byte, error) {
 	hello, resumed, err := decodeHelloFrame(payload)
 	if err != nil {
-		return nil, fmt.Errorf("gateway %s: decode hello: %w", g.name, g.reject(rejectOpen, err))
+		return dst, fmt.Errorf("gateway %s: decode hello: %w", g.name, g.reject(rejectOpen, err))
 	}
 	var resume *resumeHello
 	var traceID uint64
@@ -984,10 +988,10 @@ func (g *Gateway) serveSessionOpen(mgr *SessionManager, payload []byte, transpor
 		g.tracer.Finish(tr, err)
 	}
 	if errors.Is(err, errResumeUnknown) {
-		return []byte{binaryMagic, binaryKindResumeMiss}, nil
+		return append(dst, binaryMagic, binaryKindResumeMiss), nil
 	}
 	if err != nil {
-		return nil, g.reject(rejectOpen, err)
+		return dst, g.reject(rejectOpen, err)
 	}
-	return encodeGrantFrame(&grant), nil
+	return appendGrantFrame(dst, &grant), nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,8 +186,9 @@ func decodeHelloFrame(b []byte) (*SessionHello, resumeHello, error) {
 // resume hello.
 const grantResumed = 1
 
-// encodeGrantFrame marshals a grant. MacKey is not a field of the frame.
-func encodeGrantFrame(g *SessionGrant) []byte {
+// appendGrantFrame appends a grant's frame to dst, growing it once. MacKey
+// is not a field of the frame.
+func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
 	var flags byte
 	if g.Resumed {
 		flags |= grantResumed
@@ -195,14 +197,14 @@ func encodeGrantFrame(g *SessionGrant) []byte {
 	if g.Sealed != nil {
 		sealed = *g.Sealed
 	}
-	out := make([]byte, 0, 48+len(g.Token)+len(g.Principal)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
-	out = append(out, binaryMagic, binaryKindGrant, flags)
-	out = appendLenPrefixed(out, []byte(g.Token))
-	out = appendLenPrefixed(out, []byte(g.Principal))
-	out = appendTime(out, g.ExpiresAt)
-	out = appendLenPrefixed(out, g.ResumeID)
-	out = appendLenPrefixed(out, sealed.EphemeralPub)
-	return appendLenPrefixed(out, sealed.Ciphertext)
+	dst = slices.Grow(dst, 48+len(g.Token)+len(g.Principal)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
+	dst = append(dst, binaryMagic, binaryKindGrant, flags)
+	dst = appendLenPrefixed(dst, []byte(g.Token))
+	dst = appendLenPrefixed(dst, []byte(g.Principal))
+	dst = appendTime(dst, g.ExpiresAt)
+	dst = appendLenPrefixed(dst, g.ResumeID)
+	dst = appendLenPrefixed(dst, sealed.EphemeralPub)
+	return appendLenPrefixed(dst, sealed.Ciphertext)
 }
 
 // decodeGrantFrame parses the reply to a hello: a grant (whose fields own

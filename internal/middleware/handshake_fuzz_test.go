@@ -127,7 +127,7 @@ func FuzzHandshakeFrames(f *testing.F) {
 			if grant.MacKey != nil {
 				t.Fatalf("a grant frame produced a MAC key: %x", grant.MacKey)
 			}
-			back, miss, err := decodeGrantFrame(encodeGrantFrame(&grant), "")
+			back, miss, err := decodeGrantFrame(appendGrantFrame(nil, &grant), "")
 			if err != nil || miss || !bytes.Equal(render(t, grant), render(t, back)) {
 				t.Fatalf("grant round trip: %v (miss %v)\n first  %s\n second %s", err, miss, render(t, grant), render(t, back))
 			}

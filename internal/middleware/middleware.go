@@ -46,8 +46,8 @@ var (
 // with a sealed envelope, the terminal handler orders the transaction it
 // builds from the request.
 //
-// The Request ServeWire decodes a frame into is borrowed from a pool, and
-// recycled once its last holder lets go: ServeWire holds it for the call, and
+// The Request AppendWire decodes a frame into is borrowed from a pool, and
+// recycled once its last holder lets go: AppendWire holds it for the call, and
 // a stage that keeps a request past its Handle (batch, aggregate) takes a
 // hold of its own and drops it when done (hold, drop). A stage that kept one
 // without a hold would read a stranger's submission once the pool handed the
@@ -94,14 +94,14 @@ type Request struct {
 	// content.
 	TraceID uint64
 
-	// TransportID names the connection the request arrived on: ServeWire
+	// TransportID names the connection the request arrived on: AppendWire
 	// stamps it from the edge, never from the client. A session opened over
 	// a connection is bound to it, and the session stage rejects its token
 	// from any other TransportID with ErrSessionBound. Empty outside the
 	// edge, where sessions stay unbound.
 	TransportID string
 
-	// holds counts who still holds a request ServeWire borrowed from the
+	// holds counts who still holds a request AppendWire borrowed from the
 	// pool; 0 on a caller's own request, which is never pooled. See drop.
 	// Read and written only through sync/atomic's functions: an atomic.Int32
 	// would make vet refuse the copies callers make of their own requests.
@@ -128,7 +128,7 @@ type Request struct {
 	buffered bool
 	// metaOwned marks a Meta map made by the pipeline itself, which no
 	// caller holds (the batch stage's synthetic release vehicle, a map
-	// ServeWire decoded off the wire): the terminal handler may annotate and
+	// AppendWire decoded off the wire): the terminal handler may annotate and
 	// hand it to the ledger transaction directly instead of copying it.
 	metaOwned bool
 	// digestSet marks digestMemo as set; see digest.
@@ -187,7 +187,7 @@ func (r *Request) complete(err error) {
 	}
 }
 
-// wireRequests recycles the Requests ServeWire decodes frames into.
+// wireRequests recycles the Requests AppendWire decodes frames into.
 var wireRequests = sync.Pool{New: func() any { return new(Request) }}
 
 // poisonDropped, set only by tests, takes the place of pooling at a request's
@@ -301,7 +301,7 @@ func (r *Request) setPayloadSum(p []byte, sum [32]byte) {
 
 // digest is Digest for the stages (session, authn, audit): a submission
 // needs its digest up to three times, and a wire submission's is taken once,
-// by ServeWire, the memo's only writer. The memo is keyed to the payload
+// by AppendWire, the memo's only writer. The memo is keyed to the payload
 // memo: it stands only while that is of the current payload, so assigning
 // Payload afresh retires it and setPayloadSum drops it. The aggregate
 // vehicle, which rewrites Principal, drops it by hand, and Gateway.Submit

@@ -200,11 +200,14 @@ func resized(stages []StageConfig) []StageConfig {
 // TestNoStageUsesARequestAfterItsRelease runs every pipeline the ordering rules
 // admit over memoStages, and each with a holding stage once more at the other
 // size (batch(size=4), batch(size=4,groupseal=on), aggregate(size=3)), with
-// four goroutines submitting every kind of frame through ServeWire at once and
-// every request poisoned, not pooled, at its last drop. Every reply must be
-// the frame's ID and every ordered transaction must carry the channel, creator
-// and payload that were submitted, each submission exactly once, and every
-// request ServeWire borrowed must come back. A stage that used a request
+// four goroutines submitting every kind of frame at once and every request
+// poisoned, not pooled, at its last drop. Submissions go through AppendWire,
+// as the edge makes them, each after a prefix of its own; the plain kind's go
+// through ServeWire. Every reply must be the prefix, untouched, and the
+// frame's ID after it — also once every group has been released on some other
+// goroutine — every ordered transaction must carry the channel, creator and
+// payload that were submitted, each submission exactly once, and every
+// request the gateway borrowed must come back. A stage that used a request
 // after letting go of it delivers the poison, or races with it under -race.
 func TestNoStageUsesARequestAfterItsRelease(t *testing.T) {
 	fx := newRecycleFixture(t)
@@ -242,14 +245,34 @@ func TestNoStageUsesARequestAfterItsRelease(t *testing.T) {
 		type job struct {
 			f      *recycleFrame
 			accept bool
+			serve  bool   // through ServeWire, not AppendWire
+			prefix string // what AppendWire's dst holds
+			reply  []byte
+			err    error
 		}
 		var jobs []job
 		for _, k := range []wireKind{kindPlain, kindCert, kindSession, kindAnon} {
 			for i := range fx.frames[k][agg] {
-				jobs = append(jobs, job{&fx.frames[k][agg][i], k.accepts(stages)})
+				jobs = append(jobs, job{f: &fx.frames[k][agg][i], accept: k.accepts(stages), serve: k == kindPlain})
 			}
 		}
-		jobs = append(jobs, job{&recycleFrame{wire: garbage}, false})
+		jobs = append(jobs, job{f: &recycleFrame{wire: garbage}})
+		for i := range jobs {
+			if !jobs[i].serve {
+				jobs[i].prefix = fmt.Sprintf("job %d of %s|", i, name)
+			}
+		}
+		// checkReply reports a reply that is not the job's prefix followed by
+		// its frame's ID, or by nothing when the frame was refused.
+		checkReply := func(j *job) {
+			want := j.prefix
+			if j.err == nil {
+				want += j.f.id
+			}
+			if string(j.reply) != want {
+				t.Errorf("%s: reply %q to the frame whose ID is %q (prefix %q, err %v)", name, j.reply, j.f.id, j.prefix, j.err)
+			}
+		}
 		before := recycled.Load()
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -262,14 +285,18 @@ func TestNoStageUsesARequestAfterItsRelease(t *testing.T) {
 					if i >= len(jobs) {
 						return
 					}
-					j := jobs[i]
-					reply, err := gw.ServeWire(context.Background(), TopicSubmit, j.f.wire, "")
-					switch {
-					case (err == nil) != j.accept:
-						t.Errorf("%s: frame %q accepted=%v, want %v (%v)", name, j.f.id, err == nil, j.accept, err)
-					case err == nil && string(reply) != j.f.id:
-						t.Errorf("%s: reply %q to the frame whose ID is %q", name, reply, j.f.id)
+					j := &jobs[i]
+					if j.serve {
+						j.reply, j.err = gw.ServeWire(context.Background(), TopicSubmit, j.f.wire, "")
+					} else {
+						// Room to spare, so the ID lands in the prefix's array.
+						dst := append(make([]byte, 0, len(j.prefix)+64), j.prefix...)
+						j.reply, j.err = gw.AppendWire(context.Background(), dst, TopicSubmit, j.f.wire, "")
 					}
+					if (j.err == nil) != j.accept {
+						t.Errorf("%s: frame %q accepted=%v, want %v (%v)", name, j.f.id, j.err == nil, j.accept, j.err)
+					}
+					checkReply(j)
 				}
 			}()
 		}
@@ -278,8 +305,13 @@ func TestNoStageUsesARequestAfterItsRelease(t *testing.T) {
 			t.Fatalf("%s: Flush: %v", name, err)
 		}
 		gw.Close()
+		// Every group is released and every request recycled by now: a reply
+		// that still aliased one of them would read the poison.
+		for i := range jobs {
+			checkReply(&jobs[i])
+		}
 		if got := recycled.Load() - before; got != int64(len(jobs)) {
-			t.Fatalf("%s: %d of the %d requests ServeWire borrowed came back", name, got, len(jobs))
+			t.Fatalf("%s: %d of the %d requests the gateway borrowed came back", name, got, len(jobs))
 		}
 		var want []*recycleFrame
 		for _, j := range jobs {

@@ -8,7 +8,7 @@ import (
 // errResumeUnknown is what a resume hello gets when the manager holds no
 // live entry under its id — evicted, expired, dropped by a revocation, or
 // issued by a gateway that has since restarted. It never reaches a client as
-// an error: ServeWire answers it with the resume-miss frame, and the client
+// an error: AppendWire answers it with the resume-miss frame, and the client
 // runs the full handshake inside the same call.
 var errResumeUnknown = errors.New("middleware: unknown resumption id")
 

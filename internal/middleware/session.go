@@ -92,7 +92,7 @@ type SessionGrant struct {
 	// HKDF with the handshake transcript digest as salt, so the key is
 	// cryptographically bound to the handshake that opened the session. It
 	// never crosses a network: an in-process Open returns it here, and a
-	// grant that travelled (ServeWire) leaves it empty for the client to
+	// grant that travelled (AppendWire) leaves it empty for the client to
 	// derive from the master secret (Handshaker does). The server's copy dies
 	// with the session (expiry, close, or revocation).
 	MacKey []byte `json:"macKey,omitempty"`
@@ -469,7 +469,7 @@ func (m *SessionManager) Open(hello SessionHello) (SessionGrant, error) {
 //
 // This is the in-process handshake: the grant is handed over in memory, so
 // it carries the MAC key itself, nothing is sealed and nothing is remembered
-// for resumption. The handshake that crosses a network is ServeWire's.
+// for resumption. The handshake that crosses a network is AppendWire's.
 func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (SessionGrant, error) {
 	return m.open(&hello, nil, transportID, false)
 }

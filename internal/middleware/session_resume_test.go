@@ -33,7 +33,7 @@ func (w *wireTo) roundTrip(_ context.Context, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	reply := encodeGrantFrame(&grant)
+	reply := appendGrantFrame(nil, &grant)
 	w.replies = append(w.replies, reply)
 	return reply, nil
 }
@@ -594,7 +594,7 @@ func TestConcurrentFirstOpensShareOneFullHandshake(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeGrantFrame(&grant), nil
+		return appendGrantFrame(nil, &grant), nil
 	}
 	var client Handshaker
 	const opens = 16

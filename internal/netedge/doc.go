@@ -1,5 +1,5 @@
 // Package netedge is the network edge of the gateway and its one way in: a
-// TCP listener that hands every frame to middleware.Gateway.ServeWire, and
+// TCP listener that hands every frame to middleware.Gateway.AppendWire, and
 // the dialer that carries the middleware wire protocol — 0xDC frames — to
 // it.
 //
@@ -20,13 +20,17 @@
 // row's sentinel, so errors.Is(err, middleware.ErrNoSession) holds on the
 // client.
 //
-// The payload is what ServeWire takes for the topic: a 0xDC request frame
+// The payload is what AppendWire takes for the topic: a 0xDC request frame
 // for gateway.submit, a 0xDC hello frame (full or resume) for session.open,
 // answered by a grant frame, a bare token for session.close. Length
 // prefixes are validated against the configured maximum before any
 // allocation, and the payload is handed to the handler zero-copy from the
 // connection's reused read buffer — the decode path from socket to
-// middleware.ParseEnvelope never copies a submission.
+// middleware.ParseEnvelope never copies a submission. The reply is not
+// copied either: the handler appends it to the connection's pooled
+// outbound frame, whose head the reader has already written, and the reader
+// patches the length in; a refusal truncates the frame and starts the error
+// frame in its place.
 //
 // # Connections, backpressure, and deadlines
 //

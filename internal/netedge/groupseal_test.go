@@ -18,7 +18,7 @@ import (
 
 // TestGroupSealOwnsBufferedPayloads is the regression test for the
 // cross-channel plaintext aliasing: in deferred-seal mode the batch stage
-// holds plaintext members past ServeWire's return, while the edge's read
+// holds plaintext members past AppendWire's return, while the edge's read
 // loop reuses one buffer per connection for every frame — so a member that
 // merely borrowed its payload would be sealed holding a later frame's
 // bytes, possibly another channel's under this channel's key. Two

@@ -56,10 +56,17 @@ func reuse(b []byte) []byte {
 
 // appendFrame encodes one stream frame — length prefix, kind, id, topic
 // (a request's topic, an error reply's refusal label; not on an ok reply),
-// body — into dst and returns the extended slice. The frame is built in one pass with the length patched
-// in, so callers can encode into a pooled buffer.
+// body — into dst and returns the extended slice. The frame is built in one
+// pass with the length patched in, so callers can encode into a pooled
+// buffer.
 func appendFrame(dst []byte, kind byte, id uint64, topic string, body []byte) []byte {
 	start := len(dst)
+	return closeFrame(append(openFrame(dst, kind, id, topic), body...), start)
+}
+
+// openFrame appends a frame's head — the length placeholder, kind, id and,
+// except on an ok reply, the topic — for the body to be appended after it.
+func openFrame(dst []byte, kind byte, id uint64, topic string) []byte {
 	dst = append(dst, 0, 0, 0, 0) // length placeholder
 	dst = append(dst, kind)
 	dst = binary.AppendUvarint(dst, id)
@@ -67,7 +74,11 @@ func appendFrame(dst []byte, kind byte, id uint64, topic string, body []byte) []
 		dst = binary.AppendUvarint(dst, uint64(len(topic)))
 		dst = append(dst, topic...)
 	}
-	dst = append(dst, body...)
+	return dst
+}
+
+// closeFrame patches the length of the frame openFrame began at start.
+func closeFrame(dst []byte, start int) []byte {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }

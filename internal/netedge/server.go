@@ -15,18 +15,26 @@ import (
 )
 
 // Handler serves decoded wire messages — the interface the middleware
-// Gateway satisfies with ServeWire. transportID is the serving
-// connection's unique identity, the value session binding pins tokens to.
-// The payload slice aliases the connection's read buffer and is only valid
-// until ServeWire returns; implementations must not retain it. The gateway
-// does not get this for free: a stage that holds a request past ServeWire's
-// return (batch) copies what it holds into memory it owns. The edge copies
-// the reply into its outbound frame before it reads the next frame, on the
-// goroutine that called ServeWire; the reply must stay as returned until
-// then, so one aliasing memory another goroutine may rewrite is unsafe. The
-// gateway's replies are slices of their own: the Request a submission
-// decodes into goes back to a pool (middleware.Request).
+// Gateway satisfies. The edge calls AppendWire and nothing else: dst is the
+// connection's outbound frame, already holding its head, and the handler
+// appends its reply to it and returns the extended slice, so no reply is
+// allocated to be copied and dropped. The reply is complete when AppendWire
+// returns: what it appended must not alias memory another goroutine may
+// rewrite, and the handler must not retain dst. On an error the edge
+// truncates the frame back to its start, whatever the handler appended, and
+// sends the error frame instead. ServeWire returns the same reply in a slice
+// of its own, for callers in process: AppendWire's result is dst followed by
+// what ServeWire would have returned.
+//
+// transportID is the serving connection's unique identity, the value
+// session binding pins tokens to. The payload slice aliases the
+// connection's read buffer and is only valid until the call returns;
+// implementations must not retain it. The gateway does not get this for
+// free: a stage that holds a request past the call (batch) copies what it
+// holds into memory it owns, and a submission's ID is appended before the
+// Request it was decoded into goes back to its pool (middleware.Request).
 type Handler interface {
+	AppendWire(ctx context.Context, dst []byte, topic string, payload []byte, transportID string) ([]byte, error)
 	ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error)
 }
 
@@ -36,6 +44,15 @@ type HandlerFunc func(ctx context.Context, topic string, payload []byte, transpo
 // ServeWire implements Handler.
 func (f HandlerFunc) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 	return f(ctx, topic, payload, transportID)
+}
+
+// AppendWire implements Handler: it appends what the function returns.
+func (f HandlerFunc) AppendWire(ctx context.Context, dst []byte, topic string, payload []byte, transportID string) ([]byte, error) {
+	reply, err := f(ctx, topic, payload, transportID)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, reply...), nil
 }
 
 // options collects the server knobs; see the With* constructors.
@@ -110,10 +127,11 @@ func WithConnCloseHook(fn func(transportID string)) Option {
 }
 
 // framePool recycles the buffers replies are encoded into on their way
-// through a connection's outbound queue: the reader takes one per reply and
-// the writer hands it back (putFrame) once it has copied the frame into its
-// write batch, so steady state allocates nothing per reply. Requests do not
-// pass through it; the client encodes them straight into its batch.
+// through a connection's outbound queue: the reader takes one per reply, the
+// handler appends the reply into it, and the writer hands it back (putFrame)
+// once it has copied the frame into its write batch, so steady state
+// allocates nothing per reply. Requests do not pass through it; the client
+// encodes them straight into its batch.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -384,12 +402,14 @@ func (s *Server) readLoop(ec *edgeConn) {
 			return
 		}
 		s.requests.Add(1)
-		reply, herr := s.h.ServeWire(s.ctx, f.topic, f.body, ec.id)
+		// The handler appends its reply to the ok frame's head; a refusal
+		// starts the frame over, dropping whatever it appended.
 		bp := framePool.Get().(*[]byte)
+		out, herr := s.h.AppendWire(s.ctx, openFrame((*bp)[:0], frameOK, f.id, ""), f.topic, f.body, ec.id)
 		if herr != nil {
 			*bp = appendFrame((*bp)[:0], frameError, f.id, middleware.RejectLabel(herr), []byte(herr.Error()))
 		} else {
-			*bp = appendFrame((*bp)[:0], frameOK, f.id, "", reply)
+			*bp = closeFrame(out, 0)
 		}
 		if !ec.enqueue(s, bp) {
 			return

@@ -6,7 +6,7 @@
 // tests partition them).
 //
 // It is not a way into the gateway. Requests reach the gateway only through
-// middleware.Gateway.ServeWire, which the TCP edge (internal/netedge) runs;
+// middleware.Gateway.AppendWire, which the TCP edge (internal/netedge) runs;
 // the repository's fence test keeps this package out of the serving path's
 // imports.
 package transport
