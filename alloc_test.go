@@ -70,14 +70,15 @@ func TestAllocationBudget(t *testing.T) {
 			// the digest sorted the two keys in a heap slice (1). Now order
 			// hands out a map built once in NewGateway and the digest sorts on
 			// the stack. 4 until the transaction held its primed digest by
-			// value instead of in a heap *[32]byte. What is left: the sealed
-			// frame, the block's Txs slice and the fixture's own copy of its
-			// template.
+			// value instead of in a heap *[32]byte. 3 until the block's Txs
+			// slice was carved from the orderer's 21-transaction queue chunk
+			// (one chunk per 21 blocks, floored away). What is left: the
+			// sealed frame and the fixture's own copy of its template.
 			name:     "mac",
 			replaces: "speedup SessionMAC/reqauth=mac and reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs (one reading: neither decodes a frame)",
 			cfg:      mac,
 			allocs:   submitAllocs,
-			ceiling:  3,
+			ceiling:  2,
 		},
 		{
 			name:     "mac+metrics",
@@ -103,12 +104,13 @@ func TestAllocationBudget(t *testing.T) {
 			// copying the subscriber list; 8 until the digest sorted the
 			// vehicle's two meta keys on the stack (the vehicle's map is its
 			// own, as it was); 7 until the vehicle's primed digest stopped
-			// being a heap *[32]byte.
+			// being a heap *[32]byte; 6 until the group's block took its Txs
+			// from the orderer's queue chunk.
 			name:     "groupseal(64)",
 			replaces: "ceiling BatchSeal/batch=64 <= 5 allocs",
 			cfg:      grouped,
 			allocs:   groupAllocs,
-			ceiling:  6,
+			ceiling:  5,
 		},
 		{
 			// Both ends of a loopback connection together. 16 until the wire
@@ -127,14 +129,16 @@ func TestAllocationBudget(t *testing.T) {
 			// Request went out and a 32-byte reply slice came in, 320 B
 			// fewer at the same count (TestServeWireAllocatedBytes). 3 since
 			// the edge hands the gateway its outbound frame and the ID is
-			// appended to it (Gateway.AppendWire). Left: the sealed frame and
-			// the block's Txs slice of the mac row, and the client's copy of
-			// the reply (netedge.TestCallAllocations).
+			// appended to it (Gateway.AppendWire), until the block's Txs
+			// slice came from the orderer's queue chunk and the client's
+			// copy of the reply from its 4 KB reply chunk
+			// (netedge.TestCallAllocations). Left: the sealed frame of the
+			// mac row.
 			name:     "edge-tcp",
 			replaces: "ceiling EdgeTCP/pipeline=8 <= 16 allocs",
 			cfg:      mac,
 			allocs:   edgeAllocs,
-			ceiling:  3,
+			ceiling:  1,
 		},
 		{
 			// The gateway's half of one resumed handshake, session.open frame
@@ -182,12 +186,13 @@ func TestAllocationBudget(t *testing.T) {
 			// One fewer than the baseline figure: the block cut no longer
 			// copies the subscriber list. 34 until Gateway.order stopped
 			// making a map for "gateway" (2) and the digest a slice for its
-			// one key (1); 31 until the transaction's digest memo went.
+			// one key (1); 31 until the transaction's digest memo went; 30
+			// until the block's Txs slice was carved from the queue chunk.
 			name:     "authn",
 			replaces: "baseline Chain/stages=1(+authn) 35",
 			cfg:      pipeline(authnStage),
 			allocs:   submitAllocs,
-			ceiling:  30,
+			ceiling:  29,
 		},
 		{
 			// The uncached seal wraps the data key for every member on every
@@ -202,12 +207,13 @@ func TestAllocationBudget(t *testing.T) {
 			// GCM built, the KEK hashed on pooled state. 74 until the table
 			// stopped naming its members: the wraps by name (a map, 2) and the
 			// sorted names the frame listed them in (1) became one slice of
-			// wraps sorted by their bytes.
+			// wraps sorted by their bytes. 72 until the block's Txs slice was
+			// carved from the queue chunk.
 			name:     "authn|encrypt|audit",
 			replaces: "baseline Chain/stages=3(+audit) 108",
 			cfg:      pipeline(authnStage, encryptStage, auditStage),
 			allocs:   submitAllocs,
-			ceiling:  72,
+			ceiling:  71,
 		},
 		{
 			// A ledger reader's decode of one sealed frame at the benchmark's
@@ -249,12 +255,14 @@ func TestAllocationBudget(t *testing.T) {
 // it read before the wire path recycled its requests (go1.24.0 linux/amd64).
 // The 352-byte Request went back to a pool and the 32-byte reply moved out of
 // the request into a slice of its own, -320 B at the same count (736 B); the
-// 20 B left are slack for the pool's refills after a garbage collection.
+// block's one-transaction Txs slice, 192 B, became a 21st of a 4,096-byte
+// queue chunk, +3 B (739 B). The 17 B left are slack for the pool's refills
+// after a garbage collection.
 const serveWireBytesBudget = 1056 - 300
 
 // appendWireBytesBudget is the same submission through AppendWire into a
 // reused buffer, as the edge makes it: the reply slice is gone, -32 B
-// (704 B), with the same 20 B of slack.
+// (707 B), with the same 17 B of slack.
 const appendWireBytesBudget = serveWireBytesBudget - 32
 
 // TestServeWireAllocatedBytes holds the bytes, not only the count, of a wire

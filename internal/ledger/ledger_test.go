@@ -292,12 +292,14 @@ func TestPrimedDigestEqualsDigestFromContent(t *testing.T) {
 }
 
 // TestTransactionFitsItsSizeClass keeps the by-value digest memo from costing
-// a block's Txs slice a size class: 192 is where the memo and its flag put
-// Transaction, and the class a one-transaction slice falls into.
+// the orderer's queue a size class: 192 is where the memo and its flag put
+// Transaction, and it sets how many transactions fill one 4,096-byte chunk of
+// the queue that blocks' Txs are carved from — 21, with the runtime's 8-byte
+// header (ordering's pendingChunk).
 func TestTransactionFitsItsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Transaction{}); size > 192 {
-		t.Fatalf("Transaction is %d bytes, want <= 192: past it a one-transaction block's Txs slice "+
-			"moves from the 192-byte size class to the 208-byte one", size)
+		t.Fatalf("Transaction is %d bytes, want <= 192: past it 21 of them no longer fit "+
+			"the orderer's 4,096-byte queue chunk", size)
 	}
 }
 

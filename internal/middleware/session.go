@@ -488,6 +488,16 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 // from the master. Resumed handshakes are wire handshakes by construction.
 func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transportID string, wire bool) (SessionGrant, error) {
 	now := m.now()
+	// Times from outside — the hello's IssuedAt, the nonce memory's
+	// forget-after derived from it, the certificate's window — are other
+	// clocks' wall readings, so they are judged on the wall clock:
+	// coarseNow's wall reading is the process epoch plus monotonic time,
+	// and drifts from the system clock by every step and slew since the
+	// process started. What the tables are stamped with stays on now.
+	wall := now
+	if m.defaultClock {
+		wall = time.Now()
+	}
 	var nonce [helloNonceBytes]byte
 	var issuedAt time.Time
 	if resume != nil {
@@ -501,8 +511,8 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		}
 		issuedAt = hello.IssuedAt
 	}
-	if issuedAt.Before(now.Add(-helloFreshness)) || issuedAt.After(now.Add(helloFreshness)) {
-		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, issuedAt, now)
+	if issuedAt.Before(wall.Add(-helloFreshness)) || issuedAt.After(wall.Add(helloFreshness)) {
+		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, issuedAt, wall)
 	}
 	// The rejection that costs nothing comes before any other work.
 	if hello != nil && hello.Cert.Identity != hello.Principal {
@@ -521,7 +531,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		known = m.resumes.get(resume.ID, now)
 	}
 	m.mu.Unlock()
-	if seen && now.UnixNano() <= forgetAfter {
+	if seen && wall.UnixNano() <= forgetAfter {
 		return SessionGrant{}, fmt.Errorf("%w: nonce %x", ErrReplayedHello, nonce)
 	}
 
@@ -546,7 +556,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		}
 		principal, serial = known.identity, known.serial
 	} else {
-		if err := m.certs.Verify(hello.Cert, now); err != nil {
+		if err := m.certs.Verify(hello.Cert, wall); err != nil {
 			return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
 		}
 		principal, serial = hello.Principal, hello.Cert.Serial
@@ -608,8 +618,8 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 			return SessionGrant{}, fmt.Errorf("session open %s: seal master secret: %w", principal, err)
 		}
 		fresh = &resumeEntry{identity: principal, serial: serial, expires: expires}
-		if hello.Cert.NotAfter.Before(expires) {
-			fresh.expires = hello.Cert.NotAfter
+		if left := hello.Cert.NotAfter.Sub(wall); left < m.ttl {
+			fresh.expires = now.Add(left)
 		}
 		copy(fresh.master[:], secret)
 		grant.ResumeID, grant.Sealed = id, &sealed
@@ -638,7 +648,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if now.Sub(m.lastSweep) >= m.sweepEvery {
-		m.sweepLocked(now)
+		m.sweepLocked(now, wall)
 		m.lastSweep = now
 	}
 	if _, seen := m.seenNonces[nonce]; seen {
@@ -912,11 +922,12 @@ func (m *SessionManager) SweepRevoked() int {
 }
 
 // sweepLocked evicts every session past its TTL or idle window, and every
-// remembered nonce and revocation tombstone past its forget-after time.
-// Called with mu held, from Open at most once per sweepEvery, so an
-// abandoned client population cannot grow any table without bound while a
-// 100k-session open flood never pays a full table walk per handshake.
-func (m *SessionManager) sweepLocked(now time.Time) {
+// revocation tombstone and remembered nonce past its forget-after time —
+// a nonce's on the wall clock, see open. Called with mu held, from Open at
+// most once per sweepEvery, so an abandoned client population cannot grow
+// any table without bound while a 100k-session open flood never pays a
+// full table walk per handshake.
+func (m *SessionManager) sweepLocked(now, wall time.Time) {
 	for i := range m.stripes {
 		st := &m.stripes[i]
 		st.mu.Lock()
@@ -933,9 +944,9 @@ func (m *SessionManager) sweepLocked(now time.Time) {
 		}
 		st.mu.Unlock()
 	}
-	nowNanos := now.UnixNano()
+	wallNanos := wall.UnixNano()
 	for nonce, forgetAfter := range m.seenNonces {
-		if nowNanos > forgetAfter {
+		if wallNanos > forgetAfter {
 			delete(m.seenNonces, nonce)
 		}
 	}

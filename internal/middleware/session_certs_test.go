@@ -225,3 +225,30 @@ func TestOpenProbesRevocationOnEveryOpen(t *testing.T) {
 		t.Fatalf("hits = %d, want the second and third open cached", st.CertCacheHits)
 	}
 }
+
+// TestOpenJudgesOutsideTimesOnTheWallClock: on the default clock, a hello's
+// IssuedAt and its certificate's window — other clocks' wall readings — are
+// judged on the wall clock, not on coarseNow's wall reading, which is the
+// process epoch plus monotonic time and drifts from the system clock by
+// every step and slew since the process started. The drift is simulated
+// by skewing the manager's coarse clock three minutes either way, past the
+// hello's freshness window; the session it opens is stamped on that clock
+// and resolves on it, and the consumed hello is still remembered.
+func TestOpenJudgesOutsideTimesOnTheWallClock(t *testing.T) {
+	ca, ps := enrollAt(t, time.Now, "alice")
+	for _, skew := range []time.Duration{-3 * time.Minute, 3 * time.Minute} {
+		mgr := mustManager(t, ca, 10*time.Minute, 5*time.Minute, nil)
+		mgr.now = func() time.Time { return coarseNow().Add(skew) }
+		hello := mustHelloAt(t, ps["alice"], time.Now())
+		grant, err := mgr.Open(hello)
+		if err != nil {
+			t.Fatalf("coarse clock %v off the wall clock: open = %v", skew, err)
+		}
+		if _, _, err := mgr.resolve(grant.Token, ""); err != nil {
+			t.Fatalf("coarse clock %v off the wall clock: resolve = %v", skew, err)
+		}
+		if _, err := mgr.Open(hello); !errors.Is(err, ErrReplayedHello) {
+			t.Fatalf("coarse clock %v off the wall clock: replayed hello = %v, want ErrReplayedHello", skew, err)
+		}
+	}
+}

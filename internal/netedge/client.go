@@ -73,10 +73,11 @@ type callResult struct {
 
 // Client is one pipelined edge connection: concurrent-safe, many requests
 // in flight matched to replies by request id, in-flight window bounded.
-// One goroutine reads the socket. Callers encode their frames into a shared
-// batch and combine their socket writes: whoever finds nobody flushing
-// becomes the flusher and writes the batch, everyone else appends and
-// returns (see flush).
+// One goroutine reads the socket and carves the replies it delivers from
+// append-only chunks (see readLoop). Callers encode their frames into a
+// shared batch and combine their socket writes: whoever finds nobody
+// flushing becomes the flusher and writes the batch, everyone else appends
+// and returns (see flush).
 type Client struct {
 	conn     net.Conn
 	maxFrame int
@@ -167,12 +168,21 @@ func (c *Client) err() error {
 	return ErrClosed
 }
 
+// replyChunk is the size of the chunks readLoop carves replies from: a
+// noscan size class of its own, 128 of the gateway's 32-byte IDs.
+const replyChunk = 4096
+
 // readLoop is the one socket reader: it matches reply frames to pending
 // calls by request id. Reply payloads are copied out of the reused read
-// buffer before delivery, so callers own what they receive.
+// buffer into an append-only chunk (replyChunk bytes, or the payload's own
+// size if that is larger) and delivered as a slice of it with its capacity
+// clipped. A full chunk is left to whoever holds its replies and never
+// rewritten, so callers own what they receive: nothing later writes over a
+// reply, and appending to one reallocates.
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 16<<10)
 	buf := make([]byte, 0, 4096)
+	var chunk []byte
 	for {
 		f, nbuf, err := readFrame(br, buf, c.maxFrame)
 		buf = nbuf
@@ -184,7 +194,12 @@ func (c *Client) readLoop() {
 		switch f.kind {
 		case frameOK:
 			if len(f.body) > 0 {
-				res.b = append([]byte(nil), f.body...)
+				if cap(chunk)-len(chunk) < len(f.body) {
+					chunk = make([]byte, 0, max(replyChunk, len(f.body)))
+				}
+				start := len(chunk)
+				chunk = append(chunk, f.body...)
+				res.b = chunk[start:len(chunk):len(chunk)]
 			}
 		case frameError:
 			res.err = &WireError{Label: f.topic, Msg: string(f.body)}
@@ -253,9 +268,11 @@ func (c *Client) await(ctx context.Context, id uint64, ch chan callResult) (res 
 }
 
 // Call sends one request frame and waits for its reply. payload is only
-// read before Call returns; the reply is the caller's to keep. Server-side
-// rejections come back as *WireError carrying the gateway's error text and
-// the refusal's label.
+// read before Call returns; the reply is the caller's to keep. It is carved
+// from a chunk shared with later replies (see readLoop): nothing writes over
+// it and appending to it reallocates, but keeping it keeps up to 4 KB
+// alive — copy a reply kept for long. Server-side rejections come back as
+// *WireError carrying the gateway's error text and the refusal's label.
 func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte, error) {
 	// No PendingCall escapes a synchronous call, so its reply channel can
 	// come from the pool — and go back once its result was received from

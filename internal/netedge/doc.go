@@ -30,7 +30,9 @@
 // copied either: the handler appends it to the connection's pooled
 // outbound frame, whose head the reader has already written, and the reader
 // patches the length in; a refusal truncates the frame and starts the error
-// frame in its place.
+// frame in its place. The client copies each reply once, out of its read
+// buffer into a 4 KB append-only chunk its replies are carved from, capacity
+// clipped: a chunk is never rewritten, so a reply stays its caller's.
 //
 // # Connections, backpressure, and deadlines
 //

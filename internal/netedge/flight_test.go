@@ -300,3 +300,63 @@ func TestLargeFrameBuffersNotRetained(t *testing.T) {
 		}
 	}
 }
+
+// TestCarvedRepliesStayTheCallers holds the replies the reader carves from
+// its shared chunks to their callers. 32 concurrent Calls on one connection
+// each check their 32-byte echo on receipt, then append to it and overwrite
+// all of it with a pattern of their own, and keep it. At the end every kept
+// reply must still read its own pattern: a reply handed the chunk's spare
+// capacity would append over its neighbour in the chunk, and one of the two
+// patterns would be gone. Neighbouring replies are written at once — a
+// caller to its own, the reader to the next — which -race must see clean.
+func TestCarvedRepliesStayTheCallers(t *testing.T) {
+	srv := listenEcho(t)
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const callers, rounds = 32, 64
+	kept := make([][][]byte, callers)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				// One caller's consecutive replies differ in r&7, and
+				// different callers' in g: no two neighbours share a byte.
+				v := byte(g<<3 | r&7)
+				sent := bytes.Repeat([]byte{v}, 32)
+				reply, err := c.Call(context.Background(), "echo", sent)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(reply, sent) {
+					errs <- fmt.Errorf("caller %d round %d: reply %x, sent %x", g, r, reply, sent)
+					return
+				}
+				mine := append(reply, sent[:16]...)
+				for i := range mine {
+					mine[i] = ^v
+				}
+				kept[g] = append(kept[g], mine)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for g := range kept {
+		for r, mine := range kept[g] {
+			v := byte(g<<3 | r&7)
+			if !bytes.Equal(mine, bytes.Repeat([]byte{^v}, 48)) {
+				t.Fatalf("caller %d round %d: kept reply reads %x, want 48 bytes of %02x", g, r, mine, ^v)
+			}
+		}
+	}
+}

@@ -5,6 +5,8 @@ package ordering
 import (
 	"fmt"
 	"testing"
+
+	"dltprivacy/internal/ledger"
 )
 
 // TestRestartAllocationsFlatInHeight holds the two costs a replica log used
@@ -113,5 +115,41 @@ func TestCancelPendingAllocations(t *testing.T) {
 	}
 	if !c.cancelPending(twice) || c.cancelPending(twice) || c.Pending() != 30 {
 		t.Fatalf("a transaction queued twice: %d pending after withdrawing it twice, want 30 and no third instance", c.Pending())
+	}
+}
+
+// TestQueueChunkAllocations holds a block cut to carving its Txs from the
+// queue's chunk: 210 one-transaction cuts allocate exactly the 10 chunks of
+// 21 transactions they are carved from, where each block's slice was an
+// allocation of its own (210). The transactions are primed beforehand and
+// the subscriber keeps nothing, so the chunks are all there is to count.
+func TestQueueChunkAllocations(t *testing.T) {
+	c, err := NewCluster("trade", clusterOps, VisibilityEnvelope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next uint64
+	c.Subscribe(func(b ledger.Block) error {
+		if b.Number != next || len(b.Txs) != 1 {
+			t.Errorf("block %d with %d transactions, want block %d with 1", b.Number, len(b.Txs), next)
+		}
+		next++
+		return nil
+	})
+	const cuts = 10 * pendingChunk
+	txs := make([]ledger.Transaction, cuts)
+	for i := range txs {
+		txs[i] = mkTx("trade", "BankA", fmt.Sprintf("k%d", i))
+		txs[i].PrimeDigest()
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, tx := range txs {
+			if err := c.Submit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 10 {
+		t.Fatalf("%v allocations per %d one-transaction block cuts, want exactly 10 chunks of %d", allocs, cuts, pendingChunk)
 	}
 }

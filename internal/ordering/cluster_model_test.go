@@ -89,6 +89,15 @@ func (r *refCluster) submit(tx ledger.Transaction) error {
 	return r.flush()
 }
 
+// cancel withdraws the first queued instance of tx, as cancelPending does.
+func (r *refCluster) cancel(tx ledger.Transaction) bool {
+	i := slices.IndexFunc(r.pending, func(p ledger.Transaction) bool { return p.Digest() == tx.Digest() })
+	if i >= 0 {
+		r.pending = slices.Delete(r.pending, i, i+1)
+	}
+	return i >= 0
+}
+
 func (r *refCluster) flush() error {
 	switch {
 	case r.leader < 0:
@@ -121,10 +130,13 @@ func node(op byte, first, nodes int) int {
 }
 
 // FuzzClusterModel drives a Cluster and the reference model with the same
-// tape of operations — submit, flush, crash, restart, elect, and an
-// export→import into a fresh cluster — and holds them to the same chain:
-// no violation at the subscriber, the same head, every live node level with
-// the leader, and never more than the in-flight entry in a node's memory.
+// tape of operations — submit, withdraw a queued transaction, flush, crash,
+// restart, elect, and an export→import into a fresh cluster — and holds
+// them to the same chain: no violation at the subscriber, the same head,
+// every live node level with the leader, and never more than the in-flight
+// entry in a node's memory. A second subscriber keeps every block with a
+// junk transaction appended, and at the end each kept block must hold what
+// the model cut and its junk: blocks are carved from the queue's chunks.
 // The tape's first byte picks the batch size and the node count: three, one
 // or five.
 func FuzzClusterModel(f *testing.F) {
@@ -140,6 +152,13 @@ func FuzzClusterModel(f *testing.F) {
 	// Five nodes ride out two crashes, lose the quorum at the third with a
 	// block in the queue, and commit it once a fourth-listed node is back.
 	f.Add([]byte{6, 0, 2, 12, 8, 0, 4, 0, 8, 15, 8, 9, 0})
+	// The queue across a chunk's end: eighteen one-transaction blocks; two
+	// followers down while six more queue past the end of the first chunk,
+	// every flush rolled back; two withdrawn, one from each side of the
+	// move; both back; a block of the four and a fifth, then one-transaction
+	// blocks until 63, three chunks' worth, were kept.
+	chunkEnd := append(make([]byte, 1+pendingChunk-3), 3, 4, 0, 0, 0, 0, 0, 0, 141, 131, 6, 7)
+	f.Add(append(chunkEnd, make([]byte, 2*pendingChunk+3)...))
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) == 0 {
 			return
@@ -147,6 +166,8 @@ func FuzzClusterModel(f *testing.F) {
 		batch := 1 + int(tape[0])%3
 		ops := fuzzOps[:[]int{3, 1, 5}[int(tape[0])/3%3]]
 		cv := &ChainVerifier{}
+		junk := mkTx("trade", "Mallory", "junk")
+		var kept []ledger.Block // since the last import, each with junk appended
 		build := func(st ChannelState) (*Cluster, *refCluster) {
 			c, err := NewCluster("trade", ops, VisibilityEnvelope, WithBatchSize(batch))
 			if err != nil {
@@ -154,6 +175,12 @@ func FuzzClusterModel(f *testing.F) {
 			}
 			c.adoptState(st)
 			c.Subscribe(cv.Deliver)
+			kept = kept[:0]
+			c.Subscribe(func(b ledger.Block) error {
+				b.Txs = append(b.Txs, junk)
+				kept = append(kept, b)
+				return nil
+			})
 			return c, newRefCluster(len(ops), batch, st)
 		}
 		c, ref := build(ChannelState{})
@@ -161,6 +188,18 @@ func FuzzClusterModel(f *testing.F) {
 			var got, want error
 			switch op % 10 {
 			case 0, 1: // twice the weight: chains should grow
+				if op >= 128 {
+					// Withdraw the queued transaction the tens digit
+					// picks, or one never submitted.
+					tx := mkTx("trade", "BankA", "absent")
+					if len(ref.pending) > 0 {
+						tx = ref.pending[int(op)/10%len(ref.pending)]
+					}
+					if c.cancelPending(tx) != ref.cancel(tx) {
+						t.Fatalf("step %d: cancelPending disagrees with the model", step)
+					}
+					break
+				}
 				tx := mkTx("trade", "BankA", fmt.Sprintf("k%d", step))
 				got, want = c.Submit(tx), ref.submit(tx)
 			case 2, 3, 4:
@@ -218,6 +257,26 @@ func FuzzClusterModel(f *testing.F) {
 				if n.down != ref.down[i] || n.pos != ref.head(i) {
 					t.Fatalf("step %d: node %d down=%v at %d, model down=%v at %d",
 						step, i, n.down, n.pos.height, ref.down[i], ref.head(i).height)
+				}
+			}
+		}
+		var chain []ledger.Block
+		for _, log := range ref.logs {
+			if len(log) > len(chain) {
+				chain = log
+			}
+		}
+		if len(kept) != len(chain) {
+			t.Fatalf("kept %d blocks since the last import, model cut %d", len(kept), len(chain))
+		}
+		for i, b := range kept {
+			cut := chain[i].Txs
+			if len(b.Txs) != len(cut)+1 || b.Txs[len(cut)].Digest() != junk.Digest() {
+				t.Fatalf("block %d holds %d transactions, the last not its junk; want %d and the junk", i, len(b.Txs), len(cut)+1)
+			}
+			for j := range cut {
+				if b.Txs[j].Digest() != cut[j].Digest() {
+					t.Fatalf("block %d transaction %d is not the one cut into it", i, j)
 				}
 			}
 		}

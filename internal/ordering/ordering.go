@@ -52,6 +52,11 @@ const (
 // channel on the same service — that self-deadlocks. Re-submitting into a
 // different service (as the middleware gateway's platform adapters do) is
 // fine.
+//
+// The block's Txs is carved from the cluster's queue chunk, its capacity
+// clipped: appending to it reallocates, and nothing later writes over it.
+// A block kept keeps its chunk alive, up to 20 neighbouring transactions
+// and their payloads with it.
 type DeliverFunc func(b ledger.Block) error
 
 // config is what a constructor fixes for every chain it runs: the

@@ -103,7 +103,12 @@ type Cluster struct {
 	leader int // index into nodes, -1 when none
 	// head is where the next block is cut: the leader's position while
 	// there is a leader, the last leader's until the next election.
-	head    position
+	head position
+	// pending is the queue, carved from an append-only chunk of
+	// pendingChunk transactions: a cut hands the block the queue's front,
+	// capacity clipped, and the queue goes on in the rest of the chunk. The
+	// chunk so keeps up to pendingChunk-1 transactions already cut alive
+	// until the queue moves to the next one.
 	pending []ledger.Transaction
 	subs    []DeliverFunc
 	// installs counts nodes brought level with a leader they were behind;
@@ -122,6 +127,11 @@ type Cluster struct {
 	electMu sync.Mutex
 	gen     atomic.Uint64
 }
+
+// pendingChunk is how many transactions one chunk of the pending queue
+// holds: 21 × 192 B and the runtime's 8-byte header fill the 4,096-byte size
+// class (ledger.TestTransactionFitsItsSizeClass holds the 192).
+const pendingChunk = 21
 
 // checkSize refuses the operator counts no cluster runs on.
 func checkSize(operators int) error {
@@ -319,6 +329,13 @@ func (c *Cluster) Submit(tx ledger.Transaction) error {
 		c.mu.Unlock()
 		return ErrNoLeader
 	}
+	if len(c.pending) == cap(c.pending) {
+		// The chunk is full: the queue moves to a new one, taking what is
+		// not cut yet. The old chunk stays with the blocks cut from it.
+		next := make([]ledger.Transaction, len(c.pending), max(pendingChunk, 2*len(c.pending)))
+		copy(next, c.pending)
+		c.pending = next
+	}
 	c.pending = append(c.pending, tx)
 	ready := len(c.pending) >= c.batch
 	c.mu.Unlock()
@@ -454,9 +471,12 @@ func (c *Cluster) Flush() error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoSubscribers, c.channel)
 	}
-	txs := c.pending
-	c.pending = nil
-	block := ledger.NewBlock(c.head.height, c.head.hash, txs)
+	// The block takes the whole queue, capacity clipped: a subscriber
+	// appending to its Txs reallocates instead of writing into the queue.
+	// c.mu is held until the block commits or rolls back, so the queue is
+	// not touched in between and a rollback leaves it as it is.
+	cut := len(c.pending)
+	block := ledger.NewBlock(c.head.height, c.head.hash, c.pending[:cut:cut])
 	term := c.leaderTerm()
 	entry := logEntry{term: term, block: block}
 
@@ -484,10 +504,10 @@ func (c *Cluster) Flush() error {
 			n.dropUncommitted()
 			n.mu.Unlock()
 		}
-		c.pending = append(txs, c.pending...)
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %d of %d acks", ErrNoQuorum, acks, quorum)
 	}
+	c.pending = c.pending[cut:]
 	c.head = position{height: block.Number + 1, hash: block.Hash()}
 	for _, n := range c.nodes {
 		n.mu.Lock()
