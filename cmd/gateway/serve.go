@@ -110,7 +110,7 @@ func start(o opts) (*server, error) {
 		s.gw.Close()
 		return nil, err
 	}
-	if s.telemetry, err = serveTelemetry(o.telemetryAddr, s.gw, o.stages, s.edge.RegisterMetrics); err != nil {
+	if s.telemetry, err = serveTelemetry(o.telemetryAddr, s.gw, s.statusz, s.edge.RegisterMetrics, s.registerLeakage); err != nil {
 		s.edge.Close()
 		s.gw.Close()
 		return nil, err
@@ -167,7 +167,7 @@ func (s *server) shutdown(out io.Writer) error {
 	}
 	fmt.Fprintln(out, "leakage (who saw transaction data?):")
 	var leaked []string
-	for _, op := range append([]string{gatewayOperator}, s.orderer.Operators()...) {
+	for _, op := range s.operators() {
 		saw := s.log.SawAny(op, audit.ClassTxData)
 		fmt.Fprintf(out, "  %-14s txdata=%v\n", op, saw)
 		if saw {
@@ -180,11 +180,63 @@ func (s *server) shutdown(out io.Writer) error {
 	return nil
 }
 
+// operators are the principals the leakage check reads: the gateway
+// operator and every orderer operator.
+func (s *server) operators() []string {
+	return append([]string{gatewayOperator}, s.orderer.Operators()...)
+}
+
+// leakage is the presence matrix of the leakage log over the operators: the
+// classes each has observed, in audit.Classes order. /statusz shows it;
+// confmw_leakage_observed and the shutdown check read the same SawAny.
+func (s *server) leakage() map[string][]audit.DataClass {
+	matrix := make(map[string][]audit.DataClass)
+	for _, op := range s.operators() {
+		matrix[op] = []audit.DataClass{}
+		for _, class := range audit.Classes() {
+			if s.log.SawAny(op, class) {
+				matrix[op] = append(matrix[op], class)
+			}
+		}
+	}
+	return matrix
+}
+
+// registerLeakage registers confmw_leakage_observed: one 0/1 gauge per
+// operator and class, the leakage matrix as a scrape reads it.
+func (s *server) registerLeakage(reg *telemetry.Registry) error {
+	for _, op := range s.operators() {
+		for _, class := range audit.Classes() {
+			m := telemetry.FuncMetric{
+				Name:  "confmw_leakage_observed",
+				Help:  "1 once the leakage log holds an observation of the class by the operator, else 0.",
+				Gauge: true,
+				Load: func() uint64 {
+					if s.log.SawAny(op, class) {
+						return 1
+					}
+					return 0
+				},
+			}
+			if err := reg.RegisterFuncs([]telemetry.FuncMetric{m}, telemetry.L("observer", op), telemetry.L("class", string(class))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // status is the /statusz snapshot: the gateway's counters, beside the
-// -stages string its pipeline was built from.
+// -stages string its pipeline was built from and the leakage matrix.
 type status struct {
 	Pipeline string
+	Leakage  map[string][]audit.DataClass
 	middleware.GatewayStats
+}
+
+// statusz snapshots /statusz.
+func (s *server) statusz() any {
+	return status{s.o.stages, s.leakage(), s.gw.Stats()}
 }
 
 // serveTelemetry starts the telemetry listener: one registry over every
@@ -192,7 +244,7 @@ type status struct {
 // beside the status snapshot, the trace ring and pprof. The caller closes the
 // returned server, whose Addr is the address actually bound (the resolved
 // port for ":0").
-func serveTelemetry(addr string, gw *middleware.Gateway, stages string, more ...func(*telemetry.Registry) error) (*http.Server, error) {
+func serveTelemetry(addr string, gw *middleware.Gateway, statusz func() any, more ...func(*telemetry.Registry) error) (*http.Server, error) {
 	reg := telemetry.NewRegistry()
 	if err := gw.RegisterMetrics(reg); err != nil {
 		return nil, err
@@ -208,7 +260,7 @@ func serveTelemetry(addr string, gw *middleware.Gateway, stages string, more ...
 	}
 	srv := &http.Server{
 		Addr:    ln.Addr().String(),
-		Handler: telemetry.NewMux(reg, gw.Tracer(), func() any { return status{stages, gw.Stats()} }),
+		Handler: telemetry.NewMux(reg, gw.Tracer(), statusz),
 	}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, nil

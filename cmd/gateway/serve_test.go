@@ -8,9 +8,12 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"dltprivacy/internal/audit"
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/middleware"
 	"dltprivacy/internal/netedge"
@@ -97,6 +100,44 @@ func TestServeOneSession(t *testing.T) {
 	}
 	if st.Pipeline != defaultStages || st.Submitted != 1 || len(st.Stages) != 4 {
 		t.Fatalf("/statusz: pipeline %q, %d submitted, %d stages; want %q, 1, 4", st.Pipeline, st.Submitted, len(st.Stages), defaultStages)
+	}
+	// The leakage matrix: the gateway operator saw the submission's
+	// metadata and its submitter, the one orderer operator whose shard
+	// ordered it the metadata, and nobody the transaction data.
+	if got := st.Leakage[gatewayOperator]; !slices.Equal(got, []audit.DataClass{audit.ClassIdentity, audit.ClassTxMetadata}) {
+		t.Fatalf("/statusz: %s observed %v, want identity and txmeta", gatewayOperator, got)
+	}
+	saw := 0
+	for _, op := range s.orderer.Operators() {
+		switch got := st.Leakage[op]; {
+		case slices.Equal(got, []audit.DataClass{audit.ClassTxMetadata}):
+			saw++
+		case got == nil || len(got) != 0:
+			t.Fatalf("/statusz: %s observed %v, want txmeta or nothing", op, got)
+		}
+	}
+	if saw != 1 || len(st.Leakage) != 1+len(s.orderer.Operators()) {
+		t.Fatalf("/statusz leakage matrix %v: want every operator, one orderer having seen txmeta", st.Leakage)
+	}
+	resp, err = http.Get("http://" + s.telemetry.Addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`confmw_leakage_observed{observer="gateway-op",class="txmeta"} 1`,
+		`confmw_leakage_observed{observer="gateway-op",class="txdata"} 0`,
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	if n := strings.Count(string(metrics), "\nconfmw_leakage_observed{"); n != len(st.Leakage)*len(audit.Classes()) {
+		t.Errorf("/metrics has %d confmw_leakage_observed series, want one per operator and class", n)
 	}
 
 	stop()

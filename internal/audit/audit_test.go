@@ -2,12 +2,13 @@ package audit
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
 
 func TestRecordAndSaw(t *testing.T) {
-	l := NewLog()
+	l := NewHistory()
 	l.Record("orderer", ClassTxMetadata, "tx-1")
 	if !l.Saw("orderer", ClassTxMetadata, "tx-1") {
 		t.Fatal("observation not recorded")
@@ -20,17 +21,22 @@ func TestRecordAndSaw(t *testing.T) {
 	}
 }
 
+// TestDuplicatesCollapse: a history keeps a repeated observation once, while
+// Len and Count count every record.
 func TestDuplicatesCollapse(t *testing.T) {
-	l := NewLog()
+	l := NewHistory()
 	l.Record("o", ClassTxData, "x")
 	l.Record("o", ClassTxData, "x")
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", l.Len())
+	if got := l.All(); len(got) != 1 {
+		t.Fatalf("All = %v, want one observation", got)
+	}
+	if l.Len() != 2 || l.Count("o", ClassTxData) != 2 {
+		t.Fatalf("Len = %d, Count = %d, want 2 records", l.Len(), l.Count("o", ClassTxData))
 	}
 }
 
 func TestItemsSeenSorted(t *testing.T) {
-	l := NewLog()
+	l := NewHistory()
 	l.Record("o", ClassIdentity, "b")
 	l.Record("o", ClassIdentity, "a")
 	l.Record("o", ClassTxData, "z")
@@ -41,7 +47,7 @@ func TestItemsSeenSorted(t *testing.T) {
 }
 
 func TestObservers(t *testing.T) {
-	l := NewLog()
+	l := NewHistory()
 	l.Record("p2", ClassTxData, "tx")
 	l.Record("p1", ClassTxData, "tx")
 	got := l.Observers(ClassTxData, "tx")
@@ -61,19 +67,53 @@ func TestSawAny(t *testing.T) {
 	}
 }
 
+// TestViolations: a history judges every observation, a presence log each
+// pair once, on the pair's first observation.
 func TestViolations(t *testing.T) {
-	l := NewLog()
-	l.Record("member", ClassTxData, "tx-1")
-	l.Record("outsider", ClassTxData, "tx-1")
 	policy := func(o Observation) bool { return o.Observer == "member" }
-	v := l.Violations(policy)
-	if len(v) != 1 || v[0].Observer != "outsider" {
-		t.Fatalf("Violations = %v, want one outsider entry", v)
+	history, presence := NewHistory(), NewLog()
+	for _, l := range []*Log{history, presence} {
+		l.Record("member", ClassTxData, "tx-1")
+		l.Record("outsider", ClassTxData, "tx-1")
+		l.Record("outsider", ClassTxData, "tx-2")
+	}
+	if v := history.Violations(policy); len(v) != 2 || v[0].Item != "tx-1" || v[1].Item != "tx-2" {
+		t.Fatalf("history Violations = %v, want both outsider observations", v)
+	}
+	if v := presence.Violations(policy); !reflect.DeepEqual(v, []Observation{{"outsider", ClassTxData, "tx-1"}}) {
+		t.Fatalf("presence Violations = %v, want the outsider's first observation", v)
+	}
+}
+
+// TestPresenceLogRefusesItemQueries: a log from NewLog keeps no items, so
+// every item query panics, and the message names NewHistory.
+func TestPresenceLogRefusesItemQueries(t *testing.T) {
+	l := NewLog()
+	l.Record("o", ClassTxData, "x")
+	for name, query := range map[string]func(){
+		"Saw":       func() { l.Saw("o", ClassTxData, "x") },
+		"ItemsSeen": func() { l.ItemsSeen("o", ClassTxData) },
+		"Observers": func() { l.Observers(ClassTxData, "x") },
+		"All":       func() { l.All() },
+		"Matrix":    func() { l.Matrix(ClassTxData) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "NewHistory") {
+					t.Errorf("%s on a presence log: panic %q, want one naming the query and NewHistory", name, msg)
+				}
+			}()
+			query()
+		}()
+	}
+	if !l.SawAny("o", ClassTxData) || l.Count("o", ClassTxData) != 1 || l.Len() != 1 {
+		t.Fatal("a presence log must answer the pair queries")
 	}
 }
 
 func TestMatrix(t *testing.T) {
-	l := NewLog()
+	l := NewHistory()
 	l.Record("a", ClassTxData, "t2")
 	l.Record("a", ClassTxData, "t1")
 	l.Record("b", ClassTxData, "t1")
@@ -94,6 +134,9 @@ func TestNilLogSafe(t *testing.T) {
 	if l.SawAny("x", ClassTxData) || l.ItemsSeen("x", ClassTxData) != nil || l.Observers(ClassTxData, "y") != nil {
 		t.Fatal("nil log queries must be empty")
 	}
+	if l.Count("x", ClassTxData) != 0 || l.Footprint() != 0 || l.Violations(func(Observation) bool { return false }) != nil || len(l.Matrix(ClassTxData)) != 0 {
+		t.Fatal("nil log pair queries must be empty")
+	}
 }
 
 func TestConcurrentRecord(t *testing.T) {
@@ -109,8 +152,8 @@ func TestConcurrentRecord(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if l.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", l.Len())
+	if l.Len() != 800 || l.Count("obs", ClassTxData) != 800 {
+		t.Fatalf("Len = %d, Count = %d, want 800 records", l.Len(), l.Count("obs", ClassTxData))
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// refLog is the map-and-slice Log this package shipped until the arena
-// layout replaced it, moved here verbatim (type name aside) as the
-// reference the model test and FuzzLogRecord compare Log against.
+// refLog is the map-and-slice log this package once shipped, kept verbatim
+// (type name aside) as the reference that TestModel and FuzzLogRecord hold a
+// history log's item queries to. Its Len counts distinct observations.
 type refLog struct {
 	mu   sync.Mutex
 	obs  []Observation

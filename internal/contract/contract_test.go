@@ -98,7 +98,7 @@ func TestInvokeBusinessError(t *testing.T) {
 }
 
 func TestRegistrySelectiveInstallation(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	r := NewRegistry(log)
 	if err := r.Install("peer-bankA", transferContract("1")); err != nil {
 		t.Fatalf("Install: %v", err)
@@ -194,7 +194,7 @@ func TestPolicyEvaluate(t *testing.T) {
 }
 
 func TestOffChainEngine(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	e := NewOffChainEngine(log)
 	if err := e.Deploy("BankA", transferContract("1")); err != nil {
 		t.Fatalf("Deploy: %v", err)

@@ -216,6 +216,69 @@ func TestThirdPartyOrdererSeesTradeNotPII(t *testing.T) {
 	}
 }
 
+// TestLeakagePolicyIsPairLevel: the §4 policy's verdict on an observation
+// depends only on its observer and class, never on its item, so a presence
+// log (audit.NewLog), which keeps one observation per pair, judges it as
+// exactly as the network's history does. Every observation of a trade with
+// a third-party orderer and an outsider present, each with its item swapped
+// for others, gets one verdict; and the same records replayed into a
+// presence log name the same violating pairs under the policy and under
+// its negation.
+func TestLeakagePolicyIsPairLevel(t *testing.T) {
+	app := newApp(t, Config{
+		Bank: "BankA", Buyer: "BuyerInc", Seller: "SellerCo",
+		ThirdPartyOrderer: "CloudOrderer", ExtraOrgs: []string{"RivalCorp"},
+	})
+	balance, comm, blinding := buyerFunds(t, 1000)
+	id, err := app.Apply("goods", 500, []byte("pii-data"), balance, comm, blinding)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if err := app.Issue(id); err != nil {
+		t.Fatalf("Issue: %v", err)
+	}
+	policy := app.LeakagePolicy()
+	history := app.Network().Log
+	observed := history.All()
+	for _, class := range audit.Classes() {
+		observed = append(observed, audit.Observation{Observer: "RivalCorp", Class: class, Item: "x"})
+	}
+	for _, o := range observed {
+		for _, item := range []string{"", "other-item", id} {
+			if swapped := (audit.Observation{Observer: o.Observer, Class: o.Class, Item: item}); policy(swapped) != policy(o) {
+				t.Fatalf("the verdict on %s changes with the item (%q)", o, item)
+			}
+		}
+	}
+
+	presence := audit.NewLog()
+	for _, o := range history.All() {
+		presence.Record(o.Observer, o.Class, o.Item)
+	}
+	pairs := func(obs []audit.Observation) map[string]bool {
+		out := make(map[string]bool)
+		for _, o := range obs {
+			out[o.Observer+"/"+string(o.Class)] = true
+		}
+		return out
+	}
+	denied := func(o audit.Observation) bool { return !policy(o) }
+	for _, p := range []audit.Policy{policy, denied} {
+		got, want := pairs(presence.Violations(p)), pairs(history.Violations(p))
+		if len(got) != len(want) {
+			t.Fatalf("presence log: %d violating pairs, history %d", len(got), len(want))
+		}
+		for pair := range want {
+			if !got[pair] {
+				t.Fatalf("presence log misses violating pair %s", pair)
+			}
+		}
+	}
+	if len(pairs(history.Violations(denied))) == 0 {
+		t.Fatal("the policy allowed nothing to deny: the comparison is vacuous")
+	}
+}
+
 func TestClusterOrderingConfinesEverything(t *testing.T) {
 	app := newApp(t, Config{
 		Bank: "BankA", Buyer: "BuyerInc", Seller: "SellerCo",

@@ -15,7 +15,7 @@ import (
 // enqueues, Flush catches the drainer up, and every accepted submission's
 // observation lands in the log.
 func TestAsyncAuditRecordsOffPath(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	au, err := NewAsyncAudit(log, "gw-op", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestAsyncAuditRecordsOffPath(t *testing.T) {
 // blocking — everything past them. The drainer then recovers exactly the
 // accepted entries.
 func TestAsyncAuditShedExact(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	const depth = 4
 	// Build the ring by hand WITHOUT starting the drainer, so the fill is
 	// deterministic; start it afterwards to drain.
@@ -92,7 +92,7 @@ func TestAsyncAuditShedExact(t *testing.T) {
 // recorded (clean shutdown loses nothing), every other submission was
 // either shed (counted) or recorded inline after close.
 func TestAsyncAuditConcurrentHandleFlushClose(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	au, err := NewAsyncAudit(log, "gw-op", 8)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestAsyncAuditConcurrentHandleFlushClose(t *testing.T) {
 // does) and /metrics exported 18446744073709551613.
 func TestAsyncAuditRingPendingBounded(t *testing.T) {
 	const depth, producers, perProducer = 8, 2, 30_000
-	au, err := NewAsyncAudit(audit.NewLog(), "gw-op", depth)
+	au, err := NewAsyncAudit(audit.NewHistory(), "gw-op", depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestGatewayCloseFlushesAuditRing(t *testing.T) {
 	}}
 	backend := ordering.New("op", ordering.VisibilityFull)
 	backend.Subscribe("deals", func(ledger.Block) error { return nil })
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	gw, err := NewGateway("gw", cfg, Env{CAKey: ca.PublicKey(), Log: log}, backend)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestGatewayCloseFlushesAuditRing(t *testing.T) {
 // TestConfigAuditAsyncValidation rejects a negative ring depth and keeps 0
 // synchronous.
 func TestConfigAuditAsyncValidation(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	build := func(depth string) error {
 		cfg := Config{Stages: []StageConfig{
 			{Name: StageAudit, Params: map[string]string{"auditasync": depth}},

@@ -251,7 +251,7 @@ func TestGroupReleaseSpanAmortizedShare(t *testing.T) {
 // breaker — never reached the observable surface and must leave NO entry
 // in the leakage log, not even metadata.
 func TestAuditSkipsRejectedSubmission(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	au, err := NewAudit(log, "gw-op")
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 		t.Run(pl.name, func(t *testing.T) {
 			ca, ps := enroll(t, "alice", "bob")
 			dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()}}
-			log := audit.NewLog()
+			log := audit.NewHistory()
 			orderer := &tapOrderer{Service: ordering.New("op", ordering.VisibilityEnvelope)}
 			gw, err := NewGateway("gw", pl.cfg, Env{CAKey: ca.PublicKey(), Directory: dir, Log: log}, orderer)
 			if err != nil {

@@ -202,10 +202,11 @@ type GatewayStats struct {
 	// waiting in it. Both 0 without an async audit ring.
 	AuditShed        uint64
 	AuditRingPending uint64
-	// AuditLogObservations is the number of distinct observations in the
-	// leakage log (Env.Log, which orderers and backends may share), and
-	// AuditLogBytes the memory its arena, entries and index hold. The log
-	// never shrinks. Both 0 without a log.
+	// AuditLogObservations is the number of records in the leakage log
+	// (Env.Log, which orderers and backends may share), duplicates included,
+	// and AuditLogBytes the memory its presence table holds, which stops
+	// growing once every (observer, class) pair has been seen. Both 0
+	// without a log.
 	AuditLogObservations uint64
 	AuditLogBytes        uint64
 	// AuthnCertVerifications counts the CA signature checks the authn
@@ -748,8 +749,8 @@ func (g *Gateway) statRows() []statRow {
 		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }, nil},
 		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }, nil},
 		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil, nil},
-		{"confmw_audit_log_observations", "Distinct observations the leakage log holds; it never shrinks.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }, nil},
-		{"confmw_audit_log_bytes", "Bytes held by the leakage log's arena, entries and index.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }, nil},
+		{"confmw_audit_log_observations", "Records in the leakage log, duplicates included: the sum of its (observer, class) pair counts.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }, nil},
+		{"confmw_audit_log_bytes", "Bytes the leakage log's presence table holds; constant once every (observer, class) pair has been seen.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }, nil},
 		{"confmw_pki_verifier_hits_total", "Certificates found in a verified set, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Hits), nil, nil},
 		{"confmw_pki_verifier_verifications_total", "CA signature checks run, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Verifications), nil, nil},
 		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.blocks.Load() }), nil, nil},

@@ -259,7 +259,7 @@ func TestEncryptRequiresAuthn(t *testing.T) {
 
 func TestAuditRecordsLeakage(t *testing.T) {
 	ca, ps := enroll(t, "alice")
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public()}}
 
 	cfg := Config{Stages: []StageConfig{

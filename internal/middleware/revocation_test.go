@@ -232,7 +232,7 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 				"bob":   ps["bob"].key.Public(),
 				"carol": ps["carol"].key.Public(),
 			}
-			log := audit.NewLog()
+			log := audit.NewHistory()
 			orderer := ordering.New("orderer-op", ordering.VisibilityEnvelope, ordering.WithAuditLog(log))
 			env := Env{
 				CAKey:     ca.PublicKey(),

@@ -350,8 +350,9 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 		"confmw_revocation_sweeps_total 0",
 		"confmw_traces_sampled_total 2",
 		"confmw_backend_committed_blocks_total 0",
-		// The audit stage saw four envelopes and one submitter identity.
-		"confmw_audit_log_observations 5",
+		// The audit stage recorded four envelopes and, with each, the
+		// submitter's identity: eight records over two pairs.
+		"confmw_audit_log_observations 8",
 		"confmw_audit_log_bytes ",
 	} {
 		if !strings.Contains(out, want) {
@@ -359,8 +360,8 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 		}
 	}
 	st := gw.Stats()
-	if st.AuditLogObservations != 5 || st.AuditLogBytes == 0 {
-		t.Errorf("Stats: AuditLogObservations = %d, AuditLogBytes = %d, want 5 and a size", st.AuditLogObservations, st.AuditLogBytes)
+	if st.AuditLogObservations != 8 || st.AuditLogBytes == 0 {
+		t.Errorf("Stats: AuditLogObservations = %d, AuditLogBytes = %d, want 8 and a size", st.AuditLogObservations, st.AuditLogBytes)
 	}
 	if st.AuthnCertVerifications != 1 || st.AuthnCertCacheHits != 3 || st.Sessions.CertVerifications != 0 || st.Sessions.CertCacheHits != 0 {
 		t.Errorf("Stats: authn verifications %d hits %d, session verifications %d hits %d; want 1, 3, 0, 0",

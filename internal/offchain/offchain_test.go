@@ -100,7 +100,7 @@ func TestAnchorMismatch(t *testing.T) {
 }
 
 func TestLeakageAccounting(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	s := NewStore("peer1", []string{"BankA"}, WithAuditLog(log), WithDataClass(audit.ClassPII))
 	if _, err := s.Put("pii-1", []byte("ssn")); err != nil {
 		t.Fatalf("Put: %v", err)

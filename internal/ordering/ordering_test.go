@@ -112,7 +112,7 @@ func TestMultipleChannelsIndependent(t *testing.T) {
 }
 
 func TestFullVisibilityLeaksToOperator(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	l := ledger.New("trade")
 	svc := New("ThirdPartyOrderer", VisibilityFull, WithAuditLog(log))
 	svc.Subscribe("trade", l.Append)
@@ -130,7 +130,7 @@ func TestFullVisibilityLeaksToOperator(t *testing.T) {
 }
 
 func TestEnvelopeVisibilityHidesContent(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	l := ledger.New("trade")
 	svc := New("ThirdPartyOrderer", VisibilityEnvelope, WithAuditLog(log))
 	svc.Subscribe("trade", l.Append)

@@ -280,7 +280,7 @@ func TestElectionPrefersLongestLog(t *testing.T) {
 }
 
 func TestClusterVisibilityConfinedToMembers(t *testing.T) {
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	c, _ := newCluster(t, WithAuditLog(log))
 	tx := mkTx("trade", "BankA", "k")
 	if err := c.Submit(tx); err != nil {

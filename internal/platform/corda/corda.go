@@ -282,7 +282,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("notary key: %w", err)
 	}
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	return &Network{
 		Log:     log,
 		doorman: doorman,

@@ -126,7 +126,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric ca: %w", err)
 	}
-	log := audit.NewLog()
+	log := audit.NewHistory()
 	idemix := anoncred.NewIssuer("fabric-idemix")
 	if _, err := idemix.RegisterAttributeSet(memberAttr); err != nil {
 		return nil, fmt.Errorf("register idemix attrs: %w", err)

@@ -112,7 +112,7 @@ type Network struct {
 // NewNetwork creates an empty Quorum-model network.
 func NewNetwork() *Network {
 	return &Network{
-		Log:   audit.NewLog(),
+		Log:   audit.NewHistory(),
 		nodes: make(map[string]*Node),
 	}
 }
