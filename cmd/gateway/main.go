@@ -38,7 +38,6 @@ type opts struct {
 	listen, stages, telemetryAddr string
 	shards, replicas, channels    int
 	trace, acceptLoops            int
-	shed                          bool
 	statsEvery                    time.Duration
 }
 
@@ -52,7 +51,6 @@ func main() {
 	flag.StringVar(&o.telemetryAddr, "telemetry", "127.0.0.1:0", "listen address for /metrics, /statusz, /tracez and /debug/pprof")
 	flag.IntVar(&o.trace, "trace", 64, "sample one submission in N for request tracing (0 = off)")
 	flag.IntVar(&o.acceptLoops, "acceptloops", 4, "edge accept-plane shards")
-	flag.BoolVar(&o.shed, "shed", false, "shed slow edge consumers instead of blocking on their outbound queue")
 	flag.DurationVar(&o.statsEvery, "statsevery", 10*time.Second, "interval of the edge stats line and the shard health probe")
 	flag.Parse()
 

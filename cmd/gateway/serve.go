@@ -45,8 +45,8 @@ func serve(ctx context.Context, o opts) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("edge: listening on %s (stages=%s shards=%d replicas=%d channels=%d acceptloops=%d shed=%v)\n",
-		s.edge.Addr(), o.stages, o.shards, o.replicas, o.channels, o.acceptLoops, o.shed)
+	fmt.Printf("edge: listening on %s (stages=%s shards=%d replicas=%d channels=%d acceptloops=%d)\n",
+		s.edge.Addr(), o.stages, o.shards, o.replicas, o.channels, o.acceptLoops)
 	fmt.Printf("telemetry: http://%s/metrics /statusz /tracez /debug/pprof\n", s.telemetry.Addr)
 	return s.run(ctx, os.Stdout)
 }
@@ -102,9 +102,6 @@ func start(o opts) (*server, error) {
 		edgeOpts = append(edgeOpts, netedge.WithConnCloseHook(func(transportID string) {
 			sessions.EvictTransport(transportID)
 		}))
-	}
-	if o.shed {
-		edgeOpts = append(edgeOpts, netedge.WithShedding())
 	}
 	if s.edge, err = netedge.Listen(o.listen, handler, edgeOpts...); err != nil {
 		s.gw.Close()

@@ -27,31 +27,35 @@
 // allocation, and the payload is handed to the handler zero-copy from the
 // connection's reused read buffer — the decode path from socket to
 // middleware.ParseEnvelope never copies a submission. The reply is not
-// copied either: the handler appends it to the connection's pooled
-// outbound frame, whose head the reader has already written, and the reader
-// patches the length in; a refusal truncates the frame and starts the error
-// frame in its place. The client copies each reply once, out of its read
-// buffer into a 4 KB append-only chunk its replies are carved from, capacity
-// clipped: a chunk is never rewritten, so a reply stays its caller's.
+// copied either: the handler appends it to the connection's output buffer,
+// after the reply frame's head the reader has already written there, and
+// the reader patches the length in; a refusal truncates the frame and
+// starts the error frame in its place. The client copies each reply once,
+// out of its read buffer into a 4 KB append-only chunk its replies are
+// carved from, capacity clipped: a chunk is never rewritten, so a reply
+// stays its caller's.
 //
 // # Connections, backpressure, and deadlines
 //
 // The Server runs a sharded accept plane (several goroutines accepting on
-// one listener; the kernel load-balances) and two goroutines per
-// connection: a reader that decodes frames and runs the handler inline —
-// preserving per-connection submission order end to end — and a writer
-// draining a bounded outbound queue. The writer costs one socket write per
-// flight, not per reply: having received one reply it gathers every reply
-// already queued (up to 64 KiB) and writes them together, never waiting
-// for more, so a lone reply leaves at once and a pipelining peer pays one
-// syscall for the flight. The queue is never unbounded: when a peer stops
-// draining replies the enqueue either blocks (default, propagating
-// backpressure to the socket and from there to the client) or, with
-// WithShedding, sheds the connection with ErrBackpressure. Reads and
-// writes both carry deadlines, so a dead peer costs an idle window, not a
-// leaked connection; the idle deadline is armed each time the reader is
-// about to wait on the socket, not per frame, and the write deadline once
-// per flight.
+// one listener; the kernel load-balances) and one goroutine per
+// connection. It reads a frame, runs the handler inline — preserving
+// per-connection submission order end to end, for requests and replies
+// alike — and appends the reply to the connection's output buffer. It
+// writes the buffer out before any read that would wait for the peer, and
+// whenever the output reaches 64 KiB; bytes that have already arrived are
+// read first (on unix, by a read of the descriptor that does not wait), so
+// the frames they carry join the flight. So a lone reply leaves at once, a
+// pipelining peer pays one syscall for the flight, and no reply waits
+// behind a frame that has only partly arrived. Nothing is queued beyond
+// that buffer: when a peer stops reading its replies the reader's write
+// blocks, which stops it reading requests, and through TCP backpressure
+// reaches the client. The write deadline (WithWriteTimeout) bounds that
+// wait: a write that passes it sheds the connection, closing it and
+// counting it in Sheds. Reads and writes both carry deadlines, so a dead
+// peer costs an idle window, not a leaked connection; the idle deadline is
+// armed each time the reader is about to wait on the socket, not per
+// frame, and the write deadline once per write.
 //
 // # Session binding
 //
@@ -66,15 +70,15 @@
 //
 // The Client is the matching dialer: concurrent-safe, pipelined (many
 // requests in flight over one connection, matched by request id), with a
-// bounded in-flight window that blocks or sheds like the server side.
-// Its callers combine their socket writes the way the server's writer
-// does: each encodes its frame into the connection's batch, and the one
-// that finds nobody flushing becomes the flusher — it yields once, so
-// callers already runnable add their frames, then writes the batch outside
-// the lock until none is left. Everyone else returns without touching the
+// bounded in-flight window that blocks or, with WithClientShedding, fails
+// the call with ErrBackpressure. Its callers combine their socket writes:
+// each encodes its frame into the connection's batch, and the one that
+// finds nobody flushing becomes the flusher — it yields once, so callers
+// already runnable add their frames, then writes the batch outside the
+// lock until none is left. Everyone else returns without touching the
 // socket; frames leave in the order callers took the lock; a lone request
 // is written at once. A write failure therefore reaches a caller through
-// Wait, not through CallAsync. Neither side keeps a batch or pooled buffer
-// that one large frame grew past 64 KiB. cmd/loadgen multiplexes tens of
+// Wait, not through CallAsync. Neither side keeps a write buffer that one
+// large frame grew past 64 KiB. cmd/loadgen multiplexes tens of
 // thousands of sessions over a small connection pool this way.
 package netedge

@@ -544,18 +544,22 @@ func TestEdgeIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestEdgeBackpressureShed fills a depth-1 outbound queue behind a peer
-// that never reads and proves shedding mode drops the connection with an
-// accounted shed instead of queueing unboundedly.
+// TestEdgeBackpressureShed stalls a peer that never reads behind replies
+// too large for the socket buffers and proves the write deadline sheds it:
+// the connection is dropped with exactly one accounted shed, torn down
+// once, instead of queueing replies without bound. Shedding needs no
+// option; WithWriteTimeout is the bound.
 func TestEdgeBackpressureShed(t *testing.T) {
-	// A handler with a large reply fills socket buffers fast; queue depth 1
-	// makes the third unread reply the shedding one.
+	// A handler with a large reply fills the socket buffers in a few
+	// requests, and the reply write that finds them full passes its
+	// deadline.
 	big := make([]byte, 256<<10)
 	h := HandlerFunc(func(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 		return big, nil
 	})
-	srv, err := Listen("127.0.0.1:0", h,
-		WithQueueDepth(1), WithShedding(), WithMaxFrame(1<<20), WithWriteTimeout(200*time.Millisecond))
+	hooked := make(chan string, 4)
+	srv, err := Listen("127.0.0.1:0", h, WithMaxFrame(1<<20), WithWriteTimeout(200*time.Millisecond),
+		WithConnCloseHook(func(id string) { hooked <- id }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,6 +581,80 @@ func TestEdgeBackpressureShed(t *testing.T) {
 		}
 		conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
 		conn.Write(req)
+	}
+	// The shed tears the connection down: the close hook runs once, and
+	// nothing is left live or shed twice.
+	select {
+	case <-hooked:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("close hook did not run after the shed: %+v", srv.Stats())
+	}
+	waitStats(t, srv, func(st EdgeStats) bool { return st.Live == 0 && st.Closed == 1 })
+	if st := srv.Stats(); st.Sheds != 1 {
+		t.Fatalf("sheds = %d, want exactly 1: %+v", st.Sheds, st)
+	}
+	select {
+	case id := <-hooked:
+		t.Fatalf("close hook ran again, for %q", id)
+	default:
+	}
+}
+
+// TestEdgePeerResetIsNoShed resets the connection while the server's
+// reply write is stuck behind the peer's full receive window: the
+// connection closes, the write error is not counted as a shed (only a
+// write that passes its deadline is), and the server keeps serving.
+func TestEdgePeerResetIsNoShed(t *testing.T) {
+	big := make([]byte, 256<<10)
+	h := HandlerFunc(func(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
+		return big, nil
+	})
+	srv, err := Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := conn.(*net.TCPConn)
+	tc.SetReadBuffer(4096)
+	// 64 replies are 16 MiB, more than both socket buffers hold, so with
+	// nothing read on this side the server's writes soon block.
+	var reqs []byte
+	for i := 0; i < 64; i++ {
+		reqs = appendFrame(reqs, frameRequest, uint64(i+1), "t", []byte("x"))
+	}
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, srv, func(st EdgeStats) bool { return st.Writes >= 2 })
+	tc.SetLinger(0) // Close sends a reset, not a FIN
+	conn.Close()
+	waitStats(t, srv, func(st EdgeStats) bool { return st.Live == 0 && st.Closed == 1 })
+	if st := srv.Stats(); st.Sheds != 0 {
+		t.Fatalf("a reset peer counted %d sheds: %+v", st.Sheds, st)
+	}
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if reply, err := c.Call(context.Background(), "t", []byte("x")); err != nil || len(reply) != len(big) {
+		t.Fatalf("after the reset: %d bytes, %v", len(reply), err)
+	}
+}
+
+// waitStats polls srv's counters until ok holds, for at most 5 s.
+func waitStats(t *testing.T, srv *Server, ok func(EdgeStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok(srv.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("counters never settled: %+v", srv.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

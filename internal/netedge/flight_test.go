@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -270,9 +271,44 @@ func TestEdgeWriterDrainsQueue(t *testing.T) {
 	}
 }
 
+// TestNoReplyWaitsOnAHalfArrivedFrame sends request A and the first half
+// of request B in one write, and reads A's reply before sending the rest of
+// B: a server that held A's reply until its reader had nothing buffered
+// would wait on the rest of B while this side waits on the reply.
+func TestNoReplyWaitsOnAHalfArrivedFrame(t *testing.T) {
+	srv := listenEcho(t)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frameA := appendFrame(nil, frameRequest, 1, "t", []byte("request A"))
+	frameB := appendFrame(nil, frameRequest, 2, "t", bytes.Repeat([]byte("B"), 64))
+	half := len(frameB) / 2
+	if _, err := conn.Write(append(append([]byte(nil), frameA...), frameB[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	f, buf, err := readFrame(br, nil, DefaultMaxFrame)
+	if err != nil {
+		t.Fatalf("A's reply, with half of B sent: %v", err)
+	}
+	if f.kind != frameOK || f.id != 1 || string(f.body) != "request A" {
+		t.Fatalf("A's reply: %+v", f)
+	}
+	if _, err := conn.Write(frameB[half:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if f, _, err = readFrame(br, buf, DefaultMaxFrame); err != nil || f.id != 2 || !bytes.Equal(f.body, bytes.Repeat([]byte("B"), 64)) {
+		t.Fatalf("B's reply: %+v, %v", f, err)
+	}
+}
+
 // TestLargeFrameBuffersNotRetained sends one 512 KiB request and gets it
 // echoed: the buffers that grew to carry it — the client's write batch and
-// its spare, the server's pooled reply frame — must not be kept for reuse.
+// its spare, the server's output buffer — must not be kept for reuse.
 func TestLargeFrameBuffersNotRetained(t *testing.T) {
 	srv := listenEcho(t)
 	c, err := Dial(srv.Addr().String())
@@ -292,12 +328,25 @@ func TestLargeFrameBuffersNotRetained(t *testing.T) {
 	if batch > maxKeep || spare > maxKeep {
 		t.Fatalf("client kept write buffers of %d and %d bytes, cap %d", batch, spare, maxKeep)
 	}
-	// The writer handed the reply's buffer back before it wrote. An empty
-	// pool makes fresh 4 KiB buffers, so draining it terminates.
-	for i := 0; i < 64; i++ {
-		if bp := framePool.Get().(*[]byte); cap(*bp) > maxKeep {
-			t.Fatalf("framePool kept a %d-byte buffer, cap %d", cap(*bp), maxKeep)
-		}
+	// The server's output buffer grew to carry the reply; flush writes it
+	// whole and hands back nothing that outgrew maxKeep.
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	frame := appendFrame(nil, frameOK, 1, "", big)
+	got := make(chan []byte, 1)
+	go func() {
+		r := make([]byte, len(frame))
+		_, _ = io.ReadFull(b, r)
+		got <- r
+	}()
+	r := newConnReader(&Server{}, a)
+	r.out = frame
+	if err := r.flush(); err != nil || cap(r.out) > maxKeep {
+		t.Fatalf("flush of a 512 KiB reply: kept a buffer of cap %d (limit %d), err %v", cap(r.out), maxKeep, err)
+	}
+	if r := <-got; !bytes.Equal(r, frame) {
+		t.Fatalf("flush wrote %d bytes differing from the %d-byte reply frame", len(r), len(frame))
 	}
 }
 

@@ -20,10 +20,11 @@ var (
 	// configured maximum — the bound that keeps a hostile peer from making
 	// the edge allocate arbitrarily.
 	ErrFrameTooBig = errors.New("netedge: frame exceeds size limit")
-	// ErrBackpressure is returned (server: to the connection being shed,
-	// client: to the caller) when a bounded queue or in-flight window is
-	// full and the endpoint runs in shedding mode instead of blocking.
-	ErrBackpressure = errors.New("netedge: outbound queue full")
+	// ErrBackpressure is returned by a Client's calls when its in-flight
+	// window is full and it runs with WithClientShedding instead of
+	// blocking. The server sends no such error: a connection whose peer
+	// stops reading is closed when a reply write passes its deadline.
+	ErrBackpressure = errors.New("netedge: in-flight window full")
 	// ErrClosed is returned for operations on a closed client or server.
 	ErrClosed = errors.New("netedge: connection closed")
 )
@@ -40,10 +41,10 @@ const (
 // hostile length prefix from reserving real memory.
 const DefaultMaxFrame = 1 << 20
 
-// maxKeep bounds what outlives a flight of frames: a write batch stops
-// gathering at this size, and a batch or pooled buffer that one large frame
-// grew past it is dropped for the collector instead of reused, so a single
-// 1 MiB frame does not pin 1 MiB for the life of the process.
+// maxKeep bounds what outlives a flight of frames: the server writes its
+// replies out once they reach this size, and a write buffer that one large
+// frame grew past it is dropped for the collector instead of reused, so a
+// single 1 MiB frame does not pin 1 MiB for the life of the process.
 const maxKeep = 64 << 10
 
 // reuse empties b for the next flight, or drops it when it outgrew maxKeep.
@@ -57,8 +58,8 @@ func reuse(b []byte) []byte {
 // appendFrame encodes one stream frame — length prefix, kind, id, topic
 // (a request's topic, an error reply's refusal label; not on an ok reply),
 // body — into dst and returns the extended slice. The frame is built in one
-// pass with the length patched in, so callers can encode into a pooled
-// buffer.
+// pass with the length patched in, so callers can encode into a buffer they
+// reuse.
 func appendFrame(dst []byte, kind byte, id uint64, topic string, body []byte) []byte {
 	start := len(dst)
 	return closeFrame(append(openFrame(dst, kind, id, topic), body...), start)

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dltprivacy/internal/middleware"
@@ -16,15 +18,16 @@ import (
 
 // Handler serves decoded wire messages — the interface the middleware
 // Gateway satisfies. The edge calls AppendWire and nothing else: dst is the
-// connection's outbound frame, already holding its head, and the handler
-// appends its reply to it and returns the extended slice, so no reply is
-// allocated to be copied and dropped. The reply is complete when AppendWire
-// returns: what it appended must not alias memory another goroutine may
-// rewrite, and the handler must not retain dst. On an error the edge
-// truncates the frame back to its start, whatever the handler appended, and
-// sends the error frame instead. ServeWire returns the same reply in a slice
-// of its own, for callers in process: AppendWire's result is dst followed by
-// what ServeWire would have returned.
+// connection's output buffer, holding the replies not yet written and then
+// this reply's frame head, and the handler appends its reply to it and
+// returns the extended slice, so no reply is allocated to be copied and
+// dropped. The reply is complete when AppendWire returns: what it appended
+// must not alias memory another goroutine may rewrite, and the handler must
+// neither touch what dst already holds nor retain dst. On an error the edge
+// truncates the buffer back to the frame's start, whatever the handler
+// appended, and appends the error frame instead. ServeWire returns the same
+// reply in a slice of its own, for callers in process: AppendWire's result
+// is dst followed by what ServeWire would have returned.
 //
 // transportID is the serving connection's unique identity, the value
 // session binding pins tokens to. The payload slice aliases the
@@ -59,8 +62,6 @@ func (f HandlerFunc) AppendWire(ctx context.Context, dst []byte, topic string, p
 type options struct {
 	acceptLoops  int
 	maxFrame     int
-	queueDepth   int
-	shed         bool
 	idleTimeout  time.Duration
 	writeTimeout time.Duration
 	connClose    func(transportID string)
@@ -90,31 +91,16 @@ func WithMaxFrame(n int) Option {
 	}
 }
 
-// WithQueueDepth bounds each connection's outbound reply queue. Default 64.
-func WithQueueDepth(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.queueDepth = n
-		}
-	}
-}
-
-// WithShedding switches full-queue behavior from blocking (backpressure
-// propagates to the socket and stalls the peer's pipeline) to shedding:
-// the connection is counted and closed with ErrBackpressure. Shedding is
-// the posture for edges that must protect themselves from slow consumers
-// at the cost of disconnecting them.
-func WithShedding() Option {
-	return func(o *options) { o.shed = true }
-}
-
 // WithIdleTimeout bounds how long a connection may sit without delivering
 // a frame before the read deadline reaps it. Default 5m; 0 disables.
 func WithIdleTimeout(d time.Duration) Option {
 	return func(o *options) { o.idleTimeout = d }
 }
 
-// WithWriteTimeout bounds each reply write. Default 30s; 0 disables.
+// WithWriteTimeout bounds each reply write. A write that passes it sheds
+// the connection: the peer has stopped reading its replies, so the
+// connection is closed and counted in Sheds. Default 30s; 0 disables, and
+// a peer that never reads then holds its connection until it closes.
 func WithWriteTimeout(d time.Duration) Option {
 	return func(o *options) { o.writeTimeout = d }
 }
@@ -126,30 +112,10 @@ func WithConnCloseHook(fn func(transportID string)) Option {
 	return func(o *options) { o.connClose = fn }
 }
 
-// framePool recycles the buffers replies are encoded into on their way
-// through a connection's outbound queue: the reader takes one per reply, the
-// handler appends the reply into it, and the writer hands it back (putFrame)
-// once it has copied the frame into its write batch, so steady state
-// allocates nothing per reply. Requests do not pass through it; the client
-// encodes them straight into its batch.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// putFrame returns a reply buffer to framePool unless it outgrew maxKeep.
-func putFrame(bp *[]byte) {
-	if cap(*bp) <= maxKeep {
-		framePool.Put(bp)
-	}
-}
-
-// Server is the TCP edge: a sharded accept plane feeding per-connection
-// reader/writer pairs, every decoded frame dispatched to the Handler with
-// the connection's transport identity. Create with Serve or Listen; stop
-// with Close.
+// Server is the TCP edge: a sharded accept plane feeding one goroutine per
+// connection, which dispatches every decoded frame to the Handler with the
+// connection's transport identity and writes the replies. Create with
+// Serve or Listen; stop with Close.
 type Server struct {
 	h      Handler
 	ln     net.Listener
@@ -187,8 +153,9 @@ type EdgeStats struct {
 	// (length prefixes included).
 	BytesIn  uint64
 	BytesOut uint64
-	// Sheds counts connections dropped because their bounded outbound
-	// queue was full in shedding mode.
+	// Sheds counts connections dropped because a reply write passed its
+	// deadline (WithWriteTimeout): the peer stopped reading. Other write
+	// failures close the connection without counting here.
 	Sheds uint64
 	// FrameErrors counts malformed or oversized stream frames (each also
 	// closes its connection: framing errors are not recoverable on a
@@ -196,8 +163,8 @@ type EdgeStats struct {
 	FrameErrors uint64
 	// Requests counts request frames dispatched to the handler.
 	Requests uint64
-	// Writes counts socket writes issued by the connections' writers. Each
-	// carries every reply that was queued when it was gathered, so
+	// Writes counts socket writes issued by connection readers. Each
+	// carries every reply the reader made since its last write, so
 	// Requests/Writes is replies per write.
 	Writes uint64
 }
@@ -208,7 +175,6 @@ func Serve(ln net.Listener, h Handler, opts ...Option) *Server {
 	opt := options{
 		acceptLoops:  4,
 		maxFrame:     DefaultMaxFrame,
-		queueDepth:   64,
 		idleTimeout:  5 * time.Minute,
 		writeTimeout: 30 * time.Second,
 	}
@@ -291,10 +257,10 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) error {
 		{Name: "confmw_edge_connections_closed_total", Help: "Connections fully torn down.", Load: s.closedCt.Load},
 		{Name: "confmw_edge_bytes_in_total", Help: "Frame bytes read off edge sockets.", Load: s.bytesIn.Load},
 		{Name: "confmw_edge_bytes_out_total", Help: "Frame bytes written to edge sockets.", Load: s.bytesOut.Load},
-		{Name: "confmw_edge_backpressure_sheds_total", Help: "Connections shed because their outbound queue was full.", Load: s.sheds.Load},
+		{Name: "confmw_edge_backpressure_sheds_total", Help: "Connections shed because a reply write passed its deadline.", Load: s.sheds.Load},
 		{Name: "confmw_edge_frame_errors_total", Help: "Malformed or oversized stream frames.", Load: s.frameErrs.Load},
 		{Name: "confmw_edge_requests_total", Help: "Request frames dispatched to the handler.", Load: s.requests.Load},
-		{Name: "confmw_edge_socket_writes_total", Help: "Socket writes issued by edge writers; each carries every reply queued at the time.", Load: s.writes.Load},
+		{Name: "confmw_edge_socket_writes_total", Help: "Socket writes issued by connection readers; each carries every reply made since the last.", Load: s.writes.Load},
 	})
 }
 
@@ -327,35 +293,15 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// edgeConn is one live connection: its transport identity and its bounded
-// outbound queue.
-type edgeConn struct {
-	c   net.Conn
-	id  string
-	out chan *[]byte
-}
-
-// serveConn runs one connection to completion: writer goroutine draining
-// the bounded queue, reader loop inline (frame decode, handler dispatch,
-// reply enqueue), then teardown — close, untrack, counters, close hook.
+// serveConn runs one connection to completion on its own goroutine — the
+// read loop, which also writes the replies — then tears it down: close,
+// untrack, counters, close hook.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	// The transport identity: unique for the server's lifetime (sequence
 	// number) and diagnosable (peer address). Sessions bind to this string.
-	ec := &edgeConn{
-		c:   c,
-		id:  fmt.Sprintf("tcp:%d:%s", s.connSeq.Add(1), c.RemoteAddr()),
-		out: make(chan *[]byte, s.opt.queueDepth),
-	}
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		ec.writeLoop(s)
-	}()
-	s.readLoop(ec)
-	close(ec.out)
-	wwg.Wait()
+	id := fmt.Sprintf("tcp:%d:%s", s.connSeq.Add(1), c.RemoteAddr())
+	s.readLoop(c, id)
 	c.Close()
 	s.mu.Lock()
 	delete(s.conns, c)
@@ -363,17 +309,21 @@ func (s *Server) serveConn(c net.Conn) {
 	s.live.Add(-1)
 	s.closedCt.Add(1)
 	if hook := s.opt.connClose; hook != nil {
-		hook(ec.id)
+		hook(id)
 	}
 }
 
 // readLoop decodes frames off the socket and dispatches them to the
 // handler inline — per-connection submission order is therefore the order
-// requests hit the chain and the orderer. Returns on the first read,
-// framing, or enqueue failure; framing failures close the connection
-// (stream framing cannot resynchronize) and count in FrameErrors.
-func (s *Server) readLoop(ec *edgeConn) {
-	br := bufio.NewReaderSize(ec.c, 16<<10)
+// requests hit the chain and the orderer, and the order their replies
+// leave in. Each reply is appended to the connection's output buffer,
+// which is written out before any read that would wait for the peer
+// (connReader) or once it reaches maxKeep. Returns on the first read,
+// framing or write failure; framing failures close the connection (stream
+// framing cannot resynchronize) and count in FrameErrors.
+func (s *Server) readLoop(c net.Conn, id string) {
+	r := newConnReader(s, c)
+	br := bufio.NewReaderSize(r, 16<<10)
 	// The read buffer is per-connection and reused for every frame: the
 	// decode path hands the handler payload bytes zero-copy, so they are
 	// overwritten by the next frame — the Handler contract (borrow, never
@@ -381,104 +331,132 @@ func (s *Server) readLoop(ec *edgeConn) {
 	buf := make([]byte, 0, 4096)
 	topic := "" // of the previous request, so a run on one topic allocates it once
 	for {
+		if len(r.out) >= maxKeep && r.flush() != nil {
+			return
+		}
 		// The idle deadline is armed when the reader is about to wait on
 		// the socket, not per frame: frames already buffered need none, and
 		// a partly buffered one keeps the deadline its first bytes came
 		// under, which is the earlier one.
 		if s.opt.idleTimeout > 0 && br.Buffered() == 0 {
-			_ = ec.c.SetReadDeadline(time.Now().Add(s.opt.idleTimeout))
+			_ = c.SetReadDeadline(time.Now().Add(s.opt.idleTimeout))
 		}
 		f, nbuf, err := readFrameTopic(br, buf, s.opt.maxFrame, topic)
 		buf, topic = nbuf, f.topic
+		if err == nil && f.kind != frameRequest {
+			err = ErrBadFrame
+		}
 		if err != nil {
+			if r.werr != nil {
+				return // the reply write failed under the read
+			}
 			if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooBig) {
 				s.frameErrs.Add(1)
+			}
+			// A frame that failed without a wait leaves the replies before
+			// it unwritten; they still go.
+			if len(r.out) > 0 {
+				_ = r.flush()
 			}
 			return
 		}
 		s.bytesIn.Add(uint64(len(buf)) + 4)
-		if f.kind != frameRequest {
-			s.frameErrs.Add(1)
-			return
-		}
 		s.requests.Add(1)
 		// The handler appends its reply to the ok frame's head; a refusal
 		// starts the frame over, dropping whatever it appended.
-		bp := framePool.Get().(*[]byte)
-		out, herr := s.h.AppendWire(s.ctx, openFrame((*bp)[:0], frameOK, f.id, ""), f.topic, f.body, ec.id)
+		start := len(r.out)
+		reply, herr := s.h.AppendWire(s.ctx, openFrame(r.out, frameOK, f.id, ""), f.topic, f.body, id)
 		if herr != nil {
-			*bp = appendFrame((*bp)[:0], frameError, f.id, middleware.RejectLabel(herr), []byte(herr.Error()))
+			r.out = appendFrame(r.out[:start], frameError, f.id, middleware.RejectLabel(herr), []byte(herr.Error()))
 		} else {
-			*bp = closeFrame(out, 0)
-		}
-		if !ec.enqueue(s, bp) {
-			return
+			r.out = closeFrame(reply, start)
 		}
 	}
 }
 
-// enqueue places an encoded reply on the bounded outbound queue. Blocking
-// mode stalls the reader (and through TCP, the peer) until the writer
-// drains — bounded backpressure, never an unbounded queue. Shedding mode
-// drops the connection instead, counting the shed. Returns false when the
-// connection should die.
-func (ec *edgeConn) enqueue(s *Server, bp *[]byte) bool {
-	if s.opt.shed {
-		select {
-		case ec.out <- bp:
-			return true
-		default:
+// connReader is the socket as a connection's bufio.Reader sees it, and the
+// connection's output buffer. While replies wait in out, a read first takes
+// whatever bytes have already arrived, so the frames they carry are
+// answered in the same write; a read that would wait for the peer writes
+// the replies out first, so none of them waits on a peer that may be
+// waiting for it — on the rest of a frame that has only partly arrived
+// either. A peer that keeps the socket busy gets its replies each time
+// they reach maxKeep.
+type connReader struct {
+	s    *Server
+	c    net.Conn
+	out  []byte // replies not yet written
+	werr error  // the write failure that ended the connection
+
+	// raw reads the socket without waiting, through readRaw: nil on a
+	// connection without a descriptor (net.Pipe). readRaw is bound once so
+	// that a read allocates nothing; it reads into p and leaves the count
+	// in n.
+	raw     syscall.RawConn
+	readRaw func(fd uintptr) bool
+	p       []byte
+	n       int
+}
+
+// newConnReader returns c's reader with an empty output buffer.
+func newConnReader(s *Server, c net.Conn) *connReader {
+	r := &connReader{s: s, c: c, out: make([]byte, 0, 4096)}
+	if sc, ok := c.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			r.raw = raw
+			r.readRaw = func(fd uintptr) bool {
+				r.n = readNow(fd, r.p)
+				return true // done: RawConn.Read is not to wait for readiness
+			}
+		}
+	}
+	return r
+}
+
+// Read implements io.Reader.
+func (r *connReader) Read(p []byte) (int, error) {
+	if len(r.out) > 0 {
+		if n := r.arrived(p); n > 0 {
+			return n, nil
+		}
+		if err := r.flush(); err != nil {
+			return 0, err
+		}
+	}
+	return r.c.Read(p)
+}
+
+// arrived reads into p what has already reached the socket, without
+// waiting. It returns 0 when nothing has, the connection has no
+// descriptor, or the read failed; the ordinary read that follows then
+// waits, or reports the failure.
+func (r *connReader) arrived(p []byte) int {
+	if r.raw == nil {
+		return 0
+	}
+	r.p, r.n = p, 0
+	_ = r.raw.Read(r.readRaw)
+	return max(r.n, 0)
+}
+
+// flush writes out in one write under one write deadline and empties it for
+// the next flight, dropping it when a large reply grew it past maxKeep. A
+// write that passes its deadline is a shed — the peer stopped reading its
+// replies — and any write failure ends the connection.
+func (r *connReader) flush() error {
+	s := r.s
+	if s.opt.writeTimeout > 0 {
+		_ = r.c.SetWriteDeadline(time.Now().Add(s.opt.writeTimeout))
+	}
+	s.writes.Add(1)
+	if _, err := r.c.Write(r.out); err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
 			s.sheds.Add(1)
-			putFrame(bp)
-			return false
 		}
+		r.werr = err
+		return err
 	}
-	select {
-	case ec.out <- bp:
-		return true
-	case <-s.ctx.Done():
-		putFrame(bp)
-		return false
-	}
-}
-
-// writeLoop drains the outbound queue to the socket, one write per flight
-// of replies rather than per reply: after receiving one it gathers every
-// reply already queued (up to maxKeep bytes) into the connection's batch
-// buffer and issues one write under one deadline, so a peer that pipelines
-// pays for one syscall per flight. It never waits for a second reply: a
-// lone reply is written at once. On a write failure it closes the
-// connection (unblocking the reader) but keeps draining the queue so a
-// blocked reader enqueue can never deadlock teardown.
-func (ec *edgeConn) writeLoop(s *Server) {
-	failed := false
-	var batch []byte
-	for bp := range ec.out {
-		// Gather this reply and every one already queued behind it; a
-		// closed queue reads as no more.
-		for more := true; more; {
-			batch = append(batch, *bp...)
-			putFrame(bp)
-			more = false
-			if len(batch) < maxKeep {
-				select {
-				case bp, more = <-ec.out:
-				default:
-				}
-			}
-		}
-		if !failed {
-			if s.opt.writeTimeout > 0 {
-				_ = ec.c.SetWriteDeadline(time.Now().Add(s.opt.writeTimeout))
-			}
-			s.writes.Add(1)
-			if _, err := ec.c.Write(batch); err != nil {
-				failed = true
-				ec.c.Close()
-			} else {
-				s.bytesOut.Add(uint64(len(batch)))
-			}
-		}
-		batch = reuse(batch)
-	}
+	s.bytesOut.Add(uint64(len(r.out)))
+	r.out = reuse(r.out)
+	return nil
 }
