@@ -17,8 +17,10 @@ import (
 // topic string, and Call's PendingCall, reply channel and channel buffer.
 // Then 1, the caller's copy of the reply, until replies were carved from
 // the reader's 4 KB reply chunk: 500 runs of a 64-byte echo fill under 8
-// chunks, which AllocsPerRun's quotient floors to 0. The race detector makes
-// sync.Pool drop items at random, hence the build tag.
+// chunks, which AllocsPerRun's quotient floors to 0. Under a context that
+// can end, the call's cancellation is registered once per context, not per
+// call: AllocsPerRun's warm-up run makes the one registration. The race
+// detector makes sync.Pool drop items at random, hence the build tag.
 func TestCallAllocations(t *testing.T) {
 	srv := listenEcho(t)
 	c, err := Dial(srv.Addr().String())
@@ -26,15 +28,26 @@ func TestCallAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx := context.Background()
-	payload := make([]byte, 64)
-	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := c.Call(ctx, middleware.TopicSubmit, payload); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocations per echo Call, want 0 (the reply is carved from the reader's reply chunk)", allocs)
+	cancelCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"background", context.Background()},
+		{"cancellable", cancelCtx},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := make([]byte, 64)
+			allocs := testing.AllocsPerRun(500, func() {
+				if _, err := c.Call(tc.ctx, middleware.TopicSubmit, payload); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocations per echo Call, want 0 (the reply is carved from the reader's reply chunk, a context is registered once)", allocs)
+			}
+		})
 	}
 }
 

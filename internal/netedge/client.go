@@ -46,7 +46,11 @@ func WithClientShedding() DialOption {
 	return func(o *dialOptions) { o.shed = true }
 }
 
-// WithClientMaxFrame bounds reply frames the client will accept. Default
+// WithClientMaxFrame bounds the client's frames in both directions: a reply
+// frame larger than n fails the connection, and a request frame larger than
+// n fails its call with ErrFrameTooBig before anything is sent, so that one
+// oversized request does not make the server drop the connection under every
+// other call on it. Set it no higher than the server's WithMaxFrame. Default
 // DefaultMaxFrame.
 func WithClientMaxFrame(n int) DialOption {
 	return func(o *dialOptions) {
@@ -71,6 +75,14 @@ type callResult struct {
 	err error
 }
 
+// pendingCall is one registered call: the channel its result goes to, and
+// the Done channel of the context it waits under (nil while it waits under
+// none).
+type pendingCall struct {
+	ch   chan callResult
+	done <-chan struct{}
+}
+
 // Client is one pipelined edge connection: concurrent-safe, many requests
 // in flight matched to replies by request id, in-flight window bounded.
 // One goroutine reads the socket and carves the replies it delivers from
@@ -78,6 +90,14 @@ type callResult struct {
 // shared batch and combine their socket writes: whoever finds nobody
 // flushing becomes the flusher and writes the batch, everyone else appends
 // and returns (see flush).
+//
+// A waiting call blocks on its own reply channel and nothing else. The end
+// of the context it waits under reaches it on that channel too, from one
+// context.AfterFunc per distinct Done channel, registered the first time a
+// call waits under it and kept until that context ends or the connection
+// fails. So calls under one long-lived context cost nothing per call for
+// their cancellation, while a context made per call costs a registration
+// and, when it ends, one pass over the pending calls.
 type Client struct {
 	conn     net.Conn
 	maxFrame int
@@ -93,13 +113,18 @@ type Client struct {
 	flushing bool   // some caller holds the flusher role
 	spare    []byte // the flusher's: the buffer it is not writing from
 
+	// pmu guards pending and watched. A call's one sender is whoever
+	// removes it from pending under pmu: the reader, the AfterFunc of the
+	// context it waits under (expire), or fail.
 	pmu     sync.Mutex
-	pending map[uint64]chan callResult
+	pending map[uint64]pendingCall
+	watched map[<-chan struct{}]func() bool // Done channel -> AfterFunc's stop
 
 	// handshakes runs OpenSession and keeps what it established.
 	handshakes middleware.Handshaker
 
-	// chans recycles Call's reply channels; see Call for when one may return.
+	// chans recycles reply channels. One goes back once its result was
+	// received: its one sender is done with it then.
 	chans sync.Pool
 
 	done     chan struct{}
@@ -127,7 +152,8 @@ func newClient(conn net.Conn, opt dialOptions) *Client {
 		maxFrame: opt.maxFrame,
 		shed:     opt.shed,
 		window:   make(chan struct{}, opt.inFlight),
-		pending:  make(map[uint64]chan callResult),
+		pending:  make(map[uint64]pendingCall),
+		watched:  make(map[<-chan struct{}]func() bool),
 		chans:    sync.Pool{New: func() any { return make(chan callResult, 1) }},
 		done:     make(chan struct{}),
 	}
@@ -143,21 +169,59 @@ func (c *Client) Close() error {
 }
 
 // fail records the connection's terminal error once, closes the socket,
-// and fails every pending call. done closes before the sweep takes pmu, so
-// a call registering under pmu (send) is either swept here or refused
-// there: none can be left waiting on a dead connection.
+// fails every pending call and stops every context registration. done
+// closes before the sweep takes pmu, so a call registering under pmu (send)
+// is either swept here or refused there: none can be left waiting on a dead
+// connection. A registration is only made for a call still pending, so none
+// is made after the sweep either.
 func (c *Client) fail(err error) {
 	c.failOnce.Do(func() {
 		c.errv.Store(err)
 		close(c.done)
 		c.conn.Close()
 		c.pmu.Lock()
-		for id, ch := range c.pending {
+		for id, p := range c.pending {
 			delete(c.pending, id)
-			ch <- callResult{err: err}
+			p.ch <- callResult{err: err}
+		}
+		for done, stop := range c.watched {
+			stop()
+			delete(c.watched, done)
 		}
 		c.pmu.Unlock()
 	})
+}
+
+// watchLocked makes the end of ctx settle the calls that wait under it and
+// returns its Done channel, nil for a context that never ends. pmu is held.
+// The first call under a Done channel registers the one AfterFunc for it;
+// the rest find it in watched. A context that has already ended runs its
+// AfterFunc at once, which settles the call as soon as pmu is free.
+func (c *Client) watchLocked(ctx context.Context) <-chan struct{} {
+	done := ctx.Done()
+	if done != nil {
+		if _, ok := c.watched[done]; !ok {
+			c.watched[done] = context.AfterFunc(ctx, func() { c.expire(ctx, done) })
+		}
+	}
+	return done
+}
+
+// expire is the AfterFunc of a watched context that has ended: it settles
+// every call still pending under done with the context's error and drops
+// the registration. A call registered under done before this takes pmu is
+// settled here too; one registered after it registers afresh.
+func (c *Client) expire(ctx context.Context, done <-chan struct{}) {
+	err := ctx.Err()
+	c.pmu.Lock()
+	for id, p := range c.pending {
+		if p.done == done {
+			delete(c.pending, id)
+			p.ch <- callResult{err: err}
+		}
+	}
+	delete(c.watched, done)
+	c.pmu.Unlock()
 }
 
 // err reports why the connection died.
@@ -208,13 +272,13 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.pmu.Lock()
-		ch, ok := c.pending[f.id]
+		p, ok := c.pending[f.id]
 		if ok {
 			delete(c.pending, f.id)
 		}
 		c.pmu.Unlock()
 		if ok {
-			ch <- res
+			p.ch <- res
 		}
 	}
 }
@@ -226,67 +290,65 @@ func (c *Client) readLoop() {
 type PendingCall struct {
 	c  *Client
 	id uint64
-	ch chan callResult
 
-	mu      sync.Mutex
-	settled bool
-	res     callResult
+	mu  sync.Mutex
+	ch  chan callResult // nil once Wait has received the result
+	res callResult
 }
 
-// Wait blocks until the reply arrives (or ctx ends) and returns it. A
-// context abandonment settles the call with ctx.Err(): the reader drops the
-// reply when it arrives. After the first settlement, Wait returns the same
-// result to every caller.
+// Wait blocks until the reply arrives (or ctx ends) and returns it. A call
+// still pending moves under ctx first, so the end of ctx settles it with
+// ctx.Err(): the reader drops the reply when it arrives. After the first
+// settlement, Wait returns the same result to every caller.
 func (p *PendingCall) Wait(ctx context.Context) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.settled {
-		p.res, _ = p.c.await(ctx, p.id, p.ch)
-		p.settled = true
+	if p.ch != nil {
+		p.c.waitUnder(ctx, p.id)
+		p.res = p.c.await(p.ch)
+		p.ch = nil
 	}
 	return p.res.b, p.res.err
 }
 
-// await blocks until call id's result arrives on ch or ctx ends, then frees
-// the call's window slot. delivered reports that the result was received
-// from ch: its one sender is done with it, so the channel may be reused. A
-// call abandoned through ctx may still be sent to, by a reader that took it
-// out of pending first.
-func (c *Client) await(ctx context.Context, id uint64, ch chan callResult) (res callResult, delivered bool) {
-	select {
-	case res = <-ch:
-		delivered = true
-	case <-ctx.Done():
-		// Abandon the call: the reader drops the reply when it arrives.
-		c.pmu.Lock()
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		res.err = ctx.Err()
+// waitUnder moves call id, if it is still pending, under ctx.
+func (c *Client) waitUnder(ctx context.Context, id uint64) {
+	if ctx.Done() == nil {
+		return
 	}
-	<-c.window
-	return res, delivered
+	c.pmu.Lock()
+	if p, ok := c.pending[id]; ok {
+		p.done = c.watchLocked(ctx)
+		c.pending[id] = p
+	}
+	c.pmu.Unlock()
 }
 
-// Call sends one request frame and waits for its reply. payload is only
-// read before Call returns; the reply is the caller's to keep. It is carved
-// from a chunk shared with later replies (see readLoop): nothing writes over
-// it and appending to it reallocates, but keeping it keeps up to 4 KB
-// alive — copy a reply kept for long. Server-side rejections come back as
-// *WireError carrying the gateway's error text and the refusal's label.
+// await receives a call's one result from ch, frees the call's window slot
+// and returns ch to the pool: its one sender is done with it.
+func (c *Client) await(ch chan callResult) callResult {
+	res := <-ch
+	<-c.window
+	c.chans.Put(ch)
+	return res
+}
+
+// Call sends one request frame and waits for its reply, or for ctx to end,
+// which settles the call with ctx.Err() and drops its reply when it comes.
+// payload is only read before Call returns; the reply is the caller's to
+// keep. It is carved from a chunk shared with later replies (see readLoop):
+// nothing writes over it and appending to it reallocates, but keeping it
+// keeps up to 4 KB alive — copy a reply kept for long. Server-side
+// rejections come back as *WireError carrying the gateway's error text and
+// the refusal's label. A request frame over the client's frame bound fails
+// with ErrFrameTooBig and is not sent.
 func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte, error) {
-	// No PendingCall escapes a synchronous call, so its reply channel can
-	// come from the pool — and go back once its result was received from
-	// it, never after an abandonment (see await).
 	ch := c.chans.Get().(chan callResult)
-	id, err := c.send(ctx, ch, topic, payload)
-	if err != nil {
+	if _, err := c.send(ctx, true, ch, topic, payload); err != nil {
 		c.chans.Put(ch)
 		return nil, err
 	}
-	res, delivered := c.await(ctx, id, ch)
-	if delivered {
-		c.chans.Put(ch)
-	}
+	res := c.await(ch)
 	return res.b, res.err
 }
 
@@ -294,33 +356,42 @@ func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte
 // reply — the pipelining half of Call. The caller collects the reply with
 // Wait; sending a batch of CallAsyncs and then waiting turns N round trips
 // into one flight of frames and one flight of acks. payload is only read
-// before CallAsync returns. An error here means the frame never left
-// (backpressure shed or a dead connection) and no PendingCall exists; a nil
-// error means the frame is queued behind the connection's flusher, and a
-// later write failure surfaces through Wait.
+// before CallAsync returns. ctx guards only the wait for a window slot: the
+// call waits under the context given to Wait. An error here means the frame
+// never left (oversized, backpressure shed or a dead connection) and no
+// PendingCall exists; a nil error means the frame is queued behind the
+// connection's flusher, and a later write failure surfaces through Wait.
 func (c *Client) CallAsync(ctx context.Context, topic string, payload []byte) (*PendingCall, error) {
-	ch := make(chan callResult, 1)
-	id, err := c.send(ctx, ch, topic, payload)
+	ch := c.chans.Get().(chan callResult)
+	id, err := c.send(ctx, false, ch, topic, payload)
 	if err != nil {
+		c.chans.Put(ch)
 		return nil, err
 	}
 	return &PendingCall{c: c, id: id, ch: ch}, nil
 }
 
 // send takes an in-flight slot, registers ch for the reply under a fresh
-// request id, queues the frame and, if nobody is flushing, flushes. On an
+// request id — waiting under ctx when wait is set, under no context
+// otherwise — queues the frame and, if nobody is flushing, flushes. On an
 // error nothing was registered or queued and the slot is free again.
-func (c *Client) send(ctx context.Context, ch chan callResult, topic string, payload []byte) (uint64, error) {
+func (c *Client) send(ctx context.Context, wait bool, ch chan callResult, topic string, payload []byte) (uint64, error) {
+	id := c.nextID.Add(1)
+	// The server fails the whole connection on a frame over its bound, so
+	// an oversized request is refused here, before it costs anything.
+	if n := requestFrameLen(id, topic, payload); n > c.maxFrame {
+		return 0, fmt.Errorf("%w: request frame %d > %d", ErrFrameTooBig, n, c.maxFrame)
+	}
 	// Acquire an in-flight slot: the bounded window that keeps one client
 	// from queueing unboundedly into a slow server. The slot belongs to the
-	// call until await settles it.
-	if c.shed {
-		select {
-		case c.window <- struct{}{}:
-		default:
+	// call until await receives its result. A free slot is taken without a
+	// select; only a full window waits on ctx and the connection.
+	select {
+	case c.window <- struct{}{}:
+	default:
+		if c.shed {
 			return 0, ErrBackpressure
 		}
-	} else {
 		select {
 		case c.window <- struct{}{}:
 		case <-ctx.Done():
@@ -330,7 +401,6 @@ func (c *Client) send(ctx context.Context, ch chan callResult, topic string, pay
 		}
 	}
 
-	id := c.nextID.Add(1)
 	c.pmu.Lock()
 	select {
 	case <-c.done:
@@ -340,7 +410,11 @@ func (c *Client) send(ctx context.Context, ch chan callResult, topic string, pay
 		return 0, c.err()
 	default:
 	}
-	c.pending[id] = ch
+	p := pendingCall{ch: ch}
+	if wait {
+		p.done = c.watchLocked(ctx)
+	}
+	c.pending[id] = p
 	c.pmu.Unlock()
 
 	c.wmu.Lock()
@@ -359,16 +433,28 @@ func (c *Client) send(ctx context.Context, ch chan callResult, topic string, pay
 // append to the batch under wmu and return without touching the socket, so
 // their frames share the flusher's write.
 //
-// Before it first takes the batch the flusher yields once — what gRPC-Go's
+// Before it first takes the batch the flusher yields — what gRPC-Go's
 // loopyWriter does before a small flush — so that callers already runnable
-// get to add their frames. Nothing is waited for: with no one else
-// runnable (a lone request at depth 1) the yield returns at once. Later
-// rounds carry what arrived during the previous write and go straight out.
+// get to add their frames, and it yields again for as long as the last
+// yield added frames and the batch is under maxKeep: a caller that has just
+// had its reply is runnable and about to queue its next frame. Nothing is
+// waited for, no clock is read: a yield that added nothing ends the gather,
+// so a lone request at depth 1 yields once. Later rounds carry what arrived
+// during the previous write and go straight out.
 //
 // A failed write fails the connection, which settles every registered call
 // and refuses new ones, and keeps the role: nobody writes to it again.
 func (c *Client) flush() {
-	runtime.Gosched()
+	for seen := -1; ; {
+		c.wmu.Lock()
+		n := len(c.batch)
+		c.wmu.Unlock()
+		if n == seen || n >= maxKeep {
+			break
+		}
+		seen = n
+		runtime.Gosched()
+	}
 	for {
 		c.wmu.Lock()
 		out := c.batch

@@ -167,14 +167,14 @@ func TestClientWriteFailureSettlesEveryCall(t *testing.T) {
 }
 
 // assertDrained checks that no call still holds a window slot or a pending
-// entry on c.
+// entry on c, and that no context registration is left.
 func assertDrained(t *testing.T, c *Client) {
 	t.Helper()
 	c.pmu.Lock()
-	pending := len(c.pending)
+	pending, watched := len(c.pending), len(c.watched)
 	c.pmu.Unlock()
-	if pending != 0 || len(c.window) != 0 {
-		t.Fatalf("after failure: %d pending calls, %d window slots held, want 0 and 0", pending, len(c.window))
+	if pending != 0 || len(c.window) != 0 || watched != 0 {
+		t.Fatalf("after failure: %d pending calls, %d window slots held, %d context registrations, want 0, 0 and 0", pending, len(c.window), watched)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"dltprivacy/internal/middleware"
 )
@@ -63,6 +64,17 @@ func reuse(b []byte) []byte {
 func appendFrame(dst []byte, kind byte, id uint64, topic string, body []byte) []byte {
 	start := len(dst)
 	return closeFrame(append(openFrame(dst, kind, id, topic), body...), start)
+}
+
+// requestFrameLen is the length prefix appendFrame writes for a request
+// frame: kind, id, topic and payload.
+func requestFrameLen(id uint64, topic string, payload []byte) int {
+	return 1 + uvarintLen(id) + uvarintLen(uint64(len(topic))) + len(topic) + len(payload)
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // openFrame appends a frame's head — the length placeholder, kind, id and,
