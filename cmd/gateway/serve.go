@@ -148,9 +148,9 @@ func (s *server) run(ctx context.Context, out io.Writer) error {
 }
 
 // shutdown stops the edge and the telemetry listener, releases what the
-// pipeline holds (batched submissions, the async audit ring), and then
-// checks the leakage log: it fails if the gateway operator or any orderer
-// operator observed transaction data.
+// pipeline holds (batched submissions), and then checks the leakage log:
+// it fails if the gateway operator or any orderer operator observed
+// transaction data.
 func (s *server) shutdown(out io.Writer) error {
 	s.edge.Close()
 	s.telemetry.Close()

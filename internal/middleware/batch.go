@@ -70,6 +70,8 @@ type Batch struct {
 // Buckets are recycled whole, arena included, so the steady state
 // allocates nothing per group.
 type groupBucket struct {
+	key      *channelKey // the (channel, epoch) key the members are tagged with
+	channel  string
 	reqs     []*Request
 	payloads [][]byte
 	arena    []byte
@@ -118,6 +120,7 @@ func (b *Batch) recycleBucket(g *groupBucket) {
 	for i := range g.reqs {
 		g.reqs[i], g.payloads[i] = nil, nil
 	}
+	g.key, g.channel = nil, ""
 	g.reqs, g.payloads, g.arena = g.reqs[:0], g.payloads[:0], g.arena[:0]
 	b.mu.Lock()
 	if len(b.free) < 4 {
@@ -161,25 +164,36 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 		req.buffered = true
 		req.hold() // until releaseGroup completes it
 		g := b.groups[ck]
+		var stranded []*groupBucket
 		if g == nil {
 			// A fresh bucket starts at full capacity, recycled from the
 			// last released group where possible: growing a pointer slice
 			// member by member costs log2(size) reallocations, copies, and
 			// write-barrier work per group, all on the admission path.
 			g = b.takeBucketLocked()
+			g.key, g.channel = ck, req.Channel
 			b.groups[ck] = g
+			stranded = b.detachStrandedLocked(g)
 		}
 		start := len(g.arena)
 		g.arena = append(g.arena, req.Payload...)
 		g.reqs = append(g.reqs, req)
 		g.payloads = append(g.payloads, g.arena[start:len(g.arena):len(g.arena)])
-		if len(g.reqs) < b.size {
-			b.mu.Unlock()
+		full := len(g.reqs) == b.size
+		if full {
+			delete(b.groups, ck)
+		}
+		b.mu.Unlock()
+		for _, s := range stranded {
+			// No flusher: this submission is buffered in a bucket of its
+			// own, and the stranded members' futures carry the outcome.
+			_ = b.releaseGroup(ctx, s, next, nil)
+			b.recycleBucket(s)
+		}
+		if !full {
 			return nil
 		}
-		delete(b.groups, ck)
-		b.mu.Unlock()
-		err := b.releaseGroup(ctx, ck, g, next, req)
+		err := b.releaseGroup(ctx, g, next, req)
 		b.recycleBucket(g)
 		return err
 	}
@@ -201,12 +215,27 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 	return b.release(ctx, group, next, req)
 }
 
+// detachStrandedLocked removes and returns every open bucket of fresh's
+// channel under another key. A fresh bucket under a new key means the
+// channel rotated (keyttl expiry, RotateChannelKey, a revocation): nothing
+// is tagged with the old key again, so its bucket would hold acknowledged
+// submissions unordered until Flush. Caller holds b.mu.
+func (b *Batch) detachStrandedLocked(fresh *groupBucket) []*groupBucket {
+	var stranded []*groupBucket
+	for ck, g := range b.groups {
+		if g != fresh && g.channel == fresh.channel {
+			delete(b.groups, ck)
+			stranded = append(stranded, g)
+		}
+	}
+	return stranded
+}
+
 // Flush releases any partially-filled batch downstream. In group-seal mode
-// every open (channel, epoch) bucket is sealed and released — including
-// buckets stranded by an epoch rotation mid-fill, which seal under the
-// epoch current at their submission. It is a no-op on an empty buffer and
-// an error if the stage has never seen a request (the downstream
-// continuation is learned from the first Handle call).
+// every open (channel, epoch) bucket is sealed and released under the
+// epoch current at its members' submission. It is a no-op on an empty
+// buffer and an error if the stage has never seen a request (the
+// downstream continuation is learned from the first Handle call).
 func (b *Batch) Flush(ctx context.Context) error {
 	b.mu.Lock()
 	next := b.next
@@ -221,8 +250,8 @@ func (b *Batch) Flush(ctx context.Context) error {
 			return errors.New("middleware: batch flush before any submission")
 		}
 		var errs []error
-		for ck, g := range groups {
-			if err := b.releaseGroup(ctx, ck, g, next, nil); err != nil {
+		for _, g := range groups {
+			if err := b.releaseGroup(ctx, g, next, nil); err != nil {
 				errs = append(errs, err)
 			}
 			b.recycleBucket(g)
@@ -310,11 +339,10 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 // resolves with the group's outcome, and every member's trace gets a
 // "batch.release" span whose exclusive time is its amortized share of the
 // release. Cancellation detaching and error wrapping mirror release.
-func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, g *groupBucket, next Handler, flusher *Request) error {
+func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, flusher *Request) error {
 	ctx = context.WithoutCancel(ctx)
 	start := time.Now()
-	group := g.reqs
-	channel := group[0].Channel
+	group, channel, ck := g.reqs, g.channel, g.key
 	sealed, sum, relErr := ck.seal(g.payloads)
 	if relErr == nil {
 		val := b.fullMeta

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dltprivacy/internal/audit"
+	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/telemetry"
@@ -157,6 +158,83 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 	}
 	if b.GroupsSealed() != 2 || b.GroupTxs() != 3 {
 		t.Fatalf("sealed/txs = %d/%d, want 2/3", b.GroupsSealed(), b.GroupTxs())
+	}
+}
+
+// TestRotationReleasesStrandedGroup: once a channel's epoch rotates,
+// nothing is tagged with the old key again, so the first submission under
+// the new key releases the old key's part-filled bucket instead of leaving
+// it unordered until Flush. Another channel's open bucket is left alone.
+func TestRotationReleasesStrandedGroup(t *testing.T) {
+	clock := newFakeClock()
+	ca, ps := enrollAt(t, clock.now, "alice", "bob", "carol")
+	dir := StaticDirectory{
+		"c": {"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()},
+		"d": {"alice": ps["alice"].key.Public()},
+	}
+	cfg := Config{Stages: []StageConfig{
+		{Name: StageAuthn},
+		{Name: StageEncrypt, Params: map[string]string{"keyttl": "1m"}},
+		{Name: StageBatch, Params: map[string]string{"size": "8", "groupseal": "on"}},
+	}}
+	sink := &accept{}
+	chain, err := cfg.Build(Env{CAKey: ca.PublicKey(), Directory: dir, Now: clock.now}, sink.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := chain.stages[len(chain.stages)-1].(*Batch)
+	submit := func(channel, payload string) {
+		t.Helper()
+		if err := chain.Execute(context.Background(), signedRequest(t, ps["alice"], channel, []byte(payload))); err != nil {
+			t.Fatalf("submit on %s: %v", channel, err)
+		}
+	}
+	old := []string{"old-0", "old-1", "old-2"}
+	for _, p := range old {
+		submit("c", p)
+	}
+	submit("d", "d-0")
+	// Rotate c: its key expires, and bob leaves it for carol.
+	dir["c"] = map[string]dcrypto.PublicKey{"alice": ps["alice"].key.Public(), "carol": ps["carol"].key.Public()}
+	clock.advance(2 * time.Minute)
+	submit("c", "new-0")
+
+	if sink.count() != 1 {
+		t.Fatalf("terminal saw %d releases after the rotation, want c's stranded group", sink.count())
+	}
+	genv, err := ParseEnvelope(sink.seen[0].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if genv.Channel != "c" {
+		t.Fatalf("released group on %s, want c", genv.Channel)
+	}
+	// Sealed under the old key: bob opens it, carol does not.
+	segs, err := OpenGroupEnvelope(genv, "bob", ps["bob"].key)
+	if err != nil {
+		t.Fatalf("old member cannot open the stranded group: %v", err)
+	}
+	if len(segs) != len(old) {
+		t.Fatalf("stranded group holds %d members, want %d", len(segs), len(old))
+	}
+	for i := range old {
+		if string(segs[i]) != old[i] {
+			t.Errorf("member %d = %q, want %q", i, segs[i], old[i])
+		}
+	}
+	if _, err := OpenGroupEnvelope(genv, "carol", ps["carol"].key); !errors.Is(err, ErrNotRecipient) {
+		t.Errorf("new member opened the old key's group: %v", err)
+	}
+	// c's fresh bucket holds new-0; d's bucket, stranded too but never
+	// reopened, still holds d-0.
+	if got := b.Pending(); got != 2 {
+		t.Fatalf("pending = %d, want c's new member and d's open one", got)
+	}
+	if err := b.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if sink.count() != 3 || b.GroupTxs() != 5 {
+		t.Fatalf("after flush: %d releases carrying %d txs, want 3 carrying 5", sink.count(), b.GroupTxs())
 	}
 }
 

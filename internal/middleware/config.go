@@ -48,10 +48,9 @@ var ErrBadConfig = errors.New("middleware: invalid pipeline configuration")
 //	encrypt    — keyttl (duration, default 0 = fresh data key per request;
 //	             > 0 caches the wrapped channel key per epoch; members come
 //	             from Env.Directory)
-//	audit      — observer (default "gateway"), auditasync (ring depth,
-//	             default 0 = record synchronously; > 0 moves leakage-log
-//	             recording onto a bounded async ring off the submit path,
-//	             shedding — counted — when full)
+//	audit      — observer (default "gateway"), auditasync (a shim the
+//	             frozen benchmark passes: any integer >= 0 is accepted and
+//	             recording is always inline; a negative one is refused)
 //	ratelimit  — rate (tokens/sec, default 100), burst (default 10)
 //	retry      — attempts (default 3), backoff (duration, default 5ms)
 //	breaker    — threshold (default 5), cooldown (duration, default 1s)

@@ -588,16 +588,8 @@ func FuzzParseStages(f *testing.F) {
 				t.Fatalf("ParseStages(%q): stage %q has an empty parameter key", in, sc.Name)
 			}
 		}
-		chain, err := Config{Stages: stages}.Build(Env{}, func(context.Context, *Request) error { return nil })
-		if err != nil {
-			return
-		}
-		// An async audit stage owns a drain goroutine.
-		for _, s := range chain.stages {
-			if c, ok := s.(stageCloser); ok {
-				c.Close()
-			}
-		}
+		// A parsed pipeline builds or is refused; it never panics.
+		Config{Stages: stages}.Build(Env{}, func(context.Context, *Request) error { return nil })
 	})
 }
 

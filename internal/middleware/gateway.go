@@ -197,9 +197,9 @@ type GatewayStats struct {
 	BatchGroupsSealed uint64
 	BatchGroupTxs     uint64
 	BatchPending      int
-	// AuditShed counts leakage observations dropped because the audit
-	// stage's async ring was full; AuditRingPending the observations
-	// waiting in it. Both 0 without an async audit ring.
+	// AuditShed and AuditRingPending always read 0: the audit stage records
+	// inline, with no ring to shed from or wait in. They are kept because
+	// the frozen benchmark reads them.
 	AuditShed        uint64
 	AuditRingPending uint64
 	// AuditLogObservations is the number of records in the leakage log
@@ -304,10 +304,8 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 }
 
 // Close releases the gateway's push subscription on its revocation source,
-// if any, and drains the audit stage's async ring: every leakage
-// observation enqueued before Close returns is recorded. Idempotent; the
-// gateway still serves traffic afterwards — it just stops receiving
-// revocation pushes, and later audit observations record inline.
+// if any. Idempotent; the gateway still serves traffic afterwards — it just
+// stops receiving revocation pushes.
 func (g *Gateway) Close() {
 	g.revMu.Lock()
 	unsub := g.unsubscribe
@@ -315,11 +313,6 @@ func (g *Gateway) Close() {
 	g.revMu.Unlock()
 	if unsub != nil {
 		unsub()
-	}
-	for _, s := range g.chain.stages {
-		if c, ok := s.(stageCloser); ok {
-			c.Close()
-		}
 	}
 }
 
@@ -527,10 +520,10 @@ func (g *Gateway) SubmitAsync(ctx context.Context, req *Request) (*SubmitFuture,
 func (g *Gateway) Tracer() *telemetry.Tracer { return g.tracer }
 
 // Flush releases any partially-filled batch or aggregation group
-// downstream, then waits for the audit stage's async ring (if any) to
-// catch up, so after Flush returns every accepted submission is ordered
-// AND its leakage observation recorded. Gateways without a holding stage
-// flush trivially.
+// downstream, so after Flush returns every accepted submission is ordered.
+// Leakage observations need no flush: the audit stage records each one
+// before its Handle returns. Gateways without a holding stage flush
+// trivially.
 func (g *Gateway) Flush(ctx context.Context) error {
 	var err error
 	for i := len(g.chain.stages) - 1; i >= 0; i-- {

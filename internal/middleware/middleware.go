@@ -383,15 +383,12 @@ type Stage interface {
 // implementing any of these beside Stage; the gateway discovers them by
 // ranging over the built chain, never by stage name or concrete type.
 type (
-	// stageFlusher is a stage that holds work past Handle's return (batch,
-	// aggregate, the async audit ring). Gateway.Flush calls the hooks in
-	// reverse chain order: the terminal holding stage releases first.
+	// stageFlusher is a stage that holds submissions past Handle's return
+	// (batch, aggregate). Gateway.Flush calls the hooks in reverse chain
+	// order: the terminal holding stage releases first.
 	stageFlusher interface {
 		Flush(ctx context.Context) error
 	}
-	// stageCloser is a stage that owns a resource Gateway.Close releases
-	// (the async audit ring's drainer).
-	stageCloser interface{ Close() }
 	// memberKeyer is a stage that wraps channel keys to member identities
 	// (encrypt): revocation excludes a member, readmission lifts the
 	// exclusion, Rotate forces a channel onto a fresh key epoch.

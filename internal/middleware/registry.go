@@ -351,7 +351,7 @@ func init() {
 		desc: "leakage accounting: record what the observer could see (Env.Log)",
 		params: []paramSpec{
 			{"observer", `leakage-log observer name (default "gateway")`},
-			{"auditasync", "async ring depth (default 0 = record synchronously on the submit path)"},
+			{"auditasync", "accepted for compatibility, any value >= 0: recording is always inline"},
 		},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			observer := p.str("observer", "gateway")
@@ -360,10 +360,7 @@ func init() {
 				return nil, p.err
 			}
 			if depth < 0 {
-				return nil, fmt.Errorf("auditasync must be >= 0, got %d (0 records synchronously)", depth)
-			}
-			if depth > 0 {
-				return NewAsyncAudit(env.Log, observer, depth)
+				return nil, fmt.Errorf("auditasync must be >= 0, got %d (every value records inline)", depth)
 			}
 			return NewAudit(env.Log, observer)
 		},

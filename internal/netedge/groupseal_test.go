@@ -23,7 +23,7 @@ import (
 // merely borrowed its payload would be sealed holding a later frame's
 // bytes, possibly another channel's under this channel's key. Two
 // connections each interleave two channels with distinct, differently
-// sized payloads through session(mac)|authn|encrypt|audit(auditasync)|
+// sized payloads through session(mac)|authn|encrypt|audit|
 // batch(groupseal=on) over a real socket; every member a channel's group
 // envelopes open to must be exactly what was submitted on that channel.
 // Under -race it also proves the held bytes are not the read buffer.
@@ -45,7 +45,7 @@ func TestGroupSealOwnsBufferedPayloads(t *testing.T) {
 			{Name: middleware.StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}},
 			{Name: middleware.StageAuthn},
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
-			{Name: middleware.StageAudit, Params: map[string]string{"auditasync": "64"}},
+			{Name: middleware.StageAudit},
 			{Name: middleware.StageBatch, Params: map[string]string{"size": fmt.Sprint(groupSize), "groupseal": "on"}},
 		},
 	}
