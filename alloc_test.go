@@ -171,14 +171,37 @@ func TestAllocationBudget(t *testing.T) {
 			// Both halves of a resumed handshake in process: Handshaker.Open
 			// on a held secret, through ServeWire and back. The gateway's
 			// two of the row above and the grant frame ServeWire returns,
-			// and the client's: the resume frame, the grant's token and its
-			// MAC key. The principal is the client's own string when the
-			// grant echoes it.
+			// and the client's: the grant's token and its MAC key. The
+			// principal is the client's own string when the grant echoes
+			// it. 6 until the resume frame was carved from a slab shared
+			// with the frames after it (see the encode row).
 			name:     "resumed-open-client",
 			replaces: "new: the client half the row above does not count",
 			cfg:      churn,
 			allocs:   handshakerOpenAllocs,
-			ceiling:  6,
+			ceiling:  5,
+		},
+		{
+			// The client's request frame: carved from a 16 KB slab shared
+			// with the frames encoded after it, a slab per forty-odd frames
+			// of the fixture's size, floored away. 1, the frame's own exact
+			// allocation, until frames were carved.
+			name:     "encode",
+			replaces: "new: EncodeWireRequest stopped allocating its frame",
+			cfg:      mac,
+			allocs:   encodeAllocs,
+			ceiling:  0,
+		},
+		{
+			// A session.close through AppendWire, as the edge makes it: the
+			// session goes under its own token string, looked up by the
+			// frame's bytes. 1 while the gateway copied the frame into a
+			// token string to close it.
+			name:     "session-close",
+			replaces: "new: a close stopped copying its token",
+			cfg:      mac,
+			allocs:   sessionCloseAllocs,
+			ceiling:  0,
 		},
 		{
 			// One ecdsa.Verify, the request's (go1.24.0); 26 more when
@@ -484,6 +507,54 @@ func handshakerOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) f
 	allocs := testing.AllocsPerRun(runs, open)
 	if st := fp.gw.Stats().Sessions; st.Resumed != runs+1+4 || st.ResumeMisses != 0 {
 		t.Fatalf("resumed %d, missed %d; want every open after the first resumed", st.Resumed, st.ResumeMisses)
+	}
+	return allocs
+}
+
+// encodeAllocs reads the allocations of one EncodeWireRequest of a session
+// submission.
+func encodeAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	i := 0
+	return testing.AllocsPerRun(1000, func() {
+		if _, err := middleware.EncodeWireRequest(&fp.templates[i%len(fp.templates)], ""); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+}
+
+// sessionCloseAllocs reads the allocations of one session.close appended to
+// a reused buffer, as the edge appends it to its pooled frame, of a live
+// session bound to the connection that closes it. The sessions are opened
+// beforehand.
+func sessionCloseAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	ctx := context.Background()
+	const conn = "tcp:1:alloc"
+	who := fp.templates[0].Principal
+	serve := func(ctx context.Context, hello []byte) ([]byte, error) {
+		return fp.gw.ServeWire(ctx, middleware.TopicSessionOpen, hello, conn)
+	}
+	live := fp.gw.Stats().Sessions.Live
+	const runs = 100
+	var client middleware.Handshaker
+	var tokens [][]byte
+	for len(tokens) < runs+1 {
+		grant, err := client.Open(ctx, who, env.certs[who], env.keys[who], serve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokens = append(tokens, []byte(grant.Token))
+	}
+	var dst []byte
+	allocs := testing.AllocsPerRun(runs, func() {
+		var err error
+		if dst, err = fp.gw.AppendWire(ctx, dst[:0], middleware.TopicSessionClose, tokens[0], conn); err != nil {
+			t.Fatal(err)
+		}
+		tokens = tokens[1:]
+	})
+	if got := fp.gw.Stats().Sessions.Live; got != live {
+		t.Fatalf("%d sessions live after the closes, want the %d before the opens", got, live)
 	}
 	return allocs
 }

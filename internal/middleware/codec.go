@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/pki"
@@ -117,10 +118,50 @@ func (r *frameReader) done() error {
 	return nil
 }
 
+// frameSlabSize is the size of the slabs carveFrame cuts frames from: a
+// noscan size class of its own, some forty session submissions.
+const frameSlabSize = 16 << 10
+
+// carvedFrameMax is the largest frame carveFrame cuts from a slab. A larger
+// one gets an exact allocation of its own, so that no slab is mostly one
+// frame and no frame pins more than four times its size.
+const carvedFrameMax = 4 << 10
+
+// frameSlabs holds the slab each goroutine carves its next frame from; a
+// slab in the pool is the unused tail of one, its carved head already handed
+// out.
+var frameSlabs = sync.Pool{New: func() any { return new([]byte) }}
+
+// carveFrame returns an empty slice of capacity exactly size for a frame
+// that leaves the process: cut from an append-only slab shared with the
+// frames carved before and after it, its capacity clipped. A slab is never
+// written over, so the frame is the caller's: nothing later writes over it,
+// appending past size reallocates, and a kept frame keeps its slab (up to
+// frameSlabSize bytes) alive. Only frames copied out and dropped are carved;
+// what a caller keeps is allocated on its own.
+func carveFrame(size int) []byte {
+	if size > carvedFrameMax {
+		return make([]byte, 0, size)
+	}
+	slab := frameSlabs.Get().(*[]byte)
+	b := *slab
+	if cap(b)-len(b) < size {
+		b = make([]byte, 0, frameSlabSize)
+	}
+	start := len(b)
+	*slab = b[:start+size]
+	frameSlabs.Put(slab)
+	return b[start : start : start+size]
+}
+
 // EncodeWireRequest marshals a request into the 0xDC request frame the
-// gateway.submit topic takes, with a single exactly-sized allocation. A nil
-// certificate is not sent. codec is kept under the name the repository
-// benchmark calls: "" or CodecBinary, anything else an error.
+// gateway.submit topic takes, carved from a shared slab (see carveFrame): a
+// caller that copies the frame out and drops it, as netedge.Client does,
+// allocates nothing for it. Nothing writes over the frame and appending to it
+// reallocates, but keeping it keeps its slab, up to 16 KB, alive: copy a
+// frame kept for long. A nil certificate is not sent. codec is kept under the
+// name the repository benchmark calls: "" or CodecBinary, anything else an
+// error.
 func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	if codec != "" && codec != CodecBinary {
 		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
@@ -158,7 +199,7 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	for k, v := range req.Meta {
 		size += lenPrefixedSize(len(k)) + lenPrefixedSize(len(v))
 	}
-	out := make([]byte, 0, size)
+	out := carveFrame(size)
 	out = append(out, binaryMagic, binaryKindRequest)
 	out = appendLenPrefixed(out, []byte(req.Channel))
 	out = appendLenPrefixed(out, []byte(req.Principal))
@@ -183,9 +224,9 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 // the gateway runs. Byte fields alias the input buffer. The three strings
 // every session submission carries are not allocated when g already holds
 // them: the token and principal come from the session the token names, the
-// channel from the gateway's table of channel names (see
-// Gateway.channelName). A nil g copies all three. On error req is partly
-// filled and must be dropped.
+// channel from the gateway's table of channel names (see channelName), which
+// also tells Gateway.order whether the channel may be ordered on. A nil g
+// copies all three. On error req is partly filled and must be dropped.
 func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindRequest {
 		return fmt.Errorf("%w: not a binary request frame", ErrBadFrame)
@@ -217,7 +258,7 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	if err := r.done(); err != nil {
 		return err
 	}
-	req.Channel = g.channelName(channel)
+	req.Channel, req.channelKnown = channelName(g, channel)
 	if g != nil && g.sessions != nil && len(session) > 0 {
 		req.SessionToken, req.Principal = g.sessions.names(session, principal)
 	} else {

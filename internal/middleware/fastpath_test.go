@@ -105,6 +105,80 @@ func TestEncodeWireRequestRejectsUnencodableSignature(t *testing.T) {
 	}
 }
 
+// TestCarvedFramesStayTheCallers holds the frames EncodeWireRequest carves
+// from shared slabs to their callers. Eight goroutines encode 2,000 frames
+// each and keep every one; the payloads walk up to a thousand bytes, so
+// frames cross slab boundaries, and every fiftieth sits around
+// carvedFrameMax, so some are carved and some allocated on their own. Each
+// frame's capacity must be its length, and each goroutine appends to its
+// previous frame once the next one is carved: the append must reallocate,
+// and the decode of every kept frame at the end must read its own request. A
+// frame handed its slab's spare capacity would write over its neighbour.
+func TestCarvedFramesStayTheCallers(t *testing.T) {
+	const workers, perWorker = 8, 2000
+	request := func(w, i int) *Request {
+		size := i * 97 % 1000
+		if i%50 == 0 {
+			size = carvedFrameMax - 64 + i%128
+		}
+		return &Request{
+			Channel:      fmt.Sprintf("deals-%d", w),
+			Principal:    fmt.Sprintf("org-%d-%d", w, i),
+			Payload:      bytes.Repeat([]byte{byte(w*perWorker + i)}, size),
+			SessionToken: fmt.Sprintf("%064x", w*perWorker+i),
+			MAC:          bytes.Repeat([]byte{byte(i)}, dcrypto.MACSize),
+			TraceID:      uint64(i),
+		}
+	}
+	frames := make([][][]byte, workers)
+	var wg sync.WaitGroup
+	for w := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kept := make([][]byte, perWorker)
+			for i := range kept {
+				b, err := EncodeWireRequest(request(w, i), "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if cap(b) != len(b) {
+					t.Errorf("worker %d frame %d: capacity %d past its length %d", w, i, cap(b), len(b))
+					return
+				}
+				kept[i] = b
+				if i == 0 {
+					continue
+				}
+				prev := kept[i-1]
+				if grown := append(prev, 0xFF, 0xFF, 0xFF, 0xFF); &grown[0] == &prev[0] {
+					t.Errorf("worker %d frame %d: appending to it wrote past its end", w, i-1)
+					return
+				}
+			}
+			frames[w] = kept
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w, kept := range frames {
+		for i, b := range kept {
+			var got Request
+			if err := decodeRequestBinary(b, &got, nil); err != nil {
+				t.Fatalf("worker %d frame %d: %v", w, i, err)
+			}
+			want := request(w, i)
+			if got.Channel != want.Channel || got.Principal != want.Principal || !bytes.Equal(got.Payload, want.Payload) ||
+				got.SessionToken != want.SessionToken || !bytes.Equal(got.MAC, want.MAC) || got.TraceID != want.TraceID {
+				t.Fatalf("worker %d frame %d decodes to another request", w, i)
+			}
+		}
+	}
+}
+
 func TestEnvelopeBinaryRoundtrip(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob")
 	members := map[string]dcrypto.PublicKey{

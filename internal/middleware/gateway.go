@@ -395,6 +395,14 @@ func (g *Gateway) Name() string { return g.name }
 // the gateway's name. A request with none of its own gets one of NewGateway's
 // two maps, which leave here only as a transaction's Meta, never as req.Meta.
 func (g *Gateway) order(ctx context.Context, req *Request) error {
+	// The ordering backend keeps state per channel name, so a name the
+	// directory does not know stops here, whatever stages ran. A frame's
+	// channel was looked up as it was decoded.
+	if !req.channelKnown {
+		if _, known := channelName(g, req.Channel); !known {
+			return fmt.Errorf("gateway %s: %w: %s", g.name, ErrUnknownChannel, req.Channel)
+		}
+	}
 	meta := req.Meta
 	switch {
 	case len(meta) == 0 && req.enveloped:
@@ -650,6 +658,7 @@ var rejectReasons = [...]rejectReason{
 	{rejectChain, StageBatch, "no_group_key", errNoGroupKey},
 	{rejectChain, "order", "no_leader", ordering.ErrNoLeader},
 	{rejectChain, "order", "no_quorum", ordering.ErrNoQuorum},
+	{rejectChain, "order", "unknown_channel", ErrUnknownChannel},
 	{rejectChain, "chain", "transient", ErrTransient},
 	{rejectChain, "chain", "bad_config", ErrBadConfig},
 	{rejectChain, "chain", "other", nil},
@@ -809,23 +818,25 @@ func (g *Gateway) RegisterMetrics(reg *telemetry.Registry) error {
 // nil when the pipeline has no session stage.
 func (g *Gateway) Sessions() *SessionManager { return g.sessions }
 
-// channelName returns a frame's channel bytes as a string without
-// allocating one per request: from a table of the channel names seen so far
-// that the directory knows. Only the directory's channels ever enter it, so
-// hostile input grows nothing; a channel the directory does not know (or a
-// gateway without a directory) gets a fresh copy, as every channel used to.
-func (g *Gateway) channelName(b []byte) string {
+// channelName returns a channel named by a frame's bytes or by a string as a
+// string, and whether the gateway may order on it: when it has a directory,
+// only on a channel the directory knows. The names the directory knows are
+// interned in a table as they are first seen, so a frame's channel costs no
+// allocation; only the directory's channels ever enter it, so hostile input
+// grows nothing. A channel the directory does not know (or any channel of a
+// gateway without a directory) gets a fresh copy.
+func channelName[T string | []byte](g *Gateway, b T) (string, bool) {
 	if g == nil || g.directory == nil {
-		return string(b)
+		return string(b), true
 	}
 	if names := g.channelNames.Load(); names != nil {
 		if name, ok := (*names)[string(b)]; ok { // the conversion in a map index does not allocate
-			return name
+			return name, true
 		}
 	}
 	name := string(b)
 	if _, err := g.directory.MemberKeys(name); err != nil {
-		return name
+		return name, false
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -836,7 +847,7 @@ func (g *Gateway) channelName(b []byte) string {
 		}
 	}
 	g.channelNames.Store(&grown)
-	return name
+	return name, true
 }
 
 // RotateChannelKey forces the encrypt stage onto a fresh data-key epoch
@@ -896,7 +907,7 @@ func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payl
 		if topic == TopicSessionOpen {
 			return g.appendSessionOpen(mgr, dst, payload, transportID)
 		}
-		if err := mgr.CloseFrom(string(payload), transportID); err != nil {
+		if err := closeFrom(mgr, payload, transportID); err != nil {
 			return dst, fmt.Errorf("gateway %s: %w", g.name, err)
 		}
 		return append(dst, "ok"...), nil

@@ -94,6 +94,9 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return binary.AppendUvarint(dst, uint64(t.UnixNano()))
 }
 
+// timeSize is the encoded size of appendTime's t.
+func timeSize(t time.Time) int { return uvarintSize(uint64(t.UnixNano())) }
+
 func (r *frameReader) time() time.Time { return time.Unix(0, int64(r.uvarint())) }
 
 // encodeHelloFrame marshals a full hello.
@@ -105,19 +108,31 @@ func encodeHelloFrame(h *SessionHello) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("middleware: encode hello: %w", err)
 	}
-	out := make([]byte, 0, 128+len(h.Principal)+len(h.Nonce)+len(cert))
+	sig := h.Sig.Bytes()
+	out := carveFrame(2 +
+		lenPrefixedSize(len(h.Principal)) +
+		lenPrefixedSize(len(h.Nonce)) +
+		timeSize(h.IssuedAt) +
+		lenPrefixedSize(len(cert)) +
+		lenPrefixedSize(len(sig)) +
+		uvarintSize(h.TraceID))
 	out = append(out, binaryMagic, binaryKindHello)
 	out = appendLenPrefixed(out, []byte(h.Principal))
 	out = appendLenPrefixed(out, h.Nonce)
 	out = appendTime(out, h.IssuedAt)
 	out = appendLenPrefixed(out, cert)
-	out = appendLenPrefixed(out, h.Sig.Bytes())
+	out = appendLenPrefixed(out, sig)
 	return binary.AppendUvarint(out, h.TraceID), nil
 }
 
 // encodeResumeFrame marshals a resume hello.
 func encodeResumeFrame(h *resumeHello) []byte {
-	out := make([]byte, 0, 32+resumeIDBytes+helloNonceBytes+len(h.Tag))
+	out := carveFrame(2 +
+		lenPrefixedSize(resumeIDBytes) +
+		lenPrefixedSize(helloNonceBytes) +
+		timeSize(h.IssuedAt) +
+		lenPrefixedSize(len(h.Tag)) +
+		uvarintSize(h.TraceID))
 	out = append(out, binaryMagic, binaryKindResume)
 	out = appendLenPrefixed(out, h.ID[:])
 	out = appendLenPrefixed(out, h.Nonce[:])
@@ -413,8 +428,8 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 
 // resume runs the resumed handshake under a held secret, for the principal
 // it was established for. miss reports that the gateway does not hold it
-// (any more). What it allocates is what it hands on: the frame, and the
-// grant's token and MAC key.
+// (any more). What it allocates is what it hands on: the grant's token and
+// MAC key; the frame is carved (see carveFrame).
 func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
 	hello := resumeHello{ID: s.id, IssuedAt: now}
 	if _, err := rand.Read(hello.Nonce[:]); err != nil {

@@ -39,6 +39,9 @@ var (
 	// ErrTransient marks an error as retryable; wrap with
 	// fmt.Errorf("...: %w", ErrTransient) or test with IsTransient.
 	ErrTransient = errors.New("middleware: transient failure")
+	// ErrUnknownChannel is returned for a submission to a channel the
+	// gateway's directory does not know, before it is ordered.
+	ErrUnknownChannel = errors.New("middleware: channel not in the directory")
 )
 
 // Request is one client submission travelling through the chain. Stages
@@ -106,7 +109,7 @@ type Request struct {
 	// Read and written only through sync/atomic's functions: an atomic.Int32
 	// would make vet refuse the copies callers make of their own requests.
 	holds int32
-	// The seven flags sit together so they share one word; see payloadSum
+	// The eight flags sit together so they share one word; see payloadSum
 	// for why the struct's size matters.
 	//
 	// authenticated and encrypted are set by the authn/session and encrypt
@@ -133,6 +136,9 @@ type Request struct {
 	metaOwned bool
 	// digestSet marks digestMemo as set; see digest.
 	digestSet bool
+	// channelKnown marks a Channel the decoder found the gateway may order
+	// on (see channelName), so Gateway.order need not look it up again.
+	channelKnown bool
 
 	// sum memoises SHA-256(Payload) for payloadSum, keyed to the payload
 	// it was taken of by backing array and length (sumOf, sumLen).

@@ -35,6 +35,7 @@ func TestEveryErrorHasARejectReason(t *testing.T) {
 		"ErrReplayedHello": ErrReplayedHello, "ErrSessionBound": ErrSessionBound,
 		"ErrSessionExpired": ErrSessionExpired, "ErrSessionRevoked": ErrSessionRevoked,
 		"ErrStaleHello": ErrStaleHello, "ErrTransient": ErrTransient,
+		"ErrUnknownChannel": ErrUnknownChannel,
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

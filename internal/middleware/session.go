@@ -714,15 +714,30 @@ func (m *SessionManager) Close(token string) {
 // live for its rightful connection — a captured token can no more end a
 // session than use it. Unbound sessions close from anywhere.
 func (m *SessionManager) CloseFrom(token, transportID string) error {
+	return closeFrom(m, token, transportID)
+}
+
+// closeFrom is CloseFrom over a token held as a string or as the bytes of a
+// session.close frame. A live session is closed under its own token string,
+// so the frame's bytes are copied only to clear the tombstone of a token no
+// session holds.
+func closeFrom[T string | []byte](m *SessionManager, token T, transportID string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.stripeFor(token)
+	st := &m.stripes[stripeIndex(token)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if s, ok := st.sessions[token]; ok && s.boundTo != "" && s.boundTo != transportID {
+	s, ok := st.sessions[string(token)] // the conversion in a map index does not allocate
+	switch {
+	case ok && s.boundTo != "" && s.boundTo != transportID:
 		return ErrSessionBound
+	case ok:
+		m.closeLocked(st, s.token)
+	default:
+		if _, ok := st.revoked[string(token)]; ok {
+			delete(st.revoked, string(token))
+		}
 	}
-	m.closeLocked(st, token)
 	return nil
 }
 

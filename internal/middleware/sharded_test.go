@@ -177,6 +177,79 @@ func TestGatewayShardedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUnknownChannelIsNotOrdered holds a gateway with a directory to the
+// directory's channels whatever its pipeline: authn|audit has no encrypt
+// stage to look a channel up, and a name an authenticated client makes up
+// must not reach the sharded backend, whose route table keeps every channel
+// it has routed, or a shard, which keeps a chain per channel it was handed.
+// Submissions over the wire and in process alike are refused under their own
+// label.
+func TestUnknownChannelIsNotOrdered(t *testing.T) {
+	ca, people := enroll(t, "Alice")
+	alice := people["Alice"]
+	shards := []*channelRecorder{{}, {}}
+	sb, err := ordering.NewSharded([]ordering.Backend{shards[0], shards[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Stages: []StageConfig{{Name: StageAuthn}, {Name: StageAudit, Params: map[string]string{"observer": "op"}}}, Shards: 2}
+	env := Env{CAKey: ca.PublicKey(), Directory: StaticDirectory{"deals": {"Alice": alice.key.Public()}}, Log: audit.NewLog()}
+	gw, err := NewGateway("gw", cfg, env, sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := frontOf(gw)
+	for name, submit := range map[string]func(*Request) error{
+		"wire":       func(req *Request) error { _, err := w.submit(req); return err },
+		"in process": func(req *Request) error { return gw.Submit(context.Background(), req) },
+	} {
+		if err := submit(signedRequest(t, alice, "deals", []byte(name))); err != nil {
+			t.Fatalf("%s: a submission on the directory's channel: %v", name, err)
+		}
+		for i := 0; i < 3; i++ {
+			err := submit(signedRequest(t, alice, fmt.Sprintf("made-up-%d", i), []byte(name)))
+			if !errors.Is(err, ErrUnknownChannel) || RejectLabel(err) != "order/unknown_channel" {
+				t.Errorf("%s: a made-up channel got %v (label %q), want ErrUnknownChannel as order/unknown_channel", name, err, RejectLabel(err))
+			}
+		}
+	}
+	routed := 0
+	for _, st := range gw.Stats().Shards {
+		routed += st.OwnedChannels
+	}
+	if routed != 1 {
+		t.Errorf("the sharded backend routes %d channels, want the directory's one", routed)
+	}
+	for i, shard := range shards {
+		for ch := range shard.seen {
+			if ch != "deals" {
+				t.Errorf("shard %d was handed channel %q", i, ch)
+			}
+		}
+	}
+	if st := gw.Stats(); st.Rejected != 6 || st.Ordered != 2 {
+		t.Errorf("rejected %d, ordered %d; want 6 and 2", st.Rejected, st.Ordered)
+	}
+}
+
+// channelRecorder is a shard that accepts every transaction and remembers
+// the channels it was handed.
+type channelRecorder struct {
+	seen map[string]bool
+}
+
+func (r *channelRecorder) Submit(tx ledger.Transaction) error {
+	if r.seen == nil {
+		r.seen = make(map[string]bool)
+	}
+	r.seen[tx.Channel] = true
+	return nil
+}
+
+func (r *channelRecorder) Subscribe(string, ordering.DeliverFunc) {}
+
+func (r *channelRecorder) Operators() []string { return []string{"recorder"} }
+
 // TestSessionPerPrincipalCap exercises the overflow behaviour: the cap
 // evicts the principal's oldest session, leaves other principals alone, and
 // counts evictions distinctly from expiries.

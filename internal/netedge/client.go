@@ -492,7 +492,10 @@ func (c *Client) OpenSession(ctx context.Context, principal string, cert pki.Cer
 }
 
 // Submit encodes req and submits it; the reply is the gateway's submission
-// ID.
+// ID. The request frame is carved from a slab shared with the frames encoded
+// after it (middleware.EncodeWireRequest) and dropped once it is copied into
+// the connection's batch, so on the session path the ID string is all
+// Submit allocates.
 func (c *Client) Submit(ctx context.Context, req *middleware.Request) (string, error) {
 	b, err := middleware.EncodeWireRequest(req, "")
 	if err != nil {
@@ -506,7 +509,10 @@ func (c *Client) Submit(ctx context.Context, req *middleware.Request) (string, e
 }
 
 // SubmitRaw submits pre-encoded wire bytes — the loadgen path, where the
-// same encoded frame template is reused across the steady state.
+// same encoded frame template is reused across the steady state. A frame
+// from middleware.EncodeWireRequest kept for reuse keeps its slab, up to
+// 16 KB, alive, and appending to it reallocates: nothing else writes over
+// it.
 func (c *Client) SubmitRaw(ctx context.Context, wire []byte) (string, error) {
 	reply, err := c.Call(ctx, middleware.TopicSubmit, wire)
 	if err != nil {

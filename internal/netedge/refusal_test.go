@@ -85,6 +85,7 @@ func TestEveryRefusalSurvivesTheSocket(t *testing.T) {
 	})
 	t.Run("anoncred|zkproof|attest", func(t *testing.T) { privacyRefusals(t, expect) })
 	t.Run("orderer refusals", func(t *testing.T) { ordererRefusals(t, expect) })
+	t.Run("unknown channel", func(t *testing.T) { unknownChannelRefusals(t, expect) })
 
 	if len(vocabulary) == 0 {
 		t.Fatal("no confmw_gateway_rejected_total series read back")
@@ -487,6 +488,15 @@ func ordererRefusals(t *testing.T, expect expectFunc) {
 			t.Fatal(err)
 		}
 		return e.submit(&middleware.Request{Channel: "deals", Principal: "p", Payload: payload})
+	})
+}
+
+// unknownChannelRefusals covers the one row a gateway refuses on its own,
+// whatever its stages: a channel its directory does not know.
+func unknownChannelRefusals(t *testing.T, expect expectFunc) {
+	e := serveRefusals(t, "breaker(threshold=3,cooldown=1h)", middleware.Env{Directory: middleware.StaticDirectory{"deals": {}}}, acceptingOrderer())
+	expect(t, e, "order/unknown_channel", middleware.ErrUnknownChannel, func() error {
+		return e.submit(&middleware.Request{Channel: "elsewhere", Principal: "p", Payload: []byte("x")})
 	})
 }
 
