@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/dcrypto"
@@ -119,7 +118,6 @@ func newFastPathEnv(tb testing.TB, env *gatewayBenchEnv, cfg middleware.Config) 
 		Directory: dir,
 		Log:       audit.NewLog(),
 		Revoker:   env.ca,
-		Sleep:     func(time.Duration) {},
 	}
 	gw, err := middleware.NewGateway("bench-gw", cfg, gwEnv, ordering.New("bench-orderer", ordering.VisibilityEnvelope))
 	if err != nil {
@@ -221,7 +219,6 @@ func BenchmarkGatewayChain(b *testing.B) {
 		encryptStage,
 		auditStage,
 		ratelimit,
-		{Name: middleware.StageRetry, Params: map[string]string{"attempts": "3", "backoff": "1ms"}},
 		{Name: middleware.StageBreaker, Params: map[string]string{"threshold": "5", "cooldown": "1s"}},
 		{Name: middleware.StageBatch, Params: map[string]string{"size": "8"}},
 	}

@@ -97,7 +97,7 @@ type ChaosReport struct {
 }
 
 // RunChaos stands up a full gateway — session, authn, rate limit,
-// envelope encryption, audit, retry, breaker — over a replicated sharded
+// envelope encryption, audit, breaker — over a replicated sharded
 // ordering tier and drives concurrent client traffic through it while
 // injecting the configured faults: leader kills, a follower left behind and
 // restarted into a leaderless cluster, a whole-shard kill and
@@ -171,7 +171,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			{Name: middleware.StageRateLimit, Params: map[string]string{"rate": "1000000", "burst": "1000000"}},
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "10m"}},
 			{Name: middleware.StageAudit, Params: map[string]string{"observer": "gateway-op"}},
-			{Name: middleware.StageRetry, Params: map[string]string{"attempts": "3", "backoff": "1ms"}},
 			{Name: middleware.StageBreaker, Params: map[string]string{"threshold": "5", "cooldown": "20ms"}},
 		},
 		Shards: cfg.Shards,

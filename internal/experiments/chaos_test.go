@@ -38,7 +38,7 @@ func TestChaosLeaderKillsAndRebalanceUnderLoad(t *testing.T) {
 		t.Fatalf("ordering violations under leader chaos:\n%s", strings.Join(report.Violations, "\n"))
 	}
 	// Leader kills are invisible to clients: the shard fails over inside
-	// the submission (or the retry stage rides the election window).
+	// the submission.
 	if report.Succeeded != report.Submitted {
 		t.Fatalf("%d of %d submissions failed under leader chaos: %v",
 			report.Submitted-report.Succeeded, report.Submitted, report.Failed)

@@ -181,8 +181,8 @@ func (a *Aggregate) release(ctx context.Context, g *aggGroup, next Handler) erro
 	// anoncred note) must not ride onto the anonymized aggregate.
 	req.Meta = map[string]string{MetaAggregate: fmt.Sprintf("%s n=%d", aggregandScheme, g.count)}
 	if err := next(context.WithoutCancel(ctx), req); err != nil {
-		// %v, not %w: transient markers must not leak through, or an
-		// upstream retry would re-run the stage and double-count.
+		// %v, not %w, as in batch's release: a release error matches
+		// ErrAggregateRelease and nothing under it.
 		return fmt.Errorf("%w: %v", ErrAggregateRelease, err)
 	}
 	return nil

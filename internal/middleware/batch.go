@@ -11,12 +11,11 @@ import (
 	"time"
 )
 
-// ErrBatchRelease wraps failures from a group release. It is deliberately
-// permanent (never transient): members of the group were already
-// acknowledged and attempted, so re-running the batch stage would
-// re-buffer only the filling request and double-order the members that
-// committed. The error text names each failed request by ID so operators
-// can reconcile.
+// ErrBatchRelease wraps failures from a group release. It wraps nothing
+// under it: members of the group were already acknowledged and attempted,
+// so a caller that resubmitted on the underlying error would re-buffer only
+// the filling request and double-order the members that committed. The
+// error text names each failed request by ID so operators can reconcile.
 var ErrBatchRelease = errors.New("middleware: batch release failed")
 
 // Batch aggregates accepted submissions and releases them downstream in
@@ -311,8 +310,8 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 		}
 		// The member's future gets its own delivery outcome: a failed
 		// member never committed, so its submitter may legitimately
-		// resubmit (unlike the flushing caller, whose error is wrapped
-		// non-transient below precisely because the rest of the group DID
+		// resubmit (unlike the flushing caller, whose error does not wrap
+		// the member's below precisely because the rest of the group DID
 		// commit).
 		req.complete(err)
 		if err != nil {
@@ -324,9 +323,10 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 		flusher.downstreamNanos += int64(time.Since(releaseStart))
 	}
 	if joined := errors.Join(errs...); joined != nil {
-		// %v, not %w: the underlying errors must not leak their transient
-		// marker through ErrBatchRelease, or an upstream retry stage
-		// would re-run the batch and double-order committed members.
+		// %v, not %w: the flushing caller's own member may have committed.
+		// Another member's ordering error matched through this one
+		// (ordering.ErrNoLeader reads "not ordered") would invite a
+		// resubmission that orders the caller's transaction twice.
 		return fmt.Errorf("%w: %v", ErrBatchRelease, joined)
 	}
 	return nil
@@ -366,9 +366,8 @@ func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, 
 	elapsed := time.Since(start)
 	var wrapped error
 	if relErr != nil {
-		// %v, not %w: transient markers must not leak through, or an
-		// upstream retry would re-run the batch stage against a group
-		// whose members were already acknowledged.
+		// %v, not %w, as in release: a release error matches
+		// ErrBatchRelease and nothing under it.
 		wrapped = fmt.Errorf("%w: group %s/epoch %d n=%d: %v", ErrBatchRelease, channel, ck.epoch, len(group), relErr)
 	} else {
 		b.groupsSealed.Add(1)

@@ -380,50 +380,6 @@ func TestAuditSkipsRejectedSubmission(t *testing.T) {
 	}
 }
 
-// TestRetryBatchTransientMidGroup is satellite 3: with retry ahead of
-// batch, a TRANSIENT failure in the middle of a released group must
-// surface as the permanent ErrBatchRelease — one delivery attempt per
-// member, no replay of the batch stage.
-func TestRetryBatchTransientMidGroup(t *testing.T) {
-	retry := mustRetry(t)
-	b, err := NewBatch(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attempts := make(map[byte]int)
-	terminal := func(ctx context.Context, req *Request) error {
-		attempts[req.Payload[0]]++
-		if req.Payload[0] == 1 {
-			return fmt.Errorf("partition: %w", ErrTransient)
-		}
-		return nil
-	}
-	chain := NewChain(terminal, retry, b)
-	var last error
-	for i := 0; i < 3; i++ {
-		last = chain.Execute(context.Background(), &Request{
-			Channel: "c", Principal: "p", Payload: []byte{byte(i)},
-		})
-		if i < 2 && last != nil {
-			t.Fatalf("buffered submit %d: %v", i, last)
-		}
-	}
-	if !errors.Is(last, ErrBatchRelease) {
-		t.Fatalf("filling submit = %v, want ErrBatchRelease", last)
-	}
-	if IsTransient(last) {
-		t.Fatalf("release error leaked its transient marker: %v", last)
-	}
-	for i := byte(0); i < 3; i++ {
-		if attempts[i] != 1 {
-			t.Fatalf("member %d delivered %d times, want exactly 1 (attempts: %v)", i, attempts[i], attempts)
-		}
-	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending = %d after release, want 0", b.Pending())
-	}
-}
-
 // TestSubmitAsyncResolvesPerMember covers the completion futures: inline
 // outcomes resolve before SubmitAsync returns, buffered members resolve at
 // release with their OWN delivery outcome in plain mode.

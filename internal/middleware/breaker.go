@@ -11,9 +11,9 @@ import (
 )
 
 // isFailoverWindow reports whether an error marks a backend that is
-// electing a new sequencing leader rather than one that is down. Such
-// errors are transient by construction (the retry stage classifies them
-// retryable) and a closed circuit does not count them as failures.
+// electing a new sequencing leader rather than one that is down: the
+// shard's own failover ends the window, so a closed circuit does not count
+// these errors as failures.
 func isFailoverWindow(err error) bool {
 	return errors.Is(err, ordering.ErrNoLeader)
 }
@@ -105,8 +105,8 @@ func (b *Breaker) Handle(ctx context.Context, req *Request, next Handler) error 
 	defer b.mu.Unlock()
 	if err != nil {
 		if c.state == stateClosed && isFailoverWindow(err) {
-			// A shard between leaders is healing, not down: its election
-			// resolves within one retry backoff, so these errors must not
+			// A shard between leaders is healing, not down: its next
+			// submission or health probe elects, so these errors must not
 			// accumulate toward permanently tripping a healthy backend's
 			// circuit. Quorum loss (ordering.ErrNoQuorum) is NOT exempt —
 			// that shard genuinely cannot serve and should fail fast.

@@ -23,7 +23,6 @@ const (
 	StageEncrypt   = "encrypt"
 	StageAudit     = "audit"
 	StageRateLimit = "ratelimit"
-	StageRetry     = "retry"
 	StageBreaker   = "breaker"
 	StageBatch     = "batch"
 )
@@ -52,7 +51,6 @@ var ErrBadConfig = errors.New("middleware: invalid pipeline configuration")
 //	             frozen benchmark passes: any integer >= 0 is accepted and
 //	             recording is always inline; a negative one is refused)
 //	ratelimit  — rate (tokens/sec, default 100), burst (default 10)
-//	retry      — attempts (default 3), backoff (duration, default 5ms)
 //	breaker    — threshold (default 5), cooldown (duration, default 1s)
 //	batch      — size (default 8), groupseal (on|off, default off; on
 //	             buckets buffered submissions per (channel, epoch) and
@@ -138,8 +136,6 @@ type Env struct {
 	// Now overrides the time source (ratelimit, breaker, authn); tests
 	// inject a fake clock here.
 	Now func() time.Time
-	// Sleep overrides the backoff sleeper (retry).
-	Sleep func(time.Duration)
 
 	// AnonCredKey is the anonymous-credential issuer's attribute
 	// verification key (anoncred stage): presentations are checked

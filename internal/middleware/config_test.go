@@ -37,13 +37,13 @@ func stageList(names ...string) Config {
 }
 
 func TestConfigBuildsFullChain(t *testing.T) {
-	cfg := stageList(StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageRetry, StageBreaker, StageBatch)
+	cfg := stageList(StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch)
 	chain, err := cfg.Build(testEnv(t), nil)
 	if err != nil {
 		t.Fatalf("full chain rejected: %v", err)
 	}
 	got := chain.StageNames()
-	want := []string{StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageRetry, StageBreaker, StageBatch}
+	want := []string{StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch}
 	if len(got) != len(want) {
 		t.Fatalf("stages = %v", got)
 	}
@@ -65,7 +65,7 @@ func TestConfigRejectsMisordering(t *testing.T) {
 		{"encrypt before authn", stageList(StageEncrypt, StageAuthn)},
 		{"encrypt without authn", stageList(StageEncrypt)},
 		{"ratelimit before authn", stageList(StageRateLimit, StageAuthn)},
-		{"breaker before retry", stageList(StageBreaker, StageRetry)},
+		{"retry is no stage", stageList("retry", StageBreaker)},
 		{"batch not last", stageList(StageAuthn, StageBatch, StageAudit)},
 	}
 	for _, tc := range cases {
@@ -92,7 +92,7 @@ func TestConfigRejectsBadParams(t *testing.T) {
 			{Name: StageRateLimit, Params: map[string]string{"rate": "-1"}},
 		}}},
 		{"bad duration", Config{Stages: []StageConfig{
-			{Name: StageRetry, Params: map[string]string{"backoff": "soon"}},
+			{Name: StageBreaker, Params: map[string]string{"cooldown": "soon"}},
 		}}},
 		{"zero breaker threshold", Config{Stages: []StageConfig{
 			{Name: StageBreaker, Params: map[string]string{"threshold": "0"}},
@@ -179,11 +179,6 @@ func TestConfigParamMatrix(t *testing.T) {
 		{"ratelimit rate not a number", one(StageRateLimit, map[string]string{"rate": "fast"}), nil, `rate="fast" is not a number`},
 		{"ratelimit rate zero", one(StageRateLimit, map[string]string{"rate": "0"}), nil, "needs rate > 0"},
 		{"ratelimit burst zero", one(StageRateLimit, map[string]string{"burst": "0"}), nil, "burst >= 1"},
-		// retry
-		{"retry attempts not an integer", one(StageRetry, map[string]string{"attempts": "some"}), nil, `attempts="some" is not an integer`},
-		{"retry attempts zero", one(StageRetry, map[string]string{"attempts": "0"}), nil, "attempts >= 1"},
-		{"retry backoff not a duration", one(StageRetry, map[string]string{"backoff": "soon"}), nil, `backoff="soon" is not a duration`},
-		{"retry backoff negative", one(StageRetry, map[string]string{"backoff": "-1ms"}), nil, "backoff must be non-negative"},
 		// breaker
 		{"breaker threshold not an integer", one(StageBreaker, map[string]string{"threshold": "low"}), nil, `threshold="low" is not an integer`},
 		{"breaker threshold zero", one(StageBreaker, map[string]string{"threshold": "0"}), nil, "threshold >= 1"},
@@ -226,7 +221,6 @@ func TestConfigParamMatrix(t *testing.T) {
 		}), revEnv},
 		{"encrypt cached", encrypt(map[string]string{"keyttl": "10m"}), testEnv(t)},
 		{"ratelimit fractional", one(StageRateLimit, map[string]string{"rate": "0.5", "burst": "1"}), testEnv(t)},
-		{"retry zero backoff", one(StageRetry, map[string]string{"attempts": "1", "backoff": "0s"}), testEnv(t)},
 	}
 	for _, tc := range accepted {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,9 +28,6 @@
 //   - "authn" and "session" must precede "ratelimit" when present:
 //     buckets are keyed by principal, and throttling unverified names lets
 //     one client starve another by spoofing its identity.
-//   - "retry" must precede "breaker" when both are present: each retry
-//     attempt must consult the breaker, so a tripped backend fails fast
-//     instead of being hammered by the retry loop.
 //   - "batch" must be the final stage: it hands aggregated submissions
 //     directly to the terminal handler, and any stage after it would be
 //     skipped for batched requests.
@@ -50,8 +47,7 @@
 // downstream accepts; the log copies what it is handed, so the ID is never
 // a heap string), ratelimit (token bucket per principal,
 // with idle buckets evicted once they would have refilled completely),
-// retry (bounded backoff on transient transport errors), breaker
-// (per-backend circuit breaker; requests with no backend share a
+// breaker (per-backend circuit breaker; requests with no backend share a
 // per-channel circuit), and batch (aggregate submissions before ordering;
 // group release is detached from the filling caller's cancellation, since
 // buffered members were already acknowledged), plus the four privacy
@@ -402,12 +398,10 @@
 // (confmw_stage_latency_seconds{stage=...}, exported by
 // Chain.RegisterMetrics / Gateway.RegisterMetrics into an
 // internal/telemetry Registry) measure only the stage's own work and sum
-// to the pipeline total. The subtraction is exact, not sampled, and
-// handles re-entrant stages: a retry stage that calls next three times
-// accumulates all three attempts as downstream (its exclusive time is the
-// backoff bookkeeping), and a batch stage that absorbs a request without
-// calling next at all is charged its full inclusive time, which is
-// correct because batch is always the terminal stage.
+// to the pipeline total. The subtraction is exact, not sampled: a batch
+// stage that absorbs a request without calling next at all is charged its
+// full inclusive time, which is correct because batch is always the
+// terminal stage.
 //
 // Metric names follow confmw_<subsystem>_<name>{labels}: stage latency
 // histograms and call/error counters, gateway submitted/ordered/rejected

@@ -48,40 +48,6 @@ func newReplicatedShardedOrderer(t testing.TB, n int) *ordering.ShardedBackend {
 	return sb
 }
 
-func TestNoLeaderIsTransient(t *testing.T) {
-	if !IsTransient(ordering.ErrNoLeader) {
-		t.Fatal("ErrNoLeader not transient")
-	}
-	if !IsTransient(fmt.Errorf("shard 3: %w", ordering.ErrNoLeader)) {
-		t.Fatal("wrapped ErrNoLeader not transient")
-	}
-	if IsTransient(ordering.ErrNoQuorum) {
-		t.Fatal("ErrNoQuorum transient: a quorumless shard must fail fast")
-	}
-}
-
-// TestRetrySubmitSucceedsAfterElection is the failover regression the
-// retry stage exists for: a submission that lands inside a shard's
-// election window (one ErrNoLeader) succeeds on the retry, invisibly to
-// the caller.
-func TestRetrySubmitSucceedsAfterElection(t *testing.T) {
-	attempts := 0
-	electing := func(ctx context.Context, req *Request) error {
-		attempts++
-		if attempts == 1 {
-			return fmt.Errorf("shard 0: %w", ordering.ErrNoLeader)
-		}
-		return nil
-	}
-	chain := NewChain(electing, mustRetry(t))
-	if err := chain.Execute(context.Background(), &Request{Channel: "deals", Principal: "p"}); err != nil {
-		t.Fatalf("submit across election window = %v, want success", err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one election, one retry)", attempts)
-	}
-}
-
 // TestBreakerExemptsFailoverWindow pins the tripping policy: any number of
 // election-window errors leaves a closed circuit closed, while quorum loss
 // and ordinary failures still count.
@@ -150,14 +116,13 @@ func TestBreakerHalfOpenFailoverReopens(t *testing.T) {
 }
 
 // TestGatewayShardedSubmitAcrossFailover wires the whole story: a gateway
-// with retry and breaker stages over replicated shards keeps accepting
+// with a breaker stage over replicated shards keeps accepting
 // submissions while a shard leader is killed mid-run, with zero failures
 // surfaced to clients and the breaker left closed.
 func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
 	sb := newReplicatedShardedOrderer(t, 2)
 	cfg := Config{
 		Stages: []StageConfig{
-			{Name: StageRetry, Params: map[string]string{"attempts": "3", "backoff": "1ms"}},
 			{Name: StageBreaker, Params: map[string]string{"threshold": "5", "cooldown": "250ms"}},
 		},
 		Shards: 2,

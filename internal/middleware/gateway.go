@@ -416,7 +416,6 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 				meta[k] = v
 			}
 		}
-		req.metaOwned = false // the map is the transaction's now: a retry copies it
 		if req.enveloped {
 			meta["envelope"] = EnvelopeScheme
 		}
@@ -554,7 +553,7 @@ type Backend interface {
 // Bind subscribes the backends to the channel's block stream. Each cut
 // block is committed to every bound backend; the first failing backend
 // aborts delivery and surfaces the error to the submitting request (which
-// is what the breaker and retry stages act on). Re-binding is idempotent
+// is what the breaker stage acts on). Re-binding is idempotent
 // BY NAME: a backend whose Name() is already bound to the channel is
 // skipped — including a different instance under the same name — so
 // reconnect paths cannot register a second orderer subscription and
@@ -659,7 +658,6 @@ var rejectReasons = [...]rejectReason{
 	{rejectChain, "order", "no_leader", ordering.ErrNoLeader},
 	{rejectChain, "order", "no_quorum", ordering.ErrNoQuorum},
 	{rejectChain, "order", "unknown_channel", ErrUnknownChannel},
-	{rejectChain, "chain", "transient", ErrTransient},
 	{rejectChain, "chain", "bad_config", ErrBadConfig},
 	{rejectChain, "chain", "other", nil},
 

@@ -348,54 +348,6 @@ func TestSharedMetaStaysReadOnly(t *testing.T) {
 	}
 }
 
-// keepAndFail is an orderer that keeps every transaction it is handed and
-// refuses the first as transient — the way a block that failed at its second
-// subscriber leaves the transaction with the first.
-type keepAndFail struct{ kept []ledger.Transaction }
-
-func (o *keepAndFail) Submit(tx ledger.Transaction) error {
-	o.kept = append(o.kept, tx)
-	if len(o.kept) == 1 {
-		return fmt.Errorf("deliver: %w", ErrTransient)
-	}
-	return nil
-}
-func (*keepAndFail) Subscribe(string, ordering.DeliverFunc) {}
-func (*keepAndFail) Operators() []string                    { return nil }
-
-// TestRetriedRequestCopiesItsMeta: order annotates a map off the wire in
-// place, once. The retry's pass must leave the map the failed attempt handed
-// over alone — whoever kept that transaction may be reading it.
-func TestRetriedRequestCopiesItsMeta(t *testing.T) {
-	ca, ps := enroll(t, "alice")
-	orderer := new(keepAndFail)
-	cfg := Config{Stages: []StageConfig{{Name: StageAuthn}, {Name: StageRetry, Params: map[string]string{"backoff": "1ms"}}}}
-	gw, err := NewGateway("gw", cfg, Env{CAKey: ca.PublicKey()}, orderer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
-	req.Meta = map[string]string{"k": "v"}
-	frame, err := EncodeWireRequest(req, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gw.ServeWire(context.Background(), TopicSubmit, frame, ""); err != nil {
-		t.Fatalf("ServeWire: %v", err)
-	}
-	if len(orderer.kept) != 2 {
-		t.Fatalf("%d attempts reached the orderer, want 2", len(orderer.kept))
-	}
-	first, second := orderer.kept[0].Meta, orderer.kept[1].Meta
-	if reflect.ValueOf(first).Pointer() == reflect.ValueOf(second).Pointer() {
-		t.Error("the retry wrote into the map of the transaction its failed attempt handed over")
-	}
-	want := map[string]string{"k": "v", "gateway": "gw"}
-	if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(second, want) {
-		t.Errorf("attempts carried %v and %v, want %v twice", first, second, want)
-	}
-}
-
 // hostileMetaFrame is a well-formed binary request frame of size bytes up to
 // its meta count, which claims one entry for every perEntry of the bytes that
 // remain; those are 0xff, so the first entry fails to decode.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dltprivacy/internal/dcrypto"
-	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 	"dltprivacy/internal/telemetry"
 )
@@ -36,9 +35,6 @@ var (
 	// ErrCircuitOpen is returned while a backend's circuit breaker is
 	// tripped.
 	ErrCircuitOpen = errors.New("middleware: circuit open for backend")
-	// ErrTransient marks an error as retryable; wrap with
-	// fmt.Errorf("...: %w", ErrTransient) or test with IsTransient.
-	ErrTransient = errors.New("middleware: transient failure")
 	// ErrUnknownChannel is returned for a submission to a channel the
 	// gateway's directory does not know, before it is ordered.
 	ErrUnknownChannel = errors.New("middleware: channel not in the directory")
@@ -378,8 +374,8 @@ func MACRequest(r *Request, macKey []byte) {
 type Handler func(ctx context.Context, req *Request) error
 
 // Stage is one interceptor in the pipeline. Handle may inspect or mutate
-// the request, short-circuit by returning without calling next, or invoke
-// next one or more times (retry) or zero-or-later (batch).
+// the request, short-circuit by returning without calling next, call next
+// once, or hold the request and hand it on later with its group (batch).
 type Stage interface {
 	Name() string
 	Handle(ctx context.Context, req *Request, next Handler) error
@@ -441,14 +437,13 @@ const (
 //
 // Nanos is inclusive of downstream stages (the chain is measured from each
 // stage's entry), which is what the incremental benchmarks difference to
-// get per-stage overhead. Inclusive sums are misleading for re-entrant
-// stages: retry invokes its downstream several times (each attempt's time
-// lands in retry's Nanos and again in each downstream stage's), and batch
-// invokes it zero times at submission (the release happens later, under
-// the releasing call). ExclusiveNanos is the complementary measure — time
-// spent in the stage itself, minus everything its direct downstream
-// reported — and is what the per-stage latency histograms observe, so
-// Σ ExclusiveNanos over stages ≈ wall time even around retry loops.
+// get per-stage overhead. Inclusive sums are misleading for a holding
+// stage: batch invokes its downstream zero times at submission and the
+// whole group's worth at release, under the releasing call, whose Nanos
+// then include every member's downstream time. ExclusiveNanos is the
+// complementary measure — time spent in the stage itself, minus everything
+// its direct downstream reported — and is what the per-stage latency
+// histograms observe, so Σ ExclusiveNanos over stages ≈ wall time.
 //
 // Under sampled timing (Config.TimingSample) Calls and Errors stay exact
 // while Nanos, ExclusiveNanos, and the latency histograms cover only the
@@ -521,9 +516,8 @@ func NewChain(terminal Handler, stages ...Stage) *Chain {
 // req.downstreamNanos as a scratch register instead of wrapping next in a
 // fresh closure, keeping the instrumented path allocation-free: each frame
 // saves its parent's accumulator, zeroes it, runs the stage (downstream
-// frames add their inclusive time into it — retry's several attempts
-// accumulate, batch's zero invocations leave it zero), and restores
-// parent + own inclusive time on the way out.
+// frames add their inclusive time into it — batch's zero invocations
+// leave it zero), and restores parent + own inclusive time on the way out.
 // chainEpoch anchors instrument()'s timestamps: both edges of a frame are
 // read as time.Since(chainEpoch), which is a bare monotonic-clock read —
 // about half the cost of time.Now, which also reads the wall clock — and
@@ -659,14 +653,4 @@ func (c *Chain) StageNames() []string {
 		out[i] = s.Name()
 	}
 	return out
-}
-
-// IsTransient reports whether an error is worth retrying: a sequencing
-// shard between leaders (an election resolves it — usually within one retry
-// backoff) and anything explicitly marked with ErrTransient. Permanent
-// protocol errors (authentication, validation, open breakers) are not;
-// neither is ordering.ErrNoQuorum — a shard that lost its replication
-// quorum needs operator action, not retries.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrTransient) || errors.Is(err, ordering.ErrNoLeader)
 }

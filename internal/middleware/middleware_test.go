@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/dcrypto"
+	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
 )
 
@@ -337,69 +339,6 @@ func TestRateLimitPerPrincipal(t *testing.T) {
 	}
 }
 
-func TestRetryOnTransientErrors(t *testing.T) {
-	var attempts int
-	var slept []time.Duration
-	retry, err := NewRetry(3, 10*time.Millisecond, func(d time.Duration) { slept = append(slept, d) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky := func(ctx context.Context, req *Request) error {
-		attempts++
-		if attempts < 3 {
-			return fmt.Errorf("partition: %w", ErrTransient)
-		}
-		return nil
-	}
-	chain := NewChain(flaky, retry)
-	if err := chain.Execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
-		t.Fatalf("retryable flow failed: %v", err)
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 20*time.Millisecond {
-		t.Fatalf("backoff schedule = %v, want [10ms 20ms]", slept)
-	}
-
-	// Permanent errors are not retried.
-	attempts = 0
-	permanent := func(ctx context.Context, req *Request) error {
-		attempts++
-		return ErrRateLimited
-	}
-	chain = NewChain(permanent, mustRetry(t))
-	if err := chain.Execute(context.Background(), &Request{Channel: "c", Principal: "p"}); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("permanent error = %v, want ErrRateLimited", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("permanent error retried %d times", attempts)
-	}
-
-	// Exhausted transient attempts surface the underlying error.
-	attempts = 0
-	alwaysDown := func(ctx context.Context, req *Request) error {
-		attempts++
-		return fmt.Errorf("still down: %w", ErrTransient)
-	}
-	chain = NewChain(alwaysDown, mustRetry(t))
-	if err := chain.Execute(context.Background(), &Request{Channel: "c", Principal: "p"}); !IsTransient(err) {
-		t.Fatalf("exhausted retries = %v, want transient", err)
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
-	}
-}
-
-func mustRetry(t *testing.T) *Retry {
-	t.Helper()
-	r, err := NewRetry(3, 0, func(time.Duration) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	clock := newFakeClock()
 	br, err := NewBreaker(2, time.Second, clock.now)
@@ -500,16 +439,21 @@ func TestBatchAggregatesAndFlushes(t *testing.T) {
 	}
 }
 
+// TestBatchDeliversWholeGroupDespiteFailure: a member's failure in the middle
+// of a released group surfaces to the filling caller as ErrBatchRelease, and
+// only as that, while every member — already acknowledged to its submitter —
+// gets exactly one delivery attempt and nothing stays buffered.
 func TestBatchDeliversWholeGroupDespiteFailure(t *testing.T) {
 	b, err := NewBatch(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var attempted []byte
+	down := fmt.Errorf("shard 0: %w", ordering.ErrNoLeader)
 	terminal := func(ctx context.Context, req *Request) error {
 		attempted = append(attempted, req.Payload[0])
 		if req.Payload[0] == 1 {
-			return errors.New("orderer down")
+			return down
 		}
 		return nil
 	}
@@ -526,48 +470,16 @@ func TestBatchDeliversWholeGroupDespiteFailure(t *testing.T) {
 	err = chain.Execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Payload: []byte{2},
 	})
-	if err == nil {
-		t.Fatal("release failure not surfaced")
-	}
-	if len(attempted) != 3 {
-		t.Fatalf("delivery attempted for %d of 3 buffered requests (%v)", len(attempted), attempted)
-	}
-}
-
-func TestRetryDoesNotReplayBatchRelease(t *testing.T) {
-	retry := mustRetry(t)
-	b, err := NewBatch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orders := make(map[byte]int)
-	terminal := func(ctx context.Context, req *Request) error {
-		orders[req.Payload[0]]++
-		if req.Payload[0] == 0 {
-			return fmt.Errorf("partition: %w", ErrTransient)
-		}
-		return nil
-	}
-	chain := NewChain(terminal, retry, b)
-	if err := chain.Execute(context.Background(), &Request{
-		Channel: "c", Principal: "p", Payload: []byte{0},
-	}); err != nil {
-		t.Fatalf("buffered submit: %v", err)
-	}
-	err = chain.Execute(context.Background(), &Request{
-		Channel: "c", Principal: "p", Payload: []byte{1},
-	})
-	// The release failure is permanent: retry must not re-run the batch
-	// stage, which would re-buffer the filling request and double-order
-	// the member that committed.
 	if !errors.Is(err, ErrBatchRelease) {
 		t.Fatalf("filling submit = %v, want ErrBatchRelease", err)
 	}
-	if IsTransient(err) {
-		t.Fatal("batch release error must not be transient")
+	// The caller's own member committed: the member's "not ordered" must
+	// not be readable through the release error.
+	if errors.Is(err, ordering.ErrNoLeader) {
+		t.Fatalf("release error wraps a member's ordering error: %v", err)
 	}
-	if orders[0] != 1 || orders[1] != 1 {
-		t.Fatalf("delivery counts = %v, want one attempt each", orders)
+	if !bytes.Equal(attempted, []byte{0, 1, 2}) {
+		t.Fatalf("delivery attempts = %v, want one per member in order", attempted)
 	}
 	if b.Pending() != 0 {
 		t.Fatalf("pending = %d after release, want 0", b.Pending())

@@ -381,25 +381,11 @@ func init() {
 		},
 	})
 	mustRegisterStage(stageDef{
-		name: StageRetry,
-		desc: "re-attempt transient downstream failures with backoff",
-		params: []paramSpec{
-			{"attempts", "total attempts (default 3)"},
-			{"backoff", "base backoff (duration, default 5ms)"},
-		},
-		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
-			return NewRetry(p.intVal("attempts", 3), p.duration("backoff", 5*time.Millisecond), env.Sleep)
-		},
-	})
-	mustRegisterStage(stageDef{
 		name: StageBreaker,
 		desc: "circuit breaker over downstream failures",
 		params: []paramSpec{
 			{"threshold", "consecutive failures before opening (default 5)"},
 			{"cooldown", "open-state duration before a probe (duration, default 1s)"},
-		},
-		after: []orderRule{
-			{StageRetry, "each retry attempt must consult the breaker"},
 		},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			return NewBreaker(p.intVal("threshold", 5), p.duration("cooldown", time.Second), env.Now)

@@ -107,8 +107,8 @@ func TestRegisteredStagesListsAllBuiltins(t *testing.T) {
 	}
 	want := []string{
 		StageAggregate, StageAnonCred, StageAttest, StageAudit, StageAuthn,
-		StageBatch, StageBreaker, StageEncrypt, StageRateLimit, StageRetry,
-		StageSession, StageZKProof,
+		StageBatch, StageBreaker, StageEncrypt, StageRateLimit, StageSession,
+		StageZKProof,
 	}
 	got := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -189,6 +189,7 @@ func TestParseStagesRejectsMalformed(t *testing.T) {
 	}{
 		{"unknown stage", "session|zkpruf", `unknown stage "zkpruf"`},
 		{"unknown stage lists registry", "nope", "registered stages:"},
+		{"retry is no stage", "session|retry(attempts=3)|breaker", `unknown stage "retry"`},
 		{"empty spec", "session||authn", "empty stage spec"},
 		{"missing paren", "batch(size=4", "missing closing parenthesis"},
 		{"bare param", "batch(4)", "not key=value"},

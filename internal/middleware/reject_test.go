@@ -34,8 +34,7 @@ func TestEveryErrorHasARejectReason(t *testing.T) {
 		"ErrProofRequired": ErrProofRequired, "ErrRateLimited": ErrRateLimited,
 		"ErrReplayedHello": ErrReplayedHello, "ErrSessionBound": ErrSessionBound,
 		"ErrSessionExpired": ErrSessionExpired, "ErrSessionRevoked": ErrSessionRevoked,
-		"ErrStaleHello": ErrStaleHello, "ErrTransient": ErrTransient,
-		"ErrUnknownChannel": ErrUnknownChannel,
+		"ErrStaleHello": ErrStaleHello, "ErrUnknownChannel": ErrUnknownChannel,
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -517,64 +517,74 @@ func TestGatewaySessionOverTransport(t *testing.T) {
 	}
 }
 
-// flakyOrderer always fails transiently, for retry/context tests.
-type flakyOrderer struct {
+// countingOrderer accepts every submission and counts them.
+type countingOrderer struct {
 	mu      sync.Mutex
 	submits int
 }
 
-func (f *flakyOrderer) Submit(tx ledger.Transaction) error {
-	f.mu.Lock()
-	f.submits++
-	f.mu.Unlock()
-	return fmt.Errorf("orderer unreachable: %w", ErrTransient)
+func (o *countingOrderer) Submit(tx ledger.Transaction) error {
+	o.mu.Lock()
+	o.submits++
+	o.mu.Unlock()
+	return nil
 }
 
-func (f *flakyOrderer) Subscribe(channel string, deliver ordering.DeliverFunc) {}
+func (o *countingOrderer) Subscribe(channel string, deliver ordering.DeliverFunc) {}
 
-func (f *flakyOrderer) Operators() []string { return []string{"flaky"} }
+func (o *countingOrderer) Operators() []string { return []string{"counting"} }
 
-func (f *flakyOrderer) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.submits
+func (o *countingOrderer) count() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.submits
 }
 
 // TestServeWirePlumbsCallerContext: ServeWire runs the chain under the
 // caller's context, as the edge's serving context reaches every request.
+// A test-local stage refuses a request whose context has ended.
 func TestServeWirePlumbsCallerContext(t *testing.T) {
-	cfg := Config{Stages: []StageConfig{
-		{Name: StageRetry, Params: map[string]string{"attempts": "3", "backoff": "0s"}},
-	}}
+	const probe = "ctxprobe"
+	if err := registerStage(stageDef{name: probe, build: func(*params, StageConfig, Env) (Stage, error) {
+		return &fnStage{name: probe, fn: func(ctx context.Context, req *Request, next Handler) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return next(ctx, req)
+		}}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	defer removeStage(probe)
 	build := func(orderer ordering.Backend) *Gateway {
 		t.Helper()
-		gw, err := NewGateway("gw", cfg, Env{Sleep: func(time.Duration) {}}, orderer)
+		gw, err := NewGateway("gw", Config{Stages: []StageConfig{{Name: probe}}}, Env{}, orderer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return gw
 	}
 
-	// A live caller context lets the retry stage run all attempts.
-	live := &flakyOrderer{}
+	// A live caller context reaches the orderer.
+	live := &countingOrderer{}
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("x")}
-	if _, err := frontOf(build(live)).submit(req); !IsTransient(err) {
-		t.Fatalf("live context submit = %v, want transient exhaustion", err)
+	if _, err := frontOf(build(live)).submit(req); err != nil {
+		t.Fatalf("live context submit = %v, want success", err)
 	}
-	if live.count() != 3 {
-		t.Fatalf("attempts under live context = %d, want 3", live.count())
+	if live.count() != 1 {
+		t.Fatalf("submissions under live context = %d, want 1", live.count())
 	}
 
-	// A canceled caller context reaches the chain: the retry stage stops
-	// after the first attempt instead of hammering the dead backend.
-	canceled := &flakyOrderer{}
+	// A canceled caller context reaches the chain: the stage sees it and
+	// nothing is ordered.
+	canceled := &countingOrderer{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := (wireFront{build(canceled), ctx}).submit(req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context submit = %v, want context.Canceled", err)
 	}
-	if canceled.count() != 1 {
-		t.Fatalf("attempts under canceled context = %d, want 1", canceled.count())
+	if canceled.count() != 0 {
+		t.Fatalf("submissions under canceled context = %d, want 0", canceled.count())
 	}
 }
 

@@ -71,13 +71,13 @@ func TestExclusiveStageTiming(t *testing.T) {
 	}
 }
 
-// TestExclusiveStageTimingReentrant pins the semantics satellite: a
-// re-entrant stage invoking its downstream several times (retry) must not
-// have those attempts double-counted in its exclusive time, and the
+// TestExclusiveStageTimingReentrant: a stage invoking its downstream several
+// times in one Handle (as a batch release hands on each member) must not
+// have those calls double-counted in its exclusive time, and the
 // identity incl == excl + sum-of-direct-downstream-incl still holds.
 func TestExclusiveStageTimingReentrant(t *testing.T) {
 	const attempts = 3
-	reentrant := &fnStage{name: "retry", fn: func(ctx context.Context, req *Request, next Handler) error {
+	reentrant := &fnStage{name: "reentrant", fn: func(ctx context.Context, req *Request, next Handler) error {
 		var err error
 		for a := 0; a < attempts; a++ {
 			spin(time.Millisecond)
@@ -100,7 +100,7 @@ func TestExclusiveStageTimingReentrant(t *testing.T) {
 	}
 	// All three downstream invocations accumulate before subtraction.
 	if r.Nanos != r.ExclusiveNanos+i.Nanos {
-		t.Errorf("retry inclusive %d != exclusive %d + inner inclusive %d (across %d attempts)",
+		t.Errorf("reentrant inclusive %d != exclusive %d + inner inclusive %d (across %d attempts)",
 			r.Nanos, r.ExclusiveNanos, i.Nanos, attempts)
 	}
 	// The inclusive sum alone would read as ~2x wall time here; the

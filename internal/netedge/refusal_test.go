@@ -447,7 +447,7 @@ func privacyRefusals(t *testing.T, expect expectFunc) {
 // and the stages that stand between the chain and the backend.
 func ordererRefusals(t *testing.T, expect expectFunc) {
 	orderer := &refusingOrderer{}
-	e := serveRefusals(t, "breaker(threshold=3,cooldown=1h)", middleware.Env{}, orderer)
+	e := serveRefusals(t, "breaker(threshold=2,cooldown=1h)", middleware.Env{}, orderer)
 	for _, c := range []struct {
 		series   string
 		refusal  error
@@ -455,7 +455,6 @@ func ordererRefusals(t *testing.T, expect expectFunc) {
 	}{
 		{"order/no_leader", fmt.Errorf("shard 0: %w", ordering.ErrNoLeader), ordering.ErrNoLeader},
 		{"order/no_quorum", fmt.Errorf("shard 0: %w", ordering.ErrNoQuorum), ordering.ErrNoQuorum},
-		{"chain/transient", fmt.Errorf("link down: %w", middleware.ErrTransient), middleware.ErrTransient},
 		{"chain/other", errors.New("disk full"), nil},
 		// The breaker has seen its threshold of failures: all but the
 		// first, a shard between leaders, which it does not count.
@@ -494,7 +493,7 @@ func ordererRefusals(t *testing.T, expect expectFunc) {
 // unknownChannelRefusals covers the one row a gateway refuses on its own,
 // whatever its stages: a channel its directory does not know.
 func unknownChannelRefusals(t *testing.T, expect expectFunc) {
-	e := serveRefusals(t, "breaker(threshold=3,cooldown=1h)", middleware.Env{Directory: middleware.StaticDirectory{"deals": {}}}, acceptingOrderer())
+	e := serveRefusals(t, "breaker(threshold=2,cooldown=1h)", middleware.Env{Directory: middleware.StaticDirectory{"deals": {}}}, acceptingOrderer())
 	expect(t, e, "order/unknown_channel", middleware.ErrUnknownChannel, func() error {
 		return e.submit(&middleware.Request{Channel: "elsewhere", Principal: "p", Payload: []byte("x")})
 	})

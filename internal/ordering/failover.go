@@ -95,10 +95,15 @@ func (rs *ReplicatedShard) Cluster(channel string) (*Cluster, error) {
 
 // Submit implements Backend with automatic failover: a submission rejected
 // because the leader is gone elects a new one (single-flight), replays the
-// queue, and retries — callers only see an error when the shard has lost
-// its replication quorum outright.
+// queue, and submits again — a failover error reaches the caller only when
+// the shard has lost its replication quorum, or the leader it elected is
+// gone again. An error means the transaction was not ordered and is not
+// queued: no later flush orders it.
 func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 	c := rs.cluster(tx.Channel)
+	// The generation before the submission: an election completed after
+	// this read answers the outage this submission is about to see.
+	seen := c.gen.Load()
 	err := c.Submit(tx)
 	if err == nil {
 		return nil
@@ -107,21 +112,23 @@ func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 	if !queued && !errors.Is(err, ErrNoLeader) {
 		return err
 	}
-	if ferr := rs.failover(c); ferr != nil {
-		if queued && !c.cancelPending(tx) {
-			// A racing failover replayed the queue before ours failed: the
-			// transaction is sequenced, so the submission succeeded.
-			return nil
+	if err = rs.failover(c, seen); err == nil {
+		if queued {
+			// The transaction is already in the queue; flushing sequences
+			// it (and anything queued behind it). Resubmitting would order
+			// it twice.
+			err = c.Flush()
+		} else {
+			err = c.Submit(tx)
+			queued = errors.Is(err, ErrQueuedAwaitingLeader)
 		}
-		return ferr
 	}
-	if queued {
-		// The transaction is already in the queue; flushing sequences it
-		// (and anything queued behind it). Resubmitting would order it
-		// twice.
-		return c.Flush()
+	if err != nil && queued && !c.cancelPending(tx) {
+		// A flush sequenced the transaction before it could be withdrawn:
+		// the submission succeeded.
+		return nil
 	}
-	return c.Submit(tx)
+	return err
 }
 
 // Flush cuts a block from the channel's queued transactions without
@@ -151,16 +158,16 @@ func (rs *ReplicatedShard) Height(channel string) uint64 {
 }
 
 // failover elects a new leader for the cluster under single-flight and
-// replays the queued transactions the dead leader left behind. Concurrent
-// callers that arrive while an election runs wait on electMu and then skip
-// their own: the generation counter records the completed election.
-func (rs *ReplicatedShard) failover(c *Cluster) error {
-	gen := c.gen.Load()
+// replays the queued transactions the dead leader left behind. seen is the
+// generation the caller read before its submission: an election completed
+// since then answered this caller's outage too, so the caller skips its own,
+// after waiting on electMu for one that is still running.
+func (rs *ReplicatedShard) failover(c *Cluster, seen uint64) error {
 	c.electMu.Lock()
 	defer c.electMu.Unlock()
-	if c.gen.Load() != gen {
-		// Another submitter's election (and replay) completed while this
-		// one waited; don't run a second election for the same outage.
+	if c.gen.Load() != seen {
+		// Another caller's election (and replay) completed since this
+		// one's read; don't run a second election for the same outage.
 		return nil
 	}
 	if _, err := c.Elect(); err != nil {
@@ -212,10 +219,11 @@ func (rs *ReplicatedShard) snapshot() []*Cluster {
 func (rs *ReplicatedShard) ProbeHealth() int {
 	n := 0
 	for _, c := range rs.snapshot() {
+		seen := c.gen.Load()
 		if _, err := c.Leader(); err == nil {
 			continue
 		}
-		if err := rs.failover(c); err == nil {
+		if err := rs.failover(c, seen); err == nil {
 			n++
 		}
 	}
@@ -255,7 +263,7 @@ func (rs *ReplicatedShard) Revive() {
 		for _, op := range rs.operators {
 			_ = c.Restart(op)
 		}
-		_ = rs.failover(c)
+		_ = rs.failover(c, c.gen.Load())
 	}
 }
 

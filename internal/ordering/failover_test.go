@@ -111,6 +111,118 @@ func TestShardedFailoverSingleFlightElection(t *testing.T) {
 	}
 }
 
+// TestFailoverSkipsAnAnsweredOutage is the single-flight rule without a
+// race: a caller whose generation was read before an election completed is
+// answered by that election, whether it reached the election lock while the
+// election ran or after. It elects nothing, and the leader stays.
+func TestFailoverSkipsAnAnsweredOutage(t *testing.T) {
+	rs := newTestReplicatedShard(t, "op")
+	rs.Subscribe("trade", func(ledger.Block) error { return nil })
+	if err := rs.Submit(mkTx("trade", "BankA", "seed")); err != nil {
+		t.Fatalf("seed submit: %v", err)
+	}
+	c := rs.cluster("trade")
+	stale := c.gen.Load()
+	if _, err := rs.CrashLeader("trade"); err != nil {
+		t.Fatalf("CrashLeader: %v", err)
+	}
+	if err := rs.failover(c, stale); err != nil {
+		t.Fatalf("first failover: %v", err)
+	}
+	leader, err := c.Leader()
+	if err != nil {
+		t.Fatalf("Leader after failover: %v", err)
+	}
+	if err := rs.failover(c, stale); err != nil {
+		t.Fatalf("late failover: %v", err)
+	}
+	if got := rs.Failovers(); got != 1 {
+		t.Fatalf("Failovers = %d, want 1: a late caller ran a second election", got)
+	}
+	if now, err := c.Leader(); err != nil || now != leader {
+		t.Fatalf("leader = %q, %v after the late failover, want %q", now, err, leader)
+	}
+}
+
+// TestSubmitErrorAfterElectionMeansNotOrdered pins the client contract on the
+// path after a won election. The replay's delivery takes two followers down,
+// so the resubmission is queued but cannot be replicated. The error the
+// caller gets must mean "not ordered": the transaction is withdrawn, and the
+// flush that runs once the followers are back does not order it.
+func TestSubmitErrorAfterElectionMeansNotOrdered(t *testing.T) {
+	ops := []string{"op-a", "op-b", "op-c", "op-d", "op-e"}
+	rs, err := NewReplicatedShard(ops, VisibilityEnvelope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rs.cluster("trade")
+	cl := &ChainVerifier{}
+	delivered := map[string]bool{}
+	crashOnDelivery := 0
+	rs.Subscribe("trade", func(b ledger.Block) error {
+		for _, tx := range b.Txs {
+			delivered[tx.Writes[0].Key] = true
+		}
+		leader, _ := c.Leader()
+		for _, op := range c.LiveNodes() {
+			if crashOnDelivery > 0 && op != leader {
+				_ = c.Crash(op)
+				crashOnDelivery--
+			}
+		}
+		return cl.Deliver(b)
+	})
+
+	// Leave one transaction queued behind a leader that cannot replicate.
+	leader, err := c.Leader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var followers []string
+	for _, op := range ops {
+		if op != leader {
+			followers = append(followers, op)
+		}
+	}
+	for _, op := range followers[:3] {
+		_ = c.Crash(op)
+	}
+	if err := c.Submit(mkTx("trade", "BankA", "queued")); !errors.Is(err, ErrQueuedAwaitingLeader) {
+		t.Fatalf("submit without quorum = %v, want ErrQueuedAwaitingLeader", err)
+	}
+	for _, op := range followers[:3] {
+		_ = c.Restart(op)
+	}
+
+	// The leader dies. The next submission elects, and the replay of the
+	// queued transaction is delivered — and takes two followers down.
+	_ = c.Crash(leader)
+	crashOnDelivery = 2
+	err = rs.Submit(mkTx("trade", "BankA", "late"))
+	if !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("submit after the replay lost the quorum = %v, want ErrNoQuorum", err)
+	}
+	if got := rs.Failovers(); got != 1 {
+		t.Fatalf("Failovers = %d, want 1", got)
+	}
+	if n := c.Pending(); n != 0 {
+		t.Fatalf("the refused submission left %d txs queued, want 0", n)
+	}
+
+	for _, op := range ops {
+		_ = c.Restart(op)
+	}
+	if err := rs.Submit(mkTx("trade", "BankA", "after")); err != nil {
+		t.Fatalf("submit after restart: %v", err)
+	}
+	if cl.Err() != nil {
+		t.Fatalf("delivery: %v", cl.Err())
+	}
+	if !delivered["queued"] || !delivered["after"] || delivered["late"] {
+		t.Fatalf("delivered %v: want queued and after, and never the refused late", delivered)
+	}
+}
+
 // TestReplicatedShardQuorumLossCancelsSubmission pins the client contract
 // when failover itself fails: the error means "not ordered" — the queued
 // transaction is withdrawn, and a later successful submission delivers it

@@ -122,8 +122,9 @@ type Cluster struct {
 
 	// electMu single-flights the elections a ReplicatedShard runs on the
 	// cluster's behalf: submitters that hit the same dead leader queue
-	// here, and gen lets the queued ones detect that the first one's
-	// election already ran and skip straight to their retry.
+	// here, and gen, read before each submission, lets the queued ones
+	// detect that an election already ran and skip straight to their
+	// second submission.
 	electMu sync.Mutex
 	gen     atomic.Uint64
 }

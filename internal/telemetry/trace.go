@@ -18,8 +18,8 @@ type Span struct {
 	Err            string `json:"err,omitempty"`
 }
 
-// maxSpansPerTrace bounds a single trace's memory: re-entrant stages
-// (retry) can in principle record many spans, and a trace must never grow
+// maxSpansPerTrace bounds a single trace's memory: any stage may add spans
+// of its own beside its instrument frame's, and a trace must never grow
 // without bound. Overflowing spans are counted, not stored.
 const maxSpansPerTrace = 64
 

@@ -105,7 +105,7 @@ func TestTraceSpanCap(t *testing.T) {
 	tr := NewTracer(1, 1)
 	x := tr.For(0)
 	for i := 0; i < maxSpansPerTrace+7; i++ {
-		x.AddSpan("retry", x.Start, 1, 1, nil)
+		x.AddSpan("batch.release", x.Start, 1, 1, nil)
 	}
 	tr.Finish(x, nil)
 	r := tr.Snapshot()[0]
