@@ -380,6 +380,49 @@ func TestAuditSkipsRejectedSubmission(t *testing.T) {
 	}
 }
 
+// TestRetryBatchTransientMidGroup: a member that fails mid-group with
+// ordering.ErrNoLeader, the error a caller may resubmit on, surfaces to the
+// filling caller only as the final ErrBatchRelease. Every member gets
+// exactly one delivery attempt and nothing stays buffered.
+func TestRetryBatchTransientMidGroup(t *testing.T) {
+	b, err := NewBatch(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var attempted []byte
+	terminal := func(ctx context.Context, req *Request) error {
+		attempted = append(attempted, req.Payload[0])
+		if req.Payload[0] == 1 {
+			return fmt.Errorf("shard 0: %w", ordering.ErrNoLeader)
+		}
+		return nil
+	}
+	chain := NewChain(terminal, b)
+	var last error
+	for i := 0; i < 3; i++ {
+		last = chain.Execute(context.Background(), &Request{
+			Channel: "c", Principal: "p", Payload: []byte{byte(i)},
+		})
+		if i < 2 && last != nil {
+			t.Fatalf("buffered submit %d: %v", i, last)
+		}
+	}
+	if !errors.Is(last, ErrBatchRelease) {
+		t.Fatalf("filling submit = %v, want ErrBatchRelease", last)
+	}
+	// The caller's own member committed: the member's "not ordered" must
+	// not be readable through the release error.
+	if errors.Is(last, ordering.ErrNoLeader) {
+		t.Fatalf("release error wraps a member's ordering error: %v", last)
+	}
+	if !bytes.Equal(attempted, []byte{0, 1, 2}) {
+		t.Fatalf("delivery attempts = %v, want one per member in order", attempted)
+	}
+	if b.Pending() != 0 {
+		t.Fatalf("pending = %d after release, want 0", b.Pending())
+	}
+}
+
 // TestSubmitAsyncResolvesPerMember covers the completion futures: inline
 // outcomes resolve before SubmitAsync returns, buffered members resolve at
 // release with their OWN delivery outcome in plain mode.
