@@ -44,7 +44,7 @@ type opts struct {
 func main() {
 	var o opts
 	flag.StringVar(&o.listen, "listen", "127.0.0.1:9444", "TCP address the wire protocol is served on")
-	flag.StringVar(&o.stages, "stages", defaultStages, "the pipeline, in middleware.ParseStages form; unknown stages or parameters print the registered-stage usage")
+	flag.StringVar(&o.stages, "stages", defaultStages, "the pipeline, in middleware.ParseStages form; a refused pipeline prints the registered-stage usage, with each stage's declared facts")
 	flag.IntVar(&o.shards, "shards", 2, "ordering shards behind the gateway")
 	flag.IntVar(&o.replicas, "replicas", 0, "ordering operators per shard: 0 runs solo shards, >= 3 runs replicated clusters with automatic leader failover")
 	flag.IntVar(&o.channels, "channels", 2, "channels deals-0 .. deals-N-1 every enrolled principal joins")

@@ -57,8 +57,9 @@ type wireAggregand struct {
 // the group reaches the configured size — or Flush is called — one
 // synthetic request carrying the encrypted sum travels downstream under
 // the AggregatePrincipal. Because any later stage would be skipped for
-// aggregated requests, Config requires aggregate to be the final stage,
-// and it conflicts with batch (both own the held-request release path).
+// aggregated requests, aggregate gives the held fact every stage refuses,
+// so Config requires it to be the final stage and refuses it beside batch
+// (both own the held-request release path).
 type Aggregate struct {
 	pk   *paillier.PublicKey
 	size int
@@ -242,12 +243,11 @@ func init() {
 			{"mode", `aggregation scheme, only "paillier"`},
 			{"size", "contributions per released aggregate (default 8)"},
 		},
-		terminal:    true,
-		terminalWhy: "any later stage would be skipped for aggregated requests",
-		conflicts: []conflictRule{
-			{StageBatch, "one terminal collector owns the held-request release path"},
-			{StageEncrypt, "aggregation combines paillier ciphertexts, which envelope sealing would hide"},
+		refuses: []factRule{
+			{factSealed, "aggregation combines paillier ciphertexts, which envelope sealing would hide"},
+			{factHeld, whyOneCollector},
 		},
+		gives: []factRule{{factHeld, "any later stage would be skipped for aggregated requests"}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			if mode := p.str("mode", "paillier"); mode != "paillier" {
 				return nil, fmt.Errorf("unknown aggregate mode %q (want paillier)", mode)

@@ -41,8 +41,8 @@ var (
 
 // AnonCred verifies anonymous-credential presentations (Env.AnonCredKey is
 // the issuer's attribute verification key). A verified presentation
-// authenticates the request — the stage counts as authn for downstream
-// ordering rules — with the presentation's pseudonym as the principal.
+// authenticates the request — the stage gives the principal fact, as authn
+// and session do — with the presentation's pseudonym as the principal.
 // One-show tokens are enforced: replaying a presentation fails even though
 // the wallet stays unlinkable across scopes.
 type AnonCred struct {
@@ -191,11 +191,11 @@ func init() {
 			{"scope", "required presentation context (pseudonyms are scope-exclusive)"},
 			{"require", "on|off (default on): unauthenticated submissions must present"},
 		},
-		countsAs: StageAuthn,
-		before: []orderRule{
-			{StageAuthn, "a presented credential authenticates the request before the certificate path runs"},
-			{StageRateLimit, whyPrincipalBuckets},
+		refuses: []factRule{
+			{factCertOnly, "a presented credential authenticates the request before the certificate path runs"},
+			{factMetered, whyPrincipalBuckets},
 		},
+		gives: []factRule{{fact: factPrincipal}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			if mode := p.str("mode", "present"); mode != "present" {
 				return nil, fmt.Errorf("unknown anoncred mode %q (want present)", mode)

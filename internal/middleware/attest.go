@@ -126,9 +126,7 @@ func init() {
 			{"mode", `attestation scheme, only "tee"`},
 			{"bind", "payload binding: input|output|off (default input)"},
 		},
-		before: []orderRule{
-			{StageEncrypt, "attestations bind to the plaintext payload, which sealing hides"},
-		},
+		refuses: []factRule{{factSealed, "attestations bind to the plaintext payload, which sealing hides"}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			if mode := p.str("mode", "tee"); mode != "tee" {
 				return nil, fmt.Errorf("unknown attest mode %q (want tee)", mode)

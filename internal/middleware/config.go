@@ -270,17 +270,17 @@ func (c Config) Build(env Env, terminal Handler) (*Chain, error) {
 	return chain, nil
 }
 
-// validate is the generic ordering engine: it walks the configured stages
-// and enforces each one's registered constraints — conflicts, pairwise
-// precedence (after/before), follows-one-of requirements, and terminal
-// placement — instead of a hand-maintained rule chain. The operator-facing
-// rejection messages are exactly the ones the pre-registry validator
-// produced.
+// validate is the generic ordering engine: one left-to-right walk over the
+// configured stages and the facts (see fact) the stages before each one have
+// given. A stage is refused when an earlier one gave a fact it refuses — the
+// held fact always — or when none gave a fact it needs; every message is
+// derived from the declarations.
 func (c Config) validate() error {
 	if len(c.Stages) == 0 {
 		return fmt.Errorf("%w: empty stage list", ErrBadConfig)
 	}
 	pos := make(map[string]int, len(c.Stages))
+	var given [numFacts]*stageDef // the stage that made each fact true; nil while it is false
 	for i, sc := range c.Stages {
 		def := lookupStage(sc.Name)
 		if def == nil {
@@ -296,36 +296,21 @@ func (c Config) validate() error {
 					ErrBadConfig, sc.Name, key, strings.Join(def.paramNames(), ", "))
 			}
 		}
-	}
-	// Conflicts first: a mutually-exclusive pair is a clearer diagnosis
-	// than whichever ordering rule the pair happens to violate too.
-	for _, sc := range c.Stages {
-		for _, cf := range lookupStage(sc.Name).conflicts {
-			if _, present := pos[cf.other]; present {
-				return fmt.Errorf("%w: %q conflicts with %q: %s", ErrBadConfig, sc.Name, cf.other, cf.why)
+		for _, r := range def.refuses {
+			if g := given[r.fact]; g != nil {
+				return cannotFollow(def, g, r)
 			}
 		}
-	}
-	for i, sc := range c.Stages {
-		def := lookupStage(sc.Name)
-		for _, r := range def.after {
-			if oi, present := pos[r.other]; present && oi > i {
-				return fmt.Errorf("%w: %q must precede %q: %s", ErrBadConfig, r.other, sc.Name, r.why)
+		if g := given[factHeld]; g != nil {
+			return cannotFollow(def, g, factRule{fact: factHeld})
+		}
+		for _, r := range def.needs {
+			if given[r.fact] == nil {
+				return fmt.Errorf("%w: %q needs %s before it: %s", ErrBadConfig, sc.Name, giversOf(r.fact), r.why)
 			}
 		}
-		for _, r := range def.before {
-			if oi, present := pos[r.other]; present && oi < i {
-				return fmt.Errorf("%w: %q must precede %q: %s", ErrBadConfig, sc.Name, r.other, r.why)
-			}
-		}
-		if len(def.follows) > 0 && !followSatisfied(c.Stages[:i], def.follows) {
-			return fmt.Errorf("%w: %q needs %s before it: %s",
-				ErrBadConfig, sc.Name, quotedList(def.follows, " or "), def.followWhy)
-		}
-	}
-	for i, sc := range c.Stages {
-		if def := lookupStage(sc.Name); def.terminal && i != len(c.Stages)-1 {
-			return fmt.Errorf("%w: %q must be the final stage (%s)", ErrBadConfig, sc.Name, def.terminalWhy)
+		for _, r := range def.gives {
+			given[r.fact] = def
 		}
 	}
 	if c.Codec != "" && c.Codec != CodecBinary {
@@ -384,21 +369,17 @@ func (c Config) validateSharding() error {
 	return nil
 }
 
-// followSatisfied reports whether any earlier stage fills one of the
-// required roles, either by name or through its countsAs declaration (an
-// anoncred stage counts as authn: it authenticates the request).
-func followSatisfied(earlier []StageConfig, roles []string) bool {
-	for _, sc := range earlier {
-		for _, role := range roles {
-			if sc.Name == role {
-				return true
-			}
-			if def := lookupStage(sc.Name); def != nil && def.countsAs == role {
-				return true
-			}
+// cannotFollow refuses def after g, the stage that gave the fact rule r
+// refuses: in def's words, or in g's when def gave none (how a stage after a
+// holding one is told why).
+func cannotFollow(def, g *stageDef, r factRule) error {
+	why := r.why
+	for _, gr := range g.gives {
+		if why == "" && gr.fact == r.fact {
+			why = gr.why
 		}
 	}
-	return false
+	return fmt.Errorf("%w: %q cannot follow %q: %s", ErrBadConfig, def.name, g.name, why)
 }
 
 // buildStage instantiates one named stage through its registered

@@ -360,28 +360,34 @@ func TestConfigRejectsPrivacyStageMisuse(t *testing.T) {
 	}{
 		{"zkproof without authenticator",
 			[]StageConfig{{Name: StageZKProof}, {Name: StageEncrypt}},
-			`"zkproof" needs "authn" or "session" before it`},
+			`"zkproof" needs "anoncred", "authn" or "session" before it: proof contexts are bound to the verified principal`},
 		{"zkproof after encrypt",
 			[]StageConfig{{Name: StageAuthn}, {Name: StageEncrypt}, {Name: StageZKProof}},
-			`"zkproof" must precede "encrypt"`},
+			`"zkproof" cannot follow "encrypt": claims are checked against the plaintext submission before it is sealed`},
 		{"anoncred after authn",
 			[]StageConfig{{Name: StageAuthn}, anoncredStage},
-			`"anoncred" must precede "authn"`},
+			`"anoncred" cannot follow "authn": a presented credential authenticates the request before the certificate path runs`},
 		{"anoncred after ratelimit",
 			[]StageConfig{{Name: StageRateLimit, Params: map[string]string{"rate": "10", "burst": "10"}}, anoncredStage},
-			`"anoncred" must precede "ratelimit"`},
+			`"anoncred" cannot follow "ratelimit": buckets are keyed by principal, which must be verified first`},
 		{"attest after encrypt",
 			[]StageConfig{{Name: StageAuthn}, {Name: StageEncrypt}, {Name: StageAttest}},
-			`"attest" must precede "encrypt"`},
+			`"attest" cannot follow "encrypt": attestations bind to the plaintext payload, which sealing hides`},
 		{"aggregate not last",
 			[]StageConfig{anoncredStage, {Name: StageAggregate}, {Name: StageAudit}},
-			`"aggregate" must be the final stage`},
+			`"audit" cannot follow "aggregate": any later stage would be skipped for aggregated requests`},
 		{"aggregate with batch",
 			[]StageConfig{{Name: StageAuthn}, {Name: StageBatch}, {Name: StageAggregate}},
-			`"aggregate" conflicts with "batch"`},
+			`"aggregate" cannot follow "batch": one terminal collector owns the held-request release path`},
 		{"aggregate with encrypt",
 			[]StageConfig{{Name: StageAuthn}, {Name: StageEncrypt}, {Name: StageAggregate}},
-			`"aggregate" conflicts with "encrypt"`},
+			`"aggregate" cannot follow "encrypt": aggregation combines paillier ciphertexts, which envelope sealing would hide`},
+		{"session after authn",
+			[]StageConfig{{Name: StageAuthn}, {Name: StageSession}},
+			`"session" cannot follow "authn": token-bearing requests short-circuit the full PKI check`},
+		{"session after ratelimit",
+			[]StageConfig{{Name: StageRateLimit}, {Name: StageSession}},
+			`"session" cannot follow "ratelimit": buckets are keyed by principal, which must be verified first`},
 		{"zkproof unknown param",
 			[]StageConfig{{Name: StageAuthn}, {Name: StageZKProof, Params: map[string]string{"bitz": "16"}}},
 			`unknown param "bitz"`},

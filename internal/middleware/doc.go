@@ -15,27 +15,31 @@
 // # Stage ordering rules
 //
 // Build validates stage order at construction time; a misconfigured
-// pipeline is an error before the first transaction, never a silent leak:
+// pipeline is an error before the first transaction, never a silent leak.
+// Stage names must be known and appear at most once. Order is not a
+// hand-written rulebook: each stage declares the facts it needs, refuses
+// and gives, over a closed vocabulary of five facts that are all false
+// when a pipeline starts and that no stage makes false again:
 //
-//   - Stage names must be known and appear at most once.
-//   - "session" must precede "authn" when both are present: token-bearing
-//     requests short-circuit the full PKI check, so the cheap path must
-//     run first.
-//   - "encrypt" needs "authn" or "session" before it: an envelope must
-//     never be sealed for a submission whose origin was not verified,
-//     otherwise the pipeline would launder unauthenticated payloads into
-//     member-only ciphertext.
-//   - "authn" and "session" must precede "ratelimit" when present:
-//     buckets are keyed by principal, and throttling unverified names lets
-//     one client starve another by spoofing its identity.
-//   - "batch" must be the final stage: it hands aggregated submissions
-//     directly to the terminal handler, and any stage after it would be
-//     skipped for batched requests.
+//	fact       given by                  needed by         refused by
+//	principal  session, authn, anoncred  encrypt, zkproof
+//	certonly   authn                                       session, anoncred
+//	metered    ratelimit                                   session, authn, anoncred
+//	sealed     encrypt                                     zkproof, attest, aggregate
+//	held       batch, aggregate                            every stage
 //
-// These rules are not a hard-coded matrix: each stage declares its own
-// constraints when it registers (see "Extending the pipeline" below), and
-// validate applies whatever the registry holds. StageUsage renders the
-// full current rule set.
+// principal: the submitter is verified; certonly: the per-request
+// certificate path has run; metered: requests were throttled by principal;
+// sealed: the payload is an envelope only members open; held: requests are
+// held and released straight to the terminal handler, past every later
+// stage (so batch and aggregate must be last, and not both).
+//
+// Config.validate walks the stages once, left to right, with the set of
+// facts given so far, and refuses the first stage that finds a fact it
+// refuses (`"session" cannot follow "authn": <why>`) or misses one it
+// needs (`"encrypt" needs "anoncred", "authn" or "session" before it:
+// <why>`). Every message is derived from the declarations, and
+// StageUsage prints each stage's declared facts under its description.
 //
 // The built-in stages are session (token-bound amortized authentication,
 // below), authn (submitter certificate + signature verification against
@@ -70,8 +74,8 @@
 //     one-show anonymous-credential presentation in place of certificate
 //     authn: the gateway learns "a credentialed member" plus a
 //     scope-exclusive pseudonym (stable inside the scope, unlinkable
-//     across scopes) and sets it as the principal. It counts as
-//     authentication for every downstream rule; clients attach with
+//     across scopes) and sets it as the principal. It gives the principal
+//     fact, as authn and session do; clients attach with
 //     AttachPresentation. Needs Env.AnonCredKey.
 //   - attest (mode=tee, bind=input|output|off) admits only submissions
 //     carrying a TEE attestation chained to the manufacturer key and
@@ -92,10 +96,11 @@
 //
 //	func init() {
 //		mustRegisterStage(stageDef{
-//			name:   "mystage",
-//			desc:   "one-line summary for StageUsage",
-//			params: []paramSpec{{"size", "group size (default 8)"}},
-//			after:  []orderRule{{other: StageAuthn, why: "needs a verified principal"}},
+//			name:    "mystage",
+//			desc:    "one-line summary for StageUsage",
+//			params:  []paramSpec{{"size", "group size (default 8)"}},
+//			needs:   []factRule{{factPrincipal, "needs a verified principal"}},
+//			refuses: []factRule{{factSealed, "reads the plaintext payload"}},
 //			build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 //				size := p.intVal("size", 8)
 //				...
@@ -105,16 +110,16 @@
 //
 // The definition carries everything Config.validate and buildStage need,
 // so neither has stage-specific code: declared params (unknown keys fail
-// fast, listing the known ones), ordering constraints (follows — at least
-// one of a set must run earlier; after/before — pairwise precedence;
-// conflicts — mutual exclusion; terminal — nothing may follow), a
-// countsAs alias so a stage can satisfy another's follows-requirement
-// (anoncred counts as authn), and the constructor. Every constraint has a
-// why string that becomes the error message, which is how the pre-registry
-// error texts survived the refactor verbatim. registerStage rejects
-// duplicate names, reserved characters, duplicate params, and any rule set
-// that would close an ordering cycle with the stages already registered —
-// a failed registration leaves no trace. The params helper wraps all
+// fast, listing the known ones), the facts the stage needs, refuses and
+// gives, and the constructor. Each needed or refused fact has a why string
+// that becomes the error message; a given fact's why is what a later stage
+// refusing it without a reason of its own is told, which is how batch and
+// aggregate explain the held fact. registerStage rejects duplicate names,
+// reserved characters and duplicate params — a failed registration leaves
+// no trace. There is no ordering cycle to search for: two stages that each
+// refuse a fact the other gives cannot share a pipeline, which is how a
+// conflict is declared (batch and aggregate both give and refuse held), and
+// either order is refused with its own reason. The params helper wraps all
 // value parsing so every bad knob reports uniformly under ErrBadConfig.
 //
 // Registered stages are first-class everywhere: RegisteredStages and

@@ -548,9 +548,11 @@ func TestKeyTableIsCanonical(t *testing.T) {
 // text becomes configuration, so it may refuse input but never panic, every
 // refusal wraps ErrBadConfig (cmd/gateway prints the stage usage on it),
 // and what it returns is well-formed: registered stage names only and no
-// empty parameter key. Build over an empty Env must then answer with an
-// error or a chain — a stage constructor that dereferences a dependency
-// the Env did not bring is a crash at start-up.
+// empty parameter key. A pipeline of distinct names is then ordered, or
+// refused, as the reference rulebook orders it (referenceAdmits). Build
+// over an empty Env must answer with an error or a chain — a stage
+// constructor that dereferences a dependency the Env did not bring is a
+// crash at start-up.
 func FuzzParseStages(f *testing.F) {
 	for _, seed := range []string{
 		"session(ttl=10m,idle=5m,revokecheck=resolve)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)", // cmd/gateway -stages default
@@ -566,6 +568,11 @@ func FuzzParseStages(f *testing.F) {
 		"encrypt(keyttl=5m,keyttl=0)",
 		"encrypt(=5m)",
 		" ratelimit( rate = 1 , burst=2 ) ",
+		"authn|session",
+		"ratelimit|anoncred(attrs=a,scope=s)",
+		"anoncred|zkproof|attest|encrypt|audit",
+		"batch|aggregate",
+		"session|encrypt|aggregate",
 	} {
 		f.Add(seed)
 	}
@@ -580,12 +587,21 @@ func FuzzParseStages(f *testing.F) {
 		if len(stages) == 0 {
 			t.Fatalf("ParseStages(%q) returned no stage and no error", in)
 		}
-		for _, sc := range stages {
+		names := make([]string, len(stages))
+		distinct := make(map[string]bool, len(stages))
+		for i, sc := range stages {
 			if lookupStage(sc.Name) == nil {
 				t.Fatalf("ParseStages(%q) returned unregistered stage %q", in, sc.Name)
 			}
 			if _, ok := sc.Params[""]; ok {
 				t.Fatalf("ParseStages(%q): stage %q has an empty parameter key", in, sc.Name)
+			}
+			names[i] = sc.Name
+			distinct[sc.Name] = true
+		}
+		if len(distinct) == len(names) {
+			if walk, ref := walkAdmits(names), referenceAdmits(names); walk != ref {
+				t.Fatalf("ParseStages(%q): validate admits %v, the reference rulebook %v", in, walk, ref)
 			}
 		}
 		// A parsed pipeline builds or is refused; it never panics.

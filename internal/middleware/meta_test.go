@@ -49,7 +49,7 @@ func registerPostNote(t testing.TB) {
 	err := registerStage(stageDef{
 		name:  postNote,
 		desc:  "test: annotate after the seal",
-		after: []orderRule{{StageEncrypt, "it stands for a stage behind encrypt"}},
+		needs: []factRule{{factSealed, "it stands for a stage behind encrypt"}},
 		build: func(*params, StageConfig, Env) (Stage, error) { return new(postNoteStage), nil },
 	})
 	if err != nil {

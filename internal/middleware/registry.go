@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -12,10 +13,11 @@ import (
 // The stage registry replaces the closed switch that Config.validate and
 // buildStage used to hand-maintain: every stage — built-in or added later —
 // registers a constructor plus declarative metadata, and the config engine
-// walks the registry generically. Ordering rules, parameter vocabularies,
-// and conflict sets live next to the stage they describe instead of inside
-// one central validator, following the aspect-oriented middleware model of
-// keeping each cross-cutting concern a self-contained pluggable module.
+// walks the registry generically. The facts a stage needs, refuses and gives,
+// and its parameter vocabulary, live next to the stage they describe instead
+// of inside one central validator, following the aspect-oriented middleware
+// model of keeping each cross-cutting concern a self-contained pluggable
+// module.
 
 // paramSpec declares one parameter a stage accepts. Config rejects
 // parameters outside a stage's declared vocabulary at validation time, so a
@@ -25,52 +27,50 @@ type paramSpec struct {
 	usage string
 }
 
-// orderRule is one pairwise ordering constraint: when both stages appear in
-// a pipeline, one must come earlier. why is the operator-facing rationale
-// appended to the rejection message.
-type orderRule struct {
-	other string
-	why   string
-}
+// fact is one thing the stages earlier in a pipeline have done to a
+// request's information. The vocabulary is closed and monotone: every fact
+// is false when a pipeline starts, a stage can only make one true, and
+// nothing makes one false again — so a pipeline is ordered correctly when
+// each stage, in turn, finds the facts it needs true and none it refuses.
+type fact uint8
 
-// conflictRule declares a stage that must not share a pipeline with the
-// declaring stage.
-type conflictRule struct {
-	other string
-	why   string
+const (
+	factPrincipal fact = iota // the submitter is verified
+	factCertOnly              // the per-request certificate path has run
+	factMetered               // requests were throttled by principal
+	factSealed                // the payload is an envelope only members open
+	factHeld                  // requests are held and released past every later stage; every stage refuses it
+	numFacts
+)
+
+var factNames = [numFacts]string{"principal", "certonly", "metered", "sealed", "held"}
+
+func (f fact) String() string { return factNames[f] }
+
+// factRule is one declared fact with the operator-facing reason the rule
+// exists, which Config.validate puts in the refusal it explains.
+type factRule struct {
+	fact fact
+	why  string
 }
 
 // stageDef is a registry entry: the stage's name (also its telemetry label
 // in StageStats and the confmw_stage_latency_seconds histograms), its
-// parameter vocabulary, its declarative ordering constraints, and the
-// constructor the build engine invokes.
+// parameter vocabulary, the facts it declares, and the constructor the
+// build engine invokes.
 type stageDef struct {
 	name   string
 	desc   string
 	params []paramSpec
 
-	// follows lists stages at least one of which must appear earlier in
-	// the pipeline (satisfied also by a stage whose countsAs names a
-	// member of the list). followWhy is the rejection rationale.
-	follows   []string
-	followWhy string
-	// after: when both are present, after[i].other must come earlier than
-	// this stage.
-	after []orderRule
-	// before: when both are present, this stage must come earlier than
-	// before[i].other.
-	before []orderRule
-	// conflicts: these stages must not share a pipeline with this one.
-	conflicts []conflictRule
-	// terminal marks a stage that must be the final one; terminalWhy is
-	// the parenthetical in the rejection message.
-	terminal    bool
-	terminalWhy string
-	// countsAs names a built-in role this stage can stand in for when
-	// other stages declare follows-requirements (e.g. anoncred counts as
-	// authn: it authenticates the request, so encrypt accepts it as the
-	// verifier it needs upstream).
-	countsAs string
+	// needs: facts an earlier stage must have made true.
+	needs []factRule
+	// refuses: facts no earlier stage may have made true. Every stage
+	// refuses factHeld; a stage declares it only to give its own reason.
+	refuses []factRule
+	// gives: facts this stage makes true. A given fact's why is what a
+	// later stage that refuses it without a reason of its own is told.
+	gives []factRule
 
 	// build constructs the stage. Parameter values arrive pre-declared in
 	// p; errors are returned bare — the engine wraps them uniformly as
@@ -95,11 +95,9 @@ var (
 	registry   = map[string]*stageDef{}
 )
 
-// registerStage installs a stage definition, rejecting duplicates,
-// malformed definitions, and ordering constraints that would make some
-// pipeline both required and impossible (a cycle in the precedence graph).
-// Built-ins register through mustRegisterStage at init; the error form
-// exists so registration failures are testable.
+// registerStage installs a stage definition, rejecting duplicates and
+// malformed definitions. Built-ins register through mustRegisterStage at
+// init; the error form exists so registration failures are testable.
 func registerStage(def stageDef) error {
 	if def.name == "" || strings.ContainsAny(def.name, " |()=,") {
 		return fmt.Errorf("middleware: invalid stage name %q", def.name)
@@ -120,10 +118,6 @@ func registerStage(def stageDef) error {
 		return fmt.Errorf("middleware: stage %q already registered", def.name)
 	}
 	registry[def.name] = &def
-	if cyc := precedenceCycle(); cyc != nil {
-		delete(registry, def.name)
-		return fmt.Errorf("middleware: stage %q creates an ordering cycle: %s", def.name, strings.Join(cyc, " -> "))
-	}
 	return nil
 }
 
@@ -149,57 +143,6 @@ func lookupStage(name string) *stageDef {
 	return registry[name]
 }
 
-// precedenceCycle looks for a cycle in the directed precedence graph formed
-// by every registered after/before rule ("u -> v" meaning u must precede
-// v). Edges may reference names that are not registered yet — rules are
-// only enforced against stages present in a pipeline — but a cycle among
-// the declared edges means some stage combination is unconfigurable, which
-// is a definition bug worth failing at registration. Caller holds
-// registryMu.
-func precedenceCycle() []string {
-	edges := map[string][]string{}
-	for _, d := range registry {
-		for _, r := range d.after {
-			edges[r.other] = append(edges[r.other], d.name)
-		}
-		for _, r := range d.before {
-			edges[d.name] = append(edges[d.name], r.other)
-		}
-	}
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := map[string]int{}
-	var path []string
-	var walk func(n string) []string
-	walk = func(n string) []string {
-		state[n] = visiting
-		path = append(path, n)
-		for _, m := range edges[n] {
-			switch state[m] {
-			case visiting:
-				return append(append([]string(nil), path...), m)
-			case 0:
-				if cyc := walk(m); cyc != nil {
-					return cyc
-				}
-			}
-		}
-		state[n] = done
-		path = path[:len(path)-1]
-		return nil
-	}
-	for n := range edges {
-		if state[n] == 0 {
-			if cyc := walk(n); cyc != nil {
-				return cyc
-			}
-		}
-	}
-	return nil
-}
-
 // RegisteredStages returns the sorted names of every registered stage —
 // the pipeline vocabulary a Config may draw from.
 func RegisteredStages() []string {
@@ -214,7 +157,8 @@ func RegisteredStages() []string {
 }
 
 // StageUsage renders the registry as operator-facing help text: one line
-// per stage with its description, followed by its parameter vocabulary.
+// per stage with its description, one with the facts it declares, then its
+// parameter vocabulary.
 func StageUsage() string {
 	var b strings.Builder
 	for _, name := range RegisteredStages() {
@@ -223,11 +167,54 @@ func StageUsage() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  %-10s %s\n", def.name, def.desc)
+		fmt.Fprintf(&b, "  %-10s %s\n", "", def.declared())
 		for _, ps := range def.params {
 			fmt.Fprintf(&b, "    %-12s %s\n", ps.key, ps.usage)
 		}
 	}
 	return b.String()
+}
+
+// declared renders a stage's facts: "needs principal; gives sealed".
+func (d *stageDef) declared() string {
+	var parts []string
+	for _, decl := range []struct {
+		verb  string
+		rules []factRule
+	}{{"needs", d.needs}, {"refuses", d.refuses}, {"gives", d.gives}} {
+		if len(decl.rules) == 0 {
+			continue
+		}
+		names := make([]string, len(decl.rules))
+		for i, r := range decl.rules {
+			names[i] = r.fact.String()
+		}
+		parts = append(parts, decl.verb+" "+strings.Join(names, ", "))
+	}
+	if len(parts) == 0 {
+		return "no ordering rules"
+	}
+	return strings.Join(parts, "; ")
+}
+
+// giversOf renders the registered stages that give f, for the refusal of a
+// stage that needs it: `"anoncred", "authn" or "session"`.
+func giversOf(f fact) string {
+	var names []string
+	registryMu.RLock()
+	for name, def := range registry {
+		for _, r := range def.gives {
+			if r.fact == f {
+				names = append(names, strconv.Quote(name))
+			}
+		}
+	}
+	registryMu.RUnlock()
+	sort.Strings(names)
+	if len(names) < 2 {
+		return strings.Join(names, "")
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
 }
 
 // ParseStages parses the compact textual pipeline form used by the
@@ -279,21 +266,15 @@ func ParseStages(s string) ([]StageConfig, error) {
 	return out, nil
 }
 
-// quotedList renders a name list for rejection messages: `"a" or "b"`.
-func quotedList(names []string, sep string) string {
-	quoted := make([]string, len(names))
-	for i, n := range names {
-		quoted[i] = fmt.Sprintf("%q", n)
-	}
-	return strings.Join(quoted, sep)
-}
-
 // ---------------------------------------------------------------------------
-// Built-in stage definitions. Each entry carries the ordering rules the
-// package documentation promises, with the exact operator-facing rationale
-// the pre-registry validator used.
+// Built-in stage definitions. Each entry declares the facts the package
+// documentation's table lists, with the operator-facing rationale of each
+// rule.
 
-const whyPrincipalBuckets = "buckets are keyed by principal, which must be verified first"
+const (
+	whyPrincipalBuckets = "buckets are keyed by principal, which must be verified first"
+	whyOneCollector     = "one terminal collector owns the held-request release path"
+)
 
 func init() {
 	mustRegisterStage(stageDef{
@@ -307,14 +288,18 @@ func init() {
 			{"revokecheck", "revocation checks: off|resolve|sweep (default off)"},
 			{"revokesweep", "sweep interval (duration, only with revokecheck=sweep)"},
 		},
+		refuses: []factRule{
+			{factCertOnly, "token-bearing requests short-circuit the full PKI check"},
+			{factMetered, whyPrincipalBuckets},
+		},
+		gives: []factRule{{fact: factPrincipal}},
 		build: buildSessionStage,
 	})
 	mustRegisterStage(stageDef{
-		name: StageAuthn,
-		desc: "per-request certificate + signature verification against the CA key",
-		after: []orderRule{
-			{StageSession, "token-bearing requests short-circuit the full PKI check"},
-		},
+		name:    StageAuthn,
+		desc:    "per-request certificate + signature verification against the CA key",
+		refuses: []factRule{{factMetered, whyPrincipalBuckets}},
+		gives:   []factRule{{fact: factPrincipal}, {fact: factCertOnly}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			if env.CAKey.IsZero() {
 				return nil, errors.New("Env.CAKey is required")
@@ -330,8 +315,8 @@ func init() {
 		params: []paramSpec{
 			{"keyttl", "wrapped-key cache lifetime (duration, default 0 = fresh key per request)"},
 		},
-		follows:   []string{StageAuthn, StageSession},
-		followWhy: "never seal an envelope for an unverified submitter",
+		needs: []factRule{{factPrincipal, "never seal an envelope for an unverified submitter"}},
+		gives: []factRule{{fact: factSealed}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			ttl := p.duration("keyttl", 0)
 			if p.err != nil {
@@ -372,10 +357,7 @@ func init() {
 			{"rate", "tokens per second (default 100)"},
 			{"burst", "bucket capacity (default 10)"},
 		},
-		after: []orderRule{
-			{StageAuthn, whyPrincipalBuckets},
-			{StageSession, whyPrincipalBuckets},
-		},
+		gives: []factRule{{fact: factMetered}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			return NewRateLimit(p.floatVal("rate", 100), p.floatVal("burst", 10), env.Now)
 		},
@@ -398,8 +380,8 @@ func init() {
 			{"size", "group size (default 8)"},
 			{"groupseal", "seal each (channel, epoch) group with one AEAD invocation: on|off (default off; needs encrypt keyttl > 0)"},
 		},
-		terminal:    true,
-		terminalWhy: "any later stage would be skipped for batched requests",
+		refuses: []factRule{{factHeld, whyOneCollector}},
+		gives:   []factRule{{factHeld, "any later stage would be skipped for batched requests"}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			p.enum("groupseal", "off", "on", "off")
 			if p.err != nil {

@@ -3,6 +3,7 @@ package middleware
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,49 +28,8 @@ func TestRegisterStageRejectsDuplicate(t *testing.T) {
 		t.Fatalf("duplicate registration = %v, want already-registered error", err)
 	}
 	// The built-in definition must have survived the rejected attempt.
-	if def := lookupStage(StageAuthn); def == nil || len(def.after) == 0 {
+	if def := lookupStage(StageAuthn); def == nil || len(def.gives) == 0 {
 		t.Fatal("built-in authn definition was clobbered by a rejected registration")
-	}
-}
-
-func TestRegisterStageRejectsConstraintCycle(t *testing.T) {
-	// A self-inconsistent definition: it must run both before and after
-	// authn. Registration fails and leaves no trace in the registry.
-	err := registerStage(stageDef{
-		name:   "cyclestage",
-		build:  nopBuild,
-		after:  []orderRule{{StageAuthn, "test"}},
-		before: []orderRule{{StageAuthn, "test"}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "ordering cycle") {
-		t.Fatalf("cycling registration = %v, want ordering-cycle error", err)
-	}
-	if lookupStage("cyclestage") != nil {
-		t.Fatal("failed registration left the stage in the registry")
-	}
-}
-
-func TestRegisterStageRejectsCycleAcrossStages(t *testing.T) {
-	// Two new stages whose rules close a loop through each other: the
-	// second registration must detect the cycle the first one opened.
-	if err := registerStage(stageDef{
-		name:  "cyclea",
-		build: nopBuild,
-		after: []orderRule{{"cycleb", "test"}},
-	}); err != nil {
-		t.Fatalf("first registration failed: %v", err)
-	}
-	defer removeStage("cyclea")
-	err := registerStage(stageDef{
-		name:  "cycleb",
-		build: nopBuild,
-		after: []orderRule{{"cyclea", "test"}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "ordering cycle") {
-		t.Fatalf("cross-stage cycle = %v, want ordering-cycle error", err)
-	}
-	if lookupStage("cycleb") != nil {
-		t.Fatal("failed registration left the stage in the registry")
 	}
 }
 
@@ -123,6 +83,14 @@ func TestRegisteredStagesListsAllBuiltins(t *testing.T) {
 	for _, w := range want {
 		if !strings.Contains(usage, w) {
 			t.Fatalf("StageUsage() missing %q", w)
+		}
+	}
+	// The line after a stage's description is the facts it declares.
+	lines := strings.Split(usage, "\n")
+	for stage, fact := range map[string]string{StageEncrypt: "needs principal", StageAggregate: "refuses sealed"} {
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "  "+stage+" ") })
+		if i < 0 || i+1 == len(lines) || !strings.Contains(lines[i+1], fact) {
+			t.Errorf("StageUsage() does not declare %q for %s:\n%s", fact, stage, usage)
 		}
 	}
 }
@@ -206,5 +174,136 @@ func TestParseStagesRejectsMalformed(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantMsg)
 			}
 		})
+	}
+}
+
+// referenceRule is one stage's entry in the ordering rulebook the fact walk
+// in Config.validate replaced, kept as the reference the walk must agree
+// with on every pipeline.
+type referenceRule struct {
+	follows   []string // at least one of these, or a stage counting as one, runs earlier
+	after     []string // each of these, when present, runs earlier
+	before    []string // each of these, when present, runs later
+	conflicts []string // none of these may be present
+	terminal  bool     // nothing may follow
+	countsAs  string   // satisfies another stage's follows as this stage
+}
+
+var referenceRulebook = map[string]referenceRule{
+	StageSession:   {},
+	StageAuthn:     {after: []string{StageSession}},
+	StageEncrypt:   {follows: []string{StageAuthn, StageSession}},
+	StageAudit:     {},
+	StageRateLimit: {after: []string{StageAuthn, StageSession}},
+	StageBreaker:   {},
+	StageBatch:     {terminal: true},
+	StageZKProof:   {follows: []string{StageAuthn, StageSession}, before: []string{StageEncrypt}},
+	StageAnonCred:  {before: []string{StageAuthn, StageRateLimit}, countsAs: StageAuthn},
+	StageAttest:    {before: []string{StageEncrypt}},
+	StageAggregate: {terminal: true, conflicts: []string{StageBatch, StageEncrypt}},
+}
+
+// referenceAdmits is the old rulebook's verdict on a pipeline of distinct
+// stage names.
+func referenceAdmits(pipeline []string) bool {
+	pos := make(map[string]int, len(pipeline))
+	for i, name := range pipeline {
+		pos[name] = i
+	}
+	for i, name := range pipeline {
+		r := referenceRulebook[name]
+		for _, other := range r.conflicts {
+			if _, present := pos[other]; present {
+				return false
+			}
+		}
+		for _, other := range r.after {
+			if j, present := pos[other]; present && j > i {
+				return false
+			}
+		}
+		for _, other := range r.before {
+			if j, present := pos[other]; present && j < i {
+				return false
+			}
+		}
+		if len(r.follows) > 0 && !referenceFollowed(pipeline[:i], r.follows) {
+			return false
+		}
+		if r.terminal && i != len(pipeline)-1 {
+			return false
+		}
+	}
+	return true
+}
+
+func referenceFollowed(earlier, roles []string) bool {
+	for _, name := range earlier {
+		for _, role := range roles {
+			if name == role || referenceRulebook[name].countsAs == role {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// walkAdmits is Config.validate's verdict on a pipeline of bare stage names.
+func walkAdmits(pipeline []string) bool {
+	stages := make([]StageConfig, len(pipeline))
+	for i, name := range pipeline {
+		stages[i] = StageConfig{Name: name}
+	}
+	return Config{Stages: stages}.validate() == nil
+}
+
+// TestStageOrderMatchesReference walks every ordering of every subset of the
+// registered stages and checks the fact walk against the old rulebook on
+// each. Both refuse every extension of a pipeline they refuse, so a prefix
+// both refuse is not extended; a prefix they disagree on is.
+func TestStageOrderMatchesReference(t *testing.T) {
+	names := RegisteredStages()
+	if len(names) != len(referenceRulebook) {
+		t.Fatalf("registered stages %v, the reference rulebook has %d", names, len(referenceRulebook))
+	}
+	for _, name := range names {
+		if _, ok := referenceRulebook[name]; !ok {
+			t.Fatalf("stage %q has no reference rule", name)
+		}
+	}
+	var admitted, refused, disagreements int
+	used := make(map[string]bool, len(names))
+	var pipeline []string
+	var extend func()
+	extend = func() {
+		for _, name := range names {
+			if used[name] {
+				continue
+			}
+			pipeline = append(pipeline, name)
+			walk, ref := walkAdmits(pipeline), referenceAdmits(pipeline)
+			switch {
+			case walk != ref:
+				disagreements++
+				if disagreements <= 10 {
+					t.Errorf("%s: walk admits %v, reference admits %v", strings.Join(pipeline, "|"), walk, ref)
+				}
+			case walk:
+				admitted++
+			default:
+				refused++
+			}
+			if walk || ref {
+				used[name] = true
+				extend()
+				used[name] = false
+			}
+			pipeline = pipeline[:len(pipeline)-1]
+		}
+	}
+	extend()
+	t.Logf("%d pipelines admitted, %d refused prefixes, %d disagreements", admitted, refused, disagreements)
+	if admitted != 120171 {
+		t.Errorf("%d pipelines admitted, want 120171", admitted)
 	}
 }

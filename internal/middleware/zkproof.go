@@ -194,11 +194,8 @@ func init() {
 			{"bits", "required proof width in [1, 64] (default 32)"},
 			{"channel", "gate only this channel (default: all channels)"},
 		},
-		follows:   []string{StageAuthn, StageSession},
-		followWhy: "proof contexts are bound to the verified principal",
-		before: []orderRule{
-			{StageEncrypt, "claims are checked against the plaintext submission before it is sealed"},
-		},
+		needs:   []factRule{{factPrincipal, "proof contexts are bound to the verified principal"}},
+		refuses: []factRule{{factSealed, "claims are checked against the plaintext submission before it is sealed"}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			if mode := p.str("mode", "range"); mode != "range" {
 				return nil, fmt.Errorf("unknown zkproof mode %q (want range)", mode)
