@@ -40,7 +40,7 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	mac := pipeline(sessionStage(nil), keycacheEncrypt)
 	traced := mac
-	traced.Trace = "64"
+	traced.Trace = fmt.Sprint(sampleEvery)
 	// The batch_groupseal pipeline: 64 deferred seals released as one group,
 	// stage timings sampled 1-in-64 as that workload's are.
 	grouped := pipeline(mac.Stages[0], keycacheEncrypt, middleware.StageConfig{
@@ -99,24 +99,42 @@ func TestAllocationBudget(t *testing.T) {
 			equals:   "mac",
 		},
 		{
+			// What the one sampled request in 64 adds to the mac row's
+			// count, which the row above floors away: 64 submissions on the
+			// traced gateway less 64 on the mac row's. Its trace, with the
+			// spans of its two stages in the trace's inline array. 3 while
+			// the spans grew on the heap, one array per doubling.
+			name:     "sampled-trace",
+			replaces: "new: the row above floors a sampled request's trace away",
+			cfg:      traced,
+			metrics:  true,
+			allocs: func(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
+				return sampleAllocs(t, fp) - sampleAllocs(t, newFastPathEnv(t, env, mac))
+			},
+			ceiling: 1,
+		},
+		{
 			// Per sealed group, not per member: the rule allowed 5 per
 			// member, 320 a group. 9 until the group's one block cut stopped
 			// copying the subscriber list; 8 until the digest sorted the
 			// vehicle's two meta keys on the stack (the vehicle's map is its
 			// own, as it was); 7 until the vehicle's primed digest stopped
 			// being a heap *[32]byte; 6 until the group's block took its Txs
-			// from the orderer's queue chunk.
+			// from the orderer's queue chunk; 5 until the release vehicle
+			// was borrowed from the wire pool. Left: the sealed frame, the
+			// vehicle's Meta map (2) and the detached context.
 			name:     "groupseal(64)",
 			replaces: "ceiling BatchSeal/batch=64 <= 5 allocs",
 			cfg:      grouped,
 			allocs:   groupAllocs,
-			ceiling:  5,
+			ceiling:  4,
 		},
 		{
 			// Both ends of a loopback connection together. 16 until the wire
 			// decoder stopped copying the three strings every session
 			// submission carries: token and principal are the held session's
-			// own (SessionManager.names), the channel comes from the gateway's
+			// own (since, the decoder hands the stage the session record
+			// itself), the channel comes from the gateway's
 			// table of directory channels (Gateway.channelName). The rows
 			// above submit in process and never decoded a frame, so they
 			// stood where they stood. Then 13, until the block cut stopped
@@ -160,12 +178,14 @@ func TestAllocationBudget(t *testing.T) {
 			// every open because the full handshake seals under it (1). 3
 			// until the grant was appended to the caller's frame
 			// (Gateway.AppendWire, measured here into one reused buffer as
-			// the edge's pooled frame): the session record and its token.
+			// the edge's pooled frame). 2 until the table was keyed on the
+			// token's bytes and the grant frame spelled the token from them:
+			// the session record alone.
 			name:     "resumed-open",
 			replaces: "new with session resumption; nothing older",
 			cfg:      churn,
 			allocs:   resumedOpenAllocs,
-			ceiling:  2,
+			ceiling:  1,
 		},
 		{
 			// Both halves of a resumed handshake in process: Handshaker.Open
@@ -174,12 +194,29 @@ func TestAllocationBudget(t *testing.T) {
 			// and the client's: the grant's token and its MAC key. The
 			// principal is the client's own string when the grant echoes
 			// it. 6 until the resume frame was carved from a slab shared
-			// with the frames after it (see the encode row).
+			// with the frames after it (see the encode row); 5 until the
+			// gateway's token string went (the row above).
 			name:     "resumed-open-client",
 			replaces: "new: the client half the row above does not count",
 			cfg:      churn,
 			allocs:   handshakerOpenAllocs,
-			ceiling:  5,
+			ceiling:  4,
+		},
+		{
+			// A visit by a principal over a connection, neither of which
+			// holds another session: the row above, then a session.close
+			// through AppendWire. The close allocates nothing (the
+			// session-close row), and the session joins and leaves its
+			// principal's and its connection's index rings without
+			// allocating. 9 while each index was a map of maps: the
+			// principal's and the connection's inner maps were deleted with
+			// their last session and rebuilt by the next open, a map and its
+			// first group each, 2 + 2 over the row above's 5.
+			name:     "open-close-alone",
+			replaces: "new: the index maps a lone visit rebuilt",
+			cfg:      churn,
+			allocs:   openCloseAloneAllocs,
+			ceiling:  4,
 		},
 		{
 			// The client's request frame: carved from a 16 KB slab shared
@@ -341,11 +378,17 @@ func TestServeWireAllocatedBytes(t *testing.T) {
 	}
 }
 
-// submitAllocs reads the allocations of one in-process Gateway.Submit. A
-// first pass over every template fills what a steady state has filled —
-// verified certificates, the epoch key, pools — and the measured passes are
-// whole ones, so a 1-in-64 sample lands the same number of times in each.
+// submitAllocs reads the allocations of one in-process Gateway.Submit,
+// over whole passes of the templates, so a 1-in-64 sample lands the same
+// number of times in each.
 func submitAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	return testing.AllocsPerRun(2*len(fp.templates)-1, submitter(t, fp))
+}
+
+// submitter returns a call that submits the fixture's next template in
+// process, after a first pass over every template has filled what a steady
+// state has filled — verified certificates, the epoch key, pools.
+func submitter(t *testing.T, fp *fastPathEnv) func() {
 	ctx := context.Background()
 	i := 0
 	submit := func() {
@@ -358,7 +401,23 @@ func submitAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
 	for range fp.templates {
 		submit()
 	}
-	return testing.AllocsPerRun(2*len(fp.templates)-1, submit)
+	return submit
+}
+
+// sampleEvery is the traced row's sampling: one request in 64 is traced.
+const sampleEvery = 64
+
+// sampleAllocs reads the allocations of sampleEvery in-process submissions,
+// one of which a gateway tracing 1 in sampleEvery traces. It measures 21
+// runs: the orderer carves a block's transactions from a chunk that serves
+// 21 blocks, so 21 runs hold the same number of chunks on every gateway.
+func sampleAllocs(t *testing.T, fp *fastPathEnv) float64 {
+	submit := submitter(t, fp)
+	return testing.AllocsPerRun(21, func() {
+		for n := 0; n < sampleEvery; n++ {
+			submit()
+		}
+	})
 }
 
 // groupSize is the batch size of the groupseal row, batch_groupseal's.
@@ -507,6 +566,47 @@ func handshakerOpenAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) f
 	allocs := testing.AllocsPerRun(runs, open)
 	if st := fp.gw.Stats().Sessions; st.Resumed != runs+1+4 || st.ResumeMisses != 0 {
 		t.Fatalf("resumed %d, missed %d; want every open after the first resumed", st.Resumed, st.ResumeMisses)
+	}
+	return allocs
+}
+
+// openCloseAloneAllocs reads the allocations of one visit by a principal
+// enrolled for it, over a connection of its own: a resumed Handshaker.Open
+// through ServeWire, and the session.close of its session appended to a
+// reused buffer, as the edge appends it. Between visits neither the
+// principal nor the connection holds a session.
+func openCloseAloneAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
+	ctx := context.Background()
+	const who, conn = "loner", "tcp:1:alone"
+	key, err := dcrypto.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := env.ca.Enroll(who, key.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(ctx context.Context, hello []byte) ([]byte, error) {
+		return fp.gw.ServeWire(ctx, middleware.TopicSessionOpen, hello, conn)
+	}
+	live := fp.gw.Stats().Sessions.Live
+	var client middleware.Handshaker
+	var token, dst []byte
+	visit := func() {
+		grant, err := client.Open(ctx, who, cert, key, serve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		token = append(token[:0], grant.Token...)
+		if dst, err = fp.gw.AppendWire(ctx, dst[:0], middleware.TopicSessionClose, token, conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	visit() // the full handshake
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, visit)
+	if st := fp.gw.Stats().Sessions; st.Resumed != runs+1 || st.Live != live {
+		t.Fatalf("resumed %d with %d live, want %d resumed and the %d live before", st.Resumed, st.Live, runs+1, live)
 	}
 	return allocs
 }

@@ -349,19 +349,19 @@ func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, 
 		if len(group) != b.size {
 			val = EnvelopeScheme + " n=" + strconv.Itoa(len(group))
 		}
-		greq := &Request{
-			Channel:       channel,
-			Principal:     BatchPrincipal,
-			Payload:       sealed,
-			Meta:          map[string]string{MetaBatch: val},
-			authenticated: true,
-			encrypted:     true,
-			metaOwned:     true,
-		}
+		// The vehicle is borrowed from the wire pool and dropped once next
+		// returns: no stage after batch keeps a request (the held fact), and
+		// what the transaction keeps of it — the frame, the Meta map — is
+		// not in the struct the pool takes back.
+		greq := borrowRequest()
+		greq.Channel, greq.Principal, greq.Payload = channel, BatchPrincipal, sealed
+		greq.Meta = map[string]string{MetaBatch: val}
+		greq.authenticated, greq.encrypted, greq.metaOwned = true, true, true
 		// The seal's sum primes the ledger digest: the group frame is never
 		// hashed again.
 		greq.setPayloadSum(sealed, sum)
 		relErr = next(ctx, greq)
+		greq.drop()
 	}
 	elapsed := time.Since(start)
 	var wrapped error

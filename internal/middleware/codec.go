@@ -223,10 +223,13 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 // decodeRequestBinary reverses EncodeWireRequest into req, the request
 // the gateway runs. Byte fields alias the input buffer. The three strings
 // every session submission carries are not allocated when g already holds
-// them: the token and principal come from the session the token names, the
-// channel from the gateway's table of channel names (see channelName), which
-// also tells Gateway.order whether the channel may be ordered on. A nil g
-// copies all three. On error req is partly filled and must be dropped.
+// them: a token that names a live session becomes that record
+// (Request.session, no SessionToken), the principal is the session's own
+// string, and the channel comes from the gateway's table of channel names
+// (see channelName), which also tells Gateway.order whether the channel may
+// be ordered on. A token that names no live session is copied for the
+// session stage to refuse. A nil g copies all three. On error req is partly
+// filled and must be dropped.
 func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindRequest {
 		return fmt.Errorf("%w: not a binary request frame", ErrBadFrame)
@@ -236,7 +239,7 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	principal := r.bytes()
 	req.Backend = r.str()
 	req.Payload = r.bytes()
-	session := r.bytes()
+	token := r.bytes()
 	sig := r.bytes()
 	req.MAC = r.bytes()
 	cert := r.bytes()
@@ -259,10 +262,16 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 		return err
 	}
 	req.Channel, req.channelKnown = channelName(g, channel)
-	if g != nil && g.sessions != nil && len(session) > 0 {
-		req.SessionToken, req.Principal = g.sessions.names(session, principal)
-	} else {
-		req.SessionToken, req.Principal = string(session), string(principal)
+	if key, ok := parseSessionKey(token); ok && g != nil && g.sessions != nil {
+		req.session = g.sessions.lookup(&key)
+	}
+	switch {
+	case req.session == nil:
+		req.SessionToken, req.Principal = string(token), string(principal)
+	case req.session.principal == string(principal): // the comparison does not allocate
+		req.Principal = req.session.principal
+	default:
+		req.Principal = string(principal)
 	}
 	if len(sig) > 0 {
 		s, err := dcrypto.ParseSignature(sig)

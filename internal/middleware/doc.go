@@ -195,14 +195,14 @@
 // from anywhere.
 //
 // Binding also gives connection teardown exact semantics: the manager
-// indexes bound tokens per transport (byTransport), so EvictTransport —
-// wired to the edge's connection-close hook — reaps precisely the dead
-// connection's sessions without scanning the table. The eviction shows up
-// in SessionStats.Evicted and confmw_sessions_evicted_total; clients that
-// reconnect simply open fresh sessions. The binding check rides the
-// resolve fast path as one string compare under the stripe read lock —
-// no extra lock, no allocation — so the edge pays nothing for it at
-// steady state.
+// rings each transport's bound sessions through the session records
+// (byTransport), so EvictTransport — wired to the edge's connection-close
+// hook — reaps precisely the dead connection's sessions without scanning
+// the table. The eviction shows up in SessionStats.Evicted and
+// confmw_sessions_evicted_total; clients that reconnect simply open fresh
+// sessions. The binding check is one string compare on the session record
+// the request runs under — no lock, no allocation — so the edge pays
+// nothing for it at steady state.
 //
 // # Performance
 //
@@ -242,11 +242,18 @@
 //     view. Config.Codec is not a knob: it survives, with CodecBinary and
 //     SessionGrant.Codec, only under the names the repository benchmark
 //     compiles against, accepts "" or "binary" and means nothing else.
-//   - Striped, read-mostly caches. The session token table is sharded
-//     across independent RWMutex stripes keyed by token hash, so resolve —
-//     the per-request path — takes one read lock on one stripe, with idle
-//     clocks and counters atomic; opens, sweeps, the per-principal cap,
-//     and revocation deltas serialize on a separate control mutex. The
+//   - Striped, read-mostly caches. The session token table is keyed on
+//     the token's 32 bytes, parsed on the stack from its hex, and sharded
+//     across independent RWMutex stripes by the first of them. A wire
+//     submission looks its token up once: the decoder takes one read lock
+//     on one stripe and hands the session stage the record, which the
+//     stage checks without a lock (a deleted flag, set under the stripe
+//     lock, sends a request whose session died in between back to the
+//     table); idle clocks and counters are atomic. Opens, closes, sweeps,
+//     the per-principal cap and revocation deltas serialize on a separate
+//     control mutex, and the per-principal and per-transport indexes are
+//     rings threaded through the records, so none of them allocates
+//     beyond the one record an open makes. The
 //     encrypt stage precomputes the per-channel associated data and the
 //     sealing AEAD once per epoch, and over a GenerationalDirectory
 //     (SyncDirectory is the stock implementation) caches the member-set

@@ -703,11 +703,11 @@ func memberFingerprint(members map[string]dcrypto.PublicKey) [32]byte {
 // the next request at the new generation recomputes and converges.
 func (e *Encrypt) channelKeyFor(req *Request, channel string, dirGen uint64) (*channelKey, error) {
 	var now time.Time
-	if e.defaultClock && !req.nowStamp.IsZero() {
+	if e.defaultClock && req.nowStamp != 0 {
 		// The session stage already read the shared default clock for this
 		// request; its stamp is at most a stage-transit older than a fresh
 		// read, which expiry granularity (keyTTL) tolerates.
-		now = req.nowStamp
+		now = chainEpoch.Add(req.nowStamp)
 	} else {
 		now = e.now()
 	}

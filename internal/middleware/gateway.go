@@ -984,7 +984,7 @@ func (g *Gateway) appendSessionOpen(mgr *SessionManager, dst, payload []byte, tr
 	if traceID != 0 {
 		tr = g.tracer.For(traceID)
 	}
-	grant, err := mgr.open(hello, resume, transportID, true)
+	grant, key, err := mgr.openKeyed(hello, resume, transportID, true)
 	if tr != nil {
 		d := time.Since(tr.Start)
 		tr.AddSpan("session.open", tr.Start, d, d, err)
@@ -996,5 +996,6 @@ func (g *Gateway) appendSessionOpen(mgr *SessionManager, dst, payload []byte, tr
 	if err != nil {
 		return dst, g.reject(rejectOpen, err)
 	}
-	return appendGrantFrame(dst, &grant), nil
+	token := key.hex()
+	return appendGrant(dst, &grant, token[:]), nil
 }

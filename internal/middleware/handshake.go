@@ -80,7 +80,7 @@ func resumeDigest(id [resumeIDBytes]byte, nonce [helloNonceBytes]byte, issuedAt 
 // token. The gateway and the client each compute it. The label is staged on
 // the stack, and HKDF writes the key into the array returned: nothing here
 // allocates for a token of the length the gateway issues.
-func sessionMACKey(secret []byte, digest [32]byte, token string) ([dcrypto.MACKeySize]byte, error) {
+func sessionMACKey[T string | []byte](secret []byte, digest [32]byte, token T) ([dcrypto.MACKeySize]byte, error) {
 	var label [len(sessionMACInfo) + 2*sessionTokenBytes]byte
 	info := append(append(label[:0], sessionMACInfo...), token...)
 	var key [dcrypto.MACKeySize]byte
@@ -204,6 +204,13 @@ const grantResumed = 1
 // appendGrantFrame appends a grant's frame to dst, growing it once. MacKey
 // is not a field of the frame.
 func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
+	return appendGrant(dst, g, g.Token)
+}
+
+// appendGrant is appendGrantFrame with the token given beside the grant: the
+// gateway writes the hex of the session's key (sessionKey.hex) and spells
+// no token string.
+func appendGrant[T string | []byte](dst []byte, g *SessionGrant, token T) []byte {
 	var flags byte
 	if g.Resumed {
 		flags |= grantResumed
@@ -212,9 +219,9 @@ func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
 	if g.Sealed != nil {
 		sealed = *g.Sealed
 	}
-	dst = slices.Grow(dst, 48+len(g.Token)+len(g.Principal)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
+	dst = slices.Grow(dst, 48+len(token)+len(g.Principal)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
 	dst = append(dst, binaryMagic, binaryKindGrant, flags)
-	dst = appendLenPrefixed(dst, []byte(g.Token))
+	dst = append(binary.AppendUvarint(dst, uint64(len(token))), token...)
 	dst = appendLenPrefixed(dst, []byte(g.Principal))
 	dst = appendTime(dst, g.ExpiresAt)
 	dst = appendLenPrefixed(dst, g.ResumeID)

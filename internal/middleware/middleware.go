@@ -73,7 +73,9 @@ type Request struct {
 	// the session stage authenticates it against the cached verified
 	// principal instead of re-verifying the certificate. The token is not
 	// part of Digest(): the MAC binds content to the session, the token
-	// names the session.
+	// names the session. A request the gateway decoded off the wire whose
+	// token named a live session carries that session's record instead,
+	// and no SessionToken.
 	SessionToken string
 	// MAC authenticates a session request under the per-session HMAC key
 	// from the SessionGrant: the only proof a token-bearing request is
@@ -157,12 +159,19 @@ type Request struct {
 	// allocation.
 	downstreamNanos int64
 
-	// nowStamp is the session stage's clock reading, left on the request
-	// so downstream stages on the same default clock (encrypt's epoch
-	// expiry check) reuse it instead of reading the clock again. Only a
-	// stage running the default coarseNow clock writes or trusts it — a
-	// test-injected clock never mixes with the stamp in either direction.
-	nowStamp time.Time
+	// nowStamp is the session stage's clock reading, as its offset from
+	// chainEpoch, left on the request so downstream stages on the same
+	// default clock (encrypt's epoch expiry check) reuse it instead of
+	// reading the clock again; zero when there is none. Only a stage running
+	// the default coarseNow clock writes or trusts it — a test-injected
+	// clock never mixes with the stamp in either direction. An offset, not a
+	// time.Time, so that the session below fits in the struct's size class.
+	nowStamp time.Duration
+	// session is the live session the wire decoder found the frame's token
+	// to name (SessionManager.lookup), handed to the session stage so that a
+	// submission looks its token up once; the request then carries no
+	// SessionToken. Nil otherwise.
+	session *session
 
 	// groupKey is the cached (channel, epoch) key the encrypt stage
 	// resolved in deferred group-seal mode: the payload stays plaintext

@@ -148,6 +148,10 @@ func (w wireFront) json(topic string, payload []byte, v any) error {
 }
 
 // accept is a terminal handler recording the requests that reached it.
+// accept is a terminal handler that keeps every request it is handed, for
+// the test to read after the chain returns. It keeps each under a hold of
+// its own, as any holder past Handle must: a batch release's vehicle is
+// borrowed from the pool and recycled at its last drop.
 type accept struct {
 	mu   sync.Mutex
 	seen []*Request
@@ -156,6 +160,7 @@ type accept struct {
 func (a *accept) handler(ctx context.Context, req *Request) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	req.hold()
 	a.seen = append(a.seen, req)
 	return nil
 }

@@ -42,8 +42,9 @@ func poisonRecycled(t *testing.T) *atomic.Int64 {
 
 // TestRecycledRequestCarriesNothingOver: the last drop of a request that
 // carries everything a wire submission can leave in one — a payload and MAC
-// aliasing the read buffer, a token, Meta, a trace, a group key, a completion
-// channel, both memos — zeroes every field, the hold count included. A hold
+// aliasing the read buffer, a token, the session record the decoder hands
+// the session stage, Meta, a trace, a group key, a completion channel, both
+// memos — zeroes every field, the hold count included. A hold
 // on a caller's own request, and its drop, change nothing.
 func TestRecycledRequestCarriesNothingOver(t *testing.T) {
 	buf := []byte("payload and mac, both aliasing one read buffer")
@@ -56,7 +57,8 @@ func TestRecycledRequestCarriesNothingOver(t *testing.T) {
 	r.payloadSum()
 	r.digestMemo, r.digestSet = r.Digest(), true
 	r.trace = &telemetry.Trace{ID: 1}
-	r.downstreamNanos, r.nowStamp = 5, time.Now()
+	r.downstreamNanos, r.nowStamp = 5, time.Second
+	r.session = &session{principal: "alice"}
 	r.groupKey = &channelKey{}
 	r.done = make(chan error, 1)
 	r.hold()
@@ -207,7 +209,8 @@ func resized(stages []StageConfig) []StageConfig {
 // frame's ID after it — also once every group has been released on some other
 // goroutine — every ordered transaction must carry the channel, creator and
 // payload that were submitted, each submission exactly once, and every
-// request the gateway borrowed must come back. A stage that used a request
+// request the gateway borrowed must come back, a group release's vehicle
+// among them. A stage that used a request
 // after letting go of it delivers the poison, or races with it under -race.
 func TestNoStageUsesARequestAfterItsRelease(t *testing.T) {
 	fx := newRecycleFixture(t)
@@ -310,8 +313,11 @@ func TestNoStageUsesARequestAfterItsRelease(t *testing.T) {
 		for i := range jobs {
 			checkReply(&jobs[i])
 		}
-		if got := recycled.Load() - before; got != int64(len(jobs)) {
-			t.Fatalf("%s: %d of the %d requests the gateway borrowed came back", name, got, len(jobs))
+		// The gateway borrowed one request per frame, and the batch stage one
+		// per sealed group, its release vehicle.
+		borrowed := int64(len(jobs)) + int64(gw.Stats().BatchGroupsSealed)
+		if got := recycled.Load() - before; got != borrowed {
+			t.Fatalf("%s: %d of the %d requests the gateway borrowed came back", name, got, borrowed)
 		}
 		var want []*recycleFrame
 		for _, j := range jobs {

@@ -149,16 +149,46 @@ func NewSessionHelloAt(principal string, cert pki.Certificate, key *dcrypto.Priv
 // wire), far beyond guessability.
 const sessionTokenBytes = 32
 
+// sessionKey is a session token's random bytes: the key of the token table
+// and of its revocation tombstones. A grant and a frame carry the token as
+// these bytes in 64 lowercase hex characters, and nothing else spells it.
+type sessionKey [sessionTokenBytes]byte
+
+// parseSessionKey reads a token's 64 lowercase hex characters into the key
+// they spell, on the caller's stack. Any other spelling — another length,
+// an upper-case digit, a byte that is no hex digit — names no session.
+func parseSessionKey[T string | []byte](token T) (key sessionKey, ok bool) {
+	if len(token) != 2*sessionTokenBytes {
+		return key, false
+	}
+	for i := 0; i < len(token); i++ {
+		c := token[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return sessionKey{}, false
+		}
+		key[i/2] = key[i/2]<<4 | c
+	}
+	return key, true
+}
+
+// hex spells the key as the token a grant carries.
+func (k *sessionKey) hex() (token [2 * sessionTokenBytes]byte) {
+	hex.Encode(token[:], k[:])
+	return token
+}
+
 // session is one established client session: the verified principal and
 // the key its requests are MAC'd under, cached so subsequent requests skip
 // PKI verification. serial is the certificate the trust was rooted in at
-// Open, the handle revocation checks match against. lastUsed is atomic
-// unix-nanos so the resolve fast path can touch the idle clock under a read
-// lock.
+// Open, the handle revocation checks match against.
 type session struct {
-	// token is the table key, kept so the wire decoder can hand a request
-	// the session's own string instead of allocating one per frame.
-	token     string
+	// key is the token's bytes, the table key; the token is its hex.
+	key       sessionKey
 	principal string
 	// macKey is the per-session HMAC verifier, its pads precomputed once at
 	// Open so the per-request check skips their derivation; held by value,
@@ -166,75 +196,127 @@ type session struct {
 	macKey dcrypto.MACKey
 	serial uint64
 	// boundTo pins the session to the transport connection that opened it
-	// (OpenBound); empty for unbound sessions. resolve rejects any other
-	// connection's TransportID with ErrSessionBound.
-	boundTo   string
-	openedAt  time.Time
-	expiresAt time.Time
-	lastUsed  atomic.Int64
+	// (OpenBound); empty for unbound sessions. A request from any other
+	// connection's TransportID is refused with ErrSessionBound.
+	boundTo string
+	// expires is the session's TTL deadline and lastUsed its last request,
+	// both unix nanos on the manager's clock; lastUsed is atomic so that a
+	// request touches the idle clock without a write lock.
+	expires  int64
+	lastUsed atomic.Int64
+	// deleted is set, under the stripe lock, when the record leaves the
+	// table: a request the decoder handed the record to asks the table
+	// again (admit).
+	deleted atomic.Bool
+	// links thread the record through its principal's ring and, when
+	// bound, its transport's (sessionIndex); guarded by the manager's mu.
+	links [2]sessionLinks
+}
+
+// sessionLinks are a record's neighbours in one sessionIndex ring.
+type sessionLinks struct{ prev, next *session }
+
+// Which of session.links each sessionIndex threads its rings through.
+const (
+	principalLinks = iota
+	transportLinks
+)
+
+// sessionRing is one key's sessions in a sessionIndex, in the order they
+// were opened: oldest, and n records linked in a ring behind it.
+type sessionRing struct {
+	oldest *session
+	n      int
+}
+
+// sessionIndex groups live sessions by a key — a principal, a transport
+// connection — in rings threaded through the records' links[link], so a
+// session joining or leaving its group allocates nothing; an emptied ring's
+// entry is deleted. Guarded by the manager's mu.
+type sessionIndex struct {
+	rings map[string]sessionRing
+	link  int
+}
+
+// add appends s to key's ring, as its newest member.
+func (x sessionIndex) add(key string, s *session) {
+	r := x.rings[key]
+	l := &s.links[x.link]
+	if r.oldest == nil {
+		r.oldest, l.prev, l.next = s, s, s
+	} else {
+		newest := r.oldest.links[x.link].prev
+		l.prev, l.next = newest, r.oldest
+		newest.links[x.link].next = s
+		r.oldest.links[x.link].prev = s
+	}
+	r.n++
+	x.rings[key] = r
+}
+
+// remove takes s out of key's ring.
+func (x sessionIndex) remove(key string, s *session) {
+	r := x.rings[key]
+	l := &s.links[x.link]
+	if r.n <= 1 {
+		delete(x.rings, key)
+	} else {
+		l.prev.links[x.link].next = l.next
+		l.next.links[x.link].prev = l.prev
+		if r.oldest == s {
+			r.oldest = l.next
+		}
+		r.n--
+		x.rings[key] = r
+	}
+	*l = sessionLinks{}
+}
+
+// each calls fn on every session in key's ring, oldest first. fn may remove
+// the session it is handed.
+func (x sessionIndex) each(key string, fn func(*session)) {
+	r := x.rings[key]
+	for s, n := r.oldest, r.n; n > 0; n-- {
+		next := s.links[x.link].next
+		fn(s)
+		s = next
+	}
 }
 
 // sessionStripeCount divides the token table into independently locked
-// stripes so concurrent resolves on different tokens never contend on one
+// stripes so concurrent requests on different tokens never contend on one
 // mutex. Power of two, sized past any plausible core count.
 const sessionStripeCount = 32
 
 // sessionStripe is one lock stripe of the token table: its own sessions,
-// its own revocation tombstones, its own RWMutex. The resolve hot path
+// its own revocation tombstones, its own RWMutex. A request's lookup
 // touches exactly one stripe, read-locked.
 type sessionStripe struct {
 	mu       sync.RWMutex
-	sessions map[string]*session
+	sessions map[sessionKey]*session
 	// revoked are tombstones for sessions evicted by revocation: their
 	// tokens answer ErrSessionRevoked (not ErrNoSession) until the
 	// session's original expiry, so a revoked client sees why it was cut
-	// off. Keyed by token, valued by forget-after time. An explicit Close
+	// off. Valued by forget-after time, unix nanos. An explicit Close
 	// clears the tombstone.
-	revoked map[string]time.Time
+	revoked map[sessionKey]int64
 }
 
-// stripeFor hashes a token onto its stripe: FNV-1a over the first 8 token
-// bytes plus the length. Genuine tokens are uniformly random hex, so an
-// 8-byte prefix already carries 32 bits of stripe entropy against
-// sessionStripeCount = 32 stripes; bounding the scan keeps the per-request
-// hash O(1) in token length (tokens are 64 hex chars, and this sits on the
-// resolve hot path).
-func (m *SessionManager) stripeFor(token string) *sessionStripe {
-	return &m.stripes[stripeIndex(token)]
+// stripe returns the key's stripe. A key is random bytes, so its first byte
+// spreads keys evenly over the stripes.
+func (m *SessionManager) stripe(key *sessionKey) *sessionStripe {
+	return &m.stripes[key[0]&(sessionStripeCount-1)]
 }
 
-// stripeIndex is stripeFor's hash, over a token held as a string or as the
-// bytes of a frame.
-func stripeIndex[T string | []byte](token T) uint32 {
-	h := uint32(2166136261)
-	n := len(token)
-	if n > 8 {
-		n = 8
-	}
-	for i := 0; i < n; i++ {
-		h = (h ^ uint32(token[i])) * 16777619
-	}
-	h = (h ^ uint32(len(token))) * 16777619
-	return h & (sessionStripeCount - 1)
-}
-
-// names returns the token and principal of a frame as strings: the held
-// session's own when the bytes name one, fresh copies otherwise. It
-// authenticates nothing — resolve does, on the strings it returns — and
-// exists so that the session fast path allocates neither.
-func (m *SessionManager) names(token, principal []byte) (string, string) {
-	st := &m.stripes[stripeIndex(token)]
+// lookup returns the live session of key, or nil. It authenticates
+// nothing: the wire decoder hands what it finds to the session stage, which
+// checks the record (admit).
+func (m *SessionManager) lookup(key *sessionKey) *session {
+	st := m.stripe(key)
 	st.mu.RLock()
-	s := st.sessions[string(token)] // the conversion in a map index does not allocate
+	s := st.sessions[*key]
 	st.mu.RUnlock()
-	switch {
-	case s == nil:
-		return string(token), string(principal)
-	case s.principal == string(principal):
-		return s.token, s.principal
-	default:
-		return s.token, string(principal)
-	}
+	return s
 }
 
 // SessionManager establishes and resolves gateway sessions. Opening a
@@ -243,9 +325,9 @@ func (m *SessionManager) names(token, principal []byte) (string, string) {
 // verified principal by a per-session HMAC over the request digest.
 // Sessions die at their TTL, or earlier when idle longer than the idle
 // window. Safe for concurrent use: the token table is striped across
-// independent RWMutexes, so resolve — the per-request hot path — takes one
-// read lock on one stripe, while the control plane (open, close, sweeps,
-// revocation deltas, the per-principal index) serializes on a separate
+// independent RWMutexes, so a request's lookup takes one read lock on one
+// stripe, while the control plane (open, close, sweeps, revocation deltas,
+// the per-principal and per-transport indexes) serializes on a separate
 // mutex.
 type SessionManager struct {
 	// certs checks handshake certificates against the pinned CA key and
@@ -281,19 +363,19 @@ type SessionManager struct {
 	// before any stripe lock; never acquire mu while holding a stripe.
 	stripes [sessionStripeCount]sessionStripe
 
-	// mu guards the control plane: the per-principal index and the
-	// handshake nonce table. The resolve hot path never takes it.
+	// mu guards the control plane: the two indexes and the handshake nonce
+	// table. A request's admission never takes it.
 	mu sync.Mutex
-	// byPrincipal indexes live session tokens (and their open times, for
-	// cap eviction) per principal, so neither the per-principal cap nor a
+	// byPrincipal rings each principal's live sessions in open order, so
+	// neither the per-principal cap (which evicts the oldest) nor a
 	// revocation delta ever scans other principals' sessions. Kept in
 	// lockstep with the stripes under mu.
-	byPrincipal map[string]map[string]time.Time
-	// byTransport indexes bound session tokens per transport connection,
+	byPrincipal sessionIndex
+	// byTransport rings the bound sessions of each transport connection,
 	// so EvictTransport (the connection-close path) reaps exactly the dead
 	// connection's sessions without scanning the stripes. Kept in lockstep
 	// with the stripes under mu; unbound sessions never appear here.
-	byTransport map[string]map[string]bool
+	byTransport sessionIndex
 	// seenNonces remembers handshake nonces until their freshness window
 	// closes, so a recorded hello cannot be replayed to mint a second
 	// token. Keyed by the nonce itself (every hello's is helloNonceBytes),
@@ -416,13 +498,13 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 		idle:         idle,
 		now:          now,
 		defaultClock: defaultClock,
-		byPrincipal:  make(map[string]map[string]time.Time),
-		byTransport:  make(map[string]map[string]bool),
+		byPrincipal:  sessionIndex{rings: make(map[string]sessionRing), link: principalLinks},
+		byTransport:  sessionIndex{rings: make(map[string]sessionRing), link: transportLinks},
 		seenNonces:   make(map[[helloNonceBytes]byte]int64),
 	}
 	for i := range m.stripes {
-		m.stripes[i].sessions = make(map[string]*session)
-		m.stripes[i].revoked = make(map[string]time.Time)
+		m.stripes[i].sessions = make(map[sessionKey]*session)
+		m.stripes[i].revoked = make(map[sessionKey]int64)
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -474,10 +556,24 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 	return m.open(&hello, nil, transportID, false)
 }
 
-// open runs one handshake, full (hello) or resumed (resume); exactly one of
-// the two is set. The two differ only in how the caller proves who it is — a
-// certificate and a signature over the transcript, or an HMAC over it under
-// the master secret an earlier full handshake sealed to the certified key.
+// open is openKeyed with the grant's token spelled out, for a grant handed
+// over in memory.
+func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transportID string, wire bool) (SessionGrant, error) {
+	grant, key, err := m.openKeyed(hello, resume, transportID, wire)
+	if err == nil {
+		token := key.hex()
+		grant.Token = string(token[:])
+	}
+	return grant, err
+}
+
+// openKeyed runs one handshake, full (hello) or resumed (resume); exactly
+// one of the two is set. The grant it returns carries no token: the session's
+// key is returned beside it, and the token is that key's hex (open spells it
+// into the grant, the grant encoder into the frame). The two handshakes
+// differ only in how the caller proves who it is — a certificate and a
+// signature over the transcript, or an HMAC over it under the master secret
+// an earlier full handshake sealed to the certified key.
 // Everything else is one path: the freshness window, the nonce memory, the
 // validity and revocation checks on this call's clock, the per-principal
 // cap, the transport binding, the counters.
@@ -486,7 +582,7 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 // master secret, remembers it for resumption and returns it only sealed to
 // the certified key, and no grant carries the MAC key — both sides derive it
 // from the master. Resumed handshakes are wire handshakes by construction.
-func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transportID string, wire bool) (SessionGrant, error) {
+func (m *SessionManager) openKeyed(hello *SessionHello, resume *resumeHello, transportID string, wire bool) (SessionGrant, sessionKey, error) {
 	now := m.now()
 	// Times from outside — the hello's IssuedAt, the nonce memory's
 	// forget-after derived from it, the certificate's window — are other
@@ -507,16 +603,16 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		// an in-process hello is held to the same rule.
 		var err error
 		if nonce, err = helloNonce(hello.Nonce); err != nil {
-			return SessionGrant{}, err
+			return SessionGrant{}, sessionKey{}, err
 		}
 		issuedAt = hello.IssuedAt
 	}
 	if issuedAt.Before(wall.Add(-helloFreshness)) || issuedAt.After(wall.Add(helloFreshness)) {
-		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, issuedAt, wall)
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, issuedAt, wall)
 	}
 	// The rejection that costs nothing comes before any other work.
 	if hello != nil && hello.Cert.Identity != hello.Principal {
-		return SessionGrant{}, fmt.Errorf("%w: cert for %q, hello by %q",
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: cert for %q, hello by %q",
 			ErrIdentityMismatch, hello.Cert.Identity, hello.Principal)
 	}
 	// A replayed hello is byte-identical to one already consumed, so it would
@@ -532,7 +628,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	}
 	m.mu.Unlock()
 	if seen && wall.UnixNano() <= forgetAfter {
-		return SessionGrant{}, fmt.Errorf("%w: nonce %x", ErrReplayedHello, nonce)
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: nonce %x", ErrReplayedHello, nonce)
 	}
 
 	// The proof of identity: who is opening, under which certificate, and
@@ -548,16 +644,16 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		// session ttl or its certificate's NotAfter is already gone.
 		if known == nil {
 			m.resumeMisses.Add(1)
-			return SessionGrant{}, errResumeUnknown
+			return SessionGrant{}, sessionKey{}, errResumeUnknown
 		}
 		digest = resumeDigest(resume.ID, nonce, issuedAt)
 		if dcrypto.VerifyMAC(known.master[:], digest[:], resume.Tag) != nil {
-			return SessionGrant{}, fmt.Errorf("%w: resume hello for %s", ErrBadMAC, known.identity)
+			return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: resume hello for %s", ErrBadMAC, known.identity)
 		}
 		principal, serial = known.identity, known.serial
 	} else {
 		if err := m.certs.Verify(hello.Cert, wall); err != nil {
-			return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
+			return SessionGrant{}, sessionKey{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
 		}
 		principal, serial = hello.Principal, hello.Cert.Serial
 		digest = helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
@@ -569,29 +665,27 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	// re-check runs under the control lock below, so a revocation sweeping
 	// between here and the insert cannot slip a revoked serial into the table.
 	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(serial) {
-		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
 	}
 	if hello != nil {
 		var err error
 		if key, err = hello.Cert.Key(); err != nil {
-			return SessionGrant{}, fmt.Errorf("session open %s: %w", principal, err)
+			return SessionGrant{}, sessionKey{}, fmt.Errorf("session open %s: %w", principal, err)
 		}
 		if err := key.Verify(digest[:], hello.Sig); err != nil {
-			return SessionGrant{}, fmt.Errorf("%w: session hello by %s", ErrBadSignature, principal)
+			return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: session hello by %s", ErrBadSignature, principal)
 		}
 	}
 
-	// The token is drawn into a stack array and hex-encoded once, into the
-	// string the table keys on and the grant carries.
-	var raw [sessionTokenBytes]byte
-	if _, err := rand.Read(raw[:]); err != nil {
-		return SessionGrant{}, fmt.Errorf("session token: %w", err)
+	// The token is drawn into the key the table holds; its hex, which the
+	// MAC key's label takes, is spelled on the stack.
+	var tokenKey sessionKey
+	if _, err := rand.Read(tokenKey[:]); err != nil {
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("session token: %w", err)
 	}
-	var hexToken [2 * sessionTokenBytes]byte
-	hex.Encode(hexToken[:], raw[:])
-	token := string(hexToken[:])
+	token := tokenKey.hex()
 	expires := now.Add(m.ttl)
-	grant := SessionGrant{Token: token, Principal: principal, ExpiresAt: expires, Resumed: resume != nil}
+	grant := SessionGrant{Principal: principal, ExpiresAt: expires, Resumed: resume != nil}
 
 	// The secret the MAC key is derived from: the remembered master of a
 	// resumed handshake, a fresh one otherwise — which a wire handshake
@@ -602,12 +696,12 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	if resume != nil {
 		secret = known.master[:]
 	} else if secret, err = dcrypto.RandomBytes(masterBytes); err != nil {
-		return SessionGrant{}, fmt.Errorf("session master secret: %w", err)
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("session master secret: %w", err)
 	}
 	if hello != nil && wire {
 		id, err := dcrypto.RandomBytes(resumeIDBytes)
 		if err != nil {
-			return SessionGrant{}, fmt.Errorf("session resume id: %w", err)
+			return SessionGrant{}, sessionKey{}, fmt.Errorf("session resume id: %w", err)
 		}
 		// The transcript digest as associated data ties the sealed secret to
 		// this hello: a grant recorded off the wire opens under no other. (A
@@ -615,7 +709,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		ad := digest
 		sealed, err := dcrypto.EncryptHybrid(key, secret, ad[:])
 		if err != nil {
-			return SessionGrant{}, fmt.Errorf("session open %s: seal master secret: %w", principal, err)
+			return SessionGrant{}, sessionKey{}, fmt.Errorf("session open %s: seal master secret: %w", principal, err)
 		}
 		fresh = &resumeEntry{identity: principal, serial: serial, expires: expires}
 		if left := hello.Cert.NotAfter.Sub(wall); left < m.ttl {
@@ -624,18 +718,17 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		copy(fresh.master[:], secret)
 		grant.ResumeID, grant.Sealed = id, &sealed
 	}
-	mac, err := sessionMACKey(secret, digest, token)
+	mac, err := sessionMACKey(secret, digest, token[:])
 	if err != nil {
-		return SessionGrant{}, err
+		return SessionGrant{}, sessionKey{}, err
 	}
 	s := &session{
-		token:     token,
+		key:       tokenKey,
 		principal: principal,
 		macKey:    *dcrypto.NewMACKey(mac[:]),
 		serial:    serial,
 		boundTo:   transportID,
-		openedAt:  now,
-		expiresAt: expires,
+		expires:   expires.UnixNano(),
 	}
 	if !wire {
 		grant.MacKey = append([]byte(nil), mac[:]...)
@@ -652,7 +745,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 		m.lastSweep = now
 	}
 	if _, seen := m.seenNonces[nonce]; seen {
-		return SessionGrant{}, fmt.Errorf("%w: nonce %x", ErrReplayedHello, nonce)
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: nonce %x", ErrReplayedHello, nonce)
 	}
 	m.seenNonces[nonce] = issuedAt.Add(2 * helloFreshness).UnixNano()
 	// Authoritative revocation re-check, under the same lock revocation
@@ -662,7 +755,7 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	// will then evict the insert by serial). Either way no revoked serial
 	// survives — in the session table or the resumption table.
 	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(serial) {
-		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
+		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
 	}
 	m.capPrincipalLocked(principal)
 	m.opened.Add(1)
@@ -672,25 +765,15 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 	if fresh != nil {
 		m.resumes.put([resumeIDBytes]byte(grant.ResumeID), fresh)
 	}
-	st := m.stripeFor(token)
+	st := m.stripe(&tokenKey)
 	st.mu.Lock()
-	st.sessions[token] = s
+	st.sessions[tokenKey] = s
 	st.mu.Unlock()
-	set := m.byPrincipal[principal]
-	if set == nil {
-		set = make(map[string]time.Time)
-		m.byPrincipal[principal] = set
-	}
-	set[token] = now
+	m.byPrincipal.add(principal, s)
 	if transportID != "" {
-		conns := m.byTransport[transportID]
-		if conns == nil {
-			conns = make(map[string]bool)
-			m.byTransport[transportID] = conns
-		}
-		conns[token] = true
+		m.byTransport.add(transportID, s)
 	}
-	return grant, nil
+	return grant, tokenKey, nil
 }
 
 // Close ends a session. Closing an unknown token is a no-op: the token may
@@ -700,10 +783,14 @@ func (m *SessionManager) open(hello *SessionHello, resume *resumeHello, transpor
 // revocation-tombstoned token clears the tombstone, so an explicitly
 // closed token degrades to ErrNoSession like any other closed one.
 func (m *SessionManager) Close(token string) {
+	key, ok := parseSessionKey(token)
+	if !ok {
+		return
+	}
 	m.mu.Lock()
-	st := m.stripeFor(token)
+	st := m.stripe(&key)
 	st.mu.Lock()
-	m.closeLocked(st, token)
+	m.closeLocked(st, &key)
 	st.mu.Unlock()
 	m.mu.Unlock()
 }
@@ -718,56 +805,52 @@ func (m *SessionManager) CloseFrom(token, transportID string) error {
 }
 
 // closeFrom is CloseFrom over a token held as a string or as the bytes of a
-// session.close frame. A live session is closed under its own token string,
-// so the frame's bytes are copied only to clear the tombstone of a token no
-// session holds.
+// session.close frame, parsed on the stack.
 func closeFrom[T string | []byte](m *SessionManager, token T, transportID string) error {
+	key, ok := parseSessionKey(token)
+	if !ok {
+		return nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := &m.stripes[stripeIndex(token)]
+	st := m.stripe(&key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.sessions[string(token)] // the conversion in a map index does not allocate
-	switch {
-	case ok && s.boundTo != "" && s.boundTo != transportID:
+	if s := st.sessions[key]; s != nil && s.boundTo != "" && s.boundTo != transportID {
 		return ErrSessionBound
-	case ok:
-		m.closeLocked(st, s.token)
-	default:
-		if _, ok := st.revoked[string(token)]; ok {
-			delete(st.revoked, string(token))
-		}
 	}
+	m.closeLocked(st, &key)
 	return nil
 }
 
-// closeLocked removes the token's session and tombstone. Called with mu AND
-// the token's stripe lock held.
-func (m *SessionManager) closeLocked(st *sessionStripe, token string) {
-	if s, ok := st.sessions[token]; ok {
-		m.deleteSessionLocked(st, token, s)
+// closeLocked removes the key's session and tombstone. Called with mu AND
+// the key's stripe lock held.
+func (m *SessionManager) closeLocked(st *sessionStripe, key *sessionKey) {
+	if s := st.sessions[*key]; s != nil {
+		m.deleteSessionLocked(st, s)
 	}
-	delete(st.revoked, token)
+	delete(st.revoked, *key)
 }
 
-// deleteSessionLocked removes a session from its stripe and the
-// per-principal index. Called with mu AND the token's stripe lock held.
-func (m *SessionManager) deleteSessionLocked(st *sessionStripe, token string, s *session) {
-	delete(st.sessions, token)
-	if set := m.byPrincipal[s.principal]; set != nil {
-		delete(set, token)
-		if len(set) == 0 {
-			delete(m.byPrincipal, s.principal)
-		}
-	}
+// deleteSessionLocked removes a session from its stripe and both indexes,
+// and marks the record deleted for whoever holds it. Called with mu AND the
+// session's stripe lock held.
+func (m *SessionManager) deleteSessionLocked(st *sessionStripe, s *session) {
+	delete(st.sessions, s.key)
+	s.deleted.Store(true)
+	m.byPrincipal.remove(s.principal, s)
 	if s.boundTo != "" {
-		if conns := m.byTransport[s.boundTo]; conns != nil {
-			delete(conns, token)
-			if len(conns) == 0 {
-				delete(m.byTransport, s.boundTo)
-			}
-		}
+		m.byTransport.remove(s.boundTo, s)
 	}
+}
+
+// deleteLocked is deleteSessionLocked for a session found through an
+// index, whose stripe lock it takes. Called with mu held.
+func (m *SessionManager) deleteLocked(s *session) {
+	st := m.stripe(&s.key)
+	st.mu.Lock()
+	m.deleteSessionLocked(st, s)
+	st.mu.Unlock()
 }
 
 // EvictTransport evicts every session bound to the transport connection —
@@ -783,40 +866,46 @@ func (m *SessionManager) EvictTransport(transportID string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for token := range m.byTransport[transportID] {
-		st := m.stripeFor(token)
-		st.mu.Lock()
-		if s, ok := st.sessions[token]; ok {
-			m.deleteSessionLocked(st, token, s)
-			m.evicted.Add(1)
-			n++
-		}
-		st.mu.Unlock()
-	}
-	delete(m.byTransport, transportID)
+	m.byTransport.each(transportID, func(s *session) {
+		m.deleteLocked(s)
+		m.evicted.Add(1)
+		n++
+	})
 	return n
 }
 
 // resolve returns the verified principal and precomputed session MAC
-// verifier bound to a token, touching its idle clock.
-// This is the gateway's per-request hot path: one read lock on one stripe,
-// no control-plane mutex, no allocation. Expired or idle sessions are
-// evicted via a write-locked slow path, and the revocation plane is
-// consulted per the configured mode: resolve mode probes the revoker's
-// version on every call (one atomic load when nothing changed), sweep mode
-// only applies the delta when the sweep interval has elapsed.
-// transportID is the connection identity the token arrived over; a
-// bound session resolves only for its own connection (ErrSessionBound
-// otherwise, without touching the idle clock — a replay must not keep the
-// victim's session warm).
+// verifier bound to a token, touching its idle clock: admit, for a token
+// held as a string, on the manager's clock. transportID is the connection
+// identity the token arrived over.
 func (m *SessionManager) resolve(token, transportID string) (string, *dcrypto.MACKey, error) {
-	return m.resolveAt(m.now(), token, transportID)
+	s, err := m.admit(m.now(), nil, token, transportID)
+	if err != nil {
+		return "", nil, err
+	}
+	return s.principal, &s.macKey, nil
 }
 
-// resolveAt is resolve with the caller's clock reading: the session stage
-// reads the clock once per request and shares the value between resolve and
-// the stamp it leaves for downstream stages.
-func (m *SessionManager) resolveAt(now time.Time, token, transportID string) (string, *dcrypto.MACKey, error) {
+// admit is a token-bearing request's session check at now: it returns the
+// session the request runs under, its idle clock touched. held is the
+// record the wire decoder found the frame's token to name
+// (SessionManager.lookup), so that a submission costs one table lookup; with
+// none, token is looked up here. A held record deleted since the decoder
+// found it is not trusted: its key is looked up again and meets what the
+// table now says of it — ErrSessionRevoked under a revocation tombstone,
+// ErrNoSession otherwise — exactly as if the request had been decoded after
+// the session died.
+//
+// This is the gateway's per-request hot path: on a held live record no lock
+// at all, no control-plane mutex, no allocation. Expired or idle sessions
+// are evicted via a write-locked slow path, and the revocation plane is
+// consulted per the configured mode: resolve mode probes the revoker's
+// version on every call (one atomic load when nothing changed), sweep mode
+// only applies the delta when the sweep interval has elapsed. A bound
+// session admits only requests from its own connection (ErrSessionBound
+// otherwise, without touching the idle clock — a replay must not keep the
+// victim's session warm).
+func (m *SessionManager) admit(now time.Time, held *session, token, transportID string) (*session, error) {
 	switch m.revMode {
 	case RevokeCheckResolve:
 		if m.revoker.RevocationVersion() != m.revEpoch.Load() {
@@ -827,55 +916,79 @@ func (m *SessionManager) resolveAt(now time.Time, token, transportID string) (st
 			m.applyRevocationDelta(now)
 		}
 	}
-	st := m.stripeFor(token)
-	st.mu.RLock()
-	// The len guard skips hashing the token against an empty tombstone
-	// table — the steady state of a deployment with no recent revocations.
-	if len(st.revoked) > 0 {
-		if forgetAfter, tombstoned := st.revoked[token]; tombstoned {
-			st.mu.RUnlock()
-			if now.After(forgetAfter) {
-				st.mu.Lock()
-				if forgetAfter, still := st.revoked[token]; still && now.After(forgetAfter) {
-					delete(st.revoked, token)
-				}
-				st.mu.Unlock()
-				return "", nil, ErrNoSession
-			}
-			return "", nil, ErrSessionRevoked
+	s := held
+	if s == nil || s.deleted.Load() {
+		var key sessionKey
+		if s != nil {
+			key = s.key
+		} else if k, ok := parseSessionKey(token); ok {
+			key = k
+		} else {
+			return nil, ErrNoSession
+		}
+		var err error
+		if s, err = m.find(now, &key); err != nil {
+			return nil, err
 		}
 	}
-	s, ok := st.sessions[token]
-	if !ok {
-		st.mu.RUnlock()
-		return "", nil, ErrNoSession
-	}
 	nowNanos := now.UnixNano()
-	if now.After(s.expiresAt) || nowNanos-s.lastUsed.Load() > int64(m.idle) {
-		st.mu.RUnlock()
-		m.evictExpired(st, token, now)
-		return "", nil, ErrSessionExpired
+	if m.stale(s, nowNanos) {
+		m.evictExpired(s, nowNanos)
+		return nil, ErrSessionExpired
 	}
 	if s.boundTo != "" && s.boundTo != transportID {
-		st.mu.RUnlock()
-		return "", nil, ErrSessionBound
+		return nil, ErrSessionBound
 	}
 	// Concurrent stores race benignly: every racer writes "about now".
 	s.lastUsed.Store(nowNanos)
-	principal, mac := s.principal, &s.macKey
-	st.mu.RUnlock()
-	return principal, mac, nil
+	return s, nil
 }
 
-// evictExpired upgrades to the write-locked slow path after resolve saw a
+// find returns the live session of key, or the error a request carrying its
+// token meets: ErrSessionRevoked while a revocation tombstone stands (one
+// past its forget-after time is deleted here), ErrNoSession otherwise.
+func (m *SessionManager) find(now time.Time, key *sessionKey) (*session, error) {
+	st := m.stripe(key)
+	st.mu.RLock()
+	s := st.sessions[*key]
+	// The len guard skips hashing the key against an empty tombstone
+	// table — the steady state of a deployment with no recent revocations.
+	var forgetAfter int64
+	tombstoned := false
+	if len(st.revoked) > 0 {
+		forgetAfter, tombstoned = st.revoked[*key]
+	}
+	st.mu.RUnlock()
+	switch {
+	case s != nil:
+		return s, nil
+	case !tombstoned:
+		return nil, ErrNoSession
+	case now.UnixNano() <= forgetAfter:
+		return nil, ErrSessionRevoked
+	}
+	st.mu.Lock()
+	if forgetAfter, still := st.revoked[*key]; still && now.UnixNano() > forgetAfter {
+		delete(st.revoked, *key)
+	}
+	st.mu.Unlock()
+	return nil, ErrNoSession
+}
+
+// stale reports a session past its TTL or its idle window at nowNanos.
+func (m *SessionManager) stale(s *session, nowNanos int64) bool {
+	return nowNanos > s.expires || nowNanos-s.lastUsed.Load() > int64(m.idle)
+}
+
+// evictExpired upgrades to the write-locked slow path after admit saw a
 // session past its TTL or idle window, rechecking under the locks (a
 // concurrent Close or sweep may have beaten us here).
-func (m *SessionManager) evictExpired(st *sessionStripe, token string, now time.Time) {
+func (m *SessionManager) evictExpired(s *session, nowNanos int64) {
 	m.mu.Lock()
+	st := m.stripe(&s.key)
 	st.mu.Lock()
-	if s, ok := st.sessions[token]; ok &&
-		(now.After(s.expiresAt) || now.UnixNano()-s.lastUsed.Load() > int64(m.idle)) {
-		m.deleteSessionLocked(st, token, s)
+	if !s.deleted.Load() && m.stale(s, nowNanos) {
+		m.deleteSessionLocked(st, s)
 		m.expired.Add(1)
 	}
 	st.mu.Unlock()
@@ -900,19 +1013,17 @@ func (m *SessionManager) applyRevocationDeltaLocked(now time.Time) {
 	m.revEpoch.Store(version)
 	m.lastRevSweep.Store(now.UnixNano())
 	for _, rev := range revs {
-		for token := range m.byPrincipal[rev.Identity] {
-			st := m.stripeFor(token)
-			st.mu.Lock()
-			s := st.sessions[token]
-			if s == nil || s.serial != rev.Serial {
-				st.mu.Unlock()
-				continue // a newer cert of the same identity still stands
+		m.byPrincipal.each(rev.Identity, func(s *session) {
+			if s.serial != rev.Serial {
+				return // a newer cert of the same identity still stands
 			}
-			m.deleteSessionLocked(st, token, s)
+			st := m.stripe(&s.key)
+			st.mu.Lock()
+			m.deleteSessionLocked(st, s)
 			m.revoked.Add(1)
-			st.revoked[token] = s.expiresAt
+			st.revoked[s.key] = s.expires
 			st.mu.Unlock()
-		}
+		})
 		// What the revoked certificate proved is withdrawn with it: its
 		// holder cannot resume, and a full handshake meets IsRevoked.
 		m.resumes.drop(func(e *resumeEntry) bool { return e.serial == rev.Serial })
@@ -943,18 +1054,19 @@ func (m *SessionManager) SweepRevoked() int {
 // any table without bound while a 100k-session open flood never pays a
 // full table walk per handshake.
 func (m *SessionManager) sweepLocked(now, wall time.Time) {
+	nowNanos := now.UnixNano()
 	for i := range m.stripes {
 		st := &m.stripes[i]
 		st.mu.Lock()
-		for token, s := range st.sessions {
-			if now.After(s.expiresAt) || now.UnixNano()-s.lastUsed.Load() > int64(m.idle) {
-				m.deleteSessionLocked(st, token, s)
+		for _, s := range st.sessions {
+			if m.stale(s, nowNanos) {
+				m.deleteSessionLocked(st, s)
 				m.expired.Add(1)
 			}
 		}
-		for token, forgetAfter := range st.revoked {
-			if now.After(forgetAfter) {
-				delete(st.revoked, token)
+		for key, forgetAfter := range st.revoked {
+			if nowNanos > forgetAfter {
+				delete(st.revoked, key)
 			}
 		}
 		st.mu.Unlock()
@@ -970,32 +1082,16 @@ func (m *SessionManager) sweepLocked(now, wall time.Time) {
 
 // capPrincipalLocked makes room for one more session of the principal:
 // while the principal sits at (or, after a cap change, above) the cap, the
-// session opened longest ago is evicted. Called with mu held, after the
-// sweep, so sessions expiring anyway do not count against the cap. Only
-// the principal's own sessions are consulted, via the byPrincipal index —
-// which carries each token's open time precisely so cap eviction never
-// has to chase sessions across stripes to find the oldest.
+// session opened longest ago — its ring's oldest — is evicted. Called with
+// mu held, after the sweep, so sessions expiring anyway do not count against
+// the cap. Only the principal's own sessions are consulted, via the
+// byPrincipal index.
 func (m *SessionManager) capPrincipalLocked(principal string) {
 	if m.maxPerPrincipal <= 0 {
 		return
 	}
-	set := m.byPrincipal[principal]
-	for len(set) >= m.maxPerPrincipal {
-		oldestToken := ""
-		var oldest time.Time
-		for token, openedAt := range set {
-			if oldestToken == "" || openedAt.Before(oldest) {
-				oldestToken, oldest = token, openedAt
-			}
-		}
-		st := m.stripeFor(oldestToken)
-		st.mu.Lock()
-		if s, ok := st.sessions[oldestToken]; ok {
-			m.deleteSessionLocked(st, oldestToken, s)
-		} else {
-			delete(set, oldestToken) // index/stripe drift is impossible, but never loop forever
-		}
-		st.mu.Unlock()
+	for r := m.byPrincipal.rings[principal]; r.n >= m.maxPerPrincipal; r = m.byPrincipal.rings[principal] {
+		m.deleteLocked(r.oldest)
 		m.evicted.Add(1)
 	}
 }
@@ -1093,9 +1189,11 @@ func (s *Session) verifier() *pki.Verifier { return s.mgr.certs }
 // statRows exports the manager's numbers through the stage.
 func (s *Session) statRows() []statRow { return s.mgr.statRows() }
 
-// Handle implements Stage.
+// Handle implements Stage. A request off the wire whose token named a live
+// session arrives with that record (Request.session) and no token string;
+// the stage checks the record, and looks nothing up again.
 func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error {
-	if req.SessionToken == "" {
+	if req.session == nil && req.SessionToken == "" {
 		return next(ctx, req)
 	}
 	now := s.mgr.now()
@@ -1103,20 +1201,20 @@ func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error 
 		// Leave the reading for downstream stages on the same default
 		// clock (encrypt's epoch expiry check): one clock read per request
 		// instead of one per stage.
-		req.nowStamp = now
+		req.nowStamp = now.Sub(chainEpoch)
 	}
-	principal, mac, err := s.mgr.resolveAt(now, req.SessionToken, req.TransportID)
+	sess, err := s.mgr.admit(now, req.session, req.SessionToken, req.TransportID)
 	if err != nil {
 		return fmt.Errorf("session %s: %w", req.Principal, err)
 	}
-	if principal != req.Principal {
+	if sess.principal != req.Principal {
 		return fmt.Errorf("%w: session for %q, request by %q",
-			errTokenPrincipal, principal, req.Principal)
+			errTokenPrincipal, sess.principal, req.Principal)
 	}
 	// The MAC is the only proof a token-bearing request is checked for: a
 	// signature beside it, or instead of it, is not read.
 	d := req.digest()
-	if err := mac.Verify(d[:], req.MAC); err != nil {
+	if err := sess.macKey.Verify(d[:], req.MAC); err != nil {
 		return fmt.Errorf("%w: session principal %s", ErrBadMAC, req.Principal)
 	}
 	req.authenticated = true

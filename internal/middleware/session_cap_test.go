@@ -57,10 +57,14 @@ func TestCapEvictsASessionInUse(t *testing.T) {
 		mgr.Close(g.Token)
 	}
 	session := func(g SessionGrant) *session {
-		st := mgr.stripeFor(g.Token)
+		key, ok := parseSessionKey(g.Token)
+		if !ok {
+			t.Fatalf("grant token %q is not a session key's hex", g.Token)
+		}
+		st := mgr.stripe(&key)
 		st.mu.RLock()
 		defer st.mu.RUnlock()
-		return st.sessions[g.Token]
+		return st.sessions[key]
 	}
 	// A's session is the principal's oldest and its least recently used:
 	// ordering evictions by last use would pick it as well.

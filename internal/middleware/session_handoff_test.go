@@ -1,0 +1,245 @@
+package middleware
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dltprivacy/internal/ledger"
+	"dltprivacy/internal/ordering"
+	"dltprivacy/internal/pki"
+)
+
+// between is a test stage that runs its fixture's hook ahead of the session
+// stage: after the wire decoder has handed a request its session record, and
+// before the session stage checks it.
+const between = "between"
+
+type betweenStage struct{ hook func(*Request) }
+
+func (*betweenStage) Name() string { return between }
+
+func (s *betweenStage) Handle(ctx context.Context, req *Request, next Handler) error {
+	if s.hook != nil {
+		s.hook(req)
+	}
+	return next(ctx, req)
+}
+
+// handoffFixture is a gateway running between|session on a fake clock with
+// a revocation plane and a per-principal cap of one, alice and bob enrolled,
+// and alice holding a session bound to conn.
+type handoffFixture struct {
+	clock  *fakeClock
+	ca     *pki.CA
+	people map[string]*principal
+	gw     *Gateway
+	stage  *betweenStage
+	grant  SessionGrant
+	sent   atomic.Int64
+}
+
+const handoffConn = "tcp:1:handoff"
+
+func newHandoffFixture(t *testing.T) *handoffFixture {
+	t.Helper()
+	fx := &handoffFixture{clock: newFakeClock(), stage: new(betweenStage)}
+	err := registerStage(stageDef{
+		name:  between,
+		desc:  "test: runs a hook between the wire decoder and the session stage",
+		build: func(*params, StageConfig, Env) (Stage, error) { return fx.stage, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { removeStage(between) })
+	fx.ca, fx.people = enrollAt(t, fx.clock.now, "alice", "bob")
+	cfg := Config{Stages: []StageConfig{
+		{Name: between},
+		{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1m", "revokecheck": "resolve", "maxperprincipal": "1"}},
+	}}
+	env := Env{
+		CAKey:     fx.ca.PublicKey(),
+		Directory: StaticDirectory{"deals": {"alice": fx.people["alice"].key.Public()}},
+		Revoker:   fx.ca,
+		Now:       fx.clock.now,
+	}
+	if fx.gw, err = NewGateway("handoff-gw", cfg, env, ordering.New("op", ordering.VisibilityEnvelope)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fx.gw.Close)
+	fx.gw.Bind("deals", backendFunc{name: "sink", commit: func(ledger.Block) error { return nil }})
+	fx.grant = fx.open(t, "alice")
+	return fx
+}
+
+// open opens a session for the named principal, bound to handoffConn.
+func (fx *handoffFixture) open(t *testing.T, name string) SessionGrant {
+	t.Helper()
+	p := fx.people[name]
+	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, fx.clock.now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := fx.gw.Sessions().OpenBound(hello, handoffConn)
+	if err != nil {
+		t.Fatalf("open a session for %s: %v", name, err)
+	}
+	return grant
+}
+
+// frame is a fresh MAC'd submission by alice carrying token.
+func (fx *handoffFixture) frame(t *testing.T, token string) []byte {
+	t.Helper()
+	req := &Request{Channel: "deals", Principal: "alice", SessionToken: token,
+		Payload: []byte(fmt.Sprintf("trade-%d", fx.sent.Add(1)))}
+	MACRequest(req, fx.grant.MacKey)
+	b, err := EncodeWireRequest(req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), b...)
+}
+
+func (fx *handoffFixture) submit(frame []byte) error {
+	_, err := fx.gw.AppendWire(context.Background(), nil, TopicSubmit, frame, handoffConn)
+	return err
+}
+
+// sessionDeaths are the ways alice's session can die, each with the error a
+// request carrying its token meets once it has, and racing, what one that
+// races the death may also meet.
+var sessionDeaths = []struct {
+	name   string
+	kill   func(t *testing.T, fx *handoffFixture)
+	want   error
+	racing error
+}{
+	{"Close", func(t *testing.T, fx *handoffFixture) { fx.gw.Sessions().Close(fx.grant.Token) }, ErrNoSession, nil},
+	{"CloseFrom", func(t *testing.T, fx *handoffFixture) {
+		if err := fx.gw.Sessions().CloseFrom(fx.grant.Token, handoffConn); err != nil {
+			t.Error(err)
+		}
+	}, ErrNoSession, nil},
+	{"cap eviction", func(t *testing.T, fx *handoffFixture) { fx.open(t, "alice") }, ErrNoSession, nil},
+	{"revocation", func(t *testing.T, fx *handoffFixture) {
+		fx.ca.Revoke(fx.people["alice"].cert.Serial)
+		fx.gw.Sessions().SweepRevoked()
+	}, ErrSessionRevoked, nil},
+	{"EvictTransport", func(t *testing.T, fx *handoffFixture) { fx.gw.Sessions().EvictTransport(handoffConn) }, ErrNoSession, nil},
+	{"idle sweep", func(t *testing.T, fx *handoffFixture) {
+		// bob's open sweeps the table, alice's session idle by then; a
+		// request in between finds it idle itself.
+		fx.clock.advance(2 * time.Minute)
+		fx.open(t, "bob")
+	}, ErrNoSession, ErrSessionExpired},
+}
+
+// TestSessionDiesBetweenDecodeAndStage: the wire decoder hands the session
+// stage the record a frame's token named, and the session can die in
+// between — closed, displaced by the cap, revoked, reaped with its
+// connection, swept. Whichever way it died, the request is refused with the
+// error a request decoded after the death meets, as if it had been looked
+// up at the stage. The concurrent half kills the session while submissions
+// race it, under the race detector in CI: each is accepted or refused with
+// that same error.
+func TestSessionDiesBetweenDecodeAndStage(t *testing.T) {
+	for _, death := range sessionDeaths {
+		t.Run(death.name, func(t *testing.T) {
+			fx := newHandoffFixture(t)
+			if err := fx.submit(fx.frame(t, fx.grant.Token)); err != nil {
+				t.Fatalf("the live session's submission: %v", err)
+			}
+			fx.stage.hook = func(req *Request) {
+				if req.session == nil || req.SessionToken != "" {
+					t.Errorf("the decoder handed the stage token %q and record %v, want the live session's record alone", req.SessionToken, req.session)
+				}
+				fx.stage.hook = nil
+				death.kill(t, fx)
+			}
+			if err := fx.submit(fx.frame(t, fx.grant.Token)); !errors.Is(err, death.want) {
+				t.Fatalf("decoded while the session lived: %v, want %v", err, death.want)
+			}
+			if err := fx.submit(fx.frame(t, fx.grant.Token)); !errors.Is(err, death.want) {
+				t.Fatalf("decoded after the session died: %v, want %v", err, death.want)
+			}
+		})
+	}
+	for _, death := range sessionDeaths {
+		t.Run(death.name+" concurrently", func(t *testing.T) {
+			fx := newHandoffFixture(t)
+			const submitters, each = 4, 16
+			frames := make([][]byte, submitters*each)
+			for i := range frames {
+				frames[i] = fx.frame(t, fx.grant.Token)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < submitters; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, frame := range frames[w*each : (w+1)*each] {
+						if err := fx.submit(frame); err != nil && !errors.Is(err, death.want) &&
+							(death.racing == nil || !errors.Is(err, death.racing)) {
+							t.Errorf("a submission racing the death: %v, want acceptance or %v", err, death.want)
+						}
+					}
+				}()
+			}
+			death.kill(t, fx)
+			wg.Wait()
+			if err := fx.submit(fx.frame(t, fx.grant.Token)); !errors.Is(err, death.want) {
+				t.Fatalf("after the death: %v, want %v", err, death.want)
+			}
+		})
+	}
+}
+
+// TestSessionTokenIsItsLowercaseHex: a token is its key's 64 lowercase hex
+// characters and nothing else. The same key in upper case, or a token with
+// a byte that is no hex digit, names no session — a submission carrying it
+// meets ErrNoSession, in process and off the wire, and closing it closes
+// nothing — while the live session goes on serving its own token.
+func TestSessionTokenIsItsLowercaseHex(t *testing.T) {
+	fx := newHandoffFixture(t)
+	mgr := fx.gw.Sessions()
+	token := fx.grant.Token
+	for _, other := range []string{
+		strings.ToUpper(token),
+		strings.ToUpper(token[:1]) + token[1:],
+		token[:63] + "g",
+		token[:10] + "\xff" + token[11:],
+		token[:63],
+		token + "0",
+	} {
+		if other == token {
+			continue // an upper-cased token of digits alone is itself
+		}
+		if err := fx.submit(fx.frame(t, other)); !errors.Is(err, ErrNoSession) {
+			t.Errorf("frame with token %q: %v, want ErrNoSession", other, err)
+		}
+		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: other}
+		MACRequest(req, fx.grant.MacKey)
+		if err := fx.gw.Submit(context.Background(), req); !errors.Is(err, ErrNoSession) {
+			t.Errorf("in-process request with token %q: %v, want ErrNoSession", other, err)
+		}
+		if _, err := fx.gw.AppendWire(context.Background(), nil, TopicSessionClose, []byte(other), handoffConn); err != nil {
+			t.Errorf("session.close of %q: %v", other, err)
+		}
+		if err := mgr.CloseFrom(other, handoffConn); err != nil {
+			t.Errorf("CloseFrom(%q): %v", other, err)
+		}
+		mgr.Close(other)
+	}
+	if mgr.Len() != 1 {
+		t.Fatalf("%d sessions live, want alice's", mgr.Len())
+	}
+	if err := fx.submit(fx.frame(t, token)); err != nil {
+		t.Fatalf("the live session after its misspellings: %v", err)
+	}
+}

@@ -34,12 +34,19 @@ type Trace struct {
 	// Start is when the tracer began recording the request.
 	Start time.Time
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// spans is backed by inline until the trace outgrows it: a trace of at
+	// most inlineSpans spans is one allocation. Past that, spans grow on the
+	// heap up to maxSpansPerTrace.
 	spans   []Span
+	inline  [inlineSpans]Span
 	dropped int
 	err     string
 	end     int64 // duration at Finish, nanos; 0 while open
 }
+
+// inlineSpans is how many spans a trace holds before it allocates for more.
+const inlineSpans = 8
 
 // AddSpan records one stage execution. start is the stage's entry time
 // (offsets are computed against the trace start); incl and excl are the
@@ -63,6 +70,9 @@ func (tr *Trace) AddSpan(stage string, start time.Time, incl, excl time.Duration
 	}
 	if err != nil {
 		s.Err = err.Error()
+	}
+	if tr.spans == nil {
+		tr.spans = tr.inline[:0]
 	}
 	tr.spans = append(tr.spans, s)
 	tr.mu.Unlock()
