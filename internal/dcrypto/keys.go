@@ -9,6 +9,7 @@
 package dcrypto
 
 import (
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -40,6 +41,19 @@ func curve() elliptic.Curve { return elliptic.P256() }
 // PrivateKey is an ECDSA P-256 signing key.
 type PrivateKey struct {
 	key *ecdsa.PrivateKey
+
+	// The same scalar as an ECDH key, for the hybrid and multi-recipient
+	// decryptions: built on first use, because building it costs a scalar
+	// base multiplication, and kept.
+	ecdhOnce sync.Once
+	ecdhKey  *ecdh.PrivateKey
+	ecdhErr  error
+}
+
+// ecdh returns p's ECDH form.
+func (p *PrivateKey) ecdh() (*ecdh.PrivateKey, error) {
+	p.ecdhOnce.Do(func() { p.ecdhKey, p.ecdhErr = p.key.ECDH() })
+	return p.ecdhKey, p.ecdhErr
 }
 
 // PublicKey is an ECDSA P-256 verification key. Its string form doubles as

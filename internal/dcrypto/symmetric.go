@@ -244,14 +244,14 @@ func EncryptHybrid(recipient PublicKey, plaintext, associatedData []byte) (Hybri
 	return HybridCiphertext{EphemeralPub: eph.PublicKey().Bytes(), Ciphertext: ct}, nil
 }
 
-// DecryptHybrid reverses EncryptHybrid with the recipient's private key.
+// DecryptHybrid reverses EncryptHybrid with the recipient's private key,
+// whose ECDH form is built on the key's first decryption and kept.
 func DecryptHybrid(recipient *PrivateKey, ct HybridCiphertext, associatedData []byte) ([]byte, error) {
-	ecdhCurve := ecdh.P256()
-	priv, err := ecdhCurve.NewPrivateKey(recipient.key.D.FillBytes(make([]byte, 32)))
+	priv, err := recipient.ecdh()
 	if err != nil {
 		return nil, fmt.Errorf("recipient private key: %w", err)
 	}
-	ephPub, err := ecdhCurve.NewPublicKey(ct.EphemeralPub)
+	ephPub, err := ecdh.P256().NewPublicKey(ct.EphemeralPub)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -376,12 +376,11 @@ func Unwrap(recipient *PrivateKey, ephPub, commit, wraps, associatedData []byte)
 	if len(commit) != KeyCommitmentSize || len(wraps) == 0 || len(wraps)%WrappedKeySize != 0 {
 		return nil, ErrDecrypt
 	}
-	p256 := ecdh.P256()
-	priv, err := p256.NewPrivateKey(recipient.key.D.FillBytes(make([]byte, 32)))
+	priv, err := recipient.ecdh()
 	if err != nil {
 		return nil, fmt.Errorf("recipient private key: %w", err)
 	}
-	peer, err := p256.NewPublicKey(ephPub)
+	peer, err := ecdh.P256().NewPublicKey(ephPub)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,10 +28,10 @@ var ErrBadFrame = errors.New("middleware: malformed binary frame")
 // first. Requests and ledger envelopes share the magic, the kind byte tells
 // them apart, and this file holds the request codec plus the primitives every
 // kind is built from. The certificate inside a wire request —
-// first-contact traffic only, never the session fast path — nests as a JSON
-// blob: certificates are cold, structured, and versioned by the pki package,
-// and re-encoding them field-by-field here would couple the framing to pki
-// internals.
+// first-contact traffic only, never the session fast path — and inside a
+// full hello nests as one length-prefixed field holding the pki package's
+// own binary encoding (pki.Certificate.AppendBinary): pki owns and versions
+// that format, and the framing only carries its bytes.
 const (
 	binaryMagic        = 0xDC
 	binaryKindRequest  = 0x01
@@ -43,6 +42,11 @@ const (
 	binaryKindGrant      = 0x06
 	binaryKindResumeMiss = 0x07
 )
+
+// certStackBytes stages a certificate's encoding on the stack before it is
+// copied into a frame: some 200 bytes, and a certificate whose identity and
+// issuer are unusually long spills to the heap.
+const certStackBytes = 512
 
 // appendLenPrefixed appends a uvarint length and the bytes themselves.
 func appendLenPrefixed(dst, b []byte) []byte {
@@ -167,6 +171,7 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
 	}
 	var sig, cert []byte
+	var certBuf [certStackBytes]byte
 	if req.Sig.R != nil || req.Sig.S != nil {
 		// A caller can put any integer here; the 64-byte field holds only
 		// what a verifier could accept.
@@ -179,11 +184,10 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 		return nil, fmt.Errorf("middleware: encode request: mac must be %d bytes, got %d", dcrypto.MACSize, len(req.MAC))
 	}
 	if req.Cert != nil {
-		b, err := json.Marshal(req.Cert)
-		if err != nil {
+		var err error
+		if cert, err = req.Cert.AppendBinary(certBuf[:0]); err != nil {
 			return nil, fmt.Errorf("middleware: encode cert: %w", err)
 		}
-		cert = b
 	}
 	size := 2 +
 		lenPrefixedSize(len(req.Channel)) +
@@ -285,7 +289,7 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	}
 	if len(cert) > 0 {
 		req.Cert = new(pki.Certificate)
-		if err := json.Unmarshal(cert, req.Cert); err != nil {
+		if err := req.Cert.UnmarshalBinary(cert); err != nil {
 			return fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
 		}
 	}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/pki"
@@ -25,11 +25,13 @@ import (
 //	resume miss  nothing: "this gateway does not hold that id, send the full
 //	             hello" — a reply, not an error
 //
-// Times travel as Unix nanoseconds. The certificate nests as a JSON blob,
-// the way a wire request nests it: it is cold and versioned by the pki
-// package. Neither the master secret nor the session's MAC key is ever a
-// field: the master travels only as dcrypto.EncryptHybrid ciphertext under
-// the certified key, and both sides derive the MAC key from it.
+// Times travel as Unix nanoseconds. The certificate nests in its pki
+// binary encoding (pki.Certificate.AppendBinary), the way a wire request
+// nests it: the pki package owns that format, and the frame carries it as
+// one length-prefixed field. Neither the master secret nor the session's
+// MAC key is ever a field: the master travels only as dcrypto.EncryptHybrid
+// ciphertext under the certified key, and both sides derive the MAC key
+// from it.
 
 // helloNonceBytes is the length of every hello's nonce, full or resumed: the
 // only length NewSessionHelloAt and Handshaker draw, and the only one a
@@ -104,7 +106,8 @@ func encodeHelloFrame(h *SessionHello) ([]byte, error) {
 	if !h.Sig.WellFormed() {
 		return nil, fmt.Errorf("middleware: encode hello: %w", dcrypto.ErrInvalidSignature)
 	}
-	cert, err := json.Marshal(h.Cert)
+	var certBuf [certStackBytes]byte
+	cert, err := h.Cert.AppendBinary(certBuf[:0])
 	if err != nil {
 		return nil, fmt.Errorf("middleware: encode hello: %w", err)
 	}
@@ -170,7 +173,7 @@ func decodeHelloFrame(b []byte) (*SessionHello, resumeHello, error) {
 		if h.Sig, err = dcrypto.ParseSignature(sig); err != nil {
 			return nil, resume, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
-		if err := json.Unmarshal(cert, &h.Cert); err != nil {
+		if err := h.Cert.UnmarshalBinary(cert); err != nil {
 			return nil, resume, fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
 		}
 		return h, resume, nil
@@ -232,21 +235,31 @@ func appendGrant[T string | []byte](dst []byte, g *SessionGrant, token T) []byte
 // decodeGrantFrame parses the reply to a hello: a grant (whose fields own
 // their memory), or the resume miss, which is the two-byte frame of its kind
 // and nothing else. principal is the one the client opened for: a grant that
-// echoes it gets that string rather than a copy of the bytes.
-func decodeGrantFrame(b []byte, principal string) (g SessionGrant, miss bool, err error) {
+// echoes it gets that string rather than a copy of the bytes. MacKey is not
+// a field of the frame and is left nil.
+func decodeGrantFrame(b []byte, principal string) (SessionGrant, bool, error) {
+	g, _, miss, err := decodeGrant(b, principal)
+	return g, miss, err
+}
+
+// decodeGrant is decodeGrantFrame returning beside the grant the room its
+// MAC key is derived into (grantToken): a client's token and key cost one
+// allocation, and the three byte fields of a full handshake's grant one
+// more.
+func decodeGrant(b []byte, principal string) (g SessionGrant, macRoom []byte, miss bool, err error) {
 	if len(b) == 2 && b[0] == binaryMagic && b[1] == binaryKindResumeMiss {
-		return g, true, nil
+		return g, nil, true, nil
 	}
 	if len(b) < 3 || b[0] != binaryMagic || b[1] != binaryKindGrant {
-		return g, false, fmt.Errorf("%w: not a grant frame", ErrBadFrame)
+		return g, nil, false, fmt.Errorf("%w: not a grant frame", ErrBadFrame)
 	}
 	flags := b[2]
 	if flags&^grantResumed != 0 {
-		return g, false, fmt.Errorf("%w: unknown grant flags 0x%02x", ErrBadFrame, flags)
+		return g, nil, false, fmt.Errorf("%w: unknown grant flags 0x%02x", ErrBadFrame, flags)
 	}
 	r := frameReader{b: b[3:]}
 	g.Resumed = flags&grantResumed != 0
-	g.Token = r.str()
+	token := r.bytes()
 	g.Principal = principal
 	if p := r.bytes(); string(p) != principal { // the comparison does not allocate
 		g.Principal = string(p)
@@ -257,26 +270,42 @@ func decodeGrantFrame(b []byte, principal string) (g SessionGrant, miss bool, er
 	eph := r.bytes()
 	ct := r.bytes()
 	if err := r.done(); err != nil {
-		return SessionGrant{}, false, err
+		return SessionGrant{}, nil, false, err
 	}
-	if len(resumeID) > 0 {
-		g.ResumeID = append([]byte(nil), resumeID...)
-	}
-	if len(eph) > 0 || len(ct) > 0 {
-		g.Sealed = &dcrypto.HybridCiphertext{
-			EphemeralPub: append([]byte(nil), eph...),
-			Ciphertext:   append([]byte(nil), ct...),
+	g.Token, macRoom = grantToken(token)
+	if n := len(resumeID) + len(eph) + len(ct); n > 0 {
+		own := append(append(append(make([]byte, 0, n), resumeID...), eph...), ct...)
+		i, j := len(resumeID), len(resumeID)+len(eph)
+		g.ResumeID = own[:i:i]
+		if n > i {
+			g.Sealed = &dcrypto.HybridCiphertext{EphemeralPub: own[i:j:j], Ciphertext: own[j:]}
 		}
 	}
-	return g, false, nil
+	return g, macRoom, false, nil
+}
+
+// grantToken is the one constructor of a client grant's token: it copies
+// the frame's token into the head of one allocation and returns it as a
+// string, beside the allocation's tail — empty, with room for the session's
+// MAC key exactly — so that the token and the key a client derives for it
+// (append(macRoom, key...)) cost one allocation between them. The string is
+// an unsafe.String over the head, and the invariant that makes it one is
+// that nothing ever writes the head again: this copy is its only write, the
+// tail starts past the token's last byte, and its capacity is clipped, so an
+// append past the key reallocates instead of growing into anything.
+func grantToken(token []byte) (string, []byte) {
+	buf := make([]byte, len(token)+dcrypto.MACKeySize)
+	n := copy(buf, token)
+	return unsafe.String(unsafe.SliceData(buf), n), buf[n:n:len(buf)]
 }
 
 // unseal finishes, on the client, a grant that crossed a network after the
 // full hello whose transcript digest is given: it opens the sealed master
 // secret with the private half of the certified key and derives MacKey from
-// it — the key the gateway derived and did not send. It returns the master
-// for a caller that will keep it.
-func (g *SessionGrant) unseal(digest [32]byte, key *dcrypto.PrivateKey) ([]byte, error) {
+// it — the key the gateway derived and did not send — into macRoom, the
+// room decodeGrant returned beside the grant (nil allocates). It returns
+// the master for a caller that will keep it.
+func (g *SessionGrant) unseal(digest [32]byte, key *dcrypto.PrivateKey, macRoom []byte) ([]byte, error) {
 	if g.Sealed == nil {
 		return nil, errors.New("middleware: grant carries no sealed master secret")
 	}
@@ -288,7 +317,7 @@ func (g *SessionGrant) unseal(digest [32]byte, key *dcrypto.PrivateKey) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	g.MacKey = mac[:]
+	g.MacKey = append(macRoom, mac[:]...)
 	return master, nil
 }
 
@@ -402,7 +431,7 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 		}
 		close(s.ready)
 	}()
-	hello, err := NewSessionHelloAt(k.principal, cert, key, now)
+	hello, digest, err := newSessionHello(k.principal, cert, key, now)
 	if err != nil {
 		return SessionGrant{}, err
 	}
@@ -414,14 +443,14 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 	if err != nil {
 		return SessionGrant{}, err
 	}
-	grant, miss, err := decodeGrantFrame(reply, k.principal)
+	grant, macRoom, miss, err := decodeGrant(reply, k.principal)
 	if err != nil {
 		return SessionGrant{}, fmt.Errorf("middleware: decode grant: %w", err)
 	}
 	if miss || len(grant.ResumeID) != resumeIDBytes {
 		return SessionGrant{}, fmt.Errorf("%w: reply to a full hello names no resumption id", ErrBadFrame)
 	}
-	master, err := grant.unseal(helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt), key)
+	master, err := grant.unseal(digest, key, macRoom)
 	if err != nil {
 		return SessionGrant{}, err
 	}
@@ -436,7 +465,8 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 // resume runs the resumed handshake under a held secret, for the principal
 // it was established for. miss reports that the gateway does not hold it
 // (any more). What it allocates is what it hands on: the grant's token and
-// MAC key; the frame is carved (see carveFrame).
+// MAC key, in one allocation (grantToken); the frame is carved (see
+// carveFrame).
 func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
 	hello := resumeHello{ID: s.id, IssuedAt: now}
 	if _, err := rand.Read(hello.Nonce[:]); err != nil {
@@ -449,7 +479,8 @@ func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string
 	if err != nil {
 		return SessionGrant{}, false, err
 	}
-	if grant, miss, err = decodeGrantFrame(reply, principal); err != nil || miss {
+	grant, macRoom, miss, err := decodeGrant(reply, principal)
+	if err != nil || miss {
 		if err != nil {
 			err = fmt.Errorf("middleware: decode grant: %w", err)
 		}
@@ -459,6 +490,6 @@ func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string
 	if err != nil {
 		return SessionGrant{}, false, err
 	}
-	grant.MacKey = mac[:]
+	grant.MacKey = append(macRoom, mac[:]...)
 	return grant, false, nil
 }

@@ -19,10 +19,10 @@ import (
 // arrives on session.open, and decodeGrantFrame, which a client runs on the
 // reply. Hostile bytes are ErrBadFrame, never a panic. No frame has a count
 // field, so nothing a decoder allocates exceeds the field bytes it was given
-// (the nested certificate is a JSON document of that length). And encode ∘
-// decode is the identity: whatever decodes is re-encoded — the hello encoder
-// may refuse a signature no verifier could accept — and must decode to the
-// same message.
+// (the nested certificate is its pki binary encoding, of that length). And
+// encode ∘ decode is the identity: whatever decodes is re-encoded — the
+// hello encoder may refuse a signature no verifier could accept — and must
+// decode to the same message.
 func FuzzHandshakeFrames(f *testing.F) {
 	ca, err := pki.NewCA("fuzz-ca")
 	if err != nil {

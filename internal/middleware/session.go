@@ -3,6 +3,7 @@ package middleware
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -109,14 +110,24 @@ type SessionGrant struct {
 	Resumed bool `json:"resumed,omitempty"`
 }
 
-// helloDigest is the canonical signed content of a handshake.
+// helloDigestDomain separates hello transcripts from every other digest.
+const helloDigestDomain = "middleware/session/hello/v1"
+
+// helloDigest is the canonical signed content of a handshake, and the salt
+// of the MAC key of the session it opens: dcrypto.HashConcat of the domain,
+// principal, nonce and the issue time in UTC as RFC 3339 with nanoseconds,
+// staged on the stack and hashed once (the resumeDigest idiom).
+// TestHelloDigestIsGolden holds its bytes.
 func helloDigest(principal string, nonce []byte, issuedAt time.Time) [32]byte {
-	return dcrypto.HashConcat(
-		[]byte("middleware/session/hello/v1"),
-		[]byte(principal),
-		nonce,
-		[]byte(issuedAt.UTC().Format(time.RFC3339Nano)),
-	)
+	var buf [256]byte // a principal of up to 150 bytes stays on the stack
+	b := appendDigestPart(buf[:0], helloDigestDomain)
+	b = appendDigestPart(b, principal)
+	b = append(binary.BigEndian.AppendUint64(b, uint64(len(nonce))), nonce...)
+	// The time's length prefix is written once the time is.
+	at := len(b)
+	b = issuedAt.UTC().AppendFormat(binary.BigEndian.AppendUint64(b, 0), time.RFC3339Nano)
+	binary.BigEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	return dcrypto.Hash(b)
 }
 
 // helloFreshness bounds how old (or future-dated, for clock skew) a
@@ -133,16 +144,24 @@ func NewSessionHello(principal string, cert pki.Certificate, key *dcrypto.Privat
 // NewSessionHelloAt builds and signs a handshake with an explicit issue
 // time, for callers running on an injected clock.
 func NewSessionHelloAt(principal string, cert pki.Certificate, key *dcrypto.PrivateKey, at time.Time) (SessionHello, error) {
+	hello, _, err := newSessionHello(principal, cert, key, at)
+	return hello, err
+}
+
+// newSessionHello is NewSessionHelloAt returning beside the hello the
+// transcript digest it signed, which a client that unseals the grant's
+// master secret needs again.
+func newSessionHello(principal string, cert pki.Certificate, key *dcrypto.PrivateKey, at time.Time) (SessionHello, [32]byte, error) {
 	nonce, err := dcrypto.RandomBytes(helloNonceBytes)
 	if err != nil {
-		return SessionHello{}, fmt.Errorf("middleware: hello nonce: %w", err)
+		return SessionHello{}, [32]byte{}, fmt.Errorf("middleware: hello nonce: %w", err)
 	}
 	d := helloDigest(principal, nonce, at)
 	sig, err := key.Sign(d[:])
 	if err != nil {
-		return SessionHello{}, fmt.Errorf("middleware: sign hello: %w", err)
+		return SessionHello{}, [32]byte{}, fmt.Errorf("middleware: sign hello: %w", err)
 	}
-	return SessionHello{Principal: principal, Nonce: nonce, IssuedAt: at, Cert: cert, Sig: sig}, nil
+	return SessionHello{Principal: principal, Nonce: nonce, IssuedAt: at, Cert: cert, Sig: sig}, d, nil
 }
 
 // sessionTokenBytes is the entropy of a session token (hex-encoded on the
@@ -154,24 +173,39 @@ const sessionTokenBytes = 32
 // these bytes in 64 lowercase hex characters, and nothing else spells it.
 type sessionKey [sessionTokenBytes]byte
 
+// hexNibble maps a lowercase hex digit to its value and every other byte to
+// 0xff, whose high nibble no digit's value has.
+var hexNibble = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = byte(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = byte(c - 'a' + 10)
+		default:
+			t[c] = 0xff
+		}
+	}
+	return t
+}()
+
 // parseSessionKey reads a token's 64 lowercase hex characters into the key
 // they spell, on the caller's stack. Any other spelling — another length,
-// an upper-case digit, a byte that is no hex digit — names no session.
+// an upper-case digit, a byte that is no hex digit — names no session. The
+// characters are read in pairs through hexNibble with no branch on their
+// values: what they look up is OR-ed together and checked once at the end.
 func parseSessionKey[T string | []byte](token T) (key sessionKey, ok bool) {
 	if len(token) != 2*sessionTokenBytes {
 		return key, false
 	}
-	for i := 0; i < len(token); i++ {
-		c := token[i]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		default:
-			return sessionKey{}, false
-		}
-		key[i/2] = key[i/2]<<4 | c
+	var bad byte
+	for i := range key {
+		hi, lo := hexNibble[token[2*i]], hexNibble[token[2*i+1]]
+		bad |= hi | lo
+		key[i] = hi<<4 | lo
+	}
+	if bad&0xf0 != 0 {
+		return sessionKey{}, false
 	}
 	return key, true
 }

@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -197,6 +198,58 @@ func TestSessionDiesBetweenDecodeAndStage(t *testing.T) {
 				t.Fatalf("after the death: %v, want %v", err, death.want)
 			}
 		})
+	}
+}
+
+// loopSessionKey is parseSessionKey as a loop with a branch per character,
+// the reference the table-driven form is held to.
+func loopSessionKey(token []byte) (key sessionKey, ok bool) {
+	if len(token) != 2*sessionTokenBytes {
+		return key, false
+	}
+	for i := 0; i < len(token); i++ {
+		c := token[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return sessionKey{}, false
+		}
+		key[i/2] = key[i/2]<<4 | c
+	}
+	return key, true
+}
+
+// TestParseSessionKeyMatchesLoop puts every byte value at every one of a
+// token's 64 positions, and tokens one character short and one long, to
+// parseSessionKey and to the loop it replaced: the two must agree on the
+// verdict and the key, and a string must read as its bytes do.
+func TestParseSessionKeyMatchesLoop(t *testing.T) {
+	base := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
+	check := func(token []byte) {
+		t.Helper()
+		want, wantOK := loopSessionKey(token)
+		got, ok := parseSessionKey(token)
+		gotS, okS := parseSessionKey(string(token))
+		if ok != wantOK || got != want || okS != ok || gotS != got {
+			t.Fatalf("parseSessionKey(%q) = %x, %v (string: %x, %v); the loop says %x, %v", token, got, ok, gotS, okS, want, wantOK)
+		}
+	}
+	for pos := range base {
+		for c := 0; c < 256; c++ {
+			token := bytes.Clone(base)
+			token[pos] = byte(c)
+			check(token)
+		}
+	}
+	for _, n := range []int{2*sessionTokenBytes - 1, 2*sessionTokenBytes + 1} {
+		for c := 0; c < 256; c++ {
+			token := bytes.Repeat([]byte{'a'}, n)
+			token[n-1] = byte(c)
+			check(token)
+		}
 	}
 }
 

@@ -153,6 +153,33 @@ func TestResumeDerivationsGolden(t *testing.T) {
 	}
 }
 
+// TestHelloDigestIsGolden pins the full hello's transcript to vectors
+// captured when it was dcrypto.HashConcat over four slices, the time a
+// formatted string: the hello's signature and the salt of the full
+// handshake's MAC key are over these bytes, so staging them on the stack
+// must not move one. A principal beyond ASCII and an issue time in another
+// zone than UTC are among them.
+func TestHelloDigestIsGolden(t *testing.T) {
+	nonce := []byte("0123456789abcdef")
+	for _, c := range []struct {
+		principal string
+		at        time.Time
+		want      string
+	}{
+		{"alice", time.Date(2026, 3, 14, 15, 9, 26, 535897932, time.UTC),
+			"bf40bac0f12fb4796741dbef367ac0a9b4d6f2db720a1dfb8cded981f8baa69f"},
+		{"Zürich-Bank 東京", time.Date(2026, 3, 14, 15, 9, 26, 0, time.UTC),
+			"48a38c1c345a2ae1312faa8757bd56dc9adef0b5f24d7e8064d08237740da489"},
+		{"bob", time.Date(2026, 3, 14, 15, 9, 26, 500000000, time.FixedZone("", -5*3600-30*60)),
+			"efd699093e2de714140f4116c319c19f0db8b652c010b7a0edfe2298e9d854cf"},
+	} {
+		d := helloDigest(c.principal, nonce, c.at)
+		if got := hex.EncodeToString(d[:]); got != c.want {
+			t.Errorf("helloDigest(%q, %v) = %s, want %s", c.principal, c.at, got, c.want)
+		}
+	}
+}
+
 // TestResumeProvesPossessionWithoutPublicKeyWork: the second handshake for a
 // certificate is an HMAC — no certificate presented, no verifier lookup —
 // and opens a session whose MAC key both sides derived and nobody sent.
@@ -201,10 +228,10 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.unseal(digest, other); err == nil || g.MacKey != nil {
+	if _, err := g.unseal(digest, other, nil); err == nil || g.MacKey != nil {
 		t.Fatalf("unsealing with a foreign key = %v (key %x), want a refusal", err, g.MacKey)
 	}
-	if opened, err := g.unseal(digest, f.alice.key); err != nil || !bytes.Equal(opened, master) || len(g.MacKey) != dcrypto.MACKeySize {
+	if opened, err := g.unseal(digest, f.alice.key, nil); err != nil || !bytes.Equal(opened, master) || len(g.MacKey) != dcrypto.MACKeySize {
 		t.Fatalf("unsealing with the certified key: %v", err)
 	}
 	// The resume hello names no principal and carries no certificate.

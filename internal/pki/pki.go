@@ -18,6 +18,7 @@
 package pki
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,6 +86,158 @@ func (c Certificate) payload() []byte {
 // Key parses the certified public key.
 func (c Certificate) Key() (dcrypto.PublicKey, error) {
 	return dcrypto.ParsePublicKey(c.PublicKey)
+}
+
+// ErrBadEncoding is returned (wrapped) for bytes that are not a
+// certificate's binary encoding, and for a certificate that has none.
+var ErrBadEncoding = errors.New("pki: malformed certificate encoding")
+
+// sigBytes is the width of the encoding's signature: both components at
+// 32 bytes.
+const sigBytes = 64
+
+// AppendBinary appends the certificate's canonical binary encoding to b,
+// every integer big-endian at fixed width:
+//
+//	serial, kind          8 bytes each
+//	identity              length (4), bytes
+//	public key            0 for nil; else 1, length (4), bytes
+//	issuer                length (4), bytes
+//	not before, not after Unix seconds (8), nanoseconds (4), zone offset in
+//	                      seconds (4)
+//	signature             R and S, 32 bytes each
+//
+// It is what a certificate is when it crosses a wire, and what a Verifier
+// fingerprints. It keeps everything the CA-signed payload (JSON) tells
+// apart — a nil public key from an empty one, one zone from another at the
+// same instant — so a decoded certificate signs the same bytes as the one
+// encoded; and a time is its seconds, not its UnixNano, so every year the
+// payload holds encodes, those past 2262 included. A signature that is not
+// WellFormed has no fixed-width form, and a time the payload cannot hold
+// (inPayloadRange) no signed bytes: either is ErrBadEncoding.
+func (c Certificate) AppendBinary(b []byte) ([]byte, error) {
+	if !c.Sig.WellFormed() {
+		return b, fmt.Errorf("%w: %w", ErrBadEncoding, dcrypto.ErrInvalidSignature)
+	}
+	b = binary.BigEndian.AppendUint64(b, c.Serial)
+	b = binary.BigEndian.AppendUint64(b, uint64(c.Kind))
+	b = appendField(b, c.Identity)
+	if c.PublicKey == nil {
+		b = append(b, 0)
+	} else {
+		b = appendField(append(b, 1), c.PublicKey)
+	}
+	b = appendField(b, c.Issuer)
+	for _, t := range [2]time.Time{c.NotBefore, c.NotAfter} {
+		if !inPayloadRange(t) {
+			return b, fmt.Errorf("%w: time %v", ErrBadEncoding, t)
+		}
+		_, offset := t.Zone()
+		b = binary.BigEndian.AppendUint64(b, uint64(t.Unix()))
+		b = binary.BigEndian.AppendUint32(b, uint32(t.Nanosecond()))
+		b = binary.BigEndian.AppendUint32(b, uint32(offset))
+	}
+	var sig [sigBytes]byte
+	c.Sig.R.FillBytes(sig[:32])
+	c.Sig.S.FillBytes(sig[32:])
+	return append(b, sig[:]...), nil
+}
+
+func appendField[T string | []byte](b []byte, s T) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
+}
+
+// inPayloadRange reports whether the signed payload can hold t: JSON
+// marshals a time as RFC 3339, four digits of year and a zone offset of
+// under a day, and refuses any other.
+func inPayloadRange(t time.Time) bool {
+	_, offset := t.Zone()
+	year := t.Year()
+	return 0 <= year && year <= 9999 && -86400 < offset && offset < 86400
+}
+
+// UnmarshalBinary decodes what AppendBinary encodes, and nothing else:
+// data is the whole encoding, which the certificate does not alias. Every
+// certificate it accepts encodes back to data — a presence byte other than
+// 0 or 1, nanoseconds past a second, a time the payload cannot hold, a
+// signature component of zero and trailing bytes are all ErrBadEncoding —
+// and a time's zone is UTC at offset zero, a fixed zone otherwise.
+func (c *Certificate) UnmarshalBinary(data []byte) error {
+	r := certReader{b: data}
+	out := Certificate{Serial: r.uint(8), Kind: CertKind(r.uint(8))}
+	out.Identity = string(r.field())
+	switch r.uint(1) {
+	case 0:
+	case 1:
+		out.PublicKey = append([]byte{}, r.field()...)
+	default:
+		r.fail("public key presence")
+	}
+	out.Issuer = string(r.field())
+	out.NotBefore, out.NotAfter = r.time(), r.time()
+	sig := r.next(sigBytes)
+	if len(r.b) != 0 {
+		r.fail("trailing bytes")
+	}
+	if r.err != nil {
+		return r.err
+	}
+	var err error
+	if out.Sig, err = dcrypto.ParseSignature(sig); err != nil || !out.Sig.WellFormed() {
+		return fmt.Errorf("%w: signature", ErrBadEncoding)
+	}
+	*c = out
+	return nil
+}
+
+// certReader is a bounds-checked cursor over one encoding. The first
+// failure sticks, and every read after it returns nothing.
+type certReader struct {
+	b   []byte
+	err error
+}
+
+func (r *certReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrBadEncoding, what)
+	}
+	r.b = nil
+}
+
+// next returns the next n bytes, aliasing the input.
+func (r *certReader) next(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.fail("truncated")
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// uint reads an n-byte integer.
+func (r *certReader) uint(n uint64) (v uint64) {
+	for _, c := range r.next(n) {
+		v = v<<8 | uint64(c)
+	}
+	return v
+}
+
+func (r *certReader) field() []byte { return r.next(r.uint(4)) }
+
+func (r *certReader) time() time.Time {
+	sec, nsec, offset := int64(r.uint(8)), r.uint(4), int32(r.uint(4))
+	if nsec >= uint64(time.Second) {
+		r.fail("nanoseconds")
+	}
+	t := time.Unix(sec, int64(nsec)).UTC()
+	if offset != 0 {
+		t = t.In(time.FixedZone("", int(offset)))
+	}
+	if r.err == nil && !inPayloadRange(t) {
+		r.fail("time outside the signed payload's range")
+	}
+	return t
 }
 
 // Revocation is one entry of the CA's append-only revocation log: which

@@ -2,7 +2,6 @@ package pki
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,13 +23,14 @@ const verifierGeneration = 4096
 // handshake after an identity's first — skips the ECDSA check.
 //
 // What is cached is one fact: "the CA signed exactly these bytes with
-// exactly this signature". The fingerprint is SHA-256 over an injective
-// encoding of every field the CA's signature covers and both signature
-// components at fixed width — the whole input of the signature check — so
-// two certificates share a fingerprint only if the full check cannot tell
-// them apart. A signature that has no fixed-width form (a nil, non-positive
-// or over-wide component, which a JSON-decoded certificate can carry) is
-// never looked up: it goes to the full check, which rejects it.
+// exactly this signature". The fingerprint is SHA-256 of the certificate's
+// binary encoding (Certificate.AppendBinary): every field the CA's signature
+// covers and both signature components at fixed width — the whole input of
+// the signature check — so two certificates share a fingerprint only if the
+// full check cannot tell them apart. A certificate with no encoding (a nil,
+// non-positive or over-wide signature component, which a JSON-decoded
+// certificate can carry, or a time its signed payload cannot hold) is never
+// looked up or remembered: it goes to the full check every time.
 //
 // What is never cached: a failure (a peer without CA-signed certificates
 // can neither grow nor poison the set, and a bad certificate costs one
@@ -73,16 +73,12 @@ func (v *Verifier) Verify(cert Certificate, at time.Time) error {
 	if at.Before(cert.NotBefore) || at.After(cert.NotAfter) {
 		return ErrExpired
 	}
-	// A signature with no fixed-width form has no exact fingerprint; it
-	// goes straight to the full check, which cannot accept it.
-	exact := cert.Sig.WellFormed()
-	var fp [sha256.Size]byte
-	if exact {
-		fp = fingerprint(cert)
-		if v.seen(fp) {
-			v.hits.Add(1)
-			return nil
-		}
+	// A certificate with no binary encoding has no exact fingerprint; it
+	// goes straight to the full check.
+	fp, exact := fingerprint(&cert)
+	if exact && v.seen(fp) {
+		v.hits.Add(1)
+		return nil
 	}
 	v.verifications.Add(1)
 	err := VerifyCertificate(cert, v.caKey, at)
@@ -99,41 +95,20 @@ func (v *Verifier) Verifications() uint64 { return v.verifications.Load() }
 // Hits counts calls answered from the set.
 func (v *Verifier) Hits() uint64 { return v.hits.Load() }
 
-// fingerprint commits to everything the signature check reads, without
-// paying for the JSON marshal that produces the signed bytes: the signed
-// payload is a function of the seven fields below and of nothing else, so an
-// injective encoding of them — fixed-width integers, length-prefixed strings
-// — stands in for it. Two things the marshal distinguishes are easy to lose
-// and are kept: a nil PublicKey from an empty one ("null" against ""), and a
-// time's zone offset (the same instant in another zone is different signed
-// bytes). TestFingerprintCoversCertificate fails when Certificate gains a
-// field this does not hash. The caller has established cert.Sig.WellFormed,
-// so the fixed-width signature is exact: sign and width are settled.
-func fingerprint(cert Certificate) [sha256.Size]byte {
-	b := make([]byte, 0, 384) // on the stack unless an identity is unusually long
-	b = binary.BigEndian.AppendUint64(b, cert.Serial)
-	b = binary.BigEndian.AppendUint64(b, uint64(cert.Kind))
-	b = binary.AppendUvarint(b, uint64(len(cert.Identity)))
-	b = append(b, cert.Identity...)
-	if cert.PublicKey == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
+// fingerprint is SHA-256 of the certificate's binary encoding, staged on
+// the stack unless an identity is unusually long. The encoding is injective
+// and keeps everything the signed payload tells apart, and with the
+// signature at fixed width it is the whole input of the signature check, so
+// it stands in for the JSON marshal that produces the signed bytes.
+// TestFingerprintCoversCertificate fails when Certificate gains a field the
+// encoding does not carry. ok is false for a certificate with no encoding.
+func fingerprint(cert *Certificate) (fp [sha256.Size]byte, ok bool) {
+	var buf [384]byte
+	b, err := cert.AppendBinary(buf[:0])
+	if err != nil {
+		return fp, false
 	}
-	b = binary.AppendUvarint(b, uint64(len(cert.PublicKey)))
-	b = append(b, cert.PublicKey...)
-	b = binary.AppendUvarint(b, uint64(len(cert.Issuer)))
-	b = append(b, cert.Issuer...)
-	for _, t := range [2]time.Time{cert.NotBefore, cert.NotAfter} {
-		_, offset := t.Zone()
-		b = binary.BigEndian.AppendUint64(b, uint64(t.Unix()))
-		b = binary.BigEndian.AppendUint32(b, uint32(t.Nanosecond()))
-		b = binary.BigEndian.AppendUint32(b, uint32(offset))
-	}
-	var sig [64]byte
-	cert.Sig.R.FillBytes(sig[:32])
-	cert.Sig.S.FillBytes(sig[32:])
-	return sha256.Sum256(append(b, sig[:]...))
+	return sha256.Sum256(b), true
 }
 
 // seen looks the fingerprint up, promoting a hit in the old generation.
