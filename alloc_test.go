@@ -618,7 +618,8 @@ func openCloseAloneAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) f
 		if err != nil {
 			t.Fatal(err)
 		}
-		token = append(token[:0], grant.Token...)
+		key, _ := middleware.EncodeSessionClose(grant.Token)
+		token = append(token[:0], key[:]...)
 		if dst, err = fp.gw.AppendWire(ctx, dst[:0], middleware.TopicSessionClose, token, conn); err != nil {
 			t.Fatal(err)
 		}
@@ -700,7 +701,8 @@ func sessionCloseAllocs(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) flo
 		if err != nil {
 			t.Fatal(err)
 		}
-		tokens = append(tokens, []byte(grant.Token))
+		key, _ := middleware.EncodeSessionClose(grant.Token)
+		tokens = append(tokens, key[:])
 	}
 	var dst []byte
 	allocs := testing.AllocsPerRun(runs, func() {

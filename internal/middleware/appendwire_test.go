@@ -106,7 +106,8 @@ func TestAppendWireIsServeWireAfterAPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return []byte(g.Token)
+			key, _ := EncodeSessionClose(g.Token)
+			return key[:]
 		}, false, nil, false},
 		{"session.close unknown", TopicSessionClose, func() []byte { return []byte("no such token") }, false, nil, false},
 		{"revocation notify", TopicRevocationNotify, func() []byte { return nil }, false, nil, false},

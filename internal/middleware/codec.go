@@ -158,17 +158,34 @@ func carveFrame(size int) []byte {
 	return b[start : start : start+size]
 }
 
+// misnamedSession is the SessionToken of a request whose frame's token field
+// was neither empty nor a key. It is no token's spelling, so the session
+// stage refuses the request as ErrNoSession whatever the field held, and the
+// encoder writes it back as the same kind of field.
+const misnamedSession = "?"
+
 // EncodeWireRequest marshals a request into the 0xDC request frame the
 // gateway.submit topic takes, carved from a shared slab (see carveFrame): a
 // caller that copies the frame out and drops it, as netedge.Client does,
 // allocates nothing for it. Nothing writes over the frame and appending to it
 // reallocates, but keeping it keeps its slab, up to 16 KB, alive: copy a
-// frame kept for long. A nil certificate is not sent. codec is kept under the
-// name the repository benchmark calls: "" or CodecBinary, anything else an
-// error.
+// frame kept for long. A nil certificate is not sent. The session token
+// crosses as the 32 key bytes its hex spells; a malformed token, which names
+// no session, crosses verbatim and is refused as one, except one of exactly
+// 32 bytes, which would arrive looking like a key: that is refused here, as
+// ErrNoSession. codec is kept under the name the repository benchmark calls:
+// "" or CodecBinary, anything else an error.
 func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	if codec != "" && codec != CodecBinary {
 		return nil, fmt.Errorf("middleware: unknown codec %q", codec)
+	}
+	key, keyed := parseSessionKey(req.SessionToken)
+	tokenSize := len(req.SessionToken)
+	switch {
+	case keyed:
+		tokenSize = sessionTokenBytes
+	case tokenSize == sessionTokenBytes:
+		return nil, fmt.Errorf("middleware: encode request: %w: a %d-byte token is no session's spelling", ErrNoSession, tokenSize)
 	}
 	var sig, cert []byte
 	var certBuf [certStackBytes]byte
@@ -194,7 +211,7 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 		lenPrefixedSize(len(req.Principal)) +
 		lenPrefixedSize(len(req.Backend)) +
 		lenPrefixedSize(len(req.Payload)) +
-		lenPrefixedSize(len(req.SessionToken)) +
+		lenPrefixedSize(tokenSize) +
 		lenPrefixedSize(len(sig)) +
 		lenPrefixedSize(len(req.MAC)) +
 		lenPrefixedSize(len(cert)) +
@@ -209,7 +226,11 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	out = appendLenPrefixed(out, []byte(req.Principal))
 	out = appendLenPrefixed(out, []byte(req.Backend))
 	out = appendLenPrefixed(out, req.Payload)
-	out = appendLenPrefixed(out, []byte(req.SessionToken))
+	if keyed {
+		out = appendLenPrefixed(out, key[:])
+	} else {
+		out = appendLenPrefixed(out, []byte(req.SessionToken))
+	}
 	out = appendLenPrefixed(out, sig)
 	out = appendLenPrefixed(out, req.MAC)
 	out = appendLenPrefixed(out, cert)
@@ -227,13 +248,17 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 // decodeRequestBinary reverses EncodeWireRequest into req, the request
 // the gateway runs. Byte fields alias the input buffer. The three strings
 // every session submission carries are not allocated when g already holds
-// them: a token that names a live session becomes that record
+// them: a key that names a live session becomes that record
 // (Request.session, no SessionToken), the principal is the session's own
 // string, and the channel comes from the gateway's table of channel names
 // (see channelName), which also tells Gateway.order whether the channel may
-// be ordered on. A token that names no live session is copied for the
-// session stage to refuse. A nil g copies all three. On error req is partly
-// filled and must be dropped.
+// be ordered on. The token field is read as a key and nothing else: no hex
+// is parsed. A key that names no live session is spelled as its token for
+// the session stage to refuse — ErrSessionRevoked or ErrSessionExpired if
+// that is what it names — and a field of any other non-zero length, 64 hex
+// characters included, becomes misnamedSession, which names no session. A
+// nil g copies all three strings. On error req is partly filled and must be
+// dropped.
 func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	if len(b) < 2 || b[0] != binaryMagic || b[1] != binaryKindRequest {
 		return fmt.Errorf("%w: not a binary request frame", ErrBadFrame)
@@ -266,15 +291,23 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 		return err
 	}
 	req.Channel, req.channelKnown = channelName(g, channel)
-	if key, ok := parseSessionKey(token); ok && g != nil && g.sessions != nil {
-		req.session = g.sessions.lookup(&key)
-	}
-	switch {
-	case req.session == nil:
-		req.SessionToken, req.Principal = string(token), string(principal)
-	case req.session.principal == string(principal): // the comparison does not allocate
-		req.Principal = req.session.principal
+	switch len(token) {
+	case 0: // a sessionless request
+	case sessionTokenBytes:
+		key := (*sessionKey)(token)
+		if g != nil && g.sessions != nil {
+			req.session = g.sessions.lookup(key)
+		}
+		if req.session == nil {
+			spelled := key.hex()
+			req.SessionToken = string(spelled[:])
+		}
 	default:
+		req.SessionToken = misnamedSession
+	}
+	if req.session != nil && req.session.principal == string(principal) { // the comparison does not allocate
+		req.Principal = req.session.principal
+	} else {
 		req.Principal = string(principal)
 	}
 	if len(sig) > 0 {

@@ -28,11 +28,15 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mac := bytes.Repeat([]byte{0x7f}, dcrypto.MACSize)
+	// A token crosses as its key, and a well-formed one decodes back to its
+	// spelling; a malformed one decodes as misnamedSession.
+	tok := fmt.Sprintf("%064x", 7)
 	cases := []Request{
 		{Channel: "deals", Principal: "alice", Payload: []byte("trade")},
 		{Channel: "deals", Principal: "alice", Backend: "fabric", Payload: []byte("trade"),
-			Sig: sig, SessionToken: "tok", Meta: map[string]string{"a": "1", "b": "2"}},
-		{Channel: "deals", Principal: "alice", Payload: nil, MAC: mac, SessionToken: "tok"},
+			Sig: sig, SessionToken: tok, Meta: map[string]string{"a": "1", "b": "2"}},
+		{Channel: "deals", Principal: "alice", Payload: nil, MAC: mac, SessionToken: tok},
+		{Channel: "deals", Principal: "alice", Payload: nil, MAC: mac, SessionToken: misnamedSession},
 		{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: &cert, Sig: sig},
 	}
 	for i := range cases {

@@ -105,6 +105,9 @@ func FuzzWireRequest(f *testing.F) {
 	}
 	f.Add(tracedBinary)
 	f.Add(tracedBinary[:len(tracedBinary)-1])
+	// The MAC'd submission with its token as the frame carried it before it
+	// carried the key: 64 hex characters, which name no session.
+	f.Add(rawRequestFrame(macGood, []byte(grant.Token)))
 	f.Add([]byte(`{"channel":"deals","principal":"alice","trace":12345}`))
 	tracedHello := mustHello(f, "alice", cert, key)
 	tracedHello.TraceID = 1
@@ -303,6 +306,26 @@ func FuzzWireRequest(f *testing.F) {
 				t.Fatalf("the decoder refused with %v, want ErrBadFrame", err)
 			}
 			return
+		}
+		// The token field is a key or names no session: decoded on its own,
+		// a key comes back as its token's spelling, and no other field
+		// resolves a record on the live gateway or spells a key for the
+		// session stage to look up.
+		field := requestTokenField(t, data)
+		key, keyed := parseSessionKey(first.SessionToken)
+		switch {
+		case len(field) == sessionTokenBytes:
+			if !keyed || !bytes.Equal(key[:], field) {
+				t.Fatalf("token field %x decoded as token %q", field, first.SessionToken)
+			}
+		case len(field) == 0 && first.SessionToken != "",
+			len(field) > 0 && first.SessionToken != misnamedSession:
+			t.Fatalf("a %d-byte token field decoded as token %q", len(field), first.SessionToken)
+		default:
+			var live Request
+			if err := decodeRequestBinary(data, &live, gw); err != nil || live.session != nil {
+				t.Fatalf("a %d-byte token field named a session: %v", len(field), err)
+			}
 		}
 		frame, err := EncodeWireRequest(&first, "")
 		if err != nil {

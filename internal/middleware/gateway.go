@@ -24,7 +24,10 @@ const (
 	// TopicSessionOpen carries a signed SessionHello; the reply is a
 	// marshalled SessionGrant.
 	TopicSessionOpen = "session.open"
-	// TopicSessionClose carries a session token to end.
+	// TopicSessionClose carries the key of a session to end: the 32 bytes
+	// its token spells in hex (EncodeSessionClose). Any other payload —
+	// the token's hex included — names no session, and closing it is a
+	// no-op.
 	TopicSessionClose = "session.close"
 	// TopicRevocationNotify is the admin topic signalling that the
 	// revocation plane moved: the gateway pulls the delta from its
@@ -905,8 +908,10 @@ func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payl
 		if topic == TopicSessionOpen {
 			return g.appendSessionOpen(mgr, dst, payload, transportID)
 		}
-		if err := closeFrom(mgr, payload, transportID); err != nil {
-			return dst, fmt.Errorf("gateway %s: %w", g.name, err)
+		if len(payload) == sessionTokenBytes {
+			if err := mgr.closeKey((*sessionKey)(payload), transportID); err != nil {
+				return dst, fmt.Errorf("gateway %s: %w", g.name, err)
+			}
 		}
 		return append(dst, "ok"...), nil
 	case TopicRevocationNotify:
@@ -996,6 +1001,5 @@ func (g *Gateway) appendSessionOpen(mgr *SessionManager, dst, payload []byte, tr
 	if err != nil {
 		return dst, g.reject(rejectOpen, err)
 	}
-	token := key.hex()
-	return appendGrant(dst, &grant, token[:]), nil
+	return appendGrant(dst, &grant, &key), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -20,7 +21,7 @@ import (
 //
 //	full hello   principal, nonce, issue time, certificate, signature
 //	resume hello resume id, nonce, issue time, HMAC(master, transcript digest)
-//	grant        token, principal, expiry; after a full hello also the
+//	grant        session key, principal, expiry; after a full hello also the
 //	             resume id and the master secret sealed to the certified key
 //	resume miss  nothing: "this gateway does not hold that id, send the full
 //	             hello" — a reply, not an error
@@ -204,16 +205,11 @@ func decodeHelloFrame(b []byte) (*SessionHello, resumeHello, error) {
 // resume hello.
 const grantResumed = 1
 
-// appendGrantFrame appends a grant's frame to dst, growing it once. MacKey
-// is not a field of the frame.
-func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
-	return appendGrant(dst, g, g.Token)
-}
-
-// appendGrant is appendGrantFrame with the token given beside the grant: the
-// gateway writes the hex of the session's key (sessionKey.hex) and spells
-// no token string.
-func appendGrant[T string | []byte](dst []byte, g *SessionGrant, token T) []byte {
+// appendGrant appends a grant's frame to dst, growing it once. The token
+// crosses as the session's key, given beside the grant: the gateway spells
+// no token string, and the client spells it from the frame's key
+// (grantToken). MacKey is not a field of the frame.
+func appendGrant(dst []byte, g *SessionGrant, key *sessionKey) []byte {
 	var flags byte
 	if g.Resumed {
 		flags |= grantResumed
@@ -222,9 +218,9 @@ func appendGrant[T string | []byte](dst []byte, g *SessionGrant, token T) []byte
 	if g.Sealed != nil {
 		sealed = *g.Sealed
 	}
-	dst = slices.Grow(dst, 48+len(token)+len(g.Principal)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
+	dst = slices.Grow(dst, 48+len(key)+len(g.Principal)+len(g.ResumeID)+len(sealed.EphemeralPub)+len(sealed.Ciphertext))
 	dst = append(dst, binaryMagic, binaryKindGrant, flags)
-	dst = append(binary.AppendUvarint(dst, uint64(len(token))), token...)
+	dst = appendLenPrefixed(dst, key[:])
 	dst = appendLenPrefixed(dst, []byte(g.Principal))
 	dst = appendTime(dst, g.ExpiresAt)
 	dst = appendLenPrefixed(dst, g.ResumeID)
@@ -234,9 +230,11 @@ func appendGrant[T string | []byte](dst []byte, g *SessionGrant, token T) []byte
 
 // decodeGrantFrame parses the reply to a hello: a grant (whose fields own
 // their memory), or the resume miss, which is the two-byte frame of its kind
-// and nothing else. principal is the one the client opened for: a grant that
-// echoes it gets that string rather than a copy of the bytes. MacKey is not
-// a field of the frame and is left nil.
+// and nothing else. A grant's token field is the session's 32-byte key,
+// any other length ErrBadFrame, and Token is its lowercase hex. principal is
+// the one the client opened for: a grant that echoes it gets that string
+// rather than a copy of the bytes. MacKey is not a field of the frame and is
+// left nil.
 func decodeGrantFrame(b []byte, principal string) (SessionGrant, bool, error) {
 	g, _, miss, err := decodeGrant(b, principal)
 	return g, miss, err
@@ -272,7 +270,10 @@ func decodeGrant(b []byte, principal string) (g SessionGrant, macRoom []byte, mi
 	if err := r.done(); err != nil {
 		return SessionGrant{}, nil, false, err
 	}
-	g.Token, macRoom = grantToken(token)
+	if len(token) != sessionTokenBytes {
+		return SessionGrant{}, nil, false, fmt.Errorf("%w: grant token must be %d bytes, got %d", ErrBadFrame, sessionTokenBytes, len(token))
+	}
+	g.Token, macRoom = grantToken((*sessionKey)(token))
 	if n := len(resumeID) + len(eph) + len(ct); n > 0 {
 		own := append(append(append(make([]byte, 0, n), resumeID...), eph...), ct...)
 		i, j := len(resumeID), len(resumeID)+len(eph)
@@ -284,18 +285,20 @@ func decodeGrant(b []byte, principal string) (g SessionGrant, macRoom []byte, mi
 	return g, macRoom, false, nil
 }
 
-// grantToken is the one constructor of a client grant's token: it copies
-// the frame's token into the head of one allocation and returns it as a
-// string, beside the allocation's tail — empty, with room for the session's
-// MAC key exactly — so that the token and the key a client derives for it
-// (append(macRoom, key...)) cost one allocation between them. The string is
-// an unsafe.String over the head, and the invariant that makes it one is
-// that nothing ever writes the head again: this copy is its only write, the
-// tail starts past the token's last byte, and its capacity is clipped, so an
-// append past the key reallocates instead of growing into anything.
-func grantToken(token []byte) (string, []byte) {
-	buf := make([]byte, len(token)+dcrypto.MACKeySize)
-	n := copy(buf, token)
+// grantToken is the one constructor of a client grant's token: it spells
+// the frame's key in hex into the head of one allocation and returns it as
+// a string, beside the allocation's tail — empty, with room for the
+// session's MAC key exactly — so that the token and the key a client
+// derives for it (append(macRoom, key...)) cost one allocation between them.
+// The string is an unsafe.String over the head, and the invariant that makes
+// it one is that nothing ever writes the head again: this encoding is its
+// only write, the tail starts past the token's last byte, and its capacity is
+// clipped, so an append past the key reallocates instead of growing into
+// anything.
+func grantToken(key *sessionKey) (string, []byte) {
+	const n = 2 * sessionTokenBytes
+	buf := make([]byte, n+dcrypto.MACKeySize)
+	hex.Encode(buf[:n], key[:])
 	return unsafe.String(unsafe.SliceData(buf), n), buf[n:n:len(buf)]
 }
 

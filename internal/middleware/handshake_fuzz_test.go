@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,6 +68,10 @@ func FuzzHandshakeFrames(f *testing.F) {
 	f.Add([]byte{binaryMagic, binaryKindHello})
 	f.Add([]byte{binaryMagic, binaryKindResume, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{binaryMagic, binaryKindGrant, 0xff})
+	// A grant carrying its token as 64 hex characters, as it once did.
+	oldForm := appendLenPrefixed([]byte{binaryMagic, binaryKindGrant, 0}, []byte(fmt.Sprintf("%064x", 1)))
+	oldForm = appendTime(appendLenPrefixed(oldForm, []byte("alice")), time.Now())
+	f.Add(append(oldForm, 0, 0, 0))
 	f.Add([]byte{binaryMagic, binaryKindRequest, 0x00})
 	f.Add([]byte(`{"principal":"alice"}`))
 
@@ -114,11 +119,21 @@ func FuzzHandshakeFrames(f *testing.F) {
 		}
 
 		grant, miss, err := decodeGrantFrame(data, "alice")
+		// The grant's token field as a reader of the format finds it: a
+		// grant decodes only with a key there, and its Token is the key's
+		// lowercase hex.
+		var field []byte
+		if len(data) > 2 && data[0] == binaryMagic && data[1] == binaryKindGrant {
+			r := frameReader{b: data[3:]} // past the flags byte
+			field = r.bytes()
+		}
 		switch {
 		case err != nil:
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("decodeGrantFrame rejected with %v, want ErrBadFrame", err)
 			}
+		case !miss && (len(field) != sessionTokenBytes || grant.Token != hex.EncodeToString(field)):
+			t.Fatalf("grant with token field %x decoded with token %q", field, grant.Token)
 		case miss:
 			if !bytes.Equal(data, []byte{binaryMagic, binaryKindResumeMiss}) {
 				t.Fatalf("%x decoded as a resume miss", data)
@@ -136,6 +151,16 @@ func FuzzHandshakeFrames(f *testing.F) {
 			t.Fatal("a payload without the frame magic decoded as a handshake frame")
 		}
 	})
+}
+
+// appendGrantFrame appends a grant's frame to dst, the token crossing as the
+// key it spells, as the gateway appends the grant of a session it opened.
+func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
+	key, ok := parseSessionKey(g.Token)
+	if !ok {
+		panic(fmt.Sprintf("appendGrantFrame: token %q is no key's spelling", g.Token))
+	}
+	return appendGrant(dst, g, &key)
 }
 
 // rawResumeFrame spells out a resume hello frame whose nonce may have any

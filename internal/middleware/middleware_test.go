@@ -120,8 +120,14 @@ func (w wireFront) openWith(h *Handshaker, p *principal) (SessionGrant, error) {
 	})
 }
 
+// close ends a session as netedge.Client.CloseSession does: by its key, and
+// not at all for a malformed token.
 func (w wireFront) close(token string) error {
-	_, err := w.call(TopicSessionClose, []byte(token))
+	key, ok := EncodeSessionClose(token)
+	if !ok {
+		return nil
+	}
+	_, err := w.call(TopicSessionClose, key[:])
 	return err
 }
 

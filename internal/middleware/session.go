@@ -164,13 +164,16 @@ func newSessionHello(principal string, cert pki.Certificate, key *dcrypto.Privat
 	return SessionHello{Principal: principal, Nonce: nonce, IssuedAt: at, Cert: cert, Sig: sig}, d, nil
 }
 
-// sessionTokenBytes is the entropy of a session token (hex-encoded on the
-// wire), far beyond guessability.
+// sessionTokenBytes is the entropy of a session token, far beyond
+// guessability: the length of its key, half that of its hex spelling.
 const sessionTokenBytes = 32
 
 // sessionKey is a session token's random bytes: the key of the token table
-// and of its revocation tombstones. A grant and a frame carry the token as
-// these bytes in 64 lowercase hex characters, and nothing else spells it.
+// and of its revocation tombstones, and what a grant frame, a request frame
+// and a session.close payload carry. The token is these bytes in 64
+// lowercase hex characters, the spelling the API hands out and takes
+// (SessionGrant.Token, Request.SessionToken) and the MAC key's HKDF label
+// holds; the wire carries no spelling at all.
 type sessionKey [sessionTokenBytes]byte
 
 // hexNibble maps a lowercase hex digit to its value and every other byte to
@@ -194,7 +197,9 @@ var hexNibble = func() (t [256]byte) {
 // an upper-case digit, a byte that is no hex digit — names no session. The
 // characters are read in pairs through hexNibble with no branch on their
 // values: what they look up is OR-ed together and checked once at the end.
-func parseSessionKey[T string | []byte](token T) (key sessionKey, ok bool) {
+// Only the API's spellings are parsed (a caller's token, the encoders'
+// input); no decoder of a frame calls it.
+func parseSessionKey(token string) (key sessionKey, ok bool) {
 	if len(token) != 2*sessionTokenBytes {
 		return key, false
 	}
@@ -210,7 +215,7 @@ func parseSessionKey[T string | []byte](token T) (key sessionKey, ok bool) {
 	return key, true
 }
 
-// hex spells the key as the token a grant carries.
+// hex spells the key as its token.
 func (k *sessionKey) hex() (token [2 * sessionTokenBytes]byte) {
 	hex.Encode(token[:], k[:])
 	return token
@@ -835,25 +840,33 @@ func (m *SessionManager) Close(token string) {
 // live for its rightful connection — a captured token can no more end a
 // session than use it. Unbound sessions close from anywhere.
 func (m *SessionManager) CloseFrom(token, transportID string) error {
-	return closeFrom(m, token, transportID)
-}
-
-// closeFrom is CloseFrom over a token held as a string or as the bytes of a
-// session.close frame, parsed on the stack.
-func closeFrom[T string | []byte](m *SessionManager, token T, transportID string) error {
 	key, ok := parseSessionKey(token)
 	if !ok {
 		return nil
 	}
+	return m.closeKey(&key, transportID)
+}
+
+// EncodeSessionClose returns the session.close payload that ends the
+// session token names: the token's 32 key bytes. A malformed token names no
+// session, and ok is false: there is nothing to close, so nothing need be
+// sent.
+func EncodeSessionClose(token string) (payload [sessionTokenBytes]byte, ok bool) {
+	return parseSessionKey(token)
+}
+
+// closeKey is CloseFrom by the session's key, as a session.close payload
+// carries it.
+func (m *SessionManager) closeKey(key *sessionKey, transportID string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.stripe(&key)
+	st := m.stripe(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if s := st.sessions[key]; s != nil && s.boundTo != "" && s.boundTo != transportID {
+	if s := st.sessions[*key]; s != nil && s.boundTo != "" && s.boundTo != transportID {
 		return ErrSessionBound
 	}
-	m.closeLocked(st, &key)
+	m.closeLocked(st, key)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -225,16 +226,15 @@ func loopSessionKey(token []byte) (key sessionKey, ok bool) {
 // TestParseSessionKeyMatchesLoop puts every byte value at every one of a
 // token's 64 positions, and tokens one character short and one long, to
 // parseSessionKey and to the loop it replaced: the two must agree on the
-// verdict and the key, and a string must read as its bytes do.
+// verdict and the key.
 func TestParseSessionKeyMatchesLoop(t *testing.T) {
 	base := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
 	check := func(token []byte) {
 		t.Helper()
 		want, wantOK := loopSessionKey(token)
-		got, ok := parseSessionKey(token)
-		gotS, okS := parseSessionKey(string(token))
-		if ok != wantOK || got != want || okS != ok || gotS != got {
-			t.Fatalf("parseSessionKey(%q) = %x, %v (string: %x, %v); the loop says %x, %v", token, got, ok, gotS, okS, want, wantOK)
+		got, ok := parseSessionKey(string(token))
+		if ok != wantOK || got != want {
+			t.Fatalf("parseSessionKey(%q) = %x, %v; the loop says %x, %v", token, got, ok, want, wantOK)
 		}
 	}
 	for pos := range base {
@@ -294,5 +294,209 @@ func TestSessionTokenIsItsLowercaseHex(t *testing.T) {
 	}
 	if err := fx.submit(fx.frame(t, token)); err != nil {
 		t.Fatalf("the live session after its misspellings: %v", err)
+	}
+}
+
+// rawRequestFrame spells out the frame of a MAC'd request with no backend,
+// trace ID or meta whose token field holds field as it is, whatever it
+// spells: the frames EncodeWireRequest does not make.
+func rawRequestFrame(req *Request, field []byte) []byte {
+	out := []byte{binaryMagic, binaryKindRequest}
+	for _, f := range [][]byte{[]byte(req.Channel), []byte(req.Principal), nil, req.Payload, field, nil, req.MAC, nil} {
+		out = appendLenPrefixed(out, f)
+	}
+	return append(out, 0, 0)
+}
+
+// rawFrame is a fresh MAC'd submission by alice whose token field holds
+// field as it is.
+func (fx *handoffFixture) rawFrame(field []byte) []byte {
+	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte(fmt.Sprintf("trade-%d", fx.sent.Add(1)))}
+	MACRequest(req, fx.grant.MacKey)
+	return rawRequestFrame(req, field)
+}
+
+// requestTokenField returns the token field of a request frame.
+func requestTokenField(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	r := frameReader{b: frame[2:]}
+	for i := 0; i < 4; i++ { // channel, principal, backend, payload
+		r.bytes()
+	}
+	field := r.bytes()
+	if r.err != nil {
+		t.Fatalf("request frame %x: %v", frame, r.err)
+	}
+	return field
+}
+
+// TestWireFramesNameSessionsByKey: a session crosses the wire as its 32 key
+// bytes — in the request frame, the session.close payload and the grant
+// frame — and the 64 hex characters of its token, the API's spelling, never
+// cross. A field that is not a key names no session, the old hex form
+// included, and a key the table misses meets what its token met before.
+func TestWireFramesNameSessionsByKey(t *testing.T) {
+	ctx := context.Background()
+	t.Run("the frames carry the key", func(t *testing.T) {
+		fx := newHandoffFixture(t)
+		token := fx.grant.Token
+		key, err := hex.DecodeString(token)
+		if err != nil || len(key) != sessionTokenBytes {
+			t.Fatalf("token %q is not the hex of a %d-byte key: %v", token, sessionTokenBytes, err)
+		}
+		frame := fx.frame(t, token)
+		if field := requestTokenField(t, frame); !bytes.Equal(field, key) {
+			t.Fatalf("request frame's token field is %x, want the key %x", field, key)
+		}
+		if bytes.Contains(frame, []byte(token)) {
+			t.Fatal("the request frame spells the token in hex")
+		}
+		if payload, ok := EncodeSessionClose(token); !ok || !bytes.Equal(payload[:], key) {
+			t.Fatalf("session.close payload %x (ok %v), want the key %x", payload, ok, key)
+		}
+
+		// A grant frame of each handshake, as the gateway appends it.
+		var replies [][]byte
+		serve := func(ctx context.Context, hello []byte) ([]byte, error) {
+			reply, err := fx.gw.AppendWire(ctx, nil, TopicSessionOpen, hello, handoffConn)
+			replies = append(replies, bytes.Clone(reply))
+			return reply, err
+		}
+		bob := fx.people["bob"]
+		client := &Handshaker{Now: fx.clock.now}
+		for _, resumed := range []bool{false, true} {
+			grant, err := client.Open(ctx, bob.name, bob.cert, bob.key, serve)
+			if err != nil || grant.Resumed != resumed {
+				t.Fatalf("open (resumed %v): %+v, %v", resumed, grant, err)
+			}
+			reply := replies[len(replies)-1]
+			r := frameReader{b: reply[3:]} // magic, kind, flags
+			field := r.bytes()
+			if r.err != nil || len(field) != sessionTokenBytes || hex.EncodeToString(field) != grant.Token {
+				t.Fatalf("grant frame's token field %x (%v), want the %d bytes token %q spells", field, r.err, sessionTokenBytes, grant.Token)
+			}
+			if bytes.Contains(reply, []byte(grant.Token)) {
+				t.Fatal("the grant frame spells the token in hex")
+			}
+			if fx.gw.Sessions().lookup((*sessionKey)(field)) == nil {
+				t.Fatal("the grant frame's key names no session")
+			}
+		}
+	})
+
+	t.Run("a request frame is 32 bytes shorter", func(t *testing.T) {
+		fx := newHandoffFixture(t)
+		req := &Request{Channel: "deals-12", Principal: "org-00", Payload: make([]byte, 96), SessionToken: fx.grant.Token}
+		MACRequest(req, fx.grant.MacKey)
+		frame, err := EncodeWireRequest(req, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 218 while the token crossed as its 64 hex characters.
+		if len(frame) != 186 {
+			t.Fatalf("request frame is %d bytes, want 186", len(frame))
+		}
+	})
+
+	t.Run("a field that is no key names no session", func(t *testing.T) {
+		fx := newHandoffFixture(t)
+		mgr := fx.gw.Sessions()
+		token := fx.grant.Token
+		misspelled := []string{
+			strings.ToUpper(token),
+			strings.ToUpper(token[:1]) + token[1:],
+			token[:63] + "g",
+			token[:10] + "\xff" + token[11:],
+			token[:63],
+			token + "0",
+			"session-" + token[:24], // 32 characters, no key's spelling
+		}
+		// Each as a frame's token field and as a session.close payload,
+		// and the token itself, the form a frame carried before the key.
+		for _, other := range append(misspelled, token) {
+			if err := fx.submit(fx.rawFrame([]byte(other))); !errors.Is(err, ErrNoSession) {
+				t.Errorf("frame with token field %q: %v, want ErrNoSession", other, err)
+			}
+			if _, err := fx.gw.AppendWire(ctx, nil, TopicSessionClose, []byte(other), handoffConn); err != nil {
+				t.Errorf("session.close of %q: %v", other, err)
+			}
+		}
+		// Each as the API spelling: the encoders', and the session stage's
+		// in process. (The token itself is the API spelling of a live
+		// session.)
+		for _, other := range misspelled {
+			if other == token {
+				continue // an upper-cased token of digits alone is itself
+			}
+			frame, err := EncodeWireRequest(&Request{Channel: "deals", Principal: "alice", SessionToken: other}, "")
+			switch {
+			case len(other) == sessionTokenBytes:
+				if !errors.Is(err, ErrNoSession) {
+					t.Errorf("encoding token %q: %v, want ErrNoSession", other, err)
+				}
+			case err != nil:
+				t.Errorf("encoding token %q: %v", other, err)
+			case !bytes.Equal(requestTokenField(t, frame), []byte(other)):
+				t.Errorf("token %q crossed as %q, want itself", other, requestTokenField(t, frame))
+			}
+			if len(other) != sessionTokenBytes {
+				if err := fx.submit(fx.frame(t, other)); !errors.Is(err, ErrNoSession) {
+					t.Errorf("frame with token %q: %v, want ErrNoSession", other, err)
+				}
+			}
+			req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: other}
+			MACRequest(req, fx.grant.MacKey)
+			if err := fx.gw.Submit(ctx, req); !errors.Is(err, ErrNoSession) {
+				t.Errorf("in-process request with token %q: %v, want ErrNoSession", other, err)
+			}
+			if _, ok := EncodeSessionClose(other); ok {
+				t.Errorf("EncodeSessionClose(%q) made a payload", other)
+			}
+		}
+		if mgr.Len() != 1 {
+			t.Fatalf("%d sessions live, want alice's", mgr.Len())
+		}
+		if err := fx.submit(fx.frame(t, token)); err != nil {
+			t.Fatalf("the live session after its misspellings: %v", err)
+		}
+	})
+
+	// A key the table misses reaches the session stage spelled as its token,
+	// and meets the error it met when the frame carried the hex; an expired
+	// session's key still names its record, which the stage refuses.
+	for _, death := range []struct {
+		name   string
+		kill   func(t *testing.T, fx *handoffFixture, key []byte)
+		want   error
+		record bool
+	}{
+		{"revoked", func(t *testing.T, fx *handoffFixture, _ []byte) {
+			fx.ca.Revoke(fx.people["alice"].cert.Serial)
+			fx.gw.Sessions().SweepRevoked()
+		}, ErrSessionRevoked, false},
+		{"expired", func(t *testing.T, fx *handoffFixture, _ []byte) { fx.clock.advance(2 * time.Minute) }, ErrSessionExpired, true},
+		{"closed", func(t *testing.T, fx *handoffFixture, key []byte) {
+			if _, err := fx.gw.AppendWire(ctx, nil, TopicSessionClose, key, handoffConn); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrNoSession, false},
+	} {
+		t.Run(death.name, func(t *testing.T) {
+			fx := newHandoffFixture(t)
+			key, ok := EncodeSessionClose(fx.grant.Token)
+			if !ok {
+				t.Fatalf("token %q spells no key", fx.grant.Token)
+			}
+			death.kill(t, fx, key[:])
+			fx.stage.hook = func(req *Request) {
+				if death.record && (req.session == nil || req.SessionToken != "") ||
+					!death.record && (req.session != nil || req.SessionToken != fx.grant.Token) {
+					t.Errorf("the decoder handed the stage token %q and record %v", req.SessionToken, req.session)
+				}
+			}
+			if err := fx.submit(fx.frame(t, fx.grant.Token)); !errors.Is(err, death.want) {
+				t.Fatalf("%s session's key: %v, want %v", death.name, err, death.want)
+			}
+		})
 	}
 }

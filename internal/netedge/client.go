@@ -563,9 +563,16 @@ func (c *Client) SubmitRawAsync(ctx context.Context, wire []byte) (*PendingSubmi
 	return &PendingSubmit{p: p}, nil
 }
 
-// CloseSession ends a session opened over this connection.
+// CloseSession ends a session opened over this connection. The payload is
+// the session's key, the 32 bytes its token spells in hex
+// (middleware.EncodeSessionClose). A malformed token names no session, and
+// nothing is sent: closing it is a no-op, as the gateway would answer.
 func (c *Client) CloseSession(ctx context.Context, token string) error {
-	_, err := c.Call(ctx, middleware.TopicSessionClose, []byte(token))
+	key, ok := middleware.EncodeSessionClose(token)
+	if !ok {
+		return nil
+	}
+	_, err := c.Call(ctx, middleware.TopicSessionClose, key[:])
 	return err
 }
 

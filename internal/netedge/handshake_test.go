@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dltprivacy/internal/dcrypto"
+	"dltprivacy/internal/middleware"
 )
 
 // recordingConn keeps every byte that crossed the socket, each way.
@@ -148,7 +152,8 @@ func TestHandshakeSecretsNeverCrossTheSocket(t *testing.T) {
 	if len(grant.b) != 0 {
 		t.Fatalf("grant frame has %d bytes after the sealed secret: a field the format does not name", len(grant.b))
 	}
-	if string(token) != full.Token {
+	// The grant carries the session's key; the token is its hex.
+	if hex.EncodeToString(token) != full.Token {
 		t.Fatal("eavesdropper misread the grant: token differs")
 	}
 
@@ -182,5 +187,97 @@ func TestHandshakeSecretsNeverCrossTheSocket(t *testing.T) {
 	// What the resume hello does carry: no certificate, no principal name.
 	if bytes.Contains(requests[2], principal) || bytes.Contains(requests[2], p.cert.PublicKey) {
 		t.Error("the resume hello carries the principal or its certified key")
+	}
+}
+
+// TestSessionKeysCrossTheSocket records a connection through an open, a
+// submission and a close: the submission and the close carry the session's
+// 32 key bytes, and its token's hex never crosses. Over the same socket a
+// spelling that is no key names no session: a malformed token is refused as
+// ErrNoSession (one of 32 bytes by the client's encoder, the rest by the
+// gateway), closing one sends nothing, and a frame or a close payload
+// carrying the token's 64 hex characters, the form a frame once carried,
+// is refused and closes nothing.
+func TestSessionKeysCrossTheSocket(t *testing.T) {
+	e := newEdgeEnv(t)
+	raw, err := net.Dial("tcp", e.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingConn{Conn: raw}
+	c := newClient(rec, dialOptions{inFlight: 16, maxFrame: DefaultMaxFrame})
+	defer c.Close()
+	ctx := context.Background()
+	sent := func() [][]byte {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return bodies(rec.out.Bytes())
+	}
+
+	p := bootstrap(t, c, "alice")
+	token := p.grant.Token
+	key, err := hex.DecodeString(token)
+	if err != nil || len(key) != 32 {
+		t.Fatalf("token %q is not the hex of a 32-byte key: %v", token, err)
+	}
+	if _, err := c.SubmitRaw(ctx, p.submission(t, []byte("trade-1"), nil)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+
+	for _, other := range []string{strings.ToUpper(token), token[:63], token + "0", "session-" + token[:24]} {
+		req := &middleware.Request{Channel: "deals", Principal: p.name, Payload: []byte("trade"), SessionToken: other}
+		middleware.MACRequest(req, p.grant.MacKey)
+		if _, err := c.Submit(ctx, req); !errors.Is(err, middleware.ErrNoSession) {
+			t.Errorf("submit with token %q: %v, want ErrNoSession", other, err)
+		}
+		before := len(sent())
+		if err := c.CloseSession(ctx, other); err != nil {
+			t.Errorf("close %q: %v", other, err)
+		}
+		if after := len(sent()); after != before {
+			t.Errorf("closing %q sent %d frames, want none", other, after-before)
+		}
+	}
+
+	req := &middleware.Request{Channel: "deals", Principal: p.name, Payload: []byte("old form")}
+	middleware.MACRequest(req, p.grant.MacKey)
+	field := func(b, f []byte) []byte { return append(binary.AppendUvarint(b, uint64(len(f))), f...) }
+	old := []byte{0xDC, 0x01}
+	for _, f := range [][]byte{[]byte(req.Channel), []byte(req.Principal), nil, req.Payload, []byte(token), nil, req.MAC, nil} {
+		old = field(old, f)
+	}
+	if _, err := c.SubmitRaw(ctx, append(old, 0, 0)); !errors.Is(err, middleware.ErrNoSession) {
+		t.Errorf("frame carrying the token's hex: %v, want ErrNoSession", err)
+	}
+	if _, err := c.Call(ctx, middleware.TopicSessionClose, []byte(token)); err != nil {
+		t.Errorf("session.close of the token's hex: %v", err)
+	}
+	if _, err := c.SubmitRaw(ctx, p.submission(t, []byte("still live"), nil)); err != nil {
+		t.Fatalf("the session after its misspellings: %v", err)
+	}
+
+	if err := c.CloseSession(ctx, token); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, err := c.SubmitRaw(ctx, p.submission(t, []byte("late"), nil)); !errors.Is(err, middleware.ErrNoSession) {
+		t.Fatalf("submission on the closed session: %v, want ErrNoSession", err)
+	}
+	frames := sent()
+	if close := frames[len(frames)-2]; !bytes.Equal(close, key) {
+		t.Fatalf("session.close payload %x, want the key %x", close, key)
+	}
+	var submissions int
+	for _, body := range frames {
+		for _, payload := range []string{"trade-1", "still live", "late"} {
+			if !bytes.Contains(body, []byte(payload)) {
+				continue
+			}
+			if submissions++; !bytes.Contains(body, key) || bytes.Contains(body, []byte(token)) {
+				t.Fatalf("submission %q does not name its session by key alone: %x", payload, body)
+			}
+		}
+	}
+	if submissions != 3 {
+		t.Fatalf("found %d of the 3 submissions in the capture", submissions)
 	}
 }
