@@ -95,9 +95,6 @@ func (b *Batch) bindEncrypt(enc *Encrypt) {
 	b.fullMeta = EnvelopeScheme + " n=" + strconv.Itoa(b.size)
 }
 
-// GroupSeal reports whether the stage runs in group-seal mode.
-func (b *Batch) GroupSeal() bool { return b.enc != nil }
-
 // takeBucketLocked returns an empty bucket with capacity for a full group,
 // reusing a released one when one is free. Caller holds b.mu.
 func (b *Batch) takeBucketLocked() *groupBucket {
@@ -127,14 +124,6 @@ func (b *Batch) recycleBucket(g *groupBucket) {
 	}
 	b.mu.Unlock()
 }
-
-// GroupsSealed reports how many group envelopes the stage has released;
-// GroupTxs how many member transactions those groups carried. Both 0
-// outside group-seal mode.
-func (b *Batch) GroupsSealed() uint64 { return b.groupsSealed.Load() }
-
-// GroupTxs reports the member transactions released inside group envelopes.
-func (b *Batch) GroupTxs() uint64 { return b.groupTxs.Load() }
 
 // statRows declares the group-seal counters and the buffer gauge.
 func (b *Batch) statRows() []statRow {
@@ -216,7 +205,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 
 // detachStrandedLocked removes and returns every open bucket of fresh's
 // channel under another key. A fresh bucket under a new key means the
-// channel rotated (keyttl expiry, RotateChannelKey, a revocation): nothing
+// channel rotated (keyttl expiry, a membership change, a revocation): nothing
 // is tagged with the old key again, so its bucket would hold acknowledged
 // submissions unordered until Flush. Caller holds b.mu.
 func (b *Batch) detachStrandedLocked(fresh *groupBucket) []*groupBucket {

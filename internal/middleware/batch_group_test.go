@@ -136,7 +136,7 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, ok := chain.stages[len(chain.stages)-1].(*Batch)
-	if !ok || !b.GroupSeal() {
+	if !ok || b.enc == nil {
 		t.Fatal("batch stage not in group-seal mode")
 	}
 	for _, ch := range []string{"deals", "trades", "deals"} {
@@ -156,8 +156,8 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 	if b.Pending() != 0 {
 		t.Fatalf("pending = %d after flush, want 0", b.Pending())
 	}
-	if b.GroupsSealed() != 2 || b.GroupTxs() != 3 {
-		t.Fatalf("sealed/txs = %d/%d, want 2/3", b.GroupsSealed(), b.GroupTxs())
+	if sealed, txs := b.groupsSealed.Load(), b.groupTxs.Load(); sealed != 2 || txs != 3 {
+		t.Fatalf("sealed/txs = %d/%d, want 2/3", sealed, txs)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestRotationReleasesStrandedGroup(t *testing.T) {
 	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sink.count() != 3 || b.GroupTxs() != 5 {
-		t.Fatalf("after flush: %d releases carrying %d txs, want 3 carrying 5", sink.count(), b.GroupTxs())
+	if txs := b.groupTxs.Load(); sink.count() != 3 || txs != 5 {
+		t.Fatalf("after flush: %d releases carrying %d txs, want 3 carrying 5", sink.count(), txs)
 	}
 }
 

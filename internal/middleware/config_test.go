@@ -42,14 +42,13 @@ func TestConfigBuildsFullChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full chain rejected: %v", err)
 	}
-	got := chain.StageNames()
 	want := []string{StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch}
-	if len(got) != len(want) {
-		t.Fatalf("stages = %v", got)
+	if len(chain.stages) != len(want) {
+		t.Fatalf("%d stages, want %d", len(chain.stages), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stage %d = %s, want %s", i, got[i], want[i])
+	for i, s := range chain.stages {
+		if s.Name() != want[i] {
+			t.Fatalf("stage %d = %s, want %s", i, s.Name(), want[i])
 		}
 	}
 }
@@ -339,10 +338,9 @@ func TestConfigAcceptsPrivacyStages(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid privacy config rejected: %v", err)
 			}
-			got := chain.StageNames()
 			for i, sc := range tc.stages {
-				if got[i] != sc.Name {
-					t.Fatalf("stage %d = %s, want %s", i, got[i], sc.Name)
+				if got := chain.stages[i].Name(); got != sc.Name {
+					t.Fatalf("stage %d = %s, want %s", i, got, sc.Name)
 				}
 			}
 		})

@@ -301,12 +301,10 @@
 // wraps a channel data key to every member once per (channel, epoch) and
 // reuses it: each submission pays one AES-GCM seal instead of one ECDH
 // key-wrap per member. The key rotates onto a fresh epoch — new data
-// key, new ephemeral key, new wraps — when the epoch TTL elapses, when the
-// channel's member set changes in the Directory (detected by fingerprint,
-// so a joiner never opens pre-join traffic and a leaver's key is dropped
-// from new wraps), or on an explicit Encrypt.Rotate /
-// Gateway.RotateChannelKey call (e.g. after a revocation). Envelopes
-// record their epoch.
+// key, new ephemeral key, new wraps — on keyttl expiry, on a membership
+// change in the Directory (detected by fingerprint, so a joiner never opens
+// pre-join traffic and a leaver's key is dropped from new wraps), and on a
+// revocation of a member it wrapped to. Envelopes record their epoch.
 //
 // # Revocation
 //

@@ -519,19 +519,6 @@ func NewCachedEncrypt(dir Directory, keyTTL time.Duration, now func() time.Time)
 // Name implements Stage.
 func (e *Encrypt) Name() string { return StageEncrypt }
 
-// Rotate discards the cached data key for a channel, forcing the next
-// submission onto a fresh epoch. Call it when membership knowledge changes
-// out of band (membership drift through the directory is detected
-// automatically). A no-op without a key cache or for unknown channels.
-func (e *Encrypt) Rotate(channel string) {
-	if e.keyTTL <= 0 {
-		return
-	}
-	e.mu.Lock()
-	delete(e.keys, channel)
-	e.mu.Unlock()
-}
-
 // RevokeMember excludes an identity from all future envelopes: its key is
 // dropped from every member set before sealing, and every cached channel
 // key it could unwrap is invalidated so the channel's next submission

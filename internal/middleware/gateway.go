@@ -601,12 +601,6 @@ func (g *Gateway) Bound(channel string) []Backend {
 	return append([]Backend(nil), g.backends[channel]...)
 }
 
-// Sharded exposes the sharded ordering backend this gateway fronts, nil
-// for unsharded deployments. Admin surfaces (the shard.rebalance topic,
-// operational tooling, the chaos harness) use it to migrate channels and
-// read per-shard counters.
-func (g *Gateway) Sharded() *ordering.ShardedBackend { return g.sharded }
-
 // rejectSite is where the gateway refused something: the three places that
 // count into confmw_gateway_rejected_total.
 type rejectSite uint8
@@ -849,13 +843,6 @@ func channelName[T string | []byte](g *Gateway, b T) (string, bool) {
 	}
 	g.channelNames.Store(&grown)
 	return name, true
-}
-
-// RotateChannelKey forces the encrypt stage onto a fresh data-key epoch
-// for the channel (e.g. after revoking a member's certificate). A no-op
-// when the pipeline has no encrypt stage or no key cache.
-func (g *Gateway) RotateChannelKey(channel string) {
-	g.eachMemberKeyer(func(k memberKeyer) { k.Rotate(channel) })
 }
 
 // ServeWire is AppendWire into a reply of its own, for callers in process.

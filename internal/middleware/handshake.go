@@ -228,22 +228,15 @@ func appendGrant(dst []byte, g *SessionGrant, key *sessionKey) []byte {
 	return appendLenPrefixed(dst, sealed.Ciphertext)
 }
 
-// decodeGrantFrame parses the reply to a hello: a grant (whose fields own
-// their memory), or the resume miss, which is the two-byte frame of its kind
-// and nothing else. A grant's token field is the session's 32-byte key,
-// any other length ErrBadFrame, and Token is its lowercase hex. principal is
-// the one the client opened for: a grant that echoes it gets that string
-// rather than a copy of the bytes. MacKey is not a field of the frame and is
-// left nil.
-func decodeGrantFrame(b []byte, principal string) (SessionGrant, bool, error) {
-	g, _, miss, err := decodeGrant(b, principal)
-	return g, miss, err
-}
-
-// decodeGrant is decodeGrantFrame returning beside the grant the room its
-// MAC key is derived into (grantToken): a client's token and key cost one
-// allocation, and the three byte fields of a full handshake's grant one
-// more.
+// decodeGrant parses the reply to a hello: a grant (whose fields own their
+// memory), or the resume miss, which is the two-byte frame of its kind and
+// nothing else. A grant's token field is the session's 32-byte key, any
+// other length ErrBadFrame, and Token is its lowercase hex. principal is the
+// one the client opened for: a grant that echoes it gets that string rather
+// than a copy of the bytes. MacKey is not a field of the frame and is left
+// nil. Beside the grant it returns the room its MAC key is derived into
+// (grantToken): a client's token and key cost one allocation, and the three
+// byte fields of a full handshake's grant one more.
 func decodeGrant(b []byte, principal string) (g SessionGrant, macRoom []byte, miss bool, err error) {
 	if len(b) == 2 && b[0] == binaryMagic && b[1] == binaryKindResumeMiss {
 		return g, nil, true, nil

@@ -17,7 +17,7 @@ import (
 
 // FuzzHandshakeFrames throws arbitrary bytes at the two decoders of the
 // session handshake — decodeHelloFrame, which a gateway runs on whatever
-// arrives on session.open, and decodeGrantFrame, which a client runs on the
+// arrives on session.open, and decodeGrant, which a client runs on the
 // reply. Hostile bytes are ErrBadFrame, never a panic. No frame has a count
 // field, so nothing a decoder allocates exceeds the field bytes it was given
 // (the nested certificate is its pki binary encoding, of that length). And
@@ -161,6 +161,13 @@ func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
 		panic(fmt.Sprintf("appendGrantFrame: token %q is no key's spelling", g.Token))
 	}
 	return appendGrant(dst, g, &key)
+}
+
+// decodeGrantFrame is decodeGrant without the MAC key's room: the grant and
+// whether the frame was the resume miss.
+func decodeGrantFrame(b []byte, principal string) (SessionGrant, bool, error) {
+	g, _, miss, err := decodeGrant(b, principal)
+	return g, miss, err
 }
 
 // rawResumeFrame spells out a resume hello frame whose nonce may have any

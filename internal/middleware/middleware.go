@@ -348,12 +348,6 @@ func hexID(d [32]byte) [32]byte {
 	return id
 }
 
-// Authenticated reports whether the authn stage verified the request.
-func (r *Request) Authenticated() bool { return r.authenticated }
-
-// Encrypted reports whether the encrypt stage sealed the payload.
-func (r *Request) Encrypted() bool { return r.encrypted }
-
 // SignRequest signs the request digest with the submitter's key, filling
 // Sig: the proof a sessionless request carries beside its certificate, for
 // the authn stage. A token-bearing request is MAC'd instead (MACRequest).
@@ -401,12 +395,11 @@ type (
 		Flush(ctx context.Context) error
 	}
 	// memberKeyer is a stage that wraps channel keys to member identities
-	// (encrypt): revocation excludes a member, readmission lifts the
-	// exclusion, Rotate forces a channel onto a fresh key epoch.
+	// (encrypt): revocation excludes a member, and readmission lifts the
+	// exclusion.
 	memberKeyer interface {
 		RevokeMember(identity string)
 		ReadmitMember(identity string)
-		Rotate(channel string)
 	}
 	// sessionHolder is the stage fronting the session manager the gateway
 	// serves session.open / session.close through.
@@ -641,25 +634,4 @@ func (c *Chain) RegisterMetrics(reg *telemetry.Registry) error {
 		}
 	}
 	return nil
-}
-
-// StageLatency returns the named stage's exclusive-latency histogram, or
-// nil if the chain has no such stage. Useful for deriving p50/p99 in
-// process (status pages, tests) without a scrape round-trip.
-func (c *Chain) StageLatency(name string) *telemetry.Histogram {
-	for _, m := range c.metrics {
-		if m.name == name {
-			return m.lat
-		}
-	}
-	return nil
-}
-
-// StageNames returns the configured stage names in order.
-func (c *Chain) StageNames() []string {
-	out := make([]string, len(c.stages))
-	for i, s := range c.stages {
-		out[i] = s.Name()
-	}
-	return out
 }

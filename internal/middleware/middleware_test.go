@@ -186,7 +186,7 @@ func TestAuthnVerifiesSubmitter(t *testing.T) {
 	if err := chain.Execute(context.Background(), req); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
-	if !req.Authenticated() {
+	if !req.authenticated {
 		t.Fatal("request not marked authenticated")
 	}
 

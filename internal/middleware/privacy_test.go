@@ -139,7 +139,7 @@ func TestAnonCredStageAuthenticates(t *testing.T) {
 	if err != nil || !passed {
 		t.Fatalf("valid presentation rejected: %v", err)
 	}
-	if !req.Authenticated() {
+	if !req.authenticated {
 		t.Fatal("request not marked authenticated")
 	}
 	if req.Principal != nym || req.Meta[MetaNym] != nym {

@@ -54,13 +54,6 @@ func (r *RateLimit) Handle(ctx context.Context, req *Request, next Handler) erro
 	return next(ctx, req)
 }
 
-// Buckets reports the number of tracked principal buckets.
-func (r *RateLimit) Buckets() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buckets)
-}
-
 // refillWindow is how long a drained bucket takes to fill back to burst —
 // past that idle time the bucket carries no information and is evictable.
 func (r *RateLimit) refillWindow() time.Duration {

@@ -129,14 +129,6 @@ func mustRegisterStage(def stageDef) {
 	}
 }
 
-// removeStage uninstalls a definition; it exists for registry tests, which
-// must not leak scratch stages into the process-wide vocabulary.
-func removeStage(name string) {
-	registryMu.Lock()
-	delete(registry, name)
-	registryMu.Unlock()
-}
-
 func lookupStage(name string) *stageDef {
 	registryMu.RLock()
 	defer registryMu.RUnlock()

@@ -22,6 +22,14 @@ func nopBuild(p *params, sc StageConfig, env Env) (Stage, error) {
 	return nopStage{}, nil
 }
 
+// removeStage uninstalls a definition, so that a test does not leak its
+// scratch stages into the process-wide vocabulary.
+func removeStage(name string) {
+	registryMu.Lock()
+	delete(registry, name)
+	registryMu.Unlock()
+}
+
 func TestRegisterStageRejectsDuplicate(t *testing.T) {
 	err := registerStage(stageDef{name: StageAuthn, build: nopBuild})
 	if err == nil || !strings.Contains(err.Error(), "already registered") {

@@ -56,9 +56,9 @@ var (
 // mismatch (rejectReasons).
 var errTokenPrincipal = fmt.Errorf("%w", ErrIdentityMismatch)
 
-// RequestAuthMode is kept under the name the repository benchmark calls:
-// token-bearing requests are authenticated one way, by an HMAC under the
-// per-session key, and AuthMAC is its one value.
+// RequestAuthMode is the type of AuthMAC, which the repository benchmark
+// passes to WithRequestAuth: token-bearing requests are authenticated one
+// way, by an HMAC under the per-session key, and AuthMAC is its one value.
 type RequestAuthMode int
 
 // AuthMAC is the one request authentication mode; see RequestAuthMode.

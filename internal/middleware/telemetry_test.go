@@ -66,7 +66,7 @@ func TestExclusiveStageTiming(t *testing.T) {
 		t.Errorf("outer exclusive %d implausibly small for a 2ms spin", o.ExclusiveNanos)
 	}
 	// The latency histogram observed the same exclusive value.
-	if s := c.StageLatency("outer").Snapshot(); s.Count != 1 || s.Sum != o.ExclusiveNanos {
+	if s := c.metrics[0].lat.Snapshot(); s.Count != 1 || s.Sum != o.ExclusiveNanos {
 		t.Errorf("outer histogram sum/count = %d/%d, want %d/1", s.Sum, s.Count, o.ExclusiveNanos)
 	}
 }

@@ -3,7 +3,6 @@ package netedge
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
@@ -19,18 +18,15 @@ import (
 // dialOptions collects the client knobs; see the With* constructors.
 type dialOptions struct {
 	inFlight int
-	shed     bool
-	maxFrame int
-	timeout  time.Duration
 }
 
 // DialOption configures a Client.
 type DialOption func(*dialOptions)
 
 // WithInFlight bounds how many requests the client keeps in flight on the
-// connection at once — the pipelining window. A full window blocks Call
-// (default) or, with WithClientShedding, fails it with ErrBackpressure.
-// Default 1024.
+// connection at once — the pipelining window. A call that finds the window
+// full waits for a slot, for its context to end or for the connection to
+// fail. Default 1024.
 func WithInFlight(n int) DialOption {
 	return func(o *dialOptions) {
 		if n > 0 {
@@ -39,35 +35,8 @@ func WithInFlight(n int) DialOption {
 	}
 }
 
-// WithClientShedding makes a full in-flight window fail Call with
-// ErrBackpressure instead of blocking — the deterministic client-side
-// backpressure signal.
-func WithClientShedding() DialOption {
-	return func(o *dialOptions) { o.shed = true }
-}
-
-// WithClientMaxFrame bounds the client's frames in both directions: a reply
-// frame larger than n fails the connection, and a request frame larger than
-// n fails its call with ErrFrameTooBig before anything is sent, so that one
-// oversized request does not make the server drop the connection under every
-// other call on it. Set it no higher than the server's WithMaxFrame. Default
-// DefaultMaxFrame.
-func WithClientMaxFrame(n int) DialOption {
-	return func(o *dialOptions) {
-		if n > 0 {
-			o.maxFrame = n
-		}
-	}
-}
-
-// WithDialTimeout bounds the TCP connect. Default 10s.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(o *dialOptions) {
-		if d > 0 {
-			o.timeout = d
-		}
-	}
-}
+// dialTimeout bounds the TCP connect.
+const dialTimeout = 10 * time.Second
 
 // callResult carries one reply (or the connection's death) to its waiter.
 type callResult struct {
@@ -98,10 +67,13 @@ type pendingCall struct {
 // fails. So calls under one long-lived context cost nothing per call for
 // their cancellation, while a context made per call costs a registration
 // and, when it ends, one pass over the pending calls.
+//
+// Frames are bounded by DefaultMaxFrame in both directions: a larger reply
+// fails the connection, and a larger request fails its call with
+// ErrFrameTooBig before anything is sent, so that one oversized request does
+// not make the server drop the connection under every other call on it.
 type Client struct {
-	conn     net.Conn
-	maxFrame int
-	shed     bool
+	conn net.Conn
 
 	window chan struct{}
 	nextID atomic.Uint64
@@ -134,11 +106,11 @@ type Client struct {
 
 // Dial connects to an edge server.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	opt := dialOptions{inFlight: 1024, maxFrame: DefaultMaxFrame, timeout: 10 * time.Second}
+	opt := dialOptions{inFlight: 1024}
 	for _, o := range opts {
 		o(&opt)
 	}
-	conn, err := net.DialTimeout("tcp", addr, opt.timeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("netedge: dial %s: %w", addr, err)
 	}
@@ -148,14 +120,12 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 // newClient starts a client over an established connection.
 func newClient(conn net.Conn, opt dialOptions) *Client {
 	c := &Client{
-		conn:     conn,
-		maxFrame: opt.maxFrame,
-		shed:     opt.shed,
-		window:   make(chan struct{}, opt.inFlight),
-		pending:  make(map[uint64]pendingCall),
-		watched:  make(map[<-chan struct{}]func() bool),
-		chans:    sync.Pool{New: func() any { return make(chan callResult, 1) }},
-		done:     make(chan struct{}),
+		conn:    conn,
+		window:  make(chan struct{}, opt.inFlight),
+		pending: make(map[uint64]pendingCall),
+		watched: make(map[<-chan struct{}]func() bool),
+		chans:   sync.Pool{New: func() any { return make(chan callResult, 1) }},
+		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
@@ -248,7 +218,7 @@ func (c *Client) readLoop() {
 	buf := make([]byte, 0, 4096)
 	var chunk []byte
 	for {
-		f, nbuf, err := readFrame(br, buf, c.maxFrame)
+		f, nbuf, err := readFrame(br, buf, DefaultMaxFrame)
 		buf = nbuf
 		if err != nil {
 			c.fail(fmt.Errorf("netedge: read: %w", err))
@@ -358,9 +328,10 @@ func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte
 // into one flight of frames and one flight of acks. payload is only read
 // before CallAsync returns. ctx guards only the wait for a window slot: the
 // call waits under the context given to Wait. An error here means the frame
-// never left (oversized, backpressure shed or a dead connection) and no
-// PendingCall exists; a nil error means the frame is queued behind the
-// connection's flusher, and a later write failure surfaces through Wait.
+// never left (oversized, ctx ended while the window was full, or a dead
+// connection) and no PendingCall exists; a nil error means the frame is
+// queued behind the connection's flusher, and a later write failure
+// surfaces through Wait.
 func (c *Client) CallAsync(ctx context.Context, topic string, payload []byte) (*PendingCall, error) {
 	ch := c.chans.Get().(chan callResult)
 	id, err := c.send(ctx, false, ch, topic, payload)
@@ -379,8 +350,8 @@ func (c *Client) send(ctx context.Context, wait bool, ch chan callResult, topic 
 	id := c.nextID.Add(1)
 	// The server fails the whole connection on a frame over its bound, so
 	// an oversized request is refused here, before it costs anything.
-	if n := requestFrameLen(id, topic, payload); n > c.maxFrame {
-		return 0, fmt.Errorf("%w: request frame %d > %d", ErrFrameTooBig, n, c.maxFrame)
+	if n := requestFrameLen(id, topic, payload); n > DefaultMaxFrame {
+		return 0, fmt.Errorf("%w: request frame %d > %d", ErrFrameTooBig, n, DefaultMaxFrame)
 	}
 	// Acquire an in-flight slot: the bounded window that keeps one client
 	// from queueing unboundedly into a slow server. The slot belongs to the
@@ -389,9 +360,6 @@ func (c *Client) send(ctx context.Context, wait bool, ch chan callResult, topic 
 	select {
 	case c.window <- struct{}{}:
 	default:
-		if c.shed {
-			return 0, ErrBackpressure
-		}
 		select {
 		case c.window <- struct{}{}:
 		case <-ctx.Done():
@@ -553,16 +521,6 @@ func (c *Client) SubmitAsync(ctx context.Context, req *middleware.Request) (*Pen
 	return &PendingSubmit{p: p}, nil
 }
 
-// SubmitRawAsync sends pre-encoded wire bytes without waiting for the ack —
-// SubmitAsync for the loadgen path's reused frame templates.
-func (c *Client) SubmitRawAsync(ctx context.Context, wire []byte) (*PendingSubmit, error) {
-	p, err := c.CallAsync(ctx, middleware.TopicSubmit, wire)
-	if err != nil {
-		return nil, err
-	}
-	return &PendingSubmit{p: p}, nil
-}
-
 // CloseSession ends a session opened over this connection. The payload is
 // the session's key, the 32 bytes its token spells in hex
 // (middleware.EncodeSessionClose). A malformed token names no session, and
@@ -574,17 +532,4 @@ func (c *Client) CloseSession(ctx context.Context, token string) error {
 	}
 	_, err := c.Call(ctx, middleware.TopicSessionClose, key[:])
 	return err
-}
-
-// NotifyRevocation tells the gateway the revocation plane moved.
-func (c *Client) NotifyRevocation(ctx context.Context) (middleware.RevocationNotice, error) {
-	reply, err := c.Call(ctx, middleware.TopicRevocationNotify, nil)
-	if err != nil {
-		return middleware.RevocationNotice{}, err
-	}
-	var notice middleware.RevocationNotice
-	if err := json.Unmarshal(reply, &notice); err != nil {
-		return middleware.RevocationNotice{}, fmt.Errorf("netedge: decode revocation notice: %w", err)
-	}
-	return notice, nil
 }

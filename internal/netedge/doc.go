@@ -70,22 +70,22 @@
 //
 // The Client is the matching dialer: concurrent-safe, pipelined (many
 // requests in flight over one connection, matched by request id), with a
-// bounded in-flight window that blocks or, with WithClientShedding, fails
-// the call with ErrBackpressure. Its callers combine their socket writes:
-// each encodes its frame into the connection's batch, and the one that
-// finds nobody flushing becomes the flusher. It yields so that callers
-// already runnable add their frames, and yields again for as long as the
-// last yield added some and the batch is under 64 KiB; then it writes the
-// batch outside the lock until none is left. There is no timer and no ack
-// clock: a yield that adds nothing ends the gather, so a lone request is
-// written after one yield. Everyone else returns without touching the
-// socket; frames leave in the order callers took the lock. A write failure
-// therefore reaches a caller through Wait, not through CallAsync. Neither
-// side keeps a write buffer that one large frame grew past 64 KiB, and the
-// client refuses a request frame over its frame bound (ErrFrameTooBig)
-// rather than send what the server would drop the connection for. A
-// waiting call blocks on its own reply channel alone; the end of the
-// context it waits under is delivered on that channel by one
+// bounded in-flight window: a call that finds it full waits for a slot, for
+// its context to end or for the connection to fail. Its callers combine
+// their socket writes: each encodes its frame into the connection's batch,
+// and the one that finds nobody flushing becomes the flusher. It yields so
+// that callers already runnable add their frames, and yields again for as
+// long as the last yield added some and the batch is under 64 KiB; then it
+// writes the batch outside the lock until none is left. There is no timer
+// and no ack clock: a yield that adds nothing ends the gather, so a lone
+// request is written after one yield. Everyone else returns without
+// touching the socket; frames leave in the order callers took the lock. A
+// write failure therefore reaches a caller through Wait, not through
+// CallAsync. Neither side keeps a write buffer that one large frame grew
+// past 64 KiB, and the client refuses a request frame over DefaultMaxFrame
+// (ErrFrameTooBig) rather than send what the server would drop the
+// connection for. A waiting call blocks on its own reply channel alone; the
+// end of the context it waits under is delivered on that channel by one
 // context.AfterFunc per distinct context. cmd/loadgen multiplexes tens of
 // thousands of sessions over a small connection pool this way.
 package netedge

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -155,8 +156,13 @@ func TestEdgeRoundtrip(t *testing.T) {
 	if _, err := c.OpenSession(ctx, p.name, p.cert, p.key, "json"); err == nil {
 		t.Fatal(`OpenSession(…, "json") opened a session`)
 	}
-	if _, err := c.NotifyRevocation(ctx); err != nil {
+	reply, err := c.Call(ctx, middleware.TopicRevocationNotify, nil)
+	if err != nil {
 		t.Fatalf("notify revocation: %v", err)
+	}
+	var notice middleware.RevocationNotice
+	if err := json.Unmarshal(reply, &notice); err != nil {
+		t.Fatalf("revocation notice %q: %v", reply, err)
 	}
 	if got := e.srv.Stats().Requests; got != served+1 {
 		t.Fatalf("server saw %d requests after the refused open, want 1 (the notify)", got-served)
@@ -658,43 +664,6 @@ func waitStats(t *testing.T, srv *Server, ok func(EdgeStats) bool) {
 	}
 }
 
-// TestEdgeClientWindowShed proves the client-side in-flight window is the
-// deterministic ErrBackpressure path.
-func TestEdgeClientWindowShed(t *testing.T) {
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	h := HandlerFunc(func(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
-		started <- struct{}{}
-		<-release
-		return []byte("ok"), nil
-	})
-	srv, err := Listen("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr().String(), WithInFlight(1), WithClientShedding())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	first := make(chan error, 1)
-	go func() {
-		_, err := c.Call(context.Background(), "t", []byte("slow"))
-		first <- err
-	}()
-	// Once the handler holds the first call, its window slot is taken and
-	// the second call must shed immediately.
-	<-started
-	if _, err := c.Call(context.Background(), "t", []byte("second")); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("second call: got %v, want ErrBackpressure", err)
-	}
-	close(release)
-	if err := <-first; err != nil {
-		t.Fatalf("first call: %v", err)
-	}
-}
-
 // TestEdgeServerCloseFailsPending proves Close is clean: in-flight calls
 // fail fast with a connection error rather than hanging.
 func TestEdgeServerCloseFailsPending(t *testing.T) {
@@ -739,8 +708,8 @@ func TestEdgeServerCloseFailsPending(t *testing.T) {
 }
 
 // TestEdgePipelinedSubmitAsync proves the batched-ack path: a whole flight
-// of SubmitRawAsync frames goes out before any ack is read, then every
-// PendingSubmit resolves with a distinct submission ID and every submission
+// of CallAsync submissions goes out before any ack is read, then every
+// PendingCall resolves with a distinct submission ID and every submission
 // lands on the ledger exactly once.
 func TestEdgePipelinedSubmitAsync(t *testing.T) {
 	e := newEdgeEnv(t)
@@ -759,25 +728,25 @@ func TestEdgePipelinedSubmitAsync(t *testing.T) {
 	p := bootstrap(t, c, "alice")
 
 	const n = 32
-	pendings := make([]*PendingSubmit, n)
+	pendings := make([]*PendingCall, n)
 	for i := range pendings {
 		seq := fmt.Sprintf("pipelined-%02d", i)
-		ps, err := c.SubmitRawAsync(ctx, p.submission(t, []byte(seq), map[string]string{"seq": seq}))
+		pc, err := c.CallAsync(ctx, middleware.TopicSubmit, p.submission(t, []byte(seq), map[string]string{"seq": seq}))
 		if err != nil {
 			t.Fatalf("submit async %d: %v", i, err)
 		}
-		pendings[i] = ps
+		pendings[i] = pc
 	}
 	ids := make(map[string]bool, n)
-	for i, ps := range pendings {
-		id, err := ps.Wait(ctx)
+	for i, pc := range pendings {
+		id, err := pc.Wait(ctx)
 		if err != nil {
 			t.Fatalf("wait %d: %v", i, err)
 		}
-		if id == "" || ids[id] {
+		if len(id) == 0 || ids[string(id)] {
 			t.Fatalf("wait %d: submission id %q empty or duplicated", i, id)
 		}
-		ids[id] = true
+		ids[string(id)] = true
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -790,9 +759,11 @@ func TestEdgePipelinedSubmitAsync(t *testing.T) {
 }
 
 // TestEdgeCallAsyncWindowAccounting proves the PendingCall owns its window
-// slot: unwaited calls hold slots (shedding when the window fills), Wait
-// releases exactly one each, and double-Wait neither double-releases nor
-// changes the settled result.
+// slot: unwaited calls hold slots, Wait releases exactly one each, and
+// double-Wait neither double-releases nor changes the settled result. The
+// probe is a CallAsync under a context that has already ended: a free slot
+// is taken without looking at the context, so it succeeds exactly when a
+// slot is free and returns context.Canceled when the window is full.
 func TestEdgeCallAsyncWindowAccounting(t *testing.T) {
 	release := make(chan struct{})
 	h := HandlerFunc(func(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
@@ -807,52 +778,54 @@ func TestEdgeCallAsyncWindowAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr().String(), WithInFlight(2), WithClientShedding())
+	c, err := Dial(srv.Addr().String(), WithInFlight(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
-	p1, err := c.CallAsync(ctx, "t", []byte("one"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.CallAsync(ctx, "t", []byte("two"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window full: both slots are held by unwaited pending calls.
-	if _, err := c.CallAsync(ctx, "t", []byte("three")); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("third async call: got %v, want ErrBackpressure", err)
-	}
-	close(release)
-	for i, p := range []*PendingCall{p1, p2} {
-		b, err := p.Wait(ctx)
+	ended, cancel := context.WithCancel(ctx)
+	cancel()
+	// take fills one free slot; full checks that none is left.
+	take := func(what string) *PendingCall {
+		t.Helper()
+		p, err := c.CallAsync(ended, "t", []byte(what))
 		if err != nil {
-			t.Fatalf("wait %d: %v", i, err)
+			t.Fatalf("%s: %v, want a free window slot", what, err)
 		}
-		// Wait again: settled result, no second slot release.
-		b2, err2 := p.Wait(ctx)
-		if err2 != nil || string(b2) != string(b) {
-			t.Fatalf("re-wait %d: got %q/%v, want %q/nil", i, b2, err2, b)
+		return p
+	}
+	full := func(what string) {
+		t.Helper()
+		if _, err := c.CallAsync(ended, "t", []byte(what)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want context.Canceled from a full window", what, err)
 		}
 	}
-	// Both slots are free again — if Wait over-released, this would still
-	// pass, so prove exact accounting: two more asyncs fit, a third sheds.
-	q1, err := c.CallAsync(ctx, "t", []byte("four"))
-	if err != nil {
-		t.Fatalf("post-wait call 1: %v", err)
-	}
-	q2, err := c.CallAsync(ctx, "t", []byte("five"))
-	if err != nil {
-		t.Fatalf("post-wait call 2: %v", err)
-	}
-	if _, err := c.CallAsync(ctx, "t", []byte("six")); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("post-wait third call: got %v, want ErrBackpressure", err)
-	}
-	for _, q := range []*PendingCall{q1, q2} {
-		if _, err := q.Wait(ctx); err != nil {
-			t.Fatal(err)
+	// wait settles p twice: the settled result repeats, and no second slot
+	// is released.
+	wait := func(p *PendingCall, want string) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if b, err := p.Wait(ctx); err != nil || string(b) != want {
+				t.Fatalf("wait %d on %s: got %q/%v", i, want, b, err)
+			}
 		}
+	}
+	p1, p2 := take("one"), take("two")
+	full("three")
+	close(release)
+	// One wait frees one slot, however often it is repeated.
+	wait(p1, "one")
+	q1 := take("four")
+	full("five")
+	wait(p2, "two")
+	wait(q1, "four")
+	// Both slots are free again, and no more than both.
+	q2, q3 := take("six"), take("seven")
+	full("eight")
+	wait(q2, "six")
+	wait(q3, "seven")
+	if len(c.window) != 0 {
+		t.Fatalf("%d window slots held with nothing in flight, want 0", len(c.window))
 	}
 }

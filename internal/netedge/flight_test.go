@@ -71,7 +71,7 @@ func gatedFlight(t *testing.T, srv *Server, n int, writeErr error) (c *Client, g
 		t.Fatal(err)
 	}
 	g = &gatedConn{Conn: conn, entered: make(chan struct{}), gate: make(chan struct{}), err: writeErr}
-	c = newClient(g, dialOptions{inFlight: n, maxFrame: DefaultMaxFrame})
+	c = newClient(g, dialOptions{inFlight: n})
 	t.Cleanup(func() { c.Close() })
 	ctx := context.Background()
 	lead := make(chan *PendingCall, 1)

@@ -125,7 +125,7 @@ func TestGroupSealOwnsBufferedPayloads(t *testing.T) {
 			defer wg.Done()
 			// Keep the pipeline full: a slot frees when its reply is
 			// collected, so wait on the oldest once inFlight are pending.
-			var pending []*PendingSubmit
+			var pending []*PendingCall
 			collect := func() {
 				if _, err := pending[0].Wait(ctx); err != nil {
 					t.Errorf("submission refused: %v", err)
@@ -136,7 +136,7 @@ func TestGroupSealOwnsBufferedPayloads(t *testing.T) {
 				if len(pending) == inFlight {
 					collect()
 				}
-				ps, err := c.SubmitRawAsync(ctx, wire)
+				ps, err := c.CallAsync(ctx, middleware.TopicSubmit, wire)
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return

@@ -93,7 +93,7 @@ func TestHandshakeSecretsNeverCrossTheSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recordingConn{Conn: raw}
-	c := newClient(rec, dialOptions{inFlight: 16, maxFrame: DefaultMaxFrame})
+	c := newClient(rec, dialOptions{inFlight: 16})
 	defer c.Close()
 	ctx := context.Background()
 
@@ -205,7 +205,7 @@ func TestSessionKeysCrossTheSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recordingConn{Conn: raw}
-	c := newClient(rec, dialOptions{inFlight: 16, maxFrame: DefaultMaxFrame})
+	c := newClient(rec, dialOptions{inFlight: 16})
 	defer c.Close()
 	ctx := context.Background()
 	sent := func() [][]byte {

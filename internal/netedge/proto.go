@@ -21,11 +21,6 @@ var (
 	// configured maximum — the bound that keeps a hostile peer from making
 	// the edge allocate arbitrarily.
 	ErrFrameTooBig = errors.New("netedge: frame exceeds size limit")
-	// ErrBackpressure is returned by a Client's calls when its in-flight
-	// window is full and it runs with WithClientShedding instead of
-	// blocking. The server sends no such error: a connection whose peer
-	// stops reading is closed when a reply write passes its deadline.
-	ErrBackpressure = errors.New("netedge: in-flight window full")
 	// ErrClosed is returned for operations on a closed client or server.
 	ErrClosed = errors.New("netedge: connection closed")
 )

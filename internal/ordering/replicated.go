@@ -26,10 +26,6 @@ import (
 var (
 	// ErrNoLeader is returned when no node currently leads the cluster.
 	ErrNoLeader = errors.New("ordering: cluster has no leader")
-	// ErrNotLeader is returned when a follower is asked to order.
-	ErrNotLeader = errors.New("ordering: node is not the leader")
-	// ErrNodeDown is returned when a crashed node is asked to serve.
-	ErrNodeDown = errors.New("ordering: node is down")
 	// ErrNoQuorum is returned when fewer than a majority of nodes
 	// acknowledge replication.
 	ErrNoQuorum = errors.New("ordering: replication quorum unavailable")
@@ -528,25 +524,6 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// CommittedBlocks returns the chain height one node has committed, letting
-// tests verify replication. It is the node's position, so on a cluster that
-// imported its channel it counts the blocks cut before the migration too.
-func (c *Cluster) CommittedBlocks(operator string) (int, error) {
-	c.mu.Lock()
-	idx := c.indexOf(operator)
-	c.mu.Unlock()
-	if idx < 0 {
-		return 0, fmt.Errorf("ordering: unknown node %q", operator)
-	}
-	n := c.nodes[idx]
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.down {
-		return 0, ErrNodeDown
-	}
-	return int(n.pos.height), nil
-}
-
 // retained returns how many replicated entries the cluster's nodes hold in
 // memory right now: one per node while a flush is in flight, none between
 // flushes.
@@ -558,19 +535,4 @@ func (c *Cluster) retained() int {
 		n.mu.Unlock()
 	}
 	return total
-}
-
-// LiveNodes returns the operators of nodes currently up.
-func (c *Cluster) LiveNodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for _, n := range c.nodes {
-		n.mu.Lock()
-		if !n.down {
-			out = append(out, n.operator)
-		}
-		n.mu.Unlock()
-	}
-	return out
 }
