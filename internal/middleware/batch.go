@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,11 @@ type Batch struct {
 	groups  map[*channelKey]*groupBucket // group-seal buckets per (channel, epoch)
 	free    []*groupBucket               // released buckets, ready for reuse
 	next    Handler
+	// parent and detached are the last release's context and its
+	// context.WithoutCancel (detach), reused while releases come under the
+	// same parent — an edge's always do — so that a release allocates no
+	// context. Holding parent keeps it alive until a release under another.
+	parent, detached context.Context
 
 	groupsSealed atomic.Uint64 // group envelopes released (group-seal mode)
 	groupTxs     atomic.Uint64 // member transactions inside those groups
@@ -258,6 +264,28 @@ func (b *Batch) Flush(ctx context.Context) error {
 	return b.release(ctx, group, next, nil)
 }
 
+// detach returns ctx without the flushing caller's cancellation (values
+// survive): the buffered members were acknowledged under their own,
+// long-gone contexts, and a canceled filling request must not fail them. A
+// release under the parent of the last one reuses its detached context.
+func (b *Batch) detach(ctx context.Context) context.Context {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !sameContext(ctx, b.parent) {
+		b.parent, b.detached = ctx, context.WithoutCancel(ctx)
+	}
+	return b.detached
+}
+
+// sameContext reports a == b for the contexts == compares without a chance
+// of panicking: pointers, which every context the standard library derives
+// is, and types of size zero, such as context.Background's. A context of any
+// other type is never the same, and pays its detached context.
+func sameContext(a, b context.Context) bool {
+	t := reflect.TypeOf(a)
+	return t != nil && (t.Kind() == reflect.Pointer || t.Size() == 0) && a == b
+}
+
 // Pending reports the number of buffered submissions across all open
 // buckets.
 func (b *Batch) Pending() int {
@@ -284,10 +312,7 @@ func (b *Batch) Pending() int {
 // bookkeeping, not the group's deliveries, and no member's work is
 // attributed to the filler's trace.
 func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flusher *Request) error {
-	// Detach the flushing caller's cancellation (values survive): the
-	// buffered members were acknowledged under their own, long-gone
-	// contexts, and a canceled filling request must not fail them.
-	ctx = context.WithoutCancel(ctx)
+	ctx = b.detach(ctx)
 	releaseStart := time.Now()
 	var errs []error
 	for i, req := range group {
@@ -329,7 +354,7 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 // "batch.release" span whose exclusive time is its amortized share of the
 // release. Cancellation detaching and error wrapping mirror release.
 func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, flusher *Request) error {
-	ctx = context.WithoutCancel(ctx)
+	ctx = b.detach(ctx)
 	start := time.Now()
 	group, channel, ck := g.reqs, g.channel, g.key
 	sealed, sum, relErr := ck.seal(g.payloads)

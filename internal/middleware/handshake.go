@@ -235,9 +235,10 @@ func appendGrant(dst []byte, g *SessionGrant, key *sessionKey) []byte {
 // one the client opened for: a grant that echoes it gets that string rather
 // than a copy of the bytes. MacKey is not a field of the frame and is left
 // nil. Beside the grant it returns the room its MAC key is derived into
-// (grantToken): a client's token and key cost one allocation, and the three
-// byte fields of a full handshake's grant one more.
-func decodeGrant(b []byte, principal string) (g SessionGrant, macRoom []byte, miss bool, err error) {
+// (grantToken): a client's token and key are one slot of h's grant chunk
+// (Handshaker.carveGrant; h nil allocates them), and the three byte fields
+// of a full handshake's grant cost one allocation.
+func decodeGrant(b []byte, principal string, h *Handshaker) (g SessionGrant, macRoom []byte, miss bool, err error) {
 	if len(b) == 2 && b[0] == binaryMagic && b[1] == binaryKindResumeMiss {
 		return g, nil, true, nil
 	}
@@ -266,7 +267,7 @@ func decodeGrant(b []byte, principal string) (g SessionGrant, macRoom []byte, mi
 	if len(token) != sessionTokenBytes {
 		return SessionGrant{}, nil, false, fmt.Errorf("%w: grant token must be %d bytes, got %d", ErrBadFrame, sessionTokenBytes, len(token))
 	}
-	g.Token, macRoom = grantToken((*sessionKey)(token))
+	g.Token, macRoom = grantToken((*sessionKey)(token), h.carveGrant())
 	if n := len(resumeID) + len(eph) + len(ct); n > 0 {
 		own := append(append(append(make([]byte, 0, n), resumeID...), eph...), ct...)
 		i, j := len(resumeID), len(resumeID)+len(eph)
@@ -279,20 +280,45 @@ func decodeGrant(b []byte, principal string) (g SessionGrant, macRoom []byte, mi
 }
 
 // grantToken is the one constructor of a client grant's token: it spells
-// the frame's key in hex into the head of one allocation and returns it as
-// a string, beside the allocation's tail — empty, with room for the
-// session's MAC key exactly — so that the token and the key a client
-// derives for it (append(macRoom, key...)) cost one allocation between them.
+// the frame's key in hex into the head of buf, grantBytes of room no one
+// else holds (carveGrant), and returns it as a string, beside buf's tail —
+// empty, with room for the session's MAC key exactly — so that the token and
+// the key a client derives for it (append(macRoom, key...)) share the room.
 // The string is an unsafe.String over the head, and the invariant that makes
 // it one is that nothing ever writes the head again: this encoding is its
 // only write, the tail starts past the token's last byte, and its capacity is
 // clipped, so an append past the key reallocates instead of growing into
-// anything.
-func grantToken(key *sessionKey) (string, []byte) {
+// anything — the next grant's slot included.
+func grantToken(key *sessionKey, buf []byte) (string, []byte) {
 	const n = 2 * sessionTokenBytes
-	buf := make([]byte, n+dcrypto.MACKeySize)
 	hex.Encode(buf[:n], key[:])
 	return unsafe.String(unsafe.SliceData(buf), n), buf[n:n:len(buf)]
+}
+
+// grantBytes is one client grant's room: its token in hex, then its MAC key.
+const grantBytes = 2*sessionTokenBytes + dcrypto.MACKeySize
+
+// grantChunkSize is the size of the chunks client grants are carved from:
+// 42 grants of grantBytes in the 4,096-byte size class, 64 bytes left over.
+const grantChunkSize = 4096
+
+// carveGrant returns grantBytes of room for one grant's token and MAC key,
+// cut from h's append-only grant chunk with its capacity clipped, starting
+// a chunk when the last one is used up; a nil h allocates the room alone.
+// No slot is handed out twice, so a grant the caller keeps is never written
+// by another; keeping one keeps its 4 KB chunk alive.
+func (h *Handshaker) carveGrant() []byte {
+	if h == nil {
+		return make([]byte, grantBytes)
+	}
+	h.mu.Lock()
+	if len(h.grants) < grantBytes {
+		h.grants = make([]byte, grantChunkSize)
+	}
+	buf := h.grants[:grantBytes:grantBytes]
+	h.grants = h.grants[grantBytes:]
+	h.mu.Unlock()
+	return buf
 }
 
 // unseal finishes, on the client, a grant that crossed a network after the
@@ -345,6 +371,9 @@ type Handshaker struct {
 
 	mu      sync.Mutex
 	secrets map[heldKey]*heldSecret
+	// grants is the rest of the chunk the next grants are cut from
+	// (carveGrant). Guarded by mu.
+	grants []byte
 }
 
 // heldKey names a held secret by the certificate it was sealed to and the
@@ -397,7 +426,7 @@ func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certif
 			return SessionGrant{}, fmt.Errorf("middleware: open session for %s: %w", principal, ctx.Err())
 		}
 		if held.master != nil && !now.After(held.expires) {
-			grant, miss, err := held.resume(ctx, now, principal, roundTrip)
+			grant, miss, err := held.resume(ctx, h, now, principal, roundTrip)
 			if !miss {
 				return grant, err
 			}
@@ -439,7 +468,7 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 	if err != nil {
 		return SessionGrant{}, err
 	}
-	grant, macRoom, miss, err := decodeGrant(reply, k.principal)
+	grant, macRoom, miss, err := decodeGrant(reply, k.principal, h)
 	if err != nil {
 		return SessionGrant{}, fmt.Errorf("middleware: decode grant: %w", err)
 	}
@@ -460,10 +489,10 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 
 // resume runs the resumed handshake under a held secret, for the principal
 // it was established for. miss reports that the gateway does not hold it
-// (any more). What it allocates is what it hands on: the grant's token and
-// MAC key, in one allocation (grantToken); the frame is carved (see
-// carveFrame).
-func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
+// (any more). It allocates nothing of its own: the grant's token and MAC
+// key are a slot of h's grant chunk (carveGrant), and the frame is carved
+// (see carveFrame).
+func (s *heldSecret) resume(ctx context.Context, h *Handshaker, now time.Time, principal string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
 	hello := resumeHello{ID: s.id, IssuedAt: now}
 	if _, err := rand.Read(hello.Nonce[:]); err != nil {
 		return SessionGrant{}, false, fmt.Errorf("middleware: hello nonce: %w", err)
@@ -475,7 +504,7 @@ func (s *heldSecret) resume(ctx context.Context, now time.Time, principal string
 	if err != nil {
 		return SessionGrant{}, false, err
 	}
-	grant, macRoom, miss, err := decodeGrant(reply, principal)
+	grant, macRoom, miss, err := decodeGrant(reply, principal, h)
 	if err != nil || miss {
 		if err != nil {
 			err = fmt.Errorf("middleware: decode grant: %w", err)

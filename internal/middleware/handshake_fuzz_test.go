@@ -166,7 +166,7 @@ func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
 // decodeGrantFrame is decodeGrant without the MAC key's room: the grant and
 // whether the frame was the resume miss.
 func decodeGrantFrame(b []byte, principal string) (SessionGrant, bool, error) {
-	g, _, miss, err := decodeGrant(b, principal)
+	g, _, miss, err := decodeGrant(b, principal, nil)
 	return g, miss, err
 }
 

@@ -231,7 +231,8 @@ type session struct {
 	principal string
 	// macKey is the per-session HMAC verifier, its pads precomputed once at
 	// Open so the per-request check skips their derivation; held by value,
-	// so the session record is the one allocation it costs.
+	// so it costs nothing beyond the record, which is itself a slot of a
+	// slab (carveSessionLocked).
 	macKey dcrypto.MACKey
 	serial uint64
 	// boundTo pins the session to the transport connection that opened it
@@ -250,6 +251,26 @@ type session struct {
 	// links thread the record through its principal's ring and, when
 	// bound, its transport's (sessionIndex); guarded by the manager's mu.
 	links [2]sessionLinks
+}
+
+// sessionSlabLen is how many session records one slab holds: eleven
+// records of 344 bytes, 3,784 B, fill the 4,096-byte size class, so a live
+// record keeps at most ten dead neighbours alive.
+// TestSessionRecordSlabFillsItsSizeClass holds the arithmetic.
+const sessionSlabLen = 11
+
+// carveSessionLocked returns a zeroed record, the next slot of the
+// manager's slab, starting a slab when the last one is used up. Slots are
+// never handed out twice: a record that has left the table stays as it was
+// for a request the decoder handed it to (admit), and its slab is freed
+// once none of its records is live or held. Called with mu held.
+func (m *SessionManager) carveSessionLocked() *session {
+	if len(m.slab) == 0 {
+		m.slab = make([]session, sessionSlabLen)
+	}
+	s := &m.slab[0]
+	m.slab = m.slab[1:]
+	return s
 }
 
 // sessionLinks are a record's neighbours in one sessionIndex ring.
@@ -425,6 +446,9 @@ type SessionManager struct {
 	// returning principal proves possession of its master secret instead of
 	// its private key. Bounded; guarded by mu.
 	resumes resumeTable
+	// slab is the rest of the slab the next session records are cut from
+	// (carveSessionLocked). Guarded by mu.
+	slab []session
 
 	// revEpoch is the last revocation epoch applied; lastRevSweep stamps
 	// the last delta application (unix nanos) for the sweep-mode interval
@@ -761,18 +785,12 @@ func (m *SessionManager) openKeyed(hello *SessionHello, resume *resumeHello, tra
 	if err != nil {
 		return SessionGrant{}, sessionKey{}, err
 	}
-	s := &session{
-		key:       tokenKey,
-		principal: principal,
-		macKey:    *dcrypto.NewMACKey(mac[:]),
-		serial:    serial,
-		boundTo:   transportID,
-		expires:   expires.UnixNano(),
-	}
+	// The pads are computed here, on the stack, and copied into the record
+	// once the open can no longer be refused.
+	macKey := *dcrypto.NewMACKey(mac[:])
 	if !wire {
 		grant.MacKey = append([]byte(nil), mac[:]...)
 	}
-	s.lastUsed.Store(now.UnixNano())
 
 	// A verified hello is consumed: its nonce is remembered until every
 	// copy of it has gone stale, so replaying it cannot mint a token. Two
@@ -796,6 +814,16 @@ func (m *SessionManager) openKeyed(hello *SessionHello, resume *resumeHello, tra
 	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(serial) {
 		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
 	}
+	s := m.carveSessionLocked()
+	*s = session{
+		key:       tokenKey,
+		principal: principal,
+		macKey:    macKey,
+		serial:    serial,
+		boundTo:   transportID,
+		expires:   expires.UnixNano(),
+	}
+	s.lastUsed.Store(now.UnixNano())
 	m.capPrincipalLocked(principal)
 	m.opened.Add(1)
 	if resume != nil {

@@ -115,7 +115,7 @@ func (f *resumeFixture) held(t *testing.T) *heldSecret {
 func (f *resumeFixture) unsent(t *testing.T) *resumeHello {
 	t.Helper()
 	var frame []byte
-	_, _, err := f.held(t).resume(context.Background(), f.clock.now(), "alice", func(_ context.Context, b []byte) ([]byte, error) {
+	_, _, err := f.held(t).resume(context.Background(), f.client, f.clock.now(), "alice", func(_ context.Context, b []byte) ([]byte, error) {
 		frame = b
 		return nil, errors.New("not sent")
 	})
@@ -422,7 +422,7 @@ func TestResumeEntryExpires(t *testing.T) {
 		}
 		f.clock.advance(2 * time.Second)
 		// A client that still believes in its secret is told otherwise.
-		if _, miss, err := held.resume(context.Background(), f.clock.now(), "alice", f.wire.roundTrip); err != nil || !miss {
+		if _, miss, err := held.resume(context.Background(), f.client, f.clock.now(), "alice", f.wire.roundTrip); err != nil || !miss {
 			t.Fatalf("resume past the ttl: miss %v, err %v; want a miss", miss, err)
 		}
 		if st := f.mgr.Stats(); st.ResumeMisses != 1 || st.ResumeEntries != 0 {
@@ -452,7 +452,7 @@ func TestResumeEntryExpires(t *testing.T) {
 			t.Fatal("inside the certificate's window: not resumed")
 		}
 		clock.advance(2 * time.Minute)
-		if _, miss, err := held.resume(context.Background(), clock.now(), "alice", f.wire.roundTrip); err != nil || !miss {
+		if _, miss, err := held.resume(context.Background(), f.client, clock.now(), "alice", f.wire.roundTrip); err != nil || !miss {
 			t.Fatalf("resume past NotAfter: miss %v, err %v; want a miss", miss, err)
 		}
 		if _, err := f.tryOpen(); !errors.Is(err, pki.ErrExpired) {

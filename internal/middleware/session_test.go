@@ -715,6 +715,30 @@ func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
 	if got[1].val != "acme" {
 		t.Fatalf("context value lost in detach: %v", got[1].val)
 	}
+	// The detached context is reused only under the parent it was made
+	// from: each group below sees its own filler's value. Two contexts of a
+	// type == cannot compare are never taken for one another (nor compared:
+	// it would panic).
+	for i, tenant := range []string{"globex", "initech", "umbrella"} {
+		ctx := context.WithValue(context.Background(), ctxKey("tenant"), tenant)
+		if i >= 1 {
+			ctx = uncomparableCtx{Context: ctx}
+		}
+		for n := 0; n < 2; n++ {
+			if err := chain.Execute(ctx, &Request{Channel: "c", Principal: "p", Payload: []byte{byte(2 + 2*i + n)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if last := got[len(got)-1]; last.val != tenant {
+			t.Fatalf("group %d, filled under %q, released under %v", i, tenant, last.val)
+		}
+	}
+}
+
+// uncomparableCtx is a context of a type whose values == cannot compare.
+type uncomparableCtx struct {
+	context.Context
+	_ []byte
 }
 
 func TestBreakerStateSeesChannelCircuits(t *testing.T) {

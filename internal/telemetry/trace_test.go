@@ -2,9 +2,64 @@ package telemetry
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestTraceSlabFillsItsSizeClass holds the arithmetic of the slab sampled
+// traces are cut from: traceSlabLen traces fit the 8,192-byte size class and
+// one more would not, so a slab wastes less than a trace.
+func TestTraceSlabFillsItsSizeClass(t *testing.T) {
+	const class = 8192
+	size := int(unsafe.Sizeof(Trace{}))
+	if traceSlabLen*size > class || (traceSlabLen+1)*size <= class {
+		t.Fatalf("a trace is %d bytes: %d of them are %d B, %d are %d B; want the slab of %d to fill the %d-byte size class",
+			size, traceSlabLen, traceSlabLen*size, traceSlabLen+1, (traceSlabLen+1)*size, traceSlabLen, class)
+	}
+}
+
+// TestCarvedTracesStayTheirOwn: four goroutines record traces carved from one
+// tracer's slabs, three slabs' worth each, and write spans into each while
+// the others carve its neighbours. Every trace in the ring reads its own ID
+// and its own spans.
+func TestCarvedTracesStayTheirOwn(t *testing.T) {
+	const workers, each = 4, 3 * traceSlabLen
+	tr := NewTracer(0, workers*each)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := uint64(w*each + i + 1)
+				x := tr.For(id)
+				for s := 0; s < inlineSpans+1; s++ {
+					x.AddSpan("stage", x.Start, time.Duration(id), time.Duration(s), nil)
+				}
+				tr.Finish(x, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	records := tr.Snapshot()
+	if len(records) != workers*each {
+		t.Fatalf("%d traces in the ring, want %d", len(records), workers*each)
+	}
+	seen := make(map[string]bool, len(records))
+	for _, r := range records {
+		if seen[r.ID] || len(r.Spans) != inlineSpans+1 {
+			t.Fatalf("trace %s: seen twice, or %d spans, want %d", r.ID, len(r.Spans), inlineSpans+1)
+		}
+		seen[r.ID] = true
+		for s, span := range r.Spans {
+			if formatTraceID(uint64(span.Nanos)) != r.ID || span.ExclusiveNanos != int64(s) {
+				t.Fatalf("trace %s holds span %d of trace %x", r.ID, s, span.Nanos)
+			}
+		}
+	}
+}
 
 func TestTracerSamplesOneInN(t *testing.T) {
 	tr := NewTracer(4, 8)
