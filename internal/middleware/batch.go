@@ -279,11 +279,12 @@ func (b *Batch) detach(ctx context.Context) context.Context {
 
 // sameContext reports a == b for the contexts == compares without a chance
 // of panicking: pointers, which every context the standard library derives
-// is, and types of size zero, such as context.Background's. A context of any
-// other type is never the same, and pays its detached context.
+// is, and comparable types of size zero, such as context.Background's. A
+// context of any other type is never the same, and pays its detached
+// context.
 func sameContext(a, b context.Context) bool {
 	t := reflect.TypeOf(a)
-	return t != nil && (t.Kind() == reflect.Pointer || t.Size() == 0) && a == b
+	return t != nil && (t.Kind() == reflect.Pointer || (t.Size() == 0 && t.Comparable())) && a == b
 }
 
 // Pending reports the number of buffered submissions across all open

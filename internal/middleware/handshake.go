@@ -236,8 +236,8 @@ func appendGrant(dst []byte, g *SessionGrant, key *sessionKey) []byte {
 // than a copy of the bytes. MacKey is not a field of the frame and is left
 // nil. Beside the grant it returns the room its MAC key is derived into
 // (grantToken): a client's token and key are one slot of h's grant chunk
-// (Handshaker.carveGrant; h nil allocates them), and the three byte fields
-// of a full handshake's grant cost one allocation.
+// (Handshaker.carveGrant), and the three byte fields of a full handshake's
+// grant cost one allocation.
 func decodeGrant(b []byte, principal string, h *Handshaker) (g SessionGrant, macRoom []byte, miss bool, err error) {
 	if len(b) == 2 && b[0] == binaryMagic && b[1] == binaryKindResumeMiss {
 		return g, nil, true, nil
@@ -304,13 +304,9 @@ const grantChunkSize = 4096
 
 // carveGrant returns grantBytes of room for one grant's token and MAC key,
 // cut from h's append-only grant chunk with its capacity clipped, starting
-// a chunk when the last one is used up; a nil h allocates the room alone.
-// No slot is handed out twice, so a grant the caller keeps is never written
+// a chunk when the last one is used up. No slot is handed out twice, so a grant the caller keeps is never written
 // by another; keeping one keeps its 4 KB chunk alive.
 func (h *Handshaker) carveGrant() []byte {
-	if h == nil {
-		return make([]byte, grantBytes)
-	}
 	h.mu.Lock()
 	if len(h.grants) < grantBytes {
 		h.grants = make([]byte, grantChunkSize)

@@ -164,9 +164,10 @@ func appendGrantFrame(dst []byte, g *SessionGrant) []byte {
 }
 
 // decodeGrantFrame is decodeGrant without the MAC key's room: the grant and
-// whether the frame was the resume miss.
+// whether the frame was the resume miss. Its grants are carved from a fresh
+// Handshaker's chunk.
 func decodeGrantFrame(b []byte, principal string) (SessionGrant, bool, error) {
-	g, _, miss, err := decodeGrant(b, principal, nil)
+	g, _, miss, err := decodeGrant(b, principal, new(Handshaker))
 	return g, miss, err
 }
 

@@ -733,12 +733,37 @@ func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
 			t.Fatalf("group %d, filled under %q, released under %v", i, tenant, last.val)
 		}
 	}
+	// Nor are two contexts of a zero-size type == cannot compare.
+	for g := 0; g < 2; g++ {
+		for n := 0; n < 2; n++ {
+			if err := chain.Execute(zeroSizeUncomparableCtx{}, &Request{Channel: "c", Principal: "p", Payload: []byte{byte(8 + 2*g + n)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if last := got[len(got)-1]; last.val != "zero" {
+			t.Fatalf("zero-size group %d released under %v", g, last.val)
+		}
+	}
 }
 
 // uncomparableCtx is a context of a type whose values == cannot compare.
 type uncomparableCtx struct {
 	context.Context
 	_ []byte
+}
+
+// zeroSizeUncomparableCtx is a context of a type of size zero whose values
+// == cannot compare; its tenant is "zero".
+type zeroSizeUncomparableCtx struct{ _ [0]func() }
+
+func (zeroSizeUncomparableCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (zeroSizeUncomparableCtx) Done() <-chan struct{}       { return nil }
+func (zeroSizeUncomparableCtx) Err() error                  { return nil }
+func (zeroSizeUncomparableCtx) Value(key any) any {
+	if key == ctxKey("tenant") {
+		return "zero"
+	}
+	return nil
 }
 
 func TestBreakerStateSeesChannelCircuits(t *testing.T) {
