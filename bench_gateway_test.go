@@ -260,30 +260,3 @@ func BenchmarkGatewaySession(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkGatewayRevokeCheck prices the revocation plane on the session
-// hot path, on BenchmarkGatewaySession's session(amortized-authn+keycache)
-// pipeline with each checking mode:
-//
-//   - checks=off: the revoker is configured but never consulted on the
-//     hot path (the pre-revocation-plane cost, for reference).
-//   - checks=resolve: every token resolution probes the revoker's
-//     version (one atomic load while nothing is revoked).
-//   - checks=sweep: every resolution compares the sweep deadline instead
-//     of touching the revoker.
-//
-// No certificate is revoked during the timed loop: the benchmark measures
-// the steady-state cost of being able to notice a revocation, not the
-// one-off cost of processing one.
-func BenchmarkGatewayRevokeCheck(b *testing.B) {
-	env := newGatewayBenchEnv(b)
-	for _, mode := range []string{"off", "resolve", "sweep"} {
-		params := map[string]string{"revokecheck": mode}
-		if mode == "sweep" {
-			params["revokesweep"] = "1m"
-		}
-		b.Run("checks="+mode, func(b *testing.B) {
-			benchSubmit(b, env, middleware.Config{Stages: []middleware.StageConfig{sessionStage(params), keycacheEncrypt}})
-		})
-	}
-}

@@ -31,7 +31,7 @@ import (
 // (authn for sessionless, certificate-bearing requests), envelope encryption
 // under a per-epoch key cache, and leakage accounting as the gateway
 // operator.
-const defaultStages = "session(ttl=10m,idle=5m,revokecheck=resolve)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)"
+const defaultStages = "session(ttl=10m,idle=5m)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)"
 
 // opts holds every flag; the one serving mode reads them all.
 type opts struct {

@@ -28,7 +28,7 @@ func TestDefaultStagesAreTheServePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []middleware.StageConfig{
-		{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m", "idle": "5m", "revokecheck": "resolve"}},
+		{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m", "idle": "5m"}},
 		{Name: middleware.StageAuthn},
 		{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 		{Name: middleware.StageAudit, Params: map[string]string{"observer": gatewayOperator}},

@@ -113,7 +113,7 @@ func run() error {
 	log := audit.NewLog()
 	orderer := ordering.New("orderer-op", ordering.VisibilityEnvelope, ordering.WithAuditLog(log))
 	cfg := middleware.Config{Stages: []middleware.StageConfig{
-		{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m", "idle": "2m", "revokecheck": "resolve"}},
+		{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m", "idle": "2m"}},
 		{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 		{Name: middleware.StageAudit, Params: map[string]string{"observer": "gateway-op"}},
 	}}

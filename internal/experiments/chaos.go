@@ -164,9 +164,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 	gwCfg := middleware.Config{
 		Stages: []middleware.StageConfig{
-			{Name: middleware.StageSession, Params: map[string]string{
-				"ttl": "10m", "idle": "10m", "revokecheck": "resolve",
-			}},
+			{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m", "idle": "10m"}},
 			{Name: middleware.StageAuthn},
 			{Name: middleware.StageRateLimit, Params: map[string]string{"rate": "1000000", "burst": "1000000"}},
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "10m"}},

@@ -39,10 +39,9 @@ var ErrBadConfig = errors.New("middleware: invalid pipeline configuration")
 //	             sessions per principal, evicting the oldest on overflow),
 //	             reqauth (mac, the default and only value: session
 //	             requests are MAC'd under the key the grant hands out),
-//	             revokecheck (off|resolve|sweep, default off;
-//	             anything but off requires Env.Revoker), revokesweep
-//	             (duration, default 30s; the sweep-mode interval, only
-//	             valid with revokecheck=sweep)
+//	             revokecheck (resolve, the only value, kept for
+//	             compatibility and refused without Env.Revoker: the
+//	             stage checks revocation whenever Env.Revoker is set)
 //	authn      — (no parameters)
 //	encrypt    — keyttl (duration, default 0 = fresh data key per request;
 //	             > 0 caches the wrapped channel key per epoch; members come
@@ -120,14 +119,14 @@ type Env struct {
 	// CAKey is the pinned consortium CA verification key (authn, session).
 	CAKey dcrypto.PublicKey
 	// Sessions overrides the session stage's manager; when nil the stage
-	// builds its own from CAKey and the ttl/idle parameters.
+	// builds its own from CAKey, Revoker and the ttl/idle parameters.
 	Sessions *SessionManager
-	// Revoker is the revocation plane (session revocation checks, the authn
-	// stage's refusal of a revoked certificate, envelope member exclusion,
-	// the gateway's revocation.notify topic). Required
-	// when the session stage sets revokecheck to anything but "off". A
-	// RevocationSource here is subscribed by the gateway so revocations
-	// propagate on push.
+	// Revoker is the revocation plane. With it set, the session stage and
+	// the authn stage refuse a revoked certificate, and the gateway answers
+	// the revocation.notify topic and excludes a revoked member from
+	// envelopes once it learns of the revocation; without it, nothing
+	// checks. A RevocationSource here is subscribed by the gateway so
+	// revocations propagate on push.
 	Revoker Revoker
 	// Directory resolves channel membership keys (encrypt).
 	Directory Directory

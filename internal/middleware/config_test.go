@@ -165,12 +165,18 @@ func TestConfigParamMatrix(t *testing.T) {
 		{"session maxperprincipal negative", session(map[string]string{"maxperprincipal": "-2"}), nil, "maxperprincipal must be >= 0"},
 		{"session reqauth unknown", session(map[string]string{"reqauth": "password"}), nil, `reqauth="password": session requests are authenticated by MAC only`},
 		{"session reqauth sig", session(map[string]string{"reqauth": "sig"}), nil, `reqauth="sig": session requests are authenticated by MAC only`},
-		{"session revokecheck unknown", session(map[string]string{"revokecheck": "eventually"}), nil, `unknown revocation check mode "eventually"`},
+		// revokecheck accepts only resolve, its compatibility value, and only
+		// with a revoker: checking follows Env.Revoker. revokesweep is gone.
+		{"session revokecheck unknown", session(map[string]string{"revokecheck": "eventually"}), nil, `revokecheck="eventually": revocation checking follows Env.Revoker`},
+		{"session revokecheck off without revoker", session(map[string]string{"revokecheck": "off"}), nil, `revokecheck="off": revocation checking follows Env.Revoker`},
+		{"session revokecheck off with revoker", session(map[string]string{"revokecheck": "off"}), &revEnv, `revokecheck="off": revocation checking follows Env.Revoker`},
+		{"session revokecheck sweep", session(map[string]string{"revokecheck": "sweep"}), &revEnv, `revokecheck="sweep": revocation checking follows Env.Revoker`},
 		{"session revokecheck without revoker", session(map[string]string{"revokecheck": "resolve"}), nil, "needs Env.Revoker"},
-		{"session revokesweep without sweep mode", session(map[string]string{"revokesweep": "30s"}), nil, "only valid with revokecheck=sweep"},
-		{"session revokesweep with resolve mode", session(map[string]string{"revokecheck": "resolve", "revokesweep": "30s"}), &revEnv, "only valid with revokecheck=sweep"},
-		{"session revokesweep not a duration", session(map[string]string{"revokecheck": "sweep", "revokesweep": "often"}), &revEnv, `revokesweep="often" is not a duration`},
-		{"session revokesweep zero", session(map[string]string{"revokecheck": "sweep", "revokesweep": "0s"}), &revEnv, "revokesweep must be positive"},
+		{"session revokecheck sweep with interval", session(map[string]string{"revokecheck": "sweep", "revokesweep": "45s"}), &revEnv, `unknown param "revokesweep"`},
+		{"session revokesweep without sweep mode", session(map[string]string{"revokesweep": "30s"}), nil, `unknown param "revokesweep"`},
+		{"session revokesweep with resolve mode", session(map[string]string{"revokecheck": "resolve", "revokesweep": "30s"}), &revEnv, `unknown param "revokesweep"`},
+		{"session revokesweep not a duration", session(map[string]string{"revokecheck": "sweep", "revokesweep": "often"}), &revEnv, `unknown param "revokesweep"`},
+		{"session revokesweep zero", session(map[string]string{"revokecheck": "sweep", "revokesweep": "0s"}), &revEnv, `unknown param "revokesweep"`},
 		// encrypt
 		{"encrypt keyttl not a duration", encrypt(map[string]string{"keyttl": "soon"}), nil, `keyttl="soon" is not a duration`},
 		{"encrypt keyttl negative", encrypt(map[string]string{"keyttl": "-5m"}), nil, "keyttl must be >= 0"},
@@ -213,11 +219,8 @@ func TestConfigParamMatrix(t *testing.T) {
 			"ttl": "1h", "idle": "5m", "maxperprincipal": "8",
 		}), testEnv(t)},
 		{"session reqauth mac", session(map[string]string{"reqauth": "mac"}), testEnv(t)},
-		{"session revokecheck off without revoker", session(map[string]string{"revokecheck": "off"}), testEnv(t)},
 		{"session revokecheck resolve", session(map[string]string{"revokecheck": "resolve"}), revEnv},
-		{"session revokecheck sweep with interval", session(map[string]string{
-			"revokecheck": "sweep", "revokesweep": "45s",
-		}), revEnv},
+		{"session revoker without revokecheck", session(nil), revEnv},
 		{"encrypt cached", encrypt(map[string]string{"keyttl": "10m"}), testEnv(t)},
 		{"ratelimit fractional", one(StageRateLimit, map[string]string{"rate": "0.5", "burst": "1"}), testEnv(t)},
 	}
@@ -231,9 +234,9 @@ func TestConfigParamMatrix(t *testing.T) {
 }
 
 // TestConfigRejectsRevocationParamsWithInjectedManager pins the rule that
-// a declared security control is never silently ignored: revokecheck /
-// revokesweep on the session stage conflict with an Env.Sessions override
-// (whose revocation setup is fixed at manager construction).
+// a declared security control is never silently ignored: revokecheck on
+// the session stage conflicts with an Env.Sessions override (whose
+// revocation setup is fixed at manager construction).
 func TestConfigRejectsRevocationParamsWithInjectedManager(t *testing.T) {
 	env := testEnv(t)
 	mgr, err := NewSessionManager(env.CAKey, time.Hour, time.Hour, nil)
@@ -244,7 +247,6 @@ func TestConfigRejectsRevocationParamsWithInjectedManager(t *testing.T) {
 	for _, params := range []map[string]string{
 		{"revokecheck": "resolve"},
 		{"revokecheck": "off"},
-		{"revokesweep": "30s"},
 	} {
 		cfg := Config{Stages: []StageConfig{{Name: StageSession, Params: params}}}
 		_, err := cfg.Build(env, nil)

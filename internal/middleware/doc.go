@@ -140,7 +140,7 @@
 // pki.Verifier, which remembers the certificates whose CA signature it has
 // verified (a bounded set of fingerprints; see that type for what is and is
 // never cached). The certificate's validity window, its revocation status
-// (both checks, under revokecheck=resolve|sweep) and the hello's own
+// (both checks, whenever Env.Revoker is set) and the hello's own
 // signature — proof of possession over a fresh nonce — are checked on every
 // open; the authn stage keeps a verifier of its own for certificate-bearing
 // requests. The two rejections that cost nothing come first: a certificate
@@ -315,28 +315,22 @@
 // revocation epoch, a RevokedSince delta read, an IsRevoked point query,
 // and — as a RevocationSource — an OnRevoke push hook the gateway
 // subscribes to at construction and releases on Gateway.Close, so a
-// gateway shorter-lived than its CA does not leak the subscription). With
-// it set, the authn stage refuses a sessionless request whose certificate is
-// revoked (pki.ErrRevoked), whatever the session stage's mode.
+// gateway shorter-lived than its CA does not leak the subscription).
 //
-// The session stage declares its checking strategy with the "revokecheck"
-// parameter, validated at Build like every other knob:
+// One rule governs both stages that authenticate: with Env.Revoker set,
+// they check revocation; without it, neither does. There is no mode to
+// choose. The authn stage refuses a sessionless request whose certificate
+// is revoked (pki.ErrRevoked). The session stage's manager probes the
+// revoker's version on every token-bearing request (one lock-free load
+// while nothing changes) and applies the delta when it moved, so a
+// revocation is enforced on the very next request; a push from a
+// RevocationSource or the revocation.notify topic applies it at once,
+// before any request. The session parameter "revokecheck" survives only
+// as its compatibility value "resolve", refused without Env.Revoker.
 //
-//   - "off" (default): sessions are never checked; a revoked certificate's
-//     session lives until TTL/idle expiry.
-//   - "resolve": every token resolution probes the revoker's version (one
-//     lock-free load while nothing changes) and applies the delta when it
-//     moved — revocation is enforced on the very next request, at a
-//     measured ~1-5% of the session hot path (BenchmarkGatewayRevokeCheck,
-//     held by the CI bench gate).
-//   - "sweep": resolutions stay revoker-free; the delta is applied every
-//     "revokesweep" (default 30s) and on push/admin notification — a
-//     bounded staleness window instead of a per-request probe.
-//
-// Guarantees, in any checking mode but "off": opening a session with a
-// revoked certificate fails with ErrSessionRevoked; a session whose
-// certificate is revoked is evicted at the next delta application
-// (instantly under a push-capable revoker), and its token answers
+// Guarantees, with a revoker: opening a session with a revoked certificate
+// fails with ErrSessionRevoked; a session whose certificate is revoked is
+// evicted at the next delta application, and its token answers
 // ErrSessionRevoked — distinct from ErrNoSession and ErrSessionExpired, so
 // clients can tell trust withdrawal from ordinary eviction — until the
 // session's original expiry, after which the tombstone decays. Eviction is
@@ -345,10 +339,9 @@
 // token to unknown, tombstone included, and closing an already-evicted
 // token is an idempotent no-op with no counter skew.
 //
-// Envelope encryption follows the same plane independently of the session
-// mode: when the gateway learns of an identity-certificate revocation (push
-// from a RevocationSource, the revocation.notify admin topic, or a direct
-// SyncRevocations call), the revoked identity is excluded from every
+// Envelope encryption follows the same plane: when the gateway learns of an
+// identity-certificate revocation (push from a RevocationSource or the
+// revocation.notify admin topic), the revoked identity is excluded from every
 // member set before sealing and every cached channel key wrapped to it is
 // invalidated, so the channel's next submission installs a fresh epoch the
 // revoked member cannot unwrap. The revocation.notify topic carries no

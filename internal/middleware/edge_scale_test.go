@@ -122,7 +122,7 @@ func TestSessionOpenSweepThrottled(t *testing.T) {
 	}
 	// The throttle never weakens enforcement: resolving the stale token
 	// still fails, and evicts it.
-	if _, _, err := mgr.resolve(a.Token, ""); !errors.Is(err, ErrSessionExpired) {
+	if _, _, err := admitToken(mgr, a.Token, ""); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("stale resolve = %v, want ErrSessionExpired", err)
 	}
 	if got := mgr.Len(); got != 1 {

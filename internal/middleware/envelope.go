@@ -564,10 +564,10 @@ func (e *Encrypt) ReadmitMember(identity string) {
 	e.exclGen++
 }
 
-// RevokedRotations reports how many cached channel keys were invalidated
+// revokedRotationCount reports how many cached channel keys were invalidated
 // because a wrapped member was revoked; each invalidation forces a fresh
 // epoch on that channel's next submission.
-func (e *Encrypt) RevokedRotations() uint64 {
+func (e *Encrypt) revokedRotationCount() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.revokedRotations
@@ -589,7 +589,7 @@ func (e *Encrypt) headBytes() uint64 {
 func (e *Encrypt) statRows() []statRow {
 	return []statRow{
 		{"confmw_key_epochs_rotated_total", "Channel data-key epoch installs by the encrypt stage.", counter, e.Rotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRotated = v }, nil},
-		{"confmw_key_epochs_revoked_rotations_total", "Cached channel keys invalidated because a wrapped member was revoked.", counter, e.RevokedRotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRevokedRotations = v }, nil},
+		{"confmw_key_epochs_revoked_rotations_total", "Cached channel keys invalidated because a wrapped member was revoked.", counter, e.revokedRotationCount, func(s *GatewayStats, v uint64) { s.KeyEpochsRevokedRotations = v }, nil},
 		{"confmw_envelope_head_bytes", "Largest live epoch's envelope head (header + wrapped-key table), bytes.", gauge, e.headBytes, nil, nil},
 	}
 }

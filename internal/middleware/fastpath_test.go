@@ -417,7 +417,7 @@ func TestSessionMACKeyBoundPerSession(t *testing.T) {
 func TestRevocationKillsMACSession(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil,
-		WithRevocationChecks(ca, RevokeCheckResolve, 0))
+		withRevoker(ca))
 	if err != nil {
 		t.Fatal(err)
 	}

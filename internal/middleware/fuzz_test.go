@@ -578,7 +578,7 @@ func TestKeyTableIsCanonical(t *testing.T) {
 // crash at start-up.
 func FuzzParseStages(f *testing.F) {
 	for _, seed := range []string{
-		"session(ttl=10m,idle=5m,revokecheck=resolve)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)", // cmd/gateway -stages default
+		"session(ttl=10m,idle=5m)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)", // cmd/gateway -stages default
 		"session|encrypt(keyttl=5m)|audit=async",
 		"session|anoncred(attrs=role=member)|encrypt",
 		"session||authn",

@@ -91,7 +91,7 @@ type Gateway struct {
 	// unsharded deployments; Stats snapshots per-shard counters from it.
 	sharded *ordering.ShardedBackend
 	now     func() time.Time
-	// revoker is the revocation plane SyncRevocations pulls deltas from;
+	// revoker is the revocation plane syncRevocations pulls deltas from;
 	// nil when the deployment runs without one. auditLog receives the
 	// revocation audit trail (may be nil).
 	revoker  Revoker
@@ -128,7 +128,7 @@ type Gateway struct {
 	// handshakes refused, one counter per row of rejectReasons.
 	rejects [len(rejectReasons)]atomic.Uint64
 
-	revMu    sync.Mutex // serializes SyncRevocations' delta cursor
+	revMu    sync.Mutex // serializes syncRevocations' delta cursor
 	revEpoch uint64     // last revocation epoch applied to the encrypt stage
 	sweeps   atomic.Uint64
 	// unsubscribe detaches the RevocationSource push subscription; set at
@@ -188,7 +188,7 @@ type GatewayStats struct {
 	KeyEpochsRevokedRotations uint64
 	// RevocationSweeps counts revocation syncs the gateway ran (push
 	// notifications from a RevocationSource plus revocation.notify admin
-	// requests plus direct SyncRevocations calls).
+	// requests).
 	RevocationSweeps uint64
 	// TracesSampled counts requests recorded into the trace ring over the
 	// gateway's lifetime; 0 when tracing is off.
@@ -297,11 +297,11 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 	}
 	// A push-capable revocation plane drives the gateway directly: every
 	// Revoke lands as a sync, so sessions die and key epochs rotate without
-	// waiting for a sweep interval or an admin notification. Close detaches
+	// waiting for the next request or an admin notification. Close detaches
 	// the subscription; gateways shorter-lived than their revocation source
 	// must be closed or the source keeps pushing into them forever.
 	if src, ok := g.revoker.(RevocationSource); ok {
-		g.unsubscribe = src.OnRevoke(func(pki.Revocation) { g.SyncRevocations() })
+		g.unsubscribe = src.OnRevoke(func(pki.Revocation) { g.syncRevocations() })
 	}
 	return g, nil
 }
@@ -319,15 +319,15 @@ func (g *Gateway) Close() {
 	}
 }
 
-// SyncRevocations pulls the revocation delta from the configured Revoker
+// syncRevocations pulls the revocation delta from the configured Revoker
 // and applies it across the gateway: newly revoked identity certificates
 // are excluded from envelope encryption (invalidating any cached channel
 // key they could unwrap), the session manager sweeps sessions rooted in
 // revoked certificates, and the revocation trail lands in the audit log.
 // It returns how many sessions were evicted. Trivial without a Revoker.
-// Safe for concurrent use; it is invoked by RevocationSource pushes, the
-// revocation.notify admin topic, and directly by embedders.
-func (g *Gateway) SyncRevocations() int {
+// Safe for concurrent use; RevocationSource pushes and the
+// revocation.notify admin topic invoke it.
+func (g *Gateway) syncRevocations() int {
 	if g.revoker == nil {
 		return 0
 	}
@@ -356,7 +356,7 @@ func (g *Gateway) SyncRevocations() int {
 	}
 	evicted := 0
 	if mgr := g.Sessions(); mgr != nil {
-		evicted = mgr.SweepRevoked()
+		evicted = mgr.sweepRevoked()
 	}
 	g.sweeps.Add(1)
 	return evicted
@@ -381,9 +381,9 @@ func (g *Gateway) eachMemberKeyer(fn func(memberKeyer)) {
 	}
 }
 
-// RevocationEpoch reports the last revocation epoch SyncRevocations
+// revocationEpoch reports the last revocation epoch syncRevocations
 // applied.
-func (g *Gateway) RevocationEpoch() uint64 {
+func (g *Gateway) revocationEpoch() uint64 {
 	g.revMu.Lock()
 	defer g.revMu.Unlock()
 	return g.revEpoch
@@ -745,7 +745,7 @@ func (g *Gateway) statRows() []statRow {
 		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", counter, g.ordered.Load, func(s *GatewayStats, v uint64) { s.Ordered = v }, nil},
 		{"confmw_revocation_sweeps_total", "Revocation syncs the gateway applied.", counter, g.sweeps.Load, func(s *GatewayStats, v uint64) { s.RevocationSweeps = v }, nil},
 		{"confmw_traces_sampled_total", "Requests recorded into the trace ring.", counter, g.tracer.Sampled, func(s *GatewayStats, v uint64) { s.TracesSampled = v }, nil},
-		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.RevocationEpoch, nil, nil},
+		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.revocationEpoch, nil, nil},
 		{"confmw_audit_log_observations", "Records in the leakage log, duplicates included: the sum of its (observer, class) pair counts.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }, nil},
 		{"confmw_audit_log_bytes", "Bytes the leakage log's presence table holds; constant once every (observer, class) pair has been seen.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }, nil},
 		{"confmw_pki_verifier_hits_total", "Certificates found in a verified set, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Hits), nil, nil},
@@ -905,8 +905,8 @@ func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payl
 		if g.revoker == nil {
 			return dst, fmt.Errorf("gateway %s: no revocation plane configured", g.name)
 		}
-		evicted := g.SyncRevocations()
-		b, err := json.Marshal(RevocationNotice{Epoch: g.RevocationEpoch(), SessionsRevoked: evicted})
+		evicted := g.syncRevocations()
+		b, err := json.Marshal(RevocationNotice{Epoch: g.revocationEpoch(), SessionsRevoked: evicted})
 		if err != nil {
 			return dst, fmt.Errorf("gateway %s: encode revocation notice: %w", g.name, err)
 		}

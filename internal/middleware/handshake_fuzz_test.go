@@ -265,7 +265,7 @@ func FuzzResumeAgrees(f *testing.F) {
 		for i := range sides {
 			mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, clock.now,
 				WithMaxPerPrincipal(2),
-				WithRevocationChecks(pullRevoker{ca}, RevokeCheckResolve, 0))
+				withRevoker(pullRevoker{ca}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func FuzzResumeAgrees(f *testing.F) {
 						continue
 					}
 					s.tokens, s.conns = append(s.tokens, grants[i].Token), append(s.conns, conn)
-					_, mac, err := s.mgr.resolve(grants[i].Token, s.wires[conn].transportID)
+					_, mac, err := admitToken(s.mgr, grants[i].Token, s.wires[conn].transportID)
 					if err != nil || mac == nil {
 						t.Fatalf("step %d side %d: the session just granted does not resolve: %v", step, i, err)
 					}
@@ -328,7 +328,7 @@ func FuzzResumeAgrees(f *testing.F) {
 			case opRevoke:
 				ca.Revoke(certs[arg%len(names)].Serial)
 				for _, s := range sides {
-					s.mgr.SweepRevoked()
+					s.mgr.sweepRevoked()
 				}
 			case opReenrol:
 				p := arg % len(names)

@@ -277,8 +277,7 @@ func init() {
 			{"idle", "idle timeout (duration, default 2m)"},
 			{"maxperprincipal", "live-session cap per principal (default 0 = unlimited)"},
 			{"reqauth", "request auth: mac, the only value (the default)"},
-			{"revokecheck", "revocation checks: off|resolve|sweep (default off)"},
-			{"revokesweep", "sweep interval (duration, only with revokecheck=sweep)"},
+			{"revokecheck", "resolve, the only value, kept for compatibility: revocation is checked whenever Env.Revoker is set"},
 		},
 		refuses: []factRule{
 			{factCertOnly, "token-bearing requests short-circuit the full PKI check"},
@@ -407,32 +406,22 @@ func buildSessionStage(p *params, sc StageConfig, env Env) (Stage, error) {
 		if v := p.str("reqauth", "mac"); v != "mac" {
 			return nil, fmt.Errorf("reqauth=%q: session requests are authenticated by MAC only (reqauth=mac, the default); a signed request goes without a token, to authn", v)
 		}
-		mode, merr := ParseRevokeCheckMode(p.str("revokecheck", "off"))
-		if merr != nil {
-			return nil, merr
+		revokeCheck, named := sc.Params["revokecheck"]
+		if named && revokeCheck != "resolve" {
+			return nil, fmt.Errorf("revokecheck=%q: revocation checking follows Env.Revoker, on whenever it is set; resolve, the only value, is kept for compatibility", revokeCheck)
 		}
-		sweepEvery := p.duration("revokesweep", 0)
 		if p.err != nil {
 			return nil, p.err
 		}
 		if maxPer < 0 {
 			return nil, fmt.Errorf("maxperprincipal must be >= 0, got %d", maxPer)
 		}
-		if mode != RevokeCheckOff && env.Revoker == nil {
-			return nil, fmt.Errorf("revokecheck=%v needs Env.Revoker", mode)
-		}
-		if _, set := sc.Params["revokesweep"]; set {
-			if mode != RevokeCheckSweep {
-				return nil, fmt.Errorf("revokesweep is only valid with revokecheck=sweep, got revokecheck=%v", mode)
-			}
-			if sweepEvery <= 0 {
-				return nil, fmt.Errorf("revokesweep must be positive, got %v", sweepEvery)
-			}
+		if named && env.Revoker == nil {
+			return nil, errors.New("revokecheck=resolve needs Env.Revoker")
 		}
 		var err error
 		mgr, err = NewSessionManager(env.CAKey, ttl, idle, env.Now,
-			WithMaxPerPrincipal(maxPer),
-			WithRevocationChecks(env.Revoker, mode, sweepEvery))
+			WithMaxPerPrincipal(maxPer), withRevoker(env.Revoker))
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,6 @@
 package middleware
 
-import (
-	"fmt"
-
-	"dltprivacy/internal/pki"
-)
+import "dltprivacy/internal/pki"
 
 // Revoker is the revocation plane the pipeline consumes: a monotonic
 // version for cheap hot-path freshness probes, an exact delta read, and a
@@ -12,8 +8,9 @@ import (
 // adapt their CRL/OCSP source to this interface.
 type Revoker interface {
 	// RevocationVersion returns the current revocation epoch. It is called
-	// on the session hot path (revokecheck=resolve), so implementations
-	// must make it cheap — an atomic load, not a lock or a network call.
+	// on the session hot path, once per token-bearing request, so
+	// implementations must make it cheap — an atomic load, not a lock or a
+	// network call.
 	RevocationVersion() uint64
 	// RevokedSince returns the revocations after the given epoch, in epoch
 	// order, plus the current version. Applying the delta and remembering
@@ -25,60 +22,20 @@ type Revoker interface {
 
 // RevocationSource is a Revoker that can push: the gateway subscribes at
 // construction so a Revoke propagates into session eviction and key-epoch
-// rotation immediately, without waiting for the next sweep interval or an
-// admin notification. OnRevoke returns a cancel func detaching the
-// subscription; Gateway.Close calls it, so a gateway that does not outlive
-// its revocation source must be closed. pki.CA implements this interface.
+// rotation immediately, without waiting for the next request or an admin
+// notification. OnRevoke returns a cancel func detaching the subscription;
+// Gateway.Close calls it, so a gateway that does not outlive its revocation
+// source must be closed. pki.CA implements this interface.
 type RevocationSource interface {
 	Revoker
 	OnRevoke(func(pki.Revocation)) (cancel func())
 }
 
-// RevokeCheckMode selects how the session manager consults the revocation
-// plane.
+// RevokeCheckMode and RevokeCheckResolve are kept under the names the
+// repository benchmark passes to WithRevocationChecks. There is nothing to
+// choose: a session manager checks revocation whenever it holds a revoker.
 type RevokeCheckMode int
 
-// Revocation check modes.
-const (
-	// RevokeCheckOff disables revocation checks: a revoked certificate's
-	// session lives until TTL/idle expiry (the pre-revocation-plane
-	// behavior).
-	RevokeCheckOff RevokeCheckMode = iota
-	// RevokeCheckResolve probes the revoker's version on every token
-	// resolution and applies the delta when it moved: the tightest
-	// guarantee, at the cost of one atomic load per request.
-	RevokeCheckResolve
-	// RevokeCheckSweep applies the delta periodically (the sweep interval)
-	// and on push/admin notification, keeping the resolve path free of
-	// revoker calls: a bounded staleness window instead of a per-request
-	// probe.
-	RevokeCheckSweep
-)
-
-// String returns the config spelling of the mode.
-func (m RevokeCheckMode) String() string {
-	switch m {
-	case RevokeCheckOff:
-		return "off"
-	case RevokeCheckResolve:
-		return "resolve"
-	case RevokeCheckSweep:
-		return "sweep"
-	default:
-		return fmt.Sprintf("RevokeCheckMode(%d)", int(m))
-	}
-}
-
-// ParseRevokeCheckMode parses the config spelling of a mode.
-func ParseRevokeCheckMode(s string) (RevokeCheckMode, error) {
-	switch s {
-	case "off":
-		return RevokeCheckOff, nil
-	case "resolve":
-		return RevokeCheckResolve, nil
-	case "sweep":
-		return RevokeCheckSweep, nil
-	default:
-		return RevokeCheckOff, fmt.Errorf("unknown revocation check mode %q (want off, resolve, or sweep)", s)
-	}
-}
+// RevokeCheckResolve is the one mode: every token-bearing request probes the
+// revoker's version and applies the delta when it moved.
+const RevokeCheckResolve RevokeCheckMode = 1

@@ -29,13 +29,13 @@ func (p pullRevoker) RevokedSince(epoch uint64) ([]pki.Revocation, uint64) {
 
 func (p pullRevoker) IsRevoked(serial uint64) bool { return p.ca.IsRevoked(serial) }
 
-// revocableManager builds a manager with revocation checks over a fresh
-// CA-backed consortium.
-func revocableManager(t *testing.T, clock *fakeClock, mode RevokeCheckMode, sweepEvery time.Duration, names ...string) (*pki.CA, map[string]*principal, *SessionManager) {
+// revocableManager builds a manager holding a revoker, which is what makes
+// it check revocation, over a fresh CA-backed consortium.
+func revocableManager(t *testing.T, clock *fakeClock, names ...string) (*pki.CA, map[string]*principal, *SessionManager) {
 	t.Helper()
 	ca, ps := enrollAt(t, clock.now, names...)
 	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 2*time.Minute, clock.now,
-		WithRevocationChecks(pullRevoker{ca}, mode, sweepEvery))
+		withRevoker(pullRevoker{ca}))
 	if err != nil {
 		t.Fatalf("NewSessionManager: %v", err)
 	}
@@ -44,7 +44,7 @@ func revocableManager(t *testing.T, clock *fakeClock, mode RevokeCheckMode, swee
 
 func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 	clock := newFakeClock()
-	ca, ps, mgr := revocableManager(t, clock, RevokeCheckResolve, 0, "alice", "bob")
+	ca, ps, mgr := revocableManager(t, clock, "alice", "bob")
 	stage, err := NewSession(mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -99,39 +99,12 @@ func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 	}
 }
 
-func TestRevocationSweepModeInterval(t *testing.T) {
+// TestRevocationPushEvictsBeforeAnyRequest: the push path (a notified
+// sweep) evicts a revoked certificate's session at once, before any request
+// carries its token.
+func TestRevocationPushEvictsBeforeAnyRequest(t *testing.T) {
 	clock := newFakeClock()
-	ca, ps, mgr := revocableManager(t, clock, RevokeCheckSweep, time.Minute, "alice")
-	stage, err := NewSession(mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := NewChain((&accept{}).handler, stage)
-	submit := func(grant SessionGrant) error {
-		return chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
-	}
-
-	grant := openSession(t, mgr, ps["alice"])
-	ca.Revoke(ps["alice"].cert.Serial)
-
-	// Inside the sweep interval the resolve path does not consult the
-	// revoker: the documented staleness window of sweep mode.
-	if err := submit(grant); err != nil {
-		t.Fatalf("submit inside sweep window: %v", err)
-	}
-	// Once the interval elapses, the next resolve applies the delta.
-	clock.advance(time.Minute)
-	if err := submit(grant); !errors.Is(err, ErrSessionRevoked) {
-		t.Fatalf("submit after sweep interval = %v, want ErrSessionRevoked", err)
-	}
-	if got := mgr.Stats().Revoked; got != 1 {
-		t.Fatalf("revoked counter = %d, want 1", got)
-	}
-}
-
-func TestRevocationSweepModeNotified(t *testing.T) {
-	clock := newFakeClock()
-	ca, ps, mgr := revocableManager(t, clock, RevokeCheckSweep, time.Hour, "alice")
+	ca, ps, mgr := revocableManager(t, clock, "alice")
 	stage, err := NewSession(mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +113,11 @@ func TestRevocationSweepModeNotified(t *testing.T) {
 
 	grant := openSession(t, mgr, ps["alice"])
 	ca.Revoke(ps["alice"].cert.Serial)
-	// The push path: a notified sweep applies the delta immediately, hours
-	// before the interval would.
-	if n := mgr.SweepRevoked(); n != 1 {
-		t.Fatalf("SweepRevoked = %d, want 1", n)
+	if n := mgr.sweepRevoked(); n != 1 {
+		t.Fatalf("sweepRevoked = %d, want 1", n)
+	}
+	if st := mgr.Stats(); st.Revoked != 1 || mgr.Len() != 0 {
+		t.Fatalf("after the push: revoked %d, live %d; want 1 and 0", st.Revoked, mgr.Len())
 	}
 	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if !errors.Is(err, ErrSessionRevoked) {
@@ -151,6 +125,8 @@ func TestRevocationSweepModeNotified(t *testing.T) {
 	}
 }
 
+// TestRevocationOffModeIgnoresRevoker: a manager built without a revoker,
+// as the session stage is without Env.Revoker, checks no revocation.
 func TestRevocationOffModeIgnoresRevoker(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice")
@@ -163,14 +139,15 @@ func TestRevocationOffModeIgnoresRevoker(t *testing.T) {
 
 	grant := openSession(t, mgr, ps["alice"])
 	ca.Revoke(ps["alice"].cert.Serial)
-	// Pre-revocation-plane behavior: the session outlives the revocation
-	// until TTL/idle expiry. This is what revokecheck=off buys (nothing).
+	// A manager without a revoker (a session stage built without
+	// Env.Revoker) checks nothing: the session outlives the revocation
+	// until TTL/idle expiry.
 	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if err != nil {
-		t.Fatalf("off-mode submit after revocation: %v", err)
+		t.Fatalf("submit after revocation, no revoker: %v", err)
 	}
-	if mgr.SweepRevoked() != 0 {
-		t.Fatal("off-mode manager must sweep trivially")
+	if mgr.sweepRevoked() != 0 {
+		t.Fatal("a manager without a revoker must sweep trivially")
 	}
 }
 
@@ -179,7 +156,7 @@ func TestRevocationOffModeIgnoresRevoker(t *testing.T) {
 // not kill sessions rooted in its replacement.
 func TestRevocationNewerCertSurvivesOldSerialRevocation(t *testing.T) {
 	clock := newFakeClock()
-	ca, ps, mgr := revocableManager(t, clock, RevokeCheckResolve, 0, "alice")
+	ca, ps, mgr := revocableManager(t, clock, "alice")
 	oldCert := ps["alice"].cert
 	renewed, err := ca.Enroll("alice", ps["alice"].key.Public())
 	if err != nil {
@@ -204,27 +181,25 @@ func TestRevocationNewerCertSurvivesOldSerialRevocation(t *testing.T) {
 }
 
 // revocableGatewayConfig is the full revocation-aware pipeline the e2e
-// tests drive through ServeWire.
-func revocableGatewayConfig(mode string) Config {
-	params := map[string]string{"ttl": "10m", "idle": "5m", "revokecheck": mode}
-	if mode == "sweep" {
-		params["revokesweep"] = "1m"
-	}
+// tests drive through ServeWire. Its session stage names no revokecheck: it
+// checks revocation because Env.Revoker is set.
+func revocableGatewayConfig() Config {
 	return Config{Stages: []StageConfig{
-		{Name: StageSession, Params: params},
+		{Name: StageSession, Params: map[string]string{"ttl": "10m", "idle": "5m"}},
 		{Name: StageAuthn},
 		{Name: StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 		{Name: StageAudit, Params: map[string]string{"observer": "gateway-op"}},
 	}}
 }
 
-// TestGatewayRevocationEndToEnd runs the whole plane through ServeWire in
-// both checking modes: a CA revocation pushes through the gateway into
-// session eviction, key-epoch rotation, audit trail, and stats — and the
-// revoked member cannot open post-revocation envelopes.
+// TestGatewayRevocationEndToEnd runs the whole plane through ServeWire: a
+// CA revocation pushes through the gateway into session eviction, key-epoch
+// rotation, audit trail, and stats — and the revoked member cannot open
+// post-revocation envelopes. The session stage runs as "unnamed" (no
+// revokecheck) and as "resolve" (the compatibility value): one pipeline.
 func TestGatewayRevocationEndToEnd(t *testing.T) {
-	for _, mode := range []string{"resolve", "sweep"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, spelling := range []string{"resolve", "unnamed"} {
+		t.Run(spelling, func(t *testing.T) {
 			clock := newFakeClock()
 			ca, ps := enrollAt(t, clock.now, "alice", "bob", "carol")
 			memberKeys := map[string]dcrypto.PublicKey{
@@ -241,7 +216,11 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 				Now:       clock.now,
 				Revoker:   ca, // a RevocationSource: the gateway subscribes
 			}
-			gw, err := NewGateway("gw", revocableGatewayConfig(mode), env, orderer)
+			cfg := revocableGatewayConfig()
+			if spelling == "resolve" {
+				cfg.Stages[0].Params["revokecheck"] = "resolve"
+			}
+			gw, err := NewGateway("gw", cfg, env, orderer)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,9 +253,8 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			// Revoke bob mid-session. The CA pushes, the gateway syncs.
 			ca.Revoke(ps["bob"].cert.Serial)
 
-			// Bob's next request dies with the distinct revocation error in
-			// both modes (the push subscription sweeps immediately; the
-			// sweep interval is only the fallback).
+			// Bob's next request dies with the distinct revocation error
+			// (the push subscription has already swept his session).
 			bobReq := sessionRequest(ps["bob"], grants["bob"], "deals", []byte("x"))
 			if _, err := w.submit(bobReq); !errors.Is(err, ErrSessionRevoked) {
 				t.Fatalf("revoked principal submit = %v, want ErrSessionRevoked", err)
@@ -328,6 +306,46 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSessionStageChecksRevocationWithEnvRevoker: a session stage that names
+// no revokecheck checks revocation because Env.Revoker is set, as authn
+// does. The revoker cannot push, so the refusal comes from the next token
+// request's own probe.
+func TestSessionStageChecksRevocationWithEnvRevoker(t *testing.T) {
+	clock := newFakeClock()
+	ca, ps := enrollAt(t, clock.now, "alice", "bob")
+	env := Env{CAKey: ca.PublicKey(), Log: audit.NewLog(), Now: clock.now, Revoker: pullRevoker{ca}}
+	cfg := Config{Stages: []StageConfig{{Name: StageSession}, {Name: StageAuthn}}}
+	gw, err := NewGateway("gw", cfg, env, ordering.New("orderer-op", ordering.VisibilityFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Bind("deals", &countingBackend{})
+	w := frontOf(gw)
+	grants := make(map[string]SessionGrant)
+	for _, name := range []string{"alice", "bob"} {
+		if grants[name], err = w.openAt(ps[name], clock.now()); err != nil {
+			t.Fatalf("open session for %s: %v", name, err)
+		}
+	}
+	submit := func(name string) error {
+		_, err := w.submit(sessionRequest(ps[name], grants[name], "deals", []byte("x")))
+		return err
+	}
+	if err := submit("alice"); err != nil {
+		t.Fatalf("pre-revocation submit: %v", err)
+	}
+	ca.Revoke(ps["alice"].cert.Serial)
+	if err := submit("alice"); !errors.Is(err, ErrSessionRevoked) {
+		t.Fatalf("revoked principal's next token request = %v, want ErrSessionRevoked", err)
+	}
+	if err := submit("bob"); err != nil {
+		t.Fatalf("unrevoked principal submit: %v", err)
+	}
+	if got := gw.Stats().SessionsRevoked; got != 1 {
+		t.Fatalf("SessionsRevoked = %d, want 1", got)
+	}
+}
+
 // TestGatewayRevocationNotifyTopic exercises the pull path: a gateway
 // whose revoker cannot push learns about revocations from the admin topic.
 func TestGatewayRevocationNotifyTopic(t *testing.T) {
@@ -345,7 +363,7 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 		Revoker:   pullRevoker{ca}, // no push hook: notify is the only channel
 	}
 	orderer := ordering.New("orderer-op", ordering.VisibilityEnvelope)
-	gw, err := NewGateway("gw", revocableGatewayConfig("sweep"), env, orderer)
+	gw, err := NewGateway("gw", revocableGatewayConfig(), env, orderer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,15 +374,9 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Without push, the notification applies the delta before any request
+	// would have.
 	ca.Revoke(ps["bob"].cert.Serial)
-
-	// Without push and inside the sweep interval, the gateway has not
-	// noticed yet.
-	req := sessionRequest(ps["bob"], grant, "deals", []byte("x"))
-	if _, err := w.submit(req); err != nil {
-		t.Fatalf("submit before notify: %v", err)
-	}
-
 	notice, err := w.notifyRevocation()
 	if err != nil {
 		t.Fatalf("notify revocation: %v", err)
@@ -372,7 +384,7 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 	if notice.SessionsRevoked != 1 || notice.Epoch != 1 {
 		t.Fatalf("notice = %+v, want 1 session revoked at epoch 1", notice)
 	}
-	req = sessionRequest(ps["bob"], grant, "deals", []byte("x"))
+	req := sessionRequest(ps["bob"], grant, "deals", []byte("x"))
 	if _, err := w.submit(req); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("submit after notify = %v, want ErrSessionRevoked", err)
 	}
@@ -390,75 +402,72 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 // while certificates are revoked mid-flight: every request either succeeds
 // or fails with a revocation-family error, and afterwards the revoked
 // principals are locked out while the survivors still work. Run under
-// -race this also proves the sweep/resolve paths are data-race free.
+// -race this also proves the push sweep and admit's probe are data-race
+// free.
 func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
-	for _, mode := range []RevokeCheckMode{RevokeCheckResolve, RevokeCheckSweep} {
-		t.Run(mode.String(), func(t *testing.T) {
-			clock := newFakeClock()
-			names := []string{"alice", "bob", "carol", "dave"}
-			ca, ps, mgr := revocableManager(t, clock, mode, time.Hour, names...)
-			stage, err := NewSession(mgr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chain := NewChain((&accept{}).handler, stage)
+	clock := newFakeClock()
+	names := []string{"alice", "bob", "carol", "dave"}
+	ca, ps, mgr := revocableManager(t, clock, names...)
+	stage, err := NewSession(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := NewChain((&accept{}).handler, stage)
 
-			grants := make(map[string]SessionGrant, len(names))
-			for _, name := range names {
-				grants[name] = openSession(t, mgr, ps[name])
-			}
+	grants := make(map[string]SessionGrant, len(names))
+	for _, name := range names {
+		grants[name] = openSession(t, mgr, ps[name])
+	}
 
-			const perWorker = 50
-			var wg sync.WaitGroup
-			errs := make(chan error, len(names)*perWorker)
-			for _, name := range names {
-				wg.Add(1)
-				go func(p *principal, grant SessionGrant) {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						req := sessionRequest(p, grant, "deals", []byte{byte(i)})
-						if err := chain.Execute(context.Background(), req); err != nil {
-							errs <- err
-						}
-					}
-				}(ps[name], grants[name])
-			}
-			// Revoke two principals while the submitters run; in sweep mode
-			// push the sweeps concurrently too.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ca.Revoke(ps["alice"].cert.Serial)
-				mgr.SweepRevoked()
-				ca.Revoke(ps["carol"].cert.Serial)
-				mgr.SweepRevoked()
-			}()
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				if !errors.Is(err, ErrSessionRevoked) {
-					t.Fatalf("concurrent submitter saw %v, want only ErrSessionRevoked failures", err)
-				}
-			}
-
-			// Post-conditions: revoked out, survivors in, counters exact.
-			for _, name := range []string{"alice", "carol"} {
-				req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
-				if err := chain.Execute(context.Background(), req); !errors.Is(err, ErrSessionRevoked) {
-					t.Fatalf("revoked %s = %v, want ErrSessionRevoked", name, err)
-				}
-			}
-			for _, name := range []string{"bob", "dave"} {
-				req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
+	const perWorker = 50
+	var wg sync.WaitGroup
+	errs := make(chan error, len(names)*perWorker)
+	for _, name := range names {
+		wg.Add(1)
+		go func(p *principal, grant SessionGrant) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				req := sessionRequest(p, grant, "deals", []byte{byte(i)})
 				if err := chain.Execute(context.Background(), req); err != nil {
-					t.Fatalf("surviving %s rejected: %v", name, err)
+					errs <- err
 				}
 			}
-			stats := mgr.Stats()
-			if stats.Revoked != 2 || stats.Live != 2 {
-				t.Fatalf("stats = %+v, want 2 revoked / 2 live", stats)
-			}
-		})
+		}(ps[name], grants[name])
+	}
+	// Revoke two principals while the submitters run, and push the
+	// sweeps concurrently too.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ca.Revoke(ps["alice"].cert.Serial)
+		mgr.sweepRevoked()
+		ca.Revoke(ps["carol"].cert.Serial)
+		mgr.sweepRevoked()
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, ErrSessionRevoked) {
+			t.Fatalf("concurrent submitter saw %v, want only ErrSessionRevoked failures", err)
+		}
+	}
+
+	// Post-conditions: revoked out, survivors in, counters exact.
+	for _, name := range []string{"alice", "carol"} {
+		req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
+		if err := chain.Execute(context.Background(), req); !errors.Is(err, ErrSessionRevoked) {
+			t.Fatalf("revoked %s = %v, want ErrSessionRevoked", name, err)
+		}
+	}
+	for _, name := range []string{"bob", "dave"} {
+		req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
+		if err := chain.Execute(context.Background(), req); err != nil {
+			t.Fatalf("surviving %s rejected: %v", name, err)
+		}
+	}
+	stats := mgr.Stats()
+	if stats.Revoked != 2 || stats.Live != 2 {
+		t.Fatalf("stats = %+v, want 2 revoked / 2 live", stats)
 	}
 }
 
@@ -468,7 +477,7 @@ func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
 // must not skew any lifecycle counter.
 func TestSessionCloseIdempotent(t *testing.T) {
 	clock := newFakeClock()
-	ca, ps, mgr := revocableManager(t, clock, RevokeCheckResolve, 0, "alice")
+	ca, ps, mgr := revocableManager(t, clock, "alice")
 	stage, err := NewSession(mgr)
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +671,7 @@ func TestGatewayCloseDetachesRevocationPush(t *testing.T) {
 	ca, ps := enrollAt(t, clock.now, "alice")
 	env := Env{CAKey: ca.PublicKey(), Now: clock.now, Revoker: ca}
 	cfg := Config{Stages: []StageConfig{
-		{Name: StageSession, Params: map[string]string{"ttl": "10m", "idle": "5m", "revokecheck": "sweep", "revokesweep": "1h"}},
+		{Name: StageSession, Params: map[string]string{"ttl": "10m", "idle": "5m"}},
 	}}
 	gw, err := NewGateway("gw", cfg, env, ordering.New("op", ordering.VisibilityFull))
 	if err != nil {
@@ -677,8 +686,8 @@ func TestGatewayCloseDetachesRevocationPush(t *testing.T) {
 		t.Fatalf("closed gateway still received the push: %+v", got)
 	}
 	// The pull path is unaffected: a direct sync still applies the delta.
-	if n := gw.SyncRevocations(); n != 1 {
-		t.Fatalf("SyncRevocations after Close = %d, want 1", n)
+	if n := gw.syncRevocations(); n != 1 {
+		t.Fatalf("syncRevocations after Close = %d, want 1", n)
 	}
 }
 
@@ -691,7 +700,7 @@ func TestSessionOpenRacingRevocation(t *testing.T) {
 	clock := newFakeClock()
 	for i := 0; i < 60; i++ {
 		name := fmt.Sprintf("org-%d", i)
-		ca, ps, mgr := revocableManager(t, clock, RevokeCheckSweep, time.Hour, name)
+		ca, ps, mgr := revocableManager(t, clock, name)
 		hello, err := NewSessionHelloAt(name, ps[name].cert, ps[name].key, clock.now())
 		if err != nil {
 			t.Fatal(err)
@@ -707,18 +716,23 @@ func TestSessionOpenRacingRevocation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ca.Revoke(ps[name].cert.Serial)
-			mgr.SweepRevoked()
+			mgr.sweepRevoked()
 		}()
 		wg.Wait()
 		// Settle: one more sweep covers the insert-then-revoke order.
-		mgr.SweepRevoked()
+		mgr.sweepRevoked()
+		// The table is asked first: admit's own probe would catch a
+		// survivor the sweeps missed.
+		if n := mgr.Len(); n != 0 {
+			t.Fatalf("iteration %d: %d sessions survived the sweep", i, n)
+		}
 		if openErr != nil {
 			if !errors.Is(openErr, ErrSessionRevoked) {
 				t.Fatalf("iteration %d: Open = %v, want ErrSessionRevoked", i, openErr)
 			}
 			continue
 		}
-		if _, _, err := mgr.resolve(grant.Token, ""); err == nil {
+		if _, _, err := admitToken(mgr, grant.Token, ""); err == nil {
 			t.Fatalf("iteration %d: revoked certificate kept a resolvable session", i)
 		}
 	}
@@ -744,7 +758,7 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 		Revoker:   ca,
 	}
 	orderer := ordering.New("orderer-op", ordering.VisibilityEnvelope)
-	gw, err := NewGateway("gw", revocableGatewayConfig("resolve"), env, orderer)
+	gw, err := NewGateway("gw", revocableGatewayConfig(), env, orderer)
 	if err != nil {
 		t.Fatal(err)
 	}

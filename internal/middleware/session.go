@@ -404,15 +404,14 @@ type SessionManager struct {
 	// stages on the same clock to reuse.
 	defaultClock bool
 
-	// Revocation plane, fixed at construction (WithRevocationChecks).
-	revoker       Revoker
-	revMode       RevokeCheckMode
-	revSweepEvery time.Duration
+	// revoker is the revocation plane, fixed at construction (withRevoker);
+	// nil means the manager checks no revocation.
+	revoker Revoker
 
 	// sweepEvery throttles the Open-path table sweep: a full sweep walks
 	// every stripe, so running one per open makes opens O(live sessions)
 	// and a 100k-session edge quadratic. Expiry enforcement does not
-	// depend on the sweep — resolve rejects and evicts stale tokens
+	// depend on the sweep — admit rejects and evicts stale tokens
 	// itself — so the sweep is pure table hygiene and an interval bound
 	// keeps it amortized O(1) per open. Derived from ttl/idle at
 	// construction; lastSweep is guarded by mu.
@@ -450,12 +449,9 @@ type SessionManager struct {
 	// (carveSessionLocked). Guarded by mu.
 	slab []session
 
-	// revEpoch is the last revocation epoch applied; lastRevSweep stamps
-	// the last delta application (unix nanos) for the sweep-mode interval
-	// check. Both atomic so resolve-mode probes and sweep-mode interval
-	// checks stay lock-free while nothing changed.
-	revEpoch     atomic.Uint64
-	lastRevSweep atomic.Int64
+	// revEpoch is the last revocation epoch applied; atomic so admit's
+	// probe stays lock-free while nothing changed.
+	revEpoch atomic.Uint64
 
 	// Lifecycle counters; atomic so hot-path evictions skip mu.
 	opened  atomic.Uint64
@@ -518,26 +514,20 @@ func WithRequestAuth(RequestAuthMode) SessionOption {
 	return func(*SessionManager) {}
 }
 
-// defaultRevokeSweep is the sweep-mode interval when none is configured.
-const defaultRevokeSweep = 30 * time.Second
-
-// WithRevocationChecks wires the manager to a revocation plane. In mode
-// RevokeCheckResolve every token resolution probes the revoker's version
-// and applies the delta when it moved; in RevokeCheckSweep the delta is
-// applied every sweepEvery (<= 0 defaults to 30s) and on SweepRevoked
-// calls (the push/admin-notification path). Either way, opening a session
-// with a revoked certificate fails, evicted tokens answer
+// withRevoker wires the manager to a revocation plane: opening a session
+// with a revoked certificate fails, every token-bearing request probes the
+// revoker's version and applies the delta when it moved (sweepRevoked
+// applies it at once, the push path), evicted tokens answer
 // ErrSessionRevoked until their original expiry, and evictions are counted
-// in SessionStats.Revoked. Mode RevokeCheckOff ignores the revoker.
-func WithRevocationChecks(r Revoker, mode RevokeCheckMode, sweepEvery time.Duration) SessionOption {
-	return func(m *SessionManager) {
-		m.revoker = r
-		m.revMode = mode
-		if sweepEvery <= 0 {
-			sweepEvery = defaultRevokeSweep
-		}
-		m.revSweepEvery = sweepEvery
-	}
+// in SessionStats.Revoked. A manager without a revoker checks nothing.
+func withRevoker(r Revoker) SessionOption {
+	return func(m *SessionManager) { m.revoker = r }
+}
+
+// WithRevocationChecks is kept under the name the repository benchmark
+// calls: it is withRevoker, and it ignores the mode and the interval.
+func WithRevocationChecks(r Revoker, _ RevokeCheckMode, _ time.Duration) SessionOption {
+	return withRevoker(r)
 }
 
 // NewSessionManager creates a manager pinned to the consortium CA key.
@@ -551,7 +541,7 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 	}
 	defaultClock := now == nil
 	if defaultClock {
-		// The default clock is the cheap monotonic-anchored one: resolve
+		// The default clock is the cheap monotonic-anchored one: admit
 		// reads it on every authenticated request.
 		now = coarseNow
 	}
@@ -572,9 +562,6 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 	for _, opt := range opts {
 		opt(m)
 	}
-	if m.revMode != RevokeCheckOff && m.revoker == nil {
-		return nil, fmt.Errorf("middleware: revocation checks (%v) need a revoker", m.revMode)
-	}
 	// A quarter of the shortest lifetime keeps test clocks (millisecond
 	// ttls) sweeping on practically every open, while production windows
 	// (minutes) settle at the one-second cap.
@@ -586,7 +573,6 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 	if m.sweepEvery > time.Second {
 		m.sweepEvery = time.Second
 	}
-	m.lastRevSweep.Store(m.now().UnixNano())
 	return m, nil
 }
 
@@ -605,7 +591,7 @@ func (m *SessionManager) Open(hello SessionHello) (SessionGrant, error) {
 }
 
 // OpenBound is Open with the token pinned to a transport connection
-// identity: every subsequent resolve must present the same TransportID or
+// identity: every subsequent request must present the same TransportID or
 // fail with ErrSessionBound, so a token captured in flight (or leaked by a
 // client) cannot be replayed over a different connection. The TCP edge
 // opens every session this way, stamping each connection's identity; an
@@ -721,13 +707,13 @@ func (m *SessionManager) openKeyed(hello *SessionHello, resume *resumeHello, tra
 		principal, serial = hello.Principal, hello.Cert.Serial
 		digest = helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
 	}
-	// A revoked certificate cannot root a new session, whatever the check
-	// mode does to established ones — and whether or not the verifier or the
-	// resumption table has seen the certificate before: revocation is never
-	// cached. This unlocked check is the cheap fast-fail; the authoritative
-	// re-check runs under the control lock below, so a revocation sweeping
-	// between here and the insert cannot slip a revoked serial into the table.
-	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(serial) {
+	// A revoked certificate cannot root a new session — whether or not the
+	// verifier or the resumption table has seen the certificate before:
+	// revocation is never cached. This unlocked check is the cheap
+	// fast-fail; the authoritative re-check runs under the control lock
+	// below, so a revocation sweeping between here and the insert cannot
+	// slip a revoked serial into the table.
+	if m.revoker != nil && m.revoker.IsRevoked(serial) {
 		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
 	}
 	if hello != nil {
@@ -811,7 +797,7 @@ func (m *SessionManager) openKeyed(hello *SessionHello, resume *resumeHello, tra
 	// session its sweep can no longer see) or will be applied later (and
 	// will then evict the insert by serial). Either way no revoked serial
 	// survives — in the session table or the resumption table.
-	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(serial) {
+	if m.revoker != nil && m.revoker.IsRevoked(serial) {
 		return SessionGrant{}, sessionKey{}, fmt.Errorf("%w: open by %s (serial %d)", ErrSessionRevoked, principal, serial)
 	}
 	s := m.carveSessionLocked()
@@ -949,18 +935,6 @@ func (m *SessionManager) EvictTransport(transportID string) int {
 	return n
 }
 
-// resolve returns the verified principal and precomputed session MAC
-// verifier bound to a token, touching its idle clock: admit, for a token
-// held as a string, on the manager's clock. transportID is the connection
-// identity the token arrived over.
-func (m *SessionManager) resolve(token, transportID string) (string, *dcrypto.MACKey, error) {
-	s, err := m.admit(m.now(), nil, token, transportID)
-	if err != nil {
-		return "", nil, err
-	}
-	return s.principal, &s.macKey, nil
-}
-
 // admit is a token-bearing request's session check at now: it returns the
 // session the request runs under, its idle clock touched. held is the
 // record the wire decoder found the frame's token to name
@@ -973,23 +947,15 @@ func (m *SessionManager) resolve(token, transportID string) (string, *dcrypto.MA
 //
 // This is the gateway's per-request hot path: on a held live record no lock
 // at all, no control-plane mutex, no allocation. Expired or idle sessions
-// are evicted via a write-locked slow path, and the revocation plane is
-// consulted per the configured mode: resolve mode probes the revoker's
-// version on every call (one atomic load when nothing changed), sweep mode
-// only applies the delta when the sweep interval has elapsed. A bound
-// session admits only requests from its own connection (ErrSessionBound
-// otherwise, without touching the idle clock — a replay must not keep the
-// victim's session warm).
+// are evicted via a write-locked slow path, and a manager with a revoker
+// probes its version on every call (one atomic load when nothing changed)
+// and applies the delta when it moved. A bound session admits only
+// requests from its own connection (ErrSessionBound otherwise, without
+// touching the idle clock — a replay must not keep the victim's session
+// warm).
 func (m *SessionManager) admit(now time.Time, held *session, token, transportID string) (*session, error) {
-	switch m.revMode {
-	case RevokeCheckResolve:
-		if m.revoker.RevocationVersion() != m.revEpoch.Load() {
-			m.applyRevocationDelta(now)
-		}
-	case RevokeCheckSweep:
-		if now.UnixNano()-m.lastRevSweep.Load() >= int64(m.revSweepEvery) {
-			m.applyRevocationDelta(now)
-		}
+	if m.revoker != nil && m.revoker.RevocationVersion() != m.revEpoch.Load() {
+		m.applyRevocationDelta()
 	}
 	s := held
 	if s == nil || s.deleted.Load() {
@@ -1071,10 +1037,10 @@ func (m *SessionManager) evictExpired(s *session, nowNanos int64) {
 }
 
 // applyRevocationDelta serializes delta application on the control mutex;
-// racing resolvers apply an empty delta and move on.
-func (m *SessionManager) applyRevocationDelta(now time.Time) {
+// racing admissions apply an empty delta and move on.
+func (m *SessionManager) applyRevocationDelta() {
 	m.mu.Lock()
-	m.applyRevocationDeltaLocked(now)
+	m.applyRevocationDeltaLocked()
 	m.mu.Unlock()
 }
 
@@ -1083,10 +1049,9 @@ func (m *SessionManager) applyRevocationDelta(now time.Time) {
 // leaving a tombstone so the token answers ErrSessionRevoked until its
 // original expiry. Only the revoked identity's own sessions are scanned,
 // via the byPrincipal index. Called with mu held.
-func (m *SessionManager) applyRevocationDeltaLocked(now time.Time) {
+func (m *SessionManager) applyRevocationDeltaLocked() {
 	revs, version := m.revoker.RevokedSince(m.revEpoch.Load())
 	m.revEpoch.Store(version)
-	m.lastRevSweep.Store(now.UnixNano())
 	for _, rev := range revs {
 		m.byPrincipal.each(rev.Identity, func(s *session) {
 			if s.serial != rev.Serial {
@@ -1105,18 +1070,17 @@ func (m *SessionManager) applyRevocationDeltaLocked(now time.Time) {
 	}
 }
 
-// SweepRevoked applies the pending revocation delta immediately — the
+// sweepRevoked applies the pending revocation delta immediately — the
 // push path: the gateway calls it when the revocation source notifies or
 // an admin hits the revocation.notify topic. It reports how many sessions
-// the sweep evicted. A manager without revocation checks sweeps trivially.
-func (m *SessionManager) SweepRevoked() int {
-	if m.revMode == RevokeCheckOff {
+// the sweep evicted. A manager without a revoker sweeps trivially.
+func (m *SessionManager) sweepRevoked() int {
+	if m.revoker == nil {
 		return 0
 	}
-	now := m.now()
 	m.mu.Lock()
 	before := m.revoked.Load()
-	m.applyRevocationDeltaLocked(now)
+	m.applyRevocationDeltaLocked()
 	after := m.revoked.Load()
 	m.mu.Unlock()
 	return int(after - before)

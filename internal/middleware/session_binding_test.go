@@ -58,23 +58,23 @@ func (f *bindingFixture) open(t *testing.T, transportID string) SessionGrant {
 func TestSessionTransportBinding(t *testing.T) {
 	f := newBindingFixture(t)
 	bound := f.open(t, "tcp:1:peer")
-	if _, _, err := f.mgr.resolve(bound.Token, "tcp:1:peer"); err != nil {
+	if _, _, err := admitToken(f.mgr, bound.Token, "tcp:1:peer"); err != nil {
 		t.Fatalf("resolve on home transport: %v", err)
 	}
-	if _, _, err := f.mgr.resolve(bound.Token, "tcp:2:other"); !errors.Is(err, ErrSessionBound) {
+	if _, _, err := admitToken(f.mgr, bound.Token, "tcp:2:other"); !errors.Is(err, ErrSessionBound) {
 		t.Fatalf("cross-transport resolve: got %v, want ErrSessionBound", err)
 	}
-	if _, _, err := f.mgr.resolve(bound.Token, ""); !errors.Is(err, ErrSessionBound) {
+	if _, _, err := admitToken(f.mgr, bound.Token, ""); !errors.Is(err, ErrSessionBound) {
 		t.Fatalf("transport-less resolve of bound token: got %v, want ErrSessionBound", err)
 	}
 	// A binding rejection is not a kill: the home transport still works.
-	if _, _, err := f.mgr.resolve(bound.Token, "tcp:1:peer"); err != nil {
+	if _, _, err := admitToken(f.mgr, bound.Token, "tcp:1:peer"); err != nil {
 		t.Fatalf("home transport after replay attempt: %v", err)
 	}
 
 	unbound := f.open(t, "")
 	for _, id := range []string{"", "tcp:3:any"} {
-		if _, _, err := f.mgr.resolve(unbound.Token, id); err != nil {
+		if _, _, err := admitToken(f.mgr, unbound.Token, id); err != nil {
 			t.Fatalf("unbound resolve over %q: %v", id, err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestSessionTransportBinding(t *testing.T) {
 		if err := f.mgr.CloseFrom(bound.Token, id); !errors.Is(err, ErrSessionBound) {
 			t.Fatalf("cross-transport close over %q: got %v, want ErrSessionBound", id, err)
 		}
-		if _, _, err := f.mgr.resolve(bound.Token, "tcp:1:peer"); err != nil {
+		if _, _, err := admitToken(f.mgr, bound.Token, "tcp:1:peer"); err != nil {
 			t.Fatalf("session killed by a close from %q: %v", id, err)
 		}
 	}
@@ -97,13 +97,13 @@ func TestSessionTransportBinding(t *testing.T) {
 		t.Fatalf("close of an unbound session: %v", err)
 	}
 	for _, token := range []string{bound.Token, unbound.Token} {
-		if _, _, err := f.mgr.resolve(token, "tcp:1:peer"); !errors.Is(err, ErrNoSession) {
+		if _, _, err := admitToken(f.mgr, token, "tcp:1:peer"); !errors.Is(err, ErrNoSession) {
 			t.Fatalf("closed session resolves: %v", err)
 		}
 	}
 	rebound := f.open(t, "tcp:1:peer")
 	f.mgr.Close(rebound.Token)
-	if _, _, err := f.mgr.resolve(rebound.Token, "tcp:1:peer"); !errors.Is(err, ErrNoSession) {
+	if _, _, err := admitToken(f.mgr, rebound.Token, "tcp:1:peer"); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("programmatic Close left a bound session live: %v", err)
 	}
 }
@@ -124,11 +124,11 @@ func TestEvictTransport(t *testing.T) {
 		t.Fatalf("EvictTransport = %d, want 2", n)
 	}
 	for _, token := range []string{a1.Token, a2.Token} {
-		if _, _, err := f.mgr.resolve(token, "tcp:1:peer"); err == nil {
+		if _, _, err := admitToken(f.mgr, token, "tcp:1:peer"); err == nil {
 			t.Fatal("evicted session still resolves")
 		}
 	}
-	if _, _, err := f.mgr.resolve(b.Token, "tcp:2:other"); err != nil {
+	if _, _, err := admitToken(f.mgr, b.Token, "tcp:2:other"); err != nil {
 		t.Fatalf("unrelated transport's session evicted too: %v", err)
 	}
 	// Idempotent: the transport's index entry is gone.

@@ -34,7 +34,7 @@ func TestCapEvictsASessionInUse(t *testing.T) {
 	}
 	use := func(g SessionGrant) error {
 		clock.advance(time.Millisecond)
-		_, _, err := mgr.resolve(g.Token, "")
+		_, _, err := admitToken(mgr, g.Token, "")
 		return err
 	}
 	visit := func() SessionGrant {

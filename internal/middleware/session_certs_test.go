@@ -169,7 +169,7 @@ func TestSessionHelloNonceLengthIsFixed(t *testing.T) {
 // session it rooted before the revocation dies as it always did.
 func TestRevocationWithCachedCertificate(t *testing.T) {
 	clock := newFakeClock()
-	ca, ps, mgr := revocableManager(t, clock, RevokeCheckResolve, 0, "alice")
+	ca, ps, mgr := revocableManager(t, clock, "alice")
 	alice := ps["alice"]
 	live := openSession(t, mgr, alice)
 	openSession(t, mgr, alice)
@@ -184,7 +184,7 @@ func TestRevocationWithCachedCertificate(t *testing.T) {
 	if st := mgr.Stats(); st.CertVerifications != 1 || st.CertCacheHits != 2 {
 		t.Fatalf("verifications %d, hits %d; the refused open should have been a hit (1, 2)", st.CertVerifications, st.CertCacheHits)
 	}
-	if _, _, err := mgr.resolve(live.Token, ""); !errors.Is(err, ErrSessionRevoked) {
+	if _, _, err := admitToken(mgr, live.Token, ""); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("session opened before the revocation = %v, want ErrSessionRevoked", err)
 	}
 	if st := mgr.Stats(); st.Revoked != 2 || st.Live != 0 {
@@ -211,7 +211,7 @@ func TestOpenProbesRevocationOnEveryOpen(t *testing.T) {
 	ca, ps := enrollAt(t, clock.now, "alice")
 	rev := &countingRevoker{pullRevoker: pullRevoker{ca}}
 	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 2*time.Minute, clock.now,
-		WithRevocationChecks(rev, RevokeCheckSweep, 0))
+		withRevoker(rev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestOpenJudgesOutsideTimesOnTheWallClock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("coarse clock %v off the wall clock: open = %v", skew, err)
 		}
-		if _, _, err := mgr.resolve(grant.Token, ""); err != nil {
+		if _, _, err := admitToken(mgr, grant.Token, ""); err != nil {
 			t.Fatalf("coarse clock %v off the wall clock: resolve = %v", skew, err)
 		}
 		if _, err := mgr.Open(hello); !errors.Is(err, ErrReplayedHello) {

@@ -131,7 +131,7 @@ var sessionDeaths = []struct {
 	{"cap eviction", func(t *testing.T, fx *handoffFixture) { fx.open(t, "alice") }, ErrNoSession, nil},
 	{"revocation", func(t *testing.T, fx *handoffFixture) {
 		fx.ca.Revoke(fx.people["alice"].cert.Serial)
-		fx.gw.Sessions().SweepRevoked()
+		fx.gw.Sessions().sweepRevoked()
 	}, ErrSessionRevoked, nil},
 	{"EvictTransport", func(t *testing.T, fx *handoffFixture) { fx.gw.Sessions().EvictTransport(handoffConn) }, ErrNoSession, nil},
 	{"idle sweep", func(t *testing.T, fx *handoffFixture) {
@@ -472,7 +472,7 @@ func TestWireFramesNameSessionsByKey(t *testing.T) {
 	}{
 		{"revoked", func(t *testing.T, fx *handoffFixture, _ []byte) {
 			fx.ca.Revoke(fx.people["alice"].cert.Serial)
-			fx.gw.Sessions().SweepRevoked()
+			fx.gw.Sessions().sweepRevoked()
 		}, ErrSessionRevoked, false},
 		{"expired", func(t *testing.T, fx *handoffFixture, _ []byte) { fx.clock.advance(2 * time.Minute) }, ErrSessionExpired, true},
 		{"closed", func(t *testing.T, fx *handoffFixture, key []byte) {

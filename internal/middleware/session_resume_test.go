@@ -68,7 +68,7 @@ func newResumeFixture(t *testing.T, opts ...SessionOption) *resumeFixture {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice")
 	opts = append([]SessionOption{
-		WithRevocationChecks(pullRevoker{ca}, RevokeCheckResolve, 0),
+		withRevoker(pullRevoker{ca}),
 	}, opts...)
 	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, clock.now, opts...)
 	if err != nil {
@@ -198,7 +198,7 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 		t.Fatalf("verifications %d, hits %d: a resumed open consulted the certificate verifier", st.CertVerifications, st.CertCacheHits)
 	}
 	// The key the client derived is the one the manager holds.
-	_, mac, err := f.mgr.resolve(second.Token, "tcp:1:peer")
+	_, mac, err := admitToken(f.mgr, second.Token, "tcp:1:peer")
 	if err != nil || mac == nil {
 		t.Fatalf("resolve resumed session: %v (mac %v)", err, mac)
 	}
@@ -350,7 +350,7 @@ func TestResumeChecksRevocation(t *testing.T) {
 	ca, ps := enrollAt(t, clock.now, "alice", "bob")
 	rev := &flippingRevoker{countingRevoker: countingRevoker{pullRevoker: pullRevoker{ca}}}
 	mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, clock.now,
-		WithRevocationChecks(rev, RevokeCheckSweep, time.Hour))
+		withRevoker(rev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestResumeChecksRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ca.Revoke(f.alice.cert.Serial)
-	if evicted := mgr.SweepRevoked(); evicted != 2 {
+	if evicted := mgr.sweepRevoked(); evicted != 2 {
 		t.Fatalf("sweep evicted %d sessions, want alice's 2", evicted)
 	}
 	if st := mgr.Stats(); st.ResumeEntries != 1 {
@@ -521,7 +521,7 @@ func TestResumeTableBound(t *testing.T) {
 func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
 	f := newResumeFixture(t, WithMaxPerPrincipal(2))
 	second := f.open(t)
-	if _, _, err := f.mgr.resolve(second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
+	if _, _, err := admitToken(f.mgr, second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
 		t.Fatalf("resumed session from another connection = %v, want ErrSessionBound", err)
 	}
 	if err := f.mgr.CloseFrom(second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
@@ -534,7 +534,7 @@ func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
 	if st := f.mgr.Stats(); st.Live != 2 || st.Evicted != 1 {
 		t.Fatalf("live %d, evicted %d; want the cap of 2 held by evicting the oldest", st.Live, st.Evicted)
 	}
-	if _, _, err := f.mgr.resolve(third.Token, "tcp:1:peer"); err != nil {
+	if _, _, err := admitToken(f.mgr, third.Token, "tcp:1:peer"); err != nil {
 		t.Fatalf("the newest resumed session: %v", err)
 	}
 	if n := f.mgr.EvictTransport("tcp:1:peer"); n != 2 {

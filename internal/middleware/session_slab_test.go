@@ -99,7 +99,7 @@ func TestCarvedSessionRecordsStayTheirOwn(t *testing.T) {
 	ca, people := enrollAt(t, clock.now, names...)
 	const perPrincipal = 6
 	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, clock.now,
-		WithMaxPerPrincipal(perPrincipal), WithRevocationChecks(pullRevoker{ca}, RevokeCheckResolve, 0))
+		WithMaxPerPrincipal(perPrincipal), withRevoker(pullRevoker{ca}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestCarvedGrantsStayTheCallers(t *testing.T) {
 			if k.grant.Token != k.token || !bytes.Equal(k.grant.MacKey, k.macKey) {
 				t.Fatalf("worker %d grant %d: token or MacKey changed under its caller", w, i)
 			}
-			principal, key, err := f.mgr.resolve(k.grant.Token, f.wire.transportID)
+			principal, key, err := admitToken(f.mgr, k.grant.Token, f.wire.transportID)
 			if err != nil {
 				t.Fatalf("worker %d grant %d: %v", w, i, err)
 			}

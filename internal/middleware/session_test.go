@@ -63,6 +63,17 @@ func mustManager(t testing.TB, ca *pki.CA, ttl, idle time.Duration, now func() t
 	return mgr
 }
 
+// admitToken is the session stage's check of a request carrying token over
+// transportID, on the manager's clock: the principal and MAC key the request
+// runs under, or its refusal.
+func admitToken(m *SessionManager, token, transportID string) (string, *dcrypto.MACKey, error) {
+	s, err := m.admit(m.now(), nil, token, transportID)
+	if err != nil {
+		return "", nil, err
+	}
+	return s.principal, &s.macKey, nil
+}
+
 func openSession(t testing.TB, mgr *SessionManager, p *principal) SessionGrant {
 	t.Helper()
 	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, mgr.now())

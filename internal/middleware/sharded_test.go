@@ -270,11 +270,11 @@ func TestSessionPerPrincipalCap(t *testing.T) {
 	clock.advance(time.Second)
 	third := openSession(t, mgr, people["Alice"])
 
-	if _, _, err := mgr.resolve(first.Token, ""); !errors.Is(err, ErrNoSession) {
+	if _, _, err := admitToken(mgr, first.Token, ""); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("oldest capped session resolves: %v", err)
 	}
 	for name, grant := range map[string]SessionGrant{"second": second, "third": third, "bob": bobs} {
-		if _, _, err := mgr.resolve(grant.Token, ""); err != nil {
+		if _, _, err := admitToken(mgr, grant.Token, ""); err != nil {
 			t.Fatalf("%s session: %v", name, err)
 		}
 	}
@@ -296,7 +296,7 @@ func TestSessionStatsCountExpiries(t *testing.T) {
 	clock.advance(11 * time.Minute) // both idle out
 
 	// One expiry detected on resolve…
-	if _, _, err := mgr.resolve(a.Token, ""); !errors.Is(err, ErrSessionExpired) {
+	if _, _, err := admitToken(mgr, a.Token, ""); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("resolve idle session = %v, want ErrSessionExpired", err)
 	}
 	// …the other by the sweep a later Open runs.

@@ -33,6 +33,7 @@ var unusedExports = map[string][]string{
 		// item 8(a) deletes them); the codec parameters of EncodeWireRequest
 		// and Client.OpenSession are pinned through their functions.
 		"middleware.AuthMAC", "middleware.WithRequestAuth",
+		"middleware.RevokeCheckResolve", "middleware.WithRevocationChecks",
 		"middleware.CodecBinary", "middleware.Config.Codec", "middleware.SessionGrant.Codec",
 		"middleware.EncodeWireRequest", "netedge.Client.OpenSession",
 		"middleware.ParseGroupEnvelope", "middleware.OpenGroupEnvelope",
@@ -90,11 +91,9 @@ var unusedExports = map[string][]string{
 		"middleware.NewZKProofRange",
 		"middleware.BindInput", "middleware.BindOff", "middleware.BindOutput",
 		"middleware.Config.Build", "middleware.DefaultRebalanceSkew",
-		"middleware.Encrypt.RevokedRotations", "middleware.Encrypt.Rotations",
-		"middleware.Gateway.RevocationEpoch", "middleware.Gateway.SyncRevocations",
-		"middleware.NewSessionHelloAt", "middleware.ParseRevokeCheckMode", "middleware.RangeClaim",
-		"middleware.RegisteredStages", "middleware.RevokeCheckOff", "middleware.RevokeCheckSweep",
-		"middleware.SessionManager.SweepRevoked", "middleware.WithMaxPerPrincipal",
+		"middleware.Encrypt.Rotations",
+		"middleware.NewSessionHelloAt", "middleware.RangeClaim",
+		"middleware.RegisteredStages", "middleware.WithMaxPerPrincipal",
 		"netedge.TopicEnroll",
 		"ordering.Cluster.Elect",
 	},
