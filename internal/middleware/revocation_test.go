@@ -405,70 +405,74 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 // -race this also proves the push sweep and admit's probe are data-race
 // free.
 func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
-	clock := newFakeClock()
-	names := []string{"alice", "bob", "carol", "dave"}
-	ca, ps, mgr := revocableManager(t, clock, names...)
-	stage, err := NewSession(mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := NewChain((&accept{}).handler, stage)
+	// "resolve" names the one revocation behaviour: admit probes the
+	// revoker on every request while push sweeps run alongside.
+	t.Run("resolve", func(t *testing.T) {
+		clock := newFakeClock()
+		names := []string{"alice", "bob", "carol", "dave"}
+		ca, ps, mgr := revocableManager(t, clock, names...)
+		stage, err := NewSession(mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := NewChain((&accept{}).handler, stage)
 
-	grants := make(map[string]SessionGrant, len(names))
-	for _, name := range names {
-		grants[name] = openSession(t, mgr, ps[name])
-	}
+		grants := make(map[string]SessionGrant, len(names))
+		for _, name := range names {
+			grants[name] = openSession(t, mgr, ps[name])
+		}
 
-	const perWorker = 50
-	var wg sync.WaitGroup
-	errs := make(chan error, len(names)*perWorker)
-	for _, name := range names {
-		wg.Add(1)
-		go func(p *principal, grant SessionGrant) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				req := sessionRequest(p, grant, "deals", []byte{byte(i)})
-				if err := chain.Execute(context.Background(), req); err != nil {
-					errs <- err
+		const perWorker = 50
+		var wg sync.WaitGroup
+		errs := make(chan error, len(names)*perWorker)
+		for _, name := range names {
+			wg.Add(1)
+			go func(p *principal, grant SessionGrant) {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					req := sessionRequest(p, grant, "deals", []byte{byte(i)})
+					if err := chain.Execute(context.Background(), req); err != nil {
+						errs <- err
+					}
 				}
+			}(ps[name], grants[name])
+		}
+		// Revoke two principals while the submitters run, and push the
+		// sweeps concurrently too.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ca.Revoke(ps["alice"].cert.Serial)
+			mgr.sweepRevoked()
+			ca.Revoke(ps["carol"].cert.Serial)
+			mgr.sweepRevoked()
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if !errors.Is(err, ErrSessionRevoked) {
+				t.Fatalf("concurrent submitter saw %v, want only ErrSessionRevoked failures", err)
 			}
-		}(ps[name], grants[name])
-	}
-	// Revoke two principals while the submitters run, and push the
-	// sweeps concurrently too.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ca.Revoke(ps["alice"].cert.Serial)
-		mgr.sweepRevoked()
-		ca.Revoke(ps["carol"].cert.Serial)
-		mgr.sweepRevoked()
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if !errors.Is(err, ErrSessionRevoked) {
-			t.Fatalf("concurrent submitter saw %v, want only ErrSessionRevoked failures", err)
 		}
-	}
 
-	// Post-conditions: revoked out, survivors in, counters exact.
-	for _, name := range []string{"alice", "carol"} {
-		req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
-		if err := chain.Execute(context.Background(), req); !errors.Is(err, ErrSessionRevoked) {
-			t.Fatalf("revoked %s = %v, want ErrSessionRevoked", name, err)
+		// Post-conditions: revoked out, survivors in, counters exact.
+		for _, name := range []string{"alice", "carol"} {
+			req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
+			if err := chain.Execute(context.Background(), req); !errors.Is(err, ErrSessionRevoked) {
+				t.Fatalf("revoked %s = %v, want ErrSessionRevoked", name, err)
+			}
 		}
-	}
-	for _, name := range []string{"bob", "dave"} {
-		req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
-		if err := chain.Execute(context.Background(), req); err != nil {
-			t.Fatalf("surviving %s rejected: %v", name, err)
+		for _, name := range []string{"bob", "dave"} {
+			req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
+			if err := chain.Execute(context.Background(), req); err != nil {
+				t.Fatalf("surviving %s rejected: %v", name, err)
+			}
 		}
-	}
-	stats := mgr.Stats()
-	if stats.Revoked != 2 || stats.Live != 2 {
-		t.Fatalf("stats = %+v, want 2 revoked / 2 live", stats)
-	}
+		stats := mgr.Stats()
+		if stats.Revoked != 2 || stats.Live != 2 {
+			t.Fatalf("stats = %+v, want 2 revoked / 2 live", stats)
+		}
+	})
 }
 
 // TestSessionCloseIdempotent is the regression test for the session.close
