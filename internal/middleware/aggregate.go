@@ -91,9 +91,9 @@ func NewAggregate(pk *paillier.PublicKey, size int) (*Aggregate, error) {
 // Name implements Stage.
 func (a *Aggregate) Name() string { return StageAggregate }
 
-// Pending reports the number of contributions buffered across all open
+// pendingCount reports the number of contributions buffered across all open
 // groups.
-func (a *Aggregate) Pending() int {
+func (a *Aggregate) pendingCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0

@@ -82,9 +82,9 @@ func NewAnonCred(key zkp.Point, attrs []string, scope string, require bool) (*An
 // Name implements Stage.
 func (a *AnonCred) Name() string { return StageAnonCred }
 
-// Shown reports how many distinct credential tokens the stage has
+// shown reports how many distinct credential tokens the stage has
 // accepted.
-func (a *AnonCred) Shown() int { return a.shows.Shown() }
+func (a *AnonCred) shown() int { return a.shows.Shown() }
 
 // Handle implements Stage.
 func (a *AnonCred) Handle(ctx context.Context, req *Request, next Handler) error {

@@ -104,7 +104,7 @@ func TestConfigAuditAsyncValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("auditasync=%s rejected: %v", depth, err)
 		}
-		if err := chain.Execute(context.Background(), &Request{Channel: "c", Principal: "alice", Payload: []byte("p")}); err != nil {
+		if err := chain.execute(context.Background(), &Request{Channel: "c", Principal: "alice", Payload: []byte("p")}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,10 +36,8 @@ var ErrBatchRelease = errors.New("middleware: batch release failed")
 // Error semantics follow the ordering service's batching: failures from a
 // group release surface to the flushing caller (the filling submission or
 // Flush), while earlier members of the group were already acknowledged.
-// Submitters that need per-submission confirmation should use
-// Gateway.SubmitAsync (each member's future resolves with its own delivery
-// outcome at release), run batch size 1, or reconcile against backend
-// commit stats.
+// Submitters that need per-submission confirmation should run batch size
+// 1 or reconcile against backend commit stats.
 type Batch struct {
 	size int
 	// enc is the encrypt stage whose epoch keys tag the buffered requests,
@@ -136,7 +134,7 @@ func (b *Batch) statRows() []statRow {
 	return []statRow{
 		{"confmw_batch_groups_sealed_total", "Group envelopes released by the batch stage (group-seal mode).", counter, b.groupsSealed.Load, func(s *GatewayStats, v uint64) { s.BatchGroupsSealed = v }, nil},
 		{"confmw_batch_group_txs_total", "Member transactions released inside group envelopes.", counter, b.groupTxs.Load, func(s *GatewayStats, v uint64) { s.BatchGroupTxs = v }, nil},
-		{"confmw_batch_pending", "Submissions currently buffered by the batch stage.", gauge, func() uint64 { return uint64(b.Pending()) }, func(s *GatewayStats, v uint64) { s.BatchPending = int(v) }, nil},
+		{"confmw_batch_pending", "Submissions currently buffered by the batch stage.", gauge, func() uint64 { return uint64(b.pendingCount()) }, func(s *GatewayStats, v uint64) { s.BatchPending = int(v) }, nil},
 	}
 }
 
@@ -155,8 +153,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 			b.mu.Unlock()
 			return errNoGroupKey
 		}
-		req.buffered = true
-		req.hold() // until releaseGroup completes it
+		req.hold() // until releaseGroup delivers it
 		g := b.groups[ck]
 		var stranded []*groupBucket
 		if g == nil {
@@ -180,7 +177,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 		b.mu.Unlock()
 		for _, s := range stranded {
 			// No flusher: this submission is buffered in a bucket of its
-			// own, and the stranded members' futures carry the outcome.
+			// own, and the stranded members were acknowledged when buffered.
 			_ = b.releaseGroup(ctx, s, next, nil)
 			b.recycleBucket(s)
 		}
@@ -191,8 +188,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 		b.recycleBucket(g)
 		return err
 	}
-	req.buffered = true
-	req.hold() // until release completes it
+	req.hold() // until release delivers it
 	if !req.encrypted {
 		// No encrypt stage swapped the payload for an envelope of its own:
 		// it may still alias a transport read buffer (see groupBucket).
@@ -287,9 +283,9 @@ func sameContext(a, b context.Context) bool {
 	return t != nil && (t.Kind() == reflect.Pointer || (t.Size() == 0 && t.Comparable())) && a == b
 }
 
-// Pending reports the number of buffered submissions across all open
+// pendingCount reports the number of buffered submissions across all open
 // buckets.
-func (b *Batch) Pending() int {
+func (b *Batch) pendingCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := len(b.pending)
@@ -323,14 +319,8 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 		if tr := req.trace; tr != nil {
 			tr.AddSpan("batch.release", start, d, d, err)
 		}
-		// The member's future gets its own delivery outcome: a failed
-		// member never committed, so its submitter may legitimately
-		// resubmit (unlike the flushing caller, whose error does not wrap
-		// the member's below precisely because the rest of the group DID
-		// commit).
-		req.complete(err)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("request %d/%d (%s): %v", i+1, len(group), req.ID(), err))
+			errs = append(errs, fmt.Errorf("request %d/%d (%s): %v", i+1, len(group), req.id(), err))
 		}
 		req.drop()
 	}
@@ -350,8 +340,7 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 // releaseGroup seals one (channel, epoch) bucket with a single AEAD
 // invocation under the bucket's epoch key and sends the group envelope
 // downstream as one synthetic transaction (BatchPrincipal, MetaBatch
-// scheme + count). The group shares one fate: every member's future
-// resolves with the group's outcome, and every member's trace gets a
+// scheme + count). The group shares one fate: every member's trace gets a
 // "batch.release" span whose exclusive time is its amortized share of the
 // release. Cancellation detaching and error wrapping mirror release.
 func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, flusher *Request) error {
@@ -396,7 +385,6 @@ func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, 
 			// ≈ the release wall time.
 			tr.AddSpan("batch.release", start, elapsed, share, relErr)
 		}
-		r.complete(wrapped)
 		r.drop()
 	}
 	if flusher != nil {

@@ -46,7 +46,7 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 		}
 		payloads := [][]byte{[]byte("trade-0"), []byte("trade-1"), []byte("trade-2")}
 		for i, p := range payloads {
-			if err := chain.Execute(context.Background(), signedRequest(t, ps["alice"], "deals", p)); err != nil {
+			if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", p)); err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 		}
@@ -101,7 +101,7 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := schain.Execute(context.Background(), signedRequest(t, ps["alice"], "deals", payloads[0])); err != nil {
+		if err := schain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", payloads[0])); err != nil {
 			t.Fatal(err)
 		}
 		senv, err := ParseEnvelope(single.seen[0].Payload)
@@ -140,11 +140,11 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 		t.Fatal("batch stage not in group-seal mode")
 	}
 	for _, ch := range []string{"deals", "trades", "deals"} {
-		if err := chain.Execute(context.Background(), signedRequest(t, ps["alice"], ch, []byte("p-"+ch))); err != nil {
+		if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], ch, []byte("p-"+ch))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := b.Pending(); got != 3 {
+	if got := b.pendingCount(); got != 3 {
 		t.Fatalf("pending = %d, want 3 buffered across two channel buckets", got)
 	}
 	if err := b.Flush(context.Background()); err != nil {
@@ -153,8 +153,8 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 	if sink.count() != 2 {
 		t.Fatalf("terminal saw %d releases, want 2 (one per channel bucket)", sink.count())
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending = %d after flush, want 0", b.Pending())
+	if b.pendingCount() != 0 {
+		t.Fatalf("pending = %d after flush, want 0", b.pendingCount())
 	}
 	if sealed, txs := b.groupsSealed.Load(), b.groupTxs.Load(); sealed != 2 || txs != 3 {
 		t.Fatalf("sealed/txs = %d/%d, want 2/3", sealed, txs)
@@ -185,7 +185,7 @@ func TestRotationReleasesStrandedGroup(t *testing.T) {
 	b := chain.stages[len(chain.stages)-1].(*Batch)
 	submit := func(channel, payload string) {
 		t.Helper()
-		if err := chain.Execute(context.Background(), signedRequest(t, ps["alice"], channel, []byte(payload))); err != nil {
+		if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], channel, []byte(payload))); err != nil {
 			t.Fatalf("submit on %s: %v", channel, err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestRotationReleasesStrandedGroup(t *testing.T) {
 	}
 	// c's fresh bucket holds new-0; d's bucket, stranded too but never
 	// reopened, still holds d-0.
-	if got := b.Pending(); got != 2 {
+	if got := b.pendingCount(); got != 2 {
 		t.Fatalf("pending = %d, want c's new member and d's open one", got)
 	}
 	if err := b.Flush(context.Background()); err != nil {
@@ -302,7 +302,7 @@ func TestGroupReleaseSpanAmortizedShare(t *testing.T) {
 		req := signedRequest(t, ps["alice"], "deals", []byte{byte(i)})
 		traces[i] = tracer.For(uint64(0xc0 + i))
 		req.trace = traces[i]
-		if err := chain.Execute(context.Background(), req); err != nil {
+		if err := chain.execute(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 		tracer.Finish(traces[i], nil)
@@ -348,7 +348,7 @@ func TestAuditSkipsRejectedSubmission(t *testing.T) {
 	}
 	chain := NewChain(terminal, au, br)
 	submit := func(payload string) error {
-		return chain.Execute(context.Background(), &Request{
+		return chain.execute(context.Background(), &Request{
 			Channel: "c", Principal: "alice", Backend: "fabric",
 			Payload: []byte(payload), authenticated: true,
 		})
@@ -400,7 +400,7 @@ func TestRetryBatchTransientMidGroup(t *testing.T) {
 	chain := NewChain(terminal, b)
 	var last error
 	for i := 0; i < 3; i++ {
-		last = chain.Execute(context.Background(), &Request{
+		last = chain.execute(context.Background(), &Request{
 			Channel: "c", Principal: "p", Payload: []byte{byte(i)},
 		})
 		if i < 2 && last != nil {
@@ -418,68 +418,24 @@ func TestRetryBatchTransientMidGroup(t *testing.T) {
 	if !bytes.Equal(attempted, []byte{0, 1, 2}) {
 		t.Fatalf("delivery attempts = %v, want one per member in order", attempted)
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending = %d after release, want 0", b.Pending())
+	if b.pendingCount() != 0 {
+		t.Fatalf("pending = %d after release, want 0", b.pendingCount())
 	}
 }
 
-// TestSubmitAsyncResolvesPerMember covers the completion futures: inline
-// outcomes resolve before SubmitAsync returns, buffered members resolve at
-// release with their OWN delivery outcome in plain mode.
-func TestSubmitAsyncResolvesPerMember(t *testing.T) {
-	ca, ps := enroll(t, "alice")
-	cfg := Config{Stages: []StageConfig{
-		{Name: StageAuthn},
-		{Name: StageBatch, Params: map[string]string{"size": "2"}},
-	}}
-	backend := ordering.New("op", ordering.VisibilityFull)
-	backend.Subscribe("deals", func(ledger.Block) error { return nil })
-	gw, err := NewGateway("gw", cfg, Env{CAKey: ca.PublicKey()}, backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	f1, err := gw.SubmitAsync(ctx, signedRequest(t, ps["alice"], "deals", []byte("m0")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Buffered: the future is unresolved until the group releases.
-	short, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
-	defer cancel()
-	if err := f1.Wait(short); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("buffered future resolved early: %v", err)
-	}
-	f2, err := gw.SubmitAsync(ctx, signedRequest(t, ps["alice"], "deals", []byte("m1")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range []*SubmitFuture{f1, f2} {
-		if err := f.Wait(ctx); err != nil {
-			t.Fatalf("member %d future: %v", i, err)
-		}
-	}
-	// Inline rejection resolves immediately with the rejection.
-	bad := signedRequest(t, ps["alice"], "deals", []byte("m2"))
-	bad.Payload = []byte("tampered")
-	f3, err := gw.SubmitAsync(ctx, bad)
-	if err == nil {
-		t.Fatal("tampered submission accepted")
-	}
-	if werr := f3.Wait(ctx); !errors.Is(werr, ErrBadSignature) {
-		t.Fatalf("rejected future = %v, want ErrBadSignature", werr)
-	}
-}
-
-// TestSubmitAsyncGroupShareFate: in group-seal mode the group travels as
-// one transaction, so every member future resolves with the group's
-// outcome — nil on success, the ErrBatchRelease-wrapped error on failure.
-func TestSubmitAsyncGroupShareFate(t *testing.T) {
+// TestGroupSealReleaseFailureReachesFiller is the group-seal half of
+// TestRetryBatchTransientMidGroup: the group travels as one transaction, so
+// a failed release reaches the filling caller as ErrBatchRelease, which
+// does not wrap the orderer's error, and leaves nothing buffered. A group
+// whose release succeeds acknowledges every member with nil.
+func TestGroupSealReleaseFailureReachesFiller(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public()}}
+	ordererDown := errors.New("orderer down")
 	fail := false
 	terminal := func(ctx context.Context, req *Request) error {
 		if fail {
-			return errors.New("orderer down")
+			return ordererDown
 		}
 		return nil
 	}
@@ -487,42 +443,26 @@ func TestSubmitAsyncGroupShareFate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAsync := func(payload string) (*SubmitFuture, error) {
-		req := signedRequest(t, ps["alice"], "deals", []byte(payload))
-		req.done = make(chan error, 1)
-		f := &SubmitFuture{ch: req.done}
-		err := chain.Execute(context.Background(), req)
-		if !req.buffered {
-			req.complete(err)
-		}
-		return f, err
+	submit := func(payload string) error {
+		return chain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", []byte(payload)))
 	}
-	ctx := context.Background()
-	var futures []*SubmitFuture
 	for i := 0; i < 2; i++ {
-		f, err := submitAsync(fmt.Sprintf("ok-%d", i))
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		futures = append(futures, f)
-	}
-	for i, f := range futures {
-		if err := f.Wait(ctx); err != nil {
-			t.Fatalf("member %d of successful group: %v", i, err)
+		if err := submit(fmt.Sprintf("ok-%d", i)); err != nil {
+			t.Fatalf("member %d of a successful group: %v", i, err)
 		}
 	}
 	fail = true
-	f1, err := submitAsync("doomed-0")
-	if err != nil {
-		t.Fatal(err)
+	if err := submit("doomed-0"); err != nil {
+		t.Fatalf("buffered member: %v", err)
 	}
-	f2, ferr := submitAsync("doomed-1")
+	ferr := submit("doomed-1")
 	if !errors.Is(ferr, ErrBatchRelease) {
 		t.Fatalf("filling submit = %v, want ErrBatchRelease", ferr)
 	}
-	for i, f := range []*SubmitFuture{f1, f2} {
-		if err := f.Wait(ctx); !errors.Is(err, ErrBatchRelease) {
-			t.Fatalf("member %d future = %v, want the group's ErrBatchRelease", i, err)
-		}
+	if errors.Is(ferr, ordererDown) {
+		t.Fatalf("release error wraps the orderer's error: %v", ferr)
+	}
+	if n := chain.stages[len(chain.stages)-1].(*Batch).pendingCount(); n != 0 {
+		t.Fatalf("pending = %d after release, want 0", n)
 	}
 }

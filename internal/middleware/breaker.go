@@ -135,12 +135,12 @@ func (b *Breaker) Handle(ctx context.Context, req *Request, next Handler) error 
 	return nil
 }
 
-// State reports the circuit state for a backend key: "closed", "open", or
+// state reports the circuit state for a backend key: "closed", "open", or
 // "half-open". The key resolves the way Handle keys its circuits: a name
 // with no backend circuit falls back to the shared per-channel circuit
 // ("channel:"+name) that requests with an empty Backend trip. Unknown keys
 // are closed.
-func (b *Breaker) State(backend string) string {
+func (b *Breaker) state(backend string) string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c, ok := b.circuits[backend]

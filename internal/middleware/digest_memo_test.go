@@ -228,8 +228,8 @@ func TestDigestMemoUnderEveryAdmittedPipeline(t *testing.T) {
 					}
 					accepted++
 					var fresh Request
-					if err := decodeRequestBinary(frame, &fresh, nil); err != nil || string(reply) != fresh.ID() {
-						t.Fatalf("%s: reply %q is not the submitted frame's ID %q (%v)", pipelineString(stages), reply, fresh.ID(), err)
+					if err := decodeRequestBinary(frame, &fresh, nil); err != nil || string(reply) != fresh.id() {
+						t.Fatalf("%s: reply %q is not the submitted frame's ID %q (%v)", pipelineString(stages), reply, fresh.id(), err)
 					}
 				}
 			}

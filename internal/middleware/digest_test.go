@@ -136,7 +136,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 					}
 				}
 				if !pl.grouped {
-					wantAudit = append(wantAudit, asRequest(tx.Creator, tx.Payload).ID())
+					wantAudit = append(wantAudit, asRequest(tx.Creator, tx.Payload).id())
 					if !bytes.HasPrefix(tx.Payload, []byte{binaryMagic, binaryKindEnvelope}) {
 						t.Fatalf("delivered payload starts % x, want an envelope frame", tx.Payload[:2])
 					}
@@ -160,7 +160,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, m := range members {
-					wantAudit = append(wantAudit, asRequest("alice", m).ID())
+					wantAudit = append(wantAudit, asRequest("alice", m).id())
 				}
 			}
 			got := log.ItemsSeen(observer, audit.ClassTxMetadata)

@@ -399,9 +399,8 @@
 // StageStats.ExclusiveNanos subtracts the inclusive time of the direct
 // downstream calls, so the per-stage histograms
 // (confmw_stage_latency_seconds{stage=...}, exported by
-// Chain.RegisterMetrics / Gateway.RegisterMetrics into an
-// internal/telemetry Registry) measure only the stage's own work and sum
-// to the pipeline total. The subtraction is exact, not sampled: a batch
+// Gateway.RegisterMetrics into an internal/telemetry Registry) measure only
+// the stage's own work and sum to the pipeline total. The subtraction is exact, not sampled: a batch
 // stage that absorbs a request without calling next at all is charged its
 // full inclusive time, which is correct because batch is always the
 // terminal stage.

@@ -626,9 +626,9 @@ func (e *Encrypt) effectiveMembersLocked(members map[string]dcrypto.PublicKey) m
 	return trimmed
 }
 
-// Epoch reports the current data-key epoch for a channel (0 when no cached
+// epoch reports the current data-key epoch for a channel (0 when no cached
 // key exists yet or the cache is disabled).
-func (e *Encrypt) Epoch(channel string) uint64 {
+func (e *Encrypt) epoch(channel string) uint64 {
 	if e.keyTTL <= 0 {
 		return 0
 	}

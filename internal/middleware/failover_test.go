@@ -25,10 +25,11 @@ func mkShardTx(channel, key string) ledger.Transaction {
 }
 
 // newReplicatedShardedOrderer builds an n-shard topology of 3-node
-// replicated shards.
-func newReplicatedShardedOrderer(t testing.TB, n int) *ordering.ShardedBackend {
+// replicated shards, and the shards themselves by index.
+func newReplicatedShardedOrderer(t testing.TB, n int) (*ordering.ShardedBackend, []*ordering.ReplicatedShard) {
 	t.Helper()
 	shards := make([]ordering.Backend, n)
+	replicated := make([]*ordering.ReplicatedShard, n)
 	for i := range shards {
 		rs, err := ordering.NewReplicatedShard(
 			[]string{
@@ -39,13 +40,13 @@ func newReplicatedShardedOrderer(t testing.TB, n int) *ordering.ShardedBackend {
 		if err != nil {
 			t.Fatalf("NewReplicatedShard: %v", err)
 		}
-		shards[i] = rs
+		shards[i], replicated[i] = rs, rs
 	}
 	sb, err := ordering.NewSharded(shards)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	return sb
+	return sb, replicated
 }
 
 // TestBreakerExemptsFailoverWindow pins the tripping policy: any number of
@@ -65,22 +66,22 @@ func TestBreakerExemptsFailoverWindow(t *testing.T) {
 	// Far more failover-window errors than the threshold: still closed.
 	backendErr = fmt.Errorf("shard 0: %w", ordering.ErrNoLeader)
 	for i := 0; i < 5; i++ {
-		if err := chain.Execute(context.Background(), req()); !errors.Is(err, ordering.ErrNoLeader) {
+		if err := chain.execute(context.Background(), req()); !errors.Is(err, ordering.ErrNoLeader) {
 			t.Fatalf("execute %d = %v, want ErrNoLeader through", i, err)
 		}
 	}
-	if got := br.State("shard-0"); got != "closed" {
+	if got := br.state("shard-0"); got != "closed" {
 		t.Fatalf("state after failover-window errors = %s, want closed", got)
 	}
 
 	// Quorum loss is not a failover window: it trips at the threshold.
 	backendErr = fmt.Errorf("shard 0: %w", ordering.ErrNoQuorum)
 	for i := 0; i < 2; i++ {
-		if err := chain.Execute(context.Background(), req()); err == nil {
+		if err := chain.execute(context.Background(), req()); err == nil {
 			t.Fatal("quorumless backend reported success")
 		}
 	}
-	if got := br.State("shard-0"); got != "open" {
+	if got := br.state("shard-0"); got != "open" {
 		t.Fatalf("state after quorum loss = %s, want open", got)
 	}
 }
@@ -100,17 +101,17 @@ func TestBreakerHalfOpenFailoverReopens(t *testing.T) {
 	chain := NewChain(backend, br)
 	req := func() *Request { return &Request{Channel: "deals", Principal: "p", Backend: "shard-0"} }
 	for i := 0; i < 2; i++ {
-		_ = chain.Execute(context.Background(), req())
+		_ = chain.execute(context.Background(), req())
 	}
-	if got := br.State("shard-0"); got != "open" {
+	if got := br.state("shard-0"); got != "open" {
 		t.Fatalf("state = %s, want open", got)
 	}
 	clock.advance(time.Second)
 	backendErr = fmt.Errorf("shard 0: %w", ordering.ErrNoLeader)
-	if err := chain.Execute(context.Background(), req()); !errors.Is(err, ordering.ErrNoLeader) {
+	if err := chain.execute(context.Background(), req()); !errors.Is(err, ordering.ErrNoLeader) {
 		t.Fatalf("probe = %v, want ErrNoLeader through", err)
 	}
-	if got := br.State("shard-0"); got != "open" {
+	if got := br.state("shard-0"); got != "open" {
 		t.Fatalf("state after failover-window probe = %s, want open", got)
 	}
 }
@@ -120,7 +121,7 @@ func TestBreakerHalfOpenFailoverReopens(t *testing.T) {
 // submissions while a shard leader is killed mid-run, with zero failures
 // surfaced to clients and the breaker left closed.
 func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
-	sb := newReplicatedShardedOrderer(t, 2)
+	sb, replicated := newReplicatedShardedOrderer(t, 2)
 	cfg := Config{
 		Stages: []StageConfig{
 			{Name: StageBreaker, Params: map[string]string{"threshold": "5", "cooldown": "250ms"}},
@@ -135,11 +136,7 @@ func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
 	sink := &countingSink{name: "sink"}
 	gw.Bind(ch, sink)
 
-	shard, err := sb.Shard(sb.ShardFor(ch))
-	if err != nil {
-		t.Fatalf("Shard: %v", err)
-	}
-	rs := shard.(*ordering.ReplicatedShard)
+	rs := replicated[sb.ShardFor(ch)]
 
 	var mu sync.Mutex
 	submit := func(i int) error {

@@ -563,20 +563,20 @@ func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
 	chain := NewChain(nil, NewAuthn(ca.PublicKey(), nil), enc)
 	submit := func(p *principal) *Request {
 		req := signedRequest(t, p, "deals", []byte("trade"))
-		if err := chain.Execute(context.Background(), req); err != nil {
+		if err := chain.execute(context.Background(), req); err != nil {
 			t.Fatalf("submit as %s: %v", p.name, err)
 		}
 		return req
 	}
 	submit(ps["alice"])
-	if got := enc.Epoch("deals"); got != 1 {
+	if got := enc.epoch("deals"); got != 1 {
 		t.Fatalf("epoch after first seal = %d, want 1", got)
 	}
 	// Steady state: the fingerprint cache keeps the epoch pinned.
 	for i := 0; i < 5; i++ {
 		submit(ps["alice"])
 	}
-	if got := enc.Epoch("deals"); got != 1 {
+	if got := enc.epoch("deals"); got != 1 {
 		t.Fatalf("epoch after steady-state seals = %d, want 1", got)
 	}
 	// Membership change through the directory bumps the generation; the
@@ -587,7 +587,7 @@ func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
 		"carol": ps["carol"].key.Public(),
 	})
 	req := submit(ps["alice"])
-	if got := enc.Epoch("deals"); got != 2 {
+	if got := enc.epoch("deals"); got != 2 {
 		t.Fatalf("epoch after membership change = %d, want 2", got)
 	}
 	env, err := ParseEnvelope(req.Payload)
@@ -612,12 +612,12 @@ func TestSyncDirectoryRevocationStillExcludes(t *testing.T) {
 	}
 	chain := NewChain(nil, NewAuthn(ca.PublicKey(), nil), enc)
 	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
-	if err := chain.Execute(context.Background(), req); err != nil {
+	if err := chain.execute(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	enc.RevokeMember("bob")
 	req2 := signedRequest(t, ps["alice"], "deals", []byte("post-revocation"))
-	if err := chain.Execute(context.Background(), req2); err != nil {
+	if err := chain.execute(context.Background(), req2); err != nil {
 		t.Fatal(err)
 	}
 	env, err := ParseEnvelope(req2.Payload)
@@ -673,7 +673,7 @@ func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
 	// to, request 2 runs entirely after the update and must exclude bob.
 	for i := 0; i < 2; i++ {
 		req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
-		if err := chain.Execute(context.Background(), req); err != nil {
+		if err := chain.execute(context.Background(), req); err != nil {
 			t.Fatalf("request %d: %v", i+1, err)
 		}
 		if i == 0 {

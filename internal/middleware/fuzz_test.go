@@ -27,7 +27,7 @@ import (
 // corrupted certificates can reject requests but never panic the process.
 // The gateway runs the full revocation-aware pipeline, so the fuzz input
 // crosses the wire decode, the session/token path, authn, and envelope
-// sealing. Every submission a gateway accepts is answered with Request.ID of
+// sealing. Every submission a gateway accepts is answered with Request.id of
 // the frame decoded afresh. On gateway.submit the one request codec is also
 // held against itself: a payload the decoder refuses is refused with
 // ErrBadFrame, and one it accepts re-encodes to a frame that decodes to the
@@ -295,8 +295,8 @@ func FuzzWireRequest(f *testing.F) {
 				// An accepted submission is answered with the ID of what was
 				// submitted, whatever the chain made of the request since.
 				var fresh Request
-				if err := decodeRequestBinary(data, &fresh, nil); err != nil || string(reply[len(prefix):]) != fresh.ID() {
-					t.Fatalf("%s accepted a submission with reply %q, want its ID %q (decode: %v)", to.name, reply[len(prefix):], fresh.ID(), err)
+				if err := decodeRequestBinary(data, &fresh, nil); err != nil || string(reply[len(prefix):]) != fresh.id() {
+					t.Fatalf("%s accepted a submission with reply %q, want its ID %q (decode: %v)", to.name, reply[len(prefix):], fresh.id(), err)
 				}
 			}
 		}

@@ -128,8 +128,11 @@ type Gateway struct {
 	// handshakes refused, one counter per row of rejectReasons.
 	rejects [len(rejectReasons)]atomic.Uint64
 
-	revMu    sync.Mutex // serializes syncRevocations' delta cursor
-	revEpoch uint64     // last revocation epoch applied to the encrypt stage
+	revMu sync.Mutex // serializes syncRevocations' delta cursor
+	// revEpoch is the last revocation epoch applied to the encrypt stage,
+	// stored only once its exclusions are; submit compares it with the
+	// revoker's version.
+	revEpoch atomic.Uint64
 	sweeps   atomic.Uint64
 	// unsubscribe detaches the RevocationSource push subscription; set at
 	// construction, consumed by Close. Guarded by revMu.
@@ -325,8 +328,9 @@ func (g *Gateway) Close() {
 // key they could unwrap), the session manager sweeps sessions rooted in
 // revoked certificates, and the revocation trail lands in the audit log.
 // It returns how many sessions were evicted. Trivial without a Revoker.
-// Safe for concurrent use; RevocationSource pushes and the
-// revocation.notify admin topic invoke it.
+// Safe for concurrent use; RevocationSource pushes, the revocation.notify
+// admin topic and a submission that sees the revoker's version move invoke
+// it.
 func (g *Gateway) syncRevocations() int {
 	if g.revoker == nil {
 		return 0
@@ -338,8 +342,7 @@ func (g *Gateway) syncRevocations() int {
 	// is in-memory, so the critical section stays cheap.
 	g.revMu.Lock()
 	defer g.revMu.Unlock()
-	revs, version := g.revoker.RevokedSince(g.revEpoch)
-	g.revEpoch = version
+	revs, version := g.revoker.RevokedSince(g.revEpoch.Load())
 	for _, rev := range revs {
 		// Only a revocation that withdraws the identity's standing excludes
 		// it from envelopes: one-time certs never carried channel
@@ -354,6 +357,7 @@ func (g *Gateway) syncRevocations() int {
 		g.auditLog.Record(g.name, audit.ClassIdentity,
 			fmt.Sprintf("revoked:%s#%d@%d", rev.Identity, rev.Serial, rev.Epoch))
 	}
+	g.revEpoch.Store(version)
 	evicted := 0
 	if mgr := g.Sessions(); mgr != nil {
 		evicted = mgr.sweepRevoked()
@@ -383,14 +387,7 @@ func (g *Gateway) eachMemberKeyer(fn func(memberKeyer)) {
 
 // revocationEpoch reports the last revocation epoch syncRevocations
 // applied.
-func (g *Gateway) revocationEpoch() uint64 {
-	g.revMu.Lock()
-	defer g.revMu.Unlock()
-	return g.revEpoch
-}
-
-// Name returns the gateway's principal name.
-func (g *Gateway) Name() string { return g.name }
+func (g *Gateway) revocationEpoch() uint64 { return g.revEpoch.Load() }
 
 // order is the terminal handler: build the ledger transaction and submit
 // it for ordering. The one place a transaction's Meta is composed: the
@@ -457,72 +454,25 @@ func (g *Gateway) Submit(ctx context.Context, req *Request) error {
 }
 
 // submit is Submit for AppendWire, whose request carries its digest memo.
+// A revoker whose version moved past the applied epoch is synced first, so
+// a revoker that cannot push still keeps a revoked member out of the next
+// envelope.
 func (g *Gateway) submit(ctx context.Context, req *Request) error {
+	if g.revoker != nil && g.revoker.RevocationVersion() != g.revEpoch.Load() {
+		g.syncRevocations()
+	}
 	tr := g.tracer.For(req.TraceID)
 	if tr != nil {
 		req.trace = tr
 		req.TraceID = tr.ID
 	}
-	err := g.chain.Execute(ctx, req)
+	err := g.chain.execute(ctx, req)
 	g.tracer.Finish(tr, err)
 	if err != nil {
 		return g.reject(rejectChain, err)
 	}
 	g.submitted.Add(1)
 	return nil
-}
-
-// SubmitFuture is the completion handle SubmitAsync returns: it resolves
-// with the request's delivery outcome — immediately for requests ordered
-// or rejected inline, at group release for requests the batch stage
-// buffered. Wait may be called repeatedly; the first resolution sticks.
-type SubmitFuture struct {
-	ch chan error
-
-	mu       sync.Mutex
-	resolved bool
-	err      error
-}
-
-// Wait blocks until the submission's delivery outcome is known or ctx is
-// done. A nil return means the request was ordered (or delivered through
-// its group); a batched member whose group release failed gets the
-// ErrBatchRelease-wrapped group error.
-func (f *SubmitFuture) Wait(ctx context.Context) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.resolved {
-		return f.err
-	}
-	select {
-	case err := <-f.ch:
-		f.resolved, f.err = true, err
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// SubmitAsync runs one request through the chain and returns a completion
-// future instead of coupling the caller to the group release: a request
-// the batch stage buffers is acknowledged immediately (nil error, like
-// Submit) and its future resolves when its group is released — letting
-// submitters pipeline a whole batch and then collect outcomes, instead of
-// blocking a round-trip per transaction. Requests rejected or ordered
-// inline resolve their future before SubmitAsync returns. The returned
-// error mirrors Submit (nil means accepted).
-func (g *Gateway) SubmitAsync(ctx context.Context, req *Request) (*SubmitFuture, error) {
-	req.done = make(chan error, 1)
-	f := &SubmitFuture{ch: req.done}
-	err := g.Submit(ctx, req)
-	if !req.buffered {
-		// Never reached a holding stage: the outcome is already final.
-		// Buffered requests resolve at release (the batch stage owns their
-		// completion — including the filling request, whose release ran
-		// inside this Submit call).
-		req.complete(err)
-	}
-	return f, err
 }
 
 // Tracer returns the gateway's request tracer, nil when Config.Trace is
@@ -592,13 +542,6 @@ func (g *Gateway) Bind(channel string, backends ...Backend) {
 			return nil
 		})
 	}
-}
-
-// Bound returns the adapters bound to a channel.
-func (g *Gateway) Bound(channel string) []Backend {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]Backend(nil), g.backends[channel]...)
 }
 
 // rejectSite is where the gateway refused something: the three places that
@@ -765,7 +708,7 @@ func (g *Gateway) statRows() []statRow {
 
 // Stats snapshots gateway, per-stage, and per-backend counters.
 func (g *Gateway) Stats() GatewayStats {
-	stats := GatewayStats{Stages: g.chain.Stats()}
+	stats := GatewayStats{Stages: g.chain.stats()}
 	if g.sharded != nil {
 		stats.Shards = g.sharded.Stats()
 	}
@@ -794,7 +737,7 @@ func (g *Gateway) Stats() GatewayStats {
 // and per-shard routing. Call once per gateway per registry, before
 // serving /metrics.
 func (g *Gateway) RegisterMetrics(reg *telemetry.Registry) error {
-	if err := g.chain.RegisterMetrics(reg); err != nil {
+	if err := g.chain.registerMetrics(reg); err != nil {
 		return err
 	}
 	for _, r := range g.rows {

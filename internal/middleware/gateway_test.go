@@ -273,11 +273,11 @@ func TestGatewaySubmitOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if id1 != req1.ID() {
-		t.Fatalf("submission id = %s, want %s", id1, req1.ID())
+	if id1 != req1.id() {
+		t.Fatalf("submission id = %s, want %s", id1, req1.id())
 	}
-	if h := hexID(req1.Digest()); string(h[:]) != req1.ID() || len(h) != len(req1.ID()) {
-		t.Fatalf("hexID = %q, ID = %q", h[:], req1.ID())
+	if h := hexID(req1.Digest()); string(h[:]) != req1.id() || len(h) != len(req1.id()) {
+		t.Fatalf("hexID = %q, ID = %q", h[:], req1.id())
 	}
 
 	// A tampered remote submission is rejected through the same endpoint.

@@ -345,7 +345,7 @@ func FuzzResumeAgrees(f *testing.F) {
 				t.Fatalf("step %d (op %d/%d): %d live sessions with resumption, %d without", step, kind, arg, a, b)
 			}
 		}
-		a, b := sides[0].mgr.Stats(), sides[1].mgr.Stats()
+		a, b := sides[0].mgr.stats(), sides[1].mgr.stats()
 		if a.Opened != b.Opened || a.Evicted != b.Evicted || a.Revoked != b.Revoked {
 			t.Fatalf("lifecycle counters differ:\n resuming %+v\n full     %+v", a, b)
 		}

@@ -107,7 +107,7 @@ type Request struct {
 	// Read and written only through sync/atomic's functions: an atomic.Int32
 	// would make vet refuse the copies callers make of their own requests.
 	holds int32
-	// The eight flags sit together so they share one word; see payloadSum
+	// The seven flags sit together so they share one word; see payloadSum
 	// for why the struct's size matters.
 	//
 	// authenticated and encrypted are set by the authn/session and encrypt
@@ -119,14 +119,10 @@ type Request struct {
 	// untimed marks a request the chain's timing sampler skipped: every
 	// instrumented frame still counts calls and errors exactly but reads
 	// no clocks and observes no latency. Decided once per request at
-	// Execute — mixing timed and untimed frames inside one request would
+	// execute — mixing timed and untimed frames inside one request would
 	// corrupt the exclusive-time nesting protocol — and never set while
 	// the request carries a trace.
 	untimed bool
-	// buffered marks a request the batch stage acknowledged with delivery
-	// still pending; SubmitAsync futures of buffered requests resolve at
-	// group release, not at Submit return.
-	buffered bool
 	// metaOwned marks a Meta map made by the pipeline itself, which no
 	// caller holds (the batch stage's synthetic release vehicle, a map
 	// AppendWire decoded off the wire): the terminal handler may annotate and
@@ -178,24 +174,6 @@ type Request struct {
 	// until the batch stage seals the whole group under it with one AEAD
 	// invocation. Nil outside deferred mode.
 	groupKey *channelKey
-	// done resolves the request's completion future (SubmitAsync): whoever
-	// delivers the request — the batch stage at release, or SubmitAsync
-	// itself when no stage buffers it — sends the delivery error (nil on
-	// success) exactly once. Nil for plain Submit callers.
-	done chan error
-}
-
-// complete resolves the request's completion future, if any. The buffered
-// send plus default keeps a double resolution (a logic bug, not an expected
-// path) from blocking the release loop.
-func (r *Request) complete(err error) {
-	if r.done == nil {
-		return
-	}
-	select {
-	case r.done <- err:
-	default:
-	}
 }
 
 // wireRequests recycles the Requests AppendWire decodes frames into.
@@ -238,11 +216,6 @@ func (r *Request) drop() {
 	*r = Request{}
 	wireRequests.Put(r)
 }
-
-// Trace returns the in-flight sampled trace, or nil when the request is
-// not being traced. Stages with interesting internal phases may record
-// extra spans on it.
-func (r *Request) Trace() *telemetry.Trace { return r.trace }
 
 // requestDigestDomain separates request digests from every other hash in
 // the library.
@@ -331,10 +304,10 @@ func (r *Request) digestMemoed() bool {
 	return r.digestSet && r.sumLen == n && (n == 0 || r.sumOf == &r.Payload[0])
 }
 
-// ID returns the hex form of the request digest, the submission identifier
+// id returns the hex form of the request digest, the submission identifier
 // echoed to transport clients (batched submissions are acknowledged before
 // a transaction ID exists).
-func (r *Request) ID() string {
+func (r *Request) id() string {
 	id := hexID(r.Digest())
 	return string(id[:])
 }
@@ -542,7 +515,7 @@ func instrument(s Stage, m *stageMetrics, next Handler) Handler {
 		if req.untimed {
 			// Sampled-out request: exact calls/errors, no clocks, no
 			// latency observation, no exclusive-time bookkeeping. The
-			// whole request is untimed (decided at Execute), so no timed
+			// whole request is untimed (decided at execute), so no timed
 			// frame ever reads the downstreamNanos this frame skips.
 			err := s.Handle(ctx, req, next)
 			if err != nil {
@@ -573,8 +546,8 @@ func instrument(s Stage, m *stageMetrics, next Handler) Handler {
 	}
 }
 
-// Execute runs the request through the chain.
-func (c *Chain) Execute(ctx context.Context, req *Request) error {
+// execute runs the request through the chain.
+func (c *Chain) execute(ctx context.Context, req *Request) error {
 	if req == nil {
 		return errors.New("middleware: nil request")
 	}
@@ -602,8 +575,8 @@ func (c *Chain) setTimingSample(every int) {
 	}
 }
 
-// Stats snapshots per-stage counters in chain order.
-func (c *Chain) Stats() []StageStats {
+// stats snapshots per-stage counters in chain order.
+func (c *Chain) stats() []StageStats {
 	out := make([]StageStats, len(c.metrics))
 	for i, m := range c.metrics {
 		out[i] = StageStats{
@@ -617,11 +590,11 @@ func (c *Chain) Stats() []StageStats {
 	return out
 }
 
-// RegisterMetrics registers the chain's per-stage telemetry into reg:
+// registerMetrics registers the chain's per-stage telemetry into reg:
 // confmw_stage_calls_total, confmw_stage_errors_total, and the
 // confmw_stage_latency_seconds exclusive-latency histograms, all labelled
 // by stage name.
-func (c *Chain) RegisterMetrics(reg *telemetry.Registry) error {
+func (c *Chain) registerMetrics(reg *telemetry.Registry) error {
 	for _, m := range c.metrics {
 		if err := reg.Register(m.lat); err != nil {
 			return err

@@ -183,7 +183,7 @@ func TestAuthnVerifiesSubmitter(t *testing.T) {
 	chain := NewChain(sink.handler, NewAuthn(ca.PublicKey(), nil))
 
 	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
-	if err := chain.Execute(context.Background(), req); err != nil {
+	if err := chain.execute(context.Background(), req); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
 	if !req.authenticated {
@@ -193,7 +193,7 @@ func TestAuthnVerifiesSubmitter(t *testing.T) {
 	// Tampered payload: signature no longer covers the content.
 	tampered := signedRequest(t, ps["alice"], "deals", []byte("trade"))
 	tampered.Payload = []byte("tampered")
-	if err := chain.Execute(context.Background(), tampered); !errors.Is(err, ErrBadSignature) {
+	if err := chain.execute(context.Background(), tampered); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("tampered payload = %v, want ErrBadSignature", err)
 	}
 
@@ -203,7 +203,7 @@ func TestAuthnVerifiesSubmitter(t *testing.T) {
 	if err := SignRequest(spoofed, ps["bob"].key); err != nil {
 		t.Fatal(err)
 	}
-	if err := chain.Execute(context.Background(), spoofed); !errors.Is(err, ErrIdentityMismatch) {
+	if err := chain.execute(context.Background(), spoofed); !errors.Is(err, ErrIdentityMismatch) {
 		t.Fatalf("spoofed principal = %v, want ErrIdentityMismatch", err)
 	}
 
@@ -211,14 +211,14 @@ func TestAuthnVerifiesSubmitter(t *testing.T) {
 	otherCA, others := enroll(t, "alice")
 	_ = otherCA
 	foreign := signedRequest(t, others["alice"], "deals", []byte("trade"))
-	if err := chain.Execute(context.Background(), foreign); !errors.Is(err, pki.ErrBadCertificate) {
+	if err := chain.execute(context.Background(), foreign); !errors.Is(err, pki.ErrBadCertificate) {
 		t.Fatalf("foreign cert = %v, want ErrBadCertificate", err)
 	}
 
 	// No certificate at all: a correct signature proves nothing.
 	bare := signedRequest(t, ps["alice"], "deals", []byte("trade"))
 	bare.Cert = nil
-	if err := chain.Execute(context.Background(), bare); !errors.Is(err, pki.ErrBadCertificate) {
+	if err := chain.execute(context.Background(), bare); !errors.Is(err, pki.ErrBadCertificate) {
 		t.Fatalf("no cert = %v, want ErrBadCertificate", err)
 	}
 	if sink.count() != 1 {
@@ -264,7 +264,7 @@ func TestEncryptRequiresAuthn(t *testing.T) {
 	}
 	chain := NewChain((&accept{}).handler, enc)
 	req := signedRequest(t, ps["alice"], "deals", []byte("secret"))
-	if err := chain.Execute(context.Background(), req); !errors.Is(err, ErrNotAuthenticated) {
+	if err := chain.execute(context.Background(), req); !errors.Is(err, ErrNotAuthenticated) {
 		t.Fatalf("encrypt without authn = %v, want ErrNotAuthenticated", err)
 	}
 }
@@ -284,7 +284,7 @@ func TestAuditRecordsLeakage(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := signedRequest(t, ps["alice"], "deals", []byte("secret"))
-	if err := chain.Execute(context.Background(), req); err != nil {
+	if err := chain.execute(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	if !log.SawAny("gw-op", audit.ClassTxMetadata) {
@@ -306,7 +306,7 @@ func TestAuditRecordsLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lchain.Execute(context.Background(), signedRequest(t, ps["alice"], "deals", []byte("secret"))); err != nil {
+	if err := lchain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", []byte("secret"))); err != nil {
 		t.Fatal(err)
 	}
 	if !log.SawAny("leaky-op", audit.ClassTxData) {
@@ -323,7 +323,7 @@ func TestRateLimitPerPrincipal(t *testing.T) {
 	sink := &accept{}
 	chain := NewChain(sink.handler, rl)
 	submit := func(who string) error {
-		return chain.Execute(context.Background(), &Request{Channel: "deals", Principal: who})
+		return chain.execute(context.Background(), &Request{Channel: "deals", Principal: who})
 	}
 
 	// Burst of 2, then limited.
@@ -367,36 +367,36 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// Two consecutive failures trip the circuit.
 	for i := 0; i < 2; i++ {
-		if err := chain.Execute(context.Background(), req()); err == nil {
+		if err := chain.execute(context.Background(), req()); err == nil {
 			t.Fatal("failing backend reported success")
 		}
 	}
-	if got := br.State("fabric"); got != "open" {
+	if got := br.state("fabric"); got != "open" {
 		t.Fatalf("state = %s, want open", got)
 	}
 	// While open: fail fast without touching the backend.
-	if err := chain.Execute(context.Background(), req()); !errors.Is(err, ErrCircuitOpen) {
+	if err := chain.execute(context.Background(), req()); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open circuit = %v, want ErrCircuitOpen", err)
 	}
 	// After cooldown a probe goes through; backend still down reopens.
 	clock.advance(time.Second)
-	if err := chain.Execute(context.Background(), req()); errors.Is(err, ErrCircuitOpen) {
+	if err := chain.execute(context.Background(), req()); errors.Is(err, ErrCircuitOpen) {
 		t.Fatal("probe after cooldown was not admitted")
 	}
-	if got := br.State("fabric"); got != "open" {
+	if got := br.state("fabric"); got != "open" {
 		t.Fatalf("state after failed probe = %s, want open", got)
 	}
 	// Backend recovers: next probe closes the circuit.
 	healthy = true
 	clock.advance(time.Second)
-	if err := chain.Execute(context.Background(), req()); err != nil {
+	if err := chain.execute(context.Background(), req()); err != nil {
 		t.Fatalf("probe against healthy backend: %v", err)
 	}
-	if got := br.State("fabric"); got != "closed" {
+	if got := br.state("fabric"); got != "closed" {
 		t.Fatalf("state after recovery = %s, want closed", got)
 	}
 	// Circuits are per backend: corda was never affected.
-	if got := br.State("corda"); got != "closed" {
+	if got := br.state("corda"); got != "closed" {
 		t.Fatalf("unrelated backend state = %s, want closed", got)
 	}
 }
@@ -413,7 +413,7 @@ func TestBatchAggregatesAndFlushes(t *testing.T) {
 	buf := make([]byte, 1)
 	submit := func(i int) error {
 		buf[0] = byte(i)
-		return chain.Execute(context.Background(), &Request{
+		return chain.execute(context.Background(), &Request{
 			Channel: "deals", Principal: "p", Payload: buf,
 		})
 	}
@@ -422,15 +422,15 @@ func TestBatchAggregatesAndFlushes(t *testing.T) {
 			t.Fatalf("buffered submit %d: %v", i, err)
 		}
 	}
-	if sink.count() != 0 || b.Pending() != 2 {
-		t.Fatalf("terminal=%d pending=%d, want 0/2 before the batch fills", sink.count(), b.Pending())
+	if sink.count() != 0 || b.pendingCount() != 2 {
+		t.Fatalf("terminal=%d pending=%d, want 0/2 before the batch fills", sink.count(), b.pendingCount())
 	}
 	// Third submission releases the whole group in order.
 	if err := submit(2); err != nil {
 		t.Fatalf("filling submit: %v", err)
 	}
-	if sink.count() != 3 || b.Pending() != 0 {
-		t.Fatalf("terminal=%d pending=%d, want 3/0 after release", sink.count(), b.Pending())
+	if sink.count() != 3 || b.pendingCount() != 0 {
+		t.Fatalf("terminal=%d pending=%d, want 3/0 after release", sink.count(), b.pendingCount())
 	}
 	for i, r := range sink.seen {
 		if r.Payload[0] != byte(i) {
@@ -464,7 +464,7 @@ func TestBatchDeliversWholeGroupDespiteFailure(t *testing.T) {
 	}
 	chain := NewChain(terminal, b)
 	for i := 0; i < 2; i++ {
-		if err := chain.Execute(context.Background(), &Request{
+		if err := chain.execute(context.Background(), &Request{
 			Channel: "c", Principal: "p", Payload: []byte{byte(i)},
 		}); err != nil {
 			t.Fatalf("buffered submit %d: %v", i, err)
@@ -472,7 +472,7 @@ func TestBatchDeliversWholeGroupDespiteFailure(t *testing.T) {
 	}
 	// The filling submission sees the failure, but the rest of the group
 	// — already acknowledged to their submitters — still gets delivered.
-	err = chain.Execute(context.Background(), &Request{
+	err = chain.execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Payload: []byte{2},
 	})
 	if err == nil {
@@ -501,13 +501,13 @@ func TestRetryDoesNotReplayBatchRelease(t *testing.T) {
 		return nil
 	}
 	chain := NewChain(terminal, b)
-	if err := chain.Execute(context.Background(), &Request{
+	if err := chain.execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Payload: []byte{0},
 	}); err != nil {
 		t.Fatalf("buffered submit: %v", err)
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		err = chain.Execute(context.Background(), &Request{
+		err = chain.execute(context.Background(), &Request{
 			Channel: "c", Principal: "p", Payload: []byte{1},
 		})
 		if !errors.Is(err, ordering.ErrNoLeader) {
@@ -520,8 +520,8 @@ func TestRetryDoesNotReplayBatchRelease(t *testing.T) {
 	if orders[0] != 1 || orders[1] != 1 {
 		t.Fatalf("delivery counts = %v, want one attempt each", orders)
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending = %d after release, want 0", b.Pending())
+	if b.pendingCount() != 0 {
+		t.Fatalf("pending = %d after release, want 0", b.pendingCount())
 	}
 }
 
@@ -542,7 +542,7 @@ func TestBreakerIgnoresStaleSuccess(t *testing.T) {
 		}
 		first = false
 		for i := 0; i < 2; i++ {
-			if err := chain.Execute(context.Background(), &Request{
+			if err := chain.execute(context.Background(), &Request{
 				Channel: "c", Principal: "p", Backend: "fabric",
 			}); err == nil {
 				return errors.New("tripping request unexpectedly succeeded")
@@ -551,17 +551,17 @@ func TestBreakerIgnoresStaleSuccess(t *testing.T) {
 		return nil
 	}
 	chain = NewChain(terminal, br)
-	if err := chain.Execute(context.Background(), &Request{
+	if err := chain.execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Backend: "fabric",
 	}); err != nil {
 		t.Fatalf("slow request: %v", err)
 	}
 	// The slow request's success predates the trip: the circuit must
 	// still be open and honouring its cooldown.
-	if got := br.State("fabric"); got != "open" {
+	if got := br.state("fabric"); got != "open" {
 		t.Fatalf("state after stale success = %s, want open", got)
 	}
-	if err := chain.Execute(context.Background(), &Request{
+	if err := chain.execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Backend: "fabric",
 	}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("request during cooldown = %v, want ErrCircuitOpen", err)
@@ -575,9 +575,9 @@ func TestChainStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := NewChain((&accept{}).handler, rl)
-	_ = chain.Execute(context.Background(), &Request{Channel: "c", Principal: "a"})
-	_ = chain.Execute(context.Background(), &Request{Channel: "c", Principal: "a"}) // limited
-	stats := chain.Stats()
+	_ = chain.execute(context.Background(), &Request{Channel: "c", Principal: "a"})
+	_ = chain.execute(context.Background(), &Request{Channel: "c", Principal: "a"}) // limited
+	stats := chain.stats()
 	if len(stats) != 1 || stats[0].Name != StageRateLimit {
 		t.Fatalf("stats = %+v", stats)
 	}

@@ -148,8 +148,8 @@ func TestAnonCredStageAuthenticates(t *testing.T) {
 	if req.Meta[MetaAnonCred] != "present/audit" {
 		t.Fatalf("anoncred note = %q", req.Meta[MetaAnonCred])
 	}
-	if stage.Shown() != 1 {
-		t.Fatalf("Shown() = %d", stage.Shown())
+	if stage.shown() != 1 {
+		t.Fatalf("Shown() = %d", stage.shown())
 	}
 }
 
@@ -338,15 +338,15 @@ func TestAggregateStageCombinesAndReleases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(released) != 0 || agg.Pending() != 2 {
-		t.Fatalf("released %d, pending %d", len(released), agg.Pending())
+	if len(released) != 0 || agg.pendingCount() != 2 {
+		t.Fatalf("released %d, pending %d", len(released), agg.pendingCount())
 	}
 	// The third fills the group and releases the sum.
 	if err := submit("reports", 75); err != nil {
 		t.Fatal(err)
 	}
-	if len(released) != 1 || agg.Pending() != 0 {
-		t.Fatalf("released %d, pending %d", len(released), agg.Pending())
+	if len(released) != 1 || agg.pendingCount() != 0 {
+		t.Fatalf("released %d, pending %d", len(released), agg.pendingCount())
 	}
 	out := released[0]
 	if out.Principal != AggregatePrincipal {
@@ -445,8 +445,8 @@ func TestAggregateStageRejectsBadAggregands(t *testing.T) {
 			t.Fatalf("bad aggregand %q = %v, want ErrBadAggregand", payload, err)
 		}
 	}
-	if agg.Pending() != 0 {
-		t.Fatalf("bad aggregands buffered: pending = %d", agg.Pending())
+	if agg.pendingCount() != 0 {
+		t.Fatalf("bad aggregands buffered: pending = %d", agg.pendingCount())
 	}
 }
 

@@ -43,9 +43,9 @@ func poisonRecycled(t *testing.T) *atomic.Int64 {
 // TestRecycledRequestCarriesNothingOver: the last drop of a request that
 // carries everything a wire submission can leave in one — a payload and MAC
 // aliasing the read buffer, a token, the session record the decoder hands
-// the session stage, Meta, a trace, a group key, a completion channel, both
-// memos — zeroes every field, the hold count included. A hold
-// on a caller's own request, and its drop, change nothing.
+// the session stage, Meta, a trace, a group key, both memos — zeroes every
+// field, the hold count included. A hold on a caller's own request, and its
+// drop, change nothing.
 func TestRecycledRequestCarriesNothingOver(t *testing.T) {
 	buf := []byte("payload and mac, both aliasing one read buffer")
 	r := borrowRequest()
@@ -53,14 +53,13 @@ func TestRecycledRequestCarriesNothingOver(t *testing.T) {
 	r.Payload, r.MAC = buf[:20], buf[20:]
 	r.SessionToken, r.TraceID, r.TransportID = "token", 7, "tcp:1"
 	r.Meta, r.metaOwned = map[string]string{"k": "v"}, true
-	r.authenticated, r.encrypted, r.enveloped, r.untimed, r.buffered = true, true, true, true, true
+	r.authenticated, r.encrypted, r.enveloped, r.untimed = true, true, true, true
 	r.payloadSum()
 	r.digestMemo, r.digestSet = r.Digest(), true
 	r.trace = &telemetry.Trace{ID: 1}
 	r.downstreamNanos, r.nowStamp = 5, time.Second
 	r.session = &session{principal: "alice"}
 	r.groupKey = &channelKey{}
-	r.done = make(chan error, 1)
 	r.hold()
 	r.drop()
 	if reflect.ValueOf(r).Elem().IsZero() {
@@ -171,7 +170,7 @@ func newRecycleFixture(t *testing.T) *recycleFixture {
 					t.Fatal(err)
 				}
 				fx.frames[kind][agg] = append(fx.frames[kind][agg], recycleFrame{
-					wire: wire, id: req.ID(), principal: req.Principal, payload: string(payload), value: value})
+					wire: wire, id: req.id(), principal: req.Principal, payload: string(payload), value: value})
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 	}
 	chain := NewChain((&accept{}).handler, stage)
 	submit := func(p *principal, grant SessionGrant) error {
-		return chain.Execute(context.Background(), sessionRequest(p, grant, "deals", []byte("x")))
+		return chain.execute(context.Background(), sessionRequest(p, grant, "deals", []byte("x")))
 	}
 
 	alice := openSession(t, mgr, ps["alice"])
@@ -74,7 +74,7 @@ func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 	if err := submit(ps["bob"], bob); err != nil {
 		t.Fatalf("unrevoked principal submit: %v", err)
 	}
-	stats := mgr.Stats()
+	stats := mgr.stats()
 	if stats.Revoked != 1 || stats.Live != 1 {
 		t.Fatalf("stats = %+v, want 1 revoked / 1 live", stats)
 	}
@@ -116,10 +116,10 @@ func TestRevocationPushEvictsBeforeAnyRequest(t *testing.T) {
 	if n := mgr.sweepRevoked(); n != 1 {
 		t.Fatalf("sweepRevoked = %d, want 1", n)
 	}
-	if st := mgr.Stats(); st.Revoked != 1 || mgr.Len() != 0 {
+	if st := mgr.stats(); st.Revoked != 1 || mgr.Len() != 0 {
 		t.Fatalf("after the push: revoked %d, live %d; want 1 and 0", st.Revoked, mgr.Len())
 	}
-	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
+	err = chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("submit after notified sweep = %v, want ErrSessionRevoked", err)
 	}
@@ -142,7 +142,7 @@ func TestRevocationOffModeIgnoresRevoker(t *testing.T) {
 	// A manager without a revoker (a session stage built without
 	// Env.Revoker) checks nothing: the session outlives the revocation
 	// until TTL/idle expiry.
-	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
+	err = chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if err != nil {
 		t.Fatalf("submit after revocation, no revoker: %v", err)
 	}
@@ -171,11 +171,11 @@ func TestRevocationNewerCertSurvivesOldSerialRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := NewChain((&accept{}).handler, stage)
-	err = chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
+	err = chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if err != nil {
 		t.Fatalf("session under renewed cert evicted by old serial: %v", err)
 	}
-	if got := mgr.Stats().Revoked; got != 0 {
+	if got := mgr.stats().Revoked; got != 0 {
 		t.Fatalf("revoked counter = %d, want 0", got)
 	}
 }
@@ -346,6 +346,100 @@ func TestSessionStageChecksRevocationWithEnvRevoker(t *testing.T) {
 	}
 }
 
+// TestPullOnlyRevokerExcludesFromNextEnvelope: a revoker that cannot push
+// and is never notified still reaches the encrypt stage. The submission
+// after a revocation sees the revoker's version move and syncs the gateway
+// first, so the envelope it seals is not wrapped to the revoked member.
+// Under -race its second half checks that check against concurrent syncs.
+func TestPullOnlyRevokerExcludesFromNextEnvelope(t *testing.T) {
+	clock := newFakeClock()
+	ca, ps := enrollAt(t, clock.now, "alice", "bob", "carol")
+	env := Env{
+		CAKey: ca.PublicKey(),
+		Directory: StaticDirectory{"deals": {
+			"alice": ps["alice"].key.Public(),
+			"bob":   ps["bob"].key.Public(),
+			"carol": ps["carol"].key.Public(),
+		}},
+		Log:     audit.NewLog(),
+		Now:     clock.now,
+		Revoker: pullRevoker{ca},
+	}
+	stages, err := ParseStages("authn|encrypt(keyttl=5m)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewGateway("gw", Config{Stages: stages}, env, ordering.New("orderer-op", ordering.VisibilityEnvelope))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vault := &payloadVault{}
+	gw.Bind("deals", vault)
+	w := frontOf(gw)
+
+	if _, err := w.submit(signedRequest(t, ps["alice"], "deals", []byte("pre-revocation"))); err != nil {
+		t.Fatalf("pre-revocation submit: %v", err)
+	}
+	if _, err := OpenEnvelope(vault.parse(t, 0), "bob", ps["bob"].key); err != nil {
+		t.Fatalf("bob cannot open the pre-revocation envelope: %v", err)
+	}
+	ca.Revoke(ps["bob"].cert.Serial)
+	if _, err := w.submit(signedRequest(t, ps["alice"], "deals", []byte("post-revocation"))); err != nil {
+		t.Fatalf("post-revocation submit: %v", err)
+	}
+	envl := vault.parse(t, 1)
+	if _, err := OpenEnvelope(envl, "bob", ps["bob"].key); !errors.Is(err, ErrNotRecipient) {
+		t.Fatalf("revoked member opened the next envelope (epoch %d): %v", envl.Epoch, err)
+	}
+	if got, err := OpenEnvelope(envl, "alice", ps["alice"].key); err != nil || string(got) != "post-revocation" {
+		t.Fatalf("alice read %q, %v", got, err)
+	}
+	if got := gw.revocationEpoch(); got != 1 {
+		t.Fatalf("revocation epoch = %d, want 1", got)
+	}
+
+	// Submissions race the next revocation and the syncs it sets off, their
+	// own and a notification's: none fails, and carol is out of the
+	// envelope after them.
+	const submitters, each = 4, 10
+	reqs := make([][]*Request, submitters)
+	for i := range reqs {
+		for j := 0; j < each; j++ {
+			reqs[i] = append(reqs[i], signedRequest(t, ps["alice"], "deals", []byte{byte(i), byte(j)}))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, submitters*each)
+	for _, batch := range reqs {
+		wg.Add(1)
+		go func(batch []*Request) {
+			defer wg.Done()
+			for _, req := range batch {
+				if _, err := w.submit(req); err != nil {
+					errs <- err
+				}
+			}
+		}(batch)
+	}
+	ca.Revoke(ps["carol"].cert.Serial)
+	gw.syncRevocations()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("submit racing the revocation: %v", err)
+	}
+	if _, err := w.submit(signedRequest(t, ps["alice"], "deals", []byte("last"))); err != nil {
+		t.Fatalf("last submit: %v", err)
+	}
+	envl = vault.parse(t, 2+submitters*each)
+	if _, err := OpenEnvelope(envl, "carol", ps["carol"].key); !errors.Is(err, ErrNotRecipient) {
+		t.Fatalf("carol opened the envelope after her revocation: %v", err)
+	}
+	if got := gw.revocationEpoch(); got != 2 {
+		t.Fatalf("revocation epoch = %d, want 2", got)
+	}
+}
+
 // TestGatewayRevocationNotifyTopic exercises the pull path: a gateway
 // whose revoker cannot push learns about revocations from the admin topic.
 func TestGatewayRevocationNotifyTopic(t *testing.T) {
@@ -431,7 +525,7 @@ func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
 					req := sessionRequest(p, grant, "deals", []byte{byte(i)})
-					if err := chain.Execute(context.Background(), req); err != nil {
+					if err := chain.execute(context.Background(), req); err != nil {
 						errs <- err
 					}
 				}
@@ -458,17 +552,17 @@ func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
 		// Post-conditions: revoked out, survivors in, counters exact.
 		for _, name := range []string{"alice", "carol"} {
 			req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
-			if err := chain.Execute(context.Background(), req); !errors.Is(err, ErrSessionRevoked) {
+			if err := chain.execute(context.Background(), req); !errors.Is(err, ErrSessionRevoked) {
 				t.Fatalf("revoked %s = %v, want ErrSessionRevoked", name, err)
 			}
 		}
 		for _, name := range []string{"bob", "dave"} {
 			req := sessionRequest(ps[name], grants[name], "deals", []byte("x"))
-			if err := chain.Execute(context.Background(), req); err != nil {
+			if err := chain.execute(context.Background(), req); err != nil {
 				t.Fatalf("surviving %s rejected: %v", name, err)
 			}
 		}
-		stats := mgr.Stats()
+		stats := mgr.stats()
 		if stats.Revoked != 2 || stats.Live != 2 {
 			t.Fatalf("stats = %+v, want 2 revoked / 2 live", stats)
 		}
@@ -488,16 +582,16 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	}
 	chain := NewChain((&accept{}).handler, stage)
 	submit := func(grant SessionGrant) error {
-		return chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
+		return chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	}
 
 	// Close of a token that never existed.
-	mgr.Close("no-such-token")
+	mgr.close("no-such-token")
 
 	// Double close of a live session.
 	g1 := openSession(t, mgr, ps["alice"])
-	mgr.Close(g1.Token)
-	mgr.Close(g1.Token)
+	mgr.close(g1.Token)
+	mgr.close(g1.Token)
 
 	// Close after idle eviction: the expiry already counted, close adds
 	// nothing.
@@ -506,7 +600,7 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	if err := submit(g2); !errors.Is(err, ErrSessionExpired) {
 		t.Fatalf("idle session = %v, want ErrSessionExpired", err)
 	}
-	mgr.Close(g2.Token)
+	mgr.close(g2.Token)
 
 	// Close after revocation eviction clears the tombstone: the token
 	// degrades to an ordinary unknown one instead of answering
@@ -516,12 +610,12 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	if err := submit(g3); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("revoked session = %v, want ErrSessionRevoked", err)
 	}
-	mgr.Close(g3.Token)
+	mgr.close(g3.Token)
 	if err := submit(g3); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("closed tombstone = %v, want ErrNoSession", err)
 	}
 
-	stats := mgr.Stats()
+	stats := mgr.stats()
 	if stats.Live != 0 || stats.Opened != 3 || stats.Expired != 1 || stats.Evicted != 0 || stats.Revoked != 1 {
 		t.Fatalf("counters skewed by closes: %+v", stats)
 	}
@@ -545,7 +639,7 @@ func TestSessionCloseIdempotentOverTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := gw.Sessions().Stats()
+	before := gw.Sessions().stats()
 	for i := 0; i < 2; i++ {
 		if err := w.close(grant.Token); err != nil {
 			t.Fatalf("close %d: %v", i+1, err)
@@ -554,7 +648,7 @@ func TestSessionCloseIdempotentOverTransport(t *testing.T) {
 	if err := w.close("never-issued"); err != nil {
 		t.Fatalf("close of never-issued token: %v", err)
 	}
-	after := gw.Sessions().Stats()
+	after := gw.Sessions().stats()
 	if after.Live != 0 || after.Opened != before.Opened ||
 		after.Expired != before.Expired || after.Evicted != before.Evicted || after.Revoked != 0 {
 		t.Fatalf("counters skewed by closes: before %+v, after %+v", before, after)
@@ -616,7 +710,7 @@ func TestEncryptRevokeMemberRacingSeal(t *testing.T) {
 	seal := func() (Envelope, error) {
 		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("x")}
 		req.authenticated = true
-		if err := chain.Execute(context.Background(), req); err != nil {
+		if err := chain.execute(context.Background(), req); err != nil {
 			return Envelope{}, err
 		}
 		return ParseEnvelope(req.Payload)

@@ -829,13 +829,13 @@ func (m *SessionManager) openKeyed(hello *SessionHello, resume *resumeHello, tra
 	return grant, tokenKey, nil
 }
 
-// Close ends a session. Closing an unknown token is a no-op: the token may
+// close ends a session. Closing an unknown token is a no-op: the token may
 // already have been evicted by expiry, the per-principal cap, or a
 // revocation sweep — a client draining its sessions must never see an
 // error or skew a lifecycle counter for losing that race. Closing a
 // revocation-tombstoned token clears the tombstone, so an explicitly
 // closed token degrades to ErrNoSession like any other closed one.
-func (m *SessionManager) Close(token string) {
+func (m *SessionManager) close(token string) {
 	key, ok := parseSessionKey(token)
 	if !ok {
 		return
@@ -1154,8 +1154,8 @@ func (m *SessionManager) resumeEntries() uint64 {
 	return uint64(m.resumes.len())
 }
 
-// Stats snapshots the manager's lifecycle counters.
-func (m *SessionManager) Stats() SessionStats {
+// stats snapshots the manager's lifecycle counters.
+func (m *SessionManager) stats() SessionStats {
 	var gs GatewayStats
 	for _, r := range m.statRows() {
 		r.set(&gs, r.load())

@@ -102,7 +102,7 @@ func TestSessionTransportBinding(t *testing.T) {
 		}
 	}
 	rebound := f.open(t, "tcp:1:peer")
-	f.mgr.Close(rebound.Token)
+	f.mgr.close(rebound.Token)
 	if _, _, err := admitToken(f.mgr, rebound.Token, "tcp:1:peer"); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("programmatic Close left a bound session live: %v", err)
 	}
@@ -135,13 +135,13 @@ func TestEvictTransport(t *testing.T) {
 	if n := f.mgr.EvictTransport("tcp:1:peer"); n != 0 {
 		t.Fatalf("second eviction reaped %d sessions", n)
 	}
-	st := f.mgr.Stats()
+	st := f.mgr.stats()
 	if st.Evicted != 2 || st.Live != 1 {
 		t.Fatalf("stats after eviction: %+v", st)
 	}
 	// Closing the surviving bound session prunes the transport index via
 	// the same path; nothing left to evict afterwards.
-	f.mgr.Close(b.Token)
+	f.mgr.close(b.Token)
 	if n := f.mgr.EvictTransport("tcp:2:other"); n != 0 {
 		t.Fatalf("closed session still indexed by transport: %d", n)
 	}

@@ -54,7 +54,7 @@ func TestCapEvictsASessionInUse(t *testing.T) {
 			abandoned = append(abandoned, g) // walks away
 			continue
 		}
-		mgr.Close(g.Token)
+		mgr.close(g.Token)
 	}
 	session := func(g SessionGrant) *session {
 		key, ok := parseSessionKey(g.Token)
@@ -79,7 +79,7 @@ func TestCapEvictsASessionInUse(t *testing.T) {
 	if err := use(a); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("visit A's next submission: %v, want ErrNoSession: the cap evicted a session in use", err)
 	}
-	if got := mgr.Stats().Evicted; got != 1 {
+	if got := mgr.stats().Evicted; got != 1 {
 		t.Fatalf("%d cap evictions, want 1", got)
 	}
 	for i, g := range append(abandoned, sixth) {

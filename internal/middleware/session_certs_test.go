@@ -34,7 +34,7 @@ func TestSessionOpenVerifiesCertificateOnce(t *testing.T) {
 	for i := 0; i < opens; i++ {
 		openSession(t, mgr, ps["alice"])
 	}
-	st := mgr.Stats()
+	st := mgr.stats()
 	if st.CertVerifications != 1 || st.CertCacheHits != opens-1 || st.Opened != opens {
 		t.Fatalf("after %d opens: verifications %d, hits %d, opened %d; want 1, %d, %d",
 			opens, st.CertVerifications, st.CertCacheHits, st.Opened, opens-1, opens)
@@ -51,7 +51,7 @@ func TestSessionOpenVerifiesCertificateOnce(t *testing.T) {
 	if _, err := mgr.Open(stolen); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("cached certificate, foreign hello signature = %v, want ErrBadSignature", err)
 	}
-	st = mgr.Stats()
+	st = mgr.stats()
 	if st.CertVerifications != 1 || st.CertCacheHits != opens || st.Opened != opens {
 		t.Fatalf("after the forged hello: verifications %d, hits %d, opened %d; want 1, %d, %d",
 			st.CertVerifications, st.CertCacheHits, st.Opened, opens, opens)
@@ -75,7 +75,7 @@ func TestSessionReplayRefusedBeforeVerification(t *testing.T) {
 	if _, err := mgr.Open(hello); err != nil {
 		t.Fatalf("first open: %v", err)
 	}
-	before := mgr.Stats()
+	before := mgr.stats()
 	// The replay's signature is irrelevant: it is never looked at.
 	replay := hello
 	replay.Sig = dcrypto.Signature{R: big.NewInt(1), S: big.NewInt(1)}
@@ -84,7 +84,7 @@ func TestSessionReplayRefusedBeforeVerification(t *testing.T) {
 			t.Fatalf("replay = %v, want ErrReplayedHello", err)
 		}
 	}
-	after := mgr.Stats()
+	after := mgr.stats()
 	if after.CertVerifications != before.CertVerifications || after.CertCacheHits != before.CertCacheHits {
 		t.Fatalf("a replay moved the verifier: verifications %d -> %d, hits %d -> %d",
 			before.CertVerifications, after.CertVerifications, before.CertCacheHits, after.CertCacheHits)
@@ -128,7 +128,7 @@ func TestSessionHelloNonceLengthIsFixed(t *testing.T) {
 		defer f.mgr.mu.Unlock()
 		return len(f.mgr.seenNonces)
 	}
-	before, opened := nonces(), f.mgr.Stats().Opened
+	before, opened := nonces(), f.mgr.stats().Opened
 	huge := bytes.Repeat([]byte{0x5a}, 4096)
 
 	// On the wire: tagged the way the parent's transcript read any nonce.
@@ -152,7 +152,7 @@ func TestSessionHelloNonceLengthIsFixed(t *testing.T) {
 	if _, err := f.mgr.OpenBound(hello, "tcp:1:peer"); err == nil {
 		t.Fatal("an in-process hello with a 4 KiB nonce opened a session")
 	}
-	if n, o := nonces(), f.mgr.Stats().Opened; n != before || o != opened {
+	if n, o := nonces(), f.mgr.stats().Opened; n != before || o != opened {
 		t.Fatalf("refused hellos: nonces %d -> %d, opened %d -> %d; want both unchanged", before, n, opened, o)
 	}
 	// The same hellos at the one length a gateway takes open sessions.
@@ -173,7 +173,7 @@ func TestRevocationWithCachedCertificate(t *testing.T) {
 	alice := ps["alice"]
 	live := openSession(t, mgr, alice)
 	openSession(t, mgr, alice)
-	if st := mgr.Stats(); st.CertVerifications != 1 || st.CertCacheHits != 1 {
+	if st := mgr.stats(); st.CertVerifications != 1 || st.CertCacheHits != 1 {
 		t.Fatalf("verifications %d, hits %d; want the certificate cached (1, 1)", st.CertVerifications, st.CertCacheHits)
 	}
 
@@ -181,13 +181,13 @@ func TestRevocationWithCachedCertificate(t *testing.T) {
 	if _, err := mgr.OpenBound(mustHelloAt(t, alice, clock.now()), "tcp:1:peer"); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("open with a cached, revoked certificate = %v, want ErrSessionRevoked", err)
 	}
-	if st := mgr.Stats(); st.CertVerifications != 1 || st.CertCacheHits != 2 {
+	if st := mgr.stats(); st.CertVerifications != 1 || st.CertCacheHits != 2 {
 		t.Fatalf("verifications %d, hits %d; the refused open should have been a hit (1, 2)", st.CertVerifications, st.CertCacheHits)
 	}
 	if _, _, err := admitToken(mgr, live.Token, ""); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("session opened before the revocation = %v, want ErrSessionRevoked", err)
 	}
-	if st := mgr.Stats(); st.Revoked != 2 || st.Live != 0 {
+	if st := mgr.stats(); st.Revoked != 2 || st.Live != 0 {
 		t.Fatalf("revoked %d, live %d; want both earlier sessions evicted", st.Revoked, st.Live)
 	}
 }
@@ -221,7 +221,7 @@ func TestOpenProbesRevocationOnEveryOpen(t *testing.T) {
 			t.Fatalf("after open %d: %d IsRevoked probes, want %d", open, got, 2*open)
 		}
 	}
-	if st := mgr.Stats(); st.CertCacheHits != 2 {
+	if st := mgr.stats(); st.CertCacheHits != 2 {
 		t.Fatalf("hits = %d, want the second and third open cached", st.CertCacheHits)
 	}
 }

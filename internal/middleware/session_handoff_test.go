@@ -122,7 +122,7 @@ var sessionDeaths = []struct {
 	want   error
 	racing error
 }{
-	{"Close", func(t *testing.T, fx *handoffFixture) { fx.gw.Sessions().Close(fx.grant.Token) }, ErrNoSession, nil},
+	{"Close", func(t *testing.T, fx *handoffFixture) { fx.gw.Sessions().close(fx.grant.Token) }, ErrNoSession, nil},
 	{"CloseFrom", func(t *testing.T, fx *handoffFixture) {
 		if err := fx.gw.Sessions().CloseFrom(fx.grant.Token, handoffConn); err != nil {
 			t.Error(err)
@@ -287,7 +287,7 @@ func TestSessionTokenIsItsLowercaseHex(t *testing.T) {
 		if err := mgr.CloseFrom(other, handoffConn); err != nil {
 			t.Errorf("CloseFrom(%q): %v", other, err)
 		}
-		mgr.Close(other)
+		mgr.close(other)
 	}
 	if mgr.Len() != 1 {
 		t.Fatalf("%d sessions live, want alice's", mgr.Len())

@@ -190,7 +190,7 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 	if !second.Resumed || second.Principal != "alice" || len(second.MacKey) != dcrypto.MACKeySize {
 		t.Fatalf("second grant = %+v, want a resumed MAC session for alice", second)
 	}
-	st := f.mgr.Stats()
+	st := f.mgr.stats()
 	if st.Opened != 2 || st.Resumed != 1 || st.ResumeMisses != 0 || st.ResumeEntries != 1 {
 		t.Fatalf("stats = %+v, want 2 opened, 1 resumed, 0 misses, 1 entry", st)
 	}
@@ -243,7 +243,7 @@ func TestResumeProvesPossessionWithoutPublicKeyWork(t *testing.T) {
 	if len(inproc.MacKey) != dcrypto.MACKeySize || inproc.Sealed != nil || inproc.ResumeID != nil {
 		t.Fatalf("in-process grant = %+v, want the MAC key and nothing sealed", inproc)
 	}
-	if st := f.mgr.Stats(); st.ResumeEntries != 1 {
+	if st := f.mgr.stats(); st.ResumeEntries != 1 {
 		t.Fatalf("an in-process open left a resumption entry: %d", st.ResumeEntries)
 	}
 }
@@ -254,11 +254,11 @@ func TestResumeReplayAndFreshness(t *testing.T) {
 	f := newResumeFixture(t)
 	f.open(t)
 	replayed := f.wire.hellos[len(f.wire.hellos)-1]
-	opened := f.mgr.Stats().Opened
+	opened := f.mgr.stats().Opened
 	if _, err := f.wire.roundTrip(context.Background(), replayed); !errors.Is(err, ErrReplayedHello) {
 		t.Fatalf("replayed resume hello = %v, want ErrReplayedHello", err)
 	}
-	if got := f.mgr.Stats().Opened; got != opened {
+	if got := f.mgr.stats().Opened; got != opened {
 		t.Fatalf("a replayed resume hello opened a session (%d -> %d)", opened, got)
 	}
 	for _, skew := range []time.Duration{-helloFreshness - time.Second, helloFreshness + time.Second} {
@@ -379,7 +379,7 @@ func TestResumeChecksRevocation(t *testing.T) {
 	if _, err := f.tryOpen(); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("resume under a revoked certificate = %v, want ErrSessionRevoked", err)
 	}
-	if st := mgr.Stats(); st.ResumeEntries != 1 || st.ResumeMisses != 0 {
+	if st := mgr.stats(); st.ResumeEntries != 1 || st.ResumeMisses != 0 {
 		t.Fatalf("before the sweep: %d entries, %d misses; want 1 and 0", st.ResumeEntries, st.ResumeMisses)
 	}
 	// ...and the sweep that evicts the certificate's sessions drops it.
@@ -393,14 +393,14 @@ func TestResumeChecksRevocation(t *testing.T) {
 	if evicted := mgr.sweepRevoked(); evicted != 2 {
 		t.Fatalf("sweep evicted %d sessions, want alice's 2", evicted)
 	}
-	if st := mgr.Stats(); st.ResumeEntries != 1 {
+	if st := mgr.stats(); st.ResumeEntries != 1 {
 		t.Fatalf("after the sweep: %d resumption entries, want bob's alone", st.ResumeEntries)
 	}
 	rev.revokeFrom.Store(1)
 	if _, err := f.tryOpen(); !errors.Is(err, ErrSessionRevoked) {
 		t.Fatalf("fallback under a revoked certificate = %v, want ErrSessionRevoked", err)
 	}
-	if st := mgr.Stats(); st.ResumeMisses != 1 {
+	if st := mgr.stats(); st.ResumeMisses != 1 {
 		t.Fatalf("misses = %d, want the one resume hello that met the swept table", st.ResumeMisses)
 	}
 	rev.revokeFrom.Store(0)
@@ -425,7 +425,7 @@ func TestResumeEntryExpires(t *testing.T) {
 		if _, miss, err := held.resume(context.Background(), f.client, f.clock.now(), "alice", f.wire.roundTrip); err != nil || !miss {
 			t.Fatalf("resume past the ttl: miss %v, err %v; want a miss", miss, err)
 		}
-		if st := f.mgr.Stats(); st.ResumeMisses != 1 || st.ResumeEntries != 0 {
+		if st := f.mgr.stats(); st.ResumeMisses != 1 || st.ResumeEntries != 0 {
 			t.Fatalf("misses %d, entries %d; want 1 and the expired entry gone", st.ResumeMisses, st.ResumeEntries)
 		}
 		// The Handshaker knows the expiry too, and goes straight to the full
@@ -433,7 +433,7 @@ func TestResumeEntryExpires(t *testing.T) {
 		if grant := f.open(t); grant.Resumed {
 			t.Fatal("past the ttl: resumed")
 		}
-		if st := f.mgr.Stats(); st.ResumeMisses != 1 {
+		if st := f.mgr.stats(); st.ResumeMisses != 1 {
 			t.Fatalf("misses = %d after the client's own expiry check, want still 1", st.ResumeMisses)
 		}
 	})
@@ -473,7 +473,7 @@ func TestResumeReenrolledCertificateTakesFullPath(t *testing.T) {
 	if err != nil || grant.Resumed {
 		t.Fatalf("first open under the renewed certificate: %+v, %v; want a full handshake", grant, err)
 	}
-	if st := f.mgr.Stats(); st.CertVerifications != 2 || st.Resumed != 0 || st.ResumeMisses != 0 {
+	if st := f.mgr.stats(); st.CertVerifications != 2 || st.Resumed != 0 || st.ResumeMisses != 0 {
 		t.Fatalf("stats = %+v, want the renewed certificate verified and nothing resumed or missed", st)
 	}
 	for _, cert := range []pki.Certificate{renewed, f.alice.cert} {
@@ -531,7 +531,7 @@ func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
 	if !third.Resumed {
 		t.Fatal("third open did not resume")
 	}
-	if st := f.mgr.Stats(); st.Live != 2 || st.Evicted != 1 {
+	if st := f.mgr.stats(); st.Live != 2 || st.Evicted != 1 {
 		t.Fatalf("live %d, evicted %d; want the cap of 2 held by evicting the oldest", st.Live, st.Evicted)
 	}
 	if _, _, err := admitToken(f.mgr, third.Token, "tcp:1:peer"); err != nil {
@@ -557,7 +557,7 @@ func TestResumeFallsBackWhenGatewayLostItsTable(t *testing.T) {
 	if err != nil || grant.Resumed || len(grant.MacKey) != dcrypto.MACKeySize {
 		t.Fatalf("open at the restarted gateway: %+v, %v; want a full grant and no error", grant, err)
 	}
-	if st := restarted.Stats(); st.ResumeMisses != 1 || st.Opened != 1 || st.Resumed != 0 {
+	if st := restarted.stats(); st.ResumeMisses != 1 || st.Opened != 1 || st.Resumed != 0 {
 		t.Fatalf("restarted gateway: %+v, want one miss and one full open", st)
 	}
 	if grant := f.open(t); !grant.Resumed {
@@ -649,7 +649,7 @@ func TestConcurrentFirstOpensShareOneFullHandshake(t *testing.T) {
 	if failed := openAll(); failed != 0 {
 		t.Fatalf("%d opens failed", failed)
 	}
-	st := mgr.Stats()
+	st := mgr.stats()
 	if st.Opened != opens || st.Resumed != opens-1 || st.ResumeEntries != 1 || st.CertVerifications+st.CertCacheHits != 1 {
 		t.Fatalf("stats = %+v, want %d opened of which %d resumed, one entry, one certificate check", st, opens, opens-1)
 	}

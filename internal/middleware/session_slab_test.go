@@ -134,7 +134,7 @@ func TestCarvedSessionRecordsStayTheirOwn(t *testing.T) {
 	for _, s := range all {
 		switch s.who.name {
 		case "closer":
-			mgr.Close(s.grant.Token)
+			mgr.close(s.grant.Token)
 		case "wanderer":
 			wandered++
 		}
@@ -327,7 +327,7 @@ func TestSessionChurnHeapIsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if open = append(open, g.Token); len(open) > liveAtMost {
-			f.mgr.Close(open[0])
+			f.mgr.close(open[0])
 			open = open[1:]
 		}
 	}

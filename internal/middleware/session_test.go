@@ -105,7 +105,7 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 
 	// A token-bound request authenticates with no certificate attached.
 	req := sessionRequest(ps["alice"], grant, "deals", []byte("trade"))
-	if err := chain.Execute(context.Background(), req); err != nil {
+	if err := chain.execute(context.Background(), req); err != nil {
 		t.Fatalf("session request rejected: %v", err)
 	}
 	if !req.authenticated {
@@ -116,20 +116,20 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 	// fails even on a live session.
 	tampered := sessionRequest(ps["alice"], grant, "deals", []byte("trade"))
 	tampered.Payload = []byte("tampered")
-	if err := chain.Execute(context.Background(), tampered); !errors.Is(err, ErrBadMAC) {
+	if err := chain.execute(context.Background(), tampered); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("tampered session request = %v, want ErrBadMAC", err)
 	}
 
 	// Bob cannot ride alice's session.
 	hijack := sessionRequest(ps["bob"], grant, "deals", []byte("trade"))
-	if err := chain.Execute(context.Background(), hijack); !errors.Is(err, ErrIdentityMismatch) {
+	if err := chain.execute(context.Background(), hijack); !errors.Is(err, ErrIdentityMismatch) {
 		t.Fatalf("hijacked session = %v, want ErrIdentityMismatch", err)
 	}
 
 	// A certificate-bearing request without a token still passes through
 	// to the full authn stage: one chain serves both kinds of traffic.
 	full := signedRequest(t, ps["bob"], "deals", []byte("trade"))
-	if err := chain.Execute(context.Background(), full); err != nil {
+	if err := chain.execute(context.Background(), full); err != nil {
 		t.Fatalf("cert request through session chain: %v", err)
 	}
 	if sink.count() != 2 {
@@ -154,7 +154,7 @@ func TestSessionRequestsAreMACOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant := openSession(t, chain.stages[0].(*Session).Manager(), alice)
-	execute := func(req *Request) error { return chain.Execute(context.Background(), req) }
+	execute := func(req *Request) error { return chain.execute(context.Background(), req) }
 	build := func(params map[string]string) error {
 		_, err := pipeline(params).Build(env, nil)
 		return err
@@ -269,7 +269,7 @@ func TestSessionTokenLifecycle(t *testing.T) {
 	}
 	chain := NewChain((&accept{}).handler, stage)
 	submit := func(grant SessionGrant) error {
-		return chain.Execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
+		return chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	}
 
 	// A forged token is rejected with ErrNoSession.
@@ -306,7 +306,7 @@ func TestSessionTokenLifecycle(t *testing.T) {
 
 	// Close ends a live session immediately.
 	grant = openSession(t, mgr, ps["alice"])
-	mgr.Close(grant.Token)
+	mgr.close(grant.Token)
 	if err := submit(grant); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("closed session = %v, want ErrNoSession", err)
 	}
@@ -387,7 +387,7 @@ func TestEncryptKeyCacheEpochsAndRotation(t *testing.T) {
 		t.Helper()
 		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("10 tons of steel")}
 		req.authenticated = true // stage under test is encrypt, not authn
-		if err := chain.Execute(context.Background(), req); err != nil {
+		if err := chain.execute(context.Background(), req); err != nil {
 			t.Fatalf("cached encrypt: %v", err)
 		}
 		env, err := ParseEnvelope(req.Payload)
@@ -437,7 +437,7 @@ func TestEncryptKeyCacheEpochsAndRotation(t *testing.T) {
 	if _, err := OpenEnvelope(e4, "carol", ps["carol"].key); err != nil {
 		t.Fatalf("new member cannot open post-join envelope: %v", err)
 	}
-	if got := enc.Epoch("deals"); got != 3 {
+	if got := enc.epoch("deals"); got != 3 {
 		t.Fatalf("Epoch() = %d, want 3", got)
 	}
 }
@@ -634,8 +634,8 @@ func TestGatewayBindIdempotent(t *testing.T) {
 	if got := sink.count(); got != 1 {
 		t.Fatalf("backend committed %d txs after double Bind, want 1", got)
 	}
-	if got := len(gw.Bound("deals")); got != 1 {
-		t.Fatalf("Bound lists %d adapters, want 1", got)
+	if got := len(gw.backends["deals"]); got != 1 {
+		t.Fatalf("%d adapters bound, want 1", got)
 	}
 }
 
@@ -647,7 +647,7 @@ func TestRateLimitEvictsIdleBuckets(t *testing.T) {
 	}
 	chain := NewChain((&accept{}).handler, rl)
 	submit := func(who string) error {
-		return chain.Execute(context.Background(), &Request{Channel: "deals", Principal: who})
+		return chain.execute(context.Background(), &Request{Channel: "deals", Principal: who})
 	}
 	for i := 0; i < 100; i++ {
 		if err := submit(fmt.Sprintf("principal-%d", i)); err != nil {
@@ -699,7 +699,7 @@ func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
 	chain := NewChain(terminal, b)
 
 	// First request buffered and acknowledged under its own context.
-	if err := chain.Execute(context.Background(), &Request{
+	if err := chain.execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Payload: []byte{0},
 	}); err != nil {
 		t.Fatalf("buffered submit: %v", err)
@@ -709,7 +709,7 @@ func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
 	ctx := context.WithValue(context.Background(), ctxKey("tenant"), "acme")
 	ctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := chain.Execute(ctx, &Request{
+	if err := chain.execute(ctx, &Request{
 		Channel: "c", Principal: "p", Payload: []byte{1},
 	}); err != nil {
 		t.Fatalf("release under canceled filling context failed: %v", err)
@@ -736,7 +736,7 @@ func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
 			ctx = uncomparableCtx{Context: ctx}
 		}
 		for n := 0; n < 2; n++ {
-			if err := chain.Execute(ctx, &Request{Channel: "c", Principal: "p", Payload: []byte{byte(2 + 2*i + n)}}); err != nil {
+			if err := chain.execute(ctx, &Request{Channel: "c", Principal: "p", Payload: []byte{byte(2 + 2*i + n)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -747,7 +747,7 @@ func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
 	// Nor are two contexts of a zero-size type == cannot compare.
 	for g := 0; g < 2; g++ {
 		for n := 0; n < 2; n++ {
-			if err := chain.Execute(zeroSizeUncomparableCtx{}, &Request{Channel: "c", Principal: "p", Payload: []byte{byte(8 + 2*g + n)}}); err != nil {
+			if err := chain.execute(zeroSizeUncomparableCtx{}, &Request{Channel: "c", Principal: "p", Payload: []byte{byte(8 + 2*g + n)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -787,15 +787,15 @@ func TestBreakerStateSeesChannelCircuits(t *testing.T) {
 	chain := NewChain(down, br)
 	// Requests with no Backend share the per-channel circuit.
 	for i := 0; i < 2; i++ {
-		if err := chain.Execute(context.Background(), &Request{Channel: "deals", Principal: "p"}); err == nil {
+		if err := chain.execute(context.Background(), &Request{Channel: "deals", Principal: "p"}); err == nil {
 			t.Fatal("failing handler reported success")
 		}
 	}
-	if got := br.State("deals"); got != "open" {
+	if got := br.state("deals"); got != "open" {
 		t.Fatalf("State(channel) = %s, want open (must resolve the channel-keyed circuit)", got)
 	}
 	// An explicit backend key still resolves directly.
-	if got := br.State("fabric"); got != "closed" {
+	if got := br.state("fabric"); got != "closed" {
 		t.Fatalf("State(unknown backend) = %s, want closed", got)
 	}
 }

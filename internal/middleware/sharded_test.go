@@ -278,7 +278,7 @@ func TestSessionPerPrincipalCap(t *testing.T) {
 			t.Fatalf("%s session: %v", name, err)
 		}
 	}
-	stats := mgr.Stats()
+	stats := mgr.stats()
 	if stats.Opened != 4 || stats.Evicted != 1 || stats.Live != 3 {
 		t.Fatalf("stats = %+v, want opened=4 evicted=1 live=3", stats)
 	}
@@ -301,7 +301,7 @@ func TestSessionStatsCountExpiries(t *testing.T) {
 	}
 	// …the other by the sweep a later Open runs.
 	openSession(t, mgr, people["Alice"])
-	stats := mgr.Stats()
+	stats := mgr.stats()
 	if stats.Expired != 2 || stats.Opened != 3 || stats.Live != 1 {
 		t.Fatalf("stats = %+v, want expired=2 opened=3 live=1", stats)
 	}

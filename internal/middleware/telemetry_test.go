@@ -49,10 +49,10 @@ func TestExclusiveStageTiming(t *testing.T) {
 		return next(ctx, req)
 	}}
 	c := NewChain(nil, outer, inner)
-	if err := c.Execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
+	if err := c.execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Stats()
+	stats := c.stats()
 	o, i := stats[0], stats[1]
 	if o.Nanos != o.ExclusiveNanos+i.Nanos {
 		t.Errorf("outer inclusive %d != exclusive %d + inner inclusive %d", o.Nanos, o.ExclusiveNanos, i.Nanos)
@@ -90,10 +90,10 @@ func TestExclusiveStageTimingReentrant(t *testing.T) {
 		return next(ctx, req)
 	}}
 	c := NewChain(nil, reentrant, inner)
-	if err := c.Execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
+	if err := c.execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Stats()
+	stats := c.stats()
 	r, i := stats[0], stats[1]
 	if i.Calls != attempts {
 		t.Fatalf("inner calls = %d, want %d", i.Calls, attempts)
@@ -131,14 +131,14 @@ func TestExclusiveStageTimingBatch(t *testing.T) {
 	}
 	c := NewChain(terminal, b)
 	for n := 0; n < 2; n++ {
-		if err := c.Execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
+		if err := c.execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := ordered.Load(); got != 2 {
 		t.Fatalf("terminal saw %d requests, want 2 after the batch released", got)
 	}
-	s := c.Stats()[0]
+	s := c.stats()[0]
 	if s.Calls != 2 {
 		t.Fatalf("batch calls = %d, want 2", s.Calls)
 	}

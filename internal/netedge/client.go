@@ -238,7 +238,7 @@ func (c *Client) readLoop() {
 		case frameError:
 			res.err = &WireError{Label: f.topic, Msg: string(f.body)}
 		default:
-			c.fail(fmt.Errorf("%w: server sent kind 0x%02x", ErrBadFrame, f.kind))
+			c.fail(fmt.Errorf("%w: server sent kind 0x%02x", errBadFrame, f.kind))
 			return
 		}
 		c.pmu.Lock()
@@ -487,38 +487,6 @@ func (c *Client) SubmitRaw(ctx context.Context, wire []byte) (string, error) {
 		return "", err
 	}
 	return string(reply), nil
-}
-
-// PendingSubmit is one submission in flight; Wait returns the gateway's
-// submission ID. Like PendingCall, it must be waited on eventually.
-type PendingSubmit struct {
-	p *PendingCall
-}
-
-// Wait blocks until the submission's ack arrives and returns the gateway's
-// submission ID.
-func (s *PendingSubmit) Wait(ctx context.Context) (string, error) {
-	reply, err := s.p.Wait(ctx)
-	if err != nil {
-		return "", err
-	}
-	return string(reply), nil
-}
-
-// SubmitAsync encodes and sends req without waiting for the ack — the
-// client half of batched submission pipelining. Fire a batch of
-// SubmitAsyncs (e.g. one gateway-side group), then Wait on each
-// PendingSubmit to collect the acks in one flight.
-func (c *Client) SubmitAsync(ctx context.Context, req *middleware.Request) (*PendingSubmit, error) {
-	b, err := middleware.EncodeWireRequest(req, "")
-	if err != nil {
-		return nil, fmt.Errorf("netedge: encode request: %w", err)
-	}
-	p, err := c.CallAsync(ctx, middleware.TopicSubmit, b)
-	if err != nil {
-		return nil, err
-	}
-	return &PendingSubmit{p: p}, nil
 }
 
 // CloseSession ends a session opened over this connection. The payload is

@@ -247,17 +247,17 @@ func TestEdgeConnKillEvictsSessions(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	before := e.gw.Sessions().Stats()
+	before := *e.gw.Stats().Sessions
 	c.Close()
 
 	// The close hook runs after full teardown; poll for the eviction.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if e.gw.Sessions().Stats().Evicted > before.Evicted {
+		if e.gw.Stats().Sessions.Evicted > before.Evicted {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("session not evicted after connection kill: %+v", e.gw.Sessions().Stats())
+			t.Fatalf("session not evicted after connection kill: %+v", *e.gw.Stats().Sessions)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

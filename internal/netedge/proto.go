@@ -13,10 +13,10 @@ import (
 
 // Errors of the edge protocol and flow control.
 var (
-	// ErrBadFrame is returned (wrapped) for every malformed stream frame.
+	// errBadFrame is returned (wrapped) for every malformed stream frame.
 	// Like the codec v2 decode errors it is a rejection, never a panic:
 	// lengths are validated before any allocation or slice.
-	ErrBadFrame = errors.New("netedge: malformed stream frame")
+	errBadFrame = errors.New("netedge: malformed stream frame")
 	// ErrFrameTooBig is returned when a frame's length prefix exceeds the
 	// configured maximum — the bound that keeps a hostile peer from making
 	// the edge allocate arbitrarily.
@@ -128,13 +128,13 @@ func topicString(b []byte) string {
 func parseFrame(b []byte, last string) (frame, error) {
 	var f frame
 	if len(b) < 2 {
-		return f, fmt.Errorf("%w: %d bytes", ErrBadFrame, len(b))
+		return f, fmt.Errorf("%w: %d bytes", errBadFrame, len(b))
 	}
 	f.kind = b[0]
 	b = b[1:]
 	id, n := binary.Uvarint(b)
 	if n <= 0 {
-		return f, fmt.Errorf("%w: truncated request id", ErrBadFrame)
+		return f, fmt.Errorf("%w: truncated request id", errBadFrame)
 	}
 	f.id = id
 	b = b[n:]
@@ -142,11 +142,11 @@ func parseFrame(b []byte, last string) (frame, error) {
 	case frameRequest, frameError:
 		tl, n := binary.Uvarint(b)
 		if n <= 0 {
-			return f, fmt.Errorf("%w: truncated topic length", ErrBadFrame)
+			return f, fmt.Errorf("%w: truncated topic length", errBadFrame)
 		}
 		b = b[n:]
 		if tl > uint64(len(b)) {
-			return f, fmt.Errorf("%w: topic length %d exceeds remaining %d bytes", ErrBadFrame, tl, len(b))
+			return f, fmt.Errorf("%w: topic length %d exceeds remaining %d bytes", errBadFrame, tl, len(b))
 		}
 		f.topic = last
 		if string(b[:tl]) != last { // the comparison does not allocate
@@ -156,7 +156,7 @@ func parseFrame(b []byte, last string) (frame, error) {
 	case frameOK:
 		f.body = b
 	default:
-		return f, fmt.Errorf("%w: unknown frame kind 0x%02x", ErrBadFrame, f.kind)
+		return f, fmt.Errorf("%w: unknown frame kind 0x%02x", errBadFrame, f.kind)
 	}
 	return f, nil
 }
@@ -185,7 +185,7 @@ func readFrameTopic(br *bufio.Reader, buf []byte, maxFrame int, last string) (fr
 		return frame{}, buf, fmt.Errorf("%w: %d > %d", ErrFrameTooBig, n, maxFrame)
 	}
 	if n < 2 {
-		return frame{}, buf, fmt.Errorf("%w: length prefix %d", ErrBadFrame, n)
+		return frame{}, buf, fmt.Errorf("%w: length prefix %d", errBadFrame, n)
 	}
 	// The four bytes were just peeked, so this cannot fail or come up short.
 	_, _ = br.Discard(4)
@@ -194,7 +194,7 @@ func readFrameTopic(br *bufio.Reader, buf []byte, maxFrame int, last string) (fr
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return frame{}, buf, fmt.Errorf("%w: truncated body: %v", ErrBadFrame, err)
+		return frame{}, buf, fmt.Errorf("%w: truncated body: %v", errBadFrame, err)
 	}
 	f, err := parseFrame(buf, last)
 	return f, buf, err

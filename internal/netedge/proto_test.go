@@ -62,7 +62,7 @@ func FuzzStreamFrame(f *testing.F) {
 				if errors.Is(err, ErrFrameTooBig) && cap(got) != before {
 					t.Fatalf("oversize prefix grew the read buffer from %d to %d bytes", before, cap(got))
 				}
-				if !errors.Is(err, ErrFrameTooBig) && !errors.Is(err, ErrBadFrame) &&
+				if !errors.Is(err, ErrFrameTooBig) && !errors.Is(err, errBadFrame) &&
 					err != io.EOF && err != io.ErrUnexpectedEOF {
 					t.Fatalf("readFrame failed with %v, want a frame error or end of stream", err)
 				}

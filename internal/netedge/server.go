@@ -115,7 +115,7 @@ func WithConnCloseHook(fn func(transportID string)) Option {
 // Server is the TCP edge: a sharded accept plane feeding one goroutine per
 // connection, which dispatches every decoded frame to the Handler with the
 // connection's transport identity and writes the replies. Create with
-// Serve or Listen; stop with Close.
+// Listen; stop with Close.
 type Server struct {
 	h      Handler
 	ln     net.Listener
@@ -169,9 +169,14 @@ type EdgeStats struct {
 	Writes uint64
 }
 
-// Serve starts the edge over an established listener. The returned server
-// is already accepting; Close stops it and tears down every connection.
-func Serve(ln net.Listener, h Handler, opts ...Option) *Server {
+// Listen binds addr (e.g. ":9444", "127.0.0.1:0") and serves the edge on
+// it. The returned server is already accepting; Close stops it and tears
+// down every connection.
+func Listen(addr string, h Handler, opts ...Option) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("netedge: listen %s: %w", addr, err)
+	}
 	opt := options{
 		acceptLoops:  4,
 		maxFrame:     DefaultMaxFrame,
@@ -194,17 +199,7 @@ func Serve(ln net.Listener, h Handler, opts ...Option) *Server {
 		s.wg.Add(1)
 		go s.acceptLoop()
 	}
-	return s
-}
-
-// Listen binds addr (e.g. ":9444", "127.0.0.1:0") and serves the edge on
-// it.
-func Listen(addr string, h Handler, opts ...Option) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netedge: listen %s: %w", addr, err)
-	}
-	return Serve(ln, h, opts...), nil
+	return s, nil
 }
 
 // Addr reports the listener's address (the resolved port for ":0" binds).
@@ -344,13 +339,13 @@ func (s *Server) readLoop(c net.Conn, id string) {
 		f, nbuf, err := readFrameTopic(br, buf, s.opt.maxFrame, topic)
 		buf, topic = nbuf, f.topic
 		if err == nil && f.kind != frameRequest {
-			err = ErrBadFrame
+			err = errBadFrame
 		}
 		if err != nil {
 			if r.werr != nil {
 				return // the reply write failed under the read
 			}
-			if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooBig) {
+			if errors.Is(err, errBadFrame) || errors.Is(err, ErrFrameTooBig) {
 				s.frameErrs.Add(1)
 			}
 			// A frame that failed without a wait leaves the replies before

@@ -70,7 +70,7 @@ func TestRestartAllocationsFlatInHeight(t *testing.T) {
 			}
 		}
 	}
-	if err := cv.Err(); err != nil {
+	if err := cv.err(); err != nil {
 		t.Fatal(err)
 	}
 	if cv.next != 10000 {
@@ -110,11 +110,11 @@ func TestCancelPendingAllocations(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("%v allocations per scan of 32 queued transactions, want 0", allocs)
 	}
-	if !c.cancelPending(twice) || c.Pending() != 31 {
-		t.Fatalf("after one withdrawal %d pending, want 31", c.Pending())
+	if !c.cancelPending(twice) || c.pendingCount() != 31 {
+		t.Fatalf("after one withdrawal %d pending, want 31", c.pendingCount())
 	}
-	if !c.cancelPending(twice) || c.cancelPending(twice) || c.Pending() != 30 {
-		t.Fatalf("a transaction queued twice: %d pending after withdrawing it twice, want 30 and no third instance", c.Pending())
+	if !c.cancelPending(twice) || c.cancelPending(twice) || c.pendingCount() != 30 {
+		t.Fatalf("a transaction queued twice: %d pending after withdrawing it twice, want 30 and no third instance", c.pendingCount())
 	}
 }
 

@@ -228,7 +228,7 @@ func FuzzClusterModel(f *testing.F) {
 				t.Fatalf("step %d (op %d): cluster returned %v, model %v", step, op%10, got, want)
 			}
 
-			if err := cv.Err(); err != nil {
+			if err := cv.err(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			// The chain's head is the furthest any node got: the leader's
@@ -243,9 +243,9 @@ func FuzzClusterModel(f *testing.F) {
 				t.Fatalf("step %d: cluster head at %d, model at %d (hashes equal: %v)",
 					step, c.head.height, head.height, c.head.hash == head.hash)
 			}
-			if c.leader != ref.leader || c.Pending() != len(ref.pending) {
+			if c.leader != ref.leader || c.pendingCount() != len(ref.pending) {
 				t.Fatalf("step %d: leader %d with %d pending, model %d with %d",
-					step, c.leader, c.Pending(), ref.leader, len(ref.pending))
+					step, c.leader, c.pendingCount(), ref.leader, len(ref.pending))
 			}
 			for i, n := range c.nodes {
 				if len(n.uncommitted) > 1 {

@@ -136,23 +136,23 @@ func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 func (rs *ReplicatedShard) Flush(channel string) error {
 	c := rs.lookup(channel)
 	if c == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownChannel, channel)
+		return fmt.Errorf("%w: %s", errUnknownChannel, channel)
 	}
 	return c.Flush()
 }
 
-// Pending returns the number of queued transactions for a channel.
-func (rs *ReplicatedShard) Pending(channel string) int {
+// pendingCount returns the number of queued transactions for a channel.
+func (rs *ReplicatedShard) pendingCount(channel string) int {
 	if c := rs.lookup(channel); c != nil {
-		return c.Pending()
+		return c.pendingCount()
 	}
 	return 0
 }
 
-// Height returns the shard-side chain height for a channel.
-func (rs *ReplicatedShard) Height(channel string) uint64 {
+// height returns the shard-side chain height for a channel.
+func (rs *ReplicatedShard) height(channel string) uint64 {
 	if c := rs.lookup(channel); c != nil {
-		return c.Height()
+		return c.height()
 	}
 	return 0
 }
@@ -282,7 +282,7 @@ func (rs *ReplicatedShard) ExportChannel(channel string) (ChannelState, error) {
 	delete(rs.clusters, channel)
 	rs.mu.Unlock()
 	if !ok {
-		return ChannelState{}, fmt.Errorf("%w: %s", ErrUnknownChannel, channel)
+		return ChannelState{}, fmt.Errorf("%w: %s", errUnknownChannel, channel)
 	}
 	return c.exportState(), nil
 }

@@ -58,8 +58,8 @@ func TestReplicatedShardFailoverOnSubmit(t *testing.T) {
 	if leader == dead {
 		t.Fatalf("leader %s did not change across the kill", leader)
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	if cl.txs != 6 || cl.next != 6 {
 		t.Fatalf("delivered %d txs over %d blocks, want 6 over 6", cl.txs, cl.next)
@@ -205,7 +205,7 @@ func TestSubmitErrorAfterElectionMeansNotOrdered(t *testing.T) {
 	if got := rs.Failovers(); got != 1 {
 		t.Fatalf("Failovers = %d, want 1", got)
 	}
-	if n := c.Pending(); n != 0 {
+	if n := c.pendingCount(); n != 0 {
 		t.Fatalf("the refused submission left %d txs queued, want 0", n)
 	}
 
@@ -215,8 +215,8 @@ func TestSubmitErrorAfterElectionMeansNotOrdered(t *testing.T) {
 	if err := rs.Submit(mkTx("trade", "BankA", "after")); err != nil {
 		t.Fatalf("submit after restart: %v", err)
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	if !delivered["queued"] || !delivered["after"] || delivered["late"] {
 		t.Fatalf("delivered %v: want queued and after, and never the refused late", delivered)
@@ -255,7 +255,7 @@ func TestReplicatedShardQuorumLossCancelsSubmission(t *testing.T) {
 	if err := rs.Submit(mkTx("trade", "BankA", "lost")); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("Submit without quorum = %v, want ErrNoQuorum", err)
 	}
-	if n := c.Pending(); n != 0 {
+	if n := c.pendingCount(); n != 0 {
 		t.Fatalf("failed submission left %d txs queued, want 0", n)
 	}
 	for _, op := range downed {
@@ -266,8 +266,8 @@ func TestReplicatedShardQuorumLossCancelsSubmission(t *testing.T) {
 	if err := rs.Submit(mkTx("trade", "BankA", "after")); err != nil {
 		t.Fatalf("Submit after restart: %v", err)
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	if cl.txs != 2 {
 		t.Fatalf("delivered %d txs, want 2 (cancelled tx must not resurface)", cl.txs)
@@ -293,8 +293,8 @@ func TestReplicatedShardKillAndRevive(t *testing.T) {
 			t.Fatalf("Submit %d after revive: %v", i, err)
 		}
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	// The chain resumed at its pre-kill height: 6 delivered txs, blocks in
 	// order, and the rejected submission never resurfaced.
@@ -423,8 +423,8 @@ func TestShardedDeliveryOrderAcrossLeaderKill(t *testing.T) {
 	total := 0
 	var failovers uint64
 	for i, cl := range logs {
-		if cl.Err() != nil {
-			t.Fatalf("channel %s: %v", channels[i], cl.Err())
+		if cl.err() != nil {
+			t.Fatalf("channel %s: %v", channels[i], cl.err())
 		}
 		total += cl.txs
 	}
@@ -518,7 +518,7 @@ func TestStaleFollowerCannotForkChain(t *testing.T) {
 	elect("op-c")
 	submit("k6")
 
-	if err := cv.Err(); err != nil {
+	if err := cv.err(); err != nil {
 		t.Fatalf("chain forked: %v", err)
 	}
 	if cv.next != 7 || cv.txs != 7 {

@@ -30,10 +30,10 @@ func TestServiceExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("exported LastHash does not match the last delivered block")
 	}
 	// The export removed the channel: the source shard can no longer fork it.
-	if h := src.Height("trade"); h != 0 {
+	if h := src.height("trade"); h != 0 {
 		t.Fatalf("source Height after export = %d, want 0", h)
 	}
-	if _, err := src.ExportChannel("trade"); !errors.Is(err, ErrUnknownChannel) {
+	if _, err := src.ExportChannel("trade"); !errors.Is(err, errUnknownChannel) {
 		t.Fatalf("second export = %v, want ErrUnknownChannel", err)
 	}
 
@@ -45,8 +45,8 @@ func TestServiceExportImportRoundTrip(t *testing.T) {
 	if err := dst.Submit(mkTx("trade", "BankA", "k3")); err != nil {
 		t.Fatalf("Submit on target: %v", err)
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	// Block 3 chained onto the exported head: numbering and hashing continue.
 	if cl.next != 4 || cl.txs != 4 {
@@ -100,8 +100,8 @@ func TestReplicatedShardExportImportRoundTrip(t *testing.T) {
 	if err := dst.Submit(mkTx("trade", "BankA", "k2")); err != nil {
 		t.Fatalf("Submit on target: %v", err)
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	if cl.next != 3 {
 		t.Fatalf("chain height after import = %d, want 3", cl.next)
@@ -137,8 +137,8 @@ func TestShardedMigrateLiveChannel(t *testing.T) {
 			t.Fatalf("Submit %d after migrate: %v", i, err)
 		}
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	if cl.next != 10 || cl.txs != 10 {
 		t.Fatalf("delivered %d blocks / %d txs, want 10 / 10", cl.next, cl.txs)
@@ -158,11 +158,7 @@ func TestShardedMigrateLiveChannel(t *testing.T) {
 		t.Fatalf("Migrations = %d, want 1", sb.Migrations())
 	}
 	// The source shard no longer holds the chain.
-	src, err := sb.Shard(from)
-	if err != nil {
-		t.Fatalf("Shard(%d): %v", from, err)
-	}
-	if h := src.(*Service).Height(ch); h != 0 {
+	if h := sb.shards[from].(*Service).height(ch); h != 0 {
 		t.Fatalf("source shard still reports height %d for %s", h, ch)
 	}
 }
@@ -172,7 +168,7 @@ func TestShardedMigrateRefusals(t *testing.T) {
 	if err := sb.Migrate("ch", 5); !errors.Is(err, ErrBadShard) {
 		t.Fatalf("out-of-range target = %v, want ErrBadShard", err)
 	}
-	if err := sb.Migrate("never-seen", 1); !errors.Is(err, ErrUnknownChannel) {
+	if err := sb.Migrate("never-seen", 1); !errors.Is(err, errUnknownChannel) {
 		t.Fatalf("unknown channel = %v, want ErrUnknownChannel", err)
 	}
 	sb.Subscribe("ch", func(ledger.Block) error { return nil })
@@ -276,8 +272,8 @@ func TestShardedMigrateUnderConcurrentSubmitters(t *testing.T) {
 			t.Fatalf("submitter %d: %v", w, err)
 		}
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	if want := nSubmitters * perSubmit; cl.txs != want {
 		t.Fatalf("delivered %d txs, want %d", cl.txs, want)
@@ -330,8 +326,8 @@ func TestShardedMigratedChannelSurvivesElection(t *testing.T) {
 			t.Fatalf("Submit %d after election: %v", i, err)
 		}
 	}
-	if cl.Err() != nil {
-		t.Fatalf("delivery: %v", cl.Err())
+	if cl.err() != nil {
+		t.Fatalf("delivery: %v", cl.err())
 	}
 	if cl.next != 7 || cl.txs != 7 {
 		t.Fatalf("delivered %d blocks / %d txs, want 7 / 7", cl.next, cl.txs)

@@ -24,9 +24,9 @@ import (
 
 // Errors returned by the ordering service.
 var (
-	// ErrUnknownChannel is returned when flushing a channel that has no
+	// errUnknownChannel is returned when flushing a channel that has no
 	// pending transactions and no history.
-	ErrUnknownChannel = errors.New("ordering: unknown channel")
+	errUnknownChannel = errors.New("ordering: unknown channel")
 	// ErrNoSubscribers is returned when a block is cut for a channel with
 	// no delivery targets.
 	ErrNoSubscribers = errors.New("ordering: no subscribers for channel")

@@ -43,14 +43,14 @@ func TestBatching(t *testing.T) {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
-	if l.Height() != 0 || svc.Pending("trade") != 2 {
-		t.Fatalf("premature cut: height=%d pending=%d", l.Height(), svc.Pending("trade"))
+	if l.Height() != 0 || svc.pendingCount("trade") != 2 {
+		t.Fatalf("premature cut: height=%d pending=%d", l.Height(), svc.pendingCount("trade"))
 	}
 	if err := svc.Submit(mkTx("trade", "BankA", "c")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if l.Height() != 1 || svc.Pending("trade") != 0 {
-		t.Fatalf("batch not cut: height=%d pending=%d", l.Height(), svc.Pending("trade"))
+	if l.Height() != 1 || svc.pendingCount("trade") != 0 {
+		t.Fatalf("batch not cut: height=%d pending=%d", l.Height(), svc.pendingCount("trade"))
 	}
 	b, err := l.Block(0)
 	if err != nil || len(b.Txs) != 3 {
@@ -79,7 +79,7 @@ func TestFlushPartialBatch(t *testing.T) {
 
 func TestFlushUnknownChannel(t *testing.T) {
 	svc := New("O", VisibilityFull)
-	if err := svc.Flush("ghost"); !errors.Is(err, ErrUnknownChannel) {
+	if err := svc.Flush("ghost"); !errors.Is(err, errUnknownChannel) {
 		t.Fatalf("Flush ghost = %v, want ErrUnknownChannel", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestMultipleChannelsIndependent(t *testing.T) {
 	if l1.Height() != 1 || l2.Height() != 1 {
 		t.Fatalf("heights = %d, %d; want 1, 1", l1.Height(), l2.Height())
 	}
-	if svc.Height("ch1") != 1 || svc.Height("ch2") != 1 || svc.Height("ghost") != 0 {
+	if svc.height("ch1") != 1 || svc.height("ch2") != 1 || svc.height("ghost") != 0 {
 		t.Fatal("orderer chain heights wrong")
 	}
 }

@@ -30,7 +30,7 @@ func (sb *ShardedBackend) Migrate(channel string, to int) error {
 	}
 	rt := sb.route(channel)
 	if rt == nil {
-		return fmt.Errorf("%w: %s has no traffic to migrate (use Pin for placement)", ErrUnknownChannel, channel)
+		return fmt.Errorf("%w: %s has no traffic to migrate (use Pin for placement)", errUnknownChannel, channel)
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

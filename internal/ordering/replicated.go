@@ -371,15 +371,15 @@ func (c *Cluster) cancelPending(tx ledger.Transaction) bool {
 	return false
 }
 
-// Pending returns the number of queued-but-unsequenced transactions.
-func (c *Cluster) Pending() int {
+// pendingCount returns the number of queued-but-unsequenced transactions.
+func (c *Cluster) pendingCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
 }
 
-// Height returns the number of blocks the cluster has committed.
-func (c *Cluster) Height() uint64 {
+// height returns the number of blocks the cluster has committed.
+func (c *Cluster) height() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.head.height

@@ -231,9 +231,9 @@ func TestClusterFlushWithoutSubscribersKeepsQueue(t *testing.T) {
 	if err := c.Submit(mkTx("trade", "BankA", "k1")); !errors.Is(err, ErrNoSubscribers) {
 		t.Fatalf("Submit filling the batch = %v, want ErrNoSubscribers", err)
 	}
-	if c.Pending() != 2 || c.Height() != 0 || c.retained() != 0 {
+	if c.pendingCount() != 2 || c.height() != 0 || c.retained() != 0 {
 		t.Fatalf("pending %d, height %d, retained %d; want the queue of 2 intact and nothing cut",
-			c.Pending(), c.Height(), c.retained())
+			c.pendingCount(), c.height(), c.retained())
 	}
 	for _, op := range clusterOps {
 		if n, err := c.CommittedBlocks(op); err != nil || n != 0 {
@@ -245,8 +245,8 @@ func TestClusterFlushWithoutSubscribersKeepsQueue(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("Flush with a subscriber: %v", err)
 	}
-	if b, err := l.Block(0); err != nil || len(b.Txs) != 2 || c.Pending() != 0 {
-		t.Fatalf("block 0 = %d txs, %v, %d still pending; want both queued transactions", len(b.Txs), err, c.Pending())
+	if b, err := l.Block(0); err != nil || len(b.Txs) != 2 || c.pendingCount() != 0 {
+		t.Fatalf("block 0 = %d txs, %v, %d still pending; want both queued transactions", len(b.Txs), err, c.pendingCount())
 	}
 
 	rs, err := NewReplicatedShard(clusterOps, VisibilityFull)
@@ -256,8 +256,8 @@ func TestClusterFlushWithoutSubscribersKeepsQueue(t *testing.T) {
 	if err := rs.Submit(mkTx("trade", "BankA", "k")); !errors.Is(err, ErrNoSubscribers) {
 		t.Fatalf("shard Submit without subscribers = %v, want ErrNoSubscribers", err)
 	}
-	if rs.Failovers() != 0 || rs.Pending("trade") != 1 {
-		t.Fatalf("%d failovers, %d pending; want no election and the transaction queued", rs.Failovers(), rs.Pending("trade"))
+	if rs.Failovers() != 0 || rs.pendingCount("trade") != 1 {
+		t.Fatalf("%d failovers, %d pending; want no election and the transaction queued", rs.Failovers(), rs.pendingCount("trade"))
 	}
 }
 

@@ -193,15 +193,6 @@ func ringHash(s string) uint64 {
 // Shards returns the number of shards in the topology.
 func (sb *ShardedBackend) Shards() int { return len(sb.shards) }
 
-// Shard returns the backend at a shard index, for tests and topology
-// inspection.
-func (sb *ShardedBackend) Shard(i int) (Backend, error) {
-	if i < 0 || i >= len(sb.shards) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadShard, i, len(sb.shards))
-	}
-	return sb.shards[i], nil
-}
-
 // Pin routes a channel to an explicit shard, overriding the hash ring —
 // the relief valve for hot channels that should own a shard (or for
 // keeping related channels co-located). Pins must be installed before the

@@ -253,8 +253,8 @@ func TestShardedDeliveryOrderUnderConcurrency(t *testing.T) {
 	}
 	total := 0
 	for i, cl := range logs {
-		if cl.Err() != nil {
-			t.Fatalf("channel %s: %v", channels[i], cl.Err())
+		if cl.err() != nil {
+			t.Fatalf("channel %s: %v", channels[i], cl.err())
 		}
 		total += cl.txs
 	}

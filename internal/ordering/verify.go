@@ -70,8 +70,8 @@ func (v *ChainVerifier) Violations() []string {
 	return append([]string(nil), v.violations...)
 }
 
-// Err returns the violations as one error, nil for a healthy stream.
-func (v *ChainVerifier) Err() error {
+// err returns the violations as one error, nil for a healthy stream.
+func (v *ChainVerifier) err() error {
 	if vs := v.Violations(); len(vs) > 0 {
 		return errors.New(strings.Join(vs, "; "))
 	}

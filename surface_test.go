@@ -2,11 +2,12 @@ package dltprivacy_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
-	"go/scanner"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -40,30 +41,27 @@ var unusedExports = map[string][]string{
 		"middleware.GatewayStats.AuditShed", "middleware.GatewayStats.AuditRingPending",
 		"ordering.WithShardAudit", "ordering.ReplicatedShard.Cluster",
 	},
-	"errors callers match with errors.Is": {
+	"errors callers match with errors.Is, and the Unwrap it walks": {
 		"middleware.ErrAggregateRelease", "middleware.ErrAttestationRequired", "middleware.ErrBadAggregand",
-		"middleware.ErrBadMAC", "middleware.ErrBatchRelease", "middleware.ErrIdentityMismatch",
+		"middleware.ErrBadFrame", "middleware.ErrBadMAC", "middleware.ErrBadSignature",
+		"middleware.ErrBatchRelease", "middleware.ErrIdentityMismatch", "middleware.ErrUnknownChannel",
 		"middleware.ErrNotAuthenticated", "middleware.ErrProofInvalid", "middleware.ErrRateLimited",
 		"middleware.ErrReplayedHello", "middleware.ErrSessionExpired", "middleware.ErrStaleHello",
-		"netedge.ErrClosed", "netedge.ErrFrameTooBig",
+		"netedge.ErrClosed", "netedge.ErrFrameTooBig", "netedge.WireError.Unwrap",
 		"ordering.ErrBadShard", "ordering.ErrChannelExists", "ordering.ErrChannelMoved",
 		"ordering.ErrClusterSize", "ordering.ErrNoShards", "ordering.ErrNoSubscribers",
 		"ordering.ErrNotMigratable", "ordering.ErrQueuedAwaitingLeader",
 	},
 	"types in exported signatures, and optional interfaces a caller's value may implement": {
-		"middleware.BackendStats", "middleware.Envelope", "middleware.FabricBackend",
-		"middleware.GenerationalDirectory", "middleware.RequestAuthMode", "middleware.RevocationSource",
-		"middleware.RevokeCheckMode", "middleware.SessionManager", "middleware.SessionOption",
-		"middleware.SessionStats", "middleware.StageStats", "middleware.SubmitFuture", "middleware.SyncDirectory",
-		"netedge.DialOption", "netedge.PendingCall", "netedge.PendingSubmit", "netedge.WireError",
-		"ordering.ChannelMigrator", "ordering.ChannelState", "ordering.Service", "ordering.Visibility",
-	},
-	"methods an interface requires, called through it": {
-		"middleware.Encrypt.ReadmitMember", "middleware.Encrypt.RevokeMember", "middleware.Session.Manager",
-		"middleware.StaticDirectory.MemberKeys", "middleware.SyncDirectory.MemberKeys",
-		"middleware.SyncDirectory.Generation",
-		"ordering.ReplicatedShard.ExportChannel", "ordering.ReplicatedShard.ImportChannel",
-		"ordering.ReplicatedShard.ReplicaEntries",
+		"middleware.Backend", "middleware.BackendStats", "middleware.Chain", "middleware.Directory",
+		"middleware.Envelope", "middleware.FabricBackend", "middleware.GenerationalDirectory",
+		"middleware.Handler", "middleware.RequestAuthMode", "middleware.RevocationSource",
+		"middleware.RevokeCheckMode", "middleware.Revoker", "middleware.SessionManager",
+		"middleware.SessionOption", "middleware.SessionStats", "middleware.Stage", "middleware.StageStats",
+		"middleware.SyncDirectory",
+		"netedge.DialOption", "netedge.PendingCall", "netedge.WireError",
+		"ordering.ChannelMigrator", "ordering.ChannelState", "ordering.Option", "ordering.Service",
+		"ordering.Visibility",
 	},
 	"JSON bodies of the admin wire topics": {
 		"middleware.RebalanceNotice", "middleware.RebalanceRequest", "middleware.RevocationNotice",
@@ -76,14 +74,14 @@ var unusedExports = map[string][]string{
 	},
 	"only tests call it: client halves and fixtures, to move into tests or gain a product caller": {
 		"middleware.AttachRangeProof", "middleware.EncodeEnvelope", "middleware.SealEnvelope",
-		"middleware.SignRequest", "middleware.SyncDirectory.SetChannel",
-		// Its bare name is Encrypt's hook too, so the walk cannot tell.
-		"middleware.Gateway.ReadmitMember",
-		"ordering.NewCluster",
+		"middleware.SignRequest", "middleware.SyncDirectory.SetChannel", "middleware.Gateway.ReadmitMember",
+		// The cluster fixture of the root package's ordering benchmarks.
+		"ordering.NewCluster", "ordering.Cluster.Submit", "ordering.Cluster.Subscribe",
+		"ordering.ReplicatedShard.Flush",
 	},
 	"used only inside its package, to be unexported later": {
 		"middleware.Aggregate", "middleware.AnonCred", "middleware.Attest", "middleware.Audit",
-		"middleware.Authn", "middleware.Batch", "middleware.Breaker", "middleware.RateLimit",
+		"middleware.Authn", "middleware.Batch", "middleware.Breaker", "middleware.Encrypt", "middleware.RateLimit",
 		"middleware.Session", "middleware.ZKProof",
 		"middleware.NewAggregate", "middleware.NewAnonCred", "middleware.NewAttestTEE", "middleware.NewAudit",
 		"middleware.NewAuthn", "middleware.NewBatch", "middleware.NewBreaker", "middleware.NewCachedEncrypt",
@@ -100,14 +98,17 @@ var unusedExports = map[string][]string{
 }
 
 // TestExportedMeansUsed fails on an exported top-level name or method of a
-// serving package that no non-test file outside the package references and
-// that is not allow-listed, on an allow-list entry that is gone or now
-// referenced, and on a benchmark-group entry that benchmark/ does not
-// reference. Names are matched bare against every identifier token outside
-// the package, so a name shared with any other identifier counts as used:
-// the test can miss a dead name but never flags a live one.
+// serving package that no non-test file outside the package uses and that
+// is not allow-listed, on an allow-list entry that is gone or now used, and
+// on a benchmark-group entry that benchmark/ does not use. "Uses" is
+// type-resolved: every non-test package of the module and of benchmark/ is
+// type-checked, and a name counts only where types.Info.Uses resolves an
+// identifier to that exact object, so a dead name that shares its spelling
+// with another identifier is still found. A method also counts as used when
+// its type implements an interface, named anywhere in that code, that
+// requires it: such a method is reached through the interface.
 func TestExportedMeansUsed(t *testing.T) {
-	idents, err := identsByDir(".")
+	mod, err := loadModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,34 +121,39 @@ func TestExportedMeansUsed(t *testing.T) {
 			allowed[e] = group
 		}
 	}
-	usedOutside := func(pkg, name string) bool {
-		for dir, ids := range idents {
-			if dir != pkg && ids[bare(name)] {
-				return true
+	usedFrom := make(map[types.Object]map[string]bool) // object -> dirs of the packages using it
+	for _, p := range mod.pkgs {
+		for _, obj := range p.info.Uses {
+			if obj.Pkg() == nil || obj.Pkg() == p.pkg {
+				continue
 			}
+			obj = origin(obj)
+			if usedFrom[obj] == nil {
+				usedFrom[obj] = make(map[string]bool)
+			}
+			usedFrom[obj][p.dir] = true
 		}
-		return false
 	}
-	declared := make(map[string]bool) // "pkg.Name", "pkg.Type.Method", "pkg.Type.Field"
-	dirOf := make(map[string]string)  // "pkg" -> its directory
-	for _, pkg := range servingPackages {
-		exported, fields, err := exportedNames(pkg)
-		if err != nil {
-			t.Fatal(err)
+	required := mod.interfaceMethods()
+	declared := make(map[string]types.Object) // "pkg.Name", "pkg.Type.Method", "pkg.Type.Field"
+	for _, dir := range servingPackages {
+		p := mod.pkgs[mod.path(dir)]
+		if p == nil {
+			t.Fatalf("%s: no such package", dir)
 		}
-		short := filepath.Base(pkg)
-		dirOf[short] = pkg
-		for _, name := range exported {
+		short := p.pkg.Name()
+		names, fields := exportedObjects(p.pkg)
+		for name, obj := range fields {
+			declared[short+"."+name] = obj
+		}
+		for name, obj := range names {
 			entry := short + "." + name
-			declared[entry] = true
-			if usedOutside(pkg, name) || allowed[entry] != "" {
+			declared[entry] = obj
+			if len(usedFrom[obj]) > 0 || required(obj) || allowed[entry] != "" {
 				continue
 			}
 			t.Errorf("%s is exported and nothing outside %s uses it: delete it, move it into a test file, "+
-				"unexport it, or allow-list it under its reason", entry, pkg)
-		}
-		for _, f := range fields {
-			declared[short+"."+f] = true
+				"unexport it, or allow-list it under its reason", entry, dir)
 		}
 	}
 	entries := make([]string, 0, len(allowed))
@@ -156,30 +162,90 @@ func TestExportedMeansUsed(t *testing.T) {
 	}
 	sort.Strings(entries)
 	for _, e := range entries {
-		pkg, name, _ := strings.Cut(e, ".")
+		obj := declared[e]
 		switch {
-		case !declared[e]:
+		case obj == nil:
 			t.Errorf("allow-list entry %s names nothing the package exports: take it off", e)
 		case allowed[e] == benchmarkCalls:
-			if !idents["benchmark"][bare(name)] {
-				t.Errorf("%s is listed as %q, and no benchmark/*.go file references it: delete the shim", e, benchmarkCalls)
+			if !usedFrom[obj]["benchmark"] {
+				t.Errorf("%s is listed as %q, and no benchmark/*.go file uses it: delete the shim", e, benchmarkCalls)
 			}
-		case usedOutside(dirOf[pkg], name):
-			t.Errorf("allow-list entry %s is now referenced outside its package: take it off", e)
+		case len(usedFrom[obj]) > 0 || required(obj):
+			t.Errorf("allow-list entry %s is now used outside its package: take it off", e)
 		}
 	}
 }
 
-// bare is the identifier a possibly qualified name ends in.
-func bare(name string) string { return name[strings.LastIndex(name, ".")+1:] }
+// origin is the generic object an instantiated field or method comes from.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
 
-// identsByDir collects, per directory, the identifier tokens of every
-// non-test Go file under root — comments and string literals excluded —
-// skipping hidden directories and testdata. The benchmark module is
-// walked too: what it compiles against is used.
-func identsByDir(root string) (map[string]map[string]bool, error) {
-	out := make(map[string]map[string]bool)
+// exportedObjects returns the exported top-level objects of pkg and the
+// exported methods of its exported named types ("Type.Method"), and apart
+// from them the exported fields of its exported struct types
+// ("Type.Field").
+func exportedObjects(pkg *types.Package) (names, fields map[string]types.Object) {
+	names = make(map[string]types.Object)
+	fields = make(map[string]types.Object)
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		names[name] = obj
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named := tn.Type().(*types.Named)
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); m.Exported() {
+				names[name+"."+m.Name()] = m
+			}
+		}
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[name+"."+f.Name()] = f
+				}
+			}
+		}
+	}
+	return names, fields
+}
+
+// module is the type-checked non-test code of this module and of the
+// benchmark module beside it, whose import paths both map onto directories
+// under the repository root ("dltprivacy/x/y" is x/y).
+type module struct {
+	root string
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*checkedPackage // import path -> package
+}
+
+type checkedPackage struct {
+	dir  string // slash-separated, relative to the root
+	pkg  *types.Package
+	info *types.Info
+}
+
+const modulePath = "dltprivacy"
+
+// loadModule type-checks every directory under root that holds non-test Go
+// files for this platform, skipping hidden directories and testdata. The
+// standard library comes from the compiler's export data.
+func loadModule(root string) (*module, error) {
 	fset := token.NewFileSet()
+	m := &module{root: root, fset: fset, std: importer.ForCompiler(fset, "gc", nil), pkgs: make(map[string]*checkedPackage)}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -193,98 +259,101 @@ func identsByDir(root string) (map[string]map[string]bool, error) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		src, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		ids := out[dir]
-		if ids == nil {
-			ids = make(map[string]bool)
-			out[dir] = ids
-		}
-		var s scanner.Scanner
-		s.Init(fset.AddFile(p, -1, len(src)), src, nil, 0)
-		for {
-			_, tok, lit := s.Scan()
-			if tok == token.EOF {
-				return nil
-			}
-			if tok == token.IDENT {
-				ids[lit] = true
-			}
-		}
+		_, err = m.Import(m.path(filepath.ToSlash(filepath.Dir(p))))
+		return err
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-// exportedNames parses the non-test files of the package in dir and returns
-// its exported top-level names and the exported methods of its exported
-// types ("Type.Method"), and apart from them the exported fields of its
-// exported struct types ("Type.Field").
-func exportedNames(dir string) (names, fields []string, err error) {
-	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, nil, err
+// path is the import path of the package in dir.
+func (m *module) path(dir string) string {
+	if dir == "." {
+		return modulePath
 	}
-	fset := token.NewFileSet()
-	for _, p := range files {
+	return modulePath + "/" + dir
+}
+
+// Import type-checks a package of the module from its non-test files, once,
+// and hands every other path to the standard library's importer.
+func (m *module) Import(path string) (*types.Package, error) {
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		return m.std.Import(path)
+	}
+	if p, ok := m.pkgs[path]; ok {
+		return p.pkg, nil
+	}
+	dir := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")
+	if dir == "" {
+		dir = "."
+	}
+	matches, err := filepath.Glob(filepath.Join(m.root, dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, p := range matches {
 		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, nil, err
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), filepath.Base(p)); err != nil || !ok {
+			continue
 		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					if d.Name.IsExported() {
-						names = append(names, d.Name.Name)
-					}
-				} else if recv := receiverType(d.Recv.List[0].Type); ast.IsExported(recv) && d.Name.IsExported() {
-					names = append(names, recv+"."+d.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if !s.Name.IsExported() {
-							continue
-						}
-						names = append(names, s.Name.Name)
-						if st, ok := s.Type.(*ast.StructType); ok {
-							for _, fld := range st.Fields.List {
-								for _, n := range fld.Names {
-									if n.IsExported() {
-										fields = append(fields, s.Name.Name+"."+n.Name)
-									}
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.IsExported() {
-								names = append(names, n.Name)
-							}
-						}
-					}
-				}
+		f, err := parser.ParseFile(m.fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = &checkedPackage{dir: dir, pkg: pkg, info: info}
+	return pkg, nil
+}
+
+// interfaceMethods returns whether obj is a method whose named type, or a
+// pointer to it, implements an interface that requires the method and that
+// some type expression of the module names (error and io.Writer included).
+func (m *module) interfaceMethods() func(types.Object) bool {
+	byMethod := make(map[string][]*types.Interface)
+	seen := make(map[*types.Interface]bool)
+	for _, p := range m.pkgs {
+		for _, tv := range p.info.Types {
+			iface, ok := tv.Type.Underlying().(*types.Interface)
+			if !tv.IsType() || !ok || seen[iface] {
+				continue
+			}
+			seen[iface] = true
+			for i := 0; i < iface.NumMethods(); i++ {
+				name := iface.Method(i).Name()
+				byMethod[name] = append(byMethod[name], iface)
 			}
 		}
 	}
-	return names, fields, nil
-}
-
-// receiverType is the name of a method's receiver type, T for T and *T;
-// "" for a generic one, which the serving packages do not declare.
-func receiverType(x ast.Expr) string {
-	if star, ok := x.(*ast.StarExpr); ok {
-		x = star.X
+	return func(obj types.Object) bool {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			return false
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		for _, iface := range byMethod[fn.Name()] {
+			if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+				return true
+			}
+		}
+		return false
 	}
-	if id, ok := x.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }
