@@ -2,17 +2,14 @@ package dltprivacy_test
 
 import (
 	"fmt"
-	"math/big"
 	"strconv"
 	"testing"
 
 	"dltprivacy/internal/contract"
 	"dltprivacy/internal/ledger"
-	"dltprivacy/internal/mpc"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/platform/corda"
 	"dltprivacy/internal/platform/fabric"
-	"dltprivacy/internal/transport"
 	"dltprivacy/internal/workload"
 )
 
@@ -44,33 +41,15 @@ func BenchmarkReplicatedOrdering(b *testing.B) {
 			for i := range ops {
 				ops[i] = "member-" + strconv.Itoa(i)
 			}
-			c, err := ordering.NewCluster("ch", ops, ordering.VisibilityEnvelope)
+			rs, err := ordering.NewReplicatedShard(ops, ordering.VisibilityEnvelope)
 			if err != nil {
 				b.Fatal(err)
 			}
 			l := ledger.New("ch")
-			c.Subscribe(l.Append)
+			rs.Subscribe("ch", l.Append)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.Submit(mkTx(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkNetworkedMPC(b *testing.B) {
-	for _, parties := range []int{3, 7} {
-		b.Run(fmt.Sprintf("parties-%d", parties), func(b *testing.B) {
-			inputs := make(map[string]*big.Int, parties)
-			for i := 0; i < parties; i++ {
-				inputs["p"+strconv.Itoa(i)] = big.NewInt(int64(i))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Fresh network per run: endpoints are single-registration.
-				if _, err := mpc.NetworkedSecureSum(transport.New(), inputs); err != nil {
+				if err := rs.Submit(mkTx(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -112,7 +112,9 @@ type fastPathEnv struct {
 func newFastPathEnv(tb testing.TB, env *gatewayBenchEnv, cfg middleware.Config) *fastPathEnv {
 	tb.Helper()
 	dir := middleware.NewSyncDirectory()
-	dir.SetChannel(benchChannel, env.memberKeys)
+	for id, key := range env.memberKeys {
+		dir.AddMember(benchChannel, id, key)
+	}
 	gwEnv := middleware.Env{
 		CAKey:     env.ca.PublicKey(),
 		Directory: dir,

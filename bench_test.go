@@ -463,8 +463,6 @@ func BenchmarkOrdering(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
-			_ = svc.Flush("ch")
 		})
 	}
 }

@@ -54,8 +54,8 @@ func serve(ctx context.Context, o opts) error {
 // start builds the pipeline from o.stages — so a bad one fails here, before
 // anything listens — then the ordering tier, the edge and the telemetry
 // listener. The CA is the trust root remote principals enroll against over
-// the wire (netedge.TopicEnroll); the dynamic directory admits each one to
-// every channel as it enrolls.
+// the wire (the pki.enroll topic of netedge.EnrollmentHandler); the dynamic
+// directory admits each one to every channel as it enrolls.
 func start(o opts) (*server, error) {
 	if o.shards < 1 || o.channels < 1 || o.statsEvery <= 0 {
 		return nil, fmt.Errorf("need at least 1 shard, 1 channel and a positive -statsevery, got %d, %d, %v", o.shards, o.channels, o.statsEvery)

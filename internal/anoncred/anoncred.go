@@ -146,13 +146,6 @@ func (w *Wallet) RequestTokens(is *Issuer, attrs []string, n int) error {
 	return nil
 }
 
-// TokensLeft reports the number of unused tokens for an attribute set.
-func (w *Wallet) TokensLeft(attrs []string) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.tokens[string(canonicalAttrs(attrs))])
-}
-
 // NymLinkProof proves, with a single shared response for the master secret,
 // that the presenter knows (master, blind) opening the token commitment
 // C = master*G + blind*H AND that the pseudonym satisfies Nym = master*base.

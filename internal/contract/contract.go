@@ -63,11 +63,6 @@ func (c *Context) Put(key string, value []byte) {
 	c.writes = append(c.writes, ledger.Write{Key: key, Value: append([]byte(nil), value...)})
 }
 
-// Del records a state deletion.
-func (c *Context) Del(key string) {
-	c.writes = append(c.writes, ledger.Write{Key: key, Delete: true})
-}
-
 // Writes returns the accumulated write set.
 func (c *Context) Writes() []ledger.Write {
 	out := make([]ledger.Write, len(c.writes))

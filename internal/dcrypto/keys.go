@@ -213,14 +213,6 @@ func ParsePublicKey(b []byte) (PublicKey, error) {
 	return PublicKey{X: x, Y: y}, nil
 }
 
-// Equal reports whether two public keys are identical.
-func (pk PublicKey) Equal(other PublicKey) bool {
-	if pk.X == nil || other.X == nil {
-		return pk.X == other.X && pk.Y == other.Y
-	}
-	return pk.X.Cmp(other.X) == 0 && pk.Y.Cmp(other.Y) == 0
-}
-
 // Address returns a short hex identifier derived from the public key, used
 // as the on-ledger address form.
 func (pk PublicKey) Address() string {

@@ -68,10 +68,3 @@ func (c *OneTimeKeyChain) Owns(address string) bool {
 	_, ok := c.issued[address]
 	return ok
 }
-
-// Issued returns the number of keys handed out so far.
-func (c *OneTimeKeyChain) Issued() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.issued)
-}

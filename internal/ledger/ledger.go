@@ -111,16 +111,6 @@ func New(channel string) *Ledger {
 	}
 }
 
-// SetValidator installs a transaction validator applied during Append.
-func (l *Ledger) SetValidator(v TxValidator) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.validator = v
-}
-
-// Channel returns the channel name the ledger serves.
-func (l *Ledger) Channel() string { return l.channel }
-
 // Height returns the number of blocks appended so far (including pruned).
 func (l *Ledger) Height() uint64 {
 	l.mu.RLock()
@@ -212,17 +202,6 @@ func (l *Ledger) GetByPrefix(prefix string) map[string][]byte {
 		if strings.HasPrefix(k, prefix) {
 			out[k] = append([]byte(nil), v.Value...)
 		}
-	}
-	return out
-}
-
-// Keys returns all live world-state keys.
-func (l *Ledger) Keys() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.state))
-	for k := range l.state {
-		out = append(out, k)
 	}
 	return out
 }

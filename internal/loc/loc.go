@@ -239,12 +239,6 @@ func NewApp(cfg Config) (*App, error) {
 // Network exposes the underlying network for experiments.
 func (a *App) Network() *fabric.Network { return a.net }
 
-// Channel returns the trading channel name.
-func (a *App) Channel() string { return a.channel }
-
-// PIIStore returns the off-chain PII store.
-func (a *App) PIIStore() *offchain.Store { return a.pii }
-
 func (a *App) invoke(creator, fn string, args ...[]byte) error {
 	endorsers := []string{a.cfg.Bank, creator}
 	if creator == a.cfg.Bank {
@@ -330,23 +324,6 @@ func (a *App) Get(requester, id string) (Letter, error) {
 		return Letter{}, fmt.Errorf("decode letter: %w", err)
 	}
 	return letter, nil
-}
-
-// List returns every letter visible to the requester, keyed by id.
-func (a *App) List(requester string) (map[string]Letter, error) {
-	raw, err := a.net.QueryPrefix(a.channel, requester, "loc/")
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Letter, len(raw))
-	for key, value := range raw {
-		var letter Letter
-		if err := json.Unmarshal(value, &letter); err != nil {
-			return nil, fmt.Errorf("decode %s: %w", key, err)
-		}
-		out[letter.ID] = letter
-	}
-	return out, nil
 }
 
 // DeletePII honours a GDPR deletion request: the off-chain record is erased

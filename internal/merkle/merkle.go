@@ -6,7 +6,6 @@
 package merkle
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -84,17 +83,6 @@ func New(leaves [][]byte) (*Tree, error) {
 
 // Root returns the Merkle root.
 func (t *Tree) Root() [32]byte { return t.levels[len(t.levels)-1][0] }
-
-// Len returns the number of leaves.
-func (t *Tree) Len() int { return len(t.leaves) }
-
-// Leaf returns a copy of leaf i.
-func (t *Tree) Leaf(i int) ([]byte, error) {
-	if i < 0 || i >= len(t.leaves) {
-		return nil, ErrIndexRange
-	}
-	return append([]byte(nil), t.leaves[i]...), nil
-}
 
 // Proof is an inclusion proof for a single leaf.
 type Proof struct {
@@ -243,6 +231,3 @@ func (to TearOff) VisibleIndices() []int {
 	}
 	return out
 }
-
-// Equal reports whether two roots match in constant time-ish comparison.
-func Equal(a, b [32]byte) bool { return bytes.Equal(a[:], b[:]) }

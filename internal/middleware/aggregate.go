@@ -51,7 +51,7 @@ type wireAggregand struct {
 	C      []byte `json:"c"`
 }
 
-// Aggregate buffers per-channel Paillier ciphertexts, homomorphically
+// aggregateStage buffers per-channel Paillier ciphertexts, homomorphically
 // adding each accepted submission into a running sum. A buffered
 // submission is acknowledged immediately (its Handle returns nil); when
 // the group reaches the configured size — or Flush is called — one
@@ -60,7 +60,7 @@ type wireAggregand struct {
 // aggregated requests, aggregate gives the held fact every stage refuses,
 // so Config requires it to be the final stage and refuses it beside batch
 // (both own the held-request release path).
-type Aggregate struct {
+type aggregateStage struct {
 	pk   *paillier.PublicKey
 	size int
 
@@ -76,35 +76,23 @@ type aggGroup struct {
 	req   *Request // the filling request, mutated into the release vehicle
 }
 
-// NewAggregate creates the stage for the collector's public key and group
+// newAggregate creates the stage for the collector's public key and group
 // size.
-func NewAggregate(pk *paillier.PublicKey, size int) (*Aggregate, error) {
+func newAggregate(pk *paillier.PublicKey, size int) (*aggregateStage, error) {
 	if pk == nil {
 		return nil, errors.New("middleware: aggregate needs the collector key (Env.Aggregator)")
 	}
 	if size < 1 {
 		return nil, fmt.Errorf("middleware: aggregate needs size >= 1, got %d", size)
 	}
-	return &Aggregate{pk: pk, size: size, pending: make(map[string]*aggGroup)}, nil
+	return &aggregateStage{pk: pk, size: size, pending: make(map[string]*aggGroup)}, nil
 }
 
 // Name implements Stage.
-func (a *Aggregate) Name() string { return StageAggregate }
-
-// pendingCount reports the number of contributions buffered across all open
-// groups.
-func (a *Aggregate) pendingCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, g := range a.pending {
-		n += g.count
-	}
-	return n
-}
+func (a *aggregateStage) Name() string { return StageAggregate }
 
 // Handle implements Stage.
-func (a *Aggregate) Handle(ctx context.Context, req *Request, next Handler) error {
+func (a *aggregateStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	ct, err := a.decodeAggregand(req.Payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadAggregand, err)
@@ -144,7 +132,7 @@ func (a *Aggregate) Handle(ctx context.Context, req *Request, next Handler) erro
 // is a no-op on an empty buffer and an error if the stage has never seen
 // a request (the downstream continuation is learned from the first Handle
 // call).
-func (a *Aggregate) Flush(ctx context.Context) error {
+func (a *aggregateStage) Flush(ctx context.Context) error {
 	a.mu.Lock()
 	groups := a.pending
 	next := a.next
@@ -169,7 +157,7 @@ func (a *Aggregate) Flush(ctx context.Context) error {
 // request derived from the filling submission. The flushing caller's
 // cancellation is detached, mirroring batch: earlier contributors were
 // acknowledged under their own, long-gone contexts.
-func (a *Aggregate) release(ctx context.Context, g *aggGroup, next Handler) error {
+func (a *aggregateStage) release(ctx context.Context, g *aggGroup, next Handler) error {
 	req := g.req
 	defer req.drop()
 	payload, err := json.Marshal(wireAggregand{Scheme: aggregandScheme, C: g.sum.C.Bytes()})
@@ -193,7 +181,7 @@ func (a *Aggregate) release(ctx context.Context, g *aggGroup, next Handler) erro
 // collector's key, mirroring paillier's own ciphertext checks so a bad
 // first contribution is rejected immediately instead of poisoning the
 // group for the next submitter.
-func (a *Aggregate) decodeAggregand(payload []byte) (paillier.Ciphertext, error) {
+func (a *aggregateStage) decodeAggregand(payload []byte) (paillier.Ciphertext, error) {
 	var w wireAggregand
 	if err := json.Unmarshal(payload, &w); err != nil {
 		return paillier.Ciphertext{}, err
@@ -256,7 +244,7 @@ func init() {
 			if p.err != nil {
 				return nil, p.err
 			}
-			return NewAggregate(env.Aggregator, size)
+			return newAggregate(env.Aggregator, size)
 		},
 	})
 }

@@ -39,13 +39,13 @@ var (
 	ErrCredentialRejected = errors.New("middleware: anoncred: credential presentation rejected")
 )
 
-// AnonCred verifies anonymous-credential presentations (Env.AnonCredKey is
+// anonCredStage verifies anonymous-credential presentations (Env.AnonCredKey is
 // the issuer's attribute verification key). A verified presentation
 // authenticates the request — the stage gives the principal fact, as authn
 // and session do — with the presentation's pseudonym as the principal.
 // One-show tokens are enforced: replaying a presentation fails even though
 // the wallet stays unlinkable across scopes.
-type AnonCred struct {
+type anonCredStage struct {
 	key     zkp.Point
 	attrs   []string // canonical (sorted) required attribute set
 	scope   string
@@ -53,12 +53,12 @@ type AnonCred struct {
 	shows   *anoncred.ShowRegistry
 }
 
-// NewAnonCred creates the stage. attrs is the attribute set presentations
+// newAnonCred creates the stage. attrs is the attribute set presentations
 // must cover, scope the presentation context they must be bound to. With
 // require, submissions that are not already authenticated upstream must
 // carry a presentation; without it, presentation-less requests pass
 // through to later authenticators.
-func NewAnonCred(key zkp.Point, attrs []string, scope string, require bool) (*AnonCred, error) {
+func newAnonCred(key zkp.Point, attrs []string, scope string, require bool) (*anonCredStage, error) {
 	if !key.Valid() || key.IsIdentity() {
 		return nil, errors.New("middleware: anoncred needs the issuer attribute key (Env.AnonCredKey)")
 	}
@@ -70,7 +70,7 @@ func NewAnonCred(key zkp.Point, attrs []string, scope string, require bool) (*An
 	}
 	canonical := append([]string(nil), attrs...)
 	sort.Strings(canonical)
-	return &AnonCred{
+	return &anonCredStage{
 		key:     key,
 		attrs:   canonical,
 		scope:   scope,
@@ -80,14 +80,10 @@ func NewAnonCred(key zkp.Point, attrs []string, scope string, require bool) (*An
 }
 
 // Name implements Stage.
-func (a *AnonCred) Name() string { return StageAnonCred }
-
-// shown reports how many distinct credential tokens the stage has
-// accepted.
-func (a *AnonCred) shown() int { return a.shows.Shown() }
+func (a *anonCredStage) Name() string { return StageAnonCred }
 
 // Handle implements Stage.
-func (a *AnonCred) Handle(ctx context.Context, req *Request, next Handler) error {
+func (a *anonCredStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	blob, ok := req.Meta[MetaAnonCred]
 	if !ok || blob == "" {
 		if req.authenticated || !a.require {
@@ -212,7 +208,7 @@ func init() {
 			if scope == "" {
 				return nil, errors.New("anoncred needs scope (the presentation context to require)")
 			}
-			return NewAnonCred(env.AnonCredKey, splitAttrs(attrsRaw), scope, require == "on")
+			return newAnonCred(env.AnonCredKey, splitAttrs(attrsRaw), scope, require == "on")
 		},
 	})
 }

@@ -24,9 +24,9 @@ const MetaAttest = "attestation"
 // Attestation payload-binding modes: which side of the enclave execution
 // the submitted payload must hash to.
 const (
-	BindInput  = "input"
-	BindOutput = "output"
-	BindOff    = "off"
+	bindInput  = "input"
+	bindOutput = "output"
+	bindOff    = "off"
 )
 
 // Errors returned by the attest stage.
@@ -47,34 +47,34 @@ type AttestationPolicy struct {
 	Measurement  [32]byte
 }
 
-// Attest verifies TEE attestations on submissions (Env.Attestation is the
+// attestStage verifies TEE attestations on submissions (Env.Attestation is the
 // trust policy). With input (default) or output binding, the attestation
 // must additionally cover the submitted payload — a valid quote for some
 // other data is rejected, so payloads cannot be swapped after enclave
 // processing.
-type Attest struct {
+type attestStage struct {
 	policy AttestationPolicy
 	bind   string
 }
 
-// NewAttestTEE creates the stage from a trust policy and binding mode.
-func NewAttestTEE(policy AttestationPolicy, bind string) (*Attest, error) {
+// newAttestTEE creates the stage from a trust policy and binding mode.
+func newAttestTEE(policy AttestationPolicy, bind string) (*attestStage, error) {
 	if policy.Manufacturer.IsZero() {
 		return nil, errors.New("middleware: attest needs the manufacturer key (Env.Attestation)")
 	}
 	switch bind {
-	case BindInput, BindOutput, BindOff:
+	case bindInput, bindOutput, bindOff:
 	default:
-		return nil, fmt.Errorf("middleware: attest bind must be %s, %s, or %s, got %q", BindInput, BindOutput, BindOff, bind)
+		return nil, fmt.Errorf("middleware: attest bind must be %s, %s, or %s, got %q", bindInput, bindOutput, bindOff, bind)
 	}
-	return &Attest{policy: policy, bind: bind}, nil
+	return &attestStage{policy: policy, bind: bind}, nil
 }
 
 // Name implements Stage.
-func (a *Attest) Name() string { return StageAttest }
+func (a *attestStage) Name() string { return StageAttest }
 
 // Handle implements Stage.
-func (a *Attest) Handle(ctx context.Context, req *Request, next Handler) error {
+func (a *attestStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	blob, ok := req.Meta[MetaAttest]
 	if !ok || blob == "" {
 		return fmt.Errorf("%w (channel %s)", ErrAttestationRequired, req.Channel)
@@ -90,11 +90,11 @@ func (a *Attest) Handle(ctx context.Context, req *Request, next Handler) error {
 		return fmt.Errorf("%w: %v", ErrAttestationRejected, err)
 	}
 	switch a.bind {
-	case BindInput:
+	case bindInput:
 		if att.InputHash != dcrypto.Hash(req.Payload) {
 			return fmt.Errorf("%w: attestation does not cover this payload (input binding)", ErrAttestationRejected)
 		}
-	case BindOutput:
+	case bindOutput:
 		if att.OutputHash != dcrypto.Hash(req.Payload) {
 			return fmt.Errorf("%w: attestation does not cover this payload (output binding)", ErrAttestationRejected)
 		}
@@ -131,14 +131,14 @@ func init() {
 			if mode := p.str("mode", "tee"); mode != "tee" {
 				return nil, fmt.Errorf("unknown attest mode %q (want tee)", mode)
 			}
-			bind := p.enum("bind", BindInput, BindInput, BindOutput, BindOff)
+			bind := p.enum("bind", bindInput, bindInput, bindOutput, bindOff)
 			if p.err != nil {
 				return nil, p.err
 			}
 			if env.Attestation == nil {
 				return nil, errors.New("attest needs Env.Attestation (manufacturer key + expected measurement)")
 			}
-			return NewAttestTEE(*env.Attestation, bind)
+			return newAttestTEE(*env.Attestation, bind)
 		},
 	})
 }

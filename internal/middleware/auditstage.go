@@ -7,7 +7,7 @@ import (
 	"dltprivacy/internal/audit"
 )
 
-// Audit records what the gateway operator observes about each submission
+// auditStage records what the gateway operator observes about each submission
 // into the leakage log: envelope metadata and the submitting identity
 // always, and full transaction data whenever the payload passes through
 // unencrypted — making a pipeline without the encrypt stage show up as a
@@ -25,28 +25,28 @@ import (
 // Recording is inline, on the submit path: a record on a known (observer,
 // class) pair is a lookup and an atomic add, and the leakage matrix is
 // exact the moment Handle returns.
-type Audit struct {
+type auditStage struct {
 	log      *audit.Log
 	observer string
 }
 
-// NewAudit creates the audit stage recording for the named observer
+// newAudit creates the audit stage recording for the named observer
 // (normally the gateway operator).
-func NewAudit(log *audit.Log, observer string) (*Audit, error) {
+func newAudit(log *audit.Log, observer string) (*auditStage, error) {
 	if log == nil {
 		return nil, errors.New("middleware: audit stage needs a log")
 	}
 	if observer == "" {
 		observer = "gateway"
 	}
-	return &Audit{log: log, observer: observer}, nil
+	return &auditStage{log: log, observer: observer}, nil
 }
 
 // Name implements Stage.
-func (a *Audit) Name() string { return StageAudit }
+func (a *auditStage) Name() string { return StageAudit }
 
 // Handle implements Stage.
-func (a *Audit) Handle(ctx context.Context, req *Request, next Handler) error {
+func (a *auditStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	// Capture the observation BEFORE the downstream runs: the encrypt
 	// stage replaces the payload (changing req.ID()) and flips encrypted,
 	// and the observation must classify what passed the audit point.

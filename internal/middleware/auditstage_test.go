@@ -94,7 +94,7 @@ func TestConfigAuditAsyncValidation(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return Config{Stages: stages}.Build(Env{Log: log}, (&accept{}).handler)
+		return Config{Stages: stages}.build(Env{Log: log}, (&accept{}).handler)
 	}
 	if _, err := build("-1"); err == nil {
 		t.Fatal("negative auditasync accepted")

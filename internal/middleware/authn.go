@@ -9,35 +9,35 @@ import (
 	"dltprivacy/internal/pki"
 )
 
-// Authn verifies the submitter: the attached certificate must chain to the
+// authnStage verifies the submitter: the attached certificate must chain to the
 // pinned consortium CA key, name the request principal, and the request
 // signature must verify against the certified key (§2.1 PKI onboarding).
 // The certificate check goes through a pki.Verifier, so a certificate
 // presented again costs a fingerprint, not the CA's ECDSA verification; the
 // request signature is checked every time. With a revocation plane
 // (Env.Revoker) a revoked certificate is refused too.
-type Authn struct {
+type authnStage struct {
 	certs   *pki.Verifier
 	now     func() time.Time
 	revoker Revoker // nil: no revocation check
 }
 
-// NewAuthn creates the authn stage pinned to the consortium CA key.
-func NewAuthn(caKey dcrypto.PublicKey, now func() time.Time) *Authn {
+// newAuthn creates the authn stage pinned to the consortium CA key.
+func newAuthn(caKey dcrypto.PublicKey, now func() time.Time) *authnStage {
 	if now == nil {
 		now = time.Now
 	}
-	return &Authn{certs: pki.NewVerifier(caKey), now: now}
+	return &authnStage{certs: pki.NewVerifier(caKey), now: now}
 }
 
 // Name implements Stage.
-func (a *Authn) Name() string { return StageAuthn }
+func (a *authnStage) Name() string { return StageAuthn }
 
 // verifier implements verifierHolder.
-func (a *Authn) verifier() *pki.Verifier { return a.certs }
+func (a *authnStage) verifier() *pki.Verifier { return a.certs }
 
 // statRows declares the certificate verifier's two counters.
-func (a *Authn) statRows() []statRow {
+func (a *authnStage) statRows() []statRow {
 	return []statRow{
 		{"confmw_authn_cert_verifications_total", "CA signature checks the authn stage ran (certificates not in its verified set).", counter, a.certs.Verifications, func(s *GatewayStats, v uint64) { s.AuthnCertVerifications = v }, nil},
 		{"confmw_authn_cert_cache_hits_total", "Certificates the authn stage found in its verified set.", counter, a.certs.Hits, func(s *GatewayStats, v uint64) { s.AuthnCertCacheHits = v }, nil},
@@ -45,7 +45,7 @@ func (a *Authn) statRows() []statRow {
 }
 
 // Handle implements Stage.
-func (a *Authn) Handle(ctx context.Context, req *Request, next Handler) error {
+func (a *authnStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	if req.authenticated {
 		// An upstream session stage already bound the request to a
 		// verified principal; the full PKI check would be pure overhead.

@@ -19,14 +19,14 @@ import (
 // error text names each failed request by ID so operators can reconcile.
 var ErrBatchRelease = errors.New("middleware: batch release failed")
 
-// Batch aggregates accepted submissions and releases them downstream in
+// batchStage aggregates accepted submissions and releases them downstream in
 // groups of the configured size, the write-combining tier in front of the
 // ordering service. A buffered request is acknowledged immediately (its
 // Handle returns nil); the whole group travels downstream when the batch
 // fills or Flush is called. Because any later stage would be skipped for
 // batched requests, Config requires batch to be the final stage.
 //
-// In group-seal mode (groupseal=on, wired by Config.Build to the encrypt
+// In group-seal mode (groupseal=on, wired by Config.build to the encrypt
 // stage's epoch key cache) requests are bucketed per (channel, epoch) and a
 // full bucket is sealed with ONE AEAD invocation over the concatenated
 // payloads behind the epoch's precomputed frame head; the group crosses to
@@ -38,11 +38,11 @@ var ErrBatchRelease = errors.New("middleware: batch release failed")
 // Flush), while earlier members of the group were already acknowledged.
 // Submitters that need per-submission confirmation should run batch size
 // 1 or reconcile against backend commit stats.
-type Batch struct {
+type batchStage struct {
 	size int
 	// enc is the encrypt stage whose epoch keys tag the buffered requests,
-	// non-nil exactly in group-seal mode; set by Config.Build before traffic.
-	enc *Encrypt
+	// non-nil exactly in group-seal mode; set by Config.build before traffic.
+	enc *encryptStage
 	// fullMeta is the MetaBatch value of a full-size group, precomputed so
 	// the steady-state release allocates no formatting scratch.
 	fullMeta string
@@ -60,6 +60,10 @@ type Batch struct {
 
 	groupsSealed atomic.Uint64 // group envelopes released (group-seal mode)
 	groupTxs     atomic.Uint64 // member transactions inside those groups
+	// releaseFailedTxs counts acknowledged members a release did not order:
+	// every member of a failed group release (a full bucket's, a stranded
+	// bucket's, Flush's) and each failed member of a plain release.
+	releaseFailedTxs atomic.Uint64
 }
 
 // groupBucket is one open (channel, epoch) group. In deferred-seal mode the
@@ -80,20 +84,20 @@ type groupBucket struct {
 	arena    []byte
 }
 
-// NewBatch creates the batch stage with the given group size.
-func NewBatch(size int) (*Batch, error) {
+// newBatch creates the batch stage with the given group size.
+func newBatch(size int) (*batchStage, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("middleware: batch needs size >= 1, got %d", size)
 	}
-	return &Batch{size: size}, nil
+	return &batchStage{size: size}, nil
 }
 
 // Name implements Stage.
-func (b *Batch) Name() string { return StageBatch }
+func (b *batchStage) Name() string { return StageBatch }
 
 // bindEncrypt switches the stage into group-seal mode over the encrypt
-// stage's epoch key cache. Called by Config.Build before traffic.
-func (b *Batch) bindEncrypt(enc *Encrypt) {
+// stage's epoch key cache. Called by Config.build before traffic.
+func (b *batchStage) bindEncrypt(enc *encryptStage) {
 	b.enc = enc
 	b.groups = make(map[*channelKey]*groupBucket)
 	b.fullMeta = EnvelopeScheme + " n=" + strconv.Itoa(b.size)
@@ -101,7 +105,7 @@ func (b *Batch) bindEncrypt(enc *Encrypt) {
 
 // takeBucketLocked returns an empty bucket with capacity for a full group,
 // reusing a released one when one is free. Caller holds b.mu.
-func (b *Batch) takeBucketLocked() *groupBucket {
+func (b *batchStage) takeBucketLocked() *groupBucket {
 	if n := len(b.free); n > 0 {
 		g := b.free[n-1]
 		b.free = b.free[:n-1]
@@ -116,7 +120,7 @@ func (b *Batch) takeBucketLocked() *groupBucket {
 // recycleBucket scrubs a released bucket's member pointers and payload
 // views and returns it to the freelist, bounded so a burst of concurrently
 // open buckets cannot pin arrays forever.
-func (b *Batch) recycleBucket(g *groupBucket) {
+func (b *batchStage) recycleBucket(g *groupBucket) {
 	for i := range g.reqs {
 		g.reqs[i], g.payloads[i] = nil, nil
 	}
@@ -129,17 +133,19 @@ func (b *Batch) recycleBucket(g *groupBucket) {
 	b.mu.Unlock()
 }
 
-// statRows declares the group-seal counters and the buffer gauge.
-func (b *Batch) statRows() []statRow {
+// statRows declares the group-seal counters, the failed-release counter
+// and the buffer gauge.
+func (b *batchStage) statRows() []statRow {
 	return []statRow{
 		{"confmw_batch_groups_sealed_total", "Group envelopes released by the batch stage (group-seal mode).", counter, b.groupsSealed.Load, func(s *GatewayStats, v uint64) { s.BatchGroupsSealed = v }, nil},
 		{"confmw_batch_group_txs_total", "Member transactions released inside group envelopes.", counter, b.groupTxs.Load, func(s *GatewayStats, v uint64) { s.BatchGroupTxs = v }, nil},
+		{"confmw_batch_release_failed_txs_total", "Acknowledged submissions a batch release failed to order.", counter, b.releaseFailedTxs.Load, func(s *GatewayStats, v uint64) { s.BatchReleaseFailedTxs = v }, nil},
 		{"confmw_batch_pending", "Submissions currently buffered by the batch stage.", gauge, func() uint64 { return uint64(b.pendingCount()) }, func(s *GatewayStats, v uint64) { s.BatchPending = int(v) }, nil},
 	}
 }
 
 // Handle implements Stage.
-func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
+func (b *batchStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	b.mu.Lock()
 	if b.next == nil {
 		// The downstream continuation is identical for every request of a
@@ -178,6 +184,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 		for _, s := range stranded {
 			// No flusher: this submission is buffered in a bucket of its
 			// own, and the stranded members were acknowledged when buffered.
+			// A failure has no caller to reach; releaseFailedTxs counts it.
 			_ = b.releaseGroup(ctx, s, next, nil)
 			b.recycleBucket(s)
 		}
@@ -210,7 +217,7 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 // channel rotated (keyttl expiry, a membership change, a revocation): nothing
 // is tagged with the old key again, so its bucket would hold acknowledged
 // submissions unordered until Flush. Caller holds b.mu.
-func (b *Batch) detachStrandedLocked(fresh *groupBucket) []*groupBucket {
+func (b *batchStage) detachStrandedLocked(fresh *groupBucket) []*groupBucket {
 	var stranded []*groupBucket
 	for ck, g := range b.groups {
 		if g != fresh && g.channel == fresh.channel {
@@ -226,7 +233,7 @@ func (b *Batch) detachStrandedLocked(fresh *groupBucket) []*groupBucket {
 // epoch current at its members' submission. It is a no-op on an empty
 // buffer and an error if the stage has never seen a request (the
 // downstream continuation is learned from the first Handle call).
-func (b *Batch) Flush(ctx context.Context) error {
+func (b *batchStage) Flush(ctx context.Context) error {
 	b.mu.Lock()
 	next := b.next
 	if b.enc != nil {
@@ -264,7 +271,7 @@ func (b *Batch) Flush(ctx context.Context) error {
 // survive): the buffered members were acknowledged under their own,
 // long-gone contexts, and a canceled filling request must not fail them. A
 // release under the parent of the last one reuses its detached context.
-func (b *Batch) detach(ctx context.Context) context.Context {
+func (b *batchStage) detach(ctx context.Context) context.Context {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !sameContext(ctx, b.parent) {
@@ -285,7 +292,7 @@ func sameContext(a, b context.Context) bool {
 
 // pendingCount reports the number of buffered submissions across all open
 // buckets.
-func (b *Batch) pendingCount() int {
+func (b *batchStage) pendingCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := len(b.pending)
@@ -308,7 +315,7 @@ func (b *Batch) pendingCount() int {
 // accumulator — so the batch stage's exclusive time stays the buffering
 // bookkeeping, not the group's deliveries, and no member's work is
 // attributed to the filler's trace.
-func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flusher *Request) error {
+func (b *batchStage) release(ctx context.Context, group []*Request, next Handler, flusher *Request) error {
 	ctx = b.detach(ctx)
 	releaseStart := time.Now()
 	var errs []error
@@ -320,6 +327,7 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 			tr.AddSpan("batch.release", start, d, d, err)
 		}
 		if err != nil {
+			b.releaseFailedTxs.Add(1)
 			errs = append(errs, fmt.Errorf("request %d/%d (%s): %v", i+1, len(group), req.id(), err))
 		}
 		req.drop()
@@ -343,7 +351,7 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 // scheme + count). The group shares one fate: every member's trace gets a
 // "batch.release" span whose exclusive time is its amortized share of the
 // release. Cancellation detaching and error wrapping mirror release.
-func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, flusher *Request) error {
+func (b *batchStage) releaseGroup(ctx context.Context, g *groupBucket, next Handler, flusher *Request) error {
 	ctx = b.detach(ctx)
 	start := time.Now()
 	group, channel, ck := g.reqs, g.channel, g.key
@@ -373,6 +381,7 @@ func (b *Batch) releaseGroup(ctx context.Context, g *groupBucket, next Handler, 
 		// %v, not %w, as in release: a release error matches
 		// ErrBatchRelease and nothing under it.
 		wrapped = fmt.Errorf("%w: group %s/epoch %d n=%d: %v", ErrBatchRelease, channel, ck.epoch, len(group), relErr)
+		b.releaseFailedTxs.Add(uint64(len(group)))
 	} else {
 		b.groupsSealed.Add(1)
 		b.groupTxs.Add(uint64(len(group)))

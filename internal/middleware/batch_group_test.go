@@ -40,7 +40,7 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 		}}
 		env := Env{CAKey: ca.PublicKey(), Directory: dir}
 		sink := &accept{}
-		chain, err := groupCfg(3).Build(env, sink.handler)
+		chain, err := groupCfg(3).build(env, sink.handler)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 				{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			},
 		}
-		schain, err := cfg.Build(env, single.handler)
+		schain, err := cfg.build(env, single.handler)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +131,11 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 		"trades": {"alice": ps["alice"].key.Public()},
 	}
 	sink := &accept{}
-	chain, err := groupCfg(8).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
+	chain, err := groupCfg(8).build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := chain.stages[len(chain.stages)-1].(*Batch)
+	b, ok := chain.stages[len(chain.stages)-1].(*batchStage)
 	if !ok || b.enc == nil {
 		t.Fatal("batch stage not in group-seal mode")
 	}
@@ -178,11 +178,11 @@ func TestRotationReleasesStrandedGroup(t *testing.T) {
 		{Name: StageBatch, Params: map[string]string{"size": "8", "groupseal": "on"}},
 	}}
 	sink := &accept{}
-	chain, err := cfg.Build(Env{CAKey: ca.PublicKey(), Directory: dir, Now: clock.now}, sink.handler)
+	chain, err := cfg.build(Env{CAKey: ca.PublicKey(), Directory: dir, Now: clock.now}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := chain.stages[len(chain.stages)-1].(*Batch)
+	b := chain.stages[len(chain.stages)-1].(*batchStage)
 	submit := func(channel, payload string) {
 		t.Helper()
 		if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], channel, []byte(payload))); err != nil {
@@ -235,6 +235,84 @@ func TestRotationReleasesStrandedGroup(t *testing.T) {
 	}
 	if txs := b.groupTxs.Load(); sink.count() != 3 || txs != 5 {
 		t.Fatalf("after flush: %d releases carrying %d txs, want 3 carrying 5", sink.count(), txs)
+	}
+}
+
+// TestFailedReleasesAreCounted makes every kind of group release fail at
+// a backend that refuses and checks that each acknowledged member is
+// counted, on the stage and in GatewayStats: a bucket stranded by a
+// rotation, whose failure no caller sees, a full bucket's, whose failure
+// only its filler sees, and a flushed one.
+func TestFailedReleasesAreCounted(t *testing.T) {
+	clock := newFakeClock()
+	ca, ps := enrollAt(t, clock.now, "alice", "bob")
+	dir := StaticDirectory{"c": {"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()}}
+	cfg := Config{Stages: []StageConfig{
+		{Name: StageAuthn},
+		{Name: StageEncrypt, Params: map[string]string{"keyttl": "1m"}},
+		{Name: StageBatch, Params: map[string]string{"size": "4", "groupseal": "on"}},
+	}}
+	refused := errors.New("backend refuses")
+	releases := 0
+	chain, err := cfg.build(Env{CAKey: ca.PublicKey(), Directory: dir, Now: clock.now}, func(context.Context, *Request) error {
+		releases++
+		return refused
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := chain.stages[len(chain.stages)-1].(*batchStage)
+	submit := func(payload string) error {
+		return chain.execute(context.Background(), signedRequest(t, ps["alice"], "c", []byte(payload)))
+	}
+	failed := func() uint64 {
+		var st GatewayStats
+		for _, row := range b.statRows() {
+			if row.name == "confmw_batch_release_failed_txs_total" {
+				row.set(&st, row.load())
+				return st.BatchReleaseFailedTxs
+			}
+		}
+		t.Fatal("no confmw_batch_release_failed_txs_total row")
+		return 0
+	}
+	for i := 0; i < 3; i++ {
+		if err := submit("old"); err != nil {
+			t.Fatalf("buffered submission %d refused: %v", i, err)
+		}
+	}
+	// The key expires: the next submission opens a bucket under a fresh
+	// epoch and strands the three under the old one. Their release fails,
+	// and the new submission, buffered on its own, is still accepted.
+	clock.advance(2 * time.Minute)
+	if err := submit("new-0"); err != nil {
+		t.Fatalf("submission that stranded the old bucket: %v", err)
+	}
+	if releases != 1 || failed() != 3 {
+		t.Fatalf("after the stranded release: %d releases, %d failed members counted, want 1 and 3", releases, failed())
+	}
+	for i := 1; i < 3; i++ {
+		if err := submit("new"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := submit("filler"); !errors.Is(err, ErrBatchRelease) {
+		t.Fatalf("filling submission = %v, want ErrBatchRelease", err)
+	}
+	if failed() != 7 {
+		t.Fatalf("after the full bucket's release: %d failed members counted, want 7", failed())
+	}
+	if err := submit("last"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(context.Background()); !errors.Is(err, ErrBatchRelease) {
+		t.Fatalf("flush = %v, want ErrBatchRelease", err)
+	}
+	if releases != 3 || failed() != 8 {
+		t.Fatalf("after the flush: %d releases, %d failed members counted, want 3 and 8", releases, failed())
+	}
+	if b.groupTxs.Load() != 0 {
+		t.Fatalf("group_txs = %d after only failed releases, want 0", b.groupTxs.Load())
 	}
 }
 
@@ -292,7 +370,7 @@ func TestGroupReleaseSpanAmortizedShare(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public()}}
 	sink := &accept{}
-	chain, err := groupCfg(2).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
+	chain, err := groupCfg(2).build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +408,12 @@ func TestGroupReleaseSpanAmortizedShare(t *testing.T) {
 // in the leakage log, not even metadata.
 func TestAuditSkipsRejectedSubmission(t *testing.T) {
 	log := audit.NewHistory()
-	au, err := NewAudit(log, "gw-op")
+	au, err := newAudit(log, "gw-op")
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := newFakeClock()
-	br, err := NewBreaker(1, time.Second, clock.now)
+	br, err := newBreaker(1, time.Second, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +424,7 @@ func TestAuditSkipsRejectedSubmission(t *testing.T) {
 		}
 		return nil
 	}
-	chain := NewChain(terminal, au, br)
+	chain := newChain(terminal, au, br)
 	submit := func(payload string) error {
 		return chain.execute(context.Background(), &Request{
 			Channel: "c", Principal: "alice", Backend: "fabric",
@@ -385,7 +463,7 @@ func TestAuditSkipsRejectedSubmission(t *testing.T) {
 // filling caller only as the final ErrBatchRelease. Every member gets
 // exactly one delivery attempt and nothing stays buffered.
 func TestRetryBatchTransientMidGroup(t *testing.T) {
-	b, err := NewBatch(3)
+	b, err := newBatch(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +475,7 @@ func TestRetryBatchTransientMidGroup(t *testing.T) {
 		}
 		return nil
 	}
-	chain := NewChain(terminal, b)
+	chain := newChain(terminal, b)
 	var last error
 	for i := 0; i < 3; i++ {
 		last = chain.execute(context.Background(), &Request{
@@ -439,7 +517,7 @@ func TestGroupSealReleaseFailureReachesFiller(t *testing.T) {
 		}
 		return nil
 	}
-	chain, err := groupCfg(2).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, terminal)
+	chain, err := groupCfg(2).build(Env{CAKey: ca.PublicKey(), Directory: dir}, terminal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +540,7 @@ func TestGroupSealReleaseFailureReachesFiller(t *testing.T) {
 	if errors.Is(ferr, ordererDown) {
 		t.Fatalf("release error wraps the orderer's error: %v", ferr)
 	}
-	if n := chain.stages[len(chain.stages)-1].(*Batch).pendingCount(); n != 0 {
+	if n := chain.stages[len(chain.stages)-1].(*batchStage).pendingCount(); n != 0 {
 		t.Fatalf("pending = %d after release, want 0", n)
 	}
 }

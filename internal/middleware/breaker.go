@@ -18,12 +18,12 @@ func isFailoverWindow(err error) bool {
 	return errors.Is(err, ordering.ErrNoLeader)
 }
 
-// Breaker is a per-backend circuit breaker: after threshold consecutive
+// breakerStage is a per-backend circuit breaker: after threshold consecutive
 // downstream failures for a backend, it fails fast with ErrCircuitOpen
 // until the cooldown elapses, then lets a single probe through (half-open)
 // and closes again only if the probe succeeds. Requests with an empty
 // Backend share one circuit keyed by channel.
-type Breaker struct {
+type breakerStage struct {
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Time
@@ -50,8 +50,8 @@ type circuit struct {
 	gen uint64
 }
 
-// NewBreaker creates the circuit-breaker stage.
-func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) (*Breaker, error) {
+// newBreaker creates the circuit-breaker stage.
+func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) (*breakerStage, error) {
 	if threshold < 1 {
 		return nil, fmt.Errorf("middleware: breaker needs threshold >= 1, got %d", threshold)
 	}
@@ -61,13 +61,13 @@ func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) (*B
 	if now == nil {
 		now = time.Now
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: now, circuits: make(map[string]*circuit)}, nil
+	return &breakerStage{threshold: threshold, cooldown: cooldown, now: now, circuits: make(map[string]*circuit)}, nil
 }
 
 // Name implements Stage.
-func (b *Breaker) Name() string { return StageBreaker }
+func (b *breakerStage) Name() string { return StageBreaker }
 
-func (b *Breaker) key(req *Request) string {
+func (b *breakerStage) key(req *Request) string {
 	if req.Backend != "" {
 		return req.Backend
 	}
@@ -75,7 +75,7 @@ func (b *Breaker) key(req *Request) string {
 }
 
 // Handle implements Stage.
-func (b *Breaker) Handle(ctx context.Context, req *Request, next Handler) error {
+func (b *breakerStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	key := b.key(req)
 	b.mu.Lock()
 	c, ok := b.circuits[key]
@@ -133,29 +133,4 @@ func (b *Breaker) Handle(ctx context.Context, req *Request, next Handler) error 
 	c.state = stateClosed
 	c.failures = 0
 	return nil
-}
-
-// state reports the circuit state for a backend key: "closed", "open", or
-// "half-open". The key resolves the way Handle keys its circuits: a name
-// with no backend circuit falls back to the shared per-channel circuit
-// ("channel:"+name) that requests with an empty Backend trip. Unknown keys
-// are closed.
-func (b *Breaker) state(backend string) string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.circuits[backend]
-	if !ok {
-		c, ok = b.circuits["channel:"+backend]
-	}
-	if !ok {
-		return "closed"
-	}
-	switch c.state {
-	case stateOpen:
-		return "open"
-	case stateHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
 }

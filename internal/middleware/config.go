@@ -73,7 +73,7 @@ type StageConfig struct {
 }
 
 // Config is a declarative pipeline: an ordered stage list assembled and
-// validated by Build, plus the ordering topology the gateway fronts.
+// validated by build, plus the ordering topology the gateway fronts.
 type Config struct {
 	Stages []StageConfig
 
@@ -114,7 +114,7 @@ type Config struct {
 }
 
 // Env carries the shared dependencies stages draw on. Zero fields default
-// where possible; stages that need a missing dependency fail Build.
+// where possible; stages that need a missing dependency fail build.
 type Env struct {
 	// CAKey is the pinned consortium CA verification key (authn, session).
 	CAKey dcrypto.PublicKey
@@ -217,10 +217,10 @@ func (p *params) enum(key, def string, allowed ...string) string {
 	return def
 }
 
-// Build assembles and validates the configured chain around the terminal
+// build assembles and validates the configured chain around the terminal
 // handler. Every misconfiguration — unknown stage, duplicate stage, bad
 // parameter, ordering violation — is reported here, before any traffic.
-func (c Config) Build(env Env, terminal Handler) (*Chain, error) {
+func (c Config) build(env Env, terminal Handler) (*Chain, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
@@ -238,16 +238,16 @@ func (c Config) Build(env Env, terminal Handler) (*Chain, error) {
 	// one AEAD invocation. The wiring is validated here, before traffic —
 	// a groupseal batch without a cached-key encrypt stage has no epoch
 	// key table to amortize.
-	var groupBatch *Batch
+	var groupBatch *batchStage
 	for i, s := range stages {
-		if b, ok := s.(*Batch); ok && c.Stages[i].Params["groupseal"] == "on" {
+		if b, ok := s.(*batchStage); ok && c.Stages[i].Params["groupseal"] == "on" {
 			groupBatch = b
 		}
 	}
 	if groupBatch != nil {
-		var enc *Encrypt
+		var enc *encryptStage
 		for _, s := range stages {
-			if e, ok := s.(*Encrypt); ok {
+			if e, ok := s.(*encryptStage); ok {
 				enc = e
 			}
 		}
@@ -260,7 +260,7 @@ func (c Config) Build(env Env, terminal Handler) (*Chain, error) {
 		enc.deferGroupSeal()
 		groupBatch.bindEncrypt(enc)
 	}
-	chain := NewChain(terminal, stages...)
+	chain := newChain(terminal, stages...)
 	if every, err := c.timingEvery(); err != nil {
 		return nil, err
 	} else if every > 1 {

@@ -38,7 +38,7 @@ func stageList(names ...string) Config {
 
 func TestConfigBuildsFullChain(t *testing.T) {
 	cfg := stageList(StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch)
-	chain, err := cfg.Build(testEnv(t), nil)
+	chain, err := cfg.build(testEnv(t), nil)
 	if err != nil {
 		t.Fatalf("full chain rejected: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestConfigRejectsMisordering(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.Build(testEnv(t), nil); !errors.Is(err, ErrBadConfig) {
+			if _, err := tc.cfg.build(testEnv(t), nil); !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}
 		})
@@ -99,7 +99,7 @@ func TestConfigRejectsBadParams(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.Build(testEnv(t), nil); !errors.Is(err, ErrBadConfig) {
+			if _, err := tc.cfg.build(testEnv(t), nil); !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}
 		})
@@ -111,19 +111,19 @@ func TestConfigRejectsMissingDependencies(t *testing.T) {
 
 	noCA := env
 	noCA.CAKey = dcrypto.PublicKey{}
-	if _, err := stageList(StageAuthn).Build(noCA, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := stageList(StageAuthn).build(noCA, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("authn without CA key = %v, want ErrBadConfig", err)
 	}
 
 	noDir := env
 	noDir.Directory = nil
-	if _, err := stageList(StageAuthn, StageEncrypt).Build(noDir, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := stageList(StageAuthn, StageEncrypt).build(noDir, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("encrypt without directory = %v, want ErrBadConfig", err)
 	}
 
 	noLog := env
 	noLog.Log = nil
-	if _, err := stageList(StageAudit).Build(noLog, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := stageList(StageAudit).build(noLog, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("audit without log = %v, want ErrBadConfig", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestConfigParamMatrix(t *testing.T) {
 			if tc.env != nil {
 				env = *tc.env
 			}
-			_, err := tc.cfg.Build(env, nil)
+			_, err := tc.cfg.build(env, nil)
 			if !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}
@@ -226,7 +226,7 @@ func TestConfigParamMatrix(t *testing.T) {
 	}
 	for _, tc := range accepted {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.Build(tc.env, nil); err != nil {
+			if _, err := tc.cfg.build(tc.env, nil); err != nil {
 				t.Fatalf("valid config rejected: %v", err)
 			}
 		})
@@ -249,14 +249,14 @@ func TestConfigRejectsRevocationParamsWithInjectedManager(t *testing.T) {
 		{"revokecheck": "off"},
 	} {
 		cfg := Config{Stages: []StageConfig{{Name: StageSession, Params: params}}}
-		_, err := cfg.Build(env, nil)
+		_, err := cfg.build(env, nil)
 		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "conflicts with Env.Sessions") {
 			t.Fatalf("params %v with injected manager = %v, want conflict rejection", params, err)
 		}
 	}
 	// Without the conflicting params the injected manager still works.
 	cfg := Config{Stages: []StageConfig{{Name: StageSession}}}
-	if _, err := cfg.Build(env, nil); err != nil {
+	if _, err := cfg.build(env, nil); err != nil {
 		t.Fatalf("injected manager rejected: %v", err)
 	}
 }
@@ -336,7 +336,7 @@ func TestConfigAcceptsPrivacyStages(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chain, err := (Config{Stages: tc.stages}).Build(privacyEnv(t), nil)
+			chain, err := (Config{Stages: tc.stages}).build(privacyEnv(t), nil)
 			if err != nil {
 				t.Fatalf("valid privacy config rejected: %v", err)
 			}
@@ -420,7 +420,7 @@ func TestConfigRejectsPrivacyStageMisuse(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := (Config{Stages: tc.stages}).Build(privacyEnv(t), nil)
+			_, err := (Config{Stages: tc.stages}).build(privacyEnv(t), nil)
 			if !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}
@@ -447,7 +447,7 @@ func TestConfigRejectsPrivacyStagesWithoutEnv(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := (Config{Stages: tc.stages}).Build(testEnv(t), nil)
+			_, err := (Config{Stages: tc.stages}).build(testEnv(t), nil)
 			if !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}

@@ -215,7 +215,7 @@ func TestDigestMemoUnderEveryAdmittedPipeline(t *testing.T) {
 			gw.Bind("deals", backendFunc{name: "sink", commit: func(ledger.Block) error { return nil }})
 			before := inForce
 			check := memoCheck{t: t, inForce: &inForce}
-			gw.chain = NewChain(gw.order, slices.Insert(slices.Clone(gw.chain.stages), pos, Stage(check))...)
+			gw.chain = newChain(gw.order, slices.Insert(slices.Clone(gw.chain.stages), pos, Stage(check))...)
 			for _, k := range kinds {
 				want := k.accepts(stages)
 				for _, frame := range sent[k] {

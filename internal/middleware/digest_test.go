@@ -150,7 +150,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 					}
 					continue
 				}
-				// Audit sits before batch: it saw each member's plaintext.
+				// audit sits before batch: it saw each member's plaintext.
 				genv, err := ParseEnvelope(tx.Payload)
 				if err != nil {
 					t.Fatal(err)
@@ -186,16 +186,16 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 func TestEncryptHandsDownstreamAMemoisedSum(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob")
 	dir := NewSyncDirectory()
-	dir.SetChannel("deals", map[string]dcrypto.PublicKey{"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()})
-	cached, err := NewCachedEncrypt(dir, time.Hour, nil)
+	addMembers(dir, "deals", map[string]dcrypto.PublicKey{"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()})
+	cached, err := newCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := NewEncrypt(dir)
+	uncached, err := newEncrypt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, enc := range map[string]*Encrypt{"cached": cached, "uncached": uncached} {
+	for name, enc := range map[string]*encryptStage{"cached": cached, "uncached": uncached} {
 		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("10 tons of steel"), authenticated: true}
 		plain := req.Digest() // leaves a memo of the plaintext behind
 		called := false

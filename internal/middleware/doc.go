@@ -9,12 +9,13 @@
 // terminal Handler (normally the Gateway's submit-to-ordering step). A
 // declarative Config — an ordered list of named stages with string
 // parameters, in the spirit of Django middleware lists and Traefik
-// middleware blocks — assembles a chain via Build, so deployments choose
-// their confidentiality posture by configuration, not code.
+// middleware blocks — assembles the chain NewGateway serves, so
+// deployments choose their confidentiality posture by configuration, not
+// code.
 //
 // # Stage ordering rules
 //
-// Build validates stage order at construction time; a misconfigured
+// NewGateway validates stage order at construction time; a misconfigured
 // pipeline is an error before the first transaction, never a silent leak.
 // Stage names must be known and appear at most once. Order is not a
 // hand-written rulebook: each stage declares the facts it needs, refuses
@@ -355,9 +356,8 @@
 // Routine key rotation is not a withdrawal: when the revoked serial was
 // already superseded by a re-enrollment (pki.Revocation.Superseded), the
 // identity keeps its envelope membership — only sessions rooted in the old
-// certificate die. An identity revoked outright and later re-enrolled is
-// restored with Gateway.ReadmitMember, which lifts the envelope exclusion
-// and lets its channels re-key to include it on their next submission.
+// certificate die. An identity revoked outright stays excluded from
+// envelopes for the gateway's lifetime, whatever it re-enrolls under.
 //
 // # Sharded ordering topologies
 //

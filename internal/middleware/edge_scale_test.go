@@ -20,12 +20,12 @@ import (
 func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob", "carol")
 	dir := NewSyncDirectory()
-	dir.SetChannel("deals", map[string]dcrypto.PublicKey{
+	addMembers(dir, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
 		"bob":   ps["bob"].key.Public(),
 		"carol": ps["carol"].key.Public(),
 	})
-	enc, err := NewCachedEncrypt(dir, time.Hour, nil)
+	enc, err := newCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatalf("NewCachedEncrypt: %v", err)
 	}
@@ -65,12 +65,12 @@ func TestEnvelopeKeyedEncodingIdentical(t *testing.T) {
 func TestEncryptRotationSingleFlight(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob", "carol")
 	dir := NewSyncDirectory()
-	dir.SetChannel("deals", map[string]dcrypto.PublicKey{
+	addMembers(dir, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
 		"bob":   ps["bob"].key.Public(),
 		"carol": ps["carol"].key.Public(),
 	})
-	enc, err := NewCachedEncrypt(dir, time.Hour, nil)
+	enc, err := newCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatalf("NewCachedEncrypt: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestEncryptRotationSingleFlight(t *testing.T) {
 			t.Fatalf("Handle: %v", err)
 		}
 	}
-	if got := enc.Rotations(); got != 1 {
+	if got := enc.rotationCount(); got != 1 {
 		t.Fatalf("rotations = %d, want 1 (cold-channel herd must single-flight the wrap)", got)
 	}
 }

@@ -249,10 +249,10 @@ func (d StaticDirectory) MemberKeys(channel string) (map[string]dcrypto.PublicKe
 	return members, nil
 }
 
-// SyncDirectory is a concurrency-safe GenerationalDirectory: channels are
-// installed and replaced whole via SetChannel, which copies the member map
-// and bumps the generation, so readers always see immutable snapshots and
-// the encrypt stage's fingerprint cache stays exact.
+// SyncDirectory is a concurrency-safe GenerationalDirectory: AddMember
+// replaces a channel's member map with a copy and bumps the generation, so
+// readers always see immutable snapshots and the encrypt stage's
+// fingerprint cache stays exact.
 type SyncDirectory struct {
 	mu       sync.RWMutex
 	channels map[string]map[string]dcrypto.PublicKey
@@ -267,32 +267,10 @@ func NewSyncDirectory() *SyncDirectory {
 	return &SyncDirectory{channels: make(map[string]map[string]dcrypto.PublicKey)}
 }
 
-// SetChannel installs (or replaces) a channel's member set. The map is
-// copied; later mutation of the argument does not leak in. Passing an
-// empty or nil map removes the channel.
-func (d *SyncDirectory) SetChannel(channel string, members map[string]dcrypto.PublicKey) {
-	var snap map[string]dcrypto.PublicKey
-	if len(members) > 0 {
-		snap = make(map[string]dcrypto.PublicKey, len(members))
-		for id, key := range members {
-			snap[id] = key
-		}
-	}
-	d.mu.Lock()
-	if snap == nil {
-		delete(d.channels, channel)
-	} else {
-		d.channels[channel] = snap
-	}
-	d.gen.Add(1)
-	d.mu.Unlock()
-}
-
 // AddMember adds (or replaces) one member in a channel, copy-on-write:
 // the previous snapshot stays immutable for in-flight readers and the
-// generation bumps. The incremental path enrollment flows use — a TCP
-// edge admitting principals one at a time must not re-install whole
-// channels around a lock it doesn't hold.
+// generation bumps. Enrollment admits principals one at a time, so this is
+// the directory's only writer.
 func (d *SyncDirectory) AddMember(channel, identity string, key dcrypto.PublicKey) {
 	d.mu.Lock()
 	old := d.channels[channel]
@@ -321,18 +299,18 @@ func (d *SyncDirectory) MemberKeys(channel string) (map[string]dcrypto.PublicKey
 // Generation implements GenerationalDirectory.
 func (d *SyncDirectory) Generation() uint64 { return d.gen.Load() }
 
-// Encrypt is the envelope-encryption stage. It refuses unauthenticated
+// encryptStage is the envelope-encryption stage. It refuses unauthenticated
 // requests even if misassembled by hand: sealing ciphertext for an
 // unverified submitter would lend member-only confidentiality to spoofed
 // traffic.
 //
-// With a key cache (NewCachedEncrypt, or the "keyttl" config parameter)
+// With a key cache (newCachedEncrypt, or the "keyttl" config parameter)
 // the expensive per-member hybrid key-wrap is performed once per
 // (channel, epoch) and reused: each request pays only the symmetric seal.
 // The key rotates — a new epoch, a fresh data key, fresh wraps — when the
-// epoch's TTL elapses, when the channel's member set changes, or on an
-// explicit Rotate call (e.g. after revoking a member).
-type Encrypt struct {
+// epoch's TTL elapses, when the channel's member set changes, or when a
+// member it was wrapped to is revoked (RevokeMember).
+type encryptStage struct {
 	dir Directory
 	// gdir is dir downcast to its generational form, nil otherwise; with
 	// it, the member-set fingerprint is cached per (channel, directory
@@ -346,7 +324,7 @@ type Encrypt struct {
 	// deferSeal switches Handle into deferred group-seal mode (see
 	// deferGroupSeal): the payload stays plaintext and the request is
 	// tagged with its epoch key for the batch stage to seal whole groups
-	// at once. Set at Build time, before traffic; requires keyTTL > 0.
+	// at once. Set at build time, before traffic; requires keyTTL > 0.
 	deferSeal bool
 
 	// adCache holds the per-channel associated-data strings, computed once
@@ -469,19 +447,19 @@ type fpEntry struct {
 	members map[string]dcrypto.PublicKey
 }
 
-// NewEncrypt creates the encrypt stage over a membership directory with no
+// newEncrypt creates the encrypt stage over a membership directory with no
 // key cache: every request seals under a fresh data key wrapped per member.
-func NewEncrypt(dir Directory) (*Encrypt, error) {
+func newEncrypt(dir Directory) (*encryptStage, error) {
 	if dir == nil {
 		return nil, errors.New("middleware: encrypt stage needs a membership directory")
 	}
 	gdir, _ := dir.(GenerationalDirectory)
-	return &Encrypt{dir: dir, gdir: gdir}, nil
+	return &encryptStage{dir: dir, gdir: gdir}, nil
 }
 
 // adFor returns the channel's associated data, computing and caching it on
 // first use.
-func (e *Encrypt) adFor(channel string) []byte {
+func (e *encryptStage) adFor(channel string) []byte {
 	if v, ok := e.adCache.Load(channel); ok {
 		return v.([]byte)
 	}
@@ -490,11 +468,11 @@ func (e *Encrypt) adFor(channel string) []byte {
 	return ad
 }
 
-// NewCachedEncrypt creates the encrypt stage with an epoch-based channel
-// data-key cache: keys rotate after keyTTL, on membership change, and on
-// explicit Rotate.
-func NewCachedEncrypt(dir Directory, keyTTL time.Duration, now func() time.Time) (*Encrypt, error) {
-	e, err := NewEncrypt(dir)
+// newCachedEncrypt creates the encrypt stage with an epoch-based channel
+// data-key cache: keys rotate after keyTTL, on membership change, and when
+// a wrapped member is revoked.
+func newCachedEncrypt(dir Directory, keyTTL time.Duration, now func() time.Time) (*encryptStage, error) {
+	e, err := newEncrypt(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +495,7 @@ func NewCachedEncrypt(dir Directory, keyTTL time.Duration, now func() time.Time)
 }
 
 // Name implements Stage.
-func (e *Encrypt) Name() string { return StageEncrypt }
+func (e *encryptStage) Name() string { return StageEncrypt }
 
 // RevokeMember excludes an identity from all future envelopes: its key is
 // dropped from every member set before sealing, and every cached channel
@@ -525,7 +503,7 @@ func (e *Encrypt) Name() string { return StageEncrypt }
 // installs a fresh epoch the revoked member cannot open. Works with or
 // without a key cache (without one, exclusion alone suffices: every
 // request already uses a throwaway key). Idempotent.
-func (e *Encrypt) RevokeMember(identity string) {
+func (e *encryptStage) RevokeMember(identity string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.excluded[identity] {
@@ -547,27 +525,10 @@ func (e *Encrypt) RevokeMember(identity string) {
 	}
 }
 
-// ReadmitMember lifts a RevokeMember exclusion — the path back for an
-// identity revoked outright and later re-enrolled under a fresh
-// certificate. Channels re-key automatically: with the member back in the
-// effective set, the next seal sees a fingerprint mismatch and installs a
-// fresh epoch wrapped to it. Idempotent; a no-op for identities never
-// excluded. (A rotation-flow revocation of a superseded certificate never
-// excludes the identity in the first place.)
-func (e *Encrypt) ReadmitMember(identity string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.excluded[identity] {
-		return
-	}
-	delete(e.excluded, identity)
-	e.exclGen++
-}
-
 // revokedRotationCount reports how many cached channel keys were invalidated
 // because a wrapped member was revoked; each invalidation forces a fresh
 // epoch on that channel's next submission.
-func (e *Encrypt) revokedRotationCount() uint64 {
+func (e *encryptStage) revokedRotationCount() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.revokedRotations
@@ -575,7 +536,7 @@ func (e *Encrypt) revokedRotationCount() uint64 {
 
 // headBytes reports the largest live epoch's frame head: what every envelope
 // sealed on that channel carries, copies and hashes before its own payload.
-func (e *Encrypt) headBytes() uint64 {
+func (e *encryptStage) headBytes() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	largest := 0
@@ -586,9 +547,9 @@ func (e *Encrypt) headBytes() uint64 {
 }
 
 // statRows declares the key-epoch counters and the head-size gauge.
-func (e *Encrypt) statRows() []statRow {
+func (e *encryptStage) statRows() []statRow {
 	return []statRow{
-		{"confmw_key_epochs_rotated_total", "Channel data-key epoch installs by the encrypt stage.", counter, e.Rotations, func(s *GatewayStats, v uint64) { s.KeyEpochsRotated = v }, nil},
+		{"confmw_key_epochs_rotated_total", "Channel data-key epoch installs by the encrypt stage.", counter, e.rotationCount, func(s *GatewayStats, v uint64) { s.KeyEpochsRotated = v }, nil},
 		{"confmw_key_epochs_revoked_rotations_total", "Cached channel keys invalidated because a wrapped member was revoked.", counter, e.revokedRotationCount, func(s *GatewayStats, v uint64) { s.KeyEpochsRevokedRotations = v }, nil},
 		{"confmw_envelope_head_bytes", "Largest live epoch's envelope head (header + wrapped-key table), bytes.", gauge, e.headBytes, nil, nil},
 	}
@@ -597,14 +558,14 @@ func (e *Encrypt) statRows() []statRow {
 // effectiveMembers drops excluded (revoked) identities from the channel
 // member set. The common no-revocations case returns the input map
 // unchanged, alloc-free.
-func (e *Encrypt) effectiveMembers(members map[string]dcrypto.PublicKey) map[string]dcrypto.PublicKey {
+func (e *encryptStage) effectiveMembers(members map[string]dcrypto.PublicKey) map[string]dcrypto.PublicKey {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.effectiveMembersLocked(members)
 }
 
 // effectiveMembersLocked is effectiveMembers with the lock already held.
-func (e *Encrypt) effectiveMembersLocked(members map[string]dcrypto.PublicKey) map[string]dcrypto.PublicKey {
+func (e *encryptStage) effectiveMembersLocked(members map[string]dcrypto.PublicKey) map[string]dcrypto.PublicKey {
 	if len(e.excluded) == 0 {
 		return members
 	}
@@ -626,24 +587,10 @@ func (e *Encrypt) effectiveMembersLocked(members map[string]dcrypto.PublicKey) m
 	return trimmed
 }
 
-// epoch reports the current data-key epoch for a channel (0 when no cached
-// key exists yet or the cache is disabled).
-func (e *Encrypt) epoch(channel string) uint64 {
-	if e.keyTTL <= 0 {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ck, ok := e.keys[channel]; ok {
-		return ck.epoch
-	}
-	return 0
-}
-
-// Rotations reports how many fresh data-key epochs the stage has installed
+// rotationCount reports how many fresh data-key epochs the stage has installed
 // across all channels (each channel's first epoch included). Always 0
 // without a key cache, where every request uses a throwaway key.
-func (e *Encrypt) Rotations() uint64 {
+func (e *encryptStage) rotationCount() uint64 {
 	if e.keyTTL <= 0 {
 		return 0
 	}
@@ -688,7 +635,7 @@ func memberFingerprint(members map[string]dcrypto.PublicKey) [32]byte {
 // therefore only make members newer than the tag, never older, so a cache
 // entry never advertises a stale member set under a fresh generation —
 // the next request at the new generation recomputes and converges.
-func (e *Encrypt) channelKeyFor(req *Request, channel string, dirGen uint64) (*channelKey, error) {
+func (e *encryptStage) channelKeyFor(req *Request, channel string, dirGen uint64) (*channelKey, error) {
 	var now time.Time
 	if e.defaultClock && req.nowStamp != 0 {
 		// The session stage already read the shared default clock for this
@@ -802,7 +749,7 @@ func (e *Encrypt) channelKeyFor(req *Request, channel string, dirGen uint64) (*c
 // slot its caller registered. retry is true when a revocation raced the wrap (the
 // exclusion generation moved past gen): the snapshot may include a
 // just-revoked member, so the caller must re-snapshot and try again.
-func (e *Encrypt) wrapAndInstall(channel string, epoch, gen uint64, fp [32]byte, sealable map[string]dcrypto.PublicKey, now time.Time) (*channelKey, bool, error) {
+func (e *encryptStage) wrapAndInstall(channel string, epoch, gen uint64, fp [32]byte, sealable map[string]dcrypto.PublicKey, now time.Time) (*channelKey, bool, error) {
 	ck, err := newChannelKey(channel, epoch, sealable, e.adFor(channel))
 	if err != nil {
 		return nil, false, err
@@ -830,7 +777,7 @@ func (e *Encrypt) wrapAndInstall(channel string, epoch, gen uint64, fp [32]byte,
 
 // Handle implements Stage. After key resolution it has two outcomes: tag the
 // request and defer the seal to the batch stage, or seal the one payload now.
-func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error {
+func (e *encryptStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	if !req.authenticated {
 		return ErrNotAuthenticated
 	}
@@ -883,7 +830,7 @@ func (e *Encrypt) Handle(ctx context.Context, req *Request, next Handler) error 
 
 // throwawayKey is the uncached stage's key resolution: a fresh data key per
 // request, wrapped to the channel's current members minus the revoked.
-func (e *Encrypt) throwawayKey(channel string) (*channelKey, error) {
+func (e *encryptStage) throwawayKey(channel string) (*channelKey, error) {
 	members, err := e.dir.MemberKeys(channel)
 	if err != nil {
 		return nil, err

@@ -33,12 +33,12 @@ func OpenGroupEnvelope(env Envelope, member string, key *dcrypto.PrivateKey) ([]
 // deferGroupSeal switches the encrypt stage into deferred group-seal mode:
 // Handle resolves and tags the request with the channel's epoch key but
 // leaves the payload plaintext, and the batch stage seals whole groups
-// under the tagged key with one AEAD invocation. Wired by Config.Build when
+// under the tagged key with one AEAD invocation. Wired by Config.build when
 // the batch stage runs groupseal=on; requires the epoch key cache
-// (keyttl > 0), which Build validates.
-func (e *Encrypt) deferGroupSeal() { e.deferSeal = true }
+// (keyttl > 0), which build validates.
+func (e *encryptStage) deferGroupSeal() { e.deferSeal = true }
 
 // errNoGroupKey is returned when the batch stage runs groupseal=on but a
 // request arrives without a deferred epoch key — only possible when the
-// chain was assembled by hand around Config.Build's wiring.
+// chain was assembled by hand around Config.build's wiring.
 var errNoGroupKey = errors.New("middleware: batch groupseal: request carries no deferred group key (encrypt stage not in deferred mode?)")

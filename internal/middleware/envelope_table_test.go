@@ -268,7 +268,7 @@ func TestTamperedEnvelope(t *testing.T) {
 
 // sealCached runs one authenticated submission through a cached encrypt
 // stage and returns the envelope it emitted.
-func sealCached(t *testing.T, enc *Encrypt, payload string) Envelope {
+func sealCached(t *testing.T, enc *encryptStage, payload string) Envelope {
 	t.Helper()
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte(payload), authenticated: true}
 	if err := enc.Handle(context.Background(), req, func(context.Context, *Request) error { return nil }); err != nil {
@@ -291,7 +291,7 @@ func TestRevocationRotatesEphemeralKey(t *testing.T) {
 	for _, id := range []string{"alice", "bob", "carol"} {
 		members[id] = ps[id].key.Public()
 	}
-	enc, err := NewCachedEncrypt(StaticDirectory{"deals": members}, time.Hour, nil)
+	enc, err := newCachedEncrypt(StaticDirectory{"deals": members}, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestEveryFrameOfAnEpochStartsWithItsHead(t *testing.T) {
 		members[id] = p.key.Public()
 	}
 	sink := &accept{}
-	chain, err := groupCfg(2).Build(Env{CAKey: ca.PublicKey(), Directory: StaticDirectory{"deals": members}}, sink.handler)
+	chain, err := groupCfg(2).build(Env{CAKey: ca.PublicKey(), Directory: StaticDirectory{"deals": members}}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +360,9 @@ func TestEveryFrameOfAnEpochStartsWithItsHead(t *testing.T) {
 		t.Fatal("the group release does not carry its frame's SHA-256")
 	}
 
-	var enc *Encrypt
+	var enc *encryptStage
 	for _, s := range chain.stages {
-		if e, ok := s.(*Encrypt); ok {
+		if e, ok := s.(*encryptStage); ok {
 			enc = e
 		}
 	}

@@ -54,13 +54,13 @@ func newReplicatedShardedOrderer(t testing.TB, n int) (*ordering.ShardedBackend,
 // and ordinary failures still count.
 func TestBreakerExemptsFailoverWindow(t *testing.T) {
 	clock := newFakeClock()
-	br, err := NewBreaker(2, time.Second, clock.now)
+	br, err := newBreaker(2, time.Second, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var backendErr error
 	backend := func(ctx context.Context, req *Request) error { return backendErr }
-	chain := NewChain(backend, br)
+	chain := newChain(backend, br)
 	req := func() *Request { return &Request{Channel: "deals", Principal: "p", Backend: "shard-0"} }
 
 	// Far more failover-window errors than the threshold: still closed.
@@ -92,13 +92,13 @@ func TestBreakerExemptsFailoverWindow(t *testing.T) {
 // not).
 func TestBreakerHalfOpenFailoverReopens(t *testing.T) {
 	clock := newFakeClock()
-	br, err := NewBreaker(2, time.Second, clock.now)
+	br, err := newBreaker(2, time.Second, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var backendErr error = errors.New("backend down")
 	backend := func(ctx context.Context, req *Request) error { return backendErr }
-	chain := NewChain(backend, br)
+	chain := newChain(backend, br)
 	req := func() *Request { return &Request{Channel: "deals", Principal: "p", Backend: "shard-0"} }
 	for i := 0; i < 2; i++ {
 		_ = chain.execute(context.Background(), req())

@@ -279,7 +279,7 @@ func TestCodecConfigValidation(t *testing.T) {
 		_, err := Config{
 			Stages: []StageConfig{{Name: StageRateLimit}},
 			Codec:  codec,
-		}.Build(Env{}, nil)
+		}.build(Env{}, nil)
 		if !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("Config{Codec: %q} = %v, want ErrBadConfig", codec, err)
 		}
@@ -291,7 +291,7 @@ func TestCodecConfigValidation(t *testing.T) {
 		if _, err := (Config{
 			Stages: []StageConfig{{Name: StageRateLimit}},
 			Codec:  codec,
-		}).Build(Env{}, nil); err != nil {
+		}).build(Env{}, nil); err != nil {
 			t.Fatalf("codec %q rejected: %v", codec, err)
 		}
 		if _, err := EncodeWireRequest(req, codec); err != nil {
@@ -312,8 +312,8 @@ func fastpathGateway(t testing.TB, names ...string) (*Gateway, wireFront, map[st
 		members[name] = p.key.Public()
 	}
 	dir := NewSyncDirectory()
-	dir.SetChannel("deals", members)
-	dir.SetChannel("loans", members)
+	addMembers(dir, "deals", members)
+	addMembers(dir, "loans", members)
 	cfg := Config{
 		Stages: []StageConfig{
 			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}},
@@ -404,7 +404,7 @@ func TestSessionMACKeyBoundPerSession(t *testing.T) {
 	// One session's key cannot authenticate against the other's token.
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("p"), SessionToken: b.Token}
 	MACRequest(req, a.MacKey)
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestRevocationKillsMACSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	grant := openSession(t, mgr, ps["alice"])
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,18 +549,25 @@ func (b backendFunc) Commit(blk ledger.Block) error { return b.commit(blk) }
 
 // --- SyncDirectory and fingerprint cache ---
 
+// addMembers installs a channel's members in d, one AddMember each.
+func addMembers(d *SyncDirectory, channel string, members map[string]dcrypto.PublicKey) {
+	for id, key := range members {
+		d.AddMember(channel, id, key)
+	}
+}
+
 func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
 	ca, ps := enroll(t, "alice", "bob", "carol")
 	dir := NewSyncDirectory()
-	dir.SetChannel("deals", map[string]dcrypto.PublicKey{
+	addMembers(dir, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
 		"bob":   ps["bob"].key.Public(),
 	})
-	enc, err := NewCachedEncrypt(dir, time.Hour, nil)
+	enc, err := newCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain(nil, NewAuthn(ca.PublicKey(), nil), enc)
+	chain := newChain(nil, newAuthn(ca.PublicKey(), nil), enc)
 	submit := func(p *principal) *Request {
 		req := signedRequest(t, p, "deals", []byte("trade"))
 		if err := chain.execute(context.Background(), req); err != nil {
@@ -581,11 +588,7 @@ func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
 	}
 	// Membership change through the directory bumps the generation; the
 	// next seal must rotate and wrap to carol.
-	dir.SetChannel("deals", map[string]dcrypto.PublicKey{
-		"alice": ps["alice"].key.Public(),
-		"bob":   ps["bob"].key.Public(),
-		"carol": ps["carol"].key.Public(),
-	})
+	dir.AddMember("deals", "carol", ps["carol"].key.Public())
 	req := submit(ps["alice"])
 	if got := enc.epoch("deals"); got != 2 {
 		t.Fatalf("epoch after membership change = %d, want 2", got)
@@ -602,15 +605,15 @@ func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
 func TestSyncDirectoryRevocationStillExcludes(t *testing.T) {
 	ca, ps := enroll(t, "alice", "bob")
 	dir := NewSyncDirectory()
-	dir.SetChannel("deals", map[string]dcrypto.PublicKey{
+	addMembers(dir, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
 		"bob":   ps["bob"].key.Public(),
 	})
-	enc, err := NewCachedEncrypt(dir, time.Hour, nil)
+	enc, err := newCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain(nil, NewAuthn(ca.PublicKey(), nil), enc)
+	chain := newChain(nil, newAuthn(ca.PublicKey(), nil), enc)
 	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
 	if err := chain.execute(context.Background(), req); err != nil {
 		t.Fatal(err)
@@ -654,21 +657,24 @@ func (d *racyDirectory) MemberKeys(channel string) (map[string]dcrypto.PublicKey
 func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
 	ca, ps := enroll(t, "alice", "bob")
 	base := NewSyncDirectory()
-	base.SetChannel("deals", map[string]dcrypto.PublicKey{
+	addMembers(base, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
 		"bob":   ps["bob"].key.Public(),
 	})
 	dir := &racyDirectory{SyncDirectory: base}
 	dir.mutate = func() {
-		base.SetChannel("deals", map[string]dcrypto.PublicKey{
-			"alice": ps["alice"].key.Public(), // bob removed mid-request
-		})
+		// Bob removed mid-request. SyncDirectory only adds members, so the
+		// test replaces the snapshot and bumps the generation as one would.
+		base.mu.Lock()
+		base.channels["deals"] = map[string]dcrypto.PublicKey{"alice": ps["alice"].key.Public()}
+		base.gen.Add(1)
+		base.mu.Unlock()
 	}
-	enc, err := NewCachedEncrypt(dir, time.Hour, nil)
+	enc, err := newCachedEncrypt(dir, time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain(nil, NewAuthn(ca.PublicKey(), nil), enc)
+	chain := newChain(nil, newAuthn(ca.PublicKey(), nil), enc)
 	// Request 1 races the membership change; whichever snapshot it sealed
 	// to, request 2 runs entirely after the update and must exclude bob.
 	for i := 0; i < 2; i++ {

@@ -567,12 +567,12 @@ func TestKeyTableIsCanonical(t *testing.T) {
 }
 
 // FuzzParseStages throws arbitrary text at the -stages parser and hands
-// whatever it accepts to Config.Build. The parser is the one place operator
+// whatever it accepts to Config.build. The parser is the one place operator
 // text becomes configuration, so it may refuse input but never panic, every
 // refusal wraps ErrBadConfig (cmd/gateway prints the stage usage on it),
 // and what it returns is well-formed: registered stage names only and no
 // empty parameter key. A pipeline of distinct names is then ordered, or
-// refused, as the reference rulebook orders it (referenceAdmits). Build
+// refused, as the reference rulebook orders it (referenceAdmits). build
 // over an empty Env must answer with an error or a chain — a stage
 // constructor that dereferences a dependency the Env did not bring is a
 // crash at start-up.
@@ -628,13 +628,13 @@ func FuzzParseStages(f *testing.F) {
 			}
 		}
 		// A parsed pipeline builds or is refused; it never panics.
-		Config{Stages: stages}.Build(Env{}, func(context.Context, *Request) error { return nil })
+		Config{Stages: stages}.build(Env{}, func(context.Context, *Request) error { return nil })
 	})
 }
 
 func mustHello(f *testing.F, principal string, cert pki.Certificate, key *dcrypto.PrivateKey) SessionHello {
 	f.Helper()
-	hello, err := NewSessionHelloAt(principal, cert, key, time.Now())
+	hello, err := newSessionHelloAt(principal, cert, key, time.Now())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -46,14 +46,14 @@ const (
 	TopicShardRebalance = "shard.rebalance"
 )
 
-// DefaultRebalanceSkew is the load-skew factor a shard.rebalance request
+// defaultRebalanceSkew is the load-skew factor a shard.rebalance request
 // without an explicit skew uses: shards loaded beyond this multiple of the
 // mean shed channels.
-const DefaultRebalanceSkew = 2.0
+const defaultRebalanceSkew = 2.0
 
 // RebalanceRequest asks a gateway to migrate ordering channels. Either a
 // manual move (Channel + To) or an automatic pass (Skew, 0 meaning
-// DefaultRebalanceSkew).
+// defaultRebalanceSkew).
 type RebalanceRequest struct {
 	// Channel, when set, migrates that one channel to shard To.
 	Channel string `json:"channel,omitempty"`
@@ -203,6 +203,11 @@ type GatewayStats struct {
 	BatchGroupsSealed uint64
 	BatchGroupTxs     uint64
 	BatchPending      int
+	// BatchReleaseFailedTxs counts acknowledged submissions a batch release
+	// failed to order: every member of a failed group release, stranded by
+	// a rotation, filled or flushed, and each failed member of a plain
+	// release. 0 without a batch stage.
+	BatchReleaseFailedTxs uint64
 	// AuditShed and AuditRingPending always read 0: the audit stage records
 	// inline, with no ring to shed from or wait in. They are kept because
 	// the frozen benchmark reads them.
@@ -237,7 +242,7 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 		return nil, fmt.Errorf("%w: gateway needs an ordering backend", ErrBadConfig)
 	}
 	// With no injected clock the gateway runs coarseNow, but env.Now stays
-	// nil into cfg.Build: each stage constructor adopts the default clock
+	// nil into cfg.build: each stage constructor adopts the default clock
 	// itself and — crucially — KNOWS it did (defaultClock), which is what
 	// lets the session stage's per-request reading ride req.nowStamp into
 	// the encrypt stage instead of every stage reading the clock again.
@@ -276,7 +281,7 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 		metaPlain:  map[string]string{"gateway": name},
 		metaSealed: map[string]string{"envelope": EnvelopeScheme, "gateway": name},
 	}
-	chain, err := cfg.Build(env, g.order)
+	chain, err := cfg.build(env, g.order)
 	if err != nil {
 		return nil, err
 	}
@@ -364,15 +369,6 @@ func (g *Gateway) syncRevocations() int {
 	}
 	g.sweeps.Add(1)
 	return evicted
-}
-
-// ReadmitMember lifts the envelope exclusion of a previously revoked
-// identity — the operator path for an identity revoked outright and later
-// re-enrolled under a fresh certificate (its channels re-key to include it
-// on their next submission). A no-op without an encrypt stage or for
-// identities never excluded.
-func (g *Gateway) ReadmitMember(identity string) {
-	g.eachMemberKeyer(func(k memberKeyer) { k.ReadmitMember(identity) })
 }
 
 // eachMemberKeyer applies fn to every stage that wraps channel keys to
@@ -801,7 +797,7 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 // and carries its RejectLabel, which the edge sends back. The payload slice
 // is only borrowed: a binary frame decodes into the Request the chain runs,
 // which aliases it zero-copy for the run, and a stage that holds a request
-// past return copies what it holds into memory it owns (Batch.Handle; the
+// past return copies what it holds into memory it owns (batchStage.Handle; the
 // encrypt stage replaces the payload only outside deferred group-seal
 // mode), so the edge may reuse its read buffer for the next frame. The
 // Request itself is borrowed from a pool and goes back once AppendWire and
@@ -876,7 +872,7 @@ func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payl
 		} else {
 			skew := req.Skew
 			if skew == 0 {
-				skew = DefaultRebalanceSkew
+				skew = defaultRebalanceSkew
 			}
 			var err error
 			moves, err = g.sharded.Rebalance(skew)

@@ -35,7 +35,7 @@ import (
 // from it.
 
 // helloNonceBytes is the length of every hello's nonce, full or resumed: the
-// only length NewSessionHelloAt and Handshaker draw, and the only one a
+// only length newSessionHelloAt and Handshaker draw, and the only one a
 // gateway accepts — so a nonce it remembers costs it a fixed 16 bytes, not
 // whatever a frame can carry.
 const helloNonceBytes = 16

@@ -264,7 +264,7 @@ func FuzzResumeAgrees(f *testing.F) {
 		var sides [2]*resumeSide
 		for i := range sides {
 			mgr, err := NewSessionManager(ca.PublicKey(), 10*time.Minute, 5*time.Minute, clock.now,
-				WithMaxPerPrincipal(2),
+				withMaxPerPrincipal(2),
 				withRevoker(pullRevoker{ca}))
 			if err != nil {
 				t.Fatal(err)

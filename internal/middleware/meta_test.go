@@ -98,7 +98,7 @@ func newGoldenFixture(t *testing.T, name string, cfg Config) *goldenFixture {
 		t.Fatalf("NewGateway: %v", err)
 	}
 	if mgr := fx.gw.Sessions(); mgr != nil {
-		hello, err := NewSessionHelloAt("alice", cert, key, goldenClock)
+		hello, err := newSessionHelloAt("alice", cert, key, goldenClock)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -368,11 +368,9 @@ type (
 		Flush(ctx context.Context) error
 	}
 	// memberKeyer is a stage that wraps channel keys to member identities
-	// (encrypt): revocation excludes a member, and readmission lifts the
-	// exclusion.
+	// (encrypt): revocation excludes a member.
 	memberKeyer interface {
 		RevokeMember(identity string)
-		ReadmitMember(identity string)
 	}
 	// sessionHolder is the stage fronting the session manager the gateway
 	// serves session.open / session.close through.
@@ -461,10 +459,10 @@ type Chain struct {
 	timingCtr   atomic.Uint64
 }
 
-// NewChain composes stages (outermost first) around the terminal handler.
-// Ordering is the caller's responsibility; Config.Build is the validated
+// newChain composes stages (outermost first) around the terminal handler.
+// Ordering is the caller's responsibility; Config.build is the validated
 // front door.
-func NewChain(terminal Handler, stages ...Stage) *Chain {
+func newChain(terminal Handler, stages ...Stage) *Chain {
 	if terminal == nil {
 		terminal = func(context.Context, *Request) error { return nil }
 	}
@@ -567,7 +565,7 @@ func (c *Chain) execute(ctx context.Context, req *Request) error {
 }
 
 // setTimingSample enables 1-in-every sampled stage timing on the chain.
-// It must be called before traffic; Config.Build is the validated front
+// It must be called before traffic; Config.build is the validated front
 // door (the TimingSample knob).
 func (c *Chain) setTimingSample(every int) {
 	if every > 1 {

@@ -180,7 +180,7 @@ func (a *accept) count() int {
 func TestAuthnVerifiesSubmitter(t *testing.T) {
 	ca, ps := enroll(t, "alice", "bob")
 	sink := &accept{}
-	chain := NewChain(sink.handler, NewAuthn(ca.PublicKey(), nil))
+	chain := newChain(sink.handler, newAuthn(ca.PublicKey(), nil))
 
 	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
 	if err := chain.execute(context.Background(), req); err != nil {
@@ -258,11 +258,11 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 func TestEncryptRequiresAuthn(t *testing.T) {
 	_, ps := enroll(t, "alice")
 	dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public()}}
-	enc, err := NewEncrypt(dir)
+	enc, err := newEncrypt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, enc)
+	chain := newChain((&accept{}).handler, enc)
 	req := signedRequest(t, ps["alice"], "deals", []byte("secret"))
 	if err := chain.execute(context.Background(), req); !errors.Is(err, ErrNotAuthenticated) {
 		t.Fatalf("encrypt without authn = %v, want ErrNotAuthenticated", err)
@@ -279,7 +279,7 @@ func TestAuditRecordsLeakage(t *testing.T) {
 		{Name: StageEncrypt},
 		{Name: StageAudit, Params: map[string]string{"observer": "gw-op"}},
 	}}
-	chain, err := cfg.Build(Env{CAKey: ca.PublicKey(), Directory: dir, Log: log}, (&accept{}).handler)
+	chain, err := cfg.build(Env{CAKey: ca.PublicKey(), Directory: dir, Log: log}, (&accept{}).handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestAuditRecordsLeakage(t *testing.T) {
 		{Name: StageAuthn},
 		{Name: StageAudit, Params: map[string]string{"observer": "leaky-op"}},
 	}}
-	lchain, err := leaky.Build(Env{CAKey: ca.PublicKey(), Log: log}, (&accept{}).handler)
+	lchain, err := leaky.build(Env{CAKey: ca.PublicKey(), Log: log}, (&accept{}).handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,12 +316,12 @@ func TestAuditRecordsLeakage(t *testing.T) {
 
 func TestRateLimitPerPrincipal(t *testing.T) {
 	clock := newFakeClock()
-	rl, err := NewRateLimit(1, 2, clock.now)
+	rl, err := newRateLimit(1, 2, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &accept{}
-	chain := NewChain(sink.handler, rl)
+	chain := newChain(sink.handler, rl)
 	submit := func(who string) error {
 		return chain.execute(context.Background(), &Request{Channel: "deals", Principal: who})
 	}
@@ -351,7 +351,7 @@ func TestRateLimitPerPrincipal(t *testing.T) {
 
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	clock := newFakeClock()
-	br, err := NewBreaker(2, time.Second, clock.now)
+	br, err := newBreaker(2, time.Second, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		}
 		return errors.New("backend down")
 	}
-	chain := NewChain(backend, br)
+	chain := newChain(backend, br)
 	req := func() *Request { return &Request{Channel: "deals", Principal: "p", Backend: "fabric"} }
 
 	// Two consecutive failures trip the circuit.
@@ -402,12 +402,12 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 }
 
 func TestBatchAggregatesAndFlushes(t *testing.T) {
-	b, err := NewBatch(3)
+	b, err := newBatch(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &accept{}
-	chain := NewChain(sink.handler, b)
+	chain := newChain(sink.handler, b)
 	// Every submission borrows the one buffer, as a stream transport's read
 	// loop lends its frame: the stage must hold its own copy.
 	buf := make([]byte, 1)
@@ -450,7 +450,7 @@ func TestBatchAggregatesAndFlushes(t *testing.T) {
 }
 
 func TestBatchDeliversWholeGroupDespiteFailure(t *testing.T) {
-	b, err := NewBatch(3)
+	b, err := newBatch(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestBatchDeliversWholeGroupDespiteFailure(t *testing.T) {
 		}
 		return nil
 	}
-	chain := NewChain(terminal, b)
+	chain := newChain(terminal, b)
 	for i := 0; i < 2; i++ {
 		if err := chain.execute(context.Background(), &Request{
 			Channel: "c", Principal: "p", Payload: []byte{byte(i)},
@@ -488,7 +488,7 @@ func TestBatchDeliversWholeGroupDespiteFailure(t *testing.T) {
 // which another member hit that error. The release error does not match
 // it, so the filling request is neither re-buffered nor ordered twice.
 func TestRetryDoesNotReplayBatchRelease(t *testing.T) {
-	b, err := NewBatch(2)
+	b, err := newBatch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestRetryDoesNotReplayBatchRelease(t *testing.T) {
 		}
 		return nil
 	}
-	chain := NewChain(terminal, b)
+	chain := newChain(terminal, b)
 	if err := chain.execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Payload: []byte{0},
 	}); err != nil {
@@ -527,7 +527,7 @@ func TestRetryDoesNotReplayBatchRelease(t *testing.T) {
 
 func TestBreakerIgnoresStaleSuccess(t *testing.T) {
 	clock := newFakeClock()
-	br, err := NewBreaker(2, time.Second, clock.now)
+	br, err := newBreaker(2, time.Second, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestBreakerIgnoresStaleSuccess(t *testing.T) {
 		}
 		return nil
 	}
-	chain = NewChain(terminal, br)
+	chain = newChain(terminal, br)
 	if err := chain.execute(context.Background(), &Request{
 		Channel: "c", Principal: "p", Backend: "fabric",
 	}); err != nil {
@@ -570,11 +570,11 @@ func TestBreakerIgnoresStaleSuccess(t *testing.T) {
 
 func TestChainStats(t *testing.T) {
 	clock := newFakeClock()
-	rl, err := NewRateLimit(1, 1, clock.now)
+	rl, err := newRateLimit(1, 1, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, rl)
+	chain := newChain((&accept{}).handler, rl)
 	_ = chain.execute(context.Background(), &Request{Channel: "c", Principal: "a"})
 	_ = chain.execute(context.Background(), &Request{Channel: "c", Principal: "a"}) // limited
 	stats := chain.stats()

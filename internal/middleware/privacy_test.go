@@ -29,7 +29,7 @@ func runStage(t *testing.T, s Stage, req *Request) (passed bool, err error) {
 }
 
 func TestZKProofStageVerifiesRange(t *testing.T) {
-	z, err := NewZKProofRange(16, "")
+	z, err := newZKProofRange(16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestZKProofStageVerifiesRange(t *testing.T) {
 }
 
 func TestZKProofStageBindsPrincipalAndChannel(t *testing.T) {
-	z, err := NewZKProofRange(16, "")
+	z, err := newZKProofRange(16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestZKProofStageBindsPrincipalAndChannel(t *testing.T) {
 }
 
 func TestZKProofStageRejectsHostileClaims(t *testing.T) {
-	z, err := NewZKProofRange(4, "")
+	z, err := newZKProofRange(4, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestZKProofStageRejectsHostileClaims(t *testing.T) {
 }
 
 func TestZKProofStageChannelGate(t *testing.T) {
-	z, err := NewZKProofRange(16, "gated")
+	z, err := newZKProofRange(16, "gated")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestZKProofStageChannelGate(t *testing.T) {
 	}
 }
 
-func newTestWallet(t *testing.T, attrs []string) (*anoncred.Wallet, *AnonCred) {
+func newTestWallet(t *testing.T, attrs []string) (*anoncred.Wallet, *anonCredStage) {
 	t.Helper()
 	issuer := anoncred.NewIssuer("test-issuer")
 	key, err := issuer.RegisterAttributeSet(attrs)
@@ -120,7 +120,7 @@ func newTestWallet(t *testing.T, attrs []string) (*anoncred.Wallet, *AnonCred) {
 	if err := w.RequestTokens(issuer, attrs, 8); err != nil {
 		t.Fatal(err)
 	}
-	stage, err := NewAnonCred(key, attrs, "audit", true)
+	stage, err := newAnonCred(key, attrs, "audit", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestAttestStageVerifiesAndBinds(t *testing.T) {
 	}
 
 	// Output binding: the attested output is the payload.
-	stage, err := NewAttestTEE(policy, BindOutput)
+	stage, err := newAttestTEE(policy, bindOutput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestAttestStageVerifiesAndBinds(t *testing.T) {
 	}
 
 	// Input binding accepts the enclave input instead.
-	inStage, err := NewAttestTEE(policy, BindInput)
+	inStage, err := newAttestTEE(policy, bindInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestAttestStageVerifiesAndBinds(t *testing.T) {
 	// Wrong measurement: an unaudited program's quote.
 	wrongPolicy := policy
 	wrongPolicy.Measurement = tee.Program{Name: "other", Version: "9"}.Measurement()
-	wrongStage, err := NewAttestTEE(wrongPolicy, BindOff)
+	wrongStage, err := newAttestTEE(wrongPolicy, bindOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestAggregateStageCombinesAndReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	pk := &sk.PublicKey
-	agg, err := NewAggregate(pk, 3)
+	agg, err := newAggregate(pk, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestAggregateStageFlushAndGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	pk := &sk.PublicKey
-	agg, err := NewAggregate(pk, 10)
+	agg, err := newAggregate(pk, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestAggregateStageRejectsBadAggregands(t *testing.T) {
 		t.Fatal(err)
 	}
 	pk := &sk.PublicKey
-	agg, err := NewAggregate(pk, 2)
+	agg, err := newAggregate(pk, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// RateLimit is a per-principal token bucket: each principal accrues Rate
+// rateLimitStage is a per-principal token bucket: each principal accrues Rate
 // tokens per second up to Burst, and every submission spends one. A
 // principal that exhausts its bucket gets ErrRateLimited without the
 // request travelling further down the chain.
@@ -16,7 +16,7 @@ import (
 // Buckets idle long enough to have refilled completely are evicted (a full
 // bucket is indistinguishable from a fresh one), so the table tracks the
 // active principal set instead of growing one entry per principal forever.
-type RateLimit struct {
+type rateLimitStage struct {
 	rate  float64
 	burst float64
 	now   func() time.Time
@@ -31,23 +31,23 @@ type bucket struct {
 	last   time.Time
 }
 
-// NewRateLimit creates the rate-limit stage. rate is tokens per second,
+// newRateLimit creates the rate-limit stage. rate is tokens per second,
 // burst the bucket capacity (burst >= 1).
-func NewRateLimit(rate, burst float64, now func() time.Time) (*RateLimit, error) {
+func newRateLimit(rate, burst float64, now func() time.Time) (*rateLimitStage, error) {
 	if rate <= 0 || burst < 1 {
 		return nil, fmt.Errorf("middleware: rate limit needs rate > 0 and burst >= 1, got rate=%g burst=%g", rate, burst)
 	}
 	if now == nil {
 		now = time.Now
 	}
-	return &RateLimit{rate: rate, burst: burst, now: now, buckets: make(map[string]*bucket)}, nil
+	return &rateLimitStage{rate: rate, burst: burst, now: now, buckets: make(map[string]*bucket)}, nil
 }
 
 // Name implements Stage.
-func (r *RateLimit) Name() string { return StageRateLimit }
+func (r *rateLimitStage) Name() string { return StageRateLimit }
 
 // Handle implements Stage.
-func (r *RateLimit) Handle(ctx context.Context, req *Request, next Handler) error {
+func (r *rateLimitStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	if !r.allow(req.Principal) {
 		return fmt.Errorf("%w: principal %s", ErrRateLimited, req.Principal)
 	}
@@ -56,7 +56,7 @@ func (r *RateLimit) Handle(ctx context.Context, req *Request, next Handler) erro
 
 // refillWindow is how long a drained bucket takes to fill back to burst —
 // past that idle time the bucket carries no information and is evictable.
-func (r *RateLimit) refillWindow() time.Duration {
+func (r *rateLimitStage) refillWindow() time.Duration {
 	secs := r.burst / r.rate
 	if secs > float64(math.MaxInt64)/float64(time.Second) {
 		return time.Duration(math.MaxInt64)
@@ -66,7 +66,7 @@ func (r *RateLimit) refillWindow() time.Duration {
 
 // sweepLocked drops buckets idle past the refill window. Amortized: it
 // runs at most once per window, so steady traffic pays O(1) per request.
-func (r *RateLimit) sweepLocked(t time.Time) {
+func (r *rateLimitStage) sweepLocked(t time.Time) {
 	window := r.refillWindow()
 	if !r.sweepAt.IsZero() && t.Sub(r.sweepAt) < window {
 		return
@@ -79,7 +79,7 @@ func (r *RateLimit) sweepLocked(t time.Time) {
 	}
 }
 
-func (r *RateLimit) allow(principal string) bool {
+func (r *rateLimitStage) allow(principal string) bool {
 	t := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()

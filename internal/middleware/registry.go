@@ -217,7 +217,7 @@ func giversOf(f fact) string {
 // names are rejected here with the registered-stage list, keeping new
 // stages discoverable from the CLI, and so is a parameter given twice in
 // one spec; everything else (ordering, parameter values) is validated by
-// Config.Build.
+// Config.build.
 func ParseStages(s string) ([]StageConfig, error) {
 	var out []StageConfig
 	for _, seg := range strings.Split(s, "|") {
@@ -295,7 +295,7 @@ func init() {
 			if env.CAKey.IsZero() {
 				return nil, errors.New("Env.CAKey is required")
 			}
-			a := NewAuthn(env.CAKey, env.Now)
+			a := newAuthn(env.CAKey, env.Now)
 			a.revoker = env.Revoker
 			return a, nil
 		},
@@ -317,9 +317,9 @@ func init() {
 				return nil, fmt.Errorf("keyttl must be >= 0, got %v (0 disables the key cache)", ttl)
 			}
 			if ttl > 0 {
-				return NewCachedEncrypt(env.Directory, ttl, env.Now)
+				return newCachedEncrypt(env.Directory, ttl, env.Now)
 			}
-			return NewEncrypt(env.Directory)
+			return newEncrypt(env.Directory)
 		},
 	})
 	mustRegisterStage(stageDef{
@@ -338,7 +338,7 @@ func init() {
 			if depth < 0 {
 				return nil, fmt.Errorf("auditasync must be >= 0, got %d (every value records inline)", depth)
 			}
-			return NewAudit(env.Log, observer)
+			return newAudit(env.Log, observer)
 		},
 	})
 	mustRegisterStage(stageDef{
@@ -350,7 +350,7 @@ func init() {
 		},
 		gives: []factRule{{fact: factMetered}},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
-			return NewRateLimit(p.floatVal("rate", 100), p.floatVal("burst", 10), env.Now)
+			return newRateLimit(p.floatVal("rate", 100), p.floatVal("burst", 10), env.Now)
 		},
 	})
 	mustRegisterStage(stageDef{
@@ -361,7 +361,7 @@ func init() {
 			{"cooldown", "open-state duration before a probe (duration, default 1s)"},
 		},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
-			return NewBreaker(p.intVal("threshold", 5), p.duration("cooldown", time.Second), env.Now)
+			return newBreaker(p.intVal("threshold", 5), p.duration("cooldown", time.Second), env.Now)
 		},
 	})
 	mustRegisterStage(stageDef{
@@ -378,7 +378,7 @@ func init() {
 			if p.err != nil {
 				return nil, p.err
 			}
-			return NewBatch(p.intVal("size", 8))
+			return newBatch(p.intVal("size", 8))
 		},
 	})
 }
@@ -421,10 +421,10 @@ func buildSessionStage(p *params, sc StageConfig, env Env) (Stage, error) {
 		}
 		var err error
 		mgr, err = NewSessionManager(env.CAKey, ttl, idle, env.Now,
-			WithMaxPerPrincipal(maxPer), withRevoker(env.Revoker))
+			withMaxPerPrincipal(maxPer), withRevoker(env.Revoker))
 		if err != nil {
 			return nil, err
 		}
 	}
-	return NewSession(mgr)
+	return newSession(mgr)
 }

@@ -45,11 +45,11 @@ func revocableManager(t *testing.T, clock *fakeClock, names ...string) (*pki.CA,
 func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps, mgr := revocableManager(t, clock, "alice", "bob")
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, stage)
+	chain := newChain((&accept{}).handler, stage)
 	submit := func(p *principal, grant SessionGrant) error {
 		return chain.execute(context.Background(), sessionRequest(p, grant, "deals", []byte("x")))
 	}
@@ -83,7 +83,7 @@ func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 	}
 
 	// A revoked certificate cannot root a fresh session either.
-	hello, err := NewSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now())
+	hello, err := newSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestRevocationResolveModeEvictsMidSession(t *testing.T) {
 func TestRevocationPushEvictsBeforeAnyRequest(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps, mgr := revocableManager(t, clock, "alice")
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, stage)
+	chain := newChain((&accept{}).handler, stage)
 
 	grant := openSession(t, mgr, ps["alice"])
 	ca.Revoke(ps["alice"].cert.Serial)
@@ -131,11 +131,11 @@ func TestRevocationOffModeIgnoresRevoker(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice")
 	mgr := mustManager(t, ca, 10*time.Minute, 2*time.Minute, clock.now)
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, stage)
+	chain := newChain((&accept{}).handler, stage)
 
 	grant := openSession(t, mgr, ps["alice"])
 	ca.Revoke(ps["alice"].cert.Serial)
@@ -166,11 +166,11 @@ func TestRevocationNewerCertSurvivesOldSerialRevocation(t *testing.T) {
 	grant := openSession(t, mgr, ps["alice"])
 
 	ca.Revoke(oldCert.Serial)
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, stage)
+	chain := newChain((&accept{}).handler, stage)
 	err = chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	if err != nil {
 		t.Fatalf("session under renewed cert evicted by old serial: %v", err)
@@ -505,11 +505,11 @@ func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
 		clock := newFakeClock()
 		names := []string{"alice", "bob", "carol", "dave"}
 		ca, ps, mgr := revocableManager(t, clock, names...)
-		stage, err := NewSession(mgr)
+		stage, err := newSession(mgr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain := NewChain((&accept{}).handler, stage)
+		chain := newChain((&accept{}).handler, stage)
 
 		grants := make(map[string]SessionGrant, len(names))
 		for _, name := range names {
@@ -576,11 +576,11 @@ func TestRevocationUnderConcurrentSubmitters(t *testing.T) {
 func TestSessionCloseIdempotent(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps, mgr := revocableManager(t, clock, "alice")
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, stage)
+	chain := newChain((&accept{}).handler, stage)
 	submit := func(grant SessionGrant) error {
 		return chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	}
@@ -702,11 +702,11 @@ func TestEncryptRevokeMemberRacingSeal(t *testing.T) {
 		"bob":   ps["bob"].key.Public(),
 		"carol": ps["carol"].key.Public(),
 	}
-	enc, err := NewCachedEncrypt(StaticDirectory{"deals": members}, time.Hour, clock.now)
+	enc, err := newCachedEncrypt(StaticDirectory{"deals": members}, time.Hour, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, enc)
+	chain := newChain((&accept{}).handler, enc)
 	seal := func() (Envelope, error) {
 		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("x")}
 		req.authenticated = true
@@ -799,7 +799,7 @@ func TestSessionOpenRacingRevocation(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		name := fmt.Sprintf("org-%d", i)
 		ca, ps, mgr := revocableManager(t, clock, name)
-		hello, err := NewSessionHelloAt(name, ps[name].cert, ps[name].key, clock.now())
+		hello, err := newSessionHelloAt(name, ps[name].cert, ps[name].key, clock.now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -839,8 +839,8 @@ func TestSessionOpenRacingRevocation(t *testing.T) {
 // TestRevocationRotationFlowKeepsEnvelopeMembership pins the
 // superseded-cert semantics end to end: routine key rotation (re-enroll,
 // then revoke the old serial) kills sessions rooted in the old
-// certificate but must NOT exclude the identity from envelopes — and an
-// identity revoked outright can be readmitted after re-enrollment.
+// certificate but must NOT exclude the identity from envelopes, while an
+// outright revocation does.
 func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice", "bob")
@@ -902,24 +902,10 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 		t.Fatalf("rotated member lost envelope membership: %v", err)
 	}
 
-	// Outright withdrawal: revoking bob's current cert excludes him...
+	// Outright withdrawal: revoking bob's current cert excludes him.
 	ca.Revoke(renewed.Serial)
 	envl = submit("post-withdrawal")
 	if _, err := OpenEnvelope(envl, "bob", ps["bob"].key); !errors.Is(err, ErrNotRecipient) {
 		t.Fatalf("withdrawn member still a recipient: %v", err)
-	}
-	// ...and ReadmitMember brings him back on a fresh epoch after
-	// re-enrollment.
-	prevEpoch := envl.Epoch
-	if _, err := ca.Enroll("bob", ps["bob"].key.Public()); err != nil {
-		t.Fatal(err)
-	}
-	gw.ReadmitMember("bob")
-	envl = submit("post-readmission")
-	if envl.Epoch <= prevEpoch {
-		t.Fatalf("readmission did not re-key: epoch %d -> %d", prevEpoch, envl.Epoch)
-	}
-	if got, err := OpenEnvelope(envl, "bob", ps["bob"].key); err != nil || string(got) != "post-readmission" {
-		t.Fatalf("readmitted member read %q, %v", got, err)
 	}
 }

@@ -65,7 +65,7 @@ type RequestAuthMode int
 const AuthMAC RequestAuthMode = 0
 
 // SessionHello is the signed handshake a client sends to open a session:
-// the full Authn verification (certificate chain + signature) is paid once
+// the full authn verification (certificate chain + signature) is paid once
 // here instead of on every submission. The signature covers the nonce and
 // issue time, so a recorded hello cannot be replayed: the manager rejects
 // stale issue times outright and remembers nonces within the freshness
@@ -138,17 +138,17 @@ const helloFreshness = 2 * time.Minute
 // NewSessionHello builds and signs a handshake for a principal, stamped
 // with the wall clock.
 func NewSessionHello(principal string, cert pki.Certificate, key *dcrypto.PrivateKey) (SessionHello, error) {
-	return NewSessionHelloAt(principal, cert, key, time.Now())
+	return newSessionHelloAt(principal, cert, key, time.Now())
 }
 
-// NewSessionHelloAt builds and signs a handshake with an explicit issue
+// newSessionHelloAt builds and signs a handshake with an explicit issue
 // time, for callers running on an injected clock.
-func NewSessionHelloAt(principal string, cert pki.Certificate, key *dcrypto.PrivateKey, at time.Time) (SessionHello, error) {
+func newSessionHelloAt(principal string, cert pki.Certificate, key *dcrypto.PrivateKey, at time.Time) (SessionHello, error) {
 	hello, _, err := newSessionHello(principal, cert, key, at)
 	return hello, err
 }
 
-// newSessionHello is NewSessionHelloAt returning beside the hello the
+// newSessionHello is newSessionHelloAt returning beside the hello the
 // transcript digest it signed, which a client that unseals the grant's
 // master secret needs again.
 func newSessionHello(principal string, cert pki.Certificate, key *dcrypto.PrivateKey, at time.Time) (SessionHello, [32]byte, error) {
@@ -497,10 +497,10 @@ type SessionStats struct {
 // SessionOption configures a SessionManager beyond the required fields.
 type SessionOption func(*SessionManager)
 
-// WithMaxPerPrincipal caps live sessions per principal: opening a session
+// withMaxPerPrincipal caps live sessions per principal: opening a session
 // beyond the cap evicts the principal's oldest session. n <= 0 means
 // unlimited, the default.
-func WithMaxPerPrincipal(n int) SessionOption {
+func withMaxPerPrincipal(n int) SessionOption {
 	return func(m *SessionManager) {
 		if n > 0 {
 			m.maxPerPrincipal = n
@@ -1197,41 +1197,41 @@ func (m *SessionManager) statRows() []statRow {
 	}
 }
 
-// Session is the session-aware authn stage. A request carrying a token is
+// sessionStage is the session-aware authn stage. A request carrying a token is
 // bound to its session's cached verified principal by a per-session HMAC
 // over the request digest: no certificate verification and no public-key
 // operation on the hot path. A token-bearing request without a valid MAC is
 // ErrBadMAC. A request without a token passes through untouched for the
 // full authn stage downstream, so one chain serves both kinds of traffic.
-type Session struct {
+type sessionStage struct {
 	mgr *SessionManager
 }
 
-// NewSession creates the session stage over an established manager.
-func NewSession(mgr *SessionManager) (*Session, error) {
+// newSession creates the session stage over an established manager.
+func newSession(mgr *SessionManager) (*sessionStage, error) {
 	if mgr == nil {
 		return nil, errors.New("middleware: session stage needs a manager")
 	}
-	return &Session{mgr: mgr}, nil
+	return &sessionStage{mgr: mgr}, nil
 }
 
 // Name implements Stage.
-func (s *Session) Name() string { return StageSession }
+func (s *sessionStage) Name() string { return StageSession }
 
 // Manager returns the stage's session manager, the handle the gateway
 // serves session.open / session.close through.
-func (s *Session) Manager() *SessionManager { return s.mgr }
+func (s *sessionStage) Manager() *SessionManager { return s.mgr }
 
 // verifier implements verifierHolder.
-func (s *Session) verifier() *pki.Verifier { return s.mgr.certs }
+func (s *sessionStage) verifier() *pki.Verifier { return s.mgr.certs }
 
 // statRows exports the manager's numbers through the stage.
-func (s *Session) statRows() []statRow { return s.mgr.statRows() }
+func (s *sessionStage) statRows() []statRow { return s.mgr.statRows() }
 
 // Handle implements Stage. A request off the wire whose token named a live
 // session arrives with that record (Request.session) and no token string;
 // the stage checks the record, and looks nothing up again.
-func (s *Session) Handle(ctx context.Context, req *Request, next Handler) error {
+func (s *sessionStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	if req.session == nil && req.SessionToken == "" {
 		return next(ctx, req)
 	}

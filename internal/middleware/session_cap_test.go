@@ -28,7 +28,7 @@ func TestCapEvictsASessionInUse(t *testing.T) {
 	clock := newFakeClock()
 	ca, people := enrollAt(t, clock.now, "Alice")
 	alice := people["Alice"]
-	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, clock.now, WithMaxPerPrincipal(4))
+	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, clock.now, withMaxPerPrincipal(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 
 func mustHelloAt(t *testing.T, p *principal, at time.Time) SessionHello {
 	t.Helper()
-	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, at)
+	hello, err := newSessionHelloAt(p.name, p.cert, p.key, at)
 	if err != nil {
 		t.Fatal(err)
 	}

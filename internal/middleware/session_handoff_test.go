@@ -84,7 +84,7 @@ func newHandoffFixture(t *testing.T) *handoffFixture {
 func (fx *handoffFixture) open(t *testing.T, name string) SessionGrant {
 	t.Helper()
 	p := fx.people[name]
-	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, fx.clock.now())
+	hello, err := newSessionHelloAt(p.name, p.cert, p.key, fx.clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -519,7 +519,7 @@ func TestResumeTableBound(t *testing.T) {
 // to the connection its hello arrived on, and counted against the
 // per-principal cap.
 func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
-	f := newResumeFixture(t, WithMaxPerPrincipal(2))
+	f := newResumeFixture(t, withMaxPerPrincipal(2))
 	second := f.open(t)
 	if _, _, err := admitToken(f.mgr, second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
 		t.Fatalf("resumed session from another connection = %v, want ErrSessionBound", err)

@@ -30,7 +30,7 @@ type slabSession struct {
 // openSlabSession opens a session for p, bound to conn, and looks up its
 // record as the wire decoder does.
 func openSlabSession(mgr *SessionManager, p *principal, conn string) (slabSession, error) {
-	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, mgr.now())
+	hello, err := newSessionHelloAt(p.name, p.cert, p.key, mgr.now())
 	if err != nil {
 		return slabSession{}, err
 	}
@@ -99,7 +99,7 @@ func TestCarvedSessionRecordsStayTheirOwn(t *testing.T) {
 	ca, people := enrollAt(t, clock.now, names...)
 	const perPrincipal = 6
 	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, clock.now,
-		WithMaxPerPrincipal(perPrincipal), withRevoker(pullRevoker{ca}))
+		withMaxPerPrincipal(perPrincipal), withRevoker(pullRevoker{ca}))
 	if err != nil {
 		t.Fatal(err)
 	}

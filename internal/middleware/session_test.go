@@ -76,7 +76,7 @@ func admitToken(m *SessionManager, token, transportID string) (string, *dcrypto.
 
 func openSession(t testing.TB, mgr *SessionManager, p *principal) SessionGrant {
 	t.Helper()
-	hello, err := NewSessionHelloAt(p.name, p.cert, p.key, mgr.now())
+	hello, err := newSessionHelloAt(p.name, p.cert, p.key, mgr.now())
 	if err != nil {
 		t.Fatalf("NewSessionHello: %v", err)
 	}
@@ -91,12 +91,12 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice", "bob")
 	mgr := mustManager(t, ca, 10*time.Minute, 2*time.Minute, clock.now)
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &accept{}
-	chain := NewChain(sink.handler, stage, NewAuthn(ca.PublicKey(), clock.now))
+	chain := newChain(sink.handler, stage, newAuthn(ca.PublicKey(), clock.now))
 
 	grant := openSession(t, mgr, ps["alice"])
 	if grant.Principal != "alice" || grant.Token == "" {
@@ -149,14 +149,14 @@ func TestSessionRequestsAreMACOnly(t *testing.T) {
 	pipeline := func(params map[string]string) Config {
 		return Config{Stages: []StageConfig{{Name: StageSession, Params: params}, {Name: StageAuthn}}}
 	}
-	chain, err := pipeline(nil).Build(env, nil)
+	chain, err := pipeline(nil).build(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant := openSession(t, chain.stages[0].(*Session).Manager(), alice)
+	grant := openSession(t, chain.stages[0].(*sessionStage).Manager(), alice)
 	execute := func(req *Request) error { return chain.execute(context.Background(), req) }
 	build := func(params map[string]string) error {
-		_, err := pipeline(params).Build(env, nil)
+		_, err := pipeline(params).build(env, nil)
 		return err
 	}
 	for _, tc := range []struct {
@@ -206,7 +206,7 @@ func TestSessionOpenRejectsBadHandshake(t *testing.T) {
 
 	// A certificate from a different CA.
 	_, others := enrollAt(t, clock.now, "alice")
-	hello, err := NewSessionHelloAt("alice", others["alice"].cert, others["alice"].key, clock.now())
+	hello, err := newSessionHelloAt("alice", others["alice"].cert, others["alice"].key, clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSessionOpenRejectsBadHandshake(t *testing.T) {
 	}
 
 	// A certificate naming someone else.
-	hello, err = NewSessionHelloAt("mallory", ps["alice"].cert, ps["alice"].key, clock.now())
+	hello, err = newSessionHelloAt("mallory", ps["alice"].cert, ps["alice"].key, clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSessionOpenRejectsBadHandshake(t *testing.T) {
 	}
 
 	// A tampered handshake signature.
-	hello, err = NewSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now())
+	hello, err = newSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSessionOpenRejectsBadHandshake(t *testing.T) {
 	}
 
 	// A hello issued outside the freshness window, even validly signed.
-	hello, err = NewSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now().Add(-3*time.Minute))
+	hello, err = newSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now().Add(-3*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSessionOpenRejectsBadHandshake(t *testing.T) {
 	}
 
 	// A recorded hello replayed verbatim cannot mint a second token.
-	hello, err = NewSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now())
+	hello, err = newSessionHelloAt("alice", ps["alice"].cert, ps["alice"].key, clock.now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +263,11 @@ func TestSessionTokenLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice")
 	mgr := mustManager(t, ca, 10*time.Minute, 2*time.Minute, clock.now)
-	stage, err := NewSession(mgr)
+	stage, err := newSession(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, stage)
+	chain := newChain((&accept{}).handler, stage)
 	submit := func(grant SessionGrant) error {
 		return chain.execute(context.Background(), sessionRequest(ps["alice"], grant, "deals", []byte("x")))
 	}
@@ -351,7 +351,7 @@ func TestConfigSessionPlacement(t *testing.T) {
 	}
 	for _, tc := range rejected {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.Build(testEnv(t), nil); !errors.Is(err, ErrBadConfig) {
+			if _, err := tc.cfg.build(testEnv(t), nil); !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}
 		})
@@ -363,7 +363,7 @@ func TestConfigSessionPlacement(t *testing.T) {
 		stageList(StageSession, StageEncrypt),
 		stageList(StageSession, StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBatch),
 	} {
-		if _, err := ok.Build(testEnv(t), nil); err != nil {
+		if _, err := ok.build(testEnv(t), nil); err != nil {
 			t.Fatalf("valid session chain rejected: %v", err)
 		}
 	}
@@ -377,12 +377,12 @@ func TestEncryptKeyCacheEpochsAndRotation(t *testing.T) {
 		"bob":   ps["bob"].key.Public(),
 	}
 	dir := StaticDirectory{"deals": members}
-	enc, err := NewCachedEncrypt(dir, 5*time.Minute, clock.now)
+	enc, err := newCachedEncrypt(dir, 5*time.Minute, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &accept{}
-	chain := NewChain(sink.handler, enc)
+	chain := newChain(sink.handler, enc)
 	seal := func() Envelope {
 		t.Helper()
 		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("10 tons of steel")}
@@ -641,11 +641,11 @@ func TestGatewayBindIdempotent(t *testing.T) {
 
 func TestRateLimitEvictsIdleBuckets(t *testing.T) {
 	clock := newFakeClock()
-	rl, err := NewRateLimit(1, 2, clock.now) // refill window: 2s
+	rl, err := newRateLimit(1, 2, clock.now) // refill window: 2s
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := NewChain((&accept{}).handler, rl)
+	chain := newChain((&accept{}).handler, rl)
 	submit := func(who string) error {
 		return chain.execute(context.Background(), &Request{Channel: "deals", Principal: who})
 	}
@@ -679,7 +679,7 @@ func TestRateLimitEvictsIdleBuckets(t *testing.T) {
 type ctxKey string
 
 func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
-	b, err := NewBatch(2)
+	b, err := newBatch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +696,7 @@ func TestBatchReleaseDetachedFromFillingContext(t *testing.T) {
 		}
 		return nil
 	}
-	chain := NewChain(terminal, b)
+	chain := newChain(terminal, b)
 
 	// First request buffered and acknowledged under its own context.
 	if err := chain.execute(context.Background(), &Request{
@@ -779,12 +779,12 @@ func (zeroSizeUncomparableCtx) Value(key any) any {
 
 func TestBreakerStateSeesChannelCircuits(t *testing.T) {
 	clock := newFakeClock()
-	br, err := NewBreaker(2, time.Second, clock.now)
+	br, err := newBreaker(2, time.Second, clock.now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	down := func(ctx context.Context, req *Request) error { return errors.New("down") }
-	chain := NewChain(down, br)
+	chain := newChain(down, br)
 	// Requests with no Backend share the per-channel circuit.
 	for i := 0; i < 2; i++ {
 		if err := chain.execute(context.Background(), &Request{Channel: "deals", Principal: "p"}); err == nil {

@@ -53,7 +53,7 @@ func TestConfigShardingValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.Build(Env{}, nil); !errors.Is(err, ErrBadConfig) {
+			if _, err := tc.cfg.build(Env{}, nil); !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}
 		})
@@ -256,7 +256,7 @@ func (r *channelRecorder) Operators() []string { return []string{"recorder"} }
 func TestSessionPerPrincipalCap(t *testing.T) {
 	clock := newFakeClock()
 	ca, people := enrollAt(t, clock.now, "Alice", "Bob")
-	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, clock.now, WithMaxPerPrincipal(2))
+	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, clock.now, withMaxPerPrincipal(2))
 	if err != nil {
 		t.Fatalf("NewSessionManager: %v", err)
 	}

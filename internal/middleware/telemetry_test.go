@@ -48,7 +48,7 @@ func TestExclusiveStageTiming(t *testing.T) {
 		spin(2 * time.Millisecond)
 		return next(ctx, req)
 	}}
-	c := NewChain(nil, outer, inner)
+	c := newChain(nil, outer, inner)
 	if err := c.execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestExclusiveStageTimingReentrant(t *testing.T) {
 		spin(time.Millisecond)
 		return next(ctx, req)
 	}}
-	c := NewChain(nil, reentrant, inner)
+	c := newChain(nil, reentrant, inner)
 	if err := c.execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestExclusiveStageTimingBatch(t *testing.T) {
 		ordered.Add(1)
 		return nil
 	}
-	b, err := NewBatch(2)
+	b, err := newBatch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewChain(terminal, b)
+	c := newChain(terminal, b)
 	for n := 0; n < 2; n++ {
 		if err := c.execute(context.Background(), &Request{Channel: "c", Principal: "p"}); err != nil {
 			t.Fatal(err)

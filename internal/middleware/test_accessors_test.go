@@ -1,0 +1,60 @@
+package middleware
+
+// What only this package's tests call. No binary links it, so it lives in
+// a test file; TestReachedMeansKept (reach_test.go at the module root) fails
+// on unreached code outside one.
+
+// pendingCount reports the number of contributions buffered across all open
+// groups.
+func (a *aggregateStage) pendingCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, g := range a.pending {
+		n += g.count
+	}
+	return n
+}
+
+// shown reports how many distinct credential tokens the stage has
+// accepted.
+func (a *anonCredStage) shown() int { return a.shows.Shown() }
+
+// state reports the circuit state for a backend key: "closed", "open", or
+// "half-open". The key resolves the way Handle keys its circuits: a name
+// with no backend circuit falls back to the shared per-channel circuit
+// ("channel:"+name) that requests with an empty Backend trip. Unknown keys
+// are closed.
+func (b *breakerStage) state(backend string) string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	c, ok := b.circuits[backend]
+	if !ok {
+		c, ok = b.circuits["channel:"+backend]
+	}
+	if !ok {
+		return "closed"
+	}
+	switch c.state {
+	case stateOpen:
+		return "open"
+	case stateHalfOpen:
+		return "half-open"
+	default:
+		return "closed"
+	}
+}
+
+// epoch reports the current data-key epoch for a channel (0 when no cached
+// key exists yet or the cache is disabled).
+func (e *encryptStage) epoch(channel string) uint64 {
+	if e.keyTTL <= 0 {
+		return 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ck, ok := e.keys[channel]; ok {
+		return ck.epoch
+	}
+	return 0
+}

@@ -16,7 +16,7 @@ import (
 // payload is sealed.
 const StageZKProof = "zkproof"
 
-// MetaZKProof is the request Meta key carrying a wire-encoded RangeClaim.
+// MetaZKProof is the request Meta key carrying a wire-encoded rangeClaim.
 // The stage consumes the claim — the bulky proof never reaches the ledger —
 // and replaces the value with a compact verification note that rides into
 // the transaction metadata for auditors.
@@ -36,43 +36,43 @@ var (
 	ErrProofInvalid = errors.New("middleware: zkproof: range claim rejected")
 )
 
-// RangeClaim is the wire form of the zkproof stage's evidence: a Pedersen
+// rangeClaim is the wire form of the zkproof stage's evidence: a Pedersen
 // commitment and a zero-knowledge proof that the committed value lies in
 // [0, 2^bits). With Threshold set, the claim is a sufficient-funds
 // statement instead: committed value ≥ Threshold (the range proof then
 // covers the shifted commitment at the default width). The proof
 // transcript is bound to the submitting channel and principal, so claims
 // cannot be replayed across channels or submitters.
-type RangeClaim struct {
+type rangeClaim struct {
 	Comm      zkp.Commitment
 	Threshold *big.Int `json:",omitempty"`
 	Proof     zkp.RangeProof
 }
 
-// ZKProof verifies range claims carried in request metadata. Construction
+// zkProofStage verifies range claims carried in request metadata. Construction
 // is the only configuration point; Handle allocates nothing on requests
 // for other channels.
-type ZKProof struct {
+type zkProofStage struct {
 	bits    int
 	channel string
 }
 
-// NewZKProofRange creates the stage. bits is the required proof width;
+// newZKProofRange creates the stage. bits is the required proof width;
 // channel, when non-empty, gates only that channel and passes every other
 // request through untouched.
-func NewZKProofRange(bits int, channel string) (*ZKProof, error) {
+func newZKProofRange(bits int, channel string) (*zkProofStage, error) {
 	if bits < 1 || bits > 64 {
 		return nil, fmt.Errorf("middleware: zkproof bits must be in [1, 64], got %d", bits)
 	}
-	return &ZKProof{bits: bits, channel: channel}, nil
+	return &zkProofStage{bits: bits, channel: channel}, nil
 }
 
 // Name implements Stage.
-func (z *ZKProof) Name() string { return StageZKProof }
+func (z *zkProofStage) Name() string { return StageZKProof }
 
 // Handle implements Stage: decode, sanitize, and verify the claim, then
 // strip the proof from the request and pass it on.
-func (z *ZKProof) Handle(ctx context.Context, req *Request, next Handler) error {
+func (z *zkProofStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	if z.channel != "" && req.Channel != z.channel {
 		return next(ctx, req)
 	}
@@ -83,7 +83,7 @@ func (z *ZKProof) Handle(ctx context.Context, req *Request, next Handler) error 
 	if len(blob) > maxProofWireBytes {
 		return fmt.Errorf("%w: claim exceeds %d bytes", ErrProofInvalid, maxProofWireBytes)
 	}
-	var claim RangeClaim
+	var claim rangeClaim
 	if err := json.Unmarshal([]byte(blob), &claim); err != nil {
 		return fmt.Errorf("%w: %v", ErrProofInvalid, err)
 	}
@@ -111,7 +111,7 @@ func (z *ZKProof) Handle(ctx context.Context, req *Request, next Handler) error 
 // every point must be a valid group element (hostile off-curve or
 // oversized coordinates would panic inside crypto/elliptic) and the proof
 // shape must match the configured width, bounding verification work.
-func checkRangeClaim(claim *RangeClaim, bits int) error {
+func checkRangeClaim(claim *rangeClaim, bits int) error {
 	if claim.Proof.Bits != bits {
 		return fmt.Errorf("proof width %d, stage requires %d", claim.Proof.Bits, bits)
 	}
@@ -154,7 +154,7 @@ func AttachRangeProof(req *Request, v *big.Int, bits int) (zkp.Commitment, error
 	if err != nil {
 		return zkp.Commitment{}, err
 	}
-	return comm, attachRangeClaim(req, RangeClaim{Comm: comm, Proof: proof})
+	return comm, attachRangeClaim(req, rangeClaim{Comm: comm, Proof: proof})
 }
 
 // AttachSufficientFundsProof commits to balance and proves
@@ -170,10 +170,10 @@ func AttachSufficientFundsProof(req *Request, balance, threshold *big.Int) (zkp.
 	if err != nil {
 		return zkp.Commitment{}, err
 	}
-	return comm, attachRangeClaim(req, RangeClaim{Comm: comm, Threshold: proof.Threshold, Proof: proof.Range})
+	return comm, attachRangeClaim(req, rangeClaim{Comm: comm, Threshold: proof.Threshold, Proof: proof.Range})
 }
 
-func attachRangeClaim(req *Request, claim RangeClaim) error {
+func attachRangeClaim(req *Request, claim rangeClaim) error {
 	blob, err := json.Marshal(claim)
 	if err != nil {
 		return err
@@ -205,7 +205,7 @@ func init() {
 			if p.err != nil {
 				return nil, p.err
 			}
-			return NewZKProofRange(bits, channel)
+			return newZKProofRange(bits, channel)
 		},
 	})
 }

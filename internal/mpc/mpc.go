@@ -39,9 +39,6 @@ var fieldPrime = func() *big.Int {
 	return p.Sub(p, big.NewInt(19))
 }()
 
-// FieldPrime returns (a copy of) the field modulus.
-func FieldPrime() *big.Int { return new(big.Int).Set(fieldPrime) }
-
 // Share splits secret into n additive shares: uniformly random values whose
 // sum is the secret mod p. Any strict subset of shares is uniformly
 // distributed and reveals nothing.

@@ -80,8 +80,8 @@ func TestEnrollmentHandlerAppendsAsItServes(t *testing.T) {
 		refused     bool
 		cert        bool
 	}{
-		{"enroll", TopicEnroll, enroll, false, true},
-		{"enroll refused", TopicEnroll, []byte("{"), true, false},
+		{"enroll", topicEnroll, enroll, false, true},
+		{"enroll refused", topicEnroll, []byte("{"), true, false},
 		{"forwarded session.close", middleware.TopicSessionClose, []byte("no such token"), false, false},
 		{"forwarded submit refused", middleware.TopicSubmit, []byte{0xDC}, true, false},
 	}

@@ -50,8 +50,8 @@
 // behind a frame that has only partly arrived. Nothing is queued beyond
 // that buffer: when a peer stops reading its replies the reader's write
 // blocks, which stops it reading requests, and through TCP backpressure
-// reaches the client. The write deadline (WithWriteTimeout) bounds that
-// wait: a write that passes it sheds the connection, closing it and
+// reaches the client. The write deadline (30 s, the edge's fixed default)
+// bounds that wait: a write that passes it sheds the connection, closing it and
 // counting it in Sheds. Reads and writes both carry deadlines, so a dead
 // peer costs an idle window, not a leaked connection; the idle deadline is
 // armed each time the reader is about to wait on the socket, not per

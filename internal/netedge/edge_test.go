@@ -453,7 +453,7 @@ func TestEdgeConcurrentClients(t *testing.T) {
 // length prefixes, truncated frames, unknown kinds. The server must
 // reject and close, never panic, and keep serving fresh connections.
 func TestEdgeMalformedFrames(t *testing.T) {
-	e := newEdgeEnv(t, WithMaxFrame(1<<16))
+	e := newEdgeEnv(t, func(o *options) { o.maxFrame = 1 << 16 })
 	raws := [][]byte{
 		// Hostile length prefix: 4 GiB frame announced.
 		{0xff, 0xff, 0xff, 0xff},
@@ -518,7 +518,7 @@ func TestEdgeMalformedFrames(t *testing.T) {
 // a live connection: an oversized announcement kills it before any
 // allocation of the announced size.
 func TestEdgeFrameTooBigRejected(t *testing.T) {
-	e := newEdgeEnv(t, WithMaxFrame(1024))
+	e := newEdgeEnv(t, func(o *options) { o.maxFrame = 1024 })
 	conn, err := net.Dial("tcp", e.addr())
 	if err != nil {
 		t.Fatal(err)
@@ -538,7 +538,7 @@ func TestEdgeFrameTooBigRejected(t *testing.T) {
 // TestEdgeIdleTimeout proves a silent connection is reaped by the read
 // deadline rather than leaking.
 func TestEdgeIdleTimeout(t *testing.T) {
-	e := newEdgeEnv(t, WithIdleTimeout(100*time.Millisecond))
+	e := newEdgeEnv(t, func(o *options) { o.idleTimeout = 100 * time.Millisecond })
 	conn, err := net.Dial("tcp", e.addr())
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +554,7 @@ func TestEdgeIdleTimeout(t *testing.T) {
 // too large for the socket buffers and proves the write deadline sheds it:
 // the connection is dropped with exactly one accounted shed, torn down
 // once, instead of queueing replies without bound. Shedding needs no
-// option; WithWriteTimeout is the bound.
+// option; the write timeout is the bound.
 func TestEdgeBackpressureShed(t *testing.T) {
 	// A handler with a large reply fills the socket buffers in a few
 	// requests, and the reply write that finds them full passes its
@@ -564,7 +564,7 @@ func TestEdgeBackpressureShed(t *testing.T) {
 		return big, nil
 	})
 	hooked := make(chan string, 4)
-	srv, err := Listen("127.0.0.1:0", h, WithMaxFrame(1<<20), WithWriteTimeout(200*time.Millisecond),
+	srv, err := Listen("127.0.0.1:0", h, func(o *options) { o.maxFrame, o.writeTimeout = 1<<20, 200*time.Millisecond },
 		WithConnCloseHook(func(id string) { hooked <- id }))
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,11 @@ import (
 	"dltprivacy/internal/pki"
 )
 
-// TopicEnroll is the trust-bootstrap topic a remote-process client uses to
+// topicEnroll is the trust-bootstrap topic a remote-process client uses to
 // get its public key certified by the gateway's CA before it can open
 // sessions: separate processes share nothing but the socket, not a CA
 // object.
-const TopicEnroll = "pki.enroll"
+const topicEnroll = "pki.enroll"
 
 // enrollRequest is the wire form of an enrollment: an identity claiming a
 // public key (SEC1 bytes). Deployments with a real registration authority
@@ -24,7 +24,7 @@ type enrollRequest struct {
 	PublicKey []byte `json:"publicKey"`
 }
 
-// EnrollmentHandler wraps next with TopicEnroll service from ca: every
+// EnrollmentHandler wraps next with topicEnroll service from ca: every
 // other topic passes through untouched, appended by next. onEnroll, if
 // non-nil, runs after a successful enrollment — the hook cmd/gateway uses
 // to add the new principal to the channel directory so its envelopes can be
@@ -48,7 +48,7 @@ func (h *enrollmentHandler) ServeWire(ctx context.Context, topic string, payload
 
 // AppendWire implements Handler.
 func (h *enrollmentHandler) AppendWire(ctx context.Context, dst []byte, topic string, payload []byte, transportID string) ([]byte, error) {
-	if topic != TopicEnroll {
+	if topic != topicEnroll {
 		return h.next.AppendWire(ctx, dst, topic, payload, transportID)
 	}
 	cert, err := h.enroll(payload)
@@ -91,7 +91,7 @@ func (c *Client) Enroll(ctx context.Context, identity string, pub dcrypto.Public
 	if err != nil {
 		return pki.Certificate{}, fmt.Errorf("netedge: encode enroll request: %w", err)
 	}
-	reply, err := c.Call(ctx, TopicEnroll, b)
+	reply, err := c.Call(ctx, topicEnroll, b)
 	if err != nil {
 		return pki.Certificate{}, err
 	}

@@ -58,11 +58,20 @@ func (f HandlerFunc) AppendWire(ctx context.Context, dst []byte, topic string, p
 	return append(dst, reply...), nil
 }
 
-// options collects the server knobs; see the With* constructors.
+// options collects the server knobs; see the With* constructors. The
+// bounds have no constructor: Listen sets their defaults, and only tests
+// of this package change them.
 type options struct {
-	acceptLoops  int
-	maxFrame     int
-	idleTimeout  time.Duration
+	acceptLoops int
+	// maxFrame bounds the stream frame size accepted and produced
+	// (DefaultMaxFrame, 1 MiB).
+	maxFrame int
+	// idleTimeout bounds how long a connection may sit without delivering
+	// a frame before the read deadline reaps it (5m; 0 disables).
+	idleTimeout time.Duration
+	// writeTimeout bounds each reply write (30s; 0 disables). A write that
+	// passes it sheds the connection: the peer has stopped reading its
+	// replies, so the connection is closed and counted in Sheds.
 	writeTimeout time.Duration
 	connClose    func(transportID string)
 }
@@ -79,30 +88,6 @@ func WithAcceptLoops(n int) Option {
 			o.acceptLoops = n
 		}
 	}
-}
-
-// WithMaxFrame bounds the stream frame size accepted and produced.
-// Default DefaultMaxFrame (1 MiB).
-func WithMaxFrame(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.maxFrame = n
-		}
-	}
-}
-
-// WithIdleTimeout bounds how long a connection may sit without delivering
-// a frame before the read deadline reaps it. Default 5m; 0 disables.
-func WithIdleTimeout(d time.Duration) Option {
-	return func(o *options) { o.idleTimeout = d }
-}
-
-// WithWriteTimeout bounds each reply write. A write that passes it sheds
-// the connection: the peer has stopped reading its replies, so the
-// connection is closed and counted in Sheds. Default 30s; 0 disables, and
-// a peer that never reads then holds its connection until it closes.
-func WithWriteTimeout(d time.Duration) Option {
-	return func(o *options) { o.writeTimeout = d }
 }
 
 // WithConnCloseHook runs fn with the connection's transport identity after
@@ -154,7 +139,7 @@ type EdgeStats struct {
 	BytesIn  uint64
 	BytesOut uint64
 	// Sheds counts connections dropped because a reply write passed its
-	// deadline (WithWriteTimeout): the peer stopped reading. Other write
+	// deadline (options.writeTimeout): the peer stopped reading. Other write
 	// failures close the connection without counting here.
 	Sheds uint64
 	// FrameErrors counts malformed or oversized stream frames (each also

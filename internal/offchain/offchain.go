@@ -103,9 +103,6 @@ func NewStore(host string, authorized []string, opts ...Option) *Store {
 	return s
 }
 
-// Host returns the hosting principal.
-func (s *Store) Host() string { return s.host }
-
 // Put stores a value and returns its anchor for on-chain reference. The
 // host observes the value.
 func (s *Store) Put(key string, value []byte) (Anchor, error) {

@@ -22,7 +22,7 @@ func TestRestartAllocationsFlatInHeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	cv := &ChainVerifier{}
-	c.Subscribe(cv.Deliver)
+	c.subscribe(cv.Deliver)
 	rejoin := func() float64 {
 		leader, err := c.Leader()
 		if err != nil {
@@ -43,7 +43,7 @@ func TestRestartAllocationsFlatInHeight(t *testing.T) {
 	}
 	var at100 float64
 	for i := 1; i <= 10000; i++ {
-		if err := c.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
+		if err := c.submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 		for _, n := range c.nodes {
@@ -65,7 +65,7 @@ func TestRestartAllocationsFlatInHeight(t *testing.T) {
 			if err := c.Restart(leader); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Elect(); err != nil {
+			if _, err := c.elect(); err != nil {
 				t.Fatalf("Elect after %d blocks: %v", i, err)
 			}
 		}
@@ -96,7 +96,7 @@ func TestCancelPendingAllocations(t *testing.T) {
 		if i == 10 || i == 20 {
 			tx = twice
 		}
-		if err := c.Submit(tx); err != nil {
+		if err := c.submit(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestQueueChunkAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var next uint64
-	c.Subscribe(func(b ledger.Block) error {
+	c.subscribe(func(b ledger.Block) error {
 		if b.Number != next || len(b.Txs) != 1 {
 			t.Errorf("block %d with %d transactions, want block %d with 1", b.Number, len(b.Txs), next)
 		}
@@ -144,7 +144,7 @@ func TestQueueChunkAllocations(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1, func() {
 		for _, tx := range txs {
-			if err := c.Submit(tx); err != nil {
+			if err := c.submit(tx); err != nil {
 				t.Fatal(err)
 			}
 		}

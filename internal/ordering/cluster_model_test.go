@@ -174,9 +174,9 @@ func FuzzClusterModel(f *testing.F) {
 				t.Fatal(err)
 			}
 			c.adoptState(st)
-			c.Subscribe(cv.Deliver)
+			c.subscribe(cv.Deliver)
 			kept = kept[:0]
-			c.Subscribe(func(b ledger.Block) error {
+			c.subscribe(func(b ledger.Block) error {
 				b.Txs = append(b.Txs, junk)
 				kept = append(kept, b)
 				return nil
@@ -201,7 +201,7 @@ func FuzzClusterModel(f *testing.F) {
 					break
 				}
 				tx := mkTx("trade", "BankA", fmt.Sprintf("k%d", step))
-				got, want = c.Submit(tx), ref.submit(tx)
+				got, want = c.submit(tx), ref.submit(tx)
 			case 2, 3, 4:
 				i := node(op, 2, len(ops))
 				got = c.Crash(ops[i])
@@ -211,7 +211,7 @@ func FuzzClusterModel(f *testing.F) {
 				got = c.Restart(ops[i])
 				ref.restart(i)
 			case 8:
-				_, got = c.Elect()
+				_, got = c.elect()
 				want = ref.elect()
 			case 9:
 				if op < 128 {

@@ -14,7 +14,7 @@ import (
 // the channel's members, the third-party orderer when there is one — and
 // recovers from leader loss on its own. A submission that hits a dead
 // leader triggers an election under single-flight — concurrent submitters
-// queue behind one Elect instead of stampeding — after which queued
+// queue behind one election instead of stampeding — after which queued
 // in-flight transactions are replayed in order and the submission retried.
 // Per-channel delivery order is preserved across the kill: the new leader
 // resumes from the quorum-committed position, and the replay flush
@@ -73,14 +73,6 @@ func (rs *ReplicatedShard) cluster(channel string) *Cluster {
 	return c
 }
 
-// lookup returns the channel's cluster, nil for a channel the shard has
-// never served: asking after a channel must not start a chain for it.
-func (rs *ReplicatedShard) lookup(channel string) *Cluster {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.clusters[channel]
-}
-
 // newCluster builds a channel's cluster over the shard's operators.
 func (rs *ReplicatedShard) newCluster(channel string) *Cluster {
 	return buildCluster(channel, rs.operators, rs.config, &rs.installs)
@@ -104,7 +96,7 @@ func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 	// The generation before the submission: an election completed after
 	// this read answers the outage this submission is about to see.
 	seen := c.gen.Load()
-	err := c.Submit(tx)
+	err := c.submit(tx)
 	if err == nil {
 		return nil
 	}
@@ -119,7 +111,7 @@ func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 			// it twice.
 			err = c.Flush()
 		} else {
-			err = c.Submit(tx)
+			err = c.submit(tx)
 			queued = errors.Is(err, ErrQueuedAwaitingLeader)
 		}
 	}
@@ -129,32 +121,6 @@ func (rs *ReplicatedShard) Submit(tx ledger.Transaction) error {
 		return nil
 	}
 	return err
-}
-
-// Flush cuts a block from the channel's queued transactions without
-// waiting for the batch to fill.
-func (rs *ReplicatedShard) Flush(channel string) error {
-	c := rs.lookup(channel)
-	if c == nil {
-		return fmt.Errorf("%w: %s", errUnknownChannel, channel)
-	}
-	return c.Flush()
-}
-
-// pendingCount returns the number of queued transactions for a channel.
-func (rs *ReplicatedShard) pendingCount(channel string) int {
-	if c := rs.lookup(channel); c != nil {
-		return c.pendingCount()
-	}
-	return 0
-}
-
-// height returns the shard-side chain height for a channel.
-func (rs *ReplicatedShard) height(channel string) uint64 {
-	if c := rs.lookup(channel); c != nil {
-		return c.height()
-	}
-	return 0
 }
 
 // failover elects a new leader for the cluster under single-flight and
@@ -170,7 +136,7 @@ func (rs *ReplicatedShard) failover(c *Cluster, seen uint64) error {
 		// one's read; don't run a second election for the same outage.
 		return nil
 	}
-	if _, err := c.Elect(); err != nil {
+	if _, err := c.elect(); err != nil {
 		return err
 	}
 	c.gen.Add(1)
@@ -269,7 +235,7 @@ func (rs *ReplicatedShard) Revive() {
 
 // Subscribe implements Backend.
 func (rs *ReplicatedShard) Subscribe(channel string, deliver DeliverFunc) {
-	rs.cluster(channel).Subscribe(deliver)
+	rs.cluster(channel).subscribe(deliver)
 }
 
 // ExportChannel implements ChannelMigrator. Any subscribers registered on

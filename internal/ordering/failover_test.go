@@ -187,7 +187,7 @@ func TestSubmitErrorAfterElectionMeansNotOrdered(t *testing.T) {
 	for _, op := range followers[:3] {
 		_ = c.Crash(op)
 	}
-	if err := c.Submit(mkTx("trade", "BankA", "queued")); !errors.Is(err, ErrQueuedAwaitingLeader) {
+	if err := c.submit(mkTx("trade", "BankA", "queued")); !errors.Is(err, ErrQueuedAwaitingLeader) {
 		t.Fatalf("submit without quorum = %v, want ErrQueuedAwaitingLeader", err)
 	}
 	for _, op := range followers[:3] {
@@ -491,7 +491,7 @@ func TestStaleFollowerCannotForkChain(t *testing.T) {
 	}
 	elect := func(want string) {
 		t.Helper()
-		got, err := c.Elect()
+		got, err := c.elect()
 		if err != nil || got != want {
 			t.Fatalf("Elect = %q, %v; want %q", got, err, want)
 		}

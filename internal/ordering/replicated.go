@@ -138,16 +138,6 @@ func checkSize(operators int) error {
 	return nil
 }
 
-// NewCluster creates an ordering cluster for a channel, one node per
-// operator: one, or at least three. The first operator starts as leader (a
-// deterministic bootstrap election).
-func NewCluster(channel string, operators []string, visibility Visibility, opts ...Option) (*Cluster, error) {
-	if err := checkSize(len(operators)); err != nil {
-		return nil, err
-	}
-	return buildCluster(channel, operators, newConfig(visibility, opts), new(atomic.Uint64)), nil
-}
-
 // buildCluster builds a cluster over operators the caller has size-checked,
 // counting position installs on the given counter.
 func buildCluster(channel string, operators []string, cfg config, installs *atomic.Uint64) *Cluster {
@@ -165,10 +155,10 @@ func buildCluster(channel string, operators []string, cfg config, installs *atom
 	return c
 }
 
-// Subscribe registers a block consumer. The list is copied on write, so
+// subscribe registers a block consumer. The list is copied on write, so
 // Flush delivers from the slice it read under the lock instead of copying
 // it for every block.
-func (c *Cluster) Subscribe(deliver DeliverFunc) {
+func (c *Cluster) subscribe(deliver DeliverFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.subs = append(slices.Clip(c.subs), deliver)
@@ -254,11 +244,11 @@ func (c *Cluster) indexOf(operator string) int {
 	return -1
 }
 
-// Elect runs a leader election: the first live node with the highest
+// elect runs a leader election: the first live node with the highest
 // committed position that can gather a majority of live votes becomes
 // leader at a new term, and every live follower installs its position.
 // Returns the new leader's operator.
-func (c *Cluster) Elect() (string, error) {
+func (c *Cluster) elect() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Candidate choice: live node with the highest committed position
@@ -301,8 +291,8 @@ func (c *Cluster) Elect() (string, error) {
 	return c.nodes[best].operator, nil
 }
 
-// Submit queues a transaction with the current leader.
-func (c *Cluster) Submit(tx ledger.Transaction) error {
+// submit queues a transaction with the current leader.
+func (c *Cluster) submit(tx ledger.Transaction) error {
 	if err := tx.Validate(); err != nil {
 		return fmt.Errorf("cluster submit: %w", err)
 	}
@@ -369,20 +359,6 @@ func (c *Cluster) cancelPending(tx ledger.Transaction) bool {
 		}
 	}
 	return false
-}
-
-// pendingCount returns the number of queued-but-unsequenced transactions.
-func (c *Cluster) pendingCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
-// height returns the number of blocks the cluster has committed.
-func (c *Cluster) height() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.head.height
 }
 
 // exportState snapshots the cluster's chain state for migration: committed

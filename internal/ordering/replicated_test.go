@@ -18,7 +18,7 @@ func newCluster(t *testing.T, opts ...Option) (*Cluster, *ledger.Ledger) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	l := ledger.New("trade")
-	c.Subscribe(l.Append)
+	c.subscribe(l.Append)
 	return c, l
 }
 
@@ -73,7 +73,7 @@ func TestClusterTooSmall(t *testing.T) {
 func TestClusterOrdersAndReplicates(t *testing.T) {
 	c, l := newCluster(t)
 	for i := 0; i < 5; i++ {
-		if err := c.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
+		if err := c.submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestSubmitPrimesDigestAtIntake(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, c.Submit, c.Subscribe)
+		check(t, c.submit, c.subscribe)
 	})
 	t.Run("Service", func(t *testing.T) {
 		s := New("op", VisibilityEnvelope)
@@ -135,7 +135,7 @@ func TestLeaderBootstrap(t *testing.T) {
 
 func TestFailoverAfterLeaderCrash(t *testing.T) {
 	c, l := newCluster(t)
-	if err := c.Submit(mkTx("trade", "BankA", "k0")); err != nil {
+	if err := c.submit(mkTx("trade", "BankA", "k0")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	if err := c.Crash("BankA"); err != nil {
@@ -144,10 +144,10 @@ func TestFailoverAfterLeaderCrash(t *testing.T) {
 	if _, err := c.Leader(); !errors.Is(err, ErrNoLeader) {
 		t.Fatalf("Leader after crash = %v, want ErrNoLeader", err)
 	}
-	if err := c.Submit(mkTx("trade", "SellerCo", "k1")); !errors.Is(err, ErrNoLeader) {
+	if err := c.submit(mkTx("trade", "SellerCo", "k1")); !errors.Is(err, ErrNoLeader) {
 		t.Fatalf("Submit without leader = %v, want ErrNoLeader", err)
 	}
-	newLeader, err := c.Elect()
+	newLeader, err := c.elect()
 	if err != nil {
 		t.Fatalf("Elect: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestFailoverAfterLeaderCrash(t *testing.T) {
 		t.Fatal("crashed node must not win the election")
 	}
 	// Ordering resumes and the chain continues from the committed state.
-	if err := c.Submit(mkTx("trade", "SellerCo", "k1")); err != nil {
+	if err := c.submit(mkTx("trade", "SellerCo", "k1")); err != nil {
 		t.Fatalf("Submit after failover: %v", err)
 	}
 	if l.Height() != 2 {
@@ -175,7 +175,7 @@ func TestMinorityPartitionLosesLiveness(t *testing.T) {
 		t.Fatalf("Crash: %v", err)
 	}
 	// Leader alone cannot reach quorum.
-	err := c.Submit(mkTx("trade", "BankA", "k"))
+	err := c.submit(mkTx("trade", "BankA", "k"))
 	if !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("Submit without quorum = %v, want ErrNoQuorum", err)
 	}
@@ -183,7 +183,7 @@ func TestMinorityPartitionLosesLiveness(t *testing.T) {
 	if err := c.Crash("BankA"); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
-	if _, err := c.Elect(); !errors.Is(err, ErrNoQuorum) {
+	if _, err := c.elect(); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("Elect with all down = %v, want ErrNoQuorum", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestQuorumFailureRollsBack(t *testing.T) {
 	c, l := newCluster(t)
 	_ = c.Crash("SellerCo")
 	_ = c.Crash("BuyerInc")
-	if err := c.Submit(mkTx("trade", "BankA", "k")); !errors.Is(err, ErrNoQuorum) {
+	if err := c.submit(mkTx("trade", "BankA", "k")); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("Submit = %v, want ErrNoQuorum", err)
 	}
 	if l.Height() != 0 {
@@ -222,13 +222,13 @@ func TestClusterFlushWithoutSubscribersKeepsQueue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	if err := c.Submit(mkTx("trade", "BankA", "k0")); err != nil {
+	if err := c.submit(mkTx("trade", "BankA", "k0")); err != nil {
 		t.Fatalf("Submit below the batch size: %v", err)
 	}
 	if err := c.Flush(); !errors.Is(err, ErrNoSubscribers) {
 		t.Fatalf("Flush without subscribers = %v, want ErrNoSubscribers", err)
 	}
-	if err := c.Submit(mkTx("trade", "BankA", "k1")); !errors.Is(err, ErrNoSubscribers) {
+	if err := c.submit(mkTx("trade", "BankA", "k1")); !errors.Is(err, ErrNoSubscribers) {
 		t.Fatalf("Submit filling the batch = %v, want ErrNoSubscribers", err)
 	}
 	if c.pendingCount() != 2 || c.height() != 0 || c.retained() != 0 {
@@ -241,7 +241,7 @@ func TestClusterFlushWithoutSubscribersKeepsQueue(t *testing.T) {
 		}
 	}
 	l := ledger.New("trade")
-	c.Subscribe(l.Append)
+	c.subscribe(l.Append)
 	if err := c.Flush(); err != nil {
 		t.Fatalf("Flush with a subscriber: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestRestartCatchesUp(t *testing.T) {
 		t.Fatalf("Crash: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := c.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
+		if err := c.submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
@@ -289,13 +289,13 @@ func TestRestartCatchesUp(t *testing.T) {
 func TestElectionPrefersLongestLog(t *testing.T) {
 	c, _ := newCluster(t)
 	// Commit one block, then crash a follower so it lags.
-	if err := c.Submit(mkTx("trade", "BankA", "k0")); err != nil {
+	if err := c.submit(mkTx("trade", "BankA", "k0")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	if err := c.Crash("BuyerInc"); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
-	if err := c.Submit(mkTx("trade", "BankA", "k1")); err != nil {
+	if err := c.submit(mkTx("trade", "BankA", "k1")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	// Crash the leader; restart the lagging node WITHOUT catch-up being
@@ -307,7 +307,7 @@ func TestElectionPrefersLongestLog(t *testing.T) {
 	c.nodes[idx].mu.Lock()
 	c.nodes[idx].down = false
 	c.nodes[idx].mu.Unlock()
-	leader, err := c.Elect()
+	leader, err := c.elect()
 	if err != nil {
 		t.Fatalf("Elect: %v", err)
 	}
@@ -320,7 +320,7 @@ func TestClusterVisibilityConfinedToMembers(t *testing.T) {
 	log := audit.NewHistory()
 	c, _ := newCluster(t, WithAuditLog(log))
 	tx := mkTx("trade", "BankA", "k")
-	if err := c.Submit(tx); err != nil {
+	if err := c.submit(tx); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	id := tx.ID()
@@ -347,14 +347,14 @@ func TestClusterVisibilityConfinedToMembers(t *testing.T) {
 func TestClusterBatching(t *testing.T) {
 	c, l := newCluster(t, WithBatchSize(3))
 	for i := 0; i < 2; i++ {
-		if err := c.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
+		if err := c.submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
 	if l.Height() != 0 {
 		t.Fatal("batch must not cut early")
 	}
-	if err := c.Submit(mkTx("trade", "BankA", "k2")); err != nil {
+	if err := c.submit(mkTx("trade", "BankA", "k2")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	if l.Height() != 1 {
@@ -368,7 +368,7 @@ func TestClusterBatching(t *testing.T) {
 
 func TestClusterRejectsInvalidTx(t *testing.T) {
 	c, _ := newCluster(t)
-	if err := c.Submit(ledger.Transaction{Creator: "x"}); err == nil {
+	if err := c.submit(ledger.Transaction{Creator: "x"}); err == nil {
 		t.Fatal("invalid tx must be rejected")
 	}
 }

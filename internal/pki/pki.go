@@ -293,12 +293,6 @@ func WithClock(now func() time.Time) Option {
 	return func(ca *CA) { ca.now = now }
 }
 
-// WithMembershipList makes the CA expose the global membership list.
-// Platforms that want member privacy leave it off.
-func WithMembershipList() Option {
-	return func(ca *CA) { ca.exposeList = true }
-}
-
 // NewCA creates a certificate authority with a fresh signing key.
 func NewCA(name string, opts ...Option) (*CA, error) {
 	key, err := dcrypto.GenerateKey()
@@ -471,21 +465,6 @@ func (ca *CA) OnRevoke(fn func(Revocation)) (cancel func()) {
 	}
 }
 
-// Verify checks a certificate's signature, validity window, and revocation
-// status against this CA.
-func (ca *CA) Verify(cert Certificate) error {
-	if err := VerifyCertificate(cert, ca.PublicKey(), ca.now()); err != nil {
-		return err
-	}
-	ca.mu.Lock()
-	revoked := ca.revoked[cert.Serial]
-	ca.mu.Unlock()
-	if revoked {
-		return ErrRevoked
-	}
-	return nil
-}
-
 // VerifyCertificate validates a certificate against a pinned CA key without
 // consulting revocation state. Relying parties that only hold the CA public
 // key use this form.
@@ -499,32 +478,6 @@ func VerifyCertificate(cert Certificate, caKey dcrypto.PublicKey, at time.Time) 
 	return nil
 }
 
-// Members returns the global membership list if the CA exposes one, or
-// ErrMembershipHidden otherwise.
-func (ca *CA) Members() ([]string, error) {
-	if !ca.exposeList {
-		return nil, ErrMembershipHidden
-	}
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	out := make([]string, 0, len(ca.enrolled))
-	for id := range ca.enrolled {
-		out = append(out, id)
-	}
-	return out, nil
-}
-
 // ErrMembershipHidden is returned when the CA does not expose a global
 // membership list.
 var ErrMembershipHidden = errors.New("pki: membership list not exposed")
-
-// CertificateOf returns the identity certificate for an enrolled party.
-func (ca *CA) CertificateOf(identity string) (Certificate, error) {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	cert, ok := ca.enrolled[identity]
-	if !ok {
-		return Certificate{}, ErrUnknownIdentity
-	}
-	return cert, nil
-}

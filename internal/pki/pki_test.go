@@ -124,7 +124,7 @@ func TestOneTimeCertLinksPseudonym(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Key: %v", err)
 	}
-	if !certKey.Equal(oneTime) {
+	if certKey.X.Cmp(oneTime.X) != 0 || certKey.Y.Cmp(oneTime.Y) != 0 {
 		t.Fatal("certificate must carry the pseudonymous key")
 	}
 }

@@ -159,15 +159,6 @@ func (n *Network) OrdererOperator() string { return n.orderer.Operators()[0] }
 // OrdererOperators returns every principal operating the ordering service.
 func (n *Network) OrdererOperators() []string { return n.orderer.Operators() }
 
-// OrderingCluster exposes the replicated cluster for a channel when the
-// network was configured with OrdererCluster, for fault injection.
-func (n *Network) OrderingCluster(channel string) (*ordering.Cluster, error) {
-	if len(n.orderer.Operators()) == 1 {
-		return nil, errors.New("fabric: network uses a solo ordering service")
-	}
-	return n.orderer.Cluster(channel)
-}
-
 // AddOrg enrolls an organization with the CA and creates its peer.
 func (n *Network) AddOrg(name string) (*Org, error) {
 	key, err := dcrypto.GenerateKey()
@@ -281,30 +272,6 @@ func (n *Network) channelOf(name string) (*channel, error) {
 		return nil, fmt.Errorf("%q: %w", name, ErrUnknownChannel)
 	}
 	return ch, nil
-}
-
-// Members returns a channel's member set, visible only to members and the
-// orderer operator.
-func (n *Network) Members(channelName, requester string) ([]string, error) {
-	ch, err := n.channelOf(channelName)
-	if err != nil {
-		return nil, err
-	}
-	isOperator := false
-	for _, op := range n.orderer.Operators() {
-		if requester == op {
-			isOperator = true
-		}
-	}
-	if !ch.members[requester] && !isOperator {
-		return nil, fmt.Errorf("%q on %q: %w", requester, channelName, ErrNotMember)
-	}
-	out := make([]string, 0, len(ch.members))
-	for m := range ch.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // InstallChaincode installs a contract on the peers of the named orgs only;
@@ -493,21 +460,6 @@ func (n *Network) QueryPrefix(channelName, org, prefix string) (map[string][]byt
 	replica := o.ledgers[channelName]
 	o.mu.Unlock()
 	return replica.GetByPrefix(prefix), nil
-}
-
-// Height returns an org's replica height for a channel.
-func (n *Network) Height(channelName, org string) (uint64, error) {
-	o, err := n.Org(org)
-	if err != nil {
-		return 0, err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	replica, ok := o.ledgers[channelName]
-	if !ok {
-		return 0, fmt.Errorf("%q on %q: %w", org, channelName, ErrNotMember)
-	}
-	return replica.Height(), nil
 }
 
 // AnonymousInvoke submits a transaction whose creator is an Idemix

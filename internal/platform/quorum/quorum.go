@@ -88,17 +88,6 @@ func (nd *Node) PrivateState(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// PublicState reads the node's public view of a key.
-func (nd *Node) PublicState(key string) ([]byte, bool) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	v, ok := nd.publicState[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
 // Network is a Quorum-model network.
 type Network struct {
 	Log *audit.Log

@@ -101,12 +101,6 @@ type Enclave struct {
 	counter uint64
 }
 
-// PublicKey returns the enclave's attestation key.
-func (e *Enclave) PublicKey() dcrypto.PublicKey { return e.key.Public() }
-
-// Endorsement returns the manufacturer's signature over the enclave key.
-func (e *Enclave) Endorsement() dcrypto.Signature { return e.endorsement }
-
 // Load installs a program into the enclave. The host that calls Load learns
 // the measurement, not the logic (in this simulation the host may have
 // constructed the Program, modelling the deploying party; a third-party host
@@ -122,16 +116,6 @@ func (e *Enclave) Load(p Program) error {
 	e.state = nil
 	e.counter = 0
 	return nil
-}
-
-// Measurement returns the measurement of the loaded program.
-func (e *Enclave) Measurement() ([32]byte, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.program == nil {
-		return [32]byte{}, ErrNoProgram
-	}
-	return e.program.Measurement(), nil
 }
 
 // Attestation is a signed statement that a specific program (measurement)

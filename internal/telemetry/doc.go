@@ -1,11 +1,12 @@
 // Package telemetry is the dependency-free observability plane for the
-// middleware gateway: a metrics registry of atomic counters, gauges, and
-// fixed-bucket latency histograms; a Prometheus text-format exporter
-// (text/plain; version=0.0.4); and a bounded in-memory ring of sampled
-// request traces. Everything is engineered for the gateway's hot path:
-// counter adds and histogram observes are single atomic operations with no
-// allocation and no locks, so instrumentation can stay enabled in
-// production without moving the benchmark gate.
+// middleware gateway: a metrics registry that exports, at scrape time, the
+// atomic counters and gauges its producers already maintain (CounterFunc,
+// GaugeFunc, RegisterFuncs), plus fixed-bucket latency histograms; a
+// Prometheus text-format exporter (text/plain; version=0.0.4); and a bounded
+// in-memory ring of sampled request traces. Everything is engineered for the
+// gateway's hot path: counter adds and histogram observes are single atomic
+// operations with no allocation and no locks, so instrumentation can stay
+// enabled in production without moving the benchmark gate.
 //
 // # Metric naming
 //

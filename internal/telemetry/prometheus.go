@@ -35,8 +35,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			bw.WriteByte('\n')
 		}
 		switch m := m.(type) {
-		case *Counter:
-			writeSample(bw, d.name, "", d.labels, "", formatUint(m.Value()))
 		case *counterFunc:
 			writeSample(bw, d.name, "", d.labels, "", formatUint(m.fn()))
 		case *gaugeFunc:

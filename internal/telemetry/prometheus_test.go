@@ -17,24 +17,20 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func goldenRegistry(t *testing.T) *Registry {
 	t.Helper()
 	reg := NewRegistry()
-	a, err := reg.NewCounter("confmw_demo_requests_total", "Requests handled, by stage.", L("stage", "auth"))
-	if err != nil {
+	if err := reg.CounterFunc("confmw_demo_requests_total", "Requests handled, by stage.", func() uint64 { return 3 }, L("stage", "auth")); err != nil {
 		t.Fatal(err)
 	}
-	a.Add(3)
-	b, err := reg.NewCounter("confmw_demo_requests_total", "Requests handled, by stage.", L("stage", "order"))
-	if err != nil {
+	if err := reg.CounterFunc("confmw_demo_requests_total", "Requests handled, by stage.", func() uint64 { return 1 }, L("stage", "order")); err != nil {
 		t.Fatal(err)
 	}
-	b.Inc()
 	if err := reg.CounterFunc("confmw_demo_sweeps_total", "Sweeps run.", func() uint64 { return 7 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.GaugeFunc("confmw_demo_live", "Live sessions.", func() float64 { return 2.5 }); err != nil {
 		t.Fatal(err)
 	}
-	h, err := reg.NewHistogram("confmw_demo_latency_seconds", "Stage latency.", []uint64{250, 500, 1000}, NanosPerSecond, L("stage", "auth"))
-	if err != nil {
+	h := NewHistogram("confmw_demo_latency_seconds", "Stage latency.", []uint64{250, 500, 1000}, NanosPerSecond, L("stage", "auth"))
+	if err := reg.Register(h); err != nil {
 		t.Fatal(err)
 	}
 	h.Observe(100)  // first bucket

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Label is one metric dimension, e.g. {Key: "stage", Value: "session"}.
@@ -38,8 +37,8 @@ type metricDesc struct {
 func (d *metricDesc) desc() *metricDesc { return d }
 
 // Metric is anything the registry can hold. The interface is sealed: the
-// concrete types are Counter, Histogram, and the CounterFunc/GaugeFunc
-// adapters the convenience methods register.
+// concrete types are Histogram and the adapters CounterFunc, GaugeFunc and
+// RegisterFuncs register over values their producers already maintain.
 type Metric interface {
 	desc() *metricDesc
 }
@@ -86,32 +85,6 @@ func escapeHelp(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(v)
 }
-
-// Counter is a monotonically increasing counter the producer owns. Add and
-// Inc are single atomic operations.
-type Counter struct {
-	metricDesc
-	v atomic.Uint64
-}
-
-// NewCounter creates an unregistered counter; register it with
-// Registry.Register.
-func NewCounter(name, help string, labels ...Label) *Counter {
-	d, err := newDesc(name, help, kindCounter, labels)
-	if err != nil {
-		panic(err) // construction-time programmer error, like a bad regexp
-	}
-	return &Counter{metricDesc: d}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // counterFunc exports an existing producer-owned counter (typically an
 // atomic the subsystem already maintains) without rewiring it.
@@ -178,15 +151,6 @@ func (r *Registry) Register(ms ...Metric) error {
 	return nil
 }
 
-// NewCounter creates and registers a counter in one step.
-func (r *Registry) NewCounter(name, help string, labels ...Label) (*Counter, error) {
-	c := NewCounter(name, help, labels...)
-	if err := r.Register(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — the adapter for subsystems that already maintain atomic counters.
 // fn must be safe for concurrent use and monotonically non-decreasing.
@@ -232,16 +196,6 @@ func (r *Registry) RegisterFuncs(ms []FuncMetric, labels ...Label) error {
 		}
 	}
 	return nil
-}
-
-// NewHistogram creates and registers a histogram in one step. See the
-// package-level NewHistogram for the bounds and unit contract.
-func (r *Registry) NewHistogram(name, help string, bounds []uint64, unit float64, labels ...Label) (*Histogram, error) {
-	h := NewHistogram(name, help, bounds, unit, labels...)
-	if err := r.Register(h); err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // snapshot returns the registered metrics sorted by (family, labels) so

@@ -10,15 +10,16 @@ import (
 
 func TestRegistryDuplicateRejected(t *testing.T) {
 	reg := NewRegistry()
-	if _, err := reg.NewCounter("confmw_test_total", "h", L("stage", "a")); err != nil {
+	zero := func() uint64 { return 0 }
+	if err := reg.CounterFunc("confmw_test_total", "h", zero, L("stage", "a")); err != nil {
 		t.Fatal(err)
 	}
 	// Same family, different labels: fine.
-	if _, err := reg.NewCounter("confmw_test_total", "h", L("stage", "b")); err != nil {
+	if err := reg.CounterFunc("confmw_test_total", "h", zero, L("stage", "b")); err != nil {
 		t.Fatal(err)
 	}
 	// Exact duplicate: rejected.
-	if _, err := reg.NewCounter("confmw_test_total", "h", L("stage", "a")); err == nil {
+	if err := reg.CounterFunc("confmw_test_total", "h", zero, L("stage", "a")); err == nil {
 		t.Fatal("duplicate (name, labels) registration was accepted")
 	}
 	// Same family under a different kind: rejected.
@@ -29,8 +30,8 @@ func TestRegistryDuplicateRejected(t *testing.T) {
 
 func TestRegistryRegisterAtomicOnFailure(t *testing.T) {
 	reg := NewRegistry()
-	a := NewCounter("confmw_a_total", "h")
-	dup := NewCounter("confmw_a_total", "h")
+	a := NewHistogram("confmw_a_seconds", "h", LatencyBounds, NanosPerSecond)
+	dup := NewHistogram("confmw_a_seconds", "h", LatencyBounds, NanosPerSecond)
 	if err := reg.Register(a, dup); err == nil {
 		t.Fatal("batch with duplicate was accepted")
 	}
@@ -51,11 +52,9 @@ func TestRegistryBadLabels(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	c, err := reg.NewCounter("confmw_esc_total", "line1\nline2", L("k", `a"b\c`+"\n"))
-	if err != nil {
+	if err := reg.CounterFunc("confmw_esc_total", "line1\nline2", func() uint64 { return 1 }, L("k", `a"b\c`+"\n")); err != nil {
 		t.Fatal(err)
 	}
-	c.Inc()
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -76,12 +75,8 @@ func TestLabelEscaping(t *testing.T) {
 // -race this is the registry's thread-safety proof.
 func TestRegistryConcurrency(t *testing.T) {
 	reg := NewRegistry()
-	ctr, err := reg.NewCounter("confmw_conc_total", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := reg.NewHistogram("confmw_conc_seconds", "h", LatencyBounds, NanosPerSecond)
-	if err != nil {
+	hist := NewHistogram("confmw_conc_seconds", "h", LatencyBounds, NanosPerSecond)
+	if err := reg.Register(hist); err != nil {
 		t.Fatal(err)
 	}
 	var fnVal atomic.Uint64
@@ -96,7 +91,6 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ctr.Inc()
 				fnVal.Add(1)
 				hist.Observe(uint64(seed*1000 + i))
 			}
@@ -117,12 +111,12 @@ func TestRegistryConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			_, _ = reg.NewCounter("confmw_conc_extra_total", "x", L("i", string(rune('a'+i))))
+			_ = reg.CounterFunc("confmw_conc_extra_total", "x", fnVal.Load, L("i", string(rune('a'+i))))
 		}
 	}()
 	wg.Wait()
 
-	if got := ctr.Value(); got != workers*perWorker {
+	if got := fnVal.Load(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
 	if s := hist.Snapshot(); s.Count != workers*perWorker {

@@ -93,16 +93,3 @@ func (g *Generator) Trades(members []string, n, payloadBytes int) ([]Trade, erro
 	}
 	return out, nil
 }
-
-// Ballots returns n synthetic yes/no vote maps for the given parties.
-func (g *Generator) Ballots(parties []string, n int) []map[string]bool {
-	out := make([]map[string]bool, n)
-	for i := range out {
-		votes := make(map[string]bool, len(parties))
-		for _, p := range parties {
-			votes[p] = g.rng.Intn(2) == 1
-		}
-		out[i] = votes
-	}
-	return out
-}

@@ -182,29 +182,6 @@ func (p Point) Bytes() []byte {
 	return out
 }
 
-// ParsePoint decodes a 64-byte encoding produced by Bytes. The all-zero
-// encoding decodes to the identity.
-func ParsePoint(b []byte) (Point, error) {
-	if len(b) != 64 {
-		return Point{}, fmt.Errorf("zkp: point must be 64 bytes, got %d", len(b))
-	}
-	x := new(big.Int).SetBytes(b[:32])
-	y := new(big.Int).SetBytes(b[32:])
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return Point{X: x, Y: y}, nil
-	}
-	if !curve().IsOnCurve(x, y) {
-		return Point{}, errors.New("zkp: point not on curve")
-	}
-	return Point{X: x, Y: y}, nil
-}
-
-// FromPublicKey converts a dcrypto public key into a group point, so that
-// identity keys can be used as Schnorr statements.
-func FromPublicKey(pk dcrypto.PublicKey) Point {
-	return Point{X: new(big.Int).Set(pk.X), Y: new(big.Int).Set(pk.Y)}
-}
-
 // RandScalar samples a uniform scalar in [1, N-1].
 func RandScalar() (*big.Int, error) {
 	for {

@@ -27,20 +27,10 @@ func CommitValue(v *big.Int) (Commitment, *big.Int, error) {
 	return Commit(v, r), r, nil
 }
 
-// Open verifies that the commitment opens to (v, r).
-func (c Commitment) Open(v, r *big.Int) bool {
-	return c.P.Equal(Commit(v, r).P)
-}
-
 // Add returns the commitment to the sum of the committed values (blindings
 // add correspondingly).
 func (c Commitment) Add(other Commitment) Commitment {
 	return Commitment{P: c.P.Add(other.P)}
-}
-
-// Sub returns the commitment to the difference.
-func (c Commitment) Sub(other Commitment) Commitment {
-	return Commitment{P: c.P.Sub(other.P)}
 }
 
 // MulScalar returns the commitment to k times the committed value.
