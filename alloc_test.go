@@ -72,13 +72,16 @@ func TestAllocationBudget(t *testing.T) {
 			// the stack. 4 until the transaction held its primed digest by
 			// value instead of in a heap *[32]byte. 3 until the block's Txs
 			// slice was carved from the orderer's 21-transaction queue chunk
-			// (one chunk per 21 blocks, floored away). What is left: the
-			// sealed frame and the fixture's own copy of its template.
+			// (one chunk per 21 blocks, floored away). 2 until the row sent
+			// frames through AppendWire instead of handing Gateway.Submit a
+			// copy of the fixture's template, which allocated; the session
+			// frame decodes into a pooled Request without allocating (the
+			// edge-tcp row). What is left: the sealed frame.
 			name:     "mac",
-			replaces: "speedup SessionMAC/reqauth=mac and reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs (one reading: neither decodes a frame)",
+			replaces: "speedup SessionMAC/reqauth=mac and reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs (one reading)",
 			cfg:      mac,
 			allocs:   submitAllocs,
-			ceiling:  2,
+			ceiling:  1,
 		},
 		{
 			name:     "mac+metrics",
@@ -141,8 +144,8 @@ func TestAllocationBudget(t *testing.T) {
 			// own (since, the decoder hands the stage the session record
 			// itself), the channel comes from the gateway's
 			// table of directory channels (Gateway.channelName). The rows
-			// above submit in process and never decoded a frame, so they
-			// stood where they stood. Then 13, until the block cut stopped
+			// above submitted in process then and never decoded a frame, so
+			// they stood where they stood. Then 13, until the block cut stopped
 			// copying the subscriber list. Then 12: the mac row's five, and
 			// the intermediate struct ServeWire decoded a frame into before
 			// building the Request; the frame now decodes into the Request.
@@ -280,12 +283,18 @@ func TestAllocationBudget(t *testing.T) {
 			// copies the subscriber list. 34 until Gateway.order stopped
 			// making a map for "gateway" (2) and the digest a slice for its
 			// one key (1); 31 until the transaction's digest memo went; 30
-			// until the block's Txs slice was carved from the queue chunk.
+			// until the block's Txs slice was carved from the queue chunk;
+			// 29, the stage's share alone, until the row sent frames through
+			// AppendWire, the one way in, instead of handing Gateway.Submit
+			// (gone) a template whose signature and certificate were already
+			// decoded. The frame's decode adds 12 net: the principal's
+			// string, the signature's integers, and the certificate with its
+			// key and the CA's signature (pki.Certificate.UnmarshalBinary).
 			name:     "authn",
 			replaces: "baseline Chain/stages=1(+authn) 35",
 			cfg:      pipeline(authnStage),
 			allocs:   submitAllocs,
-			ceiling:  29,
+			ceiling:  41,
 		},
 		{
 			// The uncached seal wraps the data key for every member on every
@@ -301,12 +310,14 @@ func TestAllocationBudget(t *testing.T) {
 			// stopped naming its members: the wraps by name (a map, 2) and the
 			// sorted names the frame listed them in (1) became one slice of
 			// wraps sorted by their bytes. 72 until the block's Txs slice was
-			// carved from the queue chunk.
+			// carved from the queue chunk; 71 until the row sent frames
+			// through AppendWire, whose decode of the signed frame adds the
+			// authn row's 12.
 			name:     "authn|encrypt|audit",
 			replaces: "baseline Chain/stages=3(+audit) 108",
 			cfg:      pipeline(authnStage, encryptStage, auditStage),
 			allocs:   submitAllocs,
-			ceiling:  71,
+			ceiling:  83,
 		},
 		{
 			// A ledger reader's decode of one sealed frame at the benchmark's
@@ -366,14 +377,7 @@ const appendWireBytesBudget = serveWireBytesBudget - 32
 func TestServeWireAllocatedBytes(t *testing.T) {
 	env := newGatewayBenchEnv(t)
 	fp := newFastPathEnv(t, env, middleware.Config{Stages: []middleware.StageConfig{sessionStage(nil), keycacheEncrypt}})
-	frames := make([][]byte, len(fp.templates))
-	for i := range fp.templates {
-		b, err := middleware.EncodeWireRequest(&fp.templates[i], "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames[i] = b
-	}
+	frames := fp.frames
 	ctx := context.Background()
 	var dst []byte
 	for _, tc := range []struct {
@@ -411,27 +415,30 @@ func TestServeWireAllocatedBytes(t *testing.T) {
 	}
 }
 
-// submitAllocs reads the allocations of one in-process Gateway.Submit,
-// over whole passes of the templates, so a 1-in-64 sample lands the same
+// submitAllocs reads the allocations of one submission through AppendWire,
+// over whole passes of the frames, so a 1-in-64 sample lands the same
 // number of times in each.
 func submitAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
-	return testing.AllocsPerRun(2*len(fp.templates)-1, submitter(t, fp))
+	return testing.AllocsPerRun(2*len(fp.frames)-1, submitter(t, fp))
 }
 
-// submitter returns a call that submits the fixture's next template in
-// process, after a first pass over every template has filled what a steady
-// state has filled — verified certificates, the epoch key, pools.
+// submitter returns a call that submits the fixture's next frame through
+// AppendWire into one reused reply buffer, as the edge does, after a first
+// pass over every frame has filled what a steady state has filled —
+// verified certificates, the epoch key, pools.
 func submitter(t *testing.T, fp *fastPathEnv) func() {
 	ctx := context.Background()
+	var dst []byte
 	i := 0
 	submit := func() {
-		req := fp.templates[i%len(fp.templates)]
+		var err error
+		dst, err = fp.gw.AppendWire(ctx, dst[:0], middleware.TopicSubmit, fp.frames[i%len(fp.frames)], "")
 		i++
-		if err := fp.gw.Submit(ctx, &req); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for range fp.templates {
+	for range fp.frames {
 		submit()
 	}
 	return submit
@@ -440,7 +447,7 @@ func submitter(t *testing.T, fp *fastPathEnv) func() {
 // sampleEvery is the traced row's sampling: one request in 64 is traced.
 const sampleEvery = 64
 
-// sampleAllocs reads the allocations of sampleEvery in-process submissions,
+// sampleAllocs reads the allocations of sampleEvery wire submissions,
 // one of which a gateway tracing 1 in sampleEvery traces. It measures 21
 // runs: the orderer carves a block's transactions from a chunk that serves
 // 21 blocks, so 21 runs hold the same number of chunks on every gateway.
@@ -457,35 +464,23 @@ func sampleAllocs(t *testing.T, fp *fastPathEnv) float64 {
 const groupSize = 64
 
 // groupAllocs reads the allocations of one full group: groupSize
-// submissions through a recycled request ring — the batch stage holds at
-// most groupSize members, so twice that is always free again when the ring
-// wraps — the last of which seals and orders the group. Each submission
-// fills exactly the fields a MAC-path client sends, the way a submitter
-// reusing request objects would.
+// submissions through AppendWire, the last of which seals and orders the
+// group. The submitter's first pass over the frames seals whole groups of
+// its own before the count starts.
 func groupAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
-	ctx := context.Background()
-	ring := make([]middleware.Request, 2*groupSize)
-	i := 0
+	submit := submitter(t, fp)
+	before := fp.gw.Stats()
 	group := func() {
 		for n := 0; n < groupSize; n++ {
-			tmpl := &fp.templates[i%len(fp.templates)]
-			req := &ring[i%len(ring)]
-			i++
-			req.Channel = tmpl.Channel
-			req.Principal = tmpl.Principal
-			req.Payload = tmpl.Payload
-			req.SessionToken = tmpl.SessionToken
-			req.MAC = tmpl.MAC
-			if err := fp.gw.Submit(ctx, req); err != nil {
-				t.Fatal(err)
-			}
+			submit()
 		}
 	}
 	group()
 	allocs := testing.AllocsPerRun(8, group)
 	// One group above, one AllocsPerRun warms up with, eight it measures.
-	if stats := fp.gw.Stats(); stats.BatchGroupsSealed != 10 || stats.BatchGroupTxs != 10*groupSize {
-		t.Fatalf("sealed %d groups of %d txs in all, want 10 full groups", stats.BatchGroupsSealed, stats.BatchGroupTxs)
+	if stats := fp.gw.Stats(); stats.BatchGroupsSealed-before.BatchGroupsSealed != 10 || stats.BatchGroupTxs-before.BatchGroupTxs != 10*groupSize {
+		t.Fatalf("sealed %d groups of %d txs since the first pass, want 10 full groups",
+			stats.BatchGroupsSealed-before.BatchGroupsSealed, stats.BatchGroupTxs-before.BatchGroupTxs)
 	}
 	return allocs
 }

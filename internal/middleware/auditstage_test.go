@@ -56,12 +56,12 @@ func TestLeakageMatrixIsExactWithoutFlush(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := w; i < n; i += workers {
-						if err := gw.Submit(context.Background(), reqs[i]); err != nil {
+						if _, err := frontOf(gw).submit(reqs[i]); err != nil {
 							t.Errorf("submit %d: %v", i, err)
 						}
 					}
 					if w < len(refused) {
-						if err := gw.Submit(context.Background(), refused[w]); err == nil {
+						if _, err := frontOf(gw).submit(refused[w]); err == nil {
 							t.Errorf("refused submission %d accepted", w)
 						}
 					}

@@ -368,7 +368,7 @@ func (b *batchStage) releaseGroup(ctx context.Context, g *groupBucket, next Hand
 		greq := borrowRequest()
 		greq.Channel, greq.Principal, greq.Payload = channel, BatchPrincipal, sealed
 		greq.Meta = map[string]string{MetaBatch: val}
-		greq.authenticated, greq.encrypted, greq.metaOwned = true, true, true
+		greq.authenticated, greq.encrypted = true, true
 		// The seal's sum primes the ledger digest: the group frame is never
 		// hashed again.
 		greq.setPayloadSum(sealed, sum)

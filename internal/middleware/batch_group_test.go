@@ -339,7 +339,7 @@ func TestBatchReleaseSpanOnOwnTrace(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		req := signedRequest(t, ps["alice"], "deals", []byte{byte(i)})
 		req.TraceID = uint64(0xb0 + i)
-		if err := gw.Submit(context.Background(), req); err != nil {
+		if _, err := frontOf(gw).submit(req); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}

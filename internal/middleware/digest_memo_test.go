@@ -265,10 +265,10 @@ func pipelineString(stages []StageConfig) string {
 	return s
 }
 
-// TestResubmittedRequestIsCheckedAgain: an in-process request accepted once,
-// its Channel then changed and the request submitted again under the MAC of
-// the first content, is refused. Whatever the gateway remembered of the
-// request's digest on the first call must not vouch for the second.
+// TestResubmittedRequestIsCheckedAgain: a request accepted once, its Channel
+// then changed and the request sent again under the MAC of the first
+// content, is refused. Whatever the gateway remembered of the first frame's
+// digest must not vouch for the second.
 func TestResubmittedRequestIsCheckedAgain(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	mgr, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil)
@@ -286,11 +286,12 @@ func TestResubmittedRequestIsCheckedAgain(t *testing.T) {
 	grant := openSession(t, mgr, ps["alice"])
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	MACRequest(req, grant.MacKey)
-	if err := gw.Submit(context.Background(), req); err != nil {
+	w := frontOf(gw)
+	if _, err := w.submit(req); err != nil {
 		t.Fatalf("first submission: %v", err)
 	}
 	req.Channel = "other-deals"
-	if err := gw.Submit(context.Background(), req); !errors.Is(err, ErrBadMAC) {
+	if _, err := w.submit(req); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("resubmission to another channel under the old MAC: %v, want ErrBadMAC", err)
 	}
 }

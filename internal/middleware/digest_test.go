@@ -88,7 +88,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 			}})
 			payloads := []string{"10 tons of steel", "20 tons of copper"}
 			for _, p := range payloads {
-				if err := gw.Submit(context.Background(), signedRequest(t, ps["alice"], "deals", []byte(p))); err != nil {
+				if _, err := frontOf(gw).submit(signedRequest(t, ps["alice"], "deals", []byte(p))); err != nil {
 					t.Fatalf("Submit: %v", err)
 				}
 			}

@@ -142,9 +142,10 @@ func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
 	submit := func(i int) error {
 		mu.Lock()
 		defer mu.Unlock()
-		return gw.Submit(context.Background(), &Request{
+		_, err := frontOf(gw).submit(&Request{
 			Channel: ch, Principal: "Alice", Payload: []byte(fmt.Sprintf("p-%d", i)),
 		})
+		return err
 	}
 	for i := 0; i < 5; i++ {
 		if err := submit(i); err != nil {

@@ -390,6 +390,9 @@ func (g *Gateway) revocationEpoch() uint64 { return g.revEpoch.Load() }
 // request's annotations, "envelope" if the encrypt stage sealed the payload,
 // the gateway's name. A request with none of its own gets one of NewGateway's
 // two maps, which leave here only as a transaction's Meta, never as req.Meta.
+// A request's own map was made by the pipeline — the decoder, a stage, a
+// release vehicle — and nobody else holds it, so it is annotated in place and
+// becomes the transaction's.
 func (g *Gateway) order(ctx context.Context, req *Request) error {
 	// The ordering backend keeps state per channel name, so a name the
 	// directory does not know stops here, whatever stages ran. A frame's
@@ -406,12 +409,6 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 	case len(meta) == 0:
 		meta = g.metaPlain
 	default:
-		if !req.metaOwned {
-			meta = make(map[string]string, len(req.Meta)+2)
-			for k, v := range req.Meta {
-				meta[k] = v
-			}
-		}
 		if req.enveloped {
 			meta["envelope"] = EnvelopeScheme
 		}
@@ -436,23 +433,14 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 	return nil
 }
 
-// Submit runs one request through the chain. A nil return means the
-// request was accepted: either ordered, or buffered by the batch stage for
-// a later group release. When tracing is configured the request may be
-// sampled (always, if it arrived with a wire-carried TraceID) and its
-// per-stage spans recorded into the trace ring; the unsampled path costs
-// one atomic increment, tracing off one nil check.
-func (g *Gateway) Submit(ctx context.Context, req *Request) error {
-	// The digest memo is AppendWire's alone: a caller's request may have
-	// changed since an earlier call.
-	req.digestSet = false
-	return g.submit(ctx, req)
-}
-
-// submit is Submit for AppendWire, whose request carries its digest memo.
-// A revoker whose version moved past the applied epoch is synced first, so
-// a revoker that cannot push still keeps a revoked member out of the next
-// envelope.
+// submit runs one request AppendWire decoded through the chain. A nil
+// return means the request was accepted: either ordered, or buffered by the
+// batch stage for a later group release. When tracing is configured the
+// request may be sampled (always, if it arrived with a wire-carried TraceID)
+// and its per-stage spans recorded into the trace ring; the unsampled path
+// costs one atomic increment, tracing off one nil check. A revoker whose
+// version moved past the applied epoch is synced first, so a revoker that
+// cannot push still keeps a revoked member out of the next envelope.
 func (g *Gateway) submit(ctx context.Context, req *Request) error {
 	if g.revoker != nil && g.revoker.RevocationVersion() != g.revEpoch.Load() {
 		g.syncRevocations()
@@ -784,7 +772,7 @@ func channelName[T string | []byte](g *Gateway, b T) (string, bool) {
 	return name, true
 }
 
-// ServeWire is AppendWire into a reply of its own, for callers in process.
+// ServeWire is AppendWire into a reply of its own.
 func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 	return g.AppendWire(ctx, nil, topic, payload, transportID)
 }
@@ -811,7 +799,6 @@ func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payl
 			req.drop()
 			return dst, fmt.Errorf("gateway %s: decode request: %w", g.name, g.reject(rejectDecode, err))
 		}
-		req.metaOwned = req.Meta != nil // the decoder made the map; no caller holds it
 		// The ID covers the payload as submitted; the encrypt stage
 		// replaces it, so capture before running the chain. The digest is
 		// taken once here and memoised for the stages that check or record

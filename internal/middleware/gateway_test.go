@@ -140,7 +140,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := signedRequest(t, ps[tr.Buyer], "deals", payload)
-		if err := gw.Submit(context.Background(), req); err != nil {
+		if _, err := frontOf(gw).submit(req); err != nil {
 			t.Fatalf("Submit trade %s: %v", tr.ID, err)
 		}
 	}
@@ -340,7 +340,7 @@ func TestGatewayConcurrentSubmit(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := gw.Submit(context.Background(), req); err != nil {
+				if _, err := frontOf(gw).submit(req); err != nil {
 					errs <- err
 					return
 				}

@@ -318,7 +318,7 @@ func FuzzResumeAgrees(f *testing.F) {
 				for _, s := range sides {
 					if len(s.tokens) > 0 {
 						k := arg % len(s.tokens)
-						_ = s.mgr.CloseFrom(s.tokens[k], s.wires[s.conns[k]].transportID)
+						_ = closeFrom(s.mgr, s.tokens[k], s.wires[s.conns[k]].transportID)
 					}
 				}
 			case opEvictConn:

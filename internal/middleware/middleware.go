@@ -123,11 +123,6 @@ type Request struct {
 	// corrupt the exclusive-time nesting protocol — and never set while
 	// the request carries a trace.
 	untimed bool
-	// metaOwned marks a Meta map made by the pipeline itself, which no
-	// caller holds (the batch stage's synthetic release vehicle, a map
-	// AppendWire decoded off the wire): the terminal handler may annotate and
-	// hand it to the ledger transaction directly instead of copying it.
-	metaOwned bool
 	// digestSet marks digestMemo as set; see digest.
 	digestSet bool
 	// channelKnown marks a Channel the decoder found the gateway may order
@@ -288,9 +283,7 @@ func (r *Request) setPayloadSum(p []byte, sum [32]byte) {
 // by AppendWire, the memo's only writer. The memo is keyed to the payload
 // memo: it stands only while that is of the current payload, so assigning
 // Payload afresh retires it and setPayloadSum drops it. The aggregate
-// vehicle, which rewrites Principal, drops it by hand, and Gateway.Submit
-// drops it on entry, so a caller's request never carries one from an earlier
-// call.
+// vehicle, which rewrites Principal, drops it by hand.
 func (r *Request) digest() [32]byte {
 	if r.digestMemoed() {
 		return r.digestMemo

@@ -82,18 +82,19 @@ func signedRequest(t testing.TB, p *principal, channel string, payload []byte) *
 }
 
 // wireFront drives a gateway the way the TCP edge does: every call is one
-// ServeWire under ctx with the payload the edge would carry. Its transport
-// ID is "", so the sessions it opens are unbound. internal/netedge's own
-// tests cover the socket in between.
+// ServeWire under ctx with the payload the edge would carry, from the
+// connection conn names. frontOf's conn is "", so the sessions it opens are
+// unbound. internal/netedge's own tests cover the socket in between.
 type wireFront struct {
-	gw  *Gateway
-	ctx context.Context
+	gw   *Gateway
+	ctx  context.Context
+	conn string
 }
 
-func frontOf(gw *Gateway) wireFront { return wireFront{gw, context.Background()} }
+func frontOf(gw *Gateway) wireFront { return wireFront{gw: gw, ctx: context.Background()} }
 
 func (w wireFront) call(topic string, payload []byte) ([]byte, error) {
-	return w.gw.ServeWire(w.ctx, topic, payload, "")
+	return w.gw.ServeWire(w.ctx, topic, payload, w.conn)
 }
 
 // submit sends req as a gateway.submit frame and returns the submission ID.

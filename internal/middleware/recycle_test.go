@@ -52,7 +52,7 @@ func TestRecycledRequestCarriesNothingOver(t *testing.T) {
 	r.Channel, r.Principal, r.Backend = "deals", "alice", "fabric"
 	r.Payload, r.MAC = buf[:20], buf[20:]
 	r.SessionToken, r.TraceID, r.TransportID = "token", 7, "tcp:1"
-	r.Meta, r.metaOwned = map[string]string{"k": "v"}, true
+	r.Meta = map[string]string{"k": "v"}
 	r.authenticated, r.encrypted, r.enveloped, r.untimed = true, true, true, true
 	r.payloadSum()
 	r.digestMemo, r.digestSet = r.Digest(), true

@@ -848,19 +848,6 @@ func (m *SessionManager) close(token string) {
 	m.mu.Unlock()
 }
 
-// CloseFrom is Close for a request that arrived over a transport
-// connection: a bound session closes only from the connection it is bound
-// to. From anywhere else it answers ErrSessionBound and the session stays
-// live for its rightful connection — a captured token can no more end a
-// session than use it. Unbound sessions close from anywhere.
-func (m *SessionManager) CloseFrom(token, transportID string) error {
-	key, ok := parseSessionKey(token)
-	if !ok {
-		return nil
-	}
-	return m.closeKey(&key, transportID)
-}
-
 // EncodeSessionClose returns the session.close payload that ends the
 // session token names: the token's 32 key bytes. A malformed token names no
 // session, and ok is false: there is nothing to close, so nothing need be
@@ -869,8 +856,12 @@ func EncodeSessionClose(token string) (payload [sessionTokenBytes]byte, ok bool)
 	return parseSessionKey(token)
 }
 
-// closeKey is CloseFrom by the session's key, as a session.close payload
-// carries it.
+// closeKey ends the session a session.close payload names by its key, for a
+// frame that arrived over transportID: a bound session closes only from the
+// connection it is bound to. From anywhere else it answers ErrSessionBound
+// and the session stays live for its rightful connection — a captured token
+// can no more end a session than use it. Unbound sessions close from
+// anywhere, and a key that names no session closes nothing.
 func (m *SessionManager) closeKey(key *sessionKey, transportID string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -51,6 +51,13 @@ func (f *bindingFixture) open(t *testing.T, transportID string) SessionGrant {
 	return grant
 }
 
+// closeFrom does what a session.close frame naming token's session does when
+// it arrives over transportID.
+func closeFrom(m *SessionManager, token, transportID string) error {
+	key, _ := EncodeSessionClose(token)
+	return m.closeKey((*sessionKey)(&key), transportID)
+}
+
 // TestSessionTransportBinding pins the resolve-side contract: a bound
 // token resolves only over its own transport — any other identity,
 // including the empty in-process one, gets ErrSessionBound — while
@@ -83,17 +90,17 @@ func TestSessionTransportBinding(t *testing.T) {
 	// session, an unbound one closes from anywhere, and the programmatic
 	// Close asks no questions.
 	for _, id := range []string{"tcp:2:other", ""} {
-		if err := f.mgr.CloseFrom(bound.Token, id); !errors.Is(err, ErrSessionBound) {
+		if err := closeFrom(f.mgr, bound.Token, id); !errors.Is(err, ErrSessionBound) {
 			t.Fatalf("cross-transport close over %q: got %v, want ErrSessionBound", id, err)
 		}
 		if _, _, err := admitToken(f.mgr, bound.Token, "tcp:1:peer"); err != nil {
 			t.Fatalf("session killed by a close from %q: %v", id, err)
 		}
 	}
-	if err := f.mgr.CloseFrom(bound.Token, "tcp:1:peer"); err != nil {
+	if err := closeFrom(f.mgr, bound.Token, "tcp:1:peer"); err != nil {
 		t.Fatalf("close on home transport: %v", err)
 	}
-	if err := f.mgr.CloseFrom(unbound.Token, "tcp:3:any"); err != nil {
+	if err := closeFrom(f.mgr, unbound.Token, "tcp:3:any"); err != nil {
 		t.Fatalf("close of an unbound session: %v", err)
 	}
 	for _, token := range []string{bound.Token, unbound.Token} {

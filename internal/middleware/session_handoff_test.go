@@ -124,7 +124,8 @@ var sessionDeaths = []struct {
 }{
 	{"Close", func(t *testing.T, fx *handoffFixture) { fx.gw.Sessions().close(fx.grant.Token) }, ErrNoSession, nil},
 	{"CloseFrom", func(t *testing.T, fx *handoffFixture) {
-		if err := fx.gw.Sessions().CloseFrom(fx.grant.Token, handoffConn); err != nil {
+		// A session.close frame from the session's own connection.
+		if err := (wireFront{gw: fx.gw, ctx: context.Background(), conn: handoffConn}).close(fx.grant.Token); err != nil {
 			t.Error(err)
 		}
 	}, ErrNoSession, nil},
@@ -256,8 +257,8 @@ func TestParseSessionKeyMatchesLoop(t *testing.T) {
 // TestSessionTokenIsItsLowercaseHex: a token is its key's 64 lowercase hex
 // characters and nothing else. The same key in upper case, or a token with
 // a byte that is no hex digit, names no session — a submission carrying it
-// meets ErrNoSession, in process and off the wire, and closing it closes
-// nothing — while the live session goes on serving its own token.
+// meets ErrNoSession, and closing it closes nothing — while the live session
+// goes on serving its own token.
 func TestSessionTokenIsItsLowercaseHex(t *testing.T) {
 	fx := newHandoffFixture(t)
 	mgr := fx.gw.Sessions()
@@ -276,16 +277,11 @@ func TestSessionTokenIsItsLowercaseHex(t *testing.T) {
 		if err := fx.submit(fx.frame(t, other)); !errors.Is(err, ErrNoSession) {
 			t.Errorf("frame with token %q: %v, want ErrNoSession", other, err)
 		}
-		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: other}
-		MACRequest(req, fx.grant.MacKey)
-		if err := fx.gw.Submit(context.Background(), req); !errors.Is(err, ErrNoSession) {
-			t.Errorf("in-process request with token %q: %v, want ErrNoSession", other, err)
-		}
 		if _, err := fx.gw.AppendWire(context.Background(), nil, TopicSessionClose, []byte(other), handoffConn); err != nil {
 			t.Errorf("session.close of %q: %v", other, err)
 		}
-		if err := mgr.CloseFrom(other, handoffConn); err != nil {
-			t.Errorf("CloseFrom(%q): %v", other, err)
+		if _, ok := EncodeSessionClose(other); ok {
+			t.Errorf("EncodeSessionClose(%q) made a payload", other)
 		}
 		mgr.close(other)
 	}
@@ -421,9 +417,8 @@ func TestWireFramesNameSessionsByKey(t *testing.T) {
 				t.Errorf("session.close of %q: %v", other, err)
 			}
 		}
-		// Each as the API spelling: the encoders', and the session stage's
-		// in process. (The token itself is the API spelling of a live
-		// session.)
+		// Each as the API spelling: the encoders'. (The token itself is the
+		// API spelling of a live session.)
 		for _, other := range misspelled {
 			if other == token {
 				continue // an upper-cased token of digits alone is itself
@@ -443,11 +438,6 @@ func TestWireFramesNameSessionsByKey(t *testing.T) {
 				if err := fx.submit(fx.frame(t, other)); !errors.Is(err, ErrNoSession) {
 					t.Errorf("frame with token %q: %v, want ErrNoSession", other, err)
 				}
-			}
-			req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: other}
-			MACRequest(req, fx.grant.MacKey)
-			if err := fx.gw.Submit(ctx, req); !errors.Is(err, ErrNoSession) {
-				t.Errorf("in-process request with token %q: %v, want ErrNoSession", other, err)
 			}
 			if _, ok := EncodeSessionClose(other); ok {
 				t.Errorf("EncodeSessionClose(%q) made a payload", other)

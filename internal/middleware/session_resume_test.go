@@ -524,7 +524,7 @@ func TestResumedSessionsAreBoundAndCapped(t *testing.T) {
 	if _, _, err := admitToken(f.mgr, second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
 		t.Fatalf("resumed session from another connection = %v, want ErrSessionBound", err)
 	}
-	if err := f.mgr.CloseFrom(second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
+	if err := closeFrom(f.mgr, second.Token, "tcp:9:elsewhere"); !errors.Is(err, ErrSessionBound) {
 		t.Fatalf("closing a resumed session from another connection = %v, want ErrSessionBound", err)
 	}
 	third := f.open(t)

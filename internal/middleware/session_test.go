@@ -585,7 +585,7 @@ func TestServeWirePlumbsCallerContext(t *testing.T) {
 	canceled := &countingOrderer{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (wireFront{build(canceled), ctx}).submit(req); !errors.Is(err, context.Canceled) {
+	if _, err := (wireFront{gw: build(canceled), ctx: ctx}).submit(req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context submit = %v, want context.Canceled", err)
 	}
 	if canceled.count() != 0 {
@@ -628,7 +628,7 @@ func TestGatewayBindIdempotent(t *testing.T) {
 	gw.Bind("deals", sink) // reconnect path: must not double-subscribe
 
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("x")}
-	if err := gw.Submit(context.Background(), req); err != nil {
+	if _, err := frontOf(gw).submit(req); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	if got := sink.count(); got != 1 {

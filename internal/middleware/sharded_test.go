@@ -1,7 +1,6 @@
 package middleware
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -139,7 +138,7 @@ func TestGatewayShardedEndToEnd(t *testing.T) {
 	for _, ch := range channels {
 		for i := 0; i < perChannel; i++ {
 			req := sessionRequest(alice, grant, ch, []byte(fmt.Sprintf("%s-%d", ch, i)))
-			if err := gw.Submit(context.Background(), req); err != nil {
+			if _, err := frontOf(gw).submit(req); err != nil {
 				t.Fatalf("Submit %s: %v", ch, err)
 			}
 		}
@@ -182,8 +181,7 @@ func TestGatewayShardedEndToEnd(t *testing.T) {
 // stage to look a channel up, and a name an authenticated client makes up
 // must not reach the sharded backend, whose route table keeps every channel
 // it has routed, or a shard, which keeps a chain per channel it was handed.
-// Submissions over the wire and in process alike are refused under their own
-// label.
+// A submission on one is refused under its own label.
 func TestUnknownChannelIsNotOrdered(t *testing.T) {
 	ca, people := enroll(t, "Alice")
 	alice := people["Alice"]
@@ -199,18 +197,13 @@ func TestUnknownChannelIsNotOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := frontOf(gw)
-	for name, submit := range map[string]func(*Request) error{
-		"wire":       func(req *Request) error { _, err := w.submit(req); return err },
-		"in process": func(req *Request) error { return gw.Submit(context.Background(), req) },
-	} {
-		if err := submit(signedRequest(t, alice, "deals", []byte(name))); err != nil {
-			t.Fatalf("%s: a submission on the directory's channel: %v", name, err)
-		}
-		for i := 0; i < 3; i++ {
-			err := submit(signedRequest(t, alice, fmt.Sprintf("made-up-%d", i), []byte(name)))
-			if !errors.Is(err, ErrUnknownChannel) || RejectLabel(err) != "order/unknown_channel" {
-				t.Errorf("%s: a made-up channel got %v (label %q), want ErrUnknownChannel as order/unknown_channel", name, err, RejectLabel(err))
-			}
+	if _, err := w.submit(signedRequest(t, alice, "deals", []byte("trade"))); err != nil {
+		t.Fatalf("a submission on the directory's channel: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		_, err := w.submit(signedRequest(t, alice, fmt.Sprintf("made-up-%d", i), []byte("trade")))
+		if !errors.Is(err, ErrUnknownChannel) || RejectLabel(err) != "order/unknown_channel" {
+			t.Errorf("a made-up channel got %v (label %q), want ErrUnknownChannel as order/unknown_channel", err, RejectLabel(err))
 		}
 	}
 	routed := 0
@@ -227,8 +220,8 @@ func TestUnknownChannelIsNotOrdered(t *testing.T) {
 			}
 		}
 	}
-	if st := gw.Stats(); st.Rejected != 6 || st.Ordered != 2 {
-		t.Errorf("rejected %d, ordered %d; want 6 and 2", st.Rejected, st.Ordered)
+	if st := gw.Stats(); st.Rejected != 3 || st.Ordered != 1 {
+		t.Errorf("rejected %d, ordered %d; want 3 and 1", st.Rejected, st.Ordered)
 	}
 }
 

@@ -245,7 +245,7 @@ func TestGatewaySampledTracing(t *testing.T) {
 	}
 	for n := 0; n < 16; n++ {
 		req := signedRequest(t, ps["alice"], "deals", []byte(fmt.Sprintf("p%d", n)))
-		if err := gw.Submit(context.Background(), req); err != nil {
+		if _, err := frontOf(gw).submit(req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 	}
 	sharded.Subscribe("deals", func(ledger.Block) error { return nil })
 	for n := 0; n < 4; n++ {
-		if err := gw.Submit(context.Background(), signedRequest(t, ps["alice"], "deals", []byte(fmt.Sprintf("p%d", n)))); err != nil {
+		if _, err := frontOf(gw).submit(signedRequest(t, ps["alice"], "deals", []byte(fmt.Sprintf("p%d", n)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -427,7 +427,7 @@ func TestGatewayStatsConsistencyUnderRace(t *testing.T) {
 				MACRequest(req, grant.MacKey)
 				// bob's session may be closed by the closer below mid-run;
 				// rejections are part of the churn being measured.
-				_ = gw.Submit(context.Background(), req)
+				_, _ = frontOf(gw).submit(req)
 			}
 		}(w)
 	}
