@@ -360,13 +360,13 @@ func TestAllocationBudget(t *testing.T) {
 // The 352-byte Request went back to a pool and the 32-byte reply moved out of
 // the request into a slice of its own, -320 B at the same count (736 B); the
 // block's one-transaction Txs slice, 192 B, became a 21st of a 4,096-byte
-// queue chunk, +3 B (739 B). The 17 B left are slack for the pool's refills
-// after a garbage collection.
-const serveWireBytesBudget = 1056 - 300
+// queue chunk, +3 B (739 B); the orderer reused its chunks, -195 B (544 B).
+// The 17 B left are slack for the pool's refills after a garbage collection.
+const serveWireBytesBudget = 1056 - 300 - 195
 
 // appendWireBytesBudget is the same submission through AppendWire into a
 // reused buffer, as the edge makes it: the reply slice is gone, -32 B
-// (707 B), with the same 17 B of slack.
+// (512 B), with the same 17 B of slack.
 const appendWireBytesBudget = serveWireBytesBudget - 32
 
 // TestServeWireAllocatedBytes holds the bytes, not only the count, of a wire

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -171,6 +172,9 @@ func (l *Ledger) Append(b Block) error {
 			}
 		}
 	}
+	// The block's Txs may be lent for the call (an orderer's delivery is),
+	// so the chain keeps a copy.
+	b.Txs = slices.Clone(b.Txs)
 	l.blocks = append(l.blocks, b)
 	l.height++
 	l.lastHash = b.Hash()

@@ -42,9 +42,12 @@ type chaosScenario struct {
 	// with the other leader or shard kills, which would take the same nodes
 	// down.
 	staleFollower bool
-	// rebalanceEvery runs a skew-driven rebalancing pass every N global
-	// submissions; 0 disables. Do not combine with killShard — a dead
-	// shard's low load reads as "cold" and attracts migrations.
+	// rebalanceEvery migrates one channel to the next shard and then runs
+	// a skew-driven rebalancing pass every N global submissions; 0
+	// disables. A pass over an even load moves nothing, so the explicit
+	// migration is what makes every run move channels. Do not combine with
+	// killShard — a dead shard's low load reads as "cold" and attracts
+	// migrations.
 	rebalanceEvery int
 	// revokeMidStorm revokes the last member's certificate once half of one
 	// submitter's share (submissions/2) of that member's own submissions
@@ -79,8 +82,8 @@ type chaosReport struct {
 	// revocation, all refused (resumeSessions only).
 	resumedOpens, revokedOpensRefused int
 	// failovers and positionInstalls aggregate the ordering tier's recovery
-	// during the storm.
-	failovers, positionInstalls uint64
+	// during the storm, migrations its channel moves.
+	failovers, positionInstalls, migrations uint64
 	// delivered counts the transactions the channels' subscribers saw.
 	delivered int
 	// violations lists per-channel ordering violations: out-of-order block
@@ -282,8 +285,15 @@ func runChaos(t *testing.T, sc chaosScenario) *chaosReport {
 	// The recurring fault triggers run inline on whichever submitter draws a
 	// matching sequence number, so the storm needs no side-channel timing;
 	// TryLock keeps slow injections from serializing the whole storm behind
-	// one submitter.
+	// one submitter. A migration waits its turn instead, so none is skipped.
 	inject := func(n int64) {
+		if sc.rebalanceEvery > 0 && n%int64(sc.rebalanceEvery) == 0 {
+			faultMu.Lock()
+			ch := channels[int(n)/sc.rebalanceEvery%len(channels)]
+			_ = sb.Migrate(ch, (sb.ShardFor(ch)+1)%sc.shards)
+			_, _ = sb.Rebalance(2.0)
+			faultMu.Unlock()
+		}
 		if !faultMu.TryLock() {
 			return
 		}
@@ -302,9 +312,6 @@ func runChaos(t *testing.T, sc chaosScenario) *chaosReport {
 					_ = c.Restart(dead)
 				}
 			}
-		}
-		if sc.rebalanceEvery > 0 && n%int64(sc.rebalanceEvery) == 0 {
-			_, _ = sb.Rebalance(2.0)
 		}
 	}
 
@@ -407,6 +414,7 @@ func runChaos(t *testing.T, sc chaosScenario) *chaosReport {
 		revokedOpensRefused: int(refusedOpens.Load()),
 		violations:          violations,
 		shardmates:          shardmates,
+		migrations:          sb.Migrations(),
 	}
 	for _, rs := range replicated {
 		r.failovers += rs.Failovers()
@@ -444,9 +452,10 @@ func TestChaos(t *testing.T) {
 		check    func(t *testing.T, r *chaosReport)
 	}{
 		{
-			// The soak: leaders die every few dozen submissions and
-			// skew-driven rebalancing passes run mid-storm, yet every
-			// submission succeeds.
+			// The soak: leaders die every few dozen submissions, and a
+			// channel migrates and a skew-driven rebalancing pass runs every
+			// 80, so reused queue chunks are exported and adopted between
+			// leader kills; yet every submission succeeds.
 			name: "LeaderKillsAndRebalanceUnderLoad",
 			scenario: chaosScenario{shards: 4, replicas: 3, channels: 8, submitters: 8, submissions: 30,
 				killLeaderEvery: 25, rebalanceEvery: 80},
@@ -459,6 +468,9 @@ func TestChaos(t *testing.T) {
 				}
 				if r.failovers == 0 {
 					t.Fatal("no failovers ran; the chaos never hit a live leader")
+				}
+				if r.migrations == 0 {
+					t.Fatal("no channel migrated; the storm never moved a queue between shards")
 				}
 			},
 		},

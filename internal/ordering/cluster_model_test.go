@@ -134,11 +134,12 @@ func node(op byte, first, nodes int) int {
 // restart, elect, and an export→import into a fresh cluster — and holds
 // them to the same chain: no violation at the subscriber, the same head,
 // every live node level with the leader, and never more than the in-flight
-// entry in a node's memory. A second subscriber keeps every block with a
-// junk transaction appended, and at the end each kept block must hold what
-// the model cut and its junk: blocks are carved from the queue's chunks.
-// The tape's first byte picks the batch size and the node count: three, one
-// or five.
+// entry in a node's memory. A second subscriber checks that every block's
+// Txs is handed with its capacity clipped, so appending to it cannot write
+// into the queue it was carved from, and keeps a copy of it, since a
+// delivered block is lent for the call; at the end each kept block must
+// hold what the model cut. The tape's first byte picks the batch size and
+// the node count: three, one or five.
 func FuzzClusterModel(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1})
 	// The stale-follower fork: crash C, five blocks, crash A, restart C,
@@ -152,13 +153,24 @@ func FuzzClusterModel(f *testing.F) {
 	// Five nodes ride out two crashes, lose the quorum at the third with a
 	// block in the queue, and commit it once a fourth-listed node is back.
 	f.Add([]byte{6, 0, 2, 12, 8, 0, 4, 0, 8, 15, 8, 9, 0})
-	// The queue across a chunk's end: eighteen one-transaction blocks; two
-	// followers down while six more queue past the end of the first chunk,
-	// every flush rolled back; two withdrawn, one from each side of the
-	// move; both back; a block of the four and a fifth, then one-transaction
-	// blocks until 63, three chunks' worth, were kept.
-	chunkEnd := append(make([]byte, 1+pendingChunk-3), 3, 4, 0, 0, 0, 0, 0, 0, 141, 131, 6, 7)
+	// A backlog past the chunk's end: eighteen one-transaction blocks; two
+	// followers down while 24 queue, every flush rolled back, so the queue
+	// moves into a chunk of 42 at the 22nd; two withdrawn, one from each
+	// side of the move; both back; a block of the 22 and a 23rd, after
+	// which the grown chunk is dropped; then one-transaction blocks until
+	// 63 were kept.
+	chunkEnd := append(make([]byte, 1+pendingChunk-3), 3, 4)
+	chunkEnd = append(append(chunkEnd, make([]byte, 24)...), 141, 221, 6, 7)
 	f.Add(append(chunkEnd, make([]byte, 2*pendingChunk+3)...))
+	// A backlog that grows the queue twice with no block cut in between:
+	// one chunk's one-transaction blocks and one more; both followers down
+	// while 45 transactions queue, so the queue moves into a chunk of 42 at
+	// the 22nd and one of 84 at the 43rd; both back, a flush cuts a block of
+	// the 45 and the grown chunk is dropped; then one-transaction blocks,
+	// four chunks' worth.
+	backlog := append(make([]byte, 1+pendingChunk+1), 3, 4)
+	backlog = append(append(backlog, make([]byte, 45)...), 6, 7, 9)
+	f.Add(append(backlog, make([]byte, 4*pendingChunk)...))
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) == 0 {
 			return
@@ -166,8 +178,7 @@ func FuzzClusterModel(f *testing.F) {
 		batch := 1 + int(tape[0])%3
 		ops := fuzzOps[:[]int{3, 1, 5}[int(tape[0])/3%3]]
 		cv := &ChainVerifier{}
-		junk := mkTx("trade", "Mallory", "junk")
-		var kept []ledger.Block // since the last import, each with junk appended
+		var kept []ledger.Block // since the last import
 		build := func(st ChannelState) (*Cluster, *refCluster) {
 			c, err := NewCluster("trade", ops, VisibilityEnvelope, WithBatchSize(batch))
 			if err != nil {
@@ -177,7 +188,10 @@ func FuzzClusterModel(f *testing.F) {
 			c.subscribe(cv.Deliver)
 			kept = kept[:0]
 			c.subscribe(func(b ledger.Block) error {
-				b.Txs = append(b.Txs, junk)
+				if cap(b.Txs) != len(b.Txs) {
+					t.Fatalf("block %d handed with room for %d more transactions in the queue's chunk", b.Number, cap(b.Txs)-len(b.Txs))
+				}
+				b.Txs = slices.Clone(b.Txs)
 				kept = append(kept, b)
 				return nil
 			})
@@ -271,8 +285,8 @@ func FuzzClusterModel(f *testing.F) {
 		}
 		for i, b := range kept {
 			cut := chain[i].Txs
-			if len(b.Txs) != len(cut)+1 || b.Txs[len(cut)].Digest() != junk.Digest() {
-				t.Fatalf("block %d holds %d transactions, the last not its junk; want %d and the junk", i, len(b.Txs), len(cut)+1)
+			if len(b.Txs) != len(cut) {
+				t.Fatalf("block %d holds %d transactions, want %d", i, len(b.Txs), len(cut))
 			}
 			for j := range cut {
 				if b.Txs[j].Digest() != cut[j].Digest() {

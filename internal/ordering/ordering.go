@@ -53,10 +53,13 @@ const (
 // different service (as the middleware gateway's platform adapters do) is
 // fine.
 //
-// The block's Txs is carved from the cluster's queue chunk, its capacity
-// clipped: appending to it reallocates, and nothing later writes over it.
-// A block kept keeps its chunk alive, up to 20 neighbouring transactions
-// and their payloads with it.
+// The block's transactions belong to the subscriber only for the call: Txs
+// is carved from the cluster's queue chunk, whose slots are cleared once
+// every subscriber has returned and then reused for the transactions queued
+// next, so a subscriber copies what it keeps (slices.Clone, as
+// ledger.Ledger.Append does). One that keeps Txs itself reads zero values
+// or later transactions. The capacity is clipped: appending to Txs during
+// the call reallocates instead of writing into the queue.
 type DeliverFunc func(b ledger.Block) error
 
 // config is what a constructor fixes for every chain it runs: the

@@ -100,12 +100,14 @@ type Cluster struct {
 	// head is where the next block is cut: the leader's position while
 	// there is a leader, the last leader's until the next election.
 	head position
-	// pending is the queue, carved from an append-only chunk of
-	// pendingChunk transactions: a cut hands the block the queue's front,
-	// capacity clipped, and the queue goes on in the rest of the chunk. The
-	// chunk so keeps up to pendingChunk-1 transactions already cut alive
-	// until the queue moves to the next one.
+	// pending is the queue, a slice of chunk that runs to its end: a cut
+	// hands the block the queue's front, capacity clipped, and the queue
+	// goes on in the rest of the chunk. Once a block is delivered, Flush
+	// clears it and moves the queue back to the chunk's front (reclaim), so
+	// a steady queue reuses one chunk and allocates nothing. A queue that
+	// fills its chunk moves into a new one (grow).
 	pending []ledger.Transaction
+	chunk   []ledger.Transaction
 	subs    []DeliverFunc
 	// installs counts nodes brought level with a leader they were behind;
 	// a ReplicatedShard points every cluster it runs at one counter.
@@ -317,11 +319,7 @@ func (c *Cluster) submit(tx ledger.Transaction) error {
 		return ErrNoLeader
 	}
 	if len(c.pending) == cap(c.pending) {
-		// The chunk is full: the queue moves to a new one, taking what is
-		// not cut yet. The old chunk stays with the blocks cut from it.
-		next := make([]ledger.Transaction, len(c.pending), max(pendingChunk, 2*len(c.pending)))
-		copy(next, c.pending)
-		c.pending = next
+		c.grow()
 	}
 	c.pending = append(c.pending, tx)
 	ready := len(c.pending) >= c.batch
@@ -354,7 +352,7 @@ func (c *Cluster) cancelPending(tx ledger.Transaction) bool {
 	defer c.mu.Unlock()
 	for i := range c.pending {
 		if c.pending[i].Digest() == d {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
+			c.pending = slices.Delete(c.pending, i, i+1)
 			return true
 		}
 	}
@@ -390,7 +388,35 @@ func (c *Cluster) adoptState(st ChannelState) {
 		n.pos = c.head
 		n.mu.Unlock()
 	}
-	c.pending = append([]ledger.Transaction(nil), st.Pending...)
+	c.pending = st.Pending
+	c.grow()
+}
+
+// grow moves the queue into a new chunk of twice its length, at least
+// pendingChunk. The chunk it leaves stays with the blocks cut from it.
+// Caller holds c.mu.
+func (c *Cluster) grow() {
+	c.chunk = make([]ledger.Transaction, max(pendingChunk, 2*len(c.pending)))
+	c.pending = c.chunk[:copy(c.chunk, c.pending)]
+}
+
+// reclaim runs once a block's delivery is over. It clears the block's
+// transactions, which then pin no payload (a subscriber that kept them
+// without a copy reads zero values or later transactions), and moves the
+// queue back to the front of its chunk. The caller holds deliver, so no
+// other block carved from the chunk is out. A chunk grown past pendingChunk
+// is dropped once the backlog it grew for is gone: the queue moves into a
+// chunk of pendingChunk again.
+func (c *Cluster) reclaim(txs []ledger.Transaction) {
+	clear(txs)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, end := len(c.pending), len(c.chunk)-cap(c.pending)+len(c.pending)
+	if len(c.chunk) > pendingChunk && 2*n <= pendingChunk {
+		c.chunk, end = make([]ledger.Transaction, pendingChunk), n
+	}
+	c.pending = c.chunk[:copy(c.chunk, c.pending)]
+	clear(c.chunk[n:end])
 }
 
 // observe records what the operator of every live node learns from an
@@ -492,6 +518,8 @@ func (c *Cluster) Flush() error {
 	subs := c.subs
 	c.mu.Unlock()
 
+	// The block's transactions are the subscribers' only for the call.
+	defer c.reclaim(block.Txs)
 	for _, deliver := range subs {
 		if err := deliver(block); err != nil {
 			return fmt.Errorf("deliver block %d: %w", block.Number, err)

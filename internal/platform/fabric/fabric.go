@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -234,8 +235,10 @@ func (n *Network) CreateChannel(name string, members []string, policy contract.P
 	}
 	n.channels[name] = ch
 	// Archive committed blocks after all replicas accept them, so late
-	// joiners can replay history (see JoinChannel).
+	// joiners can replay history (see JoinChannel). A delivered block's
+	// transactions are lent for the call: the archive keeps a copy.
 	n.orderer.Subscribe(name, func(b ledger.Block) error {
+		b.Txs = slices.Clone(b.Txs)
 		n.mu.Lock()
 		ch.history = append(ch.history, b)
 		n.mu.Unlock()
