@@ -277,26 +277,6 @@ func TestAllocationBudget(t *testing.T) {
 			ceiling:  0,
 		},
 		{
-			// One ecdsa.Verify, the request's (go1.24.0); 26 more when
-			// pki.Verifier misses and the CA's signature is checked again.
-			// One fewer than the baseline figure: the block cut no longer
-			// copies the subscriber list. 34 until Gateway.order stopped
-			// making a map for "gateway" (2) and the digest a slice for its
-			// one key (1); 31 until the transaction's digest memo went; 30
-			// until the block's Txs slice was carved from the queue chunk;
-			// 29, the stage's share alone, until the row sent frames through
-			// AppendWire, the one way in, instead of handing Gateway.Submit
-			// (gone) a template whose signature and certificate were already
-			// decoded. The frame's decode adds 12 net: the principal's
-			// string, the signature's integers, and the certificate with its
-			// key and the CA's signature (pki.Certificate.UnmarshalBinary).
-			name:     "authn",
-			replaces: "baseline Chain/stages=1(+authn) 35",
-			cfg:      pipeline(authnStage),
-			allocs:   submitAllocs,
-			ceiling:  41,
-		},
-		{
 			// The uncached seal wraps the data key for every member on every
 			// request (crypto/ecdh, crypto/aes; go1.24.0); audit adds none.
 			// 107 until the wrap drew one ephemeral key per request instead
@@ -311,13 +291,16 @@ func TestAllocationBudget(t *testing.T) {
 			// sorted names the frame listed them in (1) became one slice of
 			// wraps sorted by their bytes. 72 until the block's Txs slice was
 			// carved from the queue chunk; 71 until the row sent frames
-			// through AppendWire, whose decode of the signed frame adds the
-			// authn row's 12.
-			name:     "authn|encrypt|audit",
+			// through AppendWire, whose decode of the signed frame added 12
+			// (83). 83 until the row was authn|encrypt|audit: the signed
+			// frame's decode (12) and the authn stage's certificate and
+			// signature check (29) went with the sessionless path, and the
+			// session's MAC check allocates nothing (the mac row).
+			name:     "session|encrypt|audit",
 			replaces: "baseline Chain/stages=3(+audit) 108",
-			cfg:      pipeline(authnStage, encryptStage, auditStage),
+			cfg:      pipeline(sessionStage(nil), encryptStage, auditStage),
 			allocs:   submitAllocs,
-			ceiling:  83,
+			ceiling:  42,
 		},
 		{
 			// A ledger reader's decode of one sealed frame at the benchmark's

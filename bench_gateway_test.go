@@ -40,8 +40,8 @@ func (c *countingBackend) Commit(b ledger.Block) error {
 }
 
 // gatewayBenchEnv is the shared consortium: an enrolled CA, three members
-// and a pool of workload submissions, each carrying its member's
-// certificate and signature — what a sessionless client sends.
+// and a pool of workload submissions, bare: a pipeline with a session stage
+// MACs each on its member's session (newFastPathEnv).
 type gatewayBenchEnv struct {
 	ca         *pki.CA
 	keys       map[string]*dcrypto.PrivateKey
@@ -82,17 +82,7 @@ func newGatewayBenchEnv(tb testing.TB) *gatewayBenchEnv {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cert := certs[tr.Buyer]
-		req := middleware.Request{
-			Channel:   benchChannel,
-			Principal: tr.Buyer,
-			Payload:   payload,
-			Cert:      &cert,
-		}
-		if err := middleware.SignRequest(&req, keys[tr.Buyer]); err != nil {
-			tb.Fatal(err)
-		}
-		templates[i] = req
+		templates[i] = middleware.Request{Channel: benchChannel, Principal: tr.Buyer, Payload: payload}
 	}
 	return &gatewayBenchEnv{ca: ca, keys: keys, certs: certs, memberKeys: memberKeys, templates: templates}
 }
@@ -104,9 +94,8 @@ type fastPathEnv struct {
 	gw   *middleware.Gateway
 	sink *countingBackend
 	// templates are the consortium's submissions in the form this pipeline
-	// authenticates: certificate + signature without a session stage,
-	// token + MAC with one; frames are the gateway.submit frames a client
-	// sends them as.
+	// authenticates: token + MAC with a session stage, bare without one;
+	// frames are the gateway.submit frames a client sends them as.
 	templates []middleware.Request
 	frames    [][]byte
 }
@@ -150,9 +139,6 @@ func newFastPathEnv(tb testing.TB, env *gatewayBenchEnv, cfg middleware.Config) 
 		fp.templates = make([]middleware.Request, len(env.templates))
 		for i, req := range env.templates {
 			grant := grants[req.Principal]
-			// Token and MAC instead of certificate and signature: the
-			// session path never touches either.
-			req.Cert, req.Sig = nil, dcrypto.Signature{}
 			req.SessionToken = grant.Token
 			middleware.MACRequest(&req, grant.MacKey)
 			fp.templates[i] = req
@@ -209,7 +195,6 @@ func sessionStage(params map[string]string) middleware.StageConfig {
 // keycacheEncrypt wraps once per epoch — with sessionStage in front of it,
 // the session fast path.
 var (
-	authnStage      = middleware.StageConfig{Name: middleware.StageAuthn}
 	encryptStage    = middleware.StageConfig{Name: middleware.StageEncrypt}
 	keycacheEncrypt = middleware.StageConfig{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "1h"}}
 	auditStage      = middleware.StageConfig{Name: middleware.StageAudit, Params: map[string]string{"observer": "bench-op"}}
@@ -227,7 +212,7 @@ func BenchmarkGatewayChain(b *testing.B) {
 	env := newGatewayBenchEnv(b)
 	ratelimit := middleware.StageConfig{Name: middleware.StageRateLimit, Params: map[string]string{"rate": "1e12", "burst": "1e12"}}
 	stages := []middleware.StageConfig{
-		authnStage,
+		sessionStage(nil),
 		encryptStage,
 		auditStage,
 		ratelimit,
@@ -245,25 +230,18 @@ func BenchmarkGatewayChain(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewaySession compares the per-request security path against
-// the session-amortized one on an otherwise identical pipeline:
-//
-//   - per-request: every submission pays full certificate verification
-//     (authn) and a fresh per-member hybrid key-wrap (encrypt).
-//   - session: certificate verification is paid once at session open; each
-//     submission verifies one HMAC under the session's key — symmetric,
-//     pooled, allocation-free — and the channel data key is wrapped once
-//     per epoch and reused.
-//
-// The middle variant isolates the two contributions by amortizing authn
-// while still paying the per-request wrap.
+// BenchmarkGatewaySession compares the per-request key wrap against the
+// epoch key cache on a session pipeline: certificate verification is paid
+// once at session open and each submission verifies one HMAC under the
+// session's key — symmetric, pooled, allocation-free — while the channel
+// data key is wrapped for every member on every request, or once per epoch
+// and reused.
 func BenchmarkGatewaySession(b *testing.B) {
 	env := newGatewayBenchEnv(b)
 	for _, tc := range []struct {
 		name   string
 		stages []middleware.StageConfig
 	}{
-		{"per-request(authn+wrap)", []middleware.StageConfig{authnStage, encryptStage}},
 		{"session(amortized-authn)", []middleware.StageConfig{sessionStage(nil), encryptStage}},
 		{"session(amortized-authn+keycache)", []middleware.StageConfig{sessionStage(nil), keycacheEncrypt}},
 	} {

@@ -28,10 +28,10 @@ import (
 )
 
 // defaultStages is the serving pipeline: session-amortized authentication
-// (authn for sessionless, certificate-bearing requests), envelope encryption
-// under a per-epoch key cache, and leakage accounting as the gateway
-// operator.
-const defaultStages = "session(ttl=10m,idle=5m)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)"
+// (the certificate is verified once, at session open, and every request
+// rides its session's MAC), envelope encryption under a per-epoch key cache,
+// and leakage accounting as the gateway operator.
+const defaultStages = "session(ttl=10m,idle=5m)|encrypt(keyttl=5m)|audit(observer=gateway-op)"
 
 // opts holds every flag; the one serving mode reads them all.
 type opts struct {

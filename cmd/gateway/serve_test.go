@@ -29,7 +29,6 @@ func TestDefaultStagesAreTheServePipeline(t *testing.T) {
 	}
 	want := []middleware.StageConfig{
 		{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m", "idle": "5m"}},
-		{Name: middleware.StageAuthn},
 		{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 		{Name: middleware.StageAudit, Params: map[string]string{"observer": gatewayOperator}},
 	}
@@ -98,8 +97,8 @@ func TestServeOneSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/statusz: %v", err)
 	}
-	if st.Pipeline != defaultStages || st.Submitted != 1 || len(st.Stages) != 4 {
-		t.Fatalf("/statusz: pipeline %q, %d submitted, %d stages; want %q, 1, 4", st.Pipeline, st.Submitted, len(st.Stages), defaultStages)
+	if st.Pipeline != defaultStages || st.Submitted != 1 || len(st.Stages) != 3 {
+		t.Fatalf("/statusz: pipeline %q, %d submitted, %d stages; want %q, 1, 3", st.Pipeline, st.Submitted, len(st.Stages), defaultStages)
 	}
 	// The leakage matrix: the gateway operator saw the submission's
 	// metadata and its submitter, the one orderer operator whose shard
@@ -163,6 +162,7 @@ func TestBadStagesFailBeforeListening(t *testing.T) {
 		"session(ttl=soon)|authn",
 		"session(reqauth=sig)|authn",
 		"authn|session",
+		"authn",
 	} {
 		o := testOpts()
 		o.listen, o.stages = held.Addr().String(), stages

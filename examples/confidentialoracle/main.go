@@ -104,7 +104,6 @@ func run() error {
 	cfg := middleware.Config{
 		Stages: []middleware.StageConfig{
 			{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m"}},
-			{Name: middleware.StageAuthn},
 			{Name: middleware.StageAttest, Params: map[string]string{"mode": "tee", "bind": "output"}},
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 			{Name: middleware.StageAudit, Params: map[string]string{"observer": "gateway-op"}},

@@ -2,7 +2,7 @@
 // sufficient-funds proof is no longer hand-verified by application code —
 // a zkproof stage in the declarative pipeline checks it before the
 // application is sealed for the channel members. One Config string
-// expresses the whole confidentiality posture: session-amortized authn,
+// expresses the whole confidentiality posture: session-amortized authentication,
 // range-proof-gated applications, envelope encryption, leakage accounting.
 package main
 
@@ -71,7 +71,6 @@ func run() error {
 	cfg := middleware.Config{
 		Stages: []middleware.StageConfig{
 			{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m"}},
-			{Name: middleware.StageAuthn},
 			{Name: middleware.StageZKProof, Params: map[string]string{"mode": "range", "channel": "loc-apply"}},
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 			{Name: middleware.StageAudit, Params: map[string]string{"observer": "gateway-op"}},

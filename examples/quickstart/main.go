@@ -116,7 +116,7 @@ func run() error {
 		return err
 	}
 
-	// 3. The declarative pipeline: session-amortized authn, envelope
+	// 3. The declarative pipeline: session-amortized authentication, envelope
 	// encryption to the channel members (data key cached per epoch),
 	// leakage accounting. Envelope visibility keeps payloads opaque to
 	// both shard operators; Shards/ShardPins declare the ordering
@@ -132,7 +132,6 @@ func run() error {
 	cfg := middleware.Config{
 		Stages: []middleware.StageConfig{
 			{Name: middleware.StageSession, Params: map[string]string{"ttl": "10m", "idle": "2m"}},
-			{Name: middleware.StageAuthn},
 			{Name: middleware.StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 			{Name: middleware.StageAudit, Params: map[string]string{"observer": "gateway-op"}},
 		},

@@ -1,7 +1,7 @@
 // Regulator audit through the gateway: member banks report confidential
 // exposures under anonymous credentials, and the pipeline aggregates the
 // encrypted reports homomorphically before anything reaches the ledger.
-// The anoncred stage replaces certificate authn — the gateway learns
+// The anoncred stage replaces certificate authentication — the gateway learns
 // "a credentialed member" plus a scope-exclusive pseudonym, never which
 // bank — and the terminal aggregate stage orders only the Paillier sum,
 // so the regulator decrypts the sector total without seeing any single

@@ -41,8 +41,8 @@ var (
 
 // anonCredStage verifies anonymous-credential presentations (Env.AnonCredKey is
 // the issuer's attribute verification key). A verified presentation
-// authenticates the request — the stage gives the principal fact, as authn
-// and session do — with the presentation's pseudonym as the principal.
+// authenticates the request — the stage gives the principal fact, as the
+// session stage does — with the presentation's pseudonym as the principal.
 // One-show tokens are enforced: replaying a presentation fails even though
 // the wallet stays unlinkable across scopes.
 type anonCredStage struct {
@@ -185,13 +185,19 @@ func init() {
 			{"mode", `credential system, only "present"`},
 			{"attrs", `required attribute set, "+"-separated (e.g. role=member+org=bank)`},
 			{"scope", "required presentation context (pseudonyms are scope-exclusive)"},
-			{"require", "on|off (default on): unauthenticated submissions must present"},
+			{"require", `on|off (default on): on refuses an unauthenticated request with no presentation; off passes it on and gives no principal, for a "session" stage after anoncred (which needs off)`},
 		},
 		refuses: []factRule{
-			{factCertOnly, "a presented credential authenticates the request before the certificate path runs"},
+			{factPrincipal, "a request without a session token is refused at the session stage, so a credential is verified before it: put anoncred first, with require=off so that token requests pass it"},
 			{factMetered, whyPrincipalBuckets},
 		},
 		gives: []factRule{{fact: factPrincipal}},
+		partial: func(sc StageConfig) string {
+			if sc.Params["require"] != "off" {
+				return ""
+			}
+			return "with require=off it passes on a request that presents no credential, for a session stage after it to authenticate"
+		},
 		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
 			if mode := p.str("mode", "present"); mode != "present" {
 				return nil, fmt.Errorf("unknown anoncred mode %q (want present)", mode)

@@ -3,8 +3,11 @@ package middleware
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"dltprivacy/internal/audit"
@@ -170,4 +173,84 @@ func sameRandomness(t *testing.T, name string, got, want []byte) []byte {
 	g := grants[0]
 	g.Token, g.ResumeID, g.Sealed = grants[1].Token, grants[1].ResumeID, grants[1].Sealed
 	return appendGrantFrame(nil, &g)
+}
+
+// TestParentLayoutFrameIsRefused: a request frame in the layout that carried
+// a signature and a certificate field (testdata/parent_request_frame.hex,
+// made once by that layout's encoder: both fields empty, around a MAC that
+// is valid for the session its token names) is refused with a
+// {stage,reason} and orders nothing, while the same request in today's
+// layout is admitted on the same session.
+func TestParentLayoutFrameIsRefused(t *testing.T) {
+	golden, err := os.ReadFile("testdata/parent_request_frame.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := hex.DecodeString(strings.TrimSpace(string(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, ps := enroll(t, "alice")
+	cfg := Config{Stages: []StageConfig{{Name: StageSession}, {Name: StageAudit}}}
+	gw, err := NewGateway("gw", cfg, Env{CAKey: ca.PublicKey(), Log: audit.NewLog()}, newShardedOrderer(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Bind("deals", &countingBackend{})
+	// The frame's token is the key 01 02 … 20 and its MAC key 32 bytes of
+	// 0x42: alice's live session is moved onto both.
+	var key sessionKey
+	for i := range key {
+		key[i] = byte(i + 1)
+	}
+	macKey := bytes.Repeat([]byte{0x42}, dcrypto.MACSize)
+	gw.sessions.rekey(t, openSession(t, gw.sessions, ps["alice"]).Token, key, macKey)
+	spelled := key.hex()
+	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: string(spelled[:])}
+	MACRequest(req, macKey)
+	if !bytes.Contains(parent, req.MAC) {
+		t.Fatal("the golden frame does not carry its request's MAC")
+	}
+	ctx := context.Background()
+	if _, err := gw.AppendWire(ctx, nil, TopicSubmit, parent, ""); err == nil || RejectLabel(err) == "" {
+		t.Fatalf("parent-layout frame: err %v, label %q; want a counted refusal", err, RejectLabel(err))
+	}
+	if n := gw.Stats().Ordered; n != 0 {
+		t.Fatalf("the refused frame ordered %d transactions", n)
+	}
+	frame, err := EncodeWireRequest(req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.AppendWire(ctx, nil, TopicSubmit, frame, ""); err != nil {
+		t.Fatalf("the same request in today's layout: %v", err)
+	}
+	if n := gw.Stats().Ordered; n != 1 {
+		t.Fatalf("ordered %d transactions, want 1", n)
+	}
+}
+
+// rekey moves the live session token names onto key, MAC'd under macKey: a
+// session a checked-in frame can name.
+func (m *SessionManager) rekey(t *testing.T, token string, key sessionKey, macKey []byte) {
+	t.Helper()
+	old, ok := parseSessionKey(token)
+	if !ok {
+		t.Fatalf("token %q is no key", token)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.stripe(&old)
+	st.mu.Lock()
+	s := st.sessions[old]
+	delete(st.sessions, old)
+	st.mu.Unlock()
+	if s == nil {
+		t.Fatalf("no live session %q", token)
+	}
+	s.key, s.macKey = key, *dcrypto.NewMACKey(macKey)
+	st = m.stripe(&key)
+	st.mu.Lock()
+	st.sessions[key] = s
+	st.mu.Unlock()
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestLeakageMatrixIsExactWithoutFlush drives the batch_groupseal posture,
-// authn|encrypt|audit|batch(size=64,groupseal=on), from 8 goroutines and
+// session|encrypt|audit|batch(size=64,groupseal=on), from 8 goroutines and
 // requires the leakage matrix to be exact once every Submit has returned,
 // with no Flush: the audit stage records before Handle returns whatever
 // auditasync says, and submissions a stage refuses are not recorded.
@@ -26,7 +26,7 @@ func TestLeakageMatrixIsExactWithoutFlush(t *testing.T) {
 	for _, depth := range []string{"0", "1", "4096"} {
 		t.Run("auditasync="+depth, func(t *testing.T) {
 			cfg := Config{Stages: []StageConfig{
-				{Name: StageAuthn},
+				{Name: StageSession},
 				{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 				{Name: StageAudit, Params: map[string]string{"observer": "gw-op", "auditasync": depth}},
 				{Name: StageBatch, Params: map[string]string{"size": "64", "groupseal": "on"}},
@@ -40,14 +40,14 @@ func TestLeakageMatrixIsExactWithoutFlush(t *testing.T) {
 			}
 			defer gw.Close()
 
-			// Signed up front: the workers only submit.
+			// MAC'd up front: the workers only submit.
 			reqs := make([]*Request, n)
 			for i := range reqs {
-				reqs[i] = signedRequest(t, ps[[]string{"alice", "bob"}[i%2]], "deals", []byte(fmt.Sprintf("trade-%d", i)))
+				reqs[i] = memberRequest(t, gw.sessions, ps[[]string{"alice", "bob"}[i%2]], "deals", []byte(fmt.Sprintf("trade-%d", i)))
 			}
-			forged := signedRequest(t, ps["alice"], "deals", []byte("signed"))
-			forged.Payload = []byte("forged")                                  // authn refuses
-			unknown := signedRequest(t, ps["bob"], "nobody", []byte("orphan")) // encrypt refuses
+			forged := memberRequest(t, gw.sessions, ps["alice"], "deals", []byte("signed"))
+			forged.Payload = []byte("forged")                                               // session refuses
+			unknown := memberRequest(t, gw.sessions, ps["bob"], "nobody", []byte("orphan")) // encrypt refuses
 			refused := []*Request{forged, unknown}
 
 			var wg sync.WaitGroup

@@ -15,12 +15,12 @@ import (
 	"dltprivacy/internal/telemetry"
 )
 
-// groupCfg is the canonical group-seal pipeline: authn, cached-key encrypt
+// groupCfg is the canonical group-seal pipeline: session, cached-key encrypt
 // in deferred mode, terminal batch sealing (channel, epoch) groups.
 func groupCfg(size int) Config {
 	return Config{
 		Stages: []StageConfig{
-			{Name: StageAuthn},
+			{Name: StageSession},
 			{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			{Name: StageBatch, Params: map[string]string{"size": fmt.Sprint(size), "groupseal": "on"}},
 		},
@@ -46,7 +46,7 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 		}
 		payloads := [][]byte{[]byte("trade-0"), []byte("trade-1"), []byte("trade-2")}
 		for i, p := range payloads {
-			if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", p)); err != nil {
+			if err := chain.execute(context.Background(), chainRequest(t, chain, ps["alice"], "deals", p)); err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
 		}
@@ -93,7 +93,7 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 		single := &accept{}
 		cfg := Config{
 			Stages: []StageConfig{
-				{Name: StageAuthn},
+				{Name: StageSession},
 				{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 			},
 		}
@@ -101,7 +101,7 @@ func TestGroupSealReleasesOneEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := schain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", payloads[0])); err != nil {
+		if err := schain.execute(context.Background(), chainRequest(t, schain, ps["alice"], "deals", payloads[0])); err != nil {
 			t.Fatal(err)
 		}
 		senv, err := ParseEnvelope(single.seen[0].Payload)
@@ -140,7 +140,7 @@ func TestGroupSealFlushDrainsOpenBuckets(t *testing.T) {
 		t.Fatal("batch stage not in group-seal mode")
 	}
 	for _, ch := range []string{"deals", "trades", "deals"} {
-		if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], ch, []byte("p-"+ch))); err != nil {
+		if err := chain.execute(context.Background(), chainRequest(t, chain, ps["alice"], ch, []byte("p-"+ch))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestRotationReleasesStrandedGroup(t *testing.T) {
 		"d": {"alice": ps["alice"].key.Public()},
 	}
 	cfg := Config{Stages: []StageConfig{
-		{Name: StageAuthn},
+		{Name: StageSession},
 		{Name: StageEncrypt, Params: map[string]string{"keyttl": "1m"}},
 		{Name: StageBatch, Params: map[string]string{"size": "8", "groupseal": "on"}},
 	}}
@@ -185,7 +185,7 @@ func TestRotationReleasesStrandedGroup(t *testing.T) {
 	b := chain.stages[len(chain.stages)-1].(*batchStage)
 	submit := func(channel, payload string) {
 		t.Helper()
-		if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], channel, []byte(payload))); err != nil {
+		if err := chain.execute(context.Background(), chainRequest(t, chain, ps["alice"], channel, []byte(payload))); err != nil {
 			t.Fatalf("submit on %s: %v", channel, err)
 		}
 	}
@@ -248,7 +248,7 @@ func TestFailedReleasesAreCounted(t *testing.T) {
 	ca, ps := enrollAt(t, clock.now, "alice", "bob")
 	dir := StaticDirectory{"c": {"alice": ps["alice"].key.Public(), "bob": ps["bob"].key.Public()}}
 	cfg := Config{Stages: []StageConfig{
-		{Name: StageAuthn},
+		{Name: StageSession},
 		{Name: StageEncrypt, Params: map[string]string{"keyttl": "1m"}},
 		{Name: StageBatch, Params: map[string]string{"size": "4", "groupseal": "on"}},
 	}}
@@ -263,7 +263,7 @@ func TestFailedReleasesAreCounted(t *testing.T) {
 	}
 	b := chain.stages[len(chain.stages)-1].(*batchStage)
 	submit := func(payload string) error {
-		return chain.execute(context.Background(), signedRequest(t, ps["alice"], "c", []byte(payload)))
+		return chain.execute(context.Background(), chainRequest(t, chain, ps["alice"], "c", []byte(payload)))
 	}
 	failed := func() uint64 {
 		var st GatewayStats
@@ -325,7 +325,7 @@ func TestBatchReleaseSpanOnOwnTrace(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	cfg := Config{
 		Stages: []StageConfig{
-			{Name: StageAuthn},
+			{Name: StageSession},
 			{Name: StageBatch, Params: map[string]string{"size": "3"}},
 		},
 		Trace: "1000000", // local sampler effectively off: carried IDs only
@@ -337,7 +337,7 @@ func TestBatchReleaseSpanOnOwnTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		req := signedRequest(t, ps["alice"], "deals", []byte{byte(i)})
+		req := memberRequest(t, gw.sessions, ps["alice"], "deals", []byte{byte(i)})
 		req.TraceID = uint64(0xb0 + i)
 		if _, err := frontOf(gw).submit(req); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -377,7 +377,7 @@ func TestGroupReleaseSpanAmortizedShare(t *testing.T) {
 	tracer := telemetry.NewTracer(1, 8)
 	traces := make([]*telemetry.Trace, 2)
 	for i := range traces {
-		req := signedRequest(t, ps["alice"], "deals", []byte{byte(i)})
+		req := chainRequest(t, chain, ps["alice"], "deals", []byte{byte(i)})
 		traces[i] = tracer.For(uint64(0xc0 + i))
 		req.trace = traces[i]
 		if err := chain.execute(context.Background(), req); err != nil {
@@ -522,7 +522,7 @@ func TestGroupSealReleaseFailureReachesFiller(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit := func(payload string) error {
-		return chain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", []byte(payload)))
+		return chain.execute(context.Background(), chainRequest(t, chain, ps["alice"], "deals", []byte(payload)))
 	}
 	for i := 0; i < 2; i++ {
 		if err := submit(fmt.Sprintf("ok-%d", i)); err != nil {

@@ -105,7 +105,7 @@ const (
 	chaosCooldown = 20 * time.Millisecond
 )
 
-// runChaos stands up a full gateway — session, authn, rate limit, envelope
+// runChaos stands up a full gateway — session, authn (a pass-through), rate limit, envelope
 // encryption, audit, breaker — over a replicated sharded ordering tier, on
 // one injected clock, and drives concurrent clients through AppendWire, the
 // way the edge does, while injecting the scenario's faults: leader kills, a

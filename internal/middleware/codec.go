@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"dltprivacy/internal/dcrypto"
-	"dltprivacy/internal/pki"
 )
 
 // CodecBinary names the one request framing, the 0xDC frame, under the name
@@ -27,11 +26,11 @@ var ErrBadFrame = errors.New("middleware: malformed binary frame")
 // uvarint. Strings and byte fields share one shape; maps carry a count
 // first. Requests and ledger envelopes share the magic, the kind byte tells
 // them apart, and this file holds the request codec plus the primitives every
-// kind is built from. The certificate inside a wire request —
-// first-contact traffic only, never the session fast path — and inside a
-// full hello nests as one length-prefixed field holding the pki package's
-// own binary encoding (pki.Certificate.AppendBinary): pki owns and versions
-// that format, and the framing only carries its bytes.
+// kind is built from. A request frame carries no certificate or signature:
+// a submitter proves itself once, at session open, and then by MAC. The
+// certificate inside a full hello nests as one length-prefixed field holding
+// the pki package's own binary encoding (pki.Certificate.AppendBinary): pki
+// owns and versions that format, and the framing only carries its bytes.
 const (
 	binaryMagic        = 0xDC
 	binaryKindRequest  = 0x01
@@ -169,7 +168,7 @@ const misnamedSession = "?"
 // caller that copies the frame out and drops it, as netedge.Client does,
 // allocates nothing for it. Nothing writes over the frame and appending to it
 // reallocates, but keeping it keeps its slab, up to 16 KB, alive: copy a
-// frame kept for long. A nil certificate is not sent. The session token
+// frame kept for long. The session token
 // crosses as the 32 key bytes its hex spells; a malformed token, which names
 // no session, crosses verbatim and is refused as one, except one of exactly
 // 32 bytes, which would arrive looking like a key: that is refused here, as
@@ -187,24 +186,8 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	case tokenSize == sessionTokenBytes:
 		return nil, fmt.Errorf("middleware: encode request: %w: a %d-byte token is no session's spelling", ErrNoSession, tokenSize)
 	}
-	var sig, cert []byte
-	var certBuf [certStackBytes]byte
-	if req.Sig.R != nil || req.Sig.S != nil {
-		// A caller can put any integer here; the 64-byte field holds only
-		// what a verifier could accept.
-		if !req.Sig.WellFormed() {
-			return nil, fmt.Errorf("middleware: encode request: %w", dcrypto.ErrInvalidSignature)
-		}
-		sig = req.Sig.Bytes()
-	}
 	if len(req.MAC) > 0 && len(req.MAC) != dcrypto.MACSize {
 		return nil, fmt.Errorf("middleware: encode request: mac must be %d bytes, got %d", dcrypto.MACSize, len(req.MAC))
-	}
-	if req.Cert != nil {
-		var err error
-		if cert, err = req.Cert.AppendBinary(certBuf[:0]); err != nil {
-			return nil, fmt.Errorf("middleware: encode cert: %w", err)
-		}
 	}
 	size := 2 +
 		lenPrefixedSize(len(req.Channel)) +
@@ -212,9 +195,7 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 		lenPrefixedSize(len(req.Backend)) +
 		lenPrefixedSize(len(req.Payload)) +
 		lenPrefixedSize(tokenSize) +
-		lenPrefixedSize(len(sig)) +
 		lenPrefixedSize(len(req.MAC)) +
-		lenPrefixedSize(len(cert)) +
 		uvarintSize(req.TraceID) +
 		uvarintSize(uint64(len(req.Meta)))
 	for k, v := range req.Meta {
@@ -231,10 +212,8 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	} else {
 		out = appendLenPrefixed(out, []byte(req.SessionToken))
 	}
-	out = appendLenPrefixed(out, sig)
 	out = appendLenPrefixed(out, req.MAC)
-	out = appendLenPrefixed(out, cert)
-	// The trace ID rides between cert and meta as a bare uvarint: one byte
+	// The trace ID rides between MAC and meta as a bare uvarint: one byte
 	// for the untraced common case (TraceID 0).
 	out = binary.AppendUvarint(out, req.TraceID)
 	out = binary.AppendUvarint(out, uint64(len(req.Meta)))
@@ -269,9 +248,7 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	req.Backend = r.str()
 	req.Payload = r.bytes()
 	token := r.bytes()
-	sig := r.bytes()
 	req.MAC = r.bytes()
-	cert := r.bytes()
 	req.TraceID = r.uvarint()
 	nMeta := r.uvarint()
 	if r.err == nil && nMeta > uint64(len(r.b))/2 {
@@ -310,21 +287,8 @@ func decodeRequestBinary(b []byte, req *Request, g *Gateway) error {
 	} else {
 		req.Principal = string(principal)
 	}
-	if len(sig) > 0 {
-		s, err := dcrypto.ParseSignature(sig)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadFrame, err)
-		}
-		req.Sig = s
-	}
 	if len(req.MAC) > 0 && len(req.MAC) != dcrypto.MACSize {
 		return fmt.Errorf("%w: mac must be %d bytes, got %d", ErrBadFrame, dcrypto.MACSize, len(req.MAC))
-	}
-	if len(cert) > 0 {
-		req.Cert = new(pki.Certificate)
-		if err := req.Cert.UnmarshalBinary(cert); err != nil {
-			return fmt.Errorf("%w: cert: %v", ErrBadFrame, err)
-		}
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ var ErrBadConfig = errors.New("middleware: invalid pipeline configuration")
 //	             revokecheck (resolve, the only value, kept for
 //	             compatibility and refused without Env.Revoker: the
 //	             stage checks revocation whenever Env.Revoker is set)
-//	authn      — (no parameters)
+//	authn      — (no parameters; a pass-through kept for compatibility)
 //	encrypt    — keyttl (duration, default 0 = fresh data key per request;
 //	             > 0 caches the wrapped channel key per epoch; members come
 //	             from Env.Directory)
@@ -116,7 +116,7 @@ type Config struct {
 // Env carries the shared dependencies stages draw on. Zero fields default
 // where possible; stages that need a missing dependency fail build.
 type Env struct {
-	// CAKey is the pinned consortium CA verification key (authn, session).
+	// CAKey is the pinned consortium CA verification key (session).
 	CAKey dcrypto.PublicKey
 	// Sessions overrides the session stage's manager; when nil the stage
 	// builds its own from CAKey, Revoker and the ttl/idle parameters.
@@ -280,6 +280,7 @@ func (c Config) validate() error {
 	}
 	pos := make(map[string]int, len(c.Stages))
 	var given [numFacts]*stageDef // the stage that made each fact true; nil while it is false
+	var withheld [numFacts]string // why a stage that gives a fact, as configured, did not
 	for i, sc := range c.Stages {
 		def := lookupStage(sc.Name)
 		if def == nil {
@@ -305,7 +306,15 @@ func (c Config) validate() error {
 		}
 		for _, r := range def.needs {
 			if given[r.fact] == nil {
-				return fmt.Errorf("%w: %q needs %s before it: %s", ErrBadConfig, sc.Name, giversOf(r.fact), r.why)
+				return fmt.Errorf("%w: %q needs %s before it: %s%s", ErrBadConfig, sc.Name, giversOf(r.fact), r.why, withheld[r.fact])
+			}
+		}
+		if def.partial != nil {
+			if why := def.partial(sc); why != "" {
+				for _, r := range def.gives {
+					withheld[r.fact] = fmt.Sprintf("; %q gives no %s: %s", def.name, r.fact, why)
+				}
+				continue
 			}
 		}
 		for _, r := range def.gives {

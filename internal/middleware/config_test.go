@@ -37,12 +37,12 @@ func stageList(names ...string) Config {
 }
 
 func TestConfigBuildsFullChain(t *testing.T) {
-	cfg := stageList(StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch)
+	cfg := stageList(StageSession, StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch)
 	chain, err := cfg.build(testEnv(t), nil)
 	if err != nil {
 		t.Fatalf("full chain rejected: %v", err)
 	}
-	want := []string{StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch}
+	want := []string{StageSession, StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch}
 	if len(chain.stages) != len(want) {
 		t.Fatalf("%d stages, want %d", len(chain.stages), len(want))
 	}
@@ -65,7 +65,7 @@ func TestConfigRejectsMisordering(t *testing.T) {
 		{"encrypt without authn", stageList(StageEncrypt)},
 		{"ratelimit before authn", stageList(StageRateLimit, StageAuthn)},
 		{"retry is no stage", stageList("retry", StageBreaker)},
-		{"batch not last", stageList(StageAuthn, StageBatch, StageAudit)},
+		{"batch not last", stageList(StageSession, StageBatch, StageAudit)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,13 +111,13 @@ func TestConfigRejectsMissingDependencies(t *testing.T) {
 
 	noCA := env
 	noCA.CAKey = dcrypto.PublicKey{}
-	if _, err := stageList(StageAuthn).build(noCA, nil); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("authn without CA key = %v, want ErrBadConfig", err)
+	if _, err := stageList(StageSession).build(noCA, nil); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("session without CA key = %v, want ErrBadConfig", err)
 	}
 
 	noDir := env
 	noDir.Directory = nil
-	if _, err := stageList(StageAuthn, StageEncrypt).build(noDir, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := stageList(StageSession, StageEncrypt).build(noDir, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("encrypt without directory = %v, want ErrBadConfig", err)
 	}
 
@@ -140,7 +140,7 @@ func TestConfigParamMatrix(t *testing.T) {
 	}
 	encrypt := func(params map[string]string) Config {
 		return Config{Stages: []StageConfig{
-			{Name: StageAuthn},
+			{Name: StageSession},
 			{Name: StageEncrypt, Params: params},
 		}}
 	}
@@ -302,6 +302,11 @@ func privacyEnv(t *testing.T) Env {
 	return env
 }
 
+// anoncredOptional passes on a request that presents no credential.
+var anoncredOptional = StageConfig{Name: StageAnonCred, Params: map[string]string{
+	"attrs": "role=member", "scope": "audit", "require": "off",
+}}
+
 func TestConfigAcceptsPrivacyStages(t *testing.T) {
 	anoncredStage := StageConfig{Name: StageAnonCred, Params: map[string]string{
 		"attrs": "role=member", "scope": "audit",
@@ -311,7 +316,7 @@ func TestConfigAcceptsPrivacyStages(t *testing.T) {
 		stages []StageConfig
 	}{
 		{"zkproof after authn", []StageConfig{
-			{Name: StageAuthn}, {Name: StageZKProof}, {Name: StageEncrypt}, {Name: StageAudit},
+			{Name: StageSession}, {Name: StageAuthn}, {Name: StageZKProof}, {Name: StageEncrypt}, {Name: StageAudit},
 		}},
 		{"zkproof after session", []StageConfig{
 			{Name: StageSession}, {Name: StageZKProof}, {Name: StageEncrypt},
@@ -323,7 +328,7 @@ func TestConfigAcceptsPrivacyStages(t *testing.T) {
 			anoncredStage, {Name: StageRateLimit, Params: map[string]string{"rate": "10", "burst": "10"}},
 		}},
 		{"attest before encrypt", []StageConfig{
-			{Name: StageAuthn}, {Name: StageAttest}, {Name: StageEncrypt},
+			{Name: StageSession}, {Name: StageAttest}, {Name: StageEncrypt},
 		}},
 		{"aggregate terminal", []StageConfig{
 			anoncredStage, {Name: StageAudit, Params: map[string]string{"observer": "reg"}},
@@ -332,6 +337,9 @@ func TestConfigAcceptsPrivacyStages(t *testing.T) {
 		{"flagship composition", []StageConfig{
 			anoncredStage, {Name: StageZKProof}, {Name: StageAttest},
 			{Name: StageEncrypt}, {Name: StageAudit},
+		}},
+		{"anoncred(require=off) before session", []StageConfig{
+			anoncredOptional, {Name: StageSession}, {Name: StageAuthn}, {Name: StageEncrypt}, {Name: StageAudit},
 		}},
 	}
 	for _, tc := range cases {
@@ -360,42 +368,54 @@ func TestConfigRejectsPrivacyStageMisuse(t *testing.T) {
 	}{
 		{"zkproof without authenticator",
 			[]StageConfig{{Name: StageZKProof}, {Name: StageEncrypt}},
-			`"zkproof" needs "anoncred", "authn" or "session" before it: proof contexts are bound to the verified principal`},
+			`"zkproof" needs "anoncred" or "session" before it: proof contexts are bound to the verified principal`},
 		{"zkproof after encrypt",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageEncrypt}, {Name: StageZKProof}},
+			[]StageConfig{{Name: StageSession}, {Name: StageEncrypt}, {Name: StageZKProof}},
 			`"zkproof" cannot follow "encrypt": claims are checked against the plaintext submission before it is sealed`},
 		{"anoncred after authn",
 			[]StageConfig{{Name: StageAuthn}, anoncredStage},
-			`"anoncred" cannot follow "authn": a presented credential authenticates the request before the certificate path runs`},
+			`"authn" needs "anoncred" or "session" before it: it checks nothing itself: a certificate is verified at session open`},
 		{"anoncred after ratelimit",
 			[]StageConfig{{Name: StageRateLimit, Params: map[string]string{"rate": "10", "burst": "10"}}, anoncredStage},
 			`"anoncred" cannot follow "ratelimit": buckets are keyed by principal, which must be verified first`},
 		{"attest after encrypt",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageEncrypt}, {Name: StageAttest}},
+			[]StageConfig{{Name: StageSession}, {Name: StageEncrypt}, {Name: StageAttest}},
 			`"attest" cannot follow "encrypt": attestations bind to the plaintext payload, which sealing hides`},
 		{"aggregate not last",
 			[]StageConfig{anoncredStage, {Name: StageAggregate}, {Name: StageAudit}},
 			`"audit" cannot follow "aggregate": any later stage would be skipped for aggregated requests`},
 		{"aggregate with batch",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageBatch}, {Name: StageAggregate}},
+			[]StageConfig{{Name: StageSession}, {Name: StageBatch}, {Name: StageAggregate}},
 			`"aggregate" cannot follow "batch": one terminal collector owns the held-request release path`},
 		{"aggregate with encrypt",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageEncrypt}, {Name: StageAggregate}},
+			[]StageConfig{{Name: StageSession}, {Name: StageEncrypt}, {Name: StageAggregate}},
 			`"aggregate" cannot follow "encrypt": aggregation combines paillier ciphertexts, which envelope sealing would hide`},
 		{"session after authn",
 			[]StageConfig{{Name: StageAuthn}, {Name: StageSession}},
-			`"session" cannot follow "authn": token-bearing requests short-circuit the full PKI check`},
+			`"authn" needs "anoncred" or "session" before it: it checks nothing itself: a certificate is verified at session open`},
+		// anoncred first, and require=off for the session's token requests.
+		{"anoncred after session",
+			[]StageConfig{{Name: StageSession}, anoncredStage},
+			`"anoncred" cannot follow "session": a request without a session token is refused at the session stage, so a credential is verified before it: put anoncred first, with require=off so that token requests pass it`},
+		// A bare request would pass anoncred(require=off) and authn
+		// unauthenticated, and audit would order it.
+		{"authn after anoncred(require=off)",
+			[]StageConfig{anoncredOptional, {Name: StageAuthn}, {Name: StageAudit}},
+			`"authn" needs "anoncred" or "session" before it: it checks nothing itself: a certificate is verified at session open; "anoncred" gives no principal: with require=off it passes on a request that presents no credential, for a session stage after it to authenticate`},
+		{"encrypt after anoncred(require=off)",
+			[]StageConfig{anoncredOptional, {Name: StageEncrypt}},
+			`"encrypt" needs "anoncred" or "session" before it: never seal an envelope for an unverified submitter; "anoncred" gives no principal`},
 		{"session after ratelimit",
 			[]StageConfig{{Name: StageRateLimit}, {Name: StageSession}},
 			`"session" cannot follow "ratelimit": buckets are keyed by principal, which must be verified first`},
 		{"zkproof unknown param",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageZKProof, Params: map[string]string{"bitz": "16"}}},
+			[]StageConfig{{Name: StageSession}, {Name: StageZKProof, Params: map[string]string{"bitz": "16"}}},
 			`unknown param "bitz"`},
 		{"zkproof bits out of range",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageZKProof, Params: map[string]string{"bits": "99"}}},
+			[]StageConfig{{Name: StageSession}, {Name: StageZKProof, Params: map[string]string{"bits": "99"}}},
 			"bits must be in [1, 64]"},
 		{"zkproof unknown mode",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageZKProof, Params: map[string]string{"mode": "bulletproof"}}},
+			[]StageConfig{{Name: StageSession}, {Name: StageZKProof, Params: map[string]string{"mode": "bulletproof"}}},
 			"unknown zkproof mode"},
 		{"anoncred missing attrs",
 			[]StageConfig{{Name: StageAnonCred, Params: map[string]string{"scope": "audit"}}},
@@ -409,7 +429,7 @@ func TestConfigRejectsPrivacyStageMisuse(t *testing.T) {
 			}}},
 			"must be one of on|off"},
 		{"attest bad bind",
-			[]StageConfig{{Name: StageAuthn}, {Name: StageAttest, Params: map[string]string{"bind": "sideways"}}},
+			[]StageConfig{{Name: StageSession}, {Name: StageAttest, Params: map[string]string{"bind": "sideways"}}},
 			"must be one of input|output|off"},
 		{"aggregate zero size",
 			[]StageConfig{anoncredStage, {Name: StageAggregate, Params: map[string]string{"size": "0"}}},
@@ -442,8 +462,8 @@ func TestConfigRejectsPrivacyStagesWithoutEnv(t *testing.T) {
 		{"anoncred", []StageConfig{{Name: StageAnonCred, Params: map[string]string{
 			"attrs": "role=member", "scope": "audit",
 		}}}, "Env.AnonCredKey"},
-		{"attest", []StageConfig{{Name: StageAuthn}, {Name: StageAttest}}, "Env.Attestation"},
-		{"aggregate", []StageConfig{{Name: StageAuthn}, {Name: StageAggregate}}, "Env.Aggregator"},
+		{"attest", []StageConfig{{Name: StageSession}, {Name: StageAttest}}, "Env.Attestation"},
+		{"aggregate", []StageConfig{{Name: StageSession}, {Name: StageAggregate}}, "Env.Aggregator"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -38,8 +38,8 @@ func (c memoCheck) Handle(ctx context.Context, req *Request, next Handler) error
 }
 
 // memoStages are the stages the digest memo crosses or must be dropped by, in
-// the form the enumeration below configures them: session (MAC), authn,
-// encrypt, audit, anoncred and aggregate read or rewrite what the digest
+// the form the enumeration below configures them: session (MAC), authn (a
+// pass-through), encrypt, audit, anoncred and aggregate read or rewrite what the digest
 // covers, and batch holds requests past Handle.
 var memoStages = []StageConfig{
 	{Name: StageSession},
@@ -93,27 +93,24 @@ type wireKind int
 
 const (
 	kindPlain   wireKind = iota // nothing: accepted only where nothing checks
-	kindCert                    // certificate and signature, for authn
 	kindSession                 // session token and MAC, for the session stage
 	kindAnon                    // anonymous-credential presentation, for anoncred
 )
 
 // accepts walks a pipeline the way its stages treat a submission of kind k:
-// only the stage that understands k authenticates it, and authn and encrypt
+// only the stage that understands k authenticates it, and session and encrypt
 // refuse what nothing upstream authenticated.
 func (k wireKind) accepts(stages []StageConfig) bool {
 	authenticated := false
 	for _, sc := range stages {
 		switch sc.Name {
 		case StageSession:
-			authenticated = authenticated || k == kindSession
-		case StageAnonCred:
-			authenticated = authenticated || k == kindAnon
-		case StageAuthn:
-			if !authenticated && k != kindCert {
+			if k != kindSession && !authenticated {
 				return false
 			}
 			authenticated = true
+		case StageAnonCred:
+			authenticated = authenticated || k == kindAnon
 		case StageEncrypt:
 			if !authenticated {
 				return false
@@ -175,8 +172,6 @@ func TestDigestMemoUnderEveryAdmittedPipeline(t *testing.T) {
 		for i := range out {
 			req := &Request{Channel: "deals", Principal: "alice", Payload: payload}
 			switch kind {
-			case kindCert:
-				req = signedRequest(t, ps["alice"], "deals", payload)
 			case kindSession:
 				req.SessionToken = grant.Token
 				MACRequest(req, grant.MacKey)
@@ -191,8 +186,8 @@ func TestDigestMemoUnderEveryAdmittedPipeline(t *testing.T) {
 		}
 		return out
 	}
-	kinds := []wireKind{kindPlain, kindCert, kindSession, kindAnon}
-	var plainFrames, aggFrames [4][2][]byte
+	kinds := []wireKind{kindPlain, kindSession, kindAnon}
+	var plainFrames, aggFrames [3][2][]byte
 	for _, k := range kinds {
 		plainFrames[k], aggFrames[k] = frames(k, []byte("10 tons of steel")), frames(k, aggregand)
 	}

@@ -51,7 +51,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 	const observer = "gateway-op"
 	stages := func(encParams map[string]string, tail ...StageConfig) []StageConfig {
 		return append([]StageConfig{
-			{Name: StageAuthn},
+			{Name: StageSession},
 			{Name: StageEncrypt, Params: encParams},
 			{Name: StageAudit, Params: map[string]string{"observer": observer}},
 		}, tail...)
@@ -88,7 +88,7 @@ func TestDigestCarriedEqualsDigestFromContent(t *testing.T) {
 			}})
 			payloads := []string{"10 tons of steel", "20 tons of copper"}
 			for _, p := range payloads {
-				if _, err := frontOf(gw).submit(signedRequest(t, ps["alice"], "deals", []byte(p))); err != nil {
+				if _, err := frontOf(gw).submit(memberRequest(t, gw.sessions, ps["alice"], "deals", []byte(p))); err != nil {
 					t.Fatalf("Submit: %v", err)
 				}
 			}
@@ -255,14 +255,12 @@ func TestPayloadSumFollowsPayload(t *testing.T) {
 // TestRequestFitsItsSizeClass keeps the memos and the hold count from costing
 // an allocation size class. ServeWire recycles its requests, but the pool
 // drops what it holds over two garbage collections and refills by
-// allocating, and every in-process caller allocates its own: 320 bytes is
-// what the struct needs since the reply ID left it, and the next class, 352,
-// is +32 B on each of those. The certificate is held by pointer: by value its 136 bytes put
-// the struct in the 480-byte class, although only a sessionless request
-// carries one.
+// allocating, and every in-process caller allocates its own: 288 bytes is
+// what the struct needs since the signature and certificate left it, and the
+// next class, 320, is +32 B on each of those.
 func TestRequestFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Request{}); size > 320 {
-		t.Fatalf("Request is %d bytes, want <= 320: the memos and the hold count put it in the 320-byte size class, "+
-			"and the next, 352, is +32 B on every request the pool or a caller allocates", size)
+	if size := unsafe.Sizeof(Request{}); size > 288 {
+		t.Fatalf("Request is %d bytes, want <= 288: the memos and the hold count put it in the 288-byte size class, "+
+			"and the next, 320, is +32 B on every request the pool or a caller allocates", size)
 	}
 }

@@ -19,32 +19,32 @@
 // pipeline is an error before the first transaction, never a silent leak.
 // Stage names must be known and appear at most once. Order is not a
 // hand-written rulebook: each stage declares the facts it needs, refuses
-// and gives, over a closed vocabulary of five facts that are all false
+// and gives, over a closed vocabulary of four facts that are all false
 // when a pipeline starts and that no stage makes false again:
 //
-//	fact       given by                  needed by         refused by
-//	principal  session, authn, anoncred  encrypt, zkproof
-//	certonly   authn                                       session, anoncred
-//	metered    ratelimit                                   session, authn, anoncred
+//	fact       given by           needed by                refused by
+//	principal  session, anoncred* encrypt, zkproof, authn  anoncred
+//	metered    ratelimit                                   session, anoncred
 //	sealed     encrypt                                     zkproof, attest, aggregate
 //	held       batch, aggregate                            every stage
 //
-// principal: the submitter is verified; certonly: the per-request
-// certificate path has run; metered: requests were throttled by principal;
+// principal: the submitter is verified (*not by anoncred with require=off,
+// which passes a request with no presentation on, for a session stage after
+// it to authenticate); metered: requests were throttled by principal;
 // sealed: the payload is an envelope only members open; held: requests are
 // held and released straight to the terminal handler, past every later
 // stage (so batch and aggregate must be last, and not both).
 //
 // Config.validate walks the stages once, left to right, with the set of
 // facts given so far, and refuses the first stage that finds a fact it
-// refuses (`"session" cannot follow "authn": <why>`) or misses one it
-// needs (`"encrypt" needs "anoncred", "authn" or "session" before it:
-// <why>`). Every message is derived from the declarations, and
+// refuses (`"session" cannot follow "ratelimit": <why>`) or misses one it
+// needs (`"encrypt" needs "anoncred" or "session" before it: <why>`). Every message is derived from the declarations, and
 // StageUsage prints each stage's declared facts under its description.
 //
 // The built-in stages are session (token-bound amortized authentication,
-// below), authn (submitter certificate + signature verification against
-// the consortium CA), encrypt (per-channel envelope encryption to member
+// below), authn (a pass-through kept for the pipelines that name it: a
+// certificate is verified at session open, and every request rides a
+// session), encrypt (per-channel envelope encryption to member
 // keys, optionally with an epoch key cache, below), audit (leakage
 // accounting into internal/audit: the stage captures its entry by value at
 // the audit point — the submission ID as a 32-byte array, the principal,
@@ -72,11 +72,12 @@
 //     one with AttachRangeProof or AttachSufficientFundsProof; failures
 //     are ErrProofRequired / ErrProofInvalid.
 //   - anoncred (mode=present, attrs=k=v+..., scope=...) authenticates a
-//     one-show anonymous-credential presentation in place of certificate
-//     authn: the gateway learns "a credentialed member" plus a
+//     one-show anonymous-credential presentation in place of a
+//     certificate-rooted session: the gateway learns "a credentialed member" plus a
 //     scope-exclusive pseudonym (stable inside the scope, unlinkable
 //     across scopes) and sets it as the principal. It gives the principal
-//     fact, as authn and session do; clients attach with
+//     fact, as session does, unless require=off (then a session stage
+//     after it authenticates what presents nothing); clients attach with
 //     AttachPresentation. Needs Env.AnonCredKey.
 //   - attest (mode=tee, bind=input|output|off) admits only submissions
 //     carrying a TEE attestation chained to the manufacturer key and
@@ -115,17 +116,20 @@
 // gives, and the constructor. Each needed or refused fact has a why string
 // that becomes the error message; a given fact's why is what a later stage
 // refusing it without a reason of its own is told, which is how batch and
-// aggregate explain the held fact. registerStage rejects duplicate names,
-// reserved characters and duplicate params — a failed registration leaves
-// no trace. There is no ordering cycle to search for: two stages that each
-// refuse a fact the other gives cannot share a pipeline, which is how a
+// aggregate explain the held fact. A stage that some configuration turns
+// into one that passes requests on unchecked declares partial, and that
+// configuration gives none of its facts (anoncred with require=off).
+// registerStage rejects duplicate names, reserved characters and duplicate
+// params — a failed registration leaves no trace. There is no ordering
+// cycle to search for: two stages that each refuse a fact the other gives
+// cannot share a pipeline, which is how a
 // conflict is declared (batch and aggregate both give and refuse held), and
 // either order is refused with its own reason. The params helper wraps all
 // value parsing so every bad knob reports uniformly under ErrBadConfig.
 //
 // Registered stages are first-class everywhere: RegisteredStages and
 // StageUsage enumerate them, ParseStages compiles the compact text form
-// ("session(ttl=10m)|authn|encrypt|audit", with name=mode sugar) used
+// ("session(ttl=10m)|encrypt|audit", with name=mode sugar) used
 // by cmd/gateway's -stages flag, instrument wraps them into the same
 // StageStats and confmw_stage_latency_seconds series as the built-ins,
 // and the config test matrix exercises their declared rules.
@@ -133,7 +137,7 @@
 // # Session lifecycle
 //
 // A client opens a session with a signed SessionHello: the SessionManager
-// performs the full authn verification — certificate chains to the pinned
+// performs the full certificate verification — certificate chains to the pinned
 // CA key, identity matches, handshake signature verifies — once per open,
 // and returns an unguessable token plus expiry. Of those checks only the
 // CA's signature over the certificate is a fact about fixed bytes, and the
@@ -143,8 +147,7 @@
 // never cached). The certificate's validity window, its revocation status
 // (both checks, whenever Env.Revoker is set) and the hello's own
 // signature — proof of possession over a fresh nonce — are checked on every
-// open; the authn stage keeps a verifier of its own for certificate-bearing
-// requests. The two rejections that cost nothing come first: a certificate
+// open. The two rejections that cost nothing come first: a certificate
 // that does not name the hello's principal (ErrIdentityMismatch), and a
 // nonce already consumed (ErrReplayedHello, from a read-only peek — the
 // nonce is recorded only after the hello verified). The hello signature covers
@@ -153,8 +156,9 @@
 // a recorded handshake cannot be replayed to mint tokens. Subsequent submissions
 // carry the token and a MAC over the request digest under the session's
 // key; the session stage binds them to the cached verified principal
-// without touching the certificate again. Requests without a token pass through to
-// the authn stage untouched, so one chain serves both traffic kinds.
+// without touching the certificate again. A request without a token is
+// refused (ErrNoSession) unless an anoncred stage before the session stage
+// authenticated it: every other request rides a session.
 //
 // Over a network the handshake is AppendWire's, and it proves possession of
 // the certified key once, not once per session: after a full hello has
@@ -228,10 +232,10 @@
 //     session — expiry, close, or revocation (a revoked certificate evicts
 //     the session and with it the server's copy of the key, so the fast
 //     path cannot outlive trust; see the revocation suite). A MAC is not
-//     third-party evidence of authorship — the gateway holds the key — so
-//     a submission that must be non-repudiable goes without a token, with
-//     certificate and signature, and the authn stage verifies it. The
-//     session stage's "reqauth" parameter accepts only "mac", its default.
+//     third-party evidence of authorship — the gateway holds the key — and
+//     the request frame carries no signature: evidence of authorship
+//     belongs in the payload. The session stage's "reqauth" parameter
+//     accepts only "mac", its default.
 //   - One wire format. A submission, a session handshake message and an
 //     envelope on the ledger are all 0xDC frames: length-prefixed, no
 //     field names, no base64, no reflection; a request frame decodes into
@@ -318,10 +322,10 @@
 // subscribes to at construction and releases on Gateway.Close, so a
 // gateway shorter-lived than its CA does not leak the subscription).
 //
-// One rule governs both stages that authenticate: with Env.Revoker set,
-// they check revocation; without it, neither does. There is no mode to
-// choose. The authn stage refuses a sessionless request whose certificate
-// is revoked (pki.ErrRevoked). The session stage's manager probes the
+// One rule governs revocation: with Env.Revoker set, the session stage
+// checks it; without it, nothing does. There is no mode to choose. A
+// revoked certificate opens no session (ErrSessionRevoked), and the
+// session stage's manager probes the
 // revoker's version on every token-bearing request (one lock-free load
 // while nothing changes) and applies the delta when it moved, so a
 // revocation is enforced on the very next request; a push from a
@@ -408,7 +412,7 @@
 // Metric names follow confmw_<subsystem>_<name>{labels}: stage latency
 // histograms and call/error counters, gateway submitted/ordered/rejected
 // totals, session lifecycle counters and the live-session gauge, the
-// certificate verifiers' check and hit counters (session and authn), per-shard
+// certificate verifier's check and hit counters, per-shard
 // routing counters, revocation sweep and epoch series, and key-epoch
 // rotation counters — one registry, one scrape. cmd/gateway serves the
 // registry at /metrics (Prometheus text format 0.0.4) on the -telemetry

@@ -347,7 +347,7 @@ func TestEveryFrameOfAnEpochStartsWithItsHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []string{"trade-0", "trade-1"} {
-		if err := chain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", []byte(p))); err != nil {
+		if err := chain.execute(context.Background(), chainRequest(t, chain, ps["alice"], "deals", []byte(p))); err != nil {
 			t.Fatal(err)
 		}
 	}

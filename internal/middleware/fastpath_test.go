@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/big"
 	"reflect"
 	"sync"
 	"testing"
@@ -21,12 +20,6 @@ import (
 // --- binary codec ---
 
 func TestWireRequestBinaryRoundtrip(t *testing.T) {
-	_, ps := enroll(t, "alice")
-	cert := ps["alice"].cert
-	sig, err := ps["alice"].key.Sign([]byte("digest"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	mac := bytes.Repeat([]byte{0x7f}, dcrypto.MACSize)
 	// A token crosses as its key, and a well-formed one decodes back to its
 	// spelling; a malformed one decodes as misnamedSession.
@@ -34,10 +27,10 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 	cases := []Request{
 		{Channel: "deals", Principal: "alice", Payload: []byte("trade")},
 		{Channel: "deals", Principal: "alice", Backend: "fabric", Payload: []byte("trade"),
-			Sig: sig, SessionToken: tok, Meta: map[string]string{"a": "1", "b": "2"}},
+			SessionToken: tok, Meta: map[string]string{"a": "1", "b": "2"}},
 		{Channel: "deals", Principal: "alice", Payload: nil, MAC: mac, SessionToken: tok},
 		{Channel: "deals", Principal: "alice", Payload: nil, MAC: mac, SessionToken: misnamedSession},
-		{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: &cert, Sig: sig},
+		{Channel: "deals", Principal: "alice", Payload: []byte("trade"), TraceID: 1 << 40},
 	}
 	for i := range cases {
 		w := &cases[i]
@@ -56,15 +49,8 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 			got.SessionToken != w.SessionToken || !bytes.Equal(got.Payload, w.Payload) || !bytes.Equal(got.MAC, w.MAC) {
 			t.Fatalf("case %d: roundtrip mismatch: %+v vs %+v", i, got, w)
 		}
-		if (w.Sig.R == nil) != (got.Sig.R == nil) {
-			t.Fatalf("case %d: signature presence mismatch", i)
-		}
-		if w.Sig.R != nil && !bytes.Equal(w.Sig.Bytes(), got.Sig.Bytes()) {
-			t.Fatalf("case %d: signature mismatch", i)
-		}
-		// The decoder makes a certificate only for a frame that carries one.
-		if (got.Cert == nil) != (w.Cert == nil) || w.Cert != nil && (got.Cert.Identity != w.Cert.Identity || got.Cert.Serial != w.Cert.Serial) {
-			t.Fatalf("case %d: cert mismatch: %+v vs %+v", i, got.Cert, w.Cert)
+		if got.TraceID != w.TraceID {
+			t.Fatalf("case %d: trace ID %d, want %d", i, got.TraceID, w.TraceID)
 		}
 		if !reflect.DeepEqual(got.Meta, w.Meta) {
 			t.Fatalf("case %d: meta mismatch: %v vs %v", i, got.Meta, w.Meta)
@@ -72,35 +58,11 @@ func TestWireRequestBinaryRoundtrip(t *testing.T) {
 	}
 }
 
-// TestEncodeWireRequestRejectsUnencodableSignature: a caller's Request can
-// carry any integers as its signature. The frame's 64-byte field cannot hold
-// a component wider than 256 bits (FillBytes panicked) or tell a negative one
-// from its absolute value, so encoding refuses them.
-func TestEncodeWireRequestRejectsUnencodableSignature(t *testing.T) {
-	_, ps := enroll(t, "alice")
-	sig, err := ps["alice"].key.Sign([]byte("digest"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := new(big.Int).Lsh(big.NewInt(1), 256)
-	for name, bad := range map[string]dcrypto.Signature{
-		"wide R":     {R: wide, S: sig.S},
-		"wide S":     {R: sig.R, S: new(big.Int).Add(sig.S, wide)},
-		"negative R": {R: new(big.Int).Neg(sig.R), S: sig.S},
-		"negative S": {R: sig.R, S: new(big.Int).Neg(sig.S)},
-		"zero R":     {R: new(big.Int), S: sig.S},
-		"zero S":     {R: sig.R, S: new(big.Int)},
-		"nil R":      {S: sig.S},
-		"nil S":      {R: sig.R},
-	} {
-		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Sig: bad}
-		if b, err := EncodeWireRequest(req, CodecBinary); !errors.Is(err, dcrypto.ErrInvalidSignature) {
-			t.Errorf("%s: encoded %d bytes, err %v; want ErrInvalidSignature", name, len(b), err)
-		}
-	}
-	// No signature at all is a request that authenticates by MAC.
+// TestEncodeWireRequestRejectsMisSizedMAC: the encoder emits a MAC field
+// only of the size the decoder takes, or none.
+func TestEncodeWireRequestRejectsMisSizedMAC(t *testing.T) {
 	if _, err := EncodeWireRequest(&Request{Channel: "deals", Principal: "alice"}, CodecBinary); err != nil {
-		t.Fatalf("unsigned request: %v", err)
+		t.Fatalf("request with no MAC: %v", err)
 	}
 	// A MAC of the wrong size would be refused by the decoder; the encoder
 	// does not emit it.
@@ -243,17 +205,13 @@ func TestBinaryFrameRejectsMalformed(t *testing.T) {
 		"oversized field": {binaryMagic, binaryKindRequest, 0xff, 0xff, 0xff, 0x01},
 		"huge meta count": append(append([]byte{}, good[:len(good)-1]...), 0xff, 0xff, 0x03),
 		"envelope as req": {binaryMagic, binaryKindEnvelope, 0x00},
-		"bad sig length":  nil, // built below
 		"bad mac length":  nil, // built below
 		"huge key count env": append([]byte{binaryMagic, binaryKindEnvelope},
 			0x01, 's', 0x01, 'c', 0x00, 0x00, 0xff, 0xff, 0x03),
 	}
-	// Hand-assemble a frame with a 3-byte "signature".
-	withSig := []byte{binaryMagic, binaryKindRequest,
-		0x01, 'c', 0x01, 'p', 0x00, 0x00, 0x00, 0x03, 0xaa, 0xbb, 0xcc, 0x00, 0x00, 0x00}
-	cases["bad sig length"] = withSig
+	// Hand-assemble a frame with a 2-byte MAC.
 	withMAC := []byte{binaryMagic, binaryKindRequest,
-		0x01, 'c', 0x01, 'p', 0x00, 0x00, 0x00, 0x00, 0x02, 0xaa, 0xbb, 0x00, 0x00}
+		0x01, 'c', 0x01, 'p', 0x00, 0x00, 0x00, 0x02, 0xaa, 0xbb, 0x00, 0x00}
 	cases["bad mac length"] = withMAC
 	for name, b := range cases {
 		if name == "envelope as req" || name == "huge key count env" {
@@ -302,7 +260,7 @@ func TestCodecConfigValidation(t *testing.T) {
 
 // --- MAC request authentication ---
 
-// fastpathGateway builds a session+authn+encrypt gateway, returning it, a
+// fastpathGateway builds a session+encrypt gateway, returning it, a
 // wire to it and the per-principal grants opened over that wire.
 func fastpathGateway(t testing.TB, names ...string) (*Gateway, wireFront, map[string]*principal, map[string]SessionGrant) {
 	t.Helper()
@@ -317,7 +275,6 @@ func fastpathGateway(t testing.TB, names ...string) (*Gateway, wireFront, map[st
 	cfg := Config{
 		Stages: []StageConfig{
 			{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}},
-			{Name: StageAuthn},
 			{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}},
 		},
 	}
@@ -351,9 +308,6 @@ func TestSessionMACAuthenticates(t *testing.T) {
 	}
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	MACRequest(req, grant.MacKey)
-	if req.Sig.R != nil {
-		t.Fatal("MACRequest must not sign")
-	}
 	if _, err := w.submit(req); err != nil {
 		t.Fatalf("MAC-authenticated submission rejected: %v", err)
 	}
@@ -557,7 +511,7 @@ func addMembers(d *SyncDirectory, channel string, members map[string]dcrypto.Pub
 }
 
 func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
-	ca, ps := enroll(t, "alice", "bob", "carol")
+	_, ps := enroll(t, "alice", "bob", "carol")
 	dir := NewSyncDirectory()
 	addMembers(dir, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
@@ -567,9 +521,9 @@ func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := newChain(nil, newAuthn(ca.PublicKey(), nil), enc)
+	chain := newChain(nil, enc)
 	submit := func(p *principal) *Request {
-		req := signedRequest(t, p, "deals", []byte("trade"))
+		req := authenticatedRequest(p, "deals", []byte("trade"))
 		if err := chain.execute(context.Background(), req); err != nil {
 			t.Fatalf("submit as %s: %v", p.name, err)
 		}
@@ -603,7 +557,7 @@ func TestSyncDirectoryMembershipRotatesEpoch(t *testing.T) {
 }
 
 func TestSyncDirectoryRevocationStillExcludes(t *testing.T) {
-	ca, ps := enroll(t, "alice", "bob")
+	_, ps := enroll(t, "alice", "bob")
 	dir := NewSyncDirectory()
 	addMembers(dir, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
@@ -613,13 +567,13 @@ func TestSyncDirectoryRevocationStillExcludes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := newChain(nil, newAuthn(ca.PublicKey(), nil), enc)
-	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
+	chain := newChain(nil, enc)
+	req := authenticatedRequest(ps["alice"], "deals", []byte("trade"))
 	if err := chain.execute(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	enc.RevokeMember("bob")
-	req2 := signedRequest(t, ps["alice"], "deals", []byte("post-revocation"))
+	req2 := authenticatedRequest(ps["alice"], "deals", []byte("post-revocation"))
 	if err := chain.execute(context.Background(), req2); err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +609,7 @@ func (d *racyDirectory) MemberKeys(channel string) (map[string]dcrypto.PublicKey
 // stale set under the new generation — the very next request must re-key
 // to the updated membership.
 func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
-	ca, ps := enroll(t, "alice", "bob")
+	_, ps := enroll(t, "alice", "bob")
 	base := NewSyncDirectory()
 	addMembers(base, "deals", map[string]dcrypto.PublicKey{
 		"alice": ps["alice"].key.Public(),
@@ -674,11 +628,11 @@ func TestFingerprintCacheNotPoisonedByRacingUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := newChain(nil, newAuthn(ca.PublicKey(), nil), enc)
+	chain := newChain(nil, enc)
 	// Request 1 races the membership change; whichever snapshot it sealed
 	// to, request 2 runs entirely after the update and must exclude bob.
 	for i := 0; i < 2; i++ {
-		req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
+		req := authenticatedRequest(ps["alice"], "deals", []byte("trade"))
 		if err := chain.execute(context.Background(), req); err != nil {
 			t.Fatalf("request %d: %v", i+1, err)
 		}

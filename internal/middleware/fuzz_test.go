@@ -26,8 +26,7 @@ import (
 // revocation.notify — so malformed framing, forged session tokens, and
 // corrupted certificates can reject requests but never panic the process.
 // The gateway runs the full revocation-aware pipeline, so the fuzz input
-// crosses the wire decode, the session/token path, authn, and envelope
-// sealing. Every submission a gateway accepts is answered with Request.id of
+// crosses the wire decode, the session/token path and envelope sealing. Every submission a gateway accepts is answered with Request.id of
 // the frame decoded afresh. On gateway.submit the one request codec is also
 // held against itself: a payload the decoder refuses is refused with
 // ErrBadFrame, and one it accepts re-encodes to a frame that decodes to the
@@ -72,30 +71,21 @@ func FuzzWireRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	// Seeds: a signed session submission (refused: a token-bearing request
-	// is MAC'd or nothing), a well-formed MAC'd one, near-miss mutations of
-	// it, a valid hello, and framing junk — JSON documents, which were a
-	// wire format once, among the junk.
-	good := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
-	if err := SignRequest(good, key); err != nil {
-		f.Fatal(err)
-	}
-	goodSigned, err := EncodeWireRequest(good, "")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(goodSigned)
-	// The same submission with a MAC instead of a signature, which the
-	// gateway accepts, plus mutations of the frame structure.
+	// Seeds: a well-formed MAC'd session submission, which the gateway
+	// accepts, the same submission in the layout that carried a signature
+	// and a certificate field (refused), near-miss mutations of it, a valid
+	// hello, and framing junk — JSON documents, which were a wire format
+	// once, among the junk.
 	macGood := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), SessionToken: grant.Token}
 	MACRequest(macGood, grant.MacKey)
 	goodBinary, err := EncodeWireRequest(macGood, "")
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(parentLayoutFrame(macGood, nil, nil))
 	f.Add(goodBinary)
 	// The same submission carrying a trace ID, so the fuzzer mutates the
-	// trace uvarint between cert and meta.
+	// trace uvarint between MAC and meta.
 	traced := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"),
 		SessionToken: grant.Token, TraceID: 0xfeedface}
 	MACRequest(traced, grant.MacKey)
@@ -121,18 +111,21 @@ func FuzzWireRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(helloFrame)
-	// First-contact frames: a certificate that names its holder, and two that
-	// do not — no identity, and not even an object — which the decoder keeps
-	// as the frame's certificate all the same.
-	firstContact := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade"), Cert: &cert}
-	if err := SignRequest(firstContact, key); err != nil {
-		f.Fatal(err)
-	}
-	withCert, err := EncodeWireRequest(firstContact, "")
+	// Sessionless frames in the layout that carried a signature and a
+	// certificate: a signed one with a certificate that names its holder, and
+	// two whose certificate field does not — no identity, and not even an
+	// object.
+	firstContact := &Request{Channel: "deals", Principal: "alice", Payload: []byte("trade")}
+	d := firstContact.Digest()
+	sig, err := key.Sign(d[:])
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(withCert)
+	certBytes, err := cert.AppendBinary(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parentLayoutFrame(firstContact, sig.Bytes(), certBytes))
 	for _, blob := range []string{`{"serial":1}`, `null`} {
 		frame := []byte{binaryMagic, binaryKindRequest, 0x01, 'c', 0x01, 'p', 0x00, 0x00, 0x00, 0x00, 0x00}
 		f.Add(append(appendLenPrefixed(frame, []byte(blob)), 0x00, 0x00))
@@ -172,7 +165,7 @@ func FuzzWireRequest(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02session\xff"))
 
 	// A second gateway runs the declarative privacy chain — anoncred in
-	// place of certificate authn, a range-proof gate, TEE attestation, and
+	// place of a certificate-rooted session, a range-proof gate, TEE attestation, and
 	// the terminal Paillier aggregator — so fuzzed meta blobs cross the
 	// proof decoders, the curve-point sanitation, and the aggregand bounds
 	// checks without panicking group arithmetic.
@@ -329,12 +322,7 @@ func FuzzWireRequest(f *testing.F) {
 		}
 		frame, err := EncodeWireRequest(&first, "")
 		if err != nil {
-			// The 64-byte field admits a zero component, which no verifier
-			// accepts and the encoder does not emit.
-			if first.Sig.WellFormed() || !errors.Is(err, dcrypto.ErrInvalidSignature) {
-				t.Fatalf("the encoder refuses what the decoder accepted: %v", err)
-			}
-			return
+			t.Fatalf("the encoder refuses what the decoder accepted: %v", err)
 		}
 		if err := decodeRequestBinary(frame, &second, nil); err != nil {
 			t.Fatalf("the decoder refuses what the encoder made of a decoded request: %v", err)
@@ -351,25 +339,13 @@ func FuzzWireRequest(f *testing.F) {
 }
 
 // requireSameRequest fails unless two decoded submissions agree on every
-// field a frame carries. Certificates compare as the JSON they nest as.
+// field a frame carries.
 func requireSameRequest(t *testing.T, what string, want, got *Request) {
 	t.Helper()
-	wantCert, err := json.Marshal(want.Cert)
-	if err != nil {
-		t.Fatalf("marshal certificate: %v", err)
-	}
-	gotCert, err := json.Marshal(got.Cert)
-	if err != nil {
-		t.Fatalf("marshal certificate: %v", err)
-	}
 	same := want.Channel == got.Channel && want.Principal == got.Principal && want.Backend == got.Backend &&
 		want.SessionToken == got.SessionToken && want.TraceID == got.TraceID &&
 		bytes.Equal(want.Payload, got.Payload) && bytes.Equal(want.MAC, got.MAC) &&
-		want.Sig.WellFormed() == got.Sig.WellFormed() && bytes.Equal(wantCert, gotCert) &&
 		maps.Equal(want.Meta, got.Meta)
-	if same && want.Sig.WellFormed() {
-		same = bytes.Equal(want.Sig.Bytes(), got.Sig.Bytes())
-	}
 	if !same {
 		t.Fatalf("%s changed the request:\n was %+v\n now %+v", what, want, got)
 	}

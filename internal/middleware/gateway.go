@@ -113,9 +113,6 @@ type Gateway struct {
 	// order).
 	sessions *SessionManager
 	rows     []statRow
-	// verifiers are the certificate verifiers the stages hold (session,
-	// authn), summed into the confmw_pki_verifier_* families.
-	verifiers []*pki.Verifier
 
 	// tracer samples submissions into a bounded trace ring (Config.Trace);
 	// nil when tracing is off — every tracer method is nil-receiver safe,
@@ -220,12 +217,6 @@ type GatewayStats struct {
 	// without a log.
 	AuditLogObservations uint64
 	AuditLogBytes        uint64
-	// AuthnCertVerifications counts the CA signature checks the authn
-	// stage ran, AuthnCertCacheHits the certificates it found in its
-	// verified set instead (pki.Verifier); the session manager's pair is
-	// in Sessions. Both 0 without an authn stage.
-	AuthnCertVerifications uint64
-	AuthnCertCacheHits     uint64
 }
 
 // NewGateway builds the configured chain and fronts it with the ordering
@@ -295,9 +286,6 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 	for _, s := range chain.stages {
 		if h, ok := s.(sessionHolder); ok {
 			g.sessions = h.Manager()
-		}
-		if h, ok := s.(verifierHolder); ok {
-			g.verifiers = append(g.verifiers, h.verifier())
 		}
 		if src, ok := s.(statSource); ok {
 			g.rows = append(g.rows, src.statRows()...)
@@ -549,8 +537,7 @@ type rejectReason struct {
 // rejectReasons is the closed vocabulary of refusals: a refusal counts under
 // the first row of its site whose err it wraps, and every site ends in a row
 // that takes any refusal, so each lands somewhere. A stage's rows carry its
-// name; errTokenPrincipal comes before ErrIdentityMismatch, which it wraps.
-// TestEveryErrorHasARejectReason holds every exported error here.
+// name. TestEveryErrorHasARejectReason holds every exported error here.
 var rejectReasons = [...]rejectReason{
 	{rejectDecode, "decode", "bad_frame", nil},
 
@@ -558,13 +545,8 @@ var rejectReasons = [...]rejectReason{
 	{rejectChain, StageSession, "session_expired", ErrSessionExpired},
 	{rejectChain, StageSession, "session_revoked", ErrSessionRevoked},
 	{rejectChain, StageSession, "session_bound", ErrSessionBound},
-	{rejectChain, StageSession, "principal_mismatch", errTokenPrincipal},
+	{rejectChain, StageSession, "principal_mismatch", ErrIdentityMismatch},
 	{rejectChain, StageSession, "bad_mac", ErrBadMAC},
-	{rejectChain, StageAuthn, "identity_mismatch", ErrIdentityMismatch},
-	{rejectChain, StageAuthn, "bad_signature", ErrBadSignature},
-	{rejectChain, StageAuthn, "certificate_revoked", pki.ErrRevoked},
-	{rejectChain, StageAuthn, "certificate_expired", pki.ErrExpired},
-	{rejectChain, StageAuthn, "bad_certificate", pki.ErrBadCertificate},
 	{rejectChain, StageAnonCred, "credential_required", ErrCredentialRequired},
 	{rejectChain, StageAnonCred, "credential_rejected", ErrCredentialRejected},
 	{rejectChain, StageZKProof, "proof_required", ErrProofRequired},
@@ -656,17 +638,6 @@ func (g *Gateway) statRows() []statRow {
 			return n
 		}
 	}
-	// Every pki.Verifier behind the gateway, as one pair of families: the
-	// per-stage pairs (confmw_session_cert_*, confmw_authn_cert_*) say where.
-	verifiers := func(pick func(*pki.Verifier) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			for _, v := range g.verifiers {
-				n += pick(v)
-			}
-			return n
-		}
-	}
 	rows := []statRow{
 		{"confmw_gateway_submitted_total", "Requests accepted by the chain.", counter, g.submitted.Load, func(s *GatewayStats, v uint64) { s.Submitted = v }, nil},
 		{"confmw_gateway_ordered_total", "Transactions handed to the ordering backend.", counter, g.ordered.Load, func(s *GatewayStats, v uint64) { s.Ordered = v }, nil},
@@ -675,8 +646,6 @@ func (g *Gateway) statRows() []statRow {
 		{"confmw_revocation_epoch", "Last revocation epoch applied.", gauge, g.revocationEpoch, nil, nil},
 		{"confmw_audit_log_observations", "Records in the leakage log, duplicates included: the sum of its (observer, class) pair counts.", gauge, func() uint64 { return uint64(g.auditLog.Len()) }, func(s *GatewayStats, v uint64) { s.AuditLogObservations = v }, nil},
 		{"confmw_audit_log_bytes", "Bytes the leakage log's presence table holds; constant once every (observer, class) pair has been seen.", gauge, func() uint64 { return uint64(g.auditLog.Footprint()) }, func(s *GatewayStats, v uint64) { s.AuditLogBytes = v }, nil},
-		{"confmw_pki_verifier_hits_total", "Certificates found in a verified set, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Hits), nil, nil},
-		{"confmw_pki_verifier_verifications_total", "CA signature checks run, over every pki.Verifier the pipeline holds.", counter, verifiers((*pki.Verifier).Verifications), nil, nil},
 		{"confmw_backend_committed_blocks_total", "Blocks committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.blocks.Load() }), nil, nil},
 		{"confmw_backend_committed_txs_total", "Transactions committed across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.txs.Load() }), nil, nil},
 		{"confmw_backend_commit_errors_total", "Failed block commits across bound platform backends.", counter, sum(func(c *backendCounters) uint64 { return c.errors.Load() }), nil, nil},

@@ -89,10 +89,10 @@ func testPlatforms(t testing.TB, members []string) (*fabric.Network, *corda.Netw
 }
 
 // fullChainConfig is the acceptance-criteria pipeline:
-// authn -> encrypt -> audit -> ratelimit -> batch.
+// session -> encrypt -> audit -> ratelimit -> batch.
 func fullChainConfig(observer string, batch int) Config {
 	return Config{Stages: []StageConfig{
-		{Name: StageAuthn},
+		{Name: StageSession},
 		{Name: StageEncrypt},
 		{Name: StageAudit, Params: map[string]string{"observer": observer}},
 		{Name: StageRateLimit, Params: map[string]string{"rate": "1000", "burst": "1000"}},
@@ -139,7 +139,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := signedRequest(t, ps[tr.Buyer], "deals", payload)
+		req := memberRequest(t, gw.sessions, ps[tr.Buyer], "deals", payload)
 		if _, err := frontOf(gw).submit(req); err != nil {
 			t.Fatalf("Submit trade %s: %v", tr.ID, err)
 		}
@@ -238,7 +238,7 @@ func TestGatewayRejectsMisorderedConfig(t *testing.T) {
 	ca, _ := enroll(t, "alice")
 	orderer := ordering.New("op", ordering.VisibilityEnvelope)
 	cfg := Config{Stages: []StageConfig{
-		{Name: StageEncrypt}, // encrypt before authn: construction-time error
+		{Name: StageEncrypt}, // encrypt before any authenticator: construction-time error
 		{Name: StageAuthn},
 	}}
 	env := Env{CAKey: ca.PublicKey(), Directory: StaticDirectory{}}
@@ -268,7 +268,7 @@ func TestGatewaySubmitOverTransport(t *testing.T) {
 
 	w := frontOf(gw)
 
-	req1 := signedRequest(t, ps[members[0]], "deals", []byte("first"))
+	req1 := memberRequest(t, gw.sessions, ps[members[0]], "deals", []byte("first"))
 	id1, err := w.submit(req1)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -281,14 +281,14 @@ func TestGatewaySubmitOverTransport(t *testing.T) {
 	}
 
 	// A tampered remote submission is rejected through the same endpoint.
-	bad := signedRequest(t, ps[members[1]], "deals", []byte("second"))
+	bad := memberRequest(t, gw.sessions, ps[members[1]], "deals", []byte("second"))
 	bad.Payload = []byte("altered")
-	if _, err := w.submit(bad); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("tampered remote submission = %v, want ErrBadSignature", err)
+	if _, err := w.submit(bad); !errors.Is(err, ErrBadMAC) {
+		t.Fatalf("tampered remote submission = %v, want ErrBadMAC", err)
 	}
 
 	// Second valid submission fills the batch of two and commits both.
-	req2 := signedRequest(t, ps[members[1]], "deals", []byte("second"))
+	req2 := memberRequest(t, gw.sessions, ps[members[1]], "deals", []byte("second"))
 	if _, err := w.submit(req2); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -330,16 +330,7 @@ func TestGatewayConcurrentSubmit(t *testing.T) {
 		go func(m string) {
 			defer wg.Done()
 			for i := 0; i < perMember; i++ {
-				req := &Request{
-					Channel:   "deals",
-					Principal: m,
-					Payload:   []byte(fmt.Sprintf("%s-%d", m, i)),
-					Cert:      &ps[m].cert,
-				}
-				if err := SignRequest(req, ps[m].key); err != nil {
-					errs <- err
-					return
-				}
+				req := memberRequest(t, gw.sessions, ps[m], "deals", []byte(fmt.Sprintf("%s-%d", m, i)))
 				if _, err := frontOf(gw).submit(req); err != nil {
 					errs <- err
 					return

@@ -109,7 +109,7 @@ func newGoldenFixture(t *testing.T, name string, cfg Config) *goldenFixture {
 }
 
 // request builds alice's submission to the deals channel: under her session's
-// MAC when the fixture holds one, signed with her certificate otherwise.
+// MAC when the fixture holds one, bare otherwise.
 func (fx *goldenFixture) request(t testing.TB, meta map[string]string) *Request {
 	t.Helper()
 	return fx.requestOn(t, "deals", []byte("trade"), meta)
@@ -121,11 +121,6 @@ func (fx *goldenFixture) requestOn(t testing.TB, channel string, payload []byte,
 	if fx.grant.Token != "" {
 		req.SessionToken = fx.grant.Token
 		MACRequest(req, fx.grant.MacKey)
-		return req
-	}
-	req.Cert = &fx.alice.cert
-	if err := SignRequest(req, fx.alice.key); err != nil {
-		t.Fatal(err)
 	}
 	return req
 }
@@ -154,7 +149,6 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 	registerPostNote(t)
 	session := StageConfig{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}}
 	encrypt := StageConfig{Name: StageEncrypt, Params: map[string]string{"keyttl": "1h"}}
-	authn := StageConfig{Name: StageAuthn}
 	batch := func(groupseal string) StageConfig {
 		return StageConfig{Name: StageBatch, Params: map[string]string{"size": "2", "groupseal": groupseal}}
 	}
@@ -197,16 +191,16 @@ func TestTransactionDigestsAreGolden(t *testing.T) {
 			"e502fcfeaf97a152fde41f3788a31f7d"},
 		{"session, meta off a binary frame", []StageConfig{session, encrypt}, overWire, "alice", sealedK, 1,
 			"e502fcfeaf97a152fde41f3788a31f7d"},
-		{"no encrypt stage", []StageConfig{authn}, sent(nil), "alice",
+		{"no encrypt stage", []StageConfig{session}, sent(nil), "alice",
 			map[string]string{"gateway": "golden-gw"}, 1,
 			"e2fc4dc18f7b3045ef582e217211f8fd"},
-		{"a note added after the seal", []StageConfig{authn, encrypt, {Name: postNote}}, func(t *testing.T, fx *goldenFixture) {
+		{"a note added after the seal", []StageConfig{session, encrypt, {Name: postNote}}, func(t *testing.T, fx *goldenFixture) {
 			if _, err := frontOf(fx.gw).submit(fx.request(t, nil)); err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
 		}, "alice", map[string]string{"envelope": EnvelopeScheme, "gateway": "golden-gw", "note": "after-seal"}, 1,
 			"79ccbd96272758d75dace09aaefc38ff"},
-		{"batch release, member by member", []StageConfig{authn, encrypt, batch("off")}, twice(sent(nil)), "alice", sealed, 2,
+		{"batch release, member by member", []StageConfig{session, encrypt, batch("off")}, twice(sent(nil)), "alice", sealed, 2,
 			"a43d7324d065a48979d0ad6181a24f06"},
 		{"group vehicle", []StageConfig{session, encrypt, batch("on")}, twice(sent(nil)), BatchPrincipal,
 			map[string]string{MetaBatch: EnvelopeScheme + " n=2", "gateway": "golden-gw"}, 1,

@@ -5,29 +5,28 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dltprivacy/internal/dcrypto"
-	"dltprivacy/internal/pki"
 	"dltprivacy/internal/telemetry"
 )
 
 // Errors returned by the pipeline.
 var (
 	// ErrNotAuthenticated is returned when a stage that requires a
-	// verified submitter runs on a request the authn stage has not passed.
+	// verified submitter runs on a request no earlier stage authenticated.
 	ErrNotAuthenticated = errors.New("middleware: request not authenticated")
-	// ErrBadSignature is returned when the submitter signature does not
-	// verify against the certified key.
+	// ErrBadSignature is returned when a hello's signature does not verify
+	// against the certified key.
 	ErrBadSignature = errors.New("middleware: submitter signature invalid")
 	// ErrBadMAC is returned when a token-bearing request's MAC is missing
 	// or does not verify against the per-session key.
 	ErrBadMAC = errors.New("middleware: request mac invalid")
 	// ErrIdentityMismatch is returned when the certificate identity does
-	// not match the request principal.
+	// not match the principal a hello names, or a session token is
+	// presented under another principal's name.
 	ErrIdentityMismatch = errors.New("middleware: certificate identity does not match principal")
 	// ErrRateLimited is returned when a principal exhausts its token
 	// bucket.
@@ -41,7 +40,7 @@ var (
 )
 
 // Request is one client submission travelling through the chain. Stages
-// annotate it in place: authn flips authenticated, encrypt replaces Payload
+// annotate it in place: session flips authenticated, encrypt replaces Payload
 // with a sealed envelope, the terminal handler orders the transaction it
 // builds from the request.
 //
@@ -54,7 +53,7 @@ var (
 type Request struct {
 	// Channel is the confidentiality domain the submission targets.
 	Channel string
-	// Principal is the submitting identity (must match Cert.Identity).
+	// Principal is the submitting identity (the session's principal).
 	Principal string
 	// Backend names the platform backend the submission is destined for;
 	// the circuit breaker keys its state by it.
@@ -62,16 +61,9 @@ type Request struct {
 	// Payload is the application content; plaintext at submission,
 	// replaced by a marshalled Envelope once the encrypt stage runs.
 	Payload []byte
-	// Cert is the submitter's identity certificate issued by the
-	// consortium CA, for the authn stage, which refuses a request without
-	// one; nil on session traffic. A pointer, so a session request does not
-	// carry a certificate's 136 bytes of zeroes.
-	Cert *pki.Certificate
-	// Sig is the submitter's signature over Digest().
-	Sig dcrypto.Signature
-	// SessionToken binds the request to an established gateway session so
-	// the session stage authenticates it against the cached verified
-	// principal instead of re-verifying the certificate. The token is not
+	// SessionToken binds the request to an established gateway session,
+	// whose principal the certificate proved at session open; the session
+	// stage authenticates the request against it. The token is not
 	// part of Digest(): the MAC binds content to the session, the token
 	// names the session. A request the gateway decoded off the wire whose
 	// token named a live session carries that session's record instead,
@@ -79,8 +71,7 @@ type Request struct {
 	SessionToken string
 	// MAC authenticates a session request under the per-session HMAC key
 	// from the SessionGrant: the only proof a token-bearing request is
-	// checked for. Empty for sessionless (certificate + signature) traffic.
-	// Set it with MACRequest after the payload is final.
+	// checked for. Set it with MACRequest after the payload is final.
 	MAC []byte
 	// Meta carries free-form annotations copied onto the transaction beside
 	// the gateway's own (Gateway.order); stages annotate it in place.
@@ -110,7 +101,7 @@ type Request struct {
 	// The seven flags sit together so they share one word; see payloadSum
 	// for why the struct's size matters.
 	//
-	// authenticated and encrypted are set by the authn/session and encrypt
+	// authenticated and encrypted are set by the session (or anoncred) and encrypt
 	// stages; enveloped, when the payload became one sealed envelope frame,
 	// which order notes on the transaction (a deferred group seal does not).
 	authenticated bool
@@ -228,8 +219,8 @@ func appendDigestPart(b []byte, s string) []byte {
 // SHA-256 (the encoding of dcrypto.ConcatHasher.PartSum). Committing to the
 // payload's hash instead of streaming its bytes binds every byte all the
 // same, and lets the sum be computed once per payload and carried: the
-// several digests one submission takes (the wire ID, the MAC or signature
-// check, the audit observation, the ledger transaction's own digest) share
+// several digests one submission takes (the wire ID, the MAC check, the
+// audit observation, the ledger transaction's own digest) share
 // it through payloadSum. The canonical form is therefore short whatever the
 // payload — it is staged on the stack and hashed with one direct SHA-256
 // call, allocating nothing (names long enough to outgrow the buffer spill
@@ -256,7 +247,7 @@ func (r *Request) Digest() [32]byte {
 // Payload afresh.
 //
 // The memos (the sum's 48 bytes, the digest's 33) cost 81 bytes of the
-// struct, which must stay within its 320-byte size class
+// struct, which must stay within its 288-byte size class
 // (TestRequestFitsItsSizeClass): the pool still allocates one whenever it
 // runs dry, and every caller's own request is allocated.
 func (r *Request) payloadSum() [32]byte {
@@ -278,8 +269,8 @@ func (r *Request) setPayloadSum(p []byte, sum [32]byte) {
 	r.sum, r.sumOf, r.sumLen, r.digestSet = sum, &p[0], len(p), false
 }
 
-// digest is Digest for the stages (session, authn, audit): a submission
-// needs its digest up to three times, and a wire submission's is taken once,
+// digest is Digest for the stages (session, audit): a submission needs its
+// digest up to three times, and a wire submission's is taken once,
 // by AppendWire, the memo's only writer. The memo is keyed to the payload
 // memo: it stands only while that is of the current payload, so assigning
 // Payload afresh retires it and setPayloadSum drops it. The aggregate
@@ -314,24 +305,9 @@ func hexID(d [32]byte) [32]byte {
 	return id
 }
 
-// SignRequest signs the request digest with the submitter's key, filling
-// Sig: the proof a sessionless request carries beside its certificate, for
-// the authn stage. A token-bearing request is MAC'd instead (MACRequest).
-// It must be called after the payload is final and before submission.
-func SignRequest(r *Request, key *dcrypto.PrivateKey) error {
-	d := r.Digest()
-	sig, err := key.Sign(d[:])
-	if err != nil {
-		return fmt.Errorf("middleware: sign request: %w", err)
-	}
-	r.Sig = sig
-	return nil
-}
-
 // MACRequest authenticates the request under a session MAC key from a
-// SessionGrant, filling MAC. Like SignRequest it must be called after the
-// payload is final and before submission; unlike SignRequest it is a pure
-// symmetric operation, ~100x cheaper than an ECDSA signature.
+// SessionGrant, filling MAC. It must be called after the payload is final
+// and before submission.
 func MACRequest(r *Request, macKey []byte) {
 	d := r.Digest()
 	tag := dcrypto.MAC(macKey, d[:])
@@ -368,9 +344,6 @@ type (
 	// sessionHolder is the stage fronting the session manager the gateway
 	// serves session.open / session.close through.
 	sessionHolder interface{ Manager() *SessionManager }
-	// verifierHolder is a stage that checks certificates through a
-	// pki.Verifier, whose counts the gateway also exports summed.
-	verifierHolder interface{ verifier() *pki.Verifier }
 	// statSource is a stage that exports numbers; see statRow.
 	statSource interface{ statRows() []statRow }
 )

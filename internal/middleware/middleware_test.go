@@ -66,19 +66,43 @@ func enroll(t testing.TB, names ...string) (*pki.CA, map[string]*principal) {
 	return ca, out
 }
 
-// signedRequest builds a signed request for a principal.
-func signedRequest(t testing.TB, p *principal, channel string, payload []byte) *Request {
+// grants holds the session each test principal opened on each manager.
+var grants sync.Map // grantKey -> SessionGrant
+
+type grantKey struct {
+	mgr *SessionManager
+	p   *principal
+}
+
+// memberRequest is p's request on its session on mgr, opened at first use
+// and MAC'd under the session's key: how a test submits as an enrolled
+// member.
+func memberRequest(t testing.TB, mgr *SessionManager, p *principal, channel string, payload []byte) *Request {
 	t.Helper()
-	req := &Request{
-		Channel:   channel,
-		Principal: p.name,
-		Payload:   payload,
-		Cert:      &p.cert,
+	k := grantKey{mgr, p}
+	g, ok := grants.Load(k)
+	if !ok {
+		g, _ = grants.LoadOrStore(k, openSession(t, mgr, p))
 	}
-	if err := SignRequest(req, p.key); err != nil {
-		t.Fatalf("SignRequest: %v", err)
+	return sessionRequest(p, g.(SessionGrant), channel, payload)
+}
+
+// chainRequest is memberRequest on the manager of c's session stage.
+func chainRequest(t testing.TB, c *Chain, p *principal, channel string, payload []byte) *Request {
+	t.Helper()
+	for _, s := range c.stages {
+		if h, ok := s.(sessionHolder); ok {
+			return memberRequest(t, h.Manager(), p, channel, payload)
+		}
 	}
-	return req
+	t.Fatal("the chain has no session stage")
+	return nil
+}
+
+// authenticatedRequest is p's request as an authenticating stage hands it
+// on, for tests of the stages after one.
+func authenticatedRequest(p *principal, channel string, payload []byte) *Request {
+	return &Request{Channel: channel, Principal: p.name, Payload: payload, authenticated: true}
 }
 
 // wireFront drives a gateway the way the TCP edge does: every call is one
@@ -178,55 +202,6 @@ func (a *accept) count() int {
 	return len(a.seen)
 }
 
-func TestAuthnVerifiesSubmitter(t *testing.T) {
-	ca, ps := enroll(t, "alice", "bob")
-	sink := &accept{}
-	chain := newChain(sink.handler, newAuthn(ca.PublicKey(), nil))
-
-	req := signedRequest(t, ps["alice"], "deals", []byte("trade"))
-	if err := chain.execute(context.Background(), req); err != nil {
-		t.Fatalf("valid request rejected: %v", err)
-	}
-	if !req.authenticated {
-		t.Fatal("request not marked authenticated")
-	}
-
-	// Tampered payload: signature no longer covers the content.
-	tampered := signedRequest(t, ps["alice"], "deals", []byte("trade"))
-	tampered.Payload = []byte("tampered")
-	if err := chain.execute(context.Background(), tampered); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("tampered payload = %v, want ErrBadSignature", err)
-	}
-
-	// Bob's certificate on a request claiming to be alice.
-	spoofed := signedRequest(t, ps["bob"], "deals", []byte("trade"))
-	spoofed.Principal = "alice"
-	if err := SignRequest(spoofed, ps["bob"].key); err != nil {
-		t.Fatal(err)
-	}
-	if err := chain.execute(context.Background(), spoofed); !errors.Is(err, ErrIdentityMismatch) {
-		t.Fatalf("spoofed principal = %v, want ErrIdentityMismatch", err)
-	}
-
-	// Certificate from a different CA.
-	otherCA, others := enroll(t, "alice")
-	_ = otherCA
-	foreign := signedRequest(t, others["alice"], "deals", []byte("trade"))
-	if err := chain.execute(context.Background(), foreign); !errors.Is(err, pki.ErrBadCertificate) {
-		t.Fatalf("foreign cert = %v, want ErrBadCertificate", err)
-	}
-
-	// No certificate at all: a correct signature proves nothing.
-	bare := signedRequest(t, ps["alice"], "deals", []byte("trade"))
-	bare.Cert = nil
-	if err := chain.execute(context.Background(), bare); !errors.Is(err, pki.ErrBadCertificate) {
-		t.Fatalf("no cert = %v, want ErrBadCertificate", err)
-	}
-	if sink.count() != 1 {
-		t.Fatalf("terminal saw %d requests, want 1", sink.count())
-	}
-}
-
 func TestEnvelopeRoundTrip(t *testing.T) {
 	_, ps := enroll(t, "alice", "bob", "carol")
 	members := map[string]dcrypto.PublicKey{
@@ -264,9 +239,9 @@ func TestEncryptRequiresAuthn(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := newChain((&accept{}).handler, enc)
-	req := signedRequest(t, ps["alice"], "deals", []byte("secret"))
+	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("secret")}
 	if err := chain.execute(context.Background(), req); !errors.Is(err, ErrNotAuthenticated) {
-		t.Fatalf("encrypt without authn = %v, want ErrNotAuthenticated", err)
+		t.Fatalf("encrypt without a session = %v, want ErrNotAuthenticated", err)
 	}
 }
 
@@ -276,7 +251,7 @@ func TestAuditRecordsLeakage(t *testing.T) {
 	dir := StaticDirectory{"deals": {"alice": ps["alice"].key.Public()}}
 
 	cfg := Config{Stages: []StageConfig{
-		{Name: StageAuthn},
+		{Name: StageSession},
 		{Name: StageEncrypt},
 		{Name: StageAudit, Params: map[string]string{"observer": "gw-op"}},
 	}}
@@ -284,7 +259,7 @@ func TestAuditRecordsLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := signedRequest(t, ps["alice"], "deals", []byte("secret"))
+	req := chainRequest(t, chain, ps["alice"], "deals", []byte("secret"))
 	if err := chain.execute(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -300,14 +275,14 @@ func TestAuditRecordsLeakage(t *testing.T) {
 
 	// Without the encrypt stage, the same pipeline leaks tx data.
 	leaky := Config{Stages: []StageConfig{
-		{Name: StageAuthn},
+		{Name: StageSession},
 		{Name: StageAudit, Params: map[string]string{"observer": "leaky-op"}},
 	}}
 	lchain, err := leaky.build(Env{CAKey: ca.PublicKey(), Log: log}, (&accept{}).handler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lchain.execute(context.Background(), signedRequest(t, ps["alice"], "deals", []byte("secret"))); err != nil {
+	if err := lchain.execute(context.Background(), chainRequest(t, lchain, ps["alice"], "deals", []byte("secret"))); err != nil {
 		t.Fatal(err)
 	}
 	if !log.SawAny("leaky-op", audit.ClassTxData) {

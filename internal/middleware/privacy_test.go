@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 
@@ -217,6 +218,76 @@ func TestAnonCredStagePassesAuthenticatedTraffic(t *testing.T) {
 	passed, err := runStage(t, stage, req)
 	if err != nil || !passed {
 		t.Fatalf("pre-authenticated request blocked: %v", err)
+	}
+}
+
+// TestOptionalCredentialLeavesBareRequestsToTheSession pins what
+// anoncred(require=off) admits: a credential or a session, never a request
+// with neither. The stage gives no principal in that mode, so a pipeline in
+// which only a pass-through follows it is refused at Build, and with a
+// session stage after it a bare request is refused there and orders nothing.
+func TestOptionalCredentialLeavesBareRequestsToTheSession(t *testing.T) {
+	attrs := []string{"role=member"}
+	issuer := anoncred.NewIssuer("consortium")
+	credKey, err := issuer.RegisterAttributeSet(attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wallet, err := anoncred.NewWallet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wallet.RequestTokens(issuer, attrs, 1); err != nil {
+		t.Fatal(err)
+	}
+	ca, ps := enroll(t, "alice")
+	env := Env{AnonCredKey: credKey, CAKey: ca.PublicKey(), Log: audit.NewLog(),
+		Directory: StaticDirectory{"deals": {}}}
+	gateway := func(stages string) (*Gateway, error) {
+		sc, err := ParseStages(stages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewGateway("gw-optional", Config{Stages: sc}, env, ordering.New("orderer-op", ordering.VisibilityEnvelope))
+	}
+	const optional = "anoncred(attrs=role=member,scope=audit,require=off)"
+	if _, err := gateway(optional + "|authn|audit"); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("%s|authn|audit built (%v): a bare request would pass every stage", optional, err)
+	}
+
+	gw, err := gateway(optional + "|session|authn|audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var creators []string
+	gw.Bind("deals", backendFunc{name: "recorder", commit: func(b ledger.Block) error {
+		for _, tx := range b.Txs {
+			creators = append(creators, tx.Creator)
+		}
+		return nil
+	}})
+	w := frontOf(gw)
+	_, err = w.submit(&Request{Channel: "deals", Principal: "alice", Payload: []byte("bare")})
+	if !errors.Is(err, ErrNoSession) || RejectLabel(err) != "session/no_session" {
+		t.Fatalf("bare request = %v (%q), want ErrNoSession as session/no_session", err, RejectLabel(err))
+	}
+	grant, err := w.open(ps["alice"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.submit(sessionRequest(ps["alice"], grant, "deals", []byte("session"))); err != nil {
+		t.Fatalf("session request refused: %v", err)
+	}
+	req := &Request{Channel: "deals", Payload: []byte("credential")}
+	nym, err := AttachPresentation(req, wallet, attrs, "audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.submit(req); err != nil {
+		t.Fatalf("credential request refused: %v", err)
+	}
+	if want := []string{"alice", nym}; !slices.Equal(creators, want) {
+		t.Fatalf("ordered %q, want %q", creators, want)
 	}
 }
 

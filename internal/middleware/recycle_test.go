@@ -87,7 +87,7 @@ func TestRecycledRequestCarriesNothingOver(t *testing.T) {
 // every kind of wire submission, recycleFrames frames of plain payloads and as
 // many of aggregands, and what each frame must come back as.
 type recycleFixture struct {
-	frames [4][2][]recycleFrame // [kind][plain, aggregand]
+	frames [3][2][]recycleFrame // [kind][plain, aggregand]
 	alice  *principal
 	env    func() Env
 	sk     *paillier.PrivateKey
@@ -145,7 +145,7 @@ func newRecycleFixture(t *testing.T) *recycleFixture {
 		return Env{CAKey: ca.PublicKey(), Directory: dir, Log: audit.NewLog(), Sessions: mgr,
 			AnonCredKey: credKey, Aggregator: &collector.PublicKey}
 	}
-	for _, kind := range []wireKind{kindPlain, kindCert, kindSession, kindAnon} {
+	for _, kind := range []wireKind{kindPlain, kindSession, kindAnon} {
 		for agg := 0; agg < 2; agg++ {
 			for i := 0; i < recycleFrames; i++ {
 				value := int64(100*int(kind) + 10*agg + i + 1)
@@ -157,8 +157,6 @@ func newRecycleFixture(t *testing.T) *recycleFixture {
 				}
 				req := &Request{Channel: "deals", Principal: "alice", Payload: payload}
 				switch kind {
-				case kindCert:
-					req = signedRequest(t, ps["alice"], "deals", payload)
 				case kindSession:
 					req.SessionToken = grant.Token
 					MACRequest(req, grant.MacKey)
@@ -253,7 +251,7 @@ func TestNoStageUsesARequestAfterItsRelease(t *testing.T) {
 			err    error
 		}
 		var jobs []job
-		for _, k := range []wireKind{kindPlain, kindCert, kindSession, kindAnon} {
+		for _, k := range []wireKind{kindPlain, kindSession, kindAnon} {
 			for i := range fx.frames[k][agg] {
 				jobs = append(jobs, job{f: &fx.frames[k][agg][i], accept: k.accepts(stages), serve: k == kindPlain})
 			}

@@ -36,14 +36,13 @@ type fact uint8
 
 const (
 	factPrincipal fact = iota // the submitter is verified
-	factCertOnly              // the per-request certificate path has run
 	factMetered               // requests were throttled by principal
 	factSealed                // the payload is an envelope only members open
 	factHeld                  // requests are held and released past every later stage; every stage refuses it
 	numFacts
 )
 
-var factNames = [numFacts]string{"principal", "certonly", "metered", "sealed", "held"}
+var factNames = [numFacts]string{"principal", "metered", "sealed", "held"}
 
 func (f fact) String() string { return factNames[f] }
 
@@ -71,6 +70,10 @@ type stageDef struct {
 	// gives: facts this stage makes true. A given fact's why is what a
 	// later stage that refuses it without a reason of its own is told.
 	gives []factRule
+	// partial says why sc configures the stage to pass on requests it did
+	// not check, so that it gives none of its facts ("" or nil: it does
+	// not). The reason joins the refusal of a later stage that needs them.
+	partial func(sc StageConfig) string
 
 	// build constructs the stage. Parameter values arrive pre-declared in
 	// p; errors are returned bare — the engine wraps them uniformly as
@@ -190,7 +193,7 @@ func (d *stageDef) declared() string {
 }
 
 // giversOf renders the registered stages that give f, for the refusal of a
-// stage that needs it: `"anoncred", "authn" or "session"`.
+// stage that needs it: `"anoncred" or "session"`.
 func giversOf(f fact) string {
 	var names []string
 	registryMu.RLock()
@@ -279,26 +282,15 @@ func init() {
 			{"reqauth", "request auth: mac, the only value (the default)"},
 			{"revokecheck", "resolve, the only value, kept for compatibility: revocation is checked whenever Env.Revoker is set"},
 		},
-		refuses: []factRule{
-			{factCertOnly, "token-bearing requests short-circuit the full PKI check"},
-			{factMetered, whyPrincipalBuckets},
-		},
-		gives: []factRule{{fact: factPrincipal}},
-		build: buildSessionStage,
+		refuses: []factRule{{factMetered, whyPrincipalBuckets}},
+		gives:   []factRule{{fact: factPrincipal}},
+		build:   buildSessionStage,
 	})
 	mustRegisterStage(stageDef{
-		name:    StageAuthn,
-		desc:    "per-request certificate + signature verification against the CA key",
-		refuses: []factRule{{factMetered, whyPrincipalBuckets}},
-		gives:   []factRule{{fact: factPrincipal}, {fact: factCertOnly}},
-		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
-			if env.CAKey.IsZero() {
-				return nil, errors.New("Env.CAKey is required")
-			}
-			a := newAuthn(env.CAKey, env.Now)
-			a.revoker = env.Revoker
-			return a, nil
-		},
+		name:  StageAuthn,
+		desc:  "pass-through, kept for compatibility: certificates are verified at session open",
+		needs: []factRule{{factPrincipal, "it checks nothing itself: a certificate is verified at session open"}},
+		build: func(p *params, sc StageConfig, env Env) (Stage, error) { return authnStage{}, nil },
 	})
 	mustRegisterStage(stageDef{
 		name: StageEncrypt,
@@ -404,7 +396,7 @@ func buildSessionStage(p *params, sc StageConfig, env Env) (Stage, error) {
 		idle := p.duration("idle", 2*time.Minute)
 		maxPer := p.intVal("maxperprincipal", 0)
 		if v := p.str("reqauth", "mac"); v != "mac" {
-			return nil, fmt.Errorf("reqauth=%q: session requests are authenticated by MAC only (reqauth=mac, the default); a signed request goes without a token, to authn", v)
+			return nil, fmt.Errorf("reqauth=%q: session requests are authenticated by MAC only (reqauth=mac, the default)", v)
 		}
 		revokeCheck, named := sc.Params["revokecheck"]
 		if named && revokeCheck != "resolve" {

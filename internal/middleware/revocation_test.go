@@ -186,7 +186,6 @@ func TestRevocationNewerCertSurvivesOldSerialRevocation(t *testing.T) {
 func revocableGatewayConfig() Config {
 	return Config{Stages: []StageConfig{
 		{Name: StageSession, Params: map[string]string{"ttl": "10m", "idle": "5m"}},
-		{Name: StageAuthn},
 		{Name: StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 		{Name: StageAudit, Params: map[string]string{"observer": "gateway-op"}},
 	}}
@@ -263,9 +262,9 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 			if _, err := w.openAt(ps["bob"], clock.now()); !errors.Is(err, ErrSessionRevoked) {
 				t.Fatalf("revoked principal re-open = %v, want ErrSessionRevoked", err)
 			}
-			// Nor with a signed, sessionless request: authn asks the same plane.
-			if _, err := w.submit(signedRequest(t, ps["bob"], "deals", []byte("x"))); !errors.Is(err, pki.ErrRevoked) {
-				t.Fatalf("revoked principal's signed request = %v, want pki.ErrRevoked", err)
+			// Nor without one: every request rides a session.
+			if _, err := w.submit(&Request{Channel: "deals", Principal: "bob", Payload: []byte("x")}); !errors.Is(err, ErrNoSession) {
+				t.Fatalf("revoked principal's sessionless request = %v, want ErrNoSession", err)
 			}
 
 			// Alice's next envelope rides a fresh epoch bob cannot unwrap.
@@ -307,14 +306,13 @@ func TestGatewayRevocationEndToEnd(t *testing.T) {
 }
 
 // TestSessionStageChecksRevocationWithEnvRevoker: a session stage that names
-// no revokecheck checks revocation because Env.Revoker is set, as authn
-// does. The revoker cannot push, so the refusal comes from the next token
+// no revokecheck checks revocation because Env.Revoker is set. The revoker cannot push, so the refusal comes from the next token
 // request's own probe.
 func TestSessionStageChecksRevocationWithEnvRevoker(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice", "bob")
 	env := Env{CAKey: ca.PublicKey(), Log: audit.NewLog(), Now: clock.now, Revoker: pullRevoker{ca}}
-	cfg := Config{Stages: []StageConfig{{Name: StageSession}, {Name: StageAuthn}}}
+	cfg := Config{Stages: []StageConfig{{Name: StageSession}}}
 	gw, err := NewGateway("gw", cfg, env, ordering.New("orderer-op", ordering.VisibilityFull))
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +363,7 @@ func TestPullOnlyRevokerExcludesFromNextEnvelope(t *testing.T) {
 		Now:     clock.now,
 		Revoker: pullRevoker{ca},
 	}
-	stages, err := ParseStages("authn|encrypt(keyttl=5m)")
+	stages, err := ParseStages("session|encrypt(keyttl=5m)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +375,14 @@ func TestPullOnlyRevokerExcludesFromNextEnvelope(t *testing.T) {
 	gw.Bind("deals", vault)
 	w := frontOf(gw)
 
-	if _, err := w.submit(signedRequest(t, ps["alice"], "deals", []byte("pre-revocation"))); err != nil {
+	if _, err := w.submit(memberRequest(t, gw.sessions, ps["alice"], "deals", []byte("pre-revocation"))); err != nil {
 		t.Fatalf("pre-revocation submit: %v", err)
 	}
 	if _, err := OpenEnvelope(vault.parse(t, 0), "bob", ps["bob"].key); err != nil {
 		t.Fatalf("bob cannot open the pre-revocation envelope: %v", err)
 	}
 	ca.Revoke(ps["bob"].cert.Serial)
-	if _, err := w.submit(signedRequest(t, ps["alice"], "deals", []byte("post-revocation"))); err != nil {
+	if _, err := w.submit(memberRequest(t, gw.sessions, ps["alice"], "deals", []byte("post-revocation"))); err != nil {
 		t.Fatalf("post-revocation submit: %v", err)
 	}
 	envl := vault.parse(t, 1)
@@ -405,7 +403,7 @@ func TestPullOnlyRevokerExcludesFromNextEnvelope(t *testing.T) {
 	reqs := make([][]*Request, submitters)
 	for i := range reqs {
 		for j := 0; j < each; j++ {
-			reqs[i] = append(reqs[i], signedRequest(t, ps["alice"], "deals", []byte{byte(i), byte(j)}))
+			reqs[i] = append(reqs[i], memberRequest(t, gw.sessions, ps["alice"], "deals", []byte{byte(i), byte(j)}))
 		}
 	}
 	var wg sync.WaitGroup
@@ -428,7 +426,7 @@ func TestPullOnlyRevokerExcludesFromNextEnvelope(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("submit racing the revocation: %v", err)
 	}
-	if _, err := w.submit(signedRequest(t, ps["alice"], "deals", []byte("last"))); err != nil {
+	if _, err := w.submit(memberRequest(t, gw.sessions, ps["alice"], "deals", []byte("last"))); err != nil {
 		t.Fatalf("last submit: %v", err)
 	}
 	envl = vault.parse(t, 2+submitters*each)

@@ -50,12 +50,6 @@ var (
 	ErrSessionBound = errors.New("middleware: session token bound to another connection")
 )
 
-// errTokenPrincipal is the session stage's ErrIdentityMismatch, for a token
-// presented under another principal's name: a value of its own, so a
-// refusal counts under the session stage and not under authn's certificate
-// mismatch (rejectReasons).
-var errTokenPrincipal = fmt.Errorf("%w", ErrIdentityMismatch)
-
 // RequestAuthMode is the type of AuthMAC, which the repository benchmark
 // passes to WithRequestAuth: token-bearing requests are authenticated one
 // way, by an HMAC under the per-session key, and AuthMAC is its one value.
@@ -65,8 +59,8 @@ type RequestAuthMode int
 const AuthMAC RequestAuthMode = 0
 
 // SessionHello is the signed handshake a client sends to open a session:
-// the full authn verification (certificate chain + signature) is paid once
-// here instead of on every submission. The signature covers the nonce and
+// the certificate chain and the signature are verified once, here, and
+// never on a submission. The signature covers the nonce and
 // issue time, so a recorded hello cannot be replayed: the manager rejects
 // stale issue times outright and remembers nonces within the freshness
 // window.
@@ -380,8 +374,7 @@ func (m *SessionManager) lookup(key *sessionKey) *session {
 }
 
 // SessionManager establishes and resolves gateway sessions. Opening a
-// session performs the full certificate verification the authn stage would;
-// afterwards, requests carrying the session token are bound to the cached
+// session performs the full certificate verification; afterwards, requests carrying the session token are bound to the cached
 // verified principal by a per-session HMAC over the request digest.
 // Sessions die at their TTL, or earlier when idle longer than the idle
 // window. Safe for concurrent use: the token table is striped across
@@ -579,9 +572,8 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 // sessionMACInfo labels the HKDF derivation of per-session request keys.
 const sessionMACInfo = "middleware/session/mac/v1/"
 
-// Open verifies the handshake exactly as the authn stage verifies a
-// request — certificate chains to the CA, identity matches, signature
-// verifies against the certified key — and issues an unguessable token.
+// Open verifies the handshake — certificate chains to the CA, identity
+// matches, signature verifies against the certified key — and issues an unguessable token.
 // The grant carries the per-session HMAC key, derived via HKDF salted with
 // the handshake transcript digest so the symmetric fast path stays rooted
 // in the PKI handshake it amortizes.
@@ -1188,12 +1180,12 @@ func (m *SessionManager) statRows() []statRow {
 	}
 }
 
-// sessionStage is the session-aware authn stage. A request carrying a token is
-// bound to its session's cached verified principal by a per-session HMAC
-// over the request digest: no certificate verification and no public-key
-// operation on the hot path. A token-bearing request without a valid MAC is
-// ErrBadMAC. A request without a token passes through untouched for the
-// full authn stage downstream, so one chain serves both kinds of traffic.
+// sessionStage authenticates requests. A request carrying a token is bound
+// to its session's cached verified principal by a per-session HMAC over the
+// request digest: no certificate verification and no public-key operation
+// on the hot path. A token-bearing request without a valid MAC is
+// ErrBadMAC, and one without a token is ErrNoSession unless an earlier
+// stage (anoncred) authenticated it.
 type sessionStage struct {
 	mgr *SessionManager
 }
@@ -1213,18 +1205,20 @@ func (s *sessionStage) Name() string { return StageSession }
 // serves session.open / session.close through.
 func (s *sessionStage) Manager() *SessionManager { return s.mgr }
 
-// verifier implements verifierHolder.
-func (s *sessionStage) verifier() *pki.Verifier { return s.mgr.certs }
-
 // statRows exports the manager's numbers through the stage.
 func (s *sessionStage) statRows() []statRow { return s.mgr.statRows() }
 
 // Handle implements Stage. A request off the wire whose token named a live
 // session arrives with that record (Request.session) and no token string;
-// the stage checks the record, and looks nothing up again.
+// the stage checks the record, and looks nothing up again. A request with no
+// token passes only if an earlier stage (anoncred) authenticated it: every
+// other request rides a session.
 func (s *sessionStage) Handle(ctx context.Context, req *Request, next Handler) error {
 	if req.session == nil && req.SessionToken == "" {
-		return next(ctx, req)
+		if req.authenticated {
+			return next(ctx, req)
+		}
+		return fmt.Errorf("session %s: %w: the request names no session", req.Principal, ErrNoSession)
 	}
 	now := s.mgr.now()
 	if s.mgr.defaultClock {
@@ -1239,7 +1233,7 @@ func (s *sessionStage) Handle(ctx context.Context, req *Request, next Handler) e
 	}
 	if sess.principal != req.Principal {
 		return fmt.Errorf("%w: session for %q, request by %q",
-			errTokenPrincipal, sess.principal, req.Principal)
+			ErrIdentityMismatch, sess.principal, req.Principal)
 	}
 	// The MAC is the only proof a token-bearing request is checked for: a
 	// signature beside it, or instead of it, is not read.

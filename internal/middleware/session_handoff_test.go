@@ -298,7 +298,23 @@ func TestSessionTokenIsItsLowercaseHex(t *testing.T) {
 // spells: the frames EncodeWireRequest does not make.
 func rawRequestFrame(req *Request, field []byte) []byte {
 	out := []byte{binaryMagic, binaryKindRequest}
-	for _, f := range [][]byte{[]byte(req.Channel), []byte(req.Principal), nil, req.Payload, field, nil, req.MAC, nil} {
+	for _, f := range [][]byte{[]byte(req.Channel), []byte(req.Principal), nil, req.Payload, field, req.MAC} {
+		out = appendLenPrefixed(out, f)
+	}
+	return append(out, 0, 0)
+}
+
+// parentLayoutFrame spells out req (no backend, trace ID or meta) in the
+// layout that carried a signature field before the MAC and a certificate
+// field after it, which the gateway refuses.
+func parentLayoutFrame(req *Request, sig, cert []byte) []byte {
+	key, keyed := parseSessionKey(req.SessionToken)
+	token := []byte(req.SessionToken)
+	if keyed {
+		token = key[:]
+	}
+	out := []byte{binaryMagic, binaryKindRequest}
+	for _, f := range [][]byte{[]byte(req.Channel), []byte(req.Principal), nil, req.Payload, token, sig, req.MAC, cert} {
 		out = appendLenPrefixed(out, f)
 	}
 	return append(out, 0, 0)
@@ -388,9 +404,10 @@ func TestWireFramesNameSessionsByKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 218 while the token crossed as its 64 hex characters.
-		if len(frame) != 186 {
-			t.Fatalf("request frame is %d bytes, want 186", len(frame))
+		// 218 while the token crossed as its 64 hex characters, 186 while
+		// the frame carried a signature and a certificate field.
+		if len(frame) != 184 {
+			t.Fatalf("request frame is %d bytes, want 184", len(frame))
 		}
 	})
 

@@ -96,7 +96,7 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &accept{}
-	chain := newChain(sink.handler, stage, newAuthn(ca.PublicKey(), clock.now))
+	chain := newChain(sink.handler, stage)
 
 	grant := openSession(t, mgr, ps["alice"])
 	if grant.Principal != "alice" || grant.Token == "" {
@@ -126,22 +126,21 @@ func TestSessionAmortizedAuthn(t *testing.T) {
 		t.Fatalf("hijacked session = %v, want ErrIdentityMismatch", err)
 	}
 
-	// A certificate-bearing request without a token still passes through
-	// to the full authn stage: one chain serves both kinds of traffic.
-	full := signedRequest(t, ps["bob"], "deals", []byte("trade"))
-	if err := chain.execute(context.Background(), full); err != nil {
-		t.Fatalf("cert request through session chain: %v", err)
+	// A request without a token rides no session, and nothing else
+	// vouches for it.
+	bare := &Request{Channel: "deals", Principal: "bob", Payload: []byte("trade")}
+	if err := chain.execute(context.Background(), bare); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("request naming no session = %v, want ErrNoSession", err)
 	}
-	if sink.count() != 2 {
-		t.Fatalf("terminal saw %d requests, want 2", sink.count())
+	if sink.count() != 1 {
+		t.Fatalf("terminal saw %d requests, want 1", sink.count())
 	}
 }
 
 // TestSessionRequestsAreMACOnly pins what one request-auth mode means: on a
-// session the MAC is the proof and a signature is not read, "reqauth"
-// accepts only mac (the benchmark's spelling) and the WithRequestAuth shim
-// still builds, and a signed request keeps its way in — without a token,
-// through authn.
+// session the MAC is the proof, "reqauth" accepts only mac (the benchmark's
+// spelling) and the WithRequestAuth shim still builds, and a request that
+// names no session has no other way in.
 func TestSessionRequestsAreMACOnly(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	alice := ps["alice"]
@@ -168,9 +167,9 @@ func TestSessionRequestsAreMACOnly(t *testing.T) {
 		{"token with a valid MAC passes", func() error {
 			return execute(sessionRequest(alice, grant, "deals", []byte("trade")))
 		}, nil, ""},
-		{"token with a valid signature and no MAC is ErrBadMAC", func() error {
-			req := signedRequest(t, alice, "deals", []byte("trade"))
-			req.SessionToken = grant.Token
+		{"token with no MAC is ErrBadMAC", func() error {
+			req := sessionRequest(alice, grant, "deals", []byte("trade"))
+			req.MAC = nil
 			return execute(req)
 		}, ErrBadMAC, ""},
 		{"reqauth=sig is ErrBadConfig", func() error {
@@ -183,9 +182,9 @@ func TestSessionRequestsAreMACOnly(t *testing.T) {
 			_, err := NewSessionManager(ca.PublicKey(), time.Hour, time.Hour, nil, WithRequestAuth(AuthMAC))
 			return err
 		}, nil, ""},
-		{"sessionless certificate and signature pass session|authn", func() error {
-			return execute(signedRequest(t, alice, "deals", []byte("trade")))
-		}, nil, ""},
+		{"no token is ErrNoSession", func() error {
+			return execute(&Request{Channel: "deals", Principal: "alice", Payload: []byte("trade")})
+		}, ErrNoSession, "names no session"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()
@@ -358,7 +357,7 @@ func TestConfigSessionPlacement(t *testing.T) {
 	}
 
 	// A session-only authenticator satisfies encrypt's ordering rule, and
-	// the full dual-path chain builds.
+	// so does the full chain, authn's pass-through included.
 	for _, ok := range []Config{
 		stageList(StageSession, StageEncrypt),
 		stageList(StageSession, StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBatch),
@@ -386,7 +385,7 @@ func TestEncryptKeyCacheEpochsAndRotation(t *testing.T) {
 	seal := func() Envelope {
 		t.Helper()
 		req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("10 tons of steel")}
-		req.authenticated = true // stage under test is encrypt, not authn
+		req.authenticated = true // stage under test is encrypt, not session
 		if err := chain.execute(context.Background(), req); err != nil {
 			t.Fatalf("cached encrypt: %v", err)
 		}
@@ -442,12 +441,11 @@ func TestEncryptKeyCacheEpochsAndRotation(t *testing.T) {
 	}
 }
 
-// sessionChainConfig is the dual-path pipeline the session tests drive
-// through ServeWire: session-or-authn, cached envelope encryption, audit.
+// sessionChainConfig is the pipeline the session tests drive through
+// ServeWire: session, cached envelope encryption, audit.
 func sessionChainConfig(ttl, idle string) Config {
 	return Config{Stages: []StageConfig{
 		{Name: StageSession, Params: map[string]string{"ttl": ttl, "idle": idle}},
-		{Name: StageAuthn},
 		{Name: StageEncrypt, Params: map[string]string{"keyttl": "5m"}},
 		{Name: StageAudit, Params: map[string]string{"observer": "gateway-op"}},
 	}}

@@ -177,7 +177,7 @@ func TestGatewayShardedEndToEnd(t *testing.T) {
 }
 
 // TestUnknownChannelIsNotOrdered holds a gateway with a directory to the
-// directory's channels whatever its pipeline: authn|audit has no encrypt
+// directory's channels whatever its pipeline: session|audit has no encrypt
 // stage to look a channel up, and a name an authenticated client makes up
 // must not reach the sharded backend, whose route table keeps every channel
 // it has routed, or a shard, which keeps a chain per channel it was handed.
@@ -190,18 +190,18 @@ func TestUnknownChannelIsNotOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Stages: []StageConfig{{Name: StageAuthn}, {Name: StageAudit, Params: map[string]string{"observer": "op"}}}, Shards: 2}
+	cfg := Config{Stages: []StageConfig{{Name: StageSession}, {Name: StageAudit, Params: map[string]string{"observer": "op"}}}, Shards: 2}
 	env := Env{CAKey: ca.PublicKey(), Directory: StaticDirectory{"deals": {"Alice": alice.key.Public()}}, Log: audit.NewLog()}
 	gw, err := NewGateway("gw", cfg, env, sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := frontOf(gw)
-	if _, err := w.submit(signedRequest(t, alice, "deals", []byte("trade"))); err != nil {
+	if _, err := w.submit(memberRequest(t, gw.sessions, alice, "deals", []byte("trade"))); err != nil {
 		t.Fatalf("a submission on the directory's channel: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		_, err := w.submit(signedRequest(t, alice, fmt.Sprintf("made-up-%d", i), []byte("trade")))
+		_, err := w.submit(memberRequest(t, gw.sessions, alice, fmt.Sprintf("made-up-%d", i), []byte("trade")))
 		if !errors.Is(err, ErrUnknownChannel) || RejectLabel(err) != "order/unknown_channel" {
 			t.Errorf("a made-up channel got %v (label %q), want ErrUnknownChannel as order/unknown_channel", err, RejectLabel(err))
 		}

@@ -234,7 +234,7 @@ func TestGatewayTracingEndToEnd(t *testing.T) {
 func TestGatewaySampledTracing(t *testing.T) {
 	ca, ps := enroll(t, "alice")
 	cfg := Config{
-		Stages: []StageConfig{{Name: StageAuthn}},
+		Stages: []StageConfig{{Name: StageSession}},
 		Trace:  "4",
 	}
 	backend := ordering.New("op", ordering.VisibilityFull)
@@ -244,7 +244,7 @@ func TestGatewaySampledTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < 16; n++ {
-		req := signedRequest(t, ps["alice"], "deals", []byte(fmt.Sprintf("p%d", n)))
+		req := memberRequest(t, gw.sessions, ps["alice"], "deals", []byte(fmt.Sprintf("p%d", n)))
 		if _, err := frontOf(gw).submit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -257,14 +257,14 @@ func TestGatewaySampledTracing(t *testing.T) {
 		t.Fatalf("ring holds %d traces, want 4", len(recs))
 	}
 	for _, r := range recs {
-		if len(r.Spans) != 1 || r.Spans[0].Stage != StageAuthn {
-			t.Fatalf("trace %s spans = %+v, want one authn span", r.ID, r.Spans)
+		if len(r.Spans) != 1 || r.Spans[0].Stage != StageSession {
+			t.Fatalf("trace %s spans = %+v, want one session span", r.ID, r.Spans)
 		}
 	}
 }
 
 func TestConfigTraceValidation(t *testing.T) {
-	base := []StageConfig{{Name: StageAuthn}}
+	base := []StageConfig{{Name: StageSession}}
 	for _, bad := range []string{"0", "-3", "fast", "1.5"} {
 		cfg := Config{Stages: base, Trace: bad}
 		if err := cfg.validate(); !errors.Is(err, ErrBadConfig) {
@@ -316,7 +316,7 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 	}
 	sharded.Subscribe("deals", func(ledger.Block) error { return nil })
 	for n := 0; n < 4; n++ {
-		if _, err := frontOf(gw).submit(signedRequest(t, ps["alice"], "deals", []byte(fmt.Sprintf("p%d", n)))); err != nil {
+		if _, err := frontOf(gw).submit(memberRequest(t, gw.sessions, ps["alice"], "deals", []byte(fmt.Sprintf("p%d", n)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,14 +332,11 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 		"confmw_gateway_ordered_total 4",
 		`confmw_gateway_rejected_total{stage="decode",reason="bad_frame"} 0`,
 		`confmw_gateway_rejected_total{stage="session",reason="bad_mac"} 0`,
-		"confmw_sessions_live 0",
-		"confmw_sessions_opened_total 0",
-		// Four certificate-bearing requests by one principal: the authn
-		// stage's verifier checked the CA signature once. Nothing opened a
-		// session, so the manager's verifier saw no certificate.
-		"confmw_authn_cert_verifications_total 1",
-		"confmw_authn_cert_cache_hits_total 3",
-		"confmw_session_cert_verifications_total 0",
+		// Four requests on one session: the manager's verifier checked the
+		// CA signature once, at its open.
+		"confmw_sessions_live 1",
+		"confmw_sessions_opened_total 1",
+		"confmw_session_cert_verifications_total 1",
 		"confmw_session_cert_cache_hits_total 0",
 		"confmw_key_epochs_rotated_total 1",
 		// The live epoch's head by the OPERATIONS.md sizing rule: 30 fixed
@@ -363,9 +360,8 @@ func TestGatewayRegisterMetrics(t *testing.T) {
 	if st.AuditLogObservations != 8 || st.AuditLogBytes == 0 {
 		t.Errorf("Stats: AuditLogObservations = %d, AuditLogBytes = %d, want 8 and a size", st.AuditLogObservations, st.AuditLogBytes)
 	}
-	if st.AuthnCertVerifications != 1 || st.AuthnCertCacheHits != 3 || st.Sessions.CertVerifications != 0 || st.Sessions.CertCacheHits != 0 {
-		t.Errorf("Stats: authn verifications %d hits %d, session verifications %d hits %d; want 1, 3, 0, 0",
-			st.AuthnCertVerifications, st.AuthnCertCacheHits, st.Sessions.CertVerifications, st.Sessions.CertCacheHits)
+	if st.Sessions.CertVerifications != 1 || st.Sessions.CertCacheHits != 0 {
+		t.Errorf("Stats: session verifications %d hits %d; want 1, 0", st.Sessions.CertVerifications, st.Sessions.CertCacheHits)
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", out)

@@ -243,7 +243,7 @@ func TestSessionKeysCrossTheSocket(t *testing.T) {
 	middleware.MACRequest(req, p.grant.MacKey)
 	field := func(b, f []byte) []byte { return append(binary.AppendUvarint(b, uint64(len(f))), f...) }
 	old := []byte{0xDC, 0x01}
-	for _, f := range [][]byte{[]byte(req.Channel), []byte(req.Principal), nil, req.Payload, []byte(token), nil, req.MAC, nil} {
+	for _, f := range [][]byte{[]byte(req.Channel), []byte(req.Principal), nil, req.Payload, []byte(token), req.MAC} {
 		old = field(old, f)
 	}
 	if _, err := c.SubmitRaw(ctx, append(old, 0, 0)); !errors.Is(err, middleware.ErrNoSession) {

@@ -24,6 +24,7 @@ import (
 // refusedSeries are the gateway's refusal series no case below drives, and
 // why no pipeline behind the edge can reach them.
 var refusedSeries = map[string]string{
+	"encrypt/not_authenticated":        "encrypt needs a principal before it, and the stages that give one refuse a request they did not authenticate",
 	"encrypt/not_recipient":            "the encrypt stage seals for the channel; only a reader's OpenEnvelope returns ErrNotRecipient",
 	"session.open/certificate_revoked": "a revoked certificate's handshake is refused as session_revoked, before any pki check",
 	"batch/no_group_key":               "only a chain assembled by hand around Config.Build's wiring hands groupseal a request without a deferred key",
@@ -76,10 +77,11 @@ func TestEveryRefusalSurvivesTheSocket(t *testing.T) {
 	}
 
 	t.Run("session|authn|ratelimit", func(t *testing.T) { sessionRefusals(t, expect) })
+	// A request that names no session is the session stage's to refuse.
 	t.Run("session|encrypt", func(t *testing.T) {
 		e := serveRefusals(t, "session|encrypt", middleware.Env{CAKey: mustCA(t).PublicKey(),
 			Directory: middleware.StaticDirectory{"deals": {}}}, acceptingOrderer())
-		expect(t, e, "encrypt/not_authenticated", middleware.ErrNotAuthenticated, func() error {
+		expect(t, e, "session/no_session", middleware.ErrNoSession, func() error {
 			return e.submit(&middleware.Request{Channel: "deals", Principal: "alice", Payload: []byte("x")})
 		})
 	})
@@ -213,16 +215,6 @@ func enrollWith(t *testing.T, ca *pki.CA, name string) identity {
 	return identity{name, key, cert}
 }
 
-// signed is a request id signs with its certificate attached, for authn.
-func (id identity) signed(t *testing.T, principal, payload string) *middleware.Request {
-	t.Helper()
-	req := &middleware.Request{Channel: "deals", Principal: principal, Payload: []byte(payload), Cert: &id.cert}
-	if err := middleware.SignRequest(req, id.key); err != nil {
-		t.Fatal(err)
-	}
-	return req
-}
-
 // onSession is a request on grant's token, MAC'd under its key.
 func onSession(grant middleware.SessionGrant, principal, payload string) *middleware.Request {
 	req := &middleware.Request{Channel: "deals", Principal: principal, Payload: []byte(payload), SessionToken: grant.Token}
@@ -232,8 +224,9 @@ func onSession(grant middleware.SessionGrant, principal, payload string) *middle
 
 func same(b []byte) []byte { return b }
 
-// sessionRefusals covers the session, authn, ratelimit, decode and handshake
-// rows on one gateway whose clock the test moves.
+// sessionRefusals covers the session, ratelimit, decode and handshake rows on
+// one gateway whose clock the test moves; authn, a pass-through, refuses
+// nothing.
 func sessionRefusals(t *testing.T, expect expectFunc) {
 	var mu sync.Mutex
 	now := time.Now()
@@ -258,6 +251,10 @@ func sessionRefusals(t *testing.T, expect expectFunc) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bobGrant, err := e.c.OpenSession(ctx, "bob", bob.cert, bob.key, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	expect(t, e, "decode/bad_frame", nil, func() error {
 		_, err := e.c.SubmitRaw(ctx, []byte("garbage"))
@@ -279,25 +276,11 @@ func sessionRefusals(t *testing.T, expect expectFunc) {
 		req.Payload = []byte("y")
 		return e.submit(req)
 	})
-	expect(t, e, "authn/bad_signature", middleware.ErrBadSignature, func() error {
-		req := alice.signed(t, "alice", "x")
-		req.Payload = []byte("y")
-		return e.submit(req)
-	})
-	expect(t, e, "authn/identity_mismatch", middleware.ErrIdentityMismatch, func() error {
-		return e.submit(bob.signed(t, "alice", "x"))
-	})
-	expect(t, e, "authn/bad_certificate", pki.ErrBadCertificate, func() error {
-		return e.submit(foreign.signed(t, "alice", "x"))
-	})
-	expect(t, e, "authn/certificate_expired", pki.ErrExpired, func() error {
-		return e.submit(old.signed(t, "old", "x"))
-	})
-	if err := e.submit(bob.signed(t, "bob", "first")); err != nil {
+	if err := e.submit(onSession(bobGrant, "bob", "first")); err != nil {
 		t.Fatalf("bob's first request: %v", err)
 	}
 	expect(t, e, "ratelimit/rate_limited", middleware.ErrRateLimited, func() error {
-		return e.submit(bob.signed(t, "bob", "second"))
+		return e.submit(onSession(bobGrant, "bob", "second"))
 	})
 
 	expect(t, e, "session.open/bad_frame", middleware.ErrBadFrame, func() error {
@@ -350,9 +333,6 @@ func sessionRefusals(t *testing.T, expect expectFunc) {
 	})
 	expect(t, e, "session.open/session_revoked", middleware.ErrSessionRevoked, func() error {
 		return e.open(new(middleware.Handshaker), "dave", dave.cert, dave.key, same)
-	})
-	expect(t, e, "authn/certificate_revoked", pki.ErrRevoked, func() error {
-		return e.submit(dave.signed(t, "dave", "x"))
 	})
 	set(start.Add(2 * time.Hour))
 	expect(t, e, "session/session_expired", middleware.ErrSessionExpired, func() error {

@@ -65,9 +65,8 @@ var unreachedAllowed = map[string][]string{
 		"pki.CA.IssueOneTime",
 	},
 	"the client half of a stage the gateway serves; no binary here is that client": {
-		// A client of -stages authn without a session signs; one of zkproof
-		// attaches a plain range proof.
-		"middleware.SignRequest", "middleware.AttachRangeProof",
+		// A client of zkproof attaches a plain range proof.
+		"middleware.AttachRangeProof",
 	},
 	"the leakage log's queries, through which the tests of every package check who saw what": {
 		"audit.Log.Saw", "audit.Log.ItemsSeen", "audit.Log.Observers",
