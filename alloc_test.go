@@ -249,7 +249,7 @@ func TestAllocationBudget(t *testing.T) {
 			// the client's grant is still one allocation here, a fresh
 			// Handshaker's first 4 KB grant chunk where it was 96 bytes.
 			name:     "full-open",
-			replaces: "new: the handshake each visit's first open on a connection pays",
+			replaces: "new: the handshake a principal's first open from a client process to a gateway pays",
 			cfg:      churn,
 			allocs:   fullOpenAllocs,
 			ceiling:  159,

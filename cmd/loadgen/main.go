@@ -114,9 +114,10 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 
 	// Phase 2: the session population. Session i lives on connection
 	// i%nConns and belongs to principal i%nPrincipals. A principal's first
-	// open on a connection pays the full signed handshake (ECDSA sign
-	// client-side, verify server-side, the master secret sealed and
-	// unsealed); its later ones on that connection resume under the secret.
+	// open pays the full signed handshake (ECDSA sign client-side, verify
+	// server-side, the master secret sealed and unsealed); its later ones
+	// resume under the secret, on every connection: the pool's clients,
+	// dialed to one address, share it.
 	nTrades := 256
 	if nSessions < nTrades {
 		nTrades = nSessions

@@ -165,8 +165,8 @@
 // passed every check above, the manager draws a master secret, remembers it
 // beside what the handshake proved, and returns it in the grant only as
 // dcrypto.EncryptHybrid ciphertext under the certified key. The client's
-// later opens (Handshaker: netedge.Client holds one per connection) send a
-// resume hello — an HMAC under the master over a fresh nonce and issue time
+// later opens (Handshaker: one per client process and gateway address, which
+// every netedge.Client dialed there shares) send a resume hello — an HMAC under the master over a fresh nonce and issue time
 // — which runs through the same freshness, replay, revocation, cap and
 // binding checks and skips only the public-key work. A gateway that does
 // not hold the secret (expired, evicted, revoked, restarted) says so with a

@@ -339,9 +339,9 @@ func (g *SessionGrant) unseal(digest [32]byte, key *dcrypto.PrivateKey, macRoom 
 	return master, nil
 }
 
-// handshakerSecrets bounds a Handshaker's memory. A client presents the
-// handful of certificates it owns (the benchmark's connections hold 50 each,
-// loadgen's 32); past the bound (single-use certificates) it forgets, and a
+// handshakerSecrets bounds a Handshaker's memory. A client process presents
+// the certificates it owns to a gateway (the benchmark's 50, loadgen's 1,000
+// by default); past the bound (single-use certificates) it forgets, and a
 // forgotten secret only costs the full handshake.
 const handshakerSecrets = 1024
 
@@ -349,17 +349,26 @@ const handshakerSecrets = 1024
 // and the client's memory of what its full handshakes established. The first
 // Open for a certificate signs a full hello and unseals the master secret
 // from the grant; while that secret lives, every later Open for the same
-// certificate sends a resume hello — an HMAC instead of an ECDSA signature,
-// no certificate on the wire — and derives the new session's MAC key from
-// the same master. A gateway that no longer knows the secret says so, and
-// Open runs the full handshake inside the same call and replaces it.
+// certificate and the same private key sends a resume hello — an HMAC
+// instead of an ECDSA signature, no certificate on the wire — and derives
+// the new session's MAC key from the same master. A gateway that no longer
+// knows the secret says so, and Open runs the full handshake inside the same
+// call and replaces it.
 //
-// One Handshaker belongs with one connection to one gateway
-// (netedge.Client holds one). The zero value is ready; safe for concurrent
-// use. Concurrent Opens for a certificate whose secret is not held yet run
-// one full handshake between them: the others wait for it and resume, so a
-// client costs the gateway one signature check and one table entry per
-// certificate and connection however many sessions it opens at once.
+// A secret is held for the *dcrypto.PrivateKey it was unsealed with,
+// compared by pointer: only a caller holding that key object resumes, and
+// any other key, or another object holding the same key, runs the full
+// handshake, which the gateway checks against the certificate. So one
+// Handshaker can serve every connection a client process dials to one
+// gateway (netedge.Dial shares one per address), as a TLS client session
+// cache serves every connection dialed from one configuration: the master
+// secret belongs to the process and the gateway, not to a connection.
+//
+// The zero value is ready; safe for concurrent use. Concurrent Opens for a
+// certificate whose secret is not held yet run one full handshake between
+// them: the others wait for it and resume, so a client process costs the
+// gateway one signature check and one table entry per certificate however
+// many sessions and connections it opens at once.
 type Handshaker struct {
 	// Now stamps hellos; nil means time.Now. For callers on an injected
 	// clock.
@@ -372,11 +381,13 @@ type Handshaker struct {
 	grants []byte
 }
 
-// heldKey names a held secret by the certificate it was sealed to and the
-// principal that certificate opened sessions as.
+// heldKey names a held secret by the certificate it was sealed to, the
+// principal that certificate opened sessions as, and the private key that
+// unsealed it.
 type heldKey struct {
 	principal string
 	serial    uint64
+	key       *dcrypto.PrivateKey
 }
 
 // heldSecret is one master secret, the gateway's name for it, and when both
@@ -391,13 +402,17 @@ type heldSecret struct {
 }
 
 // Open opens one session for principal: resumed when this Handshaker holds
-// a live secret for the certificate, by the full signed handshake otherwise.
+// a live secret for the certificate and key, by the full signed handshake
+// otherwise. A nil key is an error.
 // roundTrip carries one hello frame to the gateway's session.open topic and
 // returns the reply. The grant is complete: MacKey is filled in though it
 // was never sent. ctx is handed to roundTrip and bounds the wait for another
 // Open's full handshake.
 func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certificate, key *dcrypto.PrivateKey, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
-	k := heldKey{principal, cert.Serial}
+	if key == nil {
+		return SessionGrant{}, fmt.Errorf("middleware: open session for %s: no private key", principal)
+	}
+	k := heldKey{principal, cert.Serial, key}
 	for {
 		// Read on every turn: a hello is stamped after any wait, not before.
 		now := time.Now()
@@ -413,7 +428,7 @@ func (h *Handshaker) Open(ctx context.Context, principal string, cert pki.Certif
 			held = &heldSecret{ready: make(chan struct{})}
 			h.secrets[k] = held
 			h.mu.Unlock()
-			return h.establish(ctx, k, held, now, cert, key, roundTrip)
+			return h.establish(ctx, k, held, now, cert, roundTrip)
 		}
 		h.mu.Unlock()
 		select {
@@ -445,14 +460,14 @@ func (h *Handshaker) forget(k heldKey, held *heldSecret) {
 // establish runs the full signed handshake and fills s, which is in the
 // table under k already, from its grant. However it ends, those waiting on s
 // are released; a failure drops s first, so that they try for themselves.
-func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, now time.Time, cert pki.Certificate, key *dcrypto.PrivateKey, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
+func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, now time.Time, cert pki.Certificate, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (SessionGrant, error) {
 	defer func() {
 		if s.master == nil {
 			h.forget(k, s)
 		}
 		close(s.ready)
 	}()
-	hello, digest, err := newSessionHello(k.principal, cert, key, now)
+	hello, digest, err := newSessionHello(k.principal, cert, k.key, now)
 	if err != nil {
 		return SessionGrant{}, err
 	}
@@ -471,7 +486,7 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 	if miss || len(grant.ResumeID) != resumeIDBytes {
 		return SessionGrant{}, fmt.Errorf("%w: reply to a full hello names no resumption id", ErrBadFrame)
 	}
-	master, err := grant.unseal(digest, key, macRoom)
+	master, err := grant.unseal(digest, k.key, macRoom)
 	if err != nil {
 		return SessionGrant{}, err
 	}

@@ -188,20 +188,25 @@ func rawResumeFrame(id [resumeIDBytes]byte, nonce []byte, at time.Time, tag []by
 type resumeSide struct {
 	mgr    *SessionManager
 	wires  [2]*wireTo
-	client func(conn int) *Handshaker
+	client func() *Handshaker
 	tokens []string
 	conns  []int
 }
 
 // FuzzResumeAgrees reads its input as a tape of operations — open a session
-// on one of two connections, close one, tear a connection down, revoke a
-// certificate, re-enrol a principal, step the clock — and plays it against
-// two managers on one CA and one clock: one whose clients resume whenever
-// they hold a secret, one whose clients have never heard of resumption and
+// on one of two connections, open one under another principal's key, close
+// one, tear a connection down, revoke a certificate, re-enrol a principal,
+// step the clock — and plays it against two managers on one CA and one
+// clock: one whose client process resumes whenever it holds a secret, over
+// either connection (one Handshaker serves both, as netedge.Dial shares
+// one per address), one whose clients have never heard of resumption and
 // sign a full hello every time. Resumption is an optimisation, so after
 // every step both must have answered with the same class of outcome and the
 // same principal, hold the same number of live sessions, and each must
-// verify a MAC under the key its own client derived.
+// verify a MAC under the key its own client derived. An open under another
+// principal's key is refused on both sides, for the same reason (while the
+// certificate is valid, ErrBadSignature): only the holder of the certified
+// key resumes.
 func FuzzResumeAgrees(f *testing.F) {
 	names := []string{"org-a", "org-b", "org-c"}
 	keys := make([]*dcrypto.PrivateKey, len(names))
@@ -213,6 +218,7 @@ func FuzzResumeAgrees(f *testing.F) {
 	}
 	const (
 		opOpen = iota
+		opOpenOtherKey
 		opClose
 		opEvictConn
 		opRevoke
@@ -233,6 +239,10 @@ func FuzzResumeAgrees(f *testing.F) {
 	// The cap evicting across connections, then one connection torn down.
 	f.Add([]byte{op(opOpen, 0), op(opOpen, 3), op(opOpen, 0), op(opEvictConn, 1), op(opOpen, 0)})
 	f.Add([]byte{op(opOpen, 2), op(opStep, 5), op(opOpen, 2), op(opStep, 5), op(opOpen, 2), op(opReenrol, 2), op(opOpen, 2)})
+	// A held secret, then its certificate presented under another
+	// principal's key, on the same connection and on the other one; the
+	// holder then resumes.
+	f.Add([]byte{op(opOpen, 0), op(opOpenOtherKey, 0), op(opOpenOtherKey, 3), op(opOpen, 3)})
 
 	class := func(err error) string {
 		for _, known := range []error{ErrStaleHello, ErrReplayedHello, ErrSessionRevoked, ErrIdentityMismatch,
@@ -275,20 +285,34 @@ func FuzzResumeAgrees(f *testing.F) {
 			}
 			sides[i] = s
 		}
-		resuming := [2]*Handshaker{{Now: clock.now}, {Now: clock.now}}
-		sides[0].client = func(conn int) *Handshaker { return resuming[conn] }
-		sides[1].client = func(int) *Handshaker { return &Handshaker{Now: clock.now} }
+		resuming := &Handshaker{Now: clock.now}
+		sides[0].client = func() *Handshaker { return resuming }
+		sides[1].client = func() *Handshaker { return &Handshaker{Now: clock.now} }
 
 		resumed := 0
 		for step, b := range tape {
 			kind, arg := int(b)%ops, int(b)/ops
 			switch kind {
+			case opOpenOtherKey:
+				p, conn := arg%len(names), arg/len(names)%2
+				other := keys[(p+1)%len(names)]
+				var errs [2]error
+				for i, s := range sides {
+					var grant SessionGrant
+					grant, errs[i] = s.client().Open(context.Background(), names[p], certs[p], other, s.wires[conn].roundTrip)
+					if errs[i] == nil || grant.Resumed {
+						t.Fatalf("step %d side %d: %s's certificate under another key opened a session (resumed %v)", step, i, names[p], grant.Resumed)
+					}
+				}
+				if class(errs[0]) != class(errs[1]) {
+					t.Fatalf("step %d: open by %s under another key: resuming client %q, full client %q", step, names[p], class(errs[0]), class(errs[1]))
+				}
 			case opOpen:
 				p, conn := arg%len(names), arg/len(names)%2
 				var grants [2]SessionGrant
 				var errs [2]error
 				for i, s := range sides {
-					grants[i], errs[i] = s.client(conn).Open(context.Background(), names[p], certs[p], keys[p], s.wires[conn].roundTrip)
+					grants[i], errs[i] = s.client().Open(context.Background(), names[p], certs[p], keys[p], s.wires[conn].roundTrip)
 					if errs[i] != nil {
 						continue
 					}

@@ -19,16 +19,16 @@ const (
 	// masterBytes is the secret a full handshake over the wire establishes.
 	masterBytes = 32
 	// resumeGeneration is the size of one generation of the resumption
-	// table. A client keeps one secret per certificate and connection and
-	// runs one full handshake to get it however many sessions it opens at
-	// once (Handshaker), so the table holds certificates × connections
-	// entries: measured, 100 on the benchmark's workloads (50 certificates
-	// over 2 connections, no misses in 8,008 and 2,000 opens) and 32 under
+	// table. A client process keeps one secret per certificate for a
+	// gateway, whichever connections it opens on, and runs one full
+	// handshake to get it however many sessions it opens at once
+	// (Handshaker), so the table holds certificates × client processes
+	// entries: 50 on the benchmark's workloads (50 certificates over 2
+	// connections; 100 while a secret was kept per connection) and 32 under
 	// the loadgen smoke. One generation is sized like pki.Verifier's, which
 	// remembers 4,096 certificates, so that a population the verifier holds
-	// resumes on at least one connection each; more pairs than two
-	// generations only pay what every handshake paid before the table
-	// existed. Two full generations measure under 1.2 MB, and the
+	// resumes; more pairs than two generations only pay what every
+	// handshake paid before the table existed. Two full generations measure under 1.2 MB, and the
 	// scan that drops a revoked serial's entries (under the control mutex,
 	// once per revocation) 110 µs then, 0.9 µs at 100 entries.
 	resumeGeneration = 4096

@@ -98,12 +98,12 @@ func (f *resumeFixture) tryOpen() (SessionGrant, error) {
 	return f.client.Open(context.Background(), "alice", f.alice.cert, f.alice.key, f.wire.roundTrip)
 }
 
-// held is the client's secret for alice's certificate.
+// held is the client's secret for alice's certificate and key.
 func (f *resumeFixture) held(t *testing.T) *heldSecret {
 	t.Helper()
 	f.client.mu.Lock()
 	defer f.client.mu.Unlock()
-	s := f.client.secrets[heldKey{"alice", f.alice.cert.Serial}]
+	s := f.client.secrets[heldKey{"alice", f.alice.cert.Serial, f.alice.key}]
 	if s == nil {
 		t.Fatal("the client holds no secret")
 	}

@@ -92,8 +92,10 @@ type Client struct {
 	pending map[uint64]pendingCall
 	watched map[<-chan struct{}]func() bool // Done channel -> AfterFunc's stop
 
-	// handshakes runs OpenSession and keeps what it established.
-	handshakes middleware.Handshaker
+	// handshakes runs OpenSession and keeps what it established: shared
+	// with every Client dialed to the same address (handshakerFor), this
+	// Client's own when it was built over a given connection.
+	handshakes *middleware.Handshaker
 
 	// chans recycles reply channels. One goes back once its result was
 	// received: its one sender is done with it then.
@@ -104,7 +106,8 @@ type Client struct {
 	errv     atomic.Value
 }
 
-// Dial connects to an edge server.
+// Dial connects to an edge server. Every Client dialed to the same address
+// string shares one middleware.Handshaker (see OpenSession).
 func Dial(addr string, opts ...DialOption) (*Client, error) {
 	opt := dialOptions{inFlight: 1024}
 	for _, o := range opts {
@@ -114,18 +117,48 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netedge: dial %s: %w", addr, err)
 	}
-	return newClient(conn, opt), nil
+	c := newClient(conn, opt)
+	c.handshakes = handshakerFor(addr)
+	return c, nil
 }
 
-// newClient starts a client over an established connection.
+// handshakerAddrs bounds the process's table of Handshakers: a process
+// dials a handful of gateways; past the bound the table is dropped whole,
+// and a forgotten secret only costs the full handshake.
+const handshakerAddrs = 64
+
+var (
+	handshakersMu sync.Mutex
+	handshakers   map[string]*middleware.Handshaker
+)
+
+// handshakerFor returns the process's Handshaker for addr, making it on
+// first use.
+func handshakerFor(addr string) *middleware.Handshaker {
+	handshakersMu.Lock()
+	defer handshakersMu.Unlock()
+	h := handshakers[addr]
+	if h == nil {
+		if handshakers == nil || len(handshakers) >= handshakerAddrs {
+			handshakers = make(map[string]*middleware.Handshaker)
+		}
+		h = new(middleware.Handshaker)
+		handshakers[addr] = h
+	}
+	return h
+}
+
+// newClient starts a client over an established connection, with a
+// Handshaker of its own.
 func newClient(conn net.Conn, opt dialOptions) *Client {
 	c := &Client{
-		conn:    conn,
-		window:  make(chan struct{}, opt.inFlight),
-		pending: make(map[uint64]pendingCall),
-		watched: make(map[<-chan struct{}]func() bool),
-		chans:   sync.Pool{New: func() any { return make(chan callResult, 1) }},
-		done:    make(chan struct{}),
+		conn:       conn,
+		window:     make(chan struct{}, opt.inFlight),
+		pending:    make(map[uint64]pendingCall),
+		watched:    make(map[<-chan struct{}]func() bool),
+		handshakes: new(middleware.Handshaker),
+		chans:      sync.Pool{New: func() any { return make(chan callResult, 1) }},
+		done:       make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
@@ -444,10 +477,13 @@ func (c *Client) flush() {
 // OpenSession performs the session handshake over this connection. codec is
 // kept under the name the repository benchmark calls: "" or
 // middleware.CodecBinary, anything else an error. The first handshake for a
-// certificate is the full signed one; the connection then holds the master
-// secret it established, and later sessions under the same certificate are
-// resumed (see middleware.Handshaker) until the secret expires or the
-// gateway forgets it. Either way the grant's MacKey is derived here, not
+// certificate is the full signed one; the master secret it establishes is
+// held per process and gateway — by the Handshaker every Client dialed to
+// the same address shares — and later sessions under the same certificate
+// and the same key object, over this connection or any other to that
+// address, are resumed (see middleware.Handshaker) until the secret expires
+// or the gateway forgets it. Any other key runs the full handshake, and a
+// nil key is an error. Either way the grant's MacKey is derived here, not
 // received. The granted token is bound to this connection: presenting it
 // over another one fails with middleware.ErrSessionBound.
 func (c *Client) OpenSession(ctx context.Context, principal string, cert pki.Certificate, key *dcrypto.PrivateKey, codec string) (middleware.SessionGrant, error) {

@@ -116,6 +116,12 @@ type refusalEdge struct {
 
 func serveRefusals(t *testing.T, stages string, env middleware.Env, orderer ordering.Backend) *refusalEdge {
 	t.Helper()
+	return serveRefusalsAt(t, "127.0.0.1:0", stages, env, orderer)
+}
+
+// serveRefusalsAt is serveRefusals listening on addr.
+func serveRefusalsAt(t *testing.T, addr, stages string, env middleware.Env, orderer ordering.Backend) *refusalEdge {
+	t.Helper()
 	stageList, err := middleware.ParseStages(stages)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +134,7 @@ func serveRefusals(t *testing.T, stages string, env middleware.Env, orderer orde
 	if err := gw.RegisterMetrics(reg); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Listen("127.0.0.1:0", gw)
+	srv, err := Listen(addr, gw)
 	if err != nil {
 		t.Fatal(err)
 	}
