@@ -6,7 +6,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dltprivacy/internal/dcrypto"
@@ -59,6 +61,7 @@ func TestAllocationBudget(t *testing.T) {
 		metrics  bool // attach a metrics registry to the gateway
 		allocs   func(*testing.T, *gatewayBenchEnv, *fastPathEnv) float64
 		ceiling  float64
+		exact    bool   // the reading must be the ceiling, not only within it
 		equals   string // an earlier row whose reading this one must repeat
 	}{
 		{
@@ -76,12 +79,31 @@ func TestAllocationBudget(t *testing.T) {
 			// frames through AppendWire instead of handing Gateway.Submit a
 			// copy of the fixture's template, which allocated; the session
 			// frame decodes into a pooled Request without allocating (the
-			// edge-tcp row). What is left: the sealed frame.
+			// edge-tcp row). 1, the sealed frame's own exact allocation,
+			// until sealed frames were carved from 8 KB slabs (a slab per
+			// sixteen of the fixture's 500-byte frames, floored away; the
+			// seal-cadence row counts them).
 			name:     "mac",
 			replaces: "speedup SessionMAC/reqauth=mac and reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs (one reading)",
 			cfg:      mac,
 			allocs:   submitAllocs,
-			ceiling:  1,
+			ceiling:  0,
+		},
+		{
+			// What the rows above floor away: four submissions on a channel
+			// of the benchmark's width, 50 members and a 96-byte trade, whose
+			// sealed frames (1,856 bytes on the fixture's channel) are cut
+			// four to an 8 KB slab. Exactly one slab per four seals, with the
+			// block's share of a queue chunk (4 in 21) floored away: a slab
+			// per two seals would read 2, 16 KB slabs 0.
+			name:     "seal-cadence",
+			replaces: "new: the sealed frame's carve, which the mac row floors",
+			cfg:      mac,
+			allocs: func(t *testing.T, env *gatewayBenchEnv, _ *fastPathEnv) float64 {
+				return sealCadenceAllocs(t, env, mac)
+			},
+			ceiling: 1,
+			exact:   true,
 		},
 		{
 			name:     "mac+metrics",
@@ -158,13 +180,13 @@ func TestAllocationBudget(t *testing.T) {
 			// appended to it (Gateway.AppendWire), until the block's Txs
 			// slice came from the orderer's queue chunk and the client's
 			// copy of the reply from its 4 KB reply chunk
-			// (netedge.TestCallAllocations). Left: the sealed frame of the
-			// mac row.
+			// (netedge.TestCallAllocations). 1, the sealed frame of the mac
+			// row, until it was carved with the mac row's.
 			name:     "edge-tcp",
 			replaces: "ceiling EdgeTCP/pipeline=8 <= 16 allocs",
 			cfg:      mac,
 			allocs:   edgeAllocs,
-			ceiling:  1,
+			ceiling:  0,
 		},
 		{
 			// The gateway's half of one resumed handshake, session.open frame
@@ -295,12 +317,14 @@ func TestAllocationBudget(t *testing.T) {
 			// (83). 83 until the row was authn|encrypt|audit: the signed
 			// frame's decode (12) and the authn stage's certificate and
 			// signature check (29) went with the sessionless path, and the
-			// session's MAC check allocates nothing (the mac row).
+			// session's MAC check allocates nothing (the mac row). 42 until
+			// the frame was carved from a slab, the throwaway key's seal
+			// being the one seal.
 			name:     "session|encrypt|audit",
 			replaces: "baseline Chain/stages=3(+audit) 108",
 			cfg:      pipeline(sessionStage(nil), encryptStage, auditStage),
 			allocs:   submitAllocs,
-			ceiling:  42,
+			ceiling:  41,
 		},
 		{
 			// A ledger reader's decode of one sealed frame at the benchmark's
@@ -331,6 +355,8 @@ func TestAllocationBudget(t *testing.T) {
 		switch {
 		case row.equals != "" && n != got[row.equals]:
 			t.Errorf("%s: %v allocations, want exactly %s's %v (replaces: %s)", row.name, n, row.equals, got[row.equals], row.replaces)
+		case row.exact && n != row.ceiling:
+			t.Errorf("%s: %v allocations, want exactly %v (replaces: %s)", row.name, n, row.ceiling, row.replaces)
 		case row.equals == "" && n > row.ceiling:
 			t.Errorf("%s: %v allocations, budget %v (replaces: %s)", row.name, n, row.ceiling, row.replaces)
 		}
@@ -438,6 +464,31 @@ func sampleAllocs(t *testing.T, fp *fastPathEnv) float64 {
 	submit := submitter(t, fp)
 	return testing.AllocsPerRun(21, func() {
 		for n := 0; n < sampleEvery; n++ {
+			submit()
+		}
+	})
+}
+
+// sealCadenceAllocs reads the allocations of four submissions through
+// AppendWire on a gateway whose channel has the benchmark's 50 members — the
+// fixture's three and 47 who never submit — and whose trades are 96 bytes.
+func sealCadenceAllocs(t *testing.T, env *gatewayBenchEnv, cfg middleware.Config) float64 {
+	wide := *env
+	wide.memberKeys = maps.Clone(env.memberKeys)
+	for len(wide.memberKeys) < 50 {
+		key, err := dcrypto.GenerateKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide.memberKeys[fmt.Sprintf("wide-%02d", len(wide.memberKeys))] = key.Public()
+	}
+	wide.templates = slices.Clone(env.templates)
+	for i := range wide.templates {
+		wide.templates[i].Payload = make([]byte, 96)
+	}
+	submit := submitter(t, newFastPathEnv(t, &wide, cfg))
+	return testing.AllocsPerRun(100, func() {
+		for n := 0; n < 4; n++ {
 			submit()
 		}
 	})

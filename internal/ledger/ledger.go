@@ -34,8 +34,10 @@ type Block struct {
 // canonical digests — endorsements included via a second digest dimension
 // would be redundant here; the per-tx Digest already covers the ordered
 // content, and hashing 32-byte digests instead of re-marshalling every
-// transaction keeps block cutting off the allocation profile.
-func computeDataHash(txs []Transaction) [32]byte {
+// transaction keeps block cutting off the allocation profile. With
+// fromContent each digest is hashed from the transaction's bytes, whatever
+// memo it was primed with (ContentDataHash).
+func computeDataHash(txs []Transaction, fromContent bool) [32]byte {
 	// Most blocks on the unbatched path carry one transaction: stage a few
 	// digests on the stack and allocate only beyond that.
 	var few [4 * 32]byte
@@ -44,11 +46,22 @@ func computeDataHash(txs []Transaction) [32]byte {
 		h = make([]byte, 0, 32*len(txs))
 	}
 	for _, tx := range txs {
-		d := tx.Digest()
+		var d [32]byte
+		if fromContent {
+			d = tx.digest(dcrypto.Hash(tx.Payload))
+		} else {
+			d = tx.Digest()
+		}
 		h = append(h, d[:]...)
 	}
 	return dcrypto.Hash(h)
 }
+
+// ContentDataHash is the DataHash of txs recomputed from their bytes. A
+// primed transaction's Digest is the memo of its bytes at priming, so a
+// check that reads it cannot see a payload written over afterwards; this one
+// does.
+func ContentDataHash(txs []Transaction) [32]byte { return computeDataHash(txs, true) }
 
 // NewBlock assembles a block for an external block producer (an ordering
 // service) that tracks chain state itself.
@@ -56,7 +69,7 @@ func NewBlock(number uint64, prevHash [32]byte, txs []Transaction) Block {
 	return Block{
 		Number:   number,
 		PrevHash: prevHash,
-		DataHash: computeDataHash(txs),
+		DataHash: computeDataHash(txs, false),
 		Txs:      txs,
 	}
 }
@@ -126,7 +139,7 @@ func (l *Ledger) CutBlock(txs []Transaction) Block {
 	return Block{
 		Number:   l.height,
 		PrevHash: l.lastHash,
-		DataHash: computeDataHash(txs),
+		DataHash: computeDataHash(txs, false),
 		Txs:      txs,
 	}
 }
@@ -143,7 +156,7 @@ func (l *Ledger) Append(b Block) error {
 	if b.PrevHash != l.lastHash {
 		return fmt.Errorf("%w: broken hash chain at block %d", ErrBadBlock, b.Number)
 	}
-	if b.DataHash != computeDataHash(b.Txs) {
+	if b.DataHash != computeDataHash(b.Txs, false) {
 		return fmt.Errorf("%w: data hash mismatch at block %d", ErrBadBlock, b.Number)
 	}
 	for i, tx := range b.Txs {
@@ -274,7 +287,7 @@ func (l *Ledger) VerifyChain() error {
 		if b.PrevHash != prev {
 			return fmt.Errorf("%w: linkage at block %d", ErrBadBlock, b.Number)
 		}
-		if b.DataHash != computeDataHash(b.Txs) {
+		if b.DataHash != computeDataHash(b.Txs, false) {
 			return fmt.Errorf("%w: data hash at block %d", ErrBadBlock, b.Number)
 		}
 		prev = b.Hash()

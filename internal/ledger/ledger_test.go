@@ -394,13 +394,15 @@ func TestBlockHashIsHashConcat(t *testing.T) {
 	}
 }
 
-// TestDataHashBeyondStackStage checks computeDataHash on both sides of the
-// size at which it stops staging digests on the stack.
+// TestDataHashBeyondStackStage checks computeDataHash, from the digests and
+// from the content, on both sides of the size at which it stops staging
+// digests on the stack.
 func TestDataHashBeyondStackStage(t *testing.T) {
 	var txs []Transaction
 	var digests []byte
 	for n := 0; n <= 9; n++ {
-		if got, want := computeDataHash(txs), dcrypto.Hash(digests); got != want {
+		want := dcrypto.Hash(digests)
+		if computeDataHash(txs, false) != want || ContentDataHash(txs) != want {
 			t.Fatalf("%d transactions: data hash is not the hash of their digests", n)
 		}
 		next := tx("trade", "A", "k", fmt.Sprint(n))

@@ -121,39 +121,46 @@ func (r *frameReader) done() error {
 	return nil
 }
 
-// frameSlabSize is the size of the slabs carveFrame cuts frames from: a
-// noscan size class of its own, some forty session submissions.
-const frameSlabSize = 16 << 10
+// slabCarver cuts frames from append-only slabs of one size. Its pool holds
+// the slab each goroutine carves its next frame from; a slab in the pool is
+// the unused tail of one, its carved head already handed out.
+type slabCarver struct {
+	slab int
+	pool sync.Pool
+}
 
-// carvedFrameMax is the largest frame carveFrame cuts from a slab. A larger
-// one gets an exact allocation of its own, so that no slab is mostly one
+// wireFrames carves the frames a client sends: a 16 KB slab is some forty
+// session submissions, and the client copies each frame out and drops it.
+// sealedFrames carves the gateway's sealed envelope frames, which a
+// subscriber may keep: four of the benchmark's 1,858-byte frames to an 8 KB
+// slab, so a sparse sample of them pins half what 16 KB slabs would.
+var wireFrames, sealedFrames = &slabCarver{slab: 16 << 10}, &slabCarver{slab: 8 << 10}
+
+// limit is the largest frame c cuts from a slab, a quarter of one. A larger
+// frame gets an exact allocation of its own, so that no slab is mostly one
 // frame and no frame pins more than four times its size.
-const carvedFrameMax = 4 << 10
+func (c *slabCarver) limit() int { return c.slab / 4 }
 
-// frameSlabs holds the slab each goroutine carves its next frame from; a
-// slab in the pool is the unused tail of one, its carved head already handed
-// out.
-var frameSlabs = sync.Pool{New: func() any { return new([]byte) }}
-
-// carveFrame returns an empty slice of capacity exactly size for a frame
-// that leaves the process: cut from an append-only slab shared with the
-// frames carved before and after it, its capacity clipped. A slab is never
-// written over, so the frame is the caller's: nothing later writes over it,
-// appending past size reallocates, and a kept frame keeps its slab (up to
-// frameSlabSize bytes) alive. Only frames copied out and dropped are carved;
-// what a caller keeps is allocated on its own.
-func carveFrame(size int) []byte {
-	if size > carvedFrameMax {
+// carve returns an empty slice of capacity exactly size, cut from an
+// append-only slab shared with the frames carved before and after it, its
+// capacity clipped. A slab is never rewound or written over, so the frame is
+// the caller's: nothing later writes over it, appending past size
+// reallocates, and a kept frame keeps its slab (up to c.slab bytes) alive.
+func (c *slabCarver) carve(size int) []byte {
+	if size > c.limit() {
 		return make([]byte, 0, size)
 	}
-	slab := frameSlabs.Get().(*[]byte)
+	slab, _ := c.pool.Get().(*[]byte)
+	if slab == nil {
+		slab = new([]byte)
+	}
 	b := *slab
 	if cap(b)-len(b) < size {
-		b = make([]byte, 0, frameSlabSize)
+		b = make([]byte, 0, c.slab)
 	}
 	start := len(b)
 	*slab = b[:start+size]
-	frameSlabs.Put(slab)
+	c.pool.Put(slab)
 	return b[start : start : start+size]
 }
 
@@ -164,7 +171,7 @@ func carveFrame(size int) []byte {
 const misnamedSession = "?"
 
 // EncodeWireRequest marshals a request into the 0xDC request frame the
-// gateway.submit topic takes, carved from a shared slab (see carveFrame): a
+// gateway.submit topic takes, carved from a shared 16 KB slab (wireFrames): a
 // caller that copies the frame out and drops it, as netedge.Client does,
 // allocates nothing for it. Nothing writes over the frame and appending to it
 // reallocates, but keeping it keeps its slab, up to 16 KB, alive: copy a
@@ -201,7 +208,7 @@ func EncodeWireRequest(req *Request, codec string) ([]byte, error) {
 	for k, v := range req.Meta {
 		size += lenPrefixedSize(len(k)) + lenPrefixedSize(len(v))
 	}
-	out := carveFrame(size)
+	out := wireFrames.carve(size)
 	out = append(out, binaryMagic, binaryKindRequest)
 	out = appendLenPrefixed(out, []byte(req.Channel))
 	out = appendLenPrefixed(out, []byte(req.Principal))

@@ -240,7 +240,8 @@
 //     envelope on the ledger are all 0xDC frames: length-prefixed, no
 //     field names, no base64, no reflection; a request frame decodes into
 //     the Request the chain runs, aliasing the inbound buffer, and encodes
-//     in one exactly-sized allocation. gateway.submit and session.open
+//     into an exactly-sized frame carved from a 16 KB slab (wireFrames).
+//     gateway.submit and session.open
 //     each run one decoder and refuse everything else — a JSON document
 //     included — with ErrBadFrame; nothing is sniffed and nothing is
 //     negotiated. json.Marshal of a parsed Envelope is the diffable debug
@@ -278,8 +279,10 @@
 //     envelope at 50 members — ahead of the ciphertext; the encrypt
 //     stage caches that
 //     epoch-constant head and the SHA-256 state that has absorbed it,
-//     seals each envelope into one allocation behind a copy of the
-//     head, and resumes the cached
+//     seals each envelope behind a copy of the head into an
+//     exactly-sized frame carved from an 8 KB slab (sealedFrames; four
+//     50-member frames to a slab, a larger group on its own), and
+//     resumes the cached
 //     state over the ciphertext field alone — the sealed frame is never
 //     streamed through SHA-256 (the uncached stage builds a throwaway
 //     key per request and rides the same seal). Gateway.order

@@ -101,8 +101,9 @@ func openSegments(env Envelope, member string, key *dcrypto.PrivateKey) ([][]byt
 	return payloads, nil
 }
 
-// EncodeEnvelope marshals an envelope into its ledger frame, one
-// exactly-sized allocation:
+// EncodeEnvelope marshals an envelope into its ledger frame, an
+// exactly-sized allocation of its own (channelKey.seal carves the frames it
+// seals from a slab):
 //
 //	0xDC 0x02 ‖ scheme ‖ channel ‖ epoch ‖ key table ‖ ciphertext
 //	key table  = ephPub ‖ commit ‖ n ‖ n × 32-byte wrap
@@ -422,12 +423,15 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 
 // seal seals payloads under the data key with one AEAD invocation straight
 // into an envelope frame — head copied, the length-prefixed segments sealed
-// in place behind it, one exactly-sized allocation — and returns the frame
-// with its SHA-256, resumed from headSum over the ciphertext field alone.
+// in place behind it, into exactly the frame's size carved from an 8 KB
+// slab (sealedFrames; a frame over 2 KB, such as a 64-trade group, is an
+// allocation of its own) — and returns the frame with its SHA-256, resumed
+// from headSum over the ciphertext field alone. Nothing writes over the
+// frame once seal returns, and a holder that keeps it keeps its slab alive.
 // The encrypt stage seals one payload, the batch stage a group.
 func (ck *channelKey) seal(payloads [][]byte) ([]byte, [32]byte, error) {
 	ctSize := dcrypto.SealedSegmentsSize(ck.aead, payloads)
-	frame := make([]byte, 0, len(ck.frameHead)+lenPrefixedSize(ctSize))
+	frame := sealedFrames.carve(len(ck.frameHead) + lenPrefixedSize(ctSize))
 	frame = append(frame, ck.frameHead...)
 	frame = binary.AppendUvarint(frame, uint64(ctSize))
 	frame, err := dcrypto.AppendEncryptSegmentsWithAEAD(frame, ck.aead, payloads, ck.ad)

@@ -31,13 +31,13 @@ func benchMembers(tb testing.TB, n int) (map[string]dcrypto.PublicKey, map[strin
 
 // TestEnvelopeFrameSize pins what a member costs on the ledger, at the
 // benchmark's shape: 50 members org-00…org-49 on deals-0, a 96-byte trade.
-// The frame must stay inside the allocator's 2,048-byte size class (the next
-// is 2,304, then 2,688): a layout change that crosses it costs every sealed
-// envelope its copy, zero-fill and garbage, and fails here without the
-// benchmark. The head and the frame are the sizing rules of
-// docs/OPERATIONS.md, exactly: a member costs its 32-byte wrap and nothing
-// else, whatever its name. A batch_groupseal group, 64 such trades, must stay
-// inside the 8,192-byte class the same way.
+// The frame must stay within the sealed carver's limit, 2,048 bytes, a
+// quarter of its slab: a layout change that crosses it costs every sealed
+// envelope an allocation of its own, and fails here without the benchmark.
+// The head and the frame are the sizing rules of docs/OPERATIONS.md,
+// exactly: a member costs its 32-byte wrap and nothing else, whatever its
+// name. A batch_groupseal group, 64 such trades, must stay inside the
+// allocator's 8,192-byte class, its own allocation's.
 func TestEnvelopeFrameSize(t *testing.T) {
 	const channel = "deals-0"
 	members, _ := benchMembers(t, 50)
@@ -52,8 +52,8 @@ func TestEnvelopeFrameSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) > 2048 {
-		t.Fatalf("frame is %d bytes, over the 2,048-byte size class", len(frame))
+	if len(frame) > sealedFrames.limit() {
+		t.Fatalf("frame is %d bytes, over the sealed carver's %d-byte limit: it loses its carve and is an allocation of its own", len(frame), sealedFrames.limit())
 	}
 	if want := 155 + len(channel) + 96 + 32*len(members); len(frame) != want {
 		t.Fatalf("frame is %d bytes, the sizing rule says %d = 155 + len(channel) + payload + 32 × members", len(frame), want)

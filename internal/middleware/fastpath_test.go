@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,31 +72,15 @@ func TestEncodeWireRequestRejectsMisSizedMAC(t *testing.T) {
 	}
 }
 
-// TestCarvedFramesStayTheCallers holds the frames EncodeWireRequest carves
-// from shared slabs to their callers. Eight goroutines encode 2,000 frames
-// each and keep every one; the payloads walk up to a thousand bytes, so
-// frames cross slab boundaries, and every fiftieth sits around
-// carvedFrameMax, so some are carved and some allocated on their own. Each
-// frame's capacity must be its length, and each goroutine appends to its
-// previous frame once the next one is carved: the append must reallocate,
-// and the decode of every kept frame at the end must read its own request. A
-// frame handed its slab's spare capacity would write over its neighbour.
-func TestCarvedFramesStayTheCallers(t *testing.T) {
+// keepCarvedFrames runs eight goroutines that each make 2,000 frames with
+// frame(w, i) and keep every one. Each frame's capacity must be its length,
+// and each goroutine appends to its previous frame once the next one is
+// made: the append must reallocate. A frame handed its slab's spare capacity,
+// or cut from a slab carved twice, would write over its neighbour, which the
+// caller sees once it reads every kept frame back.
+func keepCarvedFrames(t *testing.T, frame func(w, i int) ([]byte, error)) [][][]byte {
+	t.Helper()
 	const workers, perWorker = 8, 2000
-	request := func(w, i int) *Request {
-		size := i * 97 % 1000
-		if i%50 == 0 {
-			size = carvedFrameMax - 64 + i%128
-		}
-		return &Request{
-			Channel:      fmt.Sprintf("deals-%d", w),
-			Principal:    fmt.Sprintf("org-%d-%d", w, i),
-			Payload:      bytes.Repeat([]byte{byte(w*perWorker + i)}, size),
-			SessionToken: fmt.Sprintf("%064x", w*perWorker+i),
-			MAC:          bytes.Repeat([]byte{byte(i)}, dcrypto.MACSize),
-			TraceID:      uint64(i),
-		}
-	}
 	frames := make([][][]byte, workers)
 	var wg sync.WaitGroup
 	for w := range frames {
@@ -104,7 +89,7 @@ func TestCarvedFramesStayTheCallers(t *testing.T) {
 			defer wg.Done()
 			kept := make([][]byte, perWorker)
 			for i := range kept {
-				b, err := EncodeWireRequest(request(w, i), "")
+				b, err := frame(w, i)
 				if err != nil {
 					t.Error(err)
 					return
@@ -128,8 +113,33 @@ func TestCarvedFramesStayTheCallers(t *testing.T) {
 	}
 	wg.Wait()
 	if t.Failed() {
-		return
+		t.FailNow()
 	}
+	return frames
+}
+
+// TestCarvedFramesStayTheCallers holds the frames EncodeWireRequest carves
+// from shared slabs to their callers (keepCarvedFrames). The payloads walk
+// up to a thousand bytes, so frames cross slab boundaries, and every
+// fiftieth sits around the wire carver's limit, so some are carved and some
+// allocated on their own. The decode of every kept frame at the end must
+// read its own request.
+func TestCarvedFramesStayTheCallers(t *testing.T) {
+	request := func(w, i int) *Request {
+		size := i * 97 % 1000
+		if i%50 == 0 {
+			size = wireFrames.limit() - 64 + i%128
+		}
+		return &Request{
+			Channel:      fmt.Sprintf("deals-%d", w),
+			Principal:    fmt.Sprintf("org-%d-%d", w, i),
+			Payload:      bytes.Repeat([]byte{byte(w*2000 + i)}, size),
+			SessionToken: fmt.Sprintf("%064x", w*2000+i),
+			MAC:          bytes.Repeat([]byte{byte(i)}, dcrypto.MACSize),
+			TraceID:      uint64(i),
+		}
+	}
+	frames := keepCarvedFrames(t, func(w, i int) ([]byte, error) { return EncodeWireRequest(request(w, i), "") })
 	for w, kept := range frames {
 		for i, b := range kept {
 			var got Request
@@ -142,6 +152,69 @@ func TestCarvedFramesStayTheCallers(t *testing.T) {
 				t.Fatalf("worker %d frame %d decodes to another request", w, i)
 			}
 		}
+	}
+}
+
+// TestSealedFramesStayTheirHolders holds the frames channelKey.seal carves
+// from sealedFrames' slabs, which a subscriber may keep, to their holders
+// (keepCarvedFrames). Each goroutine seals distinct payloads under a
+// 50-member key of its own: mostly single 96-byte trades, four to a slab,
+// and every tenth a group of two whose frame lands just under or just over
+// the carver's limit, so some are carved and some allocated on their own.
+// Once every goroutine is done each frame must still open to its own
+// payloads.
+func TestSealedFramesStayTheirHolders(t *testing.T) {
+	members, keys := benchMembers(t, 50)
+	payloads := func(w, i int) [][]byte {
+		tag := fmt.Sprintf("w%d-i%d/", w, i)
+		if i%10 != 0 {
+			return [][]byte{[]byte(tag + strings.Repeat("t", 96-len(tag)))}
+		}
+		size := 136 + i%40 // frames of 2,038 to 2,116 bytes on deals-N
+		return [][]byte{[]byte(tag + strings.Repeat("a", size-len(tag))), []byte(tag + strings.Repeat("b", size-len(tag)))}
+	}
+	sealers := make([]*channelKey, 8)
+	for w := range sealers {
+		channel := fmt.Sprintf("deals-%d", w)
+		var err error
+		if sealers[w], err = newChannelKey(channel, 1, members, envelopeAD(channel)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := keepCarvedFrames(t, func(w, i int) ([]byte, error) {
+		b, _, err := sealers[w].seal(payloads(w, i))
+		return b, err
+	})
+	carved := 0
+	opener := keys["org-07"]
+	for w, kept := range frames {
+		for i, b := range kept {
+			if len(b) <= sealedFrames.limit() {
+				carved++
+			}
+			env, err := ParseEnvelope(b)
+			if err != nil {
+				t.Fatalf("worker %d frame %d: %v", w, i, err)
+			}
+			want := payloads(w, i)
+			var got [][]byte
+			if len(want) == 1 {
+				var one []byte
+				one, err = OpenEnvelope(env, "org-07", opener)
+				got = [][]byte{one}
+			} else {
+				got, err = OpenGroupEnvelope(env, "org-07", opener)
+			}
+			if err != nil {
+				t.Fatalf("worker %d frame %d: %v", w, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("worker %d frame %d opens to another payload", w, i)
+			}
+		}
+	}
+	if total := 8 * len(frames[0]); carved <= total*9/10 || carved == total {
+		t.Fatalf("%d of %d frames within the %d-byte limit: the groups must straddle it", carved, total, sealedFrames.limit())
 	}
 }
 

@@ -113,7 +113,7 @@ func encodeHelloFrame(h *SessionHello) ([]byte, error) {
 		return nil, fmt.Errorf("middleware: encode hello: %w", err)
 	}
 	sig := h.Sig.Bytes()
-	out := carveFrame(2 +
+	out := wireFrames.carve(2 +
 		lenPrefixedSize(len(h.Principal)) +
 		lenPrefixedSize(len(h.Nonce)) +
 		timeSize(h.IssuedAt) +
@@ -131,7 +131,7 @@ func encodeHelloFrame(h *SessionHello) ([]byte, error) {
 
 // encodeResumeFrame marshals a resume hello.
 func encodeResumeFrame(h *resumeHello) []byte {
-	out := carveFrame(2 +
+	out := wireFrames.carve(2 +
 		lenPrefixedSize(resumeIDBytes) +
 		lenPrefixedSize(helloNonceBytes) +
 		timeSize(h.IssuedAt) +
@@ -502,7 +502,7 @@ func (h *Handshaker) establish(ctx context.Context, k heldKey, s *heldSecret, no
 // it was established for. miss reports that the gateway does not hold it
 // (any more). It allocates nothing of its own: the grant's token and MAC
 // key are a slot of h's grant chunk (carveGrant), and the frame is carved
-// (see carveFrame).
+// (wireFrames).
 func (s *heldSecret) resume(ctx context.Context, h *Handshaker, now time.Time, principal string, roundTrip func(ctx context.Context, hello []byte) ([]byte, error)) (grant SessionGrant, miss bool, err error) {
 	hello := resumeHello{ID: s.id, IssuedAt: now}
 	if _, err := rand.Read(hello.Nonce[:]); err != nil {

@@ -11,7 +11,9 @@ import (
 
 // ChainVerifier checks one channel's delivery stream against the ordering
 // contract: block numbers gap-free from 0, every PrevHash the hash of the
-// block before, no transaction ID delivered twice. Subscribe its Deliver
+// block before, every DataHash that of the block's transactions as their
+// bytes read on delivery (ledger.ContentDataHash, not the digests primed at
+// intake), no transaction ID delivered twice. Subscribe its Deliver
 // method; the zero value is ready to use.
 //
 // Deliveries for a channel are serialized by whatever orders it (and,
@@ -36,6 +38,9 @@ func (v *ChainVerifier) Deliver(b ledger.Block) error {
 		v.bad("block %d out of order, want %d", b.Number, v.next)
 	} else if v.next > 0 && b.PrevHash != v.lastHash {
 		v.bad("block %d breaks the hash chain", b.Number)
+	}
+	if b.DataHash != ledger.ContentDataHash(b.Txs) {
+		v.bad("block %d's data hash does not cover its transactions", b.Number)
 	}
 	if v.seen == nil {
 		v.seen = make(map[string]struct{})

@@ -74,7 +74,7 @@ var unreachedAllowed = map[string][]string{
 	"fault seams and the chain verifier that middleware's chaos tests drive; ChainVerifier is item 1(b)'s": {
 		"ordering.ReplicatedShard.Kill", "ordering.ReplicatedShard.Revive", "ordering.ShardedBackend.Migrations",
 		"ordering.ChainVerifier.Deliver", "ordering.ChainVerifier.Txs", "ordering.ChainVerifier.Violations",
-		"ordering.ChainVerifier.bad", "ordering.ChainVerifier.err",
+		"ordering.ChainVerifier.bad", "ordering.ChainVerifier.err", "ledger.ContentDataHash",
 	},
 	"ROADMAP item 26: the session opens and closes the wire path does not use": {
 		"middleware.SessionManager.Open", "middleware.SessionManager.close", "middleware.SessionManager.stats",
