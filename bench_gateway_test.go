@@ -203,24 +203,20 @@ var (
 // BenchmarkGatewayChain measures the pipeline at increasing depth: each
 // sub-benchmark adds one stage to the chain, so the per-stage overhead is
 // the ns/op difference between consecutive lines. The baseline is a
-// gateway whose only stage is a permissive rate limiter (Config rejects
-// an empty pipeline); its cost is visible directly as the +ratelimit
-// delta at depth 4 and is negligible next to the crypto stages. Traffic
-// is the seeded workload generator's trade stream; the backend is a
-// commit counter, so the numbers isolate middleware cost.
+// gateway whose only stage is audit (Config rejects an empty pipeline);
+// its cost is visible directly as the +audit delta at depth 3. Traffic is
+// the seeded workload generator's trade stream; the backend is a commit
+// counter, so the numbers isolate middleware cost.
 func BenchmarkGatewayChain(b *testing.B) {
 	env := newGatewayBenchEnv(b)
-	ratelimit := middleware.StageConfig{Name: middleware.StageRateLimit, Params: map[string]string{"rate": "1e12", "burst": "1e12"}}
 	stages := []middleware.StageConfig{
 		sessionStage(nil),
 		encryptStage,
 		auditStage,
-		ratelimit,
-		{Name: middleware.StageBreaker, Params: map[string]string{"threshold": "5", "cooldown": "1s"}},
 		{Name: middleware.StageBatch, Params: map[string]string{"size": "8"}},
 	}
-	b.Run("baseline(ratelimit-only)", func(b *testing.B) {
-		benchSubmit(b, env, middleware.Config{Stages: []middleware.StageConfig{ratelimit}})
+	b.Run("baseline(audit-only)", func(b *testing.B) {
+		benchSubmit(b, env, middleware.Config{Stages: []middleware.StageConfig{auditStage}})
 	})
 	for depth := 1; depth <= len(stages); depth++ {
 		cfg := middleware.Config{Stages: stages[:depth]}

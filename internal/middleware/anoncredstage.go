@@ -189,7 +189,6 @@ func init() {
 		},
 		refuses: []factRule{
 			{factPrincipal, "a request without a session token is refused at the session stage, so a credential is verified before it: put anoncred first, with require=off so that token requests pass it"},
-			{factMetered, whyPrincipalBuckets},
 		},
 		gives: []factRule{{fact: factPrincipal}},
 		partial: func(sc StageConfig) string {

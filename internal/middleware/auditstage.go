@@ -14,8 +14,8 @@ import (
 // leak in the audit matrix rather than going unnoticed.
 //
 // Observations are recorded only after the downstream chain ACCEPTS the
-// submission: a request rejected downstream (rate limit, open breaker,
-// backend error) never reached the observable surface — the orderer and
+// submission: a request rejected downstream (a backend error, a quorum
+// loss) never reached the observable surface — the orderer and
 // backends saw nothing — so logging it would overstate leakage. What is
 // observed is classified as of the audit point in the chain (the payload's
 // encryption state and digest when it passed this stage), captured before

@@ -402,51 +402,37 @@ func TestGroupReleaseSpanAmortizedShare(t *testing.T) {
 	}
 }
 
-// TestAuditSkipsRejectedSubmission is the record-after-accept regression
-// (satellite 2): a submission the downstream rejects — here a tripped
-// breaker — never reached the observable surface and must leave NO entry
-// in the leakage log, not even metadata.
+// TestAuditSkipsRejectedSubmission is the record-after-accept regression: a
+// submission the downstream rejects — here a backend error and a quorum
+// loss — never reached the observable surface and must leave NO entry in
+// the leakage log, not even metadata.
 func TestAuditSkipsRejectedSubmission(t *testing.T) {
 	log := audit.NewHistory()
 	au, err := newAudit(log, "gw-op")
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := newFakeClock()
-	br, err := newBreaker(1, time.Second, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	down := true
-	terminal := func(ctx context.Context, req *Request) error {
-		if down {
-			return errors.New("backend down")
-		}
-		return nil
-	}
-	chain := newChain(terminal, au, br)
+	var refusal error
+	terminal := func(ctx context.Context, req *Request) error { return refusal }
+	chain := newChain(terminal, au)
 	submit := func(payload string) error {
 		return chain.execute(context.Background(), &Request{
 			Channel: "c", Principal: "alice", Backend: "fabric",
 			Payload: []byte(payload), authenticated: true,
 		})
 	}
-	// Trip the breaker, then hit the open circuit: both rejected, neither
-	// may appear in the log.
-	if err := submit("tripping"); err == nil {
-		t.Fatal("failing backend accepted")
-	}
-	if err := submit("rejected"); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open-circuit submit = %v, want ErrCircuitOpen", err)
+	// Both rejected downstream: neither may appear in the log.
+	for _, refusal = range []error{errors.New("backend down"), ordering.ErrNoQuorum} {
+		if err := submit("rejected"); !errors.Is(err, refusal) {
+			t.Fatalf("refused submit = %v, want %v", err, refusal)
+		}
 	}
 	if log.Len() != 0 {
 		t.Fatalf("leakage log holds %d observations of rejected submissions: %v", log.Len(), log.All())
 	}
-	// Once the backend recovers and the cooldown passes, accepted traffic
-	// records normally — including the plaintext leak, since no encrypt
-	// stage runs here.
-	down = false
-	clock.advance(2 * time.Second)
+	// Once the backend accepts, traffic records normally — including the
+	// plaintext leak, since no encrypt stage runs here.
+	refusal = nil
 	if err := submit("accepted"); err != nil {
 		t.Fatal(err)
 	}

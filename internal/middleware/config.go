@@ -18,13 +18,11 @@ import (
 // stages zkproof, anoncred, attest, and aggregate register themselves the
 // same way and compose under the same validation engine.
 const (
-	StageSession   = "session"
-	StageAuthn     = "authn"
-	StageEncrypt   = "encrypt"
-	StageAudit     = "audit"
-	StageRateLimit = "ratelimit"
-	StageBreaker   = "breaker"
-	StageBatch     = "batch"
+	StageSession = "session"
+	StageAuthn   = "authn"
+	StageEncrypt = "encrypt"
+	StageAudit   = "audit"
+	StageBatch   = "batch"
 )
 
 // ErrBadConfig is returned (wrapped) for every configuration rejected at
@@ -49,8 +47,6 @@ var ErrBadConfig = errors.New("middleware: invalid pipeline configuration")
 //	audit      — observer (default "gateway"), auditasync (a shim the
 //	             frozen benchmark passes: any integer >= 0 is accepted and
 //	             recording is always inline; a negative one is refused)
-//	ratelimit  — rate (tokens/sec, default 100), burst (default 10)
-//	breaker    — threshold (default 5), cooldown (duration, default 1s)
 //	batch      — size (default 8), groupseal (on|off, default off; on
 //	             buckets buffered submissions per (channel, epoch) and
 //	             seals each group with one AEAD invocation under the
@@ -132,7 +128,7 @@ type Env struct {
 	Directory Directory
 	// Log receives leakage observations (audit).
 	Log *audit.Log
-	// Now overrides the time source (ratelimit, breaker, authn); tests
+	// Now overrides the time source (session, encrypt, the gateway); tests
 	// inject a fake clock here.
 	Now func() time.Time
 
@@ -176,18 +172,6 @@ func (p *params) intVal(key string, def int) int {
 		p.err = fmt.Errorf("param %s=%q is not an integer", key, v)
 	}
 	return n
-}
-
-func (p *params) floatVal(key string, def float64) float64 {
-	v, ok := p.m[key]
-	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil && p.err == nil {
-		p.err = fmt.Errorf("param %s=%q is not a number", key, v)
-	}
-	return f
 }
 
 func (p *params) duration(key string, def time.Duration) time.Duration {

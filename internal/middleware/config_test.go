@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -37,12 +38,12 @@ func stageList(names ...string) Config {
 }
 
 func TestConfigBuildsFullChain(t *testing.T) {
-	cfg := stageList(StageSession, StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch)
+	cfg := stageList(StageSession, StageAuthn, StageEncrypt, StageAudit, StageBatch)
 	chain, err := cfg.build(testEnv(t), nil)
 	if err != nil {
 		t.Fatalf("full chain rejected: %v", err)
 	}
-	want := []string{StageSession, StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBreaker, StageBatch}
+	want := []string{StageSession, StageAuthn, StageEncrypt, StageAudit, StageBatch}
 	if len(chain.stages) != len(want) {
 		t.Fatalf("%d stages, want %d", len(chain.stages), len(want))
 	}
@@ -63,8 +64,6 @@ func TestConfigRejectsMisordering(t *testing.T) {
 		{"duplicate stage", stageList(StageAuthn, StageAuthn)},
 		{"encrypt before authn", stageList(StageEncrypt, StageAuthn)},
 		{"encrypt without authn", stageList(StageEncrypt)},
-		{"ratelimit before authn", stageList(StageRateLimit, StageAuthn)},
-		{"retry is no stage", stageList("retry", StageBreaker)},
 		{"batch not last", stageList(StageSession, StageBatch, StageAudit)},
 	}
 	for _, tc := range cases {
@@ -74,6 +73,20 @@ func TestConfigRejectsMisordering(t *testing.T) {
 			}
 		})
 	}
+	// Deleted stages stay deleted: each is an unknown stage, and the usage
+	// text lists none of them.
+	t.Run("retry is no stage", func(t *testing.T) {
+		usage := StageUsage()
+		for _, gone := range []string{"retry", "ratelimit", "breaker"} {
+			_, err := stageList(gone).build(testEnv(t), nil)
+			if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), fmt.Sprintf("unknown stage %q", gone)) {
+				t.Fatalf("Build(%s) = %v, want an unknown stage", gone, err)
+			}
+			if strings.Contains(usage, "  "+gone+" ") {
+				t.Fatalf("StageUsage() lists %q:\n%s", gone, usage)
+			}
+		}
+	})
 }
 
 func TestConfigRejectsBadParams(t *testing.T) {
@@ -87,14 +100,8 @@ func TestConfigRejectsBadParams(t *testing.T) {
 		{"zero batch size", Config{Stages: []StageConfig{
 			{Name: StageBatch, Params: map[string]string{"size": "0"}},
 		}}},
-		{"negative rate", Config{Stages: []StageConfig{
-			{Name: StageRateLimit, Params: map[string]string{"rate": "-1"}},
-		}}},
 		{"bad duration", Config{Stages: []StageConfig{
-			{Name: StageBreaker, Params: map[string]string{"cooldown": "soon"}},
-		}}},
-		{"zero breaker threshold", Config{Stages: []StageConfig{
-			{Name: StageBreaker, Params: map[string]string{"threshold": "0"}},
+			{Name: StageSession, Params: map[string]string{"idle": "soon"}},
 		}}},
 	}
 	for _, tc := range cases {
@@ -180,15 +187,6 @@ func TestConfigParamMatrix(t *testing.T) {
 		// encrypt
 		{"encrypt keyttl not a duration", encrypt(map[string]string{"keyttl": "soon"}), nil, `keyttl="soon" is not a duration`},
 		{"encrypt keyttl negative", encrypt(map[string]string{"keyttl": "-5m"}), nil, "keyttl must be >= 0"},
-		// ratelimit
-		{"ratelimit rate not a number", one(StageRateLimit, map[string]string{"rate": "fast"}), nil, `rate="fast" is not a number`},
-		{"ratelimit rate zero", one(StageRateLimit, map[string]string{"rate": "0"}), nil, "needs rate > 0"},
-		{"ratelimit burst zero", one(StageRateLimit, map[string]string{"burst": "0"}), nil, "burst >= 1"},
-		// breaker
-		{"breaker threshold not an integer", one(StageBreaker, map[string]string{"threshold": "low"}), nil, `threshold="low" is not an integer`},
-		{"breaker threshold zero", one(StageBreaker, map[string]string{"threshold": "0"}), nil, "threshold >= 1"},
-		{"breaker cooldown not a duration", one(StageBreaker, map[string]string{"cooldown": "while"}), nil, `cooldown="while" is not a duration`},
-		{"breaker cooldown zero", one(StageBreaker, map[string]string{"cooldown": "0s"}), nil, "cooldown > 0"},
 		// batch
 		{"batch size not an integer", one(StageBatch, map[string]string{"size": "many"}), nil, `size="many" is not an integer`},
 		{"batch size zero", one(StageBatch, map[string]string{"size": "0"}), nil, "size >= 1"},
@@ -222,7 +220,6 @@ func TestConfigParamMatrix(t *testing.T) {
 		{"session revokecheck resolve", session(map[string]string{"revokecheck": "resolve"}), revEnv},
 		{"session revoker without revokecheck", session(nil), revEnv},
 		{"encrypt cached", encrypt(map[string]string{"keyttl": "10m"}), testEnv(t)},
-		{"ratelimit fractional", one(StageRateLimit, map[string]string{"rate": "0.5", "burst": "1"}), testEnv(t)},
 	}
 	for _, tc := range accepted {
 		t.Run(tc.name, func(t *testing.T) {
@@ -324,9 +321,6 @@ func TestConfigAcceptsPrivacyStages(t *testing.T) {
 		{"anoncred replaces authn", []StageConfig{
 			anoncredStage, {Name: StageEncrypt},
 		}},
-		{"anoncred before ratelimit", []StageConfig{
-			anoncredStage, {Name: StageRateLimit, Params: map[string]string{"rate": "10", "burst": "10"}},
-		}},
 		{"attest before encrypt", []StageConfig{
 			{Name: StageSession}, {Name: StageAttest}, {Name: StageEncrypt},
 		}},
@@ -375,9 +369,6 @@ func TestConfigRejectsPrivacyStageMisuse(t *testing.T) {
 		{"anoncred after authn",
 			[]StageConfig{{Name: StageAuthn}, anoncredStage},
 			`"authn" needs "anoncred" or "session" before it: it checks nothing itself: a certificate is verified at session open`},
-		{"anoncred after ratelimit",
-			[]StageConfig{{Name: StageRateLimit, Params: map[string]string{"rate": "10", "burst": "10"}}, anoncredStage},
-			`"anoncred" cannot follow "ratelimit": buckets are keyed by principal, which must be verified first`},
 		{"attest after encrypt",
 			[]StageConfig{{Name: StageSession}, {Name: StageEncrypt}, {Name: StageAttest}},
 			`"attest" cannot follow "encrypt": attestations bind to the plaintext payload, which sealing hides`},
@@ -405,9 +396,6 @@ func TestConfigRejectsPrivacyStageMisuse(t *testing.T) {
 		{"encrypt after anoncred(require=off)",
 			[]StageConfig{anoncredOptional, {Name: StageEncrypt}},
 			`"encrypt" needs "anoncred" or "session" before it: never seal an envelope for an unverified submitter; "anoncred" gives no principal`},
-		{"session after ratelimit",
-			[]StageConfig{{Name: StageRateLimit}, {Name: StageSession}},
-			`"session" cannot follow "ratelimit": buckets are keyed by principal, which must be verified first`},
 		{"zkproof unknown param",
 			[]StageConfig{{Name: StageSession}, {Name: StageZKProof, Params: map[string]string{"bitz": "16"}}},
 			`unknown param "bitz"`},

@@ -19,25 +19,24 @@
 // pipeline is an error before the first transaction, never a silent leak.
 // Stage names must be known and appear at most once. Order is not a
 // hand-written rulebook: each stage declares the facts it needs, refuses
-// and gives, over a closed vocabulary of four facts that are all false
+// and gives, over a closed vocabulary of three facts that are all false
 // when a pipeline starts and that no stage makes false again:
 //
 //	fact       given by           needed by                refused by
 //	principal  session, anoncred* encrypt, zkproof, authn  anoncred
-//	metered    ratelimit                                   session, anoncred
 //	sealed     encrypt                                     zkproof, attest, aggregate
 //	held       batch, aggregate                            every stage
 //
 // principal: the submitter is verified (*not by anoncred with require=off,
 // which passes a request with no presentation on, for a session stage after
-// it to authenticate); metered: requests were throttled by principal;
-// sealed: the payload is an envelope only members open; held: requests are
-// held and released straight to the terminal handler, past every later
-// stage (so batch and aggregate must be last, and not both).
+// it to authenticate); sealed: the payload is an envelope only members
+// open; held: requests are held and released straight to the terminal
+// handler, past every later stage (so batch and aggregate must be last,
+// and not both).
 //
 // Config.validate walks the stages once, left to right, with the set of
 // facts given so far, and refuses the first stage that finds a fact it
-// refuses (`"session" cannot follow "ratelimit": <why>`) or misses one it
+// refuses (`"audit" cannot follow "batch": <why>`) or misses one it
 // needs (`"encrypt" needs "anoncred" or "session" before it: <why>`). Every message is derived from the declarations, and
 // StageUsage prints each stage's declared facts under its description.
 //
@@ -50,10 +49,7 @@
 // the audit point — the submission ID as a 32-byte array, the principal,
 // whether the payload was still plaintext — and records it once the
 // downstream accepts; the log copies what it is handed, so the ID is never
-// a heap string), ratelimit (token bucket per principal,
-// with idle buckets evicted once they would have refilled completely),
-// breaker (per-backend circuit breaker; requests with no backend share a
-// per-channel circuit), and batch (aggregate submissions before ordering;
+// a heap string), and batch (aggregate submissions before ordering;
 // group release is detached from the filling caller's cancellation, since
 // buffered members were already acknowledged), plus the four privacy
 // stages below.

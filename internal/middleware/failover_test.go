@@ -1,8 +1,6 @@
 package middleware
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -49,86 +47,13 @@ func newReplicatedShardedOrderer(t testing.TB, n int) (*ordering.ShardedBackend,
 	return sb, replicated
 }
 
-// TestBreakerExemptsFailoverWindow pins the tripping policy: any number of
-// election-window errors leaves a closed circuit closed, while quorum loss
-// and ordinary failures still count.
-func TestBreakerExemptsFailoverWindow(t *testing.T) {
-	clock := newFakeClock()
-	br, err := newBreaker(2, time.Second, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var backendErr error
-	backend := func(ctx context.Context, req *Request) error { return backendErr }
-	chain := newChain(backend, br)
-	req := func() *Request { return &Request{Channel: "deals", Principal: "p", Backend: "shard-0"} }
-
-	// Far more failover-window errors than the threshold: still closed.
-	backendErr = fmt.Errorf("shard 0: %w", ordering.ErrNoLeader)
-	for i := 0; i < 5; i++ {
-		if err := chain.execute(context.Background(), req()); !errors.Is(err, ordering.ErrNoLeader) {
-			t.Fatalf("execute %d = %v, want ErrNoLeader through", i, err)
-		}
-	}
-	if got := br.state("shard-0"); got != "closed" {
-		t.Fatalf("state after failover-window errors = %s, want closed", got)
-	}
-
-	// Quorum loss is not a failover window: it trips at the threshold.
-	backendErr = fmt.Errorf("shard 0: %w", ordering.ErrNoQuorum)
-	for i := 0; i < 2; i++ {
-		if err := chain.execute(context.Background(), req()); err == nil {
-			t.Fatal("quorumless backend reported success")
-		}
-	}
-	if got := br.state("shard-0"); got != "open" {
-		t.Fatalf("state after quorum loss = %s, want open", got)
-	}
-}
-
-// TestBreakerHalfOpenFailoverReopens: the exemption applies only to closed
-// circuits — a half-open probe that hits an election window reopens the
-// circuit (the probe's job is to prove the backend healthy, and it did
-// not).
-func TestBreakerHalfOpenFailoverReopens(t *testing.T) {
-	clock := newFakeClock()
-	br, err := newBreaker(2, time.Second, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var backendErr error = errors.New("backend down")
-	backend := func(ctx context.Context, req *Request) error { return backendErr }
-	chain := newChain(backend, br)
-	req := func() *Request { return &Request{Channel: "deals", Principal: "p", Backend: "shard-0"} }
-	for i := 0; i < 2; i++ {
-		_ = chain.execute(context.Background(), req())
-	}
-	if got := br.state("shard-0"); got != "open" {
-		t.Fatalf("state = %s, want open", got)
-	}
-	clock.advance(time.Second)
-	backendErr = fmt.Errorf("shard 0: %w", ordering.ErrNoLeader)
-	if err := chain.execute(context.Background(), req()); !errors.Is(err, ordering.ErrNoLeader) {
-		t.Fatalf("probe = %v, want ErrNoLeader through", err)
-	}
-	if got := br.state("shard-0"); got != "open" {
-		t.Fatalf("state after failover-window probe = %s, want open", got)
-	}
-}
-
 // TestGatewayShardedSubmitAcrossFailover wires the whole story: a gateway
-// with a breaker stage over replicated shards keeps accepting
-// submissions while a shard leader is killed mid-run, with zero failures
-// surfaced to clients and the breaker left closed.
+// over replicated shards keeps accepting submissions while a shard leader
+// is killed mid-run, with zero failures surfaced to clients.
 func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
 	sb, replicated := newReplicatedShardedOrderer(t, 2)
-	cfg := Config{
-		Stages: []StageConfig{
-			{Name: StageBreaker, Params: map[string]string{"threshold": "5", "cooldown": "250ms"}},
-		},
-		Shards: 2,
-	}
-	gw, err := NewGateway("gw", cfg, Env{}, sb)
+	cfg := Config{Stages: auditOnly, Shards: 2}
+	gw, err := NewGateway("gw", cfg, auditEnv(), sb)
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
@@ -182,11 +107,8 @@ func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
 // and a skew pass reports (and performs) automatic moves.
 func TestGatewayShardRebalanceTopic(t *testing.T) {
 	sb := newShardedOrderer(t, 2)
-	cfg := Config{
-		Stages: []StageConfig{{Name: StageRateLimit}},
-		Shards: 2,
-	}
-	gw, err := NewGateway("gw", cfg, Env{}, sb)
+	cfg := Config{Stages: auditOnly, Shards: 2}
+	gw, err := NewGateway("gw", cfg, auditEnv(), sb)
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
@@ -238,7 +160,7 @@ func TestGatewayShardRebalanceTopic(t *testing.T) {
 	}
 
 	// An unsharded gateway refuses the topic.
-	solo, err := NewGateway("solo", Config{Stages: []StageConfig{{Name: StageRateLimit}}}, Env{},
+	solo, err := NewGateway("solo", Config{Stages: auditOnly}, auditEnv(),
 		ordering.New("op", ordering.VisibilityEnvelope))
 	if err != nil {
 		t.Fatalf("NewGateway(solo): %v", err)

@@ -307,10 +307,7 @@ func TestBinaryFrameRejectsMalformed(t *testing.T) {
 func TestCodecConfigValidation(t *testing.T) {
 	req := &Request{Channel: "deals", Principal: "alice", Payload: []byte("p")}
 	for _, codec := range []string{"json", "protobuf"} {
-		_, err := Config{
-			Stages: []StageConfig{{Name: StageRateLimit}},
-			Codec:  codec,
-		}.build(Env{}, nil)
+		_, err := Config{Stages: auditOnly, Codec: codec}.build(auditEnv(), nil)
 		if !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("Config{Codec: %q} = %v, want ErrBadConfig", codec, err)
 		}
@@ -319,10 +316,7 @@ func TestCodecConfigValidation(t *testing.T) {
 		}
 	}
 	for _, codec := range []string{"", CodecBinary} {
-		if _, err := (Config{
-			Stages: []StageConfig{{Name: StageRateLimit}},
-			Codec:  codec,
-		}).build(Env{}, nil); err != nil {
+		if _, err := (Config{Stages: auditOnly, Codec: codec}).build(auditEnv(), nil); err != nil {
 			t.Fatalf("codec %q rejected: %v", codec, err)
 		}
 		if _, err := EncodeWireRequest(req, codec); err != nil {

@@ -554,7 +554,7 @@ func TestKeyTableIsCanonical(t *testing.T) {
 // crash at start-up.
 func FuzzParseStages(f *testing.F) {
 	for _, seed := range []string{
-		"session(ttl=10m,idle=5m)|authn|encrypt(keyttl=5m)|audit(observer=gateway-op)", // cmd/gateway -stages default
+		"session(ttl=10m,idle=5m)|encrypt(keyttl=5m)|audit(observer=gateway-op)", // cmd/gateway -stages default
 		"session|encrypt(keyttl=5m)|audit=async",
 		"session|anoncred(attrs=role=member)|encrypt",
 		"session||authn",
@@ -566,9 +566,9 @@ func FuzzParseStages(f *testing.F) {
 		"audit(observer=(a,b))",
 		"encrypt(keyttl=5m,keyttl=0)",
 		"encrypt(=5m)",
-		" ratelimit( rate = 1 , burst=2 ) ",
+		" batch( size = 4 , groupseal=off ) ",
 		"authn|session",
-		"ratelimit|anoncred(attrs=a,scope=s)",
+		"session|anoncred(attrs=a,scope=s)",
 		"anoncred|zkproof|attest|encrypt|audit",
 		"batch|aggregate",
 		"session|encrypt|aggregate",

@@ -477,8 +477,8 @@ type Backend interface {
 
 // Bind subscribes the backends to the channel's block stream. Each cut
 // block is committed to every bound backend; the first failing backend
-// aborts delivery and surfaces the error to the submitting request (which
-// is what the breaker stage acts on). Re-binding is idempotent
+// aborts delivery and surfaces the error to the submitting request.
+// Re-binding is idempotent
 // BY NAME: a backend whose Name() is already bound to the channel is
 // skipped — including a different instance under the same name — so
 // reconnect paths cannot register a second orderer subscription and
@@ -555,8 +555,6 @@ var rejectReasons = [...]rejectReason{
 	{rejectChain, StageAttest, "attestation_rejected", ErrAttestationRejected},
 	{rejectChain, StageEncrypt, "not_authenticated", ErrNotAuthenticated},
 	{rejectChain, StageEncrypt, "not_recipient", ErrNotRecipient},
-	{rejectChain, StageRateLimit, "rate_limited", ErrRateLimited},
-	{rejectChain, StageBreaker, "circuit_open", ErrCircuitOpen},
 	{rejectChain, StageAggregate, "bad_aggregand", ErrBadAggregand},
 	{rejectChain, StageAggregate, "release_failed", ErrAggregateRelease},
 	{rejectChain, StageBatch, "release_failed", ErrBatchRelease},

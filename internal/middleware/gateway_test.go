@@ -89,13 +89,12 @@ func testPlatforms(t testing.TB, members []string) (*fabric.Network, *corda.Netw
 }
 
 // fullChainConfig is the acceptance-criteria pipeline:
-// session -> encrypt -> audit -> ratelimit -> batch.
+// session -> encrypt -> audit -> batch.
 func fullChainConfig(observer string, batch int) Config {
 	return Config{Stages: []StageConfig{
 		{Name: StageSession},
 		{Name: StageEncrypt},
 		{Name: StageAudit, Params: map[string]string{"observer": observer}},
-		{Name: StageRateLimit, Params: map[string]string{"rate": "1000", "burst": "1000"}},
 		{Name: StageBatch, Params: map[string]string{"size": fmt.Sprint(batch)}},
 	}}
 }

@@ -28,12 +28,6 @@ var (
 	// not match the principal a hello names, or a session token is
 	// presented under another principal's name.
 	ErrIdentityMismatch = errors.New("middleware: certificate identity does not match principal")
-	// ErrRateLimited is returned when a principal exhausts its token
-	// bucket.
-	ErrRateLimited = errors.New("middleware: rate limit exceeded")
-	// ErrCircuitOpen is returned while a backend's circuit breaker is
-	// tripped.
-	ErrCircuitOpen = errors.New("middleware: circuit open for backend")
 	// ErrUnknownChannel is returned for a submission to a channel the
 	// gateway's directory does not know, before it is ordered.
 	ErrUnknownChannel = errors.New("middleware: channel not in the directory")
@@ -55,8 +49,7 @@ type Request struct {
 	Channel string
 	// Principal is the submitting identity (the session's principal).
 	Principal string
-	// Backend names the platform backend the submission is destined for;
-	// the circuit breaker keys its state by it.
+	// Backend names the platform backend the submission is destined for.
 	Backend string
 	// Payload is the application content; plaintext at submission,
 	// replaced by a marshalled Envelope once the encrypt stage runs.

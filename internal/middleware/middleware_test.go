@@ -15,7 +15,7 @@ import (
 	"dltprivacy/internal/pki"
 )
 
-// fakeClock is a settable time source for rate-limit and breaker tests.
+// fakeClock is a settable time source.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -178,6 +178,13 @@ func (w wireFront) json(topic string, payload []byte, v any) error {
 	return json.Unmarshal(reply, v)
 }
 
+// auditOnly is a one-stage pipeline that passes an unauthenticated request
+// on (Config refuses an empty one); it builds over auditEnv.
+var auditOnly = []StageConfig{{Name: StageAudit}}
+
+// auditEnv is an Env with a fresh leakage log, all auditOnly needs.
+func auditEnv() Env { return Env{Log: audit.NewHistory()} }
+
 // accept is a terminal handler recording the requests that reached it.
 // accept is a terminal handler that keeps every request it is handed, for
 // the test to read after the chain returns. It keeps each under a hold of
@@ -287,93 +294,6 @@ func TestAuditRecordsLeakage(t *testing.T) {
 	}
 	if !log.SawAny("leaky-op", audit.ClassTxData) {
 		t.Fatal("plaintext pipeline must show a tx-data observation")
-	}
-}
-
-func TestRateLimitPerPrincipal(t *testing.T) {
-	clock := newFakeClock()
-	rl, err := newRateLimit(1, 2, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &accept{}
-	chain := newChain(sink.handler, rl)
-	submit := func(who string) error {
-		return chain.execute(context.Background(), &Request{Channel: "deals", Principal: who})
-	}
-
-	// Burst of 2, then limited.
-	for i := 0; i < 2; i++ {
-		if err := submit("alice"); err != nil {
-			t.Fatalf("burst submit %d: %v", i, err)
-		}
-	}
-	if err := submit("alice"); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("exhausted bucket = %v, want ErrRateLimited", err)
-	}
-	// Buckets are per principal: bob is unaffected.
-	if err := submit("bob"); err != nil {
-		t.Fatalf("bob limited by alice's bucket: %v", err)
-	}
-	// One token per second refills.
-	clock.advance(1 * time.Second)
-	if err := submit("alice"); err != nil {
-		t.Fatalf("refilled bucket rejected: %v", err)
-	}
-	if err := submit("alice"); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("single refilled token reused = %v, want ErrRateLimited", err)
-	}
-}
-
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	clock := newFakeClock()
-	br, err := newBreaker(2, time.Second, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var healthy bool
-	backend := func(ctx context.Context, req *Request) error {
-		if healthy {
-			return nil
-		}
-		return errors.New("backend down")
-	}
-	chain := newChain(backend, br)
-	req := func() *Request { return &Request{Channel: "deals", Principal: "p", Backend: "fabric"} }
-
-	// Two consecutive failures trip the circuit.
-	for i := 0; i < 2; i++ {
-		if err := chain.execute(context.Background(), req()); err == nil {
-			t.Fatal("failing backend reported success")
-		}
-	}
-	if got := br.state("fabric"); got != "open" {
-		t.Fatalf("state = %s, want open", got)
-	}
-	// While open: fail fast without touching the backend.
-	if err := chain.execute(context.Background(), req()); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open circuit = %v, want ErrCircuitOpen", err)
-	}
-	// After cooldown a probe goes through; backend still down reopens.
-	clock.advance(time.Second)
-	if err := chain.execute(context.Background(), req()); errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("probe after cooldown was not admitted")
-	}
-	if got := br.state("fabric"); got != "open" {
-		t.Fatalf("state after failed probe = %s, want open", got)
-	}
-	// Backend recovers: next probe closes the circuit.
-	healthy = true
-	clock.advance(time.Second)
-	if err := chain.execute(context.Background(), req()); err != nil {
-		t.Fatalf("probe against healthy backend: %v", err)
-	}
-	if got := br.state("fabric"); got != "closed" {
-		t.Fatalf("state after recovery = %s, want closed", got)
-	}
-	// Circuits are per backend: corda was never affected.
-	if got := br.state("corda"); got != "closed" {
-		t.Fatalf("unrelated backend state = %s, want closed", got)
 	}
 }
 
@@ -501,60 +421,19 @@ func TestRetryDoesNotReplayBatchRelease(t *testing.T) {
 	}
 }
 
-func TestBreakerIgnoresStaleSuccess(t *testing.T) {
-	clock := newFakeClock()
-	br, err := newBreaker(2, time.Second, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chain *Chain
-	// The terminal handler for the first ("slow") request trips the
-	// circuit with two failing requests while it is still in flight,
-	// then reports its own success.
-	first := true
-	terminal := func(ctx context.Context, req *Request) error {
-		if !first {
+func TestChainStats(t *testing.T) {
+	var calls int
+	refuseSecond := func(ctx context.Context, req *Request) error {
+		if calls++; calls == 2 {
 			return errors.New("backend down")
-		}
-		first = false
-		for i := 0; i < 2; i++ {
-			if err := chain.execute(context.Background(), &Request{
-				Channel: "c", Principal: "p", Backend: "fabric",
-			}); err == nil {
-				return errors.New("tripping request unexpectedly succeeded")
-			}
 		}
 		return nil
 	}
-	chain = newChain(terminal, br)
-	if err := chain.execute(context.Background(), &Request{
-		Channel: "c", Principal: "p", Backend: "fabric",
-	}); err != nil {
-		t.Fatalf("slow request: %v", err)
-	}
-	// The slow request's success predates the trip: the circuit must
-	// still be open and honouring its cooldown.
-	if got := br.state("fabric"); got != "open" {
-		t.Fatalf("state after stale success = %s, want open", got)
-	}
-	if err := chain.execute(context.Background(), &Request{
-		Channel: "c", Principal: "p", Backend: "fabric",
-	}); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("request during cooldown = %v, want ErrCircuitOpen", err)
-	}
-}
-
-func TestChainStats(t *testing.T) {
-	clock := newFakeClock()
-	rl, err := newRateLimit(1, 1, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := newChain((&accept{}).handler, rl)
+	chain := newChain(refuseSecond, nopStage{})
 	_ = chain.execute(context.Background(), &Request{Channel: "c", Principal: "a"})
-	_ = chain.execute(context.Background(), &Request{Channel: "c", Principal: "a"}) // limited
+	_ = chain.execute(context.Background(), &Request{Channel: "c", Principal: "a"}) // refused downstream
 	stats := chain.stats()
-	if len(stats) != 1 || stats[0].Name != StageRateLimit {
+	if len(stats) != 1 || stats[0].Name != "nop" {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if stats[0].Calls != 2 || stats[0].Errors != 1 {

@@ -36,13 +36,12 @@ type fact uint8
 
 const (
 	factPrincipal fact = iota // the submitter is verified
-	factMetered               // requests were throttled by principal
 	factSealed                // the payload is an envelope only members open
 	factHeld                  // requests are held and released past every later stage; every stage refuses it
 	numFacts
 )
 
-var factNames = [numFacts]string{"principal", "metered", "sealed", "held"}
+var factNames = [numFacts]string{"principal", "sealed", "held"}
 
 func (f fact) String() string { return factNames[f] }
 
@@ -266,10 +265,7 @@ func ParseStages(s string) ([]StageConfig, error) {
 // documentation's table lists, with the operator-facing rationale of each
 // rule.
 
-const (
-	whyPrincipalBuckets = "buckets are keyed by principal, which must be verified first"
-	whyOneCollector     = "one terminal collector owns the held-request release path"
-)
+const whyOneCollector = "one terminal collector owns the held-request release path"
 
 func init() {
 	mustRegisterStage(stageDef{
@@ -282,9 +278,8 @@ func init() {
 			{"reqauth", "request auth: mac, the only value (the default)"},
 			{"revokecheck", "resolve, the only value, kept for compatibility: revocation is checked whenever Env.Revoker is set"},
 		},
-		refuses: []factRule{{factMetered, whyPrincipalBuckets}},
-		gives:   []factRule{{fact: factPrincipal}},
-		build:   buildSessionStage,
+		gives: []factRule{{fact: factPrincipal}},
+		build: buildSessionStage,
 	})
 	mustRegisterStage(stageDef{
 		name:  StageAuthn,
@@ -331,29 +326,6 @@ func init() {
 				return nil, fmt.Errorf("auditasync must be >= 0, got %d (every value records inline)", depth)
 			}
 			return newAudit(env.Log, observer)
-		},
-	})
-	mustRegisterStage(stageDef{
-		name: StageRateLimit,
-		desc: "token-bucket limiting keyed by verified principal",
-		params: []paramSpec{
-			{"rate", "tokens per second (default 100)"},
-			{"burst", "bucket capacity (default 10)"},
-		},
-		gives: []factRule{{fact: factMetered}},
-		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
-			return newRateLimit(p.floatVal("rate", 100), p.floatVal("burst", 10), env.Now)
-		},
-	})
-	mustRegisterStage(stageDef{
-		name: StageBreaker,
-		desc: "circuit breaker over downstream failures",
-		params: []paramSpec{
-			{"threshold", "consecutive failures before opening (default 5)"},
-			{"cooldown", "open-state duration before a probe (duration, default 1s)"},
-		},
-		build: func(p *params, sc StageConfig, env Env) (Stage, error) {
-			return newBreaker(p.intVal("threshold", 5), p.duration("cooldown", time.Second), env.Now)
 		},
 	})
 	mustRegisterStage(stageDef{

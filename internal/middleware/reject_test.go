@@ -27,11 +27,11 @@ func TestEveryErrorHasARejectReason(t *testing.T) {
 		"ErrAttestationRequired": ErrAttestationRequired, "ErrBadAggregand": ErrBadAggregand,
 		"ErrBadConfig": ErrBadConfig, "ErrBadFrame": ErrBadFrame, "ErrBadMAC": ErrBadMAC,
 		"ErrBadSignature": ErrBadSignature, "ErrBatchRelease": ErrBatchRelease,
-		"ErrCircuitOpen": ErrCircuitOpen, "ErrCredentialRejected": ErrCredentialRejected,
+		"ErrCredentialRejected": ErrCredentialRejected,
 		"ErrCredentialRequired": ErrCredentialRequired, "ErrIdentityMismatch": ErrIdentityMismatch,
 		"ErrNoSession": ErrNoSession, "ErrNotAuthenticated": ErrNotAuthenticated,
 		"ErrNotRecipient": ErrNotRecipient, "ErrProofInvalid": ErrProofInvalid,
-		"ErrProofRequired": ErrProofRequired, "ErrRateLimited": ErrRateLimited,
+		"ErrProofRequired": ErrProofRequired,
 		"ErrReplayedHello": ErrReplayedHello, "ErrSessionBound": ErrSessionBound,
 		"ErrSessionExpired": ErrSessionExpired, "ErrSessionRevoked": ErrSessionRevoked,
 		"ErrStaleHello": ErrStaleHello, "ErrUnknownChannel": ErrUnknownChannel,

@@ -335,7 +335,7 @@ func TestConfigSessionPlacement(t *testing.T) {
 		cfg  Config
 	}{
 		{"session after authn", stageList(StageAuthn, StageSession)},
-		{"ratelimit before session", stageList(StageRateLimit, StageSession)},
+		{"batch before session", stageList(StageBatch, StageSession)},
 		{"encrypt without any authenticator", stageList(StageEncrypt)},
 		{"bad session ttl", Config{Stages: []StageConfig{
 			{Name: StageSession, Params: map[string]string{"ttl": "soon"}},
@@ -360,7 +360,7 @@ func TestConfigSessionPlacement(t *testing.T) {
 	// so does the full chain, authn's pass-through included.
 	for _, ok := range []Config{
 		stageList(StageSession, StageEncrypt),
-		stageList(StageSession, StageAuthn, StageEncrypt, StageAudit, StageRateLimit, StageBatch),
+		stageList(StageSession, StageAuthn, StageEncrypt, StageAudit, StageBatch),
 	} {
 		if _, err := ok.build(testEnv(t), nil); err != nil {
 			t.Fatalf("valid session chain rejected: %v", err)
@@ -614,10 +614,7 @@ func (c *countingBackend) count() int {
 
 func TestGatewayBindIdempotent(t *testing.T) {
 	orderer := ordering.New("op", ordering.VisibilityFull)
-	cfg := Config{Stages: []StageConfig{
-		{Name: StageRateLimit, Params: map[string]string{"rate": "1000", "burst": "1000"}},
-	}}
-	gw, err := NewGateway("gw", cfg, Env{}, orderer)
+	gw, err := NewGateway("gw", Config{Stages: auditOnly}, auditEnv(), orderer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,43 +631,6 @@ func TestGatewayBindIdempotent(t *testing.T) {
 	}
 	if got := len(gw.backends["deals"]); got != 1 {
 		t.Fatalf("%d adapters bound, want 1", got)
-	}
-}
-
-func TestRateLimitEvictsIdleBuckets(t *testing.T) {
-	clock := newFakeClock()
-	rl, err := newRateLimit(1, 2, clock.now) // refill window: 2s
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := newChain((&accept{}).handler, rl)
-	submit := func(who string) error {
-		return chain.execute(context.Background(), &Request{Channel: "deals", Principal: who})
-	}
-	for i := 0; i < 100; i++ {
-		if err := submit(fmt.Sprintf("principal-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(rl.buckets); got != 100 {
-		t.Fatalf("buckets = %d, want 100", got)
-	}
-	// Everyone goes idle past the refill window; the next submission
-	// sweeps the table down to its own bucket.
-	clock.advance(3 * time.Second)
-	if err := submit("principal-0"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rl.buckets); got != 1 {
-		t.Fatalf("buckets after idle sweep = %d, want 1 (map must shrink)", got)
-	}
-	// Eviction must not hand out extra tokens: a refilled-then-evicted
-	// bucket behaves exactly like a fresh one.
-	if err := submit("principal-0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := submit("principal-0"); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("post-eviction burst = %v, want ErrRateLimited", err)
 	}
 }
 
@@ -773,27 +733,4 @@ func (zeroSizeUncomparableCtx) Value(key any) any {
 		return "zero"
 	}
 	return nil
-}
-
-func TestBreakerStateSeesChannelCircuits(t *testing.T) {
-	clock := newFakeClock()
-	br, err := newBreaker(2, time.Second, clock.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	down := func(ctx context.Context, req *Request) error { return errors.New("down") }
-	chain := newChain(down, br)
-	// Requests with no Backend share the per-channel circuit.
-	for i := 0; i < 2; i++ {
-		if err := chain.execute(context.Background(), &Request{Channel: "deals", Principal: "p"}); err == nil {
-			t.Fatal("failing handler reported success")
-		}
-	}
-	if got := br.state("deals"); got != "open" {
-		t.Fatalf("State(channel) = %s, want open (must resolve the channel-keyed circuit)", got)
-	}
-	// An explicit backend key still resolves directly.
-	if got := br.state("fabric"); got != "closed" {
-		t.Fatalf("State(unknown backend) = %s, want closed", got)
-	}
 }

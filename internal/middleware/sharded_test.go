@@ -40,19 +40,18 @@ func (c *countingSink) Commit(b ledger.Block) error {
 }
 
 func TestConfigShardingValidation(t *testing.T) {
-	stages := []StageConfig{{Name: StageRateLimit}}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"negative shards", Config{Stages: stages, Shards: -1}},
-		{"pins without topology", Config{Stages: stages, ShardPins: map[string]int{"deals": 0}}},
-		{"pin out of range", Config{Stages: stages, Shards: 2, ShardPins: map[string]int{"deals": 2}}},
-		{"pin negative", Config{Stages: stages, Shards: 2, ShardPins: map[string]int{"deals": -1}}},
+		{"negative shards", Config{Stages: auditOnly, Shards: -1}},
+		{"pins without topology", Config{Stages: auditOnly, ShardPins: map[string]int{"deals": 0}}},
+		{"pin out of range", Config{Stages: auditOnly, Shards: 2, ShardPins: map[string]int{"deals": 2}}},
+		{"pin negative", Config{Stages: auditOnly, Shards: 2, ShardPins: map[string]int{"deals": -1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.cfg.build(Env{}, nil); !errors.Is(err, ErrBadConfig) {
+			if _, err := tc.cfg.build(auditEnv(), nil); !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("Build = %v, want ErrBadConfig", err)
 			}
 		})
@@ -63,14 +62,11 @@ func TestConfigShardingValidation(t *testing.T) {
 // a declared shard count must match the actual backend, and declared pins
 // land on the backend before traffic.
 func TestGatewayShardedTopologyChecks(t *testing.T) {
-	cfg := Config{
-		Stages: []StageConfig{{Name: StageRateLimit}},
-		Shards: 2,
-	}
-	if _, err := NewGateway("gw", cfg, Env{}, ordering.New("op", ordering.VisibilityEnvelope)); !errors.Is(err, ErrBadConfig) {
+	cfg := Config{Stages: auditOnly, Shards: 2}
+	if _, err := NewGateway("gw", cfg, auditEnv(), ordering.New("op", ordering.VisibilityEnvelope)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("unsharded backend accepted for sharded config: %v", err)
 	}
-	if _, err := NewGateway("gw", cfg, Env{}, newShardedOrderer(t, 3)); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewGateway("gw", cfg, auditEnv(), newShardedOrderer(t, 3)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("3-shard backend accepted for 2-shard config: %v", err)
 	}
 
@@ -78,7 +74,7 @@ func TestGatewayShardedTopologyChecks(t *testing.T) {
 	hashed := sb.ShardFor("deals")
 	pinTo := 1 - hashed
 	cfg.ShardPins = map[string]int{"deals": pinTo}
-	if _, err := NewGateway("gw", cfg, Env{}, sb); err != nil {
+	if _, err := NewGateway("gw", cfg, auditEnv(), sb); err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
 	if got := sb.ShardFor("deals"); got != pinTo {
@@ -90,7 +86,7 @@ func TestGatewayShardedTopologyChecks(t *testing.T) {
 	live := sb2.ShardFor("deals")
 	sb2.Subscribe("deals", func(ledger.Block) error { return nil })
 	cfg.ShardPins = map[string]int{"deals": 1 - live}
-	if _, err := NewGateway("gw", cfg, Env{}, sb2); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewGateway("gw", cfg, auditEnv(), sb2); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("conflicting pin accepted: %v", err)
 	}
 }

@@ -20,31 +20,6 @@ func (a *aggregateStage) pendingCount() int {
 // accepted.
 func (a *anonCredStage) shown() int { return a.shows.Shown() }
 
-// state reports the circuit state for a backend key: "closed", "open", or
-// "half-open". The key resolves the way Handle keys its circuits: a name
-// with no backend circuit falls back to the shared per-channel circuit
-// ("channel:"+name) that requests with an empty Backend trip. Unknown keys
-// are closed.
-func (b *breakerStage) state(backend string) string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.circuits[backend]
-	if !ok {
-		c, ok = b.circuits["channel:"+backend]
-	}
-	if !ok {
-		return "closed"
-	}
-	switch c.state {
-	case stateOpen:
-		return "open"
-	case stateHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // epoch reports the current data-key epoch for a channel (0 when no cached
 // key exists yet or the cache is disabled).
 func (e *encryptStage) epoch(channel string) uint64 {

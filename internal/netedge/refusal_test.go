@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dltprivacy/internal/anoncred"
+	"dltprivacy/internal/audit"
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/ledger"
 	"dltprivacy/internal/middleware"
@@ -76,7 +77,7 @@ func TestEveryRefusalSurvivesTheSocket(t *testing.T) {
 		}
 	}
 
-	t.Run("session|authn|ratelimit", func(t *testing.T) { sessionRefusals(t, expect) })
+	t.Run("session|authn", func(t *testing.T) { sessionRefusals(t, expect) })
 	// A request that names no session is the session stage's to refuse.
 	t.Run("session|encrypt", func(t *testing.T) {
 		e := serveRefusals(t, "session|encrypt", middleware.Env{CAKey: mustCA(t).PublicKey(),
@@ -230,7 +231,7 @@ func onSession(grant middleware.SessionGrant, principal, payload string) *middle
 
 func same(b []byte) []byte { return b }
 
-// sessionRefusals covers the session, ratelimit, decode and handshake rows on
+// sessionRefusals covers the session, decode and handshake rows on
 // one gateway whose clock the test moves; authn, a pass-through, refuses
 // nothing.
 func sessionRefusals(t *testing.T, expect expectFunc) {
@@ -246,7 +247,7 @@ func sessionRefusals(t *testing.T, expect expectFunc) {
 	set(start)
 	foreign := enrollWith(t, mustCA(t, pki.WithClock(clock)), "alice")
 
-	e := serveRefusals(t, "session(ttl=1h,idle=1h,revokecheck=resolve)|authn|ratelimit(rate=0.001,burst=1)",
+	e := serveRefusals(t, "session(ttl=1h,idle=1h,revokecheck=resolve)|authn",
 		middleware.Env{CAKey: ca.PublicKey(), Revoker: ca, Now: clock}, acceptingOrderer())
 	ctx := context.Background()
 	grant, err := e.c.OpenSession(ctx, "alice", alice.cert, alice.key, "")
@@ -254,10 +255,6 @@ func sessionRefusals(t *testing.T, expect expectFunc) {
 		t.Fatal(err)
 	}
 	daveGrant, err := e.c.OpenSession(ctx, "dave", dave.cert, dave.key, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bobGrant, err := e.c.OpenSession(ctx, "bob", bob.cert, bob.key, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +278,6 @@ func sessionRefusals(t *testing.T, expect expectFunc) {
 		req := onSession(grant, "alice", "x")
 		req.Payload = []byte("y")
 		return e.submit(req)
-	})
-	if err := e.submit(onSession(bobGrant, "bob", "first")); err != nil {
-		t.Fatalf("bob's first request: %v", err)
-	}
-	expect(t, e, "ratelimit/rate_limited", middleware.ErrRateLimited, func() error {
-		return e.submit(onSession(bobGrant, "bob", "second"))
 	})
 
 	expect(t, e, "session.open/bad_frame", middleware.ErrBadFrame, func() error {
@@ -433,7 +424,7 @@ func privacyRefusals(t *testing.T, expect expectFunc) {
 // and the stages that stand between the chain and the backend.
 func ordererRefusals(t *testing.T, expect expectFunc) {
 	orderer := &refusingOrderer{}
-	e := serveRefusals(t, "breaker(threshold=2,cooldown=1h)", middleware.Env{}, orderer)
+	e := serveRefusals(t, "audit", middleware.Env{Log: audit.NewHistory()}, orderer)
 	for _, c := range []struct {
 		series   string
 		refusal  error
@@ -442,9 +433,6 @@ func ordererRefusals(t *testing.T, expect expectFunc) {
 		{"order/no_leader", fmt.Errorf("shard 0: %w", ordering.ErrNoLeader), ordering.ErrNoLeader},
 		{"order/no_quorum", fmt.Errorf("shard 0: %w", ordering.ErrNoQuorum), ordering.ErrNoQuorum},
 		{"chain/other", errors.New("disk full"), nil},
-		// The breaker has seen its threshold of failures: all but the
-		// first, a shard between leaders, which it does not count.
-		{"breaker/circuit_open", errors.New("disk full"), middleware.ErrCircuitOpen},
 	} {
 		orderer.refuse(c.refusal)
 		expect(t, e, c.series, c.sentinel, func() error {
@@ -479,7 +467,7 @@ func ordererRefusals(t *testing.T, expect expectFunc) {
 // unknownChannelRefusals covers the one row a gateway refuses on its own,
 // whatever its stages: a channel its directory does not know.
 func unknownChannelRefusals(t *testing.T, expect expectFunc) {
-	e := serveRefusals(t, "breaker(threshold=2,cooldown=1h)", middleware.Env{Directory: middleware.StaticDirectory{"deals": {}}}, acceptingOrderer())
+	e := serveRefusals(t, "audit", middleware.Env{Directory: middleware.StaticDirectory{"deals": {}}, Log: audit.NewHistory()}, acceptingOrderer())
 	expect(t, e, "order/unknown_channel", middleware.ErrUnknownChannel, func() error {
 		return e.submit(&middleware.Request{Channel: "elsewhere", Principal: "p", Payload: []byte("x")})
 	})

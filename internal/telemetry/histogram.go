@@ -12,7 +12,7 @@ const NanosPerSecond = 1e9
 // LatencyBounds is the default latency bucket layout: exponential
 // nanosecond upper bounds from 250ns doubling to ~1s (23 buckets plus the
 // implicit +Inf). The span covers everything the gateway stages produce —
-// a ~100ns ratelimit check, a ~5µs MAC-path submission, a ~400µs hybrid
+// a ~100ns pass-through stage, a ~5µs MAC-path submission, a ~400µs hybrid
 // wrap, multi-millisecond batch releases — with ~2x resolution everywhere,
 // which is enough to read p50/p99 off the cumulative buckets.
 var LatencyBounds = latencyBounds()

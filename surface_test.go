@@ -46,8 +46,8 @@ var unusedExports = map[string][]string{
 	"errors callers match with errors.Is, and the Unwrap it walks": {
 		"middleware.ErrAggregateRelease", "middleware.ErrAttestationRequired", "middleware.ErrBadAggregand",
 		"middleware.ErrBadFrame", "middleware.ErrBadMAC", "middleware.ErrBadSignature",
-		"middleware.ErrBatchRelease", "middleware.ErrCircuitOpen", "middleware.ErrIdentityMismatch", "middleware.ErrUnknownChannel",
-		"middleware.ErrNotAuthenticated", "middleware.ErrProofInvalid", "middleware.ErrRateLimited",
+		"middleware.ErrBatchRelease", "middleware.ErrIdentityMismatch", "middleware.ErrUnknownChannel",
+		"middleware.ErrNotAuthenticated", "middleware.ErrProofInvalid",
 		"middleware.ErrReplayedHello", "middleware.ErrSessionExpired", "middleware.ErrStaleHello",
 		"netedge.ErrClosed", "netedge.ErrFrameTooBig", "netedge.WireError.Unwrap",
 		"ordering.ErrBadShard", "ordering.ErrChannelExists", "ordering.ErrChannelMoved",
@@ -64,9 +64,6 @@ var unusedExports = map[string][]string{
 		"netedge.DialOption", "netedge.PendingCall", "netedge.WireError",
 		"ordering.ChannelMigrator", "ordering.ChannelState", "ordering.Cluster", "ordering.Option", "ordering.Service",
 		"ordering.Visibility",
-	},
-	"stage names of the -stages grammar, one constant for each registered stage": {
-		"middleware.StageBreaker", "middleware.StageRateLimit",
 	},
 	"fault seams and the chain verifier that middleware's chaos tests drive; ChainVerifier is item 1(b)'s": {
 		"ordering.ChainVerifier", "ordering.Cluster.Crash", "ordering.Cluster.Flush", "ordering.Cluster.Leader",
