@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -80,8 +82,10 @@ func TestAllocationBudget(t *testing.T) {
 			// copy of the fixture's template, which allocated; the session
 			// frame decodes into a pooled Request without allocating (the
 			// edge-tcp row). 1, the sealed frame's own exact allocation,
-			// until sealed frames were carved from 8 KB slabs (a slab per
-			// sixteen of the fixture's 500-byte frames, floored away; the
+			// until sealed frames were carved from shared slabs (a 9,472-byte
+			// slab per eighteen or so of the fixture's 492- to 511-byte
+			// frames, sixteen to an 8 KB slab until slabs held whole frames
+			// of the size that opens them; floored away, and the
 			// seal-cadence row counts them).
 			name:     "mac",
 			replaces: "speedup SessionMAC/reqauth=mac and reqauth=mac+codec=binary vs Session/keycache >= 2.0 allocs (one reading)",
@@ -90,19 +94,21 @@ func TestAllocationBudget(t *testing.T) {
 			ceiling:  0,
 		},
 		{
-			// What the rows above floor away: four submissions on a channel
-			// of the benchmark's width, 50 members and a 96-byte trade, whose
-			// sealed frames (1,856 bytes on the fixture's channel) are cut
-			// four to an 8 KB slab. Exactly one slab per four seals, with the
-			// block's share of a queue chunk (4 in 21) floored away: a slab
-			// per two seals would read 2, 16 KB slabs 0.
+			// What the rows above floor away: twenty submissions on a
+			// channel of the benchmark's width, 50 members and a 96-byte
+			// trade, whose sealed frames (1,856 bytes on the fixture's
+			// channel) are cut five to a 9,472-byte slab, the size class of
+			// five whole frames. Exactly one slab per five seals, with the
+			// block's share of a queue chunk (20 in 21) floored away: 8 KB
+			// slabs of four frames read 5, 16 KB slabs 2. 1 per four seals
+			// until slabs held whole frames of the size that opens them.
 			name:     "seal-cadence",
 			replaces: "new: the sealed frame's carve, which the mac row floors",
 			cfg:      mac,
 			allocs: func(t *testing.T, env *gatewayBenchEnv, _ *fastPathEnv) float64 {
 				return sealCadenceAllocs(t, env, mac)
 			},
-			ceiling: 1,
+			ceiling: 4,
 			exact:   true,
 		},
 		{
@@ -126,7 +132,8 @@ func TestAllocationBudget(t *testing.T) {
 		{
 			// What the one sampled request in 64 adds to the mac row's
 			// count, which the row above floors away: 64 submissions on the
-			// traced gateway less 64 on the mac row's. Nothing: its trace,
+			// traced gateway less 64 on the mac row's, the difference of
+			// two totals over 21 runs, per run and rounded. Nothing: its trace,
 			// with the spans of its two stages in the trace's inline array,
 			// is a slot of the tracer's 15-trace slab (telemetry.Tracer.For),
 			// one slab per 15 samples, floored away. 1, the trace, until
@@ -137,7 +144,7 @@ func TestAllocationBudget(t *testing.T) {
 			cfg:      traced,
 			metrics:  true,
 			allocs: func(t *testing.T, env *gatewayBenchEnv, fp *fastPathEnv) float64 {
-				return sampleAllocs(t, fp) - sampleAllocs(t, newFastPathEnv(t, env, mac))
+				return math.Round((sampleAllocs(t, fp) - sampleAllocs(t, newFastPathEnv(t, env, mac))) / sampleRuns)
 			},
 			ceiling: 0,
 		},
@@ -277,10 +284,10 @@ func TestAllocationBudget(t *testing.T) {
 			ceiling:  159,
 		},
 		{
-			// The client's request frame: carved from a 16 KB slab shared
-			// with the frames encoded after it, a slab per forty-odd frames
-			// of the fixture's size, floored away. 1, the frame's own exact
-			// allocation, until frames were carved.
+			// The client's request frame: carved from a slab of some 16 KB
+			// shared with the frames encoded after it, a slab per forty-odd
+			// frames of the fixture's size, floored away. 1, the frame's own
+			// exact allocation, until frames were carved.
 			name:     "encode",
 			replaces: "new: EncodeWireRequest stopped allocating its frame",
 			cfg:      mac,
@@ -456,20 +463,30 @@ func submitter(t *testing.T, fp *fastPathEnv) func() {
 // sampleEvery is the traced row's sampling: one request in 64 is traced.
 const sampleEvery = 64
 
-// sampleAllocs reads the allocations of sampleEvery wire submissions,
-// one of which a gateway tracing 1 in sampleEvery traces. It measures 21
-// runs: the orderer carves a block's transactions from a chunk that serves
+// sampleRuns is how many runs of sampleEvery submissions sampleAllocs
+// counts: the orderer carves a block's transactions from a chunk that serves
 // 21 blocks, so 21 runs hold the same number of chunks on every gateway.
+const sampleRuns = 21
+
+// sampleAllocs reads the allocations of sampleRuns runs of sampleEvery wire
+// submissions, one in each run of which a gateway tracing 1 in sampleEvery
+// traces: a total, not floored per run. The sealed frames' slabs are a
+// share of a run that is no whole number and starts wherever the shared
+// slab's tail does, so two gateways' totals may differ by a slab either way,
+// and two per-run floors by one. The collector is off while it counts: a
+// cycle empties the sync.Pools, and their refill, some ten allocations that
+// no submission makes, would land in whichever total the cycle fell in.
 func sampleAllocs(t *testing.T, fp *fastPathEnv) float64 {
 	submit := submitter(t, fp)
-	return testing.AllocsPerRun(21, func() {
-		for n := 0; n < sampleEvery; n++ {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(1, func() {
+		for n := 0; n < sampleRuns*sampleEvery; n++ {
 			submit()
 		}
 	})
 }
 
-// sealCadenceAllocs reads the allocations of four submissions through
+// sealCadenceAllocs reads the allocations of twenty submissions through
 // AppendWire on a gateway whose channel has the benchmark's 50 members — the
 // fixture's three and 47 who never submit — and whose trades are 96 bytes.
 func sealCadenceAllocs(t *testing.T, env *gatewayBenchEnv, cfg middleware.Config) float64 {
@@ -488,7 +505,7 @@ func sealCadenceAllocs(t *testing.T, env *gatewayBenchEnv, cfg middleware.Config
 	}
 	submit := submitter(t, newFastPathEnv(t, &wide, cfg))
 	return testing.AllocsPerRun(100, func() {
-		for n := 0; n < 4; n++ {
+		for n := 0; n < 20; n++ {
 			submit()
 		}
 	})

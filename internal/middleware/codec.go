@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dltprivacy/internal/dcrypto"
@@ -121,31 +122,38 @@ func (r *frameReader) done() error {
 	return nil
 }
 
-// slabCarver cuts frames from append-only slabs of one size. Its pool holds
-// the slab each goroutine carves its next frame from; a slab in the pool is
-// the unused tail of one, its carved head already handed out.
+// slabCarver cuts frames from append-only slabs. Its pool holds the slab
+// each goroutine carves its next frame from; a slab in the pool is the unused
+// tail of one, its carved head already handed out.
 type slabCarver struct {
-	slab int
+	slab int // the nominal slab size; a slab is sized to the frame that opens it
 	pool sync.Pool
 }
 
-// wireFrames carves the frames a client sends: a 16 KB slab is some forty
-// session submissions, and the client copies each frame out and drops it.
-// sealedFrames carves the gateway's sealed envelope frames, which a
-// subscriber may keep: four of the benchmark's 1,858-byte frames to an 8 KB
-// slab, so a sparse sample of them pins half what 16 KB slabs would.
+// wireFrames carves the frames a client sends: a 16 KB nominal slab is some
+// forty session submissions, and the client copies each frame out and drops
+// it. sealedFrames carves the gateway's sealed envelope frames, which a
+// subscriber may keep: five of the benchmark's 1,858-byte frames to a
+// 9,472-byte slab, so a sparse sample of them pins about half what 16 KB
+// slabs would.
 var wireFrames, sealedFrames = &slabCarver{slab: 16 << 10}, &slabCarver{slab: 8 << 10}
 
-// limit is the largest frame c cuts from a slab, a quarter of one. A larger
-// frame gets an exact allocation of its own, so that no slab is mostly one
-// frame and no frame pins more than four times its size.
+// limit is the largest frame c cuts from a slab, a quarter of the nominal
+// size. A larger frame gets an exact allocation of its own, so that no slab is
+// mostly one frame and no frame pins more than about five times its size.
 func (c *slabCarver) limit() int { return c.slab / 4 }
 
 // carve returns an empty slice of capacity exactly size, cut from an
 // append-only slab shared with the frames carved before and after it, its
 // capacity clipped. A slab is never rewound or written over, so the frame is
 // the caller's: nothing later writes over it, appending past size
-// reallocates, and a kept frame keeps its slab (up to c.slab bytes) alive.
+// reallocates, and a kept frame keeps its slab alive. A frame that does not
+// fit the tail opens a slab of whole frames of its size, as many as the
+// nominal size rounds up to, grown to the allocator's size class: five
+// 1,858-byte frames in 9,472 bytes, where a fixed 8 KB slab would hold four
+// and leave 760 bytes. So no slab passes c.slab plus the limit (10 KB
+// sealed, 20 KB wire), and a slightly larger frame still fits the class's
+// spare bytes. A zero size always fits the tail and never opens a slab.
 func (c *slabCarver) carve(size int) []byte {
 	if size > c.limit() {
 		return make([]byte, 0, size)
@@ -156,7 +164,7 @@ func (c *slabCarver) carve(size int) []byte {
 	}
 	b := *slab
 	if cap(b)-len(b) < size {
-		b = make([]byte, 0, c.slab)
+		b = slices.Grow([]byte(nil), (c.slab+size-1)/size*size)
 	}
 	start := len(b)
 	*slab = b[:start+size]
@@ -171,11 +179,11 @@ func (c *slabCarver) carve(size int) []byte {
 const misnamedSession = "?"
 
 // EncodeWireRequest marshals a request into the 0xDC request frame the
-// gateway.submit topic takes, carved from a shared 16 KB slab (wireFrames): a
-// caller that copies the frame out and drops it, as netedge.Client does,
-// allocates nothing for it. Nothing writes over the frame and appending to it
-// reallocates, but keeping it keeps its slab, up to 16 KB, alive: copy a
-// frame kept for long. The session token
+// gateway.submit topic takes, carved from a shared slab of some 16 KB
+// (wireFrames): a caller that copies the frame out and drops it, as
+// netedge.Client does, allocates nothing for it. Nothing writes over the
+// frame and appending to it reallocates, but keeping it keeps its slab, up to
+// 20 KB, alive: copy a frame kept for long. The session token
 // crosses as the 32 key bytes its hex spells; a malformed token, which names
 // no session, crosses verbatim and is refused as one, except one of exactly
 // 32 bytes, which would arrive looking like a key: that is refused here, as

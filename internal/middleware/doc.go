@@ -236,7 +236,8 @@
 //     envelope on the ledger are all 0xDC frames: length-prefixed, no
 //     field names, no base64, no reflection; a request frame decodes into
 //     the Request the chain runs, aliasing the inbound buffer, and encodes
-//     into an exactly-sized frame carved from a 16 KB slab (wireFrames).
+//     into an exactly-sized frame carved from a slab of some 16 KB
+//     (wireFrames).
 //     gateway.submit and session.open
 //     each run one decoder and refuse everything else — a JSON document
 //     included — with ErrBadFrame; nothing is sniffed and nothing is
@@ -276,8 +277,9 @@
 //     stage caches that
 //     epoch-constant head and the SHA-256 state that has absorbed it,
 //     seals each envelope behind a copy of the head into an
-//     exactly-sized frame carved from an 8 KB slab (sealedFrames; four
-//     50-member frames to a slab, a larger group on its own), and
+//     exactly-sized frame carved from a slab of whole frames (sealedFrames;
+//     five 50-member frames to a 9,472-byte slab, a group over 2 KB on its
+//     own), and
 //     resumes the cached
 //     state over the ciphertext field alone — the sealed frame is never
 //     streamed through SHA-256 (the uncached stage builds a throwaway

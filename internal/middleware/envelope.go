@@ -423,8 +423,9 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 
 // seal seals payloads under the data key with one AEAD invocation straight
 // into an envelope frame — head copied, the length-prefixed segments sealed
-// in place behind it, into exactly the frame's size carved from an 8 KB
-// slab (sealedFrames; a frame over 2 KB, such as a 64-trade group, is an
+// in place behind it, into exactly the frame's size carved from a slab of
+// whole frames (sealedFrames: five of the benchmark's 50-member frames to
+// 9,472 bytes; a frame over 2 KB, such as a 64-trade group, is an
 // allocation of its own) — and returns the frame with its SHA-256, resumed
 // from headSum over the ciphertext field alone. Nothing writes over the
 // frame once seal returns, and a holder that keeps it keeps its slab alive.

@@ -73,21 +73,22 @@ func TestEncodeWireRequestRejectsMisSizedMAC(t *testing.T) {
 }
 
 // keepCarvedFrames runs eight goroutines that each make 2,000 frames with
-// frame(w, i) and keep every one. Each frame's capacity must be its length,
-// and each goroutine appends to its previous frame once the next one is
-// made: the append must reallocate. A frame handed its slab's spare capacity,
-// or cut from a slab carved twice, would write over its neighbour, which the
-// caller sees once it reads every kept frame back.
+// frame(w, i) and keep every one, with a copy taken when it is made. Each
+// frame's capacity must be its length, and each goroutine appends to its
+// previous frame once the next one is made: the append must reallocate. Once
+// every goroutine is done, every kept frame must still equal its copy. A
+// frame handed its slab's spare capacity, or cut from a slab carved twice or
+// rewound, would have been written over by a later one.
 func keepCarvedFrames(t *testing.T, frame func(w, i int) ([]byte, error)) [][][]byte {
 	t.Helper()
 	const workers, perWorker = 8, 2000
-	frames := make([][][]byte, workers)
+	frames, copies := make([][][]byte, workers), make([][][]byte, workers)
 	var wg sync.WaitGroup
 	for w := range frames {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kept := make([][]byte, perWorker)
+			kept, made := make([][]byte, perWorker), make([][]byte, perWorker)
 			for i := range kept {
 				b, err := frame(w, i)
 				if err != nil {
@@ -98,7 +99,7 @@ func keepCarvedFrames(t *testing.T, frame func(w, i int) ([]byte, error)) [][][]
 					t.Errorf("worker %d frame %d: capacity %d past its length %d", w, i, cap(b), len(b))
 					return
 				}
-				kept[i] = b
+				kept[i], made[i] = b, bytes.Clone(b)
 				if i == 0 {
 					continue
 				}
@@ -108,12 +109,19 @@ func keepCarvedFrames(t *testing.T, frame func(w, i int) ([]byte, error)) [][][]
 					return
 				}
 			}
-			frames[w] = kept
+			frames[w], copies[w] = kept, made
 		}()
 	}
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
+	}
+	for w, kept := range frames {
+		for i, b := range kept {
+			if !bytes.Equal(b, copies[w][i]) {
+				t.Fatalf("worker %d frame %d: written over since it was made", w, i)
+			}
+		}
 	}
 	return frames
 }
@@ -158,11 +166,13 @@ func TestCarvedFramesStayTheCallers(t *testing.T) {
 // TestSealedFramesStayTheirHolders holds the frames channelKey.seal carves
 // from sealedFrames' slabs, which a subscriber may keep, to their holders
 // (keepCarvedFrames). Each goroutine seals distinct payloads under a
-// 50-member key of its own: mostly single 96-byte trades, four to a slab,
+// 50-member key of its own: mostly single 96-byte trades, five to a slab,
 // and every tenth a group of two whose frame lands just under or just over
 // the carver's limit, so some are carved and some allocated on their own.
-// Once every goroutine is done each frame must still open to its own
-// payloads.
+// Once every goroutine is done every group and one single trade in fifty
+// must still open to its own payloads; every other frame is held to the copy
+// taken when it was sealed, an open being an ECDH and fifty commitment
+// hashes.
 func TestSealedFramesStayTheirHolders(t *testing.T) {
 	members, keys := benchMembers(t, 50)
 	payloads := func(w, i int) [][]byte {
@@ -191,6 +201,9 @@ func TestSealedFramesStayTheirHolders(t *testing.T) {
 		for i, b := range kept {
 			if len(b) <= sealedFrames.limit() {
 				carved++
+			}
+			if i%10 != 0 && i%50 != 7 {
+				continue
 			}
 			env, err := ParseEnvelope(b)
 			if err != nil {
