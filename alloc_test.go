@@ -158,13 +158,22 @@ func TestAllocationBudget(t *testing.T) {
 			// from the orderer's queue chunk; 5 until the release vehicle
 			// was borrowed from the wire pool; 4 until a release under the
 			// last release's parent context reused its detached context
-			// (Batch.detach). Left: the sealed frame and the vehicle's Meta
-			// map (2).
+			// (Batch.detach). 3, the sealed frame and the vehicle's Meta map
+			// (2), per group of the fixture's own 15 KB trades, until the
+			// row counted sixteen groups at the benchmark's shape: 50
+			// members and 96-byte trades, whose 7,968-byte group frames are
+			// cut two to a 16,384-byte slab. Exactly the two Meta
+			// allocations a group and one slab per two groups, with the
+			// groups' share of a queue chunk (16 in 21) floored away; 48
+			// while a frame over 2 KB was an allocation of its own.
 			name:     "groupseal(64)",
 			replaces: "ceiling BatchSeal/batch=64 <= 5 allocs",
 			cfg:      grouped,
-			allocs:   groupAllocs,
-			ceiling:  3,
+			allocs: func(t *testing.T, env *gatewayBenchEnv, _ *fastPathEnv) float64 {
+				return groupAllocs(t, env, grouped)
+			},
+			ceiling: 2*cadenceGroups + cadenceGroups/2,
+			exact:   true,
 		},
 		{
 			// Both ends of a loopback connection together. 16 until the wire
@@ -487,9 +496,19 @@ func sampleAllocs(t *testing.T, fp *fastPathEnv) float64 {
 }
 
 // sealCadenceAllocs reads the allocations of twenty submissions through
-// AppendWire on a gateway whose channel has the benchmark's 50 members — the
-// fixture's three and 47 who never submit — and whose trades are 96 bytes.
+// AppendWire on a gateway of the benchmark's shape (benchShaped).
 func sealCadenceAllocs(t *testing.T, env *gatewayBenchEnv, cfg middleware.Config) float64 {
+	submit := submitter(t, newFastPathEnv(t, benchShaped(t, env), cfg))
+	return testing.AllocsPerRun(100, func() {
+		for n := 0; n < 20; n++ {
+			submit()
+		}
+	})
+}
+
+// benchShaped is env on the benchmark's shape: a channel of 50 members — the
+// fixture's three and 47 who never submit — and 96-byte trades.
+func benchShaped(t *testing.T, env *gatewayBenchEnv) *gatewayBenchEnv {
 	wide := *env
 	wide.memberKeys = maps.Clone(env.memberKeys)
 	for len(wide.memberKeys) < 50 {
@@ -503,35 +522,38 @@ func sealCadenceAllocs(t *testing.T, env *gatewayBenchEnv, cfg middleware.Config
 	for i := range wide.templates {
 		wide.templates[i].Payload = make([]byte, 96)
 	}
-	submit := submitter(t, newFastPathEnv(t, &wide, cfg))
-	return testing.AllocsPerRun(100, func() {
-		for n := 0; n < 20; n++ {
-			submit()
-		}
-	})
+	return &wide
 }
 
 // groupSize is the batch size of the groupseal row, batch_groupseal's.
 const groupSize = 64
 
-// groupAllocs reads the allocations of one full group: groupSize
-// submissions through AppendWire, the last of which seals and orders the
-// group. The submitter's first pass over the frames seals whole groups of
-// its own before the count starts.
-func groupAllocs(t *testing.T, _ *gatewayBenchEnv, fp *fastPathEnv) float64 {
+// cadenceGroups is how many groups one run of the groupseal row seals: an
+// even number, so a run holds whole slabs of two group frames.
+const cadenceGroups = 16
+
+// groupAllocs reads the allocations of cadenceGroups full groups, each
+// groupSize submissions through AppendWire the last of which seals and orders
+// the group, on a gateway of the benchmark's shape (benchShaped). The
+// submitter's first pass over the frames seals a whole group of its own
+// before the count starts. The collector is off while it counts, as in
+// sampleAllocs: a run is a thousand submissions, and a cycle's pool refills
+// would land in it.
+func groupAllocs(t *testing.T, env *gatewayBenchEnv, cfg middleware.Config) float64 {
+	fp := newFastPathEnv(t, benchShaped(t, env), cfg)
 	submit := submitter(t, fp)
 	before := fp.gw.Stats()
-	group := func() {
-		for n := 0; n < groupSize; n++ {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 8
+	allocs := testing.AllocsPerRun(runs, func() {
+		for n := 0; n < cadenceGroups*groupSize; n++ {
 			submit()
 		}
-	}
-	group()
-	allocs := testing.AllocsPerRun(8, group)
-	// One group above, one AllocsPerRun warms up with, eight it measures.
-	if stats := fp.gw.Stats(); stats.BatchGroupsSealed-before.BatchGroupsSealed != 10 || stats.BatchGroupTxs-before.BatchGroupTxs != 10*groupSize {
-		t.Fatalf("sealed %d groups of %d txs since the first pass, want 10 full groups",
-			stats.BatchGroupsSealed-before.BatchGroupsSealed, stats.BatchGroupTxs-before.BatchGroupTxs)
+	})
+	// AllocsPerRun warms up with one run more than it measures.
+	if stats, want := fp.gw.Stats(), uint64((runs+1)*cadenceGroups); stats.BatchGroupsSealed-before.BatchGroupsSealed != want || stats.BatchGroupTxs-before.BatchGroupTxs != want*groupSize {
+		t.Fatalf("sealed %d groups of %d txs since the first pass, want %d full groups",
+			stats.BatchGroupsSealed-before.BatchGroupsSealed, stats.BatchGroupTxs-before.BatchGroupTxs, want)
 	}
 	return allocs
 }

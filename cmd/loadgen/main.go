@@ -9,6 +9,9 @@
 // The phases:
 //
 //  1. Enroll -principals keypairs with the gateway CA (netedge pki.enroll).
+//     Each key is derived from -seed and the principal's name, so a second
+//     run with the same seed enrolls the same keys again, and one with
+//     another seed is refused: the CA binds a name to its first key.
 //  2. Open -sessions sessions, partitioned over -conns connections
 //     (sessions are bound to their connection by the gateway, so each
 //     session's steady-state traffic stays on its home connection).
@@ -22,6 +25,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -89,15 +93,17 @@ func run(addr string, nSessions, nConns, nPrincipals, perConn, payloadBytes, nCh
 	}
 	fmt.Printf("loadgen: %d connections to %s\n", nConns, addr)
 
-	// Phase 1: principals. Keys are generated locally; certificates come
-	// from the gateway CA over the wire.
+	// Phase 1: principals. Keys are derived locally from the seed;
+	// certificates come from the gateway CA over the wire.
 	wl := workload.New(seed)
 	names := wl.Orgs(nPrincipals)
+	var seedBytes [8]byte
+	binary.BigEndian.PutUint64(seedBytes[:], uint64(seed))
 	keys := make([]*dcrypto.PrivateKey, nPrincipals)
 	certs := make([]pki.Certificate, nPrincipals)
 	start := time.Now()
 	if err := eachIndex(ctx, nPrincipals, perConn*nConns, func(ctx context.Context, i int) error {
-		key, err := dcrypto.GenerateKey()
+		key, err := dcrypto.DeriveKey(seedBytes[:], "loadgen/principal/"+names[i])
 		if err != nil {
 			return err
 		}

@@ -135,13 +135,8 @@ type slabCarver struct {
 // it. sealedFrames carves the gateway's sealed envelope frames, which a
 // subscriber may keep: five of the benchmark's 1,858-byte frames to a
 // 9,472-byte slab, so a sparse sample of them pins about half what 16 KB
-// slabs would.
+// slabs would, and its 7,970-byte 64-trade groups two to a 16,384-byte slab.
 var wireFrames, sealedFrames = &slabCarver{slab: 16 << 10}, &slabCarver{slab: 8 << 10}
-
-// limit is the largest frame c cuts from a slab, a quarter of the nominal
-// size. A larger frame gets an exact allocation of its own, so that no slab is
-// mostly one frame and no frame pins more than about five times its size.
-func (c *slabCarver) limit() int { return c.slab / 4 }
 
 // carve returns an empty slice of capacity exactly size, cut from an
 // append-only slab shared with the frames carved before and after it, its
@@ -151,11 +146,14 @@ func (c *slabCarver) limit() int { return c.slab / 4 }
 // fit the tail opens a slab of whole frames of its size, as many as the
 // nominal size rounds up to, grown to the allocator's size class: five
 // 1,858-byte frames in 9,472 bytes, where a fixed 8 KB slab would hold four
-// and leave 760 bytes. So no slab passes c.slab plus the limit (10 KB
-// sealed, 20 KB wire), and a slightly larger frame still fits the class's
-// spare bytes. A zero size always fits the tail and never opens a slab.
+// and leave 760 bytes, and two 7,970-byte groups in 16,384. So a slab holds
+// at least two frames and stays within twice the nominal size (16 KB sealed,
+// 32 KB wire), and a slightly larger frame still fits the class's spare
+// bytes. A frame of at least the nominal size would be alone in its slab: it
+// is an exact allocation of its own, and the pooled slab's tail stays for the
+// frames after it. A zero size always fits the tail and never opens a slab.
 func (c *slabCarver) carve(size int) []byte {
-	if size > c.limit() {
+	if size >= c.slab {
 		return make([]byte, 0, size)
 	}
 	slab, _ := c.pool.Get().(*[]byte)
@@ -182,8 +180,8 @@ const misnamedSession = "?"
 // gateway.submit topic takes, carved from a shared slab of some 16 KB
 // (wireFrames): a caller that copies the frame out and drops it, as
 // netedge.Client does, allocates nothing for it. Nothing writes over the
-// frame and appending to it reallocates, but keeping it keeps its slab, up to
-// 20 KB, alive: copy a frame kept for long. The session token
+// frame and appending to it reallocates, but keeping it keeps its slab, under
+// 32 KB, alive: copy a frame kept for long. The session token
 // crosses as the 32 key bytes its hex spells; a malformed token, which names
 // no session, crosses verbatim and is refused as one, except one of exactly
 // 32 bytes, which would arrive looking like a key: that is refused here, as

@@ -278,8 +278,8 @@
 //     epoch-constant head and the SHA-256 state that has absorbed it,
 //     seals each envelope behind a copy of the head into an
 //     exactly-sized frame carved from a slab of whole frames (sealedFrames;
-//     five 50-member frames to a 9,472-byte slab, a group over 2 KB on its
-//     own), and
+//     five 50-member frames to a 9,472-byte slab, two 64-trade groups to
+//     16,384 bytes, a frame of 8 KB or more on its own), and
 //     resumes the cached
 //     state over the ciphertext field alone — the sealed frame is never
 //     streamed through SHA-256 (the uncached stage builds a throwaway

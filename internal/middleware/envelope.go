@@ -425,9 +425,9 @@ func newChannelKey(channel string, epoch uint64, members map[string]dcrypto.Publ
 // into an envelope frame — head copied, the length-prefixed segments sealed
 // in place behind it, into exactly the frame's size carved from a slab of
 // whole frames (sealedFrames: five of the benchmark's 50-member frames to
-// 9,472 bytes; a frame over 2 KB, such as a 64-trade group, is an
-// allocation of its own) — and returns the frame with its SHA-256, resumed
-// from headSum over the ciphertext field alone. Nothing writes over the
+// 9,472 bytes, two of its 64-trade groups to 16,384; a frame of 8 KB or
+// more is an allocation of its own) — and returns the frame with its
+// SHA-256, resumed from headSum over the ciphertext field alone. Nothing writes over the
 // frame once seal returns, and a holder that keeps it keeps its slab alive.
 // The encrypt stage seals one payload, the batch stage a group.
 func (ck *channelKey) seal(payloads [][]byte) ([]byte, [32]byte, error) {

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,15 +30,25 @@ func benchMembers(tb testing.TB, n int) (map[string]dcrypto.PublicKey, map[strin
 	return members, keys
 }
 
+// framesPerSlab is how many frames of size the slab that one of them opens in
+// c holds: the nominal size's worth rounded up, grown to the allocator's size
+// class (slabCarver.carve), and 1 for a frame carved on its own.
+func framesPerSlab(c *slabCarver, size int) int {
+	if size >= c.slab {
+		return 1
+	}
+	return cap(slices.Grow([]byte(nil), (c.slab+size-1)/size*size)) / size
+}
+
 // TestEnvelopeFrameSize pins what a member costs on the ledger, at the
 // benchmark's shape: 50 members org-00…org-49 on deals-0, a 96-byte trade.
-// The frame must stay within the sealed carver's limit, 2,048 bytes, a
-// quarter of its slab: a layout change that crosses it costs every sealed
-// envelope an allocation of its own, and fails here without the benchmark.
-// The head and the frame are the sizing rules of docs/OPERATIONS.md,
-// exactly: a member costs its 32-byte wrap and nothing else, whatever its
-// name. A batch_groupseal group, 64 such trades, must stay inside the
-// allocator's 8,192-byte class, its own allocation's.
+// The frame must go five to a slab of the sealed carver's: a layout change
+// that moves it costs every sealed envelope a share of a slab, and fails
+// here without the benchmark. The head and the frame are the sizing rules of
+// docs/OPERATIONS.md, exactly: a member costs its 32-byte wrap and nothing
+// else, whatever its name. A batch_groupseal group, 64 such trades, must
+// stay under the carver's 8,192-byte nominal slab, so it is carved two to a
+// slab and not allocated on its own.
 func TestEnvelopeFrameSize(t *testing.T) {
 	const channel = "deals-0"
 	members, _ := benchMembers(t, 50)
@@ -52,8 +63,8 @@ func TestEnvelopeFrameSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) > sealedFrames.limit() {
-		t.Fatalf("frame is %d bytes, over the sealed carver's %d-byte limit: it loses its carve and is an allocation of its own", len(frame), sealedFrames.limit())
+	if got := framesPerSlab(sealedFrames, len(frame)); got != 5 {
+		t.Fatalf("frame is %d bytes, %d to a sealed slab, want 5", len(frame), got)
 	}
 	if want := 155 + len(channel) + 96 + 32*len(members); len(frame) != want {
 		t.Fatalf("frame is %d bytes, the sizing rule says %d = 155 + len(channel) + payload + 32 × members", len(frame), want)
@@ -65,8 +76,8 @@ func TestEnvelopeFrameSize(t *testing.T) {
 	if frame, _, err = ck.seal(group); err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) > 8192 {
-		t.Fatalf("a group of 64 is %d bytes, over the 8,192-byte size class", len(frame))
+	if got := framesPerSlab(sealedFrames, len(frame)); len(frame) >= sealedFrames.slab || got != 2 {
+		t.Fatalf("a group of 64 is %d bytes, %d to a sealed slab, want 2 under the %d-byte nominal slab", len(frame), got, sealedFrames.slab)
 	}
 }
 

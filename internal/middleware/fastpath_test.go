@@ -129,14 +129,14 @@ func keepCarvedFrames(t *testing.T, frame func(w, i int) ([]byte, error)) [][][]
 // TestCarvedFramesStayTheCallers holds the frames EncodeWireRequest carves
 // from shared slabs to their callers (keepCarvedFrames). The payloads walk
 // up to a thousand bytes, so frames cross slab boundaries, and every
-// fiftieth sits around the wire carver's limit, so some are carved and some
-// allocated on their own. The decode of every kept frame at the end must
-// read its own request.
+// fiftieth sits around the wire carver's nominal slab size, so some are
+// carved two to a slab and some allocated on their own. The decode of every
+// kept frame at the end must read its own request.
 func TestCarvedFramesStayTheCallers(t *testing.T) {
 	request := func(w, i int) *Request {
 		size := i * 97 % 1000
 		if i%50 == 0 {
-			size = wireFrames.limit() - 64 + i%128
+			size = wireFrames.slab - 160 + i%128 // frames some 64 bytes either side of it
 		}
 		return &Request{
 			Channel:      fmt.Sprintf("deals-%d", w),
@@ -168,7 +168,8 @@ func TestCarvedFramesStayTheCallers(t *testing.T) {
 // (keepCarvedFrames). Each goroutine seals distinct payloads under a
 // 50-member key of its own: mostly single 96-byte trades, five to a slab,
 // and every tenth a group of two whose frame lands just under or just over
-// the carver's limit, so some are carved and some allocated on their own.
+// the carver's nominal slab size, so some are carved two to a slab and some
+// allocated on their own.
 // Once every goroutine is done every group and one single trade in fifty
 // must still open to its own payloads; every other frame is held to the copy
 // taken when it was sealed, an open being an ECDH and fifty commitment
@@ -180,7 +181,7 @@ func TestSealedFramesStayTheirHolders(t *testing.T) {
 		if i%10 != 0 {
 			return [][]byte{[]byte(tag + strings.Repeat("t", 96-len(tag)))}
 		}
-		size := 136 + i%40 // frames of 2,038 to 2,116 bytes on deals-N
+		size := 3193 + i%40 // frames of 8,152 to 8,230 bytes on deals-N
 		return [][]byte{[]byte(tag + strings.Repeat("a", size-len(tag))), []byte(tag + strings.Repeat("b", size-len(tag)))}
 	}
 	sealers := make([]*channelKey, 8)
@@ -199,7 +200,7 @@ func TestSealedFramesStayTheirHolders(t *testing.T) {
 	opener := keys["org-07"]
 	for w, kept := range frames {
 		for i, b := range kept {
-			if len(b) <= sealedFrames.limit() {
+			if len(b) < sealedFrames.slab {
 				carved++
 			}
 			if i%10 != 0 && i%50 != 7 {
@@ -227,7 +228,7 @@ func TestSealedFramesStayTheirHolders(t *testing.T) {
 		}
 	}
 	if total := 8 * len(frames[0]); carved <= total*9/10 || carved == total {
-		t.Fatalf("%d of %d frames within the %d-byte limit: the groups must straddle it", carved, total, sealedFrames.limit())
+		t.Fatalf("%d of %d frames under the %d-byte nominal slab: the groups must straddle it", carved, total, sealedFrames.slab)
 	}
 }
 

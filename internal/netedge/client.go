@@ -514,8 +514,8 @@ func (c *Client) Submit(ctx context.Context, req *middleware.Request) (string, e
 
 // SubmitRaw submits pre-encoded wire bytes — the loadgen path, where the
 // same encoded frame template is reused across the steady state. A frame
-// from middleware.EncodeWireRequest kept for reuse keeps its slab, up to
-// 16 KB, alive, and appending to it reallocates: nothing else writes over
+// from middleware.EncodeWireRequest kept for reuse keeps its slab, under
+// 32 KB, alive, and appending to it reallocates: nothing else writes over
 // it.
 func (c *Client) SubmitRaw(ctx context.Context, wire []byte) (string, error) {
 	reply, err := c.Call(ctx, middleware.TopicSubmit, wire)

@@ -127,6 +127,51 @@ func (p *principal) submission(t testing.TB, payload []byte, meta map[string]str
 	return wire
 }
 
+// TestEnrollmentIsFirstCome: a second client's wire enrollment of an
+// enrolled name under its own key is refused as pki.ErrAlreadyEnrolled, and
+// the directory keeps sealing to the first key. The name's holder still
+// opens sessions and submits, and enrolling its own key again renews its
+// certificate.
+func TestEnrollmentIsFirstCome(t *testing.T) {
+	e := newEdgeEnv(t)
+	ctx := context.Background()
+	c := e.dialEdge(t)
+	alice := bootstrap(t, c, "alice")
+
+	mallory, err := dcrypto.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.dialEdge(t).Enroll(ctx, "alice", mallory.Public()); err == nil || !strings.Contains(err.Error(), pki.ErrAlreadyEnrolled.Error()) {
+		t.Fatalf("a second key's enrollment of alice = %v, want %q", err, pki.ErrAlreadyEnrolled)
+	}
+	members, err := e.dir.MemberKeys("deals")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := members["alice"].Bytes(); string(got) != string(alice.key.Public().Bytes()) {
+		t.Fatal("the directory seals to another key for alice since the refused enrollment")
+	}
+
+	renewed, err := c.Enroll(ctx, "alice", alice.key.Public())
+	if err != nil {
+		t.Fatalf("re-enrolling alice's own key: %v", err)
+	}
+	if renewed.Serial == alice.cert.Serial {
+		t.Fatalf("re-enrolling alice's key returned serial %d again, want a renewal", renewed.Serial)
+	}
+	for _, cert := range []pki.Certificate{alice.cert, renewed} {
+		grant, err := c.OpenSession(ctx, "alice", cert, alice.key, "")
+		if err != nil {
+			t.Fatalf("alice's session under serial %d: %v", cert.Serial, err)
+		}
+		p := &principal{name: "alice", key: alice.key, cert: cert, grant: grant}
+		if _, err := c.SubmitRaw(ctx, p.submission(t, []byte("trade"), nil)); err != nil {
+			t.Fatalf("alice's submission under serial %d: %v", cert.Serial, err)
+		}
+	}
+}
+
 func TestEdgeRoundtrip(t *testing.T) {
 	e := newEdgeEnv(t)
 	c := e.dialEdge(t)

@@ -18,7 +18,11 @@ const topicEnroll = "pki.enroll"
 
 // enrollRequest is the wire form of an enrollment: an identity claiming a
 // public key (SEC1 bytes). Deployments with a real registration authority
-// would authenticate this; the edge demo and loadgen trust first-come.
+// would authenticate this; the edge demo and loadgen trust first-come: the
+// CA binds a name to the first key enrolled under it and refuses another
+// (pki.ErrAlreadyEnrolled), so a later client cannot take an enrolled name.
+// Enrolling the same key again renews its certificate and runs onEnroll
+// again, which re-adds the same key to the directory.
 type enrollRequest struct {
 	Identity  string `json:"identity"`
 	PublicKey []byte `json:"publicKey"`

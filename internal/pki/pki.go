@@ -18,6 +18,7 @@
 package pki
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -42,6 +43,9 @@ var (
 	// ErrUnknownIdentity is returned when an identity has not been
 	// enrolled with the CA.
 	ErrUnknownIdentity = errors.New("pki: unknown identity")
+	// ErrAlreadyEnrolled is returned when an identity is enrolled under
+	// another key than the one an enrollment claims.
+	ErrAlreadyEnrolled = errors.New("pki: identity already enrolled under another key")
 )
 
 // CertKind distinguishes long-term identity certificates from one-time-key
@@ -323,18 +327,25 @@ func (ca *CA) PublicKey() dcrypto.PublicKey { return ca.key.Public() }
 const certValidity = 365 * 24 * time.Hour
 
 // Enroll verifies an identity (out of band, as in any enterprise onboarding
-// process) and issues its long-term identity certificate.
+// process) and issues its long-term identity certificate. An identity is
+// bound to the first key enrolled under it: another key is ErrAlreadyEnrolled,
+// and the same key again is a renewal, a fresh certificate that supersedes
+// the last one. The check and the record are one hold of the CA's lock, so of
+// two enrollments of one name under different keys exactly one wins.
 func (ca *CA) Enroll(identity string, pub dcrypto.PublicKey) (Certificate, error) {
 	if identity == "" {
 		return Certificate{}, errors.New("pki: empty identity")
+	}
+	ca.mu.Lock()
+	defer ca.mu.Unlock()
+	if cur, ok := ca.enrolled[identity]; ok && !bytes.Equal(cur.PublicKey, pub.Bytes()) {
+		return Certificate{}, fmt.Errorf("enroll %q: %w", identity, ErrAlreadyEnrolled)
 	}
 	cert, err := ca.issue(KindIdentity, identity, pub)
 	if err != nil {
 		return Certificate{}, err
 	}
-	ca.mu.Lock()
 	ca.enrolled[identity] = cert
-	ca.mu.Unlock()
 	return cert, nil
 }
 
@@ -343,20 +354,18 @@ func (ca *CA) Enroll(identity string, pub dcrypto.PublicKey) (Certificate, error
 // link the pseudonym to the identity.
 func (ca *CA) IssueOneTime(identity string, pub dcrypto.PublicKey) (Certificate, error) {
 	ca.mu.Lock()
-	_, ok := ca.enrolled[identity]
-	ca.mu.Unlock()
-	if !ok {
+	defer ca.mu.Unlock()
+	if _, ok := ca.enrolled[identity]; !ok {
 		return Certificate{}, fmt.Errorf("issue one-time cert for %q: %w", identity, ErrUnknownIdentity)
 	}
 	return ca.issue(KindOneTime, identity, pub)
 }
 
+// issue signs a certificate under the next serial. The caller holds ca.mu.
 func (ca *CA) issue(kind CertKind, identity string, pub dcrypto.PublicKey) (Certificate, error) {
-	ca.mu.Lock()
 	ca.serial++
 	serial := ca.serial
 	ca.issued[serial] = Revocation{Serial: serial, Identity: identity, Kind: kind}
-	ca.mu.Unlock()
 
 	now := ca.now()
 	cert := Certificate{

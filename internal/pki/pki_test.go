@@ -2,6 +2,7 @@ package pki
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,6 +318,50 @@ func TestOnRevokeCancelDetaches(t *testing.T) {
 	ca.Revoke(c2.Serial)
 	if notified != 1 {
 		t.Fatalf("subscriber notified %d times, want 1 (cancel must detach)", notified)
+	}
+}
+
+// TestEnrollmentIsFirstCome: of eight concurrent enrollments of one name
+// under eight keys exactly one wins, and the rest are ErrAlreadyEnrolled; the
+// winner's key enrolls again.
+func TestEnrollmentIsFirstCome(t *testing.T) {
+	ca := newTestCA(t)
+	keys := make([]*dcrypto.PrivateKey, 8)
+	for i := range keys {
+		var err error
+		if keys[i], err = dcrypto.GenerateKey(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make([]error, len(keys))
+	var wg sync.WaitGroup
+	for i, key := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = ca.Enroll("BankA", key.Public())
+		}()
+	}
+	wg.Wait()
+	winner := -1
+	for i, err := range errs {
+		switch {
+		case err == nil && winner >= 0:
+			t.Fatalf("keys %d and %d both enrolled BankA", winner, i)
+		case err == nil:
+			winner = i
+		case !errors.Is(err, ErrAlreadyEnrolled):
+			t.Fatalf("key %d: %v, want ErrAlreadyEnrolled", i, err)
+		}
+	}
+	if winner < 0 {
+		t.Fatal("no key enrolled BankA")
+	}
+	if _, err := ca.Enroll("BankA", keys[winner].Public()); err != nil {
+		t.Fatalf("re-enrolling the winner's key: %v", err)
+	}
+	if _, err := ca.Enroll("BankA", keys[(winner+1)%len(keys)].Public()); !errors.Is(err, ErrAlreadyEnrolled) {
+		t.Fatalf("another key after the renewal: %v, want ErrAlreadyEnrolled", err)
 	}
 }
 
