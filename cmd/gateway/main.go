@@ -8,8 +8,9 @@
 // with automatic leader failover under -replicas >= 3 — whose blocks are
 // counted and discarded.
 //
-// /metrics, /statusz, /tracez and /debug/pprof are served on -telemetry. On
-// shutdown the gateway prints what the leakage log saw for the gateway
+// /metrics, /statusz, /tracez, /debug/pprof and POST /admin/rebalance (the
+// operator's channel moves) are served on -telemetry, loopback by default:
+// the client edge serves no operator action. On shutdown the gateway prints what the leakage log saw for the gateway
 // operator and every orderer operator, and exits non-zero if any of them
 // observed transaction data.
 package main

@@ -47,7 +47,7 @@ func serve(ctx context.Context, o opts) error {
 	}
 	fmt.Printf("edge: listening on %s (stages=%s shards=%d replicas=%d channels=%d acceptloops=%d)\n",
 		s.edge.Addr(), o.stages, o.shards, o.replicas, o.channels, o.acceptLoops)
-	fmt.Printf("telemetry: http://%s/metrics /statusz /tracez /debug/pprof\n", s.telemetry.Addr)
+	fmt.Printf("telemetry: http://%s/metrics /statusz /tracez /debug/pprof /admin/rebalance\n", s.telemetry.Addr)
 	return s.run(ctx, os.Stdout)
 }
 
@@ -107,7 +107,7 @@ func start(o opts) (*server, error) {
 		s.gw.Close()
 		return nil, err
 	}
-	if s.telemetry, err = serveTelemetry(o.telemetryAddr, s.gw, s.statusz, s.edge.RegisterMetrics, s.registerLeakage); err != nil {
+	if s.telemetry, err = serveTelemetry(o.telemetryAddr, s.gw, s.orderer, s.statusz, s.edge.RegisterMetrics, s.registerLeakage); err != nil {
 		s.edge.Close()
 		s.gw.Close()
 		return nil, err
@@ -236,12 +236,12 @@ func (s *server) statusz() any {
 	return status{s.o.stages, s.leakage(), s.gw.Stats()}
 }
 
-// serveTelemetry starts the telemetry listener: one registry over every
+// serveTelemetry starts the operator listener: one registry over every
 // layer of the gateway plus whatever else registers (the edge), served
-// beside the status snapshot, the trace ring and pprof. The caller closes the
-// returned server, whose Addr is the address actually bound (the resolved
-// port for ":0").
-func serveTelemetry(addr string, gw *middleware.Gateway, statusz func() any, more ...func(*telemetry.Registry) error) (*http.Server, error) {
+// beside the status snapshot, the trace ring, pprof and POST
+// /admin/rebalance over orderer. The caller closes the returned server,
+// whose Addr is the address actually bound (the resolved port for ":0").
+func serveTelemetry(addr string, gw *middleware.Gateway, orderer *ordering.ShardedBackend, statusz func() any, more ...func(*telemetry.Registry) error) (*http.Server, error) {
 	reg := telemetry.NewRegistry()
 	if err := gw.RegisterMetrics(reg); err != nil {
 		return nil, err
@@ -255,10 +255,9 @@ func serveTelemetry(addr string, gw *middleware.Gateway, statusz func() any, mor
 	if err != nil {
 		return nil, fmt.Errorf("telemetry listen %s: %w", addr, err)
 	}
-	srv := &http.Server{
-		Addr:    ln.Addr().String(),
-		Handler: telemetry.NewMux(reg, gw.Tracer(), statusz),
-	}
+	mux := telemetry.NewMux(reg, gw.Tracer(), statusz)
+	mux.Handle("/admin/rebalance", adminRebalance(orderer))
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, nil
 }

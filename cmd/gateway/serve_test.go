@@ -64,28 +64,7 @@ func TestServeOneSession(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.run(ctx, io.Discard) }()
 
-	c, err := netedge.Dial(s.edge.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	key, err := dcrypto.GenerateKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert, err := c.Enroll(ctx, "org-0", key.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	grant, err := c.OpenSession(ctx, "org-0", cert, key, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &middleware.Request{Channel: "deals-1", Principal: "org-0", Payload: []byte("trade"), SessionToken: grant.Token}
-	middleware.MACRequest(req, grant.MacKey)
-	if _, err := c.Submit(ctx, req); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	submitOne(t, s, "deals-1")
 
 	resp, err := http.Get("http://" + s.telemetry.Addr + "/statusz")
 	if err != nil {
@@ -145,6 +124,35 @@ func TestServeOneSession(t *testing.T) {
 	}
 	if n := s.ordered.Load(); n != 1 {
 		t.Fatalf("ordered %d transactions, want 1", n)
+	}
+}
+
+// submitOne enrolls org-0 over a fresh connection, opens its session and
+// submits one MAC'd request on channel.
+func submitOne(t *testing.T, s *server, channel string) {
+	t.Helper()
+	ctx := context.Background()
+	c, err := netedge.Dial(s.edge.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key, err := dcrypto.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := c.Enroll(ctx, "org-0", key.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := c.OpenSession(ctx, "org-0", cert, key, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &middleware.Request{Channel: channel, Principal: "org-0", Payload: []byte("trade"), SessionToken: grant.Token}
+	middleware.MACRequest(req, grant.MacKey)
+	if _, err := c.Submit(ctx, req); err != nil {
+		t.Fatalf("submit: %v", err)
 	}
 }
 

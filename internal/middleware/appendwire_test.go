@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"os"
 	"strings"
@@ -78,14 +77,6 @@ func TestAppendWireIsServeWireAfterAPrefix(t *testing.T) {
 	submission := frame(sessionRequest(alice, grant, "deals", []byte("trade")))
 	badMAC := sessionRequest(alice, grant, "deals", []byte("trade"))
 	badMAC.MAC[0] ^= 1
-	rebalance := func(req RebalanceRequest) []byte {
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	shard := gw.sharded.ShardFor("deals")
 
 	cases := []struct {
 		name    string
@@ -113,9 +104,9 @@ func TestAppendWireIsServeWireAfterAPrefix(t *testing.T) {
 			return key[:]
 		}, false, nil, false},
 		{"session.close unknown", TopicSessionClose, func() []byte { return []byte("no such token") }, false, nil, false},
-		{"revocation notify", TopicRevocationNotify, func() []byte { return nil }, false, nil, false},
-		{"shard rebalance", TopicShardRebalance, func() []byte { return rebalance(RebalanceRequest{Channel: "deals", To: shard}) }, false, nil, false},
-		{"shard rebalance refused", TopicShardRebalance, func() []byte { return []byte("{") }, true, nil, false},
+		{"revocation.notify is unknown", "revocation.notify", func() []byte { return nil }, true, nil, false},
+		{"shard.rebalance is unknown", "shard.rebalance", func() []byte { return []byte(`{"channel":"deals","to":1}`) }, true, nil, false},
+		{"shard.rebalance junk is unknown", "shard.rebalance", func() []byte { return []byte("{") }, true, nil, false},
 		{"unknown topic", "no.such.topic", func() []byte { return nil }, true, nil, false},
 	}
 	const prefix = "frame head|"

@@ -118,11 +118,11 @@ type Env struct {
 	// builds its own from CAKey, Revoker and the ttl/idle parameters.
 	Sessions *SessionManager
 	// Revoker is the revocation plane. With it set, the session stage and
-	// the authn stage refuse a revoked certificate, and the gateway answers
-	// the revocation.notify topic and excludes a revoked member from
-	// envelopes once it learns of the revocation; without it, nothing
-	// checks. A RevocationSource here is subscribed by the gateway so
-	// revocations propagate on push.
+	// the authn stage refuse a revoked certificate, and the gateway
+	// excludes a revoked member from envelopes once it learns of the
+	// revocation; without it, nothing checks. A RevocationSource here is
+	// subscribed by the gateway so revocations propagate on push; any other
+	// revoker is pulled when a submission finds its version moved.
 	Revoker Revoker
 	// Directory resolves channel membership keys (encrypt).
 	Directory Directory

@@ -330,8 +330,7 @@
 // revoker's version on every token-bearing request (one lock-free load
 // while nothing changes) and applies the delta when it moved, so a
 // revocation is enforced on the very next request; a push from a
-// RevocationSource or the revocation.notify topic applies it at once,
-// before any request. The session parameter "revokecheck" survives only
+// RevocationSource applies it at once, before any request. The session parameter "revokecheck" survives only
 // as its compatibility value "resolve", refused without Env.Revoker.
 //
 // Guarantees, with a revoker: opening a session with a revoked certificate
@@ -346,16 +345,16 @@
 // token is an idempotent no-op with no counter skew.
 //
 // Envelope encryption follows the same plane: when the gateway learns of an
-// identity-certificate revocation (push from a RevocationSource or the
-// revocation.notify admin topic), the revoked identity is excluded from every
-// member set before sealing and every cached channel key wrapped to it is
-// invalidated, so the channel's next submission installs a fresh epoch the
-// revoked member cannot unwrap. The revocation.notify topic carries no
-// authority — it only triggers a pull from the configured Revoker — so it
-// needs no authentication; its reply reports the epoch reached and the
-// sessions evicted. Each revocation lands in the audit log as a
+// identity-certificate revocation (a push from a RevocationSource, or a
+// submission that finds a pull-only Revoker's version past the epoch the
+// gateway applied, which pulls the delta before it runs), the revoked
+// identity is excluded from every member set before sealing and every cached
+// channel key wrapped to it is invalidated, so the channel's next submission
+// installs a fresh epoch the revoked member cannot unwrap. Each revocation lands in the audit log as a
 // ClassIdentity observation by the gateway operator
-// ("revoked:<identity>#<serial>@<epoch>"), and GatewayStats exposes
+// ("revoked:<identity>#<serial>@<epoch>"; the identity is empty for a
+// certificate renewed twice before its revocation, whose sessions are then
+// found by serial), and GatewayStats exposes
 // SessionsRevoked, KeyEpochsRevokedRotations, and RevocationSweeps.
 //
 // Routine key rotation is not a withdrawal: when the revoked serial was

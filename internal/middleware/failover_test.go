@@ -101,71 +101,3 @@ func TestGatewayShardedSubmitAcrossFailover(t *testing.T) {
 		}
 	}
 }
-
-// TestGatewayShardRebalanceTopic drives the shard.rebalance admin topic
-// through ServeWire: a manual migration moves a live channel,
-// and a skew pass reports (and performs) automatic moves.
-func TestGatewayShardRebalanceTopic(t *testing.T) {
-	sb := newShardedOrderer(t, 2)
-	cfg := Config{Stages: auditOnly, Shards: 2}
-	gw, err := NewGateway("gw", cfg, auditEnv(), sb)
-	if err != nil {
-		t.Fatalf("NewGateway: %v", err)
-	}
-	w := frontOf(gw)
-
-	// Live traffic on two channels, both forced onto shard 0.
-	channels := []string{"deals-a", "deals-b"}
-	for i, ch := range channels {
-		if err := sb.Pin(ch, 0); err != nil {
-			t.Fatalf("Pin: %v", err)
-		}
-		sb.Subscribe(ch, func(ledger.Block) error { return nil })
-		for j := 0; j < (i+1)*10; j++ {
-			if err := sb.Submit(mkShardTx(ch, fmt.Sprintf("%s-%d", ch, j))); err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-		}
-	}
-
-	// Manual move.
-	notice, err := w.rebalance(RebalanceRequest{Channel: channels[0], To: 1})
-	if err != nil {
-		t.Fatalf("rebalance(manual): %v", err)
-	}
-	if len(notice.Migrations) != 1 || notice.Migrations[0].To != 1 || notice.Migrations[0].Channel != channels[0] {
-		t.Fatalf("manual move notice = %+v", notice)
-	}
-	if got := sb.ShardFor(channels[0]); got != 1 {
-		t.Fatalf("ShardFor after manual move = %d, want 1", got)
-	}
-	// Repeating the move is a no-op, reported as such.
-	notice, err = w.rebalance(RebalanceRequest{Channel: channels[0], To: 1})
-	if err != nil {
-		t.Fatalf("rebalance(repeat): %v", err)
-	}
-	if len(notice.Migrations) != 0 {
-		t.Fatalf("repeated move reported migrations: %+v", notice)
-	}
-
-	// Skew pass: loads are now 20 on shard 0 (deals-b) vs 10 on shard 1, a
-	// single-channel hot shard — nothing to move without relocating the
-	// hotspot, so the pass reports no migrations but succeeds.
-	notice, err = w.rebalance(RebalanceRequest{Skew: 1.2})
-	if err != nil {
-		t.Fatalf("rebalance(skew): %v", err)
-	}
-	if len(notice.Migrations) != 0 {
-		t.Fatalf("skew pass on single-channel shard moved %+v", notice.Migrations)
-	}
-
-	// An unsharded gateway refuses the topic.
-	solo, err := NewGateway("solo", Config{Stages: auditOnly}, auditEnv(),
-		ordering.New("op", ordering.VisibilityEnvelope))
-	if err != nil {
-		t.Fatalf("NewGateway(solo): %v", err)
-	}
-	if _, err := frontOf(solo).rebalance(RebalanceRequest{}); err == nil {
-		t.Fatal("unsharded gateway accepted shard.rebalance")
-	}
-}

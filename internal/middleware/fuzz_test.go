@@ -22,8 +22,8 @@ import (
 )
 
 // FuzzWireRequest throws arbitrary bytes at every wire topic the
-// gateway serves — gateway.submit, session.open, session.close,
-// revocation.notify — so malformed framing, forged session tokens, and
+// gateway serves — gateway.submit, session.open, session.close — and at
+// two it refuses as unknown, so malformed framing, forged session tokens, and
 // corrupted certificates can reject requests but never panic the process.
 // The gateway runs the full revocation-aware pipeline, so the fuzz input
 // crosses the wire decode, the session/token path and envelope sealing. Every submission a gateway accepts is answered with Request.id of
@@ -268,7 +268,7 @@ func FuzzWireRequest(f *testing.F) {
 	for _, g := range []*Gateway{gw, privGW} {
 		g.Bind("deals", backendFunc{name: "sink", commit: func(ledger.Block) error { return nil }})
 	}
-	topics := []string{TopicSubmit, TopicSessionOpen, TopicSessionClose, TopicRevocationNotify, "unknown.topic"}
+	topics := []string{TopicSubmit, TopicSessionOpen, TopicSessionClose, "revocation.notify", "unknown.topic"}
 	const prefix = "frame head|"
 	dst := make([]byte, 0, 4096)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,7 +16,10 @@ import (
 	"dltprivacy/internal/telemetry"
 )
 
-// Wire topics: what AppendWire serves, and the edge carries.
+// Wire topics: what AppendWire serves, and the edge carries. Any other topic
+// is refused as unknown. No operator action is a wire topic: shard moves are
+// served on cmd/gateway's operator listener, and revocations reach the
+// gateway from its revoker (see syncRevocations).
 const (
 	// TopicSubmit carries signed client submissions.
 	TopicSubmit = "gateway.submit"
@@ -29,54 +31,7 @@ const (
 	// the token's hex included — names no session, and closing it is a
 	// no-op.
 	TopicSessionClose = "session.close"
-	// TopicRevocationNotify is the admin topic signalling that the
-	// revocation plane moved: the gateway pulls the delta from its
-	// configured Revoker and applies it (session eviction, envelope member
-	// exclusion). The payload is ignored; the notification carries no
-	// authority of its own — all trust decisions come from the Revoker —
-	// so it needs no authentication. The reply is a marshalled
-	// RevocationNotice.
-	TopicRevocationNotify = "revocation.notify"
-	// TopicShardRebalance is the admin topic driving online channel
-	// migration on a sharded ordering backend. The payload is an optional
-	// marshalled RebalanceRequest: with Channel set, that channel migrates
-	// to the requested shard; without one, the gateway runs a skew-driven
-	// rebalancing pass over the per-shard load counters. The reply is a
-	// marshalled RebalanceNotice listing the moves.
-	TopicShardRebalance = "shard.rebalance"
 )
-
-// defaultRebalanceSkew is the load-skew factor a shard.rebalance request
-// without an explicit skew uses: shards loaded beyond this multiple of the
-// mean shed channels.
-const defaultRebalanceSkew = 2.0
-
-// RebalanceRequest asks a gateway to migrate ordering channels. Either a
-// manual move (Channel + To) or an automatic pass (Skew, 0 meaning
-// defaultRebalanceSkew).
-type RebalanceRequest struct {
-	// Channel, when set, migrates that one channel to shard To.
-	Channel string `json:"channel,omitempty"`
-	// To is the target shard index for a manual move.
-	To int `json:"to,omitempty"`
-	// Skew is the load-skew factor for an automatic pass (> 1).
-	Skew float64 `json:"skew,omitempty"`
-}
-
-// RebalanceNotice is the reply to a shard.rebalance request: the
-// migrations performed (empty when the topology was already balanced).
-type RebalanceNotice struct {
-	Migrations []ordering.Migration `json:"migrations"`
-}
-
-// RevocationNotice is the reply to a revocation.notify request: what the
-// triggered sync did.
-type RevocationNotice struct {
-	// Epoch is the revocation epoch the gateway is now synced to.
-	Epoch uint64 `json:"epoch"`
-	// SessionsRevoked is how many sessions this sync evicted.
-	SessionsRevoked int `json:"sessionsRevoked"`
-}
 
 // Gateway fronts the platform backends: every submission runs through the
 // configured chain, the terminal handler turns it into a ledger
@@ -186,9 +141,9 @@ type GatewayStats struct {
 	// encrypt stage invalidated because a wrapped member was revoked; each
 	// forces a fresh epoch the revoked member cannot unwrap.
 	KeyEpochsRevokedRotations uint64
-	// RevocationSweeps counts revocation syncs the gateway ran (push
-	// notifications from a RevocationSource plus revocation.notify admin
-	// requests).
+	// RevocationSweeps counts revocation syncs the gateway ran: push
+	// notifications from a RevocationSource, and submissions that found the
+	// revoker's version past the applied epoch.
 	RevocationSweeps uint64
 	// TracesSampled counts requests recorded into the trace ring over the
 	// gateway's lifetime; 0 when tracing is off.
@@ -293,9 +248,9 @@ func NewGateway(name string, cfg Config, env Env, orderer ordering.Backend) (*Ga
 	}
 	// A push-capable revocation plane drives the gateway directly: every
 	// Revoke lands as a sync, so sessions die and key epochs rotate without
-	// waiting for the next request or an admin notification. Close detaches
-	// the subscription; gateways shorter-lived than their revocation source
-	// must be closed or the source keeps pushing into them forever.
+	// waiting for the next request. Close detaches the subscription;
+	// gateways shorter-lived than their revocation source must be closed or
+	// the source keeps pushing into them forever.
 	if src, ok := g.revoker.(RevocationSource); ok {
 		g.unsubscribe = src.OnRevoke(func(pki.Revocation) { g.syncRevocations() })
 	}
@@ -321,9 +276,8 @@ func (g *Gateway) Close() {
 // key they could unwrap), the session manager sweeps sessions rooted in
 // revoked certificates, and the revocation trail lands in the audit log.
 // It returns how many sessions were evicted. Trivial without a Revoker.
-// Safe for concurrent use; RevocationSource pushes, the revocation.notify
-// admin topic and a submission that sees the revoker's version move invoke
-// it.
+// Safe for concurrent use; RevocationSource pushes and a submission that
+// sees the revoker's version move invoke it.
 func (g *Gateway) syncRevocations() int {
 	if g.revoker == nil {
 		return 0
@@ -794,51 +748,6 @@ func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payl
 			}
 		}
 		return append(dst, "ok"...), nil
-	case TopicRevocationNotify:
-		if g.revoker == nil {
-			return dst, fmt.Errorf("gateway %s: no revocation plane configured", g.name)
-		}
-		evicted := g.syncRevocations()
-		b, err := json.Marshal(RevocationNotice{Epoch: g.revocationEpoch(), SessionsRevoked: evicted})
-		if err != nil {
-			return dst, fmt.Errorf("gateway %s: encode revocation notice: %w", g.name, err)
-		}
-		return append(dst, b...), nil
-	case TopicShardRebalance:
-		if g.sharded == nil {
-			return dst, fmt.Errorf("gateway %s: ordering backend is not sharded", g.name)
-		}
-		var req RebalanceRequest
-		if len(payload) > 0 {
-			if err := json.Unmarshal(payload, &req); err != nil {
-				return dst, fmt.Errorf("gateway %s: decode rebalance request: %w", g.name, err)
-			}
-		}
-		var moves []ordering.Migration
-		if req.Channel != "" {
-			from := g.sharded.ShardFor(req.Channel)
-			if err := g.sharded.Migrate(req.Channel, req.To); err != nil {
-				return dst, fmt.Errorf("gateway %s: %w", g.name, err)
-			}
-			if from != req.To {
-				moves = []ordering.Migration{{Channel: req.Channel, From: from, To: req.To}}
-			}
-		} else {
-			skew := req.Skew
-			if skew == 0 {
-				skew = defaultRebalanceSkew
-			}
-			var err error
-			moves, err = g.sharded.Rebalance(skew)
-			if err != nil {
-				return dst, fmt.Errorf("gateway %s: %w", g.name, err)
-			}
-		}
-		b, err := json.Marshal(RebalanceNotice{Migrations: moves})
-		if err != nil {
-			return dst, fmt.Errorf("gateway %s: encode rebalance notice: %w", g.name, err)
-		}
-		return append(dst, b...), nil
 	default:
 		return dst, fmt.Errorf("gateway %s: unknown topic %q", g.name, topic)
 	}

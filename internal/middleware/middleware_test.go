@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -154,28 +153,6 @@ func (w wireFront) close(token string) error {
 	}
 	_, err := w.call(TopicSessionClose, key[:])
 	return err
-}
-
-func (w wireFront) notifyRevocation() (notice RevocationNotice, err error) {
-	err = w.json(TopicRevocationNotify, nil, &notice)
-	return notice, err
-}
-
-func (w wireFront) rebalance(req RebalanceRequest) (notice RebalanceNotice, err error) {
-	b, err := json.Marshal(req)
-	if err == nil {
-		err = w.json(TopicShardRebalance, b, &notice)
-	}
-	return notice, err
-}
-
-// json calls topic and decodes its JSON reply into v.
-func (w wireFront) json(topic string, payload []byte, v any) error {
-	reply, err := w.call(topic, payload)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(reply, v)
 }
 
 // auditOnly is a one-stage pipeline that passes an unauthenticated request

@@ -17,8 +17,8 @@ import (
 )
 
 // pullRevoker hides a CA's push hook, modelling an out-of-process CA the
-// gateway can only poll: deltas reach it via sweeps and revocation.notify,
-// never via subscription.
+// gateway can only poll: deltas reach it when a request finds the version
+// moved, never via subscription.
 type pullRevoker struct{ ca *pki.CA }
 
 func (p pullRevoker) RevocationVersion() uint64 { return p.ca.RevocationVersion() }
@@ -438,9 +438,11 @@ func TestPullOnlyRevokerExcludesFromNextEnvelope(t *testing.T) {
 	}
 }
 
-// TestGatewayRevocationNotifyTopic exercises the pull path: a gateway
-// whose revoker cannot push learns about revocations from the admin topic.
-func TestGatewayRevocationNotifyTopic(t *testing.T) {
+// TestGatewayRevocationPullOnSubmit exercises the pull path: a gateway
+// whose revoker cannot push learns of a revocation from the first submission
+// after it, which finds the revoker's version moved and syncs before the
+// chain runs.
+func TestGatewayRevocationPullOnSubmit(t *testing.T) {
 	clock := newFakeClock()
 	ca, ps := enrollAt(t, clock.now, "alice", "bob")
 	memberKeys := map[string]dcrypto.PublicKey{
@@ -452,7 +454,7 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 		Directory: StaticDirectory{"deals": memberKeys},
 		Log:       audit.NewLog(),
 		Now:       clock.now,
-		Revoker:   pullRevoker{ca}, // no push hook: notify is the only channel
+		Revoker:   pullRevoker{ca}, // no push hook: a submission pulls
 	}
 	orderer := ordering.New("orderer-op", ordering.VisibilityEnvelope)
 	gw, err := NewGateway("gw", revocableGatewayConfig(), env, orderer)
@@ -466,27 +468,22 @@ func TestGatewayRevocationNotifyTopic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without push, the notification applies the delta before any request
-	// would have.
+	// Without push, nothing applies the delta until bob's next submission,
+	// which is refused by it.
 	ca.Revoke(ps["bob"].cert.Serial)
-	notice, err := w.notifyRevocation()
-	if err != nil {
-		t.Fatalf("notify revocation: %v", err)
-	}
-	if notice.SessionsRevoked != 1 || notice.Epoch != 1 {
-		t.Fatalf("notice = %+v, want 1 session revoked at epoch 1", notice)
+	if st := gw.Stats(); st.RevocationSweeps != 0 || st.SessionsRevoked != 0 {
+		t.Fatalf("before any submission: %d sweeps, %d sessions revoked; want none", st.RevocationSweeps, st.SessionsRevoked)
 	}
 	req := sessionRequest(ps["bob"], grant, "deals", []byte("x"))
 	if _, err := w.submit(req); !errors.Is(err, ErrSessionRevoked) {
-		t.Fatalf("submit after notify = %v, want ErrSessionRevoked", err)
+		t.Fatalf("first submit after the revocation = %v, want ErrSessionRevoked", err)
 	}
-	// Idempotent: a second notification finds an empty delta.
-	notice, err = w.notifyRevocation()
-	if err != nil {
-		t.Fatal(err)
+	if st := gw.Stats(); st.SessionsRevoked != 1 || gw.revocationEpoch() != 1 {
+		t.Fatalf("%d sessions revoked at epoch %d, want 1 at epoch 1", st.SessionsRevoked, gw.revocationEpoch())
 	}
-	if notice.SessionsRevoked != 0 || notice.Epoch != 1 {
-		t.Fatalf("second notice = %+v, want empty delta at epoch 1", notice)
+	// Idempotent: a second sync finds an empty delta.
+	if evicted := gw.syncRevocations(); evicted != 0 || gw.revocationEpoch() != 1 {
+		t.Fatalf("second sync evicted %d at epoch %d, want an empty delta at epoch 1", evicted, gw.revocationEpoch())
 	}
 }
 
@@ -905,5 +902,73 @@ func TestRevocationRotationFlowKeepsEnvelopeMembership(t *testing.T) {
 	envl = submit("post-withdrawal")
 	if _, err := OpenEnvelope(envl, "bob", ps["bob"].key); !errors.Is(err, ErrNotRecipient) {
 		t.Fatalf("withdrawn member still a recipient: %v", err)
+	}
+}
+
+// TestRevocationOfTwiceRenewedCertEvictsItsSessions revokes a certificate
+// after two renewals, when the CA no longer links its serial to a name (the
+// revocation logs no identity): the sessions opened under it are still
+// evicted, found by serial, while a session under the current certificate
+// and the identity's envelope membership stand.
+func TestRevocationOfTwiceRenewedCertEvictsItsSessions(t *testing.T) {
+	clock := newFakeClock()
+	ca, ps := enrollAt(t, clock.now, "alice", "bob")
+	memberKeys := map[string]dcrypto.PublicKey{
+		"alice": ps["alice"].key.Public(),
+		"bob":   ps["bob"].key.Public(),
+	}
+	env := Env{
+		CAKey:     ca.PublicKey(),
+		Directory: StaticDirectory{"deals": memberKeys},
+		Log:       audit.NewLog(),
+		Now:       clock.now,
+		Revoker:   ca,
+	}
+	orderer := ordering.New("orderer-op", ordering.VisibilityEnvelope)
+	gw, err := NewGateway("gw", revocableGatewayConfig(), env, orderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vault := &payloadVault{}
+	gw.Bind("deals", vault)
+	w := frontOf(gw)
+
+	first := ps["bob"].cert
+	oldGrant, err := w.openAt(ps["bob"], clock.now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if ps["bob"].cert, err = ca.Enroll("bob", ps["bob"].key.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	curGrant, err := w.openAt(ps["bob"], clock.now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliceGrant, err := w.openAt(ps["alice"], clock.now())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ca.Revoke(first.Serial)
+	if revs, _ := ca.RevokedSince(0); len(revs) != 1 || revs[0].Identity != "" {
+		t.Fatalf("revocation log = %+v, want one entry with no identity (the fixture no longer shows the CA's dropped record)", revs)
+	}
+	if _, err := w.submit(sessionRequest(ps["bob"], oldGrant, "deals", []byte("x"))); !errors.Is(err, ErrSessionRevoked) {
+		t.Fatalf("session under the revoked serial = %v, want ErrSessionRevoked", err)
+	}
+	if st := gw.Stats(); st.SessionsRevoked != 1 {
+		t.Fatalf("%d sessions revoked, want 1", st.SessionsRevoked)
+	}
+	if _, err := w.submit(sessionRequest(ps["bob"], curGrant, "deals", []byte("y"))); err != nil {
+		t.Fatalf("session under bob's current certificate: %v", err)
+	}
+	if _, err := w.submit(sessionRequest(ps["alice"], aliceGrant, "deals", []byte("z"))); err != nil {
+		t.Fatalf("alice's session: %v", err)
+	}
+	if _, err := OpenEnvelope(vault.parse(t, len(vault.payloads)-1), "bob", ps["bob"].key); err != nil {
+		t.Fatalf("bob lost envelope membership to a superseded certificate's revocation: %v", err)
 	}
 }

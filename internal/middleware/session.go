@@ -1031,32 +1031,54 @@ func (m *SessionManager) applyRevocationDelta() {
 // applied epoch and evicts every session rooted in a revoked certificate,
 // leaving a tombstone so the token answers ErrSessionRevoked until its
 // original expiry. Only the revoked identity's own sessions are scanned,
-// via the byPrincipal index. Called with mu held.
+// via the byPrincipal index, unless the revocation names no identity (the
+// CA keeps no record of a certificate renewed twice since): then every
+// session is, by serial. Called with mu held.
 func (m *SessionManager) applyRevocationDeltaLocked() {
 	revs, version := m.revoker.RevokedSince(m.revEpoch.Load())
 	m.revEpoch.Store(version)
 	for _, rev := range revs {
-		m.byPrincipal.each(rev.Identity, func(s *session) {
-			if s.serial != rev.Serial {
-				return // a newer cert of the same identity still stands
+		if rev.Identity == "" {
+			for i := range m.stripes {
+				st := &m.stripes[i]
+				st.mu.Lock()
+				for _, s := range st.sessions {
+					if s.serial == rev.Serial {
+						m.revokeSessionLocked(st, s)
+					}
+				}
+				st.mu.Unlock()
 			}
-			st := m.stripe(&s.key)
-			st.mu.Lock()
-			m.deleteSessionLocked(st, s)
-			m.revoked.Add(1)
-			st.revoked[s.key] = s.expires
-			st.mu.Unlock()
-		})
+		} else {
+			m.byPrincipal.each(rev.Identity, func(s *session) {
+				if s.serial != rev.Serial {
+					return // a newer cert of the same identity still stands
+				}
+				st := m.stripe(&s.key)
+				st.mu.Lock()
+				m.revokeSessionLocked(st, s)
+				st.mu.Unlock()
+			})
+		}
 		// What the revoked certificate proved is withdrawn with it: its
 		// holder cannot resume, and a full handshake meets IsRevoked.
 		m.resumes.drop(func(e *resumeEntry) bool { return e.serial == rev.Serial })
 	}
 }
 
+// revokeSessionLocked evicts s for its revoked certificate and leaves the
+// tombstone its token answers until the session's original expiry. Called
+// with mu and s's stripe lock held.
+func (m *SessionManager) revokeSessionLocked(st *sessionStripe, s *session) {
+	m.deleteSessionLocked(st, s)
+	m.revoked.Add(1)
+	st.revoked[s.key] = s.expires
+}
+
 // sweepRevoked applies the pending revocation delta immediately — the
-// push path: the gateway calls it when the revocation source notifies or
-// an admin hits the revocation.notify topic. It reports how many sessions
-// the sweep evicted. A manager without a revoker sweeps trivially.
+// push path: the gateway calls it whenever it syncs revocations, on a
+// push from the revocation source or before a submission that found the
+// revoker's version moved. It reports how many sessions the sweep evicted. A manager without a revoker sweeps trivially.
 func (m *SessionManager) sweepRevoked() int {
 	if m.revoker == nil {
 		return 0

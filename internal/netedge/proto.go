@@ -101,18 +101,20 @@ type frame struct {
 	body  []byte
 }
 
-// gatewayTopics are the topics a request names by the gateway's constant:
-// a connection's session visits alternate session.open → gateway.submit →
+// edgeTopics are the topics the client edge serves. The handler behind the
+// edge (EnrollmentHandler over the gateway) refuses any other topic as
+// unknown; no operator action is served here (cmd/gateway serves shard moves
+// on its operator listener). Request topics are interned from this list: a
+// connection's session visits alternate session.open → gateway.submit →
 // session.close, which no one-entry cache holds.
-var gatewayTopics = [...]string{
-	middleware.TopicSubmit, middleware.TopicSessionOpen, middleware.TopicSessionClose,
-	middleware.TopicRevocationNotify, middleware.TopicShardRebalance,
+var edgeTopics = [...]string{
+	topicEnroll, middleware.TopicSessionOpen, middleware.TopicSubmit, middleware.TopicSessionClose,
 }
 
-// topicString returns the topic b names: a gateway topic's constant, or a
+// topicString returns the topic b names: an edge topic's constant, or a
 // copy of any other.
 func topicString(b []byte) string {
-	for _, t := range gatewayTopics {
+	for _, t := range edgeTopics {
 		if string(b) == t { // the comparison does not allocate
 			return t
 		}
@@ -121,7 +123,7 @@ func topicString(b []byte) string {
 }
 
 // parseFrame decodes the post-length-prefix bytes of one frame. body
-// aliases b. A request's topic is the gateway's constant when it names one
+// aliases b. A request's topic is an edge topic's constant when it names one
 // (topicString), else last when it equals last — the topic of the
 // connection's previous request, which a reader passes back in so that a
 // run of requests on another topic allocates it once — else a copy.

@@ -86,8 +86,8 @@ func (sb *ShardedBackend) Migrate(channel string, to int) error {
 // the hottest shard's hottest channel that strictly improves the maximum
 // onto the least-loaded shard; passes repeat until the skew bound holds or
 // no move helps. Returns the moves performed — empty when the topology is
-// already balanced — so callers (the shard.rebalance admin topic, a soak
-// loop) can log them.
+// already balanced — so callers (cmd/gateway's POST /admin/rebalance, a
+// soak loop) can log them.
 func (sb *ShardedBackend) Rebalance(skew float64) ([]Migration, error) {
 	if skew <= 1 {
 		return nil, fmt.Errorf("ordering: rebalance skew must be > 1, got %v", skew)

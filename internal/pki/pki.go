@@ -253,7 +253,10 @@ func (r *certReader) time() time.Time {
 // issued: the routine key-rotation flow (enroll replacement, then revoke
 // the old serial), which withdraws one certificate, not the identity's
 // standing — relying parties keyed by identity (envelope membership) must
-// not act on it.
+// not act on it. Identity is empty for a serial the CA never issued and for
+// one renewed twice before its revocation, whose record the CA dropped (see
+// Enroll): a relying party that tracks what a certificate opened finds it by
+// Serial.
 type Revocation struct {
 	Serial     uint64   `json:"serial"`
 	Identity   string   `json:"identity"`
@@ -282,6 +285,7 @@ type CA struct {
 	serial     uint64
 	enrolled   map[string]Certificate // identity -> identity cert
 	issued     map[uint64]Revocation  // serial -> identity/kind, pre-filled at issue
+	superseded map[string]uint64      // identity -> serial its cert renewed; see Enroll
 	revoked    map[uint64]bool
 	revLog     []Revocation // append-only; entry i carries epoch i+1
 	onRevoke   map[uint64]func(Revocation)
@@ -304,12 +308,13 @@ func NewCA(name string, opts ...Option) (*CA, error) {
 		return nil, fmt.Errorf("ca key: %w", err)
 	}
 	ca := &CA{
-		name:     name,
-		key:      key,
-		now:      time.Now,
-		enrolled: make(map[string]Certificate),
-		issued:   make(map[uint64]Revocation),
-		revoked:  make(map[uint64]bool),
+		name:       name,
+		key:        key,
+		now:        time.Now,
+		enrolled:   make(map[string]Certificate),
+		issued:     make(map[uint64]Revocation),
+		superseded: make(map[string]uint64),
+		revoked:    make(map[uint64]bool),
 	}
 	for _, opt := range opts {
 		opt(ca)
@@ -331,19 +336,28 @@ const certValidity = 365 * 24 * time.Hour
 // bound to the first key enrolled under it: another key is ErrAlreadyEnrolled,
 // and the same key again is a renewal, a fresh certificate that supersedes
 // the last one. The check and the record are one hold of the CA's lock, so of
-// two enrollments of one name under different keys exactly one wins.
+// two enrollments of one name under different keys exactly one wins. A
+// renewal drops the issuance record of the certificate the last one
+// superseded, so however often a name renews, the CA keeps two records for
+// it; a serial whose record went stays revocable by serial, and its
+// revocation is logged Superseded with no Identity.
 func (ca *CA) Enroll(identity string, pub dcrypto.PublicKey) (Certificate, error) {
 	if identity == "" {
 		return Certificate{}, errors.New("pki: empty identity")
 	}
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
-	if cur, ok := ca.enrolled[identity]; ok && !bytes.Equal(cur.PublicKey, pub.Bytes()) {
+	cur, renewal := ca.enrolled[identity]
+	if renewal && !bytes.Equal(cur.PublicKey, pub.Bytes()) {
 		return Certificate{}, fmt.Errorf("enroll %q: %w", identity, ErrAlreadyEnrolled)
 	}
 	cert, err := ca.issue(KindIdentity, identity, pub)
 	if err != nil {
 		return Certificate{}, err
+	}
+	if renewal {
+		delete(ca.issued, ca.superseded[identity]) // serials start at 1
+		ca.superseded[identity] = cur.Serial
 	}
 	ca.enrolled[identity] = cert
 	return cert, nil
@@ -398,13 +412,19 @@ func (ca *CA) Revoke(serial uint64) {
 		return
 	}
 	ca.revoked[serial] = true
-	rev := ca.issued[serial] // zero Identity/Kind for a serial this CA never issued
+	rev, recorded := ca.issued[serial] // zero Identity/Kind for a serial this CA never issued
 	// The issuance record is only ever needed here; dropping it caps
 	// ca.issued growth for revoked serials (the data lives on in revLog).
 	delete(ca.issued, serial)
 	rev.Serial = serial
 	rev.Epoch = ca.revEpoch.Add(1)
-	if rev.Kind == KindIdentity {
+	if !recorded && serial >= 1 && serial <= ca.serial {
+		// An issued serial with no record is an identity certificate two
+		// renewals back (see Enroll): superseded, its holder's name no
+		// longer linked to it. Relying parties find what it opened by
+		// serial.
+		rev.Kind, rev.Superseded = KindIdentity, true
+	} else if rev.Kind == KindIdentity {
 		if cur, enrolled := ca.enrolled[rev.Identity]; enrolled && cur.Serial != serial {
 			rev.Superseded = true
 		}

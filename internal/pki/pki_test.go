@@ -391,3 +391,47 @@ func TestRevocationMarksSupersededCerts(t *testing.T) {
 		t.Fatalf("outright revocation entry = %+v, want !Superseded", revs)
 	}
 }
+
+// TestRenewalsKeepTwoRecords: 2,000 renewals of one name under one key leave
+// the CA two issuance records, the current serial and the one it superseded,
+// and the first serial, whose record went long ago, is still revoked by
+// serial.
+func TestRenewalsKeepTwoRecords(t *testing.T) {
+	ca := newTestCA(t)
+	key, err := dcrypto.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := ca.Enroll("BankA", key.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev, cur Certificate
+	cur = first
+	for range 1999 {
+		prev = cur
+		if cur, err = ca.Enroll("BankA", key.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca.mu.Lock()
+	records := len(ca.issued)
+	_, hasCur := ca.issued[cur.Serial]
+	_, hasPrev := ca.issued[prev.Serial]
+	ca.mu.Unlock()
+	if records > 2 || !hasCur || !hasPrev {
+		t.Fatalf("after 2,000 enrollments the CA holds %d issuance records (current %v, superseded %v), want the current serial and the one it superseded", records, hasCur, hasPrev)
+	}
+	ca.Revoke(prev.Serial)
+	ca.Revoke(first.Serial)
+	if !ca.IsRevoked(first.Serial) {
+		t.Fatalf("serial %d, whose record was dropped, is not revoked", first.Serial)
+	}
+	revs, _ := ca.RevokedSince(0)
+	if len(revs) != 2 || !revs[0].Superseded || revs[1].Serial != first.Serial || !revs[1].Superseded || revs[1].Kind != KindIdentity {
+		t.Fatalf("revocation log = %+v, want the superseded serial marked, then serial %d marked too", revs, first.Serial)
+	}
+	if ca.IsRevoked(cur.Serial) {
+		t.Fatal("the current certificate was revoked with its predecessors")
+	}
+}

@@ -68,9 +68,6 @@ var unusedExports = map[string][]string{
 	"fault seams and the chain verifier that middleware's chaos tests drive; ChainVerifier is item 1(b)'s": {
 		"ordering.ChainVerifier", "ordering.Cluster.Crash", "ordering.Cluster.Flush", "ordering.Cluster.Leader",
 	},
-	"JSON bodies of the admin wire topics": {
-		"middleware.RebalanceNotice", "middleware.RebalanceRequest", "middleware.RevocationNotice",
-	},
 	"the deployment bound docs/OPERATIONS.md names": {
 		"netedge.DefaultMaxFrame",
 	},
