@@ -145,8 +145,9 @@ func TestAdminRebalance(t *testing.T) {
 
 // TestStrangerReachesNoOperatorAction probes serve mode as a stranger: a
 // client with no session and no certificate sends the two operator topics
-// the edge once served, and each is refused as an unknown topic, with the
-// channel's shard and the gateway's revocation syncs as they were.
+// the edge once served, and each is refused as an unknown topic, labelled
+// with the wire/unknown_topic series that counts it, with the channel's
+// shard and the gateway's revocation syncs as they were.
 func TestStrangerReachesNoOperatorAction(t *testing.T) {
 	s := startServing(t)
 	const channel = "deals-0"
@@ -166,7 +167,7 @@ func TestStrangerReachesNoOperatorAction(t *testing.T) {
 	} {
 		_, err := c.Call(context.Background(), probe.topic, []byte(probe.body))
 		var we *netedge.WireError
-		if !errors.As(err, &we) || we.Label != "" || !strings.Contains(we.Msg, "unknown topic") {
+		if !errors.As(err, &we) || we.Label != "wire/unknown_topic" || !strings.Contains(we.Msg, "unknown topic") {
 			t.Errorf("%s %q from a stranger: %v, want the unknown-topic refusal", probe.topic, probe.body, err)
 		}
 	}

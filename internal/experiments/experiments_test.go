@@ -52,6 +52,9 @@ func TestFabricReport(t *testing.T) {
 	if strings.Contains(out, "OrgC") {
 		t.Fatalf("non-member OrgC observed something:\n%s", out)
 	}
+	if !strings.Contains(out, "per-channel order is a gap-free hash chain on every peer (2 peers, 2 blocks)") {
+		t.Fatalf("Fabric report states no chain verdict for trade's 2 peers and 2 blocks:\n%s", out)
+	}
 }
 
 func TestCordaReport(t *testing.T) {

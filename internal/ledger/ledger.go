@@ -34,9 +34,10 @@ type Block struct {
 // canonical digests — endorsements included via a second digest dimension
 // would be redundant here; the per-tx Digest already covers the ordered
 // content, and hashing 32-byte digests instead of re-marshalling every
-// transaction keeps block cutting off the allocation profile. With
-// fromContent each digest is hashed from the transaction's bytes, whatever
-// memo it was primed with (ContentDataHash).
+// transaction keeps block cutting off the allocation profile. It has two
+// callers: NewBlock, on the producer's path, reads the digests primed at
+// intake; Tip.Extend passes fromContent and hashes each digest from the
+// transaction's bytes, whatever memo it was primed with.
 func computeDataHash(txs []Transaction, fromContent bool) [32]byte {
 	// Most blocks on the unbatched path carry one transaction: stage a few
 	// digests on the stack and allocate only beyond that.
@@ -56,12 +57,6 @@ func computeDataHash(txs []Transaction, fromContent bool) [32]byte {
 	}
 	return dcrypto.Hash(h)
 }
-
-// ContentDataHash is the DataHash of txs recomputed from their bytes. A
-// primed transaction's Digest is the memo of its bytes at priming, so a
-// check that reads it cannot see a payload written over afterwards; this one
-// does.
-func ContentDataHash(txs []Transaction) [32]byte { return computeDataHash(txs, true) }
 
 // NewBlock assembles a block for an external block producer (an ordering
 // service) that tracks chain state itself.
@@ -92,6 +87,33 @@ func (b Block) Hash() [32]byte {
 	return dcrypto.Hash(buf[:])
 }
 
+// Tip is a chain's position: the number the next block must carry and the
+// hash of the last block, the zero value a chain with no blocks. The ledger,
+// an orderer's nodes and a delivery stream's verifier each hold their place
+// on a chain as a Tip, and Extend is the one check of a block against it.
+type Tip struct {
+	Height uint64
+	Hash   [32]byte
+}
+
+// Extend checks that b continues the chain at t — numbered Height, linked
+// to Hash, its DataHash that of its transactions — and moves t past it; a
+// block that fails leaves t where it was. The data hash is recomputed from
+// the payload bytes, not read from the digests primed at intake: a memo
+// cannot see a payload written over after priming.
+func (t *Tip) Extend(b Block) error {
+	switch {
+	case b.Number != t.Height:
+		return fmt.Errorf("block %d out of order, want %d: %w", b.Number, t.Height, ErrBadBlock)
+	case b.PrevHash != t.Hash:
+		return fmt.Errorf("block %d breaks the hash chain: %w", b.Number, ErrBadBlock)
+	case b.DataHash != computeDataHash(b.Txs, true):
+		return fmt.Errorf("block %d's data hash does not cover its transactions: %w", b.Number, ErrBadBlock)
+	}
+	*t = Tip{b.Number + 1, b.Hash()}
+	return nil
+}
+
 // TxValidator vets a transaction before it is committed. Platforms plug in
 // endorsement-policy checks here.
 type TxValidator func(tx Transaction) error
@@ -103,8 +125,7 @@ type Ledger struct {
 	mu        sync.RWMutex
 	blocks    []Block // live blocks (post-pruning suffix)
 	archive   []Block // pruned prefix, still available on request
-	height    uint64
-	lastHash  [32]byte
+	tip       Tip
 	state     map[string]VersionedValue
 	validator TxValidator
 }
@@ -129,35 +150,26 @@ func New(channel string) *Ledger {
 func (l *Ledger) Height() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.height
+	return l.tip.Height
 }
 
 // CutBlock assembles the next block from transactions; it does not append.
 func (l *Ledger) CutBlock(txs []Transaction) Block {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return Block{
-		Number:   l.height,
-		PrevHash: l.lastHash,
-		DataHash: computeDataHash(txs, false),
-		Txs:      txs,
-	}
+	return NewBlock(l.tip.Height, l.tip.Hash, txs)
 }
 
-// Append validates and commits a block: chain linkage, per-transaction
-// structural validation, endorsement verification, the installed validator,
-// and finally world-state application.
+// Append validates and commits a block: the chain check (Tip.Extend),
+// per-transaction structural validation, endorsement verification, the
+// installed validator, and finally world-state application. A block refused
+// at any step leaves the chain where it was.
 func (l *Ledger) Append(b Block) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if b.Number != l.height {
-		return fmt.Errorf("%w: number %d, want %d", ErrBadBlock, b.Number, l.height)
-	}
-	if b.PrevHash != l.lastHash {
-		return fmt.Errorf("%w: broken hash chain at block %d", ErrBadBlock, b.Number)
-	}
-	if b.DataHash != computeDataHash(b.Txs, false) {
-		return fmt.Errorf("%w: data hash mismatch at block %d", ErrBadBlock, b.Number)
+	next := l.tip
+	if err := next.Extend(b); err != nil {
+		return err
 	}
 	for i, tx := range b.Txs {
 		if err := tx.Validate(); err != nil {
@@ -189,8 +201,7 @@ func (l *Ledger) Append(b Block) error {
 	// so the chain keeps a copy.
 	b.Txs = slices.Clone(b.Txs)
 	l.blocks = append(l.blocks, b)
-	l.height++
-	l.lastHash = b.Hash()
+	l.tip = next
 	return nil
 }
 
@@ -228,7 +239,7 @@ func (l *Ledger) GetByPrefix(prefix string) map[string][]byte {
 func (l *Ledger) Block(num uint64) (Block, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if num >= l.height {
+	if num >= l.tip.Height {
 		return Block{}, fmt.Errorf("block %d: %w", num, ErrNotFound)
 	}
 	archived := uint64(len(l.archive))
@@ -255,7 +266,7 @@ func (l *Ledger) Prune(upTo uint64) (moved int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	archived := uint64(len(l.archive))
-	if upTo > l.height {
+	if upTo > l.tip.Height {
 		return 0, fmt.Errorf("%w: prune beyond height", ErrBadBlock)
 	}
 	if upTo <= archived {
@@ -274,34 +285,17 @@ func (l *Ledger) LiveBlocks() int {
 	return len(l.blocks)
 }
 
-// VerifyChain walks the full chain (archive + live) and re-checks linkage.
+// VerifyChain re-runs the chain check over the full chain, archive and
+// live blocks, from a fresh Tip.
 func (l *Ledger) VerifyChain() error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	var prev [32]byte
-	num := uint64(0)
-	check := func(b Block) error {
-		if b.Number != num {
-			return fmt.Errorf("%w: number %d, want %d", ErrBadBlock, b.Number, num)
-		}
-		if b.PrevHash != prev {
-			return fmt.Errorf("%w: linkage at block %d", ErrBadBlock, b.Number)
-		}
-		if b.DataHash != computeDataHash(b.Txs, false) {
-			return fmt.Errorf("%w: data hash at block %d", ErrBadBlock, b.Number)
-		}
-		prev = b.Hash()
-		num++
-		return nil
-	}
-	for _, b := range l.archive {
-		if err := check(b); err != nil {
-			return err
-		}
-	}
-	for _, b := range l.blocks {
-		if err := check(b); err != nil {
-			return err
+	var tip Tip
+	for _, blocks := range [][]Block{l.archive, l.blocks} {
+		for _, b := range blocks {
+			if err := tip.Extend(b); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

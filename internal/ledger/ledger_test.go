@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -79,6 +80,70 @@ func TestDataHashMismatch(t *testing.T) {
 	if err := l.Append(b); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("tampered data = %v, want ErrBadBlock", err)
 	}
+}
+
+// TestTipExtend holds the one chain check to its three comparisons: a block
+// that fails one is refused with ErrBadBlock and leaves the tip where it
+// was. A payload byte flipped after a primed cut is caught although the
+// digests memoised at priming still match the block's DataHash. An Append
+// whose transaction fails validation leaves the chain where it was too.
+func TestTipExtend(t *testing.T) {
+	var start Tip
+	if err := start.Extend(NewBlock(0, [32]byte{}, []Transaction{tx("trade", "A", "k0", "v0")})); err != nil {
+		t.Fatalf("genesis block: %v", err)
+	}
+	cases := []struct {
+		name      string
+		mutate    func(b *Block)
+		want      string // what the refusal names; "" for a block that extends
+		memoBlind bool   // the primed digests still match DataHash
+	}{
+		{"in order", func(*Block) {}, "", false},
+		{"wrong number", func(b *Block) { b.Number++ }, "out of order", false},
+		{"broken link", func(b *Block) { b.PrevHash[0] ^= 1 }, "breaks the hash chain", false},
+		{"payload flipped after a primed cut", func(b *Block) { b.Txs[0].Payload[0] ^= 1 }, "data hash", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			next := tx("trade", "B", "k1", "v1")
+			next.PrimeDigest()
+			b := NewBlock(start.Height, start.Hash, []Transaction{next})
+			tc.mutate(&b)
+			if tc.memoBlind && computeDataHash(b.Txs, false) != b.DataHash {
+				t.Fatal("the primed digests no longer match DataHash: the case does not test the bytes")
+			}
+			tip := start
+			err := tip.Extend(b)
+			if tc.want == "" {
+				if err != nil || tip != (Tip{start.Height + 1, b.Hash()}) {
+					t.Fatalf("Extend = %v, tip at %d, want nil and the tip past block %d", err, tip.Height, b.Number)
+				}
+				return
+			}
+			if !errors.Is(err, ErrBadBlock) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Extend = %v, want ErrBadBlock naming the %s", err, tc.want)
+			}
+			if tip != start {
+				t.Fatalf("a refused block moved the tip to %d", tip.Height)
+			}
+		})
+	}
+
+	t.Run("Append refused by validation", func(t *testing.T) {
+		l := New("trade")
+		appendBlock(t, l, tx("trade", "A", "k0", "v0"))
+		prev := l.CutBlock(nil).PrevHash
+		refused := errors.New("refused")
+		l.SetValidator(func(Transaction) error { return refused })
+		if err := l.Append(l.CutBlock([]Transaction{tx("trade", "B", "k1", "v1")})); !errors.Is(err, refused) {
+			t.Fatalf("Append = %v, want the validator's refusal", err)
+		}
+		if l.Height() != 1 || l.CutBlock(nil).PrevHash != prev {
+			t.Fatalf("a refused Append moved the chain: height %d", l.Height())
+		}
+		l.SetValidator(nil)
+		appendBlock(t, l, tx("trade", "B", "k1", "v1"))
+	})
 }
 
 func TestStructuralValidation(t *testing.T) {
@@ -402,7 +467,7 @@ func TestDataHashBeyondStackStage(t *testing.T) {
 	var digests []byte
 	for n := 0; n <= 9; n++ {
 		want := dcrypto.Hash(digests)
-		if computeDataHash(txs, false) != want || ContentDataHash(txs) != want {
+		if computeDataHash(txs, false) != want || computeDataHash(txs, true) != want {
 			t.Fatalf("%d transactions: data hash is not the hash of their digests", n)
 		}
 		next := tx("trade", "A", "k", fmt.Sprint(n))

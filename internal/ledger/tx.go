@@ -3,7 +3,10 @@
 // state, a validation pipeline, and the pruning/archiving behaviour the paper
 // notes in §3.2 ("some ledger implementations offer the ability to 'prune'
 // the chain … archived entries are generally still available to parties on
-// request").
+// request"). Tip is a chain's position and Tip.Extend the one check of a
+// block against it: Append and VerifyChain run it here, ordering's nodes
+// hold their place as a Tip, and ordering.ChainVerifier runs it over a
+// delivery stream.
 package ledger
 
 import (

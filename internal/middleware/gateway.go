@@ -470,7 +470,7 @@ func (g *Gateway) Bind(channel string, backends ...Backend) {
 	}
 }
 
-// rejectSite is where the gateway refused something: the three places that
+// rejectSite is where the gateway refused something: the four places that
 // count into confmw_gateway_rejected_total.
 type rejectSite uint8
 
@@ -478,6 +478,7 @@ const (
 	rejectDecode rejectSite = iota // a gateway.submit frame that did not decode
 	rejectChain                    // a submission a stage refused
 	rejectOpen                     // a session.open frame refused, or its handshake
+	rejectTopic                    // a frame on a topic the edge does not serve
 )
 
 // rejectReason is one series of confmw_gateway_rejected_total: a refusal at
@@ -530,6 +531,8 @@ var rejectReasons = [...]rejectReason{
 	{rejectOpen, "session.open", "certificate_expired", pki.ErrExpired},
 	{rejectOpen, "session.open", "bad_certificate", pki.ErrBadCertificate},
 	{rejectOpen, "session.open", "other", nil},
+
+	{rejectTopic, "wire", "unknown_topic", nil},
 }
 
 // reject counts one refusal at site under its reason (see rejectReasons) and
@@ -604,7 +607,7 @@ func (g *Gateway) statRows() []statRow {
 	}
 	// One series per reason; /statusz shows their sum.
 	for i, r := range rejectReasons {
-		rows = append(rows, statRow{"confmw_gateway_rejected_total", "Requests refused by the decoder or a stage, and session handshakes refused, by reason.",
+		rows = append(rows, statRow{"confmw_gateway_rejected_total", "Requests refused by the decoder or a stage, session handshakes refused, and frames on a topic the edge does not serve, by reason.",
 			counter, g.rejects[i].Load, func(s *GatewayStats, v uint64) { s.Rejected += v },
 			[]telemetry.Label{telemetry.L("stage", r.stage), telemetry.L("reason", r.reason)}})
 	}
@@ -749,7 +752,7 @@ func (g *Gateway) AppendWire(ctx context.Context, dst []byte, topic string, payl
 		}
 		return append(dst, "ok"...), nil
 	default:
-		return dst, fmt.Errorf("gateway %s: unknown topic %q", g.name, topic)
+		return dst, g.reject(rejectTopic, fmt.Errorf("gateway %s: unknown topic %q", g.name, topic))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/telemetry"
 )
 
@@ -143,6 +144,7 @@ func TestRejectsCarryTheirReason(t *testing.T) {
 		{TopicSubmit, encode(session("alice", strings.Repeat("0", 64), alice.MacKey)), `stage="session",reason="no_session"`},
 		{TopicSessionOpen, []byte("garbage"), `stage="session.open",reason="bad_frame"`},
 		{TopicSessionOpen, staleHello, `stage="session.open",reason="stale_hello"`},
+		{"no.such.topic", nil, `stage="wire",reason="unknown_topic"`},
 	} {
 		_, err := gw.ServeWire(context.Background(), tc.topic, tc.payload, "")
 		if err == nil {
@@ -159,12 +161,17 @@ func TestRejectsCarryTheirReason(t *testing.T) {
 			t.Errorf("refusal not counted as %q; the family reads:\n%s", want, rejectedFamily(sb.String()))
 		}
 	}
-	if got := gw.Stats().Rejected; got != 6 {
-		t.Errorf("Stats().Rejected = %d, want the 6 refusals", got)
+	if got := gw.Stats().Rejected; got != 7 {
+		t.Errorf("Stats().Rejected = %d, want the 7 refusals", got)
 	}
-	// What the gateway did not count carries no label.
-	if _, err := gw.ServeWire(context.Background(), "no.such.topic", nil, ""); err == nil {
-		t.Fatal("unknown topic served")
+	// What the gateway did not count carries no label: a session topic on a
+	// pipeline with no session stage is a configuration, not a refusal.
+	bare, err := NewGateway("bare", Config{Stages: auditOnly}, auditEnv(), ordering.New("op", ordering.VisibilityEnvelope))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.ServeWire(context.Background(), TopicSessionOpen, nil, ""); err == nil {
+		t.Fatal("session.open served without a session stage")
 	} else if label := RejectLabel(err); label != "" {
 		t.Errorf("an uncounted error is labelled %q", label)
 	}

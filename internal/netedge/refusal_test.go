@@ -89,6 +89,7 @@ func TestEveryRefusalSurvivesTheSocket(t *testing.T) {
 	t.Run("anoncred|zkproof|attest", func(t *testing.T) { privacyRefusals(t, expect) })
 	t.Run("orderer refusals", func(t *testing.T) { ordererRefusals(t, expect) })
 	t.Run("unknown channel", func(t *testing.T) { unknownChannelRefusals(t, expect) })
+	t.Run("unknown topic", func(t *testing.T) { unknownTopicRefusals(t, expect) })
 
 	if len(vocabulary) == 0 {
 		t.Fatal("no confmw_gateway_rejected_total series read back")
@@ -464,12 +465,22 @@ func ordererRefusals(t *testing.T, expect expectFunc) {
 	})
 }
 
-// unknownChannelRefusals covers the one row a gateway refuses on its own,
+// unknownChannelRefusals covers a row a gateway refuses on its own,
 // whatever its stages: a channel its directory does not know.
 func unknownChannelRefusals(t *testing.T, expect expectFunc) {
 	e := serveRefusals(t, "audit", middleware.Env{Directory: middleware.StaticDirectory{"deals": {}}, Log: audit.NewHistory()}, acceptingOrderer())
 	expect(t, e, "order/unknown_channel", middleware.ErrUnknownChannel, func() error {
 		return e.submit(&middleware.Request{Channel: "elsewhere", Principal: "p", Payload: []byte("x")})
+	})
+}
+
+// unknownTopicRefusals covers the other: a topic the edge does not serve,
+// here one it once served.
+func unknownTopicRefusals(t *testing.T, expect expectFunc) {
+	e := serveRefusals(t, "audit", middleware.Env{Directory: middleware.StaticDirectory{"deals": {}}, Log: audit.NewHistory()}, acceptingOrderer())
+	expect(t, e, "wire/unknown_topic", nil, func() error {
+		_, err := e.c.Call(context.Background(), "shard.rebalance", nil)
+		return err
 	})
 }
 

@@ -19,10 +19,11 @@ import (
 )
 
 // isUnknownTopic reports whether err is the refusal of a topic the edge does
-// not serve: a WireError with no refusal label, whose text says so.
+// not serve: a WireError labelled with the series that counts it, whose text
+// says so.
 func isUnknownTopic(err error) bool {
 	var we *WireError
-	return errors.As(err, &we) && we.Label == "" && strings.Contains(we.Msg, "unknown topic")
+	return errors.As(err, &we) && we.Label == "wire/unknown_topic" && strings.Contains(we.Msg, "unknown topic")
 }
 
 // caller is who may call a topic on the client edge.

@@ -73,8 +73,8 @@ func TestRestartAllocationsFlatInHeight(t *testing.T) {
 	if err := cv.err(); err != nil {
 		t.Fatal(err)
 	}
-	if cv.next != 10000 {
-		t.Fatalf("delivered %d blocks, want 10000", cv.next)
+	if cv.tip.Height != 10000 {
+		t.Fatalf("delivered %d blocks, want 10000", cv.tip.Height)
 	}
 	if at10k := rejoin(); at100 != 0 || at10k != 0 {
 		t.Fatalf("a follower's crash and restart allocates %v at height 100 and %v at height 10000, want 0 at both", at100, at10k)

@@ -29,11 +29,11 @@ func newRefCluster(nodes, batch int, st ChannelState) *refCluster {
 }
 
 // head is node i's committed height and last hash.
-func (r *refCluster) head(i int) position {
+func (r *refCluster) head(i int) ledger.Tip {
 	if log := r.logs[i]; len(log) > 0 {
-		return position{r.base.Height + uint64(len(log)), log[len(log)-1].Hash()}
+		return ledger.Tip{Height: r.base.Height + uint64(len(log)), Hash: log[len(log)-1].Hash()}
 	}
-	return position{r.base.Height, r.base.LastHash}
+	return r.base.Tip
 }
 
 func (r *refCluster) quorum() bool {
@@ -108,7 +108,7 @@ func (r *refCluster) flush() error {
 		return ErrNoQuorum
 	}
 	at := r.head(r.leader)
-	log := append(slices.Clone(r.logs[r.leader]), ledger.NewBlock(at.height, at.hash, r.pending))
+	log := append(slices.Clone(r.logs[r.leader]), ledger.NewBlock(at.Height, at.Hash, r.pending))
 	r.pending = nil
 	for i := range r.logs {
 		if !r.down[i] {
@@ -137,8 +137,9 @@ func node(op byte, first, nodes int) int {
 // entry in a node's memory. A second subscriber checks that every block's
 // Txs is handed with its capacity clipped, so appending to it cannot write
 // into the queue it was carved from, and keeps a copy of it, since a
-// delivered block is lent for the call; at the end each kept block must
-// hold what the model cut. The tape's first byte picks the batch size and
+// delivered block is lent for the call; at the end the kept blocks must
+// extend the imported tip (ledger.Tip.Extend) and each hold what the model
+// cut. The tape's first byte picks the batch size and
 // the node count: three, one or five.
 func FuzzClusterModel(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1})
@@ -179,6 +180,7 @@ func FuzzClusterModel(f *testing.F) {
 		ops := fuzzOps[:[]int{3, 1, 5}[int(tape[0])/3%3]]
 		cv := &ChainVerifier{}
 		var kept []ledger.Block // since the last import
+		var imported ledger.Tip // where the kept blocks start
 		build := func(st ChannelState) (*Cluster, *refCluster) {
 			c, err := NewCluster("trade", ops, VisibilityEnvelope, WithBatchSize(batch))
 			if err != nil {
@@ -186,7 +188,7 @@ func FuzzClusterModel(f *testing.F) {
 			}
 			c.adoptState(st)
 			c.subscribe(cv.Deliver)
-			kept = kept[:0]
+			kept, imported = kept[:0], st.Tip
 			c.subscribe(func(b ledger.Block) error {
 				if cap(b.Txs) != len(b.Txs) {
 					t.Fatalf("block %d handed with room for %d more transactions in the queue's chunk", b.Number, cap(b.Txs)-len(b.Txs))
@@ -247,15 +249,15 @@ func FuzzClusterModel(f *testing.F) {
 			}
 			// The chain's head is the furthest any node got: the leader's
 			// while there is one, the last leader's otherwise.
-			var head position
+			var head ledger.Tip
 			for i := range ref.logs {
-				if at := ref.head(i); i == 0 || at.height > head.height {
+				if at := ref.head(i); i == 0 || at.Height > head.Height {
 					head = at
 				}
 			}
 			if c.head != head {
 				t.Fatalf("step %d: cluster head at %d, model at %d (hashes equal: %v)",
-					step, c.head.height, head.height, c.head.hash == head.hash)
+					step, c.head.Height, head.Height, c.head.Hash == head.Hash)
 			}
 			if c.leader != ref.leader || c.pendingCount() != len(ref.pending) {
 				t.Fatalf("step %d: leader %d with %d pending, model %d with %d",
@@ -266,11 +268,11 @@ func FuzzClusterModel(f *testing.F) {
 					t.Fatalf("step %d: node %d retains %d entries", step, i, len(n.uncommitted))
 				}
 				if c.leader >= 0 && !n.down && n.pos != c.head {
-					t.Fatalf("step %d: live node %d at %d, leader at %d", step, i, n.pos.height, c.head.height)
+					t.Fatalf("step %d: live node %d at %d, leader at %d", step, i, n.pos.Height, c.head.Height)
 				}
 				if n.down != ref.down[i] || n.pos != ref.head(i) {
 					t.Fatalf("step %d: node %d down=%v at %d, model down=%v at %d",
-						step, i, n.down, n.pos.height, ref.down[i], ref.head(i).height)
+						step, i, n.down, n.pos.Height, ref.down[i], ref.head(i).Height)
 				}
 			}
 		}
@@ -282,6 +284,13 @@ func FuzzClusterModel(f *testing.F) {
 		}
 		if len(kept) != len(chain) {
 			t.Fatalf("kept %d blocks since the last import, model cut %d", len(kept), len(chain))
+		}
+		// The kept blocks still chain from the import, each hashing to its
+		// DataHash from its bytes after later flushes reused the chunk.
+		for _, b := range kept {
+			if err := imported.Extend(b); err != nil {
+				t.Fatalf("kept chain: %v", err)
+			}
 		}
 		for i, b := range kept {
 			cut := chain[i].Txs

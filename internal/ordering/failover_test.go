@@ -61,8 +61,8 @@ func TestReplicatedShardFailoverOnSubmit(t *testing.T) {
 	if cl.err() != nil {
 		t.Fatalf("delivery: %v", cl.err())
 	}
-	if cl.txs != 6 || cl.next != 6 {
-		t.Fatalf("delivered %d txs over %d blocks, want 6 over 6", cl.txs, cl.next)
+	if cl.txs != 6 || cl.tip.Height != 6 {
+		t.Fatalf("delivered %d txs over %d blocks, want 6 over 6", cl.txs, cl.tip.Height)
 	}
 }
 
@@ -521,8 +521,8 @@ func TestStaleFollowerCannotForkChain(t *testing.T) {
 	if err := cv.err(); err != nil {
 		t.Fatalf("chain forked: %v", err)
 	}
-	if cv.next != 7 || cv.txs != 7 {
-		t.Fatalf("delivered %d txs over %d blocks, want 7 over 7", cv.txs, cv.next)
+	if cv.tip.Height != 7 || cv.txs != 7 {
+		t.Fatalf("delivered %d txs over %d blocks, want 7 over 7", cv.txs, cv.tip.Height)
 	}
 	for _, op := range []string{"op-a", "op-c"} {
 		if n, err := c.CommittedBlocks(op); err != nil || n != 7 {

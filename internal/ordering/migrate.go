@@ -22,11 +22,9 @@ var (
 // shard stopped. Committed blocks themselves stay with subscribers (they
 // were delivered); what moves is the head of the chain and the queue.
 type ChannelState struct {
-	// Height is the number of blocks cut so far; the next block is numbered
-	// Height.
-	Height uint64
-	// LastHash is the hash of the last cut block, chained into the next.
-	LastHash [32]byte
+	// Tip is where the chain stands: the next block is numbered Height and
+	// chained to Hash.
+	ledger.Tip
 	// Pending holds submitted-but-unsequenced transactions, in submission
 	// order; the receiving shard sequences them before any new traffic.
 	Pending []ledger.Transaction

@@ -26,8 +26,8 @@ func TestServiceExportImportRoundTrip(t *testing.T) {
 	if st.Height != 3 {
 		t.Fatalf("exported Height = %d, want 3", st.Height)
 	}
-	if st.LastHash != cl.lastHash {
-		t.Fatalf("exported LastHash does not match the last delivered block")
+	if st.Hash != cl.tip.Hash {
+		t.Fatalf("exported Hash does not match the last delivered block")
 	}
 	// The export removed the channel: the source shard can no longer fork it.
 	if h := src.height("trade"); h != 0 {
@@ -49,8 +49,8 @@ func TestServiceExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("delivery: %v", cl.err())
 	}
 	// Block 3 chained onto the exported head: numbering and hashing continue.
-	if cl.next != 4 || cl.txs != 4 {
-		t.Fatalf("delivered %d blocks / %d txs, want 4 / 4", cl.next, cl.txs)
+	if cl.tip.Height != 4 || cl.txs != 4 {
+		t.Fatalf("delivered %d blocks / %d txs, want 4 / 4", cl.tip.Height, cl.txs)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestServiceImportRefusesLiveChannel(t *testing.T) {
 	if err := svc.Submit(mkTx("trade", "BankA", "k0")); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	err := svc.ImportChannel("trade", ChannelState{Height: 7})
+	err := svc.ImportChannel("trade", ChannelState{Tip: ledger.Tip{Height: 7}})
 	if !errors.Is(err, ErrChannelExists) {
 		t.Fatalf("import over live channel = %v, want ErrChannelExists", err)
 	}
@@ -103,8 +103,8 @@ func TestReplicatedShardExportImportRoundTrip(t *testing.T) {
 	if cl.err() != nil {
 		t.Fatalf("delivery: %v", cl.err())
 	}
-	if cl.next != 3 {
-		t.Fatalf("chain height after import = %d, want 3", cl.next)
+	if cl.tip.Height != 3 {
+		t.Fatalf("chain height after import = %d, want 3", cl.tip.Height)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestShardedMigrateLiveChannel(t *testing.T) {
 	if cl.err() != nil {
 		t.Fatalf("delivery: %v", cl.err())
 	}
-	if cl.next != 10 || cl.txs != 10 {
-		t.Fatalf("delivered %d blocks / %d txs, want 10 / 10", cl.next, cl.txs)
+	if cl.tip.Height != 10 || cl.txs != 10 {
+		t.Fatalf("delivered %d blocks / %d txs, want 10 / 10", cl.tip.Height, cl.txs)
 	}
 	stats := sb.Stats()
 	if stats[to].MigratedIn != 1 {
@@ -329,8 +329,8 @@ func TestShardedMigratedChannelSurvivesElection(t *testing.T) {
 	if cl.err() != nil {
 		t.Fatalf("delivery: %v", cl.err())
 	}
-	if cl.next != 7 || cl.txs != 7 {
-		t.Fatalf("delivered %d blocks / %d txs, want 7 / 7", cl.next, cl.txs)
+	if cl.tip.Height != 7 || cl.txs != 7 {
+		t.Fatalf("delivered %d blocks / %d txs, want 7 / 7", cl.tip.Height, cl.txs)
 	}
 	if replicated[to].Failovers() != 1 {
 		t.Fatalf("Failovers = %d, want 1", replicated[to].Failovers())

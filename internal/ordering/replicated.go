@@ -48,14 +48,6 @@ type logEntry struct {
 	block ledger.Block
 }
 
-// position is where a node stands on the channel's chain: how many blocks
-// it has committed and the hash of the last one. It is all a node keeps of
-// committed history, and all a rejoining node needs from the leader.
-type position struct {
-	height uint64
-	hash   [32]byte
-}
-
 // clusterNode is one member-operated ordering node.
 type clusterNode struct {
 	operator string
@@ -63,7 +55,9 @@ type clusterNode struct {
 	mu   sync.Mutex
 	down bool
 	term uint64
-	pos  position
+	// pos is where the node stands on the channel's chain: all it keeps of
+	// committed history, and all a rejoining node needs from the leader.
+	pos ledger.Tip
 	// uncommitted holds the entries replicated to this node that no quorum
 	// has committed yet: the one Flush has in flight, nothing between
 	// flushes. Its backing array is reused from flush to flush.
@@ -74,7 +68,7 @@ type clusterNode struct {
 // after it. This is the one place a committed entry leaves the node's
 // memory, so it is where a write-ahead log append belongs. Caller holds
 // n.mu.
-func (n *clusterNode) fold(after position) {
+func (n *clusterNode) fold(after ledger.Tip) {
 	n.pos = after
 	n.dropUncommitted()
 }
@@ -99,7 +93,7 @@ type Cluster struct {
 	leader int // index into nodes, -1 when none
 	// head is where the next block is cut: the leader's position while
 	// there is a leader, the last leader's until the next election.
-	head position
+	head ledger.Tip
 	// pending is the queue, a slice of chunk that runs to its end: a cut
 	// hands the block the queue's front, capacity clipped, and the queue
 	// goes on in the rest of the chunk. Once a block is delivered, Flush
@@ -256,7 +250,7 @@ func (c *Cluster) elect() (string, error) {
 	// Candidate choice: live node with the highest committed position
 	// (Raft's up-to-date restriction), ties broken by node order.
 	live, best := 0, -1
-	var top position
+	var top ledger.Tip
 	var maxTerm uint64
 	for i, n := range c.nodes {
 		n.mu.Lock()
@@ -265,7 +259,7 @@ func (c *Cluster) elect() (string, error) {
 		}
 		if !n.down {
 			live++
-			if best < 0 || n.pos.height > top.height {
+			if best < 0 || n.pos.Height > top.Height {
 				best, top = i, n.pos
 			}
 		}
@@ -369,9 +363,8 @@ func (c *Cluster) exportState() ChannelState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return ChannelState{
-		Height:   c.head.height,
-		LastHash: c.head.hash,
-		Pending:  append([]ledger.Transaction(nil), c.pending...),
+		Tip:     c.head,
+		Pending: append([]ledger.Transaction(nil), c.pending...),
 	}
 }
 
@@ -382,7 +375,7 @@ func (c *Cluster) exportState() ChannelState {
 func (c *Cluster) adoptState(st ChannelState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.head = position{height: st.Height, hash: st.LastHash}
+	c.head = st.Tip
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		n.pos = c.head
@@ -475,7 +468,7 @@ func (c *Cluster) Flush() error {
 	// c.mu is held until the block commits or rolls back, so the queue is
 	// not touched in between and a rollback leaves it as it is.
 	cut := len(c.pending)
-	block := ledger.NewBlock(c.head.height, c.head.hash, c.pending[:cut:cut])
+	block := ledger.NewBlock(c.head.Height, c.head.Hash, c.pending[:cut:cut])
 	term := c.leaderTerm()
 	entry := logEntry{term: term, block: block}
 
@@ -507,7 +500,7 @@ func (c *Cluster) Flush() error {
 		return fmt.Errorf("%w: %d of %d acks", ErrNoQuorum, acks, quorum)
 	}
 	c.pending = c.pending[cut:]
-	c.head = position{height: block.Number + 1, hash: block.Hash()}
+	c.head = ledger.Tip{Height: block.Number + 1, Hash: block.Hash()}
 	for _, n := range c.nodes {
 		n.mu.Lock()
 		if len(n.uncommitted) > 0 {

@@ -41,7 +41,7 @@ func (c *Cluster) CommittedBlocks(operator string) (int, error) {
 	if n.down {
 		return 0, errNodeDown
 	}
-	return int(n.pos.height), nil
+	return int(n.pos.Height), nil
 }
 
 // LiveNodes returns the operators of nodes currently up.

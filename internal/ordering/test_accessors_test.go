@@ -22,7 +22,7 @@ func (c *Cluster) pendingCount() int {
 func (c *Cluster) height() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.head.height
+	return c.head.Height
 }
 
 // lookup returns the channel's cluster, nil for a channel the shard has

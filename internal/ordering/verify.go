@@ -10,22 +10,23 @@ import (
 )
 
 // ChainVerifier checks one channel's delivery stream against the ordering
-// contract: block numbers gap-free from 0, every PrevHash the hash of the
-// block before, every DataHash that of the block's transactions as their
-// bytes read on delivery (ledger.ContentDataHash, not the digests primed at
-// intake), no transaction ID delivered twice. Subscribe its Deliver
-// method; the zero value is ready to use.
+// contract. The chain check is ledger.Tip.Extend's: block numbers gap-free
+// from 0, every PrevHash the hash of the block before, every DataHash that
+// of the block's transactions as their bytes read on delivery. What the
+// verifier owns is the rest: the set of delivered transaction IDs (none
+// delivered twice), the list of violations, and the resync after a block
+// the check refused, so that one bad block is reported once. Subscribe its
+// Deliver method; the zero value is ready to use.
 //
 // Deliveries for a channel are serialized by whatever orders it (and,
 // across migration or failover, by the migration gate and election lock),
-// so the chain fields are deliberately unguarded: under -race they are
-// themselves a check of that serialization. Only the violation list, which
-// may be read while traffic still flows, takes the lock.
+// so the tip, count and ID set are deliberately unguarded: under -race they
+// are themselves a check of that serialization. Only the violation list,
+// which may be read while traffic still flows, takes the lock.
 type ChainVerifier struct {
-	next     uint64
-	lastHash [32]byte
-	txs      int
-	seen     map[string]struct{}
+	tip  ledger.Tip
+	txs  int
+	seen map[string]struct{}
 
 	mu         sync.Mutex
 	violations []string
@@ -34,13 +35,9 @@ type ChainVerifier struct {
 // Deliver is a DeliverFunc. A violation is recorded, never returned: the
 // verifier observes the stream without feeding errors back into ordering.
 func (v *ChainVerifier) Deliver(b ledger.Block) error {
-	if b.Number != v.next {
-		v.bad("block %d out of order, want %d", b.Number, v.next)
-	} else if v.next > 0 && b.PrevHash != v.lastHash {
-		v.bad("block %d breaks the hash chain", b.Number)
-	}
-	if b.DataHash != ledger.ContentDataHash(b.Txs) {
-		v.bad("block %d's data hash does not cover its transactions", b.Number)
+	if err := v.tip.Extend(b); err != nil {
+		v.bad("%v", err)
+		v.tip = ledger.Tip{Height: b.Number + 1, Hash: b.Hash()}
 	}
 	if v.seen == nil {
 		v.seen = make(map[string]struct{})
@@ -52,7 +49,6 @@ func (v *ChainVerifier) Deliver(b ledger.Block) error {
 		}
 		v.seen[id] = struct{}{}
 	}
-	v.next, v.lastHash = b.Number+1, b.Hash()
 	v.txs += len(b.Txs)
 	return nil
 }
@@ -63,8 +59,8 @@ func (v *ChainVerifier) bad(format string, args ...any) {
 	v.mu.Unlock()
 }
 
-// Txs returns the number of transactions delivered; like the chain fields
-// it reads, it is meaningful once the stream is quiescent.
+// Txs returns the number of transactions delivered; like the tip, it is
+// meaningful once the stream is quiescent.
 func (v *ChainVerifier) Txs() int { return v.txs }
 
 // Violations returns every contract violation seen so far, in delivery

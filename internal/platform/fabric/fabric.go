@@ -422,6 +422,42 @@ func writesEqual(a, b []ledger.Write) bool {
 	return true
 }
 
+// VerifyChains re-runs the chain check (ledger.Ledger.VerifyChain) on every
+// member's replica of a channel and returns how many replicas it checked
+// and the height they share. A replica that fails the check, or stands at
+// another height than the rest, is an error.
+func (n *Network) VerifyChains(channelName string) (peers int, height uint64, err error) {
+	ch, err := n.channelOf(channelName)
+	if err != nil {
+		return 0, 0, err
+	}
+	n.mu.Lock()
+	members := make([]string, 0, len(ch.members))
+	for m := range ch.members {
+		members = append(members, m)
+	}
+	n.mu.Unlock()
+	sort.Strings(members)
+	for i, m := range members {
+		o, err := n.Org(m)
+		if err != nil {
+			return 0, 0, err
+		}
+		o.mu.Lock()
+		replica := o.ledgers[channelName]
+		o.mu.Unlock()
+		if err := replica.VerifyChain(); err != nil {
+			return 0, 0, fmt.Errorf("%s's replica of %q: %w", m, channelName, err)
+		}
+		if h := replica.Height(); i == 0 {
+			height = h
+		} else if h != height {
+			return 0, 0, fmt.Errorf("%s's replica of %q at height %d, %s's at %d", m, channelName, h, members[0], height)
+		}
+	}
+	return len(members), height, nil
+}
+
 // Query reads a key from a channel replica; only members can.
 func (n *Network) Query(channelName, org, key string) ([]byte, error) {
 	ch, err := n.channelOf(channelName)

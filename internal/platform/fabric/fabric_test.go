@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dltprivacy/internal/audit"
@@ -371,6 +372,38 @@ func TestReplicasStayConsistent(t *testing.T) {
 	v2, _ := n.Query("trade", "SellerCo", "count")
 	if string(v1) != "5" || string(v2) != "5" {
 		t.Fatalf("counts = %q, %q; want 5", v1, v2)
+	}
+}
+
+// TestVerifyChainsSeesAPayloadWrittenOver runs the chain check over every
+// member's replica, and then again after one committed payload byte was
+// written over: the replicas' digests were memoised at intake, the check
+// hashes the bytes.
+func TestVerifyChainsSeesAPayloadWrittenOver(t *testing.T) {
+	n := newTradeNetwork(t)
+	for i := 0; i < 3; i++ {
+		if _, err := n.Invoke("trade", "BankA", "trade", "count", nil,
+			[]string{"BankA", "SellerCo"}); err != nil {
+			t.Fatalf("Invoke %d: %v", i, err)
+		}
+	}
+	if peers, height, err := n.VerifyChains("trade"); err != nil || peers != 2 || height != 3 {
+		t.Fatalf("VerifyChains = %d peers, %d blocks, %v; want 2, 3, nil", peers, height, err)
+	}
+	o, err := n.Org("SellerCo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := o.ledgers["trade"].Block(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Txs[0].Payload[0] ^= 1
+	if _, _, err := n.VerifyChains("trade"); !errors.Is(err, ledger.ErrBadBlock) || !strings.Contains(err.Error(), "block 1's data hash") {
+		t.Fatalf("VerifyChains after a payload was written over = %v, want block 1's data hash refused", err)
+	}
+	if _, _, err := n.VerifyChains("nowhere"); !errors.Is(err, ErrUnknownChannel) {
+		t.Fatalf("VerifyChains on an unknown channel = %v, want ErrUnknownChannel", err)
 	}
 }
 

@@ -65,7 +65,7 @@ var unusedExports = map[string][]string{
 		"ordering.ChannelMigrator", "ordering.ChannelState", "ordering.Cluster", "ordering.Option", "ordering.Service",
 		"ordering.Visibility",
 	},
-	"fault seams and the chain verifier that middleware's chaos tests drive; ChainVerifier is item 1(b)'s": {
+	"fault seams, and the verifier that runs ledger.Tip.Extend over the delivery stream middleware's chaos tests drive; ChainVerifier is item 1(b)'s": {
 		"ordering.ChainVerifier", "ordering.Cluster.Crash", "ordering.Cluster.Flush", "ordering.Cluster.Leader",
 	},
 	"the deployment bound docs/OPERATIONS.md names": {
